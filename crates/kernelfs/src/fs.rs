@@ -2013,6 +2013,15 @@ impl Ext4Dax {
         self.alloc.free_blocks()
     }
 
+    /// The directory-move generation: bumped by every `rename` of a
+    /// directory and by nothing else.  A user-level cache keyed by full
+    /// path compares the value before and after its own `rename` call to
+    /// learn, without another trap, whether paths beneath the renamed
+    /// name changed meaning.
+    pub fn dir_move_generation(&self) -> u64 {
+        self.path_cache.move_gen()
+    }
+
     /// Whole-tree namespace consistency check (an in-memory fsck), used by
     /// the concurrent-metadata stress tests and the `metaload` workload's
     /// verify phase.  Takes every namespace shard (read, ascending) and

@@ -386,17 +386,23 @@ impl SplitFs {
     /// (§3.5, "Handling dup").
     pub fn dup(&self, fd: Fd) -> FsResult<Fd> {
         self.charge_usplit();
-        self.fds.dup(fd)
+        let (_, state) = self.state_for_fd(fd)?;
+        // Counted under the state lock, so a racing last `close` of an
+        // unlinked file cannot drop the state between the two steps.
+        let mut st = state.write();
+        let new_fd = self.fds.dup(fd)?;
+        st.open_fds += 1;
+        Ok(new_fd)
     }
 
     /// DRAM footprint of the instance's bookkeeping structures.
     pub fn memory_usage(&self) -> MemoryUsage {
-        let states = self.files.snapshot();
+        let states = self.files.snapshot_keyed();
         let mut usage = MemoryUsage {
             cached_files: states.len(),
             ..MemoryUsage::default()
         };
-        for state in &states {
+        for (_ino, state) in &states {
             let st = state.read();
             usage.staged_extents += st.staged.len();
             usage.mmap_segments += st.mmaps.len();
@@ -448,6 +454,57 @@ impl SplitFs {
         let desc = self.fds.get(fd)?;
         let state = self.files.get(desc.ino).ok_or(FsError::BadFd)?;
         Ok((desc, state))
+    }
+
+    /// Runs `f` on the cached state bound to `norm`, under its write lock.
+    /// The path index is probed without any state lock held, so the
+    /// binding is re-checked once the lock is.
+    fn with_bound_state(&self, norm: &str, f: impl FnOnce(&mut FileState)) {
+        if let Some(state) = self.files.find_by_path(norm) {
+            let mut st = state.write();
+            if st.linked_path() == Some(norm) {
+                f(&mut st);
+            }
+        }
+    }
+
+    /// Drops the cached state of a file that has neither a name nor an
+    /// open application descriptor: unmaps it and closes U-Split's kernel
+    /// descriptor, at which point the kernel frees an orphan's blocks.
+    /// Called with the state's write lock held.
+    fn drop_if_unreferenced(&self, st: &FileState) {
+        if st.linked_path().is_some() || st.open_fds > 0 {
+            return;
+        }
+        self.files.remove(st.ino);
+        // munmap cost per mapped segment.
+        let munmap_ns = self.device.cost().mmap_setup_ns * 0.5;
+        self.device
+            .charge_software(st.mmaps.len() as f64 * munmap_ns);
+        let _ = self.kernel.close(st.kernel_fd);
+    }
+
+    /// Re-keys every cached file beneath a renamed directory.  The one
+    /// walk over all cached files left on the metadata path: a directory
+    /// move changes the meaning of every path under it, which the kernel,
+    /// too, treats as a global event (its directory-move generation).
+    fn rekey_descendants(&self, old_dir: &str, new_dir: &str) {
+        for (_ino, state) in self.files.snapshot_keyed() {
+            let mut st = state.write();
+            let moved = st
+                .linked_path()
+                .and_then(|p| p.strip_prefix(old_dir))
+                .filter(|rest| rest.starts_with('/'))
+                .map(|rest| format!("{new_dir}{rest}"));
+            // Only a file that moved with the directory: since the kernel
+            // call another thread may have re-created `old_dir` and opened
+            // a new file under the same name.
+            if let Some(moved) = moved {
+                if self.kernel.stat(&moved).is_ok_and(|now| now.ino == st.ino) {
+                    self.files.bind(&mut st, &moved);
+                }
+            }
+        }
     }
 
     /// Appends a record to the operation log.  Returns
@@ -1158,23 +1215,34 @@ impl FileSystem for SplitFs {
     fn open(&self, path: &str, flags: OpenFlags) -> FsResult<Fd> {
         self.charge_usplit();
         let norm = vpath::normalize(path)?;
-        // Metadata operation: pass through to the kernel.
-        let kernel_fd = self.kernel.open(&norm, flags)?;
-        // Cache the attributes (§3.5: "performs stat() on the file and
-        // caches its attributes in user-space").
-        let stat = self.kernel.fstat(kernel_fd)?;
+        loop {
+            // Metadata operation: pass through to the kernel.
+            let kernel_fd = self.kernel.open(&norm, flags)?;
+            // Cache the attributes (§3.5: "performs stat() on the file and
+            // caches its attributes in user-space").
+            let stat = self.kernel.fstat(kernel_fd)?;
 
-        // Take the registry shard lock only to find or insert the entry;
-        // the state itself is locked after the shard guard is released, so
-        // no thread ever holds a registry lock while waiting on a state
-        // lock.
-        let (state, created) = self.files.get_or_insert_with(stat.ino, || {
-            let mut fresh = FileState::new(stat.ino, &norm, kernel_fd, stat.size);
-            fresh.kernel_fd_writable = flags.write;
-            fresh
-        });
-        {
+            // Take the registry shard lock only to find or insert the
+            // entry; the state itself is locked after the shard guard is
+            // released, so no thread ever holds a registry lock while
+            // waiting on a state lock.
+            let (state, created) = self.files.get_or_insert_with(stat.ino, || {
+                let mut fresh = FileState::new(stat.ino, kernel_fd, stat.size);
+                fresh.kernel_fd_writable = flags.write;
+                fresh
+            });
             let mut st = state.write();
+            if !self.files.holds(stat.ino, &state) {
+                // Between the lookup and the lock a racing `unlink` (or a
+                // `rename` over the file) took the state's name and, with
+                // no descriptor open, dropped it and closed its kernel
+                // descriptor.  Resolve the path again: this `open` now
+                // comes after that operation.
+                if st.kernel_fd != kernel_fd {
+                    let _ = self.kernel.close(kernel_fd);
+                }
+                continue;
+            }
             if !created && st.kernel_fd != kernel_fd {
                 // Keep exactly one kernel descriptor per file, preferring
                 // the most capable one: relink and the fallback write path
@@ -1198,7 +1266,8 @@ impl FileSystem for SplitFs {
                 st.kernel_size = stat.size;
                 st.cached_size = st.cached_size.max(stat.size);
             }
-            st.path = norm.clone();
+            // Bind the name (a no-op when the state already carries it).
+            self.files.bind(&mut st, &norm);
             st.open_fds += 1;
             if self.kernel.is_tiered() {
                 // A file demoted before this state existed (say, in a
@@ -1207,8 +1276,8 @@ impl FileSystem for SplitFs {
                 // the file no longer owns.
                 st.demoted = self.kernel.is_demoted(st.kernel_fd).unwrap_or(false);
             }
+            return Ok(self.fds.insert(stat.ino, flags));
         }
-        Ok(self.fds.insert(stat.ino, flags))
     }
 
     fn close(&self, fd: Fd) -> FsResult<()> {
@@ -1221,9 +1290,11 @@ impl FileSystem for SplitFs {
                 self.relink_file(&mut st)?;
             }
             st.open_fds = st.open_fds.saturating_sub(1);
+            // Cached attributes and mappings are retained after close
+            // (§3.5) — unless the file lost its name while it was open.
+            self.drop_if_unreferenced(&st);
         }
         self.fds.remove(fd)?;
-        // Cached attributes and mappings are retained after close (§3.5).
         Ok(())
     }
 
@@ -1604,33 +1675,30 @@ impl FileSystem for SplitFs {
         // to the calling process immediately.
         if let Some(state) = self.files.find_by_path(&norm) {
             let st = state.read();
-            return Ok(FileStat {
-                ino: st.ino,
-                size: st.cached_size,
-                blocks: st.cached_size.div_ceil(BLOCK_SIZE as u64),
-                is_dir: false,
-                nlink: 1,
-            });
+            if st.linked_path() == Some(norm.as_str()) {
+                return Ok(FileStat {
+                    ino: st.ino,
+                    size: st.cached_size,
+                    blocks: st.cached_size.div_ceil(BLOCK_SIZE as u64),
+                    is_dir: false,
+                    nlink: 1,
+                });
+            }
         }
         self.kernel.stat(&norm)
     }
 
     fn unlink(&self, path: &str) -> FsResult<()> {
         self.charge_usplit();
-        let cost = self.device.cost().clone();
         let norm = vpath::normalize(path)?;
         // Drop cached state and unmap (the expensive part of unlink in
-        // SplitFS, §5.4).
-        let ino = self.files.find_by_path(&norm).map(|s| s.read().ino);
-        if let Some(ino) = ino {
-            if let Some(state) = self.files.remove(ino) {
-                let st = state.read();
-                // munmap cost per mapped segment.
-                self.device
-                    .charge_software(st.mmaps.len() as f64 * cost.mmap_setup_ns * 0.5);
-                let _ = self.kernel.close(st.kernel_fd);
-            }
-        }
+        // SplitFS, §5.4).  With application descriptors still open the
+        // state only loses its name and goes at the last close, like the
+        // kernel's own orphan.
+        self.with_bound_state(&norm, |st| {
+            self.files.unbind(st);
+            self.drop_if_unreferenced(st);
+        });
         self.kernel.unlink(&norm)
     }
 
@@ -1638,16 +1706,28 @@ impl FileSystem for SplitFs {
         self.charge_usplit();
         let old_norm = vpath::normalize(old)?;
         let new_norm = vpath::normalize(new)?;
+        let move_gen = self.kernel.dir_move_generation();
+        // The file the rename is about to replace, identified before the
+        // kernel call: afterwards the name means the moved file, which a
+        // racing `open` may already have bound.
+        let replaced = self.files.find_by_path(&new_norm);
         self.kernel.rename(&old_norm, &new_norm)?;
-        for state in self.files.snapshot() {
+        if old_norm == new_norm {
+            return Ok(());
+        }
+        if let Some(state) = replaced {
             let mut st = state.write();
-            if st.path == old_norm {
-                st.path = new_norm.clone();
-            } else if st.path == new_norm {
-                // The destination was replaced; its cached state is stale.
+            if st.linked_path() == Some(new_norm.as_str()) {
+                // It has no name and no blocks any more.
                 st.mmaps.clear();
                 st.staged.clear();
+                self.files.unbind(&mut st);
+                self.drop_if_unreferenced(&st);
             }
+        }
+        self.with_bound_state(&old_norm, |st| self.files.bind(st, &new_norm));
+        if self.kernel.dir_move_generation() != move_gen {
+            self.rekey_descendants(&old_norm, &new_norm);
         }
         Ok(())
     }
@@ -1679,5 +1759,165 @@ impl FileSystem for SplitFs {
 
     fn exists(&self, path: &str) -> bool {
         self.stat(path).is_ok()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    fn splitfs(mode: Mode) -> (Arc<Ext4Dax>, Arc<SplitFs>) {
+        let device = pmem::PmemBuilder::new(256 * 1024 * 1024)
+            .track_persistence(false)
+            .build();
+        let kernel = Ext4Dax::mkfs(device).unwrap();
+        let config = SplitConfig::new(mode).with_staging(2, 8 * 1024 * 1024);
+        let fs = SplitFs::new(Arc::clone(&kernel), config).unwrap();
+        (kernel, fs)
+    }
+
+    /// Paths of every cached state that still has a name.
+    fn linked_paths(fs: &SplitFs) -> Vec<String> {
+        fs.files
+            .snapshot_keyed()
+            .iter()
+            .filter_map(|(_, state)| state.read().linked_path().map(str::to_string))
+            .collect()
+    }
+
+    #[test]
+    fn path_ops_never_wait_on_an_unrelated_files_lock() {
+        let (_kernel, fs) = splitfs(Mode::Strict);
+        for name in ["/busy", "/a", "/c"] {
+            fs.write_file(name, b"payload").unwrap();
+        }
+        let busy = fs.files.find_by_path("/busy").unwrap();
+        let (locked_tx, locked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let _guard = busy.write();
+                locked_tx.send(()).unwrap();
+                // Held until the main thread has seen the outcome.
+                let _ = release_rx.recv();
+            });
+            locked_rx.recv().unwrap();
+            let fs = &fs;
+            s.spawn(move || {
+                let stat = fs.stat("/a").map(|st| st.size);
+                let exists = fs.exists("/c");
+                let renamed = fs.rename("/a", "/b");
+                let unlinked = fs.unlink("/b");
+                done_tx.send((stat, exists, renamed, unlinked)).unwrap();
+            });
+            // On a scan-based implementation the worker parks on `/busy`'s
+            // lock; release it after the timeout so the scope can join and
+            // the test fails instead of hanging.
+            let outcome = done_rx.recv_timeout(Duration::from_secs(20));
+            drop(release_tx);
+            assert_eq!(
+                outcome.expect("a path op waited on an unrelated file's state lock"),
+                (Ok(7), true, Ok(()), Ok(()))
+            );
+        });
+        assert!(!fs.exists("/a") && !fs.exists("/b"));
+    }
+
+    #[test]
+    fn open_racing_unlink_never_returns_a_dead_descriptor() {
+        const ROUNDS: usize = 3000;
+        let (kernel, fs) = splitfs(Mode::Posix);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let mut opened = 0usize;
+        std::thread::scope(|s| {
+            let (fs, done) = (&fs, &done);
+            // The state of `/x` is cached with no descriptor open each time
+            // the unlink runs, so the unlink drops it.
+            s.spawn(move || {
+                for _ in 0..ROUNDS {
+                    fs.write_file("/x", b"payload").unwrap();
+                    fs.unlink("/x").unwrap();
+                }
+                done.store(true, std::sync::atomic::Ordering::SeqCst);
+            });
+            // An `open` that resolved the path before the unlink must not
+            // come back holding the dropped state.
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                let Ok(fd) = fs.open("/x", OpenFlags::read_only()) else {
+                    continue;
+                };
+                opened += 1;
+                let size = fs.fstat(fd).expect("descriptor of a dropped state").size;
+                assert!(size == 0 || size == 7, "{size}");
+                fs.close(fd).unwrap();
+            }
+        });
+        assert!(opened > 0, "the opener never saw the file");
+        assert!(kernel.check_namespace().is_empty());
+    }
+
+    #[test]
+    fn concurrent_churn_keeps_the_path_index_exact() {
+        const THREADS: usize = 8;
+        const FILES: usize = 40;
+        let (kernel, fs) = splitfs(Mode::Sync);
+        for t in 0..THREADS {
+            fs.mkdir(&format!("/t{t}")).unwrap();
+        }
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (fs, start) = (&fs, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..FILES {
+                        let tmp = format!("/t{t}/f{i}.tmp");
+                        let dat = format!("/t{t}/f{i}.dat");
+                        let fd = fs.open(&tmp, OpenFlags::create()).unwrap();
+                        fs.append(fd, &vec![t as u8; 100 + i]).unwrap();
+                        match i % 4 {
+                            // Renamed while open, closed under the new name.
+                            0 => {
+                                fs.rename(&tmp, &dat).unwrap();
+                                fs.close(fd).unwrap();
+                            }
+                            // Unlinked while open: gone at the close.
+                            1 => {
+                                fs.unlink(&tmp).unwrap();
+                                assert_eq!(fs.fstat(fd).unwrap().size, 100 + i as u64);
+                                fs.close(fd).unwrap();
+                            }
+                            // Renamed over the previous survivor.
+                            2 => {
+                                fs.close(fd).unwrap();
+                                fs.rename(&tmp, &format!("/t{t}/f{}.dat", i - 2)).unwrap();
+                            }
+                            // Closed, then unlinked.
+                            _ => {
+                                fs.close(fd).unwrap();
+                                assert!(fs.exists(&tmp));
+                                fs.unlink(&tmp).unwrap();
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        fs.sync().unwrap();
+
+        let linked = linked_paths(&fs);
+        // Per thread: every `i % 4 == 0` file's name survives (replaced in
+        // content by its `i + 2` neighbour).
+        assert_eq!(linked.len(), THREADS * FILES / 4);
+        assert_eq!(fs.files.bound_paths(), linked.len());
+        assert_eq!(fs.files.len(), linked.len(), "unnamed states were dropped");
+        for path in &linked {
+            let (cached, truth) = (fs.stat(path).unwrap(), kernel.stat(path).unwrap());
+            assert_eq!((cached.ino, cached.size), (truth.ino, truth.size), "{path}");
+        }
+        assert!(kernel.check_namespace().is_empty());
     }
 }

@@ -53,7 +53,9 @@
 //!   being retired — never a stall, never a deadlock).  The per-file
 //!   registry and the descriptor table are **sharded**
 //!   ([`state::ShardedRegistry`], [`state::ShardedFdTable`]), so the
-//!   append hot path has no global U-Split lock;
+//!   append hot path has no global U-Split lock, and the registry is
+//!   indexed by path as well as by inode, so `stat`, `unlink` and
+//!   `rename` lock only the files they name;
 //! * [`staging`] — the **lane-sharded** pool of pre-allocated, pre-mapped
 //!   staging files the append path carves allocations out of: each lane
 //!   owns its own active file, cursor and free list behind its own lock,

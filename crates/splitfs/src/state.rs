@@ -2,7 +2,10 @@
 //!
 //! U-Split caches file attributes at `open` and keeps them after `close`
 //! (§3.5), tracks which byte ranges are staged in staging files awaiting a
-//! relink, and owns the collection of memory mappings for each file.
+//! relink, and owns the collection of memory mappings for each file.  The
+//! cache is indexed twice: by inode, for descriptors, and by path, so that
+//! `stat`, `unlink` and `rename` cost a hash probe however many files are
+//! cached.
 //! Descriptors are thin: they share a single per-open-file offset so that
 //! `dup`-ed descriptors observe each other's seeks, as the paper requires.
 //!
@@ -48,8 +51,13 @@ pub struct StagedExtent {
 pub struct FileState {
     /// Inode number in the kernel file system.
     pub ino: u64,
-    /// Path the file was last opened under (kept for diagnostics).
-    pub path: String,
+    /// Normalized path the file is known under — the key of its binding in
+    /// the registry's path index — or `None` when it has no name: `unlink`
+    /// (and a `rename` that replaces the file) takes it away while
+    /// application descriptors remain open, and the state is then dropped
+    /// at the last `close`.  Changes only in [`ShardedRegistry::bind`] /
+    /// [`ShardedRegistry::unbind`].
+    path: Option<String>,
     /// The kernel descriptor U-Split keeps open for metadata operations,
     /// DAX mapping and relink.
     pub kernel_fd: Fd,
@@ -87,11 +95,12 @@ pub struct FileState {
 }
 
 impl FileState {
-    /// Creates the state for a freshly opened file.
-    pub fn new(ino: u64, path: &str, kernel_fd: Fd, size: u64) -> Self {
+    /// Creates the state for a freshly opened file.  It carries no name
+    /// until [`ShardedRegistry::bind`] gives it one.
+    pub fn new(ino: u64, kernel_fd: Fd, size: u64) -> Self {
         Self {
             ino,
-            path: path.to_string(),
+            path: None,
             kernel_fd,
             kernel_fd_writable: true,
             kernel_size: size,
@@ -104,6 +113,12 @@ impl FileState {
             cold_reads: 0,
             last_access_ns: 0.0,
         }
+    }
+
+    /// The path this file is bound under, or `None` once it has been
+    /// unlinked (or replaced by a rename).
+    pub fn linked_path(&self) -> Option<&str> {
+        self.path.as_deref()
     }
 
     /// Total bytes currently staged for this file.
@@ -137,83 +152,32 @@ pub struct Descriptor {
     pub last_read_end: Arc<Mutex<u64>>,
 }
 
-/// The descriptor table of a U-Split instance.
-#[derive(Debug, Default)]
-pub struct FdTable {
-    fds: HashMap<Fd, Descriptor>,
-    next_fd: Fd,
-}
-
-impl FdTable {
-    /// Creates an empty table.  Descriptors start at 3, like a process whose
-    /// stdio is already occupied.
-    pub fn new() -> Self {
-        Self {
-            fds: HashMap::new(),
-            next_fd: 3,
-        }
-    }
-
-    /// Registers a new descriptor for `ino`.
-    pub fn insert(&mut self, ino: u64, flags: OpenFlags) -> Fd {
-        let fd = self.next_fd;
-        self.next_fd += 1;
-        self.fds.insert(
-            fd,
-            Descriptor {
-                ino,
-                flags,
-                offset: Arc::new(Mutex::new(0)),
-                last_read_end: Arc::new(Mutex::new(u64::MAX)),
-            },
-        );
-        fd
-    }
-
-    /// Duplicates a descriptor; the new descriptor shares the original's
-    /// offset (POSIX `dup` semantics, §3.5).
-    pub fn dup(&mut self, fd: Fd) -> FsResult<Fd> {
-        let desc = self.fds.get(&fd).cloned().ok_or(FsError::BadFd)?;
-        let new_fd = self.next_fd;
-        self.next_fd += 1;
-        self.fds.insert(new_fd, desc);
-        Ok(new_fd)
-    }
-
-    /// Looks up a descriptor.
-    pub fn get(&self, fd: Fd) -> FsResult<Descriptor> {
-        self.fds.get(&fd).cloned().ok_or(FsError::BadFd)
-    }
-
-    /// Removes a descriptor, returning it.
-    pub fn remove(&mut self, fd: Fd) -> FsResult<Descriptor> {
-        self.fds.remove(&fd).ok_or(FsError::BadFd)
-    }
-
-    /// Number of open descriptors.
-    pub fn len(&self) -> usize {
-        self.fds.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.fds.is_empty()
-    }
-}
-
 /// The registry of per-file state, keyed by inode.
 pub type FileRegistry = HashMap<u64, Arc<RwLock<FileState>>>;
 
-/// Number of shards in the U-Split file registry and descriptor table.
+/// Number of shards in the U-Split file registry, its path index and the
+/// descriptor table.
 pub const STATE_SHARDS: usize = 16;
 
 /// The per-file state registry, sharded by inode so concurrent opens,
 /// lookups and appends on distinct files never serialize on one registry
-/// lock.  Contended shard acquisitions are counted in the device-wide
-/// `shard_lock_waits` statistic when a stats handle is attached.
+/// lock, plus the **path index** that makes the path-taking operations
+/// (`stat`, `unlink`, `rename`) point lookups: a `normalized path → inode`
+/// map sharded by path hash.
+///
+/// Index invariant: *a path is bound iff a linked, cached [`FileState`]
+/// carries that path, and to that state's inode only.*  Bindings change
+/// only through [`Self::bind`] / [`Self::unbind`], which take the state
+/// `&mut` — i.e. under its write lock.  Path-index shard locks are leaf
+/// locks: nothing else is acquired while one is held.
+///
+/// Contended shard acquisitions (of either kind) are counted in the
+/// device-wide `shard_lock_waits` statistic when a stats handle is
+/// attached.
 #[derive(Debug)]
 pub struct ShardedRegistry {
     shards: Vec<RwLock<FileRegistry>>,
+    paths: Vec<RwLock<HashMap<String, u64>>>,
     device: Option<Arc<pmem::PmemDevice>>,
 }
 
@@ -225,6 +189,9 @@ impl ShardedRegistry {
             shards: (0..STATE_SHARDS)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
+            paths: (0..STATE_SHARDS)
+                .map(|_| RwLock::new(HashMap::new()))
+                .collect(),
             device,
         }
     }
@@ -233,13 +200,25 @@ impl ShardedRegistry {
         &self.shards[ino as usize % self.shards.len()]
     }
 
-    fn read_shard<'a>(
-        &self,
-        shard: &'a RwLock<FileRegistry>,
-    ) -> parking_lot::RwLockReadGuard<'a, FileRegistry> {
+    /// A path's shard, picked by a cheap FNV-1a so that the only keyed
+    /// (SipHash) pass over the path is the shard map's own.  Paths an
+    /// adversary aimed at one shard would cost contention, not collisions.
+    fn path_shard(&self, path: &str) -> &RwLock<HashMap<String, u64>> {
+        let hash = vfs::util::checksum32(path.as_bytes());
+        &self.paths[(hash ^ (hash >> 16)) as usize % self.paths.len()]
+    }
+
+    fn read_shard<'a, T>(&self, shard: &'a RwLock<T>) -> parking_lot::RwLockReadGuard<'a, T> {
         match &self.device {
             Some(device) => device.lock_contended(|| shard.try_read(), || shard.read()),
             None => shard.read(),
+        }
+    }
+
+    fn write_shard<'a, T>(&self, shard: &'a RwLock<T>) -> parking_lot::RwLockWriteGuard<'a, T> {
+        match &self.device {
+            Some(device) => device.lock_contended(|| shard.try_write(), || shard.write()),
+            None => shard.write(),
         }
     }
 
@@ -259,11 +238,7 @@ impl ShardedRegistry {
         if let Some(state) = self.read_shard(shard).get(&ino) {
             return (Arc::clone(state), false);
         }
-        let mut guard = match &self.device {
-            Some(device) => device.lock_contended(|| shard.try_write(), || shard.write()),
-            None => shard.write(),
-        };
-        match guard.entry(ino) {
+        match self.write_shard(shard).entry(ino) {
             std::collections::hash_map::Entry::Occupied(e) => (Arc::clone(e.get()), false),
             std::collections::hash_map::Entry::Vacant(e) => {
                 let state = Arc::new(RwLock::new(make()));
@@ -273,18 +248,20 @@ impl ShardedRegistry {
         }
     }
 
-    /// Removes and returns the state of `ino`.
+    /// Removes and returns the state of `ino`.  The caller has already
+    /// [`unbound`](Self::unbind) it.
     pub fn remove(&self, ino: u64) -> Option<Arc<RwLock<FileState>>> {
         self.shard(ino).write().remove(&ino)
     }
 
-    /// Snapshot of every cached state (shard by shard; no global lock).
-    pub fn snapshot(&self) -> Vec<Arc<RwLock<FileState>>> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(self.read_shard(shard).values().cloned());
-        }
-        out
+    /// Whether `state` is still the registered state of `ino`.  A state
+    /// looked up without its lock can be [`removed`](Self::remove) before
+    /// the lock is taken; whoever is about to give it a name or a
+    /// descriptor asks again under the lock.
+    pub fn holds(&self, ino: u64, state: &Arc<RwLock<FileState>>) -> bool {
+        self.read_shard(self.shard(ino))
+            .get(&ino)
+            .is_some_and(|current| Arc::ptr_eq(current, state))
     }
 
     /// Snapshot of every cached state with its inode key, so callers can
@@ -302,15 +279,48 @@ impl ShardedRegistry {
         out
     }
 
-    /// Finds a cached state by path.
-    pub fn find_by_path(&self, path: &str) -> Option<Arc<RwLock<FileState>>> {
-        for shard in &self.shards {
-            let guard = self.read_shard(shard);
-            if let Some(state) = guard.values().find(|s| s.read().path == path) {
-                return Some(Arc::clone(state));
-            }
+    /// Names `st` `path`: binds the path to the state's inode, dropping
+    /// the binding of the name the state was last seen under.  `st` is the
+    /// state's write guard.
+    pub fn bind(&self, st: &mut FileState, path: &str) {
+        if st.path.as_deref() == Some(path) {
+            return;
         }
-        None
+        self.unbind(st);
+        st.path = Some(path.to_string());
+        self.write_shard(self.path_shard(path))
+            .insert(path.to_string(), st.ino);
+    }
+
+    /// Takes `st`'s name away (unlink, or replacement by a rename).  `st`
+    /// is the state's write guard.
+    pub fn unbind(&self, st: &mut FileState) {
+        if let Some(path) = st.path.take() {
+            self.remove_binding(&path, st.ino);
+        }
+    }
+
+    /// Removes `path`'s binding if it still points at `ino` (a newer file
+    /// of the same name, bound by a racing `open`, keeps its own).
+    fn remove_binding(&self, path: &str, ino: u64) {
+        let mut shard = self.write_shard(self.path_shard(path));
+        if shard.get(path) == Some(&ino) {
+            shard.remove(path);
+        }
+    }
+
+    /// Finds a cached state by path: one probe of the path index, then one
+    /// of the inode shard.  The index lock is released in between, so the
+    /// caller re-checks [`FileState::linked_path`] under the state lock.
+    pub fn find_by_path(&self, path: &str) -> Option<Arc<RwLock<FileState>>> {
+        let ino = self.read_shard(self.path_shard(path)).get(path).copied()?;
+        self.get(ino)
+    }
+
+    /// Number of bound paths.
+    #[cfg(test)]
+    pub(crate) fn bound_paths(&self) -> usize {
+        self.paths.iter().map(|s| s.read().len()).sum()
     }
 
     /// Number of cached files.
@@ -414,7 +424,7 @@ mod tests {
 
     #[test]
     fn dup_shares_the_offset() {
-        let mut table = FdTable::new();
+        let table = ShardedFdTable::new();
         let fd = table.insert(7, OpenFlags::read_write());
         let dup = table.dup(fd).unwrap();
         assert_ne!(fd, dup);
@@ -424,7 +434,7 @@ mod tests {
 
     #[test]
     fn remove_invalidates_only_that_descriptor() {
-        let mut table = FdTable::new();
+        let table = ShardedFdTable::new();
         let a = table.insert(1, OpenFlags::read_only());
         let b = table.insert(2, OpenFlags::read_only());
         table.remove(a).unwrap();
@@ -435,7 +445,7 @@ mod tests {
 
     #[test]
     fn staged_bytes_and_truncation() {
-        let mut st = FileState::new(5, "/f", 10, 8192);
+        let mut st = FileState::new(5, 10, 8192);
         st.staged.push(StagedExtent {
             target_offset: 8192,
             len: 4096,

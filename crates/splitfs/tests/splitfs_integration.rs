@@ -477,3 +477,119 @@ fn memory_usage_is_bounded_and_observable() {
     // twenty small files must be nowhere near that.
     assert!(usage.approx_bytes < 10 * 1024 * 1024);
 }
+
+#[test]
+fn rename_over_a_cached_file_serves_the_moved_file() {
+    // Regression test: the replaced target used to keep its cached state
+    // under the same path as the moved file, and `stat` returned whichever
+    // of the two the registry's hash order produced first.  Filler files
+    // vary that order from round to round.
+    for mode in [Mode::Posix, Mode::Sync, Mode::Strict] {
+        let (_d, kernel, fs) = splitfs(mode);
+        for round in 0..20 {
+            let (a, b) = (format!("/a{round}"), format!("/b{round}"));
+            fs.write_file(&a, &vec![7u8; 5000]).unwrap();
+            fs.write_file(&b, &[9u8; 100]).unwrap();
+            fs.rename(&a, &b).unwrap();
+
+            let st = fs.stat(&b).unwrap();
+            assert_eq!(
+                st.ino,
+                kernel.stat(&b).unwrap().ino,
+                "{mode:?} round {round}"
+            );
+            assert_eq!(st.size, 5000, "{mode:?} round {round}");
+            assert_eq!(fs.stat(&a), Err(FsError::NotFound));
+            // One cached state per live file: the replaced one is gone.
+            assert_eq!(fs.memory_usage().cached_files, 2 * round + 1);
+            fs.write_file(&format!("/filler{round}"), b"x").unwrap();
+        }
+    }
+}
+
+#[test]
+fn directory_rename_rekeys_cached_descendants() {
+    // Regression test: cached paths beneath a renamed directory used to go
+    // stale — the old path still resolved, and the new one fell through to
+    // the kernel, hiding staged bytes from the process that wrote them.
+    for mode in [Mode::Posix, Mode::Sync, Mode::Strict] {
+        let (_d, kernel, fs) = splitfs(mode);
+        fs.mkdir("/d1").unwrap();
+        fs.mkdir("/d10").unwrap();
+        fs.write_file("/d10/f", b"sibling with a longer name")
+            .unwrap();
+        let fd = fs.open("/d1/f", OpenFlags::create()).unwrap();
+        fs.append(fd, &[0x5Au8; 3000]).unwrap();
+
+        fs.rename("/d1", "/d2").unwrap();
+        assert_eq!(fs.stat("/d1/f"), Err(FsError::NotFound), "{mode:?}");
+        assert_eq!(fs.stat("/d2/f").unwrap().size, 3000, "{mode:?}");
+        assert_eq!(fs.stat("/d10/f").unwrap().size, 26, "{mode:?}");
+
+        let reader = fs.open("/d2/f", OpenFlags::read_only()).unwrap();
+        let mut buf = vec![0u8; 4096];
+        assert_eq!(fs.read_at(reader, 0, &mut buf), Ok(3000));
+        assert!(buf[..3000].iter().all(|&b| b == 0x5A));
+        fs.close(reader).unwrap();
+
+        fs.fsync(fd).unwrap();
+        fs.close(fd).unwrap();
+        assert_eq!(kernel.read_file("/d2/f").unwrap(), vec![0x5Au8; 3000]);
+    }
+}
+
+/// One-off measurement for the O(1) claim: host time per `stat`, `rename`
+/// and `unlink` must not grow with the number of cached files.  Run with
+/// `cargo test --release -p splitfs --test splitfs_integration -- --ignored
+/// --nocapture metadata_ops_do_not_slow_down`.
+#[test]
+#[ignore = "host-clock measurement; run by hand in release mode"]
+fn metadata_ops_do_not_slow_down_as_cached_files_grow() {
+    const PROBES: usize = 2000;
+    let mut per_op_ns = Vec::new();
+    for residents in [1024usize, 8192] {
+        let device = PmemBuilder::new(512 * 1024 * 1024)
+            .track_persistence(false)
+            .build();
+        let kernel = Ext4Dax::mkfs(device).unwrap();
+        let fs = SplitFs::new(kernel, small_config(Mode::Sync)).unwrap();
+        // 16 residents per directory at either size, so the kernel's own
+        // per-directory work is the same and only U-Split's cache grows.
+        let dirs = residents / 16;
+        for d in 0..dirs {
+            fs.mkdir(&format!("/d{d}")).unwrap();
+        }
+        for r in 0..residents {
+            fs.write_file(&format!("/d{}/r{r}", r % dirs), b"resident")
+                .unwrap();
+        }
+        for p in 0..PROBES {
+            fs.write_file(&format!("/d{}/p{p}.tmp", p % 64), b"probe")
+                .unwrap();
+        }
+        let time = |op: &dyn Fn(usize)| {
+            let t0 = std::time::Instant::now();
+            (0..PROBES).for_each(op);
+            t0.elapsed().as_nanos() as f64 / PROBES as f64
+        };
+        let stat = time(&|p| {
+            fs.stat(&format!("/d{}/p{p}.tmp", p % 64)).unwrap();
+        });
+        let rename = time(&|p| {
+            let d = p % 64;
+            fs.rename(&format!("/d{d}/p{p}.tmp"), &format!("/d{d}/p{p}.dat"))
+                .unwrap();
+        });
+        let unlink = time(&|p| fs.unlink(&format!("/d{}/p{p}.dat", p % 64)).unwrap());
+        println!(
+            "{residents} resident files: stat {stat:.0} ns, rename {rename:.0} ns, unlink {unlink:.0} ns"
+        );
+        per_op_ns.push([stat, rename, unlink]);
+    }
+    for (small, large) in per_op_ns[0].iter().zip(&per_op_ns[1]) {
+        assert!(
+            *large < 2.0 * *small,
+            "an op slowed down with 8x the cached files: {per_op_ns:?}"
+        );
+    }
+}

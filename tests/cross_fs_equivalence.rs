@@ -13,7 +13,7 @@ use splitfs_repro::baselines::{Nova, NovaMode, Pmfs, Strata};
 use splitfs_repro::kernelfs::Ext4Dax;
 use splitfs_repro::pmem::PmemBuilder;
 use splitfs_repro::splitfs::{Mode, SplitConfig, SplitFs};
-use splitfs_repro::vfs::{FileSystem, IoVec, OpenFlags};
+use splitfs_repro::vfs::{FileSystem, FsError, IoVec, OpenFlags};
 
 fn all_filesystems() -> Vec<Arc<dyn FileSystem>> {
     let mut out: Vec<Arc<dyn FileSystem>> = Vec::new();
@@ -68,6 +68,93 @@ fn posix_file_operations_agree_across_all_filesystems() {
             listing, first_listing,
             "directory listing differs on {name}"
         );
+    }
+}
+
+/// What an application can observe around an `unlink` of a file it still
+/// holds open (sizes, bytes and error codes — no inode numbers, which
+/// differ between stacks).
+#[derive(Debug, PartialEq)]
+struct UnlinkWhileOpen {
+    fstat_after_unlink: u64,
+    reopen: Result<(), FsError>,
+    recreated_size: u64,
+    recreated_is_a_new_inode: bool,
+    size_after_more_appends: u64,
+    closes: [Result<(), FsError>; 2],
+}
+
+fn unlink_while_open(fs: &dyn FileSystem, kernel: &Ext4Dax) -> UnlinkWhileOpen {
+    let payload: Vec<u8> = (0..3 * 4096u32).map(|i| (i % 251) as u8).collect();
+    let fd = fs.open("/victim", OpenFlags::create()).unwrap();
+    fs.append(fd, &payload).unwrap();
+    fs.fsync(fd).unwrap();
+    let old_ino = fs.fstat(fd).unwrap().ino;
+
+    fs.unlink("/victim").unwrap();
+    // The name is gone; the open descriptor keeps serving the file.
+    let fstat_after_unlink = fs.fstat(fd).unwrap().size;
+    let mut read_back = vec![0u8; payload.len()];
+    assert_eq!(fs.read_at(fd, 0, &mut read_back), Ok(payload.len()));
+    assert_eq!(read_back, payload, "{}", fs.name());
+    let reopen = fs.open("/victim", OpenFlags::read_only()).map(|_| ());
+
+    // Re-creating the path yields a fresh, empty file.
+    let fresh = fs.open("/victim", OpenFlags::create()).unwrap();
+    let fresh_stat = fs.fstat(fresh).unwrap();
+    assert_eq!(fs.stat("/victim").unwrap().ino, fresh_stat.ino);
+
+    // The orphan still takes writes, and they stay out of the new file.
+    fs.append(fd, b"written after the unlink").unwrap();
+    let size_after_more_appends = fs.fstat(fd).unwrap().size;
+    assert_eq!(fs.fstat(fresh).unwrap().size, 0, "{}", fs.name());
+
+    // The blocks go at the last close, not before.
+    let free_before = kernel.free_blocks();
+    let closes = [fs.close(fd), fs.close(fresh)];
+    assert!(
+        kernel.free_blocks() >= free_before + 3,
+        "{}: the orphan's blocks were not freed at its last close",
+        fs.name()
+    );
+    assert_eq!(
+        kernel.check_namespace(),
+        Vec::<String>::new(),
+        "{}",
+        fs.name()
+    );
+    UnlinkWhileOpen {
+        fstat_after_unlink,
+        reopen,
+        recreated_size: fresh_stat.size,
+        recreated_is_a_new_inode: fresh_stat.ino != old_ino,
+        size_after_more_appends,
+        closes,
+    }
+}
+
+#[test]
+fn unlink_with_an_open_descriptor_matches_the_kernel_underneath() {
+    // SplitFS ≡ the kernel it sits on: POSIX (and `Ext4Dax`'s orphan
+    // handling) keep an unlinked file usable until its last close.
+    let device = || {
+        PmemBuilder::new(256 * 1024 * 1024)
+            .track_persistence(false)
+            .build()
+    };
+    let bare = Ext4Dax::mkfs(device()).unwrap();
+    let reference = unlink_while_open(&*bare, &bare);
+    assert_eq!(reference.reopen, Err(FsError::NotFound));
+    assert_eq!(reference.closes, [Ok(()), Ok(())]);
+    assert!(reference.recreated_is_a_new_inode);
+
+    for mode in [Mode::Posix, Mode::Sync, Mode::Strict] {
+        let kernel = Ext4Dax::mkfs(device()).unwrap();
+        let fs = SplitFs::new(Arc::clone(&kernel), SplitConfig::new(mode)).unwrap();
+        // Let the daemon finish provisioning, so that the free-block
+        // comparison sees only the foreground's effect.
+        fs.maintenance_quiesce();
+        assert_eq!(unlink_while_open(&*fs, &kernel), reference, "{mode:?}");
     }
 }
 
