@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use pmem::{AccessPattern, PersistMode, PmemDevice, TimeCategory};
-use vfs::{path as vpath, Fd, FileStat, FsError, FsResult, OpenFlags, SeekFrom};
+use vfs::{path as vpath, Fd, FileStat, FsError, FsResult, IoVec, OpenFlags, SeekFrom};
 
 /// File-system block size used by the baselines (matches kernelfs).
 pub const BLOCK_SIZE: usize = 4096;
@@ -416,6 +416,29 @@ impl FsCore {
         }
         Ok(())
     }
+}
+
+/// POSIX `write` for the three baselines: the data goes to the
+/// descriptor's offset or, on an `O_APPEND` descriptor, to the end of file
+/// — passed to `body` as `None`, because only the file system's write
+/// body can resolve it under the lock the write itself holds.  The
+/// descriptor's offset moves to the end of the written range afterwards.
+pub fn write_at_cursor(
+    core: &parking_lot::RwLock<FsCore>,
+    fd: Fd,
+    data: &[u8],
+    body: impl FnOnce(Option<u64>, &[IoVec<'_>]) -> FsResult<usize>,
+) -> FsResult<usize> {
+    let file = core.read().fd(fd)?;
+    let at = (!file.flags.append).then_some(file.offset);
+    let n = body(at, &[IoVec::new(data)])?;
+    let mut core = core.write();
+    let end = match at {
+        Some(offset) => offset + n as u64,
+        None => core.node(file.ino)?.size,
+    };
+    core.fd_mut(fd)?.offset = end;
+    Ok(n)
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use vfs::{
     SeekFrom,
 };
 
-use crate::common::{FsCore, BLOCK_SIZE};
+use crate::common::{write_at_cursor, FsCore, BLOCK_SIZE};
 
 /// Bytes reserved at the start of the device for the per-inode logs
 /// (modelled as one circular region).
@@ -298,10 +298,6 @@ impl FileSystem for Nova {
         Ok(n)
     }
 
-    fn write_at(&self, fd: Fd, offset: u64, data: &[u8]) -> FsResult<usize> {
-        self.vectored_write(fd, Some(offset), &[IoVec::new(data)])
-    }
-
     fn writev_at(&self, fd: Fd, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize> {
         self.vectored_write(fd, Some(offset), iov)
     }
@@ -334,18 +330,9 @@ impl FileSystem for Nova {
     }
 
     fn write(&self, fd: Fd, data: &[u8]) -> FsResult<usize> {
-        let offset = {
-            let core = self.core.read();
-            let file = core.fd(fd)?;
-            if file.flags.append {
-                core.node(file.ino)?.size
-            } else {
-                file.offset
-            }
-        };
-        let n = self.write_at(fd, offset, data)?;
-        self.core.write().fd_mut(fd)?.offset = offset + n as u64;
-        Ok(n)
+        write_at_cursor(&self.core, fd, data, |at, iov| {
+            self.vectored_write(fd, at, iov)
+        })
     }
 
     fn lseek(&self, fd: Fd, pos: SeekFrom) -> FsResult<u64> {

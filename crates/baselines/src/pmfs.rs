@@ -17,7 +17,7 @@ use vfs::{
     SeekFrom,
 };
 
-use crate::common::FsCore;
+use crate::common::{write_at_cursor, FsCore};
 
 /// Bytes reserved at the start of the device for the PMFS undo journal.
 const JOURNAL_RESERVED: u64 = 4 * 1024 * 1024;
@@ -205,10 +205,6 @@ impl FileSystem for Pmfs {
         Ok(n)
     }
 
-    fn write_at(&self, fd: Fd, offset: u64, data: &[u8]) -> FsResult<usize> {
-        self.vectored_write(fd, Some(offset), &[IoVec::new(data)])
-    }
-
     fn writev_at(&self, fd: Fd, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize> {
         self.vectored_write(fd, Some(offset), iov)
     }
@@ -242,18 +238,9 @@ impl FileSystem for Pmfs {
     }
 
     fn write(&self, fd: Fd, data: &[u8]) -> FsResult<usize> {
-        let offset = {
-            let core = self.core.read();
-            let file = core.fd(fd)?;
-            if file.flags.append {
-                core.node(file.ino)?.size
-            } else {
-                file.offset
-            }
-        };
-        let n = self.write_at(fd, offset, data)?;
-        self.core.write().fd_mut(fd)?.offset = offset + n as u64;
-        Ok(n)
+        write_at_cursor(&self.core, fd, data, |at, iov| {
+            self.vectored_write(fd, at, iov)
+        })
     }
 
     fn lseek(&self, fd: Fd, pos: SeekFrom) -> FsResult<u64> {

@@ -26,7 +26,7 @@ use vfs::{
     SeekFrom,
 };
 
-use crate::common::{FsCore, BLOCK_SIZE};
+use crate::common::{write_at_cursor, FsCore, BLOCK_SIZE};
 
 /// Default private-log capacity.  The paper evaluates Strata with a 20 GB
 /// log on scaled-down YCSB; the default here is sized for the scaled-down
@@ -366,10 +366,6 @@ impl FileSystem for Strata {
         Ok(n)
     }
 
-    fn write_at(&self, fd: Fd, offset: u64, data: &[u8]) -> FsResult<usize> {
-        self.vectored_write(fd, Some(offset), &[IoVec::new(data)])
-    }
-
     fn writev_at(&self, fd: Fd, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize> {
         self.vectored_write(fd, Some(offset), iov)
     }
@@ -403,18 +399,9 @@ impl FileSystem for Strata {
     }
 
     fn write(&self, fd: Fd, data: &[u8]) -> FsResult<usize> {
-        let offset = {
-            let core = self.core.read();
-            let file = core.fd(fd)?;
-            if file.flags.append {
-                core.node(file.ino)?.size
-            } else {
-                file.offset
-            }
-        };
-        let n = self.write_at(fd, offset, data)?;
-        self.core.write().fd_mut(fd)?.offset = offset + n as u64;
-        Ok(n)
+        write_at_cursor(&self.core, fd, data, |at, iov| {
+            self.vectored_write(fd, at, iov)
+        })
     }
 
     fn lseek(&self, fd: Fd, pos: SeekFrom) -> FsResult<u64> {

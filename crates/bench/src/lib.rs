@@ -1,5 +1,4 @@
-//! Shared fixtures and reporting helpers for the experiment harness and the
-//! criterion benches.
+//! Shared fixtures and reporting helpers for the experiment harness.
 //!
 //! Every experiment needs the same thing: a fresh emulated PM device with a
 //! particular file system mounted on it.  [`FsKind`] enumerates the eight

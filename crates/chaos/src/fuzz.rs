@@ -491,6 +491,33 @@ mod tests {
         );
     }
 
+    /// The strict and POSIX campaigns at the CI gate's density.  The
+    /// strict one runs the ring phase too: drained batches go through the
+    /// same staging core as synchronous writes and declare
+    /// `OplogCommitted` like them, and every crash point still recovers
+    /// clean.  (POSIX mode has no log, so an awaited ring epoch promises no
+    /// more than the mode does; the workload's ring phase promises file
+    /// content and is left out there.)
+    #[test]
+    fn ci_density_campaigns_recover_clean_with_ring_batches() {
+        for (mode, use_rings) in [(Mode::Strict, true), (Mode::Posix, false)] {
+            let mut config = FuzzConfig::smoke(mode, chaos_seed(0xC4A0_5EED));
+            config.max_points = 120;
+            config.workload.use_rings = use_rings;
+            let report = run(&config).unwrap();
+            assert!(report.points_explored >= 60, "{mode:?}: {report:?}");
+            assert!(
+                report.violations.is_empty(),
+                "{mode:?}, seed {}: {:#?}",
+                crate::seed::replay_banner(config.seed),
+                report.violations
+            );
+            assert_eq!(report.fsck_failures, 0, "{mode:?}");
+            let committed = report.promise_counts.get("oplog_committed");
+            assert_eq!(committed.is_some(), mode == Mode::Strict, "{report:?}");
+        }
+    }
+
     #[test]
     fn tiered_migration_points_recover_clean() {
         // Crash points land around fsync-then-demote migrations: after

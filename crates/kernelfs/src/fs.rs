@@ -2482,10 +2482,6 @@ impl FileSystem for Ext4Dax {
         Ok(n)
     }
 
-    fn write_at(&self, fd: Fd, offset: u64, data: &[u8]) -> FsResult<usize> {
-        self.vectored_write(fd, Some(offset), &[IoVec::new(data)])
-    }
-
     fn writev_at(&self, fd: Fd, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize> {
         self.vectored_write(fd, Some(offset), iov)
     }

@@ -17,31 +17,6 @@ pub struct DaemonConfig {
     pub staging_low_watermark: usize,
     /// Workers provision until this many unconsumed staging files exist.
     pub staging_high_watermark: usize,
-    /// Maximum number of relink ops submitted per `ioctl_relink_batch`
-    /// call; larger batches amortize the journal transaction further but
-    /// hold the kernel lock longer.
-    pub relink_batch_size: usize,
-    /// When the operation log passes this fill fraction, a worker performs
-    /// a background checkpoint (batched relink of every dirty file plus a
-    /// group-commit truncate of the log) so the foreground never hits a
-    /// full log.
-    pub oplog_checkpoint_fraction: f64,
-    /// Whether workers adaptively resize each staging lane's watermarks
-    /// from its measured consumption rate (bytes per simulated
-    /// millisecond).  With this off, every lane keeps the static
-    /// `staging_low_watermark`/`staging_high_watermark` split.
-    pub adaptive_watermarks: bool,
-    /// Sliding-window length, in **simulated** milliseconds, over which a
-    /// lane's consumption rate is measured.
-    pub adapt_window_ms: f64,
-    /// How far ahead, in simulated milliseconds, provisioning runs: a
-    /// lane's high watermark is sized to cover `rate × horizon` bytes of
-    /// demand.
-    pub adapt_horizon_ms: f64,
-    /// Upper bound on any single lane's adaptively-sized high watermark
-    /// (a runaway rate estimate must not provision the device full of
-    /// staging files).
-    pub adapt_lane_cap: usize,
     /// A file whose staged extents have not grown for this many simulated
     /// milliseconds is *cold*: under staging-space pressure the daemon
     /// relinks it so its staging files become recyclable.
@@ -75,12 +50,6 @@ impl DaemonConfig {
             workers: 1,
             staging_low_watermark: 1,
             staging_high_watermark: 3,
-            relink_batch_size: 64,
-            oplog_checkpoint_fraction: 0.5,
-            adaptive_watermarks: true,
-            adapt_window_ms: 4.0,
-            adapt_horizon_ms: 2.0,
-            adapt_lane_cap: 64,
             cold_relink_after_ms: 8.0,
             tier_demote_after_ms: 10.0,
             tier_pm_watermark: 0.7,
@@ -109,15 +78,11 @@ impl Default for DaemonConfig {
 /// The defaults follow the paper but are scaled down to fit the emulated
 /// devices the test-suite and benchmark harness create (the paper's 160 MiB
 /// staging files and 128 MiB operation log assume a multi-hundred-gigabyte
-/// PM module).  [`SplitConfig::paper_defaults`] restores the exact paper
-/// values for experiments run on large devices.
+/// PM module).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplitConfig {
     /// Consistency mode of this instance.
     pub mode: Mode,
-    /// Granularity of target-file memory mappings.  The paper supports
-    /// 2 MiB – 512 MiB; 2 MiB is the default so huge pages can be used.
-    pub mmap_size: u64,
     /// Number of staging files pre-allocated at startup.
     pub staging_files: usize,
     /// Size of each staging file in bytes.
@@ -136,8 +101,6 @@ pub struct SplitConfig {
     /// this off, staged appends are copied into the target file instead of
     /// being relinked.
     pub use_relink: bool,
-    /// Pre-fault mappings when they are created (`MAP_POPULATE`).
-    pub populate_mmaps: bool,
     /// Replay the operation logs of orphaned (crashed) instances before
     /// this instance starts (see [`crate::recovery::recover_orphans`]).
     /// On by default; crash tests that stage an orphan deliberately and
@@ -153,42 +116,15 @@ impl SplitConfig {
     pub fn new(mode: Mode) -> Self {
         Self {
             mode,
-            mmap_size: 2 * 1024 * 1024,
             staging_files: 4,
             staging_file_size: 16 * 1024 * 1024,
             staging_lanes: 0,
             oplog_size: 8 * 1024 * 1024,
             use_staging: true,
             use_relink: true,
-            populate_mmaps: true,
             recover_orphans_on_mount: true,
             daemon: DaemonConfig::default(),
         }
-    }
-
-    /// The exact parameter values reported in §3.6 of the paper: ten
-    /// 160 MiB staging files and a 128 MiB operation log.
-    pub fn paper_defaults(mode: Mode) -> Self {
-        Self {
-            mode,
-            mmap_size: 2 * 1024 * 1024,
-            staging_files: 10,
-            staging_file_size: 160 * 1024 * 1024,
-            staging_lanes: 0,
-            oplog_size: 128 * 1024 * 1024,
-            use_staging: true,
-            use_relink: true,
-            populate_mmaps: true,
-            recover_orphans_on_mount: true,
-            daemon: DaemonConfig::default(),
-        }
-    }
-
-    /// Sets the mmap granularity (clamped to the paper's 2 MiB – 512 MiB
-    /// supported range).
-    pub fn with_mmap_size(mut self, size: u64) -> Self {
-        self.mmap_size = size.clamp(2 * 1024 * 1024, 512 * 1024 * 1024);
-        self
     }
 
     /// Sets the staging pool shape.
@@ -266,14 +202,6 @@ impl SplitConfig {
         self
     }
 
-    /// Disables adaptive lane watermarks: every lane keeps the static
-    /// low/high split (ablation, and tests that assert exact
-    /// provisioning counts).
-    pub fn without_adaptive_watermarks(mut self) -> Self {
-        self.daemon.adaptive_watermarks = false;
-        self
-    }
-
     /// Sets the cold-file relink threshold in simulated milliseconds.
     pub fn with_cold_relink_after_ms(mut self, ms: f64) -> Self {
         self.daemon.cold_relink_after_ms = ms.max(0.0);
@@ -307,11 +235,6 @@ impl SplitConfig {
         self.daemon.tier_promote_after_reads = reads.max(1);
         self
     }
-
-    /// Maximum number of 64-byte entries the operation log can hold.
-    pub fn oplog_capacity(&self) -> u64 {
-        self.oplog_size / 64
-    }
 }
 
 impl Default for SplitConfig {
@@ -323,24 +246,6 @@ impl Default for SplitConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn defaults_follow_the_paper_shape() {
-        let c = SplitConfig::paper_defaults(Mode::Strict);
-        assert_eq!(c.mmap_size, 2 * 1024 * 1024);
-        assert_eq!(c.staging_files, 10);
-        assert_eq!(c.staging_file_size, 160 * 1024 * 1024);
-        assert_eq!(c.oplog_size, 128 * 1024 * 1024);
-        assert_eq!(c.oplog_capacity(), 2 * 1024 * 1024); // "up to 2M operations"
-    }
-
-    #[test]
-    fn mmap_size_is_clamped_to_supported_range() {
-        let c = SplitConfig::new(Mode::Posix).with_mmap_size(1);
-        assert_eq!(c.mmap_size, 2 * 1024 * 1024);
-        let c = SplitConfig::new(Mode::Posix).with_mmap_size(u64::MAX);
-        assert_eq!(c.mmap_size, 512 * 1024 * 1024);
-    }
 
     #[test]
     fn daemon_defaults_and_builders() {
@@ -363,9 +268,6 @@ mod tests {
         assert_eq!(c.effective_staging_lanes(), c.daemon.workers.max(1));
         let c = SplitConfig::new(Mode::Strict).with_staging_lanes(16);
         assert_eq!(c.effective_staging_lanes(), 16);
-        assert!(c.daemon.adaptive_watermarks, "adaptive on by default");
-        let c = c.without_adaptive_watermarks();
-        assert!(!c.daemon.adaptive_watermarks);
     }
 
     #[test]

@@ -74,6 +74,11 @@ use crate::fs::SplitFs;
 /// How often an idle worker wakes to poll watermarks without a nudge.
 const TICK: Duration = Duration::from_millis(1);
 
+/// Fill fraction of the active operation-log epoch past which a worker
+/// checkpoints in the background (seal, relink the sealed files, truncate),
+/// so the foreground never hits a full log.
+pub(crate) const CHECKPOINT_FRACTION: f64 = 0.5;
+
 /// One unit of background maintenance work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Task {
@@ -287,22 +292,19 @@ impl SplitFs {
     /// [`Task::ProvisionStaging`] nudge.
     pub(crate) fn maintenance_tick(&self) {
         use std::sync::atomic::Ordering;
-        let cfg = &self.config.daemon;
         if self.config.use_staging {
             // Adaptive provisioning: sample each lane's cumulative
             // consumption and size its watermarks from the observed rate.
             // Hot lanes get staging files ahead of demand; idle lanes
             // shrink back to the configured floor.
-            if cfg.adaptive_watermarks {
-                let lanes = self.staging.lane_count();
-                let now_ms = self.device.clock().now_ns_f64() / 1e6;
-                let consumed: Vec<u64> = (0..lanes)
-                    .map(|i| self.staging.lane_consumed_bytes(i))
-                    .collect();
-                let marks = self.adaptive.lock().observe(now_ms, &consumed);
-                for (i, w) in marks.iter().enumerate() {
-                    self.staging.set_lane_watermarks(i, w.low, w.high);
-                }
+            let lanes = self.staging.lane_count();
+            let now_ms = self.device.clock().now_ns_f64() / 1e6;
+            let consumed: Vec<u64> = (0..lanes)
+                .map(|i| self.staging.lane_consumed_bytes(i))
+                .collect();
+            let marks = self.adaptive.lock().observe(now_ms, &consumed);
+            for (i, w) in marks.iter().enumerate() {
+                self.staging.set_lane_watermarks(i, w.low, w.high);
             }
             // Per-lane refill: a lane below its low watermark is
             // provisioned back up to its high watermark.
@@ -344,7 +346,7 @@ impl SplitFs {
         // refilled (or found healthy).
         self.provision_nudged.store(false, Ordering::Relaxed);
         if let Some(oplog) = self.oplog.as_ref() {
-            if oplog.sealed_pending() || oplog.utilization() >= cfg.oplog_checkpoint_fraction {
+            if oplog.sealed_pending() || oplog.utilization() >= CHECKPOINT_FRACTION {
                 self.background_checkpoint();
             }
         }
@@ -384,10 +386,7 @@ impl SplitFs {
     /// and reports them.
     pub(crate) fn background_relink(&self, ino: u64) {
         if let Some(state) = self.files.get(ino) {
-            let mut st = state.write();
-            if !st.staged.is_empty() {
-                let _ = self.relink_file(&mut st);
-            }
+            let _ = self.relink_batch(&mut [state.write()], None);
         }
     }
 

@@ -19,6 +19,7 @@
 //!   one per application process in the paper's deployment — share one
 //!   kernel file system without stepping on each other's resources.
 
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -32,11 +33,13 @@ use vfs::{
 
 use crate::adaptive::{WatermarkController, Watermarks};
 use crate::config::SplitConfig;
-use crate::daemon::{MaintenanceDaemon, Task};
+use crate::daemon::{MaintenanceDaemon, Task, CHECKPOINT_FRACTION};
+use crate::mmap_collection::{MAP_POPULATE, MMAP_SIZE};
 use crate::modes::Mode;
 use crate::oplog::{LogEntry, LogOp, OpLog};
 use crate::recovery;
-use crate::staging::StagingPool;
+use crate::relink::RELINK_CHUNK;
+use crate::staging::{StagingAllocation, StagingPool};
 use crate::state::{Descriptor, FileState, ShardedFdTable, ShardedRegistry, StagedExtent};
 
 /// Directory on the kernel file system holding SplitFS's own files
@@ -250,7 +253,7 @@ impl SplitFs {
         let oplog = if config.mode.logs_data_ops() {
             let fd = kernel.open(&oplog_file, OpenFlags::create())?;
             kernel.ftruncate(fd, config.oplog_size)?;
-            let mapping = kernel.dax_map(fd, 0, config.oplog_size, config.populate_mmaps)?;
+            let mapping = kernel.dax_map(fd, 0, config.oplog_size, MAP_POPULATE)?;
             let log = OpLog::new(Arc::clone(device), mapping, config.oplog_size);
             // §3.3: the log is zeroed at initialization so recovery can tell
             // written slots from never-used ones.
@@ -268,6 +271,15 @@ impl SplitFs {
     /// watermarks) bound the watermarks from below, so adaptive shrink
     /// can never drop provisioning under the configured pool shape.
     fn make_watermark_controller(config: &SplitConfig, lane_count: usize) -> WatermarkController {
+        /// Sliding window, in simulated milliseconds, over which a lane's
+        /// consumption rate is measured.
+        const WINDOW_MS: f64 = 4.0;
+        /// How far ahead provisioning runs: a lane's high watermark
+        /// covers `rate × horizon` bytes of demand.
+        const HORIZON_MS: f64 = 2.0;
+        /// Bound on one lane's high watermark, so a runaway rate estimate
+        /// cannot provision the device full of staging files.
+        const LANE_CAP: usize = 64;
         let lanes = lane_count.max(1);
         // Same formula as the pool's construction-time watermarks, so an
         // idle system's first tick computes exactly the values the lanes
@@ -276,14 +288,14 @@ impl SplitFs {
         let (floor_low, floor_high) = crate::staging::lane_watermark_floor(config, lanes);
         WatermarkController::new(
             lanes,
-            config.daemon.adapt_window_ms,
-            config.daemon.adapt_horizon_ms,
+            WINDOW_MS,
+            HORIZON_MS,
             config.staging_file_size,
             Watermarks {
                 low: floor_low,
                 high: floor_high,
             },
-            config.daemon.adapt_lane_cap,
+            LANE_CAP,
         )
     }
 
@@ -472,10 +484,11 @@ impl SplitFs {
     /// open application descriptor: unmaps it and closes U-Split's kernel
     /// descriptor, at which point the kernel frees an orphan's blocks.
     /// Called with the state's write lock held.
-    fn drop_if_unreferenced(&self, st: &FileState) {
+    fn drop_if_unreferenced(&self, st: &mut FileState) {
         if st.linked_path().is_some() || st.open_fds > 0 {
             return;
         }
+        self.discard_staged(st, 0);
         self.files.remove(st.ino);
         // munmap cost per mapped segment.
         let munmap_ns = self.device.cost().mmap_setup_ns * 0.5;
@@ -507,18 +520,6 @@ impl SplitFs {
         }
     }
 
-    /// Appends a record to the operation log.  Returns
-    /// [`FsError::NoSpace`] when the log is full; the write path reacts by
-    /// checkpointing and retrying, while best-effort records (invalidation
-    /// markers) are simply dropped — replay stays correct without them
-    /// because it is idempotent.
-    pub(crate) fn log_append(&self, entry: &LogEntry) -> FsResult<()> {
-        match self.oplog.as_ref() {
-            Some(oplog) => oplog.append(entry),
-            None => Ok(()),
-        }
-    }
-
     /// Relinks every file with staged data and truncates the operation log
     /// by **epoch swap** (§3.3: performed when the log fills up, by
     /// [`FileSystem::sync`], and in the background by the maintenance
@@ -536,8 +537,8 @@ impl SplitFs {
         Ok(())
     }
 
-    /// Handles a full active epoch from inside `stage_write`, where the
-    /// caller holds `state`'s write lock.  First tries to **seal**: the
+    /// Handles a full active epoch from inside [`SplitFs::stage_batch`], where
+    /// the caller holds `state`'s write lock.  First tries to **seal**: the
     /// empty half becomes active and this writer retries immediately,
     /// while retirement of the sealed half happens in the background (or
     /// inline, best-effort, when the daemon is disabled).  If the other
@@ -609,9 +610,7 @@ impl SplitFs {
         let mut deferred: Vec<LogEntry> = Vec::new();
         let mut complete = true;
         if let Some(st) = current {
-            if !st.staged.is_empty() && self.relink_file_deferring(st, &mut deferred).is_err() {
-                complete = false;
-            }
+            complete = self.relink_batch(&mut [st], Some(&mut deferred)).is_ok();
         }
         for (ino, state) in self.files.snapshot_keyed() {
             if Some(ino) == current_ino {
@@ -625,22 +624,18 @@ impl SplitFs {
             } else {
                 state.try_write()
             };
-            let Some(mut st) = guard else {
+            let Some(st) = guard else {
                 complete = false;
                 continue;
             };
-            if !st.staged.is_empty() && self.relink_file_deferring(&mut st, &mut deferred).is_err()
-            {
+            if self.relink_batch(&mut [st], Some(&mut deferred)).is_err() {
                 // A failed relink leaves that file's data staged and its
                 // log entries live; the sealed epoch must stay pending.
                 complete = false;
             }
         }
+        self.log_markers(&deferred);
         if let Some(oplog) = self.oplog.as_ref() {
-            // The markers are an optimization (recovery also skips
-            // relinked entries because their staging ranges are holes), so
-            // a full active epoch just drops them.
-            let _ = oplog.append_batch(&deferred);
             if complete && sealed_at_start {
                 oplog.truncate_sealed();
             }
@@ -670,9 +665,7 @@ impl SplitFs {
             .kernel
             .open(&self.oplog_file, OpenFlags::read_write())?;
         self.kernel.ftruncate(fd, new_size)?;
-        let mapping = self
-            .kernel
-            .dax_map(fd, 0, new_size, self.config.populate_mmaps)?;
+        let mapping = self.kernel.dax_map(fd, 0, new_size, MAP_POPULATE)?;
         let _ = self.kernel.close(fd);
         // The extension may sit on recycled blocks still holding
         // checksum-valid entries from an earlier log incarnation (the
@@ -737,12 +730,12 @@ impl SplitFs {
         let threshold_ns = self.config.daemon.cold_relink_after_ms * 1e6;
         let mut relinked = 0;
         for (_ino, state) in self.files.snapshot_keyed() {
-            let Some(mut st) = state.try_write() else {
+            let Some(st) = state.try_write() else {
                 continue;
             };
             if !st.staged.is_empty()
                 && now - st.last_staged_ns >= threshold_ns
-                && self.relink_file(&mut st).is_ok()
+                && self.relink_batch(&mut [st], None).is_ok()
             {
                 relinked += 1;
                 self.device.stats().add_staging_cold_relink();
@@ -833,9 +826,7 @@ impl SplitFs {
         }
         let (_, state) = self.state_for_fd(fd)?;
         let mut st = state.write();
-        if !st.staged.is_empty() && self.config.use_staging {
-            self.relink_file(&mut st)?;
-        }
+        self.relink_batch(&mut [&mut *st], None)?;
         let moved = self.kernel.ioctl_demote(st.kernel_fd)?;
         st.mmaps.clear();
         st.demoted = true;
@@ -880,7 +871,7 @@ impl SplitFs {
     }
 
     /// Ensures a mapping of the target file covering `offset` exists in the
-    /// collection, creating a `mmap_size` region on demand.  Returns the
+    /// collection, creating a [`MMAP_SIZE`] region on demand.  Returns the
     /// device offset and contiguous length, or `None` when the region
     /// cannot be mapped (holes) and the caller must fall back to the kernel.
     fn ensure_mapped(&self, state: &mut FileState, offset: u64) -> Option<(u64, u64)> {
@@ -901,14 +892,12 @@ impl SplitFs {
         if offset >= alloc_end {
             return None;
         }
-        let region_start = offset - offset % self.config.mmap_size;
-        let region_len = self.config.mmap_size.min(alloc_end - region_start);
-        match self.kernel.dax_map(
-            state.kernel_fd,
-            region_start,
-            region_len,
-            self.config.populate_mmaps,
-        ) {
+        let region_start = offset - offset % MMAP_SIZE;
+        let region_len = MMAP_SIZE.min(alloc_end - region_start);
+        match self
+            .kernel
+            .dax_map(state.kernel_fd, region_start, region_len, MAP_POPULATE)
+        {
             Ok(mapping) => {
                 state.mmaps.record_mmap_call();
                 for seg in &mapping.segments {
@@ -1030,120 +1019,143 @@ impl SplitFs {
         Ok(())
     }
 
-    /// Stages `data` at `target_offset`: writes it to staging space, records
-    /// the extent and (in sync/strict mode) appends an operation-log entry.
-    fn stage_write(&self, state: &mut FileState, target_offset: u64, data: &[u8]) -> FsResult<()> {
-        self.stage_writev(state, target_offset, &[IoVec::new(data)])
-    }
-
-    /// Stages a gather list at `target_offset` as **one** logical write:
-    /// every slice lands in (cursor-contiguous) staging space, a single
-    /// fence makes the whole gather durable, and in sync/strict mode the
-    /// operation-log entries for all of it group-commit under one more
-    /// fence ([`OpLog::append_batch`]).  A gather of N slices therefore
-    /// costs two fences total where N staged writes used to cost 2N.
-    fn stage_writev(
-        &self,
-        state: &mut FileState,
-        target_offset: u64,
-        iov: &[IoVec<'_>],
-    ) -> FsResult<()> {
-        let total = iov_total_len(iov);
-        if total == 0 {
-            return Ok(());
-        }
-        // Phase 1: write every slice into staging space.  Allocations are
-        // cursor bumps, so consecutive chunks are contiguous in the staging
-        // file and coalesce into one run at relink time.
-        let mut pending: Vec<(crate::staging::StagingAllocation, u64, usize)> = Vec::new();
-        let mut t_off = target_offset;
-        for v in iov {
-            let data = v.as_slice();
-            let mut pos = 0usize;
-            while pos < data.len() {
-                let cur = t_off + pos as u64;
-                let remaining = (data.len() - pos) as u64;
-                let alloc = self.staging.take(remaining, cur % BLOCK_SIZE as u64)?;
-                let n = alloc.len.min(remaining) as usize;
-                self.device.write(
-                    alloc.device_offset,
-                    &data[pos..pos + n],
-                    PersistMode::NonTemporal,
-                    TimeCategory::UserData,
-                );
-                pending.push((alloc, cur, n));
-                pos += n;
+    /// The one staging pipeline (§3.3–3.4): every write of `ops` goes to
+    /// staging space with non-temporal stores, and in logging modes the
+    /// whole batch then shares **one** data fence and **one** operation-log
+    /// group commit — two fences for K writes to any number of files.  A
+    /// synchronous `appendv`/`writev_at` is a batch of one; a drained ring
+    /// batch brings its inode-ordered guards ([`crate::rings`]).
+    ///
+    /// `states` are file states whose write locks the caller holds; each
+    /// op names one by index.  An append's offset is resolved here, under
+    /// that lock, and a staged op's size is visible to the ops behind it.
+    /// Every op's `result` is filled in; if the group commit fails, no
+    /// entry is durable, so every staged op fails and the cached sizes roll
+    /// back.  Returns the highest sequence number committed (0 when the
+    /// mode does not log, or nothing was staged).
+    pub(crate) fn stage_batch<S, B>(&self, states: &mut [S], ops: &mut [StageOp<'_, B>]) -> u64
+    where
+        S: DerefMut<Target = FileState>,
+        B: AsRef<[u8]>,
+    {
+        let pre_sizes: Vec<u64> = states.iter().map(|st| st.cached_size).collect();
+        // Staged chunks of the whole batch: (op, allocation, target offset,
+        // length).  Allocations are cursor bumps, so consecutive chunks are
+        // contiguous in the staging file and coalesce into one run at
+        // relink time.
+        let mut pending: Vec<(usize, StagingAllocation, u64, usize)> = Vec::new();
+        for (i, op) in ops.iter_mut().enumerate() {
+            let total: u64 = op.iov.iter().map(|b| b.as_ref().len() as u64).sum();
+            op.result = Ok(total);
+            if total == 0 {
+                continue;
             }
-            t_off += data.len() as u64;
-        }
-
-        // Phase 2: make the gather durable and log it.
-        let seqs: Vec<u64> = if self.config.mode.logs_data_ops() {
-            // The staged data must be in the persistence domain before a
-            // valid log entry can point at it — one fence for the gather.
-            self.device.fence(TimeCategory::UserData);
-            let entries: Vec<LogEntry> = pending
-                .iter()
-                .map(|(alloc, cur, n)| LogEntry {
-                    op: LogOp::StagedWrite,
-                    target_ino: state.ino,
-                    target_offset: *cur,
-                    len: *n as u64,
-                    staging_ino: alloc.staging_ino,
-                    staging_offset: alloc.staging_offset,
-                    seq: self
-                        .oplog
-                        .as_ref()
-                        .map(|l| l.next_seq())
-                        .unwrap_or_default(),
-                    instance_id: self.instance_id,
-                })
-                .collect();
-            loop {
-                // One entry appends directly; a gather group-commits under
-                // a single fence.  On NoSpace: seal (epoch swap) or grow,
-                // then retry (concurrent sealers/growers may briefly race
-                // a reservation past the new end, so loop).  Every round
-                // makes progress — a swap, a growth, or another thread's —
-                // so this never busy-waits; the only true stall is a
-                // growth failure, counted inside `handle_log_full`.
-                let res = match (self.oplog.as_ref(), entries.len()) {
-                    (None, _) => Ok(()),
-                    (Some(_), 1) => self.log_append(&entries[0]),
-                    (Some(oplog), _) => oplog.append_batch(&entries),
-                };
-                match res {
-                    Ok(()) => break,
-                    Err(FsError::NoSpace) => self.handle_log_full(state)?,
-                    Err(e) => return Err(e),
+            let st = &mut *states[op.state];
+            self.promote_if_demoted(st);
+            let start = op.offset.unwrap_or(st.cached_size);
+            let first_chunk = pending.len();
+            let mut cur = start;
+            'gather: for buf in op.iov {
+                let mut data = buf.as_ref();
+                while !data.is_empty() {
+                    let alloc = match self
+                        .staging
+                        .take(data.len() as u64, cur % BLOCK_SIZE as u64)
+                    {
+                        Ok(alloc) => alloc,
+                        Err(e) => {
+                            op.result = Err(e);
+                            pending.truncate(first_chunk);
+                            break 'gather;
+                        }
+                    };
+                    let n = alloc.len.min(data.len() as u64) as usize;
+                    self.device.write(
+                        alloc.device_offset,
+                        &data[..n],
+                        PersistMode::NonTemporal,
+                        TimeCategory::UserData,
+                    );
+                    pending.push((i, alloc, cur, n));
+                    cur += n as u64;
+                    data = &data[n..];
                 }
             }
-            // The gather's entries just group-committed: every sequence
-            // number in it is durable, so publish the durability epoch
-            // (ring completions await it; see `crate::rings`).
-            let max_seq = entries.iter().map(|e| e.seq).max().unwrap_or(0);
+            if op.result.is_ok() {
+                st.cached_size = st.cached_size.max(start + total);
+            }
+        }
+        if pending.is_empty() {
+            return 0;
+        }
+
+        let mut entries: Vec<LogEntry> = Vec::new();
+        if let Some(oplog) = self.oplog.as_ref() {
+            // The staged data must be in the persistence domain before a
+            // valid log entry can point at it.
+            self.device.fence(TimeCategory::UserData);
+            entries.extend(pending.iter().map(|(i, alloc, cur, n)| LogEntry {
+                op: LogOp::StagedWrite,
+                target_ino: states[ops[*i].state].ino,
+                target_offset: *cur,
+                len: *n as u64,
+                staging_ino: alloc.staging_ino,
+                staging_offset: alloc.staging_offset,
+                seq: oplog.next_seq(),
+                instance_id: self.instance_id,
+            }));
+            // On NoSpace: seal (epoch swap) or grow, then retry (concurrent
+            // sealers/growers may briefly race a reservation past the new
+            // end, so loop).  Every round makes progress — a swap, a
+            // growth, or another thread's — so this never busy-waits; the
+            // only true stall is a growth failure, counted inside
+            // `handle_log_full`.
+            let committed = loop {
+                match oplog.append_batch(&entries) {
+                    Err(FsError::NoSpace) => {
+                        if let Err(e) = self.handle_log_full(&mut states[0]) {
+                            break Err(e);
+                        }
+                    }
+                    done => break done,
+                }
+            };
+            if let Err(e) = committed {
+                for (st, pre) in states.iter_mut().zip(&pre_sizes) {
+                    st.cached_size = *pre;
+                }
+                for op in ops.iter_mut().filter(|op| op.staged()) {
+                    op.result = Err(e.clone());
+                }
+                return 0;
+            }
+        }
+        // Every sequence number of the batch is durable now: declare it
+        // and publish the durability epoch ring completions await.
+        let max_seq = entries.last().map_or(0, |e| e.seq);
+        if max_seq > 0 {
             self.device.declare(pmem::Promise::OplogCommitted {
                 instance: self.instance_id,
                 seq: max_seq,
             });
             self.publish_epoch(max_seq);
-            entries.iter().map(|e| e.seq).collect()
-        } else {
-            vec![0; pending.len()]
-        };
-        for ((alloc, cur, n), seq) in pending.iter().zip(seqs) {
-            state.staged.push(StagedExtent {
+        }
+
+        let now = self.device.clock().now_ns_f64();
+        for (k, (i, alloc, cur, n)) in pending.iter().enumerate() {
+            let st = &mut *states[ops[*i].state];
+            st.staged.push(StagedExtent {
                 target_offset: *cur,
                 len: *n as u64,
                 staging_ino: alloc.staging_ino,
                 staging_fd: alloc.staging_fd,
                 staging_offset: alloc.staging_offset,
                 device_offset: alloc.device_offset,
-                seq,
+                seq: entries.get(k).map_or(0, |e| e.seq),
             });
+            st.last_staged_ns = now;
+            st.last_access_ns = now;
         }
-        state.cached_size = state.cached_size.max(target_offset + total);
-        state.last_staged_ns = self.device.clock().now_ns_f64();
 
         // Nudge the maintenance daemon on threshold crossings.  The
         // condition checks are lock-free (atomic per-lane watermark
@@ -1152,7 +1164,6 @@ impl SplitFs {
         // every append.
         if self.config.daemon.enabled {
             use std::sync::atomic::Ordering;
-            let cfg = &self.config.daemon;
             if self.staging.needs_provisioning()
                 && self
                     .provision_nudged
@@ -1162,7 +1173,7 @@ impl SplitFs {
                 self.nudge(Task::ProvisionStaging);
             }
             if let Some(oplog) = self.oplog.as_ref() {
-                if oplog.utilization() >= cfg.oplog_checkpoint_fraction
+                if oplog.utilization() >= CHECKPOINT_FRACTION
                     && self
                         .checkpoint_nudged
                         .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
@@ -1171,14 +1182,144 @@ impl SplitFs {
                     self.nudge(Task::Checkpoint);
                 }
             }
-            if state.staged.len() >= cfg.relink_batch_size.saturating_mul(4) {
-                // A long-running writer that never fsyncs would otherwise
-                // accumulate unbounded staged state; retire it in the
-                // background.
-                self.nudge(Task::RelinkFile(state.ino));
+            for st in states.iter() {
+                if st.staged.len() >= 4 * RELINK_CHUNK {
+                    // A long-running writer that never fsyncs would
+                    // otherwise accumulate unbounded staged state; retire
+                    // it in the background.
+                    self.nudge(Task::RelinkFile(st.ino));
+                }
             }
         }
+        max_seq
+    }
+
+    /// The synchronous write body behind `appendv`, `writev_at` and
+    /// `write`: `at` is an absolute offset, or `None` for the end of file
+    /// (resolved under the state write lock, so concurrent appenders
+    /// serialize instead of racing a stale size into overlapping offsets).
+    /// Returns the bytes written and the offset just past them.
+    fn vectored_write(&self, fd: Fd, at: Option<u64>, iov: &[IoVec<'_>]) -> FsResult<(usize, u64)> {
+        self.charge_usplit();
+        let (desc, state) = self.state_for_fd(fd)?;
+        if !desc.flags.write {
+            return Err(FsError::PermissionDenied);
+        }
+        let total = iov_total_len(iov);
+        let mut st = state.write();
+        if total == 0 {
+            return Ok((0, at.unwrap_or(st.cached_size)));
+        }
+        if self.config.use_staging && (at.is_none() || self.config.mode.stages_overwrites()) {
+            // Appends in every mode, and in strict mode every data write:
+            // staged whole, applied atomically at the next fsync.
+            self.stage_one(&mut st, at, iov)?;
+            return Ok((total as usize, at.map_or(st.cached_size, |o| o + total)));
+        }
+        st.last_access_ns = self.device.clock().now_ns_f64();
+        self.promote_if_demoted(&mut st);
+
+        let offset = at.unwrap_or(st.cached_size);
+        let end = offset + total;
+        let overwrite_end = end.min(st.kernel_size);
+        // Split the gather at the end of the committed file: existing
+        // bytes are overwritten in place through the mmaps, the remainder
+        // is re-gathered and staged (or falls through to the kernel) as
+        // one batch.
+        let mut tail: Vec<IoVec<'_>> = Vec::new();
+        let mut cur = offset;
+        for v in iov {
+            let s = v.as_slice();
+            if s.is_empty() {
+                continue;
+            }
+            let v_end = cur + s.len() as u64;
+            if cur < overwrite_end {
+                let n = ((overwrite_end - cur) as usize).min(s.len());
+                self.write_in_place(&mut st, cur, &s[..n])?;
+                if n < s.len() {
+                    tail.push(IoVec::new(&s[n..]));
+                }
+            } else {
+                tail.push(*v);
+            }
+            cur = v_end;
+        }
+        if offset < overwrite_end && self.config.mode.fences_data_ops() {
+            self.device.fence(TimeCategory::UserData);
+        }
+        if end > st.kernel_size {
+            let append_from = offset.max(st.kernel_size);
+            if self.config.use_staging {
+                self.stage_one(&mut st, Some(append_from), &tail)?;
+            } else {
+                // Figure 3 ablation: without staging, appends fall through
+                // to the kernel file system.
+                let mut cur = append_from;
+                for v in &tail {
+                    self.kernel.write_at(st.kernel_fd, cur, v.as_slice())?;
+                    cur += v.len() as u64;
+                }
+                st.kernel_size = end;
+            }
+        }
+        st.cached_size = st.cached_size.max(end);
+        Ok((total as usize, end))
+    }
+
+    /// [`SplitFs::stage_batch`] with one state and one op.
+    fn stage_one(&self, st: &mut FileState, at: Option<u64>, iov: &[IoVec<'_>]) -> FsResult<()> {
+        let mut op = [StageOp {
+            state: 0,
+            offset: at,
+            iov,
+            result: Ok(0),
+        }];
+        self.stage_batch(&mut [st], &mut op);
+        let [op] = op;
+        op.result.map(drop)
+    }
+
+    /// The durability body behind `fsync` (one state) and `fsync_many`
+    /// (its inode-ordered guards): retire whatever is staged, or — with
+    /// nothing staged — push in-place overwrites done with unfenced
+    /// non-temporal stores (POSIX mode) into the persistence domain.
+    fn sync_states<S: DerefMut<Target = FileState>>(&self, states: &mut [S]) -> FsResult<()> {
+        if states.iter().any(|st| !st.staged.is_empty()) {
+            self.relink_batch(states, None)?;
+        } else {
+            self.device.fence(TimeCategory::UserData);
+        }
+        // Durability established above — the promises may now be declared
+        // (ledger-enabled runs only; see pmem::oracle).
+        for st in states.iter() {
+            self.device.declare(pmem::Promise::FsyncReturned {
+                instance: self.instance_id,
+                ino: st.ino,
+                size: st.cached_size,
+            });
+        }
         Ok(())
+    }
+}
+
+/// One write of a [`SplitFs::stage_batch`].
+pub(crate) struct StageOp<'a, B> {
+    /// Index of the target file in the batch's locked states.
+    pub(crate) state: usize,
+    /// Absolute target offset, or `None` to append at the end of file.
+    pub(crate) offset: Option<u64>,
+    /// The gather list.
+    pub(crate) iov: &'a [B],
+    /// Filled in by the batch: the bytes staged, or why not.
+    pub(crate) result: FsResult<u64>,
+}
+
+impl<B> StageOp<'_, B> {
+    /// Whether the batch staged bytes for this op (an empty gather
+    /// succeeds without staging anything).
+    pub(crate) fn staged(&self) -> bool {
+        matches!(self.result, Ok(n) if n > 0)
     }
 }
 
@@ -1260,7 +1401,7 @@ impl FileSystem for SplitFs {
             if flags.truncate {
                 st.kernel_size = 0;
                 st.cached_size = 0;
-                st.staged.clear();
+                self.discard_staged(&mut st, 0);
                 st.mmaps.clear();
             } else {
                 st.kernel_size = stat.size;
@@ -1286,13 +1427,11 @@ impl FileSystem for SplitFs {
         {
             // Appends are relinked on fsync *or close* (§3.4).
             let mut st = state.write();
-            if !st.staged.is_empty() && self.config.use_staging {
-                self.relink_file(&mut st)?;
-            }
+            self.relink_batch(&mut [&mut *st], None)?;
             st.open_fds = st.open_fds.saturating_sub(1);
             // Cached attributes and mappings are retained after close
             // (§3.5) — unless the file lost its name while it was open.
-            self.drop_if_unreferenced(&st);
+            self.drop_if_unreferenced(&mut st);
         }
         self.fds.remove(fd)?;
         Ok(())
@@ -1323,55 +1462,6 @@ impl FileSystem for SplitFs {
         self.overlay_staged(&st, offset, &mut buf[..n])?;
         *desc.last_read_end.lock() = offset + n as u64;
         Ok(n)
-    }
-
-    fn write_at(&self, fd: Fd, offset: u64, data: &[u8]) -> FsResult<usize> {
-        self.charge_usplit();
-        let (desc, state) = self.state_for_fd(fd)?;
-        if !desc.flags.write {
-            return Err(FsError::PermissionDenied);
-        }
-        if data.is_empty() {
-            return Ok(0);
-        }
-        let mut st = state.write();
-        st.last_access_ns = self.device.clock().now_ns_f64();
-        self.promote_if_demoted(&mut st);
-
-        if self.config.mode.stages_overwrites() && self.config.use_staging {
-            // Strict mode: every data write is staged so it can be applied
-            // atomically at the next fsync.
-            self.stage_write(&mut st, offset, data)?;
-            return Ok(data.len());
-        }
-
-        let end = offset + data.len() as u64;
-        let overwrite_end = end.min(st.kernel_size);
-        if offset < overwrite_end {
-            // Overwrite of existing bytes: in place through the mmaps.
-            let n = (overwrite_end - offset) as usize;
-            self.write_in_place(&mut st, offset, &data[..n])?;
-            if self.config.mode.fences_data_ops() {
-                self.device.fence(TimeCategory::UserData);
-            }
-        }
-        if end > st.kernel_size {
-            // Append portion.
-            let append_from = offset.max(st.kernel_size);
-            let skip = (append_from - offset) as usize;
-            if self.config.use_staging {
-                self.stage_write(&mut st, append_from, &data[skip..])?;
-            } else {
-                // Figure 3 ablation: without staging, appends fall through
-                // to the kernel file system.
-                self.kernel
-                    .write_at(st.kernel_fd, append_from, &data[skip..])?;
-                st.kernel_size = end;
-                st.cached_size = st.cached_size.max(end);
-            }
-        }
-        st.cached_size = st.cached_size.max(end);
-        Ok(data.len())
     }
 
     fn read_view(&self, fd: Fd, offset: u64, len: usize) -> FsResult<ReadView<'_>> {
@@ -1427,106 +1517,13 @@ impl FileSystem for SplitFs {
     }
 
     fn writev_at(&self, fd: Fd, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        self.charge_usplit();
-        let (desc, state) = self.state_for_fd(fd)?;
-        if !desc.flags.write {
-            return Err(FsError::PermissionDenied);
-        }
-        let total = iov_total_len(iov);
-        if total == 0 {
-            return Ok(0);
-        }
-        let mut st = state.write();
-        st.last_access_ns = self.device.clock().now_ns_f64();
-        self.promote_if_demoted(&mut st);
-
-        if self.config.mode.stages_overwrites() && self.config.use_staging {
-            // Strict mode: the whole gather is staged and applied
-            // atomically at the next fsync.
-            self.stage_writev(&mut st, offset, iov)?;
-            return Ok(total as usize);
-        }
-
-        let end = offset + total;
-        let overwrite_end = end.min(st.kernel_size);
-        // Split the gather at the end of the committed file: existing
-        // bytes are overwritten in place through the mmaps, the remainder
-        // is re-gathered and staged (or falls through to the kernel) as
-        // one batch.
-        let mut tail: Vec<IoVec<'_>> = Vec::new();
-        let mut cur = offset;
-        for v in iov {
-            let s = v.as_slice();
-            if s.is_empty() {
-                continue;
-            }
-            let v_end = cur + s.len() as u64;
-            if cur < overwrite_end {
-                let n = ((overwrite_end - cur) as usize).min(s.len());
-                self.write_in_place(&mut st, cur, &s[..n])?;
-                if n < s.len() {
-                    tail.push(IoVec::new(&s[n..]));
-                }
-            } else {
-                tail.push(*v);
-            }
-            cur = v_end;
-        }
-        if offset < overwrite_end && self.config.mode.fences_data_ops() {
-            self.device.fence(TimeCategory::UserData);
-        }
-        if end > st.kernel_size {
-            let append_from = offset.max(st.kernel_size);
-            if self.config.use_staging {
-                self.stage_writev(&mut st, append_from, &tail)?;
-            } else {
-                let mut cur = append_from;
-                for v in &tail {
-                    self.kernel.write_at(st.kernel_fd, cur, v.as_slice())?;
-                    cur += v.len() as u64;
-                }
-                st.kernel_size = end;
-            }
-        }
-        st.cached_size = st.cached_size.max(end);
-        Ok(total as usize)
+        self.vectored_write(fd, Some(offset), iov).map(|(n, _)| n)
     }
 
     fn appendv(&self, fd: Fd, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        self.charge_usplit();
-        let (desc, state) = self.state_for_fd(fd)?;
-        if !desc.flags.write {
-            return Err(FsError::PermissionDenied);
-        }
-        let total = iov_total_len(iov);
-        if total == 0 {
-            return Ok(0);
-        }
-        let mut st = state.write();
-        st.last_access_ns = self.device.clock().now_ns_f64();
-        self.promote_if_demoted(&mut st);
-        // End of file resolved under the state write lock, so two
-        // concurrent appenders serialize instead of racing a stale fstat
-        // into overlapping offsets.
-        let offset = st.cached_size;
-        if self.config.use_staging {
-            self.stage_writev(&mut st, offset, iov)?;
-        } else {
-            // Figure 3 ablation: without staging, appends fall through to
-            // the kernel file system.
-            let mut cur = offset;
-            for v in iov {
-                if v.is_empty() {
-                    continue;
-                }
-                self.kernel.write_at(st.kernel_fd, cur, v.as_slice())?;
-                cur += v.len() as u64;
-            }
-            st.kernel_size = st.kernel_size.max(offset + total);
-        }
-        st.cached_size = st.cached_size.max(offset + total);
+        let (n, _) = self.vectored_write(fd, None, iov)?;
         self.device.stats().add_appendv(iov.len() as u64);
-        Ok(total as usize)
+        Ok(n)
     }
 
     fn fsync_many(&self, fds: &[Fd]) -> FsResult<()> {
@@ -1535,8 +1532,8 @@ impl FileSystem for SplitFs {
             return Ok(());
         }
         // Resolve the distinct files behind the descriptors and lock them
-        // in inode order (the same order the quiesced checkpoint uses, so
-        // concurrent batches cannot deadlock against it or each other).
+        // in inode order (the same order the ring batches use, so
+        // concurrent batches cannot deadlock against each other).
         let mut entries: Vec<(u64, Arc<RwLock<FileState>>)> = Vec::with_capacity(fds.len());
         for &fd in fds {
             let (desc, state) = self.state_for_fd(fd)?;
@@ -1545,31 +1542,9 @@ impl FileSystem for SplitFs {
         entries.sort_by_key(|(ino, _)| *ino);
         entries.dedup_by_key(|(ino, _)| *ino);
         let mut guards: Vec<_> = entries.iter().map(|(_, state)| state.write()).collect();
-
-        if self.config.use_staging && guards.iter().any(|g| !g.staged.is_empty()) {
-            self.relink_many(&mut guards)?;
-        } else {
-            // Nothing staged: push any in-place overwrites done with
-            // unfenced non-temporal stores into the persistence domain.
-            self.device.fence(TimeCategory::UserData);
-        }
-        for g in &guards {
-            self.device.declare(pmem::Promise::FsyncReturned {
-                instance: self.instance_id,
-                ino: g.ino,
-                size: g.cached_size,
-            });
-        }
+        self.sync_states(&mut guards)?;
         self.device.stats().add_fsync_many(fds.len() as u64);
         Ok(())
-    }
-
-    fn fdatasync(&self, fd: Fd) -> FsResult<()> {
-        // SplitFS's fsync is already data-only — relink is the data
-        // durability mechanism and metadata is journaled by the kernel at
-        // operation time — so fdatasync shares its path.  The distinction
-        // matters for the kernel file system underneath, not here.
-        self.fsync(fd)
     }
 
     fn read(&self, fd: Fd, buf: &mut [u8]) -> FsResult<usize> {
@@ -1582,15 +1557,11 @@ impl FileSystem for SplitFs {
 
     fn write(&self, fd: Fd, data: &[u8]) -> FsResult<usize> {
         let desc = self.fds.get(fd)?;
-        let offset = if desc.flags.append {
-            let (_, state) = self.state_for_fd(fd)?;
-            let size = state.read().cached_size;
-            size
-        } else {
-            *desc.offset.lock()
-        };
-        let n = self.write_at(fd, offset, data)?;
-        *desc.offset.lock() = offset + n as u64;
+        // An O_APPEND descriptor writes at the end of file, which only the
+        // write body can resolve race-free.
+        let at = (!desc.flags.append).then(|| *desc.offset.lock());
+        let (n, end) = self.vectored_write(fd, at, &[IoVec::new(data)])?;
+        *desc.offset.lock() = end;
         Ok(n)
     }
 
@@ -1616,21 +1587,7 @@ impl FileSystem for SplitFs {
         self.charge_usplit();
         let (_, state) = self.state_for_fd(fd)?;
         let mut st = state.write();
-        if !st.staged.is_empty() && self.config.use_staging {
-            self.relink_file(&mut st)?;
-        } else {
-            // Push any in-place overwrites done with unfenced non-temporal
-            // stores (POSIX mode) into the persistence domain.
-            self.device.fence(TimeCategory::UserData);
-        }
-        // Durability established above — the promise may now be declared
-        // (ledger-enabled runs only; see pmem::oracle).
-        self.device.declare(pmem::Promise::FsyncReturned {
-            instance: self.instance_id,
-            ino: st.ino,
-            size: st.cached_size,
-        });
-        Ok(())
+        self.sync_states(&mut [&mut *st])
     }
 
     fn ftruncate(&self, fd: Fd, size: u64) -> FsResult<()> {
@@ -1638,8 +1595,18 @@ impl FileSystem for SplitFs {
         let (_, state) = self.state_for_fd(fd)?;
         let mut st = state.write();
         self.promote_if_demoted(&mut st);
+        let cut = |e: &StagedExtent| e.target_offset + e.len > size;
+        if self.oplog.is_some()
+            && st.staged.iter().any(cut)
+            && st.staged.iter().any(|e| e.target_offset < size)
+        {
+            // The log can only mark a whole prefix of a file's staged
+            // writes as not-to-be-replayed, never the tail a truncate cuts
+            // off: apply what survives before the rest is discarded.
+            self.relink_batch(&mut [&mut *st], None)?;
+        }
         self.kernel.ftruncate(st.kernel_fd, size)?;
-        st.drop_staged_beyond(size);
+        self.discard_staged(&mut st, size);
         if size < st.kernel_size {
             let shrink = st.kernel_size - size;
             st.mmaps.remove_range(size, shrink);
@@ -1720,9 +1687,9 @@ impl FileSystem for SplitFs {
             if st.linked_path() == Some(new_norm.as_str()) {
                 // It has no name and no blocks any more.
                 st.mmaps.clear();
-                st.staged.clear();
+                self.discard_staged(&mut st, 0);
                 self.files.unbind(&mut st);
-                self.drop_if_unreferenced(&st);
+                self.drop_if_unreferenced(&mut st);
             }
         }
         self.with_bound_state(&old_norm, |st| self.files.bind(st, &new_norm));
@@ -1755,10 +1722,6 @@ impl FileSystem for SplitFs {
     fn sync(&self) -> FsResult<()> {
         self.checkpoint()?;
         self.kernel.sync()
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.stat(path).is_ok()
     }
 }
 

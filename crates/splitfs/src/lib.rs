@@ -48,8 +48,11 @@
 //! maintenance subsystem:
 //!
 //! * [`fs`] — the POSIX-like entry points ([`SplitFs`]), per-mode routing
-//!   of reads/overwrites/appends, and the operation-log full handling
-//!   (epoch seal, or on-demand log growth while the sealed half is still
+//!   of reads/overwrites/appends, the **one staging pipeline** every
+//!   write goes through (`stage_batch`: stage, one fence, one log group
+//!   commit, publish — a synchronous call is a batch of one), and the
+//!   operation-log full handling (epoch seal, or on-demand log growth
+//!   while the sealed half is still
 //!   being retired — never a stall, never a deadlock).  The per-file
 //!   registry and the descriptor table are **sharded**
 //!   ([`state::ShardedRegistry`], [`state::ShardedFdTable`]), so the
@@ -74,9 +77,12 @@
 //! * [`batch`] — planning: staged extents are coalesced into runs and
 //!   split into block-aligned [`kernelfs::RelinkOp`]s plus unaligned
 //!   head/tail copy spans;
-//! * [`relink`] — the user-space half of relink: submits the planned ops
-//!   through the batched kernel entry point, retains the staging mappings
-//!   for the target's mmap collection, and emits `Invalidate` markers;
+//! * [`relink`] — the user-space half of relink and the **one retire
+//!   pipeline** (`relink_batch`) behind `fsync`, `fsync_many`, `close`
+//!   and every background pass: submits the planned ops of all its files
+//!   through the batched kernel entry point, retains the staging
+//!   mappings for the targets' mmap collections, and emits `Invalidate`
+//!   markers;
 //! * [`oplog`] — the single-fence redo log as a **two-epoch segment-swap
 //!   log**: group commit ([`oplog::OpLog::append_batch`]: many entries,
 //!   one fence), truncation by sealing the active half and re-zeroing it
@@ -91,12 +97,12 @@
 //!   recycle exhausted staging files, and retire sealed log epochs one
 //!   file-state lock at a time, so the foreground never performs file
 //!   creation or log truncation on the critical path;
-//! * [`rings`] — the **async ring backend**: drained submission batches
-//!   from [`aio`] rings stage writes to *unrelated files* together,
-//!   share one data fence and one log group commit across the whole
-//!   batch (two fences for K writes where the synchronous path pays
-//!   2K), and complete with the **durability epoch** — the highest
-//!   fenced operation-log sequence number — so callers await
+//! * [`rings`] — the **async ring backend**: a drained submission batch
+//!   from [`aio`] rings is one call into the staging pipeline, so writes
+//!   to *unrelated files* share one data fence and one log group commit
+//!   (two fences for K writes where K synchronous calls pay 2K), and
+//!   complete with the **durability epoch** — the highest fenced
+//!   operation-log sequence number — so callers await
 //!   `published_epoch() >= cqe.epoch` instead of issuing `fsync`;
 //! * [`recovery`] — idempotent, **per-instance** crash recovery by log
 //!   replay: orphaned leases name the crashed instances, each orphan's

@@ -2,13 +2,20 @@
 //!
 //! A single logical file served by U-Split may have its bytes spread over
 //! several physical regions: parts of the original file mapped on demand in
-//! `mmap_size` chunks, and regions relinked in from staging files whose
+//! 2 MiB (`MMAP_SIZE`) chunks, and regions relinked in from staging files whose
 //! mappings are retained (no new page faults) after the relink.  The
 //! collection tracks, per file, which byte ranges are mapped and at which
 //! device offsets, so reads and overwrites can be served with loads and
 //! stores without entering the kernel.
 
 use std::collections::BTreeMap;
+
+/// Granularity of on-demand target-file mappings: 2 MiB, the smallest the
+/// paper supports, so every region can be served by one huge-page fault.
+pub(crate) const MMAP_SIZE: u64 = 2 * 1024 * 1024;
+
+/// Mappings U-Split creates are pre-faulted (`MAP_POPULATE`).
+pub(crate) const MAP_POPULATE: bool = true;
 
 /// A byte-granularity map from file offsets to device offsets.
 #[derive(Debug, Default, Clone)]

@@ -1,120 +1,128 @@
-//! The user-space half of the relink primitive (paper §3.3, Figure 2).
+//! The user-space half of the relink primitive (paper §3.3, Figure 2):
+//! the one way staged bytes are retired.
 //!
-//! On `fsync` (or `close`, an operation-log checkpoint, or a background
-//! maintenance pass), every staged extent of a file is moved into the
-//! target file:
+//! On `fsync`, `fsync_many`, `close`, `demote_fd`, an operation-log
+//! checkpoint, the cold-file sweep or a background relink,
+//! `SplitFs::relink_batch` moves every staged extent of the files it is
+//! given into their targets:
 //!
 //! * staged extents are coalesced into runs and planned by
 //!   [`crate::batch`]: block-aligned portions become [`kernelfs::RelinkOp`]s
 //!   submitted through the **batched**
 //!   [`kernelfs::Ext4Dax::ioctl_relink_batch`] entry point, so one kernel
-//!   trap and one journal transaction cover every aligned run of the file;
+//!   trap and one journal transaction cover every aligned run of every
+//!   file in the batch;
 //! * unaligned head/tail bytes are copied (the paper's partial-block case);
 //! * the mappings that served the staged data are retained in the target
 //!   file's collection of mmaps, so later reads hit the same physical
 //!   blocks without new page faults;
-//! * in sync/strict mode an `Invalidate` entry is appended to the operation
-//!   log so recovery will not replay the now-applied staged writes.  A
-//!   caller retiring many files at once (the daemon's checkpoint) can defer
-//!   these markers and group-commit them under a single fence.
+//! * in sync/strict mode an `Invalidate` entry per file goes to the
+//!   operation log so recovery will not replay the now-applied staged
+//!   writes; the entries of one batch group-commit under a single fence.
 //!
 //! With `use_relink` disabled (Figure 3 ablation) the staged data is copied
 //! into the target through the kernel write path instead, which is exactly
 //! the "staging without relink" configuration whose cost the paper
 //! measures.
+//!
+//! Staged bytes that are dropped rather than applied leave through
+//! `SplitFs::discard_staged`, beside it.
 
-use parking_lot::RwLockWriteGuard;
+use std::ops::DerefMut;
+
+use kernelfs::RelinkOp;
 use pmem::{AccessPattern, TimeCategory};
 use vfs::{FileSystem, FsResult};
 
-use crate::batch::{self, CopySpan};
+use crate::batch::{self, CopySpan, RelinkPlan};
 use crate::fs::SplitFs;
 use crate::oplog::{LogEntry, LogOp};
 use crate::state::FileState;
 
+/// Most relink ops submitted per `ioctl_relink_batch` call: larger batches
+/// amortize the journal transaction further but hold the kernel lock
+/// longer.  A file with four chunks' worth of staged extents is relinked
+/// in the background.
+pub(crate) const RELINK_CHUNK: usize = 64;
+
 impl SplitFs {
-    /// Applies every staged extent of `state` to the target file, appending
-    /// the `Invalidate` marker inline.  Called with the file's state lock
-    /// held.
-    pub(crate) fn relink_file(&self, state: &mut FileState) -> FsResult<()> {
-        let mut deferred = Vec::new();
-        self.relink_file_deferring(state, &mut deferred)?;
-        // Mark the applied operations as not-to-be-replayed.  This is an
-        // optimization (recovery would also skip them because the staging
-        // ranges are holes after the relink), so a full log is not an error:
-        // the marker is simply dropped.
-        for entry in &deferred {
-            match self.log_append(entry) {
-                Ok(()) | Err(vfs::FsError::NoSpace) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies every staged extent of `state`, pushing the resulting
-    /// `Invalidate` marker (if any) onto `deferred` instead of appending it.
-    /// The daemon's checkpoint path uses this to group-commit the markers
-    /// of many files under one fence.  Called with the file's state lock
-    /// held.
-    pub(crate) fn relink_file_deferring(
+    /// The one retire pipeline: applies every staged extent of `states` —
+    /// file states whose write locks the caller holds — to the target
+    /// files through a single batched relink, so one kernel trap and one
+    /// journal transaction cover an `fsync`, an `fsync_many` or a ring's
+    /// files alike.  One fence ends the batch.  The `Invalidate` markers
+    /// group-commit best-effort under one more — or are handed to
+    /// `deferred`, for a caller that retires many files one lock at a time
+    /// (the sealed-epoch sweep) and commits their markers together.
+    ///
+    /// Runs that overwrite one another (strict-mode overwrites of one
+    /// range between two fsyncs) split a file into ordered generations;
+    /// all but the last go down on their own, in order, which gives
+    /// last-writer-wins.  A file's last generation — for an append-only
+    /// file the only one — joins the submission every file shares.
+    pub(crate) fn relink_batch<S: DerefMut<Target = FileState>>(
         &self,
-        state: &mut FileState,
-        deferred: &mut Vec<LogEntry>,
+        states: &mut [S],
+        deferred: Option<&mut Vec<LogEntry>>,
     ) -> FsResult<()> {
-        if state.staged.is_empty() {
-            return Ok(());
-        }
-        let runs = batch::coalesce(&state.staged);
-        let max_seq = state.staged.iter().map(|e| e.seq).max().unwrap_or(0);
-        let target_ino = state.ino;
-
-        // Overlapping runs (strict-mode overwrites of the same range) are
-        // split into ordered generations; within a generation all ranges
-        // are disjoint, so one batched relink covers it and the ordering
-        // across generations gives last-writer-wins.
-        let chunk_size = self.config.daemon.relink_batch_size.max(1);
-        for generation in batch::generations(&runs) {
-            let plan = batch::plan(generation, state.kernel_fd, self.config.use_relink);
-
-            // Submit every aligned move, chunked by the configured batch
-            // size: one kernel trap and one journal transaction per chunk
-            // instead of one per run.
-            for chunk in plan.ops.chunks(chunk_size) {
+        let submit = |ops: &[RelinkOp]| -> FsResult<()> {
+            for chunk in ops.chunks(RELINK_CHUNK) {
                 self.kernel.ioctl_relink_batch(chunk)?;
             }
+            Ok(())
+        };
+        let apply = |st: &mut FileState, plan: &RelinkPlan| -> FsResult<()> {
             // Retain the staging mappings: the physical blocks that backed
             // the staging ranges now back the target ranges, so reads keep
             // using them without faulting (Figure 2, step 3).
             for m in &plan.retained {
-                state.mmaps.insert(m.target_offset, m.device_offset, m.len);
+                st.mmaps.insert(m.target_offset, m.device_offset, m.len);
             }
             for span in &plan.copies {
-                self.copy_span_to_target(state, span)?;
+                self.copy_span_to_target(st, span)?;
             }
-        }
+            Ok(())
+        };
 
-        // Everything staged is now in the target file; feed the staging
-        // pool's recyclability accounting.
-        let retired = state.staged.len() as u64;
-        for ext in &state.staged {
-            self.staging.note_retired(ext.staging_ino, ext.len);
+        let mut shared: Vec<RelinkOp> = Vec::new();
+        let mut planned: Vec<(usize, RelinkPlan)> = Vec::new();
+        for (i, st) in states.iter_mut().enumerate() {
+            let st = &mut **st;
+            let runs = batch::coalesce(&st.staged);
+            let generations = batch::generations(&runs);
+            let Some((last, earlier)) = generations.split_last() else {
+                continue;
+            };
+            for generation in earlier {
+                let plan = batch::plan(generation, st.kernel_fd, self.config.use_relink);
+                submit(&plan.ops)?;
+                apply(st, &plan)?;
+            }
+            let plan = batch::plan(last, st.kernel_fd, self.config.use_relink);
+            shared.extend_from_slice(&plan.ops);
+            planned.push((i, plan));
         }
-        state.staged.clear();
-        state.kernel_size = self.kernel.fstat(state.kernel_fd)?.size;
-        state.cached_size = state.cached_size.max(state.kernel_size);
+        if planned.is_empty() {
+            return Ok(());
+        }
+        submit(&shared)?;
 
-        if self.config.mode.logs_data_ops() && max_seq > 0 {
-            deferred.push(LogEntry {
-                op: LogOp::Invalidate,
-                target_ino,
-                target_offset: 0,
-                len: 0,
-                staging_ino: 0,
-                staging_offset: 0,
-                seq: max_seq,
-                instance_id: self.instance_id,
-            });
+        let mut markers = Vec::new();
+        let mut retired = 0u64;
+        for (i, plan) in &planned {
+            let st = &mut *states[*i];
+            apply(st, plan)?;
+            // Everything staged is in the target file now.
+            let max_seq = st.staged.iter().map(|e| e.seq).max().unwrap_or(0);
+            retired += st.staged.len() as u64;
+            for ext in st.staged.drain(..) {
+                self.staging.note_retired(ext.staging_ino, ext.len);
+            }
+            st.kernel_size = self.kernel.fstat(st.kernel_fd)?.size;
+            st.cached_size = st.cached_size.max(st.kernel_size);
+            if max_seq > 0 {
+                markers.push(self.invalidate_marker(st.ino, max_seq));
+            }
         }
         self.device.fence(TimeCategory::UserData);
         // The batch's journal transaction and data fence are complete.
@@ -122,103 +130,61 @@ impl SplitFs {
             instance: self.instance_id,
             ops: retired,
         });
+        match deferred {
+            Some(later) => later.append(&mut markers),
+            None => self.log_markers(&markers),
+        }
         Ok(())
     }
 
-    /// Retires the staged extents of **many files** through a single
-    /// batched relink: every file's coalesced runs are planned together
-    /// and submitted as one `ioctl_relink_batch` call — one kernel trap
-    /// and one journal transaction for the whole set ([`vfs::FileSystem::
-    /// fsync_many`]'s contract).  The resulting `Invalidate` markers
-    /// group-commit under one fence.
-    ///
-    /// Files whose staged runs overlap each other (strict-mode overwrites
-    /// of the same range, which need ordered generations) are retired
-    /// individually; everything else — the append-dominated common case —
-    /// shares the combined batch.  Called with every state's write lock
-    /// held.
-    pub(crate) fn relink_many(
-        &self,
-        states: &mut [RwLockWriteGuard<'_, FileState>],
-    ) -> FsResult<()> {
-        let mut combined: Vec<kernelfs::RelinkOp> = Vec::new();
-        let mut planned: Vec<(usize, batch::RelinkPlan)> = Vec::new();
-        let mut deferred: Vec<LogEntry> = Vec::new();
-        let mut retired = 0u64;
-        for (i, st) in states.iter_mut().enumerate() {
-            if st.staged.is_empty() {
-                continue;
+    /// Drops the part of every staged extent of `st` at or beyond
+    /// `keep_below` **without** applying it — a truncate, or a file that
+    /// was replaced or lost its last reference.  The one exit for staged
+    /// bytes besides relink: it feeds the staging pool's recyclability
+    /// accounting and, in logging modes, marks the dropped writes as
+    /// not-to-be-replayed so recovery cannot resurrect them.  That marker
+    /// covers a prefix of the file's sequence numbers, so a caller either
+    /// drops everything or (`ftruncate`) relinks what survives first.
+    /// Called with the state's write lock held.
+    pub(crate) fn discard_staged(&self, st: &mut FileState, keep_below: u64) {
+        let mut max_seq = 0;
+        st.staged.retain_mut(|e| {
+            let keep = keep_below.saturating_sub(e.target_offset).min(e.len);
+            if keep < e.len {
+                self.staging.note_retired(e.staging_ino, e.len - keep);
+                max_seq = max_seq.max(e.seq);
             }
-            let runs = batch::coalesce(&st.staged);
-            let gens = batch::generations(&runs);
-            if gens.len() == 1 {
-                let plan = batch::plan(gens[0], st.kernel_fd, self.config.use_relink);
-                combined.extend(plan.ops.iter().copied());
-                planned.push((i, plan));
-            } else {
-                // Overlapping overwrites need generation ordering; retire
-                // this file on its own, deferring its marker into the
-                // shared group commit.
-                self.relink_file_deferring(st, &mut deferred)?;
-            }
+            e.len = keep;
+            keep > 0
+        });
+        if max_seq > 0 {
+            self.log_markers(&[self.invalidate_marker(st.ino, max_seq)]);
         }
-        // One submission for the combined set; the configured batch size
-        // still caps a single kernel call (as on the per-file path), so a
-        // pathological extent count degrades to a few transactions rather
-        // than one unbounded one.
-        let chunk_size = self.config.daemon.relink_batch_size.max(1);
-        for chunk in combined.chunks(chunk_size) {
-            self.kernel.ioctl_relink_batch(chunk)?;
+    }
+
+    /// The record telling recovery that every staged write to `ino` with a
+    /// sequence number up to `seq` is applied (or dropped) and must not be
+    /// replayed.
+    fn invalidate_marker(&self, ino: u64, seq: u64) -> LogEntry {
+        LogEntry {
+            op: LogOp::Invalidate,
+            target_ino: ino,
+            target_offset: 0,
+            len: 0,
+            staging_ino: 0,
+            staging_offset: 0,
+            seq,
+            instance_id: self.instance_id,
         }
-        for (i, plan) in &planned {
-            let st = &mut *states[*i];
-            for m in &plan.retained {
-                st.mmaps.insert(m.target_offset, m.device_offset, m.len);
-            }
-            for span in &plan.copies {
-                self.copy_span_to_target(st, span)?;
-            }
-            let max_seq = st.staged.iter().map(|e| e.seq).max().unwrap_or(0);
-            let target_ino = st.ino;
-            retired += st.staged.len() as u64;
-            for ext in &st.staged {
-                self.staging.note_retired(ext.staging_ino, ext.len);
-            }
-            st.staged.clear();
-            st.kernel_size = self.kernel.fstat(st.kernel_fd)?.size;
-            st.cached_size = st.cached_size.max(st.kernel_size);
-            if self.config.mode.logs_data_ops() && max_seq > 0 {
-                deferred.push(LogEntry {
-                    op: LogOp::Invalidate,
-                    target_ino,
-                    target_offset: 0,
-                    len: 0,
-                    staging_ino: 0,
-                    staging_offset: 0,
-                    seq: max_seq,
-                    instance_id: self.instance_id,
-                });
-            }
+    }
+
+    /// Group-commits `Invalidate` markers, best-effort: a marker mostly
+    /// spares recovery work (a relinked staging range is a hole and would
+    /// be skipped anyway), so a full log simply drops it.
+    pub(crate) fn log_markers(&self, markers: &[LogEntry]) {
+        if let Some(oplog) = self.oplog.as_ref() {
+            let _ = oplog.append_batch(markers);
         }
-        self.device.fence(TimeCategory::UserData);
-        if retired > 0 {
-            self.device.declare(pmem::Promise::RelinkCommitted {
-                instance: self.instance_id,
-                ops: retired,
-            });
-        }
-        // Markers are an optimization (recovery also skips relinked
-        // entries because their staging ranges are holes); a full log
-        // simply drops them.
-        if !deferred.is_empty() {
-            if let Some(oplog) = self.oplog.as_ref() {
-                match oplog.append_batch(&deferred) {
-                    Ok(()) | Err(vfs::FsError::NoSpace) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Copies one planned span from the staging blocks into the target file

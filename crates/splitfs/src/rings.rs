@@ -1,15 +1,17 @@
-//! Async submission/completion rings over SplitFS: cross-file fence
-//! coalescing and durability-epoch publication.
+//! Async submission/completion rings over SplitFS: the ring's calling
+//! convention for the one staging pipeline, and durability-epoch
+//! publication.
 //!
-//! The synchronous write path pays two fences per staged gather — one
-//! for the staged bytes, one for the operation-log group commit — and
-//! it structurally cannot do better, because by the time `appendv`
-//! returns there is no second operation to share a fence with.  A
-//! drained ring batch *does* have the second operation in hand: this
-//! module stages every write in the batch (across **unrelated
-//! files**), fences once, and group-commits every file's log entries
-//! under one more fence — two fences for the whole batch where the
-//! synchronous path pays two per write.
+//! U-Split stages every write the same way (`SplitFs::stage_batch`):
+//! non-temporal stores into staging space, one data fence, one
+//! operation-log group commit, for however many writes the batch holds.
+//! A synchronous `appendv` is a batch of one and pays the two fences
+//! alone — by the time it returns there is no second operation to share
+//! them with.  A drained ring batch *does* have the other operations in
+//! hand, across **unrelated files**, and pays the same two fences for
+//! all of them.  What this module adds is only what is the ring's: sqe →
+//! op resolution, the lock order, the `Cqe`s, and the epoch a mode
+//! without a log completes with.
 //!
 //! **Durability epochs.**  The operation log's sequence numbers double
 //! as the epoch currency: once a group commit's fence retires, every
@@ -20,8 +22,9 @@
 //! means "this write survives any crash from now on" — the caller
 //! awaits that instead of issuing `fsync`.  Modes that do not log data
 //! operations (POSIX) fall back to a private epoch counter bumped
-//! after the batch's staging fence; the epoch then promises exactly
-//! what the mode itself promises (staged bytes durable, no atomicity).
+//! after a fence of the batch's staged bytes; the epoch then promises
+//! exactly what the mode itself promises (staged bytes durable, no
+//! atomicity).
 //!
 //! **Lock ordering.**  [`SplitFs::ring_batch`] locks the batch's file
 //! states in **inode order** (the `fsync_many` rule) and is always
@@ -33,42 +36,15 @@
 use std::sync::{Arc, Weak};
 
 use aio::{Cqe, RingBackend, RingFs, Sqe, SqeOp};
-use kernelfs::BLOCK_SIZE;
-use pmem::{PersistMode, PmemDevice, TimeCategory};
+use pmem::{PmemDevice, TimeCategory};
 use vfs::{FileSystem, FsError, FsResult};
 
-use crate::daemon::Task;
-use crate::fs::SplitFs;
-use crate::oplog::{LogEntry, LogOp};
-use crate::staging::StagingAllocation;
-use crate::state::StagedExtent;
+use crate::fs::{SplitFs, StageOp};
 
 /// How many drain rounds one daemon pass performs before yielding back
 /// to provisioning/checkpoint work, so a firehose of submissions
 /// cannot starve the rest of maintenance.
 const DAEMON_DRAIN_ROUNDS: usize = 4;
-
-/// An unexecuted write pulled out of a drained batch: the sqe's index,
-/// its fd (later re-resolved to an inode), the explicit offset for
-/// `writev_at` (`None` for appends), and the payload slices.
-type PendingWrite<'a> = (usize, u64, Option<u64>, &'a [Vec<u8>]);
-
-/// One write submission resolved against its file state, carried
-/// between the staging, logging and recording phases of a batch.
-struct WriteOp {
-    /// Index of the originating sqe (and its completion slot).
-    sqe_index: usize,
-    /// Index into the batch's sorted unique-state guard vector.
-    guard_index: usize,
-    /// Resolved absolute target offset (end of file for appends).
-    target_offset: u64,
-    /// Total payload bytes.
-    total: u64,
-    /// Gather slices (owned buffers from the sqe).
-    buf_range: usize,
-    /// Staged chunks: allocation, target offset, length.
-    pending: Vec<(StagingAllocation, u64, usize)>,
-}
 
 impl SplitFs {
     /// The highest durability epoch this instance has published: every
@@ -117,14 +93,20 @@ impl SplitFs {
     }
 
     /// Executes one drained cross-ring batch: reads and fsyncs run
-    /// through the synchronous paths; the batch's writes stage
-    /// together, share **one** data fence and **one** log group
-    /// commit across every file they touch, and complete with the
-    /// durability epoch that covers them.  Returns one [`Cqe`] per
-    /// sqe, in order.  Operations within a batch are unordered with
-    /// respect to each other (io_uring semantics without links).
+    /// through the synchronous entry points; the batch's writes go
+    /// through the staging core together — **one** data fence and
+    /// **one** log group commit across every file they touch — and
+    /// complete with the durability epoch that covers them.  Returns one
+    /// [`Cqe`] per sqe, in order.  Operations within a batch are unordered
+    /// with respect to each other (io_uring semantics without links).
     pub fn ring_batch(&self, sqes: Vec<Sqe>) -> Vec<Cqe> {
         let mut cqes: Vec<Option<Cqe>> = (0..sqes.len()).map(|_| None).collect();
+        let cqe = |sqe: &Sqe, result: FsResult<u64>, data: Option<Vec<u8>>| Cqe {
+            user_data: sqe.user_data,
+            result,
+            epoch: self.published_epoch(),
+            data,
+        };
 
         // Reads and fsyncs first, through the synchronous entry points
         // (they take file-state locks internally, so they must run
@@ -133,18 +115,12 @@ impl SplitFs {
             match &sqe.op {
                 SqeOp::Read { fd, offset, len } => {
                     let mut buf = vec![0u8; *len];
-                    let (result, data) = match self.read_at(*fd, *offset, &mut buf) {
+                    cqes[i] = Some(match self.read_at(*fd, *offset, &mut buf) {
                         Ok(n) => {
                             buf.truncate(n);
-                            (Ok(n as u64), Some(buf))
+                            cqe(sqe, Ok(n as u64), Some(buf))
                         }
-                        Err(e) => (Err(e), None),
-                    };
-                    cqes[i] = Some(Cqe {
-                        user_data: sqe.user_data,
-                        result,
-                        epoch: self.published_epoch(),
-                        data,
+                        Err(e) => cqe(sqe, Err(e), None),
                     });
                 }
                 SqeOp::Fsync { fd } => {
@@ -155,92 +131,74 @@ impl SplitFs {
                         self.published_epoch
                             .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
                     }
-                    cqes[i] = Some(Cqe {
-                        user_data: sqe.user_data,
-                        result,
-                        epoch: self.published_epoch(),
-                        data: None,
-                    });
+                    cqes[i] = Some(cqe(sqe, result, None));
                 }
                 SqeOp::Appendv { .. } | SqeOp::WritevAt { .. } => {}
             }
         }
 
-        self.ring_write_batch(&sqes, &mut cqes);
+        self.ring_writes(&sqes, &mut cqes);
 
-        sqes.into_iter()
+        sqes.iter()
             .zip(cqes)
-            .map(|(sqe, cqe)| {
-                cqe.unwrap_or(Cqe {
-                    user_data: sqe.user_data,
-                    result: Err(FsError::InvalidArgument),
-                    epoch: self.published_epoch(),
-                    data: None,
-                })
+            .map(|(sqe, done)| {
+                done.unwrap_or_else(|| cqe(sqe, Err(FsError::InvalidArgument), None))
             })
             .collect()
     }
 
-    /// The coalesced write half of [`SplitFs::ring_batch`].
-    fn ring_write_batch(&self, sqes: &[Sqe], cqes: &mut [Option<Cqe>]) {
-        let fail = |cqes: &mut [Option<Cqe>], i: usize, e: FsError, epoch: u64| {
-            cqes[i] = Some(Cqe {
-                user_data: sqes[i].user_data,
-                result: Err(e),
-                epoch,
-                data: None,
-            });
-        };
-
-        // Resolve every write's descriptor and file state.
-        let mut writes: Vec<PendingWrite<'_>> = Vec::new();
+    /// The write half of [`SplitFs::ring_batch`]: resolves each write sqe
+    /// to a file state, locks the distinct states in inode order, runs the
+    /// lot through [`SplitFs::stage_batch`] and builds the completions.
+    fn ring_writes(&self, sqes: &[Sqe], cqes: &mut [Option<Cqe>]) {
+        let mut writes = Vec::new();
         for (i, sqe) in sqes.iter().enumerate() {
-            let (fd, offset, bufs) = match &sqe.op {
-                SqeOp::Appendv { fd, bufs } => (*fd, None, bufs.as_slice()),
-                SqeOp::WritevAt { fd, offset, bufs } => (*fd, Some(*offset), bufs.as_slice()),
-                _ => continue,
-            };
-            writes.push((i, fd, offset, bufs));
+            match &sqe.op {
+                SqeOp::Appendv { fd, bufs } => writes.push((i, *fd, None, bufs)),
+                SqeOp::WritevAt { fd, offset, bufs } => writes.push((i, *fd, Some(*offset), bufs)),
+                SqeOp::Read { .. } | SqeOp::Fsync { .. } => {}
+            }
         }
         if writes.is_empty() {
             return;
         }
         self.charge_usplit();
+        let mut complete = |i: usize, result: FsResult<u64>, epoch: u64| {
+            cqes[i] = Some(Cqe {
+                user_data: sqes[i].user_data,
+                result,
+                epoch,
+                data: None,
+            });
+        };
+        let bump_private_epoch = || {
+            self.published_epoch
+                .fetch_add(1, std::sync::atomic::Ordering::AcqRel)
+                + 1
+        };
 
         if !self.config.use_staging {
             // Staging ablation: no fence to coalesce — run each write
             // through the synchronous path and fence the batch once.
-            let mut any_ok = false;
-            for (i, fd, offset, bufs) in writes {
-                let iov: Vec<vfs::IoVec<'_>> = bufs.iter().map(|b| vfs::IoVec::new(b)).collect();
-                let result = match offset {
-                    None => self.appendv(fd, &iov),
-                    Some(off) => self.writev_at(fd, off, &iov),
-                };
-                any_ok |= result.is_ok();
-                let epoch = self.published_epoch();
-                match result {
-                    Ok(n) => {
-                        cqes[i] = Some(Cqe {
-                            user_data: sqes[i].user_data,
-                            result: Ok(n as u64),
-                            epoch,
-                            data: None,
-                        });
-                    }
-                    Err(e) => fail(cqes, i, e, epoch),
-                }
-            }
-            if any_ok {
+            let results: Vec<(usize, FsResult<u64>)> = writes
+                .iter()
+                .map(|&(i, fd, offset, bufs)| {
+                    let iov: Vec<vfs::IoVec<'_>> =
+                        bufs.iter().map(|b| b.as_slice().into()).collect();
+                    let result = match offset {
+                        None => self.appendv(fd, &iov),
+                        Some(offset) => self.writev_at(fd, offset, &iov),
+                    };
+                    (i, result.map(|n| n as u64))
+                })
+                .collect();
+            let mut epoch = self.published_epoch();
+            if results.iter().any(|(_, result)| result.is_ok()) {
                 self.device.fence(TimeCategory::UserData);
-                self.published_epoch
-                    .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-                let epoch = self.published_epoch();
-                for cqe in cqes.iter_mut().flatten() {
-                    if cqe.result.is_ok() {
-                        cqe.epoch = epoch;
-                    }
-                }
+                epoch = bump_private_epoch();
+            }
+            for (i, result) in results {
+                complete(i, result, epoch);
             }
             return;
         }
@@ -248,240 +206,57 @@ impl SplitFs {
         // Lock the batch's distinct files in inode order (the
         // `fsync_many` rule, so concurrent batches, fsync batches and
         // the checkpoint sweep can never deadlock against each other).
-        let mut unique: Vec<(u64, Arc<parking_lot::RwLock<crate::state::FileState>>)> = Vec::new();
-        let mut resolved: Vec<PendingWrite<'_>> = Vec::new();
+        let mut unique = Vec::new();
+        let mut resolved = Vec::new();
         for (i, fd, offset, bufs) in writes {
             match self.state_for_fd(fd) {
                 Ok((desc, state)) if desc.flags.write => {
                     unique.push((desc.ino, state));
                     resolved.push((i, desc.ino, offset, bufs));
                 }
-                Ok(_) => fail(cqes, i, FsError::PermissionDenied, self.published_epoch()),
-                Err(e) => fail(cqes, i, e, self.published_epoch()),
+                Ok(_) => complete(i, Err(FsError::PermissionDenied), self.published_epoch()),
+                Err(e) => complete(i, Err(e), self.published_epoch()),
             }
-        }
-        if resolved.is_empty() {
-            return;
         }
         unique.sort_by_key(|(ino, _)| *ino);
         unique.dedup_by_key(|(ino, _)| *ino);
         let mut guards: Vec<_> = unique.iter().map(|(_, state)| state.write()).collect();
-        let guard_index =
-            |ino: u64| -> usize { unique.binary_search_by_key(&ino, |(i, _)| *i).unwrap() };
-        // Remember each file's pre-batch size so a failed group commit
-        // can roll the size cache back (the staged bytes are then
-        // unreachable, exactly as after a failed synchronous stage).
-        let pre_sizes: Vec<u64> = guards.iter().map(|g| g.cached_size).collect();
+        let mut ops: Vec<StageOp<'_, Vec<u8>>> = resolved
+            .iter()
+            .map(|&(_, ino, offset, iov)| StageOp {
+                state: unique
+                    .binary_search_by_key(&ino, |(ino, _)| *ino)
+                    .expect("every resolved write's state is in the batch"),
+                offset,
+                iov,
+                result: Ok(0),
+            })
+            .collect();
+        let mut epoch = self.stage_batch(&mut guards, &mut ops);
 
-        // Phase 1: stage every write's slices.  Cursor-bump
-        // allocations, non-temporal writes, **no fence yet**.
-        let mut staged: Vec<WriteOp> = Vec::new();
-        for (i, ino, offset, bufs) in resolved {
-            let gi = guard_index(ino);
-            let target_offset = offset.unwrap_or(guards[gi].cached_size);
-            let total: u64 = bufs.iter().map(|b| b.len() as u64).sum();
-            if total == 0 {
-                cqes[i] = Some(Cqe {
-                    user_data: sqes[i].user_data,
-                    result: Ok(0),
-                    epoch: self.published_epoch(),
-                    data: None,
-                });
-                continue;
-            }
-            let mut pending: Vec<(StagingAllocation, u64, usize)> = Vec::new();
-            let mut t_off = target_offset;
-            let mut error = None;
-            'slices: for buf in bufs {
-                let mut pos = 0usize;
-                while pos < buf.len() {
-                    let cur = t_off + pos as u64;
-                    let remaining = (buf.len() - pos) as u64;
-                    let alloc = match self.staging.take(remaining, cur % BLOCK_SIZE as u64) {
-                        Ok(alloc) => alloc,
-                        Err(e) => {
-                            error = Some(e);
-                            break 'slices;
-                        }
-                    };
-                    let n = alloc.len.min(remaining) as usize;
-                    self.device.write(
-                        alloc.device_offset,
-                        &buf[pos..pos + n],
-                        PersistMode::NonTemporal,
-                        TimeCategory::UserData,
-                    );
-                    pending.push((alloc, cur, n));
-                    pos += n;
-                }
-                t_off += buf.len() as u64;
-            }
-            if let Some(e) = error {
-                fail(cqes, i, e, self.published_epoch());
-                continue;
-            }
-            // Advance the cached size immediately so a second append to
-            // the same file in this batch stages after this one.
-            guards[gi].cached_size = guards[gi].cached_size.max(target_offset + total);
-            staged.push(WriteOp {
-                sqe_index: i,
-                guard_index: gi,
-                target_offset,
-                total,
-                buf_range: bufs.len(),
-                pending,
-            });
-        }
-        if staged.is_empty() {
-            return;
-        }
-
-        // Phase 2: one fence for every op's staged bytes, then (in
-        // logging modes) one group commit for every file's entries —
-        // the cross-file amortization the synchronous path cannot do.
+        let count = ops.iter().filter(|op| op.staged()).count() as u64;
         let logging = self.config.mode.logs_data_ops();
-        self.device.fence(TimeCategory::UserData);
-        let mut op_seqs: Vec<Vec<u64>> = Vec::with_capacity(staged.len());
-        let epoch = if logging {
-            let mut entries: Vec<LogEntry> = Vec::new();
-            let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(staged.len());
-            for op in &staged {
-                let start = entries.len();
-                for (alloc, cur, n) in &op.pending {
-                    entries.push(LogEntry {
-                        op: LogOp::StagedWrite,
-                        target_ino: unique[op.guard_index].0,
-                        target_offset: *cur,
-                        len: *n as u64,
-                        staging_ino: alloc.staging_ino,
-                        staging_offset: alloc.staging_offset,
-                        seq: self
-                            .oplog
-                            .as_ref()
-                            .map(|l| l.next_seq())
-                            .unwrap_or_default(),
-                        instance_id: self.instance_id,
-                    });
-                }
-                ranges.push((start, entries.len()));
-            }
-            if let Err(e) = self.ring_log_commit(&entries, &mut guards) {
-                // The whole group commit failed: no entry is durable.
-                // Roll the size caches back and fail every staged op.
-                for (guard, pre) in guards.iter_mut().zip(&pre_sizes) {
-                    guard.cached_size = *pre;
-                }
-                let epoch = self.published_epoch();
-                for op in &staged {
-                    fail(cqes, op.sqe_index, e.clone(), epoch);
-                }
-                return;
-            }
-            let max_seq = entries.iter().map(|e| e.seq).max().unwrap_or(0);
-            self.publish_epoch(max_seq);
-            for (start, end) in ranges {
-                op_seqs.push(entries[start..end].iter().map(|e| e.seq).collect());
-            }
-            if staged.len() >= 2 {
-                // The synchronous path would have paid a data fence and
-                // a log fence per write; the batch paid one pair total.
-                self.device
-                    .stats()
-                    .add_fences_amortized(2 * (staged.len() as u64 - 1));
-            }
-            max_seq
-        } else {
-            // No log: the staging fence above is the durability point
-            // (the mode's own guarantee — staged bytes durable, no
-            // atomicity).  One private epoch per batch.
-            for op in &staged {
-                op_seqs.push(vec![0; op.pending.len()]);
-            }
-            if staged.len() >= 2 {
-                self.device
-                    .stats()
-                    .add_fences_amortized(staged.len() as u64 - 1);
-            }
-            self.published_epoch
-                .fetch_add(1, std::sync::atomic::Ordering::AcqRel)
-                + 1
-        };
-
-        // Phase 3: record the staged extents and complete the ops.
-        let now_ns = self.device.clock().now_ns_f64();
-        for (op, seqs) in staged.iter().zip(op_seqs) {
-            let guard = &mut guards[op.guard_index];
-            for ((alloc, cur, n), seq) in op.pending.iter().zip(seqs) {
-                guard.staged.push(StagedExtent {
-                    target_offset: *cur,
-                    len: *n as u64,
-                    staging_ino: alloc.staging_ino,
-                    staging_fd: alloc.staging_fd,
-                    staging_offset: alloc.staging_offset,
-                    device_offset: alloc.device_offset,
-                    seq,
-                });
-            }
-            guard.cached_size = guard.cached_size.max(op.target_offset + op.total);
-            guard.last_staged_ns = now_ns;
-            self.device.stats().add_appendv(op.buf_range as u64);
-            cqes[op.sqe_index] = Some(Cqe {
-                user_data: sqes[op.sqe_index].user_data,
-                result: Ok(op.total),
-                epoch,
-                data: None,
-            });
+        if count > 0 && !logging {
+            // No log: this fence is the durability point (the mode's own
+            // guarantee — staged bytes durable, no atomicity).  One private
+            // epoch per batch.
+            self.device.fence(TimeCategory::UserData);
+            epoch = bump_private_epoch();
         }
-
-        // Same maintenance nudges as the synchronous staging path, once
-        // per batch (and a relink nudge per heavily-staged file).
-        if self.config.daemon.enabled {
-            use std::sync::atomic::Ordering;
-            let cfg = &self.config.daemon;
-            if self.staging.needs_provisioning()
-                && self
-                    .provision_nudged
-                    .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-            {
-                self.nudge(Task::ProvisionStaging);
-            }
-            if let Some(oplog) = self.oplog.as_ref() {
-                if oplog.utilization() >= cfg.oplog_checkpoint_fraction
-                    && self
-                        .checkpoint_nudged
-                        .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                {
-                    self.nudge(Task::Checkpoint);
-                }
-            }
-            for guard in &guards {
-                if guard.staged.len() >= cfg.relink_batch_size.saturating_mul(4) {
-                    self.nudge(Task::RelinkFile(guard.ino));
-                }
-            }
+        if count >= 2 {
+            // The synchronous path would have paid the batch's fences —
+            // a data fence, and in logging modes a log fence — per write.
+            let per_write = if logging { 2 } else { 1 };
+            self.device
+                .stats()
+                .add_fences_amortized(per_write * (count - 1));
         }
-    }
-
-    /// Group-commits `entries` with the stage-path's full-log handling
-    /// (seal the epoch or grow the log, then retry).  `guards[0]` is
-    /// the already-held state the full-log handler may relink through.
-    fn ring_log_commit(
-        &self,
-        entries: &[LogEntry],
-        guards: &mut [parking_lot::RwLockWriteGuard<'_, crate::state::FileState>],
-    ) -> FsResult<()> {
-        loop {
-            let res = match (self.oplog.as_ref(), entries.len()) {
-                (None, _) | (_, 0) => Ok(()),
-                (Some(_), 1) => self.log_append(&entries[0]),
-                (Some(oplog), _) => oplog.append_batch(entries),
-            };
-            match res {
-                Ok(()) => return Ok(()),
-                Err(FsError::NoSpace) => self.handle_log_full(&mut guards[0])?,
-                Err(e) => return Err(e),
+        for (&(i, _, _, bufs), op) in resolved.iter().zip(ops) {
+            if op.staged() {
+                self.device.stats().add_appendv(bufs.len() as u64);
+                complete(i, op.result, epoch);
+            } else {
+                complete(i, op.result, self.published_epoch());
             }
         }
     }

@@ -54,6 +54,7 @@ use pmem::{PmemDevice, SimClock};
 use vfs::{Fd, FileSystem, FsResult, OpenFlags};
 
 use crate::config::SplitConfig;
+use crate::mmap_collection::MAP_POPULATE;
 
 /// Distinguishes pools for the per-thread lane cache below (two pools —
 /// two instances, or a remount — must not share routing state).
@@ -219,7 +220,6 @@ pub struct StagingPool {
     device: Arc<PmemDevice>,
     dir: String,
     file_size: u64,
-    populate: bool,
     lanes: Vec<Lane>,
     /// This pool's key in the per-thread lane-seed cache.
     pool_id: u64,
@@ -269,7 +269,6 @@ impl StagingPool {
             device,
             dir: dir.to_string(),
             file_size: config.staging_file_size,
-            populate: config.populate_mmaps,
             lanes: (0..lane_count).map(|_| Lane::new(low, high)).collect(),
             pool_id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
             thread_seq: AtomicUsize::new(0),
@@ -425,7 +424,7 @@ impl StagingPool {
         // Pre-allocate the whole file so appends never allocate in the
         // critical path, then map it once.
         self.kernel.ftruncate(fd, self.file_size)?;
-        let mapping = self.kernel.dax_map(fd, 0, self.file_size, self.populate)?;
+        let mapping = self.kernel.dax_map(fd, 0, self.file_size, MAP_POPULATE)?;
         let ino = self.kernel.fd_ino(fd)?;
         Ok(StagingFile {
             fd,
@@ -825,7 +824,7 @@ impl StagingPool {
         let rebuild = (|| -> FsResult<DaxMapping> {
             self.kernel.ftruncate(file.fd, 0)?;
             self.kernel.ftruncate(file.fd, file.size)?;
-            self.kernel.dax_map(file.fd, 0, file.size, self.populate)
+            self.kernel.dax_map(file.fd, 0, file.size, MAP_POPULATE)
         })();
         let mapping = match rebuild {
             Ok(mapping) => mapping,

@@ -120,23 +120,6 @@ impl FileState {
     pub fn linked_path(&self) -> Option<&str> {
         self.path.as_deref()
     }
-
-    /// Total bytes currently staged for this file.
-    pub fn staged_bytes(&self) -> u64 {
-        self.staged.iter().map(|e| e.len).sum()
-    }
-
-    /// Drops staged extents whose target range lies entirely at or beyond
-    /// `size` (used by truncate).
-    pub fn drop_staged_beyond(&mut self, size: u64) {
-        self.staged.retain(|e| e.target_offset < size);
-        for e in &mut self.staged {
-            if e.target_offset + e.len > size {
-                e.len = size - e.target_offset;
-            }
-        }
-        self.staged.retain(|e| e.len > 0);
-    }
 }
 
 /// One application-visible file descriptor.
@@ -441,32 +424,5 @@ mod tests {
         assert!(table.get(a).is_err());
         assert!(table.get(b).is_ok());
         assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn staged_bytes_and_truncation() {
-        let mut st = FileState::new(5, 10, 8192);
-        st.staged.push(StagedExtent {
-            target_offset: 8192,
-            len: 4096,
-            staging_ino: 70,
-            staging_fd: 11,
-            staging_offset: 0,
-            device_offset: 0,
-            seq: 1,
-        });
-        st.staged.push(StagedExtent {
-            target_offset: 12288,
-            len: 4096,
-            staging_ino: 70,
-            staging_fd: 11,
-            staging_offset: 4096,
-            device_offset: 4096,
-            seq: 2,
-        });
-        assert_eq!(st.staged_bytes(), 8192);
-        st.drop_staged_beyond(10_000);
-        assert_eq!(st.staged.len(), 1);
-        assert_eq!(st.staged[0].len, 10_000 - 8192);
     }
 }

@@ -36,9 +36,9 @@ fn laned_config(lanes: usize) -> SplitConfig {
 }
 
 /// Appends one staging file's worth (plus a little) so the home lane's
-/// cursor moves past its first file, then fsyncs so every staged byte is
-/// retired.  Returns the file's expected contents.
-fn exhaust_one_staging_file(fs: &Arc<SplitFs>, path: &str, fill: u8) -> Vec<u8> {
+/// cursor moves past its first file, and leaves it all staged.  Returns
+/// the descriptor and the file's expected contents.
+fn stage_past_one_staging_file(fs: &Arc<SplitFs>, path: &str, fill: u8) -> (vfs::Fd, Vec<u8>) {
     let fd = fs.open(path, OpenFlags::create()).unwrap();
     let mut content = Vec::new();
     let block = vec![fill; 64 * 1024];
@@ -47,6 +47,13 @@ fn exhaust_one_staging_file(fs: &Arc<SplitFs>, path: &str, fill: u8) -> Vec<u8> 
         fs.append(fd, &block).unwrap();
         content.extend_from_slice(&block);
     }
+    (fd, content)
+}
+
+/// [`stage_past_one_staging_file`], then fsync so every staged byte is
+/// retired.  Returns the file's expected contents.
+fn exhaust_one_staging_file(fs: &Arc<SplitFs>, path: &str, fill: u8) -> Vec<u8> {
+    let (fd, content) = stage_past_one_staging_file(fs, path, fill);
     fs.fsync(fd).unwrap();
     fs.close(fd).unwrap();
     content
@@ -306,4 +313,67 @@ fn cold_relinked_then_demoted_file_recycles_staging_and_stays_readable() {
 fn fd_kernel(fs: &Arc<SplitFs>, path: &str) -> vfs::Fd {
     let kernel = fs.kernel();
     kernel.open(path, OpenFlags::read_only()).unwrap()
+}
+
+/// Staged bytes that leave without a relink — a truncate, or a rename
+/// that replaces the file — are accounted as retired, so the staging file
+/// they filled can recycle.
+#[test]
+fn discarded_staged_bytes_release_their_staging_file() {
+    for replaced_by_rename in [false, true] {
+        let device = device();
+        let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        let fs = SplitFs::new(kernel, laned_config(1)).unwrap();
+        let pool = fs.staging_pool();
+        let (fd, _) = stage_past_one_staging_file(&fs, "/victim.log", 0x42);
+        assert!(
+            pool.begin_recycle().is_none(),
+            "unapplied staged bytes pin their staging file"
+        );
+        if replaced_by_rename {
+            fs.write_file("/fresh.log", b"replacement").unwrap();
+            fs.rename("/fresh.log", "/victim.log").unwrap();
+        } else {
+            fs.ftruncate(fd, 0).unwrap();
+        }
+        let rec = pool.begin_recycle().unwrap_or_else(|| {
+            panic!("rename={replaced_by_rename}: the discarded bytes still pin their file")
+        });
+        pool.rebuild(rec).unwrap();
+        fs.close(fd).unwrap();
+    }
+}
+
+/// A crash right after staged bytes were discarded must not bring them
+/// back: the log entries that staged them are marked not-to-be-replayed,
+/// while writes staged after the discard still replay.
+#[test]
+fn recovery_does_not_resurrect_discarded_staged_bytes() {
+    let device = device();
+    let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    let config = laned_config(1);
+    let fs = SplitFs::new(kernel, config.clone()).unwrap();
+
+    // Everything staged is cut off, then the file is written again.
+    let emptied = fs.open("/emptied.log", OpenFlags::create()).unwrap();
+    fs.append(emptied, &vec![0xD1u8; 100_000]).unwrap();
+    fs.ftruncate(emptied, 0).unwrap();
+    fs.append(emptied, b"written after the truncate").unwrap();
+    // A truncate through the middle of one staged write.
+    let halved = fs.open("/halved.log", OpenFlags::create()).unwrap();
+    fs.append(halved, &vec![0xD2u8; 8192]).unwrap();
+    fs.ftruncate(halved, 4096).unwrap();
+
+    drop(fs);
+    device.crash();
+    let kernel2 = kernelfs::Ext4Dax::mount(Arc::clone(&device)).unwrap();
+    recover(&kernel2, &config).unwrap();
+    let emptied = kernel2.read_file("/emptied.log").unwrap();
+    assert!(
+        emptied == b"written after the truncate",
+        "{} bytes came back",
+        emptied.len()
+    );
+    let halved = kernel2.read_file("/halved.log").unwrap();
+    assert!(halved == [0xD2u8; 4096], "{} bytes came back", halved.len());
 }

@@ -110,8 +110,10 @@ fn bandwidth_cap_defers_demotions_across_ticks() {
     fs.close(b).unwrap();
 }
 
-#[test]
-fn writes_promote_demoted_files_eagerly() {
+/// A write means the file is hot again: it promotes before the bytes
+/// land — whether the write arrives synchronously or through a ring —
+/// and the merged contents read back from PM.
+fn write_promotes_a_demoted_file(through_ring: bool) {
     let device = PmemBuilder::new(64 * MIB).build();
     let kernel = tiered_kernel(&device, 48 * MIB);
     let fs = SplitFs::new(Arc::clone(&kernel), config()).unwrap();
@@ -120,17 +122,37 @@ fn writes_promote_demoted_files_eagerly() {
     assert_eq!(fs.sweep_tier_demotions(), 1);
     assert!(kernel.cap_usage().0 > 0);
 
-    // A write means the file is hot again: it promotes before the bytes
-    // land, and the merged contents read back from PM.
-    fs.write_at(fd, 0, &[0x77; 4096]).unwrap();
-    fs.fsync(fd).unwrap();
+    if through_ring {
+        let hub = splitfs::ring_hub(&fs);
+        let ring = hub.ring(1);
+        ring.try_submit(aio::Sqe::writev_at(1, fd, 0, vec![vec![0x77; 4096]]))
+            .unwrap();
+        hub.drain(aio::DEFAULT_DRAIN_BATCH);
+        let mut cqes = Vec::new();
+        ring.harvest(&mut cqes);
+        assert_eq!(cqes[0].result, Ok(4096));
+    } else {
+        fs.write_at(fd, 0, &[0x77; 4096]).unwrap();
+    }
     assert_eq!(kernel.cap_usage().0, 0, "whole file back on PM");
     assert!(device.stats().snapshot().tier_promotions >= 1);
+    fs.fsync(fd).unwrap();
+    assert_eq!(fs.sweep_tier_demotions(), 0, "just written: not idle");
     let mut buf = vec![0u8; 128 * 1024];
     fs.read_at(fd, 0, &mut buf).unwrap();
     assert!(buf[..4096].iter().all(|&b| b == 0x77));
     assert!(buf[4096..].iter().all(|&b| b == 0x66));
     fs.close(fd).unwrap();
+}
+
+#[test]
+fn writes_promote_demoted_files_eagerly() {
+    write_promotes_a_demoted_file(false);
+}
+
+#[test]
+fn ring_writes_promote_demoted_files_eagerly() {
+    write_promotes_a_demoted_file(true);
 }
 
 #[test]

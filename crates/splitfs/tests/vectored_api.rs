@@ -181,6 +181,37 @@ fn fsync_many_with_nothing_staged_only_fences() {
     assert_eq!(delta.fences, 1);
 }
 
+/// `fsync(fd)` is `fsync_many(&[fd])` with one guard: on identical
+/// instances the two leave identical statistics behind, down to the
+/// simulated time, apart from the `fsync_many` call counters.
+#[test]
+fn fsync_is_fsync_many_of_one() {
+    let run = |batched: bool| {
+        let fs = strict_fs();
+        let fd = fs.open("/one.dat", OpenFlags::create()).unwrap();
+        let before = fs.device().stats().snapshot();
+        let sync = |fd| match batched {
+            true => fs.fsync_many(&[fd]),
+            false => fs.fsync(fd),
+        };
+        // Unaligned appends, then an overwrite of staged bytes (a second
+        // relink generation), then nothing staged at all.
+        fs.append(fd, &vec![0x11; 10_000]).unwrap();
+        fs.append(fd, &vec![0x22; 3_000]).unwrap();
+        sync(fd).unwrap();
+        fs.append(fd, &vec![0x33; 8192]).unwrap();
+        fs.write_at(fd, 12_000, &[0x44; 5_000]).unwrap();
+        sync(fd).unwrap();
+        sync(fd).unwrap();
+        let mut delta = fs.device().stats().snapshot().delta_since(&before);
+        assert_eq!(delta.fsync_many_calls, if batched { 3 } else { 0 });
+        delta.fsync_many_calls = 0;
+        delta.fsync_many_files = 0;
+        (delta, fs.read_file("/one.dat").unwrap())
+    };
+    assert_eq!(run(false), run(true));
+}
+
 #[test]
 fn writev_at_straddling_eof_overwrites_and_stages_in_one_call() {
     // POSIX mode: the overwrite half goes in place through the mmaps, the

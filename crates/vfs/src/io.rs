@@ -59,6 +59,12 @@ impl<'a> IoVec<'a> {
     }
 }
 
+impl AsRef<[u8]> for IoVec<'_> {
+    fn as_ref(&self) -> &[u8] {
+        self.data
+    }
+}
+
 impl<'a> From<&'a [u8]> for IoVec<'a> {
     fn from(data: &'a [u8]) -> Self {
         Self::new(data)
@@ -74,16 +80,6 @@ impl<'a, const N: usize> From<&'a [u8; N]> for IoVec<'a> {
 /// Total byte length of a gather list.
 pub fn iov_total_len(iov: &[IoVec<'_>]) -> u64 {
     iov.iter().map(|v| v.len() as u64).sum()
-}
-
-/// Concatenates a gather list into one owned buffer (the fallback used by
-/// file systems without a native gathered write path).
-pub fn iov_gather(iov: &[IoVec<'_>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(iov_total_len(iov) as usize);
-    for v in iov {
-        out.extend_from_slice(v.as_slice());
-    }
-    out
 }
 
 /// The result of a [`FileSystem::read_view`](crate::FileSystem::read_view):
@@ -167,7 +163,7 @@ mod tests {
         let b: &[u8] = &[4, 5];
         let iov = [IoVec::from(&a), IoVec::new(b), IoVec::new(&[])];
         assert_eq!(iov_total_len(&iov), 5);
-        assert_eq!(iov_gather(&iov), vec![1, 2, 3, 4, 5]);
+        assert_eq!(iov[1].as_ref(), b);
         assert!(iov[2].is_empty());
         assert_eq!(iov[0].len(), 3);
     }

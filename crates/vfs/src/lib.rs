@@ -25,9 +25,11 @@
 //!   files), and [`FileSystem::fdatasync`] skips metadata work when only
 //!   data durability is needed.
 //!
-//! The POSIX conveniences (`append`, `read_file`, `write_file`) are
-//! provided in terms of the new primitives, so every implementor that
-//! overrides the primitives gets the optimized conveniences for free.
+//! The vectored writes are the **required** primitives: an implementor
+//! supplies [`FileSystem::writev_at`] and [`FileSystem::appendv`] — one
+//! write body that takes an offset or "end of file" — and the scalar
+//! [`FileSystem::write_at`] and the POSIX conveniences (`append`,
+//! `read_file`, `write_file`) are provided on top of them.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -42,7 +44,7 @@ pub mod util;
 use std::sync::Arc;
 
 pub use error::{FsError, FsResult};
-pub use io::{iov_gather, iov_total_len, IoVec, ReadView};
+pub use io::{iov_total_len, IoVec, ReadView};
 pub use trace::TracedFs;
 pub use types::{ConsistencyClass, Fd, FileStat, OpenFlags, SeekFrom};
 
@@ -77,7 +79,10 @@ pub trait FileSystem: Send + Sync {
 
     /// Writes `data` at absolute `offset` (like `pwrite`), extending the
     /// file if the range goes past the current end.  Returns bytes written.
-    fn write_at(&self, fd: Fd, offset: u64, data: &[u8]) -> FsResult<usize>;
+    /// Provided: a gather of one slice through [`FileSystem::writev_at`].
+    fn write_at(&self, fd: Fd, offset: u64, data: &[u8]) -> FsResult<usize> {
+        self.writev_at(fd, offset, &[IoVec::new(data)])
+    }
 
     /// Reads from the descriptor's current offset, advancing it.
     fn read(&self, fd: Fd, buf: &mut [u8]) -> FsResult<usize>;
@@ -158,38 +163,17 @@ pub trait FileSystem: Send + Sync {
     /// extending the file if the range goes past the current end.  Returns
     /// the total bytes written.
     ///
-    /// The provided default issues one `write_at` per slice; real
-    /// implementations override it to pay the per-operation costs
-    /// (syscall, allocation, journal/log commit) once for the whole
-    /// gather.  Like `writev(2)`, a short write stops the gather: the
-    /// bytes written so far are returned and no later slice is written at
-    /// a shifted offset.
-    fn writev_at(&self, fd: Fd, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        let mut cur = offset;
-        for v in iov {
-            if v.is_empty() {
-                continue;
-            }
-            let n = self.write_at(fd, cur, v.as_slice())?;
-            cur += n as u64;
-            if n < v.len() {
-                break;
-            }
-        }
-        Ok((cur - offset) as usize)
-    }
+    /// Implementations pay the per-operation costs (syscall, allocation,
+    /// journal/log commit) once for the whole gather; the scalar
+    /// [`FileSystem::write_at`] is this with one slice.
+    fn writev_at(&self, fd: Fd, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize>;
 
     /// Appends a gather list at the end of file as one logical operation.
     ///
     /// Implementations resolve the end-of-file offset and perform the
     /// write under a single file-state lock, so two concurrent appenders
-    /// can never interleave into overlapping offsets.  The provided
-    /// default (fstat-then-write) does **not** have that property; every
-    /// file system in the workspace overrides it.
-    fn appendv(&self, fd: Fd, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        let size = self.fstat(fd)?.size;
-        self.writev_at(fd, size, iov)
-    }
+    /// can never interleave into overlapping offsets.
+    fn appendv(&self, fd: Fd, iov: &[IoVec<'_>]) -> FsResult<usize>;
 
     /// Flushes the completed-but-volatile state of many descriptors to the
     /// persistence domain as one batch.

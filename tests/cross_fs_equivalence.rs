@@ -158,6 +158,54 @@ fn unlink_with_an_open_descriptor_matches_the_kernel_underneath() {
     }
 }
 
+/// `write` on `O_APPEND` descriptors from several threads: every file
+/// system must resolve the end of file under the lock the write holds, so
+/// no record lands on top of another.
+#[test]
+fn concurrent_o_append_writes_never_overlap_on_any_filesystem() {
+    const THREADS: usize = 4;
+    const WRITES: usize = 2000;
+    const RECORD: usize = 64;
+    for fs in all_filesystems() {
+        fs.close(fs.open("/shared.log", OpenFlags::create()).unwrap())
+            .unwrap();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (fs, start) = (&fs, &start);
+                s.spawn(move || {
+                    // One descriptor per thread: the offsets are private,
+                    // only the end of file is shared.
+                    let fd = fs.open("/shared.log", OpenFlags::append()).unwrap();
+                    start.wait();
+                    for _ in 0..WRITES {
+                        assert_eq!(fs.write(fd, &[t as u8 + 1; RECORD]), Ok(RECORD));
+                    }
+                    fs.close(fd).unwrap();
+                });
+            }
+        });
+        let data = fs.read_file("/shared.log").unwrap();
+        assert_eq!(
+            data.len(),
+            THREADS * WRITES * RECORD,
+            "{}: appends overwrote one another",
+            fs.name()
+        );
+        let mut per_thread = [0usize; THREADS];
+        for record in data.chunks(RECORD) {
+            let tag = record[0];
+            assert!(
+                (1..=THREADS as u8).contains(&tag) && record.iter().all(|&b| b == tag),
+                "{}: torn record {record:?}",
+                fs.name()
+            );
+            per_thread[tag as usize - 1] += 1;
+        }
+        assert_eq!(per_thread, [WRITES; THREADS], "{}", fs.name());
+    }
+}
+
 #[test]
 fn lsm_store_produces_identical_results_on_every_filesystem() {
     let mut answers = Vec::new();
