@@ -138,7 +138,7 @@ pub struct TierCounters {
 /// media error, and durability promises recorded on the device's ledger.
 #[derive(Debug, Default)]
 pub struct ChaosCounters {
-    /// Crash images computed (`capture_crash_image`, including `crash()`).
+    /// Crashes injected: `capture_crash_image` calls plus in-place `crash()`es.
     crash_captures: AtomicU64,
     /// Cache lines that survived as a torn prefix/suffix in a capture.
     torn_lines: AtomicU64,
@@ -338,9 +338,9 @@ impl Stats {
         self.bytes_read[cat.index()].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one cache-line flush (`clwb`/`clflush`).
-    pub fn add_flush(&self) {
-        self.flushes.fetch_add(1, Ordering::Relaxed);
+    /// Records `n` cache-line flushes (`clwb`/`clflush`).
+    pub fn add_flushes(&self, n: u64) {
+        self.flushes.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one ordering fence (`sfence`).
@@ -1301,7 +1301,7 @@ mod tests {
         s.add_time(TimeCategory::UserData, 1.0);
         s.add_bytes_written(TimeCategory::UserData, 1);
         s.add_bytes_read(TimeCategory::UserData, 1);
-        s.add_flush();
+        s.add_flushes(1);
         s.add_fence();
         s.add_page_faults(1);
         s.add_huge_page_faults(1);
