@@ -66,7 +66,7 @@ impl Nova {
     }
 
     fn charge_syscall(&self) {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.device.stats().add_kernel_trap();
         self.device
             .charge_software(cost.kernel_trap_ns + cost.vfs_path_ns);
@@ -76,7 +76,7 @@ impl Nova {
     /// on-PM log tail (one cache line) + fence — NOVA's two-line/two-fence
     /// pattern.
     fn log_op(&self) {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.device.charge_software(cost.nova_log_entry_ns);
         let mut head = self.log_head.write();
         if *head + LOG_ENTRY as u64 + 64 > LOG_RESERVED {
@@ -109,7 +109,7 @@ impl Nova {
     /// Does not fence, update the size, or log — the caller does that once
     /// per logical operation.
     fn write_slice(&self, core: &mut FsCore, ino: u64, offset: u64, data: &[u8]) -> FsResult<()> {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let old_size = core.node(ino)?.size;
         match self.mode {
             NovaMode::Relaxed => {
@@ -236,7 +236,7 @@ impl FileSystem for Nova {
 
     fn open(&self, path: &str, flags: OpenFlags) -> FsResult<Fd> {
         self.charge_syscall();
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let mut core = self.core.write();
         let (parent, name, existing) = core.resolve(path)?;
         let ino = match existing {
@@ -270,7 +270,7 @@ impl FileSystem for Nova {
 
     fn read_at(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
         self.charge_syscall();
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.device.charge_software(cost.nova_radix_update_ns * 0.5);
         let mut core = self.core.write();
         let file = core.fd(fd)?;

@@ -45,7 +45,7 @@ impl Pmfs {
     }
 
     fn charge_syscall(&self) {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.device.stats().add_kernel_trap();
         self.device
             .charge_software(cost.kernel_trap_ns + cost.vfs_path_ns);
@@ -53,7 +53,7 @@ impl Pmfs {
 
     /// Writes `records` 64-byte undo-journal records and persists them.
     fn journal(&self, records: usize) {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.device
             .charge_software(records as f64 * cost.pmfs_journal_record_ns);
         let mut head = self.journal_head.write();
@@ -80,7 +80,7 @@ impl Pmfs {
     /// racing a stale `fstat`.
     fn vectored_write(&self, fd: Fd, at: Option<u64>, iov: &[IoVec<'_>]) -> FsResult<usize> {
         self.charge_syscall();
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let mut core = self.core.write();
         let file = core.fd(fd)?;
         if !file.flags.write {
@@ -145,7 +145,7 @@ impl FileSystem for Pmfs {
 
     fn open(&self, path: &str, flags: OpenFlags) -> FsResult<Fd> {
         self.charge_syscall();
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let mut core = self.core.write();
         let (parent, name, existing) = core.resolve(path)?;
         let ino = match existing {

@@ -92,13 +92,13 @@ impl Strata {
     fn charge_libfs(&self) {
         // Strata's LibFS handles the operation in user space: no kernel
         // trap, but index/lease bookkeeping.
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.device.charge_software(cost.strata_index_ns);
     }
 
     /// Appends one entry (header + payload) to the private log.
     fn log_append(&self, state: &mut LogState, payload: &[u8]) -> u64 {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.device.charge_software(cost.strata_log_append_ns);
         let need = (LOG_HEADER + payload.len()) as u64;
         debug_assert!(need <= self.log_capacity);
@@ -131,7 +131,7 @@ impl Strata {
     /// Runs a digest: coalesces the pending log entries and copies each
     /// surviving block into the shared area, then resets the log.
     fn digest(&self, core: &mut FsCore, state: &mut LogState) -> FsResult<()> {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let pending: Vec<((u64, u64), LogExtent)> = state.pending.drain().collect();
         for ((ino, block), ext) in pending {
             // The file may have been unlinked since the write was logged.

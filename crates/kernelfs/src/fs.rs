@@ -653,13 +653,24 @@ impl Ext4Dax {
     /// Mounts an already-formatted device: reads the superblock, replays the
     /// journal, and rebuilds the in-memory inode, directory and allocator
     /// state from the on-device structures.
+    ///
+    /// The replayed state is then written back in place and **fenced**
+    /// before the journal is discarded: the journal records are the only
+    /// durable copy of a replayed change until that fence, so a crash that
+    /// persists the discard must find the in-place state already durable.
+    /// The discard itself clears only each region's used extent (see
+    /// [`crate::journal`]), so a mount costs what was journaled, not the
+    /// size of the journal.
     pub fn mount(device: Arc<PmemDevice>) -> FsResult<Arc<Self>> {
         let mut sb_block = vec![0u8; BLOCK_SIZE];
         device.read_uncharged(0, &mut sb_block);
         let sb = Superblock::from_block(&sb_block)?;
 
         // 1. Journal recovery (regions merged in transaction-id order).
-        let (records, max_tid) = Journal::recover(&device, &sb);
+        //    The scan leaves each region's head at its used extent for the
+        //    reset at the end of the mount.
+        let journal = Journal::new(Arc::clone(&device), &sb);
+        let (records, max_tid) = journal.scan();
 
         // 2. Read the lease table: leases active at the crash whose owners
         //    died with it.  Journal replay below re-applies any
@@ -742,7 +753,6 @@ impl Ext4Dax {
         let lease_seed: Vec<u32> = lease_ids.into_iter().collect();
         let leases = LeaseManager::new(Arc::clone(&device), &sb, &lease_seed);
 
-        let journal = Journal::new(Arc::clone(&device), &sb);
         let tier = TieredDevice::new(
             Arc::clone(&device),
             (sb.total_blocks * BLOCK_SIZE as u64) as usize,
@@ -781,8 +791,11 @@ impl Ext4Dax {
             let image = fs.alloc.to_bitmap_image(&fs.sb);
             fs.device
                 .write_uncharged(fs.sb.bitmap_start * BLOCK_SIZE as u64, &image);
+            // The in-place writes above are only pending; they must be
+            // durable before the records that can redo them disappear.
+            fs.device.fence(TimeCategory::Metadata);
             fs.journal.set_next_tid(max_tid + 1);
-            fs.journal.format();
+            fs.journal.reset();
         }
         Ok(Arc::new(fs))
     }
@@ -956,7 +969,7 @@ impl Ext4Dax {
     // ------------------------------------------------------------------
 
     fn charge_syscall(&self) {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.device.stats().add_kernel_trap();
         self.device
             .charge_software(cost.kernel_trap_ns + cost.vfs_path_ns);
@@ -1047,7 +1060,7 @@ impl Ext4Dax {
     /// intermediate components is checked against the namespace's
     /// directory maps, so no inode shard is locked during resolution.
     fn resolve_norm(&self, norm: &str) -> FsResult<(u64, String, Option<u64>)> {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let move_gen = self.path_cache.move_gen();
         let (parent_path, name) = vpath::split(norm)?;
         if let Some(e) = self.path_cache.get(norm) {
@@ -1143,7 +1156,7 @@ impl Ext4Dax {
         if len == 0 {
             return Ok(Vec::new());
         }
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let first_block = offset / BLOCK_SIZE as u64;
         let last_block = (offset + len - 1) / BLOCK_SIZE as u64;
         // Find the holes.
@@ -1222,7 +1235,7 @@ impl Ext4Dax {
         name: &str,
         ino: u64,
     ) -> FsResult<()> {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.charge(cost.ext4_dirent_ns);
         let entry = dir::encode_entry(ino, name);
         let offset = parent_inode.size;
@@ -1251,7 +1264,7 @@ impl Ext4Dax {
         parent_inode: &Inode,
         name: &str,
     ) -> FsResult<DirSlot> {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.charge(cost.ext4_dirent_ns);
         let slot = dir.entries.remove(name).ok_or(FsError::NotFound)?;
         dir.gen += 1;
@@ -1306,7 +1319,7 @@ impl Ext4Dax {
         pattern: AccessPattern,
         cat: TimeCategory,
     ) -> FsResult<()> {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let mut pos = 0usize;
         let mut first = true;
         while pos < buf.len() {
@@ -1387,7 +1400,7 @@ impl Ext4Dax {
     /// the per-operation costs are paid once regardless of how many slices
     /// the caller assembled the write from.
     fn writev_locked(&self, inode: &mut Inode, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let total = iov_total_len(iov);
         if total == 0 {
             return Ok(0);
@@ -1469,7 +1482,7 @@ impl Ext4Dax {
     /// physically contiguous 2 MiB chunk and 4 KiB faults elsewhere.
     pub fn dax_map(&self, fd: Fd, offset: u64, len: u64, populate: bool) -> FsResult<DaxMapping> {
         self.charge_syscall();
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.charge(cost.mmap_setup_ns);
         let file = self.lookup_fd(fd)?;
         // A DAX mapping is a declaration of PM-speed access intent:
@@ -1610,7 +1623,7 @@ impl Ext4Dax {
         }
         // One kernel trap for the whole batch.
         self.charge_syscall();
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let shards = self.inodes.len();
 
         // Resolve descriptors, then lock every involved shard in order.
@@ -1789,7 +1802,7 @@ impl Ext4Dax {
         if extents.is_empty() {
             return Ok(0);
         }
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let mut records = Vec::new();
         let mut seg_recs = Vec::new();
         let mut runs = Vec::new();
@@ -1869,7 +1882,7 @@ impl Ext4Dax {
         if segs.is_empty() {
             return Ok(0);
         }
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let mut records = Vec::new();
         let mut all_runs: Vec<BlockRun> = Vec::new();
         let mut inserts: Vec<Extent> = Vec::new();
@@ -2311,7 +2324,7 @@ impl FileSystem for Ext4Dax {
 
     fn open(&self, path: &str, flags: OpenFlags) -> FsResult<Fd> {
         self.charge_syscall();
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let norm = vpath::normalize(path)?;
         let shards = self.ns.len();
         let ino = loop {
@@ -2494,7 +2507,7 @@ impl FileSystem for Ext4Dax {
 
     fn read_view(&self, fd: Fd, offset: u64, len: usize) -> FsResult<ReadView<'_>> {
         self.charge_syscall();
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let file = self.lookup_fd(fd)?;
         if !file.flags.read {
             return Err(FsError::PermissionDenied);
@@ -2548,7 +2561,7 @@ impl FileSystem for Ext4Dax {
         // it once is exactly what `fsync`-ing them back to back would have
         // paid M times.
         self.charge_syscall();
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         for &fd in fds {
             self.lookup_fd(fd)?;
         }
@@ -2621,7 +2634,7 @@ impl FileSystem for Ext4Dax {
 
     fn fsync(&self, fd: Fd) -> FsResult<()> {
         self.charge_syscall();
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.lookup_fd(fd)?;
         // Data writes were issued with non-temporal stores; the fence pushes
         // anything still pending into the persistence domain.
@@ -2640,7 +2653,7 @@ impl FileSystem for Ext4Dax {
 
     fn ftruncate(&self, fd: Fd, size: u64) -> FsResult<()> {
         self.charge_syscall();
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let file = self.lookup_fd(fd)?;
         let ino = file.ino;
         let mut shard = self.lock_inode_write(ino);

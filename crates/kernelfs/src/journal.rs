@@ -25,6 +25,20 @@
 //! survived elsewhere), and only once every committed transaction has
 //! finished applying its in-place metadata updates — the [`TxnGuard`]
 //! returned by [`Journal::commit`] tracks exactly that window.
+//!
+//! # The all-zero invariant
+//!
+//! *Every byte of a region outside the records written since its last
+//! reset is zero.*  `mkfs` establishes it with the one whole-journal
+//! zero-fill ([`Journal::format`]); every later reset relies on it and
+//! zeroes only what was written: the full-journal reset at run time
+//! clears `[0, head)` of each region, and mount — whose [`Journal::scan`]
+//! leaves each head one past the region's last non-zero byte, torn tail
+//! included — clears exactly that extent after replay.  A reset therefore
+//! costs what was journaled, not the size of the journal, and a recovery
+//! scan may stop parsing at the first slot that is not a valid record:
+//! nothing but zeroes (or the torn tail of the one unfenced commit)
+//! follows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,7 +46,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use pmem::{PersistMode, PmemDevice, TimeCategory};
-use vfs::util::{checksum32, ByteReader, ByteWriter};
+use vfs::util::{checksum32, is_zeroed, ByteReader, ByteWriter};
 use vfs::{FsError, FsResult};
 
 use crate::layout::{Superblock, BLOCK_SIZE};
@@ -428,6 +442,25 @@ impl JournalRecord {
 /// kernel state would otherwise hit immediately.
 pub const JOURNAL_REGIONS: usize = 4;
 
+/// How much of a region one recovery read fetches.  Larger than any one
+/// record (a record is at most 64 KiB of payload plus its frame), so a
+/// straddling record is complete after one more read.
+const SCAN_CHUNK: usize = 128 * 1024;
+
+/// What [`Journal::parse_record`] made of the bytes it was given.
+enum Parsed {
+    /// A checksum-valid record occupying the first `total` bytes.
+    Record {
+        tid: u64,
+        rec: JournalRecord,
+        total: usize,
+    },
+    /// The bytes end inside the record's header or body.
+    NeedMore,
+    /// Not a record: wrong magic, torn (checksum mismatch) or unknown tag.
+    Invalid,
+}
+
 /// How many times a committer re-scans the regions for space before
 /// giving up (each region drains as soon as its in-flight transactions
 /// finish applying their in-place updates, so this bound is never reached
@@ -511,7 +544,10 @@ impl Journal {
         }
     }
 
-    /// Zeroes every journal region (fresh format, or post-recovery reset).
+    /// Zeroes every journal region in full.  Only `mkfs` needs this: the
+    /// journal area of an unformatted device holds unknown bytes, and this
+    /// fill is what establishes the all-zero invariant (module docs) every
+    /// later [`Journal::reset`] relies on.
     pub fn format(&self) {
         for region in &self.regions {
             let mut head = region.head.lock();
@@ -563,7 +599,7 @@ impl Journal {
             return Err(FsError::NoSpace);
         }
 
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let n = self.regions.len();
         for _attempt in 0..COMMIT_RETRIES {
             for k in 0..n {
@@ -622,20 +658,29 @@ impl Journal {
             // in-flight transactions to finish applying in place; their
             // appliers never block on the journal, so yielding drains
             // them.
-            if !self.try_format_all() {
+            if !self.try_reset() {
                 std::thread::yield_now();
             }
         }
         Err(FsError::Io("journal regions wedged".into()))
     }
 
-    /// Zeroes every region and resets every head, but only if no
-    /// transaction anywhere is still applying its in-place updates (a
-    /// reset must not discard a journal record whose in-place state is
-    /// still partial).  All head locks are taken in index order, so two
-    /// resetters cannot deadlock and an in-progress commit simply delays
-    /// the reset by the length of one record write.
-    fn try_format_all(&self) -> bool {
+    /// Discards the journal's contents: zeroes `[0, head)` of every region
+    /// — all that can be non-zero, by the all-zero invariant — with one
+    /// fence, and rewinds every head.  Mount calls this once the replayed
+    /// state is durable in place; nothing may be committing concurrently.
+    pub fn reset(&self) {
+        let mut heads: Vec<_> = self.regions.iter().map(|r| r.head.lock()).collect();
+        self.zero_used(&mut heads);
+    }
+
+    /// The run-time reset: [`Journal::reset`], but only if no transaction
+    /// anywhere is still applying its in-place updates (a reset must not
+    /// discard a journal record whose in-place state is still partial).
+    /// All head locks are taken in index order, so two resetters cannot
+    /// deadlock and an in-progress commit simply delays the reset by the
+    /// length of one record write.
+    fn try_reset(&self) -> bool {
         let mut heads: Vec<_> = self.regions.iter().map(|r| r.head.lock()).collect();
         if self
             .regions
@@ -644,90 +689,134 @@ impl Journal {
         {
             return false;
         }
+        self.zero_used(&mut heads);
+        true
+    }
+
+    /// Zeroes the used prefix of every region (`heads` are the locked
+    /// region heads, in region order), fences once, and rewinds the heads.
+    fn zero_used(&self, heads: &mut [parking_lot::MutexGuard<'_, u64>]) {
         for (region, head) in self.regions.iter().zip(heads.iter_mut()) {
             self.device.zero(
                 region.start,
-                region.len as usize,
+                **head as usize,
                 PersistMode::NonTemporal,
                 TimeCategory::Journal,
             );
             **head = 0;
         }
         self.device.fence(TimeCategory::Journal);
-        true
     }
 
-    /// Scans one region and returns its committed transactions as
-    /// `(tid, records)` pairs.  Records of transactions without a commit
-    /// marker (torn at the crash point) are discarded.
-    fn recover_region(raw: &[u8]) -> Vec<(u64, Vec<JournalRecord>)> {
+    /// Parses the record at the start of `raw`.
+    fn parse_record(raw: &[u8]) -> Parsed {
+        let mut r = ByteReader::new(raw);
+        let (Some(magic), Some(tag), Some(payload_len), Some(tid)) =
+            (r.get_u16(), r.get_u8(), r.get_u16(), r.get_u64())
+        else {
+            return Parsed::NeedMore;
+        };
+        if magic != RECORD_MAGIC {
+            return Parsed::Invalid;
+        }
+        let header_len = r.position();
+        let body_len = header_len + payload_len as usize;
+        let total = body_len + 4;
+        if total > raw.len() {
+            return Parsed::NeedMore;
+        }
+        let mut crc_bytes = [0u8; 4];
+        crc_bytes.copy_from_slice(&raw[body_len..total]);
+        if checksum32(&raw[..body_len]) != u32::from_le_bytes(crc_bytes) {
+            // Torn record: everything from here on is garbage.
+            return Parsed::Invalid;
+        }
+        match JournalRecord::decode(tag, &raw[header_len..body_len]) {
+            Some(rec) => Parsed::Record { tid, rec, total },
+            None => Parsed::Invalid,
+        }
+    }
+
+    /// Streams one region off the device, [`SCAN_CHUNK`] bytes at a time,
+    /// and returns its committed transactions as `(tid, records)` pairs —
+    /// records of a transaction without a commit marker (torn at the crash
+    /// point) are discarded — together with the region's used extent: one
+    /// past its last non-zero byte, which covers a torn tail beyond the
+    /// last valid record.
+    fn scan_region(
+        device: &PmemDevice,
+        region: &JournalRegion,
+    ) -> (Vec<(u64, Vec<JournalRecord>)>, u64) {
         let mut committed: Vec<(u64, Vec<JournalRecord>)> = Vec::new();
         let mut pending: Vec<JournalRecord> = Vec::new();
-        let mut pos = 0usize;
-        loop {
-            if pos + 13 > raw.len() {
-                break;
+        // Region bytes fetched but not parsed yet: the head of a record
+        // that runs into the next chunk, then that chunk.
+        let mut window: Vec<u8> = Vec::new();
+        let mut parsing = true;
+        let mut used = 0u64;
+        let mut fetched = 0u64;
+        while fetched < region.len {
+            let n = SCAN_CHUNK.min((region.len - fetched) as usize);
+            let carried = window.len();
+            window.resize(carried + n, 0);
+            let chunk = &mut window[carried..];
+            device.read_uncharged(region.start + fetched, chunk);
+            // Past the records the region is zero (the invariant), so
+            // whole blocks are tested first and bytes only in the last
+            // block that holds any.
+            if let Some(block) = chunk.rchunks(BLOCK_SIZE).position(|b| !is_zeroed(b)) {
+                let end = n - block * BLOCK_SIZE;
+                let last = chunk[..end]
+                    .iter()
+                    .rposition(|&b| b != 0)
+                    .expect("block is not all-zero");
+                used = fetched + last as u64 + 1;
             }
-            let mut r = ByteReader::new(&raw[pos..]);
-            let magic = match r.get_u16() {
-                Some(m) => m,
-                None => break,
-            };
-            if magic != RECORD_MAGIC {
-                break;
-            }
-            let tag = match r.get_u8() {
-                Some(t) => t,
-                None => break,
-            };
-            let payload_len = match r.get_u16() {
-                Some(l) => l as usize,
-                None => break,
-            };
-            let tid = match r.get_u64() {
-                Some(t) => t,
-                None => break,
-            };
-            let header_len = r.position();
-            let total = header_len + payload_len + 4;
-            if pos + total > raw.len() {
-                break;
-            }
-            let body = &raw[pos..pos + header_len + payload_len];
-            let mut crc_bytes = [0u8; 4];
-            crc_bytes.copy_from_slice(&raw[pos + header_len + payload_len..pos + total]);
-            if checksum32(body) != u32::from_le_bytes(crc_bytes) {
-                // Torn record: everything from here on is garbage.
-                break;
-            }
-            let payload = &raw[pos + header_len..pos + header_len + payload_len];
-            match JournalRecord::decode(tag, payload) {
-                Some(JournalRecord::Commit) => {
-                    committed.push((tid, std::mem::take(&mut pending)));
+            fetched += n as u64;
+            let mut pos = 0usize;
+            while parsing {
+                match Self::parse_record(&window[pos..]) {
+                    Parsed::Record { tid, rec, total } => {
+                        if matches!(rec, JournalRecord::Commit) {
+                            committed.push((tid, std::mem::take(&mut pending)));
+                        } else {
+                            pending.push(rec);
+                        }
+                        pos += total;
+                    }
+                    Parsed::NeedMore => break,
+                    Parsed::Invalid => parsing = false,
                 }
-                Some(rec) => pending.push(rec),
-                None => break,
             }
-            pos += total;
+            // Once parsing has stopped the window is only a read buffer.
+            window.drain(..if parsing { pos } else { window.len() });
         }
-        committed
+        (committed, used)
     }
 
-    /// Scans every journal region and returns the records of all committed
-    /// transactions merged in transaction-id order, plus the highest
-    /// transaction id seen.
-    pub fn recover(device: &Arc<PmemDevice>, sb: &Superblock) -> (Vec<JournalRecord>, u64) {
-        let probe = Journal::new(Arc::clone(device), sb);
+    /// Scans every journal region (mount path) and returns the records of
+    /// all committed transactions merged in transaction-id order, plus the
+    /// highest transaction id seen.  Each region's head is left at its used
+    /// extent, so the [`Journal::reset`] that must follow — once the
+    /// replayed state is durable in place, and before anything commits —
+    /// clears exactly what the crashed mount left behind.
+    pub fn scan(&self) -> (Vec<JournalRecord>, u64) {
         let mut txns: Vec<(u64, Vec<JournalRecord>)> = Vec::new();
-        for region in &probe.regions {
-            let mut raw = vec![0u8; region.len as usize];
-            device.read_uncharged(region.start, &mut raw);
-            txns.extend(Self::recover_region(&raw));
+        for region in &self.regions {
+            let (committed, used) = Self::scan_region(&self.device, region);
+            *region.head.lock() = used;
+            txns.extend(committed);
         }
         txns.sort_by_key(|(tid, _)| *tid);
         let max_tid = txns.last().map(|(tid, _)| *tid).unwrap_or(0);
         let records = txns.into_iter().flat_map(|(_, recs)| recs).collect();
         (records, max_tid)
+    }
+
+    /// [`Journal::scan`] for callers that only want to look at the
+    /// journal's contents and keep no journal manager.
+    pub fn recover(device: &Arc<PmemDevice>, sb: &Superblock) -> (Vec<JournalRecord>, u64) {
+        Journal::new(Arc::clone(device), sb).scan()
     }
 }
 
@@ -936,6 +1025,64 @@ mod tests {
             max_tid + 1,
             "new commits sort after recovered ones"
         );
+    }
+
+    #[test]
+    fn scan_covers_a_torn_tail_and_reset_zeroes_only_what_was_written() {
+        let (device, sb) = setup();
+        let journal = Journal::new(Arc::clone(&device), &sb);
+        journal.format();
+        // Enough records in region 0 that some straddle the scan's chunk
+        // boundaries, one transaction in region 1, nothing in 2 and 3.
+        let name = "n".repeat(200);
+        let commits = 3 * SCAN_CHUNK as u64 / 250;
+        for ino in 0..commits {
+            let create = JournalRecord::CreateInode {
+                ino,
+                parent: 2,
+                name: name.clone(),
+                is_dir: false,
+            };
+            journal.commit(0, &[create]).unwrap();
+        }
+        journal
+            .commit(1, &[JournalRecord::SetSize { ino: 7, size: 7 }])
+            .unwrap();
+        let heads: Vec<u64> = journal.regions.iter().map(|r| *r.head.lock()).collect();
+        assert!(heads[0] > 2 * SCAN_CHUNK as u64 && heads[1] > 0);
+        assert_eq!(&heads[2..], &[0, 0]);
+        // The torn tail of a commit the crash cut short: bytes past the
+        // last valid record that parse as nothing.
+        let torn = [0xEEu8; 100];
+        device.write(
+            journal.regions[0].start + heads[0],
+            &torn,
+            PersistMode::NonTemporal,
+            TimeCategory::Journal,
+        );
+
+        let mounted = Journal::new(Arc::clone(&device), &sb);
+        let (records, max_tid) = mounted.scan();
+        assert_eq!(records.len() as u64, commits + 1);
+        assert_eq!(max_tid, commits + 1);
+        let used: Vec<u64> = mounted.regions.iter().map(|r| *r.head.lock()).collect();
+        assert_eq!(used, [heads[0] + 100, heads[1], 0, 0]);
+
+        let before = device.stats().snapshot();
+        mounted.reset();
+        let delta = device.stats().snapshot().delta_since(&before);
+        assert_eq!(
+            delta.written(TimeCategory::Journal),
+            used.iter().sum::<u64>(),
+            "the reset writes the used extents, not the journal"
+        );
+        assert_eq!(delta.fences, 1);
+        assert_eq!(mounted.used_bytes(), 0);
+        for region in &mounted.regions {
+            let mut raw = vec![0u8; region.len as usize];
+            device.read_uncharged(region.start, &mut raw);
+            assert!(is_zeroed(&raw), "region at {} is all-zero", region.start);
+        }
     }
 
     #[test]

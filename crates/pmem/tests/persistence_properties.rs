@@ -1,7 +1,7 @@
 //! Property-based tests of the device's persistence semantics: the crash
-//! model must agree with a simple reference model in which a byte is
-//! persistent if and only if the last store to its cache line was followed
-//! by the required flush/fence sequence.
+//! model must agree with a simple reference model in which a cache line's
+//! bytes are persistent as of the last fence that found the line pending —
+//! written with a non-temporal store, or flushed, since the fence before.
 
 use std::sync::Arc;
 
@@ -63,8 +63,11 @@ impl Model {
         match action {
             Action::WriteTemporal { offset, len, value } => {
                 self.volatile[*offset as usize..*offset as usize + *len as usize].fill(*value);
+                // A temporal store does not take back a write-back already
+                // under way: a pending line stays pending (and the next
+                // fence persists the line as it then reads, this store
+                // included) and is dirty again on top of that.
                 for line in Self::lines(*offset, *len) {
-                    self.pending.remove(&line);
                     self.dirty.insert(line);
                 }
             }
@@ -112,6 +115,50 @@ fn apply_to_device(device: &Arc<PmemDevice>, action: &Action) {
         }
         Action::Fence => device.fence(TimeCategory::UserData),
     }
+}
+
+/// NT store, temporal store to the same line, fence, crash: the fence
+/// persists the line — both stores — because the temporal store leaves it
+/// pending.  A model that dropped `pending` on a temporal store (as this
+/// one used to) loses the whole line here.
+#[test]
+fn a_temporal_store_does_not_cancel_a_pending_line() {
+    let actions = [
+        Action::WriteNt {
+            offset: 4096,
+            len: 64,
+            value: 0xAA,
+        },
+        Action::WriteTemporal {
+            offset: 4104,
+            len: 8,
+            value: 0xBB,
+        },
+        Action::Fence,
+        // Dirty again after the fence: this one is lost.
+        Action::WriteTemporal {
+            offset: 4112,
+            len: 8,
+            value: 0xCC,
+        },
+    ];
+    let device = PmemBuilder::new(DEVICE_SIZE).build();
+    let mut model = Model::new();
+    for action in &actions {
+        apply_to_device(&device, action);
+        model.apply(action);
+    }
+    device.crash();
+    let mut line = [0u8; 64];
+    device.read_uncharged(4096, &mut line);
+    let mut expected = [0xAAu8; 64];
+    expected[8..16].fill(0xBB);
+    assert_eq!(line, expected, "the device persists both stores");
+    assert_eq!(
+        line[..],
+        model.persistent[4096..4160],
+        "and so does the model"
+    );
 }
 
 proptest! {

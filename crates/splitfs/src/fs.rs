@@ -234,7 +234,7 @@ impl SplitFs {
 
         // A cleanly shut-down predecessor with the same id may have left a
         // log file with covered entries behind; replay is idempotent and
-        // leaves the file zeroed for this instance.
+        // leaves the file all-zero for this instance.
         if config.mode.logs_data_ops() && kernel.exists(&oplog_file) {
             recovery::recover_instance(kernel, config, instance_id)?;
         }
@@ -252,13 +252,19 @@ impl SplitFs {
 
         let oplog = if config.mode.logs_data_ops() {
             let fd = kernel.open(&oplog_file, OpenFlags::create())?;
+            // A file of the configured size was scanned and cleared by the
+            // `recover_instance` above and is all-zero as it stands.
+            let cleared = kernel.fstat(fd)?.size == config.oplog_size;
             kernel.ftruncate(fd, config.oplog_size)?;
             let mapping = kernel.dax_map(fd, 0, config.oplog_size, MAP_POPULATE)?;
-            let log = OpLog::new(Arc::clone(device), mapping, config.oplog_size);
-            // §3.3: the log is zeroed at initialization so recovery can tell
-            // written slots from never-used ones.
-            log.reset();
-            Some(log)
+            if !cleared {
+                // §3.3: recovery tells written slots from never-used ones
+                // by their being zero.  A file that is new, or whose size
+                // just changed, sits on blocks the kernel allocator hands
+                // out unzeroed, so this one time the whole log is filled.
+                OpLog::zero_range(device, &mapping, 0, config.oplog_size);
+            }
+            Some(OpLog::new(Arc::clone(device), mapping, config.oplog_size))
         } else {
             None
         };
@@ -449,12 +455,12 @@ impl SplitFs {
     // ------------------------------------------------------------------
 
     pub(crate) fn charge_usplit(&self) {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.device.charge_software(cost.usplit_bookkeeping_ns);
     }
 
     fn charge_mmap_lookup(&self) {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.device.charge_software(cost.usplit_mmap_lookup_ns);
     }
 

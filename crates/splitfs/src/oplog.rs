@@ -14,8 +14,23 @@
 //!   so no second fence is needed to persist a tail pointer,
 //! * the tail lives only in DRAM and is advanced with an atomic
 //!   fetch-and-add so concurrent threads can reserve slots without locks,
-//! * the log is zeroed at initialization; recovery treats any non-zero,
+//! * a never-written slot is all-zero; recovery treats any non-zero,
 //!   checksum-valid 64 B slot as a potentially valid entry.
+//!
+//! # The all-zero invariant
+//!
+//! *Every slot outside the entries written since the last truncation is
+//! zero.*  It is established **once**, when the log file is created (or
+//! its size changed) and its freshly allocated blocks — the kernel
+//! allocator recycles blocks without zeroing them — are zero-filled by
+//! [`SplitFs::new`](crate::SplitFs::new), and again for each extension
+//! before [`OpLog::grow`] installs it.  Everything after that relies on
+//! it instead of re-establishing it: an epoch truncation clears only the
+//! epoch's used prefix (`high_water`), recovery clears exactly the slots
+//! its scan found non-zero ([`OpLog::scan_written`] reports them, torn
+//! ones included), and an [`OpLog`] built over a file that recovery has
+//! just cleared starts with nothing to clear.  Clearing the log thus
+//! costs what was logged, never the size of the log.
 //!
 //! # Epochs
 //!
@@ -47,11 +62,15 @@ use parking_lot::{Mutex, RwLock};
 
 use kernelfs::DaxMapping;
 use pmem::{PersistMode, PmemDevice, TimeCategory};
-use vfs::util::checksum32;
+use vfs::util::{checksum32, is_zeroed};
 use vfs::{FsError, FsResult};
 
 /// Size of one log entry.
 pub const ENTRY_SIZE: u64 = 64;
+
+/// How much of the log one recovery read fetches (and one zeroing store
+/// clears): a 4 KiB block.
+const SCAN_BLOCK: usize = 4096;
 
 /// Magic tag in every entry.
 const ENTRY_MAGIC: u16 = 0x4F4C; // "OL"
@@ -195,9 +214,9 @@ impl Epoch {
             extents: RwLock::new(extents),
             cap: AtomicU64::new(cap),
             tail: AtomicU64::new(0),
-            // A fresh epoch wraps mapping content of unknown provenance;
-            // the first reset must zero everything.
-            high_water: AtomicU64::new(cap),
+            // The log under a new `OpLog` is all-zero (see `OpLog::new`):
+            // nothing has been written since the last truncation.
+            high_water: AtomicU64::new(0),
             writers: AtomicU64::new(0),
         }
     }
@@ -246,6 +265,10 @@ pub struct OpLog {
 impl OpLog {
     /// Wraps an already-mapped log file of `size` bytes.  The file is
     /// split into two epochs at an entry-aligned midpoint.
+    ///
+    /// The mapped bytes must be **all-zero** (the module's invariant): the
+    /// caller has either just zero-filled a new file or is handing over
+    /// one that recovery scanned and cleared.
     pub fn new(device: Arc<PmemDevice>, mapping: DaxMapping, size: u64) -> Self {
         let half = (size / 2) / ENTRY_SIZE * ENTRY_SIZE;
         Self {
@@ -423,7 +446,7 @@ impl OpLog {
         if entries.is_empty() {
             return Ok(());
         }
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         let need = ENTRY_SIZE * entries.len() as u64;
         let (epoch, offset) = loop {
             let idx = self.active.load(Ordering::SeqCst);
@@ -487,67 +510,107 @@ impl OpLog {
         Ok(())
     }
 
-    /// Zeroes the used prefix of **both** epochs and resets all DRAM state
-    /// (initialization and post-recovery; §3.3: the log is zeroed at
-    /// initialization so recovery can tell written slots from never-used
-    /// ones).  Not a checkpoint — live truncation goes through
-    /// [`OpLog::try_seal`] / [`OpLog::truncate_sealed`].
-    pub fn reset(&self) {
-        self.truncate_epoch(0);
-        self.truncate_epoch(1);
-        self.active.store(0, Ordering::SeqCst);
-        self.sealed_pending.store(false, Ordering::SeqCst);
+    /// Zeroes `[from, to)` of a log mapping with non-temporal stores and
+    /// one trailing fence.  Used by epoch truncation, by the owner when
+    /// zero-filling a new log file or a freshly grown extension before
+    /// [`OpLog::grow`] installs it.
+    pub fn zero_range(device: &Arc<PmemDevice>, mapping: &DaxMapping, from: u64, to: u64) {
+        Self::zero_ranges(device, mapping, &[(from, to)]);
     }
 
-    /// Zeroes `[from, to)` of a log mapping with non-temporal stores and
-    /// one trailing fence.  Used by epoch truncation and by the owner when
-    /// zeroing a freshly grown extension before [`OpLog::grow`] installs
-    /// it.
-    pub fn zero_range(device: &Arc<PmemDevice>, mapping: &DaxMapping, from: u64, to: u64) {
-        let zeros = [0u8; 4096];
-        let mut off = from;
-        while off < to {
-            let chunk = (to - off).min(zeros.len() as u64) as usize;
-            if let Some((dev_off, contig)) = mapping.translate(off) {
-                let n = chunk.min(contig as usize);
-                device.write(
-                    dev_off,
-                    &zeros[..n],
-                    PersistMode::NonTemporal,
-                    TimeCategory::OpLog,
-                );
-                off += n as u64;
-            } else {
-                off += chunk as u64;
+    /// Zeroes every `[from, to)` range of a log mapping with non-temporal
+    /// stores, then fences **once**: the ranges are cleared together or —
+    /// if the crash comes first — not at all.  Recovery clears the slots
+    /// its scan reported through this.
+    pub fn zero_ranges(device: &Arc<PmemDevice>, mapping: &DaxMapping, ranges: &[(u64, u64)]) {
+        let zeros = [0u8; SCAN_BLOCK];
+        for &(from, to) in ranges {
+            let mut off = from;
+            while off < to {
+                let chunk = (to - off).min(zeros.len() as u64) as usize;
+                if let Some((dev_off, contig)) = mapping.translate(off) {
+                    let n = chunk.min(contig as usize);
+                    device.write(
+                        dev_off,
+                        &zeros[..n],
+                        PersistMode::NonTemporal,
+                        TimeCategory::OpLog,
+                    );
+                    off += n as u64;
+                } else {
+                    off += chunk as u64;
+                }
             }
         }
         device.fence(TimeCategory::OpLog);
     }
 
     /// Scans the whole log (recovery path) and returns every valid entry,
-    /// sorted by sequence number.  Sequence numbers are global across
-    /// epochs, so the scan needs no knowledge of the sealed/active split
-    /// or of any grow history: both epochs are read and the merge happens
-    /// by `seq`.  Torn or zero slots are skipped; the cost of the scan is
-    /// charged as software time.
+    /// sorted by sequence number.  See [`OpLog::scan_written`], which also
+    /// reports what to clear afterwards.
     pub fn scan(device: &Arc<PmemDevice>, mapping: &DaxMapping, size: u64) -> Vec<LogEntry> {
-        let cost = device.cost().clone();
-        let mut entries = Vec::new();
-        let mut buf = [0u8; ENTRY_SIZE as usize];
+        Self::scan_written(device, mapping, size).entries
+    }
+
+    /// Scans the whole log (recovery path).  Sequence numbers are global
+    /// across epochs, so the scan needs no knowledge of the sealed/active
+    /// split or of any grow history: both epochs are read and the merge
+    /// happens by `seq`.  Torn or zero slots yield no entry, but every
+    /// slot that is not all-zero — valid or torn — is reported in
+    /// [`LogScan::written`], which is all a caller has to clear to restore
+    /// the all-zero invariant.
+    ///
+    /// The log is read a 4 KiB block at a time, each block one sequential
+    /// device read charged as software time.
+    pub fn scan_written(device: &Arc<PmemDevice>, mapping: &DaxMapping, size: u64) -> LogScan {
+        let cost = device.cost();
+        let mut scan = LogScan::default();
+        let mut block = [0u8; SCAN_BLOCK];
         let mut off = 0u64;
         while off + ENTRY_SIZE <= size {
-            if let Some((dev_off, _)) = mapping.translate(off) {
-                device.read_uncharged(dev_off, &mut buf);
-                device.charge_software(cost.pm_read_cost(ENTRY_SIZE as usize, true));
-                if let Some(entry) = LogEntry::decode(&buf) {
-                    entries.push(entry);
+            let want = (size - off).min(SCAN_BLOCK as u64);
+            let Some((dev_off, contig)) = mapping.translate(off) else {
+                off += want;
+                continue;
+            };
+            // Whole slots only; extents are block-granular, so a slot
+            // never straddles two reads.
+            let n = (want.min(contig) / ENTRY_SIZE * ENTRY_SIZE) as usize;
+            if n == 0 {
+                off += ENTRY_SIZE;
+                continue;
+            }
+            let block = &mut block[..n];
+            device.read_uncharged(dev_off, block);
+            device.charge_software(cost.pm_read_cost(n, true));
+            if !is_zeroed(block) {
+                for (i, slot) in block.chunks_exact(ENTRY_SIZE as usize).enumerate() {
+                    if is_zeroed(slot) {
+                        continue;
+                    }
+                    let at = off + i as u64 * ENTRY_SIZE;
+                    match scan.written.last_mut() {
+                        Some((_, to)) if *to == at => *to = at + ENTRY_SIZE,
+                        _ => scan.written.push((at, at + ENTRY_SIZE)),
+                    }
+                    scan.entries.extend(LogEntry::decode(slot));
                 }
             }
-            off += ENTRY_SIZE;
+            off += n as u64;
         }
-        entries.sort_by_key(|e| e.seq);
-        entries
+        scan.entries.sort_by_key(|e| e.seq);
+        scan
     }
+}
+
+/// What [`OpLog::scan_written`] found in a log file.
+#[derive(Debug, Default)]
+pub struct LogScan {
+    /// Every checksum-valid entry, sorted by sequence number.
+    pub entries: Vec<LogEntry>,
+    /// The file ranges `[from, to)`, ascending and entry-aligned, that
+    /// cover every slot that is not all-zero (adjacent slots merged).
+    pub written: Vec<(u64, u64)>,
 }
 
 #[cfg(test)]
@@ -555,6 +618,19 @@ mod tests {
     use super::*;
     use kernelfs::MapSegment;
     use pmem::PmemBuilder;
+
+    impl OpLog {
+        /// Truncates both epochs and rewinds to epoch 0.  Product code
+        /// never discards a whole live log (truncation goes through
+        /// [`OpLog::try_seal`] / [`OpLog::truncate_sealed`]); the tests
+        /// use this to start a case from an empty log.
+        fn reset(&self) {
+            self.truncate_epoch(0);
+            self.truncate_epoch(1);
+            self.active.store(0, Ordering::SeqCst);
+            self.sealed_pending.store(false, Ordering::SeqCst);
+        }
+    }
 
     fn log(size: u64) -> (Arc<PmemDevice>, OpLog, DaxMapping) {
         let device = PmemBuilder::new(16 * 1024 * 1024).build();
@@ -773,6 +849,52 @@ mod tests {
             "truncation work is proportional to entries used, not log size"
         );
         assert_eq!(oplog.entries_used(), 0);
+    }
+
+    #[test]
+    fn scan_reports_valid_and_torn_slots_and_clearing_them_restores_zero() {
+        let size = 64 * 1024;
+        let (device, oplog, mapping) = log(size);
+        for _ in 0..3 {
+            oplog.append(&sample_entry(oplog.next_seq())).unwrap();
+        }
+        // A torn entry (checksum no longer matches) two slots further on,
+        // and one valid entry at the very end of the file.
+        let mut torn = sample_entry(99).encode();
+        torn[20] ^= 0xFF;
+        for (slot, bytes) in [(5, torn), (size / ENTRY_SIZE - 1, sample_entry(7).encode())] {
+            let (dev_off, _) = mapping.translate(slot * ENTRY_SIZE).unwrap();
+            device.write(
+                dev_off,
+                &bytes,
+                PersistMode::NonTemporal,
+                TimeCategory::OpLog,
+            );
+        }
+
+        let before = device.stats().snapshot();
+        let scan = OpLog::scan_written(&device, &mapping, size);
+        let delta = device.stats().snapshot().delta_since(&before);
+        assert_eq!(scan.entries.len(), 4, "the torn slot is not an entry");
+        assert_eq!(
+            scan.written,
+            [(0, 192), (320, 384), (size - 64, size)],
+            "adjacent slots merge; the torn slot is reported too"
+        );
+        let per_block = device.cost().pm_read_cost(4096, true);
+        let charged = delta.time(TimeCategory::Software);
+        assert!(
+            (charged - 16.0 * per_block).abs() < 1.0,
+            "one sequential read per 4 KiB block: {charged} ns"
+        );
+
+        let before = device.stats().snapshot();
+        OpLog::zero_ranges(&device, &mapping, &scan.written);
+        let delta = device.stats().snapshot().delta_since(&before);
+        assert_eq!(delta.written(TimeCategory::OpLog), 5 * 64);
+        assert_eq!(delta.fences, 1, "cleared together or not at all");
+        let rescan = OpLog::scan_written(&device, &mapping, size);
+        assert!(rescan.entries.is_empty() && rescan.written.is_empty());
     }
 
     #[test]

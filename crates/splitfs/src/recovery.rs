@@ -10,9 +10,10 @@
 //! instance B's log recovers unchanged even when instance A crashed
 //! mid-relink.  For one log, recovery:
 //!
-//! 1. scans the zero-initialized log — **both epochs**, whatever the
-//!    sealed/active geometry was at the crash — and keeps every
-//!    checksum-valid entry, ordered by the global sequence number,
+//! 1. scans the log — **both epochs**, whatever the sealed/active
+//!    geometry was at the crash — a 4 KiB block at a time, keeps every
+//!    checksum-valid entry, ordered by the global sequence number, and
+//!    notes every slot that is not all-zero (valid or torn),
 //! 2. drops entries **tagged with another instance's id** (cross-instance
 //!    contamination must never replay; such entries are counted in
 //!    [`RecoveryReport::foreign`]),
@@ -24,8 +25,19 @@
 //!    is a hole and the entry is skipped (this is what makes replay
 //!    idempotent),
 //! 5. copies the surviving staged data into the target file through the
-//!    kernel, and
-//! 6. re-zeroes the log.
+//!    kernel (each copy is `fsync`ed, so it is durable before step 6), and
+//! 6. clears exactly the slots step 1 found non-zero, adjacent slots as
+//!    one store, all under **one** fence.
+//!
+//! Step 6 relies on, and restores, the log's all-zero invariant (see
+//! [`crate::oplog`]): whatever the scan did not report is zero already, so
+//! recovery costs what was logged, not the size of the log, and the file
+//! it leaves behind can be handed to a new [`OpLog`]
+//! as is.  The single fence makes the clear all-or-nothing under a crash
+//! that loses unfenced stores: either every entry is still there and the
+//! next recovery replays the same bytes again (replay is idempotent), or
+//! none is — never an `Invalidate` / `StagingRecycle` marker gone while
+//! the staged write it covers survives.
 //!
 //! Which instances need recovery is the lease manager's knowledge: an
 //! **orphaned** lease (active on the device, no live holder) marks a
@@ -100,7 +112,8 @@ pub fn recover_instance(
         return Ok(report);
     }
     let mapping = kernel.dax_map(log_fd, 0, log_size, false)?;
-    let entries = OpLog::scan(&device, &mapping, log_size);
+    let scan = OpLog::scan_written(&device, &mapping, log_size);
+    let entries = scan.entries;
     report.entries_scanned = entries.len();
 
     // Cross-contamination guard: this log belongs to `instance_id`, so an
@@ -184,9 +197,8 @@ pub fn recover_instance(
         // files are sized by ftruncate, so normally it does); read_at stops
         // at EOF, so read what is there.
         let n = kernel.read_at(staging_fd, entry.staging_offset, &mut buf)?;
-        buf.truncate(n.max(entry.len as usize).min(entry.len as usize));
-        if !buf.is_empty() {
-            kernel.write_at(target_fd, entry.target_offset, &buf)?;
+        if n > 0 {
+            kernel.write_at(target_fd, entry.target_offset, &buf[..n])?;
         }
         kernel.fsync(target_fd)?;
         kernel.close(target_fd)?;
@@ -194,9 +206,12 @@ pub fn recover_instance(
         report.replayed += 1;
     }
 
-    // The log's contents have been applied; zero it for the next instance.
-    let log = OpLog::new(device, mapping, log_size);
-    log.reset();
+    // The log's contents have been applied (and fsynced): clear what the
+    // scan found written, which leaves the whole file zero for the next
+    // instance.  An empty log needs no store and no fence.
+    if !scan.written.is_empty() {
+        OpLog::zero_ranges(&device, &mapping, &scan.written);
+    }
     kernel.close(log_fd)?;
     Ok(report)
 }

@@ -664,7 +664,7 @@ impl StagingPool {
     /// Routed to the calling thread's home lane: concurrent takers on
     /// different lanes proceed without synchronizing at all.
     pub fn take(&self, len: u64, phase: u64) -> FsResult<StagingAllocation> {
-        let cost = self.device.cost().clone();
+        let cost = self.device.cost();
         self.device.charge_software(cost.usplit_staging_take_ns);
         let lane_idx = self.home_lane();
         let lane = &self.lanes[lane_idx];

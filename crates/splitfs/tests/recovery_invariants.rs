@@ -1,0 +1,328 @@
+//! Recovery pays for what was logged, not for the size of the logs.
+//!
+//! The kernel journal and the U-Split operation log each keep one
+//! invariant — *every byte outside the records written since the last
+//! reset is zero* — and mount, oplog replay and instance restart clear
+//! only what their scans found written.  These tests hold that design to
+//! its three promises: the cost of recovery does not depend on how large
+//! the logs are, the invariant really is restored by every recovery
+//! (under every crash policy, torn tails included), and a crash inside
+//! the recovery code itself is recovered from.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use kernelfs::layout::Superblock;
+use kernelfs::{Ext4Dax, BLOCK_SIZE};
+use pmem::{CrashPolicy, PmemBuilder, PmemDevice};
+use splitfs::oplog::{LogOp, OpLog};
+use splitfs::{recover, Mode, SplitConfig, SplitFs, OPLOG_PATH};
+use vfs::{FileSystem, OpenFlags};
+
+const MIB: u64 = 1024 * 1024;
+const DEVICE_BYTES: usize = 32 * MIB as usize;
+
+fn new_device(policy: CrashPolicy) -> Arc<PmemDevice> {
+    PmemBuilder::new(DEVICE_BYTES)
+        .track_persistence(true)
+        .crash_policy(policy)
+        .build()
+}
+
+/// Strict mode at the default (8 MiB) operation-log size, daemon off so
+/// the fence sequence of a run is a function of the calls alone.
+fn strict_config() -> SplitConfig {
+    SplitConfig::new(Mode::Strict)
+        .with_staging(2, 4 * MIB)
+        .without_daemon()
+}
+
+/// Mount plus replay of instance 0's log: the recovery the benchmark's
+/// `crash_recover` op times.
+fn mount_and_recover(
+    device: &Arc<PmemDevice>,
+    config: &SplitConfig,
+) -> (Arc<Ext4Dax>, splitfs::RecoveryReport) {
+    let kernel = Ext4Dax::mount(Arc::clone(device)).expect("mount");
+    let report = recover(&kernel, config).expect("oplog replay");
+    (kernel, report)
+}
+
+struct RecoveryCost {
+    replayed: usize,
+    bytes_written: u64,
+    sim_ns: f64,
+}
+
+/// 100 strict 1 KiB appends, a crash, and what mount + replay then cost
+/// on a stack whose operation log is `oplog_size` bytes.
+fn recovery_cost(oplog_size: u64) -> RecoveryCost {
+    let device = new_device(CrashPolicy::LoseUnflushed);
+    let config = strict_config().with_oplog_size(oplog_size);
+    let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    let fs = SplitFs::new(kernel, config.clone()).unwrap();
+    let fd = fs.open("/wal.log", OpenFlags::create()).unwrap();
+    let mut expected = Vec::new();
+    for i in 0..100u8 {
+        let record = [i; 1024];
+        fs.append(fd, &record).unwrap();
+        expected.extend_from_slice(&record);
+    }
+    drop(fs);
+    device.crash();
+
+    let before = device.stats().snapshot();
+    let t0 = device.clock().now_ns_f64();
+    let (kernel, report) = mount_and_recover(&device, &config);
+    let sim_ns = device.clock().now_ns_f64() - t0;
+    let delta = device.stats().snapshot().delta_since(&before);
+    assert_eq!(
+        kernel.read_file("/wal.log").unwrap(),
+        expected,
+        "every acknowledged append survives ({oplog_size} B log)"
+    );
+    RecoveryCost {
+        replayed: report.replayed,
+        bytes_written: delta.bytes_written.iter().sum(),
+        sim_ns,
+    }
+}
+
+#[test]
+fn recovery_cost_does_not_depend_on_log_size() {
+    let small = recovery_cost(64 * 1024);
+    let default = recovery_cost(strict_config().oplog_size);
+    assert_eq!(strict_config().oplog_size, 8 * MIB, "the default log");
+    assert!(small.replayed > 0);
+    assert_eq!(small.replayed, default.replayed);
+    let bytes = default.bytes_written as f64 / small.bytes_written as f64;
+    assert!(
+        (0.8..=1.25).contains(&bytes),
+        "device bytes written by mount + recover: {} (64 KiB log) vs {} (8 MiB log)",
+        small.bytes_written,
+        default.bytes_written
+    );
+    let time = default.sim_ns / small.sim_ns;
+    assert!(
+        (0.5..=2.0).contains(&time),
+        "simulated mount + recover: {:.0} ns (64 KiB log) vs {:.0} ns (8 MiB log)",
+        small.sim_ns,
+        default.sim_ns
+    );
+}
+
+/// Offset of the first non-zero byte, if any.
+fn first_nonzero(bytes: &[u8]) -> Option<usize> {
+    bytes.iter().position(|&b| b != 0)
+}
+
+/// Mounts and recovers `device` and checks the invariant both resets rely
+/// on: the journal area is all-zero once mount returns, the operation-log
+/// file once the replay returns.
+fn assert_logs_zero_after_recovery(device: &Arc<PmemDevice>, config: &SplitConfig, what: &str) {
+    let kernel = Ext4Dax::mount(Arc::clone(device)).expect("mount");
+    let mut block = vec![0u8; BLOCK_SIZE];
+    device.read_uncharged(0, &mut block);
+    let sb = Superblock::from_block(&block).unwrap();
+    let mut journal = vec![0u8; (sb.journal_blocks * BLOCK_SIZE as u64) as usize];
+    device.read_uncharged(sb.journal_start * BLOCK_SIZE as u64, &mut journal);
+    assert_eq!(
+        first_nonzero(&journal),
+        None,
+        "{what}: journal byte left non-zero by mount"
+    );
+
+    recover(&kernel, config).expect("oplog replay");
+    let log = kernel.read_file(OPLOG_PATH).unwrap();
+    assert_eq!(log.len() as u64, config.oplog_size);
+    assert_eq!(
+        first_nonzero(&log),
+        None,
+        "{what}: oplog byte left non-zero by recovery"
+    );
+}
+
+#[test]
+fn logs_are_all_zero_after_recovery() {
+    for policy in [
+        CrashPolicy::LoseUnflushed,
+        CrashPolicy::KeepAll,
+        CrashPolicy::TornWrites { seed: 0x7EA2 },
+    ] {
+        let device = new_device(policy);
+        // Every crash image is recovered on this second device, from
+        // inside the fence hook, so no image outlives its check.
+        let scratch = new_device(CrashPolicy::LoseUnflushed);
+        let config = strict_config();
+        let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        let fs = SplitFs::new(kernel, config.clone()).unwrap();
+        let a = fs.open("/a.db", OpenFlags::create()).unwrap();
+        for i in 0..6u8 {
+            fs.append(a, &[i; 1024]).unwrap();
+        }
+        fs.fsync(a).unwrap();
+
+        // From here on, power fails at every fence boundary: the journal
+        // commits, in-place updates and oplog appends below are each cut
+        // before they become durable — lost, kept or torn by the policy.
+        let points = Arc::new(AtomicU64::new(0));
+        let torn = Arc::new(AtomicU64::new(0));
+        {
+            let (scratch, config) = (Arc::clone(&scratch), config.clone());
+            let (points, torn) = (Arc::clone(&points), Arc::clone(&torn));
+            device.set_fence_hook(Some(Arc::new(move |dev: &PmemDevice, ordinal: u64| {
+                let image = dev.capture_crash_image();
+                torn.fetch_add(image.torn_lines(), Ordering::Relaxed);
+                scratch.restore_crash_image(&image);
+                drop(image);
+                assert_logs_zero_after_recovery(
+                    &scratch,
+                    &config,
+                    &format!("{policy:?}, before fence {ordinal}"),
+                );
+                points.fetch_add(1, Ordering::Relaxed);
+            })));
+        }
+        let b = fs.open("/b.db", OpenFlags::create()).unwrap();
+        fs.append(b, &[0xB0; 1024]).unwrap();
+        fs.append(a, &[0xA0; 3000]).unwrap();
+        fs.fsync(b).unwrap();
+        fs.rename("/b.db", "/c.db").unwrap();
+        fs.append(a, &[0xA1; 64]).unwrap();
+        device.set_fence_hook(None);
+        assert!(points.load(Ordering::Relaxed) >= 10, "{policy:?}");
+        if matches!(policy, CrashPolicy::TornWrites { .. }) {
+            assert!(torn.load(Ordering::Relaxed) > 0, "no line was ever torn");
+        }
+
+        drop(fs);
+        device.crash();
+        assert_logs_zero_after_recovery(&device, &config, &format!("{policy:?}, at the end"));
+    }
+}
+
+/// The files the idempotence test acknowledges, with their contents.
+fn acknowledged_workload(fs: &Arc<SplitFs>) -> Vec<(&'static str, Vec<u8>)> {
+    let mut expected = Vec::new();
+    for (path, fill, synced) in [("/synced.db", 0x10u8, 2), ("/staged.db", 0x50u8, 0)] {
+        let fd = fs.open(path, OpenFlags::create()).unwrap();
+        let mut content = Vec::new();
+        for i in 0..4u8 {
+            let record = vec![fill + i; 1024 + 512 * i as usize];
+            fs.append(fd, &record).unwrap();
+            content.extend_from_slice(&record);
+            if i + 1 == synced {
+                fs.fsync(fd).unwrap();
+            }
+        }
+        expected.push((path, content));
+    }
+    expected
+}
+
+/// The whole restart of a crashed stack: mount, replay, new instance.
+fn restart(device: &Arc<PmemDevice>, config: &SplitConfig) -> Arc<SplitFs> {
+    let (kernel, _) = mount_and_recover(device, config);
+    SplitFs::new(kernel, config.clone()).expect("restart U-Split")
+}
+
+#[test]
+fn recovery_is_idempotent_under_its_own_crash() {
+    let device = new_device(CrashPolicy::LoseUnflushed);
+    let config = strict_config();
+    let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    let fs = SplitFs::new(kernel, config.clone()).unwrap();
+    let expected = acknowledged_workload(&fs);
+    drop(fs);
+    device.crash();
+    let crashed = device.capture_crash_image();
+
+    // How many fences one uninterrupted restart issues.
+    let start = device.fence_ordinal();
+    drop(restart(&device, &config));
+    let fences = device.fence_ordinal() - start;
+    assert!(fences >= 10, "a restart fences {fences} times");
+
+    // Cut the restart before each of them in turn, then restart again
+    // from what that cut left on the media.
+    let mut points = 0;
+    for k in 0..fences {
+        device.restore_crash_image(&crashed);
+        let target = device.fence_ordinal() + k;
+        let cut = Arc::new(parking_lot::Mutex::new(None));
+        {
+            let cut = Arc::clone(&cut);
+            device.set_fence_hook(Some(Arc::new(move |dev: &PmemDevice, ordinal: u64| {
+                if ordinal == target {
+                    *cut.lock() = Some(dev.capture_crash_image());
+                }
+            })));
+        }
+        drop(restart(&device, &config));
+        device.set_fence_hook(None);
+        let Some(image) = cut.lock().take() else {
+            continue;
+        };
+        device.restore_crash_image(&image);
+        drop(image);
+
+        let fs = restart(&device, &config);
+        for (path, content) in &expected {
+            assert_eq!(
+                &fs.read_file(path).unwrap(),
+                content,
+                "{path} after a crash before restart fence {k}"
+            );
+        }
+        drop(fs);
+        let kernel = Ext4Dax::mount(Arc::clone(&device)).unwrap();
+        let dirty = kernel.check_namespace();
+        assert!(
+            dirty.is_empty(),
+            "namespace after a crash before restart fence {k}: {dirty:?}"
+        );
+        points += 1;
+    }
+    assert!(points >= 10, "only {points} crash points were reached");
+}
+
+#[test]
+fn replay_copies_only_the_bytes_the_staging_file_still_holds() {
+    // Regression: when the staging file is shorter than a logged range,
+    // `read_at` stops at its end of file and replay must write what was
+    // read — not pad the target with a zero tail that was never staged.
+    let device = new_device(CrashPolicy::LoseUnflushed);
+    let config = strict_config();
+    let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    let fs = SplitFs::new(Arc::clone(&kernel), config.clone()).unwrap();
+    let fd = fs.open("/short.db", OpenFlags::create()).unwrap();
+    let payload: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8 + 1).collect();
+    fs.append(fd, &payload).unwrap();
+
+    let log_fd = kernel.open(OPLOG_PATH, OpenFlags::read_only()).unwrap();
+    let mapping = kernel.dax_map(log_fd, 0, config.oplog_size, false).unwrap();
+    let entries = OpLog::scan(&device, &mapping, config.oplog_size);
+    kernel.close(log_fd).unwrap();
+    let staged: Vec<_> = entries
+        .iter()
+        .filter(|e| e.op == LogOp::StagedWrite)
+        .collect();
+    assert_eq!(staged.len(), 1);
+    assert_eq!(staged[0].len, 3000);
+    let staging_fd = kernel
+        .open_by_ino(staged[0].staging_ino, OpenFlags::read_write())
+        .unwrap();
+    kernel
+        .ftruncate(staging_fd, staged[0].staging_offset + 1000)
+        .unwrap();
+    kernel.close(staging_fd).unwrap();
+    drop(fs);
+    drop(kernel);
+    device.crash();
+
+    let (kernel, report) = mount_and_recover(&device, &config);
+    assert_eq!(report.replayed, 1);
+    let recovered = kernel.read_file("/short.db").unwrap();
+    assert_eq!(recovered.len(), 1000, "no zero tail past the staged bytes");
+    assert!(recovered == payload[..1000], "the staged bytes themselves");
+}
