@@ -471,7 +471,7 @@ mod tests {
         let fd = fs.open("/f", OpenFlags::create()).unwrap();
         let before = fs.device().stats().snapshot();
         fs.write_at(fd, 0, &vec![1u8; BLOCK_SIZE]).unwrap();
-        let delta = fs.device().stats().snapshot().delta_since(&before);
+        let delta = fs.device().stats().snapshot().delta(&before);
         assert_eq!(delta.written(TimeCategory::Journal), 192); // 128 + 64
                                                                // Data fence + two log fences.
         assert_eq!(delta.fences, 3);

@@ -210,7 +210,6 @@ fn run(which: &str, scale: Scale) {
             }
         }
         "openloop" => {
-            let report = experiments::openloop_report(scale);
             print_table(
                 "Open-loop rings — offered-load sweep on SplitFS-strict (4 threads)",
                 &[
@@ -223,12 +222,8 @@ fn run(which: &str, scale: Scale) {
                     "Sync fences/op",
                     "Epoch violations",
                 ],
-                &report.rows,
+                &experiments::openloop(scale),
             );
-            // Machine-readable mirror of the table for the CI smoke gate.
-            for line in &report.json {
-                println!("OPENLOOP_JSON {line}");
-            }
         }
         "metadata" => {
             let report = experiments::metadata_report(scale);

@@ -1119,7 +1119,7 @@ pub fn multi(scale: Scale) -> Vec<Row> {
 // Open-loop rings — offered-load sweep on the async submission rings
 // ----------------------------------------------------------------------
 
-/// Raw metrics of one [`openloop_report`] run: the ring sweep plus the
+/// Raw metrics of one [`openloop`] run: the ring sweep plus the
 /// synchronous-`appendv` baseline it is scored against.
 #[derive(Debug, Clone)]
 pub struct OpenLoopRunResult {
@@ -1179,64 +1179,29 @@ pub fn openloop_run(scale: Scale) -> OpenLoopRunResult {
     }
 }
 
-/// The open-loop experiment's printable table plus one machine-readable
-/// JSON line per offered-load level (the CI smoke gate parses the JSON
-/// instead of scraping table columns).
-#[derive(Debug, Clone)]
-pub struct OpenLoopReport {
-    /// The rows of the human-readable table.
-    pub rows: Vec<Row>,
-    /// One JSON object per offered-load level, stable key order.
-    pub json: Vec<String>,
-}
-
 /// The open-loop experiment: submit-to-harvest latency percentiles and
 /// fences per op across the offered-load sweep, next to the synchronous
 /// baseline's fences per op.  The acceptance bar: zero durability-epoch
 /// violations at every level, and fences/op strictly below the
 /// synchronous figure at ≥ 4 in-flight ops per thread.
-pub fn openloop_report(scale: Scale) -> OpenLoopReport {
-    let r = openloop_run(scale);
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    for level in &r.report.levels {
-        let fences_per_op = level.fences_per_op();
-        rows.push(vec![
-            level.inflight.to_string(),
-            level.completions.to_string(),
-            crate::fmt_ns(level.p50_ns as f64),
-            crate::fmt_ns(level.p99_ns as f64),
-            crate::fmt_ns(level.p999_ns as f64),
-            format!("{fences_per_op:.3}"),
-            format!("{:.3}", r.sync_fences_per_op),
-            level.epoch_violations.to_string(),
-        ]);
-        json.push(
-            obs::JsonObject::new()
-                .str("experiment", "openloop")
-                .str("fs", "SplitFS-strict")
-                .u64("inflight", level.inflight as u64)
-                .u64("completions", level.completions)
-                .u64("p50_ns", level.p50_ns)
-                .u64("p99_ns", level.p99_ns)
-                .u64("p999_ns", level.p999_ns)
-                .u64("epoch_violations", level.epoch_violations)
-                .u64("errors", level.errors)
-                .f64("fences_per_op", (fences_per_op * 1000.0).round() / 1000.0)
-                .f64(
-                    "sync_fences_per_op",
-                    (r.sync_fences_per_op * 1000.0).round() / 1000.0,
-                )
-                .u64("amortized", u64::from(fences_per_op < r.sync_fences_per_op))
-                .finish(),
-        );
-    }
-    OpenLoopReport { rows, json }
-}
-
-/// Table-only view of [`openloop_report`].
 pub fn openloop(scale: Scale) -> Vec<Row> {
-    openloop_report(scale).rows
+    let r = openloop_run(scale);
+    r.report
+        .levels
+        .iter()
+        .map(|level| {
+            vec![
+                level.inflight.to_string(),
+                level.completions.to_string(),
+                crate::fmt_ns(level.p50_ns as f64),
+                crate::fmt_ns(level.p99_ns as f64),
+                crate::fmt_ns(level.p999_ns as f64),
+                format!("{:.3}", level.fences_per_op()),
+                format!("{:.3}", r.sync_fences_per_op),
+                level.epoch_violations.to_string(),
+            ]
+        })
+        .collect()
 }
 
 // ----------------------------------------------------------------------

@@ -3212,7 +3212,7 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(applied, 2);
-        let delta = fs.device().stats().snapshot().delta_since(&before);
+        let delta = fs.device().stats().snapshot().delta(&before);
         assert_eq!(delta.kernel_traps, 1, "one syscall for the whole batch");
         assert_eq!(delta.batched_relinks, 1);
         assert_eq!(delta.relink_batch_ops, 2);
@@ -3352,7 +3352,7 @@ mod tests {
         let iov: Vec<IoVec<'_>> = parts.iter().map(|p| IoVec::new(p)).collect();
         let before = fs.device().stats().snapshot();
         assert_eq!(fs.appendv(fd, &iov).unwrap(), 100 + 4096 + 17);
-        let delta = fs.device().stats().snapshot().delta_since(&before);
+        let delta = fs.device().stats().snapshot().delta(&before);
         assert_eq!(delta.kernel_traps, 1, "one trap for the whole gather");
         assert_eq!(delta.appendv_calls, 1);
         assert_eq!(delta.appendv_slices, 3);
@@ -3483,7 +3483,7 @@ mod tests {
         assert!(view.is_zero_copy(), "single-extent range must borrow");
         assert_eq!(&*view, &data[100..4100]);
         drop(view);
-        let delta = fs.device().stats().snapshot().delta_since(&before);
+        let delta = fs.device().stats().snapshot().delta(&before);
         assert_eq!(delta.zero_copy_read_bytes, 4000);
 
         // Clipped at end of file, empty past it.
@@ -3502,7 +3502,7 @@ mod tests {
         }
         let before = fs.device().stats().snapshot();
         fs.fsync_many(&fds).unwrap();
-        let delta = fs.device().stats().snapshot().delta_since(&before);
+        let delta = fs.device().stats().snapshot().delta(&before);
         assert_eq!(delta.kernel_traps, 1);
         assert_eq!(delta.journal_txns, 1, "one forced commit for all six");
         assert_eq!(delta.fsync_many_calls, 1);
@@ -3518,12 +3518,12 @@ mod tests {
         fs.write_at(fd, 0, &[1u8; 4096]).unwrap();
         let before = fs.device().stats().snapshot();
         fs.fdatasync(fd).unwrap();
-        let delta = fs.device().stats().snapshot().delta_since(&before);
+        let delta = fs.device().stats().snapshot().delta(&before);
         assert_eq!(delta.written(TimeCategory::Journal), 0);
         assert_eq!(delta.journal_txns, 0);
         let before = fs.device().stats().snapshot();
         fs.fsync(fd).unwrap();
-        let delta = fs.device().stats().snapshot().delta_since(&before);
+        let delta = fs.device().stats().snapshot().delta(&before);
         assert!(delta.written(TimeCategory::Journal) > 0);
     }
 
@@ -3577,6 +3577,7 @@ mod tests {
         assert_eq!(fs.fstat(fd).unwrap().size, data.len() as u64);
         let snap = fs.device().stats().snapshot();
         assert_eq!(snap.tier_demotions, 1);
+        assert_eq!(snap.tier_demoted_bytes, moved);
         assert!(
             snap.tier_cap_reads > 0,
             "cold read must hit the capacity tier"
@@ -3608,7 +3609,9 @@ mod tests {
         fs.read_at(fd, 0, &mut buf).unwrap();
         assert_eq!(&buf[16..21], b"patch");
         assert_eq!(buf[0], 0x5a);
-        assert_eq!(fs.device().stats().snapshot().tier_promotions, 1);
+        let snap = fs.device().stats().snapshot();
+        assert_eq!(snap.tier_promotions, 1);
+        assert_eq!(snap.tier_promoted_bytes, BLOCK_SIZE as u64);
         assert!(fs.check_namespace().is_empty());
     }
 

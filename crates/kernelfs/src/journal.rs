@@ -1070,7 +1070,7 @@ mod tests {
 
         let before = device.stats().snapshot();
         mounted.reset();
-        let delta = device.stats().snapshot().delta_since(&before);
+        let delta = device.stats().snapshot().delta(&before);
         assert_eq!(
             delta.written(TimeCategory::Journal),
             used.iter().sum::<u64>(),

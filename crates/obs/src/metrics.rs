@@ -282,6 +282,23 @@ mod tests {
     }
 
     #[test]
+    fn counters_object_lists_the_counter_table_in_order() {
+        let snap = sample_snapshot();
+        let json = snap.to_json();
+        let object = json
+            .split(r#""counters":{"#)
+            .nth(1)
+            .and_then(|rest| rest.split('}').next())
+            .expect("counters object");
+        let listed: Vec<&str> = object
+            .split(',')
+            .map(|pair| pair.split(':').next().unwrap().trim_matches('"'))
+            .collect();
+        let table: Vec<&str> = snap.stats.counters().iter().map(|(n, _)| *n).collect();
+        assert_eq!(listed, table);
+    }
+
+    #[test]
     fn health_section_appears_when_attached() {
         let snap = sample_snapshot().with_health(HealthSnapshot {
             ticks: 7,

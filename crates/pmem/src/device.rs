@@ -1172,7 +1172,7 @@ mod tests {
         let mut out = vec![0u8; 1024];
         dev.read_uncharged(100_000, &mut out);
         assert_eq!(out, payload);
-        let delta = dev.stats().snapshot().delta_since(&before);
+        let delta = dev.stats().snapshot().delta(&before);
         assert_eq!(delta.bytes_read[1], 1024); // Metadata index
         assert_eq!(delta.bytes_written[1], 1024);
     }
@@ -1188,7 +1188,7 @@ mod tests {
             .expect("in-shard range");
         assert_eq!(&*view, &data[..]);
         drop(view);
-        let delta = dev.stats().snapshot().delta_since(&before);
+        let delta = dev.stats().snapshot().delta(&before);
         assert_eq!(delta.zero_copy_read_bytes, 300);
         assert_eq!(delta.bytes_read[0], 300); // UserData index
     }

@@ -573,7 +573,7 @@ impl SplitFs {
         // The other half is still being retired: grow the active epoch.
         // A growth failure (device full) is a real foreground stall.
         self.grow_oplog().inspect_err(|_| {
-            self.device.stats().add_checkpoint_stall(0.0);
+            self.device.stats().add_checkpoint_stall();
             obs::event(obs::SpanEvent::CheckpointStall);
         })
     }

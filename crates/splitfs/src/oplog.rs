@@ -688,7 +688,7 @@ mod tests {
         let (device, oplog, _) = log(64 * 1024);
         let before = device.stats().snapshot();
         oplog.append(&sample_entry(oplog.next_seq())).unwrap();
-        let delta = device.stats().snapshot().delta_since(&before);
+        let delta = device.stats().snapshot().delta(&before);
         assert_eq!(delta.written(TimeCategory::OpLog), 64);
         assert_eq!(delta.fences, 1, "exactly one fence per logged operation");
     }
@@ -751,7 +751,7 @@ mod tests {
         assert!(!oplog.sealed_pending());
         let entries = OpLog::scan(&device, &mapping, 256);
         assert_eq!(entries.len(), 1, "only the new-epoch entry survives");
-        let delta = device.stats().snapshot().delta_since(&before);
+        let delta = device.stats().snapshot().delta(&before);
         assert_eq!(delta.oplog_epoch_swaps, 1);
         assert_eq!(delta.oplog_epoch_truncates, 1);
         // The other half is free again, so a new seal succeeds.
@@ -816,7 +816,7 @@ mod tests {
         let before = device.stats().snapshot();
         let batch: Vec<LogEntry> = (0..8).map(|_| sample_entry(oplog.next_seq())).collect();
         oplog.append_batch(&batch).unwrap();
-        let delta = device.stats().snapshot().delta_since(&before);
+        let delta = device.stats().snapshot().delta(&before);
         assert_eq!(delta.written(TimeCategory::OpLog), 8 * 64);
         assert_eq!(delta.fences, 1, "one fence covers the whole group");
         assert_eq!(delta.oplog_group_commits, 1);
@@ -842,7 +842,7 @@ mod tests {
         }
         let before = device.stats().snapshot();
         oplog.reset();
-        let delta = device.stats().snapshot().delta_since(&before);
+        let delta = device.stats().snapshot().delta(&before);
         assert_eq!(
             delta.written(TimeCategory::OpLog),
             4 * 64,
@@ -874,7 +874,7 @@ mod tests {
 
         let before = device.stats().snapshot();
         let scan = OpLog::scan_written(&device, &mapping, size);
-        let delta = device.stats().snapshot().delta_since(&before);
+        let delta = device.stats().snapshot().delta(&before);
         assert_eq!(scan.entries.len(), 4, "the torn slot is not an entry");
         assert_eq!(
             scan.written,
@@ -890,7 +890,7 @@ mod tests {
 
         let before = device.stats().snapshot();
         OpLog::zero_ranges(&device, &mapping, &scan.written);
-        let delta = device.stats().snapshot().delta_since(&before);
+        let delta = device.stats().snapshot().delta(&before);
         assert_eq!(delta.written(TimeCategory::OpLog), 5 * 64);
         assert_eq!(delta.fences, 1, "cleared together or not at all");
         let rescan = OpLog::scan_written(&device, &mapping, size);

@@ -70,7 +70,7 @@ fn eight_concurrent_writers_keep_files_isolated_and_seqs_ordered() {
             });
         }
     });
-    let delta = device.stats().snapshot().delta_since(&before);
+    let delta = device.stats().snapshot().delta(&before);
     assert_eq!(
         delta.checkpoint_stalls, 0,
         "writers must never stall on log truncation: {delta:?}"
@@ -216,7 +216,7 @@ fn crash_after_grow_during_checkpoint_recovers_every_epoch() {
         fs.append(fd, &rec).unwrap();
         expected.extend_from_slice(&rec);
     }
-    let delta = device.stats().snapshot().delta_since(&before);
+    let delta = device.stats().snapshot().delta(&before);
     assert!(
         delta.oplog_grows > 0,
         "the log grew mid-checkpoint: {delta:?}"

@@ -75,7 +75,7 @@ fn recovery_cost(oplog_size: u64) -> RecoveryCost {
     let t0 = device.clock().now_ns_f64();
     let (kernel, report) = mount_and_recover(&device, &config);
     let sim_ns = device.clock().now_ns_f64() - t0;
-    let delta = device.stats().snapshot().delta_since(&before);
+    let delta = device.stats().snapshot().delta(&before);
     assert_eq!(
         kernel.read_file("/wal.log").unwrap(),
         expected,

@@ -167,7 +167,7 @@ fn data_operations_avoid_kernel_traps() {
         fs.read_at(fd, i * 4096, &mut buf).unwrap();
         fs.write_at(fd, i * 4096, &buf).unwrap();
     }
-    let delta = d.stats().snapshot().delta_since(&before);
+    let delta = d.stats().snapshot().delta(&before);
     assert_eq!(
         delta.kernel_traps, 0,
         "reads and overwrites of mapped regions must not trap into the kernel"
@@ -186,7 +186,7 @@ fn append_fsync_relinks_without_copying_data() {
     let staged_bytes = 8 * BLOCK_SIZE as u64;
     let before = d.stats().snapshot();
     fs.fsync(fd).unwrap();
-    let delta = d.stats().snapshot().delta_since(&before);
+    let delta = d.stats().snapshot().delta(&before);
     assert!(
         delta.written(TimeCategory::UserData) < BLOCK_SIZE as u64,
         "fsync must not rewrite the {staged_bytes} staged bytes, wrote {}",
@@ -229,7 +229,7 @@ fn strict_append_uses_one_log_entry_and_one_extra_fence() {
     fs.append(fd, &vec![0u8; BLOCK_SIZE]).unwrap();
     let before = d.stats().snapshot();
     fs.append(fd, &vec![1u8; BLOCK_SIZE]).unwrap();
-    let delta = d.stats().snapshot().delta_since(&before);
+    let delta = d.stats().snapshot().delta(&before);
     assert_eq!(
         delta.written(TimeCategory::OpLog),
         64,

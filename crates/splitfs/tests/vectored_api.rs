@@ -40,7 +40,7 @@ fn read_view_serves_committed_bytes_with_zero_memcpy() {
     );
     assert_eq!(&*view, &data[4096..12288]);
     drop(view);
-    let delta = fs.device().stats().snapshot().delta_since(&before);
+    let delta = fs.device().stats().snapshot().delta(&before);
     assert_eq!(
         delta.zero_copy_read_bytes, 8192,
         "every byte of the view was served without a memcpy"
@@ -68,7 +68,7 @@ fn appendv_gathers_n_slices_under_one_oplog_fence() {
 
     let before = fs.device().stats().snapshot();
     assert_eq!(fs.appendv(fd, &iov).unwrap(), 8 * 512);
-    let delta = fs.device().stats().snapshot().delta_since(&before);
+    let delta = fs.device().stats().snapshot().delta(&before);
     assert_eq!(
         delta.fences, 2,
         "one fence for the staged data, one for the group-committed log \
@@ -91,7 +91,7 @@ fn appendv_gathers_n_slices_under_one_oplog_fence() {
     for p in &parts {
         fs.append(fd, p).unwrap();
     }
-    let loop_delta = fs.device().stats().snapshot().delta_since(&before);
+    let loop_delta = fs.device().stats().snapshot().delta(&before);
     assert_eq!(loop_delta.fences, 16, "2 fences per individual append");
 }
 
@@ -139,7 +139,7 @@ fn fsync_many_retires_m_files_in_one_journal_transaction() {
 
     let before = fs.device().stats().snapshot();
     fs.fsync_many(&fds).unwrap();
-    let delta = fs.device().stats().snapshot().delta_since(&before);
+    let delta = fs.device().stats().snapshot().delta(&before);
     assert_eq!(
         delta.journal_txns, 1,
         "one journal transaction commits every file's relink: {delta:?}"
@@ -164,7 +164,7 @@ fn fsync_many_retires_m_files_in_one_journal_transaction() {
     for &fd in &fds {
         fs.fsync(fd).unwrap();
     }
-    let loop_delta = fs.device().stats().snapshot().delta_since(&before);
+    let loop_delta = fs.device().stats().snapshot().delta(&before);
     assert_eq!(loop_delta.journal_txns as usize, FILES);
 }
 
@@ -176,7 +176,7 @@ fn fsync_many_with_nothing_staged_only_fences() {
     fs.fsync_many(&[a, b]).unwrap();
     let before = fs.device().stats().snapshot();
     fs.fsync_many(&[a, b, a]).unwrap(); // duplicates are fine
-    let delta = fs.device().stats().snapshot().delta_since(&before);
+    let delta = fs.device().stats().snapshot().delta(&before);
     assert_eq!(delta.batched_relinks, 0);
     assert_eq!(delta.fences, 1);
 }
@@ -203,7 +203,7 @@ fn fsync_is_fsync_many_of_one() {
         fs.write_at(fd, 12_000, &[0x44; 5_000]).unwrap();
         sync(fd).unwrap();
         sync(fd).unwrap();
-        let mut delta = fs.device().stats().snapshot().delta_since(&before);
+        let mut delta = fs.device().stats().snapshot().delta(&before);
         assert_eq!(delta.fsync_many_calls, if batched { 3 } else { 0 });
         delta.fsync_many_calls = 0;
         delta.fsync_many_files = 0;

@@ -61,7 +61,7 @@ where
     let start_ns = device.clock().now_ns_f64();
     body()?;
     let elapsed = device.clock().now_ns_f64() - start_ns;
-    let stats = device.stats().snapshot().delta_since(&start_stats);
+    let stats = device.stats().snapshot().delta(&start_stats);
     Ok(RunResult::new(fs.name(), workload, ops, elapsed, stats))
 }
 

@@ -160,7 +160,7 @@ pub fn run_pattern(
     }
 
     let elapsed = device.clock().now_ns_f64() - start_ns;
-    let stats = device.stats().snapshot().delta_since(&start_stats);
+    let stats = device.stats().snapshot().delta(&start_stats);
     fs.close(fd)?;
     Ok(RunResult::new(
         fs.name(),
@@ -220,7 +220,7 @@ pub fn run_appendv(
     }
     fs.fsync(fd)?;
     let elapsed = device.clock().now_ns_f64() - start_ns;
-    let stats = device.stats().snapshot().delta_since(&start_stats);
+    let stats = device.stats().snapshot().delta(&start_stats);
     fs.close(fd)?;
     Ok(RunResult::new(
         fs.name(),

@@ -199,7 +199,7 @@ pub fn run(
     // Clean unmount: leases released.  The stats delta closes over it so
     // the lease-release counters balance the acquires.
     drop(instances);
-    let stats = device.stats().snapshot().delta_since(&before);
+    let stats = device.stats().snapshot().delta(&before);
 
     // Integrity is part of the run's contract: a contaminated file must
     // fail the run, not report healthy throughput.

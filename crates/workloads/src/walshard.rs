@@ -158,7 +158,7 @@ pub fn run(fs: &Arc<dyn FileSystem>, config: &WalShardConfig) -> FsResult<WalSha
     let wall_ns = start_wall.elapsed().as_nanos() as f64;
     let elapsed_ns = device.clock().now_ns_f64() - start_sim;
     let critical_ns = thread_times.lock().iter().cloned().fold(0.0f64, f64::max);
-    let stats = device.stats().snapshot().delta_since(&before);
+    let stats = device.stats().snapshot().delta(&before);
     for fd in fds {
         fs.close(fd)?;
     }

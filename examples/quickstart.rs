@@ -45,7 +45,7 @@ fn main() {
 
     let before = device.stats().snapshot();
     fs.appendv(fd, &iov).expect("appendv");
-    let staged = device.stats().snapshot().delta_since(&before);
+    let staged = device.stats().snapshot().delta(&before);
     println!(
         "gathered 16 records in one appendv: {} bytes staged, {} kernel traps, \
          {} fences, {} op-log entries",
@@ -59,7 +59,7 @@ fn main() {
     //    a metadata-only operation, no data copy.
     let before = device.stats().snapshot();
     fs.fsync(fd).expect("fsync");
-    let relinked = device.stats().snapshot().delta_since(&before);
+    let relinked = device.stats().snapshot().delta(&before);
     println!(
         "fsync relinked the staged data: {} user-data bytes rewritten (expected ~0), {} kernel traps",
         relinked.written(TimeCategory::UserData),
@@ -77,7 +77,7 @@ fn main() {
         .count();
     let zero_copy = view.is_zero_copy();
     drop(view);
-    let read_delta = device.stats().snapshot().delta_since(&before);
+    let read_delta = device.stats().snapshot().delta(&before);
     println!(
         "read back {size} bytes ({lines} records) — zero-copy: {zero_copy}, \
          {} bytes served without memcpy",
