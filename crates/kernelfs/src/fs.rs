@@ -1407,6 +1407,25 @@ impl Ext4Dax {
         }
         self.ensure_resident(inode)?;
         self.allocate_range(inode, offset, total)?;
+        // POSIX: what lies between the old end of file and a write beyond
+        // it reads as zero.  Whole blocks of the gap stay holes; its ends —
+        // behind the old tail and in front of the write, in blocks the
+        // allocator hands out as they are — are zeroed.
+        if offset > inode.size {
+            let block = BLOCK_SIZE as u64;
+            let old_tail_end = inode.size.next_multiple_of(block).min(offset);
+            let write_block_start = (offset - offset % block).max(old_tail_end);
+            for (from, to) in [(inode.size, old_tail_end), (write_block_start, offset)] {
+                if let Some((phys, _)) = inode.extents.lookup(from / block).filter(|_| from < to) {
+                    self.device.zero(
+                        phys * block + from % block,
+                        (to - from) as usize,
+                        PersistMode::NonTemporal,
+                        TimeCategory::Metadata,
+                    );
+                }
+            }
+        }
         let mut cur = offset;
         for v in iov {
             if v.is_empty() {
@@ -2200,7 +2219,7 @@ impl Ext4Dax {
             return Ok(true);
         }
         let first = offset / BLOCK_SIZE as u64;
-        let count = len.div_ceil(BLOCK_SIZE as u64);
+        let count = (offset + len).div_ceil(BLOCK_SIZE as u64) - first;
         Ok(inode.extents.extract_range(first, count).is_ok())
     }
 
@@ -3489,6 +3508,46 @@ mod tests {
         // Clipped at end of file, empty past it.
         assert_eq!(fs.read_view(fd, 8000, 1000).unwrap().len(), 192);
         assert!(fs.read_view(fd, 9000, 10).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_write_past_the_end_of_file_leaves_zeroes_in_the_gap() {
+        // A device small enough that its data blocks are all written once:
+        // they go back to the allocator full of old bytes ...
+        let fs = Ext4Dax::mkfs(PmemBuilder::new(16 * 1024 * 1024).build()).unwrap();
+        let mut filled = 0;
+        let fd = fs.open("/old", OpenFlags::create()).unwrap();
+        while fs.write_at(fd, filled, &[0xEEu8; 64 * 1024]).is_ok() {
+            filled += 64 * 1024;
+        }
+        assert!(filled > 0);
+        fs.close(fd).unwrap();
+        fs.unlink("/old").unwrap();
+        // ... and come out again under a file written with gaps: inside a
+        // new block, behind the old tail, and across a hole.
+        let fd = fs.open("/gaps", OpenFlags::create()).unwrap();
+        fs.write_at(fd, 300, &[1u8; 100]).unwrap();
+        fs.write_at(fd, 1000, &[2u8; 100]).unwrap();
+        fs.write_at(fd, 3 * 4096 + 7, &[3u8; 100]).unwrap();
+        let mut expected = vec![0u8; 3 * 4096 + 107];
+        expected[300..400].fill(1);
+        expected[1000..1100].fill(2);
+        expected[3 * 4096 + 7..].fill(3);
+        assert_eq!(fs.read_file("/gaps").unwrap(), expected);
+    }
+
+    #[test]
+    fn range_mapped_sees_every_block_an_unaligned_range_touches() {
+        let fs = fs();
+        let fd = fs.open("/r", OpenFlags::create()).unwrap();
+        fs.write_at(fd, 0, &[5u8; 4096]).unwrap();
+        fs.ftruncate(fd, 3 * 4096).unwrap();
+        fs.ftruncate(fd, 4096).unwrap();
+        assert!(fs.range_mapped(fd, 4000, 96).unwrap());
+        assert!(
+            !fs.range_mapped(fd, 4000, 200).unwrap(),
+            "200 bytes from 4000 reach into the second block, which is gone"
+        );
     }
 
     #[test]

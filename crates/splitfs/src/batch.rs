@@ -15,8 +15,9 @@ use vfs::Fd;
 
 use crate::state::StagedExtent;
 
-/// A group of staged extents that are contiguous in both the target file
-/// and the staging file, so they can be applied with a single relink.
+/// A group of staged extents that are contiguous in the target file, in the
+/// staging file and on the device, so they can be applied with a single
+/// relink and served through a single retained mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StagedRun {
     /// Offset of the run within the target file.
@@ -39,8 +40,12 @@ pub fn coalesce(staged: &[StagedExtent]) -> Vec<StagedRun> {
     for ext in staged {
         if let Some(last) = runs.last_mut() {
             let contiguous_target = last.target_offset + last.len == ext.target_offset;
+            // On the device too: a staging file the allocator built from
+            // several extents is contiguous in its offsets across a seam
+            // the run's one `device_offset` cannot span.
             let contiguous_staging = last.staging_fd == ext.staging_fd
-                && last.staging_offset + last.len == ext.staging_offset;
+                && last.staging_offset + last.len == ext.staging_offset
+                && last.device_offset + last.len == ext.device_offset;
             if contiguous_target && contiguous_staging {
                 last.len += ext.len;
                 last.max_seq = last.max_seq.max(ext.seq);
@@ -239,6 +244,20 @@ mod tests {
         // Gap in the staging range.
         let staged = vec![ext(0, 0, 4096, 1), ext(4096, 8192, 4096, 2)];
         assert_eq!(coalesce(&staged).len(), 2);
+    }
+
+    #[test]
+    fn a_device_seam_inside_the_staging_file_splits_runs() {
+        // Contiguous in the target and in the staging file's offsets, but
+        // the staging file's second block sits elsewhere on the device.
+        let mut second = ext(4096, 4096, 4096, 2);
+        second.device_offset = 9_000_000;
+        let runs = coalesce(&[ext(0, 0, 4096, 1), second]);
+        assert_eq!(runs.len(), 2);
+        let plan = plan(&runs, 7, true);
+        assert_eq!(plan.ops.len(), 2);
+        assert_eq!(plan.retained[1].target_offset, 4096);
+        assert_eq!(plan.retained[1].device_offset, 9_000_000);
     }
 
     #[test]

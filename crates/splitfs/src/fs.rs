@@ -1044,13 +1044,26 @@ impl SplitFs {
         S: DerefMut<Target = FileState>,
         B: AsRef<[u8]>,
     {
-        let pre_sizes: Vec<u64> = states.iter().map(|st| st.cached_size).collect();
-        // Staged chunks of the whole batch: (op, allocation, target offset,
-        // length).  Allocations are cursor bumps, so consecutive chunks are
-        // contiguous in the staging file and coalesce into one run at
-        // relink time.
+        // Per file of the batch: its size on entry (restored if the group
+        // commit fails) and where its latest staged chunk ends — the latest
+        // chunk *of this file* earlier in the batch, else `staged.last()`.
+        // A write that starts at that target offset continues the chunk,
+        // and the pool carves it from the block tail the chunk left.
+        let mut files: Vec<(u64, Option<ChunkEnd>)> = states
+            .iter()
+            .map(|st| {
+                let last = st.staged.last().map(|e| ChunkEnd {
+                    target: e.target_offset + e.len,
+                    staging: (e.staging_ino, e.staging_offset + e.len),
+                });
+                (st.cached_size, last)
+            })
+            .collect();
+        // Staged chunks of the whole batch: (file, allocation, target
+        // offset, length).  A lone writer's allocations are contiguous in
+        // the staging file and coalesce into one run at relink time.
         let mut pending: Vec<(usize, StagingAllocation, u64, usize)> = Vec::new();
-        for (i, op) in ops.iter_mut().enumerate() {
+        for op in ops.iter_mut() {
             let total: u64 = op.iov.iter().map(|b| b.as_ref().len() as u64).sum();
             op.result = Ok(total);
             if total == 0 {
@@ -1060,21 +1073,28 @@ impl SplitFs {
             self.promote_if_demoted(st);
             let start = op.offset.unwrap_or(st.cached_size);
             let first_chunk = pending.len();
+            let tail_before = files[op.state].1;
             let mut cur = start;
             'gather: for buf in op.iov {
                 let mut data = buf.as_ref();
                 while !data.is_empty() {
-                    let alloc = match self
-                        .staging
-                        .take(data.len() as u64, cur % BLOCK_SIZE as u64)
-                    {
-                        Ok(alloc) => alloc,
-                        Err(e) => {
-                            op.result = Err(e);
-                            pending.truncate(first_chunk);
-                            break 'gather;
-                        }
-                    };
+                    let after = files[op.state]
+                        .1
+                        .filter(|last| last.target == cur)
+                        .map(|last| last.staging);
+                    let alloc =
+                        match self
+                            .staging
+                            .take(data.len() as u64, cur % BLOCK_SIZE as u64, after)
+                        {
+                            Ok(alloc) => alloc,
+                            Err(e) => {
+                                op.result = Err(e);
+                                pending.truncate(first_chunk);
+                                files[op.state].1 = tail_before;
+                                break 'gather;
+                            }
+                        };
                     let n = alloc.len.min(data.len() as u64) as usize;
                     self.device.write(
                         alloc.device_offset,
@@ -1082,8 +1102,12 @@ impl SplitFs {
                         PersistMode::NonTemporal,
                         TimeCategory::UserData,
                     );
-                    pending.push((i, alloc, cur, n));
+                    pending.push((op.state, alloc, cur, n));
                     cur += n as u64;
+                    files[op.state].1 = Some(ChunkEnd {
+                        target: cur,
+                        staging: (alloc.staging_ino, alloc.staging_offset + n as u64),
+                    });
                     data = &data[n..];
                 }
             }
@@ -1100,9 +1124,9 @@ impl SplitFs {
             // The staged data must be in the persistence domain before a
             // valid log entry can point at it.
             self.device.fence(TimeCategory::UserData);
-            entries.extend(pending.iter().map(|(i, alloc, cur, n)| LogEntry {
+            entries.extend(pending.iter().map(|(file, alloc, cur, n)| LogEntry {
                 op: LogOp::StagedWrite,
-                target_ino: states[ops[*i].state].ino,
+                target_ino: states[*file].ino,
                 target_offset: *cur,
                 len: *n as u64,
                 staging_ino: alloc.staging_ino,
@@ -1127,8 +1151,8 @@ impl SplitFs {
                 }
             };
             if let Err(e) = committed {
-                for (st, pre) in states.iter_mut().zip(&pre_sizes) {
-                    st.cached_size = *pre;
+                for (st, (pre_size, _)) in states.iter_mut().zip(&files) {
+                    st.cached_size = *pre_size;
                 }
                 for op in ops.iter_mut().filter(|op| op.staged()) {
                     op.result = Err(e.clone());
@@ -1148,8 +1172,8 @@ impl SplitFs {
         }
 
         let now = self.device.clock().now_ns_f64();
-        for (k, (i, alloc, cur, n)) in pending.iter().enumerate() {
-            let st = &mut *states[ops[*i].state];
+        for (k, (file, alloc, cur, n)) in pending.iter().enumerate() {
+            let st = &mut *states[*file];
             st.staged.push(StagedExtent {
                 target_offset: *cur,
                 len: *n as u64,
@@ -1307,6 +1331,15 @@ impl SplitFs {
         }
         Ok(())
     }
+}
+
+/// Where a file's latest staged chunk ends: in the target file, and as
+/// the `(staging inode, staging offset)` [`StagingPool::take`] continues
+/// from.
+#[derive(Clone, Copy)]
+struct ChunkEnd {
+    target: u64,
+    staging: (u64, u64),
 }
 
 /// One write of a [`SplitFs::stage_batch`].

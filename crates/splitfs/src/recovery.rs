@@ -20,12 +20,21 @@
 //! 3. drops entries covered by an `Invalidate` record (their relink
 //!    completed before the crash) or by a `StagingRecycle` record (their
 //!    staging file was re-provisioned, so its blocks hold unrelated data),
-//! 4. for each remaining staged write, checks whether the staging range is
-//!    still mapped — if the relink had already moved the blocks the range
-//!    is a hole and the entry is skipped (this is what makes replay
-//!    idempotent),
-//! 5. copies the surviving staged data into the target file through the
-//!    kernel (each copy is `fsync`ed, so it is durable before step 6), and
+//! 4. visits the remaining staged writes **newest first**, keeping per
+//!    target file the ranges already settled by a newer entry, and for
+//!    each checks whether the staging range is still mapped — if the
+//!    relink had already moved the blocks the range is a hole and the
+//!    data is in the target (this is what makes replay idempotent); an
+//!    entry that is part hole — it straddles the end of a relinked run,
+//!    whose last partial block is copied, not moved — is taken block by
+//!    block,
+//! 5. copies what is still staged into the target files through the
+//!    kernel — each staging and target inode opened once — but only where
+//!    no newer entry has settled the range: what an older entry still
+//!    holds never lands on top of what a newer one wrote, whether that
+//!    was replayed a moment ago or relinked before the crash; **one**
+//!    `fsync_many` over the distinct targets then makes the copies
+//!    durable before step 6, and
 //! 6. clears exactly the slots step 1 found non-zero, adjacent slots as
 //!    one store, all under **one** fence.
 //!
@@ -47,11 +56,11 @@
 //! [`SplitConfig::without_orphan_recovery`](crate::SplitConfig) disables
 //! it for tests that stage crashes deliberately).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use kernelfs::Ext4Dax;
-use vfs::{FileSystem, FsResult, OpenFlags};
+use kernelfs::{Ext4Dax, BLOCK_SIZE};
+use vfs::{Fd, FileSystem, FsResult, OpenFlags};
 
 use crate::config::SplitConfig;
 use crate::oplog::{LogEntry, LogOp, OpLog};
@@ -73,6 +82,52 @@ pub struct RecoveryReport {
     /// Entries skipped because they carried another instance's id — the
     /// cross-contamination guard.  Always zero in a healthy system.
     pub foreign: usize,
+}
+
+/// The ranges of one target file that entries already visited — newer
+/// ones — have settled: disjoint, keyed by start.
+#[derive(Default)]
+struct Settled(BTreeMap<u64, u64>);
+
+impl Settled {
+    /// Settles `[start, end)` and returns the parts of it that were still
+    /// open, in order.
+    fn claim(&mut self, start: u64, end: u64) -> Vec<(u64, u64)> {
+        // Disjoint ranges sorted by start are sorted by end as well.
+        let mut touching: Vec<(u64, u64)> = self
+            .0
+            .range(..=end)
+            .rev()
+            .take_while(|&(_, &e)| e >= start)
+            .map(|(&s, &e)| (s, e))
+            .collect();
+        touching.reverse();
+        let mut open = Vec::new();
+        let (mut lo, mut hi) = (start, start);
+        for (s, e) in touching {
+            if s > hi {
+                open.push((hi, s));
+            }
+            lo = lo.min(s);
+            hi = hi.max(e);
+            self.0.remove(&s);
+        }
+        if hi < end {
+            open.push((hi, end));
+            hi = end;
+        }
+        self.0.insert(lo, hi);
+        open
+    }
+}
+
+/// One copy replay decided on: staged bytes no newer entry has settled.
+struct ReplayCopy {
+    staging_fd: Fd,
+    staging_offset: u64,
+    target_fd: Fd,
+    target_offset: u64,
+    len: u64,
 }
 
 /// Replays the **default instance's** (instance 0's) operation log.
@@ -148,7 +203,21 @@ pub fn recover_instance(
         .collect();
     staged.sort_by_key(|e| e.seq);
 
-    for entry in staged {
+    // Each staging and target inode is opened once (`None`: it is gone),
+    // however many entries name it.
+    let mut fds: HashMap<u64, Option<Fd>> = HashMap::new();
+    let mut open_once = |ino: u64| {
+        *fds.entry(ino)
+            .or_insert_with(|| kernel.open_by_ino(ino, OpenFlags::read_write()).ok())
+    };
+    let mut settled: HashMap<u64, Settled> = HashMap::new();
+    // What to copy; the target ranges are disjoint.
+    let mut copies: Vec<ReplayCopy> = Vec::new();
+    // Newest first: a target range is settled by the newest entry that
+    // wrote it, so what an older entry still holds for it is never copied
+    // over what a newer one put there — by this replay, or by a relink that
+    // completed before the crash.
+    for entry in staged.into_iter().rev() {
         if invalidated_up_to
             .get(&entry.target_ino)
             .map(|&s| entry.seq <= s)
@@ -168,42 +237,80 @@ pub fn recover_instance(
             report.recycled += 1;
             continue;
         }
-        // Open the staging file and check whether its range still holds the
-        // data (idempotency test: a completed relink leaves a hole).
-        let staging_fd = match kernel.open_by_ino(entry.staging_ino, OpenFlags::read_write()) {
-            Ok(fd) => fd,
-            Err(_) => {
-                report.already_applied += 1;
-                continue;
-            }
-        };
-        let mapped = kernel.range_mapped(staging_fd, entry.staging_offset, entry.len)?;
-        if !mapped {
+        let Some(staging_fd) = open_once(entry.staging_ino) else {
             report.already_applied += 1;
-            kernel.close(staging_fd)?;
             continue;
-        }
-        let target_fd = match kernel.open_by_ino(entry.target_ino, OpenFlags::read_write()) {
-            Ok(fd) => fd,
-            Err(_) => {
-                // The target was unlinked after the write was logged.
-                kernel.close(staging_fd)?;
-                report.already_applied += 1;
-                continue;
-            }
         };
-        let mut buf = vec![0u8; entry.len as usize];
+        // What of the staging range still holds the data (idempotency test:
+        // a completed relink leaves a hole).  A relink moves whole blocks
+        // and copies the partial ones, so an entry that straddles the end
+        // of a relinked run is part hole, part still staged — and only the
+        // log can say so if the crash came before the copy was durable:
+        // such an entry is taken block by block.
+        let end = entry.staging_offset + entry.len;
+        let mut pieces = Vec::new();
+        if kernel.range_mapped(staging_fd, entry.staging_offset, entry.len)? {
+            pieces.push((entry.staging_offset, entry.len, true));
+        } else {
+            let mut at = entry.staging_offset;
+            while at < end {
+                let len = (BLOCK_SIZE as u64 - at % BLOCK_SIZE as u64).min(end - at);
+                pieces.push((at, len, kernel.range_mapped(staging_fd, at, len)?));
+                at += len;
+            }
+        }
+        // The target may have been unlinked after the write was logged.
+        let any_mapped = pieces.iter().any(|&(.., mapped)| mapped);
+        let target_fd = any_mapped.then(|| open_once(entry.target_ino)).flatten();
+        let settled = settled.entry(entry.target_ino).or_default();
+        let first_copy = copies.len();
+        for (at, len, mapped) in pieces {
+            let to_target = |staging: u64| entry.target_offset + (staging - entry.staging_offset);
+            // A hole is in the target already; either way the range is this
+            // entry's now.
+            let open = settled.claim(to_target(at), to_target(at + len));
+            let (true, Some(target_fd)) = (mapped, target_fd) else {
+                continue;
+            };
+            copies.extend(open.into_iter().map(|(from, to)| ReplayCopy {
+                staging_fd,
+                staging_offset: at + (from - to_target(at)),
+                target_fd,
+                target_offset: from,
+                len: to - from,
+            }));
+        }
+        // The list is run backwards below: this keeps an entry's own copies
+        // in ascending order there.
+        copies[first_copy..].reverse();
+        match target_fd {
+            Some(_) => report.replayed += 1,
+            None => report.already_applied += 1,
+        }
+    }
+    // The copies themselves run oldest first, the order the writes were
+    // made in: a file that was appended to grows from its end instead of
+    // being filled in backwards behind a gap.
+    let mut targets: Vec<Fd> = Vec::new();
+    let mut buf = Vec::new();
+    for copy in copies.into_iter().rev() {
+        buf.resize(copy.len as usize, 0);
         // The staging file's size may not cover the staged range (staging
         // files are sized by ftruncate, so normally it does); read_at stops
         // at EOF, so read what is there.
-        let n = kernel.read_at(staging_fd, entry.staging_offset, &mut buf)?;
+        let n = kernel.read_at(copy.staging_fd, copy.staging_offset, &mut buf)?;
         if n > 0 {
-            kernel.write_at(target_fd, entry.target_offset, &buf[..n])?;
+            kernel.write_at(copy.target_fd, copy.target_offset, &buf[..n])?;
         }
-        kernel.fsync(target_fd)?;
-        kernel.close(target_fd)?;
-        kernel.close(staging_fd)?;
-        report.replayed += 1;
+        if !targets.contains(&copy.target_fd) {
+            targets.push(copy.target_fd);
+        }
+    }
+    // One forced journal commit makes every copy durable — before step 6,
+    // the only ordering the clear below needs.
+    kernel.fsync_many(&targets)?;
+    for fd in fds.into_values().flatten() {
+        kernel.close(fd)?;
     }
 
     // The log's contents have been applied (and fsynced): clear what the
@@ -248,4 +355,25 @@ pub fn recover_orphans(
         out.push((id, report));
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Settled;
+
+    #[test]
+    fn a_claim_returns_what_was_open_and_settles_the_range() {
+        let mut settled = Settled::default();
+        assert_eq!(settled.claim(100, 200), vec![(100, 200)]);
+        assert_eq!(settled.claim(100, 200), vec![], "settled already");
+        assert_eq!(settled.claim(150, 250), vec![(200, 250)]);
+        assert_eq!(settled.claim(0, 50), vec![(0, 50)]);
+        // Across both settled ranges and the gap between them.
+        assert_eq!(settled.claim(25, 300), vec![(50, 100), (250, 300)]);
+        assert_eq!(settled.claim(0, 300), vec![]);
+        // Ranges that only touch merge without overlapping.
+        assert_eq!(settled.claim(300, 400), vec![(300, 400)]);
+        assert_eq!(settled.0.len(), 1);
+        assert_eq!(settled.0.get(&0), Some(&400));
+    }
 }

@@ -188,18 +188,64 @@ impl SplitFs {
     }
 
     /// Copies one planned span from the staging blocks into the target file
-    /// via the kernel.
+    /// via the kernel.  A media error under the staged bytes fails the call
+    /// before anything is written: the extents stay staged.
     fn copy_span_to_target(&self, state: &mut FileState, span: &CopySpan) -> FsResult<()> {
         let mut buf = vec![0u8; span.len as usize];
-        self.device.read(
+        self.device.try_read(
             span.device_offset,
             &mut buf,
             AccessPattern::Sequential,
             TimeCategory::UserData,
-        );
+        )?;
         self.kernel
             .write_at(state.kernel_fd, span.target_offset, &buf)?;
         state.kernel_size = state.kernel_size.max(span.target_offset + span.len);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use vfs::{FileSystem, FsError, OpenFlags};
+
+    use crate::{Mode, SplitConfig, SplitFs};
+
+    #[test]
+    fn media_error_under_a_staged_tail_fails_fsync_and_keeps_the_extents() {
+        let device = pmem::PmemBuilder::new(64 * 1024 * 1024)
+            .track_persistence(false)
+            .build();
+        let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        let config = SplitConfig::new(Mode::Strict).with_staging(2, 4 * 1024 * 1024);
+        let fs = SplitFs::new(Arc::clone(&kernel), config).unwrap();
+
+        let committed = vec![0xC0u8; 4096];
+        let tail = vec![0x7Au8; 300];
+        let fd = fs.open("/f", OpenFlags::create()).unwrap();
+        fs.append(fd, &committed).unwrap();
+        fs.fsync(fd).unwrap();
+        fs.append(fd, &tail).unwrap();
+
+        let (_, state) = fs.state_for_fd(fd).unwrap();
+        let staged_at = state.read().staged.last().unwrap().device_offset;
+        device.poison_range(staged_at, 64);
+        match fs.fsync(fd) {
+            Err(FsError::Io(msg)) => assert!(msg.contains("media read error"), "{msg}"),
+            other => panic!("fsync over a poisoned staged tail returned {other:?}"),
+        }
+        assert_eq!(state.read().staged.len(), 1, "the tail stays staged");
+        assert_eq!(kernel.read_file("/f").unwrap(), committed);
+
+        device.clear_poison();
+        fs.fsync(fd).unwrap();
+        assert!(state.read().staged.is_empty());
+        assert_eq!(
+            kernel.read_file("/f").unwrap(),
+            [committed, tail].concat(),
+            "the retry applies the tail once the media reads again"
+        );
     }
 }

@@ -18,6 +18,28 @@
 //! the globally longest free list (`staging_lane_steals`), and only when
 //! every lane is dry does it fall back to inline creation.
 //!
+//! **A staging block belongs to one file.**  A lane's cursor only ever
+//! rests on a block boundary: a fresh take enters the block there at the
+//! write's phase (its target offset modulo the block size) and the cursor
+//! moves past every block the allocation touched, so no second file is
+//! ever handed bytes of that block.  The unfilled rest of a block — its
+//! *tail* — belongs to the file whose **last staged extent ends in it**,
+//! for as long as that extent stays staged: a write that continues the
+//! extent in the target is carved right behind it instead of from the
+//! cursor, so a file's small appends fill its own blocks however many
+//! other files' appends interleave, and the next `fsync` relinks them
+//! whole.  The owner record is the file's own `staged.last()` — the pool
+//! keeps none, and nothing is released at `close`, `unlink` or a discard:
+//! the tail dies when the relink drains the extents.  Recycle cannot race
+//! a carve: the carve runs under the staging file's lane lock and is
+//! counted into `consumed`, and the extent that owns the tail is
+//! unretired for as long as the tail is live, so
+//! [`StagingPool::begin_recycle`]'s `retired >= consumed` cannot hold for
+//! that file.  A lone writer sees the offsets it always saw: while nobody
+//! else has taken, its tail's block end still *is* the cursor, and the
+//! continuation then runs past the block end as one allocation — the old
+//! contiguous cursor bump.
+//!
 //! Each U-Split instance owns one pool, rooted in the staging directory
 //! its kernel lease names ([`kernelfs::lease::staging_dir`]) — the
 //! instance's exclusive slice of the machine-wide staging resources.  Two
@@ -51,10 +73,12 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use kernelfs::{DaxMapping, Ext4Dax, BLOCK_SIZE};
 use pmem::{PmemDevice, SimClock};
-use vfs::{Fd, FileSystem, FsResult, OpenFlags};
+use vfs::{Fd, FileSystem, FsError, FsResult, OpenFlags};
 
 use crate::config::SplitConfig;
 use crate::mmap_collection::MAP_POPULATE;
+
+const BLOCK: u64 = BLOCK_SIZE as u64;
 
 /// Distinguishes pools for the per-thread lane cache below (two pools —
 /// two instances, or a remount — must not share routing state).
@@ -103,14 +127,45 @@ struct StagingFile {
     fd: Fd,
     ino: u64,
     mapping: DaxMapping,
+    /// Where the next fresh block is handed out: always on a block
+    /// boundary, past every block `take` has touched.
     cursor: u64,
     size: u64,
-    /// Bytes actually handed out by `take` (excludes alignment padding).
+    /// Bytes actually handed out by `take`, fresh or carved from a tail
+    /// (excludes alignment padding).
     consumed: u64,
     /// Bytes whose staged data was retired (relinked or copied into its
     /// target).  When an exhausted file's `retired` catches up with its
     /// `consumed`, the file is recyclable.
     retired: u64,
+}
+
+impl StagingFile {
+    /// Hands out up to `len` bytes at `start`, stopping at `limit` and at
+    /// the end of the device extent under `start`.  The shared cursor moves
+    /// past every block the allocation touches: it only ever rests on a
+    /// boundary, so the next fresh taker gets a block of its own.
+    ///
+    /// Inlined into the fresh path of `take` (every 4 KiB append), with
+    /// the carve kept out of line: left to the compiler, `wal_append`'s
+    /// `op_p50_ns` read 2–3 % higher in 19 of 20 pairs.
+    #[inline(always)]
+    fn allocate(&mut self, start: u64, len: u64, limit: u64) -> FsResult<StagingAllocation> {
+        let (device_offset, contig) = self
+            .mapping
+            .translate(start)
+            .ok_or_else(|| FsError::Io("staging file mapping hole".into()))?;
+        let take = len.min(limit - start).min(contig);
+        self.cursor = self.cursor.max((start + take).next_multiple_of(BLOCK));
+        self.consumed += take;
+        Ok(StagingAllocation {
+            staging_ino: self.ino,
+            staging_fd: self.fd,
+            staging_offset: start,
+            device_offset,
+            len: take,
+        })
+    }
 }
 
 /// A staging file pulled out of the pool for recycling (see
@@ -661,14 +716,47 @@ impl StagingPool {
     /// the target range can stay block-aligned.  Returns an allocation that
     /// may be shorter than `len`; callers loop until satisfied.
     ///
-    /// Routed to the calling thread's home lane: concurrent takers on
-    /// different lanes proceed without synchronizing at all.
-    pub fn take(&self, len: u64, phase: u64) -> FsResult<StagingAllocation> {
+    /// `after` is the `(staging inode, staging end offset)` of the staged
+    /// extent this write continues in its target file, if there is one: a
+    /// predecessor that ends inside a block left that block's tail to its
+    /// file, and the write is carved there (see the module doc's ownership
+    /// rule).  Everything else — and whatever a tail could not hold — is a
+    /// fresh block from the calling thread's home lane: concurrent takers
+    /// on different lanes proceed without synchronizing at all.
+    pub fn take(
+        &self,
+        len: u64,
+        phase: u64,
+        after: Option<(u64, u64)>,
+    ) -> FsResult<StagingAllocation> {
         let cost = self.device.cost();
         self.device.charge_software(cost.usplit_staging_take_ns);
         let lane_idx = self.home_lane();
         let lane = &self.lanes[lane_idx];
         let mut inner = self.lock_lane(lane_idx);
+        // A predecessor that ends on a block boundary (every 4 KiB append)
+        // leaves no tail: two compares and on to the shared cursor.
+        if let Some((ino, end)) = after.filter(|&(_, end)| phase != 0 && end % BLOCK == phase) {
+            // The tail nearly always sits in a file of the lane this thread
+            // takes from anyway; one written from another thread is found
+            // through the index, under its own lane's lock.
+            let carved = match Self::carve(&mut inner, ino, end, len) {
+                Some(out) => Some((lane_idx, out)),
+                None => {
+                    drop(inner);
+                    let carved =
+                        self.with_file_lane(ino, |other| Self::carve(other, ino, end, len));
+                    inner = self.lock_lane(lane_idx);
+                    carved.and_then(|(carved_lane, out)| Some((carved_lane, out?)))
+                }
+            };
+            if let Some((carved_lane, out)) = carved {
+                self.lanes[carved_lane]
+                    .consumed_bytes
+                    .fetch_add(out.len, Ordering::Relaxed);
+                return Ok(out);
+            }
+        }
         loop {
             if inner.active >= inner.files.len() {
                 // The home lane is dry.  The lock is dropped while a
@@ -697,41 +785,42 @@ impl StagingPool {
             }
             let active = inner.active;
             let file = &mut inner.files[active];
-            // Align the cursor to the requested phase within a block.
-            let misalign =
-                (phase + BLOCK_SIZE as u64 - file.cursor % BLOCK_SIZE as u64) % BLOCK_SIZE as u64;
-            let start = file.cursor + misalign;
+            // The cursor sits on a block boundary: the block is this
+            // taker's alone, entered at the requested phase.
+            let start = file.cursor + phase;
             if start >= file.size {
                 inner.active += 1;
                 lane.refresh_unconsumed(&inner);
                 self.refresh_pressure(lane_idx);
                 continue;
             }
-            let avail = file.size - start;
-            let take = avail.min(len);
-            if take == 0 {
-                inner.active += 1;
-                lane.refresh_unconsumed(&inner);
-                self.refresh_pressure(lane_idx);
-                continue;
-            }
-            let (device_offset, contig) = file
-                .mapping
-                .translate(start)
-                .ok_or_else(|| vfs::FsError::Io("staging file mapping hole".into()))?;
-            let take = take.min(contig);
-            file.cursor = start + take;
-            file.consumed += take;
-            let out = StagingAllocation {
-                staging_ino: file.ino,
-                staging_fd: file.fd,
-                staging_offset: start,
-                device_offset,
-                len: take,
-            };
-            lane.consumed_bytes.fetch_add(take, Ordering::Relaxed);
+            let out = file.allocate(start, len, file.size)?;
+            lane.consumed_bytes.fetch_add(out.len, Ordering::Relaxed);
             return Ok(out);
         }
+    }
+
+    /// The carve branch of [`StagingPool::take`]: continues, at `end`, the
+    /// staged extent that ends there inside a block of staging file `ino`.
+    /// The rest of that block is the extent's file's and nobody else's, so
+    /// the allocation stops at the block end — unless that block end still
+    /// is the file's cursor (nobody took since: every single-writer run),
+    /// in which case it runs on like one contiguous cursor bump.  `None`
+    /// when the lane does not hold the file or its mapping has a hole
+    /// there; the caller then takes a fresh block.
+    #[inline(never)]
+    fn carve(inner: &mut LaneInner, ino: u64, end: u64, len: u64) -> Option<StagingAllocation> {
+        let file = inner.files.iter_mut().find(|f| f.ino == ino)?;
+        let block_end = end.next_multiple_of(BLOCK);
+        let limit = if file.cursor == block_end {
+            file.size
+        } else {
+            block_end.min(file.size)
+        };
+        if end >= limit {
+            return None;
+        }
+        file.allocate(end, len, limit).ok()
     }
 
     /// Finds the lane currently holding the staging file `ino` and runs
@@ -934,8 +1023,8 @@ mod tests {
     #[test]
     fn allocations_do_not_overlap() {
         let (_d, _k, pool) = setup();
-        let a = pool.take(4096, 0).unwrap();
-        let b = pool.take(4096, 0).unwrap();
+        let a = pool.take(4096, 0, None).unwrap();
+        let b = pool.take(4096, 0, None).unwrap();
         assert_ne!(a.device_offset, b.device_offset);
         assert!(a.staging_offset + a.len <= b.staging_offset || a.staging_ino != b.staging_ino);
     }
@@ -943,9 +1032,9 @@ mod tests {
     #[test]
     fn phase_alignment_is_respected() {
         let (_d, _k, pool) = setup();
-        let a = pool.take(1000, 100).unwrap();
+        let a = pool.take(1000, 100, None).unwrap();
         assert_eq!(a.staging_offset % BLOCK_SIZE as u64, 100);
-        let b = pool.take(4096, 0).unwrap();
+        let b = pool.take(4096, 0, None).unwrap();
         assert_eq!(b.staging_offset % BLOCK_SIZE as u64, 0);
     }
 
@@ -956,7 +1045,7 @@ mod tests {
         // capacity and force an inline replenish.
         let mut taken = 0u64;
         while taken < 10 * 1024 * 1024 {
-            let a = pool.take(3 * 1024 * 1024, 0).unwrap();
+            let a = pool.take(3 * 1024 * 1024, 0, None).unwrap();
             assert!(a.len > 0);
             taken += a.len;
         }
@@ -983,14 +1072,14 @@ mod tests {
         // daemon would before the pool runs dry.
         let mut taken = 0u64;
         while taken < 7 * 1024 * 1024 {
-            taken += pool.take(1024 * 1024, 0).unwrap().len;
+            taken += pool.take(1024 * 1024, 0, None).unwrap().len;
         }
         assert!(pool.needs_provisioning());
         pool.provision_one().unwrap();
         pool.provision_one().unwrap();
         assert!(!pool.needs_provisioning());
         while taken < 14 * 1024 * 1024 {
-            taken += pool.take(1024 * 1024, 0).unwrap().len;
+            taken += pool.take(1024 * 1024, 0, None).unwrap().len;
         }
         assert_eq!(pool.files_created_inline(), 0);
         assert_eq!(pool.files_created_background(), 2);
@@ -1001,7 +1090,7 @@ mod tests {
     #[test]
     fn translate_finds_staged_locations() {
         let (_d, _k, pool) = setup();
-        let a = pool.take(8192, 0).unwrap();
+        let a = pool.take(8192, 0, None).unwrap();
         let (dev, contig) = pool.translate(a.staging_ino, a.staging_offset).unwrap();
         assert_eq!(dev, a.device_offset);
         assert!(contig >= a.len);
@@ -1061,7 +1150,7 @@ mod tests {
         // an inline creation happen.
         let mut taken = 0u64;
         while taken < 15 * 1024 * 1024 {
-            taken += pool.take(4 * 1024 * 1024, 0).unwrap().len;
+            taken += pool.take(4 * 1024 * 1024, 0, None).unwrap().len;
         }
         let s = device.stats().snapshot();
         assert_eq!(s.staging_lane_steals, 2, "both spare files were stolen");
@@ -1073,7 +1162,7 @@ mod tests {
         assert_eq!(pool.lane_unconsumed(other), 0);
         // One more full file's worth now requires an inline creation.
         while taken < 17 * 1024 * 1024 {
-            taken += pool.take(4 * 1024 * 1024, 0).unwrap().len;
+            taken += pool.take(4 * 1024 * 1024, 0, None).unwrap().len;
         }
         assert!(pool.files_created_inline() > 0);
     }
@@ -1091,7 +1180,7 @@ mod tests {
                 let lanes = &lanes;
                 scope.spawn(move || {
                     for _ in 0..64 {
-                        pool.take(4096, 0).unwrap();
+                        pool.take(4096, 0, None).unwrap();
                     }
                     lanes.lock().unwrap().push(pool.lane_for_current_thread());
                 });
@@ -1161,7 +1250,231 @@ mod tests {
         let (_d, _k, pool) = setup();
         let lane = pool.lane_for_current_thread();
         assert_eq!(pool.lane_consumed_bytes(lane), 0);
-        let a = pool.take(10_000, 0).unwrap();
+        let a = pool.take(10_000, 0, None).unwrap();
         assert_eq!(pool.lane_consumed_bytes(lane), a.len);
+    }
+    /// One appending file as `stage_batch` sees it: every write continues
+    /// the file's latest staged chunk.
+    #[derive(Default)]
+    struct Appender {
+        /// Target offset of the next write.
+        cur: u64,
+        /// `(staging inode, staging end offset)` of the latest chunk.
+        last: Option<(u64, u64)>,
+        chunks: Vec<StagingAllocation>,
+    }
+
+    impl Appender {
+        fn at(cur: u64) -> Self {
+            Self {
+                cur,
+                ..Self::default()
+            }
+        }
+
+        fn write(&mut self, pool: &StagingPool, len: u64) {
+            let mut left = len;
+            while left > 0 {
+                let a = pool.take(left, self.cur % BLOCK, self.last).unwrap();
+                assert!(a.len > 0 && a.len <= left);
+                assert_eq!(a.staging_offset % BLOCK, self.cur % BLOCK, "phase");
+                self.last = Some((a.staging_ino, a.staging_offset + a.len));
+                self.cur += a.len;
+                left -= a.len;
+                self.chunks.push(a);
+            }
+        }
+
+        /// The writer's chunks as `(staging file, offset, len)`, files
+        /// numbered in the order they were first used.
+        fn sequence(&self) -> Vec<(usize, u64, u64)> {
+            let mut files = Vec::new();
+            self.chunks
+                .iter()
+                .map(|a| {
+                    if !files.contains(&a.staging_ino) {
+                        files.push(a.staging_ino);
+                    }
+                    let file = files.iter().position(|&f| f == a.staging_ino).unwrap();
+                    (file, a.staging_offset, a.len)
+                })
+                .collect()
+        }
+
+        /// Every `(staging file, block)` the writer's chunks touch.
+        fn blocks(&self) -> std::collections::HashSet<(u64, u64)> {
+            self.chunks
+                .iter()
+                .flat_map(|a| {
+                    let blocks =
+                        a.staging_offset / BLOCK..(a.staging_offset + a.len).div_ceil(BLOCK);
+                    blocks.map(|b| (a.staging_ino, b))
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn interleaved_takers_never_share_a_block() {
+        let (_d, _k, pool) = setup();
+        let mut writers = [Appender::at(0), Appender::at(1024), Appender::at(2048)];
+        for round in 0..40u64 {
+            for (w, writer) in writers.iter_mut().enumerate() {
+                // Sub-block, block-straddling and multi-block sizes.
+                writer.write(&pool, [1024, 300, 5000, 4096, 1][(round as usize + w) % 5]);
+            }
+        }
+        let [a, b, c] = writers.each_ref().map(Appender::blocks);
+        assert!(a.is_disjoint(&b) && a.is_disjoint(&c) && b.is_disjoint(&c));
+        // Each writer filled the blocks it was given: its chunks are
+        // contiguous wherever the next one started inside a block.
+        for writer in &writers {
+            for pair in writer.chunks.windows(2) {
+                let end = pair[0].staging_offset + pair[0].len;
+                if end % BLOCK != 0 {
+                    assert_eq!(
+                        (pair[1].staging_ino, pair[1].staging_offset),
+                        (pair[0].staging_ino, end)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tail_is_never_handed_to_a_second_taker() {
+        let (_d, _k, pool) = setup();
+        let mut owner = Appender::at(0);
+        owner.write(&pool, 1024);
+        let owned = owner.chunks[0];
+        // Phase 1024 would fit right behind the owner's kilobyte; a taker
+        // that does not continue it gets a block of its own all the same.
+        let other = pool.take(1024, 1024, None).unwrap();
+        assert_eq!(other.staging_offset, BLOCK + 1024);
+        // So does one that names a predecessor its phase does not match.
+        let stranger = pool
+            .take(1024, 2048, Some((owned.staging_ino, 1024)))
+            .unwrap();
+        assert_eq!(stranger.staging_offset, 2 * BLOCK + 2048);
+        // The owner still finds its tail where it left it.
+        owner.write(&pool, 1024);
+        assert_eq!(owner.sequence(), vec![(0, 0, 1024), (0, 1024, 1024)]);
+    }
+
+    #[test]
+    fn a_continuation_passes_the_block_end_only_while_the_cursor_has_not_moved() {
+        let (_d, _k, pool) = setup();
+        let mut alone = Appender::at(0);
+        alone.write(&pool, 1024);
+        alone.write(&pool, 8192);
+        assert_eq!(
+            alone.sequence(),
+            vec![(0, 0, 1024), (0, 1024, 8192)],
+            "nobody took in between: one allocation across two block ends"
+        );
+
+        let mut crowded = Appender::at(0);
+        crowded.write(&pool, 1024);
+        let first = crowded.chunks[0].staging_offset;
+        let other = pool.take(4096, 0, None).unwrap();
+        assert_eq!(other.staging_offset, first + BLOCK);
+        crowded.write(&pool, 8192);
+        assert_eq!(
+            crowded.sequence(),
+            vec![
+                (0, first, 1024),
+                (0, first + 1024, 3072),
+                (0, first + 2 * BLOCK, 5120)
+            ],
+            "the tail ends at its block; the rest is a fresh block past the other taker's"
+        );
+    }
+
+    #[test]
+    fn a_lone_writer_gets_the_cursor_bump_sequence_it_always_got() {
+        // The sequences `take` produced before staging blocks had owners
+        // (dumped from that pool): a lone appender's chunks are one cursor
+        // bump after another, split only at the end of a staging file.
+        let lone = |sizes: &[u64]| {
+            let (_d, _k, pool) =
+                setup_with(SplitConfig::new(Mode::Posix).with_staging(2, 2 * 1024 * 1024));
+            let mut writer = Appender::default();
+            for &len in sizes {
+                writer.write(&pool, len);
+            }
+            writer.sequence()
+        };
+        assert_eq!(
+            lone(&[4096; 6]),
+            (0..6).map(|i| (0, i * 4096, 4096)).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            lone(&[300; 30]),
+            (0..30).map(|i| (0, i * 300, 300)).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            lone(&[
+                1, 4095, 300, 9000, 4096, 100, 5000, 2_000_000, 70_000, 7, 300, 4096, 50_000, 8192,
+                1024, 1024, 2000
+            ]),
+            vec![
+                (0, 0, 1),
+                (0, 1, 4095),
+                (0, 4096, 300),
+                (0, 4396, 9000),
+                (0, 13396, 4096),
+                (0, 17492, 100),
+                (0, 17592, 5000),
+                (0, 22592, 2_000_000),
+                (0, 2_022_592, 70_000),
+                (0, 2_092_592, 7),
+                (0, 2_092_599, 300),
+                (0, 2_092_899, 4096),
+                (0, 2_096_995, 157),
+                (1, 0, 49_843),
+                (1, 49_843, 8192),
+                (1, 58_035, 1024),
+                (1, 59_059, 1024),
+                (1, 60_083, 2000),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_live_tail_keeps_its_staging_file_from_recycle_and_carves_count_as_consumed() {
+        let (_d, _k, pool) =
+            setup_with(SplitConfig::new(Mode::Posix).with_staging(2, 2 * 1024 * 1024));
+        let lane = pool.lane_for_current_thread();
+        let mut owner = Appender::at(0);
+        owner.write(&pool, 1024);
+        let file = owner.chunks[0].staging_ino;
+        // Another writer uses up the rest of the file and moves on to the
+        // next one; everything it staged is retired.
+        let mut other = Appender::at(0);
+        while other.last.is_none_or(|(ino, _)| ino == file) {
+            other.write(&pool, 256 * 1024);
+        }
+        for chunk in other.chunks.iter().filter(|a| a.staging_ino == file) {
+            pool.note_retired(file, chunk.len);
+        }
+        assert!(
+            pool.begin_recycle().is_none(),
+            "the owner's kilobyte is unretired: its tail is live"
+        );
+        // The owner carves from the exhausted file; the carve is counted.
+        let consumed = pool.lane_consumed_bytes(lane);
+        owner.write(&pool, 2048);
+        assert_eq!(owner.sequence(), vec![(0, 0, 1024), (0, 1024, 2048)]);
+        assert_eq!(pool.lane_consumed_bytes(lane), consumed + 2048);
+        pool.note_retired(file, 1024);
+        assert!(
+            pool.begin_recycle().is_none(),
+            "retiring the first extent alone does not cover the carved bytes"
+        );
+        // The owner's extents retire (its `relink_batch`): the tail is dead.
+        pool.note_retired(file, 2048);
+        let recycled = pool.begin_recycle().expect("fully retired and exhausted");
+        assert_eq!(recycled.ino(), file);
+        pool.abort_recycle(recycled);
     }
 }
