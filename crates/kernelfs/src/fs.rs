@@ -100,7 +100,7 @@ use vfs::{
 use crate::alloc::{BlockRun, ShardedAllocator};
 use crate::dax::{DaxMapping, MapSegment};
 use crate::dir;
-use crate::inode::{Extent, Inode, InodeKind};
+use crate::inode::{changed_lines, Extent, ExtentMap, Inode, InodeKind};
 use crate::journal::{Journal, JournalRecord};
 use crate::layout::{Superblock, BLOCK_SIZE, DEFAULT_INODE_COUNT, INODE_RECORD_SIZE};
 use crate::lease::{LeaseManager, MAX_INSTANCES};
@@ -739,6 +739,18 @@ impl Ext4Dax {
             );
         }
 
+        // Only data allocations persist the bitmap; a chain block's bit
+        // reaches it only when it shares a byte with one.  So the loaded
+        // chains are marked used whatever the bitmap says — after the image
+        // to write back is taken, and before any chain is grown below — and
+        // no chain block is handed out again as data or as another chain.
+        let bitmap_image = alloc.to_bitmap_image(&sb);
+        for inode in inodes.values() {
+            for &b in &inode.overflow_blocks {
+                alloc.mark_used(b, 1);
+            }
+        }
+
         let next_inos =
             Self::build_ino_pools(inodes.keys().copied().chain(std::iter::once(ROOT_INO)));
         let mut inode_shards: Vec<RwLock<InodeShard>> = (0..INODE_SHARDS)
@@ -785,12 +797,12 @@ impl Ext4Dax {
             for shard in &fs.inodes {
                 let mut guard = shard.write();
                 for (_, inode) in guard.iter_mut() {
+                    fs.reserve_chain(inode)?;
                     fs.persist_inode(inode, false);
                 }
             }
-            let image = fs.alloc.to_bitmap_image(&fs.sb);
             fs.device
-                .write_uncharged(fs.sb.bitmap_start * BLOCK_SIZE as u64, &image);
+                .write_uncharged(fs.sb.bitmap_start * BLOCK_SIZE as u64, &bitmap_image);
             // The in-place writes above are only pending; they must be
             // durable before the records that can redo them disappear.
             fs.device.fence(TimeCategory::Metadata);
@@ -887,14 +899,17 @@ impl Ext4Dax {
                 phys,
                 len,
             } => {
+                // The record sets its range, as `SetRangeMapping` does: the
+                // map may already hold later changes to it (a relink out of
+                // the range, a truncate and a regrow), which the records
+                // after this one redo.
                 if let Some(inode) = inodes.get_mut(ino) {
-                    if inode.extents.lookup(*logical).is_none() {
-                        inode.extents.insert(Extent {
-                            logical: *logical,
-                            phys: *phys,
-                            len: *len,
-                        });
-                    }
+                    inode.extents.remove_range(*logical, *len);
+                    inode.extents.insert(Extent {
+                        logical: *logical,
+                        phys: *phys,
+                        len: *len,
+                    });
                 }
             }
             JournalRecord::TruncateExtents { ino, from_logical } => {
@@ -989,49 +1004,94 @@ impl Ext4Dax {
         self.persist_inode(inode, true);
     }
 
+    /// Persists `inode`'s record and overflow chain in place — the only
+    /// writer of a live inode's record and chain.
+    ///
+    /// A charged persist writes, per image, one non-temporal store for
+    /// each maximal run of 64-byte lines that differ from what the last
+    /// persist stored ([`Inode::stored`]), then fences once.  A record with
+    /// no stored copy, and a chain index whose block changed, compare
+    /// against nothing and are written whole; so is everything on the
+    /// uncharged mount and mkfs paths, which seed the copy.  The skipped
+    /// lines already hold exactly the bytes a whole rewrite would store
+    /// (the invariant in [`crate::inode`]), so the media image and every
+    /// crash state are those of a whole rewrite, with fewer lines in
+    /// flight.
+    ///
+    /// The chain must already hold the blocks the map needs
+    /// ([`Ext4Dax::reserve_chain`], before the caller's commit); blocks it
+    /// no longer needs go back to the allocator once the record that drops
+    /// them is fenced.
     fn persist_inode(&self, inode: &mut Inode, charged: bool) {
-        // Adjust the overflow chain to the current extent count.
         let needed = inode.overflow_blocks_needed();
-        let current = inode.overflow_blocks.len();
-        if needed > current {
-            let runs = self
-                .alloc
-                .alloc_extents(inode.ino, (needed - current) as u64)
-                .unwrap_or_default();
-            for run in runs {
-                for b in run.start..run.start + run.len {
-                    inode.overflow_blocks.push(b);
+        assert!(
+            inode.overflow_blocks.len() >= needed,
+            "ino {}: overflow chain not reserved before its commit",
+            inode.ino
+        );
+        let trimmed = if needed < inode.overflow_blocks.len() {
+            inode.overflow_blocks.split_off(needed)
+        } else {
+            Vec::new()
+        };
+        let (record, chain) = inode.serialize();
+        let stored = if charged { inode.stored.take() } else { None };
+        let (old_record, old_chain) = match &stored {
+            Some((record, chain)) => (Some(record.as_slice()), chain.as_slice()),
+            None => (None, &[][..]),
+        };
+        let write = |off: u64, new: &[u8], old: Option<&[u8]>| {
+            for run in changed_lines(new, old) {
+                let at = off + run.start as u64;
+                if charged {
+                    self.device.write(
+                        at,
+                        &new[run],
+                        PersistMode::NonTemporal,
+                        TimeCategory::Metadata,
+                    );
+                } else {
+                    self.device.write_uncharged(at, &new[run]);
                 }
             }
-        } else if needed < current {
-            let freed: Vec<u64> = inode.overflow_blocks.split_off(needed);
-            for b in freed {
-                self.alloc.mark_free(b, 1);
-            }
+        };
+        write(self.sb.inode_offset(inode.ino), &record, old_record);
+        for (idx, (block, image)) in chain.iter().enumerate() {
+            let old = old_chain
+                .get(idx)
+                .filter(|(old_block, _)| old_block == block)
+                .map(|(_, old)| old.as_slice());
+            write(block * BLOCK_SIZE as u64, image, old);
         }
-        let (record, overflow) = inode.serialize();
-        let off = self.sb.inode_offset(inode.ino);
         if charged {
-            self.device.write(
-                off,
-                &record,
-                PersistMode::NonTemporal,
-                TimeCategory::Metadata,
-            );
-            for (block, image) in &overflow {
-                self.device.write(
-                    block * BLOCK_SIZE as u64,
-                    image,
-                    PersistMode::NonTemporal,
-                    TimeCategory::Metadata,
-                );
-            }
             self.device.fence(TimeCategory::Metadata);
-        } else {
-            self.device.write_uncharged(off, &record);
-            for (block, image) in &overflow {
-                self.device
-                    .write_uncharged(block * BLOCK_SIZE as u64, image);
+        }
+        inode.stored = Some((record, chain));
+        for b in trimmed {
+            self.alloc.mark_free(b, 1);
+        }
+    }
+
+    /// Grows `inode`'s overflow chain to hold its extent map.  Every call
+    /// that adds extents reserves the chain this way **before** its journal
+    /// commit, so a full device fails the call with nothing changed rather
+    /// than leaving a committed map that cannot be persisted.
+    fn reserve_chain(&self, inode: &mut Inode) -> FsResult<()> {
+        let missing = inode
+            .overflow_blocks_needed()
+            .saturating_sub(inode.overflow_blocks.len());
+        for run in self.alloc.alloc_extents(inode.ino, missing as u64)? {
+            inode.overflow_blocks.extend(run.start..run.start + run.len);
+        }
+        Ok(())
+    }
+
+    /// Shortens `inode`'s overflow chain to `len` blocks, returning the
+    /// rest to the allocator.
+    fn truncate_chain(&self, inode: &mut Inode, len: usize) {
+        if len < inode.overflow_blocks.len() {
+            for b in inode.overflow_blocks.drain(len..) {
+                self.alloc.mark_free(b, 1);
             }
         }
     }
@@ -1181,31 +1241,49 @@ impl Ext4Dax {
         }
         let mut records = Vec::new();
         let mut all_runs = Vec::new();
-        for (logical, count) in holes {
-            self.charge(cost.ext4_alloc_ns);
-            let runs = self.alloc.alloc_extents(inode.ino, count)?;
-            let mut l = logical;
-            for run in &runs {
-                records.push(JournalRecord::AllocBlocks {
-                    start: run.start,
-                    len: run.len,
-                });
-                records.push(JournalRecord::AddExtent {
-                    ino: inode.ino,
-                    logical: l,
-                    phys: run.start,
-                    len: run.len,
-                });
-                inode.extents.insert(Extent {
-                    logical: l,
-                    phys: run.start,
-                    len: run.len,
-                });
-                l += run.len;
+        let chain_len = inode.overflow_blocks.len();
+        let staged = (|| -> FsResult<()> {
+            for &(logical, count) in &holes {
+                self.charge(cost.ext4_alloc_ns);
+                let runs = self.alloc.alloc_extents(inode.ino, count)?;
+                let mut l = logical;
+                for run in &runs {
+                    records.push(JournalRecord::AllocBlocks {
+                        start: run.start,
+                        len: run.len,
+                    });
+                    records.push(JournalRecord::AddExtent {
+                        ino: inode.ino,
+                        logical: l,
+                        phys: run.start,
+                        len: run.len,
+                    });
+                    inode.extents.insert(Extent {
+                        logical: l,
+                        phys: run.start,
+                        len: run.len,
+                    });
+                    l += run.len;
+                }
+                all_runs.extend(runs);
             }
-            all_runs.extend(runs);
-        }
-        let (_tid, txn) = self.journal.commit(inode.ino, &records)?;
+            self.reserve_chain(inode)
+        })();
+        let txn = match staged.and_then(|()| self.journal.commit(inode.ino, &records)) {
+            Ok((_tid, txn)) => txn,
+            Err(e) => {
+                // Nothing journaled: the holes become holes again and every
+                // block taken goes back.
+                for &(logical, count) in &holes {
+                    inode.extents.remove_range(logical, count);
+                }
+                for run in &all_runs {
+                    self.alloc.mark_free(run.start, run.len);
+                }
+                self.truncate_chain(inode, chain_len);
+                return Err(e);
+            }
+        };
         self.alloc.persist_runs(&self.device, &self.sb, &all_runs);
         drop(txn);
         Ok(all_runs)
@@ -1678,26 +1756,57 @@ impl Ext4Dax {
         // Upfront validation pass: all inodes resolve and all source ranges
         // are fully mapped.  Nothing is mutated until every op has passed,
         // so a bad batch leaves the file system untouched.
-        let mut ranges: Vec<(u64, u64, u64)> = Vec::with_capacity(resolved.len() * 2);
+        // `(ino, offset, len, bound, spare)`: each op's range in both files,
+        // a bound on the extents the op can add to that file's map (its
+        // moved extents plus one split in the destination, one split in the
+        // source), and the extents the file's chain has room for.
+        let mut ranges: Vec<(u64, u64, u64, usize, usize)> = Vec::with_capacity(resolved.len() * 2);
         for &(src_ino, dst_ino, op) in &resolved {
             let src_inode = set.inode(shards, src_ino)?;
-            src_inode.extents.extract_range(
+            let moved = src_inode.extents.extract_range(
                 op.src_offset / BLOCK_SIZE as u64,
                 op.len / BLOCK_SIZE as u64,
             )?;
-            set.inode(shards, dst_ino)?;
-            ranges.push((src_ino, op.src_offset, op.len));
-            ranges.push((dst_ino, op.dst_offset, op.len));
+            let src_spare = src_inode.spare_extents();
+            let dst_spare = set.inode(shards, dst_ino)?.spare_extents();
+            ranges.push((src_ino, op.src_offset, op.len, 1, src_spare));
+            ranges.push((dst_ino, op.dst_offset, op.len, moved.len() + 1, dst_spare));
         }
         // The initial-state validation above is only sound if no op
         // consumes another op's input or output: reject any overlapping
         // ranges within one file across the batch, so a mid-apply failure
         // (which would leave volatile state diverged from the journal) is
         // impossible by construction.
-        for (i, &(ino_a, off_a, len_a)) in ranges.iter().enumerate() {
-            for &(ino_b, off_b, len_b) in &ranges[i + 1..] {
+        for (i, &(ino_a, off_a, len_a, ..)) in ranges.iter().enumerate() {
+            for &(ino_b, off_b, len_b, ..) in &ranges[i + 1..] {
                 if ino_a == ino_b && off_a < off_b + len_b && off_b < off_a + len_a {
                     return Err(FsError::InvalidArgument);
+                }
+            }
+        }
+        // A map whose bound exceeds its chain's room may need another
+        // overflow block, reserved after the moves and before the commit.
+        // If one may, every map the batch touches is saved first, so a full
+        // device fails the batch with nothing changed.
+        let may_grow_chain = ranges.iter().any(|&(ino, .., spare)| {
+            ranges
+                .iter()
+                .filter(|r| r.0 == ino)
+                .map(|r| r.3)
+                .sum::<usize>()
+                > spare
+        });
+        let mut saved: Vec<(u64, ExtentMap, u64, usize)> = Vec::new();
+        if may_grow_chain {
+            for &(ino, ..) in &ranges {
+                if saved.iter().all(|s| s.0 != ino) {
+                    let inode = set.inode(shards, ino)?;
+                    saved.push((
+                        ino,
+                        inode.extents.clone(),
+                        inode.size,
+                        inode.overflow_blocks.len(),
+                    ));
                 }
             }
         }
@@ -1782,13 +1891,28 @@ impl Ext4Dax {
             touched.push(dst_ino);
         }
 
+        touched.sort_unstable();
+        touched.dedup();
+        if may_grow_chain {
+            let reserved = touched
+                .iter()
+                .try_for_each(|&ino| self.reserve_chain(set.inode_mut(shards, ino)?));
+            if let Err(e) = reserved {
+                for (ino, extents, size, chain_len) in saved {
+                    let inode = set.inode_mut(shards, ino)?;
+                    inode.extents = extents;
+                    inode.size = size;
+                    self.truncate_chain(inode, chain_len);
+                }
+                return Err(e);
+            }
+        }
+
         // Journal every move of the batch as one transaction.
         let hint = resolved.first().map(|&(_, dst, _)| dst).unwrap_or(0);
         let (_tid, txn) = self.journal.commit(hint, &records)?;
 
         // In-place metadata updates, once per touched inode.
-        touched.sort_unstable();
-        touched.dedup();
         for ino in touched {
             let inode = set.inode_mut(shards, ino)?;
             self.write_inode(inode);
@@ -1904,8 +2028,8 @@ impl Ext4Dax {
         let cost = self.device.cost();
         let mut records = Vec::new();
         let mut all_runs: Vec<BlockRun> = Vec::new();
-        let mut inserts: Vec<Extent> = Vec::new();
         let mut bytes = 0u64;
+        let chain_len = inode.overflow_blocks.len();
         let staged = (|| -> FsResult<()> {
             for seg in &segs {
                 self.charge(cost.ext4_alloc_ns);
@@ -1932,7 +2056,7 @@ impl Ext4Dax {
                         phys: run.start,
                         len: run.len,
                     });
-                    inserts.push(Extent {
+                    inode.extents.insert(Extent {
                         logical: l,
                         phys: run.start,
                         len: run.len,
@@ -1950,21 +2074,23 @@ impl Ext4Dax {
                     demote: false,
                 });
             }
-            Ok(())
+            self.reserve_chain(inode)
         })();
         let txn = match staged.and_then(|()| self.journal.commit(inode.ino, &records)) {
             Ok((_tid, txn)) => txn,
             Err(e) => {
-                // Nothing journaled: hand the staged PM blocks back.
+                // Nothing journaled: unmap the staged PM blocks (the
+                // segments still hold the data) and hand them back.
+                for seg in &segs {
+                    inode.extents.remove_range(seg.logical, seg.len);
+                }
                 for run in &all_runs {
                     self.alloc.mark_free(run.start, run.len);
                 }
+                self.truncate_chain(inode, chain_len);
                 return Err(e);
             }
         };
-        for ext in inserts {
-            inode.extents.insert(ext);
-        }
         for seg in &segs {
             self.segments.remove(seg.ino, seg.logical);
         }
@@ -3131,6 +3257,9 @@ impl FileSystem for Ext4Dax {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod persist_tests;
 
 #[cfg(test)]
 mod tests {

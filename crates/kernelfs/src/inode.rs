@@ -9,9 +9,38 @@
 //! Inodes are persisted as fixed 256-byte records in the inode table; maps
 //! with more extents than fit inline spill into a chain of overflow blocks
 //! allocated from the data area.
+//!
+//! # Persisting by changed lines
+//!
+//! An inode keeps the images its last persist stored (`Inode::stored`):
+//! the record and, per chain index, the overflow block and its image.  A
+//! charged persist writes only the 64-byte lines of the new images that
+//! differ from that copy (`changed_lines`); a record with no copy, or a
+//! chain index whose block number changed, is written whole.  A relink
+//! that adds one extent to a long map therefore writes a few lines, not
+//! every 4 KiB block of the chain.
+//!
+//! This rests on one invariant: **the copy equals the device bytes of
+//! every line it covers.**  It holds because:
+//!
+//! * `Ext4Dax::persist_inode` is the only writer of a live inode's record
+//!   and chain — a chain block is neither data nor another chain's while
+//!   it is in one (mount marks every loaded chain block used whatever the
+//!   bitmap says, and a trimmed block goes back to the allocator only
+//!   after the record that drops it is fenced);
+//! * a freed inode's record is zeroed only after the inode has left the
+//!   inode table, and a new inode starts with no copy;
+//! * every store is fenced before the persist returns.
+//!
+//! Under it the media image after each persist is byte-identical to a
+//! whole rewrite's: the skipped stores would have written the bytes
+//! already there.  So no crash state is added under any `CrashPolicy`,
+//! and fewer lines are in flight for `TornWrites` to tear.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
+use pmem::CACHE_LINE;
 use vfs::util::{ByteReader, ByteWriter};
 use vfs::{FsError, FsResult};
 
@@ -59,7 +88,14 @@ pub struct Inode {
     pub extents: ExtentMap,
     /// Overflow blocks currently holding spilled extents (persisted chain).
     pub overflow_blocks: Vec<u64>,
+    /// The images the last persist stored, as [`Inode::serialize`] built
+    /// them; `None` before the first persist.  See the module doc.
+    pub(crate) stored: Option<InodeImages>,
 }
+
+/// An inode's serialized form: its table record and, per chain index,
+/// the overflow block and its image.
+pub type InodeImages = (Vec<u8>, Vec<(u64, Vec<u8>)>);
 
 impl Inode {
     /// Creates a fresh inode with no extents.
@@ -71,6 +107,7 @@ impl Inode {
             size: 0,
             extents: ExtentMap::new(),
             overflow_blocks: Vec::new(),
+            stored: None,
         }
     }
 
@@ -88,7 +125,7 @@ impl Inode {
     /// of any overflow blocks.  `overflow_blocks` must already contain the
     /// physical block numbers to use (the file system allocates them before
     /// calling this when the extent count grows).
-    pub fn serialize(&self) -> (Vec<u8>, Vec<(u64, Vec<u8>)>) {
+    pub fn serialize(&self) -> InodeImages {
         let extents: Vec<Extent> = self.extents.iter().collect();
         let mut record = ByteWriter::new();
         record.put_u8(match self.kind {
@@ -138,6 +175,13 @@ impl Inode {
             .div_ceil(EXTENTS_PER_OVERFLOW)
     }
 
+    /// How many more extents the map can gain before its chain needs
+    /// another block.
+    pub(crate) fn spare_extents(&self) -> usize {
+        (INLINE_EXTENTS + self.overflow_blocks.len() * EXTENTS_PER_OVERFLOW)
+            .saturating_sub(self.extents.len())
+    }
+
     /// Deserializes an inode from its table record; spilled extents are
     /// loaded by the caller via [`Inode::load_overflow`] since reading the
     /// chain requires device access.  Returns `None` for a free slot.
@@ -185,6 +229,7 @@ impl Inode {
             size,
             extents: map,
             overflow_blocks: Vec::new(),
+            stored: None,
         };
         Ok(Some((inode, extent_count, overflow_head)))
     }
@@ -216,6 +261,42 @@ impl Inode {
         next_bytes.copy_from_slice(&image[BLOCK_SIZE - 8..BLOCK_SIZE]);
         Ok(u64::from_le_bytes(next_bytes))
     }
+}
+
+/// The maximal runs of 64-byte lines in which `new` differs from `old`, as
+/// byte ranges of `new` — all of `new` when there is no `old`.  `new` is
+/// written at a line-aligned offset, so each run is whole device lines.
+pub(crate) fn changed_lines<'a>(
+    new: &'a [u8],
+    old: Option<&'a [u8]>,
+) -> impl Iterator<Item = Range<usize>> + 'a {
+    let old = old.filter(|old| old.len() == new.len());
+    let lines = new.len().div_ceil(CACHE_LINE);
+    let bytes = move |line: usize| line * CACHE_LINE..((line + 1) * CACHE_LINE).min(new.len());
+    let differs = move |line: usize| {
+        let Some(old) = old else { return true };
+        let (a, b) = (&old[bytes(line)], &new[bytes(line)]);
+        // A whole line compares as an array: a few vector compares, not a
+        // `memcmp` call per line.
+        match (
+            <&[u8; CACHE_LINE]>::try_from(a),
+            <&[u8; CACHE_LINE]>::try_from(b),
+        ) {
+            (Ok(a), Ok(b)) => a != b,
+            _ => a != b,
+        }
+    };
+    let mut line = 0;
+    std::iter::from_fn(move || {
+        while line < lines && !differs(line) {
+            line += 1;
+        }
+        let start = line;
+        while line < lines && differs(line) {
+            line += 1;
+        }
+        (start < line).then(|| bytes(start).start..bytes(line - 1).end)
+    })
 }
 
 /// A sorted map of non-overlapping extents keyed by logical block.
@@ -533,6 +614,28 @@ mod tests {
         assert_eq!(
             parsed.extents.lookup((n as u64 - 1) * 2),
             Some((10_000 + (n as u64 - 1) * 7, 1))
+        );
+    }
+
+    #[test]
+    fn changed_lines_are_maximal_runs_of_differing_lines() {
+        let old = vec![0u8; 8 * CACHE_LINE];
+        let runs = |new: &[u8], old: Option<&[u8]>| changed_lines(new, old).collect::<Vec<_>>();
+        assert_eq!(runs(&old, None), vec![0..old.len()]);
+        assert!(runs(&old, Some(&old)).is_empty());
+
+        let mut new = old.clone();
+        new[0] = 1; // line 0
+        new[2 * CACHE_LINE + 5] = 1; // lines 2 and 3 ...
+        new[3 * CACHE_LINE + 63] = 1;
+        new[7 * CACHE_LINE] = 1; // ... and the last line
+        assert_eq!(
+            runs(&new, Some(&old)),
+            vec![
+                0..CACHE_LINE,
+                2 * CACHE_LINE..4 * CACHE_LINE,
+                7 * CACHE_LINE..8 * CACHE_LINE
+            ]
         );
     }
 
