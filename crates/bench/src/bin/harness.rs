@@ -167,6 +167,7 @@ fn run(which: &str, scale: Scale) {
                 "ns/record",
                 "Fences/record",
                 "Journal txns/record",
+                "Log entries/record",
                 "Group commits",
                 "appendv calls",
             ],

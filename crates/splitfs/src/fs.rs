@@ -552,8 +552,9 @@ impl SplitFs {
     /// this writer never waits on anyone, so `checkpoint_stalls` stays
     /// zero.  The seed's behaviour here — blocking on every other file's
     /// lock while holding one — deadlocked as soon as two writers filled
-    /// the log concurrently.
-    pub(crate) fn handle_log_full(&self, state: &mut FileState) -> FsResult<()> {
+    /// the log concurrently.  `entries` is the size of the group that did
+    /// not fit.
+    pub(crate) fn handle_log_full(&self, state: &mut FileState, entries: usize) -> FsResult<()> {
         let Some(oplog) = self.oplog.as_ref() else {
             return Err(FsError::NoSpace);
         };
@@ -572,7 +573,7 @@ impl SplitFs {
         }
         // The other half is still being retired: grow the active epoch.
         // A growth failure (device full) is a real foreground stall.
-        self.grow_oplog().inspect_err(|_| {
+        self.grow_oplog(entries).inspect_err(|_| {
             self.device.stats().add_checkpoint_stall();
             obs::event(obs::SpanEvent::CheckpointStall);
         })
@@ -652,17 +653,18 @@ impl SplitFs {
     /// Doubles the operation log: extends the file, maps the larger range
     /// and swaps it into the live log.  Concurrent growers are harmless
     /// (both compute the same target size; [`OpLog::grow`] ignores
-    /// non-growth).
-    fn grow_oplog(&self) -> FsResult<()> {
+    /// non-growth).  Grows unless a group of `entries` fits already.
+    fn grow_oplog(&self, entries: usize) -> FsResult<()> {
         let oplog = self.oplog.as_ref().ok_or(FsError::NoSpace)?;
         // One grower at a time: a stale second grower would re-zero a
         // region the first already published to appenders, or ftruncate
         // the file back below its live size.
         let _guard = self.grow_lock.lock();
-        if !oplog.is_full() {
+        if oplog.fits(entries) {
             // A concurrent grower or checkpoint already made room while we
             // waited for the lock; retry the append instead of doubling
-            // the log again.
+            // the log again.  Room for one entry is not room for the group:
+            // that retry would spin while the sealed half stays pending.
             return Ok(());
         }
         let old_size = oplog.size();
@@ -1030,15 +1032,18 @@ impl SplitFs {
     /// whole batch then shares **one** data fence and **one** operation-log
     /// group commit — two fences for K writes to any number of files.  A
     /// synchronous `appendv`/`writev_at` is a batch of one; a drained ring
-    /// batch brings its inode-ordered guards ([`crate::rings`]).
+    /// batch brings its inode-ordered guards ([`crate::rings`]).  An op is
+    /// staged by its length, not by its slices: each staging allocation
+    /// it takes is one staged run, one `StagedExtent` and one log entry.
     ///
     /// `states` are file states whose write locks the caller holds; each
     /// op names one by index.  An append's offset is resolved here, under
     /// that lock, and a staged op's size is visible to the ops behind it.
     /// Every op's `result` is filled in; if the group commit fails, no
     /// entry is durable, so every staged op fails and the cached sizes roll
-    /// back.  Returns the highest sequence number committed (0 when the
-    /// mode does not log, or nothing was staged).
+    /// back.  An allocation a failed op leaves behind is retired at once.
+    /// Returns the highest sequence number committed (0 when the mode does
+    /// not log, or nothing was staged).
     pub(crate) fn stage_batch<S, B>(&self, states: &mut [S], ops: &mut [StageOp<'_, B>]) -> u64
     where
         S: DerefMut<Target = FileState>,
@@ -1060,9 +1065,11 @@ impl SplitFs {
             })
             .collect();
         // Staged chunks of the whole batch: (file, allocation, target
-        // offset, length).  A lone writer's allocations are contiguous in
-        // the staging file and coalesce into one run at relink time.
-        let mut pending: Vec<(usize, StagingAllocation, u64, usize)> = Vec::new();
+        // offset), one per allocation — a staged run gets one log entry
+        // however many slices it gathers.  A lone writer's allocations are
+        // contiguous in the staging file and coalesce into one run at
+        // relink time.
+        let mut pending: Vec<(usize, StagingAllocation, u64)> = Vec::new();
         for op in ops.iter_mut() {
             let total: u64 = op.iov.iter().map(|b| b.as_ref().len() as u64).sum();
             op.result = Ok(total);
@@ -1072,44 +1079,56 @@ impl SplitFs {
             let st = &mut *states[op.state];
             self.promote_if_demoted(st);
             let start = op.offset.unwrap_or(st.cached_size);
+            let end = start + total;
             let first_chunk = pending.len();
             let tail_before = files[op.state].1;
+            // The takes walk the op's length; the stores walk its slices
+            // into each allocation.
+            let mut slices = op.iov.iter().map(|b| b.as_ref());
+            let mut data: &[u8] = &[];
             let mut cur = start;
-            'gather: for buf in op.iov {
-                let mut data = buf.as_ref();
-                while !data.is_empty() {
-                    let after = files[op.state]
-                        .1
-                        .filter(|last| last.target == cur)
-                        .map(|last| last.staging);
-                    let alloc =
-                        match self
-                            .staging
-                            .take(data.len() as u64, cur % BLOCK_SIZE as u64, after)
-                        {
-                            Ok(alloc) => alloc,
-                            Err(e) => {
-                                op.result = Err(e);
-                                pending.truncate(first_chunk);
-                                files[op.state].1 = tail_before;
-                                break 'gather;
-                            }
-                        };
-                    let n = alloc.len.min(data.len() as u64) as usize;
+            while cur < end {
+                let after = files[op.state]
+                    .1
+                    .filter(|last| last.target == cur)
+                    .map(|last| last.staging);
+                let alloc = match self.staging.take(end - cur, cur % BLOCK_SIZE as u64, after) {
+                    Ok(alloc) => alloc,
+                    Err(e) => {
+                        // The op's earlier allocations hold nothing anyone
+                        // will relink: retire them, or their staging file
+                        // could never recycle.
+                        op.result = Err(e);
+                        for (_, alloc, _) in pending.drain(first_chunk..) {
+                            self.staging.note_retired(alloc.staging_ino, alloc.len);
+                        }
+                        files[op.state].1 = tail_before;
+                        break;
+                    }
+                };
+                let mut dev = alloc.device_offset;
+                let run_end = dev + alloc.len;
+                while dev < run_end {
+                    if data.is_empty() {
+                        data = slices.next().expect("the slices hold the op's length");
+                        continue;
+                    }
+                    let n = data.len().min((run_end - dev) as usize);
                     self.device.write(
-                        alloc.device_offset,
+                        dev,
                         &data[..n],
                         PersistMode::NonTemporal,
                         TimeCategory::UserData,
                     );
-                    pending.push((op.state, alloc, cur, n));
-                    cur += n as u64;
-                    files[op.state].1 = Some(ChunkEnd {
-                        target: cur,
-                        staging: (alloc.staging_ino, alloc.staging_offset + n as u64),
-                    });
+                    dev += n as u64;
                     data = &data[n..];
                 }
+                pending.push((op.state, alloc, cur));
+                cur += alloc.len;
+                files[op.state].1 = Some(ChunkEnd {
+                    target: cur,
+                    staging: (alloc.staging_ino, alloc.staging_offset + alloc.len),
+                });
             }
             if op.result.is_ok() {
                 st.cached_size = st.cached_size.max(start + total);
@@ -1124,11 +1143,11 @@ impl SplitFs {
             // The staged data must be in the persistence domain before a
             // valid log entry can point at it.
             self.device.fence(TimeCategory::UserData);
-            entries.extend(pending.iter().map(|(file, alloc, cur, n)| LogEntry {
+            entries.extend(pending.iter().map(|(file, alloc, cur)| LogEntry {
                 op: LogOp::StagedWrite,
                 target_ino: states[*file].ino,
                 target_offset: *cur,
-                len: *n as u64,
+                len: alloc.len,
                 staging_ino: alloc.staging_ino,
                 staging_offset: alloc.staging_offset,
                 seq: oplog.next_seq(),
@@ -1143,7 +1162,7 @@ impl SplitFs {
             let committed = loop {
                 match oplog.append_batch(&entries) {
                     Err(FsError::NoSpace) => {
-                        if let Err(e) = self.handle_log_full(&mut states[0]) {
+                        if let Err(e) = self.handle_log_full(&mut states[0], entries.len()) {
                             break Err(e);
                         }
                     }
@@ -1153,6 +1172,9 @@ impl SplitFs {
             if let Err(e) = committed {
                 for (st, (pre_size, _)) in states.iter_mut().zip(&files) {
                     st.cached_size = *pre_size;
+                }
+                for (_, alloc, _) in &pending {
+                    self.staging.note_retired(alloc.staging_ino, alloc.len);
                 }
                 for op in ops.iter_mut().filter(|op| op.staged()) {
                     op.result = Err(e.clone());
@@ -1172,11 +1194,11 @@ impl SplitFs {
         }
 
         let now = self.device.clock().now_ns_f64();
-        for (k, (file, alloc, cur, n)) in pending.iter().enumerate() {
+        for (k, (file, alloc, cur)) in pending.iter().enumerate() {
             let st = &mut *states[*file];
             st.staged.push(StagedExtent {
                 target_offset: *cur,
-                len: *n as u64,
+                len: alloc.len,
                 staging_ino: alloc.staging_ino,
                 staging_fd: alloc.staging_fd,
                 staging_offset: alloc.staging_offset,

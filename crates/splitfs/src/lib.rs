@@ -31,11 +31,13 @@
 //! * [`vfs::FileSystem::read_view`] serves committed, mapped ranges as
 //!   **zero-copy borrows** of the collection of mmaps (no memcpy; staged
 //!   overlays and holes fall back to an owned buffer);
-//! * [`vfs::FileSystem::appendv`] / [`vfs::FileSystem::writev_at`] gather
-//!   N slices into cursor-contiguous staging space, make them durable with
-//!   **one fence**, and group-commit their operation-log entries under one
-//!   more ([`oplog::OpLog::append_batch`]) — two fences per gathered
-//!   record where N plain appends cost 2N.  The end of file is resolved
+//! * [`vfs::FileSystem::appendv`] / [`vfs::FileSystem::writev_at`] stage
+//!   N slices by their total length, not slice by slice: the gather is
+//!   made durable with **one fence** and logged as **one 64 B entry per
+//!   staged run** (one staging allocation) under one more — a gather that
+//!   needs two runs group-commits both entries
+//!   ([`oplog::OpLog::append_batch`]).  Two fences per gathered record
+//!   where N plain appends cost 2N.  The end of file is resolved
 //!   under the file-state lock, so concurrent appenders can never
 //!   interleave into overlapping offsets;
 //! * [`vfs::FileSystem::fsync_many`] retires the staged extents of M

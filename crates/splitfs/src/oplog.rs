@@ -9,7 +9,10 @@
 //! entry.  The optimizations the paper describes are all present:
 //!
 //! * one 64 B entry and **one** fence per operation (NOVA needs two cache
-//!   lines and two fences),
+//!   lines and two fences).  An entry covers a *staged run* — one staging
+//!   allocation — however many slices the operation gathers; an operation
+//!   that needs two allocations logs two entries under the one fence,
+//!   which [`OpLog::append_batch`] counts as a group commit,
 //! * a 4 B checksum inside the entry distinguishes valid from torn entries,
 //!   so no second fence is needed to persist a tail pointer,
 //! * the tail lives only in DRAM and is advanced with an atomic
@@ -301,8 +304,14 @@ impl OpLog {
 
     /// Whether an append to the active epoch would not fit.
     pub fn is_full(&self) -> bool {
+        !self.fits(1)
+    }
+
+    /// Whether a group of `entries` would fit in the active epoch now.
+    pub fn fits(&self, entries: usize) -> bool {
         let epoch = &self.epochs[self.active.load(Ordering::Relaxed)];
-        epoch.tail.load(Ordering::Relaxed) + ENTRY_SIZE > epoch.cap.load(Ordering::Relaxed)
+        epoch.tail.load(Ordering::Relaxed) + ENTRY_SIZE * entries as u64
+            <= epoch.cap.load(Ordering::Relaxed)
     }
 
     /// Current capacity of the log file in bytes (grows on demand).

@@ -328,12 +328,19 @@ fn flight_recorder_keeps_the_event_tail_across_a_simulated_crash() {
     let config = strict_config();
     let fs = SplitFs::new(Arc::clone(&kernel), config.clone()).unwrap();
 
-    // A two-slice appendv logs two entries in one transaction, firing a
-    // GroupCommit flight event on this thread.  The surrounding span
-    // stamps the event with the Appendv op kind, which uniquely
-    // identifies this workload's events inside this test binary.
+    // An appendv is one log entry per staged run.  This one starts in a
+    // block tail that another file's take has since closed, so it is two
+    // runs — the rest of the tail and a fresh block — whose two entries
+    // share one transaction, firing a GroupCommit flight event on this
+    // thread.  The surrounding span stamps the event with the Appendv op
+    // kind, which uniquely identifies this workload's events inside this
+    // test binary.
     let recorder = Arc::new(obs::Recorder::new());
     let fd = fs.open("/flight.db", OpenFlags::create()).unwrap();
+    let other = fs.open("/flight.other", OpenFlags::create()).unwrap();
+    let head = vec![0x22u8; 1000];
+    fs.append(fd, &head).unwrap();
+    fs.append(other, &[0x55u8; 1000]).unwrap();
     let a = vec![0x33u8; BLOCK_SIZE];
     let b = vec![0x44u8; BLOCK_SIZE];
     {
@@ -360,7 +367,7 @@ fn flight_recorder_keeps_the_event_tail_across_a_simulated_crash() {
     // And recovery over the crashed device still replays the append.
     let (report, contents) = recover_and_read(&device, &config, &["/flight.db".to_string()]);
     assert!(report.replayed >= 1, "{report:?}");
-    assert_eq!(contents[0], [a, b].concat());
+    assert_eq!(contents[0], [head, a, b].concat());
 }
 
 #[test]

@@ -344,6 +344,109 @@ fn discarded_staged_bytes_release_their_staging_file() {
     }
 }
 
+/// A strict instance over a small device, with `/victim.log` open.
+fn small_device_fs() -> (Arc<kernelfs::Ext4Dax>, Arc<SplitFs>, vfs::Fd) {
+    let device = PmemBuilder::new(32 * 1024 * 1024)
+        .track_persistence(false)
+        .build();
+    let kernel = kernelfs::Ext4Dax::mkfs(device).unwrap();
+    let fs = SplitFs::new(Arc::clone(&kernel), laned_config(1)).unwrap();
+    let fd = fs.open("/victim.log", OpenFlags::create()).unwrap();
+    (kernel, fs, fd)
+}
+
+/// Writes `/fill` through K-Split until no block is free; returns its
+/// descriptor for [`free_device`].
+fn fill_device(kernel: &kernelfs::Ext4Dax) -> vfs::Fd {
+    let fill = kernel.open("/fill", OpenFlags::create()).unwrap();
+    let mut filled = 0;
+    for chunk in [1024 * 1024, 4096] {
+        while kernel.write_at(fill, filled, &vec![1u8; chunk]).is_ok() {
+            filled += chunk as u64;
+        }
+    }
+    assert_eq!(kernel.free_blocks(), 0);
+    fill
+}
+
+fn free_device(kernel: &kernelfs::Ext4Dax, fill: vfs::Fd) {
+    kernel.close(fill).unwrap();
+    kernel.unlink("/fill").unwrap();
+}
+
+/// Recycles `files` exhausted staging files, or names the one the failed
+/// write still pins.
+fn recycle(fs: &SplitFs, files: usize) {
+    let pool = fs.staging_pool();
+    for file in 0..files {
+        let rec = pool
+            .begin_recycle()
+            .unwrap_or_else(|| panic!("staging file {file} is pinned by the failed write"));
+        pool.rebuild(rec).unwrap();
+    }
+}
+
+/// A write that runs out of staging space part-way fails with `NoSpace`,
+/// and the staging it took before that holds nothing anyone will relink:
+/// it counts as retired, so once the file's live data is relinked its
+/// staging files recycle.
+#[test]
+fn a_write_that_runs_out_of_staging_space_leaves_its_staging_files_recyclable() {
+    let (kernel, fs, fd) = small_device_fs();
+    // Live data: all of the first staging file but its last block.
+    let live = vec![0x4Cu8; FILE_SIZE as usize - 4096];
+    fs.append(fd, &live).unwrap();
+    let fill = fill_device(&kernel);
+
+    // The last block of the first staging file and all of the second are
+    // taken before the third take finds the pool dry and the device full.
+    let doomed = vec![0xD0u8; FILE_SIZE as usize + 8192];
+    assert_eq!(fs.append(fd, &doomed), Err(vfs::FsError::NoSpace));
+    assert_eq!(fs.fstat(fd).unwrap().size, live.len() as u64);
+
+    free_device(&kernel, fill);
+    fs.fsync(fd).unwrap();
+    recycle(&fs, 2);
+    // And the pool serves the write now.
+    fs.append(fd, &doomed).unwrap();
+    fs.fsync(fd).unwrap();
+    assert!(fs.read_file("/victim.log").unwrap() == [live, doomed].concat());
+}
+
+/// The same for a write whose log group commit fails: the active epoch is
+/// full, the sealed one is not yet retired, and the log cannot grow on a
+/// full device.
+#[test]
+fn a_write_whose_group_commit_fails_leaves_its_staging_file_recyclable() {
+    let (kernel, fs, fd) = small_device_fs();
+    // Nothing retires the sealed half: the daemon is off.
+    assert!(fs.seal_oplog_epoch());
+    // One 1 KiB append is one entry.  Fill the active epoch but one slot,
+    // and the first staging file but its last kilobyte.
+    let epoch_entries = 256 * 1024 / 2 / 64;
+    let mut live = Vec::new();
+    for i in 0..epoch_entries - 1 {
+        let kib = [i as u8; 1024];
+        fs.append(fd, &kib).unwrap();
+        live.extend_from_slice(&kib);
+    }
+    assert_eq!(fs.oplog_entries(), epoch_entries as u64 - 1);
+    let fill = fill_device(&kernel);
+
+    // Two runs, the first staging file's last kilobyte and a fresh block
+    // of the second, need two slots.
+    let doomed = vec![0xD0u8; 4096];
+    assert_eq!(fs.append(fd, &doomed), Err(vfs::FsError::NoSpace));
+    assert_eq!(fs.fstat(fd).unwrap().size, live.len() as u64);
+
+    free_device(&kernel, fill);
+    fs.fsync(fd).unwrap();
+    recycle(&fs, 1);
+    fs.append(fd, &doomed).unwrap();
+    fs.fsync(fd).unwrap();
+    assert!(fs.read_file("/victim.log").unwrap() == [live, doomed].concat());
+}
+
 /// A crash right after staged bytes were discarded must not bring them
 /// back: the log entries that staged them are marked not-to-be-replayed,
 /// while writes staged after the discard still replay.

@@ -18,7 +18,7 @@ use kernelfs::Ext4Dax;
 use parking_lot::Mutex;
 use pmem::{CrashPolicy, PmemBuilder, PmemDevice, TimeCategory};
 use splitfs::{recover, Mode, SplitConfig, SplitFs};
-use vfs::{Fd, FileSystem, OpenFlags};
+use vfs::{Fd, FileSystem, IoVec, OpenFlags};
 
 const KIB: usize = 1024;
 const MIB: usize = 1024 * KIB;
@@ -222,6 +222,23 @@ fn next_call(rng: &mut Rng, model: &mut [Vec<u8>], strict: bool) -> Call {
     }
 }
 
+/// A synchronous write's bytes as a gather of one to three slices, cut
+/// where its length says: no draw from the generator, so a seed issues the
+/// same calls whether or not they gather.
+fn gather(data: &[u8]) -> Vec<IoVec<'_>> {
+    let len = data.len();
+    let (a, b) = match len % 3 {
+        0 => (len, len),
+        1 => (len / 2, len),
+        _ => (len / 3, len - len / 5),
+    };
+    [&data[..a], &data[a..b], &data[b..]]
+        .into_iter()
+        .filter(|slice| !slice.is_empty())
+        .map(IoVec::new)
+        .collect()
+}
+
 fn issue(fs: &Arc<SplitFs>, fds: &[Fd], call: &Call) {
     let sqe = |w: &Write| {
         if w.positional {
@@ -232,10 +249,11 @@ fn issue(fs: &Arc<SplitFs>, fds: &[Fd], call: &Call) {
     };
     match call {
         Call::Write(w) if w.positional => {
-            fs.write_at(fds[w.file], w.offset as u64, &w.data).unwrap();
+            fs.writev_at(fds[w.file], w.offset as u64, &gather(&w.data))
+                .unwrap();
         }
         Call::Write(w) => {
-            fs.append(fds[w.file], &w.data).unwrap();
+            fs.appendv(fds[w.file], &gather(&w.data)).unwrap();
         }
         Call::Batch(writes) => {
             for (cqe, w) in fs

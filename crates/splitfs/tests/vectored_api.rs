@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use kernelfs::Ext4Dax;
-use pmem::PmemBuilder;
+use pmem::{PmemBuilder, TimeCategory};
 use splitfs::{Mode, SplitConfig, SplitFs};
 use vfs::{FileSystem, IoVec, OpenFlags};
 
@@ -71,10 +71,15 @@ fn appendv_gathers_n_slices_under_one_oplog_fence() {
     let delta = fs.device().stats().snapshot().delta(&before);
     assert_eq!(
         delta.fences, 2,
-        "one fence for the staged data, one for the group-committed log \
-         entries — independent of slice count"
+        "one fence for the staged data, one for the log entry — \
+         independent of slice count"
     );
-    assert_eq!(delta.oplog_group_commits, 1);
+    assert_eq!(
+        delta.written(TimeCategory::OpLog),
+        64,
+        "the gather is one staged run: one 64 B log entry, not one per slice"
+    );
+    assert_eq!(delta.oplog_group_commits, 0, "one entry is not a group");
     assert_eq!(delta.appendv_calls, 1);
     assert_eq!(delta.appendv_slices, 8);
     assert_eq!(delta.kernel_traps, 0, "the gather never enters the kernel");
@@ -93,6 +98,54 @@ fn appendv_gathers_n_slices_under_one_oplog_fence() {
     }
     let loop_delta = fs.device().stats().snapshot().delta(&before);
     assert_eq!(loop_delta.fences, 16, "2 fences per individual append");
+}
+
+/// The log pays per staged run, not per slice (§3.3: one 64 B entry per
+/// operation).  A key-value store's put is a header, a key and a value in
+/// one `appendv`; staged slice by slice it logged three entries.
+#[test]
+fn a_gathered_append_logs_one_entry_per_staged_run() {
+    const PUTS: u64 = 1000;
+    let fs = strict_fs();
+    let fd = fs.open("/wal.log", OpenFlags::create()).unwrap();
+    let (header, key, value) = ([1u8; 8], [2u8; 16], [3u8; 256]);
+    let put = [IoVec::new(&header), IoVec::new(&key), IoVec::new(&value)];
+    let before = fs.device().stats().snapshot();
+    for _ in 0..PUTS {
+        fs.appendv(fd, &put).unwrap();
+    }
+    let delta = fs.device().stats().snapshot().delta(&before);
+    let logged = delta.written(TimeCategory::OpLog);
+    assert!(
+        logged * 10 <= PUTS * 64 * 11,
+        "{} B of log per put, where one 64 B entry is the cost",
+        logged as f64 / PUTS as f64
+    );
+    let entries = fs.oplog_entries();
+    assert_eq!(logged, 64 * entries);
+    assert_eq!(
+        fs.memory_usage().staged_extents as u64,
+        entries,
+        "one staged extent per log entry"
+    );
+
+    // A gather that starts in a block tail another file's take has closed
+    // is two runs: the rest of the tail, then a fresh block.  Two entries,
+    // committed together.
+    let fd = fs.open("/a.log", OpenFlags::create()).unwrap();
+    let other = fs.open("/b.log", OpenFlags::create()).unwrap();
+    fs.append(fd, &[4u8; 1000]).unwrap();
+    fs.append(other, &[5u8; 1000]).unwrap();
+    let before = fs.device().stats().snapshot();
+    let big = [6u8; 4000];
+    fs.appendv(fd, &[IoVec::new(&header), IoVec::new(&big)])
+        .unwrap();
+    let delta = fs.device().stats().snapshot().delta(&before);
+    assert_eq!(delta.written(TimeCategory::OpLog), 2 * 64);
+    assert_eq!(delta.oplog_group_commits, 1);
+    assert_eq!(delta.fences, 2);
+    let expected = [&[4u8; 1000][..], &header, &big].concat();
+    assert_eq!(fs.read_file("/a.log").unwrap(), expected);
 }
 
 #[test]
