@@ -8,6 +8,19 @@
 //! is written through to the device (metadata traffic) so a crash-recovered
 //! mount can rebuild it; the journal's `AllocBlocks`/`FreeBlocks` records
 //! repair any half-written bitmap updates.
+//!
+//! **Requests of 2 MiB or more come back as whole 2 MiB chunks.**  A DAX
+//! mapping takes one huge-page fault per 2 MiB piece that is aligned both
+//! in the file and on the device, and a 4 KiB fault per page of anything
+//! else (paper §3.3, §4).  So a request of at least 512 blocks first takes
+//! free 2 MiB-aligned runs, cut at a chunk boundary unless the run ends the
+//! request, from any shard (the home shard first, then the others), and
+//! searched from the shard's cursor round to the cursor again.  Every run
+//! but the last thus begins the next at a 2 MiB-aligned file offset.  Only
+//! what no whole free chunk can hold, normally the sub-chunk remainder,
+//! comes from fragments.  Taking a shard's unaligned fragments first would
+//! leave a staging file or the operation log faulting at 4 KiB for the rest
+//! of its life.
 
 use std::sync::Arc;
 
@@ -165,21 +178,22 @@ impl BlockAllocator {
     /// Blocks per 2 MiB huge page (with 4 KiB blocks).
     const HUGE_ALIGN: u64 = 512;
 
-    /// Finds a free run of at least `min_len` blocks starting on a 2 MiB
-    /// boundary.  ext4's multi-block allocator aligns large allocations the
-    /// same way, which is what makes DAX huge-page mappings possible
-    /// (paper §4 discusses how fragile this is once the device fragments).
-    fn find_aligned_run_from(&self, from: u64, want: u64, min_len: u64) -> Option<BlockRun> {
+    /// Finds a free run of at least one 2 MiB chunk, and at most `want`
+    /// blocks, starting on a 2 MiB boundary at or after `from`.  ext4's
+    /// multi-block allocator aligns large allocations the same way, which
+    /// is what makes DAX huge-page mappings possible (paper §4 discusses
+    /// how fragile this is once the device fragments).
+    fn find_aligned_run_from(&self, from: u64, want: u64) -> Option<BlockRun> {
         let mut b = from.max(self.region_lo).div_ceil(Self::HUGE_ALIGN) * Self::HUGE_ALIGN;
-        while b + min_len <= self.region_hi {
+        while b + Self::HUGE_ALIGN <= self.region_hi {
             let mut len = 0;
             while b + len < self.region_hi && !self.is_used(b + len) && len < want {
                 len += 1;
             }
-            if len >= min_len {
+            if len >= Self::HUGE_ALIGN {
                 return Some(BlockRun { start: b, len });
             }
-            b += Self::HUGE_ALIGN.max((len / Self::HUGE_ALIGN + 1) * Self::HUGE_ALIGN);
+            b += Self::HUGE_ALIGN;
         }
         None
     }
@@ -202,9 +216,42 @@ impl BlockAllocator {
         None
     }
 
+    /// The whole-chunk pass of an allocation: while `*remaining` holds at
+    /// least one 2 MiB chunk, takes a free 2 MiB-aligned run, searching from
+    /// the cursor to the region's end and then from the region's start.  A
+    /// run is cut at a chunk boundary unless it ends the request.  Taken
+    /// runs go to `runs` and leave the cursor at their end.
+    fn alloc_chunks(&mut self, runs: &mut Vec<BlockRun>, remaining: &mut u64) {
+        let mut from = self.cursor;
+        let mut wrapped = false;
+        while *remaining >= Self::HUGE_ALIGN {
+            match self.find_aligned_run_from(from, *remaining) {
+                Some(mut run) => {
+                    if run.len < *remaining {
+                        run.len -= run.len % Self::HUGE_ALIGN;
+                    }
+                    for b in run.start..run.start + run.len {
+                        self.set_used(b);
+                    }
+                    *remaining -= run.len;
+                    from = run.start + run.len;
+                    self.cursor = from;
+                    runs.push(run);
+                }
+                None if !wrapped => {
+                    wrapped = true;
+                    from = self.region_lo;
+                }
+                None => break,
+            }
+        }
+    }
+
     /// Allocates `count` blocks, preferring a single contiguous run starting
-    /// at the allocation cursor.  Returns the runs actually allocated
-    /// (possibly more than one when fragmented) or [`FsError::NoSpace`].
+    /// at the allocation cursor; a request of at least 2 MiB first takes
+    /// whole aligned chunks (module docs).  Returns the runs actually
+    /// allocated (possibly more than one when fragmented) or
+    /// [`FsError::NoSpace`].
     pub fn alloc_extents(&mut self, count: u64) -> FsResult<Vec<BlockRun>> {
         if count == 0 {
             return Ok(Vec::new());
@@ -214,30 +261,9 @@ impl BlockAllocator {
         }
         let mut runs = Vec::new();
         let mut remaining = count;
+        self.alloc_chunks(&mut runs, &mut remaining);
         let mut from = self.cursor;
         let mut wrapped = false;
-        // Large allocations (a 2 MiB huge page or more) are aligned to
-        // 2 MiB when a suitable run exists, so that DAX mappings of large
-        // files and staging files can use huge pages.
-        if remaining >= Self::HUGE_ALIGN {
-            while remaining >= Self::HUGE_ALIGN {
-                match self.find_aligned_run_from(from, remaining, Self::HUGE_ALIGN) {
-                    Some(run) => {
-                        for b in run.start..run.start + run.len {
-                            self.set_used(b);
-                        }
-                        remaining -= run.len;
-                        from = run.start + run.len;
-                        runs.push(run);
-                    }
-                    None => break,
-                }
-            }
-            if remaining == 0 {
-                self.cursor = from;
-                return Ok(runs);
-            }
-        }
         while remaining > 0 {
             match self.find_run_from(from, remaining) {
                 Some(run) if run.len > 0 => {
@@ -396,16 +422,28 @@ impl ShardedAllocator {
     }
 
     /// Allocates `count` blocks, preferring the shard `hint` maps to and
-    /// spilling into the others when it runs dry.
+    /// spilling into the others when it runs dry.  A request of at least
+    /// 2 MiB first takes whole aligned chunks from every shard in that
+    /// order, before any shard's fragments (module docs).
     pub fn alloc_extents(&self, hint: u64, count: u64) -> FsResult<Vec<BlockRun>> {
         if count == 0 {
             return Ok(Vec::new());
         }
         let n = self.shards.len();
+        let order = (0..n).map(|k| (hint as usize + k) % n);
         let mut runs: Vec<BlockRun> = Vec::new();
         let mut remaining = count;
-        for k in 0..n {
-            let idx = (hint as usize + k) % n;
+        if count >= BlockAllocator::HUGE_ALIGN {
+            for idx in order.clone() {
+                self.shards[idx]
+                    .lock()
+                    .alloc_chunks(&mut runs, &mut remaining);
+            }
+        }
+        for idx in order {
+            if remaining == 0 {
+                return Ok(runs);
+            }
             let mut shard = self.shards[idx].lock();
             let avail = shard.free_blocks();
             if avail == 0 {
@@ -416,9 +454,9 @@ impl ShardedAllocator {
                 remaining -= take;
                 runs.extend(got);
             }
-            if remaining == 0 {
-                return Ok(runs);
-            }
+        }
+        if remaining == 0 {
+            return Ok(runs);
         }
         // Not enough space anywhere: roll back what was taken.
         for run in &runs {
@@ -606,6 +644,62 @@ mod tests {
                 assert_ne!(byte & (1 << (blk % 8)), 0, "block {blk} lost");
             }
         }
+    }
+
+    const CHUNK: u64 = BlockAllocator::HUGE_ALIGN;
+
+    /// The first 2 MiB-aligned block of the data area.
+    fn first_chunk(sb: &Superblock) -> u64 {
+        sb.data_start.div_ceil(CHUNK) * CHUNK
+    }
+
+    #[test]
+    fn a_large_request_takes_whole_aligned_chunks_from_any_shard() {
+        let sb = test_sb();
+        let sharded = ShardedAllocator::format(&sb);
+        // The home shard keeps only unaligned fragments: the first block of
+        // each of its chunks is in use.  The next shard is empty.
+        let home = 1;
+        let (lo, hi) = sharded.regions[home];
+        for chunk in (lo..hi).step_by(CHUNK as usize) {
+            sharded.mark_used(chunk, 1);
+        }
+        let runs = sharded.alloc_extents(home as u64, 4 * CHUNK).unwrap();
+        assert_eq!(runs.iter().map(|r| r.len).sum::<u64>(), 4 * CHUNK);
+        for run in &runs {
+            assert_eq!(run.start % CHUNK, 0, "{run:?} is not 2 MiB-aligned");
+            assert_eq!(run.len % CHUNK, 0, "{run:?} is not whole chunks");
+        }
+    }
+
+    #[test]
+    fn aligned_runs_are_whole_chunks_unless_they_end_the_request() {
+        let sb = test_sb();
+        let mut alloc = BlockAllocator::format(&sb);
+        let c0 = first_chunk(&sb);
+        // The first aligned free run is 700 blocks long.
+        alloc.mark_used(c0 + 700, 1);
+        let runs = alloc.alloc_extents(1000).unwrap();
+        assert_eq!((runs[0].start, runs[0].len), (c0, CHUNK));
+        assert_eq!(runs.iter().map(|r| r.len).sum::<u64>(), 1000);
+        // With room behind it, a run that ends the request is not cut.
+        let runs = alloc.alloc_extents(1000).unwrap();
+        assert_eq!(runs.len(), 1, "{runs:?}");
+        assert_eq!((runs[0].start % CHUNK, runs[0].len), (0, 1000));
+    }
+
+    #[test]
+    fn the_aligned_search_wraps_to_a_chunk_behind_the_cursor() {
+        let sb = test_sb();
+        let mut alloc = BlockAllocator::format(&sb);
+        let c0 = first_chunk(&sb);
+        // Only the unaligned head and chunk c0 are free, and the cursor is
+        // past both.
+        alloc.mark_used(c0 + CHUNK, sb.total_blocks - c0 - CHUNK);
+        alloc.cursor = c0 + CHUNK;
+        let runs = alloc.alloc_extents(CHUNK).unwrap();
+        assert_eq!(runs.len(), 1, "{runs:?}");
+        assert_eq!((runs[0].start, runs[0].len), (c0, CHUNK));
     }
 
     #[test]

@@ -36,8 +36,6 @@ pub struct DaxMapping {
     pub len: u64,
     /// Physical segments backing the range, in file order.
     pub segments: Vec<MapSegment>,
-    /// Whether the mapping was established with 2 MiB huge pages.
-    pub huge: bool,
 }
 
 impl DaxMapping {
@@ -89,7 +87,6 @@ mod tests {
                     len: 4096,
                 },
             ],
-            huge: false,
         }
     }
 

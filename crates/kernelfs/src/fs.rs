@@ -1621,7 +1621,6 @@ impl Ext4Dax {
             }
         }
 
-        let mut huge = false;
         if populate {
             // Fault accounting.
             let mut remaining = len;
@@ -1635,9 +1634,6 @@ impl Ext4Dax {
                     let huge_pages = seg_rem / PAGE_2M as u64;
                     fault_2m += huge_pages;
                     seg_rem -= huge_pages * PAGE_2M as u64;
-                    if huge_pages > 0 {
-                        huge = true;
-                    }
                 }
                 fault_4k += seg_rem.div_ceil(BLOCK_SIZE as u64);
                 remaining = remaining.saturating_sub(seg.len);
@@ -1653,7 +1649,6 @@ impl Ext4Dax {
             file_offset: offset,
             len,
             segments,
-            huge,
         })
     }
 

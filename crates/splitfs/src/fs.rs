@@ -879,9 +879,12 @@ impl SplitFs {
     }
 
     /// Ensures a mapping of the target file covering `offset` exists in the
-    /// collection, creating a [`MMAP_SIZE`] region on demand.  Returns the
-    /// device offset and contiguous length, or `None` when the region
-    /// cannot be mapped (holes) and the caller must fall back to the kernel.
+    /// collection.  A miss maps the unmapped stretch of the [`MMAP_SIZE`]
+    /// region around `offset`, which is the whole region when nothing in it
+    /// is mapped yet; mapped bytes are not mapped again, since hits already
+    /// trust the collection (see [`crate::mmap_collection`]).  Returns the
+    /// device offset and contiguous length, or `None` when the gap cannot
+    /// be mapped (holes) and the caller must fall back to the kernel.
     fn ensure_mapped(&self, state: &mut FileState, offset: u64) -> Option<(u64, u64)> {
         // A demoted file has no PM extents to map; mapping it would force
         // an immediate promotion inside the kernel.  Reads instead bounce
@@ -901,13 +904,15 @@ impl SplitFs {
             return None;
         }
         let region_start = offset - offset % MMAP_SIZE;
-        let region_len = MMAP_SIZE.min(alloc_end - region_start);
-        match self
-            .kernel
-            .dax_map(state.kernel_fd, region_start, region_len, MAP_POPULATE)
-        {
+        let region_end = alloc_end.min(region_start + MMAP_SIZE);
+        let (gap_start, gap_end) = state.mmaps.gap_around(offset, region_start, region_end);
+        match self.kernel.dax_map(
+            state.kernel_fd,
+            gap_start,
+            gap_end - gap_start,
+            MAP_POPULATE,
+        ) {
             Ok(mapping) => {
-                state.mmaps.record_mmap_call();
                 for seg in &mapping.segments {
                     state
                         .mmaps
@@ -1669,8 +1674,9 @@ impl FileSystem for SplitFs {
         self.kernel.ftruncate(st.kernel_fd, size)?;
         self.discard_staged(&mut st, size);
         if size < st.kernel_size {
-            let shrink = st.kernel_size - size;
-            st.mmaps.remove_range(size, shrink);
+            // A mapping runs to the end of the file's last block, past the
+            // old size: drop everything from the new size on.
+            st.mmaps.remove_range(size, u64::MAX - size);
         }
         st.kernel_size = size;
         st.cached_size = size.max(

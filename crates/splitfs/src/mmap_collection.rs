@@ -7,6 +7,19 @@
 //! collection tracks, per file, which byte ranges are mapped and at which
 //! device offsets, so reads and overwrites can be served with loads and
 //! stores without entering the kernel.
+//!
+//! A miss maps only the gap around it (`MmapCollection::gap_around`), not
+//! the whole 2 MiB region: the retained staging mappings usually cover the
+//! rest of the region already, and re-mapping them would take one page
+//! fault per 4 KiB page for bytes that are already served.  This is sound
+//! because a hit already trusts the collection: a mapped byte is served
+//! from its segment whether or not the rest of its region is mapped, so a
+//! gap-only map adds nothing a hit does not rely on.  What both rely on is
+//! that whoever frees a file's blocks drops their mappings: `unlink`,
+//! demotion, and a truncate, which drops everything from the new size on,
+//! including the part of the old last block past the old size.  An empty
+//! region is the case whose gap is the whole region, which still maps
+//! whole and can take its one huge-page fault.
 
 use std::collections::BTreeMap;
 
@@ -22,9 +35,6 @@ pub(crate) const MAP_POPULATE: bool = true;
 pub struct MmapCollection {
     /// file_offset → (device_offset, len); ranges never overlap.
     segments: BTreeMap<u64, (u64, u64)>,
-    /// Number of `mmap` system calls this collection required (for the
-    /// resource accounting experiment).
-    mmap_calls: u64,
 }
 
 impl MmapCollection {
@@ -48,15 +58,21 @@ impl MmapCollection {
         self.segments.values().map(|&(_, len)| len).sum()
     }
 
-    /// Number of mmap calls recorded via [`MmapCollection::record_mmap_call`].
-    pub fn mmap_calls(&self) -> u64 {
-        self.mmap_calls
-    }
-
-    /// Records that a real `mmap` system call was issued to populate part of
-    /// this collection.
-    pub fn record_mmap_call(&mut self) {
-        self.mmap_calls += 1;
+    /// The unmapped stretch of `[lo, hi)` around the unmapped
+    /// `file_offset`, as `(start, end)`: from the end of the segment before
+    /// it (or `lo`) to the start of the segment after it (or `hi`).
+    pub(crate) fn gap_around(&self, file_offset: u64, lo: u64, hi: u64) -> (u64, u64) {
+        let start = self
+            .segments
+            .range(..=file_offset)
+            .next_back()
+            .map_or(lo, |(&s, &(_, len))| (s + len).max(lo));
+        let end = self
+            .segments
+            .range(file_offset + 1..)
+            .next()
+            .map_or(hi, |(&s, _)| s.min(hi));
+        (start, end)
     }
 
     /// Translates a file offset to `(device_offset, contiguous_len)`.
@@ -206,9 +222,33 @@ mod tests {
     fn clear_empties_the_collection() {
         let mut c = MmapCollection::new();
         c.insert(0, 500, 100);
-        c.record_mmap_call();
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.mmap_calls(), 1);
+    }
+
+    #[test]
+    fn gap_around_spans_the_unmapped_stretch_of_a_region() {
+        const REGION: u64 = MMAP_SIZE;
+        let mut c = MmapCollection::new();
+        // Empty: the whole region.
+        assert_eq!(
+            c.gap_around(REGION + 4096, REGION, 2 * REGION),
+            (REGION, 2 * REGION)
+        );
+        // Between two segments.
+        c.insert(REGION, 1_000_000, 8192);
+        c.insert(REGION + 40_960, 9_000_000, 4096);
+        assert_eq!(
+            c.gap_around(REGION + 20_000, REGION, 2 * REGION),
+            (REGION + 8192, REGION + 40_960)
+        );
+        // Clamped to the region: the segments either side lie outside it.
+        let mut c = MmapCollection::new();
+        c.insert(0, 5_000_000, 4096);
+        c.insert(3 * REGION, 7_000_000, 4096);
+        assert_eq!(
+            c.gap_around(REGION + 100, REGION, 2 * REGION),
+            (REGION, 2 * REGION)
+        );
     }
 }

@@ -654,7 +654,6 @@ mod tests {
                 device_offset: 1024 * 1024,
                 len: size,
             }],
-            huge: true,
         };
         let oplog = OpLog::new(Arc::clone(&device), mapping.clone(), size);
         (device, oplog, mapping)
@@ -800,7 +799,6 @@ mod tests {
                 device_offset: 1024 * 1024,
                 len: new_size,
             }],
-            huge: true,
         };
         OpLog::zero_range(&device, &grown, size, new_size);
         oplog.grow(grown.clone(), new_size);

@@ -403,6 +403,29 @@ fn truncate_discards_staged_appends_beyond_new_size() {
 }
 
 #[test]
+fn a_truncate_unmaps_the_freed_block_past_the_old_size_too() {
+    for mode in [Mode::Posix, Mode::Sync, Mode::Strict] {
+        let (_d, _k, fs) = splitfs(mode);
+        let fd = fs.open("/t", OpenFlags::create()).unwrap();
+        // The second block holds 2508 bytes; a read maps the whole block.
+        fs.append(fd, &vec![1u8; 6604]).unwrap();
+        fs.fsync(fd).unwrap();
+        fs.read_at(fd, 6000, &mut [0u8; 100]).unwrap();
+        // The truncate frees that block, and the file grows back past the
+        // old size into a block of its own.
+        fs.ftruncate(fd, 1789).unwrap();
+        fs.append(fd, &vec![2u8; 7000 - 1789]).unwrap();
+        fs.fsync(fd).unwrap();
+        let mut past = [0u8; 396];
+        assert_eq!(fs.read_at(fd, 6604, &mut past).unwrap(), 396);
+        assert!(
+            past.iter().all(|&b| b == 2),
+            "{mode:?}: the bytes past the old size read the freed block"
+        );
+    }
+}
+
+#[test]
 fn unlink_removes_file_and_cached_state() {
     let (_d, _k, fs) = splitfs(Mode::Posix);
     fs.write_file("/gone", b"bye").unwrap();
