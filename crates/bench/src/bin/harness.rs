@@ -24,8 +24,6 @@
 //!   resources  U-Split DRAM footprint after a YCSB run (§5.10)
 //!   crashfuzz  crash-point fuzzing: oracle-checked recovery at sampled
 //!              fence boundaries, differential triage, media faults
-//!   tiering    hot-set throughput on a tiered device vs all-PM and
-//!              all-cold layouts (dataset 4x the PM tier)
 //!   all        everything above
 //!
 //! `--full` switches from the quick sizes to paper-scale inputs.
@@ -273,30 +271,10 @@ fn run(which: &str, scale: Scale) {
                 println!("CRASHFUZZ_JSON {line}");
             }
         }
-        "tiering" => {
-            let report = experiments::tiering_report(scale);
-            print_table(
-                "Tiered capacity — hot-set reads vs all-PM and all-cold (dataset 4x PM)",
-                &[
-                    "Configuration",
-                    "Read throughput",
-                    "vs all-PM",
-                    "Demotions",
-                    "Promotions",
-                    "Cap reads",
-                    "Fsck failures",
-                ],
-                &report.rows,
-            );
-            // Machine-readable mirror of the table for the CI smoke gate.
-            for line in &report.json {
-                println!("TIERING_JSON {line}");
-            }
-        }
         other => {
             eprintln!("unknown experiment '{other}'");
             eprintln!(
-                "valid: table1 table2 table6 table7 fig3 fig4 fig5 fig6 recovery daemon scaling vectored multi latency openloop metadata resources crashfuzz tiering all"
+                "valid: table1 table2 table6 table7 fig3 fig4 fig5 fig6 recovery daemon scaling vectored multi latency openloop metadata resources crashfuzz all"
             );
             std::process::exit(2);
         }
@@ -336,7 +314,6 @@ fn main() {
         "metadata",
         "resources",
         "crashfuzz",
-        "tiering",
     ];
     for experiment in which {
         if experiment == "all" {

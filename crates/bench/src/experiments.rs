@@ -99,25 +99,18 @@ impl Scale {
 /// One row of printable output.
 pub type Row = Vec<String>;
 
-/// Builds a fresh emulated device with a formatted kernel file system on
-/// it — the setup every hand-rolled experiment shares.  The shape decides
-/// the geometry: flat shapes format the classic all-PM layout, tiered
-/// shapes reserve a capacity region behind the PM tier.  Persistence
-/// tracking (the crash-simulation shadow copy) stays off except for the
-/// experiments that actually crash the device.
+/// Builds a fresh emulated device of `bytes` bytes with a formatted kernel
+/// file system on it — the setup every hand-rolled experiment shares.
+/// Persistence tracking (the crash-simulation shadow copy) stays off
+/// except for the experiments that actually crash the device.
 fn setup_device(
-    shape: pmem::DeviceShape,
+    bytes: usize,
     track_persistence: bool,
 ) -> (Arc<pmem::PmemDevice>, Arc<kernelfs::Ext4Dax>) {
-    let device = pmem::PmemBuilder::new(shape.total_bytes())
+    let device = pmem::PmemBuilder::new(bytes)
         .track_persistence(track_persistence)
         .build();
-    let kernel = if shape.is_tiered() {
-        kernelfs::Ext4Dax::mkfs_shaped(Arc::clone(&device), shape.pm_bytes)
-            .expect("mkfs tiered ext4-dax")
-    } else {
-        kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).expect("mkfs ext4-dax")
-    };
+    let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).expect("mkfs ext4-dax");
     (device, kernel)
 }
 
@@ -517,7 +510,7 @@ pub fn recovery(scale: Scale) -> Vec<Row> {
     let mut rows = Vec::new();
     for &entries in entry_counts {
         // Persistence tracking stays on: this experiment crashes the device.
-        let (device, kernel) = setup_device(pmem::DeviceShape::flat(scale.device_bytes()), true);
+        let (device, kernel) = setup_device(scale.device_bytes(), true);
         // The daemon is disabled here on purpose: this experiment measures
         // how recovery cost scales with the number of *surviving* log
         // entries, and a background checkpoint would relink the staged
@@ -559,7 +552,7 @@ pub fn recovery(scale: Scale) -> Vec<Row> {
 /// Reproduces §5.10: DRAM used by U-Split bookkeeping and the number of
 /// staging files / operation-log entries after a write-heavy run.
 pub fn resources(scale: Scale) -> Vec<Row> {
-    let (_device, kernel) = setup_device(pmem::DeviceShape::flat(scale.device_bytes()), false);
+    let (_device, kernel) = setup_device(scale.device_bytes(), false);
     let config = SplitConfig::new(Mode::Strict).with_staging(4, 16 * 1024 * 1024);
     let fs = SplitFs::new(Arc::clone(&kernel), config).expect("splitfs");
     let fs_dyn: Arc<dyn FileSystem> = Arc::clone(&fs) as Arc<dyn FileSystem>;
@@ -607,7 +600,7 @@ pub struct DaemonRunResult {
 /// the log; without it every replenishment happens inline on the append
 /// path (the seed's behaviour).
 pub fn daemon_run(scale: Scale, daemon_enabled: bool) -> DaemonRunResult {
-    let (device, kernel) = setup_device(pmem::DeviceShape::flat(scale.device_bytes()), false);
+    let (device, kernel) = setup_device(scale.device_bytes(), false);
     // The log holds 4096 entries, so the append stream crosses the
     // daemon's 50% checkpoint threshold (and, without the daemon, fills
     // the log and forces the stop-the-world foreground checkpoint).
@@ -933,8 +926,7 @@ pub fn latency_run(scale: Scale, kind: FsKind, threads: usize) -> LatencyRunResu
             // Built by hand rather than through `make_fs` so the concrete
             // `Arc<SplitFs>` stays available for recorder attachment,
             // quiescing and the health probe.
-            let (device, kernel) =
-                setup_device(pmem::DeviceShape::flat(scale.device_bytes()), false);
+            let (device, kernel) = setup_device(scale.device_bytes(), false);
             let mode = match kind {
                 FsKind::SplitPosix => Mode::Posix,
                 FsKind::SplitSync => Mode::Sync,
@@ -1063,7 +1055,7 @@ pub struct MultiRunResult {
 /// operation-log range.  Contents are verified through the kernel
 /// afterwards, so cross-instance contamination fails the run.
 pub fn multi_run(scale: Scale, instances: usize) -> MultiRunResult {
-    let (device, kernel) = setup_device(pmem::DeviceShape::flat(scale.device_bytes()), false);
+    let (device, kernel) = setup_device(scale.device_bytes(), false);
     let split_config = SplitConfig::new(Mode::Strict)
         .with_staging(4, 8 * 1024 * 1024)
         .with_oplog_size(64 * 1024);
@@ -1158,7 +1150,7 @@ pub fn openloop_run(scale: Scale) -> OpenLoopRunResult {
     };
     let split_config = SplitConfig::new(Mode::Strict).with_staging(4, 16 * 1024 * 1024);
 
-    let (_device, kernel) = setup_device(pmem::DeviceShape::flat(scale.device_bytes()), false);
+    let (_device, kernel) = setup_device(scale.device_bytes(), false);
     let fs = SplitFs::new(kernel, split_config.clone()).expect("splitfs init");
     let hub = splitfs::ring_hub(&fs);
     let dynfs: Arc<dyn FileSystem> = Arc::clone(&fs) as Arc<dyn FileSystem>;
@@ -1166,7 +1158,7 @@ pub fn openloop_run(scale: Scale) -> OpenLoopRunResult {
 
     // The synchronous baseline on a fresh instance: same record size,
     // one level's worth of ops, no rings.
-    let (device, kernel) = setup_device(pmem::DeviceShape::flat(scale.device_bytes()), false);
+    let (device, kernel) = setup_device(scale.device_bytes(), false);
     let fs = SplitFs::new(kernel, split_config).expect("splitfs init");
     let fd = fs
         .open("/sync-baseline.log", vfs::OpenFlags::create())
@@ -1246,10 +1238,7 @@ pub struct MetadataRunResult {
 /// thread count; the aged-file resolve phase is served by the full-path
 /// cache.
 pub fn metadata_run(scale: Scale, threads: usize) -> MetadataRunResult {
-    let (device, kernel) = setup_device(
-        pmem::DeviceShape::flat(scale.device_bytes().max(512 * 1024 * 1024)),
-        false,
-    );
+    let (device, kernel) = setup_device(scale.device_bytes().max(512 * 1024 * 1024), false);
     let split_config = SplitConfig::new(Mode::Strict)
         .with_staging(4, 8 * 1024 * 1024)
         .with_staging_lanes(threads.max(1))
@@ -1385,22 +1374,9 @@ pub fn crashfuzz_report(scale: Scale) -> CrashFuzzReport {
     let diff_points = per_mode / 3;
 
     let configs = [
-        ("strict", Mode::Strict, CrashPolicy::LoseUnflushed, false),
-        ("posix", Mode::Posix, CrashPolicy::LoseUnflushed, false),
-        (
-            "strict",
-            Mode::Strict,
-            CrashPolicy::TornWrites { seed },
-            false,
-        ),
-        // Tiered device with tier churn in the mix: crash points land
-        // inside demotion transactions and bounce reads.
-        (
-            "strict-tiered",
-            Mode::Strict,
-            CrashPolicy::LoseUnflushed,
-            true,
-        ),
+        ("strict", Mode::Strict, CrashPolicy::LoseUnflushed),
+        ("posix", Mode::Posix, CrashPolicy::LoseUnflushed),
+        ("strict", Mode::Strict, CrashPolicy::TornWrites { seed }),
     ];
     let mut rows = Vec::new();
     let mut json = Vec::new();
@@ -1410,12 +1386,8 @@ pub fn crashfuzz_report(scale: Scale) -> CrashFuzzReport {
     let mut total_fsck = 0u64;
     let mut total_promises = 0u64;
     let mut fences = 0u64;
-    for (mode_name, mode, policy, tiered) in configs {
-        let mut config = if tiered {
-            FuzzConfig::tiered_smoke(mode, seed)
-        } else {
-            FuzzConfig::smoke(mode, seed)
-        };
+    for (mode_name, mode, policy) in configs {
+        let mut config = FuzzConfig::smoke(mode, seed);
         config.policy = policy;
         config.max_points = per_mode;
         let report = chaos::fuzz::run(&config).expect("crashfuzz run");
@@ -1518,209 +1490,6 @@ pub fn crashfuzz_report(scale: Scale) -> CrashFuzzReport {
             .finish(),
     );
     CrashFuzzReport { rows, json }
-}
-
-// ----------------------------------------------------------------------
-// Tiered capacity — hot-set throughput vs all-PM and all-cold
-// ----------------------------------------------------------------------
-
-/// The tiering experiment's table plus its CI JSON mirror.
-pub struct TieringReport {
-    /// The rows of the human-readable table.
-    pub rows: Vec<Row>,
-    /// One JSON object per row plus a `summary` row, for the CI gate.
-    pub json: Vec<String>,
-}
-
-/// Loads `files` files of `file_bytes` each, fsyncs them, and demotes
-/// every file whose index fails `keep_hot` straight to the capacity
-/// tier (so PM never has to hold more than the hot set plus the file
-/// being written).  Returns the open descriptors, index-aligned.
-fn tier_load(
-    fs: &Arc<SplitFs>,
-    files: usize,
-    file_bytes: usize,
-    keep_hot: impl Fn(usize) -> bool,
-) -> Vec<vfs::Fd> {
-    const CHUNK: usize = 256 * 1024;
-    let mut fds = Vec::with_capacity(files);
-    for i in 0..files {
-        let fd = fs
-            .open(&format!("/tier-{i:03}"), vfs::OpenFlags::create())
-            .expect("open");
-        let buf = vec![i as u8; CHUNK];
-        let mut written = 0;
-        while written < file_bytes {
-            fs.append(fd, &buf).expect("append");
-            written += CHUNK;
-        }
-        fs.fsync(fd).expect("fsync");
-        if !keep_hot(i) {
-            fs.demote_fd(fd).expect("demote");
-        }
-        fds.push(fd);
-    }
-    fds
-}
-
-/// Reads every file in `fds` front to back in 64 KiB chunks, `rounds`
-/// times over, and returns the throughput in simulated MiB/s.
-fn tier_read_pass(
-    device: &Arc<pmem::PmemDevice>,
-    fs: &Arc<SplitFs>,
-    fds: &[vfs::Fd],
-    file_bytes: usize,
-    rounds: usize,
-) -> f64 {
-    const CHUNK: usize = 64 * 1024;
-    let mut buf = vec![0u8; CHUNK];
-    let start = device.clock().now_ns_f64();
-    for _ in 0..rounds {
-        for &fd in fds {
-            let mut off = 0usize;
-            while off < file_bytes {
-                fs.read_at(fd, off as u64, &mut buf).expect("read");
-                off += CHUNK;
-            }
-        }
-    }
-    let elapsed_ns = device.clock().now_ns_f64() - start;
-    let bytes = (rounds * fds.len() * file_bytes) as f64;
-    bytes / elapsed_ns * 1e9 / (1024.0 * 1024.0)
-}
-
-/// The tiered-capacity experiment: a dataset 4× the PM tier, with a hot
-/// set that fits in PM, read at full speed under three layouts.
-///
-/// * **all-pm** — a flat device large enough for the whole dataset; the
-///   hot-set read pass sets the baseline `T_pm`.
-/// * **tiered-hot** — PM holds only the hot set; every cold file is
-///   demoted to the capacity tier as it is loaded.  The same read pass
-///   over the (PM-resident) hot set must sustain ≥ 80% of `T_pm` —
-///   tiering the cold data may not tax the hot path.  Two reads of one
-///   cold file then exercise heat promotion.
-/// * **tiered-cold** — every file is demoted and promotion is disabled,
-///   so the read pass bounces through the kernel's capacity tier; the
-///   hot layout must beat this by ≥ 2×.
-///
-/// Every tiered phase ends with an fsck of the live kernel; the CI gate
-/// parses the `summary` JSON row for the throughput ratios, demotion and
-/// promotion counts, and fsck failures.
-pub fn tiering_report(scale: Scale) -> TieringReport {
-    const MIB: usize = 1024 * 1024;
-    let (pm_bytes, files, hot_files, rounds) = match scale {
-        Scale::Quick => (48 * MIB, 48, 4, 6),
-        Scale::Full => (64 * MIB, 64, 6, 10),
-    };
-    let file_bytes = 4 * MIB;
-    let dataset = files * file_bytes; // 4× the PM tier
-    let cap_bytes = dataset + dataset / 2;
-    let split_config = || {
-        SplitConfig::new(Mode::Strict)
-            .with_staging(2, 4 * MIB as u64)
-            .with_oplog_size(256 * 1024)
-            .without_daemon()
-    };
-    let hot_range = |i: usize| i < hot_files;
-
-    // Phase A: the all-PM baseline.  The flat device holds the whole
-    // dataset in PM, so nothing ever demotes.
-    let (device, kernel) = setup_device(pmem::DeviceShape::flat(dataset + 96 * MIB), false);
-    let fs = SplitFs::new(Arc::clone(&kernel), split_config()).expect("splitfs");
-    let fds = tier_load(&fs, files, file_bytes, |_| true);
-    let t_pm = tier_read_pass(&device, &fs, &fds[..hot_files], file_bytes, rounds);
-    drop(fs);
-
-    // Phase B: tiered, hot set resident in PM, cold set demoted.
-    let (device, kernel) = setup_device(pmem::DeviceShape::tiered(pm_bytes, cap_bytes), false);
-    let fs = SplitFs::new(Arc::clone(&kernel), split_config()).expect("splitfs");
-    let fds = tier_load(&fs, files, file_bytes, hot_range);
-    let t_hot = tier_read_pass(&device, &fs, &fds[..hot_files], file_bytes, rounds);
-    // Heat promotion: two reads of one cold file cross the default
-    // promote-after threshold and pull it back to PM.
-    let mut probe = vec![0u8; 4096];
-    fs.read_at(fds[hot_files], 0, &mut probe).expect("read");
-    fs.read_at(fds[hot_files], 0, &mut probe).expect("read");
-    let hot_snap = device.stats().snapshot();
-    let hot_fsck = chaos::oracle::fsck(&kernel).len() as u64;
-    drop(fs);
-
-    // Phase C: tiered, everything cold, promotion disabled — the read
-    // pass is served entirely by capacity-tier bounce reads.
-    let (device, kernel) = setup_device(pmem::DeviceShape::tiered(pm_bytes, cap_bytes), false);
-    let fs = SplitFs::new(
-        Arc::clone(&kernel),
-        split_config().with_tier_promote_after_reads(u32::MAX),
-    )
-    .expect("splitfs");
-    let fds = tier_load(&fs, files, file_bytes, |_| false);
-    let t_cold = tier_read_pass(&device, &fs, &fds[..hot_files], file_bytes, rounds);
-    let cold_snap = device.stats().snapshot();
-    let cold_fsck = chaos::oracle::fsck(&kernel).len() as u64;
-    drop(fs);
-
-    let mut rows = Vec::new();
-    let mut json = Vec::new();
-    let phases = [
-        ("all-pm", t_pm, pmem::StatsSnapshot::default(), 0u64),
-        ("tiered-hot", t_hot, hot_snap, hot_fsck),
-        ("tiered-cold", t_cold, cold_snap, cold_fsck),
-    ];
-    for (name, throughput, snap, fsck_failures) in phases {
-        rows.push(vec![
-            name.to_string(),
-            format!("{throughput:.0} MiB/s"),
-            format!("{:.2}x", throughput / t_pm.max(1e-9)),
-            snap.tier_demotions.to_string(),
-            snap.tier_promotions.to_string(),
-            snap.tier_cap_reads.to_string(),
-            fsck_failures.to_string(),
-        ]);
-        json.push(
-            obs::JsonObject::new()
-                .str("experiment", "tiering")
-                .str("config", name)
-                .u64("mib_per_s", throughput.round() as u64)
-                .f64(
-                    "vs_all_pm",
-                    (throughput / t_pm.max(1e-9) * 1000.0).round() / 1000.0,
-                )
-                .u64("tier_demotions", snap.tier_demotions)
-                .u64("tier_promotions", snap.tier_promotions)
-                .u64("tier_cap_reads", snap.tier_cap_reads)
-                .u64("fsck_failures", fsck_failures)
-                .finish(),
-        );
-    }
-    json.push(
-        obs::JsonObject::new()
-            .str("experiment", "tiering")
-            .str("config", "summary")
-            .u64("pm_mib_s", t_pm.round() as u64)
-            .u64("hot_mib_s", t_hot.round() as u64)
-            .u64("cold_mib_s", t_cold.round() as u64)
-            .u64(
-                "hot_vs_pm_pct",
-                (t_hot / t_pm.max(1e-9) * 100.0).round() as u64,
-            )
-            .f64(
-                "hot_vs_cold_x",
-                (t_hot / t_cold.max(1e-9) * 100.0).round() / 100.0,
-            )
-            .u64(
-                "demotions",
-                hot_snap.tier_demotions + cold_snap.tier_demotions,
-            )
-            .u64("promotions", hot_snap.tier_promotions)
-            .u64("fsck_failures", hot_fsck + cold_fsck)
-            .finish(),
-    );
-    TieringReport { rows, json }
-}
-
-/// Table-only view of [`tiering_report`].
-pub fn tiering(scale: Scale) -> Vec<Row> {
-    tiering_report(scale).rows
 }
 
 #[cfg(test)]

@@ -61,10 +61,6 @@ pub struct FuzzConfig {
     pub workload: CrashMixConfig,
     /// Device size for each trial.
     pub device_size: usize,
-    /// When set, format only this many bytes as PM and the rest of the
-    /// device as a capacity tier — migration-path crash points require a
-    /// tiered layout.  `None` formats the whole device flat.
-    pub pm_bytes: Option<usize>,
 }
 
 impl FuzzConfig {
@@ -82,22 +78,10 @@ impl FuzzConfig {
                 files_per_thread: 2,
                 ops_per_thread: 24,
                 use_rings: false,
-                tier_churn: false,
                 dir: "/chaos".to_string(),
             },
             device_size: 64 * 1024 * 1024,
-            pm_bytes: None,
         }
-    }
-
-    /// The smoke profile on a tiered device with tier churn enabled:
-    /// the workload fsyncs-then-demotes files as it runs, so sampled
-    /// crash points land before, during and after segment migrations.
-    pub fn tiered_smoke(mode: Mode, seed: u64) -> Self {
-        let mut config = Self::smoke(mode, seed);
-        config.pm_bytes = Some(48 * 1024 * 1024);
-        config.workload.tier_churn = true;
-        config
     }
 }
 
@@ -140,10 +124,7 @@ fn build(config: &FuzzConfig) -> FsResult<(Arc<PmemDevice>, Arc<SplitFs>)> {
         .crash_policy(config.policy)
         .build();
     device.ledger().set_enabled(true);
-    let kernel = match config.pm_bytes {
-        Some(pm) => Ext4Dax::mkfs_shaped(Arc::clone(&device), pm)?,
-        None => Ext4Dax::mkfs(Arc::clone(&device))?,
-    };
+    let kernel = Ext4Dax::mkfs(Arc::clone(&device))?;
     let fs = SplitFs::new(kernel, split_config(config.mode))?;
     Ok((device, fs))
 }
@@ -516,27 +497,6 @@ mod tests {
             let committed = report.promise_counts.get("oplog_committed");
             assert_eq!(committed.is_some(), mode == Mode::Strict, "{report:?}");
         }
-    }
-
-    #[test]
-    fn tiered_migration_points_recover_clean() {
-        // Crash points land around fsync-then-demote migrations: after
-        // recovery every promised prefix must read back (reassembled
-        // from whichever tier won) and fsck's tier-exclusivity pass must
-        // find every segment wholly on exactly one tier.
-        let mut config = FuzzConfig::tiered_smoke(Mode::Strict, chaos_seed(0x71E7_C4A0));
-        config.max_points = 6;
-        config.workload.ops_per_thread = 16;
-        let report = run(&config).unwrap();
-        assert!(report.points_explored >= 3, "{report:?}");
-        assert!(
-            report.violations.is_empty(),
-            "seed {}: {:#?}",
-            crate::seed::replay_banner(config.seed),
-            report.violations
-        );
-        assert_eq!(report.fsck_failures, 0);
-        assert!(report.promises_checked > 0);
     }
 
     #[test]

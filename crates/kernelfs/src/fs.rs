@@ -91,7 +91,7 @@ use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use pmem::{AccessPattern, PersistMode, PmemDevice, TieredDevice, TimeCategory, PAGE_2M};
+use pmem::{AccessPattern, PersistMode, PmemDevice, TimeCategory, PAGE_2M};
 use vfs::{
     iov_total_len, path as vpath, ConsistencyClass, Fd, FileStat, FileSystem, FsError, FsResult,
     IoVec, OpenFlags, ReadView, SeekFrom,
@@ -104,7 +104,6 @@ use crate::inode::{changed_lines, Extent, ExtentMap, Inode, InodeKind};
 use crate::journal::{Journal, JournalRecord};
 use crate::layout::{Superblock, BLOCK_SIZE, DEFAULT_INODE_COUNT, INODE_RECORD_SIZE};
 use crate::lease::{LeaseManager, MAX_INSTANCES};
-use crate::segment::{SegmentRecord, SegmentTable};
 
 /// Inode number of the root directory.
 pub const ROOT_INO: u64 = 1;
@@ -266,13 +265,6 @@ pub struct Ext4Dax {
     alloc: ShardedAllocator,
     journal: Journal,
     leases: LeaseManager,
-    /// Two-tier view of the device: PM in `[0, total_blocks)`, capacity
-    /// behind it (degenerate on flat devices).
-    tier: TieredDevice,
-    /// Which parts of which files live on the capacity tier (see
-    /// [`crate::segment`]).  Empty — and every probe cheap — on flat
-    /// devices.
-    segments: SegmentTable,
 }
 
 /// One block move inside an [`Ext4Dax::ioctl_relink_batch`] call.
@@ -561,34 +553,17 @@ impl Ext4Dax {
         shards.into_iter().map(RwLock::new).collect()
     }
 
-    /// Formats the device as a flat, all-PM file system and returns it
-    /// mounted.
+    /// Formats the device and returns the file system mounted.
     ///
     /// Formatting itself is not an operation the paper measures, so its
     /// device traffic is written without simulated-time charges.
     pub fn mkfs(device: Arc<PmemDevice>) -> FsResult<Arc<Self>> {
-        let pm_bytes = device.size();
-        Self::mkfs_shaped(device, pm_bytes)
-    }
-
-    /// Formats the device with the first `pm_bytes` as the PM tier and
-    /// everything behind it as the capacity tier (equal to `mkfs` when
-    /// `pm_bytes` covers the whole device).  The capacity region opens
-    /// with the segment-location table (see [`crate::segment`]) followed
-    /// by capacity data blocks.
-    pub fn mkfs_shaped(device: Arc<PmemDevice>, pm_bytes: usize) -> FsResult<Arc<Self>> {
-        if pm_bytes > device.size() || !pm_bytes.is_multiple_of(BLOCK_SIZE) {
+        if !device.size().is_multiple_of(BLOCK_SIZE) {
             return Err(FsError::InvalidArgument);
         }
-        let total_blocks = pm_bytes as u64 / BLOCK_SIZE as u64;
-        let cap_blocks = (device.size() - pm_bytes) as u64 / BLOCK_SIZE as u64;
-        let sb = Superblock::compute_shaped(
-            total_blocks,
-            DEFAULT_INODE_COUNT.min(total_blocks / 4),
-            cap_blocks,
-        )?;
+        let total_blocks = device.size() as u64 / BLOCK_SIZE as u64;
+        let sb = Superblock::compute(total_blocks, DEFAULT_INODE_COUNT.min(total_blocks / 4))?;
         device.write_uncharged(0, &sb.to_block());
-        SegmentTable::format_uncharged(&device, &sb);
 
         let journal = Journal::new(Arc::clone(&device), &sb);
         journal.format();
@@ -622,8 +597,6 @@ impl Ext4Dax {
         let mut dirs = HashMap::new();
         dirs.insert(ROOT_INO, BTreeMap::new());
 
-        let tier = TieredDevice::new(Arc::clone(&device), pm_bytes);
-        let segments = SegmentTable::new_empty(Arc::clone(&device), &sb);
         let fs = Self {
             device,
             sb,
@@ -639,8 +612,6 @@ impl Ext4Dax {
             alloc,
             journal,
             leases,
-            tier,
-            segments,
         };
         {
             let mut shard = fs.lock_inode_write(ROOT_INO);
@@ -723,20 +694,10 @@ impl Ext4Dax {
             dirs.insert(ino, map);
         }
 
-        // 5. Load the segment-location table (degenerate on flat devices),
-        //    then replay committed journal records idempotently on the
-        //    in-memory state — including SegmentMap records from a
-        //    migration whose in-place table rewrite did not land.
-        let segments = SegmentTable::load_uncharged(Arc::clone(&device), &sb)?;
+        // 5. Replay committed journal records idempotently on the
+        //    in-memory state.
         for rec in &records {
-            Self::replay_record(
-                rec,
-                &mut inodes,
-                &mut dirs,
-                &alloc,
-                &segments,
-                &mut lease_ids,
-            );
+            Self::replay_record(rec, &mut inodes, &mut dirs, &alloc, &mut lease_ids);
         }
 
         // Only data allocations persist the bitmap; a chain block's bit
@@ -765,10 +726,6 @@ impl Ext4Dax {
         let lease_seed: Vec<u32> = lease_ids.into_iter().collect();
         let leases = LeaseManager::new(Arc::clone(&device), &sb, &lease_seed);
 
-        let tier = TieredDevice::new(
-            Arc::clone(&device),
-            (sb.total_blocks * BLOCK_SIZE as u64) as usize,
-        );
         let fs = Self {
             device,
             sb,
@@ -784,16 +741,11 @@ impl Ext4Dax {
             alloc,
             journal,
             leases,
-            tier,
-            segments,
         };
         {
             // Make the in-place state match the replayed state, then the
             // journal contents are no longer needed.
             fs.leases.persist();
-            if fs.sb.is_tiered() {
-                fs.segments.persist_uncharged()?;
-            }
             for shard in &fs.inodes {
                 let mut guard = shard.write();
                 for (_, inode) in guard.iter_mut() {
@@ -817,7 +769,6 @@ impl Ext4Dax {
         inodes: &mut HashMap<u64, Inode>,
         dirs: &mut HashMap<u64, BTreeMap<String, DirSlot>>,
         alloc: &ShardedAllocator,
-        segments: &SegmentTable,
         lease_ids: &mut std::collections::HashSet<u32>,
     ) {
         match rec {
@@ -953,7 +904,6 @@ impl Ext4Dax {
                     lease_ids.remove(instance_id);
                 }
             }
-            JournalRecord::SegmentMap { .. } => segments.apply(rec),
             JournalRecord::Commit => {}
         }
     }
@@ -1420,17 +1370,8 @@ impl Ext4Dax {
                         cat,
                     )?;
                 }
-                None => match self.segments.lookup(inode.ino, block) {
-                    // Demoted segment: staged bounce-read from the
-                    // capacity tier at block-granular cost.
-                    Some((cap_block, _)) => self.tier.cap_read(
-                        self.sb.cap_block_offset(cap_block) + within as u64,
-                        &mut buf[pos..pos + chunk],
-                        cat,
-                    ),
-                    // True hole: reads as zeroes.
-                    None => buf[pos..pos + chunk].fill(0),
-                },
+                // A hole reads as zeroes.
+                None => buf[pos..pos + chunk].fill(0),
             }
             first = false;
             pos += chunk;
@@ -1438,12 +1379,9 @@ impl Ext4Dax {
         Ok(())
     }
 
-    /// Detaches every block of `inode` — PM extents, overflow blocks and
-    /// any capacity-tier segments — returning the journal records
-    /// describing the frees plus the PM runs to release **after** those
-    /// records commit.  Callers whose file may be demoted must call
-    /// [`SegmentTable::persist_if_dirty`] under the same transaction
-    /// guard (the purge may have removed segment records).
+    /// Detaches every block of `inode` — extents and overflow blocks —
+    /// returning the journal records describing the frees plus the runs
+    /// to release **after** those records commit.
     fn free_inode_blocks(&self, inode: &mut Inode) -> (Vec<JournalRecord>, Vec<BlockRun>) {
         let mut records = Vec::new();
         let mut runs = Vec::new();
@@ -1460,15 +1398,6 @@ impl Ext4Dax {
             records.push(JournalRecord::FreeBlocks { start: b, len: 1 });
             runs.push(BlockRun { start: b, len: 1 });
         }
-        for seg in self.segments.take_ino(inode.ino) {
-            records.push(JournalRecord::SegmentMap {
-                ino: seg.ino,
-                logical: seg.logical,
-                len: seg.len,
-                cap_block: seg.cap_block,
-                demote: false,
-            });
-        }
         (records, runs)
     }
 
@@ -1483,7 +1412,6 @@ impl Ext4Dax {
         if total == 0 {
             return Ok(0);
         }
-        self.ensure_resident(inode)?;
         self.allocate_range(inode, offset, total)?;
         // POSIX: what lies between the old end of file and a write beyond
         // it reads as zero.  Whole blocks of the gap stay holes; its ends —
@@ -1564,7 +1492,6 @@ impl Ext4Dax {
         let file = self.lookup_fd(fd)?;
         let mut shard = self.lock_inode_write(file.ino);
         let inode = shard.get_mut(&file.ino).ok_or(FsError::BadFd)?;
-        self.ensure_resident(inode)?;
         self.allocate_range(inode, offset, len)?;
         self.write_inode(inode);
         Ok(())
@@ -1582,13 +1509,6 @@ impl Ext4Dax {
         let cost = self.device.cost();
         self.charge(cost.mmap_setup_ns);
         let file = self.lookup_fd(fd)?;
-        // A DAX mapping is a declaration of PM-speed access intent:
-        // promote a demoted file before exposing extents to load/store.
-        if self.segments.has(file.ino) {
-            let mut shard = self.lock_inode_write(file.ino);
-            let inode = shard.get_mut(&file.ino).ok_or(FsError::BadFd)?;
-            self.promote_locked(inode)?;
-        }
         let shard = self.lock_inode_read(file.ino);
         let inode = shard.get(&file.ino).ok_or(FsError::BadFd)?;
 
@@ -1732,21 +1652,6 @@ impl Ext4Dax {
             resolved.push((src.ino, dst.ino, op));
         }
         let mut set = self.lock_inodes_write(&inos);
-
-        // Demoted files come back to PM before their extents move: relink
-        // rewrites block mappings, which must never operate on a file
-        // whose data is split across tiers.
-        if self.segments.any_records() {
-            let mut unique = inos.clone();
-            unique.sort_unstable();
-            unique.dedup();
-            for ino in unique {
-                if self.segments.has(ino) {
-                    let inode = set.inode_mut(shards, ino)?;
-                    self.promote_locked(inode)?;
-                }
-            }
-        }
 
         // Upfront validation pass: all inodes resolve and all source ranges
         // are fully mapped.  Nothing is mutated until every op has passed,
@@ -1919,247 +1824,6 @@ impl Ext4Dax {
         Ok(ops.len())
     }
 
-    // ------------------------------------------------------------------
-    // Tiered capacity: segment demotion / promotion (see `segment.rs`)
-    // ------------------------------------------------------------------
-
-    /// Moves every extent of `inode` to the capacity tier, freeing its PM
-    /// blocks.  Each extent becomes an independently placed segment, but
-    /// one journal transaction covers the whole file, so a crash lands
-    /// either fully before the commit (PM extents authoritative, the
-    /// capacity copies unreferenced garbage) or fully after it (segment
-    /// records authoritative).  The capacity copies ride the commit fence
-    /// into durability — data durable no later than the metadata that
-    /// references it.  Called with the inode's shard write lock held;
-    /// returns the bytes moved (0 for an empty or already-demoted file).
-    fn demote_locked(&self, inode: &mut Inode) -> FsResult<u64> {
-        if !self.sb.is_tiered() {
-            return Err(FsError::NotSupported);
-        }
-        let extents: Vec<Extent> = inode.extents.iter().collect();
-        if extents.is_empty() {
-            return Ok(0);
-        }
-        let cost = self.device.cost();
-        let mut records = Vec::new();
-        let mut seg_recs = Vec::new();
-        let mut runs = Vec::new();
-        let mut bytes = 0u64;
-        let staged = (|| -> FsResult<()> {
-            for ext in &extents {
-                self.charge(cost.ext4_alloc_ns);
-                let cap = self.segments.alloc_cap(ext.len)?;
-                let mut buf = vec![0u8; (ext.len as usize) * BLOCK_SIZE];
-                self.device.try_read(
-                    ext.phys * BLOCK_SIZE as u64,
-                    &mut buf,
-                    AccessPattern::Sequential,
-                    TimeCategory::Metadata,
-                )?;
-                self.tier
-                    .cap_write(self.sb.cap_block_offset(cap), &buf, TimeCategory::Metadata);
-                records.push(JournalRecord::SegmentMap {
-                    ino: inode.ino,
-                    logical: ext.logical,
-                    len: ext.len,
-                    cap_block: cap,
-                    demote: true,
-                });
-                records.push(JournalRecord::FreeBlocks {
-                    start: ext.phys,
-                    len: ext.len,
-                });
-                seg_recs.push(SegmentRecord {
-                    ino: inode.ino,
-                    logical: ext.logical,
-                    len: ext.len,
-                    cap_block: cap,
-                });
-                runs.push(BlockRun {
-                    start: ext.phys,
-                    len: ext.len,
-                });
-                bytes += ext.len * BLOCK_SIZE as u64;
-            }
-            records.push(JournalRecord::TruncateExtents {
-                ino: inode.ino,
-                from_logical: 0,
-            });
-            Ok(())
-        })();
-        if let Err(e) = staged {
-            // Nothing journaled or published: return the staged capacity
-            // blocks (their contents are unreferenced garbage).
-            for rec in &seg_recs {
-                self.segments.free_cap(rec.cap_block, rec.len);
-            }
-            return Err(e);
-        }
-        let (_tid, txn) = self.journal.commit(inode.ino, &records)?;
-        inode.extents.truncate_from(0);
-        for rec in seg_recs {
-            self.segments.insert(rec);
-        }
-        self.segments.persist_if_dirty()?;
-        self.write_inode(inode);
-        self.release_runs(&runs);
-        drop(txn);
-        self.device.stats().add_tier_demotion(bytes);
-        obs::event(obs::SpanEvent::TierDemote);
-        Ok(bytes)
-    }
-
-    /// Moves every capacity-tier segment of `inode` back into freshly
-    /// allocated PM extents.  The mirror image of
-    /// [`Ext4Dax::demote_locked`]: one transaction for the whole file,
-    /// the PM copies durable at the commit fence, the capacity blocks
-    /// freed only after the commit publishes the removals.  Called with
-    /// the inode's shard write lock held; returns the bytes moved.
-    fn promote_locked(&self, inode: &mut Inode) -> FsResult<u64> {
-        let segs = self.segments.records_for(inode.ino);
-        if segs.is_empty() {
-            return Ok(0);
-        }
-        let cost = self.device.cost();
-        let mut records = Vec::new();
-        let mut all_runs: Vec<BlockRun> = Vec::new();
-        let mut bytes = 0u64;
-        let chain_len = inode.overflow_blocks.len();
-        let staged = (|| -> FsResult<()> {
-            for seg in &segs {
-                self.charge(cost.ext4_alloc_ns);
-                let seg_runs = self.alloc.alloc_extents(inode.ino, seg.len)?;
-                let mut l = seg.logical;
-                let mut cap_byte = self.sb.cap_block_offset(seg.cap_block);
-                for run in seg_runs {
-                    let mut buf = vec![0u8; (run.len as usize) * BLOCK_SIZE];
-                    self.tier
-                        .cap_read(cap_byte, &mut buf, TimeCategory::Metadata);
-                    self.device.write(
-                        run.start * BLOCK_SIZE as u64,
-                        &buf,
-                        PersistMode::NonTemporal,
-                        TimeCategory::Metadata,
-                    );
-                    records.push(JournalRecord::AllocBlocks {
-                        start: run.start,
-                        len: run.len,
-                    });
-                    records.push(JournalRecord::AddExtent {
-                        ino: inode.ino,
-                        logical: l,
-                        phys: run.start,
-                        len: run.len,
-                    });
-                    inode.extents.insert(Extent {
-                        logical: l,
-                        phys: run.start,
-                        len: run.len,
-                    });
-                    l += run.len;
-                    cap_byte += run.len * BLOCK_SIZE as u64;
-                    bytes += run.len * BLOCK_SIZE as u64;
-                    all_runs.push(run);
-                }
-                records.push(JournalRecord::SegmentMap {
-                    ino: seg.ino,
-                    logical: seg.logical,
-                    len: seg.len,
-                    cap_block: seg.cap_block,
-                    demote: false,
-                });
-            }
-            self.reserve_chain(inode)
-        })();
-        let txn = match staged.and_then(|()| self.journal.commit(inode.ino, &records)) {
-            Ok((_tid, txn)) => txn,
-            Err(e) => {
-                // Nothing journaled: unmap the staged PM blocks (the
-                // segments still hold the data) and hand them back.
-                for seg in &segs {
-                    inode.extents.remove_range(seg.logical, seg.len);
-                }
-                for run in &all_runs {
-                    self.alloc.mark_free(run.start, run.len);
-                }
-                self.truncate_chain(inode, chain_len);
-                return Err(e);
-            }
-        };
-        for seg in &segs {
-            self.segments.remove(seg.ino, seg.logical);
-        }
-        self.segments.persist_if_dirty()?;
-        self.write_inode(inode);
-        self.alloc.persist_runs(&self.device, &self.sb, &all_runs);
-        drop(txn);
-        self.device.stats().add_tier_promotion(bytes);
-        obs::event(obs::SpanEvent::TierPromote);
-        Ok(bytes)
-    }
-
-    /// Promotes `inode` back to PM if any of it lives on the capacity
-    /// tier.  Every mutating data path calls this first, preserving the
-    /// whole-file tier invariant: writes never land on a file whose data
-    /// is split across tiers.  Cheap when nothing is demoted anywhere
-    /// (one relaxed atomic load).
-    fn ensure_resident(&self, inode: &mut Inode) -> FsResult<()> {
-        if self.segments.has(inode.ino) {
-            self.promote_locked(inode)?;
-        }
-        Ok(())
-    }
-
-    /// Demotes the whole file behind `fd` to the capacity tier (the
-    /// policy entry point U-Split's maintenance daemon drives for
-    /// long-idle relinked files).  Returns the bytes moved; directories
-    /// are rejected and flat devices report [`FsError::NotSupported`].
-    pub fn ioctl_demote(&self, fd: Fd) -> FsResult<u64> {
-        self.charge_syscall();
-        let file = self.lookup_fd(fd)?;
-        let mut shard = self.lock_inode_write(file.ino);
-        let inode = shard.get_mut(&file.ino).ok_or(FsError::BadFd)?;
-        if inode.is_dir() {
-            return Err(FsError::IsADirectory);
-        }
-        self.demote_locked(inode)
-    }
-
-    /// Promotes the whole file behind `fd` back to PM (heat promotion).
-    /// Returns the bytes moved (0 when already resident).
-    pub fn ioctl_promote(&self, fd: Fd) -> FsResult<u64> {
-        self.charge_syscall();
-        let file = self.lookup_fd(fd)?;
-        let mut shard = self.lock_inode_write(file.ino);
-        let inode = shard.get_mut(&file.ino).ok_or(FsError::BadFd)?;
-        self.promote_locked(inode)
-    }
-
-    /// Whether the file behind `fd` currently lives on the capacity tier.
-    pub fn is_demoted(&self, fd: Fd) -> FsResult<bool> {
-        Ok(self.segments.has(self.lookup_fd(fd)?.ino))
-    }
-
-    /// Whether the mounted layout has a capacity tier.
-    pub fn is_tiered(&self) -> bool {
-        self.sb.is_tiered()
-    }
-
-    /// Fraction of PM data blocks in use — the input to the daemon's
-    /// adaptive demotion watermark.
-    pub fn pm_utilization(&self) -> f64 {
-        let data = self.sb.data_blocks();
-        if data == 0 {
-            return 0.0;
-        }
-        1.0 - self.alloc.free_blocks() as f64 / data as f64
-    }
-
-    /// `(used, total)` capacity-tier data blocks.
-    pub fn cap_usage(&self) -> (u64, u64) {
-        (self.segments.used_blocks(), self.segments.cap_data_blocks())
-    }
-
     /// Returns the number of free data blocks (used by tests and by the
     /// resource-consumption experiment).
     pub fn free_blocks(&self) -> u64 {
@@ -2256,48 +1920,6 @@ impl Ext4Dax {
             }
         }
 
-        // Pass 3: tier exclusivity.  Every capacity-tier segment belongs
-        // to a live file inode, lies within the file, stays inside the
-        // capacity tier, and no logical block is mapped on both tiers —
-        // a crash anywhere inside a migration must leave each segment
-        // wholly on exactly one tier.
-        for rec in self.segments.all_records() {
-            if rec.cap_block + rec.len > self.segments.cap_data_blocks() {
-                violations.push(format!(
-                    "segment ino {} logical {}: capacity placement {}+{} outside the tier",
-                    rec.ino, rec.logical, rec.cap_block, rec.len
-                ));
-            }
-            match inode_guards[inode_shard_of(rec.ino, ishards)].get(&rec.ino) {
-                None => violations.push(format!(
-                    "segment ino {} logical {}: record without a live inode",
-                    rec.ino, rec.logical
-                )),
-                Some(inode) => {
-                    if inode.is_dir() {
-                        violations.push(format!(
-                            "segment ino {}: directories cannot be demoted",
-                            rec.ino
-                        ));
-                    }
-                    if rec.logical * BLOCK_SIZE as u64 >= inode.size {
-                        violations.push(format!(
-                            "segment ino {} logical {}: starts past EOF ({} B)",
-                            rec.ino, rec.logical, inode.size
-                        ));
-                    }
-                    for lb in rec.logical..rec.logical + rec.len {
-                        if inode.extents.lookup(lb).is_some() {
-                            violations.push(format!(
-                                "ino {} block {lb}: mapped on both PM and capacity tiers",
-                                rec.ino
-                            ));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
         violations
     }
 
@@ -2499,7 +2121,6 @@ impl FileSystem for Ext4Dax {
                         records.extend(free_records);
                         inode.size = 0;
                         let (_tid, txn) = self.journal.commit(ino, &records)?;
-                        self.segments.persist_if_dirty()?;
                         self.write_inode(inode);
                         self.release_runs(&runs);
                         drop(txn);
@@ -2594,7 +2215,6 @@ impl FileSystem for Ext4Dax {
                         free_inode: true,
                     });
                     let (_tid, txn) = self.journal.commit(file.ino, &records)?;
-                    self.segments.persist_if_dirty()?;
                     self.zero_inode_record(file.ino);
                     self.release_runs(&runs);
                     drop(txn);
@@ -2798,7 +2418,6 @@ impl FileSystem for Ext4Dax {
         let ino = file.ino;
         let mut shard = self.lock_inode_write(ino);
         let inode = shard.get_mut(&ino).ok_or(FsError::BadFd)?;
-        self.ensure_resident(inode)?;
         let old_size = inode.size;
         self.charge(cost.ext4_inode_update_ns);
         if size < old_size {
@@ -2945,7 +2564,6 @@ impl FileSystem for Ext4Dax {
                     free_inode: true,
                 });
                 let (_tid, txn) = self.journal.commit(ino, &records)?;
-                self.segments.persist_if_dirty()?;
                 set.map_for(inode_shard_of(ino, ishards)).remove(&ino);
                 self.zero_inode_record(ino);
                 {
@@ -3049,7 +2667,6 @@ impl FileSystem for Ext4Dax {
                 freed_runs = runs;
             }
             let (_tid, txn) = self.journal.commit(ino, &records)?;
-            self.segments.persist_if_dirty()?;
 
             {
                 let old_parent_inode = set.inode(shards, old_parent)?;
@@ -3725,129 +3342,5 @@ mod tests {
         let entries = fs2.readdir("/").unwrap();
         assert!(entries.contains(&"dir".to_string()));
         assert!(entries.contains(&"top.txt".to_string()));
-    }
-
-    /// 48 MiB PM + 16 MiB capacity tier.
-    fn tiered_fs() -> Arc<Ext4Dax> {
-        let device = PmemBuilder::new(64 * 1024 * 1024).build();
-        Ext4Dax::mkfs_shaped(device, 48 * 1024 * 1024).unwrap()
-    }
-
-    #[test]
-    fn demote_moves_data_to_capacity_and_reads_reassemble() {
-        let fs = tiered_fs();
-        assert!(fs.is_tiered());
-        let fd = fs.open("/cold", OpenFlags::create()).unwrap();
-        let data: Vec<u8> = (0..6 * BLOCK_SIZE + 123).map(|i| (i % 251) as u8).collect();
-        fs.write_at(fd, 0, &data).unwrap();
-        let free_before = fs.free_blocks();
-
-        let moved = fs.ioctl_demote(fd).unwrap();
-        assert_eq!(moved, 7 * BLOCK_SIZE as u64);
-        assert!(fs.is_demoted(fd).unwrap());
-        assert!(
-            fs.free_blocks() > free_before,
-            "demotion must free PM blocks"
-        );
-        let (used, _) = fs.cap_usage();
-        assert_eq!(used, 7);
-        assert!(fs.check_namespace().is_empty());
-
-        // Reads reassemble transparently from the capacity tier.
-        let mut buf = vec![0u8; data.len()];
-        assert_eq!(fs.read_at(fd, 0, &mut buf).unwrap(), data.len());
-        assert_eq!(buf, data);
-        assert_eq!(fs.fstat(fd).unwrap().size, data.len() as u64);
-        let snap = fs.device().stats().snapshot();
-        assert_eq!(snap.tier_demotions, 1);
-        assert_eq!(snap.tier_demoted_bytes, moved);
-        assert!(
-            snap.tier_cap_reads > 0,
-            "cold read must hit the capacity tier"
-        );
-
-        // Promotion brings everything back and empties the tier.
-        let back = fs.ioctl_promote(fd).unwrap();
-        assert_eq!(back, moved);
-        assert!(!fs.is_demoted(fd).unwrap());
-        assert_eq!(fs.cap_usage().0, 0);
-        let mut buf2 = vec![0u8; data.len()];
-        fs.read_at(fd, 0, &mut buf2).unwrap();
-        assert_eq!(buf2, data);
-        assert!(fs.check_namespace().is_empty());
-    }
-
-    #[test]
-    fn writes_promote_demoted_files_before_touching_them() {
-        let fs = tiered_fs();
-        let fd = fs.open("/f", OpenFlags::create()).unwrap();
-        let block = vec![0x5au8; BLOCK_SIZE];
-        fs.write_at(fd, 0, &block).unwrap();
-        fs.ioctl_demote(fd).unwrap();
-        // An overwrite must pull the file back to PM first (whole-file
-        // residency invariant), not diverge from the capacity copy.
-        fs.write_at(fd, 16, b"patch").unwrap();
-        assert!(!fs.is_demoted(fd).unwrap());
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        fs.read_at(fd, 0, &mut buf).unwrap();
-        assert_eq!(&buf[16..21], b"patch");
-        assert_eq!(buf[0], 0x5a);
-        let snap = fs.device().stats().snapshot();
-        assert_eq!(snap.tier_promotions, 1);
-        assert_eq!(snap.tier_promoted_bytes, BLOCK_SIZE as u64);
-        assert!(fs.check_namespace().is_empty());
-    }
-
-    #[test]
-    fn unlink_of_demoted_file_releases_capacity_blocks() {
-        let fs = tiered_fs();
-        let fd = fs.open("/gone", OpenFlags::create()).unwrap();
-        fs.write_at(fd, 0, &vec![1u8; 4 * BLOCK_SIZE]).unwrap();
-        fs.ioctl_demote(fd).unwrap();
-        fs.close(fd).unwrap();
-        assert_eq!(fs.cap_usage().0, 4);
-        fs.unlink("/gone").unwrap();
-        assert_eq!(fs.cap_usage().0, 0, "unlink must free capacity blocks");
-        assert!(fs.check_namespace().is_empty());
-    }
-
-    #[test]
-    fn demoted_segments_survive_remount() {
-        let device = PmemBuilder::new(64 * 1024 * 1024).build();
-        let data: Vec<u8> = (0..3 * BLOCK_SIZE).map(|i| (i % 241) as u8).collect();
-        {
-            let fs = Ext4Dax::mkfs_shaped(Arc::clone(&device), 48 * 1024 * 1024).unwrap();
-            let fd = fs.open("/persist", OpenFlags::create()).unwrap();
-            fs.write_at(fd, 0, &data).unwrap();
-            fs.ioctl_demote(fd).unwrap();
-            fs.close(fd).unwrap();
-        }
-        let fs2 = Ext4Dax::mount(device).unwrap();
-        assert!(fs2.is_tiered());
-        assert_eq!(fs2.cap_usage().0, 3);
-        let fd = fs2.open("/persist", OpenFlags::read_only()).unwrap();
-        assert!(fs2.is_demoted(fd).unwrap());
-        let mut buf = vec![0u8; data.len()];
-        fs2.read_at(fd, 0, &mut buf).unwrap();
-        assert_eq!(buf, data);
-        assert!(fs2.check_namespace().is_empty());
-    }
-
-    #[test]
-    fn relink_into_demoted_target_promotes_it_first() {
-        let fs = tiered_fs();
-        let target = fs.open("/t", OpenFlags::create()).unwrap();
-        fs.write_at(target, 0, &vec![7u8; BLOCK_SIZE]).unwrap();
-        fs.ioctl_demote(target).unwrap();
-        let staging = fs.open("/s", OpenFlags::create()).unwrap();
-        fs.write_at(staging, 0, &vec![9u8; BLOCK_SIZE]).unwrap();
-        fs.ioctl_relink(staging, 0, target, BLOCK_SIZE as u64, BLOCK_SIZE as u64)
-            .unwrap();
-        assert!(!fs.is_demoted(target).unwrap());
-        let mut buf = vec![0u8; 2 * BLOCK_SIZE];
-        fs.read_at(target, 0, &mut buf).unwrap();
-        assert!(buf[..BLOCK_SIZE].iter().all(|&b| b == 7));
-        assert!(buf[BLOCK_SIZE..].iter().all(|&b| b == 9));
-        assert!(fs.check_namespace().is_empty());
     }
 }

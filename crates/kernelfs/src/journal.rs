@@ -174,24 +174,6 @@ pub enum JournalRecord {
         /// `true` for an acquisition, `false` for a release.
         acquire: bool,
     },
-    /// A segment of a file migrated between the PM tier and the capacity
-    /// tier.  The in-place structure is the segment-location table at the
-    /// head of the capacity region (see [`crate::segment`]); replaying the
-    /// record re-applies the move to it, so recovery always lands on a map
-    /// where each segment lives wholly on exactly one tier.
-    SegmentMap {
-        /// Inode the segment belongs to.
-        ino: u64,
-        /// First logical block of the segment.
-        logical: u64,
-        /// Number of blocks in the segment.
-        len: u64,
-        /// First capacity-tier data block holding the segment's bytes.
-        cap_block: u64,
-        /// `true` for a demotion (PM → capacity, record added), `false`
-        /// for a promotion (capacity → PM, record removed).
-        demote: bool,
-    },
     /// Transaction commit marker.
     Commit,
 }
@@ -211,7 +193,8 @@ impl JournalRecord {
             JournalRecord::Commit => 10,
             JournalRecord::SetRangeMapping { .. } => 11,
             JournalRecord::Lease { .. } => 12,
-            JournalRecord::SegmentMap { .. } => 13,
+            // Tag 13 is retired and never reused: a record carrying it
+            // decodes as invalid and ends the scan like a torn one.
         }
     }
 
@@ -315,19 +298,6 @@ impl JournalRecord {
                 w.put_u64(u64::from(*instance_id));
                 w.put_u8(u8::from(*acquire));
             }
-            JournalRecord::SegmentMap {
-                ino,
-                logical,
-                len,
-                cap_block,
-                demote,
-            } => {
-                w.put_u64(*ino);
-                w.put_u64(*logical);
-                w.put_u64(*len);
-                w.put_u64(*cap_block);
-                w.put_u8(u8::from(*demote));
-            }
             JournalRecord::Commit => {}
         }
         w.into_vec()
@@ -405,13 +375,6 @@ impl JournalRecord {
             12 => JournalRecord::Lease {
                 instance_id: r.get_u64()? as u32,
                 acquire: r.get_u8()? != 0,
-            },
-            13 => JournalRecord::SegmentMap {
-                ino: r.get_u64()?,
-                logical: r.get_u64()?,
-                len: r.get_u64()?,
-                cap_block: r.get_u64()?,
-                demote: r.get_u8()? != 0,
             },
             _ => return None,
         };

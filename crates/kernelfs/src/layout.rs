@@ -39,10 +39,6 @@ pub const LEASE_BLOCKS: u64 = 1;
 /// Default number of inodes a format creates.
 pub const DEFAULT_INODE_COUNT: u64 = 65_536;
 
-/// Number of blocks reserved at the head of the capacity region for the
-/// segment-location table (256 KiB — thousands of segment records).
-pub const SEGTAB_BLOCKS: u64 = 64;
-
 /// The superblock: region boundaries and format parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Superblock {
@@ -70,28 +66,12 @@ pub struct Superblock {
     pub bitmap_blocks: u64,
     /// First data block.
     pub data_start: u64,
-    /// Number of 4 KiB blocks in the capacity tier that follows the PM
-    /// region (`0` on flat, all-PM devices — the value older images
-    /// deserialize, since `to_block` zero-fills).
-    pub cap_blocks: u64,
-    /// Blocks at the head of the capacity region reserved for the
-    /// segment-location table (`0` on flat devices).
-    pub segtab_blocks: u64,
 }
 
 impl Superblock {
-    /// Computes a layout for an all-PM device with `total_blocks` blocks
-    /// and `inode_count` inodes.
+    /// Computes a layout for a device with `total_blocks` blocks and
+    /// `inode_count` inodes.
     pub fn compute(total_blocks: u64, inode_count: u64) -> FsResult<Self> {
-        Self::compute_shaped(total_blocks, inode_count, 0)
-    }
-
-    /// Computes a layout for a PM region of `total_blocks` blocks backed
-    /// by a capacity tier of `cap_blocks` blocks (`0` for a flat device).
-    /// The capacity region starts right after the PM region; its first
-    /// [`SEGTAB_BLOCKS`] blocks hold the segment-location table and the
-    /// rest are capacity data blocks.
-    pub fn compute_shaped(total_blocks: u64, inode_count: u64, cap_blocks: u64) -> FsResult<Self> {
         let lease_start = 1;
         let lease_blocks = LEASE_BLOCKS;
         let journal_start = lease_start + lease_blocks;
@@ -107,14 +87,6 @@ impl Superblock {
         if data_start + 16 >= total_blocks {
             return Err(FsError::NoSpace);
         }
-        let segtab_blocks = if cap_blocks > 0 {
-            if cap_blocks < SEGTAB_BLOCKS + 16 {
-                return Err(FsError::NoSpace);
-            }
-            SEGTAB_BLOCKS
-        } else {
-            0
-        };
         Ok(Self {
             magic: SUPERBLOCK_MAGIC,
             total_blocks,
@@ -128,12 +100,12 @@ impl Superblock {
             bitmap_start,
             bitmap_blocks,
             data_start,
-            cap_blocks,
-            segtab_blocks,
         })
     }
 
-    /// Serializes the superblock into a 4 KiB block image.
+    /// Serializes the superblock into a 4 KiB block image.  Everything
+    /// past the twelve fields is zero; slots 12 and 13 (bytes 96..112)
+    /// are reserved and are not reused.
     pub fn to_block(&self) -> Vec<u8> {
         let mut buf = vec![0u8; BLOCK_SIZE];
         let fields = [
@@ -149,8 +121,6 @@ impl Superblock {
             self.bitmap_start,
             self.bitmap_blocks,
             self.data_start,
-            self.cap_blocks,
-            self.segtab_blocks,
         ];
         for (i, v) in fields.iter().enumerate() {
             buf[i * 8..(i + 1) * 8].copy_from_slice(&v.to_le_bytes());
@@ -181,10 +151,6 @@ impl Superblock {
             bitmap_start: read_u64(9),
             bitmap_blocks: read_u64(10),
             data_start: read_u64(11),
-            // Fields 12/13 postdate the flat-device format; short or
-            // pre-tiering images read as 0 (no capacity tier).
-            cap_blocks: if buf.len() >= 104 { read_u64(12) } else { 0 },
-            segtab_blocks: if buf.len() >= 112 { read_u64(13) } else { 0 },
         };
         if sb.magic != SUPERBLOCK_MAGIC {
             return Err(FsError::Corrupted("bad superblock magic".into()));
@@ -205,24 +171,6 @@ impl Superblock {
     /// Number of data blocks available to files.
     pub fn data_blocks(&self) -> u64 {
         self.total_blocks - self.data_start
-    }
-
-    /// Whether this layout has a capacity tier with usable data blocks.
-    pub fn is_tiered(&self) -> bool {
-        self.cap_data_blocks() > 0
-    }
-
-    /// Capacity-tier data blocks (excluding the segment-table reserve).
-    pub fn cap_data_blocks(&self) -> u64 {
-        self.cap_blocks.saturating_sub(self.segtab_blocks)
-    }
-
-    /// Byte offset of the capacity region within the capacity tier's own
-    /// address space where capacity data block `cap_block` lives (the
-    /// segment table occupies the first [`Superblock::segtab_blocks`]
-    /// blocks).
-    pub fn cap_block_offset(&self, cap_block: u64) -> u64 {
-        (self.segtab_blocks + cap_block) * BLOCK_SIZE as u64
     }
 }
 
@@ -263,24 +211,6 @@ mod tests {
     #[test]
     fn tiny_device_is_rejected() {
         assert!(Superblock::compute(128, 1024).is_err());
-    }
-
-    #[test]
-    fn shaped_layout_reserves_a_segment_table() {
-        let sb = Superblock::compute_shaped(1 << 16, 4096, 1 << 18).unwrap();
-        assert!(sb.is_tiered());
-        assert_eq!(sb.segtab_blocks, SEGTAB_BLOCKS);
-        assert_eq!(sb.cap_data_blocks(), (1 << 18) - SEGTAB_BLOCKS);
-        assert_eq!(sb.cap_block_offset(0), SEGTAB_BLOCKS * BLOCK_SIZE as u64);
-        let parsed = Superblock::from_block(&sb.to_block()).unwrap();
-        assert_eq!(sb, parsed);
-        // A flat layout parses with no tier, as do pre-tiering images
-        // whose field-12/13 slots are zero.
-        let flat = Superblock::compute(1 << 16, 4096).unwrap();
-        assert!(!flat.is_tiered());
-        assert_eq!(Superblock::from_block(&flat.to_block()).unwrap(), flat);
-        // A capacity tier too small to hold the table is rejected.
-        assert!(Superblock::compute_shaped(1 << 16, 4096, SEGTAB_BLOCKS).is_err());
     }
 
     #[test]

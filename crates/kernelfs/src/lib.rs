@@ -32,10 +32,8 @@ pub mod inode;
 pub mod journal;
 pub mod layout;
 pub mod lease;
-pub mod segment;
 
 pub use dax::{DaxMapping, MapSegment};
 pub use fs::{Ext4Dax, RelinkOp, ROOT_INO};
 pub use layout::BLOCK_SIZE;
 pub use lease::{oplog_path, staging_dir, LeaseManager, MAX_INSTANCES};
-pub use segment::{SegmentRecord, SegmentTable};

@@ -161,15 +161,11 @@ pub enum SpanEvent {
     /// Recovery from a captured crash image broke a declared-durability
     /// promise (or fsck / foreign-entry containment).
     OracleViolation,
-    /// A cold segment was demoted from PM to the capacity tier.
-    TierDemote,
-    /// A hot segment was promoted from the capacity tier back to PM.
-    TierPromote,
 }
 
 impl SpanEvent {
     /// Number of event kinds.
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 12;
 
     /// Every event, in display order.
     pub const ALL: [SpanEvent; SpanEvent::COUNT] = [
@@ -185,8 +181,6 @@ impl SpanEvent {
         SpanEvent::PathCacheMiss,
         SpanEvent::CrashCapture,
         SpanEvent::OracleViolation,
-        SpanEvent::TierDemote,
-        SpanEvent::TierPromote,
     ];
 
     #[inline]
@@ -209,8 +203,6 @@ impl SpanEvent {
             SpanEvent::PathCacheMiss => "path_cache_miss",
             SpanEvent::CrashCapture => "crash_capture",
             SpanEvent::OracleViolation => "oracle_violation",
-            SpanEvent::TierDemote => "tier_demote",
-            SpanEvent::TierPromote => "tier_promote",
         }
     }
 

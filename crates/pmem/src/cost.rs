@@ -49,20 +49,6 @@ pub struct CostModel {
     pub dram_copy_ns_per_byte: f64,
 
     // ------------------------------------------------------------------
-    // Device: capacity tier (block-granular slow storage behind PM)
-    // ------------------------------------------------------------------
-    /// Fixed latency of one capacity-tier read request.  Modelled on a
-    /// low-latency NVMe flash device: roughly an order of magnitude slower
-    /// than a PM load.
-    pub cap_read_latency_ns: f64,
-    /// Per-byte read cost of the capacity tier (~3 GB/s streaming).
-    pub cap_read_ns_per_byte: f64,
-    /// Fixed latency of one capacity-tier write request.
-    pub cap_write_latency_ns: f64,
-    /// Per-byte write cost of the capacity tier (~2 GB/s streaming).
-    pub cap_write_ns_per_byte: f64,
-
-    // ------------------------------------------------------------------
     // Kernel-boundary and virtual-memory costs
     // ------------------------------------------------------------------
     /// Entering and leaving the kernel for one system call.
@@ -158,13 +144,6 @@ impl CostModel {
             sfence_ns: 30.0,
             dram_copy_ns_per_byte: 0.012,
 
-            // Capacity tier: block-granular flash an order of magnitude
-            // slower than PM, accessed through request queues.
-            cap_read_latency_ns: 8_000.0,
-            cap_read_ns_per_byte: 0.33,
-            cap_write_latency_ns: 12_000.0,
-            cap_write_ns_per_byte: 0.5,
-
             // Kernel boundary / VM.
             kernel_trap_ns: 280.0,
             vfs_path_ns: 320.0,
@@ -217,10 +196,6 @@ impl CostModel {
             clwb_ns: 0.0,
             sfence_ns: 0.0,
             dram_copy_ns_per_byte: 0.0,
-            cap_read_latency_ns: 0.0,
-            cap_read_ns_per_byte: 0.0,
-            cap_write_latency_ns: 0.0,
-            cap_write_ns_per_byte: 0.0,
             kernel_trap_ns: 0.0,
             vfs_path_ns: 0.0,
             page_fault_4k_ns: 0.0,
@@ -271,27 +246,6 @@ impl CostModel {
     pub fn persist_cost(&self, lines: usize) -> f64 {
         lines as f64 * self.clwb_ns + self.sfence_ns
     }
-
-    /// Cost of reading `len` bytes from the capacity tier.  The tier is
-    /// block-granular: a request always transfers whole 4 KiB blocks, so
-    /// the byte cost is charged on the rounded-up length.
-    pub fn cap_read_cost(&self, len: usize) -> f64 {
-        if len == 0 {
-            return 0.0;
-        }
-        let blocks = len.div_ceil(4096);
-        self.cap_read_latency_ns + (blocks * 4096) as f64 * self.cap_read_ns_per_byte
-    }
-
-    /// Cost of writing `len` bytes to the capacity tier (block-granular,
-    /// see [`CostModel::cap_read_cost`]).
-    pub fn cap_write_cost(&self, len: usize) -> f64 {
-        if len == 0 {
-            return 0.0;
-        }
-        let blocks = len.div_ceil(4096);
-        self.cap_write_latency_ns + (blocks * 4096) as f64 * self.cap_write_ns_per_byte
-    }
 }
 
 impl Default for CostModel {
@@ -332,16 +286,6 @@ mod tests {
     fn empty_write_is_free() {
         let m = CostModel::calibrated();
         assert_eq!(m.pm_write_cost(0), 0.0);
-    }
-
-    #[test]
-    fn capacity_tier_is_slower_than_pm() {
-        let m = CostModel::calibrated();
-        assert!(m.cap_read_cost(4096) > 5.0 * m.pm_read_cost(4096, true));
-        assert!(m.cap_write_cost(4096) > 5.0 * m.pm_write_cost(4096));
-        // Block granularity: a 1-byte read costs the same as a 4 KiB read.
-        assert_eq!(m.cap_read_cost(1), m.cap_read_cost(4096));
-        assert_eq!(m.cap_read_cost(0), 0.0);
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod device;
 pub mod oracle;
 pub mod persist;
 pub mod stats;
-pub mod tier;
 
 pub use clock::SimClock;
 pub use cost::CostModel;
@@ -42,7 +41,6 @@ pub use device::{CrashImage, FenceHook, MediaError, PmemBuilder, PmemDevice, Pme
 pub use oracle::{content_hash, Promise, PromiseLedger, PromiseRecord};
 pub use persist::{AccessPattern, PersistMode};
 pub use stats::{Stats, StatsSnapshot, TimeCategory};
-pub use tier::{DeviceShape, TieredDevice, CAP_BLOCK};
 
 /// Size of a CPU cache line in bytes.  Persistence is tracked at this
 /// granularity, matching the 64 B unit the paper's logging protocol is

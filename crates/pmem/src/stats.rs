@@ -439,37 +439,6 @@ macro_rules! counter_table {
             promises_declared =>
                 /// Records one durability promise declared on the ledger.
                 add_promise_declared += 1;
-
-            // The tiered-capacity subsystem: segment migrations between the
-            // PM tier and the block-granular capacity tier, raw capacity-tier
-            // traffic, and demotion work deferred by the QoS bandwidth cap.
-            // The `tiering` experiment is scored on demotions *and*
-            // promotions being non-zero while the hot set sustains PM-class
-            // throughput.
-
-            /// Segments demoted from PM to the capacity tier.
-            tier_demotions;
-            /// Segments promoted from the capacity tier back to PM.
-            tier_promotions;
-            /// Bytes moved PM → capacity by demotions.
-            tier_demoted_bytes;
-            /// Bytes moved capacity → PM by promotions.
-            tier_promoted_bytes;
-            /// Read requests served by the capacity tier.
-            tier_cap_reads;
-            /// Bytes read from the capacity tier.
-            tier_cap_read_bytes;
-            /// Write requests issued to the capacity tier.
-            tier_cap_writes;
-            /// Bytes written to the capacity tier.
-            tier_cap_write_bytes;
-            /// Demotion candidates skipped in a maintenance tick because the
-            /// per-tick migration bandwidth budget was exhausted (QoS capping so
-            /// a demotion storm cannot starve the append path).
-            tier_bandwidth_deferrals =>
-                /// Records one demotion candidate deferred by the per-tick migration
-                /// bandwidth budget.
-                add_tier_bandwidth_deferral += 1;
         }
     };
 }
@@ -539,33 +508,6 @@ impl Stats {
     pub fn add_fsync_many(&self, files: u64) {
         self.fsync_many_calls.fetch_add(1, Ordering::Relaxed);
         self.fsync_many_files.fetch_add(files, Ordering::Relaxed);
-    }
-
-    /// Records one segment demotion moving `bytes` from PM to the
-    /// capacity tier.
-    pub fn add_tier_demotion(&self, bytes: u64) {
-        self.tier_demotions.fetch_add(1, Ordering::Relaxed);
-        self.tier_demoted_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one segment promotion moving `bytes` from the capacity
-    /// tier back to PM.
-    pub fn add_tier_promotion(&self, bytes: u64) {
-        self.tier_promotions.fetch_add(1, Ordering::Relaxed);
-        self.tier_promoted_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one capacity-tier read of `bytes` bytes.
-    pub fn add_cap_read(&self, bytes: u64) {
-        self.tier_cap_reads.fetch_add(1, Ordering::Relaxed);
-        self.tier_cap_read_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one capacity-tier write of `bytes` bytes.
-    pub fn add_cap_write(&self, bytes: u64) {
-        self.tier_cap_writes.fetch_add(1, Ordering::Relaxed);
-        self.tier_cap_write_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
     }
 }
 
@@ -719,10 +661,6 @@ mod tests {
             "batched_relinks" | "relink_batch_ops" => |s| s.add_batched_relink(3),
             "appendv_calls" | "appendv_slices" => |s| s.add_appendv(2),
             "fsync_many_calls" | "fsync_many_files" => |s| s.add_fsync_many(3),
-            "tier_demotions" | "tier_demoted_bytes" => |s| s.add_tier_demotion(3),
-            "tier_promotions" | "tier_promoted_bytes" => |s| s.add_tier_promotion(3),
-            "tier_cap_reads" | "tier_cap_read_bytes" => |s| s.add_cap_read(3),
-            "tier_cap_writes" | "tier_cap_write_bytes" => |s| s.add_cap_write(3),
             other => panic!(
                 "table row `{other}` has no recorder: give it `=> add_* += 1` (or `n`) \
                  in the table, or name its compound recorder here"

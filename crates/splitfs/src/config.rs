@@ -21,25 +21,6 @@ pub struct DaemonConfig {
     /// milliseconds is *cold*: under staging-space pressure the daemon
     /// relinks it so its staging files become recyclable.
     pub cold_relink_after_ms: f64,
-    /// A fully relinked file that has not been read or written for this
-    /// many simulated milliseconds is a **demotion candidate**: on a
-    /// tiered device the maintenance tick moves its blocks to the
-    /// capacity tier ([`crate::SplitFs::sweep_tier_demotions`]).  The
-    /// threshold adapts to PM pressure — at the watermark a candidate
-    /// must be idle this long, and the requirement shrinks as PM fills.
-    pub tier_demote_after_ms: f64,
-    /// Demotion runs only while PM utilization (allocated fraction of
-    /// the PM data region) is at or above this watermark; below it the
-    /// fast tier has room and nothing moves.
-    pub tier_pm_watermark: f64,
-    /// QoS cap on demotion traffic: at most this many bytes are migrated
-    /// to the capacity tier per maintenance tick.  Candidates deferred by
-    /// an exhausted budget are counted in `tier_bandwidth_deferrals`.
-    pub tier_bandwidth_per_tick: u64,
-    /// Heat threshold for promotion: once a demoted file serves this many
-    /// reads from the capacity tier it is promoted back to PM (writes
-    /// promote immediately — a written file is hot by definition).
-    pub tier_promote_after_reads: u32,
 }
 
 impl DaemonConfig {
@@ -51,10 +32,6 @@ impl DaemonConfig {
             staging_low_watermark: 1,
             staging_high_watermark: 3,
             cold_relink_after_ms: 8.0,
-            tier_demote_after_ms: 10.0,
-            tier_pm_watermark: 0.7,
-            tier_bandwidth_per_tick: 8 * 1024 * 1024,
-            tier_promote_after_reads: 2,
         }
     }
 
@@ -207,34 +184,6 @@ impl SplitConfig {
         self.daemon.cold_relink_after_ms = ms.max(0.0);
         self
     }
-
-    /// Sets the tier-demotion idle threshold in simulated milliseconds.
-    pub fn with_tier_demote_after_ms(mut self, ms: f64) -> Self {
-        self.daemon.tier_demote_after_ms = ms.max(0.0);
-        self
-    }
-
-    /// Sets the PM-utilization watermark above which the daemon demotes
-    /// idle files to the capacity tier (clamped to `[0, 1]`; `0` demotes
-    /// whenever candidates exist, `1` effectively disables demotion).
-    pub fn with_tier_pm_watermark(mut self, fraction: f64) -> Self {
-        self.daemon.tier_pm_watermark = fraction.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the per-tick demotion bandwidth cap in bytes (minimum one
-    /// block, so progress is always possible).
-    pub fn with_tier_bandwidth_per_tick(mut self, bytes: u64) -> Self {
-        self.daemon.tier_bandwidth_per_tick = bytes.max(4096);
-        self
-    }
-
-    /// Sets the read-heat threshold at which a demoted file is promoted
-    /// back to PM.
-    pub fn with_tier_promote_after_reads(mut self, reads: u32) -> Self {
-        self.daemon.tier_promote_after_reads = reads.max(1);
-        self
-    }
 }
 
 impl Default for SplitConfig {
@@ -268,24 +217,6 @@ mod tests {
         assert_eq!(c.effective_staging_lanes(), c.daemon.workers.max(1));
         let c = SplitConfig::new(Mode::Strict).with_staging_lanes(16);
         assert_eq!(c.effective_staging_lanes(), 16);
-    }
-
-    #[test]
-    fn tiering_knobs_clamp_and_compose() {
-        let c = SplitConfig::new(Mode::Strict);
-        assert!(c.daemon.tier_demote_after_ms > 0.0);
-        assert!((0.0..=1.0).contains(&c.daemon.tier_pm_watermark));
-        assert!(c.daemon.tier_bandwidth_per_tick >= 4096);
-        assert!(c.daemon.tier_promote_after_reads >= 1);
-        let c = SplitConfig::new(Mode::Strict)
-            .with_tier_demote_after_ms(-3.0)
-            .with_tier_pm_watermark(7.0)
-            .with_tier_bandwidth_per_tick(1)
-            .with_tier_promote_after_reads(0);
-        assert_eq!(c.daemon.tier_demote_after_ms, 0.0);
-        assert_eq!(c.daemon.tier_pm_watermark, 1.0);
-        assert_eq!(c.daemon.tier_bandwidth_per_tick, 4096);
-        assert_eq!(c.daemon.tier_promote_after_reads, 1);
     }
 
     #[test]

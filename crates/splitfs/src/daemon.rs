@@ -34,11 +34,6 @@
 //! 4. **Staging recycling** — staging files whose contents were fully
 //!    relinked are truncated, re-provisioned and returned to the pool
 //!    instead of leaking until shutdown.
-//! 5. **Tier demotion** — on a tiered device, fully relinked files idle
-//!    past the demotion threshold migrate to the capacity tier once PM
-//!    crosses its utilization watermark, QoS-capped per tick
-//!    ([`crate::SplitFs::sweep_tier_demotions`]); heat promotion on the
-//!    read/write paths brings them back.
 //!
 //! Work arrives two ways: foreground paths *nudge* the daemon when they
 //! observe a watermark or threshold crossing, and workers also wake on a
@@ -350,10 +345,6 @@ impl SplitFs {
                 self.background_checkpoint();
             }
         }
-        // On a tiered device, shed long-idle files to the capacity tier
-        // once PM crosses the utilization watermark (bandwidth-capped per
-        // tick; see `sweep_tier_demotions`).
-        self.sweep_tier_demotions();
         self.publish_health();
     }
 

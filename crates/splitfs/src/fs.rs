@@ -553,12 +553,14 @@ impl SplitFs {
     /// zero.  The seed's behaviour here — blocking on every other file's
     /// lock while holding one — deadlocked as soon as two writers filled
     /// the log concurrently.  `entries` is the size of the group that did
-    /// not fit.
+    /// not fit.  A group larger than the epoch a seal would swap in also
+    /// grows the log: sealing cannot make room for it, so every retry
+    /// would seal, retire and fail again.
     pub(crate) fn handle_log_full(&self, state: &mut FileState, entries: usize) -> FsResult<()> {
         let Some(oplog) = self.oplog.as_ref() else {
             return Err(FsError::NoSpace);
         };
-        if oplog.try_seal().is_some() {
+        if oplog.fits_after_seal(entries) && oplog.try_seal().is_some() {
             if self.config.daemon.enabled {
                 self.nudge(Task::Checkpoint);
             } else {
@@ -571,7 +573,8 @@ impl SplitFs {
             }
             return Ok(());
         }
-        // The other half is still being retired: grow the active epoch.
+        // The other half is still being retired, or too small for the
+        // group: grow the active epoch.
         // A growth failure (device full) is a real foreground stall.
         self.grow_oplog(entries).inspect_err(|_| {
             self.device.stats().add_checkpoint_stall();
@@ -753,131 +756,6 @@ impl SplitFs {
         relinked
     }
 
-    // ------------------------------------------------------------------
-    // Tiered capacity: demotion sweep and heat promotion
-    // ------------------------------------------------------------------
-
-    /// Demotes long-idle, fully relinked files to the capacity tier.
-    /// Extends the cold-staging policy above one step further down the
-    /// lifecycle: a file whose staged data was already retired and that
-    /// nobody has read or written for `tier_demote_after_ms` gives its PM
-    /// blocks back to hot files.
-    ///
-    /// The sweep runs only while PM utilization is at or above
-    /// `tier_pm_watermark`, and the idle requirement **adapts** to
-    /// pressure: right at the watermark a candidate must have been idle
-    /// for the full threshold, and as PM approaches full the requirement
-    /// shrinks (to a quarter at 100%), so a nearly-full fast tier sheds
-    /// load more aggressively.  Demotion traffic is QoS-capped at
-    /// `tier_bandwidth_per_tick` bytes per pass; candidates deferred by
-    /// an exhausted budget are counted in `tier_bandwidth_deferrals` and
-    /// picked up by a later tick.
-    ///
-    /// Locks are `try_*` only (a busy file is by definition not idle) and
-    /// errors are swallowed — the file simply stays on PM.  Returns the
-    /// number of files demoted.  Runs from the maintenance tick; exposed
-    /// publicly for tests and experiments that drive the policy
-    /// deterministically.
-    pub fn sweep_tier_demotions(&self) -> usize {
-        if !self.kernel.is_tiered() {
-            return 0;
-        }
-        let cfg = &self.config.daemon;
-        let util = self.kernel.pm_utilization();
-        if util < cfg.tier_pm_watermark {
-            return 0;
-        }
-        let headroom = (1.0 - cfg.tier_pm_watermark).max(1e-9);
-        let pressure = ((util - cfg.tier_pm_watermark) / headroom).clamp(0.0, 1.0);
-        let idle_ns = cfg.tier_demote_after_ms * 1e6 * (1.0 - 0.75 * pressure);
-        let now = self.device.clock().now_ns_f64();
-        let mut spent = 0u64;
-        let mut demoted = 0usize;
-        for (_ino, state) in self.files.snapshot_keyed() {
-            let Some(mut st) = state.try_write() else {
-                continue;
-            };
-            if st.demoted || st.kernel_size == 0 || !st.staged.is_empty() {
-                continue;
-            }
-            if now - st.last_access_ns.max(st.last_staged_ns) < idle_ns {
-                continue;
-            }
-            if spent >= cfg.tier_bandwidth_per_tick {
-                // Budget exhausted: defer this candidate to a later tick.
-                self.device.stats().add_tier_bandwidth_deferral();
-                continue;
-            }
-            if let Ok(moved) = self.kernel.ioctl_demote(st.kernel_fd) {
-                // The mappings point at PM blocks the kernel just freed;
-                // dropping them under the state write lock closes the
-                // stale-read window (every read path takes this lock).
-                st.mmaps.clear();
-                st.demoted = true;
-                st.cold_reads = 0;
-                spent += moved;
-                demoted += 1;
-            }
-        }
-        demoted
-    }
-
-    /// Demotes the file behind `fd` to the capacity tier right now,
-    /// relinking any staged data first (segments are placed per extent,
-    /// so the file must be fully on PM before it moves).  Returns the
-    /// bytes migrated.  The policy path is [`Self::sweep_tier_demotions`];
-    /// this explicit form lets workloads and experiments build a cold
-    /// set deterministically.
-    pub fn demote_fd(&self, fd: Fd) -> FsResult<u64> {
-        if !self.kernel.is_tiered() {
-            return Err(FsError::NotSupported);
-        }
-        let (_, state) = self.state_for_fd(fd)?;
-        let mut st = state.write();
-        self.relink_batch(&mut [&mut *st], None)?;
-        let moved = self.kernel.ioctl_demote(st.kernel_fd)?;
-        st.mmaps.clear();
-        st.demoted = true;
-        st.cold_reads = 0;
-        Ok(moved)
-    }
-
-    /// Promotes the file behind `fd` back to PM right now (the explicit
-    /// counterpart of [`Self::demote_fd`]).  Returns the bytes migrated
-    /// (0 when the file was already resident).
-    pub fn promote_fd(&self, fd: Fd) -> FsResult<u64> {
-        let (_, state) = self.state_for_fd(fd)?;
-        let mut st = state.write();
-        let moved = self.kernel.ioctl_promote(st.kernel_fd)?;
-        st.demoted = false;
-        st.cold_reads = 0;
-        Ok(moved)
-    }
-
-    /// Promotes a demoted file back to PM, eagerly.  Called from every
-    /// mutating path — a written file is hot by definition — and by the
-    /// read path once the heat counter crosses its threshold.  On failure
-    /// (e.g. PM full) the flag stays set and the operation falls through
-    /// to the kernel, which surfaces the real error.
-    pub(crate) fn promote_if_demoted(&self, st: &mut FileState) {
-        if st.demoted && self.kernel.ioctl_promote(st.kernel_fd).is_ok() {
-            st.demoted = false;
-            st.cold_reads = 0;
-        }
-    }
-
-    /// Accounts one read served while demoted and promotes the file once
-    /// it has proven itself hot.
-    fn note_cold_read(&self, st: &mut FileState) {
-        if !st.demoted {
-            return;
-        }
-        st.cold_reads = st.cold_reads.saturating_add(1);
-        if st.cold_reads >= self.config.daemon.tier_promote_after_reads {
-            self.promote_if_demoted(st);
-        }
-    }
-
     /// Ensures a mapping of the target file covering `offset` exists in the
     /// collection.  A miss maps the unmapped stretch of the [`MMAP_SIZE`]
     /// region around `offset`, which is the whole region when nothing in it
@@ -886,14 +764,6 @@ impl SplitFs {
     /// device offset and contiguous length, or `None` when the gap cannot
     /// be mapped (holes) and the caller must fall back to the kernel.
     fn ensure_mapped(&self, state: &mut FileState, offset: u64) -> Option<(u64, u64)> {
-        // A demoted file has no PM extents to map; mapping it would force
-        // an immediate promotion inside the kernel.  Reads instead bounce
-        // through the kernel fallback, which reassembles the capacity-tier
-        // segments transparently, and the heat counter decides when the
-        // file has earned its way back to PM.
-        if state.demoted {
-            return None;
-        }
         self.charge_mmap_lookup();
         if let Some(hit) = state.mmaps.lookup(offset) {
             return Some(hit);
@@ -1082,7 +952,6 @@ impl SplitFs {
                 continue;
             }
             let st = &mut *states[op.state];
-            self.promote_if_demoted(st);
             let start = op.offset.unwrap_or(st.cached_size);
             let end = start + total;
             let first_chunk = pending.len();
@@ -1211,7 +1080,6 @@ impl SplitFs {
                 seq: entries.get(k).map_or(0, |e| e.seq),
             });
             st.last_staged_ns = now;
-            st.last_access_ns = now;
         }
 
         // Nudge the maintenance daemon on threshold crossings.  The
@@ -1273,9 +1141,6 @@ impl SplitFs {
             self.stage_one(&mut st, at, iov)?;
             return Ok((total as usize, at.map_or(st.cached_size, |o| o + total)));
         }
-        st.last_access_ns = self.device.clock().now_ns_f64();
-        self.promote_if_demoted(&mut st);
-
         let offset = at.unwrap_or(st.cached_size);
         let end = offset + total;
         let overwrite_end = end.min(st.kernel_size);
@@ -1476,13 +1341,6 @@ impl FileSystem for SplitFs {
             // Bind the name (a no-op when the state already carries it).
             self.files.bind(&mut st, &norm);
             st.open_fds += 1;
-            if self.kernel.is_tiered() {
-                // A file demoted before this state existed (say, in a
-                // previous mount) must start with the flag set so reads
-                // bounce through the kernel instead of mapping PM blocks
-                // the file no longer owns.
-                st.demoted = self.kernel.is_demoted(st.kernel_fd).unwrap_or(false);
-            }
             return Ok(self.fds.insert(stat.ino, flags));
         }
     }
@@ -1522,8 +1380,6 @@ impl FileSystem for SplitFs {
                 AccessPattern::Random
             }
         };
-        st.last_access_ns = self.device.clock().now_ns_f64();
-        self.note_cold_read(&mut st);
         self.read_committed(&mut st, offset, &mut buf[..n], pattern)?;
         self.overlay_staged(&st, offset, &mut buf[..n])?;
         *desc.last_read_end.lock() = offset + n as u64;
@@ -1551,8 +1407,6 @@ impl FileSystem for SplitFs {
             }
         };
         *desc.last_read_end.lock() = end;
-        st.last_access_ns = self.device.clock().now_ns_f64();
-        self.note_cold_read(&mut st);
 
         // Zero-copy when the range holds only committed bytes (no staged
         // overlay) served by one contiguous region of the collection of
@@ -1660,7 +1514,6 @@ impl FileSystem for SplitFs {
         self.charge_usplit();
         let (_, state) = self.state_for_fd(fd)?;
         let mut st = state.write();
-        self.promote_if_demoted(&mut st);
         let cut = |e: &StagedExtent| e.target_offset + e.len > size;
         if self.oplog.is_some()
             && st.staged.iter().any(cut)

@@ -15,9 +15,9 @@
 //! because a hit already trusts the collection: a mapped byte is served
 //! from its segment whether or not the rest of its region is mapped, so a
 //! gap-only map adds nothing a hit does not rely on.  What both rely on is
-//! that whoever frees a file's blocks drops their mappings: `unlink`,
-//! demotion, and a truncate, which drops everything from the new size on,
-//! including the part of the old last block past the old size.  An empty
+//! that whoever frees a file's blocks drops their mappings: `unlink`, and
+//! a truncate, which drops everything from the new size on, including the
+//! part of the old last block past the old size.  An empty
 //! region is the case whose gap is the whole region, which still maps
 //! whole and can take its one huge-page fault.
 

@@ -314,6 +314,13 @@ impl OpLog {
             <= epoch.cap.load(Ordering::Relaxed)
     }
 
+    /// Whether a group of `entries` would fit in the other epoch once it
+    /// is empty: whether a seal can make room for the group at all.
+    pub(crate) fn fits_after_seal(&self, entries: usize) -> bool {
+        let epoch = &self.epochs[1 - self.active.load(Ordering::Relaxed)];
+        ENTRY_SIZE * entries as u64 <= epoch.cap.load(Ordering::Relaxed)
+    }
+
     /// Current capacity of the log file in bytes (grows on demand).
     pub fn size(&self) -> u64 {
         self.size.load(Ordering::Relaxed)

@@ -1,8 +1,8 @@
 //! The user-space half of the relink primitive (paper §3.3, Figure 2):
 //! the one way staged bytes are retired.
 //!
-//! On `fsync`, `fsync_many`, `close`, `demote_fd`, an operation-log
-//! checkpoint, the cold-file sweep or a background relink,
+//! On `fsync`, `fsync_many`, `close`, an operation-log checkpoint, the
+//! cold-file sweep or a background relink,
 //! `SplitFs::relink_batch` moves every staged extent of the files it is
 //! given into their targets:
 //!

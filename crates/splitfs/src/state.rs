@@ -79,19 +79,6 @@ pub struct FileState {
     pub mmaps: MmapCollection,
     /// Number of application descriptors currently open on this file.
     pub open_fds: u32,
-    /// Whether the file's blocks currently live on the capacity tier
-    /// (set by the demotion sweep, cleared on promotion).  While set,
-    /// reads bypass the mmap path and bounce through the kernel, which
-    /// reassembles the segments transparently.  The kernel is
-    /// authoritative: a stale flag only costs the mmap fast path, never
-    /// correctness.
-    pub demoted: bool,
-    /// Reads served from the capacity tier since demotion — the heat
-    /// counter that triggers promotion back to PM.
-    pub cold_reads: u32,
-    /// Simulated time (ns) of the most recent read or write through this
-    /// state — the idle clock the tier-demotion policy evaluates.
-    pub last_access_ns: f64,
 }
 
 impl FileState {
@@ -109,9 +96,6 @@ impl FileState {
             last_staged_ns: 0.0,
             mmaps: MmapCollection::new(),
             open_fds: 0,
-            demoted: false,
-            cold_reads: 0,
-            last_access_ns: 0.0,
         }
     }
 

@@ -249,72 +249,6 @@ fn cold_file_relink_reclaims_staging_space() {
     fs.close(fd).unwrap();
 }
 
-#[test]
-fn cold_relinked_then_demoted_file_recycles_staging_and_stays_readable() {
-    // The full cold lifecycle on a tiered device: stage, go cold, get
-    // relinked by the cold policy, get demoted to the capacity tier by
-    // the tier sweep — and through all of it the exhausted staging file
-    // must recycle back into its own lane and the data must stay
-    // readable (bounce-read from capacity, then heat promotion).
-    let device = device();
-    let kernel = kernelfs::Ext4Dax::mkfs_shaped(Arc::clone(&device), 192 * 1024 * 1024).unwrap();
-    let config = laned_config(2)
-        .with_cold_relink_after_ms(1.0)
-        .with_tier_demote_after_ms(1.0)
-        .with_tier_pm_watermark(0.0);
-    let fs = SplitFs::new(Arc::clone(&kernel), config).unwrap();
-    let pool = fs.staging_pool();
-    let home = pool.lane_for_current_thread();
-
-    // Exhaust the home lane's first staging file without ever fsyncing.
-    let fd = fs.open("/frozen.log", OpenFlags::create()).unwrap();
-    let block = vec![0xC4u8; 64 * 1024];
-    let blocks = (FILE_SIZE / block.len() as u64) + 2;
-    let mut content = Vec::new();
-    for _ in 0..blocks {
-        fs.append(fd, &block).unwrap();
-        content.extend_from_slice(&block);
-    }
-    assert!(pool.begin_recycle().is_none(), "unretired while staged");
-
-    // Cold relink retires the staged bytes; the tier sweep then finds a
-    // fully relinked, idle file and moves it to the capacity tier.
-    device.clock().advance(2_000_000.0);
-    assert_eq!(fs.reclaim_cold_staging(), 1);
-    assert_eq!(fs.sweep_tier_demotions(), 1, "idle relinked file demotes");
-    assert!(kernel.is_demoted(fd_kernel(&fs, "/frozen.log")).unwrap());
-    let (cap_used, _) = kernel.cap_usage();
-    assert!(cap_used > 0, "segments landed on the capacity tier");
-
-    // The staging file the cold data came from recycles into its lane.
-    let rec = pool
-        .begin_recycle()
-        .expect("cold relink + demotion made the staging file recyclable");
-    assert_eq!(rec.lane(), home, "recycled into the lane it came from");
-    pool.rebuild(rec).unwrap();
-
-    // Reads reassemble from capacity transparently and the heat counter
-    // eventually promotes the file back to PM.
-    let mut buf = vec![0u8; content.len()];
-    let n = fs.read_at(fd, 0, &mut buf).unwrap();
-    assert_eq!(n, content.len());
-    assert_eq!(buf, content, "bounce-read from the capacity tier");
-    let _ = fs.read_at(fd, 0, &mut buf).unwrap();
-    assert_eq!(buf, content, "still correct across the promotion");
-    assert!(
-        !kernel.is_demoted(fd_kernel(&fs, "/frozen.log")).unwrap(),
-        "read heat promoted the file back to PM"
-    );
-    assert!(device.stats().snapshot().tier_promotions >= 1);
-    fs.close(fd).unwrap();
-}
-
-/// The kernel descriptor U-Split keeps for a path (tier state queries).
-fn fd_kernel(fs: &Arc<SplitFs>, path: &str) -> vfs::Fd {
-    let kernel = fs.kernel();
-    kernel.open(path, OpenFlags::read_only()).unwrap()
-}
-
 /// Staged bytes that leave without a relink — a truncate, or a rename
 /// that replaces the file — are accounted as retired, so the staging file
 /// they filled can recycle.
@@ -445,6 +379,52 @@ fn a_write_whose_group_commit_fails_leaves_its_staging_file_recyclable() {
     fs.append(fd, &doomed).unwrap();
     fs.fsync(fd).unwrap();
     assert!(fs.read_file("/victim.log").unwrap() == [live, doomed].concat());
+}
+
+/// A log group larger than a whole epoch grows the log.  Sealing cannot
+/// make room for it: with the daemon off the inline retire empties the
+/// sealed half, and the retry does not fit the empty epoch the seal
+/// swapped in either, so the writer would seal again forever.  The batch
+/// runs on a helper thread so a livelock fails the test instead of
+/// hanging it.
+#[test]
+fn a_log_group_larger_than_an_epoch_grows_the_log() {
+    const APPENDS: usize = 40;
+    let (done, finished) = std::sync::mpsc::channel();
+    let batch = std::thread::spawn(move || {
+        let device = PmemBuilder::new(32 * 1024 * 1024)
+            .track_persistence(false)
+            .build();
+        let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        // 4 KiB of log: two epochs of 32 entries.
+        let config = SplitConfig::new(Mode::Strict)
+            .with_staging(2, FILE_SIZE)
+            .with_oplog_size(4096)
+            .without_daemon();
+        let fs = SplitFs::new(kernel, config).unwrap();
+        let fd = fs.open("/burst.log", OpenFlags::create()).unwrap();
+        // Each small append of the batch is its own staged run, so the
+        // batch's group commit carries one entry per append.
+        let sqes = (0..APPENDS)
+            .map(|i| aio::Sqe::appendv(i as u64, fd, vec![vec![i as u8; 100]]))
+            .collect();
+        let results: Vec<_> = fs.ring_batch(sqes).into_iter().map(|c| c.result).collect();
+        let grows = device.stats().snapshot().oplog_grows;
+        fs.fsync(fd).unwrap();
+        done.send(()).unwrap();
+        (results, grows, fs.read_file("/burst.log").unwrap())
+    });
+    // A panic drops the sender and surfaces through the join below.
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+        finished.recv_timeout(std::time::Duration::from_secs(60))
+    {
+        panic!("a group larger than an epoch livelocked the writer");
+    }
+    let (results, grows, content) = batch.join().expect("the batch thread panicked");
+    assert!(results.iter().all(Result::is_ok), "{results:?}");
+    assert!(grows > 0, "the log grew to take the group");
+    let expected: Vec<u8> = (0..APPENDS).flat_map(|i| vec![i as u8; 100]).collect();
+    assert!(content == expected, "{} bytes read back", content.len());
 }
 
 /// A crash right after staged bytes were discarded must not bring them

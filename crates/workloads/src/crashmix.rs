@@ -57,11 +57,6 @@ pub struct CrashMixConfig {
     /// Also drive an async submission ring per thread and declare the
     /// awaited epoch's content durable.
     pub use_rings: bool,
-    /// Periodically fsync a file and demote it to the capacity tier
-    /// (requires a tiered device).  Demoted files keep getting read and
-    /// written by later ops, so promotion churns too — sampled crash
-    /// points then land before, during and after migrations.
-    pub tier_churn: bool,
     /// Root directory of the workload's namespace.
     pub dir: String,
 }
@@ -74,7 +69,6 @@ impl Default for CrashMixConfig {
             files_per_thread: 4,
             ops_per_thread: 96,
             use_rings: false,
-            tier_churn: false,
             dir: "/chaos".to_string(),
         }
     }
@@ -244,23 +238,6 @@ fn worker(fs: &Arc<SplitFs>, config: &CrashMixConfig, t: usize) -> FsResult<u64>
             }
         }
         ops += 1;
-        // Tier churn: every few ops, make one file durable and push it
-        // down to the capacity tier.  Its content promise was declared
-        // before the migration starts, so a crash at any fence inside
-        // the migration must recover the promised bytes — from PM before
-        // the journal commit, from the segments after it.  Later appends
-        // and reads of the slot promote it back, churning both
-        // directions.
-        if config.tier_churn && ops % 7 == 3 {
-            let j = rng.random_range(0..slots.len());
-            let slot = &mut slots[j];
-            fs.fsync(slot.fd)?;
-            declare_content(&device, slot);
-            match fs.demote_fd(slot.fd) {
-                Ok(_) | Err(FsError::NotSupported) => {}
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     // Final group commit: every surviving byte becomes promised, which
@@ -446,35 +423,6 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 0);
-    }
-
-    #[test]
-    fn tier_churn_migrates_files_and_keeps_reads_correct() {
-        let device = pmem::PmemBuilder::new(96 * 1024 * 1024)
-            .track_persistence(true)
-            .build();
-        let kernel = kernelfs::Ext4Dax::mkfs_shaped(Arc::clone(&device), 64 * 1024 * 1024).unwrap();
-        let config = SplitConfig::new(Mode::Strict)
-            .with_staging(6, 2 * 1024 * 1024)
-            .without_daemon();
-        let fs = SplitFs::new(kernel, config).unwrap();
-        fs.device().ledger().set_enabled(true);
-        let wl = CrashMixConfig {
-            threads: 2,
-            files_per_thread: 2,
-            ops_per_thread: 40,
-            tier_churn: true,
-            ..CrashMixConfig::default()
-        };
-        // The live read-back branch inside the workload verifies demoted
-        // files reassemble correctly; the stats prove migrations ran.
-        run(&fs, &wl).unwrap();
-        let snap = fs.device().stats().snapshot();
-        assert!(snap.tier_demotions > 0, "churn must demote files");
-        assert!(
-            snap.tier_promotions > 0,
-            "later writes/reads must promote some back"
-        );
     }
 
     #[test]

@@ -197,8 +197,16 @@ pub fn run(
         }
     }
     // Clean unmount: leases released.  The stats delta closes over it so
-    // the lease-release counters balance the acquires.
-    drop(instances);
+    // the lease-release counters balance the acquires.  A daemon worker
+    // mid-tick may still hold an instance, and whoever drops it last runs
+    // the unmount, so each one is dropped here once this thread holds it
+    // alone.
+    for mut fs in instances {
+        while let Err(shared) = Arc::try_unwrap(fs) {
+            fs = shared;
+            std::thread::yield_now();
+        }
+    }
     let stats = device.stats().snapshot().delta(&before);
 
     // Integrity is part of the run's contract: a contaminated file must
