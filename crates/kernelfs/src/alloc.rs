@@ -291,26 +291,24 @@ impl BlockAllocator {
         Ok(runs)
     }
 
-    /// Writes the bitmap bytes covering `runs` through to the device
-    /// (metadata traffic), so the on-device bitmap tracks the in-memory one.
-    pub fn persist_runs(&self, device: &Arc<PmemDevice>, sb: &Superblock, runs: &[BlockRun]) {
+    /// Stores the bitmap bytes covering each run of `runs` (metadata
+    /// traffic), one non-temporal store per run, so the on-device bitmap
+    /// tracks the in-memory one once the caller fences.
+    fn store_runs(&self, device: &Arc<PmemDevice>, sb: &Superblock, runs: &[BlockRun]) {
         let bitmap_base = sb.bitmap_start * BLOCK_SIZE as u64;
         for run in runs {
-            // The bytes of the bitmap covering [start, start+len).
             let first_byte = run.start / 8;
             let last_byte = (run.start + run.len - 1) / 8;
-            for byte_idx in first_byte..=last_byte {
-                let word = self.words[(byte_idx / 8) as usize];
-                let byte = word.to_le_bytes()[(byte_idx % 8) as usize];
-                device.write(
-                    bitmap_base + byte_idx,
-                    &[byte],
-                    PersistMode::NonTemporal,
-                    TimeCategory::Metadata,
-                );
-            }
+            let bytes: Vec<u8> = (first_byte..=last_byte)
+                .map(|i| self.words[(i / 8) as usize].to_le_bytes()[(i % 8) as usize])
+                .collect();
+            device.write(
+                bitmap_base + first_byte,
+                &bytes,
+                PersistMode::NonTemporal,
+                TimeCategory::Metadata,
+            );
         }
-        device.fence(TimeCategory::Metadata);
     }
 }
 
@@ -494,15 +492,18 @@ impl ShardedAllocator {
         }
     }
 
-    /// Writes the bitmap bytes covering `runs` through to the device.
-    /// Each run is persisted under its owning shard's lock; interior
-    /// region boundaries are absolute 2 MiB (and hence bitmap-word)
-    /// multiples, so shards never write each other's bitmap bytes.
+    /// Writes the bitmap bytes covering `runs` through to the device, one
+    /// store per run and shard, then one fence.  Each run is stored under
+    /// its owning shard's lock; interior region boundaries are absolute
+    /// 2 MiB (and hence bitmap-word) multiples, so shards never write each
+    /// other's bitmap bytes.
     pub fn persist_runs(&self, device: &Arc<PmemDevice>, sb: &Superblock, runs: &[BlockRun]) {
+        if runs.is_empty() {
+            return;
+        }
         for run in runs {
             for (idx, b, chunk) in self.split_by_region(run.start, run.len) {
-                let shard = self.shards[idx].lock();
-                shard.persist_runs(
+                self.shards[idx].lock().store_runs(
                     device,
                     sb,
                     &[BlockRun {
@@ -512,6 +513,7 @@ impl ShardedAllocator {
                 );
             }
         }
+        device.fence(TimeCategory::Metadata);
     }
 }
 
@@ -607,6 +609,49 @@ mod tests {
         for b in 0..sb.total_blocks {
             assert_eq!(rebuilt.is_used(b), alloc.is_used(b), "block {b}");
         }
+    }
+
+    #[test]
+    fn a_large_allocation_persists_one_store_per_run_and_rebuilds_exactly() {
+        let sb = Superblock::compute(8192, 256).unwrap();
+        let device = pmem::PmemBuilder::new(8192 * BLOCK_SIZE)
+            .track_persistence(false)
+            .build();
+        let bitmap_at = sb.bitmap_start * BLOCK_SIZE as u64;
+        let alloc = ShardedAllocator::format(&sb);
+        device.write_uncharged(bitmap_at, &alloc.to_bitmap_image(&sb));
+
+        let runs = alloc.alloc_extents(3, 4096).unwrap();
+        // A store covers a run's bitmap bytes within one shard's region.
+        let stores: Vec<usize> = runs
+            .iter()
+            .flat_map(|r| alloc.split_by_region(r.start, r.len))
+            .map(|(_, b, len)| ((b + len - 1) / 8 - b / 8 + 1) as usize)
+            .collect();
+        let before = device.stats().snapshot();
+        alloc.persist_runs(&device, &sb, &runs);
+        let delta = device.stats().snapshot().delta(&before);
+        let cost = device.cost();
+        let charged: f64 =
+            stores.iter().map(|&n| cost.pm_write_cost(n)).sum::<f64>() + cost.sfence_ns;
+        assert_eq!(delta.fences, 1);
+        assert_eq!(
+            delta.written(TimeCategory::Metadata),
+            stores.iter().sum::<usize>() as u64
+        );
+        assert!(
+            (delta.time(TimeCategory::Metadata) - charged).abs() < 1e-6,
+            "{} sim ns for {} stores of {stores:?} bytes",
+            delta.time(TimeCategory::Metadata),
+            stores.len()
+        );
+
+        // What a mount rebuilds from the device is the allocator in memory.
+        let mut image = vec![0u8; (sb.bitmap_blocks * BLOCK_SIZE as u64) as usize];
+        device.read_uncharged(bitmap_at, &mut image);
+        let rebuilt = ShardedAllocator::from_bitmap_image(&sb, &image);
+        assert_eq!(rebuilt.to_bitmap_image(&sb), alloc.to_bitmap_image(&sb));
+        assert_eq!(rebuilt.free_blocks(), alloc.free_blocks());
     }
 
     #[test]

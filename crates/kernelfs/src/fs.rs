@@ -16,7 +16,9 @@
 //! * [`Ext4Dax::ioctl_relink`] — the patched `EXT4_IOC_MOVE_EXT` ioctl: an
 //!   atomic, journaled, metadata-only move of blocks from one file to
 //!   another, which is the primitive behind SplitFS's optimized appends and
-//!   atomic data operations.
+//!   atomic data operations.  Its batched form,
+//!   [`Ext4Dax::ioctl_relink_batch`], also copies the partial blocks at the
+//!   ends of what it moves, all in one trap and one transaction.
 //!
 //! # Sharded kernel state and lock ordering
 //!
@@ -267,23 +269,39 @@ pub struct Ext4Dax {
     leases: LeaseManager,
 }
 
-/// One block move inside an [`Ext4Dax::ioctl_relink_batch`] call.
-///
-/// Equivalent to the argument list of [`Ext4Dax::ioctl_relink`]: move the
-/// blocks backing `[src_offset, src_offset + len)` of `src_fd` so they back
+/// One range of an [`Ext4Dax::ioctl_relink_batch`] call: the bytes of
+/// `[src_offset, src_offset + len)` of `src_fd` come to back
 /// `[dst_offset, dst_offset + len)` of `dst_fd`.
+///
+/// As a *move* (the argument list of [`Ext4Dax::ioctl_relink`]) every
+/// field is block-aligned and the source's blocks change owner.  As a
+/// *copy* — the partial-block case — any alignment is allowed and the
+/// bytes are copied, leaving the source as it was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelinkOp {
-    /// Descriptor of the file the blocks move out of (a staging file).
+    /// Descriptor of the file the bytes come from (a staging file).
     pub src_fd: Fd,
-    /// Block-aligned byte offset of the source range.
+    /// Byte offset of the source range.
     pub src_offset: u64,
-    /// Descriptor of the file the blocks move into (the target file).
+    /// Descriptor of the file the bytes go to (the target file).
     pub dst_fd: Fd,
-    /// Block-aligned byte offset of the destination range.
+    /// Byte offset of the destination range.
     pub dst_offset: u64,
-    /// Block-aligned length of the move in bytes.
+    /// Length of the range in bytes.
     pub len: u64,
+}
+
+/// What [`Ext4Dax::take_range`] mapped, for its caller to commit or give
+/// back.
+struct Taken {
+    /// `(logical block, count)` of every hole that was filled.
+    holes: Vec<(u64, u64)>,
+    /// The blocks that fill them.
+    runs: Vec<BlockRun>,
+    /// The `AllocBlocks`/`AddExtent` records describing the fill.
+    records: Vec<JournalRecord>,
+    /// The chain length before the call.
+    chain_len: usize,
 }
 
 /// Write guards over the distinct inode shards a multi-inode operation
@@ -699,6 +717,7 @@ impl Ext4Dax {
         for rec in &records {
             Self::replay_record(rec, &mut inodes, &mut dirs, &alloc, &mut lease_ids);
         }
+        let dropped = Self::drop_stale_entries(&records, &mut dirs);
 
         // Only data allocations persist the bitmap; a chain block's bit
         // reaches it only when it shares a byte with one.  So the loaded
@@ -755,6 +774,18 @@ impl Ext4Dax {
             }
             fs.device
                 .write_uncharged(fs.sb.bitmap_start * BLOCK_SIZE as u64, &bitmap_image);
+            // The entries replay dropped are tombstoned on the device, or
+            // the next mount, without these records, would find them again.
+            for (parent, slot) in dropped {
+                if slot.entry_offset == u64::MAX {
+                    continue;
+                }
+                let shard = fs.inodes[inode_shard_of(parent, INODE_SHARDS)].read();
+                if let Some(dir) = shard.get(&parent) {
+                    let tomb = dir::encode_tombstone(slot.entry_len - 10);
+                    Self::write_file_raw(&fs.device, dir, slot.entry_offset, &tomb);
+                }
+            }
             // The in-place writes above are only pending; they must be
             // durable before the records that can redo them disappear.
             fs.device.fence(TimeCategory::Metadata);
@@ -762,6 +793,57 @@ impl Ext4Dax {
             fs.journal.reset();
         }
         Ok(Arc::new(fs))
+    }
+
+    /// An inode has exactly one directory entry: for every inode the
+    /// journal names, the one its last record names, or none after an
+    /// unlink.  Drops every other entry pointing at such an inode and
+    /// returns them, to be tombstoned on the device.  One is an old entry
+    /// whose tombstone was lost, or torn: a torn line can keep the inode
+    /// number under a zeroed name, which replay, matching names, misses.
+    fn drop_stale_entries(
+        records: &[JournalRecord],
+        dirs: &mut HashMap<u64, BTreeMap<String, DirSlot>>,
+    ) -> Vec<(u64, DirSlot)> {
+        let mut last: HashMap<u64, Option<(u64, &str)>> = HashMap::new();
+        for rec in records {
+            match rec {
+                JournalRecord::CreateInode {
+                    ino, parent, name, ..
+                } => {
+                    last.insert(*ino, Some((*parent, name.as_str())));
+                }
+                JournalRecord::Unlink { ino, .. } => {
+                    last.insert(*ino, None);
+                }
+                JournalRecord::Rename {
+                    ino,
+                    new_parent,
+                    new_name,
+                    replaced_ino,
+                    ..
+                } => {
+                    last.insert(*ino, Some((*new_parent, new_name.as_str())));
+                    if *replaced_ino != 0 {
+                        last.insert(*replaced_ino, None);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut dropped = Vec::new();
+        for (&dir, map) in dirs.iter_mut() {
+            map.retain(|name, slot| {
+                let stale = last
+                    .get(&slot.ino)
+                    .is_some_and(|&entry| entry != Some((dir, name.as_str())));
+                if stale {
+                    dropped.push((dir, *slot));
+                }
+                !stale
+            });
+        }
+        dropped
     }
 
     fn replay_record(
@@ -927,6 +1009,24 @@ impl Ext4Dax {
             pos += chunk as u64;
         }
         out
+    }
+
+    /// Writes `data` at byte `offset` of a file straight into its allocated
+    /// blocks, without any cost accounting (mount-time helper).
+    fn write_file_raw(device: &Arc<PmemDevice>, inode: &Inode, offset: u64, data: &[u8]) {
+        let mut pos = 0usize;
+        while pos < data.len() {
+            let at = offset + pos as u64;
+            let within = (at % BLOCK_SIZE as u64) as usize;
+            let chunk = (BLOCK_SIZE - within).min(data.len() - pos);
+            if let Some((phys, _)) = inode.extents.lookup(at / BLOCK_SIZE as u64) {
+                device.write_uncharged(
+                    phys * BLOCK_SIZE as u64 + within as u64,
+                    &data[pos..pos + chunk],
+                );
+            }
+            pos += chunk;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1158,51 +1258,75 @@ impl Ext4Dax {
     }
 
     /// Ensures blocks are allocated to cover file byte range
-    /// `[offset, offset+len)`, journaling the allocation.  Called with the
-    /// inode's shard lock held; the journal guard is dropped internally
-    /// after the allocator bitmap is persisted (a wrapped-away allocation
-    /// record can at worst leak blocks, never corrupt).
-    fn allocate_range(&self, inode: &mut Inode, offset: u64, len: u64) -> FsResult<Vec<BlockRun>> {
+    /// `[offset, offset+len)`, journaling the allocation in a transaction
+    /// of its own.  Called with the inode's shard lock held; the journal
+    /// guard is dropped internally after the allocator bitmap is persisted
+    /// (a wrapped-away allocation record can at worst leak blocks, never
+    /// corrupt).
+    fn allocate_range(&self, inode: &mut Inode, offset: u64, len: u64) -> FsResult<()> {
+        let taken = self.take_range(inode, offset, len)?;
+        if taken.runs.is_empty() {
+            return Ok(());
+        }
+        let txn = match self.journal.commit(inode.ino, &taken.records) {
+            Ok((_tid, txn)) => txn,
+            Err(e) => {
+                self.give_back(inode, &taken);
+                return Err(e);
+            }
+        };
+        self.alloc.persist_runs(&self.device, &self.sb, &taken.runs);
+        drop(txn);
+        Ok(())
+    }
+
+    /// The uncommitted half of [`Ext4Dax::allocate_range`]: maps every hole
+    /// of `[offset, offset+len)` to fresh blocks in memory and reserves the
+    /// chain the larger map needs, returning the `AllocBlocks`/`AddExtent`
+    /// records for the caller's transaction.  A failure leaves the map,
+    /// chain and allocator as they were; after a success the caller either
+    /// commits the records and persists the runs, or calls
+    /// [`Ext4Dax::give_back`].
+    fn take_range(&self, inode: &mut Inode, offset: u64, len: u64) -> FsResult<Taken> {
+        let mut taken = Taken {
+            holes: Vec::new(),
+            runs: Vec::new(),
+            records: Vec::new(),
+            chain_len: inode.overflow_blocks.len(),
+        };
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(taken);
         }
         let cost = self.device.cost();
         let first_block = offset / BLOCK_SIZE as u64;
         let last_block = (offset + len - 1) / BLOCK_SIZE as u64;
-        // Find the holes.
-        let mut holes: Vec<(u64, u64)> = Vec::new(); // (logical, count)
-        {
-            let mut b = first_block;
-            while b <= last_block {
-                match inode.extents.lookup(b) {
-                    Some((_, contig)) => b += contig.min(last_block - b + 1),
-                    None => {
-                        let start = b;
-                        while b <= last_block && inode.extents.lookup(b).is_none() {
-                            b += 1;
-                        }
-                        holes.push((start, b - start));
+        let mut b = first_block;
+        while b <= last_block {
+            match inode.extents.lookup(b) {
+                Some((_, contig)) => b += contig.min(last_block - b + 1),
+                None => {
+                    let start = b;
+                    while b <= last_block && inode.extents.lookup(b).is_none() {
+                        b += 1;
                     }
+                    taken.holes.push((start, b - start));
                 }
             }
         }
-        if holes.is_empty() {
-            return Ok(Vec::new());
+        if taken.holes.is_empty() {
+            return Ok(taken);
         }
-        let mut records = Vec::new();
-        let mut all_runs = Vec::new();
-        let chain_len = inode.overflow_blocks.len();
         let staged = (|| -> FsResult<()> {
-            for &(logical, count) in &holes {
+            for &(logical, count) in &taken.holes {
                 self.charge(cost.ext4_alloc_ns);
                 let runs = self.alloc.alloc_extents(inode.ino, count)?;
                 let mut l = logical;
                 for run in &runs {
-                    records.push(JournalRecord::AllocBlocks {
+                    taken.records.push(JournalRecord::AllocBlocks {
                         start: run.start,
                         len: run.len,
                     });
-                    records.push(JournalRecord::AddExtent {
+                    taken.records.push(JournalRecord::AddExtent {
                         ino: inode.ino,
                         logical: l,
                         phys: run.start,
@@ -1215,28 +1339,60 @@ impl Ext4Dax {
                     });
                     l += run.len;
                 }
-                all_runs.extend(runs);
+                taken.runs.extend(runs);
             }
             self.reserve_chain(inode)
         })();
-        let txn = match staged.and_then(|()| self.journal.commit(inode.ino, &records)) {
-            Ok((_tid, txn)) => txn,
+        match staged {
+            Ok(()) => Ok(taken),
             Err(e) => {
-                // Nothing journaled: the holes become holes again and every
-                // block taken goes back.
-                for &(logical, count) in &holes {
-                    inode.extents.remove_range(logical, count);
-                }
-                for run in &all_runs {
-                    self.alloc.mark_free(run.start, run.len);
-                }
-                self.truncate_chain(inode, chain_len);
-                return Err(e);
+                self.give_back(inode, &taken);
+                Err(e)
             }
-        };
-        self.alloc.persist_runs(&self.device, &self.sb, &all_runs);
-        drop(txn);
-        Ok(all_runs)
+        }
+    }
+
+    /// Undoes a [`Ext4Dax::take_range`] whose records were never
+    /// committed: the holes become holes again and every block taken, data
+    /// or chain, goes back.
+    fn give_back(&self, inode: &mut Inode, taken: &Taken) {
+        for &(logical, count) in &taken.holes {
+            inode.extents.remove_range(logical, count);
+        }
+        for run in &taken.runs {
+            self.alloc.mark_free(run.start, run.len);
+        }
+        self.truncate_chain(inode, taken.chain_len);
+    }
+
+    /// Zeroes what a write starting at `to` leaves between the end of file
+    /// and itself, so that it reads as zero once the size covers it: the
+    /// rest of the block holding the end of file, and the head of the
+    /// write's own block — wherever those blocks are allocated.  Whole
+    /// blocks between stay as they are (holes, for every caller but a
+    /// growing `ftruncate`).  `eof` is the size the file has before the
+    /// call raises it past `to`.  Returns whether it stored anything; the
+    /// caller fences.
+    fn zero_past_eof(&self, inode: &Inode, eof: u64, to: u64) -> bool {
+        let block = BLOCK_SIZE as u64;
+        let mut stored = false;
+        if to <= eof {
+            return stored;
+        }
+        let eof_block_end = eof.next_multiple_of(block).min(to);
+        let to_block_start = (to - to % block).max(eof_block_end);
+        for (from, to) in [(eof, eof_block_end), (to_block_start, to)] {
+            if let Some((phys, _)) = inode.extents.lookup(from / block).filter(|_| from < to) {
+                self.device.zero(
+                    phys * block + from % block,
+                    (to - from) as usize,
+                    PersistMode::NonTemporal,
+                    TimeCategory::Metadata,
+                );
+                stored = true;
+            }
+        }
+        stored
     }
 
     /// Releases freed runs after their `FreeBlocks` records are durably
@@ -1414,24 +1570,8 @@ impl Ext4Dax {
         }
         self.allocate_range(inode, offset, total)?;
         // POSIX: what lies between the old end of file and a write beyond
-        // it reads as zero.  Whole blocks of the gap stay holes; its ends —
-        // behind the old tail and in front of the write, in blocks the
-        // allocator hands out as they are — are zeroed.
-        if offset > inode.size {
-            let block = BLOCK_SIZE as u64;
-            let old_tail_end = inode.size.next_multiple_of(block).min(offset);
-            let write_block_start = (offset - offset % block).max(old_tail_end);
-            for (from, to) in [(inode.size, old_tail_end), (write_block_start, offset)] {
-                if let Some((phys, _)) = inode.extents.lookup(from / block).filter(|_| from < to) {
-                    self.device.zero(
-                        phys * block + from % block,
-                        (to - from) as usize,
-                        PersistMode::NonTemporal,
-                        TimeCategory::Metadata,
-                    );
-                }
-            }
-        }
+        // it reads as zero.
+        self.zero_past_eof(inode, inode.size, offset);
         let mut cur = offset;
         for v in iov {
             if v.is_empty() {
@@ -1586,52 +1726,75 @@ impl Ext4Dax {
         dst_offset: u64,
         len: u64,
     ) -> FsResult<()> {
-        self.ioctl_relink_batch(&[RelinkOp {
-            src_fd,
-            src_offset,
-            dst_fd,
-            dst_offset,
-            len,
-        }])
+        self.ioctl_relink_batch(
+            &[RelinkOp {
+                src_fd,
+                src_offset,
+                dst_fd,
+                dst_offset,
+                len,
+            }],
+            &[],
+        )
         .map(|_| ())
     }
 
-    /// The batched relink ioctl: applies every op in `ops` as **one**
-    /// journal transaction.
+    /// The batched relink ioctl: applies every move in `moves` and every
+    /// copy in `copies` as **one** journal transaction, and returns each
+    /// destination descriptor's file size after the batch.
     ///
-    /// Semantically each op is an [`Ext4Dax::ioctl_relink`], but the whole
-    /// batch commits atomically: after a crash either every move in the
-    /// batch is visible or none is, and the jbd2-style transaction cost is
-    /// paid once instead of once per op.  SplitFS's `fsync` path submits
-    /// all of a file's coalesced staged extents through this entry point,
-    /// and the background maintenance daemon uses it to retire many files'
-    /// staged data in a single transaction.
+    /// Semantically each move is an [`Ext4Dax::ioctl_relink`] and each copy
+    /// a write of the source's bytes, but the whole batch commits
+    /// atomically: after a crash either every move and copy in the batch is
+    /// visible or none is, and the jbd2-style transaction cost is paid once
+    /// instead of once per op.  SplitFS's `fsync` path submits a file's
+    /// staged runs through this entry point — block-aligned middles as
+    /// moves, partial-block heads and tails as copies — and the background
+    /// maintenance daemon uses it to retire many files' staged data in a
+    /// single transaction.  The returned sizes spare the caller an `fstat`.
     ///
     /// Only the inode shards of the files named by the batch are locked, so
     /// concurrent batches on disjoint files run in parallel.
     ///
     /// Constraints, checked up front before any state changes:
     ///
-    /// * every op's offsets and length are block-aligned,
+    /// * every move's offsets and length are block-aligned (a copy's need
+    ///   not be),
     /// * `src != dst` within an op, and every source range is fully mapped,
-    /// * ops must not consume another op's output (a batch never relinks
-    ///   out of a range that an earlier op of the same batch wrote).
+    /// * no two ranges of one file overlap across the batch, sources and
+    ///   destinations, moves and copies alike (a batch never reads a range
+    ///   another of its ops writes),
+    /// * every copy's source reads without a media error.
     ///
-    /// Zero-length ops are permitted and skipped.  Returns the number of
-    /// ops applied.
-    pub fn ioctl_relink_batch(&self, ops: &[RelinkOp]) -> FsResult<usize> {
+    /// A copy's bytes are read through the source file's own extents, and
+    /// any destination block they land in that is a hole is allocated, its
+    /// `AllocBlocks`/`AddExtent` records joining the batch's transaction.
+    /// A full device fails the batch with every map as it was.  A
+    /// destination's size rises once, to the end of its last range, with
+    /// one `SetSize`; what the batch leaves between the old end of file
+    /// and a range past it is zeroed first (the rest of the old last block
+    /// and the head of the range's block), so the new size exposes no
+    /// stale byte.  Copied and zeroed bytes are fenced before the commit
+    /// record is written.
+    ///
+    /// Zero-length ops are permitted and skipped.
+    pub fn ioctl_relink_batch(
+        &self,
+        moves: &[RelinkOp],
+        copies: &[RelinkOp],
+    ) -> FsResult<Vec<(Fd, u64)>> {
+        let block = BLOCK_SIZE as u64;
         // Validate alignment before taking any lock.
-        for op in ops {
-            if !op.src_offset.is_multiple_of(BLOCK_SIZE as u64)
-                || !op.dst_offset.is_multiple_of(BLOCK_SIZE as u64)
-                || !op.len.is_multiple_of(BLOCK_SIZE as u64)
+        for op in moves {
+            if !op.src_offset.is_multiple_of(block)
+                || !op.dst_offset.is_multiple_of(block)
+                || !op.len.is_multiple_of(block)
             {
                 return Err(FsError::InvalidArgument);
             }
         }
-        let ops: Vec<&RelinkOp> = ops.iter().filter(|op| op.len > 0).collect();
-        if ops.is_empty() {
-            return Ok(0);
+        if moves.iter().chain(copies).all(|op| op.len == 0) {
+            return Ok(Vec::new());
         }
         // One kernel trap for the whole batch.
         self.charge_syscall();
@@ -1639,86 +1802,133 @@ impl Ext4Dax {
         let shards = self.inodes.len();
 
         // Resolve descriptors, then lock every involved shard in order.
-        let mut resolved: Vec<(u64, u64, &RelinkOp)> = Vec::with_capacity(ops.len());
-        let mut inos: Vec<u64> = Vec::with_capacity(ops.len() * 2);
-        for op in &ops {
-            let src = self.lookup_fd(op.src_fd)?;
-            let dst = self.lookup_fd(op.dst_fd)?;
-            if src.ino == dst.ino {
-                return Err(FsError::InvalidArgument);
-            }
-            inos.push(src.ino);
-            inos.push(dst.ino);
-            resolved.push((src.ino, dst.ino, op));
-        }
+        let resolve = |ops: &[RelinkOp]| -> FsResult<Vec<(u64, u64, RelinkOp)>> {
+            ops.iter()
+                .filter(|op| op.len > 0)
+                .map(|op| {
+                    let src = self.lookup_fd(op.src_fd)?;
+                    let dst = self.lookup_fd(op.dst_fd)?;
+                    if src.ino == dst.ino {
+                        return Err(FsError::InvalidArgument);
+                    }
+                    Ok((src.ino, dst.ino, *op))
+                })
+                .collect()
+        };
+        let moves = resolve(moves)?;
+        let copies = resolve(copies)?;
+        let inos: Vec<u64> = moves
+            .iter()
+            .chain(&copies)
+            .flat_map(|&(src, dst, _)| [src, dst])
+            .collect();
         let mut set = self.lock_inodes_write(&inos);
 
         // Upfront validation pass: all inodes resolve and all source ranges
         // are fully mapped.  Nothing is mutated until every op has passed,
         // so a bad batch leaves the file system untouched.
-        // `(ino, offset, len, bound, spare)`: each op's range in both files,
-        // a bound on the extents the op can add to that file's map (its
-        // moved extents plus one split in the destination, one split in the
-        // source), and the extents the file's chain has room for.
-        let mut ranges: Vec<(u64, u64, u64, usize, usize)> = Vec::with_capacity(resolved.len() * 2);
-        for &(src_ino, dst_ino, op) in &resolved {
-            let src_inode = set.inode(shards, src_ino)?;
-            let moved = src_inode.extents.extract_range(
-                op.src_offset / BLOCK_SIZE as u64,
-                op.len / BLOCK_SIZE as u64,
-            )?;
-            let src_spare = src_inode.spare_extents();
-            let dst_spare = set.inode(shards, dst_ino)?.spare_extents();
-            ranges.push((src_ino, op.src_offset, op.len, 1, src_spare));
-            ranges.push((dst_ino, op.dst_offset, op.len, moved.len() + 1, dst_spare));
+        // `(ino, offset, len, bound)`: each op's range in both files, and a
+        // bound on the extents a move can add to that file's map (its moved
+        // extents plus one split in the destination, one split in the
+        // source; a copy's blocks are counted when they are taken).
+        let mut ranges: Vec<(u64, u64, u64, usize)> = Vec::with_capacity(inos.len());
+        for &(src_ino, dst_ino, op) in &moves {
+            let moved = set
+                .inode(shards, src_ino)?
+                .extents
+                .extract_range(op.src_offset / block, op.len / block)?;
+            ranges.push((src_ino, op.src_offset, op.len, 1));
+            ranges.push((dst_ino, op.dst_offset, op.len, moved.len() + 1));
+        }
+        for &(src_ino, dst_ino, op) in &copies {
+            let first = op.src_offset / block;
+            let end = (op.src_offset + op.len).div_ceil(block);
+            set.inode(shards, src_ino)?
+                .extents
+                .extract_range(first, end - first)?;
+            ranges.push((src_ino, op.src_offset, op.len, 0));
+            ranges.push((dst_ino, op.dst_offset, op.len, 0));
         }
         // The initial-state validation above is only sound if no op
         // consumes another op's input or output: reject any overlapping
         // ranges within one file across the batch, so a mid-apply failure
         // (which would leave volatile state diverged from the journal) is
         // impossible by construction.
-        for (i, &(ino_a, off_a, len_a, ..)) in ranges.iter().enumerate() {
-            for &(ino_b, off_b, len_b, ..) in &ranges[i + 1..] {
+        for (i, &(ino_a, off_a, len_a, _)) in ranges.iter().enumerate() {
+            for &(ino_b, off_b, len_b, _) in &ranges[i + 1..] {
                 if ino_a == ino_b && off_a < off_b + len_b && off_b < off_a + len_a {
                     return Err(FsError::InvalidArgument);
                 }
             }
         }
-        // A map whose bound exceeds its chain's room may need another
-        // overflow block, reserved after the moves and before the commit.
-        // If one may, every map the batch touches is saved first, so a full
-        // device fails the batch with nothing changed.
-        let may_grow_chain = ranges.iter().any(|&(ino, .., spare)| {
-            ranges
-                .iter()
-                .filter(|r| r.0 == ino)
-                .map(|r| r.3)
-                .sum::<usize>()
-                > spare
-        });
-        let mut saved: Vec<(u64, ExtentMap, u64, usize)> = Vec::new();
-        if may_grow_chain {
-            for &(ino, ..) in &ranges {
-                if saved.iter().all(|s| s.0 != ino) {
-                    let inode = set.inode(shards, ino)?;
-                    saved.push((
-                        ino,
-                        inode.extents.clone(),
-                        inode.size,
-                        inode.overflow_blocks.len(),
-                    ));
+        // Every copy's bytes, read before anything changes: a media error
+        // fails the batch untouched.
+        let mut bytes: Vec<Vec<u8>> = Vec::with_capacity(copies.len());
+        for &(src_ino, _, op) in &copies {
+            let mut buf = vec![0u8; op.len as usize];
+            self.read_blocks(
+                set.inode(shards, src_ino)?,
+                op.src_offset,
+                &mut buf,
+                AccessPattern::Sequential,
+                TimeCategory::UserData,
+            )?;
+            bytes.push(buf);
+        }
+
+        // The copies' missing destination blocks.  Taken first: they are
+        // what a full device can refuse, and until the moves below nothing
+        // else has changed.
+        let give_back_all = |set: &mut ShardSet<'_>, taken: &[(u64, Taken)]| {
+            for (ino, t) in taken.iter().rev() {
+                if let Ok(inode) = set.inode_mut(shards, *ino) {
+                    self.give_back(inode, t);
+                }
+            }
+        };
+        let mut taken: Vec<(u64, Taken)> = Vec::with_capacity(copies.len());
+        for &(_, dst_ino, op) in &copies {
+            match self.take_range(set.inode_mut(shards, dst_ino)?, op.dst_offset, op.len) {
+                Ok(t) => taken.push((dst_ino, t)),
+                Err(e) => {
+                    give_back_all(&mut set, &taken);
+                    return Err(e);
                 }
             }
         }
 
-        let mut records: Vec<JournalRecord> = Vec::with_capacity(resolved.len() * 2 + 2);
-        let mut freed_all: Vec<BlockRun> = Vec::new();
-        let mut touched: Vec<u64> = Vec::new();
+        // A map whose bound exceeds its chain's room may need another
+        // overflow block, reserved after the moves and before the commit.
+        // If one may, every map the moves touch is saved first, so a full
+        // device fails the batch with nothing changed.
+        let mut may_grow_chain = false;
+        for &(ino, .., bound) in &ranges {
+            if bound > 0 {
+                let bound: usize = ranges.iter().filter(|r| r.0 == ino).map(|r| r.3).sum();
+                may_grow_chain |= bound > set.inode(shards, ino)?.spare_extents();
+            }
+        }
+        let mut saved: Vec<(u64, ExtentMap, usize)> = Vec::new();
+        if may_grow_chain {
+            for &(ino, .., bound) in &ranges {
+                if bound > 0 && saved.iter().all(|s| s.0 != ino) {
+                    let inode = set.inode(shards, ino)?;
+                    saved.push((ino, inode.extents.clone(), inode.overflow_blocks.len()));
+                }
+            }
+        }
 
-        for &(src_ino, dst_ino, op) in &resolved {
-            let src_block = op.src_offset / BLOCK_SIZE as u64;
-            let dst_block = op.dst_offset / BLOCK_SIZE as u64;
-            let count = op.len / BLOCK_SIZE as u64;
+        let mut records: Vec<JournalRecord> = Vec::with_capacity(moves.len() * 2 + 2);
+        for (_, t) in &mut taken {
+            records.append(&mut t.records);
+        }
+        let mut freed_all: Vec<BlockRun> = Vec::new();
+        let mut touched: Vec<u64> = Vec::with_capacity(inos.len());
+
+        for &(src_ino, dst_ino, op) in &moves {
+            let src_block = op.src_offset / block;
+            let dst_block = op.dst_offset / block;
+            let count = op.len / block;
 
             self.charge(cost.ext4_extent_lookup_ns * 2.0);
 
@@ -1774,23 +1984,10 @@ impl Ext4Dax {
                 });
             }
             freed_all.extend(freed);
-
-            // Grow the destination size for the append case.
-            let new_end = op.dst_offset + op.len;
-            {
-                let dst_inode = set.inode_mut(shards, dst_ino)?;
-                if new_end > dst_inode.size {
-                    dst_inode.size = new_end;
-                    records.push(JournalRecord::SetSize {
-                        ino: dst_ino,
-                        size: new_end,
-                    });
-                }
-            }
             touched.push(src_ino);
             touched.push(dst_ino);
         }
-
+        touched.extend(copies.iter().map(|&(_, dst_ino, _)| dst_ino));
         touched.sort_unstable();
         touched.dedup();
         if may_grow_chain {
@@ -1798,30 +1995,79 @@ impl Ext4Dax {
                 .iter()
                 .try_for_each(|&ino| self.reserve_chain(set.inode_mut(shards, ino)?));
             if let Err(e) = reserved {
-                for (ino, extents, size, chain_len) in saved {
+                for (ino, extents, chain_len) in saved {
                     let inode = set.inode_mut(shards, ino)?;
                     inode.extents = extents;
-                    inode.size = size;
                     self.truncate_chain(inode, chain_len);
                 }
+                give_back_all(&mut set, &taken);
                 return Err(e);
             }
         }
 
-        // Journal every move of the batch as one transaction.
-        let hint = resolved.first().map(|&(_, dst, _)| dst).unwrap_or(0);
+        // Per destination, its ranges in file order: zero what each leaves
+        // between the end of file so far and itself, store the copies, and
+        // raise the size once.
+        let mut writes: Vec<(u64, u64, u64, Fd, Option<usize>)> =
+            moves
+                .iter()
+                .map(|&(_, dst_ino, op)| (dst_ino, op.dst_offset, op.len, op.dst_fd, None))
+                .chain(copies.iter().enumerate().map(|(i, &(_, dst_ino, op))| {
+                    (dst_ino, op.dst_offset, op.len, op.dst_fd, Some(i))
+                }))
+                .collect();
+        writes.sort_unstable_by_key(|w| (w.0, w.1));
+        let mut sizes: Vec<(Fd, u64)> = Vec::new();
+        let mut stored = false;
+        for group in writes.chunk_by(|a, b| a.0 == b.0) {
+            let ino = group[0].0;
+            let inode = set.inode_mut(shards, ino)?;
+            let mut end = inode.size;
+            for &(_, offset, len, _, copy) in group {
+                stored |= self.zero_past_eof(inode, end, offset);
+                if let Some(i) = copy {
+                    self.write_blocks(inode, offset, &bytes[i], TimeCategory::UserData)?;
+                    stored = true;
+                }
+                end = end.max(offset + len);
+            }
+            if end > inode.size {
+                inode.size = end;
+                records.push(JournalRecord::SetSize { ino, size: end });
+            }
+            for &(.., fd, _) in group {
+                if sizes.iter().all(|&(f, _)| f != fd) {
+                    sizes.push((fd, end));
+                }
+            }
+        }
+        if stored {
+            self.device.fence(TimeCategory::UserData);
+        }
+
+        // Journal every move and copy of the batch as one transaction.
+        let hint = moves
+            .iter()
+            .chain(&copies)
+            .next()
+            .map_or(0, |&(_, dst, _)| dst);
         let (_tid, txn) = self.journal.commit(hint, &records)?;
 
-        // In-place metadata updates, once per touched inode.
+        // In-place metadata updates, once per touched inode, then the
+        // bitmap: the copies' new blocks and the moves' replaced ones.
         for ino in touched {
             let inode = set.inode_mut(shards, ino)?;
             self.write_inode(inode);
         }
-        self.release_runs(&freed_all);
+        for run in &freed_all {
+            self.alloc.mark_free(run.start, run.len);
+        }
+        freed_all.extend(taken.iter().flat_map(|(_, t)| t.runs.iter().copied()));
+        self.alloc.persist_runs(&self.device, &self.sb, &freed_all);
         drop(txn);
-        self.device.stats().add_batched_relink(ops.len() as u64);
+        self.device.stats().add_batched_relink(moves.len() as u64);
         obs::event(obs::SpanEvent::RelinkBatch);
-        Ok(ops.len())
+        Ok(sizes)
     }
 
     /// Returns the number of free data blocks (used by tests and by the
@@ -2459,6 +2705,7 @@ impl FileSystem for Ext4Dax {
             // Eager allocation on extension; SplitFS relies on this to
             // pre-allocate staging files.
             self.allocate_range(inode, old_size, size - old_size)?;
+            self.zero_past_eof(inode, old_size, size);
             let (_tid, txn) = self
                 .journal
                 .commit(ino, &[JournalRecord::SetSize { ino, size }])?;
@@ -2953,25 +3200,29 @@ mod tests {
             .unwrap();
         }
         let before = fs.device().stats().snapshot();
-        let applied = fs
-            .ioctl_relink_batch(&[
-                RelinkOp {
-                    src_fd: staging,
-                    src_offset: 0,
-                    dst_fd: a,
-                    dst_offset: 0,
-                    len: 2 * BLOCK_SIZE as u64,
-                },
-                RelinkOp {
-                    src_fd: staging,
-                    src_offset: 2 * BLOCK_SIZE as u64,
-                    dst_fd: b,
-                    dst_offset: 0,
-                    len: 2 * BLOCK_SIZE as u64,
-                },
-            ])
+        let sizes = fs
+            .ioctl_relink_batch(
+                &[
+                    RelinkOp {
+                        src_fd: staging,
+                        src_offset: 0,
+                        dst_fd: a,
+                        dst_offset: 0,
+                        len: 2 * BLOCK_SIZE as u64,
+                    },
+                    RelinkOp {
+                        src_fd: staging,
+                        src_offset: 2 * BLOCK_SIZE as u64,
+                        dst_fd: b,
+                        dst_offset: 0,
+                        len: 2 * BLOCK_SIZE as u64,
+                    },
+                ],
+                &[],
+            )
             .unwrap();
-        assert_eq!(applied, 2);
+        let two_blocks = 2 * BLOCK_SIZE as u64;
+        assert_eq!(sizes, [(a, two_blocks), (b, two_blocks)]);
         let delta = fs.device().stats().snapshot().delta(&before);
         assert_eq!(delta.kernel_traps, 1, "one syscall for the whole batch");
         assert_eq!(delta.batched_relinks, 1);
@@ -2995,22 +3246,25 @@ mod tests {
         fs.write_at(staging, 0, &vec![9u8; BLOCK_SIZE]).unwrap();
         // Second op references an unmapped source range, so the whole batch
         // must be rejected with the first op not applied.
-        let err = fs.ioctl_relink_batch(&[
-            RelinkOp {
-                src_fd: staging,
-                src_offset: 0,
-                dst_fd: target,
-                dst_offset: 0,
-                len: BLOCK_SIZE as u64,
-            },
-            RelinkOp {
-                src_fd: staging,
-                src_offset: 64 * BLOCK_SIZE as u64,
-                dst_fd: target,
-                dst_offset: BLOCK_SIZE as u64,
-                len: BLOCK_SIZE as u64,
-            },
-        ]);
+        let err = fs.ioctl_relink_batch(
+            &[
+                RelinkOp {
+                    src_fd: staging,
+                    src_offset: 0,
+                    dst_fd: target,
+                    dst_offset: 0,
+                    len: BLOCK_SIZE as u64,
+                },
+                RelinkOp {
+                    src_fd: staging,
+                    src_offset: 64 * BLOCK_SIZE as u64,
+                    dst_fd: target,
+                    dst_offset: BLOCK_SIZE as u64,
+                    len: BLOCK_SIZE as u64,
+                },
+            ],
+            &[],
+        );
         assert!(err.is_err());
         assert_eq!(fs.fstat(target).unwrap().size, 0);
         assert_eq!(fs.fstat(staging).unwrap().blocks, 1, "source untouched");
@@ -3028,22 +3282,25 @@ mod tests {
         fs.write_at(staging, 0, &pa).unwrap();
         fs.write_at(staging, BLOCK_SIZE as u64, &pb).unwrap();
         fs.fsync(staging).unwrap();
-        fs.ioctl_relink_batch(&[
-            RelinkOp {
-                src_fd: staging,
-                src_offset: 0,
-                dst_fd: a,
-                dst_offset: 0,
-                len: BLOCK_SIZE as u64,
-            },
-            RelinkOp {
-                src_fd: staging,
-                src_offset: BLOCK_SIZE as u64,
-                dst_fd: b,
-                dst_offset: 0,
-                len: BLOCK_SIZE as u64,
-            },
-        ])
+        fs.ioctl_relink_batch(
+            &[
+                RelinkOp {
+                    src_fd: staging,
+                    src_offset: 0,
+                    dst_fd: a,
+                    dst_offset: 0,
+                    len: BLOCK_SIZE as u64,
+                },
+                RelinkOp {
+                    src_fd: staging,
+                    src_offset: BLOCK_SIZE as u64,
+                    dst_fd: b,
+                    dst_offset: 0,
+                    len: BLOCK_SIZE as u64,
+                },
+            ],
+            &[],
+        )
         .unwrap();
 
         device.crash();
@@ -3275,6 +3532,175 @@ mod tests {
         expected[1000..1100].fill(2);
         expected[3 * 4096 + 7..].fill(3);
         assert_eq!(fs.read_file("/gaps").unwrap(), expected);
+    }
+
+    /// A device that held 0xEE in every byte before `mkfs`: its blocks come
+    /// out of the allocator full of stale bytes.
+    fn stale_fs() -> Arc<Ext4Dax> {
+        let size = 16 * 1024 * 1024;
+        let device = PmemBuilder::new(size).track_persistence(false).build();
+        device.write_uncharged(0, &vec![0xEE; size]);
+        Ext4Dax::mkfs(device).unwrap()
+    }
+
+    #[test]
+    fn a_growing_truncate_zeroes_the_rest_of_the_old_last_block() {
+        let fs = stale_fs();
+        let fd = fs.open("/f", OpenFlags::create()).unwrap();
+        fs.write_at(fd, 0, &[1u8; 1024]).unwrap();
+        fs.ftruncate(fd, 8192).unwrap();
+        let mut buf = vec![0xFFu8; 3072];
+        assert_eq!(fs.read_at(fd, 1024, &mut buf).unwrap(), 3072);
+        assert!(
+            buf.iter().all(|&b| b == 0),
+            "the old block's stale bytes show"
+        );
+    }
+
+    #[test]
+    fn a_relink_past_the_old_last_block_zeroes_its_rest() {
+        let fs = stale_fs();
+        let staging = fs.open("/staging", OpenFlags::create()).unwrap();
+        fs.write_at(staging, 0, &[2u8; BLOCK_SIZE]).unwrap();
+        let fd = fs.open("/f", OpenFlags::create()).unwrap();
+        fs.write_at(fd, 0, &[1u8; 1024]).unwrap();
+        fs.ioctl_relink(staging, 0, fd, 8192, BLOCK_SIZE as u64)
+            .unwrap();
+        let mut want = vec![0u8; 8192 + BLOCK_SIZE];
+        want[..1024].fill(1);
+        want[8192..].fill(2);
+        assert_eq!(fs.read_file("/f").unwrap(), want);
+    }
+
+    /// A staging file holding `3 * BLOCK_SIZE` bytes that differ by offset,
+    /// and a target holding 1000 bytes of 7.
+    fn staged_pair(fs: &Ext4Dax) -> (Fd, Fd, Vec<u8>) {
+        let staging = fs.open("/staging", OpenFlags::create()).unwrap();
+        let staged: Vec<u8> = (0..3 * BLOCK_SIZE).map(|i| (i % 251) as u8).collect();
+        fs.write_at(staging, 0, &staged).unwrap();
+        let target = fs.open("/t", OpenFlags::create()).unwrap();
+        fs.write_at(target, 0, &[7u8; 1000]).unwrap();
+        (staging, target, staged)
+    }
+
+    /// `len` bytes at `offset` of `src`, to the same offset of `dst`.
+    fn same_offset(src: Fd, dst: Fd, offset: u64, len: u64) -> RelinkOp {
+        RelinkOp {
+            src_fd: src,
+            src_offset: offset,
+            dst_fd: dst,
+            dst_offset: offset,
+            len,
+        }
+    }
+
+    #[test]
+    fn relink_batch_copies_partial_blocks_beside_its_moves() {
+        let device = PmemBuilder::new(64 * 1024 * 1024).build();
+        let fs = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        let (staging, target, staged) = staged_pair(&fs);
+        let b = BLOCK_SIZE as u64;
+        let op = |offset, len| same_offset(staging, target, offset, len);
+        // [1000, 2b + 1100): a head into the target's block, a moved block,
+        // a tail into a block the batch allocates.
+        let before = fs.device().stats().snapshot();
+        let sizes = fs
+            .ioctl_relink_batch(&[op(b, b)], &[op(1000, b - 1000), op(2 * b, 1100)])
+            .unwrap();
+        let delta = fs.device().stats().snapshot().delta(&before);
+        assert_eq!(sizes, [(target, 2 * b + 1100)]);
+        assert_eq!(delta.kernel_traps, 1);
+        assert_eq!(delta.journal_txns, 1);
+        assert_eq!((delta.batched_relinks, delta.relink_batch_ops), (1, 1));
+        assert_eq!(delta.written(TimeCategory::UserData), b - 1000 + 1100);
+
+        let want = [&[7u8; 1000][..], &staged[1000..2 * BLOCK_SIZE + 1100]].concat();
+        assert_eq!(fs.read_file("/t").unwrap(), want);
+        assert_eq!(fs.fstat(target).unwrap().size, 2 * b + 1100);
+        // The moved block left the staging file; the copied ones stay.
+        assert_eq!(fs.fstat(staging).unwrap().blocks, 2);
+        device.crash();
+        let fs = Ext4Dax::mount(device).unwrap();
+        assert_eq!(fs.read_file("/t").unwrap(), want);
+    }
+
+    #[test]
+    fn relink_batch_rejects_bad_copies_before_mutating() {
+        let fs = fs();
+        let (staging, target, _) = staged_pair(&fs);
+        let b = BLOCK_SIZE as u64;
+        let op = |offset, len| same_offset(staging, target, offset, len);
+        let unchanged = |fs: &Ext4Dax| {
+            assert_eq!(fs.read_file("/t").unwrap(), vec![7u8; 1000]);
+            assert_eq!(fs.fstat(staging).unwrap().blocks, 3, "source untouched");
+        };
+        // A copy out of a hole of the source.
+        assert_eq!(
+            fs.ioctl_relink_batch(&[op(b, b)], &[op(3 * b + 10, 20)]),
+            Err(FsError::InvalidArgument)
+        );
+        unchanged(&fs);
+        // A copy into the range a move of the batch writes.
+        assert_eq!(
+            fs.ioctl_relink_batch(&[op(b, b)], &[op(2 * b - 10, 20)]),
+            Err(FsError::InvalidArgument)
+        );
+        unchanged(&fs);
+        // A copy whose source does not read back.
+        let ino = fs.fd_ino(staging).unwrap();
+        let (phys, _) = fs.lock_inode_read(ino)[&ino].extents.lookup(2).unwrap();
+        fs.device().poison_range(phys * b + 500, 8);
+        match fs.ioctl_relink_batch(&[op(b, b)], &[op(2 * b, 1100)]) {
+            Err(FsError::Io(msg)) => assert!(msg.contains("media read error"), "{msg}"),
+            other => panic!("a batch over a poisoned source returned {other:?}"),
+        }
+        unchanged(&fs);
+        fs.device().clear_poison();
+        fs.ioctl_relink_batch(&[op(b, b)], &[op(2 * b, 1100)])
+            .unwrap();
+        assert_eq!(fs.fstat(target).unwrap().size, 2 * b + 1100);
+    }
+
+    #[test]
+    fn a_mount_drops_the_entries_whose_tombstones_tore() {
+        let device = PmemBuilder::new(64 * 1024 * 1024)
+            .track_persistence(false)
+            .build();
+        let fs = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        for name in ["/moved", "/gone", "/kept"] {
+            fs.write_file(name, name.as_bytes()).unwrap();
+        }
+        // Where each entry sits on the device, before it is unlinked.
+        let entry = |name: &str| {
+            let slot = fs.lock_ns_read(ROOT_INO).dirs[&ROOT_INO].entries[name];
+            let b = BLOCK_SIZE as u64;
+            let (phys, _) = fs.lock_inode_read(ROOT_INO)[&ROOT_INO]
+                .extents
+                .lookup(slot.entry_offset / b)
+                .unwrap();
+            (slot, phys * b + slot.entry_offset % b)
+        };
+        let torn = [entry("moved"), entry("gone")];
+        fs.rename("/moved", "/archived").unwrap();
+        fs.unlink("/gone").unwrap();
+        drop(fs);
+        // Both tombstones tore the way a torn line can: the inode number
+        // survived, the name is zeros.  The journal still holds both
+        // records.
+        for (slot, at) in torn {
+            device.write_uncharged(at, &slot.ino.to_le_bytes());
+        }
+
+        // Twice: the second mount finds the journal reset, so what the first
+        // one repaired must be on the device.
+        for mount in 0..2 {
+            let fs = Ext4Dax::mount(Arc::clone(&device)).unwrap();
+            assert_eq!(fs.check_namespace(), Vec::<String>::new(), "mount {mount}");
+            let mut names = fs.readdir("/").unwrap();
+            names.sort();
+            assert_eq!(names, ["archived", "kept"], "mount {mount}");
+            assert_eq!(fs.read_file("/archived").unwrap(), b"/moved");
+        }
     }
 
     #[test]

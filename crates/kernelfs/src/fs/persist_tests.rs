@@ -357,12 +357,9 @@ fn replayed_add_extent_records_set_their_range() {
     assert_eq!(mount_copy(&fs).0, all_maps(&fs));
 }
 
-#[test]
-fn relink_fails_closed_when_a_chain_cannot_grow() {
-    let fs = small_fs(16);
-    let a = fs.open("/a", OpenFlags::create()).unwrap();
-    fs.ftruncate(a, 64 * B).unwrap();
-    let b = fs.open("/b", OpenFlags::create()).unwrap();
+/// Writes `/fill` until the device is full; returns its descriptor and
+/// size.
+fn fill_device(fs: &Ext4Dax) -> (Fd, u64) {
     let fill = fs.open("/fill", OpenFlags::create()).unwrap();
     let mut filled = 0;
     for chunk in [64 * B, B] {
@@ -374,6 +371,16 @@ fn relink_fails_closed_when_a_chain_cannot_grow() {
         }
     }
     assert_eq!(fs.free_blocks(), 0);
+    (fill, filled)
+}
+
+#[test]
+fn relink_fails_closed_when_a_chain_cannot_grow() {
+    let fs = small_fs(16);
+    let a = fs.open("/a", OpenFlags::create()).unwrap();
+    fs.ftruncate(a, 64 * B).unwrap();
+    let b = fs.open("/b", OpenFlags::create()).unwrap();
+    let (fill, _) = fill_device(&fs);
     fs.close(fill).unwrap();
 
     let relink = |i: u64| fs.ioctl_relink(a, 2 * i * B, b, 2 * i * B, B);
@@ -406,6 +413,48 @@ fn relink_fails_closed_when_a_chain_cannot_grow() {
 }
 
 #[test]
+fn a_relink_batch_fails_closed_when_a_copy_cannot_get_a_block() {
+    let fs = small_fs(16);
+    let src = fs.open("/src", OpenFlags::create()).unwrap();
+    fs.write_at(src, 0, &vec![3u8; 3 * BLOCK_SIZE]).unwrap();
+    let dst = fs.open("/dst", OpenFlags::create()).unwrap();
+    fs.write_at(dst, 0, &[1u8; 100]).unwrap();
+    let (fill, filled) = fill_device(&fs);
+
+    // A head into the destination's block, a moved block, and a tail that
+    // needs a block of its own.
+    let op = |offset: u64, len: u64| RelinkOp {
+        src_fd: src,
+        src_offset: offset,
+        dst_fd: dst,
+        dst_offset: offset,
+        len,
+    };
+    let (moves, copies) = ([op(B, B)], [op(100, B - 100), op(2 * B, 50)]);
+    let before = all_maps(&fs);
+    assert_eq!(
+        fs.ioctl_relink_batch(&moves, &copies),
+        Err(FsError::NoSpace)
+    );
+    assert_eq!(all_maps(&fs), before, "a failed batch changed a map");
+    assert_eq!(fs.free_blocks(), 0);
+    assert_in_place_state(&fs);
+    assert_eq!(fs.read_file("/dst").unwrap(), vec![1u8; 100]);
+
+    fs.ftruncate(fill, filled - B).unwrap();
+    assert_eq!(
+        fs.ioctl_relink_batch(&moves, &copies),
+        Ok(vec![(dst, 2 * B + 50)])
+    );
+    let mut want = vec![3u8; 2 * BLOCK_SIZE + 50];
+    want[..100].fill(1);
+    assert_eq!(fs.read_file("/dst").unwrap(), want);
+    assert_eq!(fs.free_blocks(), 0);
+    assert_in_place_state(&fs);
+    assert_eq!(mount_copy(&fs).0, all_maps(&fs));
+}
+
+#[test]
 fn allocation_fails_closed_when_a_chain_cannot_grow() {
     let fs = small_fs(16);
     let frag = fs.open("/frag", OpenFlags::create()).unwrap();
@@ -413,16 +462,7 @@ fn allocation_fails_closed_when_a_chain_cannot_grow() {
         fragment(&fs, frag, 0, INLINE_EXTENTS as u64),
         INLINE_EXTENTS as u64
     );
-    let fill = fs.open("/fill", OpenFlags::create()).unwrap();
-    let mut filled = 0;
-    for chunk in [64 * B, B] {
-        while fs
-            .write_at(fill, filled, &vec![1u8; chunk as usize])
-            .is_ok()
-        {
-            filled += chunk;
-        }
-    }
+    let (fill, filled) = fill_device(&fs);
     // Free exactly one block: enough for the data, not for the chain block
     // a tenth extent needs.
     fs.ftruncate(fill, filled - B).unwrap();
@@ -574,4 +614,59 @@ fn relink_metadata_bytes_do_not_scale_with_chain_length() {
         "metadata bytes per relink: {written:?}"
     );
     assert!(written[0] <= 1024, "metadata bytes per relink: {written:?}");
+}
+
+/// A batch whose copies land past the destination's old end of file — a
+/// head 100 bytes behind it, so the gap is zeroed, and a tail into a block
+/// the batch allocates — beside a moved block.  A cut before any fence of
+/// the batch mounts both files as they were before it or as they are after
+/// it: the copied and zeroed bytes are fenced before the commit record.
+#[test]
+fn cuts_inside_a_copying_relink_batch_mount_the_files_before_or_after_it() {
+    let device = PmemBuilder::new(4 << 20)
+        .crash_policy(CrashPolicy::LoseUnflushed)
+        .build();
+    let fs = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    let src = fs.open("/src", OpenFlags::create()).unwrap();
+    let staged: Vec<u8> = (0..3 * BLOCK_SIZE).map(|i| (i % 253) as u8 | 1).collect();
+    fs.write_at(src, 0, &staged).unwrap();
+    let dst = fs.open("/dst", OpenFlags::create()).unwrap();
+    fs.write_at(dst, 0, &[9u8; 900]).unwrap();
+    // Both files' bytes.
+    let files = |fs: &Ext4Dax| [fs.read_file("/dst").unwrap(), fs.read_file("/src").unwrap()];
+    let before = files(&fs);
+
+    let cuts: Arc<Mutex<Vec<[Vec<u8>; 2]>>> = Arc::default();
+    {
+        let cuts = Arc::clone(&cuts);
+        device.set_fence_hook(Some(Arc::new(move |d: &PmemDevice, _| {
+            let fresh = PmemBuilder::new(d.size()).build();
+            fresh.restore_crash_image(&d.capture_crash_image());
+            let mounted = Ext4Dax::mount(fresh).unwrap();
+            assert!(mounted.check_namespace().is_empty());
+            cuts.lock().unwrap().push(files(&mounted));
+        })));
+    }
+    let op = |offset: u64, len: u64| RelinkOp {
+        src_fd: src,
+        src_offset: offset,
+        dst_fd: dst,
+        dst_offset: offset,
+        len,
+    };
+    fs.ioctl_relink_batch(&[op(B, B)], &[op(1000, B - 1000), op(2 * B, 300)])
+        .unwrap();
+    device.set_fence_hook(None);
+
+    let after = files(&fs);
+    let mut want = staged[..2 * BLOCK_SIZE + 300].to_vec();
+    want[..900].fill(9);
+    want[900..1000].fill(0);
+    assert_eq!(after[0], want);
+    let cuts = std::mem::take(&mut *cuts.lock().unwrap());
+    assert!(cuts.len() >= 4, "{} fences", cuts.len());
+    for (idx, cut) in cuts.iter().enumerate() {
+        assert!(*cut == before || *cut == after, "cut {idx} mounted a mix");
+    }
+    assert!(cuts[0] == before && cuts[cuts.len() - 1] == after);
 }

@@ -4,11 +4,13 @@
 //! kernel trap and one journal transaction per run.  This module plans the
 //! work instead: staged extents are coalesced into runs, each run is split
 //! into a block-aligned middle (moved with zero copies) and unaligned
-//! head/tail bytes (copied), and every aligned middle of every run becomes
-//! one [`RelinkOp`] in a single [`kernelfs::Ext4Dax::ioctl_relink_batch`]
-//! submission.  One journal transaction then covers the whole `fsync` — or,
-//! when the [maintenance daemon](crate::daemon) checkpoints in the
-//! background, many files' worth of staged data at once.
+//! head/tail bytes (copied), and every middle and every head and tail of
+//! every run becomes one [`RelinkOp`] — a move or a [`CopySpan`] — of a
+//! single [`kernelfs::Ext4Dax::ioctl_relink_batch`] submission.  One trap
+//! and one journal transaction then cover the whole `fsync`, whatever the
+//! alignment — or, when the [maintenance daemon](crate::daemon)
+//! checkpoints in the background, many files' worth of staged data at
+//! once.
 
 use kernelfs::{RelinkOp, BLOCK_SIZE};
 use vfs::Fd;
@@ -93,17 +95,17 @@ pub fn generations(runs: &[StagedRun]) -> Vec<&[StagedRun]> {
     out
 }
 
-/// A byte span that must be copied into the target through the kernel
-/// write path (unaligned head/tail bytes, or whole runs when relink is
-/// disabled or the staging phase does not match).
+/// A byte span applied by copying: unaligned head/tail bytes, a run whose
+/// staging phase does not match the target's, or — relink disabled — a
+/// whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CopySpan {
-    /// Device offset the bytes are read from (staging blocks).
+    /// The copy as the relink ioctl takes it: from the staging file's range
+    /// to the target's.
+    pub op: RelinkOp,
+    /// Device offset of the staged bytes, where the ablation without
+    /// relink reads them before writing them through the kernel.
     pub device_offset: u64,
-    /// Target-file offset the bytes are written to.
-    pub target_offset: u64,
-    /// Length in bytes.
-    pub len: u64,
 }
 
 /// A staging mapping retained for the target file's mmap collection: after
@@ -125,7 +127,8 @@ pub struct RetainedMapping {
 pub struct RelinkPlan {
     /// Block moves, submitted through `ioctl_relink_batch`.
     pub ops: Vec<RelinkOp>,
-    /// Byte spans applied by copying.
+    /// Byte spans applied by copying: beside the moves in the same
+    /// submission, or through the kernel write path without relink.
     pub copies: Vec<CopySpan>,
     /// Mappings to retain in the target's collection after the moves.
     pub retained: Vec<RetainedMapping>,
@@ -143,17 +146,24 @@ impl RelinkPlan {
 /// With `use_relink`, every run's block-aligned middle becomes a
 /// [`RelinkOp`] and only unaligned head/tail bytes (or phase-mismatched
 /// runs) are copied; without it (the Figure 3 ablation) everything is
-/// copied.
+/// copied, through the kernel write path.
 pub fn plan(runs: &[StagedRun], target_fd: Fd, use_relink: bool) -> RelinkPlan {
     let block = BLOCK_SIZE as u64;
     let mut plan = RelinkPlan::default();
     for run in runs {
+        // `len` bytes from `skip` bytes into the run.
+        let copy = |skip: u64, len: u64| CopySpan {
+            op: RelinkOp {
+                src_fd: run.staging_fd,
+                src_offset: run.staging_offset + skip,
+                dst_fd: target_fd,
+                dst_offset: run.target_offset + skip,
+                len,
+            },
+            device_offset: run.device_offset + skip,
+        };
         if !use_relink {
-            plan.copies.push(CopySpan {
-                device_offset: run.device_offset,
-                target_offset: run.target_offset,
-                len: run.len,
-            });
+            plan.copies.push(copy(0, run.len));
             continue;
         }
         let t_start = run.target_offset;
@@ -181,27 +191,15 @@ pub fn plan(runs: &[StagedRun], target_fd: Fd, use_relink: bool) -> RelinkPlan {
                 len,
             });
             if head > 0 {
-                plan.copies.push(CopySpan {
-                    device_offset: run.device_offset,
-                    target_offset: t_start,
-                    len: head,
-                });
+                plan.copies.push(copy(0, head));
             }
             let tail = t_end - aligned_end;
             if tail > 0 {
-                plan.copies.push(CopySpan {
-                    device_offset: run.device_offset + (aligned_end - t_start),
-                    target_offset: aligned_end,
-                    len: tail,
-                });
+                plan.copies.push(copy(aligned_end - t_start, tail));
             }
         } else {
             // Fully unaligned (sub-block) run: copy it.
-            plan.copies.push(CopySpan {
-                device_offset: run.device_offset,
-                target_offset: run.target_offset,
-                len: run.len,
-            });
+            plan.copies.push(copy(0, run.len));
         }
     }
     plan
@@ -303,9 +301,12 @@ mod tests {
         assert_eq!(plan.ops[0].dst_offset, 4096);
         assert_eq!(plan.ops[0].len, 4096);
         assert_eq!(plan.copies.len(), 2);
-        assert_eq!(plan.copies[0].len, 4096 - 100);
-        assert_eq!(plan.copies[1].target_offset, 8192);
-        assert_eq!(plan.copies[1].len, 100);
+        assert_eq!(plan.copies[0].op.len, 4096 - 100);
+        assert_eq!(plan.copies[1].op.dst_offset, 8192);
+        assert_eq!(plan.copies[1].op.len, 100);
+        // A copy reads the staging file where the run's tail sits in it.
+        assert_eq!(plan.copies[1].op.src_offset, 8192);
+        assert_eq!(plan.copies[1].device_offset, 1_000_000 + 8192);
     }
 
     #[test]
@@ -324,6 +325,6 @@ mod tests {
         let plan = plan(&runs, 7, false);
         assert!(plan.ops.is_empty());
         assert_eq!(plan.copies.len(), 1);
-        assert_eq!(plan.copies[0].len, 8192);
+        assert_eq!(plan.copies[0].op.len, 8192);
     }
 }

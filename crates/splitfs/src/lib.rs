@@ -12,8 +12,10 @@
 //! * **K-Split** ([`kernelfs::Ext4Dax`]) handles every metadata operation
 //!   and provides the journaled, atomic relink primitive that moves staged
 //!   blocks into target files without copying data — submitted in bulk
-//!   through [`kernelfs::Ext4Dax::ioctl_relink_batch`], so one journal
-//!   transaction covers every staged extent an `fsync` retires.
+//!   through [`kernelfs::Ext4Dax::ioctl_relink_batch`], which copies the
+//!   partial blocks at a run's ends in the same call and returns the new
+//!   sizes, so one trap and one journal transaction cover every staged
+//!   extent an `fsync` retires.
 //!
 //! **Many instances, one kernel**: any number of [`SplitFs`] instances
 //! (the paper's one-per-process deployment) can be mounted concurrently
@@ -77,12 +79,13 @@
 //!   staging files ahead of demand while idle lanes shrink back to the
 //!   configured floor;
 //! * [`batch`] — planning: staged extents are coalesced into runs and
-//!   split into block-aligned [`kernelfs::RelinkOp`]s plus unaligned
+//!   split into block-aligned [`kernelfs::RelinkOp`] moves plus unaligned
 //!   head/tail copy spans;
 //! * [`relink`] — the user-space half of relink and the **one retire
 //!   pipeline** (`relink_batch`) behind `fsync`, `fsync_many`, `close`
-//!   and every background pass: submits the planned ops of all its files
-//!   through the batched kernel entry point, retains the staging
+//!   and every background pass: submits the planned moves and copies of
+//!   all its files through the batched kernel entry point — one trap —
+//!   takes the targets' sizes from its reply, retains the staging
 //!   mappings for the targets' mmap collections, and emits `Invalidate`
 //!   markers;
 //! * [`oplog`] — the single-fence redo log as a **two-epoch segment-swap

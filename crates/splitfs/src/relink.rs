@@ -7,12 +7,13 @@
 //! given into their targets:
 //!
 //! * staged extents are coalesced into runs and planned by
-//!   [`crate::batch`]: block-aligned portions become [`kernelfs::RelinkOp`]s
-//!   submitted through the **batched**
-//!   [`kernelfs::Ext4Dax::ioctl_relink_batch`] entry point, so one kernel
-//!   trap and one journal transaction cover every aligned run of every
-//!   file in the batch;
-//! * unaligned head/tail bytes are copied (the paper's partial-block case);
+//!   [`crate::batch`]: block-aligned portions become [`kernelfs::RelinkOp`]
+//!   moves, and unaligned head/tail bytes (the paper's partial-block case)
+//!   copies, all submitted through the **batched**
+//!   [`kernelfs::Ext4Dax::ioctl_relink_batch`] entry point — so one kernel
+//!   trap and one journal transaction cover every run of every file in the
+//!   batch, whatever its alignment, and the call returns the targets' new
+//!   sizes;
 //! * the mappings that served the staged data are retained in the target
 //!   file's collection of mmaps, so later reads hit the same physical
 //!   blocks without new page faults;
@@ -21,9 +22,9 @@
 //!   writes; the entries of one batch group-commit under a single fence.
 //!
 //! With `use_relink` disabled (Figure 3 ablation) the staged data is copied
-//! into the target through the kernel write path instead, which is exactly
-//! the "staging without relink" configuration whose cost the paper
-//! measures.
+//! into the target through the kernel write path instead, one `write_at`
+//! per span and an `fstat` per file, which is exactly the "staging without
+//! relink" configuration whose cost the paper measures.
 //!
 //! Staged bytes that are dropped rather than applied leave through
 //! `SplitFs::discard_staged`, beside it.
@@ -32,17 +33,17 @@ use std::ops::DerefMut;
 
 use kernelfs::RelinkOp;
 use pmem::{AccessPattern, TimeCategory};
-use vfs::{FileSystem, FsResult};
+use vfs::{Fd, FileSystem, FsResult};
 
-use crate::batch::{self, CopySpan, RelinkPlan};
+use crate::batch::{self, RelinkPlan};
 use crate::fs::SplitFs;
 use crate::oplog::{LogEntry, LogOp};
 use crate::state::FileState;
 
-/// Most relink ops submitted per `ioctl_relink_batch` call: larger batches
-/// amortize the journal transaction further but hold the kernel lock
-/// longer.  A file with four chunks' worth of staged extents is relinked
-/// in the background.
+/// Most moves and copies submitted per `ioctl_relink_batch` call: larger
+/// batches amortize the journal transaction further but hold the kernel
+/// lock longer.  A file with four chunks' worth of staged extents is
+/// relinked in the background.
 pub(crate) const RELINK_CHUNK: usize = 64;
 
 impl SplitFs {
@@ -50,7 +51,8 @@ impl SplitFs {
     /// file states whose write locks the caller holds — to the target
     /// files through a single batched relink, so one kernel trap and one
     /// journal transaction cover an `fsync`, an `fsync_many` or a ring's
-    /// files alike.  One fence ends the batch.  The `Invalidate` markers
+    /// files alike, and the sizes it returns refresh each file's kernel
+    /// size.  One fence ends the batch.  The `Invalidate` markers
     /// group-commit best-effort under one more — or are handed to
     /// `deferred`, for a caller that retires many files one lock at a time
     /// (the sealed-epoch sweep) and commits their markers together.
@@ -65,26 +67,68 @@ impl SplitFs {
         states: &mut [S],
         deferred: Option<&mut Vec<LogEntry>>,
     ) -> FsResult<()> {
-        let submit = |ops: &[RelinkOp]| -> FsResult<()> {
-            for chunk in ops.chunks(RELINK_CHUNK) {
-                self.kernel.ioctl_relink_batch(chunk)?;
+        let use_relink = self.config.use_relink;
+        // At most `RELINK_CHUNK` moves and copies per call, each call one
+        // trap and one journal transaction; returns every target's size
+        // after the calls.
+        let submit = |moves: &[RelinkOp], copies: &[RelinkOp]| -> FsResult<Vec<(Fd, u64)>> {
+            let mut sizes = Vec::new();
+            let (mut moves, mut copies) = (moves, copies);
+            while !moves.is_empty() || !copies.is_empty() {
+                let (m, more_moves) = moves.split_at(moves.len().min(RELINK_CHUNK));
+                let (c, more_copies) = copies.split_at(copies.len().min(RELINK_CHUNK - m.len()));
+                let got = self.kernel.ioctl_relink_batch(m, c)?;
+                if sizes.is_empty() {
+                    sizes = got;
+                } else {
+                    sizes.extend(got);
+                }
+                (moves, copies) = (more_moves, more_copies);
             }
-            Ok(())
+            Ok(sizes)
         };
-        let apply = |st: &mut FileState, plan: &RelinkPlan| -> FsResult<()> {
+        // The copies a plan hands the kernel beside its moves.
+        let kernel_copies = |plan: &RelinkPlan| -> Vec<RelinkOp> {
+            if use_relink {
+                plan.copies.iter().map(|span| span.op).collect()
+            } else {
+                Vec::new()
+            }
+        };
+        let apply = |st: &mut FileState, plan: &RelinkPlan, sizes: &[(Fd, u64)]| -> FsResult<()> {
             // Retain the staging mappings: the physical blocks that backed
             // the staging ranges now back the target ranges, so reads keep
             // using them without faulting (Figure 2, step 3).
             for m in &plan.retained {
                 st.mmaps.insert(m.target_offset, m.device_offset, m.len);
             }
-            for span in &plan.copies {
-                self.copy_span_to_target(st, span)?;
+            if !use_relink {
+                // The Figure 3 ablation, the configuration the paper
+                // measures: every staged byte goes through the kernel's
+                // write path.  A media error under the staged bytes fails
+                // the call before anything is written.
+                for span in &plan.copies {
+                    let mut buf = vec![0u8; span.op.len as usize];
+                    self.device.try_read(
+                        span.device_offset,
+                        &mut buf,
+                        AccessPattern::Sequential,
+                        TimeCategory::UserData,
+                    )?;
+                    self.kernel
+                        .write_at(st.kernel_fd, span.op.dst_offset, &buf)?;
+                }
+            }
+            for &(fd, size) in sizes {
+                if fd == st.kernel_fd {
+                    st.kernel_size = st.kernel_size.max(size);
+                }
             }
             Ok(())
         };
 
         let mut shared: Vec<RelinkOp> = Vec::new();
+        let mut shared_copies: Vec<RelinkOp> = Vec::new();
         let mut planned: Vec<(usize, RelinkPlan)> = Vec::new();
         for (i, st) in states.iter_mut().enumerate() {
             let st = &mut **st;
@@ -94,31 +138,35 @@ impl SplitFs {
                 continue;
             };
             for generation in earlier {
-                let plan = batch::plan(generation, st.kernel_fd, self.config.use_relink);
-                submit(&plan.ops)?;
-                apply(st, &plan)?;
+                let plan = batch::plan(generation, st.kernel_fd, use_relink);
+                let sizes = submit(&plan.ops, &kernel_copies(&plan))?;
+                apply(st, &plan, &sizes)?;
             }
-            let plan = batch::plan(last, st.kernel_fd, self.config.use_relink);
+            let plan = batch::plan(last, st.kernel_fd, use_relink);
             shared.extend_from_slice(&plan.ops);
+            shared_copies.extend(kernel_copies(&plan));
             planned.push((i, plan));
         }
         if planned.is_empty() {
             return Ok(());
         }
-        submit(&shared)?;
+        let sizes = submit(&shared, &shared_copies)?;
 
         let mut markers = Vec::new();
         let mut retired = 0u64;
         for (i, plan) in &planned {
             let st = &mut *states[*i];
-            apply(st, plan)?;
+            apply(st, plan, &sizes)?;
             // Everything staged is in the target file now.
             let max_seq = st.staged.iter().map(|e| e.seq).max().unwrap_or(0);
             retired += st.staged.len() as u64;
             for ext in st.staged.drain(..) {
                 self.staging.note_retired(ext.staging_ino, ext.len);
             }
-            st.kernel_size = self.kernel.fstat(st.kernel_fd)?.size;
+            if !use_relink {
+                // The kernel's write path reports no file size.
+                st.kernel_size = self.kernel.fstat(st.kernel_fd)?.size;
+            }
             st.cached_size = st.cached_size.max(st.kernel_size);
             if max_seq > 0 {
                 markers.push(self.invalidate_marker(st.ino, max_seq));
@@ -185,23 +233,6 @@ impl SplitFs {
         if let Some(oplog) = self.oplog.as_ref() {
             let _ = oplog.append_batch(markers);
         }
-    }
-
-    /// Copies one planned span from the staging blocks into the target file
-    /// via the kernel.  A media error under the staged bytes fails the call
-    /// before anything is written: the extents stay staged.
-    fn copy_span_to_target(&self, state: &mut FileState, span: &CopySpan) -> FsResult<()> {
-        let mut buf = vec![0u8; span.len as usize];
-        self.device.try_read(
-            span.device_offset,
-            &mut buf,
-            AccessPattern::Sequential,
-            TimeCategory::UserData,
-        )?;
-        self.kernel
-            .write_at(state.kernel_fd, span.target_offset, &buf)?;
-        state.kernel_size = state.kernel_size.max(span.target_offset + span.len);
-        Ok(())
     }
 }
 

@@ -75,12 +75,12 @@ fn apply_background_batch(kernel: &Arc<Ext4Dax>, config: &SplitConfig) -> usize 
             len: entry.len,
         });
     }
-    let applied = kernel.ioctl_relink_batch(&ops).unwrap();
+    kernel.ioctl_relink_batch(&ops, &[]).unwrap();
     for fd in fds {
         kernel.close(fd).unwrap();
     }
     kernel.close(log_fd).unwrap();
-    applied
+    ops.len()
 }
 
 /// Mounts the crashed device through the shared chaos harness, replays

@@ -75,7 +75,11 @@ fn relink_first_entries(kernel: &Arc<Ext4Dax>, instance_id: u32, count: usize) {
             len: entry.len,
         });
     }
-    assert_eq!(kernel.ioctl_relink_batch(&ops).unwrap(), count);
+    let sizes = kernel.ioctl_relink_batch(&ops, &[]).unwrap();
+    for op in &ops {
+        let size = sizes.iter().find(|&&(fd, _)| fd == op.dst_fd).unwrap().1;
+        assert!(size >= op.dst_offset + op.len, "{op:?} against size {size}");
+    }
     for fd in fds {
         kernel.close(fd).unwrap();
     }

@@ -75,8 +75,8 @@ fn interleaved_small_appends_relink_whole_blocks() {
                 0,
                 "{mode:?}: file {f}: no staged byte is copied"
             );
-            // The relink ioctl and the size refresh behind it.
-            assert_eq!(delta.kernel_traps, 2, "{mode:?}: file {f}");
+            // The relink ioctl, which returns the new size too.
+            assert_eq!(delta.kernel_traps, 1, "{mode:?}: file {f}");
 
             let before = device.stats().snapshot();
             assert_eq!(read(fd), contents[f], "{mode:?}: file {f} after fsync");
