@@ -142,7 +142,6 @@ fn run(which: &str, scale: Scale) {
                     "Wall-clock",
                     "Staging lock waits",
                     "Lane steals",
-                    "Adaptive resizes",
                     "Shard lock waits",
                     "Epoch swaps",
                     "Epoch truncates",
@@ -282,9 +281,6 @@ fn run(which: &str, scale: Scale) {
 }
 
 fn main() {
-    // A panicking experiment dumps every thread's recent span events
-    // (the flight recorder) before the backtrace.
-    obs::install_panic_hook();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let scale = if full { Scale::Full } else { Scale::Quick };

@@ -859,7 +859,6 @@ pub fn scaling_report(scale: Scale) -> ScalingReport {
             format!("{:.1} kops/s", r.kops_wall),
             s.staging_lock_waits.to_string(),
             s.staging_lane_steals.to_string(),
-            s.staging_adaptive_resizes.to_string(),
             s.shard_lock_waits.to_string(),
             s.oplog_epoch_swaps.to_string(),
             s.oplog_epoch_truncates.to_string(),
@@ -878,7 +877,6 @@ pub fn scaling_report(scale: Scale) -> ScalingReport {
                 )
                 .u64("staging_lock_waits", s.staging_lock_waits)
                 .u64("staging_lane_steals", s.staging_lane_steals)
-                .u64("staging_adaptive_resizes", s.staging_adaptive_resizes)
                 .u64("staging_inline_creates", s.staging_inline_creates)
                 .u64("shard_lock_waits", s.shard_lock_waits)
                 .u64("checkpoint_stalls", s.checkpoint_stalls)
@@ -898,8 +896,8 @@ pub fn scaling(scale: Scale) -> Vec<Row> {
 // ----------------------------------------------------------------------
 
 /// Raw output of the latency experiment on one file system: the full
-/// [`obs::MetricsSnapshot`] (per-op percentiles, time breakdown, daemon
-/// health) plus the workload totals.
+/// [`obs::MetricsSnapshot`] (per-op percentiles and time breakdown) plus
+/// the workload totals.
 #[derive(Debug, Clone)]
 pub struct LatencyRunResult {
     /// The configuration that ran.
@@ -924,8 +922,8 @@ pub fn latency_run(scale: Scale, kind: FsKind, threads: usize) -> LatencyRunResu
     let (fs, device, split): (Arc<dyn FileSystem>, _, Option<Arc<SplitFs>>) = match kind {
         FsKind::SplitPosix | FsKind::SplitSync | FsKind::SplitStrict => {
             // Built by hand rather than through `make_fs` so the concrete
-            // `Arc<SplitFs>` stays available for recorder attachment,
-            // quiescing and the health probe.
+            // `Arc<SplitFs>` stays available for recorder attachment and
+            // quiescing.
             let (device, kernel) = setup_device(scale.device_bytes(), false);
             let mode = match kind {
                 FsKind::SplitPosix => Mode::Posix,
@@ -966,10 +964,7 @@ pub fn latency_run(scale: Scale, kind: FsKind, threads: usize) -> LatencyRunResu
         split.maintenance_quiesce();
     }
     let stats = device.stats().snapshot().delta(&before);
-    let mut snapshot = obs::MetricsSnapshot::new(kind.label(), threads, &recorder, stats);
-    if let Some(split) = &split {
-        snapshot = snapshot.with_health(split.health());
-    }
+    let snapshot = obs::MetricsSnapshot::new(kind.label(), threads, &recorder, stats);
     LatencyRunResult {
         kind,
         ops: result.ops,

@@ -156,7 +156,6 @@ fn capture_at(
         if ordinal == target {
             let mut slot = hook_slot.lock();
             if slot.is_none() {
-                obs::event(obs::SpanEvent::CrashCapture);
                 *slot = Some(dev.capture_crash_image());
             }
         }

@@ -3,14 +3,11 @@
 //! Before this crate, every crash test hand-rolled its own post-crash
 //! block: mount, replay the right logs, walk the tree asserting
 //! metadata invariants.  [`Recovered`] centralizes that: one call
-//! mounts the crashed device (installing the [`obs`] panic hook so any
-//! assertion failure dumps the flight recorder), the `recover_*`
-//! methods replay orphaned or explicit instances, and
-//! [`Recovered::assert_clean`] / [`Recovered::assert_promises`] run the
-//! fsck walk, the foreign-entry containment check and the
-//! declared-durability oracle — printing the recent flight-recorder
-//! events and emitting an [`obs::SpanEvent::OracleViolation`] before
-//! failing, so a violation comes with the event tail that led to it.
+//! mounts the crashed device, the `recover_*` methods replay orphaned
+//! or explicit instances, and [`Recovered::assert_clean`] /
+//! [`Recovered::assert_promises`] run the fsck walk, the foreign-entry
+//! containment check and the declared-durability oracle, panicking with
+//! every violation they found.
 
 use std::sync::Arc;
 
@@ -34,10 +31,8 @@ pub struct Recovered {
 }
 
 impl Recovered {
-    /// Mounts a crashed device and installs the flight-recorder panic
-    /// hook, so every later assertion failure dumps the event tail.
+    /// Mounts a crashed device.
     pub fn mount(device: &Arc<PmemDevice>) -> FsResult<Self> {
-        obs::install_panic_hook();
         Ok(Self {
             kernel: Ext4Dax::mount(Arc::clone(device))?,
             orphan_reports: Vec::new(),
@@ -48,7 +43,6 @@ impl Recovered {
     /// Wraps an already-mounted kernel — the in-process path, where a
     /// live instance recovers a crashed peer without a remount.
     pub fn attach(kernel: Arc<Ext4Dax>) -> Self {
-        obs::install_panic_hook();
         Self {
             kernel,
             orphan_reports: Vec::new(),
@@ -123,24 +117,16 @@ impl Recovered {
     }
 
     /// Asserts the recovered image is structurally sound: fsck-clean
-    /// and zero foreign entries.  On failure, prints the flight
-    /// recorder's recent events and panics.
+    /// and zero foreign entries.  Panics otherwise.
     pub fn assert_clean(&self) {
         let violations = self.fsck();
         if !violations.is_empty() {
-            obs::event(obs::SpanEvent::OracleViolation);
-            panic!(
-                "post-crash fsck failed:\n  {}\n{}",
-                violations.join("\n  "),
-                obs::flight::dump()
-            );
+            panic!("post-crash fsck failed:\n  {}", violations.join("\n  "));
         }
-        let foreign = self.foreign_entries();
         assert_eq!(
-            foreign,
+            self.foreign_entries(),
             0,
-            "foreign log entries crossed an instance boundary\n{}",
-            obs::flight::dump()
+            "foreign log entries crossed an instance boundary"
         );
     }
 
@@ -150,12 +136,10 @@ impl Recovered {
         self.assert_clean();
         let report = self.check_promises(records);
         if !report.is_clean() {
-            obs::event(obs::SpanEvent::OracleViolation);
             panic!(
-                "durability oracle violated ({} promises checked):\n  {}\n{}",
+                "durability oracle violated ({} promises checked):\n  {}",
                 report.promises_checked,
-                report.violations.join("\n  "),
-                obs::flight::dump()
+                report.violations.join("\n  ")
             );
         }
     }
@@ -206,7 +190,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "durability oracle violated")]
-    fn broken_promises_panic_with_a_flight_dump() {
+    fn broken_promises_panic() {
         let device = PmemBuilder::new(64 * 1024 * 1024).build();
         Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
         let rec = Recovered::mount(&device).unwrap();

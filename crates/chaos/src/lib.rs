@@ -22,7 +22,7 @@
 //!   non-panicking `fsck` (namespace scan + metadata walk).
 //! * [`harness`] — the shared post-crash helper the integration tests
 //!   mount through: mount, per-instance recovery, oracle + fsck
-//!   assertion with an [`obs`] flight-recorder dump on violation.
+//!   assertion.
 //! * [`fuzz`] — the engine: pass 1 counts the fence boundaries a
 //!   seeded [`workloads::crashmix`] run crosses; pass 2 replays the
 //!   workload once per sampled boundary, captures a [`pmem::CrashImage`]

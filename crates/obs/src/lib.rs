@@ -17,31 +17,21 @@
 //! * [`hist`] — **log-linear latency histograms** (HDR-style: 16
 //!   sub-buckets per power of two, ≲6% relative error) with mergeable
 //!   shards and p50/p90/p99/p999 extraction.
-//! * [`flight`] — a **flight recorder**: a fixed-size per-thread ring of
-//!   recent span events, dumped as structured text on panic and readable
-//!   by crash tests after a simulated crash.
 //! * [`metrics`] — [`MetricsSnapshot`] folds the device's
 //!   [`pmem::StatsSnapshot`] counters together with the recorder's
 //!   per-op percentiles into one structure with a single JSON
 //!   serializer (the harness's `METRICS_JSON` lines).
 //! * [`json`] — the tiny ordered JSON writer shared by `METRICS_JSON`
 //!   and the pre-existing `SCALING_JSON` emission.
-//! * [`health`] — the maintenance daemon's **health probe**: lane
-//!   free-list depths, watermark targets and queue lag published by the
-//!   maintenance tick, exported with the snapshot.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod flight;
-pub mod health;
 pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod span;
 
-pub use flight::{install_panic_hook, recent_events, FlightEntry};
-pub use health::{HealthProbe, HealthSnapshot, LaneHealth};
 pub use hist::Histogram;
 pub use json::JsonObject;
 pub use metrics::{MetricsSnapshot, OpMetrics};

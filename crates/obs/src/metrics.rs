@@ -2,8 +2,7 @@
 //!
 //! [`MetricsSnapshot`] folds the device's aggregate
 //! [`StatsSnapshot`] counters together with the span recorder's per-op
-//! latency percentiles and (optionally) the daemon's health gauges,
-//! and renders the whole thing as a single JSON object — the payload
+//! latency percentiles, and renders the whole thing as a single JSON object — the payload
 //! of the harness's `METRICS_JSON` lines that CI greps and gates on.
 //!
 //! Within one op's JSON object the scalar percentile fields are
@@ -13,7 +12,6 @@
 
 use pmem::{StatsSnapshot, TimeCategory};
 
-use crate::health::HealthSnapshot;
 use crate::json::{self, JsonObject};
 use crate::span::{OpKind, Recorder, SpanEvent};
 
@@ -101,9 +99,6 @@ pub struct MetricsSnapshot {
     pub ops: Vec<OpMetrics>,
     /// The device's aggregate counters for the same window.
     pub stats: StatsSnapshot,
-    /// The daemon's health gauges at the end of the run, when the file
-    /// system exposes them (SplitFS only).
-    pub health: Option<HealthSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -137,14 +132,7 @@ impl MetricsSnapshot {
             threads,
             ops,
             stats,
-            health: None,
         }
-    }
-
-    /// Attaches the daemon's health gauges.
-    pub fn with_health(mut self, health: HealthSnapshot) -> Self {
-        self.health = Some(health);
-        self
     }
 
     /// Total spans recorded across every op kind.
@@ -205,23 +193,7 @@ impl MetricsSnapshot {
         for (name, value) in self.stats.counters() {
             counters = counters.u64(name, value);
         }
-        obj = obj.raw("counters", &counters.finish());
-        if let Some(health) = &self.health {
-            let lanes = json::array(health.lanes.iter().map(|l| {
-                JsonObject::new()
-                    .u64("free", l.free_files as u64)
-                    .u64("watermark", l.watermark as u64)
-                    .finish()
-            }));
-            let h = JsonObject::new()
-                .u64("ticks", health.ticks)
-                .u64("queue_depth", health.queue_depth as u64)
-                .f64("oplog_utilization", health.oplog_utilization)
-                .raw("lanes", &lanes)
-                .finish();
-            obj = obj.raw("health", &h);
-        }
-        obj.finish()
+        obj.raw("counters", &counters.finish()).finish()
     }
 }
 
@@ -296,22 +268,6 @@ mod tests {
             .collect();
         let table: Vec<&str> = snap.stats.counters().iter().map(|(n, _)| *n).collect();
         assert_eq!(listed, table);
-    }
-
-    #[test]
-    fn health_section_appears_when_attached() {
-        let snap = sample_snapshot().with_health(HealthSnapshot {
-            ticks: 7,
-            lanes: vec![crate::health::LaneHealth {
-                free_files: 2,
-                watermark: 3,
-            }],
-            queue_depth: 1,
-            oplog_utilization: 0.125,
-        });
-        let json = snap.to_json();
-        assert!(json.contains(r#""health":{"ticks":7"#));
-        assert!(json.contains(r#""lanes":[{"free":2,"watermark":3}]"#));
     }
 
     #[test]

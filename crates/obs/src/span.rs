@@ -34,7 +34,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pmem::{SimClock, Stats, TimeCategory};
 
-use crate::flight;
 use crate::hist::{Histogram, BUCKET_COUNT};
 
 /// The kind of file-system operation a span covers.
@@ -121,13 +120,6 @@ impl OpKind {
             OpKind::Other => "other",
         }
     }
-
-    pub(crate) fn from_index(i: u8) -> OpKind {
-        OpKind::ALL
-            .get(i as usize)
-            .copied()
-            .unwrap_or(OpKind::Other)
-    }
 }
 
 /// A notable event inside an operation, annotated by the file systems'
@@ -147,8 +139,6 @@ pub enum SpanEvent {
     RelinkBatch,
     /// A kernel journal region was contended and the thread waited.
     JournalRegionWait,
-    /// A cold staged extent was relinked to reclaim staging space.
-    ColdRelink,
     /// The foreground stalled waiting for a log checkpoint.
     CheckpointStall,
     /// A kernel namespace shard was contended and the thread waited.
@@ -156,16 +146,11 @@ pub enum SpanEvent {
     /// A full-path cache probe missed and resolve fell back to the
     /// per-component directory walk.
     PathCacheMiss,
-    /// The crash-point fuzzer captured a crash image at a fence boundary.
-    CrashCapture,
-    /// Recovery from a captured crash image broke a declared-durability
-    /// promise (or fsck / foreign-entry containment).
-    OracleViolation,
 }
 
 impl SpanEvent {
     /// Number of event kinds.
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 9;
 
     /// Every event, in display order.
     pub const ALL: [SpanEvent; SpanEvent::COUNT] = [
@@ -175,12 +160,9 @@ impl SpanEvent {
         SpanEvent::GroupCommit,
         SpanEvent::RelinkBatch,
         SpanEvent::JournalRegionWait,
-        SpanEvent::ColdRelink,
         SpanEvent::CheckpointStall,
         SpanEvent::NsShardWait,
         SpanEvent::PathCacheMiss,
-        SpanEvent::CrashCapture,
-        SpanEvent::OracleViolation,
     ];
 
     #[inline]
@@ -197,17 +179,10 @@ impl SpanEvent {
             SpanEvent::GroupCommit => "group_commit",
             SpanEvent::RelinkBatch => "relink_batch",
             SpanEvent::JournalRegionWait => "journal_region_wait",
-            SpanEvent::ColdRelink => "cold_relink",
             SpanEvent::CheckpointStall => "checkpoint_stall",
             SpanEvent::NsShardWait => "ns_shard_wait",
             SpanEvent::PathCacheMiss => "path_cache_miss",
-            SpanEvent::CrashCapture => "crash_capture",
-            SpanEvent::OracleViolation => "oracle_violation",
         }
-    }
-
-    pub(crate) fn from_index(i: u8) -> Option<SpanEvent> {
-        SpanEvent::ALL.get(i as usize).copied()
     }
 }
 
@@ -505,23 +480,17 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Annotates the current span (if any) with `event` and appends it to
-/// the thread's flight-recorder ring unconditionally.
+/// Annotates the current span (if any) with `event`.
 ///
 /// Called from instrumentation points inside the file systems; costs a
-/// thread-local increment and two relaxed stores — safe on the hottest
-/// paths.
+/// thread-local increment — safe on the hottest paths.
 pub fn event(event: SpanEvent) {
-    let kind = STATE.with(|s| {
+    STATE.with(|s| {
         let span = &mut s.borrow_mut().span;
         if span.depth > 0 {
             span.events[event.index()] += 1;
-            span.kind
-        } else {
-            OpKind::Other
         }
     });
-    flight::note(kind, event);
 }
 
 #[cfg(test)]

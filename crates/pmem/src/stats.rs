@@ -321,17 +321,6 @@ macro_rules! counter_table {
             staging_lane_steals =>
                 /// Records one staging file stolen from another lane's free list.
                 add_staging_lane_steal += 1;
-            /// Per-lane watermark adjustments made by the adaptive provisioning
-            /// controller (grow or shrink).
-            staging_adaptive_resizes =>
-                /// Records one adaptive watermark adjustment on a staging lane.
-                add_staging_adaptive_resize += 1;
-            /// Files whose long-unsynced staged extents were relinked by the
-            /// cold-file policy to reclaim staging space under pressure.
-            staging_cold_relinks =>
-                /// Records one cold file whose staged extents were relinked to
-                /// reclaim staging space.
-                add_staging_cold_relink += 1;
 
             // The multi-instance lease manager: how many instance leases were
             // handed out and returned, how many acquisitions collided with a

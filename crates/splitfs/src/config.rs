@@ -17,10 +17,6 @@ pub struct DaemonConfig {
     pub staging_low_watermark: usize,
     /// Workers provision until this many unconsumed staging files exist.
     pub staging_high_watermark: usize,
-    /// A file whose staged extents have not grown for this many simulated
-    /// milliseconds is *cold*: under staging-space pressure the daemon
-    /// relinks it so its staging files become recyclable.
-    pub cold_relink_after_ms: f64,
 }
 
 impl DaemonConfig {
@@ -31,7 +27,6 @@ impl DaemonConfig {
             workers: 1,
             staging_low_watermark: 1,
             staging_high_watermark: 3,
-            cold_relink_after_ms: 8.0,
         }
     }
 
@@ -176,12 +171,6 @@ impl SplitConfig {
     pub fn with_staging_watermarks(mut self, low: usize, high: usize) -> Self {
         self.daemon.staging_low_watermark = low.max(1);
         self.daemon.staging_high_watermark = high.max(low.max(1) + 1);
-        self
-    }
-
-    /// Sets the cold-file relink threshold in simulated milliseconds.
-    pub fn with_cold_relink_after_ms(mut self, ms: f64) -> Self {
-        self.daemon.cold_relink_after_ms = ms.max(0.0);
         self
     }
 }

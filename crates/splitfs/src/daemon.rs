@@ -11,12 +11,9 @@
 //!    watermark, workers create and map fresh staging files until that
 //!    lane's high watermark is restored, so
 //!    [`StagingPool::take`](crate::staging::StagingPool::take) never has
-//!    to fall back to inline file creation under load.  Watermarks are
-//!    sized **adaptively** from each lane's measured consumption rate
-//!    (see [`crate::adaptive`]), and when provisioning fails for lack of
-//!    space, the **cold-file relink policy**
-//!    ([`crate::SplitFs::reclaim_cold_staging`]) retires long-unsynced
-//!    staged extents so their staging files become recyclable.
+//!    to fall back to inline file creation under load.  The watermarks
+//!    are static: the configured pool-level ones, divided across the
+//!    lanes.
 //! 2. **Batched background relink** — files that accumulate many staged
 //!    extents are relinked in the background through
 //!    [`kernelfs::Ext4Dax::ioctl_relink_batch`], shrinking the work left
@@ -176,17 +173,6 @@ impl MaintenanceDaemon {
         self.shareds.clone()
     }
 
-    /// Queued-but-unexecuted tasks across every worker (queue lag, for
-    /// the health probe).  Busy queues are skipped (`try_lock`): the
-    /// probe is a gauge, not an audit, and the tick calling it must
-    /// never block on a queue a worker holds.
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.shareds
-            .iter()
-            .filter_map(|s| s.queue.try_lock().map(|q| q.tasks.len()))
-            .sum()
-    }
-
     /// Blocks until every queue is empty and no task is in flight.
     pub(crate) fn wait_idle(shareds: &[Arc<Shared>]) {
         for shared in shareds {
@@ -279,63 +265,29 @@ fn worker_loop(fs: Weak<SplitFs>, shared: Arc<Shared>) {
 }
 
 impl SplitFs {
-    /// One maintenance pass: resize the lane watermarks from measured
-    /// demand, restore every lane to its high watermark, recycle
-    /// exhausted staging files (relinking cold files first when staging
-    /// space is under pressure), then checkpoint if the operation log is
-    /// past its threshold.  Runs on a worker for every tick and every
-    /// [`Task::ProvisionStaging`] nudge.
+    /// One maintenance pass: restore every lane below the low watermark
+    /// to the high watermark, recycle exhausted staging files, then
+    /// checkpoint if the operation log is past its threshold.  Runs on a
+    /// worker for every tick and every [`Task::ProvisionStaging`] nudge.
     pub(crate) fn maintenance_tick(&self) {
         use std::sync::atomic::Ordering;
         if self.config.use_staging {
-            // Adaptive provisioning: sample each lane's cumulative
-            // consumption and size its watermarks from the observed rate.
-            // Hot lanes get staging files ahead of demand; idle lanes
-            // shrink back to the configured floor.
-            let lanes = self.staging.lane_count();
-            let now_ms = self.device.clock().now_ns_f64() / 1e6;
-            let consumed: Vec<u64> = (0..lanes)
-                .map(|i| self.staging.lane_consumed_bytes(i))
-                .collect();
-            let marks = self.adaptive.lock().observe(now_ms, &consumed);
-            for (i, w) in marks.iter().enumerate() {
-                self.staging.set_lane_watermarks(i, w.low, w.high);
-            }
-            // Per-lane refill: a lane below its low watermark is
-            // provisioned back up to its high watermark.
-            let mut pressure = false;
+            let (low, high) = self.staging.lane_watermarks();
             for lane in 0..self.staging.lane_count() {
-                let (low, high) = self.staging.lane_watermarks(lane);
                 if self.staging.lane_unconsumed(lane) >= low {
                     continue;
                 }
                 while self.staging.lane_unconsumed(lane) < high {
                     if self.staging.provision_lane(lane).is_err() {
-                        // Device full or similar: reclaim below, and let
-                        // the foreground inline path surface persistent
-                        // errors to the application.
-                        pressure = true;
+                        // Device full or similar: the foreground inline
+                        // path surfaces persistent errors to the
+                        // application.
                         break;
                     }
                 }
             }
             // Return fully-relinked staging files to the pool.
             self.recycle_staging();
-            // Shrink: a lane holding more pristine files than its
-            // (possibly just lowered) high watermark releases the surplus
-            // so burst-peak staging space goes back to the allocator —
-            // lowering watermarks alone only stops new provisioning.
-            for lane in 0..self.staging.lane_count() {
-                self.staging.release_surplus(lane);
-            }
-            if pressure {
-                // Staging space could not be provisioned: retire cold
-                // files' staged extents so their staging files become
-                // recyclable, then recycle again.
-                if self.reclaim_cold_staging() > 0 {
-                    self.recycle_staging();
-                }
-            }
         }
         // Re-arm the foreground's provisioning nudge after the pool is
         // refilled (or found healthy).
@@ -345,30 +297,6 @@ impl SplitFs {
                 self.background_checkpoint();
             }
         }
-        self.publish_health();
-    }
-
-    /// Publishes the daemon's current view — lane free-list depths,
-    /// watermark targets, queue lag, log utilization — into the health
-    /// probe.  Gauges only; every read below is lock-free or `try_lock`.
-    pub(crate) fn publish_health(&self) {
-        let lanes = (0..self.staging.lane_count())
-            .map(|i| obs::LaneHealth {
-                free_files: self.staging.lane_unconsumed(i),
-                watermark: self.staging.lane_watermarks(i).0,
-            })
-            .collect();
-        let queue_depth = self
-            .daemon
-            .try_lock()
-            .and_then(|d| d.as_ref().map(|d| d.queue_depth()))
-            .unwrap_or(0);
-        self.health.publish(obs::HealthSnapshot {
-            ticks: 0, // stamped by HealthProbe::publish
-            lanes,
-            queue_depth,
-            oplog_utilization: self.oplog.as_ref().map(|o| o.utilization()).unwrap_or(0.0),
-        });
     }
 
     /// Background relink of one file's staged extents (batched through

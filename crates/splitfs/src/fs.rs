@@ -31,7 +31,6 @@ use vfs::{
     IoVec, OpenFlags, ReadView, SeekFrom,
 };
 
-use crate::adaptive::{WatermarkController, Watermarks};
 use crate::config::SplitConfig;
 use crate::daemon::{MaintenanceDaemon, Task, CHECKPOINT_FRACTION};
 use crate::mmap_collection::{MAP_POPULATE, MMAP_SIZE};
@@ -99,13 +98,6 @@ pub struct SplitFs {
     pub(crate) checkpoint_nudged: std::sync::atomic::AtomicBool,
     /// Same, for staging-provisioning nudges.
     pub(crate) provision_nudged: std::sync::atomic::AtomicBool,
-    /// The adaptive provisioning controller: per-lane consumption-rate
-    /// windows sized into watermarks on each maintenance tick.  Only the
-    /// daemon touches it, so the mutex is uncontended.
-    pub(crate) adaptive: Mutex<WatermarkController>,
-    /// Daemon health gauges, overwritten by each maintenance tick and
-    /// read through [`SplitFs::health`] / the metrics export.
-    pub(crate) health: obs::HealthProbe,
     /// Span recorder for background maintenance work, when one is
     /// attached (see [`SplitFs::attach_recorder`]).  Foreground spans
     /// come from the `vfs::TracedFs` wrapper; the daemon cannot go
@@ -178,10 +170,6 @@ impl SplitFs {
         // that is neither held by anyone nor reported as an orphan.
         match Self::build_leased_resources(&kernel, &device, &config, instance_id) {
             Ok((staging_dir, oplog_file, staging, oplog)) => {
-                let adaptive = Mutex::new(Self::make_watermark_controller(
-                    &config,
-                    staging.lane_count(),
-                ));
                 let fs = Arc::new(Self {
                     kernel,
                     device: Arc::clone(&device),
@@ -199,8 +187,6 @@ impl SplitFs {
                     retire_lock: Mutex::new(()),
                     checkpoint_nudged: std::sync::atomic::AtomicBool::new(false),
                     provision_nudged: std::sync::atomic::AtomicBool::new(false),
-                    adaptive,
-                    health: obs::HealthProbe::new(),
                     recorder: parking_lot::RwLock::new(None),
                     published_epoch: std::sync::atomic::AtomicU64::new(0),
                     ring_hub: parking_lot::RwLock::new(None),
@@ -271,40 +257,6 @@ impl SplitFs {
         Ok((staging_dir, oplog_file, staging, oplog))
     }
 
-    /// Builds the adaptive watermark controller for a pool of
-    /// `lane_count` lanes.  The per-lane floor splits the configured
-    /// static shape across the lanes — `staging_files` (and the static
-    /// watermarks) bound the watermarks from below, so adaptive shrink
-    /// can never drop provisioning under the configured pool shape.
-    fn make_watermark_controller(config: &SplitConfig, lane_count: usize) -> WatermarkController {
-        /// Sliding window, in simulated milliseconds, over which a lane's
-        /// consumption rate is measured.
-        const WINDOW_MS: f64 = 4.0;
-        /// How far ahead provisioning runs: a lane's high watermark
-        /// covers `rate × horizon` bytes of demand.
-        const HORIZON_MS: f64 = 2.0;
-        /// Bound on one lane's high watermark, so a runaway rate estimate
-        /// cannot provision the device full of staging files.
-        const LANE_CAP: usize = 64;
-        let lanes = lane_count.max(1);
-        // Same formula as the pool's construction-time watermarks, so an
-        // idle system's first tick computes exactly the values the lanes
-        // already run with (no spurious "resize", no shrink below the
-        // configured pool shape).
-        let (floor_low, floor_high) = crate::staging::lane_watermark_floor(config, lanes);
-        WatermarkController::new(
-            lanes,
-            WINDOW_MS,
-            HORIZON_MS,
-            config.staging_file_size,
-            Watermarks {
-                low: floor_low,
-                high: floor_high,
-            },
-            LANE_CAP,
-        )
-    }
-
     /// The mode this instance runs in.
     pub fn mode(&self) -> Mode {
         self.config.mode
@@ -366,12 +318,6 @@ impl SplitFs {
     /// [`vfs::TracedFs`] with the same recorder.
     pub fn attach_recorder(&self, recorder: Arc<obs::Recorder>) {
         *self.recorder.write() = Some(recorder);
-    }
-
-    /// The daemon's health gauges as of its last maintenance tick (all
-    /// zero until the first tick, or forever when the daemon is off).
-    pub fn health(&self) -> obs::HealthSnapshot {
-        self.health.read()
     }
 
     /// Opens a `Maintenance` span when a recorder is attached (daemon
@@ -725,37 +671,6 @@ impl SplitFs {
         }
     }
 
-    /// Relinks every **cold** file: one whose staged extents have not
-    /// grown for at least `DaemonConfig::cold_relink_after_ms` simulated
-    /// milliseconds.  Retiring their staged bytes makes the staging files
-    /// holding them recyclable, which is how the pool reclaims space from
-    /// writers that stage and then never `fsync`.  Locks are `try_*` only
-    /// (a busy file is by definition not cold) and errors are swallowed —
-    /// the staged data stays staged and the next `fsync` retries.
-    ///
-    /// Returns the number of files relinked.  Runs from the maintenance
-    /// tick under staging-space pressure; exposed publicly for tests and
-    /// experiments that drive the policy deterministically.
-    pub fn reclaim_cold_staging(&self) -> usize {
-        let now = self.device.clock().now_ns_f64();
-        let threshold_ns = self.config.daemon.cold_relink_after_ms * 1e6;
-        let mut relinked = 0;
-        for (_ino, state) in self.files.snapshot_keyed() {
-            let Some(st) = state.try_write() else {
-                continue;
-            };
-            if !st.staged.is_empty()
-                && now - st.last_staged_ns >= threshold_ns
-                && self.relink_batch(&mut [st], None).is_ok()
-            {
-                relinked += 1;
-                self.device.stats().add_staging_cold_relink();
-                obs::event(obs::SpanEvent::ColdRelink);
-            }
-        }
-        relinked
-    }
-
     /// Ensures a mapping of the target file covering `offset` exists in the
     /// collection.  A miss maps the unmapped stretch of the [`MMAP_SIZE`]
     /// region around `offset`, which is the whole region when nothing in it
@@ -1067,10 +982,8 @@ impl SplitFs {
             self.publish_epoch(max_seq);
         }
 
-        let now = self.device.clock().now_ns_f64();
         for (k, (file, alloc, cur)) in pending.iter().enumerate() {
-            let st = &mut *states[*file];
-            st.staged.push(StagedExtent {
+            states[*file].staged.push(StagedExtent {
                 target_offset: *cur,
                 len: alloc.len,
                 staging_ino: alloc.staging_ino,
@@ -1079,12 +992,11 @@ impl SplitFs {
                 device_offset: alloc.device_offset,
                 seq: entries.get(k).map_or(0, |e| e.seq),
             });
-            st.last_staged_ns = now;
         }
 
         // Nudge the maintenance daemon on threshold crossings.  The
-        // condition checks are lock-free (atomic per-lane watermark
-        // mirrors and per-task pending flags), so a threshold that stays
+        // condition checks are lock-free (an atomic count of lanes below
+        // the low watermark and per-task pending flags), so a threshold that stays
         // crossed while the daemon works does not put mutex traffic on
         // every append.
         if self.config.daemon.enabled {

@@ -73,11 +73,6 @@
 //!   **recycling**: a fully-relinked staging file is truncated,
 //!   re-provisioned and returned to its lane behind a durable
 //!   `StagingRecycle` log marker instead of leaking;
-//! * [`adaptive`] — the adaptive provisioning controller: per-lane
-//!   consumption rates (bytes per simulated millisecond over a sliding
-//!   window) size each lane's low/high watermarks, so hot lanes get
-//!   staging files ahead of demand while idle lanes shrink back to the
-//!   configured floor;
 //! * [`batch`] — planning: staged extents are coalesced into runs and
 //!   split into block-aligned [`kernelfs::RelinkOp`] moves plus unaligned
 //!   head/tail copy spans;
@@ -98,7 +93,7 @@
 //! * [`daemon`] — the **background maintenance daemon**
 //!   ([`daemon::MaintenanceDaemon`]): worker threads with **per-worker
 //!   queues** (relinks route by inode) that replenish the staging pool
-//!   before it runs dry, relink heavily-staged files in the background,
+//!   to static per-lane watermarks before it runs dry, relink heavily-staged files in the background,
 //!   recycle exhausted staging files, and retire sealed log epochs one
 //!   file-state lock at a time, so the foreground never performs file
 //!   creation or log truncation on the critical path;
@@ -137,7 +132,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod adaptive;
 pub mod batch;
 pub mod config;
 pub mod daemon;

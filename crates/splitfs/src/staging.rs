@@ -56,9 +56,9 @@
 //! * the [background maintenance daemon](crate::daemon) provisions fresh
 //!   files asynchronously whenever a lane falls below its low watermark
 //!   (this is the paper's design: staging allocation happens "on a
-//!   background thread").  Watermarks are **per lane** and, when adaptive
-//!   provisioning is enabled, resized from each lane's measured
-//!   consumption rate (see [`crate::adaptive`]); and
+//!   background thread").  Every lane runs with the same static
+//!   watermarks, the configured pool-level ones divided across the lanes
+//!   ([`StagingPool::lane_watermarks`]); and
 //! * as a last resort, [`StagingPool::take`] creates a file **inline** on
 //!   the foreground write path.  Inline creations are counted separately
 //!   ([`StagingPool::files_created_inline`] and the device-wide
@@ -66,7 +66,7 @@
 //!   daemon eliminates them.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -196,16 +196,10 @@ struct Lane {
     inner: Mutex<LaneInner>,
     /// Mirror of `files.len() - active`, readable without the lane lock.
     unconsumed: AtomicUsize,
-    /// Cumulative bytes handed out by `take` from this lane — the
-    /// adaptive controller samples this to compute per-lane demand.
-    consumed_bytes: AtomicU64,
-    /// Provisioning watermarks for this lane (adaptively resized).
-    low_wm: AtomicUsize,
-    high_wm: AtomicUsize,
-    /// Whether this lane was below its low watermark at the last
+    /// Whether this lane was below the low watermark at the last
     /// [`StagingPool::refresh_pressure`]; transitions maintain the
     /// pool-level `lanes_below_low` counter.
-    below_low: std::sync::atomic::AtomicBool,
+    below_low: AtomicBool,
 }
 
 #[derive(Debug, Default)]
@@ -216,16 +210,13 @@ struct LaneInner {
 }
 
 impl Lane {
-    fn new(low: usize, high: usize) -> Self {
+    fn new() -> Self {
         Self {
             inner: Mutex::new(LaneInner::default()),
             unconsumed: AtomicUsize::new(0),
-            consumed_bytes: AtomicU64::new(0),
-            low_wm: AtomicUsize::new(low),
-            high_wm: AtomicUsize::new(high),
-            // A fresh lane has no files, hence starts below its (≥1) low
+            // A fresh lane has no files, hence starts below the (≥1) low
             // watermark; the pool-level counter is initialized to match.
-            below_low: std::sync::atomic::AtomicBool::new(true),
+            below_low: AtomicBool::new(true),
         }
     }
 
@@ -242,20 +233,15 @@ impl Lane {
 
 /// Splits a pool-level file count across `lanes` lanes (at least one per
 /// lane, so every lane can make progress).
-pub(crate) fn per_lane(count: usize, lanes: usize) -> usize {
+fn per_lane(count: usize, lanes: usize) -> usize {
     count.div_ceil(lanes.max(1)).max(1)
 }
 
-/// The per-lane watermark floor for `config`: the configured static
-/// low/high split — with `staging_files` bounding the high side, so the
-/// preallocated pool shape is always provisioned back — divided across
-/// the lanes.  The **single** formula behind both the pool's
-/// construction-time watermarks and the adaptive controller's shrink
-/// floor: if the two diverged, `release_surplus` (which trims to the
-/// lane's current high watermark on every tick) could shrink a static
-/// configuration below its configured pool size, and the controller
-/// would report spurious "resizes" on an idle system.
-pub(crate) fn lane_watermark_floor(config: &SplitConfig, lanes: usize) -> (usize, usize) {
+/// The `(low, high)` watermarks every lane of a pool for `config` runs
+/// with: the configured low/high split — with `staging_files` bounding
+/// the high side, so the preallocated pool shape is always provisioned
+/// back — divided across the lanes.
+fn per_lane_watermarks(config: &SplitConfig, lanes: usize) -> (usize, usize) {
     let low = per_lane(config.daemon.staging_low_watermark, lanes);
     let high = per_lane(
         config
@@ -276,6 +262,9 @@ pub struct StagingPool {
     dir: String,
     file_size: u64,
     lanes: Vec<Lane>,
+    /// Per-lane `(low, high)` provisioning watermarks, the same for every
+    /// lane and fixed at construction.
+    watermarks: (usize, usize),
     /// This pool's key in the per-thread lane-seed cache.
     pool_id: u64,
     /// Hands out lane seeds to threads on their first `take`.
@@ -318,13 +307,13 @@ impl StagingPool {
             kernel.mkdir(dir)?;
         }
         let lane_count = config.effective_staging_lanes();
-        let (low, high) = lane_watermark_floor(config, lane_count);
         let pool = Self {
             kernel,
             device,
             dir: dir.to_string(),
             file_size: config.staging_file_size,
-            lanes: (0..lane_count).map(|_| Lane::new(low, high)).collect(),
+            lanes: (0..lane_count).map(|_| Lane::new()).collect(),
+            watermarks: per_lane_watermarks(config, lane_count),
             pool_id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
             thread_seq: AtomicUsize::new(0),
             next_name: AtomicU64::new(0),
@@ -408,15 +397,15 @@ impl StagingPool {
         seed % self.lanes.len()
     }
 
-    /// Re-evaluates whether `lane_idx` sits below its low watermark and
+    /// Re-evaluates whether `lane_idx` sits below the low watermark and
     /// maintains the pool-level `lanes_below_low` counter on transitions.
-    /// Call after any change to the lane's unconsumed mirror or
-    /// watermarks.  Racing refreshers can transiently skew the counter by
-    /// a transition, which at worst delays or duplicates one daemon nudge
-    /// — the next append or tick re-converges it.
+    /// Call after any change to the lane's unconsumed mirror.  Racing
+    /// refreshers can transiently skew the counter by a transition, which
+    /// at worst delays or duplicates one daemon nudge — the next append
+    /// or tick re-converges it.
     fn refresh_pressure(&self, lane_idx: usize) {
         let lane = &self.lanes[lane_idx];
-        let below = lane.unconsumed.load(Ordering::Relaxed) < lane.low_wm.load(Ordering::Relaxed);
+        let below = lane.unconsumed.load(Ordering::Relaxed) < self.watermarks.0;
         if lane.below_low.swap(below, Ordering::Relaxed) != below {
             if below {
                 self.lanes_below_low.fetch_add(1, Ordering::Relaxed);
@@ -510,65 +499,15 @@ impl StagingPool {
         Ok(())
     }
 
-    /// Asynchronously provisions one staging file into the neediest lane
-    /// (largest deficit below its low watermark, or the emptiest lane when
-    /// none is below).
-    pub fn provision_one(&self) -> FsResult<()> {
-        let lane_idx = (0..self.lanes.len())
-            .max_by_key(|&i| {
-                let lane = &self.lanes[i];
-                let unconsumed = lane.unconsumed.load(Ordering::Relaxed);
-                let low = lane.low_wm.load(Ordering::Relaxed);
-                // Deficit first, then fewest files; bias toward lower
-                // indices on ties via the reversed index key.
-                (
-                    low.saturating_sub(unconsumed),
-                    usize::MAX - unconsumed,
-                    usize::MAX - i,
-                )
-            })
-            .unwrap_or(0);
-        self.provision_lane(lane_idx)
-    }
-
     /// Number of staging files with unconsumed capacity in `lane_idx`
     /// (the lane's active file plus every file after it).  Lock-free.
     pub fn lane_unconsumed(&self, lane_idx: usize) -> usize {
         self.lanes[lane_idx].unconsumed.load(Ordering::Relaxed)
     }
 
-    /// The `(low, high)` provisioning watermarks of `lane_idx`.
-    pub fn lane_watermarks(&self, lane_idx: usize) -> (usize, usize) {
-        let lane = &self.lanes[lane_idx];
-        (
-            lane.low_wm.load(Ordering::Relaxed),
-            lane.high_wm.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Sets `lane_idx`'s provisioning watermarks (the adaptive
-    /// controller's knob).  Returns `true` — and counts an adaptive
-    /// resize in the device statistics — when they actually changed.
-    pub fn set_lane_watermarks(&self, lane_idx: usize, low: usize, high: usize) -> bool {
-        let lane = &self.lanes[lane_idx];
-        let low = low.max(1);
-        let high = high.max(low + 1);
-        let old_low = lane.low_wm.swap(low, Ordering::Relaxed);
-        let old_high = lane.high_wm.swap(high, Ordering::Relaxed);
-        let changed = old_low != low || old_high != high;
-        if changed {
-            // A watermark move can change which side of `low` the lane's
-            // free list sits on.
-            self.refresh_pressure(lane_idx);
-            self.device.stats().add_staging_adaptive_resize();
-        }
-        changed
-    }
-
-    /// Cumulative bytes `take` has handed out from `lane_idx` — the
-    /// adaptive controller's demand signal.
-    pub fn lane_consumed_bytes(&self, lane_idx: usize) -> u64 {
-        self.lanes[lane_idx].consumed_bytes.load(Ordering::Relaxed)
+    /// The `(low, high)` provisioning watermarks every lane runs with.
+    pub fn lane_watermarks(&self) -> (usize, usize) {
+        self.watermarks
     }
 
     /// Number of staging files that still have unconsumed capacity across
@@ -676,41 +615,6 @@ impl StagingPool {
         None
     }
 
-    /// Releases pristine files a lane holds **beyond** its high watermark:
-    /// each is truncated to zero — its blocks return to the allocator —
-    /// and dropped from the pool (the `stage-N` name stays on disk, empty,
-    /// and is re-adopted or re-extended if the pool grows back).  This is
-    /// the shrink half of adaptive provisioning: lowering a lane's
-    /// watermarks alone only stops *new* provisioning; releasing the
-    /// surplus is what gives burst-peak staging space back.  Returns the
-    /// number of files released.  Skips a busy lane (`try_lock`) — the
-    /// next maintenance tick retries.
-    pub fn release_surplus(&self, lane_idx: usize) -> usize {
-        let lane = &self.lanes[lane_idx];
-        let mut released = Vec::new();
-        {
-            let Some(mut inner) = lane.inner.try_lock() else {
-                return 0;
-            };
-            let high = lane.high_wm.load(Ordering::Relaxed);
-            while inner.files.len().saturating_sub(inner.active) > high {
-                match Self::pop_pristine(&mut inner) {
-                    Some(file) => released.push(file),
-                    None => break,
-                }
-            }
-            lane.refresh_unconsumed(&inner);
-        }
-        self.refresh_pressure(lane_idx);
-        let count = released.len();
-        for file in released {
-            self.index.write().remove(&file.ino);
-            let _ = self.kernel.ftruncate(file.fd, 0);
-            let _ = self.kernel.close(file.fd);
-        }
-        count
-    }
-
     /// Takes up to `len` bytes of staging space whose in-file offset is
     /// congruent to `phase` modulo the block size, so that a later relink of
     /// the target range can stay block-aligned.  Returns an allocation that
@@ -740,22 +644,15 @@ impl StagingPool {
             // The tail nearly always sits in a file of the lane this thread
             // takes from anyway; one written from another thread is found
             // through the index, under its own lane's lock.
-            let carved = match Self::carve(&mut inner, ino, end, len) {
-                Some(out) => Some((lane_idx, out)),
-                None => {
-                    drop(inner);
-                    let carved =
-                        self.with_file_lane(ino, |other| Self::carve(other, ino, end, len));
-                    inner = self.lock_lane(lane_idx);
-                    carved.and_then(|(carved_lane, out)| Some((carved_lane, out?)))
-                }
-            };
-            if let Some((carved_lane, out)) = carved {
-                self.lanes[carved_lane]
-                    .consumed_bytes
-                    .fetch_add(out.len, Ordering::Relaxed);
+            if let Some(out) = Self::carve(&mut inner, ino, end, len) {
                 return Ok(out);
             }
+            drop(inner);
+            let carved = self.with_file_lane(ino, |other| Self::carve(other, ino, end, len));
+            if let Some((_, Some(out))) = carved {
+                return Ok(out);
+            }
+            inner = self.lock_lane(lane_idx);
         }
         loop {
             if inner.active >= inner.files.len() {
@@ -794,9 +691,7 @@ impl StagingPool {
                 self.refresh_pressure(lane_idx);
                 continue;
             }
-            let out = file.allocate(start, len, file.size)?;
-            lane.consumed_bytes.fetch_add(out.len, Ordering::Relaxed);
-            return Ok(out);
+            return file.allocate(start, len, file.size);
         }
     }
 
@@ -839,7 +734,7 @@ impl StagingPool {
         // Copy the indexed lane out so the pool-wide index read guard is
         // released *before* the lane mutex is acquired — blocking on a
         // busy lane while pinning the index would stall every writer of
-        // the index (provisioning, steals, releases) pool-wide.
+        // the index (provisioning, steals, recycles) pool-wide.
         let indexed = self.index.read().get(&ino).copied();
         if let Some(lane_idx) = indexed {
             let mut inner = self.lanes[lane_idx].inner.lock();
@@ -902,7 +797,7 @@ impl StagingPool {
     /// Re-provisions a recycled file: frees its remaining blocks,
     /// pre-allocates fresh ones, remaps it and returns it to **its own
     /// lane's** unconsumed tail (so recycling never migrates capacity
-    /// between lanes behind the adaptive controller's back).
+    /// between lanes).
     pub fn rebuild(&self, rec: RecycledFile) -> FsResult<()> {
         let RecycledFile {
             file,
@@ -1075,8 +970,8 @@ mod tests {
             taken += pool.take(1024 * 1024, 0, None).unwrap().len;
         }
         assert!(pool.needs_provisioning());
-        pool.provision_one().unwrap();
-        pool.provision_one().unwrap();
+        pool.provision_lane(0).unwrap();
+        pool.provision_lane(0).unwrap();
         assert!(!pool.needs_provisioning());
         while taken < 14 * 1024 * 1024 {
             taken += pool.take(1024 * 1024, 0, None).unwrap().len;
@@ -1196,63 +1091,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn adaptive_watermark_setter_counts_only_real_changes() {
-        let config = SplitConfig::new(Mode::Posix)
-            .with_staging(2, 4 * 1024 * 1024)
-            .with_staging_lanes(2);
-        let (device, _k, pool) = setup_with(config);
-        let (low, high) = pool.lane_watermarks(0);
-        assert!(!pool.set_lane_watermarks(0, low, high), "no-op not counted");
-        assert_eq!(device.stats().snapshot().staging_adaptive_resizes, 0);
-        assert!(pool.set_lane_watermarks(0, low + 2, high + 4));
-        assert_eq!(pool.lane_watermarks(0), (low + 2, high + 4));
-        assert_eq!(device.stats().snapshot().staging_adaptive_resizes, 1);
-        // The setter enforces high > low.
-        pool.set_lane_watermarks(1, 3, 3);
-        assert_eq!(pool.lane_watermarks(1), (3, 4));
-    }
-
-    #[test]
-    fn surplus_release_returns_burst_capacity_to_the_allocator() {
-        let config = SplitConfig::new(Mode::Posix)
-            .with_staging(2, 4 * 1024 * 1024)
-            .with_staging_watermarks(1, 3);
-        let (_d, kernel, pool) = setup_with(config);
-        // Burst: provision well past the high watermark (as a hot phase
-        // would), then shrink back.
-        for _ in 0..4 {
-            pool.provision_one().unwrap();
-        }
-        assert_eq!(pool.unconsumed_files(), 6);
-        let released = pool.release_surplus(0);
-        assert_eq!(released, 3, "trimmed back down to the high watermark");
-        assert_eq!(pool.unconsumed_files(), 3);
-        // Released names stay on disk, empty — their blocks are free.
-        let empties = kernel
-            .readdir("/.splitfs")
-            .unwrap()
-            .iter()
-            .filter(|n| {
-                kernel
-                    .stat(&format!("/.splitfs/{n}"))
-                    .map(|s| s.size == 0)
-                    .unwrap_or(false)
-            })
-            .count();
-        assert_eq!(empties, 3);
-        // At or below the watermark: nothing further to release.
-        assert_eq!(pool.release_surplus(0), 0);
-    }
-
-    #[test]
-    fn consumed_bytes_feed_the_lane_demand_signal() {
-        let (_d, _k, pool) = setup();
-        let lane = pool.lane_for_current_thread();
-        assert_eq!(pool.lane_consumed_bytes(lane), 0);
-        let a = pool.take(10_000, 0, None).unwrap();
-        assert_eq!(pool.lane_consumed_bytes(lane), a.len);
-    }
     /// One appending file as `stage_batch` sees it: every write continues
     /// the file's latest staged chunk.
     #[derive(Default)]
@@ -1444,7 +1282,6 @@ mod tests {
     fn a_live_tail_keeps_its_staging_file_from_recycle_and_carves_count_as_consumed() {
         let (_d, _k, pool) =
             setup_with(SplitConfig::new(Mode::Posix).with_staging(2, 2 * 1024 * 1024));
-        let lane = pool.lane_for_current_thread();
         let mut owner = Appender::at(0);
         owner.write(&pool, 1024);
         let file = owner.chunks[0].staging_ino;
@@ -1462,10 +1299,8 @@ mod tests {
             "the owner's kilobyte is unretired: its tail is live"
         );
         // The owner carves from the exhausted file; the carve is counted.
-        let consumed = pool.lane_consumed_bytes(lane);
         owner.write(&pool, 2048);
         assert_eq!(owner.sequence(), vec![(0, 0, 1024), (0, 1024, 2048)]);
-        assert_eq!(pool.lane_consumed_bytes(lane), consumed + 2048);
         pool.note_retired(file, 1024);
         assert!(
             pool.begin_recycle().is_none(),

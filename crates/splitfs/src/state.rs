@@ -71,10 +71,6 @@ pub struct FileState {
     pub cached_size: u64,
     /// Staged-but-not-yet-relinked writes, in operation order.
     pub staged: Vec<StagedExtent>,
-    /// Simulated time (ns) of the most recent staged write — the
-    /// cold-file relink policy retires files whose staged data has sat
-    /// unsynced past a threshold.
-    pub last_staged_ns: f64,
     /// The collection of memory mappings serving reads and overwrites.
     pub mmaps: MmapCollection,
     /// Number of application descriptors currently open on this file.
@@ -93,7 +89,6 @@ impl FileState {
             kernel_size: size,
             cached_size: size,
             staged: Vec::new(),
-            last_staged_ns: 0.0,
             mmaps: MmapCollection::new(),
             open_fds: 0,
         }

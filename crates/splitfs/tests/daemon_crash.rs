@@ -322,7 +322,7 @@ fn dropping_the_instance_joins_the_workers() {
 }
 
 #[test]
-fn flight_recorder_keeps_the_event_tail_across_a_simulated_crash() {
+fn a_two_run_appendv_group_commits_and_replays_after_a_crash() {
     let device = device();
     let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
     let config = strict_config();
@@ -331,13 +331,11 @@ fn flight_recorder_keeps_the_event_tail_across_a_simulated_crash() {
     // An appendv is one log entry per staged run.  This one starts in a
     // block tail that another file's take has since closed, so it is two
     // runs — the rest of the tail and a fresh block — whose two entries
-    // share one transaction, firing a GroupCommit flight event on this
-    // thread.  The surrounding span stamps the event with the Appendv op
-    // kind, which uniquely identifies this workload's events inside this
-    // test binary.
+    // share one transaction, annotating the surrounding Appendv span with
+    // a GroupCommit event.
     let recorder = Arc::new(obs::Recorder::new());
-    let fd = fs.open("/flight.db", OpenFlags::create()).unwrap();
-    let other = fs.open("/flight.other", OpenFlags::create()).unwrap();
+    let fd = fs.open("/group.db", OpenFlags::create()).unwrap();
+    let other = fs.open("/group.other", OpenFlags::create()).unwrap();
     let head = vec![0x22u8; 1000];
     fs.append(fd, &head).unwrap();
     fs.append(other, &[0x55u8; 1000]).unwrap();
@@ -347,25 +345,25 @@ fn flight_recorder_keeps_the_event_tail_across_a_simulated_crash() {
         let _span = recorder.span(obs::OpKind::Appendv);
         fs.appendv(fd, &[IoVec::new(&a), IoVec::new(&b)]).unwrap();
     }
+    let group_commit = obs::SpanEvent::ALL
+        .iter()
+        .position(|e| *e == obs::SpanEvent::GroupCommit)
+        .unwrap();
+    let appendv = recorder
+        .aggregate()
+        .into_iter()
+        .find(|agg| agg.kind == obs::OpKind::Appendv)
+        .expect("the appendv span was recorded");
+    assert_eq!(
+        appendv.events[group_commit], 1,
+        "the two runs' entries share one group commit"
+    );
     fs.maintenance_quiesce();
     drop(fs);
     device.crash();
 
-    // The crash killed the instance, not the process: the per-thread
-    // flight rings survive and hold the event tail leading up to it, so
-    // a post-mortem (or the panic hook) can see what the dying instance
-    // was doing.
-    let rings = obs::recent_events();
-    assert!(
-        rings
-            .iter()
-            .flatten()
-            .any(|e| e.kind == obs::OpKind::Appendv && e.event == obs::SpanEvent::GroupCommit),
-        "the pre-crash group commit must still be visible in the flight rings"
-    );
-
-    // And recovery over the crashed device still replays the append.
-    let (report, contents) = recover_and_read(&device, &config, &["/flight.db".to_string()]);
+    // Recovery over the crashed device replays the append.
+    let (report, contents) = recover_and_read(&device, &config, &["/group.db".to_string()]);
     assert!(report.replayed >= 1, "{report:?}");
     assert_eq!(contents[0], [head, a, b].concat());
 }

@@ -5,15 +5,15 @@
 //!
 //! * a fully-retired staging file recycled through the `StagingRecycle`
 //!   machinery re-enters the **same lane's** free list it was consumed
-//!   from, so recycling never migrates capacity between lanes behind the
-//!   adaptive controller's back;
+//!   from, so recycling never migrates capacity between lanes;
 //! * a crash anywhere around a recycle — file out of the pool, marker
 //!   durable, rebuild not yet done — recovers to the right file contents
 //!   and a freshly mounted instance rebuilds a consistent lane geometry
 //!   (every lane stocked, cursors reset, leftovers reclaimed);
-//! * disjoint writers with a lane each never contend on staging locks,
-//!   and the cold-file relink policy retires long-unsynced staged
-//!   extents so their staging files become recyclable.
+//! * staged bytes that leave without a relink — discarded by a truncate
+//!   or a replacing rename, or taken by a write that then failed — count
+//!   as retired, so their staging files recycle and recovery does not
+//!   bring them back.
 
 use std::sync::Arc;
 
@@ -210,43 +210,6 @@ fn remount_truncates_staging_leftovers_beyond_the_pool_size() {
     }
     assert_eq!(rebuilt, config.staging_files, "adopted set matches config");
     assert!(reclaimed > 0, "the inline extras were reclaimed");
-}
-
-#[test]
-fn cold_file_relink_reclaims_staging_space() {
-    let device = device();
-    let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
-    let config = laned_config(1).with_cold_relink_after_ms(1.0);
-    let fs = SplitFs::new(Arc::clone(&kernel), config).unwrap();
-
-    // Stage a file's worth of appends and never fsync: the staging file
-    // is exhausted but unretired, so it cannot recycle.
-    let fd = fs.open("/cold.log", OpenFlags::create()).unwrap();
-    let block = vec![0x99u8; 64 * 1024];
-    let blocks = (FILE_SIZE / block.len() as u64) + 2;
-    let mut content = Vec::new();
-    for _ in 0..blocks {
-        fs.append(fd, &block).unwrap();
-        content.extend_from_slice(&block);
-    }
-    assert!(fs.staging_pool().begin_recycle().is_none(), "unretired");
-
-    // Too fresh to be cold: the policy must not touch it yet.
-    assert_eq!(fs.reclaim_cold_staging(), 0);
-
-    // One simulated millisecond of idleness later, the file is cold: the
-    // policy relinks it, which retires its staged bytes and makes the
-    // exhausted staging file recyclable.
-    device.clock().advance(1_000_000.0);
-    assert_eq!(fs.reclaim_cold_staging(), 1);
-    assert_eq!(device.stats().snapshot().staging_cold_relinks, 1);
-    let rec = fs
-        .staging_pool()
-        .begin_recycle()
-        .expect("cold relink made the staging file recyclable");
-    fs.staging_pool().rebuild(rec).unwrap();
-    assert_eq!(fs.read_file("/cold.log").unwrap(), content);
-    fs.close(fd).unwrap();
 }
 
 /// Staged bytes that leave without a relink — a truncate, or a rename

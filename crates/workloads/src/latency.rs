@@ -196,8 +196,7 @@ mod tests {
         let result = run(&traced, &config).unwrap();
         fs.maintenance_quiesce();
         let stats = device.stats().snapshot().delta(&before);
-        let snap = MetricsSnapshot::new("SplitFS-strict", config.threads, &recorder, stats)
-            .with_health(fs.health());
+        let snap = MetricsSnapshot::new("SplitFS-strict", config.threads, &recorder, stats);
 
         assert_eq!(result.appends, 4 * 256);
         let appendv = snap.op(OpKind::Appendv).expect("appendv spans recorded");
