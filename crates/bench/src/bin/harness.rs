@@ -2,38 +2,52 @@
 //! paper's evaluation section on the emulated persistent-memory stack.
 //!
 //! ```text
-//! cargo run --release -p bench --bin harness -- <experiment> [--full]
-//!
-//! experiments:
-//!   table1     software overhead of a 4 KiB append (Table 1)
-//!   table2     cost-model constants vs paper Table 2
-//!   table6     system-call latencies, Varmail-like sequence (Table 6)
-//!   table7     SplitFS-strict vs Strata, YCSB on the LSM store (Table 7)
-//!   fig3       contribution of each SplitFS technique (Figure 3)
-//!   fig4       IO-pattern throughput by guarantee class (Figure 4)
-//!   fig5       relative software overhead in applications (Figure 5)
-//!   fig6       application performance and utilities (Figure 6)
-//!   recovery   operation-log replay time vs entries (§5.3)
-//!   daemon     inline vs daemon-backed maintenance on concurrent appends
-//!   scaling    WAL-per-shard saturation throughput at 1/2/4/8/16 threads
-//!   vectored   N x append vs one appendv of N slices (fences, journal txns)
-//!   multi      aggregate throughput at 1/2/4 U-Split instances on one kernel
-//!   latency    per-op latency percentiles + software overhead (five FSes)
-//!   openloop   async-ring offered-load sweep vs the synchronous baseline
-//!   metadata   concurrent create/resolve scale-out at 1/2/4/8 threads
-//!   resources  U-Split DRAM footprint after a YCSB run (§5.10)
-//!   crashfuzz  crash-point fuzzing: oracle-checked recovery at sampled
-//!              fence boundaries, differential triage, media faults
-//!   all        everything above
-//!
-//! `--full` switches from the quick sizes to paper-scale inputs.
-//! `CHAOS_SEED` steers the crashfuzz workload and sampled boundaries;
-//! `CRASHFUZZ_EXTENDED=1` selects the nightly-depth crashfuzz profile.
+//! cargo run --release -p bench --bin harness -- <experiment>... [--full]
 //! ```
+//!
+//! An experiment is `all` or one of the names in `EXPERIMENTS` below,
+//! which an unknown name prints with a line on each.  `--full` switches
+//! from the quick sizes to paper-scale inputs.  `CHAOS_SEED` steers the
+//! crashfuzz workload and sampled boundaries; `CRASHFUZZ_EXTENDED=1`
+//! selects the nightly-depth crashfuzz profile.
 
-use bench::experiments::{self, Scale};
+use bench::experiments::{self, CrashFuzzReport, Row, Scale};
 use bench::print_table;
 use pmem::CostModel;
+
+/// Every experiment, in the order `all` runs them, with what it
+/// reproduces.
+const EXPERIMENTS: [(&str, &str); 11] = [
+    ("table1", "software overhead of a 4 KiB append (Table 1)"),
+    ("table2", "cost-model constants vs paper Table 2"),
+    (
+        "table6",
+        "system-call latencies, Varmail-like sequence (Table 6)",
+    ),
+    (
+        "table7",
+        "SplitFS-strict vs Strata, YCSB on the LSM store (Table 7)",
+    ),
+    ("fig3", "contribution of each SplitFS technique (Figure 3)"),
+    (
+        "fig4",
+        "IO-pattern throughput by guarantee class (Figure 4)",
+    ),
+    (
+        "fig5",
+        "relative software overhead in applications (Figure 5)",
+    ),
+    ("fig6", "application performance and utilities (Figure 6)"),
+    ("recovery", "operation-log replay time vs entries (§5.3)"),
+    (
+        "resources",
+        "U-Split DRAM footprint after a YCSB run (§5.10)",
+    ),
+    (
+        "crashfuzz",
+        "crash-point fuzzing: oracle-checked recovery at sampled fence boundaries",
+    ),
+];
 
 fn run(which: &str, scale: Scale) {
     match which {
@@ -117,133 +131,6 @@ fn run(which: &str, scale: Scale) {
             &["Log entries", "Replayed", "Recovery time"],
             &experiments::recovery(scale),
         ),
-        "daemon" => print_table(
-            "Background maintenance — inline vs daemon-backed append/fsync",
-            &[
-                "Configuration",
-                "ns/append",
-                "Inline creates",
-                "BG creates",
-                "Relink batches",
-                "Ops/batch",
-                "Group commits",
-                "BG checkpoints",
-            ],
-            &experiments::daemon_maintenance(scale),
-        ),
-        "scaling" => {
-            let report = experiments::scaling_report(scale);
-            print_table(
-                "Scaling — WAL-per-shard distinct-file appends (SplitFS-strict, lane per writer)",
-                &[
-                    "Threads",
-                    "Throughput",
-                    "vs 1 thread",
-                    "Wall-clock",
-                    "Staging lock waits",
-                    "Lane steals",
-                    "Shard lock waits",
-                    "Epoch swaps",
-                    "Epoch truncates",
-                    "Log grows",
-                    "Checkpoint stalls",
-                    "Staging recycles",
-                ],
-                &report.rows,
-            );
-            // Machine-readable mirror of the table for the CI smoke gate.
-            for line in &report.json {
-                println!("SCALING_JSON {line}");
-            }
-        }
-        "vectored" => print_table(
-            "Vectored I/O — N x append vs one appendv of N slices",
-            &[
-                "File system",
-                "Shape",
-                "ns/record",
-                "Fences/record",
-                "Journal txns/record",
-                "Log entries/record",
-                "Group commits",
-                "appendv calls",
-            ],
-            &experiments::vectored(scale),
-        ),
-        "multi" => print_table(
-            "Multi-instance — N U-Split instances over one kernel file system",
-            &[
-                "Instances",
-                "Aggregate",
-                "vs 1 instance",
-                "Wall-clock",
-                "Lease acquires",
-                "Lease releases",
-                "Lease conflicts",
-                "Epoch swaps",
-                "Checkpoint stalls",
-            ],
-            &experiments::multi(scale),
-        ),
-        "latency" => {
-            let report = experiments::latency_report(scale);
-            print_table(
-                "Latency — per-op percentiles on the closed-loop mixed workload (4 threads)",
-                &[
-                    "File system",
-                    "Op",
-                    "Count",
-                    "p50",
-                    "p90",
-                    "p99",
-                    "p999",
-                    "max",
-                    "SW overhead/op",
-                ],
-                &report.rows,
-            );
-            // Machine-readable mirror of the table for the CI smoke gate.
-            for line in &report.json {
-                println!("METRICS_JSON {line}");
-            }
-        }
-        "openloop" => {
-            print_table(
-                "Open-loop rings — offered-load sweep on SplitFS-strict (4 threads)",
-                &[
-                    "In flight/thread",
-                    "Completions",
-                    "p50",
-                    "p99",
-                    "p999",
-                    "Fences/op",
-                    "Sync fences/op",
-                    "Epoch violations",
-                ],
-                &experiments::openloop(scale),
-            );
-        }
-        "metadata" => {
-            let report = experiments::metadata_report(scale);
-            print_table(
-                "Metadata — concurrent create/resolve scale-out (SplitFS-strict, sharded namespace)",
-                &[
-                    "Threads",
-                    "Creates",
-                    "vs 1 thread",
-                    "Resolves",
-                    "Cache hit rate",
-                    "NS shard waits",
-                    "Cache invalidations",
-                    "Consistency failures",
-                ],
-                &report.rows,
-            );
-            // Machine-readable mirror of the table for the CI smoke gate.
-            for line in &report.json {
-                println!("METADATA_JSON {line}");
-            }
-        }
         "resources" => print_table(
             "§5.10 — resource consumption after YCSB-A on SplitFS-strict",
             &["Metric", "Value"],
@@ -254,8 +141,7 @@ fn run(which: &str, scale: Scale) {
             print_table(
                 "Crash-point fuzzing — oracle-checked recovery at sampled fence boundaries",
                 &[
-                    "Mode",
-                    "Policy",
+                    "Campaign",
                     "Fences",
                     "Points",
                     "Unreached",
@@ -263,21 +149,78 @@ fn run(which: &str, scale: Scale) {
                     "Fsck failures",
                     "Promises checked",
                 ],
-                &report.rows,
+                &crashfuzz_rows(&report),
             );
-            // Machine-readable mirror of the table for the CI smoke gate.
-            for line in &report.json {
-                println!("CRASHFUZZ_JSON {line}");
+            for c in &report.campaigns {
+                for violation in &c.report.violations {
+                    eprintln!("crashfuzz[{}] violation: {violation}", c.label());
+                }
             }
         }
         other => {
-            eprintln!("unknown experiment '{other}'");
-            eprintln!(
-                "valid: table1 table2 table6 table7 fig3 fig4 fig5 fig6 recovery daemon scaling vectored multi latency openloop metadata resources crashfuzz all"
-            );
+            eprintln!("unknown experiment '{other}'; one of:");
+            for (name, what) in EXPERIMENTS {
+                eprintln!("  {name:<10} {what}");
+            }
+            eprintln!("  {:<10} everything above", "all");
             std::process::exit(2);
         }
     }
+}
+
+/// The crashfuzz table: one row per campaign, then the differential, the
+/// media round and the totals.
+fn crashfuzz_rows(report: &CrashFuzzReport) -> Vec<Row> {
+    let mut rows: Vec<Row> = report
+        .campaigns
+        .iter()
+        .map(|c| {
+            let r = &c.report;
+            vec![
+                c.label(),
+                r.fences_enumerated.to_string(),
+                r.points_explored.to_string(),
+                r.points_unreached.to_string(),
+                r.violations.len().to_string(),
+                r.fsck_failures.to_string(),
+                r.promises_checked.to_string(),
+            ]
+        })
+        .collect();
+    let diff = &report.diff;
+    rows.push(vec![
+        "differential keep-all vs lose-unflushed".into(),
+        "-".into(),
+        (diff.consistent + diff.missing_fence + diff.logic_bug + diff.unclassified).to_string(),
+        diff.skipped.to_string(),
+        diff.logic_bug.to_string(),
+        "-".into(),
+        format!(
+            "{} missing-fence, {} unclassified",
+            diff.missing_fence, diff.unclassified
+        ),
+    ]);
+    let media = &report.media;
+    rows.push(vec![
+        "media read-error ranges".into(),
+        "-".into(),
+        media.injected.to_string(),
+        "0".into(),
+        (media.injected - media.propagated).to_string(),
+        (!media.contained as u64).to_string(),
+        format!("restored: {}", media.restored),
+    ]);
+    let fences = report.campaigns.iter().map(|c| c.report.fences_enumerated);
+    rows.push(vec![
+        "total".into(),
+        fences.max().unwrap_or(0).to_string(),
+        report.total(|r| r.points_explored).to_string(),
+        report.total(|r| r.points_unreached).to_string(),
+        report.total(|r| r.violations.len() as u64).to_string(),
+        report.total(|r| r.fsck_failures).to_string(),
+        report.total(|r| r.promises_checked).to_string(),
+    ]);
+    rows
 }
 
 fn main() {
@@ -291,30 +234,10 @@ fn main() {
         .collect();
     let which = if which.is_empty() { vec!["all"] } else { which };
 
-    let everything = [
-        "table1",
-        "table2",
-        "table6",
-        "table7",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "recovery",
-        "daemon",
-        "scaling",
-        "vectored",
-        "multi",
-        "latency",
-        "openloop",
-        "metadata",
-        "resources",
-        "crashfuzz",
-    ];
     for experiment in which {
         if experiment == "all" {
-            for e in everything {
-                run(e, scale);
+            for (name, _) in EXPERIMENTS {
+                run(name, scale);
             }
         } else {
             run(experiment, scale);

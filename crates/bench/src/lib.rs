@@ -140,17 +140,6 @@ pub fn reset_measurement(fixture: &Fixture) {
     fixture.device.stats().reset();
 }
 
-/// Formats a simulated-nanosecond value for table output.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e6 {
-        format!("{:.2} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2} us", ns / 1e3)
-    } else {
-        format!("{ns:.0} ns")
-    }
-}
-
 /// Prints a markdown-style table.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n## {title}\n");
@@ -198,12 +187,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt_ns(500.0), "500 ns");
-        assert_eq!(fmt_ns(2500.0), "2.50 us");
-        assert_eq!(fmt_ns(3_000_000.0), "3.00 ms");
     }
 }

@@ -1,8 +1,7 @@
 //! A minimal ordered JSON writer.
 //!
-//! The harness emits machine-readable result lines (`SCALING_JSON`,
-//! `METRICS_JSON`) that CI greps and gates on; this module is the one
-//! serializer behind both, replacing per-call-site format strings.
+//! The benchmark (`benchmark/`) prints its result lines and writes its
+//! trace files with it, instead of per-call-site format strings.
 //! Fields appear in insertion order, strings are escaped, and
 //! non-finite floats serialize as `null` (JSON has no NaN).
 

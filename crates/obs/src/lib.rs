@@ -19,10 +19,10 @@
 //!   shards and p50/p90/p99/p999 extraction.
 //! * [`metrics`] — [`MetricsSnapshot`] folds the device's
 //!   [`pmem::StatsSnapshot`] counters together with the recorder's
-//!   per-op percentiles into one structure with a single JSON
-//!   serializer (the harness's `METRICS_JSON` lines).
-//! * [`json`] — the tiny ordered JSON writer shared by `METRICS_JSON`
-//!   and the pre-existing `SCALING_JSON` emission.
+//!   per-op percentiles into one structure, and reconciles the per-op
+//!   time breakdown against the aggregate.
+//! * [`json`] — the tiny ordered JSON writer the benchmark's result
+//!   lines and trace files use.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

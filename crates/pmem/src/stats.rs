@@ -12,8 +12,8 @@
 //! counters (fences, traps, journal commits, ...).  Each is declared
 //! **once**, as a row of `counter_table!` below; the atomic cell, the
 //! [`StatsSnapshot`] field, the 1:1 `add_*` recorder and the counter's
-//! part of `snapshot()` / `reset()` / `delta()` / `counters()` are all
-//! generated from that row.
+//! part of `snapshot()` / `reset()` / `delta()` are all generated from
+//! that row.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,7 +82,7 @@ impl TimeCategory {
 
 /// Expands the rows of `counter_table!` into everything that has to know
 /// every counter: the [`Stats`] cells, the [`StatsSnapshot`] fields, the
-/// 1:1 recorders, and `snapshot` / `reset` / `delta` / `counters`.
+/// 1:1 recorders, and `snapshot` / `reset` / `delta`.
 ///
 /// Fields rather than an `enum Counter` index into `[AtomicU64; N]`
 /// because readers name counters as public fields of the snapshot; the
@@ -94,6 +94,7 @@ macro_rules! define_counters {
         $(=> $(#[$add_doc:meta])* $add:ident += $step:tt)? ;
     )*) => {
         /// Number of rows in the counter table.
+        #[cfg(test)]
         const COUNTERS: usize = [$(stringify!($name)),*].len();
 
         /// Shared, thread-safe accumulator of simulated time and device traffic.
@@ -155,13 +156,6 @@ macro_rules! define_counters {
                     $($name: self.$name.saturating_sub(earlier.$name),)*
                 }
             }
-
-            /// Every scalar event counter as `(name, value)` pairs, in table
-            /// order — the single source the JSON exporters iterate instead of
-            /// naming each field again.
-            pub fn counters(&self) -> [(&'static str, u64); COUNTERS] {
-                [$((stringify!($name), self.$name),)*]
-            }
         }
     };
     (@recorder $name:ident $(#[$doc:meta])* $add:ident 1) => {
@@ -183,8 +177,8 @@ macro_rules! define_counters {
 /// call bumps exactly this counter — `=>`, the recorder's doc comment,
 /// its name and `+= 1` (no argument) or `+= n` (a `u64` argument).  A row
 /// that ends at the name is moved by a hand-written compound recorder in
-/// the `impl Stats` below the table.  Row order is the order of
-/// [`StatsSnapshot::counters`] and of every JSON export.
+/// the `impl Stats` below the table.  Row order is the order of the
+/// [`StatsSnapshot`] fields.
 ///
 /// The table is a macro handed the name of the macro to expand the rows
 /// with, so that the unit tests can expand the same rows into the list of
@@ -271,11 +265,10 @@ macro_rules! counter_table {
                 add_journal_txn += 1;
 
             // Multi-core scaling: sharded-lock contention, operation-log
-            // epoch swaps, and checkpoint stalls.  The `scaling` experiment
-            // is scored on these: under distinct-file concurrency shard lock
-            // waits should stay low and checkpoint stalls should be **zero**
-            // (truncation happens by epoch swap, never by stopping the
-            // world).
+            // epoch swaps, and checkpoint stalls.  Under distinct-file
+            // concurrency shard lock waits should stay low and checkpoint
+            // stalls should be **zero** (truncation happens by epoch swap,
+            // never by stopping the world).
 
             /// Times a sharded lock (kernel inode shard, splitfs registry shard,
             /// ...) was contended: a `try_lock` failed and the thread had to block.
@@ -322,20 +315,10 @@ macro_rules! counter_table {
                 /// Records one staging file stolen from another lane's free list.
                 add_staging_lane_steal += 1;
 
-            // The multi-instance lease manager: how many instance leases were
-            // handed out and returned, how many acquisitions collided with a
-            // live holder (the `multi` experiment is scored on this staying
-            // **zero**), and how many crashed instances' operation logs
-            // recovery replayed.
+            // The multi-instance lease manager: how many acquisitions collided
+            // with a live holder (zero in a healthy multi-instance run), and
+            // how many crashed instances' operation logs recovery replayed.
 
-            /// Instance leases acquired.
-            lease_acquires =>
-                /// Records one instance-lease acquisition.
-                add_lease_acquire += 1;
-            /// Instance leases released.
-            lease_releases =>
-                /// Records one instance-lease release.
-                add_lease_release += 1;
             /// Lease acquisitions refused because the requested instance id was
             /// already held by a live instance (must be zero in a healthy
             /// multi-instance run).
@@ -353,9 +336,7 @@ macro_rules! counter_table {
             // offered ring depth), how many drains completed two or more
             // operations as one backend batch, and how many ordering fences
             // those batches saved relative to the synchronous
-            // one-fence-pair-per-write path.  The `openloop` experiment is
-            // scored on the last staying non-zero once callers keep ≥ 2
-            // writes in flight.
+            // one-fence-pair-per-write path.
 
             /// Total submissions popped across all ring drains (Σ batch size).
             ring_depth =>
@@ -375,11 +356,9 @@ macro_rules! counter_table {
                 add_fences_amortized += n;
 
             // The sharded kernel namespace and its full-path lookup cache:
-            // contended namespace-shard acquisitions (the `metadata`
-            // experiment is scored on this staying ~zero for threads in
-            // disjoint directories), path-cache probes that hit or missed,
-            // and cache invalidations (per-directory generation bumps plus
-            // global directory-move bumps).
+            // contended namespace-shard acquisitions (~zero for threads in
+            // disjoint directories) and path-cache probes that hit or
+            // missed.
 
             /// Times a namespace-shard lock was contended: a `try_lock` failed
             /// and the thread had to block.  ~Zero for threads working in
@@ -398,11 +377,6 @@ macro_rules! counter_table {
             path_cache_misses =>
                 /// Records one full-path cache miss (absent or stale entry).
                 add_path_cache_miss += 1;
-            /// Cache invalidations: per-directory generation bumps (unlink,
-            /// rename, rmdir) and global directory-move generation bumps.
-            path_cache_invalidations =>
-                /// Records one path-cache invalidation (a generation bump).
-                add_path_cache_invalidation += 1;
 
             // The crash-point fuzzing and fault-injection machinery: crash
             // images captured (one per explored fence boundary plus one per
@@ -660,16 +634,11 @@ mod tests {
     #[test]
     fn counters_name_every_counter_field() {
         let table: [Row; COUNTERS] = counter_table!(rows);
-        for (i, (name, field, recorder)) in table.into_iter().enumerate() {
+        for (name, field, recorder) in table {
             let s = Stats::new();
             recorder.unwrap_or_else(|| compound_recorder(name))(&s);
             let snap = s.snapshot();
             assert!(field(&snap) > 0, "{name}: its recorder left the field at 0");
-            assert_eq!(
-                snap.counters()[i],
-                (name, field(&snap)),
-                "counters() row {i} is not the table's row {i}"
-            );
             assert_eq!(
                 snap.delta(&snap),
                 StatsSnapshot::default(),
@@ -682,13 +651,6 @@ mod tests {
                 "{name}: reset() left it non-zero"
             );
         }
-        // Names must be unique, or the JSON exporters silently collide.
-        let mut names = table.map(|(name, ..)| name);
-        names.sort_unstable();
-        assert!(
-            names.windows(2).all(|w| w[0] != w[1]),
-            "duplicate counter name"
-        );
     }
 
     #[test]

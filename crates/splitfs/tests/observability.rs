@@ -55,7 +55,7 @@ fn inline_create_is_charged_to_the_appendv_span() {
          files inline: {stats:?}"
     );
 
-    let snap = MetricsSnapshot::new("SplitFS-strict", 1, &recorder, stats);
+    let snap = MetricsSnapshot::new(&recorder, stats);
     let appendv = snap.op(OpKind::Appendv).expect("appendv spans recorded");
     assert_eq!(appendv.count, 1536);
 
@@ -77,6 +77,79 @@ fn inline_create_is_charged_to_the_appendv_span() {
 
     // The whole window still reconciles: per-op category time sums to
     // the aggregate stats within 1%.
+    let err = snap.attribution_error(1000.0);
+    assert!(
+        err < 0.01,
+        "span attribution off by {:.3}% (spans {:?} vs stats {:?})",
+        err * 100.0,
+        snap.span_time_by_category(),
+        snap.stats.time_ns
+    );
+}
+
+/// Four writers at once, each on its own file — appends, read-backs,
+/// head overwrites and fsyncs — then one `fsync_many` and the closes, all
+/// traced, with the daemon's dispatches under their own spans: the per-op
+/// category time still sums to the aggregate within 1%.
+#[test]
+fn four_writers_reconcile_spans_with_aggregate_stats() {
+    let device = PmemBuilder::new(256 * 1024 * 1024)
+        .track_persistence(false)
+        .build();
+    let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    let config = SplitConfig::new(Mode::Strict)
+        .with_staging(4, 8 * 1024 * 1024)
+        .with_oplog_size(512 * 1024);
+    let fs = SplitFs::new(kernel, config).unwrap();
+    let recorder = Arc::new(Recorder::new());
+    fs.attach_recorder(Arc::clone(&recorder));
+    let traced: Arc<dyn FileSystem> = Arc::new(TracedFs::new(fs.clone(), Arc::clone(&recorder)));
+
+    let before = device.stats().snapshot();
+    let fds: Vec<_> = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..4u8)
+            .map(|t| {
+                let traced = &traced;
+                scope.spawn(move || {
+                    let fd = traced
+                        .open(&format!("/lat-{t}.log"), OpenFlags::create())
+                        .unwrap();
+                    let header = [t; 16];
+                    let body = [t + 1; 496];
+                    for i in 1..=256u64 {
+                        let iov = [IoVec::new(&header), IoVec::new(&body)];
+                        traced.appendv(fd, &iov).unwrap();
+                        if i % 32 == 0 {
+                            let view = traced.read_view(fd, i / 2 * 512, 512).unwrap();
+                            assert_eq!(view.len(), 512);
+                        }
+                        if i % 128 == 0 {
+                            traced.write_at(fd, 0, &header).unwrap();
+                        }
+                        if i % 64 == 0 {
+                            traced.fsync(fd).unwrap();
+                        }
+                    }
+                    fd
+                })
+            })
+            .collect();
+        writers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    traced.fsync_many(&fds).unwrap();
+    for fd in fds {
+        traced.close(fd).unwrap();
+    }
+    fs.maintenance_quiesce();
+    let stats = device.stats().snapshot().delta(&before);
+    let snap = MetricsSnapshot::new(&recorder, stats);
+
+    let appendv = snap.op(OpKind::Appendv).expect("appendv spans recorded");
+    assert_eq!(appendv.count, 4 * 256);
+    assert!(appendv.p99_ns >= appendv.p50_ns);
+    for kind in [OpKind::Create, OpKind::ReadView, OpKind::Fsync] {
+        assert!(snap.op(kind).is_some(), "no {kind:?} span recorded");
+    }
     let err = snap.attribution_error(1000.0);
     assert!(
         err < 0.01,
@@ -109,7 +182,7 @@ fn relink_batches_are_charged_to_the_fsync_span() {
     traced.fsync(fd).unwrap();
     traced.close(fd).unwrap();
 
-    let snap = MetricsSnapshot::new("SplitFS-strict", 1, &recorder, device.stats().snapshot());
+    let snap = MetricsSnapshot::new(&recorder, device.stats().snapshot());
     let fsync = snap.op(OpKind::Fsync).expect("fsync spans recorded");
     assert!(
         fsync.events[event_index(SpanEvent::RelinkBatch)] > 0,

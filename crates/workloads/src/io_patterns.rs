@@ -171,70 +171,6 @@ pub fn run_pattern(
     ))
 }
 
-/// Runs the vectored-append microbenchmark: the same byte stream as
-/// [`IoPattern::Append`], but each "record" is assembled from
-/// `slices_per_op` discontiguous parts and committed with **one**
-/// [`FileSystem::appendv`] per record (vs `slices_per_op` plain `append`s
-/// when `vectored` is false).  Durability comes from one `fsync` per
-/// record batch, mirroring a WAL writer that gathers a transaction's
-/// entries.  The fence and journal-transaction counters in the returned
-/// stats are how the comparison is scored.
-pub fn run_appendv(
-    fs: &Arc<dyn FileSystem>,
-    config: &IoBenchConfig,
-    slices_per_op: usize,
-    vectored: bool,
-) -> FsResult<RunResult> {
-    let slices_per_op = slices_per_op.max(1);
-    let slice_size = OP_SIZE / slices_per_op;
-    let records = config.total_bytes / (slice_size * slices_per_op) as u64;
-    let device = Arc::clone(fs.device());
-    if fs.exists(&config.path) {
-        fs.unlink(&config.path)?;
-    }
-    let fd = fs.open(&config.path, OpenFlags::create())?;
-    let parts: Vec<Vec<u8>> = (0..slices_per_op)
-        .map(|i| {
-            (0..slice_size)
-                .map(|j| ((i * 31 + j) % 251) as u8)
-                .collect()
-        })
-        .collect();
-    let iov: Vec<vfs::IoVec<'_>> = parts.iter().map(|p| vfs::IoVec::new(p)).collect();
-
-    device.clock().reset();
-    device.stats().reset();
-    let start_stats = device.stats().snapshot();
-    let start_ns = device.clock().now_ns_f64();
-    for i in 0..records {
-        if vectored {
-            fs.appendv(fd, &iov)?;
-        } else {
-            for part in &parts {
-                fs.append(fd, part)?;
-            }
-        }
-        if config.fsync_every > 0 && (i + 1).is_multiple_of(config.fsync_every) {
-            fs.fsync(fd)?;
-        }
-    }
-    fs.fsync(fd)?;
-    let elapsed = device.clock().now_ns_f64() - start_ns;
-    let stats = device.stats().snapshot().delta(&start_stats);
-    fs.close(fd)?;
-    Ok(RunResult::new(
-        fs.name(),
-        if vectored {
-            "io-appendv".to_string()
-        } else {
-            "io-append-loop".to_string()
-        },
-        records,
-        elapsed,
-        stats,
-    ))
-}
-
 /// The Table 1 microbenchmark: append 4 KiB blocks (128 MiB total by
 /// default) with a single `fsync` at the end, and report the mean cost of
 /// one append plus its software overhead above the raw device write.

@@ -14,32 +14,11 @@
 //!   (§5.9).
 //! * [`appbench`] — drivers that run the applications from the `apps` crate
 //!   on any [`vfs::FileSystem`] and collect a [`RunResult`].
-//! * [`walshard`] — the WAL-per-shard saturation workload: N threads, one
-//!   write-ahead log each, measuring wall-clock scaling and lock
-//!   contention of the file system's hot path.
-//! * [`multiproc`] — the multi-instance ("multi-process") workload: N
-//!   concurrent U-Split instances over one shared kernel file system,
-//!   each with leased staging/log resources, measuring aggregate
-//!   throughput and lease conflicts.
-//! * [`latency`] — the closed-loop per-operation latency workload: a
-//!   mixed append/read/overwrite/fsync stream whose per-op latency
-//!   distributions are captured by an attached [`obs::Recorder`].
-//! * [`openloop`] — the open-loop async-ring workload: each thread
-//!   keeps a target number of appends in flight on an [`aio`]
-//!   submission ring, sweeping the offered load to show fence
-//!   amortization and measuring submit-to-harvest latency
-//!   percentiles plus durability-epoch invariant violations.
 //! * [`crashmix`] — the crash-point fuzzing workload: a seeded mixed op
 //!   stream (appends, fsyncs, renames, unlinks, ring appends) that
 //!   declares [`pmem::Promise`]s into the device ledger as each
 //!   durability guarantee is handed out, driving the `chaos` crate's
 //!   declared-durability oracle.
-//! * [`metaload`] — the concurrent metadata scale-out workload behind
-//!   `harness -- metadata`: N threads churn (create/append/fsync/unlink)
-//!   and age files in disjoint deep directories, then repeatedly resolve
-//!   the aged paths, measuring critical-path creates/sec and
-//!   resolves/sec, the full-path cache hit rate, and namespace-shard
-//!   lock waits.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -47,14 +26,9 @@
 pub mod appbench;
 pub mod crashmix;
 pub mod io_patterns;
-pub mod latency;
-pub mod metaload;
-pub mod multiproc;
-pub mod openloop;
 pub mod tpcc;
 pub mod utilities;
 pub mod varmail;
-pub mod walshard;
 pub mod ycsb;
 
 use pmem::{StatsSnapshot, TimeCategory};
