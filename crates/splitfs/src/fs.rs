@@ -239,15 +239,18 @@ impl SplitFs {
         let oplog = if config.mode.logs_data_ops() {
             let fd = kernel.open(&oplog_file, OpenFlags::create())?;
             // A file of the configured size was scanned and cleared by the
-            // `recover_instance` above and is all-zero as it stands.
+            // `recover_instance` above and is all-zero as it stands, its
+            // chunk map included.
             let cleared = kernel.fstat(fd)?.size == config.oplog_size;
             kernel.ftruncate(fd, config.oplog_size)?;
             let mapping = kernel.dax_map(fd, 0, config.oplog_size, MAP_POPULATE)?;
             if !cleared {
                 // §3.3: recovery tells written slots from never-used ones
-                // by their being zero.  A file that is new, or whose size
-                // just changed, sits on blocks the kernel allocator hands
-                // out unzeroed, so this one time the whole log is filled.
+                // by their being zero, and skips the chunks its map does
+                // not mark.  A file that is new, or whose size just
+                // changed, sits on blocks the kernel allocator hands out
+                // unzeroed, so this one time the whole log — map and all —
+                // is filled.
                 OpLog::zero_range(device, &mapping, 0, config.oplog_size);
             }
             Some(OpLog::new(Arc::clone(device), mapping, config.oplog_size))
@@ -626,9 +629,10 @@ impl SplitFs {
         let _ = self.kernel.close(fd);
         // The extension may sit on recycled blocks still holding
         // checksum-valid entries from an earlier log incarnation (the
-        // allocator does not zero freed blocks).  Recovery scans the whole
-        // file, so such ghost entries would replay stale data — zero the
-        // extension before the log starts using it.
+        // allocator does not zero freed blocks).  Its chunks are unmarked,
+        // which promises they are zero, and recovery reads every chunk
+        // past the map's reach — so such ghost entries would replay stale
+        // data: zero the extension before the log starts using it.
         OpLog::zero_range(&self.device, &mapping, old_size, new_size);
         oplog.grow(mapping, new_size);
         Ok(())

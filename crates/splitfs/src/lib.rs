@@ -89,7 +89,8 @@
 //!   only after its files are retired ([`oplog::OpLog::try_seal`] /
 //!   [`oplog::OpLog::truncate_sealed`] — no stop-the-world), and
 //!   on-demand growth that extends the active epoch's extent list while
-//!   preserving the sealed/active split;
+//!   preserving the sealed/active split.  A chunk map marks the 64 KiB
+//!   chunks that may hold entries, so recovery reads only those;
 //! * [`daemon`] — the **background maintenance daemon**
 //!   ([`daemon::MaintenanceDaemon`]): worker threads with **per-worker
 //!   queues** (relinks route by inode) that replenish the staging pool

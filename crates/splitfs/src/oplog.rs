@@ -20,6 +20,19 @@
 //! * a never-written slot is all-zero; recovery treats any non-zero,
 //!   checksum-valid 64 B slot as a potentially valid entry.
 //!
+//! # On-media layout
+//!
+//! The log file is an array of 64 B slots, with one exception: in a file
+//! of at least one 4 KiB block, the last slot of that first block
+//! ([`MAP_OFFSET`]) holds the **chunk map**, a bitmap with one bit per
+//! [`CHUNK_SIZE`] (64 KiB) of file offset — bit `i` of little-endian word
+//! `i / 64` covers `[i * 64 KiB, (i + 1) * 64 KiB)`.  Its 512 bits reach
+//! the first 32 MiB of the file; chunks past that have no bit and are
+//! always read.  Every other slot belongs to one of the two epochs below.
+//! The map sits in a slot rather than in front of them so that entry
+//! offsets are those of a log without it, and a one-block log keeps 63
+//! of its 64 slots.
+//!
 //! # The all-zero invariant
 //!
 //! *Every slot outside the entries written since the last truncation is
@@ -34,6 +47,30 @@
 //! ones included), and an [`OpLog`] built over a file that recovery has
 //! just cleared starts with nothing to clear.  Clearing the log thus
 //! costs what was logged, never the size of the log.
+//!
+//! # The chunk-map invariant
+//!
+//! *A chunk whose bit is clear on media is all-zero on media.*  It lets
+//! recovery read the map and then only the marked chunks, so finding the
+//! entries costs what was logged too.  Three rules keep it:
+//!
+//! * a writer makes a chunk's bit durable — one 64 B store and a fence —
+//!   before its first entry store into the chunk since the bit was last
+//!   cleared.  A DRAM mirror of the map tells every later append that the
+//!   bit is set already, so an epoch pays one extra fence per 1024
+//!   entries;
+//! * a truncation first zeroes its slots and fences, and only then clears
+//!   the bits of the chunks that lie wholly in the truncated epoch (they
+//!   are all-zero now) under a second fence; recovery does the same for
+//!   every marked chunk once it has cleared what its scan found;
+//! * every map store writes the whole line from the mirror under one
+//!   lock, and publishes the new words to the mirror only after its
+//!   fence, so no concurrent set is lost and no writer trusts a bit that
+//!   is not yet durable.
+//!
+//! A torn map store keeps each byte old or new: a set never loses an old
+//! bit, and a clear only drops bits of chunks already zero.  The map
+//! therefore needs no checksum.
 //!
 //! # Epochs
 //!
@@ -54,9 +91,13 @@
 //! epoch only, preserving the sealed/active split (a sealed entry is never
 //! moved or rescanned into the wrong epoch by a grow).
 //!
-//! Recovery does not care about the split: it scans every slot of the file
-//! (both epochs, any geometry) and replays valid entries **in sequence
-//! order**, which is global across epochs.
+//! The epoch split sits at the entry-aligned middle of the file, so in a
+//! log of a whole number of chunk pairs no chunk is shared by the two
+//! epochs and a truncation can clear the bits of all it zeroed.
+//!
+//! Recovery does not care about the split: it scans every marked chunk of
+//! the file (both epochs, any geometry) and replays valid entries **in
+//! sequence order**, which is global across epochs.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -74,6 +115,87 @@ pub const ENTRY_SIZE: u64 = 64;
 /// How much of the log one recovery read fetches (and one zeroing store
 /// clears): a 4 KiB block.
 const SCAN_BLOCK: usize = 4096;
+
+/// Log-file bytes one bit of the chunk map covers.
+pub const CHUNK_SIZE: u64 = 64 * 1024;
+
+/// File offset of the chunk map: the last slot of the first 4 KiB block.
+pub const MAP_OFFSET: u64 = SCAN_BLOCK as u64 - ENTRY_SIZE;
+
+/// Chunks the one-slot map has a bit for: the first 32 MiB of the file.
+const MAP_CHUNKS: u64 = ENTRY_SIZE * 8;
+
+/// The map as the little-endian words of its slot.
+type ChunkMap = [u64; (ENTRY_SIZE / 8) as usize];
+
+/// Whether a log file of `size` bytes holds a chunk map.  Smaller logs
+/// have no map and are scanned whole; a log never grows across the line
+/// (see [`OpLog::grow`]).
+fn has_map(size: u64) -> bool {
+    size >= MAP_OFFSET + ENTRY_SIZE
+}
+
+/// `[from, to)` of a log file of `size` bytes as slot extents: the range
+/// less the map's slot.
+fn slot_extents(from: u64, to: u64, size: u64) -> Vec<(u64, u64)> {
+    let (map_from, map_to) = (MAP_OFFSET, MAP_OFFSET + ENTRY_SIZE);
+    let pieces = if has_map(size) && from < map_to && map_from < to {
+        vec![(from, map_from), (map_to, to)]
+    } else {
+        vec![(from, to)]
+    };
+    pieces
+        .into_iter()
+        .filter(|&(a, b)| a < b)
+        .map(|(a, b)| (a, b - a))
+        .collect()
+}
+
+/// Calls `f(from, to)`, in order, for each log-file range the
+/// epoch-relative `[off, off + len)` of an epoch made of `extents` lies
+/// in, up to the first error.
+fn file_ranges(
+    extents: &[(u64, u64)],
+    mut off: u64,
+    mut len: u64,
+    mut f: impl FnMut(u64, u64) -> FsResult<()>,
+) -> FsResult<()> {
+    for &(start, ext_len) in extents {
+        if len == 0 {
+            break;
+        }
+        if off >= ext_len {
+            off -= ext_len;
+            continue;
+        }
+        let n = len.min(ext_len - off);
+        f(start + off, start + off + n)?;
+        (off, len) = (0, len - n);
+    }
+    if len > 0 {
+        return Err(FsError::Io("operation log epoch hole".into()));
+    }
+    Ok(())
+}
+
+/// Writes `map` into the map slot with a non-temporal store and fences.
+fn store_map(device: &PmemDevice, mapping: &DaxMapping, map: &ChunkMap) -> FsResult<()> {
+    let (dev_off, _) = mapping
+        .translate(MAP_OFFSET)
+        .ok_or_else(|| FsError::Io("operation log chunk map unmapped".into()))?;
+    let mut line = [0u8; ENTRY_SIZE as usize];
+    for (bytes, word) in line.chunks_exact_mut(8).zip(map) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
+    device.write(
+        dev_off,
+        &line,
+        PersistMode::NonTemporal,
+        TimeCategory::OpLog,
+    );
+    device.fence(TimeCategory::OpLog);
+    Ok(())
+}
 
 /// Magic tag in every entry.
 const ENTRY_MAGIC: u16 = 0x4F4C; // "OL"
@@ -223,19 +345,6 @@ impl Epoch {
             writers: AtomicU64::new(0),
         }
     }
-
-    /// Translates an epoch-relative offset to a log-file offset.
-    fn file_offset(&self, off: u64) -> Option<u64> {
-        let extents = self.extents.read();
-        let mut rem = off;
-        for &(start, len) in extents.iter() {
-            if rem < len {
-                return Some(start + rem);
-            }
-            rem -= len;
-        }
-        None
-    }
 }
 
 /// The two-epoch operation log of one U-Split instance.
@@ -263,30 +372,73 @@ pub struct OpLog {
     size: AtomicU64,
     /// Monotonic sequence counter, global across epochs.
     seq: AtomicU64,
+    /// DRAM mirror of the chunk map.  A word is stored (`Release`) only
+    /// after the map store that holds it was fenced, and appends load it
+    /// (`Acquire`) before their entry stores: a set bit seen here is
+    /// durable.
+    map: [AtomicU64; (ENTRY_SIZE / 8) as usize],
+    /// Serializes map stores, so each writes the line from an up-to-date
+    /// mirror.
+    map_lock: Mutex<()>,
 }
 
 impl OpLog {
     /// Wraps an already-mapped log file of `size` bytes.  The file is
-    /// split into two epochs at an entry-aligned midpoint.
+    /// split into two epochs at an entry-aligned midpoint; the chunk
+    /// map's slot belongs to neither.
     ///
     /// The mapped bytes must be **all-zero** (the module's invariant): the
     /// caller has either just zero-filled a new file or is handing over
-    /// one that recovery scanned and cleared.
+    /// one that recovery scanned and cleared — so the map is clear, too.
     pub fn new(device: Arc<PmemDevice>, mapping: DaxMapping, size: u64) -> Self {
         let half = (size / 2) / ENTRY_SIZE * ENTRY_SIZE;
         Self {
             device,
             mapping: RwLock::new(mapping),
             epochs: [
-                Epoch::new(vec![(0, half)]),
-                Epoch::new(vec![(half, size - half)]),
+                Epoch::new(slot_extents(0, half, size)),
+                Epoch::new(slot_extents(half, size, size)),
             ],
             active: AtomicUsize::new(0),
             sealed_pending: AtomicBool::new(false),
             geometry: Mutex::new(()),
             size: AtomicU64::new(size),
             seq: AtomicU64::new(1),
+            map: Default::default(),
+            map_lock: Mutex::new(()),
         }
+    }
+
+    /// Makes the bits of the chunks `[from, to)` of the file touches
+    /// durable, for an entry store there.  Costs a mirror load per chunk
+    /// whose bit is set already, a map store and a fence otherwise.
+    fn mark(&self, mapping: &DaxMapping, from: u64, to: u64) -> FsResult<()> {
+        if !has_map(self.size()) {
+            return Ok(());
+        }
+        for chunk in from / CHUNK_SIZE..(to.div_ceil(CHUNK_SIZE)).min(MAP_CHUNKS) {
+            let (word, bit) = ((chunk / 64) as usize, 1u64 << (chunk % 64));
+            if self.map[word].load(Ordering::Acquire) & bit == 0 {
+                self.update_map(mapping, |map| map[word] |= bit)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies `edit` to the mirror's words; if that changes them, stores
+    /// the map, fences, and only then publishes the new words.
+    fn update_map(&self, mapping: &DaxMapping, edit: impl FnOnce(&mut ChunkMap)) -> FsResult<()> {
+        let _guard = self.map_lock.lock();
+        let old: ChunkMap = std::array::from_fn(|i| self.map[i].load(Ordering::Relaxed));
+        let mut new = old;
+        edit(&mut new);
+        if new != old {
+            store_map(&self.device, mapping, &new)?;
+            for (mirror, word) in self.map.iter().zip(new) {
+                mirror.store(word, Ordering::Release);
+            }
+        }
+        Ok(())
     }
 
     /// Number of entries currently in the log (both epochs).
@@ -380,10 +532,11 @@ impl OpLog {
         Some(self.seq.load(Ordering::SeqCst))
     }
 
-    /// Re-zeroes the sealed epoch's used prefix and arms it as the next
-    /// swap target.  Call only after every staged write logged in it has
-    /// been relinked (or otherwise invalidated) — the epoch-checkpoint
-    /// sweep in [`crate::daemon`] is the only caller.
+    /// Re-zeroes the sealed epoch's used prefix, clears the map bits of
+    /// the chunks wholly inside the epoch, and arms it as the next swap
+    /// target.  Call only after every staged write logged in it has been
+    /// relinked (or otherwise invalidated) — the epoch-checkpoint sweep in
+    /// [`crate::daemon`] is the only caller.
     pub fn truncate_sealed(&self) {
         let sealed = 1 - self.active.load(Ordering::SeqCst);
         self.truncate_epoch(sealed);
@@ -408,6 +561,34 @@ impl OpLog {
             Self::zero_range(&self.device, &mapping, start, start + chunk);
             rem -= chunk;
         }
+        // The slots are zero and fenced; past `used` they were zero
+        // already.  Every slot but the map's is in one epoch, so a chunk
+        // the other epoch does not reach is all-zero now — and no writer
+        // reaches it before the next swap.
+        let other = self.epochs[1 - idx].extents.read();
+        let shared = |chunk: u64| {
+            let (from, to) = (chunk * CHUNK_SIZE, (chunk + 1) * CHUNK_SIZE);
+            other
+                .iter()
+                .any(|&(start, len)| start < to && from < start + len)
+        };
+        let mut clear = ChunkMap::default();
+        for &(start, len) in extents.iter() {
+            for chunk in start / CHUNK_SIZE..(start + len).div_ceil(CHUNK_SIZE).min(MAP_CHUNKS) {
+                if !shared(chunk) {
+                    clear[(chunk / 64) as usize] |= 1 << (chunk % 64);
+                }
+            }
+        }
+        if has_map(self.size()) {
+            // Failing to clear a bit leaves a zero chunk marked: recovery
+            // reads it in vain, which the invariant allows.
+            let _ = self.update_map(&mapping, |map| {
+                for (word, clear) in map.iter_mut().zip(clear) {
+                    *word &= !clear;
+                }
+            });
+        }
         epoch.high_water.store(0, Ordering::Relaxed);
         epoch.tail.store(0, Ordering::Relaxed);
     }
@@ -423,6 +604,10 @@ impl OpLog {
     /// when retirement finishes.  Shrinking is not supported.  Safe under
     /// concurrent appends: a reservation past the old capacity fails with
     /// `NoSpace` and is retried by the caller after the growth lands.
+    ///
+    /// The extension's map bits are clear, as its zeroed chunks require.
+    /// A log without a map must not grow into one: its entries' chunks
+    /// would be unmarked.
     pub fn grow(&self, mapping: DaxMapping, new_size: u64) {
         let mut m = self.mapping.write();
         // The geometry lock pins `active` across the extension: without
@@ -433,6 +618,10 @@ impl OpLog {
         if new_size <= old_size {
             return;
         }
+        assert!(
+            has_map(old_size) || !has_map(new_size),
+            "a {old_size} B operation log cannot grow past its chunk map's slot"
+        );
         *m = mapping;
         let epoch = &self.epochs[self.active.load(Ordering::SeqCst)];
         epoch.extents.write().push((old_size, new_size - old_size));
@@ -454,7 +643,9 @@ impl OpLog {
     /// The slots are reserved with a single fetch-and-add on the active
     /// epoch's DRAM tail, every entry is written with non-temporal stores,
     /// and one fence makes the whole group durable together.  Callers must
-    /// only use this for entries whose durability may land together.
+    /// only use this for entries whose durability may land together.  A
+    /// group that opens a chunk first makes the chunk's map bit durable,
+    /// before any of its entry stores.
     ///
     /// Returns [`FsError::NoSpace`] (reserving nothing) when the group
     /// does not fit in the active epoch.
@@ -483,38 +674,48 @@ impl OpLog {
             }
             break (epoch, offset);
         };
-        let mapping = self.mapping.read();
-        for (i, entry) in entries.iter().enumerate() {
-            self.device.charge_software(cost.usplit_log_entry_cpu_ns);
-            let slot = offset + ENTRY_SIZE * i as u64;
-            let bail = |e: FsError| {
-                // Roll the reservation back when no later writer has
-                // reserved past it (an unconditional subtract could slide
-                // the tail under a live neighbour's slot); otherwise the
-                // unfenced slots simply read as torn/empty.
-                let _ = epoch.tail.compare_exchange(
-                    offset + need,
-                    offset,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                );
-                epoch.writers.fetch_sub(1, Ordering::SeqCst);
-                Err(e)
-            };
-            let file_off = match epoch.file_offset(slot) {
-                Some(off) => off,
-                None => return bail(FsError::Io("operation log epoch hole".into())),
-            };
-            let (dev_off, _) = match mapping.translate(file_off) {
-                Some(pair) => pair,
-                None => return bail(FsError::Io("operation log mapping hole".into())),
-            };
-            self.device.write(
-                dev_off,
-                &entry.encode(),
-                PersistMode::NonTemporal,
-                TimeCategory::OpLog,
+        let bail = |e: FsError| {
+            // Roll the reservation back when no later writer has
+            // reserved past it (an unconditional subtract could slide
+            // the tail under a live neighbour's slot); otherwise the
+            // unfenced slots simply read as torn/empty, and the truncation
+            // that covers the whole reservation clears them.
+            epoch.high_water.fetch_max(offset + need, Ordering::Relaxed);
+            let _ = epoch.tail.compare_exchange(
+                offset + need,
+                offset,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
             );
+            epoch.writers.fetch_sub(1, Ordering::SeqCst);
+            Err(e)
+        };
+        let mapping = self.mapping.read();
+        let extents = epoch.extents.read();
+        let mut slots = entries.iter();
+        let written = file_ranges(&extents, offset, need, |from, to| {
+            self.mark(&mapping, from, to)
+        })
+        .and_then(|()| {
+            file_ranges(&extents, offset, need, |from, to| {
+                let ranged = (from..to).step_by(ENTRY_SIZE as usize);
+                for (file_off, entry) in ranged.zip(&mut slots) {
+                    self.device.charge_software(cost.usplit_log_entry_cpu_ns);
+                    let (dev_off, _) = mapping
+                        .translate(file_off)
+                        .ok_or_else(|| FsError::Io("operation log mapping hole".into()))?;
+                    self.device.write(
+                        dev_off,
+                        &entry.encode(),
+                        PersistMode::NonTemporal,
+                        TimeCategory::OpLog,
+                    );
+                }
+                Ok(())
+            })
+        });
+        if let Err(e) = written {
+            return bail(e);
         }
         self.device.fence(TimeCategory::OpLog);
         epoch.high_water.fetch_max(offset + need, Ordering::Relaxed);
@@ -537,8 +738,8 @@ impl OpLog {
     /// Zeroes every `[from, to)` range of a log mapping with non-temporal
     /// stores, then fences **once**: the ranges are cleared together or —
     /// if the crash comes first — not at all.  Recovery clears the slots
-    /// its scan reported through this.
-    pub fn zero_ranges(device: &Arc<PmemDevice>, mapping: &DaxMapping, ranges: &[(u64, u64)]) {
+    /// its scan reported through this (see [`OpLog::clear`]).
+    fn zero_ranges(device: &Arc<PmemDevice>, mapping: &DaxMapping, ranges: &[(u64, u64)]) {
         let zeros = [0u8; SCAN_BLOCK];
         for &(from, to) in ranges {
             let mut off = from;
@@ -561,61 +762,103 @@ impl OpLog {
         device.fence(TimeCategory::OpLog);
     }
 
-    /// Scans the whole log (recovery path) and returns every valid entry,
+    /// Scans the log (recovery path) and returns every valid entry,
     /// sorted by sequence number.  See [`OpLog::scan_written`], which also
     /// reports what to clear afterwards.
     pub fn scan(device: &Arc<PmemDevice>, mapping: &DaxMapping, size: u64) -> Vec<LogEntry> {
         Self::scan_written(device, mapping, size).entries
     }
 
-    /// Scans the whole log (recovery path).  Sequence numbers are global
-    /// across epochs, so the scan needs no knowledge of the sealed/active
-    /// split or of any grow history: both epochs are read and the merge
-    /// happens by `seq`.  Torn or zero slots yield no entry, but every
-    /// slot that is not all-zero — valid or torn — is reported in
-    /// [`LogScan::written`], which is all a caller has to clear to restore
-    /// the all-zero invariant.
+    /// Scans the log (recovery path): reads the chunk map, then every
+    /// chunk it marks and every chunk past its reach — by the chunk-map
+    /// invariant, all others are zero.  Sequence numbers are global across
+    /// epochs, so the scan needs no knowledge of the sealed/active split
+    /// or of any grow history: both epochs are read and the merge happens
+    /// by `seq`.  Torn or zero slots yield no entry, but every slot that
+    /// is not all-zero — valid or torn — is reported in
+    /// [`LogScan::written`], which with the map is all a caller has to
+    /// clear ([`OpLog::clear`]) to restore both invariants.
     ///
-    /// The log is read a 4 KiB block at a time, each block one sequential
-    /// device read charged as software time.
+    /// The map is one read and each chunk is read a 4 KiB block at a time,
+    /// each read one sequential device read charged as software time.
     pub fn scan_written(device: &Arc<PmemDevice>, mapping: &DaxMapping, size: u64) -> LogScan {
-        let cost = device.cost();
+        let read = |dev_off: u64, buf: &mut [u8]| {
+            device.read_uncharged(dev_off, buf);
+            device.charge_software(device.cost().pm_read_cost(buf.len(), true));
+            device
+                .stats()
+                .add_bytes_read(TimeCategory::OpLog, buf.len() as u64);
+        };
         let mut scan = LogScan::default();
-        let mut block = [0u8; SCAN_BLOCK];
-        let mut off = 0u64;
-        while off + ENTRY_SIZE <= size {
-            let want = (size - off).min(SCAN_BLOCK as u64);
-            let Some((dev_off, contig)) = mapping.translate(off) else {
-                off += want;
-                continue;
-            };
-            // Whole slots only; extents are block-granular, so a slot
-            // never straddles two reads.
-            let n = (want.min(contig) / ENTRY_SIZE * ENTRY_SIZE) as usize;
-            if n == 0 {
-                off += ENTRY_SIZE;
-                continue;
+        let chunks = size.div_ceil(CHUNK_SIZE);
+        if has_map(size) {
+            let mut line = [0u8; ENTRY_SIZE as usize];
+            if let Some((dev_off, _)) = mapping.translate(MAP_OFFSET) {
+                read(dev_off, &mut line);
             }
-            let block = &mut block[..n];
-            device.read_uncharged(dev_off, block);
-            device.charge_software(cost.pm_read_cost(n, true));
-            if !is_zeroed(block) {
+            scan.map_marked = !is_zeroed(&line);
+            let map_chunks = chunks.min(MAP_CHUNKS) as usize;
+            scan.chunks.extend(
+                line.iter()
+                    .flat_map(|byte| (0..8).map(move |bit| byte >> bit & 1 == 1))
+                    .take(map_chunks)
+                    .enumerate()
+                    .filter(|&(_, marked)| marked)
+                    .map(|(chunk, _)| chunk as u64),
+            );
+            scan.chunks.extend(MAP_CHUNKS..chunks);
+        } else {
+            scan.chunks.extend(0..chunks);
+        }
+        let mut block = [0u8; SCAN_BLOCK];
+        for &chunk in &scan.chunks {
+            let end = size.min((chunk + 1) * CHUNK_SIZE);
+            let mut off = chunk * CHUNK_SIZE;
+            while off + ENTRY_SIZE <= end {
+                let want = (end - off).min(SCAN_BLOCK as u64);
+                let Some((dev_off, contig)) = mapping.translate(off) else {
+                    off += want;
+                    continue;
+                };
+                // Whole slots only; extents are block-granular, so a slot
+                // never straddles two reads.
+                let n = (want.min(contig) / ENTRY_SIZE * ENTRY_SIZE) as usize;
+                if n == 0 {
+                    off += ENTRY_SIZE;
+                    continue;
+                }
+                let block = &mut block[..n];
+                read(dev_off, block);
                 for (i, slot) in block.chunks_exact(ENTRY_SIZE as usize).enumerate() {
-                    if is_zeroed(slot) {
+                    let at = off + i as u64 * ENTRY_SIZE;
+                    if is_zeroed(slot) || (at == MAP_OFFSET && has_map(size)) {
                         continue;
                     }
-                    let at = off + i as u64 * ENTRY_SIZE;
                     match scan.written.last_mut() {
                         Some((_, to)) if *to == at => *to = at + ENTRY_SIZE,
                         _ => scan.written.push((at, at + ENTRY_SIZE)),
                     }
                     scan.entries.extend(LogEntry::decode(slot));
                 }
+                off += n as u64;
             }
-            off += n as u64;
         }
         scan.entries.sort_by_key(|e| e.seq);
         scan
+    }
+
+    /// Clears what `scan` found (recovery path): zeroes its written slots
+    /// under one fence, then — every marked chunk is all-zero now — the
+    /// chunk map under a second.  The whole log file is zero afterwards.
+    /// A scan that found nothing costs no store and no fence.
+    pub fn clear(device: &Arc<PmemDevice>, mapping: &DaxMapping, scan: &LogScan) -> FsResult<()> {
+        if !scan.written.is_empty() {
+            Self::zero_ranges(device, mapping, &scan.written);
+        }
+        if scan.map_marked {
+            store_map(device, mapping, &ChunkMap::default())?;
+        }
+        Ok(())
     }
 }
 
@@ -627,6 +870,11 @@ pub struct LogScan {
     /// The file ranges `[from, to)`, ascending and entry-aligned, that
     /// cover every slot that is not all-zero (adjacent slots merged).
     pub written: Vec<(u64, u64)>,
+    /// The chunks read, ascending: those the map marks, and every chunk
+    /// past its reach (all of them in a log too small for a map).
+    pub chunks: Vec<u64>,
+    /// Whether the map held any bit.
+    map_marked: bool,
 }
 
 #[cfg(test)]
@@ -701,6 +949,13 @@ mod tests {
     #[test]
     fn append_writes_one_line_and_one_fence() {
         let (device, oplog, _) = log(64 * 1024);
+        // The first entry into a chunk makes the chunk's map bit durable
+        // first: one more line and one more fence.
+        let before = device.stats().snapshot();
+        oplog.append(&sample_entry(oplog.next_seq())).unwrap();
+        let delta = device.stats().snapshot().delta(&before);
+        assert_eq!(delta.written(TimeCategory::OpLog), 2 * 64);
+        assert_eq!(delta.fences, 2, "the map bit, then the entry");
         let before = device.stats().snapshot();
         oplog.append(&sample_entry(oplog.next_seq())).unwrap();
         let delta = device.stats().snapshot().delta(&before);
@@ -826,7 +1081,8 @@ mod tests {
     #[test]
     fn group_commit_uses_one_fence_for_many_entries() {
         let (device, oplog, mapping) = log(64 * 1024);
-        oplog.reset(); // establish a known-zero log, then measure
+        oplog.reset(); // establish a known-zero log
+        oplog.append(&sample_entry(oplog.next_seq())).unwrap(); // open the chunk, then measure
         let before = device.stats().snapshot();
         let batch: Vec<LogEntry> = (0..8).map(|_| sample_entry(oplog.next_seq())).collect();
         oplog.append_batch(&batch).unwrap();
@@ -835,7 +1091,7 @@ mod tests {
         assert_eq!(delta.fences, 1, "one fence covers the whole group");
         assert_eq!(delta.oplog_group_commits, 1);
         let entries = OpLog::scan(&device, &mapping, 64 * 1024);
-        assert_eq!(entries.len(), 8);
+        assert_eq!(entries.len(), 9);
     }
 
     #[test]
@@ -859,8 +1115,8 @@ mod tests {
         let delta = device.stats().snapshot().delta(&before);
         assert_eq!(
             delta.written(TimeCategory::OpLog),
-            4 * 64,
-            "truncation work is proportional to entries used, not log size"
+            4 * 64 + 64,
+            "truncation work is proportional to entries used (plus the chunk map), not log size"
         );
         assert_eq!(oplog.entries_used(), 0);
     }
@@ -895,11 +1151,17 @@ mod tests {
             [(0, 192), (320, 384), (size - 64, size)],
             "adjacent slots merge; the torn slot is reported too"
         );
+        assert_eq!(scan.chunks, [0], "the one chunk the appends marked");
         let per_block = device.cost().pm_read_cost(4096, true);
+        let map_read = device.cost().pm_read_cost(64, true);
         let charged = delta.time(TimeCategory::Software);
         assert!(
-            (charged - 16.0 * per_block).abs() < 1.0,
-            "one sequential read per 4 KiB block: {charged} ns"
+            (charged - (map_read + 16.0 * per_block)).abs() < 1.0,
+            "the map, then one sequential read per 4 KiB block: {charged} ns"
+        );
+        assert_eq!(
+            delta.bytes_read[TimeCategory::OpLog.index_in_all()],
+            64 + size
         );
 
         let before = device.stats().snapshot();
@@ -909,6 +1171,18 @@ mod tests {
         assert_eq!(delta.fences, 1, "cleared together or not at all");
         let rescan = OpLog::scan_written(&device, &mapping, size);
         assert!(rescan.entries.is_empty() && rescan.written.is_empty());
+
+        // Clearing the map as well leaves nothing to read but the map.
+        let before = device.stats().snapshot();
+        OpLog::clear(&device, &mapping, &rescan).unwrap();
+        let delta = device.stats().snapshot().delta(&before);
+        assert_eq!(delta.written(TimeCategory::OpLog), 64);
+        assert_eq!(delta.fences, 1);
+        let rescan = OpLog::scan_written(&device, &mapping, size);
+        assert!(rescan.chunks.is_empty());
+        let mut file = vec![0u8; size as usize];
+        device.read_uncharged(mapping.translate(0).unwrap().0, &mut file);
+        assert!(is_zeroed(&file), "the whole log, map included, is zero");
     }
 
     #[test]

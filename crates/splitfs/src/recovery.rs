@@ -10,10 +10,13 @@
 //! instance B's log recovers unchanged even when instance A crashed
 //! mid-relink.  For one log, recovery:
 //!
-//! 1. scans the log — **both epochs**, whatever the sealed/active
-//!    geometry was at the crash — a 4 KiB block at a time, keeps every
-//!    checksum-valid entry, ordered by the global sequence number, and
-//!    notes every slot that is not all-zero (valid or torn),
+//! 1. reads the log's chunk map, then scans the chunks it marks — in
+//!    **both epochs**, whatever the sealed/active geometry was at the
+//!    crash — a 4 KiB block at a time, keeps every checksum-valid entry,
+//!    ordered by the global sequence number, and notes every slot that is
+//!    not all-zero (valid or torn).  An unmarked chunk is all-zero (the
+//!    chunk-map invariant of [`crate::oplog`]), so the scan reads what was
+//!    logged, not the whole file,
 //! 2. drops entries **tagged with another instance's id** (cross-instance
 //!    contamination must never replay; such entries are counted in
 //!    [`RecoveryReport::foreign`]),
@@ -36,17 +39,25 @@
 //!    `fsync_many` over the distinct targets then makes the copies
 //!    durable before step 6, and
 //! 6. clears exactly the slots step 1 found non-zero, adjacent slots as
-//!    one store, all under **one** fence.
+//!    one store, all under **one** fence, and then — every marked chunk
+//!    being zero now — the chunk map under a second.
 //!
-//! Step 6 relies on, and restores, the log's all-zero invariant (see
+//! Step 6 relies on, and restores, the log's two invariants (see
 //! [`crate::oplog`]): whatever the scan did not report is zero already, so
 //! recovery costs what was logged, not the size of the log, and the file
-//! it leaves behind can be handed to a new [`OpLog`]
-//! as is.  The single fence makes the clear all-or-nothing under a crash
-//! that loses unfenced stores: either every entry is still there and the
-//! next recovery replays the same bytes again (replay is idempotent), or
-//! none is — never an `Invalidate` / `StagingRecycle` marker gone while
-//! the staged write it covers survives.
+//! it leaves behind — all-zero, map included — can be handed to a new
+//! [`OpLog`] as is; a restart over it reads the map and nothing else.  The
+//! single fence makes the slot clear all-or-nothing under a crash that
+//! loses unfenced stores: either every entry is still there and the next
+//! recovery replays the same bytes again (replay is idempotent), or none
+//! is — never an `Invalidate` / `StagingRecycle` marker gone while the
+//! staged write it covers survives.  A crash between the two fences leaves
+//! marked chunks that are zero, which the next recovery reads in vain and
+//! clears.
+//!
+//! A failure before step 6 — a media error reading a staged block, say —
+//! closes every descriptor recovery opened and leaves the log as it was,
+//! so a later recovery replays it in full.
 //!
 //! Which instances need recovery is the lease manager's knowledge: an
 //! **orphaned** lease (active on the device, no live holder) marks a
@@ -152,23 +163,47 @@ pub fn recover_instance(
     instance_id: u32,
 ) -> FsResult<RecoveryReport> {
     let path = kernelfs::lease::oplog_path(instance_id);
-    let mut report = RecoveryReport::default();
     if !kernel.exists(&path) {
-        return Ok(report);
+        return Ok(RecoveryReport::default());
     }
-    let device = Arc::clone(kernel.device());
     let log_fd = kernel.open(&path, OpenFlags::read_write())?;
+    let mut fds = HashMap::new();
+    let replayed = replay_log(kernel, log_fd, instance_id, &mut fds);
+    // Every descriptor is closed on every path.  A replay that failed —
+    // a media error in a staged block, say — returned before step 6, so
+    // the log still holds every entry for the next recovery.
+    let closed = fds
+        .into_values()
+        .flatten()
+        .chain([log_fd])
+        .map(|fd| kernel.close(fd))
+        .fold(Ok(()), FsResult::and);
+    let report = replayed?;
+    closed?;
+    Ok(report)
+}
+
+/// Steps 1–6 over the open log `log_fd`.  Every staging and target inode
+/// is opened once into `fds` (`None`: it is gone), however many entries
+/// name it; the caller closes them.
+fn replay_log(
+    kernel: &Arc<Ext4Dax>,
+    log_fd: Fd,
+    instance_id: u32,
+    fds: &mut HashMap<u64, Option<Fd>>,
+) -> FsResult<RecoveryReport> {
+    let mut report = RecoveryReport::default();
+    let device = Arc::clone(kernel.device());
     // The actual file size, not the configured one: the log grows on
     // demand when it fills while a checkpoint cannot run, and every
     // grown slot must be scanned.
     let log_size = kernel.fstat(log_fd)?.size;
     if log_size == 0 {
-        kernel.close(log_fd)?;
         return Ok(report);
     }
     let mapping = kernel.dax_map(log_fd, 0, log_size, false)?;
-    let scan = OpLog::scan_written(&device, &mapping, log_size);
-    let entries = scan.entries;
+    let mut scan = OpLog::scan_written(&device, &mapping, log_size);
+    let entries = std::mem::take(&mut scan.entries);
     report.entries_scanned = entries.len();
 
     // Cross-contamination guard: this log belongs to `instance_id`, so an
@@ -203,9 +238,6 @@ pub fn recover_instance(
         .collect();
     staged.sort_by_key(|e| e.seq);
 
-    // Each staging and target inode is opened once (`None`: it is gone),
-    // however many entries name it.
-    let mut fds: HashMap<u64, Option<Fd>> = HashMap::new();
     let mut open_once = |ino: u64| {
         *fds.entry(ino)
             .or_insert_with(|| kernel.open_by_ino(ino, OpenFlags::read_write()).ok())
@@ -309,17 +341,12 @@ pub fn recover_instance(
     // One forced journal commit makes every copy durable — before step 6,
     // the only ordering the clear below needs.
     kernel.fsync_many(&targets)?;
-    for fd in fds.into_values().flatten() {
-        kernel.close(fd)?;
-    }
 
     // The log's contents have been applied (and fsynced): clear what the
-    // scan found written, which leaves the whole file zero for the next
-    // instance.  An empty log needs no store and no fence.
-    if !scan.written.is_empty() {
-        OpLog::zero_ranges(&device, &mapping, &scan.written);
-    }
-    kernel.close(log_fd)?;
+    // scan found written, then the chunk map, which leaves the whole file
+    // zero for the next instance.  An empty log needs no store and no
+    // fence.
+    OpLog::clear(&device, &mapping, &scan)?;
     Ok(report)
 }
 

@@ -330,6 +330,10 @@ mod tests {
                     .unwrap(),
             );
         }
+        // The first entry into the log's first chunk also fences the
+        // chunk's map bit; log one before measuring.
+        let warm = fs.open("/ring-warm.log", OpenFlags::create()).unwrap();
+        fs.append(warm, &[0; 64]).unwrap();
         fs.maintenance_quiesce();
         let before = FileSystem::device(&*fs).stats().snapshot();
         for (i, fd) in fds.iter().enumerate() {
