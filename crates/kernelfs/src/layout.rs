@@ -158,11 +158,6 @@ impl Superblock {
         Ok(sb)
     }
 
-    /// Byte offset of a block number on the device.
-    pub fn block_offset(&self, block: u64) -> u64 {
-        block * BLOCK_SIZE as u64
-    }
-
     /// Byte offset of the inode record for `ino`.
     pub fn inode_offset(&self, ino: u64) -> u64 {
         self.itable_start * BLOCK_SIZE as u64 + ino * INODE_RECORD_SIZE as u64

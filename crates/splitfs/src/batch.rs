@@ -1,35 +1,76 @@
-//! Relink batching: turning staged extents into one batched kernel call.
+//! Relink batching: the one way staged bytes reach their target file.
 //!
-//! The seed applied each staged run with its own `ioctl_relink` call — one
-//! kernel trap and one journal transaction per run.  This module plans the
-//! work instead: staged extents are coalesced into runs, each run is split
-//! into a block-aligned middle (moved with zero copies) and unaligned
-//! head/tail bytes (copied), and every middle and every head and tail of
-//! every run becomes one [`RelinkOp`] — a move or a [`CopySpan`] — of a
-//! single [`kernelfs::Ext4Dax::ioctl_relink_batch`] submission.  One trap
-//! and one journal transaction then cover the whole `fsync`, whatever the
-//! alignment — or, when the [maintenance daemon](crate::daemon)
-//! checkpoints in the background, many files' worth of staged data at
-//! once.
+//! Staged extents are coalesced into runs; each run is split into a
+//! block-aligned middle (moved, zero copies) and unaligned head/tail bytes
+//! (copied), and every middle, head and tail becomes one [`RelinkOp`] — a
+//! move or a [`CopySpan`] — of one `submit`: at most 64 ops per
+//! [`kernelfs::Ext4Dax::ioctl_relink_batch`] call, each one trap and one
+//! journal transaction, whatever the alignment.  An `fsync`, a background
+//! checkpoint of many files and crash recovery all retire through it.
 
-use kernelfs::{RelinkOp, BLOCK_SIZE};
-use vfs::Fd;
+use kernelfs::{Ext4Dax, RelinkOp, BLOCK_SIZE};
+use vfs::{Fd, FsResult};
 
 use crate::state::StagedExtent;
+
+/// Most moves and copies submitted per `ioctl_relink_batch` call: larger
+/// batches amortize the journal transaction further but hold the kernel
+/// lock longer.  A file with four chunks' worth of staged extents is
+/// relinked in the background.
+pub(crate) const RELINK_CHUNK: usize = 64;
+
+/// Submits `moves` and `copies` through
+/// [`Ext4Dax::ioctl_relink_batch`], at most [`RELINK_CHUNK`] of them per
+/// call, each call one trap and one journal transaction; returns every
+/// destination's size after the calls.
+pub(crate) fn submit(
+    kernel: &Ext4Dax,
+    moves: &[RelinkOp],
+    copies: &[RelinkOp],
+) -> FsResult<Vec<(Fd, u64)>> {
+    let mut sizes = Vec::new();
+    let (mut moves, mut copies) = (moves, copies);
+    while !moves.is_empty() || !copies.is_empty() {
+        let (m, more_moves) = moves.split_at(moves.len().min(RELINK_CHUNK));
+        let (c, more_copies) = copies.split_at(copies.len().min(RELINK_CHUNK - m.len()));
+        sizes.extend(kernel.ioctl_relink_batch(m, c)?);
+        (moves, copies) = (more_moves, more_copies);
+    }
+    Ok(sizes)
+}
+
+/// Where a run sits on the device: a `u64` offset on the retire path,
+/// whose staging files are pre-mapped, and `()` in crash recovery, which
+/// works from the log.  A plan's copies and retained mappings carry the
+/// same type, so none can claim a device offset recovery never had.
+pub trait DeviceOffset: Copy + Default {
+    /// The location `skip` bytes further on.
+    fn advance(self, skip: u64) -> Self;
+}
+
+impl DeviceOffset for u64 {
+    fn advance(self, skip: u64) -> u64 {
+        self + skip
+    }
+}
+
+impl DeviceOffset for () {
+    fn advance(self, _skip: u64) {}
+}
 
 /// A group of staged extents that are contiguous in the target file, in the
 /// staging file and on the device, so they can be applied with a single
 /// relink and served through a single retained mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StagedRun {
+pub struct StagedRun<D = u64> {
     /// Offset of the run within the target file.
     pub target_offset: u64,
     /// Kernel descriptor of the staging file holding the run's bytes.
     pub staging_fd: Fd,
     /// Offset of the run within the staging file.
     pub staging_offset: u64,
-    /// Device offset of the run (staging files are pre-mapped).
-    pub device_offset: u64,
+    /// Device offset of the run, where its planner knows one.
+    pub device_offset: D,
     /// Length of the run in bytes.
     pub len: u64,
     /// Highest operation-log sequence number the run covers.
@@ -99,13 +140,13 @@ pub fn generations(runs: &[StagedRun]) -> Vec<&[StagedRun]> {
 /// staging phase does not match the target's, or — relink disabled — a
 /// whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CopySpan {
+pub struct CopySpan<D = u64> {
     /// The copy as the relink ioctl takes it: from the staging file's range
     /// to the target's.
     pub op: RelinkOp,
     /// Device offset of the staged bytes, where the ablation without
     /// relink reads them before writing them through the kernel.
-    pub device_offset: u64,
+    pub device_offset: D,
 }
 
 /// A staging mapping retained for the target file's mmap collection: after
@@ -113,28 +154,28 @@ pub struct CopySpan {
 /// target range, so reads keep hitting them without new page faults
 /// (paper Figure 2, step 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetainedMapping {
+pub struct RetainedMapping<D = u64> {
     /// Target-file offset the mapping now serves.
     pub target_offset: u64,
     /// Device offset of the physical blocks.
-    pub device_offset: u64,
+    pub device_offset: D,
     /// Length in bytes.
     pub len: u64,
 }
 
 /// Everything needed to apply a file's staged runs.
 #[derive(Debug, Default)]
-pub struct RelinkPlan {
+pub struct RelinkPlan<D = u64> {
     /// Block moves, submitted through `ioctl_relink_batch`.
     pub ops: Vec<RelinkOp>,
     /// Byte spans applied by copying: beside the moves in the same
     /// submission, or through the kernel write path without relink.
-    pub copies: Vec<CopySpan>,
+    pub copies: Vec<CopySpan<D>>,
     /// Mappings to retain in the target's collection after the moves.
-    pub retained: Vec<RetainedMapping>,
+    pub retained: Vec<RetainedMapping<D>>,
 }
 
-impl RelinkPlan {
+impl<D> RelinkPlan<D> {
     /// Whether the plan does nothing.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty() && self.copies.is_empty()
@@ -147,7 +188,11 @@ impl RelinkPlan {
 /// [`RelinkOp`] and only unaligned head/tail bytes (or phase-mismatched
 /// runs) are copied; without it (the Figure 3 ablation) everything is
 /// copied, through the kernel write path.
-pub fn plan(runs: &[StagedRun], target_fd: Fd, use_relink: bool) -> RelinkPlan {
+pub fn plan<D: DeviceOffset>(
+    runs: &[StagedRun<D>],
+    target_fd: Fd,
+    use_relink: bool,
+) -> RelinkPlan<D> {
     let block = BLOCK_SIZE as u64;
     let mut plan = RelinkPlan::default();
     for run in runs {
@@ -160,7 +205,7 @@ pub fn plan(runs: &[StagedRun], target_fd: Fd, use_relink: bool) -> RelinkPlan {
                 dst_offset: run.target_offset + skip,
                 len,
             },
-            device_offset: run.device_offset + skip,
+            device_offset: run.device_offset.advance(skip),
         };
         if !use_relink {
             plan.copies.push(copy(0, run.len));
@@ -187,7 +232,7 @@ pub fn plan(runs: &[StagedRun], target_fd: Fd, use_relink: bool) -> RelinkPlan {
             });
             plan.retained.push(RetainedMapping {
                 target_offset: aligned_start,
-                device_offset: run.device_offset + head,
+                device_offset: run.device_offset.advance(head),
                 len,
             });
             if head > 0 {

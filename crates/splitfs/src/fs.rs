@@ -31,13 +31,13 @@ use vfs::{
     IoVec, OpenFlags, ReadView, SeekFrom,
 };
 
+use crate::batch::RELINK_CHUNK;
 use crate::config::SplitConfig;
 use crate::daemon::{MaintenanceDaemon, Task, CHECKPOINT_FRACTION};
 use crate::mmap_collection::{MAP_POPULATE, MMAP_SIZE};
 use crate::modes::Mode;
 use crate::oplog::{LogEntry, LogOp, OpLog};
 use crate::recovery;
-use crate::relink::RELINK_CHUNK;
 use crate::staging::{StagingAllocation, StagingPool};
 use crate::state::{Descriptor, FileState, ShardedFdTable, ShardedRegistry, StagedExtent};
 

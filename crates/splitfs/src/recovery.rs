@@ -2,13 +2,12 @@
 //!
 //! In POSIX and sync modes SplitFS needs nothing beyond the kernel file
 //! system's own journal recovery.  In strict (and sync-for-appends) mode,
-//! an instance's operation log may contain staged writes that were durable
-//! in a staging file but had not yet been relinked into their target file
-//! when the crash hit.  With multiple instances over one kernel file
-//! system, each instance has its **own** log (leased through
-//! [`kernelfs::lease`]) and recovery replays each log independently —
-//! instance B's log recovers unchanged even when instance A crashed
-//! mid-relink.  For one log, recovery:
+//! an instance's operation log may hold staged writes that were durable in
+//! a staging file but not yet relinked into their target when the crash
+//! hit.  Each instance has its **own** log (leased through
+//! [`kernelfs::lease`]), replayed independently of every other — instance
+//! B's log recovers unchanged even when instance A crashed mid-relink.
+//! For one log, recovery:
 //!
 //! 1. reads the log's chunk map, then scans the chunks it marks — in
 //!    **both epochs**, whatever the sealed/active geometry was at the
@@ -23,41 +22,34 @@
 //! 3. drops entries covered by an `Invalidate` record (their relink
 //!    completed before the crash) or by a `StagingRecycle` record (their
 //!    staging file was re-provisioned, so its blocks hold unrelated data),
-//! 4. visits the remaining staged writes **newest first**, keeping per
-//!    target file the ranges already settled by a newer entry, and for
-//!    each checks whether the staging range is still mapped — if the
-//!    relink had already moved the blocks the range is a hole and the
-//!    data is in the target (this is what makes replay idempotent); an
-//!    entry that is part hole — it straddles the end of a relinked run,
-//!    whose last partial block is copied, not moved — is taken block by
-//!    block,
-//! 5. copies what is still staged into the target files through the
-//!    kernel — each staging and target inode opened once — but only where
-//!    no newer entry has settled the range: what an older entry still
-//!    holds never lands on top of what a newer one wrote, whether that
-//!    was replayed a moment ago or relinked before the crash; **one**
-//!    `fsync_many` over the distinct targets then makes the copies
-//!    durable before step 6, and
+//! 4. **settles newest first**: per target file it keeps the ranges newer
+//!    entries settled, so an older entry never lands on what a newer one
+//!    wrote, by this replay or by a relink before the crash.  A staging
+//!    range that is a hole was relinked already (this makes replay
+//!    idempotent); an entry that is part hole — it straddles the end of a
+//!    relinked run, whose partial last block was copied — is probed block
+//!    by block.  Each still-mapped, unsettled piece becomes a staged run,
+//! 5. makes **one relink submission** of every target's runs, planned by
+//!    [`batch::plan`] as `fsync` plans them: aligned blocks move, partial
+//!    ones are copied, and each call's journal commit is durable before
+//!    step 6, and
 //! 6. clears exactly the slots step 1 found non-zero, adjacent slots as
 //!    one store, all under **one** fence, and then — every marked chunk
 //!    being zero now — the chunk map under a second.
 //!
 //! Step 6 relies on, and restores, the log's two invariants (see
-//! [`crate::oplog`]): whatever the scan did not report is zero already, so
-//! recovery costs what was logged, not the size of the log, and the file
-//! it leaves behind — all-zero, map included — can be handed to a new
-//! [`OpLog`] as is; a restart over it reads the map and nothing else.  The
+//! [`crate::oplog`]): what the scan did not report is zero already, so
+//! recovery costs what was logged, not the size of the log, and the
+//! all-zero file it leaves can be handed to a new [`OpLog`] as is.  The
 //! single fence makes the slot clear all-or-nothing under a crash that
-//! loses unfenced stores: either every entry is still there and the next
-//! recovery replays the same bytes again (replay is idempotent), or none
-//! is — never an `Invalidate` / `StagingRecycle` marker gone while the
-//! staged write it covers survives.  A crash between the two fences leaves
-//! marked chunks that are zero, which the next recovery reads in vain and
-//! clears.
+//! loses unfenced stores: every entry survives and the next recovery
+//! replays again, or none does — never a marker gone while the staged
+//! write it covers survives.  A crash between the two fences leaves zero
+//! chunks marked, which the next recovery reads in vain and clears.
 //!
-//! A failure before step 6 — a media error reading a staged block, say —
+//! A failure before step 6 — a media error under a staged block, say —
 //! closes every descriptor recovery opened and leaves the log as it was,
-//! so a later recovery replays it in full.
+//! so a later recovery replays it.
 //!
 //! Which instances need recovery is the lease manager's knowledge: an
 //! **orphaned** lease (active on the device, no live holder) marks a
@@ -67,12 +59,14 @@
 //! [`SplitConfig::without_orphan_recovery`](crate::SplitConfig) disables
 //! it for tests that stage crashes deliberately).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use kernelfs::{Ext4Dax, BLOCK_SIZE};
 use vfs::{Fd, FileSystem, FsResult, OpenFlags};
 
+use crate::batch::{self, StagedRun};
 use crate::config::SplitConfig;
 use crate::oplog::{LogEntry, LogOp, OpLog};
 
@@ -130,15 +124,6 @@ impl Settled {
         self.0.insert(lo, hi);
         open
     }
-}
-
-/// One copy replay decided on: staged bytes no newer entry has settled.
-struct ReplayCopy {
-    staging_fd: Fd,
-    staging_offset: u64,
-    target_fd: Fd,
-    target_offset: u64,
-    len: u64,
 }
 
 /// Replays the **default instance's** (instance 0's) operation log.
@@ -242,13 +227,13 @@ fn replay_log(
         *fds.entry(ino)
             .or_insert_with(|| kernel.open_by_ino(ino, OpenFlags::read_write()).ok())
     };
+    // Each staging file's size, read once: a logged range may run past it.
+    let mut staging_sizes: HashMap<Fd, u64> = HashMap::new();
     let mut settled: HashMap<u64, Settled> = HashMap::new();
-    // What to copy; the target ranges are disjoint.
-    let mut copies: Vec<ReplayCopy> = Vec::new();
+    // Per target, ordered so that ops fall into the same ioctls every time.
+    let mut runs: BTreeMap<Fd, Vec<StagedRun<()>>> = BTreeMap::new();
     // Newest first: a target range is settled by the newest entry that
-    // wrote it, so what an older entry still holds for it is never copied
-    // over what a newer one put there — by this replay, or by a relink that
-    // completed before the crash.
+    // wrote it, by this replay or by a relink before the crash.
     for entry in staged.into_iter().rev() {
         if invalidated_up_to
             .get(&entry.target_ino)
@@ -273,12 +258,10 @@ fn replay_log(
             report.already_applied += 1;
             continue;
         };
-        // What of the staging range still holds the data (idempotency test:
-        // a completed relink leaves a hole).  A relink moves whole blocks
-        // and copies the partial ones, so an entry that straddles the end
-        // of a relinked run is part hole, part still staged — and only the
-        // log can say so if the crash came before the copy was durable:
-        // such an entry is taken block by block.
+        // What of the staging range still holds the data: a completed
+        // relink leaves a hole.  An entry that straddles the end of a
+        // relinked run, whose partial last block was copied, is part hole
+        // and is taken block by block.
         let end = entry.staging_offset + entry.len;
         let mut pieces = Vec::new();
         if kernel.range_mapped(staging_fd, entry.staging_offset, entry.len)? {
@@ -295,7 +278,6 @@ fn replay_log(
         let any_mapped = pieces.iter().any(|&(.., mapped)| mapped);
         let target_fd = any_mapped.then(|| open_once(entry.target_ino)).flatten();
         let settled = settled.entry(entry.target_ino).or_default();
-        let first_copy = copies.len();
         for (at, len, mapped) in pieces {
             let to_target = |staging: u64| entry.target_offset + (staging - entry.staging_offset);
             // A hole is in the target already; either way the range is this
@@ -304,48 +286,45 @@ fn replay_log(
             let (true, Some(target_fd)) = (mapped, target_fd) else {
                 continue;
             };
-            copies.extend(open.into_iter().map(|(from, to)| ReplayCopy {
-                staging_fd,
-                staging_offset: at + (from - to_target(at)),
-                target_fd,
-                target_offset: from,
-                len: to - from,
-            }));
+            let staging_size = match staging_sizes.entry(staging_fd) {
+                Entry::Occupied(size) => *size.get(),
+                Entry::Vacant(size) => *size.insert(kernel.fstat(staging_fd)?.size),
+            };
+            let runs = runs.entry(target_fd).or_default();
+            for (from, to) in open {
+                let staging_offset = at + (from - to_target(at));
+                // Only what the staging file still holds replays.
+                let len = (to - from).min(staging_size.saturating_sub(staging_offset));
+                if len > 0 {
+                    runs.push(StagedRun {
+                        target_offset: from,
+                        staging_fd,
+                        staging_offset,
+                        device_offset: (),
+                        len,
+                        max_seq: entry.seq,
+                    });
+                }
+            }
         }
-        // The list is run backwards below: this keeps an entry's own copies
-        // in ascending order there.
-        copies[first_copy..].reverse();
         match target_fd {
             Some(_) => report.replayed += 1,
             None => report.already_applied += 1,
         }
     }
-    // The copies themselves run oldest first, the order the writes were
-    // made in: a file that was appended to grows from its end instead of
-    // being filled in backwards behind a gap.
-    let mut targets: Vec<Fd> = Vec::new();
-    let mut buf = Vec::new();
-    for copy in copies.into_iter().rev() {
-        buf.resize(copy.len as usize, 0);
-        // The staging file's size may not cover the staged range (staging
-        // files are sized by ftruncate, so normally it does); read_at stops
-        // at EOF, so read what is there.
-        let n = kernel.read_at(copy.staging_fd, copy.staging_offset, &mut buf)?;
-        if n > 0 {
-            kernel.write_at(copy.target_fd, copy.target_offset, &buf[..n])?;
-        }
-        if !targets.contains(&copy.target_fd) {
-            targets.push(copy.target_fd);
-        }
+    // Settled runs are disjoint: each target's are one generation, and all
+    // go in one submission, whose commits are durable before the clear.
+    let (mut moves, mut copies) = (Vec::new(), Vec::new());
+    for (&target_fd, runs) in &runs {
+        let plan = batch::plan(runs, target_fd, true);
+        moves.extend(plan.ops);
+        copies.extend(plan.copies.into_iter().map(|span| span.op));
     }
-    // One forced journal commit makes every copy durable — before step 6,
-    // the only ordering the clear below needs.
-    kernel.fsync_many(&targets)?;
+    batch::submit(kernel, &moves, &copies)?;
 
-    // The log's contents have been applied (and fsynced): clear what the
-    // scan found written, then the chunk map, which leaves the whole file
-    // zero for the next instance.  An empty log needs no store and no
-    // fence.
+    // Clear what the scan found written, then the chunk map, which leaves
+    // the whole file zero for the next instance.  An empty log needs no
+    // store and no fence.
     OpLog::clear(&device, &mapping, &scan)?;
     Ok(report)
 }

@@ -1,19 +1,19 @@
 //! The user-space half of the relink primitive (paper §3.3, Figure 2):
 //! the one way staged bytes are retired.
 //!
-//! On `fsync`, `fsync_many`, `close`, an operation-log checkpoint, the
-//! cold-file sweep or a background relink,
-//! `SplitFs::relink_batch` moves every staged extent of the files it is
-//! given into their targets:
+//! On `fsync`, `fsync_many`, `close`, an operation-log checkpoint or a
+//! background relink, `SplitFs::relink_batch` moves every staged extent of
+//! the files it is given into their targets — and crash recovery replays
+//! what a log still holds through the same planner and submission
+//! ([`crate::recovery`]):
 //!
 //! * staged extents are coalesced into runs and planned by
 //!   [`crate::batch`]: block-aligned portions become [`kernelfs::RelinkOp`]
-//!   moves, and unaligned head/tail bytes (the paper's partial-block case)
+//!   moves, unaligned head/tail bytes (the paper's partial-block case)
 //!   copies, all submitted through the **batched**
-//!   [`kernelfs::Ext4Dax::ioctl_relink_batch`] entry point — so one kernel
-//!   trap and one journal transaction cover every run of every file in the
-//!   batch, whatever its alignment, and the call returns the targets' new
-//!   sizes;
+//!   [`kernelfs::Ext4Dax::ioctl_relink_batch`] — one trap and one journal
+//!   transaction per 64 ops, however many files and whatever their
+//!   alignment; the call returns the targets' new sizes;
 //! * the mappings that served the staged data are retained in the target
 //!   file's collection of mmaps, so later reads hit the same physical
 //!   blocks without new page faults;
@@ -40,12 +40,6 @@ use crate::fs::SplitFs;
 use crate::oplog::{LogEntry, LogOp};
 use crate::state::FileState;
 
-/// Most moves and copies submitted per `ioctl_relink_batch` call: larger
-/// batches amortize the journal transaction further but hold the kernel
-/// lock longer.  A file with four chunks' worth of staged extents is
-/// relinked in the background.
-pub(crate) const RELINK_CHUNK: usize = 64;
-
 impl SplitFs {
     /// The one retire pipeline: applies every staged extent of `states` —
     /// file states whose write locks the caller holds — to the target
@@ -68,25 +62,6 @@ impl SplitFs {
         deferred: Option<&mut Vec<LogEntry>>,
     ) -> FsResult<()> {
         let use_relink = self.config.use_relink;
-        // At most `RELINK_CHUNK` moves and copies per call, each call one
-        // trap and one journal transaction; returns every target's size
-        // after the calls.
-        let submit = |moves: &[RelinkOp], copies: &[RelinkOp]| -> FsResult<Vec<(Fd, u64)>> {
-            let mut sizes = Vec::new();
-            let (mut moves, mut copies) = (moves, copies);
-            while !moves.is_empty() || !copies.is_empty() {
-                let (m, more_moves) = moves.split_at(moves.len().min(RELINK_CHUNK));
-                let (c, more_copies) = copies.split_at(copies.len().min(RELINK_CHUNK - m.len()));
-                let got = self.kernel.ioctl_relink_batch(m, c)?;
-                if sizes.is_empty() {
-                    sizes = got;
-                } else {
-                    sizes.extend(got);
-                }
-                (moves, copies) = (more_moves, more_copies);
-            }
-            Ok(sizes)
-        };
         // The copies a plan hands the kernel beside its moves.
         let kernel_copies = |plan: &RelinkPlan| -> Vec<RelinkOp> {
             if use_relink {
@@ -139,7 +114,7 @@ impl SplitFs {
             };
             for generation in earlier {
                 let plan = batch::plan(generation, st.kernel_fd, use_relink);
-                let sizes = submit(&plan.ops, &kernel_copies(&plan))?;
+                let sizes = batch::submit(&self.kernel, &plan.ops, &kernel_copies(&plan))?;
                 apply(st, &plan, &sizes)?;
             }
             let plan = batch::plan(last, st.kernel_fd, use_relink);
@@ -150,7 +125,7 @@ impl SplitFs {
         if planned.is_empty() {
             return Ok(());
         }
-        let sizes = submit(&shared, &shared_copies)?;
+        let sizes = batch::submit(&self.kernel, &shared, &shared_copies)?;
 
         let mut markers = Vec::new();
         let mut retired = 0u64;

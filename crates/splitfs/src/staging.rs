@@ -850,32 +850,6 @@ impl StagingPool {
         drop(inner);
         self.refresh_pressure(lane_idx);
     }
-
-    /// Translates a (staging_ino, staging_offset) pair back to a device
-    /// offset; used by the read path for staged-but-not-yet-relinked data
-    /// and by crash recovery.
-    pub fn translate(&self, staging_ino: u64, staging_offset: u64) -> Option<(u64, u64)> {
-        self.with_file_lane(staging_ino, |inner| {
-            inner
-                .files
-                .iter()
-                .find(|f| f.ino == staging_ino)
-                .and_then(|f| f.mapping.translate(staging_offset))
-        })
-        .and_then(|(_, hit)| hit)
-    }
-
-    /// Returns the kernel descriptor for a staging file by inode.
-    pub fn fd_for(&self, staging_ino: u64) -> Option<Fd> {
-        self.with_file_lane(staging_ino, |inner| {
-            inner
-                .files
-                .iter()
-                .find(|f| f.ino == staging_ino)
-                .map(|f| f.fd)
-        })
-        .and_then(|(_, fd)| fd)
-    }
 }
 
 #[cfg(test)]
@@ -980,16 +954,6 @@ mod tests {
         assert_eq!(pool.files_created_background(), 2);
         assert_eq!(device.stats().snapshot().staging_bg_creates, 2);
         assert_eq!(device.stats().snapshot().staging_inline_creates, 0);
-    }
-
-    #[test]
-    fn translate_finds_staged_locations() {
-        let (_d, _k, pool) = setup();
-        let a = pool.take(8192, 0, None).unwrap();
-        let (dev, contig) = pool.translate(a.staging_ino, a.staging_offset).unwrap();
-        assert_eq!(dev, a.device_offset);
-        assert!(contig >= a.len);
-        assert!(pool.translate(9999, 0).is_none());
     }
 
     #[test]

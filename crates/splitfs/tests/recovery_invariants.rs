@@ -221,6 +221,29 @@ fn acknowledged_workload(fs: &Arc<SplitFs>) -> Vec<(&'static str, Vec<u8>)> {
     expected
 }
 
+/// A second acknowledged workload, large enough that its replay takes
+/// several relink calls: 240 appends alternating 4 KiB and 1.5 KiB over
+/// four files, so most land off a block boundary, and one early fsync.
+fn interleaved_workload(fs: &Arc<SplitFs>) -> Vec<(&'static str, Vec<u8>)> {
+    let paths = ["/i0.db", "/i1.db", "/i2.db", "/i3.db"];
+    let fds: Vec<_> = paths
+        .iter()
+        .map(|path| fs.open(path, OpenFlags::create()).unwrap())
+        .collect();
+    let mut contents = vec![Vec::new(); paths.len()];
+    for i in 0..240usize {
+        let file = i % paths.len();
+        let len = [4096, 1536][(i / paths.len()) % 2];
+        let record = vec![(i % 251) as u8 + 1; len];
+        fs.append(fds[file], &record).unwrap();
+        contents[file].extend_from_slice(&record);
+        if i == 9 {
+            fs.fsync(fds[0]).unwrap();
+        }
+    }
+    paths.into_iter().zip(contents).collect()
+}
+
 /// The whole restart of a crashed stack: mount, replay, new instance.
 fn restart(device: &Arc<PmemDevice>, config: &SplitConfig) -> Arc<SplitFs> {
     let (kernel, _) = mount_and_recover(device, config);
@@ -229,62 +252,64 @@ fn restart(device: &Arc<PmemDevice>, config: &SplitConfig) -> Arc<SplitFs> {
 
 #[test]
 fn recovery_is_idempotent_under_its_own_crash() {
-    let device = new_device(CrashPolicy::LoseUnflushed);
-    let config = strict_config();
-    let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
-    let fs = SplitFs::new(kernel, config.clone()).unwrap();
-    let expected = acknowledged_workload(&fs);
-    drop(fs);
-    device.crash();
-    let crashed = device.capture_crash_image();
-
-    // How many fences one uninterrupted restart issues.
-    let start = device.fence_ordinal();
-    drop(restart(&device, &config));
-    let fences = device.fence_ordinal() - start;
-    assert!(fences >= 10, "a restart fences {fences} times");
-
-    // Cut the restart before each of them in turn, then restart again
-    // from what that cut left on the media.
-    let mut points = 0;
-    for k in 0..fences {
-        device.restore_crash_image(&crashed);
-        let target = device.fence_ordinal() + k;
-        let cut = Arc::new(parking_lot::Mutex::new(None));
-        {
-            let cut = Arc::clone(&cut);
-            device.set_fence_hook(Some(Arc::new(move |dev: &PmemDevice, ordinal: u64| {
-                if ordinal == target {
-                    *cut.lock() = Some(dev.capture_crash_image());
-                }
-            })));
-        }
-        drop(restart(&device, &config));
-        device.set_fence_hook(None);
-        let Some(image) = cut.lock().take() else {
-            continue;
-        };
-        device.restore_crash_image(&image);
-        drop(image);
-
-        let fs = restart(&device, &config);
-        for (path, content) in &expected {
-            assert_eq!(
-                &fs.read_file(path).unwrap(),
-                content,
-                "{path} after a crash before restart fence {k}"
-            );
-        }
+    for workload in [acknowledged_workload, interleaved_workload] {
+        let device = new_device(CrashPolicy::LoseUnflushed);
+        let config = strict_config();
+        let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        let fs = SplitFs::new(kernel, config.clone()).unwrap();
+        let expected = workload(&fs);
         drop(fs);
-        let kernel = Ext4Dax::mount(Arc::clone(&device)).unwrap();
-        let dirty = kernel.check_namespace();
-        assert!(
-            dirty.is_empty(),
-            "namespace after a crash before restart fence {k}: {dirty:?}"
-        );
-        points += 1;
+        device.crash();
+        let crashed = device.capture_crash_image();
+
+        // How many fences one uninterrupted restart issues.
+        let start = device.fence_ordinal();
+        drop(restart(&device, &config));
+        let fences = device.fence_ordinal() - start;
+        assert!(fences >= 10, "a restart fences {fences} times");
+
+        // Cut the restart before each of them in turn, then restart again
+        // from what that cut left on the media.
+        let mut points = 0;
+        for k in 0..fences {
+            device.restore_crash_image(&crashed);
+            let target = device.fence_ordinal() + k;
+            let cut = Arc::new(parking_lot::Mutex::new(None));
+            {
+                let cut = Arc::clone(&cut);
+                device.set_fence_hook(Some(Arc::new(move |dev: &PmemDevice, ordinal: u64| {
+                    if ordinal == target {
+                        *cut.lock() = Some(dev.capture_crash_image());
+                    }
+                })));
+            }
+            drop(restart(&device, &config));
+            device.set_fence_hook(None);
+            let Some(image) = cut.lock().take() else {
+                continue;
+            };
+            device.restore_crash_image(&image);
+            drop(image);
+
+            let fs = restart(&device, &config);
+            for (path, content) in &expected {
+                assert_eq!(
+                    &fs.read_file(path).unwrap(),
+                    content,
+                    "{path} after a crash before restart fence {k}"
+                );
+            }
+            drop(fs);
+            let kernel = Ext4Dax::mount(Arc::clone(&device)).unwrap();
+            let dirty = kernel.check_namespace();
+            assert!(
+                dirty.is_empty(),
+                "namespace after a crash before restart fence {k}: {dirty:?}"
+            );
+            points += 1;
+        }
+        assert!(points >= 10, "only {points} crash points were reached");
     }
-    assert!(points >= 10, "only {points} crash points were reached");
 }
 
 struct RestartCost {
@@ -413,6 +438,40 @@ fn a_media_error_in_replay_fails_closed_and_a_retry_replays_everything() {
         assert_eq!(&kernel.read_file(path).unwrap(), content, "{path}");
     }
     assert!(scan_log().is_empty(), "the retry cleared the log");
+}
+
+#[test]
+fn replay_moves_aligned_staged_blocks_instead_of_copying_them() {
+    // Replay retires staged writes the way fsync does: aligned blocks move
+    // through the relink ioctl, 64 ops per call, and no byte is copied.
+    let device = new_device(CrashPolicy::LoseUnflushed);
+    let config = strict_config();
+    let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    let fs = SplitFs::new(kernel, config.clone()).unwrap();
+    let fd = fs.open("/aligned.db", OpenFlags::create()).unwrap();
+    let mut expected = Vec::new();
+    for i in 0..100u8 {
+        let record = [i + 1; BLOCK_SIZE];
+        fs.append(fd, &record).unwrap();
+        expected.extend_from_slice(&record);
+    }
+    drop(fs);
+    device.crash();
+
+    let kernel = Ext4Dax::mount(Arc::clone(&device)).expect("mount");
+    let before = device.stats().snapshot();
+    let report = recover(&kernel, &config).expect("oplog replay");
+    let delta = device.stats().snapshot().delta(&before);
+    assert_eq!(report.replayed, 100);
+    assert_eq!(delta.batched_relinks, 2, "100 moves in calls of 64");
+    assert_eq!(delta.relink_batch_ops, 100, "every staged block moves");
+    assert_eq!(
+        delta.bytes_written[TimeCategory::UserData.index_in_all()],
+        0,
+        "no staged byte is copied"
+    );
+    assert_eq!(delta.fsync_many_calls, 0);
+    assert!(kernel.read_file("/aligned.db").unwrap() == expected);
 }
 
 #[test]

@@ -156,7 +156,10 @@ fn crash_mid_recycle_recovers_contents_and_lane_geometry() {
     // The file caught mid-recycle is back in rotation (adopted under
     // some lane) and the instance is fully writable.
     assert!(
-        pool2.lane_of(recycled_ino).is_some() || pool2.translate(recycled_ino, 0).is_none(),
+        pool2.lane_of(recycled_ino).is_some()
+            || kernel2
+                .open_by_ino(recycled_ino, OpenFlags::read_only())
+                .is_err(),
         "the mid-recycle file either rejoined the pool or was reclaimed"
     );
     let fd = fs2.open("/after.log", OpenFlags::create()).unwrap();
