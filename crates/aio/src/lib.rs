@@ -27,9 +27,9 @@
 //! 3. Published epochs are monotone (`fetch_max` publication).
 //!
 //! Lock ordering: the drain lock is the outermost lock — a drainer
-//! acquires file-system locks (file states, lanes) *under* it, so no
-//! thread may submit, drain, or await an epoch while holding any
-//! file-system lock.
+//! acquires file-system locks (file states, the staging pool) *under*
+//! it, so no thread may submit, drain, or await an epoch while holding
+//! any file-system lock.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -13,8 +13,8 @@
 //! guard.
 //!
 //! Fence counts are *mostly* deterministic but can drift by a few
-//! ordinals across replays (lane stealing between concurrent workers
-//! reorders who fences), so the sampler only targets ordinals below
+//! ordinals across replays (the workload's threads interleave
+//! differently on each run, which reorders who fences), so the sampler only targets ordinals below
 //! 90% of the enumerated count and a replay whose target never fires
 //! is reported as `points_unreached` rather than an error.
 //!

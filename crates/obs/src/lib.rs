@@ -9,8 +9,8 @@
 //!   every simulated-time charge the thread makes (via
 //!   [`pmem::Stats::add_time`]) is attributed to the span's
 //!   per-[`pmem::TimeCategory`] breakdown, and instrumentation points
-//!   annotate the span with [`SpanEvent`]s (lane steal, inline create,
-//!   epoch swap, ...).  Recording is thread-local and lock-free on the
+//!   annotate the span with [`SpanEvent`]s (inline create, epoch
+//!   swap, ...).  Recording is thread-local and lock-free on the
 //!   hot path: each thread owns a histogram shard it updates with plain
 //!   relaxed atomics, and the only mutex is taken once per
 //!   (thread, op-kind) at first use, never per operation.

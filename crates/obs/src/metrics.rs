@@ -121,7 +121,7 @@ mod tests {
                     let _g = rec.span(OpKind::Appendv);
                     SimClock::charge_thread_wait(10.0 + i as f64);
                     if i == 0 {
-                        crate::span::event(SpanEvent::LaneSteal);
+                        crate::span::event(SpanEvent::InlineCreate);
                     }
                 }
             });
@@ -140,7 +140,7 @@ mod tests {
         let op = snap.op(OpKind::Appendv).expect("appendv recorded");
         assert!(op.p99_ns >= op.p50_ns);
         assert!(op.max_ns >= op.p999_ns);
-        assert_eq!(op.events[SpanEvent::LaneSteal.index()], 1);
+        assert_eq!(op.events[SpanEvent::InlineCreate.index()], 1);
     }
 
     #[test]

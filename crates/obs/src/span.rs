@@ -127,8 +127,6 @@ impl OpKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum SpanEvent {
-    /// An appender's staging lane ran dry and it stole from another lane.
-    LaneSteal,
     /// Staging exhausted; the foreground created a staging file inline.
     InlineCreate,
     /// The operation log swapped active epochs.
@@ -150,11 +148,10 @@ pub enum SpanEvent {
 
 impl SpanEvent {
     /// Number of event kinds.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// Every event, in display order.
     pub const ALL: [SpanEvent; SpanEvent::COUNT] = [
-        SpanEvent::LaneSteal,
         SpanEvent::InlineCreate,
         SpanEvent::EpochSwap,
         SpanEvent::GroupCommit,
@@ -173,7 +170,6 @@ impl SpanEvent {
     /// Stable snake-case label used in dumps and JSON keys.
     pub fn label(self) -> &'static str {
         match self {
-            SpanEvent::LaneSteal => "lane_steal",
             SpanEvent::InlineCreate => "inline_create",
             SpanEvent::EpochSwap => "epoch_swap",
             SpanEvent::GroupCommit => "group_commit",
@@ -507,15 +503,18 @@ mod tests {
                 let _inner = rec.span(OpKind::Create);
                 event(SpanEvent::InlineCreate);
             }
-            event(SpanEvent::LaneSteal);
+            event(SpanEvent::InlineCreate);
         }
         let aggs = rec.aggregate();
         assert_eq!(aggs.len(), 1, "only the outermost span records");
         let a = &aggs[0];
         assert_eq!(a.kind, OpKind::Appendv);
         assert_eq!(a.hist.count(), 1);
-        assert_eq!(a.events[SpanEvent::InlineCreate.index()], 1);
-        assert_eq!(a.events[SpanEvent::LaneSteal.index()], 1);
+        assert_eq!(
+            a.events[SpanEvent::InlineCreate.index()],
+            2,
+            "the nested span's event and the outer one's both land on the outermost"
+        );
     }
 
     #[test]

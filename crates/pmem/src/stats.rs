@@ -301,19 +301,13 @@ macro_rules! counter_table {
             staging_recycles =>
                 /// Records one staging file recycled back into the pool.
                 add_staging_recycle += 1;
-            /// Times a staging-lane lock was contended: a `try_lock` on the lane
-            /// failed and the taker had to block.  Disjoint writers routed to
-            /// disjoint lanes keep this ~zero — the lane-sharded pool's whole
-            /// point.
+            /// Times a `take` found the one staging-pool lock held — by the
+            /// maintenance daemon (provisioning, recycling, retire accounting)
+            /// or by another writer — and had to block.
             staging_lock_waits =>
-                /// Records one contended staging-lane lock acquisition (a `try_lock`
-                /// on the lane failed and the taker blocked).
+                /// Records one contended staging-pool lock acquisition (a
+                /// `try_lock` on the pool failed and the taker blocked).
                 add_staging_lock_wait += 1;
-            /// Staging files stolen from another lane's free list because the
-            /// taker's home lane ran dry.
-            staging_lane_steals =>
-                /// Records one staging file stolen from another lane's free list.
-                add_staging_lane_steal += 1;
 
             // The multi-instance lease manager: how many acquisitions collided
             // with a live holder (zero in a healthy multi-instance run), and

@@ -6,16 +6,15 @@ use crate::modes::Mode;
 /// pre-allocation and garbage collection happen "on a background thread").
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaemonConfig {
-    /// Whether maintenance workers run at all.  With this off, staging
+    /// Whether the maintenance worker runs at all.  With this off, staging
     /// replenishment, log truncation and relink all happen inline on the
     /// foreground paths (the seed's behaviour, kept for ablation).
     pub enabled: bool,
-    /// Number of maintenance worker threads.
-    pub workers: usize,
-    /// When fewer than this many unconsumed staging files remain, a worker
-    /// starts provisioning replacements.
+    /// When fewer than this many unconsumed staging files remain, the
+    /// worker starts provisioning replacements.
     pub staging_low_watermark: usize,
-    /// Workers provision until this many unconsumed staging files exist.
+    /// The worker provisions until this many unconsumed staging files
+    /// exist.
     pub staging_high_watermark: usize,
 }
 
@@ -24,7 +23,6 @@ impl DaemonConfig {
     pub fn enabled() -> Self {
         Self {
             enabled: true,
-            workers: 1,
             staging_low_watermark: 1,
             staging_high_watermark: 3,
         }
@@ -59,11 +57,6 @@ pub struct SplitConfig {
     pub staging_files: usize,
     /// Size of each staging file in bytes.
     pub staging_file_size: u64,
-    /// Number of lanes the staging pool is partitioned into (each lane
-    /// owns its own active file, cursor and free list behind its own
-    /// lock; `take` routes by thread).  `0` means automatic: one lane per
-    /// maintenance worker.
-    pub staging_lanes: usize,
     /// Size of the operation log in bytes (64 B per entry).
     pub oplog_size: u64,
     /// Ablation switch (Figure 3): route appends through staging files.
@@ -90,7 +83,6 @@ impl SplitConfig {
             mode,
             staging_files: 4,
             staging_file_size: 16 * 1024 * 1024,
-            staging_lanes: 0,
             oplog_size: 8 * 1024 * 1024,
             use_staging: true,
             use_relink: true,
@@ -104,25 +96,6 @@ impl SplitConfig {
         self.staging_files = files.max(1);
         self.staging_file_size = file_size.max(2 * 1024 * 1024);
         self
-    }
-
-    /// Sets the number of staging lanes (`0` = automatic, one lane per
-    /// maintenance worker).  Concurrent writers stop contending on
-    /// staging allocation once the pool has at least one lane per writer
-    /// thread.
-    pub fn with_staging_lanes(mut self, lanes: usize) -> Self {
-        self.staging_lanes = lanes;
-        self
-    }
-
-    /// The staging-lane count actually in effect: the configured count,
-    /// or one lane per maintenance worker when left automatic.
-    pub fn effective_staging_lanes(&self) -> usize {
-        if self.staging_lanes == 0 {
-            self.daemon.workers.max(1)
-        } else {
-            self.staging_lanes
-        }
     }
 
     /// Sets the operation-log size (minimum one 4 KiB block, i.e. 64
@@ -197,15 +170,6 @@ mod tests {
             c.daemon.staging_high_watermark > c.daemon.staging_low_watermark,
             "high watermark stays above low"
         );
-    }
-
-    #[test]
-    fn staging_lanes_default_to_the_worker_count() {
-        let c = SplitConfig::new(Mode::Strict);
-        assert_eq!(c.staging_lanes, 0, "automatic by default");
-        assert_eq!(c.effective_staging_lanes(), c.daemon.workers.max(1));
-        let c = SplitConfig::new(Mode::Strict).with_staging_lanes(16);
-        assert_eq!(c.effective_staging_lanes(), 16);
     }
 
     #[test]

@@ -2,24 +2,23 @@
 //!
 //! The SplitFS paper (§3.3) moves staging-file pre-allocation and
 //! log/staging garbage collection off the critical path onto a background
-//! thread; this module is that subsystem.  One or more worker threads,
-//! owned by a [`MaintenanceDaemon`] attached to a [`SplitFs`] instance,
-//! perform four kinds of work:
+//! thread; this module is that subsystem.  One worker thread, owned by
+//! a [`MaintenanceDaemon`] attached to a [`SplitFs`] instance, performs
+//! four kinds of work:
 //!
-//! 1. **Asynchronous staging provisioning** — when any lane of the
+//! 1. **Asynchronous staging provisioning** — when the
 //!    [`StagingPool`](crate::staging::StagingPool) drops below its low
-//!    watermark, workers create and map fresh staging files until that
-//!    lane's high watermark is restored, so
+//!    watermark, the worker creates and maps fresh staging files until
+//!    the high watermark is restored, so
 //!    [`StagingPool::take`](crate::staging::StagingPool::take) never has
 //!    to fall back to inline file creation under load.  The watermarks
-//!    are static: the configured pool-level ones, divided across the
-//!    lanes.
+//!    are static, fixed from the configuration.
 //! 2. **Batched background relink** — files that accumulate many staged
 //!    extents are relinked in the background through
 //!    [`kernelfs::Ext4Dax::ioctl_relink_batch`], shrinking the work left
 //!    for the next foreground `fsync`.
 //! 3. **Epoch checkpointing** — once the active epoch of the operation
-//!    log passes its configured fill fraction, a worker *seals* it
+//!    log passes its configured fill fraction, the worker *seals* it
 //!    ([`crate::oplog::OpLog::try_seal`]: the empty half becomes active and
 //!    foreground writers continue immediately), relinks the sealed
 //!    entries' files **one at a time** — never holding two state locks,
@@ -33,12 +32,11 @@
 //!    instead of leaking until shutdown.
 //!
 //! Work arrives two ways: foreground paths *nudge* the daemon when they
-//! observe a watermark or threshold crossing, and workers also wake on a
-//! periodic tick so maintenance happens even without nudges.  Each worker
-//! owns a **private queue**: nudges are routed by task (relinks shard by
-//! inode), so submitting work for different files never contends on one
-//! daemon mutex.  The daemon holds only a [`Weak`] reference to its file
-//! system; a worker upgrades it for the duration of one task, so an
+//! observe a watermark or threshold crossing, and the worker also wakes
+//! on a periodic tick so maintenance happens even without nudges.  Tasks
+//! wait in one queue, and a task already queued is not queued twice.
+//! The daemon holds only a [`Weak`] reference to its file system; the
+//! worker upgrades it for the duration of one task, so an
 //! in-flight task briefly keeps the instance alive after the application
 //! drops its last handle — the instance's `Drop` (and the worker join)
 //! then runs when that task finishes.  No thread ever outlives the
@@ -60,13 +58,12 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::config::DaemonConfig;
 use crate::fs::SplitFs;
 
-/// How often an idle worker wakes to poll watermarks without a nudge.
+/// How often the idle worker wakes to poll watermarks without a nudge.
 const TICK: Duration = Duration::from_millis(1);
 
-/// Fill fraction of the active operation-log epoch past which a worker
+/// Fill fraction of the active operation-log epoch past which the worker
 /// checkpoints in the background (seal, relink the sealed files, truncate),
 /// so the foreground never hits a full log.
 pub(crate) const CHECKPOINT_FRACTION: f64 = 0.5;
@@ -100,102 +97,69 @@ pub(crate) struct Shared {
     idle: Condvar,
 }
 
-/// Handle to the worker threads of one U-Split instance.  Each worker has
-/// its own queue; `submit` routes tasks so relinks for different inodes
-/// land on different workers.
+/// Handle to the maintenance thread of one U-Split instance and its
+/// queue.
+#[derive(Debug)]
 pub struct MaintenanceDaemon {
-    shareds: Vec<Arc<Shared>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for MaintenanceDaemon {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MaintenanceDaemon")
-            .field("workers", &self.workers.len())
-            .finish()
-    }
+    shared: Arc<Shared>,
+    worker: Option<JoinHandle<()>>,
 }
 
 impl MaintenanceDaemon {
-    /// Starts `config.workers` maintenance threads for `fs`.
+    /// Starts the maintenance thread for `fs`.
     ///
-    /// Workers hold only a weak reference: they cannot keep the instance
-    /// alive, and they exit as soon as it is gone or shutdown is signalled.
-    pub(crate) fn start(fs: &Arc<SplitFs>, config: &DaemonConfig) -> Self {
-        let count = config.workers.max(1);
-        let mut shareds = Vec::with_capacity(count);
-        let mut workers = Vec::with_capacity(count);
-        for i in 0..count {
-            let shared = Arc::new(Shared::default());
-            let weak = Arc::downgrade(fs);
-            let shared_handle = Arc::clone(&shared);
-            shareds.push(shared);
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("usplit-maint-{i}"))
-                    .spawn(move || worker_loop(weak, shared_handle))
-                    .expect("spawn maintenance worker"),
-            );
+    /// The worker holds only a weak reference: it cannot keep the instance
+    /// alive, and it exits as soon as the instance is gone or shutdown is
+    /// signalled.
+    pub(crate) fn start(fs: &Arc<SplitFs>) -> Self {
+        let shared = Arc::new(Shared::default());
+        let weak = Arc::downgrade(fs);
+        let shared_handle = Arc::clone(&shared);
+        let worker = thread::Builder::new()
+            .name("usplit-maint".into())
+            .spawn(move || worker_loop(weak, shared_handle))
+            .expect("spawn maintenance worker");
+        Self {
+            shared,
+            worker: Some(worker),
         }
-        Self { shareds, workers }
     }
 
-    /// Routes `task` to its worker's queue.  Relinks shard by inode so
-    /// different files' background work proceeds on different workers;
-    /// provisioning and checkpointing get stable homes at the two ends so
-    /// they do not queue behind each other when two or more workers run.
-    fn route(&self, task: Task) -> &Arc<Shared> {
-        let n = self.shareds.len();
-        let idx = match task {
-            Task::ProvisionStaging => 0,
-            Task::Checkpoint => n - 1,
-            Task::RelinkFile(ino) => ino as usize % n,
-        };
-        &self.shareds[idx]
-    }
-
-    /// Enqueues `task` unless an identical task is already queued on its
-    /// worker.
+    /// Enqueues `task` unless an identical task is already queued.
     pub(crate) fn submit(&self, task: Task) {
-        let shared = self.route(task);
-        let mut q = shared.queue.lock();
+        let mut q = self.shared.queue.lock();
         if q.shutdown || q.tasks.contains(&task) {
             return;
         }
         q.tasks.push_back(task);
         drop(q);
-        shared.work.notify_one();
+        self.shared.work.notify_one();
     }
 
-    /// Clonable handles used to wait for idleness without holding the
+    /// A clonable handle used to wait for idleness without holding the
     /// owner's daemon mutex.
-    pub(crate) fn shared_handles(&self) -> Vec<Arc<Shared>> {
-        self.shareds.clone()
+    pub(crate) fn shared_handle(&self) -> Arc<Shared> {
+        Arc::clone(&self.shared)
     }
 
-    /// Blocks until every queue is empty and no task is in flight.
-    pub(crate) fn wait_idle(shareds: &[Arc<Shared>]) {
-        for shared in shareds {
-            let mut q = shared.queue.lock();
-            while !q.shutdown && (!q.tasks.is_empty() || q.in_flight > 0) {
-                shared.idle.wait(&mut q);
-            }
+    /// Blocks until the queue is empty and no task is in flight.
+    pub(crate) fn wait_idle(shared: &Shared) {
+        let mut q = shared.queue.lock();
+        while !q.shutdown && (!q.tasks.is_empty() || q.in_flight > 0) {
+            shared.idle.wait(&mut q);
         }
     }
 
     fn shutdown(&mut self) {
-        for shared in &self.shareds {
-            let mut q = shared.queue.lock();
-            q.shutdown = true;
-            drop(q);
-            shared.work.notify_all();
-            shared.idle.notify_all();
-        }
-        let me = thread::current().id();
-        for handle in self.workers.drain(..) {
-            // A worker can be the thread dropping the last Arc<SplitFs>
+        let mut q = self.shared.queue.lock();
+        q.shutdown = true;
+        drop(q);
+        self.shared.work.notify_all();
+        self.shared.idle.notify_all();
+        if let Some(handle) = self.worker.take() {
+            // The worker can be the thread dropping the last Arc<SplitFs>
             // (and therefore the daemon); it must not join itself.
-            if handle.thread().id() != me {
+            if handle.thread().id() != thread::current().id() {
                 let _ = handle.join();
             }
         }
@@ -265,20 +229,17 @@ fn worker_loop(fs: Weak<SplitFs>, shared: Arc<Shared>) {
 }
 
 impl SplitFs {
-    /// One maintenance pass: restore every lane below the low watermark
-    /// to the high watermark, recycle exhausted staging files, then
-    /// checkpoint if the operation log is past its threshold.  Runs on a
+    /// One maintenance pass: restore a pool below the low watermark to
+    /// the high watermark, recycle exhausted staging files, then
+    /// checkpoint if the operation log is past its threshold.  Runs on the
     /// worker for every tick and every [`Task::ProvisionStaging`] nudge.
     pub(crate) fn maintenance_tick(&self) {
         use std::sync::atomic::Ordering;
         if self.config.use_staging {
-            let (low, high) = self.staging.lane_watermarks();
-            for lane in 0..self.staging.lane_count() {
-                if self.staging.lane_unconsumed(lane) >= low {
-                    continue;
-                }
-                while self.staging.lane_unconsumed(lane) < high {
-                    if self.staging.provision_lane(lane).is_err() {
+            if self.staging.needs_provisioning() {
+                let (_, high) = self.staging.watermarks();
+                while self.staging.unconsumed_files() < high {
+                    if self.staging.provision().is_err() {
                         // Device full or similar: the foreground inline
                         // path surfaces persistent errors to the
                         // application.

@@ -80,8 +80,8 @@ pub struct SplitFs {
     pub(crate) fds: ShardedFdTable,
     pub(crate) staging: StagingPool,
     pub(crate) oplog: Option<OpLog>,
-    /// Background maintenance workers (None when disabled by config).
-    /// Behind a mutex so `Drop` can take and join them.
+    /// Background maintenance daemon (None when disabled by config).
+    /// Behind a mutex so `Drop` can take it and join its thread.
     pub(crate) daemon: Mutex<Option<MaintenanceDaemon>>,
     /// Serializes [`SplitFs::grow_oplog`]'s extend/zero/install sequence:
     /// without it a stale grower could zero a region a concurrent grower
@@ -113,7 +113,7 @@ pub struct SplitFs {
     pub(crate) published_epoch: std::sync::atomic::AtomicU64,
     /// The async ring hub attached to this instance, if any (weak: the
     /// hub's backend holds the `Arc<SplitFs>`, so a strong reference
-    /// here would leak the cycle).  Drained by the maintenance workers.
+    /// here would leak the cycle).  Drained by the maintenance worker.
     pub(crate) ring_hub: parking_lot::RwLock<Option<std::sync::Weak<aio::RingFs>>>,
 }
 
@@ -192,7 +192,7 @@ impl SplitFs {
                     ring_hub: parking_lot::RwLock::new(None),
                 });
                 if fs.config.daemon.enabled && fs.config.use_staging {
-                    *fs.daemon.lock() = Some(MaintenanceDaemon::start(&fs, &fs.config.daemon));
+                    *fs.daemon.lock() = Some(MaintenanceDaemon::start(&fs));
                 }
                 Ok(fs)
             }
@@ -291,7 +291,7 @@ impl SplitFs {
             .store(true, std::sync::atomic::Ordering::SeqCst);
     }
 
-    /// Whether background maintenance workers are running.
+    /// Whether the background maintenance worker is running.
     pub fn daemon_running(&self) -> bool {
         self.daemon.lock().is_some()
     }
@@ -302,14 +302,14 @@ impl SplitFs {
         &self.staging
     }
 
-    /// Blocks until the maintenance daemon has drained its queue and every
+    /// Blocks until the maintenance daemon has drained its queue and its
     /// worker is idle.  A no-op when the daemon is disabled.  Used by
     /// experiments that need a deterministic point at which all nudged
     /// background work (provisioning, relinks, checkpoints) has landed.
     pub fn maintenance_quiesce(&self) {
-        let shareds = self.daemon.lock().as_ref().map(|d| d.shared_handles());
-        if let Some(shareds) = shareds {
-            MaintenanceDaemon::wait_idle(&shareds);
+        let shared = self.daemon.lock().as_ref().map(|d| d.shared_handle());
+        if let Some(shared) = shared {
+            MaintenanceDaemon::wait_idle(&shared);
         }
     }
 
@@ -323,8 +323,8 @@ impl SplitFs {
         *self.recorder.write() = Some(recorder);
     }
 
-    /// Opens a `Maintenance` span when a recorder is attached (daemon
-    /// workers call this around each dispatched task).
+    /// Opens a `Maintenance` span when a recorder is attached (the daemon
+    /// worker calls this around each dispatched task).
     pub(crate) fn maintenance_span(&self) -> Option<obs::SpanGuard> {
         self.recorder
             .read()
@@ -999,10 +999,10 @@ impl SplitFs {
         }
 
         // Nudge the maintenance daemon on threshold crossings.  The
-        // condition checks are lock-free (an atomic count of lanes below
-        // the low watermark and per-task pending flags), so a threshold that stays
-        // crossed while the daemon works does not put mutex traffic on
-        // every append.
+        // condition checks are lock-free (the pool's unconsumed-file
+        // count against its low watermark, and per-task pending flags), so
+        // a threshold that stays crossed while the daemon works does not
+        // put mutex traffic on every append.
         if self.config.daemon.enabled {
             use std::sync::atomic::Ordering;
             if self.staging.needs_provisioning()
@@ -1172,7 +1172,7 @@ impl<B> StageOp<'_, B> {
 
 impl Drop for SplitFs {
     fn drop(&mut self) {
-        // Shut down and join the maintenance workers before the instance's
+        // Shut down and join the maintenance worker before the instance's
         // pools and logs disappear.
         if let Some(daemon) = self.daemon.get_mut().take() {
             drop(daemon);

@@ -63,15 +63,13 @@
 //!   append hot path has no global U-Split lock, and the registry is
 //!   indexed by path as well as by inode, so `stat`, `unlink` and
 //!   `rename` lock only the files they name;
-//! * [`staging`] — the **lane-sharded** pool of pre-allocated, pre-mapped
-//!   staging files the append path carves allocations out of: each lane
-//!   owns its own active file, cursor and free list behind its own lock,
-//!   `take` routes by thread (disjoint writers never contend), a dry lane
-//!   steals from the globally longest free list before falling back to
-//!   inline creation, with separate counters for pre-allocated,
+//! * [`staging`] — the pool of pre-allocated, pre-mapped staging files
+//!   the append path carves allocations out of: one active file, cursor
+//!   and free list behind one lock, with inline creation as the dry
+//!   pool's last resort, separate counters for pre-allocated,
 //!   background-provisioned and emergency inline file creations, and
 //!   **recycling**: a fully-relinked staging file is truncated,
-//!   re-provisioned and returned to its lane behind a durable
+//!   re-provisioned and returned to the pool behind a durable
 //!   `StagingRecycle` log marker instead of leaking;
 //! * [`batch`] — planning: staged extents are coalesced into runs and
 //!   split into block-aligned [`kernelfs::RelinkOp`] moves plus unaligned
@@ -92,10 +90,10 @@
 //!   preserving the sealed/active split.  A chunk map marks the 64 KiB
 //!   chunks that may hold entries, so recovery reads only those;
 //! * [`daemon`] — the **background maintenance daemon**
-//!   ([`daemon::MaintenanceDaemon`]): worker threads with **per-worker
-//!   queues** (relinks route by inode) that replenish the staging pool
-//!   to static per-lane watermarks before it runs dry, relink heavily-staged files in the background,
-//!   recycle exhausted staging files, and retire sealed log epochs one
+//!   ([`daemon::MaintenanceDaemon`]): one worker thread with one queue
+//!   that replenishes the staging pool to static watermarks before it
+//!   runs dry, relinks heavily-staged files in the background,
+//!   recycles exhausted staging files, and retires sealed log epochs one
 //!   file-state lock at a time, so the foreground never performs file
 //!   creation or log truncation on the critical path;
 //! * [`rings`] — the **async ring backend**: a drained submission batch

@@ -65,7 +65,7 @@ impl SplitFs {
         self.device.declare(pmem::Promise::EpochDurable { epoch });
     }
 
-    /// Attaches `hub` so the maintenance daemon's workers drain its
+    /// Attaches `hub` so the maintenance daemon's worker drains its
     /// rings on every tick.  Held weakly — the hub's backend owns the
     /// strong reference to this instance.
     pub fn attach_ring_hub(&self, hub: &Arc<RingFs>) {
@@ -74,7 +74,7 @@ impl SplitFs {
 
     /// Drains the attached ring hub (a bounded number of rounds),
     /// under a [`obs::OpKind::RingDrain`] span when a recorder is
-    /// attached.  Called by daemon workers; a no-op without a hub.
+    /// attached.  Called by the daemon worker; a no-op without a hub.
     pub(crate) fn drain_rings(&self) {
         let hub = match self.ring_hub.read().as_ref().and_then(Weak::upgrade) {
             Some(hub) => hub,

@@ -1,4 +1,4 @@
-//! Staging files (paper §3.3, "Staging"), lane-sharded.
+//! Staging files (paper §3.3, "Staging").
 //!
 //! Appends — and, in strict mode, overwrites — are first written to
 //! pre-allocated, pre-mapped *staging files* and only attached to their
@@ -7,19 +7,13 @@
 //! (`SplitConfig::staging_files` × `staging_file_size`) so that taking
 //! staging space in the write path is a cheap cursor bump.
 //!
-//! The pool is partitioned into **lanes** (default one per maintenance
-//! worker, overridable with [`SplitConfig::with_staging_lanes`]), each
-//! owning its own active staging file, cursor and free list behind its
-//! own lock.  [`StagingPool::take`] routes by the calling thread — every
-//! thread is assigned a home lane on first use — so disjoint writers
-//! bump disjoint cursors and never contend on one pool mutex (the
-//! `staging_lock_waits` statistic counts the contended acquisitions that
-//! do happen).  A lane that runs dry first **steals** a fresh file from
-//! the globally longest free list (`staging_lane_steals`), and only when
-//! every lane is dry does it fall back to inline creation.
+//! The pool is one list of files — the active one, its cursor and the
+//! unconsumed files behind it — under one lock.  A `take` that finds the
+//! lock held, by the daemon or by another writer, is counted in the
+//! `staging_lock_waits` statistic.
 //!
-//! **A staging block belongs to one file.**  A lane's cursor only ever
-//! rests on a block boundary: a fresh take enters the block there at the
+//! **A staging block belongs to one file.**  The cursor only ever rests
+//! on a block boundary: a fresh take enters the block there at the
 //! write's phase (its target offset modulo the block size) and the cursor
 //! moves past every block the allocation touched, so no second file is
 //! ever handed bytes of that block.  The unfilled rest of a block — its
@@ -31,14 +25,13 @@
 //! whole.  The owner record is the file's own `staged.last()` — the pool
 //! keeps none, and nothing is released at `close`, `unlink` or a discard:
 //! the tail dies when the relink drains the extents.  Recycle cannot race
-//! a carve: the carve runs under the staging file's lane lock and is
-//! counted into `consumed`, and the extent that owns the tail is
-//! unretired for as long as the tail is live, so
-//! [`StagingPool::begin_recycle`]'s `retired >= consumed` cannot hold for
-//! that file.  A lone writer sees the offsets it always saw: while nobody
-//! else has taken, its tail's block end still *is* the cursor, and the
-//! continuation then runs past the block end as one allocation — the old
-//! contiguous cursor bump.
+//! a carve: the carve runs under the pool lock and is counted into
+//! `consumed`, and the extent that owns the tail is unretired for as long
+//! as the tail is live, so [`StagingPool::begin_recycle`]'s
+//! `retired >= consumed` cannot hold for that file.  A lone writer sees
+//! the offsets it always saw: while nobody else has taken, its tail's
+//! block end still *is* the cursor, and the continuation then runs past
+//! the block end as one allocation — the old contiguous cursor bump.
 //!
 //! Each U-Split instance owns one pool, rooted in the staging directory
 //! its kernel lease names ([`kernelfs::lease::staging_dir`]) — the
@@ -46,30 +39,29 @@
 //! concurrent instances therefore never hand out overlapping staging
 //! space, and recovery can attribute every staging file to its owner.
 //! On mount the pool **adopts** the staging files a previous incarnation
-//! left in the directory (rebuilding them lane by lane; cursors restart
-//! at zero because the instance's operation log is always recovered and
-//! zeroed before the pool is built) and truncates any leftovers beyond
-//! the configured pool size so their blocks return to the allocator.
+//! left in the directory (rebuilding them; cursors restart at zero
+//! because the instance's operation log is always recovered and zeroed
+//! before the pool is built) and truncates any leftovers beyond the
+//! configured pool size so their blocks return to the allocator.
 //!
-//! When a lane runs low, replacements come from two sources:
+//! When the pool runs low, replacements come from two sources:
 //!
 //! * the [background maintenance daemon](crate::daemon) provisions fresh
-//!   files asynchronously whenever a lane falls below its low watermark
+//!   files asynchronously whenever the pool falls below its low watermark
 //!   (this is the paper's design: staging allocation happens "on a
-//!   background thread").  Every lane runs with the same static
-//!   watermarks, the configured pool-level ones divided across the lanes
-//!   ([`StagingPool::lane_watermarks`]); and
+//!   background thread").  The watermarks are static, fixed from the
+//!   configuration when the pool is built ([`StagingPool::watermarks`]);
+//!   and
 //! * as a last resort, [`StagingPool::take`] creates a file **inline** on
 //!   the foreground write path.  Inline creations are counted separately
 //!   ([`StagingPool::files_created_inline`] and the device-wide
 //!   `staging_inline_creates` statistic) so experiments can verify the
 //!   daemon eliminates them.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 
 use kernelfs::{DaxMapping, Ext4Dax, BLOCK_SIZE};
 use pmem::{PmemDevice, SimClock};
@@ -79,32 +71,6 @@ use crate::config::SplitConfig;
 use crate::mmap_collection::MAP_POPULATE;
 
 const BLOCK: u64 = BLOCK_SIZE as u64;
-
-/// Distinguishes pools for the per-thread lane cache below (two pools —
-/// two instances, or a remount — must not share routing state).
-static POOL_IDS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Per-thread cache of `pool id → lane seed`.  A thread's seed in a
-    /// pool is assigned by that pool's own counter on the thread's first
-    /// `take`, so the N writer threads of one workload get the N
-    /// consecutive seeds 0..N — and therefore N **distinct** home lanes
-    /// whenever the pool has at least N lanes — regardless of what other
-    /// pools or unrelated threads in the process are doing.  The map
-    /// grows by one entry per (thread, pool) pair and entries for dead
-    /// pools are not purged (a pool cannot reach other threads' locals);
-    /// the growth is bounded by pools-ever-created × live threads and a
-    /// few machine words per entry.
-    static POOL_LANE_SEEDS: std::cell::RefCell<HashMap<u64, usize>> =
-        std::cell::RefCell::new(HashMap::new());
-
-    /// Single-entry fast path over [`POOL_LANE_SEEDS`]: the last
-    /// `(pool id, seed)` this thread resolved.  A thread almost always
-    /// takes from one pool, so the common case is an integer compare
-    /// instead of a hash probe.  `u64::MAX` is never a real pool id.
-    static LAST_POOL_SEED: std::cell::Cell<(u64, usize)> =
-        const { std::cell::Cell::new((u64::MAX, 0)) };
-}
 
 /// A slice of staging space handed to the write path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,12 +135,10 @@ impl StagingFile {
 }
 
 /// A staging file pulled out of the pool for recycling (see
-/// [`StagingPool::begin_recycle`]).  Remembers its lane so that
-/// [`StagingPool::rebuild`] returns it to the free list it came from.
+/// [`StagingPool::begin_recycle`]).
 #[derive(Debug)]
 pub struct RecycledFile {
     file: StagingFile,
-    lane: usize,
 }
 
 impl RecycledFile {
@@ -182,121 +146,45 @@ impl RecycledFile {
     pub fn ino(&self) -> u64 {
         self.file.ino
     }
-
-    /// The lane the file was (and will again be) provisioned for.
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
 }
 
-/// One lane of the pool: its own files, cursor and free list behind its
-/// own lock, plus lock-free mirrors the hot paths and the daemon read.
-#[derive(Debug)]
-struct Lane {
-    inner: Mutex<LaneInner>,
-    /// Mirror of `files.len() - active`, readable without the lane lock.
-    unconsumed: AtomicUsize,
-    /// Whether this lane was below the low watermark at the last
-    /// [`StagingPool::refresh_pressure`]; transitions maintain the
-    /// pool-level `lanes_below_low` counter.
-    below_low: AtomicBool,
-}
-
+/// What the pool lock guards.
 #[derive(Debug, Default)]
-struct LaneInner {
+struct PoolInner {
     files: Vec<StagingFile>,
     /// Index of the staging file allocations are currently served from.
     active: usize,
 }
 
-impl Lane {
-    fn new() -> Self {
-        Self {
-            inner: Mutex::new(LaneInner::default()),
-            unconsumed: AtomicUsize::new(0),
-            // A fresh lane has no files, hence starts below the (≥1) low
-            // watermark; the pool-level counter is initialized to match.
-            below_low: AtomicBool::new(true),
-        }
-    }
-
-    /// Refreshes the lock-free unconsumed-files mirror; call with the lane
-    /// lock held after any mutation of `files`/`active`, followed by
-    /// [`StagingPool::refresh_pressure`].
-    fn refresh_unconsumed(&self, inner: &LaneInner) {
-        self.unconsumed.store(
-            inner.files.len().saturating_sub(inner.active),
-            Ordering::Relaxed,
-        );
-    }
-}
-
-/// Splits a pool-level file count across `lanes` lanes (at least one per
-/// lane, so every lane can make progress).
-fn per_lane(count: usize, lanes: usize) -> usize {
-    count.div_ceil(lanes.max(1)).max(1)
-}
-
-/// The `(low, high)` watermarks every lane of a pool for `config` runs
-/// with: the configured low/high split — with `staging_files` bounding
-/// the high side, so the preallocated pool shape is always provisioned
-/// back — divided across the lanes.
-fn per_lane_watermarks(config: &SplitConfig, lanes: usize) -> (usize, usize) {
-    let low = per_lane(config.daemon.staging_low_watermark, lanes);
-    let high = per_lane(
-        config
-            .daemon
-            .staging_high_watermark
-            .max(config.staging_files),
-        lanes,
-    )
-    .max(low + 1);
-    (low, high)
-}
-
-/// The lane-sharded pool of staging files owned by one U-Split instance.
+/// The pool of staging files owned by one U-Split instance.
 #[derive(Debug)]
 pub struct StagingPool {
     kernel: Arc<Ext4Dax>,
     device: Arc<PmemDevice>,
     dir: String,
     file_size: u64,
-    lanes: Vec<Lane>,
-    /// Per-lane `(low, high)` provisioning watermarks, the same for every
-    /// lane and fixed at construction.
+    inner: Mutex<PoolInner>,
+    /// Mirror of `files.len() - active`, readable without the pool lock:
+    /// the append path's provisioning check and the daemon read it.
+    unconsumed: AtomicUsize,
+    /// `(low, high)` provisioning watermarks, fixed at construction.
     watermarks: (usize, usize),
-    /// This pool's key in the per-thread lane-seed cache.
-    pool_id: u64,
-    /// Hands out lane seeds to threads on their first `take`.
-    thread_seq: AtomicUsize,
     /// Name counter for `stage-N` paths — lock-free, so reserving a name
     /// (the daemon's background-build path and inline creation) never
-    /// touches a lane lock.
+    /// touches the pool lock.
     next_name: AtomicU64,
-    /// Staging-file inode → lane index, so `note_retired`/`translate`
-    /// touch exactly one lane's lock.  Entries for files in recycle limbo
-    /// or mid-steal may be transiently stale; readers fall back to a
-    /// full-lane scan on a miss.
-    index: RwLock<HashMap<u64, usize>>,
-    /// Number of lanes currently below their low watermark — the O(1)
-    /// read behind [`StagingPool::needs_provisioning`], maintained by
-    /// [`StagingPool::refresh_pressure`] so the append hot path never
-    /// scans the lane array.
-    lanes_below_low: AtomicUsize,
     created_preallocated: AtomicU64,
     created_inline: AtomicU64,
     created_background: AtomicU64,
 }
 
 impl StagingPool {
-    /// Creates the pool, pre-allocating `config.staging_files` staging files
-    /// (at least one **per lane**, so no lane starts dry and steals on its
-    /// first take) under `dir` (created if missing) on the kernel file
-    /// system, distributed round-robin across
-    /// `config.effective_staging_lanes()` lanes.  Staging files left behind
-    /// by a previous incarnation of this instance are adopted (rebuilt) in
-    /// name order; leftovers beyond the configured pool size are truncated
-    /// so their blocks are reclaimed.
+    /// Creates the pool, pre-allocating `config.staging_files` staging
+    /// files (at least one) under `dir` (created if missing) on the kernel
+    /// file system.  Staging files left behind by a previous incarnation
+    /// of this instance are adopted (rebuilt) in name order; leftovers
+    /// beyond the configured pool size are truncated so their blocks are
+    /// reclaimed.
     pub fn new(
         kernel: Arc<Ext4Dax>,
         device: Arc<PmemDevice>,
@@ -306,20 +194,24 @@ impl StagingPool {
         if !kernel.exists(dir) {
             kernel.mkdir(dir)?;
         }
-        let lane_count = config.effective_staging_lanes();
+        // The configured low/high split, with `staging_files` bounding the
+        // high side so the preallocated pool shape is always provisioned
+        // back.
+        let low = config.daemon.staging_low_watermark.max(1);
+        let high = config
+            .daemon
+            .staging_high_watermark
+            .max(config.staging_files)
+            .max(low + 1);
         let pool = Self {
             kernel,
             device,
             dir: dir.to_string(),
             file_size: config.staging_file_size,
-            lanes: (0..lane_count).map(|_| Lane::new()).collect(),
-            watermarks: per_lane_watermarks(config, lane_count),
-            pool_id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
-            thread_seq: AtomicUsize::new(0),
+            inner: Mutex::new(PoolInner::default()),
+            unconsumed: AtomicUsize::new(0),
+            watermarks: (low, high),
             next_name: AtomicU64::new(0),
-            index: RwLock::new(HashMap::new()),
-            // Every fresh lane starts empty, i.e. below its low watermark.
-            lanes_below_low: AtomicUsize::new(lane_count),
             created_preallocated: AtomicU64::new(0),
             created_inline: AtomicU64::new(0),
             created_background: AtomicU64::new(0),
@@ -337,7 +229,7 @@ impl StagingPool {
             .collect();
         existing.sort_unstable();
 
-        let initial = config.staging_files.max(lane_count);
+        let initial = config.staging_files.max(1);
         for i in 0..initial {
             let name = match existing.get(i) {
                 Some(&name) => name,
@@ -345,14 +237,7 @@ impl StagingPool {
             };
             pool.next_name.fetch_max(name + 1, Ordering::Relaxed);
             let file = pool.build_staging_file(name)?;
-            let lane_idx = i % lane_count;
-            pool.index.write().insert(file.ino, lane_idx);
-            let lane = &pool.lanes[lane_idx];
-            let mut inner = lane.inner.lock();
-            inner.files.push(file);
-            lane.refresh_unconsumed(&inner);
-            drop(inner);
-            pool.refresh_pressure(lane_idx);
+            pool.push(file);
             pool.created_preallocated.fetch_add(1, Ordering::Relaxed);
         }
         // Stale files beyond the initial pool size: give their blocks back
@@ -376,74 +261,39 @@ impl StagingPool {
         self.next_name.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The calling thread's home lane: its per-pool seed (assigned from
-    /// this pool's counter on first use) modulo the lane count.  The
-    /// common single-pool case is served by a one-entry thread-local
-    /// cache (an integer compare); pool switches fall back to the map.
-    fn home_lane(&self) -> usize {
-        let (cached_pool, cached_seed) = LAST_POOL_SEED.with(|c| c.get());
-        let seed = if cached_pool == self.pool_id {
-            cached_seed
-        } else {
-            let seed = POOL_LANE_SEEDS.with(|seeds| {
-                *seeds
-                    .borrow_mut()
-                    .entry(self.pool_id)
-                    .or_insert_with(|| self.thread_seq.fetch_add(1, Ordering::Relaxed))
-            });
-            LAST_POOL_SEED.with(|c| c.set((self.pool_id, seed)));
-            seed
-        };
-        seed % self.lanes.len()
+    /// Refreshes the lock-free unconsumed-files mirror; call with the pool
+    /// lock held after any change to `files`/`active`.
+    fn refresh_unconsumed(&self, inner: &PoolInner) {
+        self.unconsumed.store(
+            inner.files.len().saturating_sub(inner.active),
+            Ordering::Relaxed,
+        );
     }
 
-    /// Re-evaluates whether `lane_idx` sits below the low watermark and
-    /// maintains the pool-level `lanes_below_low` counter on transitions.
-    /// Call after any change to the lane's unconsumed mirror.  Racing
-    /// refreshers can transiently skew the counter by a transition, which
-    /// at worst delays or duplicates one daemon nudge — the next append
-    /// or tick re-converges it.
-    fn refresh_pressure(&self, lane_idx: usize) {
-        let lane = &self.lanes[lane_idx];
-        let below = lane.unconsumed.load(Ordering::Relaxed) < self.watermarks.0;
-        if lane.below_low.swap(below, Ordering::Relaxed) != below {
-            if below {
-                self.lanes_below_low.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.lanes_below_low.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
+    /// Appends `file` to the unconsumed tail of the pool.
+    fn push(&self, file: StagingFile) {
+        let mut inner = self.inner.lock();
+        inner.files.push(file);
+        self.refresh_unconsumed(&inner);
     }
 
-    /// Number of lanes the pool is partitioned into.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
+    /// Whether the pool currently holds the staging file with inode `ino`
+    /// (exposed for recycle-correctness tests).
+    pub fn holds(&self, ino: u64) -> bool {
+        self.inner.lock().files.iter().any(|f| f.ino == ino)
     }
 
-    /// The lane `take` would route the calling thread to (exposed for
-    /// tests asserting the routing rule).
-    pub fn lane_for_current_thread(&self) -> usize {
-        self.home_lane()
-    }
-
-    /// The lane currently holding the staging file with inode `ino`, if
-    /// any (exposed for recycle-correctness tests).
-    pub fn lane_of(&self, ino: u64) -> Option<usize> {
-        self.with_file_lane(ino, |_| ()).map(|(lane, ())| lane)
-    }
-
-    /// Acquires a lane's lock with contention accounting: `try_lock`
-    /// first; on failure the contended acquisition is counted in the
-    /// device-wide `staging_lock_waits` statistic and the blocked time is
-    /// charged to the waiting thread's simulated critical path.
-    fn lock_lane(&self, lane_idx: usize) -> MutexGuard<'_, LaneInner> {
-        let lane = &self.lanes[lane_idx];
-        match lane.inner.try_lock() {
+    /// Acquires the pool lock for `take` with contention accounting:
+    /// `try_lock` first; on failure the contended acquisition is counted
+    /// in the device-wide `staging_lock_waits` statistic and the blocked
+    /// time is charged to the waiting thread's simulated critical path.
+    fn lock(&self) -> MutexGuard<'_, PoolInner> {
+        match self.inner.try_lock() {
             Some(guard) => guard,
             None => {
                 self.device.stats().add_staging_lock_wait();
                 let t0 = self.device.clock().now_ns_f64();
-                let guard = lane.inner.lock();
+                let guard = self.inner.lock();
                 SimClock::charge_thread_wait(self.device.clock().now_ns_f64() - t0);
                 guard
             }
@@ -451,7 +301,7 @@ impl StagingPool {
     }
 
     /// Creates, pre-allocates and maps one staging file.  Deliberately does
-    /// **not** hold any lane lock: file creation goes through the kernel
+    /// **not** hold the pool lock: file creation goes through the kernel
     /// file system and is the expensive part, so builders (the daemon, or
     /// an unlucky foreground thread) must not block concurrent `take`s.
     fn build_staging_file(&self, name: u64) -> FsResult<StagingFile> {
@@ -481,48 +331,33 @@ impl StagingPool {
         })
     }
 
-    /// Asynchronously provisions one staging file into `lane_idx` (called
-    /// by a maintenance worker).  The new file is appended to the lane's
+    /// Asynchronously provisions one staging file (called by the
+    /// maintenance daemon).  The new file is appended to the pool's
     /// unconsumed tail.
-    pub fn provision_lane(&self, lane_idx: usize) -> FsResult<()> {
+    pub fn provision(&self) -> FsResult<()> {
         let name = self.reserve_name();
         let file = self.build_staging_file(name)?;
-        self.index.write().insert(file.ino, lane_idx);
-        let lane = &self.lanes[lane_idx];
-        let mut inner = lane.inner.lock();
-        inner.files.push(file);
-        lane.refresh_unconsumed(&inner);
-        drop(inner);
-        self.refresh_pressure(lane_idx);
+        self.push(file);
         self.created_background.fetch_add(1, Ordering::Relaxed);
         self.device.stats().add_staging_bg_create();
         Ok(())
     }
 
-    /// Number of staging files with unconsumed capacity in `lane_idx`
-    /// (the lane's active file plus every file after it).  Lock-free.
-    pub fn lane_unconsumed(&self, lane_idx: usize) -> usize {
-        self.lanes[lane_idx].unconsumed.load(Ordering::Relaxed)
-    }
-
-    /// The `(low, high)` provisioning watermarks every lane runs with.
-    pub fn lane_watermarks(&self) -> (usize, usize) {
+    /// The `(low, high)` watermarks the daemon provisions between.
+    pub fn watermarks(&self) -> (usize, usize) {
         self.watermarks
     }
 
-    /// Number of staging files that still have unconsumed capacity across
-    /// all lanes.  Lock-free: sums the per-lane mirrors.
+    /// Number of staging files that still have unconsumed capacity (the
+    /// active file plus every file after it).  Lock-free.
     pub fn unconsumed_files(&self) -> usize {
-        self.lanes
-            .iter()
-            .map(|l| l.unconsumed.load(Ordering::Relaxed))
-            .sum()
+        self.unconsumed.load(Ordering::Relaxed)
     }
 
-    /// Whether any lane has fallen below its low watermark and background
+    /// Whether the pool has fallen below its low watermark and background
     /// provisioning should run.
     pub fn needs_provisioning(&self) -> bool {
-        self.lanes_below_low.load(Ordering::Relaxed) > 0
+        self.unconsumed_files() < self.watermarks.0
     }
 
     /// Number of staging files created so far, from every source
@@ -545,74 +380,9 @@ impl StagingPool {
         self.created_inline.load(Ordering::Relaxed)
     }
 
-    /// Staging files provisioned asynchronously by maintenance workers.
+    /// Staging files provisioned asynchronously by the maintenance daemon.
     pub fn files_created_background(&self) -> u64 {
         self.created_background.load(Ordering::Relaxed)
-    }
-
-    /// Pops a fully-unconsumed file off `inner`'s tail, if one exists.
-    /// Only a file the lane's cursor has not touched may move: either a
-    /// file strictly beyond the active one, or the active slot itself if
-    /// it is still pristine.
-    fn pop_pristine(inner: &mut LaneInner) -> Option<StagingFile> {
-        let can_pop = match inner.files.len().checked_sub(1) {
-            Some(last) if last > inner.active => true,
-            Some(last) if last == inner.active => inner.files[last].consumed == 0,
-            _ => false,
-        };
-        if can_pop {
-            inner.files.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Steals one fully-unconsumed staging file for `dest` from the lane
-    /// with the globally longest free list.  Returns `None` only when no
-    /// other lane has a file to spare — inline creation is strictly the
-    /// everything-is-dry fallback.
-    fn steal_for(&self, dest: usize) -> Option<StagingFile> {
-        // Candidate victims in descending free-list length.  Pass 1
-        // `try_lock`s each: blocking on — or squatting near — another
-        // lane's hot lock would put this stealer on that lane's owner's
-        // critical path, which is exactly what lanes exist to avoid, so
-        // a busy victim is skipped for the next-longest one.  Pass 2,
-        // reached only when every spare-holding lane was momentarily
-        // busy, blocks on them in turn: a short wait on a victim's lock
-        // is still far cheaper (and quieter) than creating a file inline
-        // while spares exist.
-        let mut victims: Vec<usize> = (0..self.lanes.len())
-            .filter(|&i| i != dest && self.lanes[i].unconsumed.load(Ordering::Relaxed) > 0)
-            .collect();
-        victims
-            .sort_by_key(|&i| std::cmp::Reverse(self.lanes[i].unconsumed.load(Ordering::Relaxed)));
-        for pass in 0..2 {
-            for &victim in &victims {
-                let lane = &self.lanes[victim];
-                if pass > 0 && lane.unconsumed.load(Ordering::Relaxed) == 0 {
-                    continue;
-                }
-                let inner = if pass == 0 {
-                    lane.inner.try_lock()
-                } else {
-                    Some(lane.inner.lock())
-                };
-                let Some(mut inner) = inner else { continue };
-                let Some(file) = Self::pop_pristine(&mut inner) else {
-                    continue;
-                };
-                lane.refresh_unconsumed(&inner);
-                drop(inner);
-                self.refresh_pressure(victim);
-                // Index update happens outside any lane lock (lock-ordering
-                // rule: the index is never acquired while a lane is held).
-                self.index.write().insert(file.ino, dest);
-                self.device.stats().add_staging_lane_steal();
-                obs::event(obs::SpanEvent::LaneSteal);
-                return Some(file);
-            }
-        }
-        None
     }
 
     /// Takes up to `len` bytes of staging space whose in-file offset is
@@ -625,8 +395,7 @@ impl StagingPool {
     /// predecessor that ends inside a block left that block's tail to its
     /// file, and the write is carved there (see the module doc's ownership
     /// rule).  Everything else — and whatever a tail could not hold — is a
-    /// fresh block from the calling thread's home lane: concurrent takers
-    /// on different lanes proceed without synchronizing at all.
+    /// fresh block from the cursor.
     pub fn take(
         &self,
         len: u64,
@@ -635,49 +404,28 @@ impl StagingPool {
     ) -> FsResult<StagingAllocation> {
         let cost = self.device.cost();
         self.device.charge_software(cost.usplit_staging_take_ns);
-        let lane_idx = self.home_lane();
-        let lane = &self.lanes[lane_idx];
-        let mut inner = self.lock_lane(lane_idx);
+        let mut inner = self.lock();
         // A predecessor that ends on a block boundary (every 4 KiB append)
-        // leaves no tail: two compares and on to the shared cursor.
+        // leaves no tail: two compares and on to the cursor.
         if let Some((ino, end)) = after.filter(|&(_, end)| phase != 0 && end % BLOCK == phase) {
-            // The tail nearly always sits in a file of the lane this thread
-            // takes from anyway; one written from another thread is found
-            // through the index, under its own lane's lock.
             if let Some(out) = Self::carve(&mut inner, ino, end, len) {
                 return Ok(out);
             }
-            drop(inner);
-            let carved = self.with_file_lane(ino, |other| Self::carve(other, ino, end, len));
-            if let Some((_, Some(out))) = carved {
-                return Ok(out);
-            }
-            inner = self.lock_lane(lane_idx);
         }
         loop {
             if inner.active >= inner.files.len() {
-                // The home lane is dry.  The lock is dropped while a
-                // replacement is found so concurrent takers sharing the
-                // lane and the daemon can still make progress.
+                // The pool is dry and the daemon has not kept pace (or is
+                // disabled): replenish inline.  The lock is dropped while
+                // the file is built so the daemon can still make progress.
                 drop(inner);
-                let file = match self.steal_for(lane_idx) {
-                    Some(file) => file,
-                    None => {
-                        // Every lane is dry and the daemon has not kept
-                        // pace (or is disabled): replenish inline.
-                        let name = self.reserve_name();
-                        let file = self.build_staging_file(name)?;
-                        self.index.write().insert(file.ino, lane_idx);
-                        self.created_inline.fetch_add(1, Ordering::Relaxed);
-                        self.device.stats().add_staging_inline_create();
-                        obs::event(obs::SpanEvent::InlineCreate);
-                        file
-                    }
-                };
-                inner = self.lock_lane(lane_idx);
+                let name = self.reserve_name();
+                let file = self.build_staging_file(name)?;
+                self.created_inline.fetch_add(1, Ordering::Relaxed);
+                self.device.stats().add_staging_inline_create();
+                obs::event(obs::SpanEvent::InlineCreate);
+                inner = self.lock();
                 inner.files.push(file);
-                lane.refresh_unconsumed(&inner);
-                self.refresh_pressure(lane_idx);
+                self.refresh_unconsumed(&inner);
                 continue;
             }
             let active = inner.active;
@@ -687,8 +435,7 @@ impl StagingPool {
             let start = file.cursor + phase;
             if start >= file.size {
                 inner.active += 1;
-                lane.refresh_unconsumed(&inner);
-                self.refresh_pressure(lane_idx);
+                self.refresh_unconsumed(&inner);
                 continue;
             }
             return file.allocate(start, len, file.size);
@@ -701,10 +448,10 @@ impl StagingPool {
     /// the allocation stops at the block end — unless that block end still
     /// is the file's cursor (nobody took since: every single-writer run),
     /// in which case it runs on like one contiguous cursor bump.  `None`
-    /// when the lane does not hold the file or its mapping has a hole
+    /// when the pool does not hold the file or its mapping has a hole
     /// there; the caller then takes a fresh block.
     #[inline(never)]
-    fn carve(inner: &mut LaneInner, ino: u64, end: u64, len: u64) -> Option<StagingAllocation> {
+    fn carve(inner: &mut PoolInner, ino: u64, end: u64, len: u64) -> Option<StagingAllocation> {
         let file = inner.files.iter_mut().find(|f| f.ino == ino)?;
         let block_end = end.next_multiple_of(BLOCK);
         let limit = if file.cursor == block_end {
@@ -718,110 +465,47 @@ impl StagingPool {
         file.allocate(end, len, limit).ok()
     }
 
-    /// Finds the lane currently holding the staging file `ino` and runs
-    /// `f` on its locked inner state (membership is verified under the
-    /// lane's lock), returning the lane index alongside `f`'s result.
-    /// The indexed lane is probed first, with a full scan as fallback —
-    /// the index can be transiently stale while a file is mid-steal or
-    /// in recycle limbo.  The single resolution path shared by every
-    /// by-inode lookup (`note_retired`/`translate`/`fd_for`/`lane_of`),
-    /// so the staleness rule cannot diverge between them.
-    fn with_file_lane<R>(
-        &self,
-        ino: u64,
-        mut f: impl FnMut(&mut LaneInner) -> R,
-    ) -> Option<(usize, R)> {
-        // Copy the indexed lane out so the pool-wide index read guard is
-        // released *before* the lane mutex is acquired — blocking on a
-        // busy lane while pinning the index would stall every writer of
-        // the index (provisioning, steals, recycles) pool-wide.
-        let indexed = self.index.read().get(&ino).copied();
-        if let Some(lane_idx) = indexed {
-            let mut inner = self.lanes[lane_idx].inner.lock();
-            if inner.files.iter().any(|file| file.ino == ino) {
-                return Some((lane_idx, f(&mut inner)));
-            }
-        }
-        for (lane_idx, lane) in self.lanes.iter().enumerate() {
-            let mut inner = lane.inner.lock();
-            if inner.files.iter().any(|file| file.ino == ino) {
-                return Some((lane_idx, f(&mut inner)));
-            }
-        }
-        None
-    }
-
     /// Records that `len` bytes staged in `staging_ino` were retired
     /// (relinked or copied into its target).  Feeds the recyclability
     /// accounting: an exhausted file whose retired bytes catch up with
     /// its consumed bytes can be recycled.
     pub fn note_retired(&self, staging_ino: u64, len: u64) {
-        self.with_file_lane(staging_ino, |inner| {
-            if let Some(file) = inner.files.iter_mut().find(|f| f.ino == staging_ino) {
-                file.retired = (file.retired + len).min(file.consumed);
-            }
-        });
+        let mut inner = self.inner.lock();
+        if let Some(file) = inner.files.iter_mut().find(|f| f.ino == staging_ino) {
+            file.retired = (file.retired + len).min(file.consumed);
+        }
     }
 
-    /// Takes one recyclable staging file out of the pool: a file some
-    /// lane's cursor has moved past (no future `take` touches it) whose
-    /// staged bytes were all retired.  The caller appends the durable
+    /// Takes one recyclable staging file out of the pool: a file the
+    /// cursor has moved past (no future `take` touches it) whose staged
+    /// bytes were all retired.  The caller appends the durable
     /// `StagingRecycle` log marker, then calls [`StagingPool::rebuild`]
     /// (or [`StagingPool::abort_recycle`] on failure).
     pub fn begin_recycle(&self) -> Option<RecycledFile> {
-        for (lane_idx, lane) in self.lanes.iter().enumerate() {
-            // `try_lock`: a lane busy serving takes is skipped this pass —
-            // holding its lock here would put the recycler's sweep on the
-            // foreground append path's critical section.
-            let Some(mut inner) = lane.inner.try_lock() else {
-                continue;
-            };
-            let Some(idx) = inner.files[..inner.active]
-                .iter()
-                .position(|f| f.consumed > 0 && f.retired >= f.consumed)
-            else {
-                continue;
-            };
-            let file = inner.files.remove(idx);
-            inner.active -= 1;
-            lane.refresh_unconsumed(&inner);
-            self.refresh_pressure(lane_idx);
-            return Some(RecycledFile {
-                file,
-                lane: lane_idx,
-            });
-        }
-        None
+        // `try_lock`: a pool busy serving a take is skipped this pass —
+        // holding its lock here would put the recycler's sweep on the
+        // foreground append path's critical section.
+        let mut inner = self.inner.try_lock()?;
+        let idx = inner.files[..inner.active]
+            .iter()
+            .position(|f| f.consumed > 0 && f.retired >= f.consumed)?;
+        let file = inner.files.remove(idx);
+        inner.active -= 1;
+        self.refresh_unconsumed(&inner);
+        Some(RecycledFile { file })
     }
 
     /// Re-provisions a recycled file: frees its remaining blocks,
-    /// pre-allocates fresh ones, remaps it and returns it to **its own
-    /// lane's** unconsumed tail (so recycling never migrates capacity
-    /// between lanes).
+    /// pre-allocates fresh ones, remaps it and returns it to the pool's
+    /// unconsumed tail.  On error the file is dropped from the pool.
     pub fn rebuild(&self, rec: RecycledFile) -> FsResult<()> {
-        let RecycledFile {
-            file,
-            lane: lane_idx,
-        } = rec;
+        let file = rec.file;
         // Free whatever blocks the relinks left behind (padding, copied
         // spans), then pre-allocate the full size again.
-        let rebuild = (|| -> FsResult<DaxMapping> {
-            self.kernel.ftruncate(file.fd, 0)?;
-            self.kernel.ftruncate(file.fd, file.size)?;
-            self.kernel.dax_map(file.fd, 0, file.size, MAP_POPULATE)
-        })();
-        let mapping = match rebuild {
-            Ok(mapping) => mapping,
-            Err(e) => {
-                // The file is dropped from the pool; forget its lane.
-                self.index.write().remove(&file.ino);
-                return Err(e);
-            }
-        };
-        self.index.write().insert(file.ino, lane_idx);
-        let lane = &self.lanes[lane_idx];
-        let mut inner = lane.inner.lock();
-        inner.files.push(StagingFile {
+        self.kernel.ftruncate(file.fd, 0)?;
+        self.kernel.ftruncate(file.fd, file.size)?;
+        let mapping = self.kernel.dax_map(file.fd, 0, file.size, MAP_POPULATE)?;
+        self.push(StagingFile {
             fd: file.fd,
             ino: file.ino,
             mapping,
@@ -830,25 +514,18 @@ impl StagingPool {
             consumed: 0,
             retired: 0,
         });
-        lane.refresh_unconsumed(&inner);
-        drop(inner);
-        self.refresh_pressure(lane_idx);
         self.device.stats().add_staging_recycle();
         Ok(())
     }
 
     /// Puts a file taken by [`StagingPool::begin_recycle`] back untouched
-    /// in its lane (the recycle marker could not be made durable).
+    /// (the recycle marker could not be made durable).
     pub fn abort_recycle(&self, rec: RecycledFile) {
-        let lane_idx = rec.lane;
-        let lane = &self.lanes[lane_idx];
-        let mut inner = lane.inner.lock();
+        let mut inner = self.inner.lock();
         // Re-insert before the active index: the file is exhausted.
         inner.files.insert(0, rec.file);
         inner.active += 1;
-        lane.refresh_unconsumed(&inner);
-        drop(inner);
-        self.refresh_pressure(lane_idx);
+        self.refresh_unconsumed(&inner);
     }
 }
 
@@ -944,8 +621,8 @@ mod tests {
             taken += pool.take(1024 * 1024, 0, None).unwrap().len;
         }
         assert!(pool.needs_provisioning());
-        pool.provision_lane(0).unwrap();
-        pool.provision_lane(0).unwrap();
+        pool.provision().unwrap();
+        pool.provision().unwrap();
         assert!(!pool.needs_provisioning());
         while taken < 14 * 1024 * 1024 {
             taken += pool.take(1024 * 1024, 0, None).unwrap().len;
@@ -984,75 +661,47 @@ mod tests {
     }
 
     #[test]
-    fn lanes_follow_the_configured_count_and_distribute_files() {
-        let config = SplitConfig::new(Mode::Posix)
-            .with_staging(8, 4 * 1024 * 1024)
-            .with_staging_lanes(4);
-        let (_d, _k, pool) = setup_with(config);
-        assert_eq!(pool.lane_count(), 4);
-        for i in 0..4 {
-            assert_eq!(pool.lane_unconsumed(i), 2, "round-robin distribution");
-        }
-    }
-
-    #[test]
-    fn lane_exhaustion_steals_from_the_longest_free_list_before_inline() {
-        let config = SplitConfig::new(Mode::Posix)
-            .with_staging(4, 4 * 1024 * 1024)
-            .with_staging_lanes(2);
-        let (device, _k, pool) = setup_with(config);
-        let my_lane = pool.lane_for_current_thread();
-        let other = 1 - my_lane;
-        assert_eq!(pool.lane_unconsumed(my_lane), 2);
-        // Drain the home lane's two files plus more: the third and fourth
-        // files must come from the other lane (steals), and only then may
-        // an inline creation happen.
-        let mut taken = 0u64;
-        while taken < 15 * 1024 * 1024 {
-            taken += pool.take(4 * 1024 * 1024, 0, None).unwrap().len;
-        }
-        let s = device.stats().snapshot();
-        assert_eq!(s.staging_lane_steals, 2, "both spare files were stolen");
-        assert_eq!(
-            pool.files_created_inline(),
-            0,
-            "no inline creation while another lane had spares"
-        );
-        assert_eq!(pool.lane_unconsumed(other), 0);
-        // One more full file's worth now requires an inline creation.
-        while taken < 17 * 1024 * 1024 {
-            taken += pool.take(4 * 1024 * 1024, 0, None).unwrap().len;
-        }
-        assert!(pool.files_created_inline() > 0);
-    }
-
-    #[test]
-    fn takes_from_distinct_threads_route_to_distinct_lanes() {
-        let config = SplitConfig::new(Mode::Posix)
-            .with_staging(8, 4 * 1024 * 1024)
-            .with_staging_lanes(4);
-        let (device, _k, pool) = setup_with(config);
-        let lanes = std::sync::Mutex::new(Vec::new());
+    fn concurrent_takes_hand_out_each_staging_block_once() {
+        // One 2 MiB file (512 blocks) and 4 × 64 takes that need 576
+        // blocks between them: the pool runs dry mid-run, and takers build
+        // files inline, with the pool lock dropped, while the others race.
+        let (_d, _k, pool) =
+            setup_with(SplitConfig::new(Mode::Posix).with_staging(1, 2 * 1024 * 1024));
+        let taken = std::sync::Mutex::new(Vec::new());
+        let start = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let pool = &pool;
-                let lanes = &lanes;
+                let taken = &taken;
+                let start = &start;
                 scope.spawn(move || {
-                    for _ in 0..64 {
-                        pool.take(4096, 0, None).unwrap();
+                    start.wait();
+                    let mut mine = Vec::new();
+                    for i in 0..64u64 {
+                        let len = [4096, 9000, 1024, 13_000][i as usize % 4];
+                        let phase = (i % 4) * 1024;
+                        let a = pool.take(len, phase, None).unwrap();
+                        assert!(a.len > 0 && a.len <= len);
+                        assert_eq!(a.staging_offset % BLOCK, phase, "phase");
+                        mine.push(a);
                     }
-                    lanes.lock().unwrap().push(pool.lane_for_current_thread());
+                    taken.lock().unwrap().extend(mine);
                 });
             }
         });
-        let mut lanes = lanes.into_inner().unwrap();
-        lanes.sort_unstable();
-        assert_eq!(lanes, vec![0, 1, 2, 3], "four writers, four distinct lanes");
-        assert_eq!(
-            device.stats().snapshot().staging_lock_waits,
-            0,
-            "disjoint lanes never contend"
-        );
+        let taken = taken.into_inner().unwrap();
+        assert_eq!(taken.len(), 256);
+        let mut blocks = std::collections::HashSet::new();
+        for a in &taken {
+            for block in a.staging_offset / BLOCK..(a.staging_offset + a.len).div_ceil(BLOCK) {
+                assert!(
+                    blocks.insert((a.staging_ino, block)),
+                    "staging block {block} of ino {} handed out twice",
+                    a.staging_ino
+                );
+            }
+        }
+        assert!(pool.files_created_inline() >= 1, "the pool ran dry");
     }
 
     /// One appending file as `stage_batch` sees it: every write continues

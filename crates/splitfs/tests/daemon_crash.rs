@@ -109,7 +109,7 @@ fn crash_before_background_batch_replays_from_the_log() {
     let fs = SplitFs::new(Arc::clone(&kernel), config.clone()).unwrap();
     let expected = stage_workload(&fs);
     fs.maintenance_quiesce();
-    drop(fs); // joins the daemon's workers before the crash snapshot
+    drop(fs); // joins the daemon's worker before the crash snapshot
     device.crash();
 
     let names: Vec<String> = expected.iter().map(|(n, _)| n.clone()).collect();

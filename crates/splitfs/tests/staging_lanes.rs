@@ -1,15 +1,14 @@
-//! Lane-sharded staging pool: recycle-path correctness and crash
-//! recovery under lanes.
+//! The staging pool: recycle-path correctness and crash recovery.
 //!
 //! The contracts under test:
 //!
 //! * a fully-retired staging file recycled through the `StagingRecycle`
-//!   machinery re-enters the **same lane's** free list it was consumed
-//!   from, so recycling never migrates capacity between lanes;
+//!   machinery re-enters the pool's free list, and an aborted recycle
+//!   puts it back where it was;
 //! * a crash anywhere around a recycle — file out of the pool, marker
 //!   durable, rebuild not yet done — recovers to the right file contents
-//!   and a freshly mounted instance rebuilds a consistent lane geometry
-//!   (every lane stocked, cursors reset, leftovers reclaimed);
+//!   and a freshly mounted instance rebuilds a consistent pool (fully
+//!   stocked, cursors reset, leftovers reclaimed);
 //! * staged bytes that leave without a relink — discarded by a truncate
 //!   or a replacing rename, or taken by a write that then failed — count
 //!   as retired, so their staging files recycle and recovery does not
@@ -27,16 +26,15 @@ fn device() -> Arc<PmemDevice> {
 
 const FILE_SIZE: u64 = 2 * 1024 * 1024;
 
-fn laned_config(lanes: usize) -> SplitConfig {
+fn laned_config() -> SplitConfig {
     SplitConfig::new(Mode::Strict)
-        .with_staging(lanes * 2, FILE_SIZE)
-        .with_staging_lanes(lanes)
+        .with_staging(2, FILE_SIZE)
         .with_oplog_size(256 * 1024)
         .without_daemon()
 }
 
-/// Appends one staging file's worth (plus a little) so the home lane's
-/// cursor moves past its first file, and leaves it all staged.  Returns
+/// Appends one staging file's worth (plus a little) so the pool's cursor
+/// moves past its first file, and leaves it all staged.  Returns
 /// the descriptor and the file's expected contents.
 fn stage_past_one_staging_file(fs: &Arc<SplitFs>, path: &str, fill: u8) -> (vfs::Fd, Vec<u8>) {
     let fd = fs.open(path, OpenFlags::create()).unwrap();
@@ -63,48 +61,47 @@ fn exhaust_one_staging_file(fs: &Arc<SplitFs>, path: &str, fill: u8) -> Vec<u8> 
 fn recycled_staging_file_reenters_the_lane_it_came_from() {
     let device = device();
     let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
-    let fs = SplitFs::new(Arc::clone(&kernel), laned_config(2)).unwrap();
+    let fs = SplitFs::new(Arc::clone(&kernel), laned_config()).unwrap();
     let pool = fs.staging_pool();
-    let home = pool.lane_for_current_thread();
 
     exhaust_one_staging_file(&fs, "/wal.log", 0x5A);
 
-    // The home lane's first file is now exhausted and fully retired.
+    // The pool's first file is now exhausted and fully retired.
     let rec = pool.begin_recycle().expect("an exhausted, retired file");
-    assert_eq!(
-        rec.lane(),
-        home,
-        "the recyclable file came from the writer's home lane"
-    );
     let ino = rec.ino();
-    let before = pool.lane_unconsumed(home);
+    assert!(!pool.holds(ino), "a file mid-recycle is out of the pool");
+    let before = pool.unconsumed_files();
     pool.rebuild(rec).unwrap();
-    assert_eq!(
-        pool.lane_of(ino),
-        Some(home),
-        "rebuild returned the file to its own lane's free list"
+    assert!(
+        pool.holds(ino),
+        "rebuild returned the file to the pool's free list"
     );
     assert_eq!(
-        pool.lane_unconsumed(home),
+        pool.unconsumed_files(),
         before + 1,
-        "the home lane regained one unconsumed file"
+        "the pool regained one unconsumed file"
     );
     assert_eq!(device.stats().snapshot().staging_recycles, 1);
 
-    // An aborted recycle also lands back in the same lane.
+    // An aborted recycle puts the file back, still exhausted.
     exhaust_one_staging_file(&fs, "/wal2.log", 0x3C);
     let rec = pool.begin_recycle().expect("second recyclable file");
-    let lane = rec.lane();
     let ino = rec.ino();
+    let before = pool.unconsumed_files();
     pool.abort_recycle(rec);
-    assert_eq!(pool.lane_of(ino), Some(lane), "abort restores the lane");
+    assert!(pool.holds(ino), "abort restores the file");
+    assert_eq!(
+        pool.unconsumed_files(),
+        before,
+        "the aborted file went back as exhausted, not unconsumed"
+    );
 }
 
 #[test]
 fn crash_mid_recycle_recovers_contents_and_lane_geometry() {
     let device = device();
     let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
-    let config = laned_config(2);
+    let config = laned_config();
     let fs = SplitFs::new(Arc::clone(&kernel), config.clone()).unwrap();
     let pool = fs.staging_pool();
 
@@ -135,28 +132,38 @@ fn crash_mid_recycle_recovers_contents_and_lane_geometry() {
     assert_eq!(kernel2.read_file("/tail.log").unwrap(), tail);
 
     // A fresh instance adopts the staging directory and rebuilds a
-    // consistent lane geometry: every lane fully stocked, cursors reset.
+    // consistent pool: fully stocked, every cursor reset.
     let fs2 = SplitFs::new(Arc::clone(&kernel2), config.clone()).unwrap();
     let pool2 = fs2.staging_pool();
-    assert_eq!(pool2.lane_count(), 2);
-    let total: usize = (0..pool2.lane_count())
-        .map(|i| pool2.lane_unconsumed(i))
-        .sum();
     assert_eq!(
-        total, config.staging_files,
+        pool2.unconsumed_files(),
+        config.staging_files,
         "every adopted staging file is unconsumed again (cursors rebuilt)"
     );
-    for lane in 0..pool2.lane_count() {
+    // Every cursor is at zero: block by block, the pool hands out each
+    // adopted file whole, from its first block to its last.
+    let mut files = Vec::new();
+    let mut expected = 0;
+    for _ in 0..config.staging_files as u64 * FILE_SIZE / 4096 {
+        let a = pool2.take(4096, 0, None).unwrap();
+        if files.last() != Some(&a.staging_ino) {
+            files.push(a.staging_ino);
+            expected = 0;
+        }
         assert_eq!(
-            pool2.lane_unconsumed(lane),
-            config.staging_files / 2,
-            "round-robin distribution across lanes"
+            (a.staging_offset, a.len),
+            (expected, 4096),
+            "staging file {} was handed out from a reset cursor",
+            files.len() - 1
         );
+        expected += 4096;
     }
-    // The file caught mid-recycle is back in rotation (adopted under
-    // some lane) and the instance is fully writable.
+    assert_eq!(files.len(), config.staging_files);
+    assert_eq!(pool2.files_created_inline(), 0, "nothing was built inline");
+    // The file caught mid-recycle is back in rotation (adopted) and the
+    // instance is fully writable.
     assert!(
-        pool2.lane_of(recycled_ino).is_some()
+        pool2.holds(recycled_ino)
             || kernel2
                 .open_by_ino(recycled_ino, OpenFlags::read_only())
                 .is_err(),
@@ -179,7 +186,6 @@ fn remount_truncates_staging_leftovers_beyond_the_pool_size() {
     // pool: emulate by taking enough to force inline creations.
     let config = SplitConfig::new(Mode::Strict)
         .with_staging(2, FILE_SIZE)
-        .with_staging_lanes(1)
         .with_oplog_size(256 * 1024)
         .without_daemon();
     let fs = SplitFs::new(Arc::clone(&kernel), config.clone()).unwrap();
@@ -223,7 +229,7 @@ fn discarded_staged_bytes_release_their_staging_file() {
     for replaced_by_rename in [false, true] {
         let device = device();
         let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
-        let fs = SplitFs::new(kernel, laned_config(1)).unwrap();
+        let fs = SplitFs::new(kernel, laned_config()).unwrap();
         let pool = fs.staging_pool();
         let (fd, _) = stage_past_one_staging_file(&fs, "/victim.log", 0x42);
         assert!(
@@ -250,7 +256,7 @@ fn small_device_fs() -> (Arc<kernelfs::Ext4Dax>, Arc<SplitFs>, vfs::Fd) {
         .track_persistence(false)
         .build();
     let kernel = kernelfs::Ext4Dax::mkfs(device).unwrap();
-    let fs = SplitFs::new(Arc::clone(&kernel), laned_config(1)).unwrap();
+    let fs = SplitFs::new(Arc::clone(&kernel), laned_config()).unwrap();
     let fd = fs.open("/victim.log", OpenFlags::create()).unwrap();
     (kernel, fs, fd)
 }
@@ -400,7 +406,7 @@ fn a_log_group_larger_than_an_epoch_grows_the_log() {
 fn recovery_does_not_resurrect_discarded_staged_bytes() {
     let device = device();
     let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
-    let config = laned_config(1);
+    let config = laned_config();
     let fs = SplitFs::new(kernel, config.clone()).unwrap();
 
     // Everything staged is cut off, then the file is written again.
