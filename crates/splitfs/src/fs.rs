@@ -22,7 +22,7 @@
 use std::ops::DerefMut;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use kernelfs::{Ext4Dax, BLOCK_SIZE};
 use pmem::{AccessPattern, PersistMode, PmemDevice, TimeCategory};
@@ -353,10 +353,10 @@ impl SplitFs {
     /// (§3.5, "Handling dup").
     pub fn dup(&self, fd: Fd) -> FsResult<Fd> {
         self.charge_usplit();
-        let (_, state) = self.state_for_fd(fd)?;
+        let desc = self.fds.get(fd)?;
         // Counted under the state lock, so a racing last `close` of an
         // unlinked file cannot drop the state between the two steps.
-        let mut st = state.write();
+        let mut st = desc.state.write();
         let new_fd = self.fds.dup(fd)?;
         st.open_fds += 1;
         Ok(new_fd)
@@ -416,12 +416,6 @@ impl SplitFs {
     // ------------------------------------------------------------------
     // File-state management
     // ------------------------------------------------------------------
-
-    pub(crate) fn state_for_fd(&self, fd: Fd) -> FsResult<(Descriptor, Arc<RwLock<FileState>>)> {
-        let desc = self.fds.get(fd)?;
-        let state = self.files.get(desc.ino).ok_or(FsError::BadFd)?;
-        Ok((desc, state))
-    }
 
     /// Runs `f` on the cached state bound to `norm`, under its write lock.
     /// The path index is probed without any state lock held, so the
@@ -1040,14 +1034,18 @@ impl SplitFs {
     /// (resolved under the state write lock, so concurrent appenders
     /// serialize instead of racing a stale size into overlapping offsets).
     /// Returns the bytes written and the offset just past them.
-    fn vectored_write(&self, fd: Fd, at: Option<u64>, iov: &[IoVec<'_>]) -> FsResult<(usize, u64)> {
+    fn vectored_write(
+        &self,
+        desc: &Descriptor,
+        at: Option<u64>,
+        iov: &[IoVec<'_>],
+    ) -> FsResult<(usize, u64)> {
         self.charge_usplit();
-        let (desc, state) = self.state_for_fd(fd)?;
         if !desc.flags.write {
             return Err(FsError::PermissionDenied);
         }
         let total = iov_total_len(iov);
-        let mut st = state.write();
+        let mut st = desc.state.write();
         if total == 0 {
             return Ok((0, at.unwrap_or(st.cached_size)));
         }
@@ -1116,6 +1114,24 @@ impl SplitFs {
         self.stage_batch(&mut [st], &mut op);
         let [op] = op;
         op.result.map(drop)
+    }
+
+    /// The read body behind `read_at` and `read`.
+    fn read_desc(&self, desc: &Descriptor, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
+        self.charge_usplit();
+        if !desc.flags.read {
+            return Err(FsError::PermissionDenied);
+        }
+        let mut st = desc.state.write();
+        if offset >= st.cached_size || buf.is_empty() {
+            return Ok(0);
+        }
+        let n = ((st.cached_size - offset) as usize).min(buf.len());
+        let pattern = desc.read_pattern(offset);
+        self.read_committed(&mut st, offset, &mut buf[..n], pattern)?;
+        self.overlay_staged(&st, offset, &mut buf[..n])?;
+        desc.note_read_end(offset + n as u64);
+        Ok(n)
     }
 
     /// The durability body behind `fsync` (one state) and `fsync_many`
@@ -1257,16 +1273,16 @@ impl FileSystem for SplitFs {
             // Bind the name (a no-op when the state already carries it).
             self.files.bind(&mut st, &norm);
             st.open_fds += 1;
-            return Ok(self.fds.insert(stat.ino, flags));
+            return Ok(self.fds.insert(stat.ino, flags, Arc::clone(&state)));
         }
     }
 
     fn close(&self, fd: Fd) -> FsResult<()> {
         self.charge_usplit();
-        let (_, state) = self.state_for_fd(fd)?;
+        let desc = self.fds.get(fd)?;
         {
             // Appends are relinked on fsync *or close* (§3.4).
-            let mut st = state.write();
+            let mut st = desc.state.write();
             self.relink_batch(&mut [&mut *st], None)?;
             st.open_fds = st.open_fds.saturating_sub(1);
             // Cached attributes and mappings are retained after close
@@ -1278,51 +1294,23 @@ impl FileSystem for SplitFs {
     }
 
     fn read_at(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
-        self.charge_usplit();
-        let (desc, state) = self.state_for_fd(fd)?;
-        if !desc.flags.read {
-            return Err(FsError::PermissionDenied);
-        }
-        let mut st = state.write();
-        if offset >= st.cached_size || buf.is_empty() {
-            return Ok(0);
-        }
-        let n = ((st.cached_size - offset) as usize).min(buf.len());
-        let pattern = {
-            let last = *desc.last_read_end.lock();
-            if offset == last {
-                AccessPattern::Sequential
-            } else {
-                AccessPattern::Random
-            }
-        };
-        self.read_committed(&mut st, offset, &mut buf[..n], pattern)?;
-        self.overlay_staged(&st, offset, &mut buf[..n])?;
-        *desc.last_read_end.lock() = offset + n as u64;
-        Ok(n)
+        self.read_desc(&*self.fds.get(fd)?, offset, buf)
     }
 
     fn read_view(&self, fd: Fd, offset: u64, len: usize) -> FsResult<ReadView<'_>> {
         self.charge_usplit();
-        let (desc, state) = self.state_for_fd(fd)?;
+        let desc = self.fds.get(fd)?;
         if !desc.flags.read {
             return Err(FsError::PermissionDenied);
         }
-        let mut st = state.write();
+        let mut st = desc.state.write();
         if offset >= st.cached_size || len == 0 {
             return Ok(ReadView::Owned(Vec::new()));
         }
         let n = ((st.cached_size - offset) as usize).min(len);
         let end = offset + n as u64;
-        let pattern = {
-            let last = *desc.last_read_end.lock();
-            if offset == last {
-                AccessPattern::Sequential
-            } else {
-                AccessPattern::Random
-            }
-        };
-        *desc.last_read_end.lock() = end;
+        let pattern = desc.read_pattern(offset);
+        desc.note_read_end(end);
 
         // Zero-copy when the range holds only committed bytes (no staged
         // overlay) served by one contiguous region of the collection of
@@ -1353,11 +1341,12 @@ impl FileSystem for SplitFs {
     }
 
     fn writev_at(&self, fd: Fd, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        self.vectored_write(fd, Some(offset), iov).map(|(n, _)| n)
+        self.vectored_write(&*self.fds.get(fd)?, Some(offset), iov)
+            .map(|(n, _)| n)
     }
 
     fn appendv(&self, fd: Fd, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        let (n, _) = self.vectored_write(fd, None, iov)?;
+        let (n, _) = self.vectored_write(&*self.fds.get(fd)?, None, iov)?;
         self.device.stats().add_appendv(iov.len() as u64);
         Ok(n)
     }
@@ -1370,14 +1359,13 @@ impl FileSystem for SplitFs {
         // Resolve the distinct files behind the descriptors and lock them
         // in inode order (the same order the ring batches use, so
         // concurrent batches cannot deadlock against each other).
-        let mut entries: Vec<(u64, Arc<RwLock<FileState>>)> = Vec::with_capacity(fds.len());
-        for &fd in fds {
-            let (desc, state) = self.state_for_fd(fd)?;
-            entries.push((desc.ino, state));
-        }
-        entries.sort_by_key(|(ino, _)| *ino);
-        entries.dedup_by_key(|(ino, _)| *ino);
-        let mut guards: Vec<_> = entries.iter().map(|(_, state)| state.write()).collect();
+        let mut descs = fds
+            .iter()
+            .map(|&fd| self.fds.get(fd))
+            .collect::<FsResult<Vec<_>>>()?;
+        descs.sort_by_key(|desc| desc.ino);
+        descs.dedup_by_key(|desc| desc.ino);
+        let mut guards: Vec<_> = descs.iter().map(|desc| desc.state.write()).collect();
         self.sync_states(&mut guards)?;
         self.device.stats().add_fsync_many(fds.len() as u64);
         Ok(())
@@ -1385,51 +1373,56 @@ impl FileSystem for SplitFs {
 
     fn read(&self, fd: Fd, buf: &mut [u8]) -> FsResult<usize> {
         let desc = self.fds.get(fd)?;
-        let offset = *desc.offset.lock();
-        let n = self.read_at(fd, offset, buf)?;
-        *desc.offset.lock() = offset + n as u64;
+        // The offset stays locked across the whole call, like Linux's
+        // `f_pos_lock` (POSIX 2.9.7): two calls through one description,
+        // or its `dup`s, never read the same bytes or lose an advance.
+        // Lock order: offset, then file state.
+        let mut pos = desc.offset.lock();
+        let n = self.read_desc(&desc, *pos, buf)?;
+        *pos += n as u64;
         Ok(n)
     }
 
     fn write(&self, fd: Fd, data: &[u8]) -> FsResult<usize> {
         let desc = self.fds.get(fd)?;
+        // Locked across the call, as in `read`.
+        let mut pos = desc.offset.lock();
         // An O_APPEND descriptor writes at the end of file, which only the
         // write body can resolve race-free.
-        let at = (!desc.flags.append).then(|| *desc.offset.lock());
-        let (n, end) = self.vectored_write(fd, at, &[IoVec::new(data)])?;
-        *desc.offset.lock() = end;
+        let at = (!desc.flags.append).then_some(*pos);
+        let (n, end) = self.vectored_write(&desc, at, &[IoVec::new(data)])?;
+        *pos = end;
         Ok(n)
     }
 
     fn lseek(&self, fd: Fd, pos: SeekFrom) -> FsResult<u64> {
         // Seeks are resolved entirely in user space against the cached size.
         self.charge_usplit();
-        let (desc, state) = self.state_for_fd(fd)?;
-        let size = state.read().cached_size;
-        let cur = *desc.offset.lock();
+        let desc = self.fds.get(fd)?;
+        let mut cur = desc.offset.lock();
         let new = match pos {
             SeekFrom::Start(o) => o as i128,
-            SeekFrom::Current(d) => cur as i128 + d as i128,
-            SeekFrom::End(d) => size as i128 + d as i128,
+            SeekFrom::Current(d) => *cur as i128 + d as i128,
+            SeekFrom::End(d) => desc.state.read().cached_size as i128 + d as i128,
         };
         if new < 0 {
             return Err(FsError::InvalidArgument);
         }
-        *desc.offset.lock() = new as u64;
+        *cur = new as u64;
         Ok(new as u64)
     }
 
     fn fsync(&self, fd: Fd) -> FsResult<()> {
         self.charge_usplit();
-        let (_, state) = self.state_for_fd(fd)?;
-        let mut st = state.write();
+        let desc = self.fds.get(fd)?;
+        let mut st = desc.state.write();
         self.sync_states(&mut [&mut *st])
     }
 
     fn ftruncate(&self, fd: Fd, size: u64) -> FsResult<()> {
         self.charge_usplit();
-        let (_, state) = self.state_for_fd(fd)?;
-        let mut st = state.write();
+        let desc = self.fds.get(fd)?;
+        let mut st = desc.state.write();
         let cut = |e: &StagedExtent| e.target_offset + e.len > size;
         if self.oplog.is_some()
             && st.staged.iter().any(cut)
@@ -1460,8 +1453,8 @@ impl FileSystem for SplitFs {
 
     fn fstat(&self, fd: Fd) -> FsResult<FileStat> {
         self.charge_usplit();
-        let (_, state) = self.state_for_fd(fd)?;
-        let st = state.read();
+        let desc = self.fds.get(fd)?;
+        let st = desc.state.read();
         Ok(FileStat {
             ino: st.ino,
             size: st.cached_size,
@@ -1564,6 +1557,7 @@ impl FileSystem for SplitFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -1584,6 +1578,136 @@ mod tests {
             .iter()
             .filter_map(|(_, state)| state.read().linked_path().map(str::to_string))
             .collect()
+    }
+
+    #[test]
+    fn a_descriptor_holds_the_registered_state_of_its_file() {
+        let (_kernel, fs) = splitfs(Mode::Sync);
+        // The descriptor's state is the one the registry holds for its
+        // inode; returns what a read through the descriptor serves.
+        let read = |fd: Fd| {
+            let desc = fs.fds.get(fd).unwrap();
+            let registered = fs.files.get(desc.ino).expect("open file unregistered");
+            assert!(Arc::ptr_eq(&desc.state, &registered), "fd {fd}");
+            let mut buf = vec![0u8; 64];
+            fs.read_at(fd, 0, &mut buf).map(|n| buf[..n].to_vec())
+        };
+        let holds = |fd: Fd, want: &[u8]| assert_eq!(read(fd).unwrap(), want, "fd {fd}");
+
+        // `dup`, then close of the original.
+        fs.write_file("/a", b"alpha").unwrap();
+        let a = fs.open("/a", OpenFlags::read_write()).unwrap();
+        let a2 = fs.dup(a).unwrap();
+        fs.close(a).unwrap();
+        holds(a2, b"alpha");
+        // Unlink while open, and a new file under the name.
+        fs.unlink("/a").unwrap();
+        holds(a2, b"alpha");
+        fs.write_file("/a", b"another").unwrap();
+        holds(a2, b"alpha");
+        // `rename` over the open file.  K-Split frees a replaced file's
+        // blocks at the rename, open or not, so the read fails; it must not
+        // serve the new file's bytes.
+        fs.write_file("/b", b"bravo").unwrap();
+        let b = fs.open("/b", OpenFlags::read_only()).unwrap();
+        fs.write_file("/c", b"charlie").unwrap();
+        fs.rename("/c", "/b").unwrap();
+        assert_eq!(read(b), Err(FsError::BadFd));
+        assert_eq!(fs.read_file("/b").unwrap(), b"charlie");
+        // `open(O_TRUNC)` of the same path shares the state.
+        let t = fs.open("/b", OpenFlags::read_write()).unwrap();
+        let t2 = fs.open("/b", OpenFlags::create_truncate()).unwrap();
+        holds(t, b"");
+        fs.write(t2, b"tango").unwrap();
+        holds(t, b"tango");
+        holds(t2, b"tango");
+
+        // The last close drops the states that lost their names.
+        let unnamed = [a2, b].map(|fd| fs.fds.get(fd).unwrap().ino);
+        for fd in [a2, b, t, t2] {
+            fs.close(fd).unwrap();
+        }
+        assert!(unnamed.iter().all(|&ino| fs.files.get(ino).is_none()));
+    }
+
+    #[test]
+    fn a_shared_offset_hands_out_each_block_once() {
+        const THREADS: usize = 4;
+        const BLOCKS: u64 = 1024;
+        const BLOCK: usize = 4096;
+        let (_kernel, fs) = splitfs(Mode::Posix);
+        let numbered = |n: u64| {
+            let mut block = vec![0u8; BLOCK];
+            block[..8].copy_from_slice(&n.to_le_bytes());
+            block
+        };
+        let tag = |buf: &[u8]| u64::from_le_bytes(buf[..8].try_into().unwrap());
+        // Four threads through one description — half of them through a
+        // `dup` of it — each take 4 KiB per call until the file runs out.
+        // Every block must come out exactly once.
+        let drain = |fd: Fd, op: &(dyn Fn(Fd) -> Option<u64> + Sync)| {
+            let dup = fs.dup(fd).unwrap();
+            let start = std::sync::Barrier::new(THREADS);
+            let mut got: Vec<u64> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let (start, fd) = (&start, [fd, dup][t % 2]);
+                        s.spawn(move || {
+                            start.wait();
+                            std::iter::from_fn(|| op(fd)).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().unwrap())
+                    .collect::<Vec<_>>()
+            });
+            fs.close(dup).unwrap();
+            got.sort_unstable();
+            got
+        };
+
+        // `read`: the file's blocks are numbered; each must be read once.
+        let blocks: Vec<u8> = (0..BLOCKS).flat_map(numbered).collect();
+        fs.write_file("/blocks", &blocks).unwrap();
+        let fd = fs.open("/blocks", OpenFlags::read_only()).unwrap();
+        let read = drain(fd, &|fd| {
+            let mut buf = vec![0u8; BLOCK];
+            match fs.read(fd, &mut buf).unwrap() {
+                0 => None,
+                n => Some(tag(&buf[..n])),
+            }
+        });
+        let repeats = read.windows(2).filter(|w| w[0] == w[1]).count();
+        assert_eq!(
+            read.len(),
+            BLOCKS as usize,
+            "{repeats} reads repeated a block"
+        );
+        assert_eq!(read, (0..BLOCKS).collect::<Vec<_>>());
+        fs.close(fd).unwrap();
+
+        // `write`: BLOCKS numbered writes in all, each must land in a block
+        // of its own.
+        let written = AtomicU64::new(0);
+        let fd = fs.open("/out", OpenFlags::create()).unwrap();
+        drain(fd, &|fd| {
+            let n = written.fetch_add(1, Ordering::Relaxed);
+            (n < BLOCKS).then(|| {
+                fs.write(fd, &numbered(n)).unwrap();
+                n
+            })
+        });
+        let out = fs.read_file("/out").unwrap();
+        let mut landed: Vec<u64> = out.chunks(BLOCK).map(tag).collect();
+        landed.sort_unstable();
+        assert_eq!(
+            landed,
+            (0..BLOCKS).collect::<Vec<_>>(),
+            "an advance was lost"
+        );
+        fs.close(fd).unwrap();
     }
 
     #[test]

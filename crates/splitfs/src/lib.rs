@@ -59,8 +59,9 @@
 //!   while the sealed half is still
 //!   being retired — never a stall, never a deadlock).  The per-file
 //!   registry and the descriptor table are **sharded**
-//!   ([`state::ShardedRegistry`], [`state::ShardedFdTable`]), so the
-//!   append hot path has no global U-Split lock, and the registry is
+//!   ([`state::ShardedRegistry`], [`state::ShardedFdTable`]), and a
+//!   descriptor holds its file's state, so the per-descriptor data path
+//!   probes one descriptor shard and no registry; the registry is
 //!   indexed by path as well as by inode, so `stat`, `unlink` and
 //!   `rename` lock only the files they name;
 //! * [`staging`] — the pool of pre-allocated, pre-mapped staging files

@@ -235,7 +235,7 @@ mod tests {
         fs.fsync(fd).unwrap();
         fs.append(fd, &tail).unwrap();
 
-        let (_, state) = fs.state_for_fd(fd).unwrap();
+        let state = Arc::clone(&fs.fds.get(fd).unwrap().state);
         let staged_at = state.read().staged.last().unwrap().device_offset;
         device.poison_range(staged_at, 64);
         match fs.fsync(fd) {

@@ -209,23 +209,23 @@ impl SplitFs {
         let mut unique = Vec::new();
         let mut resolved = Vec::new();
         for (i, fd, offset, bufs) in writes {
-            match self.state_for_fd(fd) {
-                Ok((desc, state)) if desc.flags.write => {
-                    unique.push((desc.ino, state));
+            match self.fds.get(fd) {
+                Ok(desc) if desc.flags.write => {
                     resolved.push((i, desc.ino, offset, bufs));
+                    unique.push(desc);
                 }
                 Ok(_) => complete(i, Err(FsError::PermissionDenied), self.published_epoch()),
                 Err(e) => complete(i, Err(e), self.published_epoch()),
             }
         }
-        unique.sort_by_key(|(ino, _)| *ino);
-        unique.dedup_by_key(|(ino, _)| *ino);
-        let mut guards: Vec<_> = unique.iter().map(|(_, state)| state.write()).collect();
+        unique.sort_by_key(|desc| desc.ino);
+        unique.dedup_by_key(|desc| desc.ino);
+        let mut guards: Vec<_> = unique.iter().map(|desc| desc.state.write()).collect();
         let mut ops: Vec<StageOp<'_, Vec<u8>>> = resolved
             .iter()
             .map(|&(_, ino, offset, iov)| StageOp {
                 state: unique
-                    .binary_search_by_key(&ino, |(ino, _)| *ino)
+                    .binary_search_by_key(&ino, |desc| desc.ino)
                     .expect("every resolved write's state is in the batch"),
                 offset,
                 iov,

@@ -3,11 +3,17 @@
 //! U-Split caches file attributes at `open` and keeps them after `close`
 //! (§3.5), tracks which byte ranges are staged in staging files awaiting a
 //! relink, and owns the collection of memory mappings for each file.  The
-//! cache is indexed twice: by inode, for descriptors, and by path, so that
-//! `stat`, `unlink` and `rename` cost a hash probe however many files are
-//! cached.
-//! Descriptors are thin: they share a single per-open-file offset so that
-//! `dup`-ed descriptors observe each other's seeks, as the paper requires.
+//! cache is indexed twice: by inode, for `open` and the daemon, and by
+//! path, so that `stat`, `unlink` and `rename` cost a hash probe however
+//! many files are cached.
+//!
+//! A [`Descriptor`] is the handle from a descriptor number to its file: it
+//! holds the file's state itself, so a read or overwrite takes one probe of
+//! the descriptor table and none of the registry.  That handle is the
+//! registered state for as long as the descriptor is open, because a state
+//! leaves the registry only once no descriptor refers to it.  `dup`-ed
+//! descriptors share one `Descriptor`, and with it one offset, so they
+//! observe each other's seeks, as the paper requires.
 //!
 //! All of this state is **instance-private DRAM**: every [`SplitFs`]
 //! instance has its own sharded registry and descriptor table, so
@@ -18,6 +24,8 @@
 //! [`SplitFs`]: crate::SplitFs
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -101,17 +109,43 @@ impl FileState {
     }
 }
 
-/// One application-visible file descriptor.
-#[derive(Debug, Clone)]
+/// One open file description: what an application descriptor, and every
+/// `dup` of it, refers to.
+#[derive(Debug)]
 pub struct Descriptor {
     /// Inode of the file the descriptor refers to.
     pub ino: u64,
     /// Flags the descriptor was opened with.
     pub flags: OpenFlags,
-    /// Current offset, shared between `dup`-ed descriptors.
-    pub offset: Arc<Mutex<u64>>,
+    /// The file's state.  While the descriptor is open this is the state
+    /// the registry holds for `ino`: a state is dropped from the registry
+    /// only when no descriptor refers to it.
+    pub state: Arc<RwLock<FileState>>,
+    /// Current offset.  `read` and `write` hold it across the whole call,
+    /// so calls through one description never read the same bytes or lose
+    /// an advance; it is taken before the file state's lock, never under
+    /// it.
+    pub offset: Mutex<u64>,
     /// End of the previous read (sequential-vs-random classification).
-    pub last_read_end: Arc<Mutex<u64>>,
+    /// Only a hint for the cost model, so it is read and written relaxed.
+    last_read_end: AtomicU64,
+}
+
+impl Descriptor {
+    /// How a read starting at `offset` accesses the device: sequentially
+    /// when it continues the previous read through this description.
+    pub(crate) fn read_pattern(&self, offset: u64) -> pmem::AccessPattern {
+        if self.last_read_end.load(Ordering::Relaxed) == offset {
+            pmem::AccessPattern::Sequential
+        } else {
+            pmem::AccessPattern::Random
+        }
+    }
+
+    /// Records that a read ended at `end`.
+    pub(crate) fn note_read_end(&self, end: u64) {
+        self.last_read_end.store(end, Ordering::Relaxed);
+    }
 }
 
 /// The registry of per-file state, keyed by inode.
@@ -213,7 +247,7 @@ impl ShardedRegistry {
     /// Removes and returns the state of `ino`.  The caller has already
     /// [`unbound`](Self::unbind) it.
     pub fn remove(&self, ino: u64) -> Option<Arc<RwLock<FileState>>> {
-        self.shard(ino).write().remove(&ino)
+        self.write_shard(self.shard(ino)).remove(&ino)
     }
 
     /// Whether `state` is still the registered state of `ino`.  A state
@@ -296,13 +330,40 @@ impl ShardedRegistry {
     }
 }
 
+/// Hashes descriptor numbers with one multiply (Fibonacci hashing) in
+/// place of SipHash: the table hands the numbers out itself, as small
+/// sequential integers, so no caller can pick keys that collide.  The
+/// rotation brings the product's well-mixed high bits down to the low
+/// bits the map indexes its buckets with.
+#[derive(Debug, Default)]
+struct FdHasher(u64);
+
+impl Hasher for FdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type FdMap = HashMap<Fd, Arc<Descriptor>, BuildHasherDefault<FdHasher>>;
+
 /// The descriptor table, sharded by descriptor number with a lock-free
-/// descriptor allocator, so the per-operation descriptor lookup on the
-/// append hot path never serializes on one table lock.
+/// descriptor allocator, so the per-operation descriptor lookup never
+/// serializes on one table lock.  A `dup` maps a second number to the
+/// same [`Descriptor`].
 #[derive(Debug)]
 pub struct ShardedFdTable {
-    shards: Vec<RwLock<HashMap<Fd, Descriptor>>>,
-    next_fd: std::sync::atomic::AtomicU64,
+    shards: Vec<RwLock<FdMap>>,
+    next_fd: AtomicU64,
 }
 
 impl Default for ShardedFdTable {
@@ -317,46 +378,43 @@ impl ShardedFdTable {
     pub fn new() -> Self {
         Self {
             shards: (0..STATE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
+                .map(|_| RwLock::new(FdMap::default()))
                 .collect(),
-            next_fd: std::sync::atomic::AtomicU64::new(3),
+            next_fd: AtomicU64::new(3),
         }
     }
 
-    fn shard(&self, fd: Fd) -> &RwLock<HashMap<Fd, Descriptor>> {
+    fn shard(&self, fd: Fd) -> &RwLock<FdMap> {
         &self.shards[fd as usize % self.shards.len()]
     }
 
-    /// Registers a new descriptor for `ino`.
-    pub fn insert(&self, ino: u64, flags: OpenFlags) -> Fd {
-        let fd = self
-            .next_fd
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.shard(fd).write().insert(
-            fd,
-            Descriptor {
-                ino,
-                flags,
-                offset: Arc::new(Mutex::new(0)),
-                last_read_end: Arc::new(Mutex::new(u64::MAX)),
-            },
-        );
+    fn insert_desc(&self, desc: Arc<Descriptor>) -> Fd {
+        let fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
+        self.shard(fd).write().insert(fd, desc);
         fd
+    }
+
+    /// Registers a new descriptor for the file whose registered state is
+    /// `state`.
+    pub fn insert(&self, ino: u64, flags: OpenFlags, state: Arc<RwLock<FileState>>) -> Fd {
+        self.insert_desc(Arc::new(Descriptor {
+            ino,
+            flags,
+            state,
+            offset: Mutex::new(0),
+            last_read_end: AtomicU64::new(u64::MAX),
+        }))
     }
 
     /// Duplicates a descriptor; the new descriptor shares the original's
     /// offset (POSIX `dup` semantics, §3.5).
     pub fn dup(&self, fd: Fd) -> FsResult<Fd> {
         let desc = self.get(fd)?;
-        let new_fd = self
-            .next_fd
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.shard(new_fd).write().insert(new_fd, desc);
-        Ok(new_fd)
+        Ok(self.insert_desc(desc))
     }
 
     /// Looks up a descriptor.
-    pub fn get(&self, fd: Fd) -> FsResult<Descriptor> {
+    pub fn get(&self, fd: Fd) -> FsResult<Arc<Descriptor>> {
         self.shard(fd)
             .read()
             .get(&fd)
@@ -365,7 +423,7 @@ impl ShardedFdTable {
     }
 
     /// Removes a descriptor, returning it.
-    pub fn remove(&self, fd: Fd) -> FsResult<Descriptor> {
+    pub fn remove(&self, fd: Fd) -> FsResult<Arc<Descriptor>> {
         self.shard(fd).write().remove(&fd).ok_or(FsError::BadFd)
     }
 
@@ -384,10 +442,14 @@ impl ShardedFdTable {
 mod tests {
     use super::*;
 
+    fn state(ino: u64) -> Arc<RwLock<FileState>> {
+        Arc::new(RwLock::new(FileState::new(ino, 100 + ino, 0)))
+    }
+
     #[test]
     fn dup_shares_the_offset() {
         let table = ShardedFdTable::new();
-        let fd = table.insert(7, OpenFlags::read_write());
+        let fd = table.insert(7, OpenFlags::read_write(), state(7));
         let dup = table.dup(fd).unwrap();
         assert_ne!(fd, dup);
         *table.get(fd).unwrap().offset.lock() = 4096;
@@ -397,8 +459,8 @@ mod tests {
     #[test]
     fn remove_invalidates_only_that_descriptor() {
         let table = ShardedFdTable::new();
-        let a = table.insert(1, OpenFlags::read_only());
-        let b = table.insert(2, OpenFlags::read_only());
+        let a = table.insert(1, OpenFlags::read_only(), state(1));
+        let b = table.insert(2, OpenFlags::read_only(), state(2));
         table.remove(a).unwrap();
         assert!(table.get(a).is_err());
         assert!(table.get(b).is_ok());
