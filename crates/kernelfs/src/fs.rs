@@ -13,12 +13,12 @@
 //! * [`Ext4Dax::dax_map`] — the `mmap(MAP_POPULATE)` equivalent, returning
 //!   the physical device ranges backing a file range so U-Split can serve
 //!   reads/overwrites with loads and stores.
-//! * [`Ext4Dax::ioctl_relink`] — the patched `EXT4_IOC_MOVE_EXT` ioctl: an
-//!   atomic, journaled, metadata-only move of blocks from one file to
-//!   another, which is the primitive behind SplitFS's optimized appends and
-//!   atomic data operations.  Its batched form,
-//!   [`Ext4Dax::ioctl_relink_batch`], also copies the partial blocks at the
-//!   ends of what it moves, all in one trap and one transaction.
+//! * [`Ext4Dax::ioctl_relink_batch`] — the patched `EXT4_IOC_MOVE_EXT`
+//!   ioctl: an atomic, journaled, metadata-only move of blocks from one
+//!   file to another, which is the primitive behind SplitFS's optimized
+//!   appends and atomic data operations.  One call moves many ranges and
+//!   copies the partial blocks at the ends of what it moves, all in one
+//!   trap and one transaction.
 //!
 //! # Sharded kernel state and lock ordering
 //!
@@ -32,8 +32,9 @@
 //!   only the shards of the files it touches;
 //! * **block allocator** — a [`ShardedAllocator`]: per-region
 //!   sub-allocators behind independent locks, steered by inode number;
-//! * **journal admission** — [`Journal`] regions with per-region admission
-//!   locks and a global transaction-id order (see `journal.rs`);
+//! * **journal admission** — not sharded: [`Journal`] is one log behind
+//!   one head lock, which every committer shares and under which it draws
+//!   its transaction id (see `journal.rs`);
 //! * **descriptor table** — [`FD_SHARDS`] shards keyed by descriptor;
 //! * **directory namespace** (directory entries, open counts, orphans) —
 //!   [`NS_SHARDS`] shards of `NsShard` keyed by inode number: a
@@ -273,10 +274,9 @@ pub struct Ext4Dax {
 /// `[src_offset, src_offset + len)` of `src_fd` come to back
 /// `[dst_offset, dst_offset + len)` of `dst_fd`.
 ///
-/// As a *move* (the argument list of [`Ext4Dax::ioctl_relink`]) every
-/// field is block-aligned and the source's blocks change owner.  As a
-/// *copy* — the partial-block case — any alignment is allowed and the
-/// bytes are copied, leaving the source as it was.
+/// As a *move* every field is block-aligned and the source's blocks change
+/// owner.  As a *copy* — the partial-block case — any alignment is allowed
+/// and the bytes are copied, leaving the source as it was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelinkOp {
     /// Descriptor of the file the bytes come from (a staging file).
@@ -647,7 +647,7 @@ impl Ext4Dax {
     /// before the journal is discarded: the journal records are the only
     /// durable copy of a replayed change until that fence, so a crash that
     /// persists the discard must find the in-place state already durable.
-    /// The discard itself clears only each region's used extent (see
+    /// The discard itself clears only the journal's used extent (see
     /// [`crate::journal`]), so a mount costs what was journaled, not the
     /// size of the journal.
     pub fn mount(device: Arc<PmemDevice>) -> FsResult<Arc<Self>> {
@@ -655,9 +655,9 @@ impl Ext4Dax {
         device.read_uncharged(0, &mut sb_block);
         let sb = Superblock::from_block(&sb_block)?;
 
-        // 1. Journal recovery (regions merged in transaction-id order).
-        //    The scan leaves each region's head at its used extent for the
-        //    reset at the end of the mount.
+        // 1. Journal recovery (records in media order, which is
+        //    transaction-id order).  The scan leaves the head at the
+        //    journal's used extent for the reset at the end of the mount.
         let journal = Journal::new(Arc::clone(&device), &sb);
         let (records, max_tid) = journal.scan();
 
@@ -1268,8 +1268,8 @@ impl Ext4Dax {
         if taken.runs.is_empty() {
             return Ok(());
         }
-        let txn = match self.journal.commit(inode.ino, &taken.records) {
-            Ok((_tid, txn)) => txn,
+        let txn = match self.journal.commit(&taken.records) {
+            Ok(txn) => txn,
             Err(e) => {
                 self.give_back(inode, &taken);
                 return Err(e);
@@ -1582,13 +1582,10 @@ impl Ext4Dax {
         self.charge(cost.ext4_inode_update_ns);
         let new_end = offset + total;
         if new_end > inode.size {
-            let (_tid, txn) = self.journal.commit(
-                inode.ino,
-                &[JournalRecord::SetSize {
-                    ino: inode.ino,
-                    size: new_end,
-                }],
-            )?;
+            let txn = self.journal.commit(&[JournalRecord::SetSize {
+                ino: inode.ino,
+                size: new_end,
+            }])?;
             inode.size = new_end;
             self.write_inode(inode);
             drop(txn);
@@ -1711,39 +1708,12 @@ impl Ext4Dax {
         })
     }
 
-    /// The relink ioctl (patched `EXT4_IOC_MOVE_EXT`).
-    ///
-    /// Atomically moves the blocks backing `[src_offset, src_offset+len)` of
-    /// `src_fd` so that they back `[dst_offset, dst_offset+len)` of
-    /// `dst_fd`, without copying data.  See [`Ext4Dax::ioctl_relink_batch`]
-    /// for the constraints; this is the single-op convenience form.
-    pub fn ioctl_relink(
-        &self,
-        src_fd: Fd,
-        src_offset: u64,
-        dst_fd: Fd,
-        dst_offset: u64,
-        len: u64,
-    ) -> FsResult<()> {
-        self.ioctl_relink_batch(
-            &[RelinkOp {
-                src_fd,
-                src_offset,
-                dst_fd,
-                dst_offset,
-                len,
-            }],
-            &[],
-        )
-        .map(|_| ())
-    }
-
     /// The batched relink ioctl: applies every move in `moves` and every
     /// copy in `copies` as **one** journal transaction, and returns each
     /// destination descriptor's file size after the batch.
     ///
-    /// Semantically each move is an [`Ext4Dax::ioctl_relink`] and each copy
-    /// a write of the source's bytes, but the whole batch commits
+    /// Semantically each move is one `EXT4_IOC_MOVE_EXT` and each copy a
+    /// write of the source's bytes, but the whole batch commits
     /// atomically: after a crash either every move and copy in the batch is
     /// visible or none is, and the jbd2-style transaction cost is paid once
     /// instead of once per op.  SplitFS's `fsync` path submits a file's
@@ -2045,12 +2015,7 @@ impl Ext4Dax {
         }
 
         // Journal every move and copy of the batch as one transaction.
-        let hint = moves
-            .iter()
-            .chain(&copies)
-            .next()
-            .map_or(0, |&(_, dst, _)| dst);
-        let (_tid, txn) = self.journal.commit(hint, &records)?;
+        let txn = self.journal.commit(&records)?;
 
         // In-place metadata updates, once per touched inode, then the
         // bitmap: the copies' new blocks and the moves' replaced ones.
@@ -2232,23 +2197,6 @@ impl Ext4Dax {
         Ok(id)
     }
 
-    /// Acquires a lease on a **specific** instance id.  Fails with
-    /// [`FsError::AlreadyExists`] — and counts a lease conflict — when the
-    /// id is held by a live instance or still active as an unrecovered
-    /// orphan.
-    pub fn lease_acquire_specific(&self, id: u32) -> FsResult<u32> {
-        self.charge_syscall();
-        if !self.leases.reserve_specific(id) {
-            self.device.stats().add_lease_conflict();
-            return Err(FsError::AlreadyExists);
-        }
-        if let Err(e) = self.commit_lease(id, true) {
-            self.leases.clear(id);
-            return Err(e);
-        }
-        Ok(id)
-    }
-
     /// Releases an instance lease (clean shutdown, or recovery retiring an
     /// orphan), journaling the release and persisting the lease table.
     pub fn lease_release(&self, id: u32) -> FsResult<()> {
@@ -2294,13 +2242,10 @@ impl Ext4Dax {
     /// under the transaction guard (record → fence → in-place update,
     /// like every other metadata mutation).
     fn commit_lease(&self, instance_id: u32, acquire: bool) -> FsResult<()> {
-        let (_tid, txn) = self.journal.commit(
-            u64::from(instance_id),
-            &[JournalRecord::Lease {
-                instance_id,
-                acquire,
-            }],
-        )?;
+        let txn = self.journal.commit(&[JournalRecord::Lease {
+            instance_id,
+            acquire,
+        }])?;
         self.leases.persist();
         drop(txn);
         // Journaled and persisted: recovery must now honor this lease
@@ -2362,7 +2307,7 @@ impl FileSystem for Ext4Dax {
                         let (free_records, runs) = self.free_inode_blocks(inode);
                         records.extend(free_records);
                         inode.size = 0;
-                        let (_tid, txn) = self.journal.commit(ino, &records)?;
+                        let txn = self.journal.commit(&records)?;
                         self.write_inode(inode);
                         self.release_runs(&runs);
                         drop(txn);
@@ -2385,15 +2330,12 @@ impl FileSystem for Ext4Dax {
                         continue;
                     }
                     self.charge(cost.ext4_inode_update_ns);
-                    let (_tid, txn) = self.journal.commit(
+                    let txn = self.journal.commit(&[JournalRecord::CreateInode {
                         ino,
-                        &[JournalRecord::CreateInode {
-                            ino,
-                            parent,
-                            name: name.clone(),
-                            is_dir: false,
-                        }],
-                    )?;
+                        parent,
+                        name: name.clone(),
+                        is_dir: false,
+                    }])?;
                     let ishards = self.inodes.len();
                     let mut set = self.lock_inodes_write(&[ino, parent]);
                     set.map_for(inode_shard_of(ino, ishards))
@@ -2456,7 +2398,7 @@ impl FileSystem for Ext4Dax {
                         ino: file.ino,
                         free_inode: true,
                     });
-                    let (_tid, txn) = self.journal.commit(file.ino, &records)?;
+                    let txn = self.journal.commit(&records)?;
                     self.zero_inode_record(file.ino);
                     self.release_runs(&runs);
                     drop(txn);
@@ -2693,7 +2635,7 @@ impl FileSystem for Ext4Dax {
                     len: run.len,
                 });
             }
-            let (_tid, txn) = self.journal.commit(ino, &records)?;
+            let txn = self.journal.commit(&records)?;
             self.write_inode(inode);
             self.release_runs(&freed);
             drop(txn);
@@ -2702,9 +2644,9 @@ impl FileSystem for Ext4Dax {
             // pre-allocate staging files.
             self.allocate_range(inode, old_size, size - old_size)?;
             self.zero_past_eof(inode, old_size, size);
-            let (_tid, txn) = self
+            let txn = self
                 .journal
-                .commit(ino, &[JournalRecord::SetSize { ino, size }])?;
+                .commit(&[JournalRecord::SetSize { ino, size }])?;
             inode.size = size;
             self.write_inode(inode);
             drop(txn);
@@ -2781,15 +2723,12 @@ impl FileSystem for Ext4Dax {
                 > 0;
             if still_open {
                 g.shard_mut(shards, ino).orphans.insert(ino, true);
-                let (_tid, txn) = self.journal.commit(
+                let txn = self.journal.commit(&[JournalRecord::Unlink {
+                    parent,
+                    name,
                     ino,
-                    &[JournalRecord::Unlink {
-                        parent,
-                        name,
-                        ino,
-                        free_inode: false,
-                    }],
-                )?;
+                    free_inode: false,
+                }])?;
                 {
                     let parent_inode = set.inode_mut(ishards, parent)?;
                     self.write_inode(parent_inode);
@@ -2806,7 +2745,7 @@ impl FileSystem for Ext4Dax {
                     ino,
                     free_inode: true,
                 });
-                let (_tid, txn) = self.journal.commit(ino, &records)?;
+                let txn = self.journal.commit(&records)?;
                 set.map_for(inode_shard_of(ino, ishards)).remove(&ino);
                 self.zero_inode_record(ino);
                 {
@@ -2909,7 +2848,7 @@ impl FileSystem for Ext4Dax {
                 records.extend(free_records);
                 freed_runs = runs;
             }
-            let (_tid, txn) = self.journal.commit(ino, &records)?;
+            let txn = self.journal.commit(&records)?;
 
             {
                 let old_parent_inode = set.inode(shards, old_parent)?;
@@ -2984,15 +2923,12 @@ impl FileSystem for Ext4Dax {
             {
                 continue;
             }
-            let (_tid, txn) = self.journal.commit(
+            let txn = self.journal.commit(&[JournalRecord::CreateInode {
                 ino,
-                &[JournalRecord::CreateInode {
-                    ino,
-                    parent,
-                    name: name.clone(),
-                    is_dir: true,
-                }],
-            )?;
+                parent,
+                name: name.clone(),
+                is_dir: true,
+            }])?;
             let shards = self.inodes.len();
             let mut set = self.lock_inodes_write(&[ino, parent]);
             set.map_for(inode_shard_of(ino, shards))
@@ -3065,7 +3001,7 @@ impl FileSystem for Ext4Dax {
                 ino,
                 free_inode: true,
             });
-            let (_tid, txn) = self.journal.commit(ino, &records)?;
+            let txn = self.journal.commit(&records)?;
             set.map_for(inode_shard_of(ino, shards)).remove(&ino);
             // No directory-move bump needed: cached descendants carry
             // `parent == ino`, and inos are never reused, so the missing
@@ -3110,6 +3046,29 @@ impl FileSystem for Ext4Dax {
         self.charge_syscall();
         self.device.fence(TimeCategory::Metadata);
         Ok(())
+    }
+}
+
+/// The single move the kernel tests relink: one [`RelinkOp`] through
+/// [`Ext4Dax::ioctl_relink_batch`].
+#[cfg(test)]
+impl Ext4Dax {
+    fn relink(
+        &self,
+        src_fd: Fd,
+        src_offset: u64,
+        dst_fd: Fd,
+        dst_offset: u64,
+        len: u64,
+    ) -> FsResult<()> {
+        let op = RelinkOp {
+            src_fd,
+            src_offset,
+            dst_fd,
+            dst_offset,
+            len,
+        };
+        self.ioctl_relink_batch(&[op], &[]).map(|_| ())
     }
 }
 
@@ -3160,7 +3119,7 @@ mod tests {
         fs.write_at(staging, BLOCK_SIZE as u64, &block_b).unwrap();
 
         let written_before = fs.device().stats().snapshot().total_bytes_written();
-        fs.ioctl_relink(staging, 0, target, 0, 2 * BLOCK_SIZE as u64)
+        fs.relink(staging, 0, target, 0, 2 * BLOCK_SIZE as u64)
             .unwrap();
         let delta = fs.device().stats().snapshot().total_bytes_written() - written_before;
         // Only metadata (inode records, journal, bitmap) is written; the
@@ -3311,7 +3270,7 @@ mod tests {
         let a = fs.open("/a", OpenFlags::create()).unwrap();
         let b = fs.open("/b", OpenFlags::create()).unwrap();
         assert_eq!(
-            fs.ioctl_relink(a, 10, b, 0, BLOCK_SIZE as u64),
+            fs.relink(a, 10, b, 0, BLOCK_SIZE as u64),
             Err(FsError::InvalidArgument)
         );
     }
@@ -3325,8 +3284,7 @@ mod tests {
         let payload = vec![7u8; BLOCK_SIZE];
         fs.write_at(staging, 0, &payload).unwrap();
         fs.fsync(staging).unwrap();
-        fs.ioctl_relink(staging, 0, target, 0, BLOCK_SIZE as u64)
-            .unwrap();
+        fs.relink(staging, 0, target, 0, BLOCK_SIZE as u64).unwrap();
 
         device.crash();
         let fs2 = Ext4Dax::mount(device).unwrap();
@@ -3463,7 +3421,7 @@ mod tests {
                         let fill = (t * 16 + round + 1) as u8;
                         fs.write_at(staging, round * BLOCK_SIZE as u64, &vec![fill; BLOCK_SIZE])
                             .unwrap();
-                        fs.ioctl_relink(
+                        fs.relink(
                             staging,
                             round * BLOCK_SIZE as u64,
                             target,
@@ -3560,8 +3518,7 @@ mod tests {
         fs.write_at(staging, 0, &[2u8; BLOCK_SIZE]).unwrap();
         let fd = fs.open("/f", OpenFlags::create()).unwrap();
         fs.write_at(fd, 0, &[1u8; 1024]).unwrap();
-        fs.ioctl_relink(staging, 0, fd, 8192, BLOCK_SIZE as u64)
-            .unwrap();
+        fs.relink(staging, 0, fd, 8192, BLOCK_SIZE as u64).unwrap();
         let mut want = vec![0u8; 8192 + BLOCK_SIZE];
         want[..1024].fill(1);
         want[8192..].fill(2);

@@ -158,7 +158,7 @@ fn random_op(fs: &Ext4Dax, rng: &mut Rng, files: &mut [(String, Fd)], created: &
             let ext = extents[rng.below(extents.len() as u64) as usize];
             let start = ext.logical + rng.below(ext.len);
             let len = 1 + rng.below(3.min(ext.logical + ext.len - start));
-            fs.ioctl_relink(fd, start * B, dst, rng.below(160) * B, len * B)
+            fs.relink(fd, start * B, dst, rng.below(160) * B, len * B)
         }
         7 | 8 => {
             let size = map_of(fs, fd).0;
@@ -288,7 +288,7 @@ fn a_chain_that_grows_shrinks_and_regrows_is_rewritten_whole_where_its_blocks_ch
         }
     };
     let other = fs.open("/other", OpenFlags::create()).unwrap();
-    fs.ioctl_relink(pad, reused * B, other, 0, B).unwrap();
+    fs.relink(pad, reused * B, other, 0, B).unwrap();
     fs.close(pad).unwrap();
     fs.unlink("/pad").unwrap();
     assert_in_place_state(&fs);
@@ -351,7 +351,7 @@ fn replayed_add_extent_records_set_their_range() {
     let b = fs.open("/b", OpenFlags::create()).unwrap();
     fs.write_at(a, 80 * B, &vec![1u8; 5 * BLOCK_SIZE / 2])
         .unwrap();
-    fs.ioctl_relink(a, 80 * B, b, 0, 3 * B).unwrap();
+    fs.relink(a, 80 * B, b, 0, 3 * B).unwrap();
     fs.ftruncate(a, 90 * B).unwrap();
     assert_eq!(map_of(&fs, a).1.len(), 1);
     assert_eq!(mount_copy(&fs).0, all_maps(&fs));
@@ -383,7 +383,7 @@ fn relink_fails_closed_when_a_chain_cannot_grow() {
     let (fill, _) = fill_device(&fs);
     fs.close(fill).unwrap();
 
-    let relink = |i: u64| fs.ioctl_relink(a, 2 * i * B, b, 2 * i * B, B);
+    let relink = |i: u64| fs.relink(a, 2 * i * B, b, 2 * i * B, B);
     let mut failed = None;
     for i in 0..30 {
         let before = (map_of(&fs, a), map_of(&fs, b));
@@ -531,7 +531,7 @@ fn cut_chain_growing_relinks(policy: CrashPolicy, whole: bool) -> (Vec<(Map, Map
             }
         }
         current.store(i as usize + 1, Ordering::Relaxed);
-        fs.ioctl_relink(
+        fs.relink(
             src,
             (2 * i + 1) * B,
             dst,
@@ -605,7 +605,7 @@ fn relink_metadata_bytes_do_not_scale_with_chain_length() {
         fs.write_at(src, 0, &[1u8; BLOCK_SIZE]).unwrap();
 
         let before = fs.device().stats().snapshot();
-        fs.ioctl_relink(src, 0, dst, 2 * extents * B, B).unwrap();
+        fs.relink(src, 0, dst, 2 * extents * B, B).unwrap();
         let delta = fs.device().stats().snapshot().delta(&before);
         written.push(delta.written(TimeCategory::Metadata));
     }

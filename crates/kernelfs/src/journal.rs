@@ -13,32 +13,30 @@
 //! [`TimeCategory::Journal`] class; the commit charges the per-transaction
 //! software cost from the [`CostModel`](pmem::CostModel) plus one fence.
 //!
-//! # Sharded admission
+//! # One log
 //!
-//! The journal area is split into [`JOURNAL_REGIONS`] independent regions,
-//! each with its own head and admission lock, so transactions touching
-//! different inode shards commit in parallel.  Transaction ids come from
-//! one global counter and recovery merges the regions by id, which keeps
-//! replay order identical to a single serialized journal.  When the
-//! journal fills it resets **as a whole** (never one region alone, which
-//! could discard a newer transaction while an older conflicting one
-//! survived elsewhere), and only once every committed transaction has
-//! finished applying its in-place metadata updates — the [`TxnGuard`]
-//! returned by [`Journal::commit`] tracks exactly that window.
+//! The journal area is one log with one head, as jbd2's is.  Every
+//! committer — a system call in the foreground or a relink batch of the
+//! U-Split maintenance daemon — takes the head lock, draws its
+//! transaction id under it, writes its records and fences, so records lie
+//! on media in transaction-id order and recovery replays them in the
+//! order it reads them.  When the journal fills it resets as a whole, and
+//! only once every committed transaction has finished applying its
+//! in-place metadata updates — the [`TxnGuard`] returned by
+//! [`Journal::commit`] tracks exactly that window.
 //!
 //! # The all-zero invariant
 //!
-//! *Every byte of a region outside the records written since its last
+//! *Every byte of the journal outside the records written since its last
 //! reset is zero.*  `mkfs` establishes it with the one whole-journal
 //! zero-fill ([`Journal::format`]); every later reset relies on it and
 //! zeroes only what was written: the full-journal reset at run time
-//! clears `[0, head)` of each region, and mount — whose [`Journal::scan`]
-//! leaves each head one past the region's last non-zero byte, torn tail
-//! included — clears exactly that extent after replay.  A reset therefore
-//! costs what was journaled, not the size of the journal, and a recovery
-//! scan may stop parsing at the first slot that is not a valid record:
-//! nothing but zeroes (or the torn tail of the one unfenced commit)
-//! follows.
+//! clears `[0, head)`, and mount — whose [`Journal::scan`] leaves the head
+//! one past the journal's last non-zero byte, torn tail included — clears
+//! exactly that extent after replay.  A reset therefore costs what was
+//! journaled, not the size of the journal, and a recovery scan may stop
+//! parsing at the first slot that is not a valid record: nothing but
+//! zeroes (or the torn tail of the one unfenced commit) follows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -398,15 +396,8 @@ impl JournalRecord {
     }
 }
 
-/// Number of independent journal admission regions.  Each region has its
-/// own head and its own admission lock, so transactions for different
-/// inode shards commit in parallel instead of serializing on one journal
-/// lock — the jbd2-style "one running transaction" bottleneck the sharded
-/// kernel state would otherwise hit immediately.
-pub const JOURNAL_REGIONS: usize = 4;
-
-/// How much of a region one recovery read fetches.  Larger than any one
-/// record (a record is at most 64 KiB of payload plus its frame), so a
+/// How much of the journal one recovery read fetches.  Larger than any
+/// one record (a record is at most 64 KiB of payload plus its frame), so a
 /// straddling record is complete after one more read.
 const SCAN_CHUNK: usize = 128 * 1024;
 
@@ -424,36 +415,16 @@ enum Parsed {
     Invalid,
 }
 
-/// How many times a committer re-scans the regions for space before
-/// giving up (each region drains as soon as its in-flight transactions
+/// How many times a committer waits for the full journal to drain before
+/// giving up (the journal drains as soon as its in-flight transactions
 /// finish applying their in-place updates, so this bound is never reached
 /// in practice).
 const COMMIT_RETRIES: usize = 10_000;
 
-#[derive(Debug)]
-struct JournalRegion {
-    /// Device byte offset of the region.
-    start: u64,
-    /// Region length in bytes.
-    len: u64,
-    /// Next free byte offset within the region (volatile; the on-device
-    /// contents are the source of truth for recovery).  The admission lock
-    /// is held across the record write and fence so that a region's
-    /// contents are torn only at its very end.
-    head: Mutex<u64>,
-    /// Transactions committed in this region whose in-place metadata
-    /// updates have not finished yet ([`TxnGuard`]s still alive).  The
-    /// journal only resets when this is zero for **every** region:
-    /// resetting earlier could discard the journal record of a
-    /// transaction whose in-place updates are still partial, which a
-    /// crash at that instant could not repair.
-    in_flight: AtomicU64,
-}
-
-/// Keeps a committed transaction's journal region from being wrapped until
-/// the transaction's in-place metadata updates have been applied.  Hold it
-/// for the rest of the mutating operation and drop it when the in-place
-/// state matches the journaled state.
+/// Keeps a committed transaction's journal records from being reset away
+/// until the transaction's in-place metadata updates have been applied.
+/// Hold it for the rest of the mutating operation and drop it when the
+/// in-place state matches the journaled state.
 #[derive(Debug)]
 pub struct TxnGuard<'a> {
     in_flight: &'a AtomicU64,
@@ -465,63 +436,58 @@ impl Drop for TxnGuard<'_> {
     }
 }
 
-/// The journal manager.  Owns the journal area of the device, split into
-/// [`JOURNAL_REGIONS`] independently-admitted regions.
+/// The journal manager.  Owns the journal area of the device as one log.
 #[derive(Debug)]
 pub struct Journal {
     device: Arc<PmemDevice>,
-    regions: Vec<JournalRegion>,
+    /// Device byte offset of the journal area.
+    start: u64,
+    /// Journal area length in bytes.
+    len: u64,
+    /// Next free byte offset within the journal (volatile; the on-device
+    /// contents are the source of truth for recovery).  The lock is held
+    /// across the record write and fence so that the journal is torn only
+    /// at its very end, and across the transaction-id draw so that media
+    /// order is transaction-id order.
+    head: Mutex<u64>,
+    /// Committed transactions whose in-place metadata updates have not
+    /// finished yet ([`TxnGuard`]s still alive).  The journal only resets
+    /// when this is zero: resetting earlier could discard the journal
+    /// record of a transaction whose in-place updates are still partial,
+    /// which a crash at that instant could not repair.
+    in_flight: AtomicU64,
+    /// The id the next transaction takes; read and advanced under `head`.
     next_tid: AtomicU64,
 }
 
 impl Journal {
     /// Creates a journal manager over the journal area described by `sb`.
     /// Does not touch the device; call [`Journal::format`] for a fresh file
-    /// system or [`Journal::recover`] when mounting.
+    /// system or [`Journal::scan`] when mounting.
     pub fn new(device: Arc<PmemDevice>, sb: &Superblock) -> Self {
-        let area_start = sb.journal_start * BLOCK_SIZE as u64;
-        let area_len = sb.journal_blocks * BLOCK_SIZE as u64;
-        // Block-align the split so regions never share a device block.
-        let per_region =
-            (area_len / JOURNAL_REGIONS as u64) / BLOCK_SIZE as u64 * BLOCK_SIZE as u64;
-        let mut regions = Vec::with_capacity(JOURNAL_REGIONS);
-        for i in 0..JOURNAL_REGIONS as u64 {
-            let start = area_start + i * per_region;
-            // The last region absorbs the rounding remainder.
-            let len = if i == JOURNAL_REGIONS as u64 - 1 {
-                area_len - i * per_region
-            } else {
-                per_region
-            };
-            regions.push(JournalRegion {
-                start,
-                len,
-                head: Mutex::new(0),
-                in_flight: AtomicU64::new(0),
-            });
-        }
         Self {
             device,
-            regions,
+            start: sb.journal_start * BLOCK_SIZE as u64,
+            len: sb.journal_blocks * BLOCK_SIZE as u64,
+            head: Mutex::new(0),
+            in_flight: AtomicU64::new(0),
             next_tid: AtomicU64::new(1),
         }
     }
 
-    /// Zeroes every journal region in full.  Only `mkfs` needs this: the
-    /// journal area of an unformatted device holds unknown bytes, and this
-    /// fill is what establishes the all-zero invariant (module docs) every
-    /// later [`Journal::reset`] relies on.
+    /// Zeroes the whole journal area.  Only `mkfs` needs this: the journal
+    /// area of an unformatted device holds unknown bytes, and this fill is
+    /// what establishes the all-zero invariant (module docs) every later
+    /// [`Journal::reset`] relies on.
     pub fn format(&self) {
-        for region in &self.regions {
-            let mut head = region.head.lock();
-            self.device.zero(
-                region.start,
-                region.len as usize,
-                PersistMode::NonTemporal,
-                TimeCategory::Journal,
-            );
-            *head = 0;
-        }
+        let mut head = self.head.lock();
+        self.device.zero(
+            self.start,
+            self.len as usize,
+            PersistMode::NonTemporal,
+            TimeCategory::Journal,
+        );
+        *head = 0;
         self.device.fence(TimeCategory::Journal);
     }
 
@@ -531,143 +497,91 @@ impl Journal {
         self.next_tid.store(tid, Ordering::SeqCst);
     }
 
-    /// Returns the number of journal bytes currently used across all
-    /// regions.
+    /// Returns the number of journal bytes currently used.
     pub fn used_bytes(&self) -> u64 {
-        self.regions.iter().map(|r| *r.head.lock()).sum()
+        *self.head.lock()
     }
 
     /// Commits a transaction consisting of `records` (a commit marker is
-    /// appended automatically).  `hint` steers the transaction to a region
-    /// (callers pass the inode number, so a shard's transactions tend to
-    /// share a region); other regions are used when the hinted one is
-    /// contended or full.  Returns the transaction id and a [`TxnGuard`]
-    /// the caller must keep alive until the matching in-place metadata
-    /// updates are done.
+    /// appended automatically).  Returns a [`TxnGuard`] the caller must
+    /// keep alive until the matching in-place metadata updates are done.
     ///
     /// All record writes use non-temporal stores followed by a single fence
-    /// under the region's admission lock, after which the transaction is
-    /// durable.  Recovery merges the regions by transaction id.
-    pub fn commit(&self, hint: u64, records: &[JournalRecord]) -> FsResult<(u64, TxnGuard<'_>)> {
-        let tid = self.next_tid.fetch_add(1, Ordering::SeqCst);
-        self.device.stats().add_journal_txn();
-
-        let mut bytes = Vec::new();
-        for rec in records {
-            bytes.extend_from_slice(&rec.encode(tid));
-        }
-        bytes.extend_from_slice(&JournalRecord::Commit.encode(tid));
-        let need = bytes.len() as u64;
-        if self.regions.iter().all(|r| need > r.len) {
-            return Err(FsError::NoSpace);
-        }
-
+    /// under the head lock, after which the transaction is durable.  A
+    /// transaction may use the whole journal; one larger than that fails
+    /// with [`FsError::NoSpace`].  Only a transaction that reached its
+    /// fence takes a transaction id and counts in `journal_txns`.
+    pub fn commit(&self, records: &[JournalRecord]) -> FsResult<TxnGuard<'_>> {
         let cost = self.device.cost();
-        let n = self.regions.len();
         for _attempt in 0..COMMIT_RETRIES {
-            for k in 0..n {
-                let region = &self.regions[(hint as usize + k) % n];
-                if need > region.len {
+            let mut head = self
+                .device
+                .lock_contended(|| self.head.try_lock(), || self.head.lock());
+            let tid = self.next_tid.load(Ordering::SeqCst);
+            let mut bytes = Vec::new();
+            for rec in records {
+                bytes.extend_from_slice(&rec.encode(tid));
+            }
+            bytes.extend_from_slice(&JournalRecord::Commit.encode(tid));
+            let need = bytes.len() as u64;
+            if need > self.len {
+                return Err(FsError::NoSpace);
+            }
+            if *head + need > self.len {
+                // Full: reset the whole journal, which preserves the
+                // invariant that the surviving records always form a
+                // contiguous suffix of history (trivially: nothing
+                // survives).  The reset waits for in-flight transactions
+                // to finish applying in place; their appliers never block
+                // on the journal, so yielding drains them.
+                if self.in_flight.load(Ordering::SeqCst) != 0 {
+                    drop(head);
+                    std::thread::yield_now();
                     continue;
                 }
-                let mut head = match region.head.try_lock() {
-                    Some(guard) => guard,
-                    None => {
-                        if k + 1 < n {
-                            continue; // try a less contended region first
-                        }
-                        obs::event(obs::SpanEvent::JournalRegionWait);
-                        self.device
-                            .lock_contended(|| region.head.try_lock(), || region.head.lock())
-                    }
-                };
-                if *head + need > region.len {
-                    // Full.  Regions are never reset one at a time: a
-                    // lone reset could erase a region's newer transaction
-                    // while an older conflicting one survived elsewhere,
-                    // and recovery's tid-ordered replay would then
-                    // resurrect the stale record.  The whole journal
-                    // resets together (below), exactly like the seed's
-                    // single-region wrap.
-                    continue;
-                }
-                // Software cost of assembling the transaction.
-                self.device.charge(
-                    TimeCategory::Software,
-                    cost.ext4_journal_txn_ns
-                        + records.len() as f64 * cost.ext4_journal_per_block_ns,
-                );
-                self.device.write(
-                    region.start + *head,
-                    &bytes,
-                    PersistMode::NonTemporal,
-                    TimeCategory::Journal,
-                );
-                self.device.fence(TimeCategory::Journal);
-                *head += need;
-                region.in_flight.fetch_add(1, Ordering::SeqCst);
-                return Ok((
-                    tid,
-                    TxnGuard {
-                        in_flight: &region.in_flight,
-                    },
-                ));
+                self.zero_used(&mut head);
             }
-            // No region has space: reset the whole journal at once.  This
-            // preserves the invariant that the surviving records always
-            // form a contiguous suffix of history (every discarded
-            // transaction is older than every surviving one — here,
-            // trivially, because nothing survives).  The reset waits for
-            // in-flight transactions to finish applying in place; their
-            // appliers never block on the journal, so yielding drains
-            // them.
-            if !self.try_reset() {
-                std::thread::yield_now();
-            }
-        }
-        Err(FsError::Io("journal regions wedged".into()))
-    }
-
-    /// Discards the journal's contents: zeroes `[0, head)` of every region
-    /// — all that can be non-zero, by the all-zero invariant — with one
-    /// fence, and rewinds every head.  Mount calls this once the replayed
-    /// state is durable in place; nothing may be committing concurrently.
-    pub fn reset(&self) {
-        let mut heads: Vec<_> = self.regions.iter().map(|r| r.head.lock()).collect();
-        self.zero_used(&mut heads);
-    }
-
-    /// The run-time reset: [`Journal::reset`], but only if no transaction
-    /// anywhere is still applying its in-place updates (a reset must not
-    /// discard a journal record whose in-place state is still partial).
-    /// All head locks are taken in index order, so two resetters cannot
-    /// deadlock and an in-progress commit simply delays the reset by the
-    /// length of one record write.
-    fn try_reset(&self) -> bool {
-        let mut heads: Vec<_> = self.regions.iter().map(|r| r.head.lock()).collect();
-        if self
-            .regions
-            .iter()
-            .any(|r| r.in_flight.load(Ordering::SeqCst) != 0)
-        {
-            return false;
-        }
-        self.zero_used(&mut heads);
-        true
-    }
-
-    /// Zeroes the used prefix of every region (`heads` are the locked
-    /// region heads, in region order), fences once, and rewinds the heads.
-    fn zero_used(&self, heads: &mut [parking_lot::MutexGuard<'_, u64>]) {
-        for (region, head) in self.regions.iter().zip(heads.iter_mut()) {
-            self.device.zero(
-                region.start,
-                **head as usize,
+            // Software cost of assembling the transaction.
+            self.device.charge(
+                TimeCategory::Software,
+                cost.ext4_journal_txn_ns + records.len() as f64 * cost.ext4_journal_per_block_ns,
+            );
+            self.device.write(
+                self.start + *head,
+                &bytes,
                 PersistMode::NonTemporal,
                 TimeCategory::Journal,
             );
-            **head = 0;
+            self.device.fence(TimeCategory::Journal);
+            *head += need;
+            self.next_tid.store(tid + 1, Ordering::SeqCst);
+            self.in_flight.fetch_add(1, Ordering::SeqCst);
+            self.device.stats().add_journal_txn();
+            return Ok(TxnGuard {
+                in_flight: &self.in_flight,
+            });
         }
+        Err(FsError::Io("journal wedged".into()))
+    }
+
+    /// Discards the journal's contents: zeroes `[0, head)` — all that can
+    /// be non-zero, by the all-zero invariant — with one fence, and
+    /// rewinds the head.  Mount calls this once the replayed state is
+    /// durable in place; nothing may be committing concurrently.
+    pub fn reset(&self) {
+        self.zero_used(&mut self.head.lock());
+    }
+
+    /// Zeroes the used prefix of the journal (`head` is the locked head),
+    /// fences once, and rewinds the head.
+    fn zero_used(&self, head: &mut u64) {
+        self.device.zero(
+            self.start,
+            *head as usize,
+            PersistMode::NonTemporal,
+            TimeCategory::Journal,
+        );
+        *head = 0;
         self.device.fence(TimeCategory::Journal);
     }
 
@@ -700,31 +614,34 @@ impl Journal {
         }
     }
 
-    /// Streams one region off the device, [`SCAN_CHUNK`] bytes at a time,
-    /// and returns its committed transactions as `(tid, records)` pairs —
-    /// records of a transaction without a commit marker (torn at the crash
-    /// point) are discarded — together with the region's used extent: one
-    /// past its last non-zero byte, which covers a torn tail beyond the
-    /// last valid record.
-    fn scan_region(
-        device: &PmemDevice,
-        region: &JournalRegion,
-    ) -> (Vec<(u64, Vec<JournalRecord>)>, u64) {
-        let mut committed: Vec<(u64, Vec<JournalRecord>)> = Vec::new();
+    /// Scans the journal (mount path), streaming it off the device
+    /// `SCAN_CHUNK` bytes at a time, and returns the records of every
+    /// committed transaction in media order — which is transaction-id
+    /// order, since ids are drawn under the head lock — plus the highest
+    /// transaction id seen.  Records of a transaction without a commit
+    /// marker (torn at the crash point) are discarded.  The head is left
+    /// one past the journal's last non-zero byte, which covers a torn tail
+    /// beyond the last valid record, so the [`Journal::reset`] that must
+    /// follow — once the replayed state is durable in place, and before
+    /// anything commits — clears exactly what the crashed mount left
+    /// behind.
+    pub fn scan(&self) -> (Vec<JournalRecord>, u64) {
+        let mut records: Vec<JournalRecord> = Vec::new();
+        let mut max_tid = 0;
         let mut pending: Vec<JournalRecord> = Vec::new();
-        // Region bytes fetched but not parsed yet: the head of a record
+        // Journal bytes fetched but not parsed yet: the head of a record
         // that runs into the next chunk, then that chunk.
         let mut window: Vec<u8> = Vec::new();
         let mut parsing = true;
         let mut used = 0u64;
         let mut fetched = 0u64;
-        while fetched < region.len {
-            let n = SCAN_CHUNK.min((region.len - fetched) as usize);
+        while fetched < self.len {
+            let n = SCAN_CHUNK.min((self.len - fetched) as usize);
             let carried = window.len();
             window.resize(carried + n, 0);
             let chunk = &mut window[carried..];
-            device.read_uncharged(region.start + fetched, chunk);
-            // Past the records the region is zero (the invariant), so
+            self.device.read_uncharged(self.start + fetched, chunk);
+            // Past the records the journal is zero (the invariant), so
             // whole blocks are tested first and bytes only in the last
             // block that holds any.
             if let Some(block) = chunk.rchunks(BLOCK_SIZE).position(|b| !is_zeroed(b)) {
@@ -741,7 +658,8 @@ impl Journal {
                 match Self::parse_record(&window[pos..]) {
                     Parsed::Record { tid, rec, total } => {
                         if matches!(rec, JournalRecord::Commit) {
-                            committed.push((tid, std::mem::take(&mut pending)));
+                            records.append(&mut pending);
+                            max_tid = tid;
                         } else {
                             pending.push(rec);
                         }
@@ -754,32 +672,8 @@ impl Journal {
             // Once parsing has stopped the window is only a read buffer.
             window.drain(..if parsing { pos } else { window.len() });
         }
-        (committed, used)
-    }
-
-    /// Scans every journal region (mount path) and returns the records of
-    /// all committed transactions merged in transaction-id order, plus the
-    /// highest transaction id seen.  Each region's head is left at its used
-    /// extent, so the [`Journal::reset`] that must follow — once the
-    /// replayed state is durable in place, and before anything commits —
-    /// clears exactly what the crashed mount left behind.
-    pub fn scan(&self) -> (Vec<JournalRecord>, u64) {
-        let mut txns: Vec<(u64, Vec<JournalRecord>)> = Vec::new();
-        for region in &self.regions {
-            let (committed, used) = Self::scan_region(&self.device, region);
-            *region.head.lock() = used;
-            txns.extend(committed);
-        }
-        txns.sort_by_key(|(tid, _)| *tid);
-        let max_tid = txns.last().map(|(tid, _)| *tid).unwrap_or(0);
-        let records = txns.into_iter().flat_map(|(_, recs)| recs).collect();
+        *self.head.lock() = used;
         (records, max_tid)
-    }
-
-    /// [`Journal::scan`] for callers that only want to look at the
-    /// journal's contents and keep no journal manager.
-    pub fn recover(device: &Arc<PmemDevice>, sb: &Superblock) -> (Vec<JournalRecord>, u64) {
-        Journal::new(Arc::clone(device), sb).scan()
     }
 }
 
@@ -794,6 +688,11 @@ mod tests {
             .build();
         let sb = Superblock::compute(device.size() as u64 / BLOCK_SIZE as u64, 1024).unwrap();
         (device, sb)
+    }
+
+    /// What a mount's scan of `device`'s journal finds.
+    fn recover(device: &Arc<PmemDevice>, sb: &Superblock) -> (Vec<JournalRecord>, u64) {
+        Journal::new(Arc::clone(device), sb).scan()
     }
 
     #[test]
@@ -853,16 +752,14 @@ mod tests {
         let (device, sb) = setup();
         let journal = Journal::new(Arc::clone(&device), &sb);
         journal.format();
-        // Commit with different region hints; recovery must still merge
-        // the transactions back into tid order.
         journal
-            .commit(5, &[JournalRecord::SetSize { ino: 5, size: 4096 }])
+            .commit(&[JournalRecord::SetSize { ino: 5, size: 4096 }])
             .unwrap();
         journal
-            .commit(6, &[JournalRecord::AllocBlocks { start: 100, len: 4 }])
+            .commit(&[JournalRecord::AllocBlocks { start: 100, len: 4 }])
             .unwrap();
         device.crash();
-        let (records, max_tid) = Journal::recover(&device, &sb);
+        let (records, max_tid) = recover(&device, &sb);
         assert_eq!(
             records,
             vec![
@@ -879,19 +776,19 @@ mod tests {
         let journal = Journal::new(Arc::clone(&device), &sb);
         journal.format();
         journal
-            .commit(0, &[JournalRecord::SetSize { ino: 1, size: 10 }])
+            .commit(&[JournalRecord::SetSize { ino: 1, size: 10 }])
             .unwrap();
-        // Hand-write a record with no commit marker and no fence into the
-        // same region, as if the crash happened mid-transaction.
+        // Hand-write a record with no commit marker and no fence after
+        // it, as if the crash happened mid-transaction.
         let torn = JournalRecord::SetSize { ino: 2, size: 99 }.encode(9);
         device.write(
-            journal.regions[0].start + *journal.regions[0].head.lock(),
+            journal.start + journal.used_bytes(),
             &torn,
             PersistMode::Temporal,
             TimeCategory::Journal,
         );
         device.crash();
-        let (records, _) = Journal::recover(&device, &sb);
+        let (records, _) = recover(&device, &sb);
         assert_eq!(records, vec![JournalRecord::SetSize { ino: 1, size: 10 }]);
     }
 
@@ -902,24 +799,58 @@ mod tests {
         journal.format();
         // Each commit is small; force many commits to eventually wrap.
         let big_name = "x".repeat(200);
-        for i in 0..50_000u64 {
-            journal
-                .commit(
-                    i,
-                    &[JournalRecord::CreateInode {
-                        ino: i,
-                        parent: 2,
-                        name: big_name.clone(),
-                        is_dir: false,
-                    }],
-                )
-                .unwrap();
+        let create = |i: u64| JournalRecord::CreateInode {
+            ino: i,
+            parent: 2,
+            name: big_name.clone(),
+            is_dir: false,
+        };
+        let txn_len = (create(0).encode(1).len() + JournalRecord::Commit.encode(1).len()) as u64;
+        let commits = 50_000u64;
+        assert!(
+            commits * txn_len > journal.len,
+            "the commits overflow the journal"
+        );
+        for i in 0..commits {
+            journal.commit(&[create(i)]).unwrap();
         }
-        // If we got here without error the reset path worked; every head
-        // must be within its region.
-        for region in &journal.regions {
-            assert!(*region.head.lock() <= region.len);
-        }
+        // If we got here without error the reset path worked; the head is
+        // within the journal and holds only what followed the last reset.
+        let used = journal.used_bytes();
+        assert!(used <= journal.len);
+        assert_eq!(used % txn_len, 0);
+        assert!(used < commits * txn_len);
+    }
+
+    #[test]
+    fn a_transaction_larger_than_the_journal_fails_and_counts_nothing() {
+        let (device, sb) = setup();
+        let journal = Journal::new(Arc::clone(&device), &sb);
+        journal.format();
+        journal
+            .commit(&[JournalRecord::SetSize { ino: 1, size: 1 }])
+            .unwrap();
+        let name = "z".repeat(1000);
+        let records: Vec<JournalRecord> = (0..journal.len / 1000 + 1)
+            .map(|ino| JournalRecord::CreateInode {
+                ino,
+                parent: 2,
+                name: name.clone(),
+                is_dir: false,
+            })
+            .collect();
+        let used = journal.used_bytes();
+        let before = device.stats().snapshot();
+        assert_eq!(journal.commit(&records).err(), Some(FsError::NoSpace));
+        let delta = device.stats().snapshot().delta(&before);
+        assert_eq!(delta.journal_txns, 0, "a failed commit is no transaction");
+        assert_eq!(journal.used_bytes(), used);
+        // The failure took no transaction id: the next commit follows the
+        // first.
+        journal
+            .commit(&[JournalRecord::SetSize { ino: 1, size: 2 }])
+            .unwrap();
+        assert_eq!(recover(&device, &sb).1, 2);
     }
 
     #[test]
@@ -931,22 +862,19 @@ mod tests {
         // and fill the whole journal: no region may reset over it, so
         // once nothing fits anywhere the commit must fail rather than
         // discard the guarded record.
-        let (_, guard) = journal
-            .commit(0, &[JournalRecord::SetSize { ino: 9, size: 9 }])
+        let guard = journal
+            .commit(&[JournalRecord::SetSize { ino: 9, size: 9 }])
             .unwrap();
         let big_name = "y".repeat(200);
         let mut filled = false;
         for i in 0..200_000u64 {
             if journal
-                .commit(
-                    i,
-                    &[JournalRecord::CreateInode {
-                        ino: i,
-                        parent: 2,
-                        name: big_name.clone(),
-                        is_dir: false,
-                    }],
-                )
+                .commit(&[JournalRecord::CreateInode {
+                    ino: i,
+                    parent: 2,
+                    name: big_name.clone(),
+                    is_dir: false,
+                }])
                 .is_err()
             {
                 filled = true;
@@ -955,12 +883,12 @@ mod tests {
         }
         assert!(filled, "the journal filled while the guard was held");
         // The guarded transaction's record survived: no reset ran.
-        let (records, _) = Journal::recover(&device, &sb);
+        let (records, _) = recover(&device, &sb);
         assert!(records.contains(&JournalRecord::SetSize { ino: 9, size: 9 }));
         // Once the guard drops, the whole-journal reset unblocks commits.
         drop(guard);
         journal
-            .commit(0, &[JournalRecord::SetSize { ino: 1, size: 1 }])
+            .commit(&[JournalRecord::SetSize { ino: 1, size: 1 }])
             .unwrap();
     }
 
@@ -970,18 +898,18 @@ mod tests {
         let journal = Journal::new(Arc::clone(&device), &sb);
         journal.format();
         journal
-            .commit(1, &[JournalRecord::SetSize { ino: 1, size: 1 }])
+            .commit(&[JournalRecord::SetSize { ino: 1, size: 1 }])
             .unwrap();
-        let (_, max_tid) = Journal::recover(&device, &sb);
+        let (_, max_tid) = recover(&device, &sb);
         // Mount's contract: replayed contents are checkpointed in place,
         // then the journal is formatted and the tid counter restored.
         let recovered = Journal::new(Arc::clone(&device), &sb);
         recovered.set_next_tid(max_tid + 1);
         recovered.format();
         recovered
-            .commit(1, &[JournalRecord::SetSize { ino: 1, size: 2 }])
+            .commit(&[JournalRecord::SetSize { ino: 1, size: 2 }])
             .unwrap();
-        let (records, new_max) = Journal::recover(&device, &sb);
+        let (records, new_max) = recover(&device, &sb);
         assert_eq!(records, vec![JournalRecord::SetSize { ino: 1, size: 2 }]);
         assert_eq!(
             new_max,
@@ -995,8 +923,8 @@ mod tests {
         let (device, sb) = setup();
         let journal = Journal::new(Arc::clone(&device), &sb);
         journal.format();
-        // Enough records in region 0 that some straddle the scan's chunk
-        // boundaries, one transaction in region 1, nothing in 2 and 3.
+        // Enough records that some straddle the scan's chunk boundaries,
+        // then one small transaction.
         let name = "n".repeat(200);
         let commits = 3 * SCAN_CHUNK as u64 / 250;
         for ino in 0..commits {
@@ -1006,19 +934,18 @@ mod tests {
                 name: name.clone(),
                 is_dir: false,
             };
-            journal.commit(0, &[create]).unwrap();
+            journal.commit(&[create]).unwrap();
         }
         journal
-            .commit(1, &[JournalRecord::SetSize { ino: 7, size: 7 }])
+            .commit(&[JournalRecord::SetSize { ino: 7, size: 7 }])
             .unwrap();
-        let heads: Vec<u64> = journal.regions.iter().map(|r| *r.head.lock()).collect();
-        assert!(heads[0] > 2 * SCAN_CHUNK as u64 && heads[1] > 0);
-        assert_eq!(&heads[2..], &[0, 0]);
+        let head = journal.used_bytes();
+        assert!(head > 2 * SCAN_CHUNK as u64);
         // The torn tail of a commit the crash cut short: bytes past the
         // last valid record that parse as nothing.
         let torn = [0xEEu8; 100];
         device.write(
-            journal.regions[0].start + heads[0],
+            journal.start + head,
             &torn,
             PersistMode::NonTemporal,
             TimeCategory::Journal,
@@ -1027,25 +954,27 @@ mod tests {
         let mounted = Journal::new(Arc::clone(&device), &sb);
         let (records, max_tid) = mounted.scan();
         assert_eq!(records.len() as u64, commits + 1);
+        assert_eq!(
+            records.last(),
+            Some(&JournalRecord::SetSize { ino: 7, size: 7 })
+        );
         assert_eq!(max_tid, commits + 1);
-        let used: Vec<u64> = mounted.regions.iter().map(|r| *r.head.lock()).collect();
-        assert_eq!(used, [heads[0] + 100, heads[1], 0, 0]);
+        let used = mounted.used_bytes();
+        assert_eq!(used, head + 100);
 
         let before = device.stats().snapshot();
         mounted.reset();
         let delta = device.stats().snapshot().delta(&before);
         assert_eq!(
             delta.written(TimeCategory::Journal),
-            used.iter().sum::<u64>(),
-            "the reset writes the used extents, not the journal"
+            used,
+            "the reset writes the used extent, not the journal"
         );
         assert_eq!(delta.fences, 1);
         assert_eq!(mounted.used_bytes(), 0);
-        for region in &mounted.regions {
-            let mut raw = vec![0u8; region.len as usize];
-            device.read_uncharged(region.start, &mut raw);
-            assert!(is_zeroed(&raw), "region at {} is all-zero", region.start);
-        }
+        let mut raw = vec![0u8; mounted.len as usize];
+        device.read_uncharged(mounted.start, &mut raw);
+        assert!(is_zeroed(&raw), "the journal is all-zero");
     }
 
     #[test]
@@ -1059,21 +988,31 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..100u64 {
                         journal
-                            .commit(
-                                t,
-                                &[JournalRecord::SetSize {
-                                    ino: t * 1000 + i,
-                                    size: i,
-                                }],
-                            )
+                            .commit(&[JournalRecord::SetSize {
+                                ino: t * 1000 + i,
+                                size: i,
+                            }])
                             .unwrap();
                     }
                 });
             }
         });
         device.crash();
-        let (records, max_tid) = Journal::recover(&device, &sb);
+        let (records, max_tid) = recover(&device, &sb);
         assert_eq!(records.len(), 400);
         assert_eq!(max_tid, 400);
+        // Each thread's records come back in the order it committed them:
+        // tids are drawn under the head lock, so media order is tid order
+        // and the scan needs no sort.
+        let mut next = [0u64; 4];
+        for rec in &records {
+            let JournalRecord::SetSize { ino, size } = *rec else {
+                panic!("unexpected record {rec:?}");
+            };
+            let t = (ino / 1000) as usize;
+            assert_eq!((ino % 1000, size), (next[t], next[t]), "thread {t}");
+            next[t] += 1;
+        }
+        assert_eq!(next, [100; 4]);
     }
 }

@@ -146,21 +146,6 @@ impl LeaseManager {
         Some(id as u32)
     }
 
-    /// Reserves a specific instance id.  Fails (and the caller counts a
-    /// lease conflict) when the id is already held by a live instance or
-    /// still active on the device (an unrecovered orphan must not be
-    /// reused — its log would be mistaken for the new instance's).
-    pub fn reserve_specific(&self, id: u32) -> bool {
-        let mut inner = self.inner.lock();
-        let idx = id as usize;
-        if idx >= inner.active.len() || inner.active[idx] || inner.held[idx] {
-            return false;
-        }
-        inner.active[idx] = true;
-        inner.held[idx] = true;
-        true
-    }
-
     /// Releases a lease: the id leaves both the persisted and the held
     /// set.  The caller must journal the release and then call
     /// [`LeaseManager::persist`].
@@ -269,16 +254,15 @@ mod tests {
 
     #[test]
     fn orphans_are_active_but_not_held_and_block_reuse() {
-        let (_d, _sb, mgr) = manager(&[2]);
-        assert_eq!(mgr.orphans(), vec![2]);
-        assert!(mgr.is_active(2) && !mgr.is_held(2));
+        let (_d, _sb, mgr) = manager(&[0]);
+        assert_eq!(mgr.orphans(), vec![0]);
+        assert!(mgr.is_active(0) && !mgr.is_held(0));
         // A fresh reserve skips the orphan's id.
-        assert_eq!(mgr.reserve(), Some(0));
-        assert!(!mgr.reserve_specific(2), "orphan ids are not reusable");
+        assert_eq!(mgr.reserve(), Some(1), "orphan ids are not reusable");
         // Recovery releases the orphan; the id becomes reusable.
-        mgr.clear(2);
-        assert!(mgr.reserve_specific(2));
-        assert!(mgr.is_held(2));
+        mgr.clear(0);
+        assert_eq!(mgr.reserve(), Some(0));
+        assert!(mgr.is_held(0));
     }
 
     #[test]

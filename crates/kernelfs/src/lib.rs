@@ -7,11 +7,11 @@
 //! 1. ordinary POSIX metadata and data operations routed through a modelled
 //!    kernel boundary ([`fs::Ext4Dax`] implementing [`vfs::FileSystem`]),
 //! 2. DAX memory mapping of file extents ([`Ext4Dax::dax_map`]), and
-//! 3. the relink ioctl — an atomic, journaled, metadata-only move of blocks
-//!    between files ([`Ext4Dax::ioctl_relink`]), the reproduction of the
-//!    500-line `EXT4_IOC_MOVE_EXT` patch described in §3.5 of the paper —
-//!    batched ([`Ext4Dax::ioctl_relink_batch`]) with the partial-block
-//!    copies at a run's ends in the same transaction — and
+//! 3. the relink ioctl ([`Ext4Dax::ioctl_relink_batch`]) — atomic,
+//!    journaled, metadata-only moves of blocks between files, the
+//!    reproduction of the 500-line `EXT4_IOC_MOVE_EXT` patch described in
+//!    §3.5 of the paper, with the partial-block copies at a run's ends in
+//!    the same transaction — and
 //! 4. **instance leases** ([`lease`]) — the resource arbitration that lets
 //!    many U-Split instances share one kernel file system: each instance
 //!    leases an exclusive staging-directory slice and operation-log path,

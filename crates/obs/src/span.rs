@@ -135,8 +135,6 @@ pub enum SpanEvent {
     GroupCommit,
     /// Multiple staged files relinked in one batched kernel transaction.
     RelinkBatch,
-    /// A kernel journal region was contended and the thread waited.
-    JournalRegionWait,
     /// The foreground stalled waiting for a log checkpoint.
     CheckpointStall,
     /// A kernel namespace shard was contended and the thread waited.
@@ -148,7 +146,7 @@ pub enum SpanEvent {
 
 impl SpanEvent {
     /// Number of event kinds.
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     /// Every event, in display order.
     pub const ALL: [SpanEvent; SpanEvent::COUNT] = [
@@ -156,7 +154,6 @@ impl SpanEvent {
         SpanEvent::EpochSwap,
         SpanEvent::GroupCommit,
         SpanEvent::RelinkBatch,
-        SpanEvent::JournalRegionWait,
         SpanEvent::CheckpointStall,
         SpanEvent::NsShardWait,
         SpanEvent::PathCacheMiss,
@@ -174,7 +171,6 @@ impl SpanEvent {
             SpanEvent::EpochSwap => "epoch_swap",
             SpanEvent::GroupCommit => "group_commit",
             SpanEvent::RelinkBatch => "relink_batch",
-            SpanEvent::JournalRegionWait => "journal_region_wait",
             SpanEvent::CheckpointStall => "checkpoint_stall",
             SpanEvent::NsShardWait => "ns_shard_wait",
             SpanEvent::PathCacheMiss => "path_cache_miss",

@@ -432,8 +432,8 @@ impl PmemDevice {
     /// threads completed while this one could not proceed — is charged to
     /// the calling thread's critical path
     /// ([`SimClock::charge_thread_wait`](crate::SimClock::charge_thread_wait)).
-    /// Every sharded structure (kernel inode shards, journal admission
-    /// regions, U-Split registries) funnels through this one helper so the
+    /// Every sharded structure (kernel inode shards, the kernel journal's
+    /// head, U-Split registries) funnels through this one helper so the
     /// wait-accounting rule cannot drift between call sites.
     pub fn lock_contended<G>(
         &self,

@@ -309,17 +309,9 @@ macro_rules! counter_table {
                 /// `try_lock` on the pool failed and the taker blocked).
                 add_staging_lock_wait += 1;
 
-            // The multi-instance lease manager: how many acquisitions collided
-            // with a live holder (zero in a healthy multi-instance run), and
-            // how many crashed instances' operation logs recovery replayed.
+            // The multi-instance lease manager: how many crashed instances'
+            // operation logs recovery replayed.
 
-            /// Lease acquisitions refused because the requested instance id was
-            /// already held by a live instance (must be zero in a healthy
-            /// multi-instance run).
-            lease_conflicts =>
-                /// Records one refused lease acquisition (instance id held by a live
-                /// instance).
-                add_lease_conflict += 1;
             /// Orphaned (crashed) instances whose operation logs were replayed.
             instances_recovered =>
                 /// Records one orphaned instance whose operation log was replayed.

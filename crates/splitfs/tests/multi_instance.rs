@@ -110,9 +110,7 @@ fn concurrent_instances_lease_disjoint_resources() {
     assert_eq!(a.read_file("/a.log").unwrap(), pa);
     assert_eq!(b.read_file("/b.log").unwrap(), pb);
 
-    // No lease was contended, and clean drops return both leases.
-    let snap = device.stats().snapshot();
-    assert_eq!(snap.lease_conflicts, 0, "{snap:?}");
+    // Clean drops return both leases.
     drop(a);
     drop(b);
     assert_eq!(kernel.lease_active_count(), 0);
@@ -188,7 +186,6 @@ fn instance_crash_mid_relink_recovers_while_other_keeps_appending() {
     assert_eq!(a2.read_file("/a.db").unwrap(), expected_a);
     assert_eq!(a2.oplog_entries(), 0);
     let snap = device.stats().snapshot();
-    assert_eq!(snap.lease_conflicts, 0, "{snap:?}");
     assert_eq!(snap.instances_recovered, 1, "{snap:?}");
 }
 
