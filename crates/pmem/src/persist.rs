@@ -15,6 +15,14 @@ pub enum PersistMode {
     /// Non-temporal store (`movnt`): bypasses the cache; persistent at the
     /// next fence without a separate flush.  SplitFS uses these for data
     /// writes and operation-log entries.
+    ///
+    /// On the host, a non-temporal store of at least 4 KiB to an untracked
+    /// device is copied with SSE2 streaming stores on x86_64, so it does
+    /// not first read the lines it replaces; one `sfence` under the shard's
+    /// write lock ends it.  Shorter stores, stores to a tracked device
+    /// (whose next fence reads every stored line back into its shadow) and
+    /// other targets copy through the cache.  Either way the bytes, the
+    /// persistence marks and the charged cost are the same.
     NonTemporal,
 }
 
