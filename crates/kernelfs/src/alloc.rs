@@ -14,13 +14,15 @@
 //! in the file and on the device, and a 4 KiB fault per page of anything
 //! else (paper §3.3, §4).  So a request of at least 512 blocks first takes
 //! free 2 MiB-aligned runs, cut at a chunk boundary unless the run ends the
-//! request, from any shard (the home shard first, then the others), and
-//! searched from the shard's cursor round to the cursor again.  Every run
+//! request, searched from the cursor round to the cursor again.  Every run
 //! but the last thus begins the next at a 2 MiB-aligned file offset.  Only
 //! what no whole free chunk can hold, normally the sub-chunk remainder,
-//! comes from fragments.  Taking a shard's unaligned fragments first would
-//! leave a staging file or the operation log faulting at 4 KiB for the rest
-//! of its life.
+//! comes from fragments.  Taking the unaligned fragments at the cursor
+//! first would leave a staging file or the operation log faulting at 4 KiB
+//! for the rest of its life.
+//!
+//! The file system keeps one allocator behind one lock, a leaf lock: no
+//! other lock is taken while it is held.
 
 use std::sync::Arc;
 
@@ -38,24 +40,14 @@ pub struct BlockRun {
     pub len: u64,
 }
 
-/// Bitmap-based block allocator over a block region `[region_lo,
-/// region_hi)`.  The whole-device constructors ([`BlockAllocator::format`],
-/// [`BlockAllocator::from_bitmap_image`]) cover the full data area; the
-/// `_region` variants restrict search and accounting to a slice of it, so
-/// a [`ShardedAllocator`] can run one allocator per shard without the
-/// shards ever touching the same bitmap words.
+/// Bitmap-based block allocator over the data area `[data_start,
+/// total_blocks)`.
 #[derive(Debug)]
 pub struct BlockAllocator {
-    /// One bit per block of the device; bit set = in use.  Only the bits
-    /// inside `[region_lo, region_hi)` are meaningful for a region-scoped
-    /// allocator.
+    /// One bit per block of the device; bit set = in use.
     words: Vec<u64>,
     total_blocks: u64,
     data_start: u64,
-    /// First block this allocator may hand out.
-    region_lo: u64,
-    /// One past the last block this allocator may hand out.
-    region_hi: u64,
     /// Rotating allocation cursor to spread allocations and keep appends to
     /// different files from interleaving too aggressively.
     cursor: u64,
@@ -66,58 +58,38 @@ impl BlockAllocator {
     /// Creates an allocator for a freshly formatted device: all metadata
     /// region blocks are marked used, all data blocks free.
     pub fn format(sb: &Superblock) -> Self {
-        Self::format_region(sb, sb.data_start, sb.total_blocks)
-    }
-
-    /// Creates a fresh allocator restricted to blocks `[lo, hi)`.
-    pub fn format_region(sb: &Superblock, lo: u64, hi: u64) -> Self {
-        let words = vec![0u64; (sb.total_blocks as usize).div_ceil(64)];
         let mut alloc = Self {
-            words,
+            words: vec![0u64; (sb.total_blocks as usize).div_ceil(64)],
             total_blocks: sb.total_blocks,
             data_start: sb.data_start,
-            region_lo: lo,
-            region_hi: hi,
-            cursor: lo,
+            cursor: sb.data_start,
             free_blocks: sb.total_blocks,
         };
-        // Reserve the metadata regions and any tail bits beyond the device.
         for b in 0..sb.data_start {
             alloc.set_used(b);
         }
-        alloc.free_blocks = hi.saturating_sub(lo);
         alloc
     }
 
     /// Rebuilds the allocator from a bitmap image read from the device.
     pub fn from_bitmap_image(sb: &Superblock, image: &[u8]) -> Self {
-        Self::from_bitmap_image_region(sb, image, sb.data_start, sb.total_blocks)
-    }
-
-    /// Rebuilds a region-scoped allocator from a bitmap image.
-    pub fn from_bitmap_image_region(sb: &Superblock, image: &[u8], lo: u64, hi: u64) -> Self {
         let mut words = vec![0u64; (sb.total_blocks as usize).div_ceil(64)];
         for (i, word) in words.iter_mut().enumerate() {
             let mut bytes = [0u8; 8];
-            let src = &image[i * 8..(i + 1) * 8];
-            bytes.copy_from_slice(src);
+            bytes.copy_from_slice(&image[i * 8..(i + 1) * 8]);
             *word = u64::from_le_bytes(bytes);
         }
-        let mut free = 0;
-        for b in lo..hi {
-            if words[(b / 64) as usize] & (1 << (b % 64)) == 0 {
-                free += 1;
-            }
-        }
-        Self {
+        let mut alloc = Self {
             words,
             total_blocks: sb.total_blocks,
             data_start: sb.data_start,
-            region_lo: lo,
-            region_hi: hi,
-            cursor: lo,
-            free_blocks: free,
-        }
+            cursor: sb.data_start,
+            free_blocks: 0,
+        };
+        alloc.free_blocks = (sb.data_start..sb.total_blocks)
+            .filter(|&b| !alloc.is_used(b))
+            .count() as u64;
+        alloc
     }
 
     /// Serializes the bitmap into the image written to the bitmap region.
@@ -184,10 +156,10 @@ impl BlockAllocator {
     /// is what makes DAX huge-page mappings possible (paper §4 discusses
     /// how fragile this is once the device fragments).
     fn find_aligned_run_from(&self, from: u64, want: u64) -> Option<BlockRun> {
-        let mut b = from.max(self.region_lo).div_ceil(Self::HUGE_ALIGN) * Self::HUGE_ALIGN;
-        while b + Self::HUGE_ALIGN <= self.region_hi {
+        let mut b = from.max(self.data_start).div_ceil(Self::HUGE_ALIGN) * Self::HUGE_ALIGN;
+        while b + Self::HUGE_ALIGN <= self.total_blocks {
             let mut len = 0;
-            while b + len < self.region_hi && !self.is_used(b + len) && len < want {
+            while b + len < self.total_blocks && !self.is_used(b + len) && len < want {
                 len += 1;
             }
             if len >= Self::HUGE_ALIGN {
@@ -199,15 +171,15 @@ impl BlockAllocator {
     }
 
     fn find_run_from(&self, from: u64, want: u64) -> Option<BlockRun> {
-        let mut b = from.max(self.region_lo);
-        while b < self.region_hi {
+        let mut b = from.max(self.data_start);
+        while b < self.total_blocks {
             if self.is_used(b) {
                 b += 1;
                 continue;
             }
             let start = b;
             let mut len = 0;
-            while b < self.region_hi && !self.is_used(b) && len < want {
+            while b < self.total_blocks && !self.is_used(b) && len < want {
                 len += 1;
                 b += 1;
             }
@@ -218,7 +190,7 @@ impl BlockAllocator {
 
     /// The whole-chunk pass of an allocation: while `*remaining` holds at
     /// least one 2 MiB chunk, takes a free 2 MiB-aligned run, searching from
-    /// the cursor to the region's end and then from the region's start.  A
+    /// the cursor to the device's end and then from the data area's start.  A
     /// run is cut at a chunk boundary unless it ends the request.  Taken
     /// runs go to `runs` and leave the cursor at their end.
     fn alloc_chunks(&mut self, runs: &mut Vec<BlockRun>, remaining: &mut u64) {
@@ -240,7 +212,7 @@ impl BlockAllocator {
                 }
                 None if !wrapped => {
                     wrapped = true;
-                    from = self.region_lo;
+                    from = self.data_start;
                 }
                 None => break,
             }
@@ -283,7 +255,7 @@ impl BlockAllocator {
                         return Err(FsError::NoSpace);
                     }
                     wrapped = true;
-                    from = self.region_lo;
+                    from = self.data_start;
                 }
             }
         }
@@ -291,10 +263,13 @@ impl BlockAllocator {
         Ok(runs)
     }
 
-    /// Stores the bitmap bytes covering each run of `runs` (metadata
-    /// traffic), one non-temporal store per run, so the on-device bitmap
-    /// tracks the in-memory one once the caller fences.
-    fn store_runs(&self, device: &Arc<PmemDevice>, sb: &Superblock, runs: &[BlockRun]) {
+    /// Writes the bitmap bytes covering each run of `runs` through to the
+    /// device (metadata traffic), one non-temporal store per run, then one
+    /// fence.
+    pub fn persist_runs(&self, device: &Arc<PmemDevice>, sb: &Superblock, runs: &[BlockRun]) {
+        if runs.is_empty() {
+            return;
+        }
         let bitmap_base = sb.bitmap_start * BLOCK_SIZE as u64;
         for run in runs {
             let first_byte = run.start / 8;
@@ -308,210 +283,6 @@ impl BlockAllocator {
                 PersistMode::NonTemporal,
                 TimeCategory::Metadata,
             );
-        }
-    }
-}
-
-/// Maximum number of allocator shards.  The data area is split into up to
-/// this many 2 MiB-aligned regions, each behind its own lock, so
-/// allocations for different inode shards never serialize on one bitmap
-/// lock (and never write the same bitmap word).
-pub const ALLOC_SHARDS: usize = 8;
-
-/// A block allocator sharded into per-region sub-allocators.
-///
-/// `hint` (the inode number) steers an allocation to a home shard; when
-/// that shard runs dry the request spills into the others, so the sharded
-/// allocator refuses an allocation only when the whole device is full.
-/// Regions are 2 MiB-aligned: shards never share a bitmap word, so
-/// concurrent `persist_runs` calls from different shards cannot clobber
-/// each other's on-device bitmap bytes.
-#[derive(Debug)]
-pub struct ShardedAllocator {
-    shards: Vec<parking_lot::Mutex<BlockAllocator>>,
-    /// `(lo, hi)` block bounds per shard.
-    regions: Vec<(u64, u64)>,
-}
-
-impl ShardedAllocator {
-    fn region_bounds(sb: &Superblock) -> Vec<(u64, u64)> {
-        // Interior boundaries must be **absolute** multiples of the 2 MiB
-        // alignment unit (which is also a multiple of the 64-block bitmap
-        // word): `data_start` itself is arbitrary, and a boundary inside a
-        // bitmap word would let two shards persist the same on-device
-        // bitmap byte from diverging private copies.
-        let align = BlockAllocator::HUGE_ALIGN;
-        let aligned_base = sb.data_start.div_ceil(align) * align;
-        let aligned_blocks = sb.total_blocks.saturating_sub(aligned_base);
-        let shards = ((aligned_blocks / align) as usize).clamp(1, ALLOC_SHARDS);
-        if shards == 1 || aligned_blocks == 0 {
-            return vec![(sb.data_start, sb.total_blocks)];
-        }
-        let per = (aligned_blocks / shards as u64) / align * align;
-        let mut out = Vec::with_capacity(shards);
-        for i in 0..shards as u64 {
-            // Shard 0 absorbs the unaligned head below `aligned_base`.
-            let lo = if i == 0 {
-                sb.data_start
-            } else {
-                aligned_base + i * per
-            };
-            let hi = if i == shards as u64 - 1 {
-                sb.total_blocks
-            } else {
-                aligned_base + (i + 1) * per
-            };
-            out.push((lo, hi));
-        }
-        out
-    }
-
-    /// Creates a sharded allocator for a freshly formatted device.
-    pub fn format(sb: &Superblock) -> Self {
-        let regions = Self::region_bounds(sb);
-        let shards = regions
-            .iter()
-            .map(|&(lo, hi)| parking_lot::Mutex::new(BlockAllocator::format_region(sb, lo, hi)))
-            .collect();
-        Self { shards, regions }
-    }
-
-    /// Rebuilds the sharded allocator from a bitmap image.
-    pub fn from_bitmap_image(sb: &Superblock, image: &[u8]) -> Self {
-        let regions = Self::region_bounds(sb);
-        let shards = regions
-            .iter()
-            .map(|&(lo, hi)| {
-                parking_lot::Mutex::new(BlockAllocator::from_bitmap_image_region(sb, image, lo, hi))
-            })
-            .collect();
-        Self { shards, regions }
-    }
-
-    /// Serializes the merged bitmap (metadata prefix plus every shard's
-    /// region bits) into the image written to the bitmap region.
-    pub fn to_bitmap_image(&self, sb: &Superblock) -> Vec<u8> {
-        let mut image = vec![0u8; (sb.bitmap_blocks * BLOCK_SIZE as u64) as usize];
-        // Metadata blocks are always in use.
-        for b in 0..sb.data_start {
-            image[(b / 8) as usize] |= 1 << (b % 8);
-        }
-        for (shard, &(lo, hi)) in self.shards.iter().zip(&self.regions) {
-            let guard = shard.lock();
-            for b in lo..hi {
-                if guard.is_used(b) {
-                    image[(b / 8) as usize] |= 1 << (b % 8);
-                }
-            }
-        }
-        image
-    }
-
-    fn shard_of(&self, block: u64) -> usize {
-        self.regions
-            .iter()
-            .position(|&(lo, hi)| block >= lo && block < hi)
-            .unwrap_or(self.regions.len() - 1)
-    }
-
-    /// Total free data blocks across all shards.
-    pub fn free_blocks(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().free_blocks()).sum()
-    }
-
-    /// Allocates `count` blocks, preferring the shard `hint` maps to and
-    /// spilling into the others when it runs dry.  A request of at least
-    /// 2 MiB first takes whole aligned chunks from every shard in that
-    /// order, before any shard's fragments (module docs).
-    pub fn alloc_extents(&self, hint: u64, count: u64) -> FsResult<Vec<BlockRun>> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let n = self.shards.len();
-        let order = (0..n).map(|k| (hint as usize + k) % n);
-        let mut runs: Vec<BlockRun> = Vec::new();
-        let mut remaining = count;
-        if count >= BlockAllocator::HUGE_ALIGN {
-            for idx in order.clone() {
-                self.shards[idx]
-                    .lock()
-                    .alloc_chunks(&mut runs, &mut remaining);
-            }
-        }
-        for idx in order {
-            if remaining == 0 {
-                return Ok(runs);
-            }
-            let mut shard = self.shards[idx].lock();
-            let avail = shard.free_blocks();
-            if avail == 0 {
-                continue;
-            }
-            let take = remaining.min(avail);
-            if let Ok(got) = shard.alloc_extents(take) {
-                remaining -= take;
-                runs.extend(got);
-            }
-        }
-        if remaining == 0 {
-            return Ok(runs);
-        }
-        // Not enough space anywhere: roll back what was taken.
-        for run in &runs {
-            self.mark_free(run.start, run.len);
-        }
-        Err(FsError::NoSpace)
-    }
-
-    /// Splits `[start, start+len)` at shard-region boundaries.
-    fn split_by_region(&self, start: u64, len: u64) -> Vec<(usize, u64, u64)> {
-        let mut out = Vec::new();
-        let mut b = start;
-        let end = start + len;
-        while b < end {
-            let idx = self.shard_of(b);
-            let (_, hi) = self.regions[idx];
-            let chunk = (end - b).min(hi.saturating_sub(b).max(1));
-            out.push((idx, b, chunk));
-            b += chunk;
-        }
-        out
-    }
-
-    /// Marks an explicit run as used (journal replay).
-    pub fn mark_used(&self, start: u64, len: u64) {
-        for (idx, b, chunk) in self.split_by_region(start, len) {
-            self.shards[idx].lock().mark_used(b, chunk);
-        }
-    }
-
-    /// Marks an explicit run as free (journal replay / file delete).
-    pub fn mark_free(&self, start: u64, len: u64) {
-        for (idx, b, chunk) in self.split_by_region(start, len) {
-            self.shards[idx].lock().mark_free(b, chunk);
-        }
-    }
-
-    /// Writes the bitmap bytes covering `runs` through to the device, one
-    /// store per run and shard, then one fence.  Each run is stored under
-    /// its owning shard's lock; interior region boundaries are absolute
-    /// 2 MiB (and hence bitmap-word) multiples, so shards never write each
-    /// other's bitmap bytes.
-    pub fn persist_runs(&self, device: &Arc<PmemDevice>, sb: &Superblock, runs: &[BlockRun]) {
-        if runs.is_empty() {
-            return;
-        }
-        for run in runs {
-            for (idx, b, chunk) in self.split_by_region(run.start, run.len) {
-                self.shards[idx].lock().store_runs(
-                    device,
-                    sb,
-                    &[BlockRun {
-                        start: b,
-                        len: chunk,
-                    }],
-                );
-            }
         }
         device.fence(TimeCategory::Metadata);
     }
@@ -618,15 +389,14 @@ mod tests {
             .track_persistence(false)
             .build();
         let bitmap_at = sb.bitmap_start * BLOCK_SIZE as u64;
-        let alloc = ShardedAllocator::format(&sb);
+        let mut alloc = BlockAllocator::format(&sb);
         device.write_uncharged(bitmap_at, &alloc.to_bitmap_image(&sb));
 
-        let runs = alloc.alloc_extents(3, 4096).unwrap();
-        // A store covers a run's bitmap bytes within one shard's region.
+        let runs = alloc.alloc_extents(4096).unwrap();
+        // A store covers a run's bitmap bytes.
         let stores: Vec<usize> = runs
             .iter()
-            .flat_map(|r| alloc.split_by_region(r.start, r.len))
-            .map(|(_, b, len)| ((b + len - 1) / 8 - b / 8 + 1) as usize)
+            .map(|r| ((r.start + r.len - 1) / 8 - r.start / 8 + 1) as usize)
             .collect();
         let before = device.stats().snapshot();
         alloc.persist_runs(&device, &sb, &runs);
@@ -649,46 +419,9 @@ mod tests {
         // What a mount rebuilds from the device is the allocator in memory.
         let mut image = vec![0u8; (sb.bitmap_blocks * BLOCK_SIZE as u64) as usize];
         device.read_uncharged(bitmap_at, &mut image);
-        let rebuilt = ShardedAllocator::from_bitmap_image(&sb, &image);
+        let rebuilt = BlockAllocator::from_bitmap_image(&sb, &image);
         assert_eq!(rebuilt.to_bitmap_image(&sb), alloc.to_bitmap_image(&sb));
         assert_eq!(rebuilt.free_blocks(), alloc.free_blocks());
-    }
-
-    #[test]
-    fn shard_region_boundaries_never_split_a_bitmap_word() {
-        // data_start is not a multiple of 64 under realistic layouts; the
-        // interior shard boundaries still must be, or two shards would
-        // persist the same on-device bitmap byte from private copies.
-        let sb = test_sb();
-        assert_ne!(sb.data_start % 64, 0, "layout exercises the unaligned case");
-        let sharded = ShardedAllocator::format(&sb);
-        assert!(sharded.regions.len() > 1);
-        // Contiguous cover of the whole data area.
-        assert_eq!(sharded.regions.first().unwrap().0, sb.data_start);
-        assert_eq!(sharded.regions.last().unwrap().1, sb.total_blocks);
-        for pair in sharded.regions.windows(2) {
-            assert_eq!(pair[0].1, pair[1].0, "regions are contiguous");
-            assert_eq!(
-                pair[0].1 % 64,
-                0,
-                "interior boundary {} splits a bitmap word",
-                pair[0].1
-            );
-        }
-        // Allocations from two adjacent shards persist without clobbering
-        // each other: fill shard 0 so it spills nothing, allocate at the
-        // head of shard 1, and check both survive a bitmap round trip.
-        let a = sharded.alloc_extents(0, 16).unwrap();
-        let b = sharded.alloc_extents(1, 16).unwrap();
-        let image = sharded.to_bitmap_image(&sb);
-        let rebuilt = ShardedAllocator::from_bitmap_image(&sb, &image);
-        assert_eq!(rebuilt.free_blocks(), sharded.free_blocks());
-        for run in a.iter().chain(b.iter()) {
-            for blk in run.start..run.start + run.len {
-                let byte = image[(blk / 8) as usize];
-                assert_ne!(byte & (1 << (blk % 8)), 0, "block {blk} lost");
-            }
-        }
     }
 
     const CHUNK: u64 = BlockAllocator::HUGE_ALIGN;
@@ -699,18 +432,18 @@ mod tests {
     }
 
     #[test]
-    fn a_large_request_takes_whole_aligned_chunks_from_any_shard() {
+    fn a_large_request_skips_the_fragments_at_the_cursor_for_whole_chunks() {
         let sb = test_sb();
-        let sharded = ShardedAllocator::format(&sb);
-        // The home shard keeps only unaligned fragments: the first block of
-        // each of its chunks is in use.  The next shard is empty.
-        let home = 1;
-        let (lo, hi) = sharded.regions[home];
-        for chunk in (lo..hi).step_by(CHUNK as usize) {
-            sharded.mark_used(chunk, 1);
+        let mut alloc = BlockAllocator::format(&sb);
+        let c0 = first_chunk(&sb);
+        // From the cursor on, the first four chunks hold only unaligned
+        // fragments: the first block of each is in use.
+        for chunk in 0..4 {
+            alloc.mark_used(c0 + chunk * CHUNK, 1);
         }
-        let runs = sharded.alloc_extents(home as u64, 4 * CHUNK).unwrap();
+        let runs = alloc.alloc_extents(4 * CHUNK).unwrap();
         assert_eq!(runs.iter().map(|r| r.len).sum::<u64>(), 4 * CHUNK);
+        assert_eq!(runs[0].start, c0 + 4 * CHUNK, "{runs:?}");
         for run in &runs {
             assert_eq!(run.start % CHUNK, 0, "{run:?} is not 2 MiB-aligned");
             assert_eq!(run.len % CHUNK, 0, "{run:?} is not whole chunks");

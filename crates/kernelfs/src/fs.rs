@@ -20,79 +20,54 @@
 //!   copies the partial blocks at the ends of what it moves, all in one
 //!   trap and one transaction.
 //!
-//! # Sharded kernel state and lock ordering
+//! # Kernel state and lock ordering
 //!
-//! The seed kept every piece of kernel state behind one `RwLock<FsInner>`,
-//! which made that lock the scalability ceiling for concurrent metadata
-//! operations.  The state is now partitioned so writers on distinct files
-//! never serialize:
+//! K-Split is ext4-DAX serving one application's metadata (paper §3), so
+//! each piece of kernel state is one structure behind one lock:
 //!
-//! * **inode table** — [`INODE_SHARDS`] shards keyed by inode number; the
-//!   data hot path (`appendv`, `writev_at`, `ioctl_relink_batch`) locks
-//!   only the shards of the files it touches;
-//! * **block allocator** — a [`ShardedAllocator`]: per-region
-//!   sub-allocators behind independent locks, steered by inode number;
-//! * **journal admission** — not sharded: [`Journal`] is one log behind
-//!   one head lock, which every committer shares and under which it draws
-//!   its transaction id (see `journal.rs`);
-//! * **descriptor table** — [`FD_SHARDS`] shards keyed by descriptor;
-//! * **directory namespace** (directory entries, open counts, orphans) —
-//!   [`NS_SHARDS`] shards of `NsShard` keyed by inode number: a
-//!   directory's entry map lives in the shard of the directory's own
-//!   inode, open counts and orphan flags in the shard of the file's
-//!   inode, so metadata churn in disjoint directories never serializes.
-//!   Inode numbers come from lock-free per-shard congruence pools
-//!   (`Ext4Dax::alloc_ino`): a new file's number is congruent to its
-//!   parent's namespace shard, and the inode shard follows the same
-//!   congruence, so a directory's whole create path — parent inode,
-//!   child inodes, namespace state — stays on one shard pair and
-//!   threads in disjoint directories share no locks at all.
+//! * **namespace** — one `RwLock<Namespace>`: every directory's entry map,
+//!   the open counts, the orphans, the next inode number and the
+//!   directory-move generation;
+//! * **inode table** — one `RwLock` over every live inode; the data path
+//!   (`appendv`, `writev_at`, `ioctl_relink_batch`) takes only this lock;
+//! * **block allocator** — one `Mutex<BlockAllocator>`;
+//! * **journal** — one log behind one head lock, under which every
+//!   committer draws its transaction id (see `journal.rs`);
+//! * **descriptor table** and **path cache** — one map each.
 //!
-//! Above the namespace shards sits a **full-path lookup cache**: resolving
-//! a deep path is one hash probe instead of a per-component walk.  Entries
-//! are pinned to a per-directory generation (bumped under the parent's
-//! shard write lock by unlink/rename/rmdir) plus a global directory-move
-//! generation (bumped when a directory is renamed, which invalidates
-//! every cached deep path whose prefix could have moved; rmdir needs no
-//! bump — a removed directory's state vanishes from its shard and inode
-//! numbers are never reused, so descendants fail validation forever).
-//! Creates overwrite their exact cache key instead of bumping the parent
-//! generation, so sibling entries stay hot under create-heavy churn, and
-//! negative entries record confirmed absences.  Cache fills happen while
-//! the parent's shard is read-locked and mutations while it is
-//! write-locked, so fills and invalidations on one key serialize through
-//! the shard's `RwLock`.
+//! Lock order: the namespace before the inode table, never the other way
+//! round.  The allocator, journal, descriptor and path-cache locks are
+//! leaves: each is taken and released without acquiring another lock.
 //!
-//! Lock ordering rules (deadlock freedom by construction):
+//! `open`, `unlink`, `rename`, `mkdir` and `rmdir` take the namespace write
+//! lock once, resolve their paths under it and then mutate, so nothing
+//! they resolved can change before they act.  `stat` and `readdir` resolve
+//! under the read lock.
 //!
-//! 1. Namespace shards before any inode shard.  Never acquire a
-//!    namespace-shard lock while holding an inode-shard lock.
-//! 2. Multiple inode shards are always acquired in ascending shard index
-//!    (the internal `lock_inodes_write` helper); multiple namespace
-//!    shards likewise in ascending shard index (`lock_ns_write`).
-//! 3. Allocator and journal locks are acquired and released inside leaf
-//!    calls only — no caller holds one across another lock acquisition.
-//! 4. Descriptor-shard locks are leaf locks: look up, clone, release.
-//!    Path-cache shard locks are leaf locks too: probe or update,
-//!    release.
+//! Above the namespace sits a **full-path lookup cache**: resolving a deep
+//! path is one hash probe instead of a per-component walk.  Entries are
+//! pinned to a per-directory generation (bumped by unlink/rename/rmdir)
+//! plus the directory-move generation (bumped when a directory is renamed,
+//! which invalidates every cached deep path whose prefix could have moved;
+//! rmdir needs no bump — a removed directory's state vanishes and inode
+//! numbers are never reused within a mount, so descendants fail validation
+//! forever).  Creates overwrite their exact cache key instead of bumping
+//! the parent generation, so sibling entries stay hot under create-heavy
+//! churn, and negative entries record confirmed absences.  Fills happen
+//! under the namespace lock, read or write, and invalidations under its
+//! write lock, so fills and invalidations serialize through it.
 //!
-//! Mutating metadata operations resolve their path optimistically (each
-//! prefix component under a transient shard read lock), then take the
-//! needed namespace-shard write guards and re-verify the resolved entry
-//! and the directory-move generation under them, retrying the resolve if
-//! a concurrent mutation won the race.
-//!
-//! Contended inode/descriptor shard acquisitions are counted in
-//! `pmem::StatsSnapshot::shard_lock_waits`; contended namespace-shard
-//! acquisitions in `ns_shard_lock_waits`; path-cache effectiveness in
+//! Contended acquisitions of the inode table are counted in
+//! `pmem::StatsSnapshot::shard_lock_waits`; contended acquisitions of the
+//! namespace lock in `ns_shard_lock_waits`; path-cache effectiveness in
 //! `path_cache_hits` / `path_cache_misses` (the benchmark's traced run
 //! reports `kernelfs.ns_shard_lock_waits` and `kernelfs.path_cache_hit_rate`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use pmem::{AccessPattern, PersistMode, PmemDevice, TimeCategory, PAGE_2M};
 use vfs::{
@@ -100,7 +75,7 @@ use vfs::{
     IoVec, OpenFlags, ReadView, SeekFrom,
 };
 
-use crate::alloc::{BlockRun, ShardedAllocator};
+use crate::alloc::{BlockAllocator, BlockRun};
 use crate::dax::{DaxMapping, MapSegment};
 use crate::dir;
 use crate::inode::{changed_lines, Extent, ExtentMap, Inode, InodeKind};
@@ -110,15 +85,6 @@ use crate::lease::{LeaseManager, MAX_INSTANCES};
 
 /// Inode number of the root directory.
 pub const ROOT_INO: u64 = 1;
-
-/// Number of inode-table shards.
-pub const INODE_SHARDS: usize = 16;
-
-/// Number of descriptor-table shards.
-pub const FD_SHARDS: usize = 16;
-
-/// Number of namespace shards (directory entries, open counts, orphans).
-pub const NS_SHARDS: usize = 16;
 
 #[derive(Debug, Clone)]
 struct OpenFile {
@@ -144,30 +110,61 @@ struct DirSlot {
 #[derive(Debug, Default)]
 struct DirState {
     entries: BTreeMap<String, DirSlot>,
-    /// Bumped under the owning shard's write lock on every destructive
-    /// entry change (unlink, rename, rmdir); path-cache entries pinned to
-    /// an older generation fail validation.  Creates do not bump it —
-    /// they overwrite their exact cache key instead, so sibling entries
-    /// stay hot under create-heavy churn.
+    /// Bumped on every destructive entry change (unlink, rename, rmdir);
+    /// path-cache entries pinned to an older generation fail validation.
+    /// Creates do not bump it — they overwrite their exact cache key
+    /// instead, so sibling entries stay hot under create-heavy churn.
     gen: u64,
 }
 
-/// One shard of the directory namespace.  Directory operations used to
-/// funnel through a single coarse `RwLock`; with metadata-heavy
-/// workloads (varmail-style create/unlink churn, million-file trees)
-/// that lock was the last single-lock choke point, so the namespace is
-/// now [`NS_SHARDS`]-way sharded by inode number: a directory's entry
-/// map lives in the shard of the directory's own inode, and a file's
-/// open count / orphan flag in the shard of the file's inode.
-#[derive(Debug, Default)]
-struct NsShard {
+/// The directory namespace, behind the file system's one namespace lock.
+#[derive(Debug)]
+struct Namespace {
     /// Directory inode → its entries and invalidation generation.
     dirs: HashMap<u64, DirState>,
     /// Open-descriptor counts, keyed by file inode.
     open_counts: HashMap<u64, u32>,
     /// Inodes whose last link was removed while still open; freed on the
     /// final close.
-    orphans: HashMap<u64, bool>,
+    orphans: HashSet<u64>,
+    /// The next inode number to hand out: one past the largest in use at
+    /// mkfs or mount, so numbers are never reused within a mount.
+    next_ino: u64,
+    /// See [`PathCacheEntry::move_gen`].
+    move_gen: u64,
+}
+
+impl Namespace {
+    fn new(dirs: HashMap<u64, BTreeMap<String, DirSlot>>, max_ino: u64) -> Self {
+        Namespace {
+            dirs: dirs
+                .into_iter()
+                .map(|(ino, entries)| (ino, DirState { entries, gen: 0 }))
+                .collect(),
+            open_counts: HashMap::new(),
+            orphans: HashSet::new(),
+            next_ino: max_ino.max(ROOT_INO) + 1,
+            move_gen: 0,
+        }
+    }
+
+    fn dir(&self, ino: u64) -> FsResult<&DirState> {
+        self.dirs.get(&ino).ok_or(FsError::NotADirectory)
+    }
+
+    fn dir_mut(&mut self, ino: u64) -> FsResult<&mut DirState> {
+        self.dirs.get_mut(&ino).ok_or(FsError::NotADirectory)
+    }
+
+    /// Takes the next inode number, or [`FsError::NoSpace`] once the inode
+    /// table of `inode_count` slots is full.
+    fn alloc_ino(&mut self, inode_count: u64) -> FsResult<u64> {
+        if self.next_ino >= inode_count {
+            return Err(FsError::NoSpace);
+        }
+        self.next_ino += 1;
+        Ok(self.next_ino - 1)
+    }
 }
 
 /// A validated full-path cache entry.  `ino == None` is a negative
@@ -178,74 +175,43 @@ struct PathCacheEntry {
     parent: u64,
     /// The parent directory's [`DirState::gen`] at fill time.
     parent_gen: u64,
-    /// The global directory-move generation at the start of the resolve
-    /// that produced this entry.  A directory rename or rmdir anywhere
-    /// bumps the global counter, invalidating every cached deep path
-    /// whose prefix chain could have moved.
+    /// The directory-move generation at fill time.  A directory rename
+    /// anywhere bumps it, invalidating every cached deep path whose prefix
+    /// chain could have moved.
     move_gen: u64,
     ino: Option<u64>,
 }
 
-/// The full-path lookup cache layered above the namespace shards: deep
-/// `resolve()` becomes one hash probe (plus a generation check under the
-/// parent's shard lock) instead of a per-component walk.
-#[derive(Debug)]
-struct PathCache {
-    shards: Vec<RwLock<HashMap<String, PathCacheEntry>>>,
-    /// See [`PathCacheEntry::move_gen`].
-    dir_move_gen: AtomicU64,
-}
+/// The full-path lookup cache layered above the namespace: deep
+/// `resolve()` becomes one hash probe (plus a generation check) instead of
+/// a per-component walk.
+#[derive(Debug, Default)]
+struct PathCache(RwLock<HashMap<String, PathCacheEntry>>);
 
 impl PathCache {
-    fn new() -> Self {
-        PathCache {
-            shards: (0..NS_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            dir_move_gen: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, path: &str) -> &RwLock<HashMap<String, PathCacheEntry>> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        path.hash(&mut h);
-        &self.shards[h.finish() as usize % self.shards.len()]
-    }
-
     fn get(&self, path: &str) -> Option<PathCacheEntry> {
-        self.shard(path).read().get(path).copied()
+        self.0.read().get(path).copied()
     }
 
     fn insert(&self, path: &str, entry: PathCacheEntry) {
-        self.shard(path).write().insert(path.to_string(), entry);
+        self.0.write().insert(path.to_string(), entry);
     }
 
     fn remove(&self, path: &str) {
-        self.shard(path).write().remove(path);
-    }
-
-    fn move_gen(&self) -> u64 {
-        self.dir_move_gen.load(Ordering::Acquire)
-    }
-
-    /// Bumps the directory-move generation, returning the new value.
-    fn bump_move_gen(&self) -> u64 {
-        self.dir_move_gen.fetch_add(1, Ordering::AcqRel) + 1
+        self.0.write().remove(path);
     }
 }
 
-type InodeShard = HashMap<u64, Inode>;
+type InodeTable = HashMap<u64, Inode>;
 
-/// Maps an inode number to its inode shard.  Inode numbers are handed out
-/// from per-namespace-shard congruence pools ([`Ext4Dax::alloc_ino`]) and
-/// the inode shard follows the same congruence: a directory's files share
-/// their parent's pool, so the whole working set of one directory — the
-/// parent inode, the child inodes and the namespace state — lives on one
-/// shard pair, and threads in disjoint directories touch disjoint inode
-/// *and* namespace shards (nothing on their create path is shared).
-fn inode_shard_of(ino: u64, shards: usize) -> usize {
-    ino as usize % shards
+/// The live inode `ino` of `table`.
+fn inode_ref(table: &InodeTable, ino: u64) -> FsResult<&Inode> {
+    table.get(&ino).ok_or(FsError::BadFd)
+}
+
+/// The live inode `ino` of `table`, mutably.
+fn inode_mut(table: &mut InodeTable, ino: u64) -> FsResult<&mut Inode> {
+    table.get_mut(&ino).ok_or(FsError::BadFd)
 }
 
 /// The ext4-DAX-like kernel file system.
@@ -253,19 +219,12 @@ fn inode_shard_of(ino: u64, shards: usize) -> usize {
 pub struct Ext4Dax {
     device: Arc<PmemDevice>,
     sb: Superblock,
-    inodes: Vec<RwLock<InodeShard>>,
-    ns: Vec<RwLock<NsShard>>,
-    /// Per-namespace-shard inode-number pools: pool `s` hands out numbers
-    /// congruent to `s` modulo [`NS_SHARDS`] (see [`Ext4Dax::alloc_ino`]).
-    next_inos: Vec<AtomicU64>,
-    /// Round-robin pool selector for new *directories*, which should
-    /// spread across namespace shards (each is a future parent) rather
-    /// than pile onto their own parent's shard.
-    dir_pool_rotor: AtomicU64,
+    inodes: RwLock<InodeTable>,
+    ns: RwLock<Namespace>,
     path_cache: PathCache,
-    fds: Vec<RwLock<HashMap<Fd, OpenFile>>>,
+    fds: RwLock<HashMap<Fd, OpenFile>>,
     next_fd: AtomicU64,
-    alloc: ShardedAllocator,
+    alloc: Mutex<BlockAllocator>,
     journal: Journal,
     leases: LeaseManager,
 }
@@ -304,134 +263,34 @@ struct Taken {
     chain_len: usize,
 }
 
-/// Write guards over the distinct inode shards a multi-inode operation
-/// touches, acquired in ascending shard order.
-struct ShardSet<'a> {
-    guards: Vec<(usize, RwLockWriteGuard<'a, InodeShard>)>,
-}
-
-impl ShardSet<'_> {
-    fn map_for(&mut self, shard_idx: usize) -> &mut InodeShard {
-        let slot = self
-            .guards
-            .iter_mut()
-            .find(|(idx, _)| *idx == shard_idx)
-            .expect("shard not locked by this set");
-        &mut slot.1
-    }
-
-    fn inode_mut(&mut self, shards: usize, ino: u64) -> FsResult<&mut Inode> {
-        self.map_for(inode_shard_of(ino, shards))
-            .get_mut(&ino)
-            .ok_or(FsError::BadFd)
-    }
-
-    fn inode(&mut self, shards: usize, ino: u64) -> FsResult<&Inode> {
-        self.map_for(inode_shard_of(ino, shards))
-            .get(&ino)
-            .ok_or(FsError::BadFd)
-    }
-}
-
-/// Write guards over the distinct namespace shards a metadata operation
-/// touches, acquired in ascending shard order (lock-ordering rule 10:
-/// ascending namespace-shard order, and namespace shards before inode
-/// shards).
-struct NsGuards<'a> {
-    guards: Vec<(usize, RwLockWriteGuard<'a, NsShard>)>,
-}
-
-impl NsGuards<'_> {
-    fn shard_mut(&mut self, shards: usize, ino: u64) -> &mut NsShard {
-        let idx = ino as usize % shards;
-        let slot = self
-            .guards
-            .iter_mut()
-            .find(|(i, _)| *i == idx)
-            .expect("ns shard not locked by this set");
-        &mut slot.1
-    }
-
-    fn dir(&mut self, shards: usize, ino: u64) -> FsResult<&DirState> {
-        self.shard_mut(shards, ino)
-            .dirs
-            .get(&ino)
-            .ok_or(FsError::NotADirectory)
-    }
-
-    fn dir_mut(&mut self, shards: usize, ino: u64) -> FsResult<&mut DirState> {
-        self.shard_mut(shards, ino)
-            .dirs
-            .get_mut(&ino)
-            .ok_or(FsError::NotADirectory)
-    }
-}
-
 impl Ext4Dax {
-    fn inode_shard_idx(&self, ino: u64) -> usize {
-        inode_shard_of(ino, self.inodes.len())
-    }
-
-    fn fd_shard_idx(&self, fd: Fd) -> usize {
-        fd as usize % self.fds.len()
-    }
-
-    /// Write-locks one inode shard.  Contended acquisitions are counted
+    /// Write-locks the inode table.  Contended acquisitions are counted
     /// and the blocked time (measured as the global simulated-clock delta
     /// — the work others completed while this thread waited) is charged to
     /// the calling thread's critical path, so lock serialization shows up
     /// in per-thread simulated throughput exactly as it would on real
     /// hardware.
-    fn lock_inode_write(&self, ino: u64) -> RwLockWriteGuard<'_, InodeShard> {
-        let shard = &self.inodes[self.inode_shard_idx(ino)];
+    fn inodes_write(&self) -> RwLockWriteGuard<'_, InodeTable> {
         self.device
-            .lock_contended(|| shard.try_write(), || shard.write())
+            .lock_contended(|| self.inodes.try_write(), || self.inodes.write())
     }
 
-    /// Read-locks one inode shard, counting contention (see
-    /// [`Ext4Dax::lock_inode_write`] for the wait accounting).
-    fn lock_inode_read(&self, ino: u64) -> RwLockReadGuard<'_, InodeShard> {
-        let shard = &self.inodes[self.inode_shard_idx(ino)];
+    /// Read-locks the inode table, counting contention (see
+    /// [`Ext4Dax::inodes_write`] for the wait accounting).
+    fn inodes_read(&self) -> RwLockReadGuard<'_, InodeTable> {
         self.device
-            .lock_contended(|| shard.try_read(), || shard.read())
+            .lock_contended(|| self.inodes.try_read(), || self.inodes.read())
     }
 
-    /// Write-locks the distinct shards of `inos`, in ascending shard order.
-    fn lock_inodes_write(&self, inos: &[u64]) -> ShardSet<'_> {
-        let mut idxs: Vec<usize> = inos.iter().map(|&ino| self.inode_shard_idx(ino)).collect();
-        idxs.sort_unstable();
-        idxs.dedup();
-        let mut guards = Vec::with_capacity(idxs.len());
-        for idx in idxs {
-            let shard = &self.inodes[idx];
-            let guard = self
-                .device
-                .lock_contended(|| shard.try_write(), || shard.write());
-            guards.push((idx, guard));
-        }
-        ShardSet { guards }
-    }
-
-    fn ns_shard_idx(&self, ino: u64) -> usize {
-        ino as usize % self.ns.len()
-    }
-
-    /// Namespace-shard acquisition with contention accounting: a failed
-    /// `try_lock` counts an `ns_shard_lock_waits`, emits an
-    /// [`obs::SpanEvent::NsShardWait`], and charges the blocked time
-    /// (global simulated-clock delta) to the calling thread's critical
-    /// path — mirroring [`PmemDevice::lock_contended`] for the inode
-    /// shards.
-    fn ns_lock_contended<G>(
-        &self,
-        try_lock: impl FnOnce() -> Option<G>,
-        lock: impl FnOnce() -> G,
-    ) -> G {
+    /// Namespace-lock acquisition with contention accounting: a failed
+    /// `try_lock` counts an `ns_shard_lock_waits` and charges the blocked
+    /// time (global simulated-clock delta) to the calling thread's critical
+    /// path — mirroring [`PmemDevice::lock_contended`] for the inode table.
+    fn ns_contended<G>(&self, try_lock: impl FnOnce() -> Option<G>, lock: impl FnOnce() -> G) -> G {
         match try_lock() {
             Some(guard) => guard,
             None => {
                 self.device.stats().add_ns_shard_lock_wait();
-                obs::event(obs::SpanEvent::NsShardWait);
                 let t0 = self.device.clock().now_ns_f64();
                 let guard = lock();
                 pmem::SimClock::charge_thread_wait(self.device.clock().now_ns_f64() - t0);
@@ -440,45 +299,24 @@ impl Ext4Dax {
         }
     }
 
-    /// Read-locks the namespace shard owning `ino`.
-    fn lock_ns_read(&self, ino: u64) -> RwLockReadGuard<'_, NsShard> {
-        let shard = &self.ns[self.ns_shard_idx(ino)];
-        self.ns_lock_contended(|| shard.try_read(), || shard.read())
+    /// Read-locks the namespace.
+    fn ns_read(&self) -> RwLockReadGuard<'_, Namespace> {
+        self.ns_contended(|| self.ns.try_read(), || self.ns.read())
     }
 
-    /// Write-locks the namespace shard owning `ino`.
-    fn lock_ns_shard_write(&self, ino: u64) -> RwLockWriteGuard<'_, NsShard> {
-        let shard = &self.ns[self.ns_shard_idx(ino)];
-        self.ns_lock_contended(|| shard.try_write(), || shard.write())
-    }
-
-    /// Write-locks the distinct namespace shards of `inos`, in ascending
-    /// shard order (rule 10).
-    fn lock_ns_write(&self, inos: &[u64]) -> NsGuards<'_> {
-        let mut idxs: Vec<usize> = inos.iter().map(|&ino| self.ns_shard_idx(ino)).collect();
-        idxs.sort_unstable();
-        idxs.dedup();
-        let mut guards = Vec::with_capacity(idxs.len());
-        for idx in idxs {
-            let shard = &self.ns[idx];
-            let guard = self.ns_lock_contended(|| shard.try_write(), || shard.write());
-            guards.push((idx, guard));
-        }
-        NsGuards { guards }
+    /// Write-locks the namespace.
+    fn ns_write(&self) -> RwLockWriteGuard<'_, Namespace> {
+        self.ns_contended(|| self.ns.try_write(), || self.ns.write())
     }
 
     /// Looks up (and clones) an open descriptor.
     fn lookup_fd(&self, fd: Fd) -> FsResult<OpenFile> {
-        self.fds[self.fd_shard_idx(fd)]
-            .read()
-            .get(&fd)
-            .cloned()
-            .ok_or(FsError::BadFd)
+        self.fds.read().get(&fd).cloned().ok_or(FsError::BadFd)
     }
 
     fn insert_fd(&self, ino: u64, flags: OpenFlags) -> Fd {
         let fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
-        self.fds[self.fd_shard_idx(fd)].write().insert(
+        self.fds.write().insert(
             fd,
             OpenFile {
                 ino,
@@ -491,84 +329,9 @@ impl Ext4Dax {
     }
 
     fn update_fd(&self, fd: Fd, f: impl FnOnce(&mut OpenFile)) {
-        if let Some(file) = self.fds[self.fd_shard_idx(fd)].write().get_mut(&fd) {
+        if let Some(file) = self.fds.write().get_mut(&fd) {
             f(file);
         }
-    }
-
-    /// Builds the per-namespace-shard inode-number pool counters from the
-    /// inos already in use (mkfs / mount constructor helper).  Pool `s`
-    /// allocates numbers `n * NS_SHARDS + s`; each counter starts past the
-    /// largest existing number in its congruence class.  Ino 0 is the
-    /// "no inode" sentinel (e.g. `replaced_ino` in rename records), so
-    /// pool 0 starts at 1.
-    fn build_ino_pools(existing: impl Iterator<Item = u64>) -> Vec<AtomicU64> {
-        let mut counters = vec![0u64; NS_SHARDS];
-        counters[0] = 1;
-        for ino in existing {
-            let s = ino as usize % NS_SHARDS;
-            counters[s] = counters[s].max(ino / NS_SHARDS as u64 + 1);
-        }
-        counters.into_iter().map(AtomicU64::new).collect()
-    }
-
-    /// Allocates an inode number for a new child of `parent`.
-    ///
-    /// Numbers come from [`NS_SHARDS`] congruence pools (`ino % NS_SHARDS`
-    /// is the pool id).  Files prefer the pool matching the parent's
-    /// namespace shard: the file's `open_counts`/`orphans` state then
-    /// lives on the same shard as the directory entry being created, so
-    /// threads working in disjoint directories take disjoint namespace
-    /// locks.  Directories instead take the next pool off a round-robin
-    /// rotor — each is a future parent, and sibling directories (e.g.
-    /// per-thread working dirs) must land on *different* shards for the
-    /// workload to scale.  The inode shard follows the same congruence
-    /// (see [`inode_shard_of`]), so a directory's entire create path —
-    /// parent inode, child inodes, namespace state — stays on one shard
-    /// pair.  A full preferred pool falls back to the
-    /// neighboring pools — alignment is a performance heuristic, never a
-    /// correctness requirement — and the allocator only reports
-    /// [`FsError::NoSpace`] once every pool has exhausted the inode table
-    /// (which also closes the old overflow hazard of numbering straight
-    /// past `inode_count` into the bitmap region).
-    fn alloc_ino(&self, parent: u64, is_dir: bool) -> FsResult<u64> {
-        let pools = self.next_inos.len();
-        let preferred = if is_dir {
-            // Skip the root's shard: every cache-miss resolve read-locks
-            // the root's directory state, so parking a busy directory
-            // (and with it every file it will ever hold) on that shard
-            // would put writer traffic on the hottest read path.
-            let root_shard = self.ns_shard_idx(ROOT_INO);
-            let s = self.dir_pool_rotor.fetch_add(1, Ordering::Relaxed) as usize % (pools - 1);
-            if s >= root_shard {
-                s + 1
-            } else {
-                s
-            }
-        } else {
-            self.ns_shard_idx(parent)
-        };
-        for attempt in 0..pools {
-            let s = (preferred + attempt) % pools;
-            let n = self.next_inos[s].fetch_add(1, Ordering::Relaxed);
-            let ino = n * NS_SHARDS as u64 + s as u64;
-            if ino < self.sb.inode_count {
-                return Ok(ino);
-            }
-        }
-        Err(FsError::NoSpace)
-    }
-
-    /// Distributes a flat directory map into [`NS_SHARDS`] namespace
-    /// shards (mkfs / mount constructor helper).
-    fn build_ns_shards(dirs: HashMap<u64, BTreeMap<String, DirSlot>>) -> Vec<RwLock<NsShard>> {
-        let mut shards: Vec<NsShard> = (0..NS_SHARDS).map(|_| NsShard::default()).collect();
-        for (ino, entries) in dirs {
-            shards[ino as usize % NS_SHARDS]
-                .dirs
-                .insert(ino, DirState { entries, gen: 0 });
-        }
-        shards.into_iter().map(RwLock::new).collect()
     }
 
     /// Formats the device and returns the file system mounted.
@@ -593,7 +356,7 @@ impl Ext4Dax {
         );
         let leases = LeaseManager::new(Arc::clone(&device), &sb, &[]);
 
-        let alloc = ShardedAllocator::format(&sb);
+        let alloc = BlockAllocator::format(&sb);
         // Zero the inode table so unused slots parse as free.
         let itable_bytes = (sb.itable_blocks * BLOCK_SIZE as u64) as usize;
         device.write_uncharged(
@@ -605,37 +368,24 @@ impl Ext4Dax {
             &alloc.to_bitmap_image(&sb),
         );
 
-        let mut inode_shards: Vec<RwLock<InodeShard>> = (0..INODE_SHARDS)
-            .map(|_| RwLock::new(HashMap::new()))
-            .collect();
-        let root = Inode::new(ROOT_INO, InodeKind::Directory);
-        inode_shards[inode_shard_of(ROOT_INO, INODE_SHARDS)]
-            .get_mut()
-            .insert(ROOT_INO, root);
-        let mut dirs = HashMap::new();
-        dirs.insert(ROOT_INO, BTreeMap::new());
-
+        let mut root = Inode::new(ROOT_INO, InodeKind::Directory);
         let fs = Self {
             device,
             sb,
-            inodes: inode_shards,
-            ns: Self::build_ns_shards(dirs),
-            next_inos: Self::build_ino_pools(std::iter::once(ROOT_INO)),
-            dir_pool_rotor: AtomicU64::new(0),
-            path_cache: PathCache::new(),
-            fds: (0..FD_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+            inodes: RwLock::new(HashMap::new()),
+            ns: RwLock::new(Namespace::new(
+                HashMap::from([(ROOT_INO, BTreeMap::new())]),
+                ROOT_INO,
+            )),
+            path_cache: PathCache::default(),
+            fds: RwLock::new(HashMap::new()),
             next_fd: AtomicU64::new(3),
-            alloc,
+            alloc: Mutex::new(alloc),
             journal,
             leases,
         };
-        {
-            let mut shard = fs.lock_inode_write(ROOT_INO);
-            let inode = shard.get_mut(&ROOT_INO).expect("root exists");
-            fs.persist_inode(inode, false);
-        }
+        fs.persist_inode(&mut root, false);
+        fs.inodes.write().insert(ROOT_INO, root);
         Ok(Arc::new(fs))
     }
 
@@ -671,7 +421,7 @@ impl Ext4Dax {
         // 3. Read the bitmap and inode table.
         let mut bitmap_image = vec![0u8; (sb.bitmap_blocks * BLOCK_SIZE as u64) as usize];
         device.read_uncharged(sb.bitmap_start * BLOCK_SIZE as u64, &mut bitmap_image);
-        let alloc = ShardedAllocator::from_bitmap_image(&sb, &bitmap_image);
+        let mut alloc = BlockAllocator::from_bitmap_image(&sb, &bitmap_image);
 
         let mut inodes: HashMap<u64, Inode> = HashMap::new();
         let mut record_buf = vec![0u8; INODE_RECORD_SIZE];
@@ -715,7 +465,7 @@ impl Ext4Dax {
         // 5. Replay committed journal records idempotently on the
         //    in-memory state.
         for rec in &records {
-            Self::replay_record(rec, &mut inodes, &mut dirs, &alloc, &mut lease_ids);
+            Self::replay_record(rec, &mut inodes, &mut dirs, &mut alloc, &mut lease_ids);
         }
         let dropped = Self::drop_stale_entries(&records, &mut dirs);
 
@@ -731,16 +481,7 @@ impl Ext4Dax {
             }
         }
 
-        let next_inos =
-            Self::build_ino_pools(inodes.keys().copied().chain(std::iter::once(ROOT_INO)));
-        let mut inode_shards: Vec<RwLock<InodeShard>> = (0..INODE_SHARDS)
-            .map(|_| RwLock::new(HashMap::new()))
-            .collect();
-        for (ino, inode) in inodes {
-            inode_shards[inode_shard_of(ino, INODE_SHARDS)]
-                .get_mut()
-                .insert(ino, inode);
-        }
+        let max_ino = inodes.keys().copied().max().unwrap_or(ROOT_INO);
 
         let lease_seed: Vec<u32> = lease_ids.into_iter().collect();
         let leases = LeaseManager::new(Arc::clone(&device), &sb, &lease_seed);
@@ -748,16 +489,12 @@ impl Ext4Dax {
         let fs = Self {
             device,
             sb,
-            inodes: inode_shards,
-            ns: Self::build_ns_shards(dirs),
-            next_inos,
-            dir_pool_rotor: AtomicU64::new(0),
-            path_cache: PathCache::new(),
-            fds: (0..FD_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+            inodes: RwLock::new(inodes),
+            ns: RwLock::new(Namespace::new(dirs, max_ino)),
+            path_cache: PathCache::default(),
+            fds: RwLock::new(HashMap::new()),
             next_fd: AtomicU64::new(3),
-            alloc,
+            alloc: Mutex::new(alloc),
             journal,
             leases,
         };
@@ -765,12 +502,9 @@ impl Ext4Dax {
             // Make the in-place state match the replayed state, then the
             // journal contents are no longer needed.
             fs.leases.persist();
-            for shard in &fs.inodes {
-                let mut guard = shard.write();
-                for (_, inode) in guard.iter_mut() {
-                    fs.reserve_chain(inode)?;
-                    fs.persist_inode(inode, false);
-                }
+            for inode in fs.inodes.write().values_mut() {
+                fs.reserve_chain(inode)?;
+                fs.persist_inode(inode, false);
             }
             fs.device
                 .write_uncharged(fs.sb.bitmap_start * BLOCK_SIZE as u64, &bitmap_image);
@@ -780,8 +514,7 @@ impl Ext4Dax {
                 if slot.entry_offset == u64::MAX {
                     continue;
                 }
-                let shard = fs.inodes[inode_shard_of(parent, INODE_SHARDS)].read();
-                if let Some(dir) = shard.get(&parent) {
+                if let Some(dir) = fs.inodes.read().get(&parent) {
                     let tomb = dir::encode_tombstone(slot.entry_len - 10);
                     Self::write_file_raw(&fs.device, dir, slot.entry_offset, &tomb);
                 }
@@ -850,7 +583,7 @@ impl Ext4Dax {
         rec: &JournalRecord,
         inodes: &mut HashMap<u64, Inode>,
         dirs: &mut HashMap<u64, BTreeMap<String, DirSlot>>,
-        alloc: &ShardedAllocator,
+        alloc: &mut BlockAllocator,
         lease_ids: &mut std::collections::HashSet<u32>,
     ) {
         match rec {
@@ -1049,7 +782,7 @@ impl Ext4Dax {
     // ------------------------------------------------------------------
 
     /// Writes the inode record (and its overflow chain) with charged
-    /// metadata traffic.  Called with the inode's shard lock held.
+    /// metadata traffic.  Called with the inode table write-locked.
     fn write_inode(&self, inode: &mut Inode) {
         self.persist_inode(inode, true);
     }
@@ -1117,8 +850,11 @@ impl Ext4Dax {
             self.device.fence(TimeCategory::Metadata);
         }
         inode.stored = Some((record, chain));
-        for b in trimmed {
-            self.alloc.mark_free(b, 1);
+        if !trimmed.is_empty() {
+            let mut alloc = self.alloc.lock();
+            for b in trimmed {
+                alloc.mark_free(b, 1);
+            }
         }
     }
 
@@ -1130,7 +866,7 @@ impl Ext4Dax {
         let missing = inode
             .overflow_blocks_needed()
             .saturating_sub(inode.overflow_blocks.len());
-        for run in self.alloc.alloc_extents(inode.ino, missing as u64)? {
+        for run in self.alloc.lock().alloc_extents(missing as u64)? {
             inode.overflow_blocks.extend(run.start..run.start + run.len);
         }
         Ok(())
@@ -1140,8 +876,9 @@ impl Ext4Dax {
     /// rest to the allocator.
     fn truncate_chain(&self, inode: &mut Inode, len: usize) {
         if len < inode.overflow_blocks.len() {
+            let mut alloc = self.alloc.lock();
             for b in inode.overflow_blocks.drain(len..) {
-                self.alloc.mark_free(b, 1);
+                alloc.mark_free(b, 1);
             }
         }
     }
@@ -1154,33 +891,28 @@ impl Ext4Dax {
             .write(off, &zero, PersistMode::NonTemporal, TimeCategory::Metadata);
     }
 
-    /// Resolves a **normalized** path to `(parent_ino, name, Option<ino>)`.
+    /// Resolves a **normalized** path to `(parent_ino, name, Option<ino>)`
+    /// under the caller's namespace guard, read or write.
     ///
-    /// Fast path: one hash probe of the full-path cache, validated under
-    /// the parent directory's shard read lock (directory-move generation
-    /// and parent generation both unchanged since fill) — a deep resolve
-    /// costs one dirent charge instead of one per component.  Near miss:
-    /// if the full path is absent but the parent directory's path is
-    /// cached, the final component is looked up under the parent's shard
-    /// alone (two dirent charges, no shared-prefix locks).  Slow path:
-    /// a per-component walk taking each prefix directory's shard read
-    /// lock transiently, then a cache fill while the final parent's
-    /// shard is still read-locked (so fills and invalidations on one key
-    /// serialize through that shard's `RwLock`).  Directory-ness of
+    /// Fast path: one hash probe of the full-path cache, validated against
+    /// the namespace (directory-move generation and parent generation both
+    /// unchanged since fill) — a deep resolve costs one dirent charge
+    /// instead of one per component.  Near miss: if the full path is absent
+    /// but the parent directory's path is cached, the final component is
+    /// looked up in the parent alone (two dirent charges).  Slow path: a
+    /// per-component walk, then a cache fill.  Directory-ness of
     /// intermediate components is checked against the namespace's
-    /// directory maps, so no inode shard is locked during resolution.
-    fn resolve_norm(&self, norm: &str) -> FsResult<(u64, String, Option<u64>)> {
+    /// directory maps, so resolution needs no inode.
+    fn resolve_norm(&self, ns: &Namespace, norm: &str) -> FsResult<(u64, String, Option<u64>)> {
         let cost = self.device.cost();
-        let move_gen = self.path_cache.move_gen();
         let (parent_path, name) = vpath::split(norm)?;
         if let Some(e) = self.path_cache.get(norm) {
-            if e.move_gen == move_gen {
-                let guard = self.lock_ns_read(e.parent);
-                if guard.dirs.get(&e.parent).map(|d| d.gen) == Some(e.parent_gen) {
-                    self.charge(cost.ext4_dirent_ns);
-                    self.device.stats().add_path_cache_hit();
-                    return Ok((e.parent, name, e.ino));
-                }
+            if e.move_gen == ns.move_gen
+                && ns.dirs.get(&e.parent).map(|d| d.gen) == Some(e.parent_gen)
+            {
+                self.charge(cost.ext4_dirent_ns);
+                self.device.stats().add_path_cache_hit();
+                return Ok((e.parent, name, e.ino));
             }
             // Stale entry: drop it so the walk below refills the slot.
             self.path_cache.remove(norm);
@@ -1192,38 +924,31 @@ impl Ext4Dax {
         // positive **directory** entry needs no parent-generation check
         // here: inode numbers are never reused and every directory move
         // bumps `move_gen`, so "`move_gen` unchanged and the directory
-        // still exists" proves the inode is still at that path.  The
-        // resolve then touches only the parent's own shard — a create in
-        // a deep tree takes no shared-prefix locks at all, which is what
-        // keeps disjoint-directory writers off each other's shards.
+        // still exists" proves the inode is still at that path.
         if parent_path != "/" {
             if let Some(pe) = self.path_cache.get(&parent_path) {
-                if pe.move_gen == move_gen {
-                    if let Some(p_ino) = pe.ino {
-                        let guard = self.lock_ns_read(p_ino);
-                        if let Some(d) = guard.dirs.get(&p_ino) {
-                            // One probe plus one dirent lookup instead of
-                            // a per-component walk.
-                            self.charge(2.0 * cost.ext4_dirent_ns);
-                            let ino = d.entries.get(&name).map(|s| s.ino);
-                            self.path_cache.insert(
-                                norm,
-                                PathCacheEntry {
-                                    parent: p_ino,
-                                    parent_gen: d.gen,
-                                    move_gen,
-                                    ino,
-                                },
-                            );
-                            return Ok((p_ino, name, ino));
-                        }
-                        drop(guard);
-                        // The cached inode is not a live directory (it
-                        // was removed, or the entry names a file): evict
-                        // and take the walk below.
-                        self.path_cache.remove(&parent_path);
+                if pe.move_gen != ns.move_gen {
+                    self.path_cache.remove(&parent_path);
+                } else if let Some(p_ino) = pe.ino {
+                    if let Some(d) = ns.dirs.get(&p_ino) {
+                        // One probe plus one dirent lookup instead of a
+                        // per-component walk.
+                        self.charge(2.0 * cost.ext4_dirent_ns);
+                        let ino = d.entries.get(&name).map(|s| s.ino);
+                        self.path_cache.insert(
+                            norm,
+                            PathCacheEntry {
+                                parent: p_ino,
+                                parent_gen: d.gen,
+                                move_gen: ns.move_gen,
+                                ino,
+                            },
+                        );
+                        return Ok((p_ino, name, ino));
                     }
-                } else {
+                    // The cached inode is not a live directory (it was
+                    // removed, or the entry names a file): evict and take
+                    // the walk below.
                     self.path_cache.remove(&parent_path);
                 }
             }
@@ -1232,34 +957,32 @@ impl Ext4Dax {
         let mut dir_ino = ROOT_INO;
         for comp in &comps {
             self.charge(cost.ext4_dirent_ns);
-            let guard = self.lock_ns_read(dir_ino);
-            let d = guard.dirs.get(&dir_ino).ok_or(FsError::NotADirectory)?;
-            let slot = d.entries.get(comp).ok_or(FsError::NotFound)?;
+            let slot = ns
+                .dir(dir_ino)?
+                .entries
+                .get(comp)
+                .ok_or(FsError::NotFound)?;
             dir_ino = slot.ino;
         }
         self.charge(cost.ext4_dirent_ns);
-        let guard = self.lock_ns_read(dir_ino);
-        let d = guard.dirs.get(&dir_ino).ok_or(FsError::NotADirectory)?;
+        let d = ns.dir(dir_ino)?;
         let ino = d.entries.get(&name).map(|s| s.ino);
-        // Fill (positive or negative) while the parent shard is still
-        // read-locked; `move_gen` was snapshotted before the walk, so an
-        // overlapping directory move leaves this entry invalid.
+        // Fill (positive or negative).
         self.path_cache.insert(
             norm,
             PathCacheEntry {
                 parent: dir_ino,
                 parent_gen: d.gen,
-                move_gen,
+                move_gen: ns.move_gen,
                 ino,
             },
         );
-        drop(guard);
         Ok((dir_ino, name, ino))
     }
 
     /// Ensures blocks are allocated to cover file byte range
     /// `[offset, offset+len)`, journaling the allocation in a transaction
-    /// of its own.  Called with the inode's shard lock held; the journal
+    /// of its own.  Called with the inode table write-locked; the journal
     /// guard is dropped internally after the allocator bitmap is persisted
     /// (a wrapped-away allocation record can at worst leak blocks, never
     /// corrupt).
@@ -1275,7 +998,9 @@ impl Ext4Dax {
                 return Err(e);
             }
         };
-        self.alloc.persist_runs(&self.device, &self.sb, &taken.runs);
+        self.alloc
+            .lock()
+            .persist_runs(&self.device, &self.sb, &taken.runs);
         drop(txn);
         Ok(())
     }
@@ -1319,7 +1044,7 @@ impl Ext4Dax {
         let staged = (|| -> FsResult<()> {
             for &(logical, count) in &taken.holes {
                 self.charge(cost.ext4_alloc_ns);
-                let runs = self.alloc.alloc_extents(inode.ino, count)?;
+                let runs = self.alloc.lock().alloc_extents(count)?;
                 let mut l = logical;
                 for run in &runs {
                     taken.records.push(JournalRecord::AllocBlocks {
@@ -1360,7 +1085,7 @@ impl Ext4Dax {
             inode.extents.remove_range(logical, count);
         }
         for run in &taken.runs {
-            self.alloc.mark_free(run.start, run.len);
+            self.alloc.lock().mark_free(run.start, run.len);
         }
         self.truncate_chain(inode, taken.chain_len);
     }
@@ -1403,15 +1128,15 @@ impl Ext4Dax {
         if runs.is_empty() {
             return;
         }
+        let mut alloc = self.alloc.lock();
         for run in runs {
-            self.alloc.mark_free(run.start, run.len);
+            alloc.mark_free(run.start, run.len);
         }
-        self.alloc.persist_runs(&self.device, &self.sb, runs);
+        alloc.persist_runs(&self.device, &self.sb, runs);
     }
 
     /// Appends a directory entry, extending the directory data as needed.
-    /// Called with the parent's namespace-shard write guard and the
-    /// parent inode's shard lock held.
+    /// Called with the namespace and the inode table write-locked.
     fn dir_append_entry(
         &self,
         dir: &mut DirState,
@@ -1440,8 +1165,7 @@ impl Ext4Dax {
     /// Overwrites a directory entry with a tombstone and bumps the
     /// parent's invalidation generation (every destructive entry change —
     /// unlink, rename, rmdir — funnels through here).  Called with the
-    /// parent's namespace-shard write guard and the parent inode's shard
-    /// lock held.
+    /// namespace and the inode table write-locked.
     fn dir_remove_entry(
         &self,
         dir: &mut DirState,
@@ -1556,7 +1280,7 @@ impl Ext4Dax {
         (records, runs)
     }
 
-    /// Writes a gather list at `offset` with the inode's shard lock held:
+    /// Writes a gather list at `offset` with the inode table write-locked:
     /// one allocation pass over the whole range, one data write per slice,
     /// one `SetSize` journal commit when extending, and one inode persist —
     /// the per-operation costs are paid once regardless of how many slices
@@ -1597,18 +1321,17 @@ impl Ext4Dax {
 
     /// Shared entry path for the vectored writes: one trap, permission
     /// check, then [`Ext4Dax::writev_locked`] at either the given offset or
-    /// (for appends) the end of file **resolved under the same shard
+    /// (for appends) the end of file **resolved under the same inode-table
     /// lock**, so concurrent appenders to one file serialize instead of
-    /// racing a stale `fstat` — while appenders to different files proceed
-    /// on their own shards in parallel.
+    /// racing a stale `fstat`.
     fn vectored_write(&self, fd: Fd, at: Option<u64>, iov: &[IoVec<'_>]) -> FsResult<usize> {
         self.charge_syscall();
         let file = self.lookup_fd(fd)?;
         if !file.flags.write {
             return Err(FsError::PermissionDenied);
         }
-        let mut shard = self.lock_inode_write(file.ino);
-        let inode = shard.get_mut(&file.ino).ok_or(FsError::BadFd)?;
+        let mut inodes = self.inodes_write();
+        let inode = inodes.get_mut(&file.ino).ok_or(FsError::BadFd)?;
         let offset = match at {
             Some(offset) => offset,
             None => inode.size,
@@ -1626,8 +1349,8 @@ impl Ext4Dax {
     pub fn fallocate(&self, fd: Fd, offset: u64, len: u64) -> FsResult<()> {
         self.charge_syscall();
         let file = self.lookup_fd(fd)?;
-        let mut shard = self.lock_inode_write(file.ino);
-        let inode = shard.get_mut(&file.ino).ok_or(FsError::BadFd)?;
+        let mut inodes = self.inodes_write();
+        let inode = inodes.get_mut(&file.ino).ok_or(FsError::BadFd)?;
         self.allocate_range(inode, offset, len)?;
         self.write_inode(inode);
         Ok(())
@@ -1645,8 +1368,8 @@ impl Ext4Dax {
         let cost = self.device.cost();
         self.charge(cost.mmap_setup_ns);
         let file = self.lookup_fd(fd)?;
-        let shard = self.lock_inode_read(file.ino);
-        let inode = shard.get(&file.ino).ok_or(FsError::BadFd)?;
+        let inodes = self.inodes_read();
+        let inode = inodes.get(&file.ino).ok_or(FsError::BadFd)?;
 
         let first_block = offset / BLOCK_SIZE as u64;
         let block_count = len.div_ceil(BLOCK_SIZE as u64);
@@ -1722,8 +1445,7 @@ impl Ext4Dax {
     /// maintenance daemon uses it to retire many files' staged data in a
     /// single transaction.  The returned sizes spare the caller an `fstat`.
     ///
-    /// Only the inode shards of the files named by the batch are locked, so
-    /// concurrent batches on disjoint files run in parallel.
+    /// The batch takes the inode table's write lock and no namespace lock.
     ///
     /// Constraints, checked up front before any state changes:
     ///
@@ -1768,9 +1490,8 @@ impl Ext4Dax {
         // One kernel trap for the whole batch.
         self.charge_syscall();
         let cost = self.device.cost();
-        let shards = self.inodes.len();
 
-        // Resolve descriptors, then lock every involved shard in order.
+        // Resolve descriptors, then lock the inode table.
         let resolve = |ops: &[RelinkOp]| -> FsResult<Vec<(u64, u64, RelinkOp)>> {
             ops.iter()
                 .filter(|op| op.len > 0)
@@ -1786,12 +1507,7 @@ impl Ext4Dax {
         };
         let moves = resolve(moves)?;
         let copies = resolve(copies)?;
-        let inos: Vec<u64> = moves
-            .iter()
-            .chain(&copies)
-            .flat_map(|&(src, dst, _)| [src, dst])
-            .collect();
-        let mut set = self.lock_inodes_write(&inos);
+        let mut inodes = self.inodes_write();
 
         // Upfront validation pass: all inodes resolve and all source ranges
         // are fully mapped.  Nothing is mutated until every op has passed,
@@ -1800,10 +1516,10 @@ impl Ext4Dax {
         // bound on the extents a move can add to that file's map (its moved
         // extents plus one split in the destination, one split in the
         // source; a copy's blocks are counted when they are taken).
-        let mut ranges: Vec<(u64, u64, u64, usize)> = Vec::with_capacity(inos.len());
+        let mut ranges: Vec<(u64, u64, u64, usize)> =
+            Vec::with_capacity(2 * (moves.len() + copies.len()));
         for &(src_ino, dst_ino, op) in &moves {
-            let moved = set
-                .inode(shards, src_ino)?
+            let moved = inode_ref(&inodes, src_ino)?
                 .extents
                 .extract_range(op.src_offset / block, op.len / block)?;
             ranges.push((src_ino, op.src_offset, op.len, 1));
@@ -1812,7 +1528,7 @@ impl Ext4Dax {
         for &(src_ino, dst_ino, op) in &copies {
             let first = op.src_offset / block;
             let end = (op.src_offset + op.len).div_ceil(block);
-            set.inode(shards, src_ino)?
+            inode_ref(&inodes, src_ino)?
                 .extents
                 .extract_range(first, end - first)?;
             ranges.push((src_ino, op.src_offset, op.len, 0));
@@ -1836,7 +1552,7 @@ impl Ext4Dax {
         for &(src_ino, _, op) in &copies {
             let mut buf = vec![0u8; op.len as usize];
             self.read_blocks(
-                set.inode(shards, src_ino)?,
+                inode_ref(&inodes, src_ino)?,
                 op.src_offset,
                 &mut buf,
                 AccessPattern::Sequential,
@@ -1848,19 +1564,19 @@ impl Ext4Dax {
         // The copies' missing destination blocks.  Taken first: they are
         // what a full device can refuse, and until the moves below nothing
         // else has changed.
-        let give_back_all = |set: &mut ShardSet<'_>, taken: &[(u64, Taken)]| {
+        let give_back_all = |inodes: &mut InodeTable, taken: &[(u64, Taken)]| {
             for (ino, t) in taken.iter().rev() {
-                if let Ok(inode) = set.inode_mut(shards, *ino) {
+                if let Ok(inode) = inode_mut(inodes, *ino) {
                     self.give_back(inode, t);
                 }
             }
         };
         let mut taken: Vec<(u64, Taken)> = Vec::with_capacity(copies.len());
         for &(_, dst_ino, op) in &copies {
-            match self.take_range(set.inode_mut(shards, dst_ino)?, op.dst_offset, op.len) {
+            match self.take_range(inode_mut(&mut inodes, dst_ino)?, op.dst_offset, op.len) {
                 Ok(t) => taken.push((dst_ino, t)),
                 Err(e) => {
-                    give_back_all(&mut set, &taken);
+                    give_back_all(&mut inodes, &taken);
                     return Err(e);
                 }
             }
@@ -1874,14 +1590,14 @@ impl Ext4Dax {
         for &(ino, .., bound) in &ranges {
             if bound > 0 {
                 let bound: usize = ranges.iter().filter(|r| r.0 == ino).map(|r| r.3).sum();
-                may_grow_chain |= bound > set.inode(shards, ino)?.spare_extents();
+                may_grow_chain |= bound > inode_ref(&inodes, ino)?.spare_extents();
             }
         }
         let mut saved: Vec<(u64, ExtentMap, usize)> = Vec::new();
         if may_grow_chain {
             for &(ino, .., bound) in &ranges {
                 if bound > 0 && saved.iter().all(|s| s.0 != ino) {
-                    let inode = set.inode(shards, ino)?;
+                    let inode = inode_ref(&inodes, ino)?;
                     saved.push((ino, inode.extents.clone(), inode.overflow_blocks.len()));
                 }
             }
@@ -1892,7 +1608,7 @@ impl Ext4Dax {
             records.append(&mut t.records);
         }
         let mut freed_all: Vec<BlockRun> = Vec::new();
-        let mut touched: Vec<u64> = Vec::with_capacity(inos.len());
+        let mut touched: Vec<u64> = Vec::with_capacity(2 * (moves.len() + copies.len()));
 
         for &(src_ino, dst_ino, op) in &moves {
             let src_block = op.src_offset / block;
@@ -1902,22 +1618,20 @@ impl Ext4Dax {
             self.charge(cost.ext4_extent_lookup_ns * 2.0);
 
             // The source range was validated as fully mapped above.
-            let moved = set
-                .inode(shards, src_ino)?
+            let moved = inode_ref(&inodes, src_ino)?
                 .extents
                 .extract_range(src_block, count)?;
 
             // Unmap the destination range; replaced blocks are freed only
             // after the batch's journal records commit.
-            let freed = set
-                .inode_mut(shards, dst_ino)?
+            let freed = inode_mut(&mut inodes, dst_ino)?
                 .extents
                 .remove_range(dst_block, count);
 
             // Move the source mappings into the destination.
             let mut dst_extents_record = Vec::new();
             {
-                let dst_inode = set.inode_mut(shards, dst_ino)?;
+                let dst_inode = inode_mut(&mut inodes, dst_ino)?;
                 for ext in &moved {
                     let logical = dst_block + (ext.logical - src_block);
                     dst_inode.extents.insert(Extent {
@@ -1930,7 +1644,7 @@ impl Ext4Dax {
             }
             // Unmap the source range (the blocks now belong to the
             // destination).
-            set.inode_mut(shards, src_ino)?
+            inode_mut(&mut inodes, src_ino)?
                 .extents
                 .remove_range(src_block, count);
 
@@ -1962,14 +1676,14 @@ impl Ext4Dax {
         if may_grow_chain {
             let reserved = touched
                 .iter()
-                .try_for_each(|&ino| self.reserve_chain(set.inode_mut(shards, ino)?));
+                .try_for_each(|&ino| self.reserve_chain(inode_mut(&mut inodes, ino)?));
             if let Err(e) = reserved {
                 for (ino, extents, chain_len) in saved {
-                    let inode = set.inode_mut(shards, ino)?;
+                    let inode = inode_mut(&mut inodes, ino)?;
                     inode.extents = extents;
                     self.truncate_chain(inode, chain_len);
                 }
-                give_back_all(&mut set, &taken);
+                give_back_all(&mut inodes, &taken);
                 return Err(e);
             }
         }
@@ -1990,7 +1704,7 @@ impl Ext4Dax {
         let mut stored = false;
         for group in writes.chunk_by(|a, b| a.0 == b.0) {
             let ino = group[0].0;
-            let inode = set.inode_mut(shards, ino)?;
+            let inode = inode_mut(&mut inodes, ino)?;
             let mut end = inode.size;
             for &(_, offset, len, _, copy) in group {
                 stored |= self.zero_past_eof(inode, end, offset);
@@ -2020,14 +1734,16 @@ impl Ext4Dax {
         // In-place metadata updates, once per touched inode, then the
         // bitmap: the copies' new blocks and the moves' replaced ones.
         for ino in touched {
-            let inode = set.inode_mut(shards, ino)?;
+            let inode = inode_mut(&mut inodes, ino)?;
             self.write_inode(inode);
         }
+        let mut alloc = self.alloc.lock();
         for run in &freed_all {
-            self.alloc.mark_free(run.start, run.len);
+            alloc.mark_free(run.start, run.len);
         }
         freed_all.extend(taken.iter().flat_map(|(_, t)| t.runs.iter().copied()));
-        self.alloc.persist_runs(&self.device, &self.sb, &freed_all);
+        alloc.persist_runs(&self.device, &self.sb, &freed_all);
+        drop(alloc);
         drop(txn);
         self.device.stats().add_batched_relink(moves.len() as u64);
         obs::event(obs::SpanEvent::RelinkBatch);
@@ -2037,7 +1753,7 @@ impl Ext4Dax {
     /// Returns the number of free data blocks (used by tests and by the
     /// resource-consumption experiment).
     pub fn free_blocks(&self) -> u64 {
-        self.alloc.free_blocks()
+        self.alloc.lock().free_blocks()
     }
 
     /// The directory-move generation: bumped by every `rename` of a
@@ -2046,57 +1762,39 @@ impl Ext4Dax {
     /// learn, without another trap, whether paths beneath the renamed
     /// name changed meaning.
     pub fn dir_move_generation(&self) -> u64 {
-        self.path_cache.move_gen()
+        self.ns_read().move_gen
     }
 
     /// Whole-tree namespace consistency check (an in-memory fsck), used by
-    /// the concurrent-metadata stress tests.  Takes every namespace shard
-    /// (read, ascending) and then every inode shard (read, ascending) —
-    /// the same order as rule 1 — so it can run concurrently with
+    /// the concurrent-metadata stress tests.  Read-locks the namespace and
+    /// then the inode table, in lock order, so it can run concurrently with
     /// foreground metadata traffic and still observe an atomic snapshot.
     /// Returns one human-readable string per violation; an empty vector
     /// means the tree is consistent.
     pub fn check_namespace(&self) -> Vec<String> {
-        let ns_guards: Vec<RwLockReadGuard<'_, NsShard>> = self
-            .ns
-            .iter()
-            .map(|s| self.ns_lock_contended(|| s.try_read(), || s.read()))
-            .collect();
-        let inode_guards: Vec<RwLockReadGuard<'_, InodeShard>> = self
-            .inodes
-            .iter()
-            .map(|s| self.device.lock_contended(|| s.try_read(), || s.read()))
-            .collect();
-        let ishards = inode_guards.len();
-        let nshards = ns_guards.len();
+        let ns = self.ns_read();
+        let inodes = self.inodes_read();
         let mut violations = Vec::new();
 
         // Pass 1: every directory state belongs to a directory inode, every
         // entry points at a live inode; count how often each ino is linked.
         let mut refcount: HashMap<u64, u64> = HashMap::new();
-        for g in &ns_guards {
-            for (&dir_ino, dir) in &g.dirs {
-                match inode_guards[inode_shard_of(dir_ino, ishards)].get(&dir_ino) {
-                    None => {
-                        violations.push(format!("dir {dir_ino}: directory state without an inode"))
-                    }
-                    Some(inode) if !inode.is_dir() => violations.push(format!(
-                        "dir {dir_ino}: directory state but inode kind is not a directory"
-                    )),
-                    Some(_) => {}
+        for (&dir_ino, dir) in &ns.dirs {
+            match inodes.get(&dir_ino) {
+                None => violations.push(format!("dir {dir_ino}: directory state without an inode")),
+                Some(inode) if !inode.is_dir() => violations.push(format!(
+                    "dir {dir_ino}: directory state but inode kind is not a directory"
+                )),
+                Some(_) => {}
+            }
+            for (name, slot) in &dir.entries {
+                if !inodes.contains_key(&slot.ino) {
+                    violations.push(format!(
+                        "dir {dir_ino}: entry {name:?} points at missing inode {}",
+                        slot.ino
+                    ));
                 }
-                for (name, slot) in &dir.entries {
-                    if inode_guards[inode_shard_of(slot.ino, ishards)]
-                        .get(&slot.ino)
-                        .is_none()
-                    {
-                        violations.push(format!(
-                            "dir {dir_ino}: entry {name:?} points at missing inode {}",
-                            slot.ino
-                        ));
-                    }
-                    *refcount.entry(slot.ino).or_insert(0) += 1;
-                }
+                *refcount.entry(slot.ino).or_insert(0) += 1;
             }
         }
 
@@ -2104,29 +1802,26 @@ impl Ext4Dax {
         // is referenced exactly once (no hard links in this model), except
         // unlinked-while-open orphans, which must not be referenced at all;
         // directory inodes must have directory state and files must not.
-        for g in &inode_guards {
-            for (&ino, inode) in g.iter() {
-                let refs = refcount.get(&ino).copied().unwrap_or(0);
-                let ns = &ns_guards[ino as usize % nshards];
-                let orphaned = ns.orphans.contains_key(&ino);
-                let has_dir_state = ns.dirs.contains_key(&ino);
-                if inode.is_dir() != has_dir_state {
-                    violations.push(format!(
-                        "ino {ino}: inode is_dir={} but directory state present={}",
-                        inode.is_dir(),
-                        has_dir_state
-                    ));
-                }
-                if ino == ROOT_INO {
-                    continue;
-                }
-                if orphaned && refs != 0 {
-                    violations.push(format!(
-                        "ino {ino}: orphaned (unlinked while open) but still linked {refs}x"
-                    ));
-                } else if !orphaned && refs != 1 {
-                    violations.push(format!("ino {ino}: linked {refs}x (expected exactly 1)"));
-                }
+        for (&ino, inode) in inodes.iter() {
+            let refs = refcount.get(&ino).copied().unwrap_or(0);
+            let orphaned = ns.orphans.contains(&ino);
+            let has_dir_state = ns.dirs.contains_key(&ino);
+            if inode.is_dir() != has_dir_state {
+                violations.push(format!(
+                    "ino {ino}: inode is_dir={} but directory state present={}",
+                    inode.is_dir(),
+                    has_dir_state
+                ));
+            }
+            if ino == ROOT_INO {
+                continue;
+            }
+            if orphaned && refs != 0 {
+                violations.push(format!(
+                    "ino {ino}: orphaned (unlinked while open) but still linked {refs}x"
+                ));
+            } else if !orphaned && refs != 1 {
+                violations.push(format!("ino {ino}: linked {refs}x (expected exactly 1)"));
             }
         }
 
@@ -2139,17 +1834,11 @@ impl Ext4Dax {
     /// by inode number, not by path.
     pub fn open_by_ino(&self, ino: u64, flags: OpenFlags) -> FsResult<Fd> {
         self.charge_syscall();
-        {
-            let shard = self.lock_inode_read(ino);
-            if !shard.contains_key(&ino) {
-                return Err(FsError::NotFound);
-            }
+        let mut ns = self.ns_write();
+        if !self.inodes_read().contains_key(&ino) {
+            return Err(FsError::NotFound);
         }
-        *self
-            .lock_ns_shard_write(ino)
-            .open_counts
-            .entry(ino)
-            .or_insert(0) += 1;
+        *ns.open_counts.entry(ino).or_insert(0) += 1;
         Ok(self.insert_fd(ino, flags))
     }
 
@@ -2166,8 +1855,8 @@ impl Ext4Dax {
     pub fn range_mapped(&self, fd: Fd, offset: u64, len: u64) -> FsResult<bool> {
         self.charge_syscall();
         let file = self.lookup_fd(fd)?;
-        let shard = self.lock_inode_read(file.ino);
-        let inode = shard.get(&file.ino).ok_or(FsError::BadFd)?;
+        let inodes = self.inodes_read();
+        let inode = inodes.get(&file.ino).ok_or(FsError::BadFd)?;
         if len == 0 {
             return Ok(true);
         }
@@ -2275,122 +1964,89 @@ impl FileSystem for Ext4Dax {
         self.charge_syscall();
         let cost = self.device.cost();
         let norm = vpath::normalize(path)?;
-        let shards = self.ns.len();
-        let ino = loop {
-            let move_gen = self.path_cache.move_gen();
-            let (parent, name, existing) = self.resolve_norm(&norm)?;
-            match existing {
-                Some(ino) => {
-                    if flags.exclusive && flags.create {
-                        return Err(FsError::AlreadyExists);
-                    }
-                    let mut g = self.lock_ns_write(&[parent, ino]);
-                    if self.path_cache.move_gen() != move_gen
-                        || g.dir(shards, parent)?.entries.get(&name).map(|s| s.ino) != Some(ino)
-                    {
-                        continue; // lost a race to a rename/unlink: re-resolve
-                    }
-                    let is_dir = g.shard_mut(shards, ino).dirs.contains_key(&ino);
-                    if is_dir && (flags.write || flags.truncate) {
-                        return Err(FsError::IsADirectory);
-                    }
-                    if flags.truncate {
-                        let mut shard = self.lock_inode_write(ino);
-                        let inode = shard.get_mut(&ino).ok_or(FsError::NotFound)?;
-                        let mut records = vec![
-                            JournalRecord::SetSize { ino, size: 0 },
-                            JournalRecord::TruncateExtents {
-                                ino,
-                                from_logical: 0,
-                            },
-                        ];
-                        let (free_records, runs) = self.free_inode_blocks(inode);
-                        records.extend(free_records);
-                        inode.size = 0;
-                        let txn = self.journal.commit(&records)?;
-                        self.write_inode(inode);
-                        self.release_runs(&runs);
-                        drop(txn);
-                    }
-                    *g.shard_mut(shards, ino).open_counts.entry(ino).or_insert(0) += 1;
-                    break ino;
+        let mut ns = self.ns_write();
+        let (parent, name, existing) = self.resolve_norm(&ns, &norm)?;
+        let ino = match existing {
+            Some(ino) => {
+                if flags.exclusive && flags.create {
+                    return Err(FsError::AlreadyExists);
                 }
-                None => {
-                    if !flags.create {
-                        return Err(FsError::NotFound);
-                    }
-                    // Allocate the ino before locking so the ns guard set can
-                    // cover its shard; a lost race leaks the number, which is
-                    // harmless (inos are never reused anyway).
-                    let ino = self.alloc_ino(parent, false)?;
-                    let mut g = self.lock_ns_write(&[parent, ino]);
-                    if self.path_cache.move_gen() != move_gen
-                        || g.dir(shards, parent)?.entries.contains_key(&name)
-                    {
-                        continue;
-                    }
-                    self.charge(cost.ext4_inode_update_ns);
-                    let txn = self.journal.commit(&[JournalRecord::CreateInode {
-                        ino,
-                        parent,
-                        name: name.clone(),
-                        is_dir: false,
-                    }])?;
-                    let ishards = self.inodes.len();
-                    let mut set = self.lock_inodes_write(&[ino, parent]);
-                    set.map_for(inode_shard_of(ino, ishards))
-                        .insert(ino, Inode::new(ino, InodeKind::File));
-                    {
-                        let parent_inode = set.inode_mut(ishards, parent)?;
-                        let dir = g.dir_mut(shards, parent)?;
-                        self.dir_append_entry(dir, parent_inode, &name, ino)?;
-                    }
-                    {
-                        let inode = set.inode_mut(ishards, ino)?;
-                        self.write_inode(inode);
-                    }
-                    {
-                        let parent_inode = set.inode_mut(ishards, parent)?;
-                        self.write_inode(parent_inode);
-                    }
-                    drop(txn);
-                    // Exact-key positive overwrite (no generation bump):
-                    // sibling cache entries stay live across create churn.
-                    let parent_gen = g.dir(shards, parent)?.gen;
-                    self.path_cache.insert(
-                        &norm,
-                        PathCacheEntry {
-                            parent,
-                            parent_gen,
-                            move_gen,
-                            ino: Some(ino),
+                if ns.dirs.contains_key(&ino) && (flags.write || flags.truncate) {
+                    return Err(FsError::IsADirectory);
+                }
+                if flags.truncate {
+                    let mut inodes = self.inodes_write();
+                    let inode = inodes.get_mut(&ino).ok_or(FsError::NotFound)?;
+                    let mut records = vec![
+                        JournalRecord::SetSize { ino, size: 0 },
+                        JournalRecord::TruncateExtents {
+                            ino,
+                            from_logical: 0,
                         },
-                    );
-                    *g.shard_mut(shards, ino).open_counts.entry(ino).or_insert(0) += 1;
-                    break ino;
+                    ];
+                    let (free_records, runs) = self.free_inode_blocks(inode);
+                    records.extend(free_records);
+                    inode.size = 0;
+                    let txn = self.journal.commit(&records)?;
+                    self.write_inode(inode);
+                    self.release_runs(&runs);
+                    drop(txn);
                 }
+                ino
+            }
+            None => {
+                if !flags.create {
+                    return Err(FsError::NotFound);
+                }
+                let ino = ns.alloc_ino(self.sb.inode_count)?;
+                self.charge(cost.ext4_inode_update_ns);
+                let txn = self.journal.commit(&[JournalRecord::CreateInode {
+                    ino,
+                    parent,
+                    name: name.clone(),
+                    is_dir: false,
+                }])?;
+                let mut inodes = self.inodes_write();
+                inodes.insert(ino, Inode::new(ino, InodeKind::File));
+                self.dir_append_entry(
+                    ns.dir_mut(parent)?,
+                    inode_mut(&mut inodes, parent)?,
+                    &name,
+                    ino,
+                )?;
+                self.write_inode(inode_mut(&mut inodes, ino)?);
+                self.write_inode(inode_mut(&mut inodes, parent)?);
+                drop(txn);
+                // Exact-key positive overwrite (no generation bump):
+                // sibling cache entries stay live across create churn.
+                self.path_cache.insert(
+                    &norm,
+                    PathCacheEntry {
+                        parent,
+                        parent_gen: ns.dir(parent)?.gen,
+                        move_gen: ns.move_gen,
+                        ino: Some(ino),
+                    },
+                );
+                ino
             }
         };
+        *ns.open_counts.entry(ino).or_insert(0) += 1;
         Ok(self.insert_fd(ino, flags))
     }
 
     fn close(&self, fd: Fd) -> FsResult<()> {
         self.charge_syscall();
-        let file = {
-            self.fds[self.fd_shard_idx(fd)]
-                .write()
-                .remove(&fd)
-                .ok_or(FsError::BadFd)?
-        };
-        let mut ns = self.lock_ns_shard_write(file.ino);
+        let file = self.fds.write().remove(&fd).ok_or(FsError::BadFd)?;
+        let mut ns = self.ns_write();
         let count = ns.open_counts.entry(file.ino).or_insert(1);
         *count = count.saturating_sub(1);
         if *count == 0 {
             ns.open_counts.remove(&file.ino);
-            if ns.orphans.remove(&file.ino).is_some() {
+            if ns.orphans.remove(&file.ino) {
                 // Last close of an unlinked file: release its storage.
-                let mut shard = self.lock_inode_write(file.ino);
-                if let Some(mut inode) = shard.remove(&file.ino) {
+                let mut inodes = self.inodes_write();
+                if let Some(mut inode) = inodes.remove(&file.ino) {
                     let (mut records, runs) = self.free_inode_blocks(&mut inode);
                     records.push(JournalRecord::Unlink {
                         parent: 0,
@@ -2415,8 +2071,8 @@ impl FileSystem for Ext4Dax {
             return Err(FsError::PermissionDenied);
         }
         let n = {
-            let shard = self.lock_inode_read(file.ino);
-            let inode = shard.get(&file.ino).ok_or(FsError::BadFd)?;
+            let inodes = self.inodes_read();
+            let inode = inodes.get(&file.ino).ok_or(FsError::BadFd)?;
             if offset >= inode.size || buf.is_empty() {
                 return Ok(0);
             }
@@ -2461,8 +2117,8 @@ impl FileSystem for Ext4Dax {
         } else {
             AccessPattern::Random
         };
-        let shard = self.lock_inode_read(file.ino);
-        let inode = shard.get(&file.ino).ok_or(FsError::BadFd)?;
+        let inodes = self.inodes_read();
+        let inode = inodes.get(&file.ino).ok_or(FsError::BadFd)?;
         if offset >= inode.size || len == 0 {
             return Ok(ReadView::Owned(Vec::new()));
         }
@@ -2540,12 +2196,12 @@ impl FileSystem for Ext4Dax {
     fn write(&self, fd: Fd, data: &[u8]) -> FsResult<usize> {
         let file = self.lookup_fd(fd)?;
         if file.flags.append {
-            // O_APPEND: resolve the end of file under the shard lock, so
+            // O_APPEND: resolve the end of file under the inode-table lock, so
             // concurrent appenders never interleave.
             let n = self.vectored_write(fd, None, &[IoVec::new(data)])?;
             let size = {
-                let shard = self.lock_inode_read(file.ino);
-                shard.get(&file.ino).map(|i| i.size).unwrap_or(0)
+                let inodes = self.inodes_read();
+                inodes.get(&file.ino).map(|i| i.size).unwrap_or(0)
             };
             self.update_fd(fd, |f| f.offset = size);
             return Ok(n);
@@ -2560,8 +2216,8 @@ impl FileSystem for Ext4Dax {
         self.charge_syscall();
         let file = self.lookup_fd(fd)?;
         let size = {
-            let shard = self.lock_inode_read(file.ino);
-            shard.get(&file.ino).ok_or(FsError::BadFd)?.size
+            let inodes = self.inodes_read();
+            inodes.get(&file.ino).ok_or(FsError::BadFd)?.size
         };
         let new = match pos {
             SeekFrom::Start(o) => o as i128,
@@ -2600,8 +2256,8 @@ impl FileSystem for Ext4Dax {
         let cost = self.device.cost();
         let file = self.lookup_fd(fd)?;
         let ino = file.ino;
-        let mut shard = self.lock_inode_write(ino);
-        let inode = shard.get_mut(&ino).ok_or(FsError::BadFd)?;
+        let mut inodes = self.inodes_write();
+        let inode = inodes.get_mut(&ino).ok_or(FsError::BadFd)?;
         let old_size = inode.size;
         self.charge(cost.ext4_inode_update_ns);
         if size < old_size {
@@ -2659,8 +2315,8 @@ impl FileSystem for Ext4Dax {
     fn fstat(&self, fd: Fd) -> FsResult<FileStat> {
         self.charge_syscall();
         let file = self.lookup_fd(fd)?;
-        let shard = self.lock_inode_read(file.ino);
-        let inode = shard.get(&file.ino).ok_or(FsError::BadFd)?;
+        let inodes = self.inodes_read();
+        let inode = inodes.get(&file.ino).ok_or(FsError::BadFd)?;
         Ok(FileStat {
             ino: inode.ino,
             size: inode.size,
@@ -2676,11 +2332,11 @@ impl FileSystem for Ext4Dax {
         let ino = if norm == "/" {
             ROOT_INO
         } else {
-            let (_, _, existing) = self.resolve_norm(&norm)?;
+            let (_, _, existing) = self.resolve_norm(&self.ns_read(), &norm)?;
             existing.ok_or(FsError::NotFound)?
         };
-        let shard = self.lock_inode_read(ino);
-        let inode = shard.get(&ino).ok_or(FsError::NotFound)?;
+        let inodes = self.inodes_read();
+        let inode = inodes.get(&ino).ok_or(FsError::NotFound)?;
         Ok(FileStat {
             ino: inode.ino,
             size: inode.size,
@@ -2693,308 +2349,27 @@ impl FileSystem for Ext4Dax {
     fn unlink(&self, path: &str) -> FsResult<()> {
         self.charge_syscall();
         let norm = vpath::normalize(path)?;
-        let shards = self.ns.len();
-        loop {
-            let move_gen = self.path_cache.move_gen();
-            let (parent, name, existing) = self.resolve_norm(&norm)?;
-            let ino = existing.ok_or(FsError::NotFound)?;
-            let mut g = self.lock_ns_write(&[parent, ino]);
-            if self.path_cache.move_gen() != move_gen
-                || g.dir(shards, parent)?.entries.get(&name).map(|s| s.ino) != Some(ino)
-            {
-                continue;
-            }
-            if g.shard_mut(shards, ino).dirs.contains_key(&ino) {
-                return Err(FsError::IsADirectory);
-            }
-            let ishards = self.inodes.len();
-            let mut set = self.lock_inodes_write(&[parent, ino]);
-            {
-                let parent_inode = set.inode(ishards, parent)?;
-                let dir = g.dir_mut(shards, parent)?;
-                self.dir_remove_entry(dir, parent_inode, &name)?;
-            }
-            let still_open = g
-                .shard_mut(shards, ino)
-                .open_counts
-                .get(&ino)
-                .copied()
-                .unwrap_or(0)
-                > 0;
-            if still_open {
-                g.shard_mut(shards, ino).orphans.insert(ino, true);
-                let txn = self.journal.commit(&[JournalRecord::Unlink {
-                    parent,
-                    name,
-                    ino,
-                    free_inode: false,
-                }])?;
-                {
-                    let parent_inode = set.inode_mut(ishards, parent)?;
-                    self.write_inode(parent_inode);
-                }
-                drop(txn);
-            } else {
-                let (mut records, runs) = {
-                    let inode = set.inode_mut(ishards, ino)?;
-                    self.free_inode_blocks(inode)
-                };
-                records.push(JournalRecord::Unlink {
-                    parent,
-                    name,
-                    ino,
-                    free_inode: true,
-                });
-                let txn = self.journal.commit(&records)?;
-                set.map_for(inode_shard_of(ino, ishards)).remove(&ino);
-                self.zero_inode_record(ino);
-                {
-                    let parent_inode = set.inode_mut(ishards, parent)?;
-                    self.write_inode(parent_inode);
-                }
-                self.release_runs(&runs);
-                drop(txn);
-            }
-            // Negative entry filled after the gen bump, under the parent's
-            // shard write guard: the next create-then-open of this exact
-            // path still misses once, but repeat lookups of a deleted path
-            // (create-heavy churn probing for collisions) hit.
-            let parent_gen = g.dir(shards, parent)?.gen;
-            self.path_cache.insert(
-                &norm,
-                PathCacheEntry {
-                    parent,
-                    parent_gen,
-                    move_gen,
-                    ino: None,
-                },
-            );
-            return Ok(());
+        let mut ns = self.ns_write();
+        let ns = &mut *ns;
+        let (parent, name, existing) = self.resolve_norm(ns, &norm)?;
+        let ino = existing.ok_or(FsError::NotFound)?;
+        if ns.dirs.contains_key(&ino) {
+            return Err(FsError::IsADirectory);
         }
-    }
-
-    fn rename(&self, old: &str, new: &str) -> FsResult<()> {
-        self.charge_syscall();
-        let old_norm = vpath::normalize(old)?;
-        let new_norm = vpath::normalize(new)?;
-        let nshards = self.ns.len();
-        loop {
-            let move_gen = self.path_cache.move_gen();
-            let (old_parent, old_name, old_ino) = self.resolve_norm(&old_norm)?;
-            let ino = old_ino.ok_or(FsError::NotFound)?;
-            let (new_parent, new_name, new_existing) = self.resolve_norm(&new_norm)?;
-            let replaced_ino = new_existing.unwrap_or(0);
-            if replaced_ino == ino {
-                return Ok(());
-            }
-            let mut involved_ns = vec![old_parent, new_parent, ino];
-            if replaced_ino != 0 {
-                involved_ns.push(replaced_ino);
-            }
-            let mut g = self.lock_ns_write(&involved_ns);
-            if self.path_cache.move_gen() != move_gen
-                || g.dir(nshards, old_parent)?
-                    .entries
-                    .get(&old_name)
-                    .map(|s| s.ino)
-                    != Some(ino)
-                || g.dir(nshards, new_parent)?
-                    .entries
-                    .get(&new_name)
-                    .map(|s| s.ino)
-                    != new_existing
-            {
-                continue;
-            }
-            if replaced_ino != 0
-                && g.shard_mut(nshards, replaced_ino)
-                    .dirs
-                    .contains_key(&replaced_ino)
-            {
-                return Err(FsError::IsADirectory);
-            }
-            let moving_dir = g.shard_mut(nshards, ino).dirs.contains_key(&ino);
-            // A directory move changes the meaning of every path beneath
-            // it, including paths whose parent shards this guard set does
-            // not hold.  Bump the global directory-move generation while
-            // the guards are held and *before* mutating: any resolve that
-            // snapshots the new generation will block on the old/new
-            // parent shard and observe the post-move namespace.
-            let entry_move_gen = if moving_dir {
-                self.path_cache.bump_move_gen()
-            } else {
-                move_gen
-            };
-
-            let shards = self.inodes.len();
-            let mut involved = vec![old_parent, new_parent, ino];
-            if replaced_ino != 0 {
-                involved.push(replaced_ino);
-            }
-            let mut set = self.lock_inodes_write(&involved);
-
-            let mut records = vec![JournalRecord::Rename {
-                old_parent,
-                old_name: old_name.clone(),
-                new_parent,
-                new_name: new_name.clone(),
-                ino,
-                replaced_ino,
-            }];
-            let mut freed_runs = Vec::new();
-            if replaced_ino != 0 {
-                let replaced = set.inode_mut(shards, replaced_ino)?;
-                let (free_records, runs) = self.free_inode_blocks(replaced);
-                records.extend(free_records);
-                freed_runs = runs;
-            }
-            let txn = self.journal.commit(&records)?;
-
-            {
-                let old_parent_inode = set.inode(shards, old_parent)?;
-                let dir = g.dir_mut(nshards, old_parent)?;
-                self.dir_remove_entry(dir, old_parent_inode, &old_name)?;
-            }
-            if replaced_ino != 0 {
-                {
-                    let new_parent_inode = set.inode(shards, new_parent)?;
-                    let dir = g.dir_mut(nshards, new_parent)?;
-                    self.dir_remove_entry(dir, new_parent_inode, &new_name)?;
-                }
-                set.map_for(inode_shard_of(replaced_ino, shards))
-                    .remove(&replaced_ino);
-                self.zero_inode_record(replaced_ino);
-            }
-            {
-                let new_parent_inode = set.inode_mut(shards, new_parent)?;
-                let dir = g.dir_mut(nshards, new_parent)?;
-                self.dir_append_entry(dir, new_parent_inode, &new_name, ino)?;
-            }
-            {
-                let old_parent_inode = set.inode_mut(shards, old_parent)?;
-                self.write_inode(old_parent_inode);
-            }
-            {
-                let new_parent_inode = set.inode_mut(shards, new_parent)?;
-                self.write_inode(new_parent_inode);
-            }
-            self.release_runs(&freed_runs);
-            drop(txn);
-            // Refresh both endpoints under the guards (a directory move
-            // uses the bumped generation so its own fills survive it).
-            let old_parent_gen = g.dir(nshards, old_parent)?.gen;
-            self.path_cache.insert(
-                &old_norm,
-                PathCacheEntry {
-                    parent: old_parent,
-                    parent_gen: old_parent_gen,
-                    move_gen: entry_move_gen,
-                    ino: None,
-                },
-            );
-            let new_parent_gen = g.dir(nshards, new_parent)?.gen;
-            self.path_cache.insert(
-                &new_norm,
-                PathCacheEntry {
-                    parent: new_parent,
-                    parent_gen: new_parent_gen,
-                    move_gen: entry_move_gen,
-                    ino: Some(ino),
-                },
-            );
-            return Ok(());
-        }
-    }
-
-    fn mkdir(&self, path: &str) -> FsResult<()> {
-        self.charge_syscall();
-        let norm = vpath::normalize(path)?;
-        let nshards = self.ns.len();
-        loop {
-            let move_gen = self.path_cache.move_gen();
-            let (parent, name, existing) = self.resolve_norm(&norm)?;
-            if existing.is_some() {
-                return Err(FsError::AlreadyExists);
-            }
-            let ino = self.alloc_ino(parent, true)?;
-            let mut g = self.lock_ns_write(&[parent, ino]);
-            if self.path_cache.move_gen() != move_gen
-                || g.dir(nshards, parent)?.entries.contains_key(&name)
-            {
-                continue;
-            }
-            let txn = self.journal.commit(&[JournalRecord::CreateInode {
-                ino,
+        let mut inodes = self.inodes_write();
+        self.dir_remove_entry(ns.dir_mut(parent)?, inode_ref(&inodes, parent)?, &name)?;
+        if ns.open_counts.get(&ino).copied().unwrap_or(0) > 0 {
+            ns.orphans.insert(ino);
+            let txn = self.journal.commit(&[JournalRecord::Unlink {
                 parent,
-                name: name.clone(),
-                is_dir: true,
+                name,
+                ino,
+                free_inode: false,
             }])?;
-            let shards = self.inodes.len();
-            let mut set = self.lock_inodes_write(&[ino, parent]);
-            set.map_for(inode_shard_of(ino, shards))
-                .insert(ino, Inode::new(ino, InodeKind::Directory));
-            g.shard_mut(nshards, ino)
-                .dirs
-                .insert(ino, DirState::default());
-            {
-                let parent_inode = set.inode_mut(shards, parent)?;
-                let dir = g.dir_mut(nshards, parent)?;
-                self.dir_append_entry(dir, parent_inode, &name, ino)?;
-            }
-            {
-                let inode = set.inode_mut(shards, ino)?;
-                self.write_inode(inode);
-            }
-            {
-                let parent_inode = set.inode_mut(shards, parent)?;
-                self.write_inode(parent_inode);
-            }
+            self.write_inode(inode_mut(&mut inodes, parent)?);
             drop(txn);
-            let parent_gen = g.dir(nshards, parent)?.gen;
-            self.path_cache.insert(
-                &norm,
-                PathCacheEntry {
-                    parent,
-                    parent_gen,
-                    move_gen,
-                    ino: Some(ino),
-                },
-            );
-            return Ok(());
-        }
-    }
-
-    fn rmdir(&self, path: &str) -> FsResult<()> {
-        self.charge_syscall();
-        let norm = vpath::normalize(path)?;
-        let nshards = self.ns.len();
-        loop {
-            let move_gen = self.path_cache.move_gen();
-            let (parent, name, existing) = self.resolve_norm(&norm)?;
-            let ino = existing.ok_or(FsError::NotFound)?;
-            let mut g = self.lock_ns_write(&[parent, ino]);
-            if self.path_cache.move_gen() != move_gen
-                || g.dir(nshards, parent)?.entries.get(&name).map(|s| s.ino) != Some(ino)
-            {
-                continue;
-            }
-            if !g.shard_mut(nshards, ino).dirs.contains_key(&ino) {
-                return Err(FsError::NotADirectory);
-            }
-            if !g.dir(nshards, ino)?.entries.is_empty() {
-                return Err(FsError::NotEmpty);
-            }
-            let shards = self.inodes.len();
-            let mut set = self.lock_inodes_write(&[parent, ino]);
-            {
-                let parent_inode = set.inode(shards, parent)?;
-                let dir = g.dir_mut(nshards, parent)?;
-                self.dir_remove_entry(dir, parent_inode, &name)?;
-            }
-            let (mut records, runs) = {
-                let inode = set.inode_mut(shards, ino)?;
-                self.free_inode_blocks(inode)
-            };
+        } else {
+            let (mut records, runs) = self.free_inode_blocks(inode_mut(&mut inodes, ino)?);
             records.push(JournalRecord::Unlink {
                 parent,
                 name,
@@ -3002,44 +2377,206 @@ impl FileSystem for Ext4Dax {
                 free_inode: true,
             });
             let txn = self.journal.commit(&records)?;
-            set.map_for(inode_shard_of(ino, shards)).remove(&ino);
-            // No directory-move bump needed: cached descendants carry
-            // `parent == ino`, and inos are never reused, so the missing
-            // `DirState` fails their validation probe forever after.
-            g.shard_mut(nshards, ino).dirs.remove(&ino);
+            inodes.remove(&ino);
             self.zero_inode_record(ino);
-            {
-                let parent_inode = set.inode_mut(shards, parent)?;
-                self.write_inode(parent_inode);
-            }
+            self.write_inode(inode_mut(&mut inodes, parent)?);
             self.release_runs(&runs);
             drop(txn);
-            let parent_gen = g.dir(nshards, parent)?.gen;
-            self.path_cache.insert(
-                &norm,
-                PathCacheEntry {
-                    parent,
-                    parent_gen,
-                    move_gen,
-                    ino: None,
-                },
-            );
+        }
+        // Negative entry filled after the gen bump: the next
+        // create-then-open of this exact path still misses once, but repeat
+        // lookups of a deleted path (create-heavy churn probing for
+        // collisions) hit.
+        self.path_cache.insert(
+            &norm,
+            PathCacheEntry {
+                parent,
+                parent_gen: ns.dir(parent)?.gen,
+                move_gen: ns.move_gen,
+                ino: None,
+            },
+        );
+        Ok(())
+    }
+
+    fn rename(&self, old: &str, new: &str) -> FsResult<()> {
+        self.charge_syscall();
+        let old_norm = vpath::normalize(old)?;
+        let new_norm = vpath::normalize(new)?;
+        let mut ns = self.ns_write();
+        let ns = &mut *ns;
+        let (old_parent, old_name, old_ino) = self.resolve_norm(ns, &old_norm)?;
+        let ino = old_ino.ok_or(FsError::NotFound)?;
+        let (new_parent, new_name, new_existing) = self.resolve_norm(ns, &new_norm)?;
+        let replaced_ino = new_existing.unwrap_or(0);
+        if replaced_ino == ino {
             return Ok(());
         }
+        if replaced_ino != 0 && ns.dirs.contains_key(&replaced_ino) {
+            return Err(FsError::IsADirectory);
+        }
+        // A directory move changes the meaning of every path beneath it:
+        // bump the directory-move generation, which every cached deep path
+        // is pinned to.
+        if ns.dirs.contains_key(&ino) {
+            ns.move_gen += 1;
+        }
+
+        let mut inodes = self.inodes_write();
+        let mut records = vec![JournalRecord::Rename {
+            old_parent,
+            old_name: old_name.clone(),
+            new_parent,
+            new_name: new_name.clone(),
+            ino,
+            replaced_ino,
+        }];
+        let mut freed_runs = Vec::new();
+        if replaced_ino != 0 {
+            let (free_records, runs) =
+                self.free_inode_blocks(inode_mut(&mut inodes, replaced_ino)?);
+            records.extend(free_records);
+            freed_runs = runs;
+        }
+        let txn = self.journal.commit(&records)?;
+
+        self.dir_remove_entry(
+            ns.dir_mut(old_parent)?,
+            inode_ref(&inodes, old_parent)?,
+            &old_name,
+        )?;
+        if replaced_ino != 0 {
+            self.dir_remove_entry(
+                ns.dir_mut(new_parent)?,
+                inode_ref(&inodes, new_parent)?,
+                &new_name,
+            )?;
+            inodes.remove(&replaced_ino);
+            self.zero_inode_record(replaced_ino);
+        }
+        self.dir_append_entry(
+            ns.dir_mut(new_parent)?,
+            inode_mut(&mut inodes, new_parent)?,
+            &new_name,
+            ino,
+        )?;
+        self.write_inode(inode_mut(&mut inodes, old_parent)?);
+        self.write_inode(inode_mut(&mut inodes, new_parent)?);
+        self.release_runs(&freed_runs);
+        drop(txn);
+        // Refresh both endpoints (a directory move uses the bumped
+        // generation, so its own fills survive it).
+        for (norm, parent, ino) in [
+            (&old_norm, old_parent, None),
+            (&new_norm, new_parent, Some(ino)),
+        ] {
+            self.path_cache.insert(
+                norm,
+                PathCacheEntry {
+                    parent,
+                    parent_gen: ns.dir(parent)?.gen,
+                    move_gen: ns.move_gen,
+                    ino,
+                },
+            );
+        }
+        Ok(())
+    }
+
+    fn mkdir(&self, path: &str) -> FsResult<()> {
+        self.charge_syscall();
+        let norm = vpath::normalize(path)?;
+        let mut ns = self.ns_write();
+        let ns = &mut *ns;
+        let (parent, name, existing) = self.resolve_norm(ns, &norm)?;
+        if existing.is_some() {
+            return Err(FsError::AlreadyExists);
+        }
+        let ino = ns.alloc_ino(self.sb.inode_count)?;
+        let txn = self.journal.commit(&[JournalRecord::CreateInode {
+            ino,
+            parent,
+            name: name.clone(),
+            is_dir: true,
+        }])?;
+        let mut inodes = self.inodes_write();
+        inodes.insert(ino, Inode::new(ino, InodeKind::Directory));
+        ns.dirs.insert(ino, DirState::default());
+        self.dir_append_entry(
+            ns.dir_mut(parent)?,
+            inode_mut(&mut inodes, parent)?,
+            &name,
+            ino,
+        )?;
+        self.write_inode(inode_mut(&mut inodes, ino)?);
+        self.write_inode(inode_mut(&mut inodes, parent)?);
+        drop(txn);
+        self.path_cache.insert(
+            &norm,
+            PathCacheEntry {
+                parent,
+                parent_gen: ns.dir(parent)?.gen,
+                move_gen: ns.move_gen,
+                ino: Some(ino),
+            },
+        );
+        Ok(())
+    }
+
+    fn rmdir(&self, path: &str) -> FsResult<()> {
+        self.charge_syscall();
+        let norm = vpath::normalize(path)?;
+        let mut ns = self.ns_write();
+        let ns = &mut *ns;
+        let (parent, name, existing) = self.resolve_norm(ns, &norm)?;
+        let ino = existing.ok_or(FsError::NotFound)?;
+        match ns.dirs.get(&ino) {
+            None => return Err(FsError::NotADirectory),
+            Some(dir) if !dir.entries.is_empty() => return Err(FsError::NotEmpty),
+            Some(_) => {}
+        }
+        let mut inodes = self.inodes_write();
+        self.dir_remove_entry(ns.dir_mut(parent)?, inode_ref(&inodes, parent)?, &name)?;
+        let (mut records, runs) = self.free_inode_blocks(inode_mut(&mut inodes, ino)?);
+        records.push(JournalRecord::Unlink {
+            parent,
+            name,
+            ino,
+            free_inode: true,
+        });
+        let txn = self.journal.commit(&records)?;
+        inodes.remove(&ino);
+        // No directory-move bump needed: cached descendants carry
+        // `parent == ino`, and inos are never reused, so the missing
+        // `DirState` fails their validation probe forever after.
+        ns.dirs.remove(&ino);
+        self.zero_inode_record(ino);
+        self.write_inode(inode_mut(&mut inodes, parent)?);
+        self.release_runs(&runs);
+        drop(txn);
+        self.path_cache.insert(
+            &norm,
+            PathCacheEntry {
+                parent,
+                parent_gen: ns.dir(parent)?.gen,
+                move_gen: ns.move_gen,
+                ino: None,
+            },
+        );
+        Ok(())
     }
 
     fn readdir(&self, path: &str) -> FsResult<Vec<String>> {
         self.charge_syscall();
         let norm = vpath::normalize(path)?;
+        let ns = self.ns_read();
         let ino = if norm == "/" {
             ROOT_INO
         } else {
-            let (_, _, existing) = self.resolve_norm(&norm)?;
+            let (_, _, existing) = self.resolve_norm(&ns, &norm)?;
             existing.ok_or(FsError::NotFound)?
         };
-        let guard = self.lock_ns_read(ino);
-        let dir = guard.dirs.get(&ino).ok_or(FsError::NotADirectory)?;
-        Ok(dir.entries.keys().cloned().collect())
+        Ok(ns.dir(ino)?.entries.keys().cloned().collect())
     }
 
     fn sync(&self) -> FsResult<()> {
@@ -3367,9 +2904,9 @@ mod tests {
 
     #[test]
     fn concurrent_distinct_file_appends_stay_isolated() {
-        // The sharded kernel state: eight threads, eight files, every
-        // append and fsync runs against a different inode shard.  Each
-        // file's contents must come out intact and in order.
+        // Eight threads, eight files, every append and fsync racing the
+        // others for the one inode table.  Each file's contents must come
+        // out intact and in order.
         let fs = fs();
         let fds: Vec<Fd> = (0..8)
             .map(|t| {
@@ -3601,7 +3138,7 @@ mod tests {
         unchanged(&fs);
         // A copy whose source does not read back.
         let ino = fs.fd_ino(staging).unwrap();
-        let (phys, _) = fs.lock_inode_read(ino)[&ino].extents.lookup(2).unwrap();
+        let (phys, _) = fs.inodes_read()[&ino].extents.lookup(2).unwrap();
         fs.device().poison_range(phys * b + 500, 8);
         match fs.ioctl_relink_batch(&[op(b, b)], &[op(2 * b, 1100)]) {
             Err(FsError::Io(msg)) => assert!(msg.contains("media read error"), "{msg}"),
@@ -3625,9 +3162,9 @@ mod tests {
         }
         // Where each entry sits on the device, before it is unlinked.
         let entry = |name: &str| {
-            let slot = fs.lock_ns_read(ROOT_INO).dirs[&ROOT_INO].entries[name];
+            let slot = fs.ns_read().dirs[&ROOT_INO].entries[name];
             let b = BLOCK_SIZE as u64;
-            let (phys, _) = fs.lock_inode_read(ROOT_INO)[&ROOT_INO]
+            let (phys, _) = fs.inodes_read()[&ROOT_INO]
                 .extents
                 .lookup(slot.entry_offset / b)
                 .unwrap();
@@ -3704,6 +3241,40 @@ mod tests {
         fs.fsync(fd).unwrap();
         let delta = fs.device().stats().snapshot().delta(&before);
         assert!(delta.written(TimeCategory::Journal) > 0);
+    }
+
+    #[test]
+    fn a_full_inode_table_refuses_creates_and_mounts_clean() {
+        // 4 MiB is 1024 blocks, so 256 inode slots: 0 is the "no inode"
+        // sentinel and 1 the root, which leaves 254 to create.
+        let device = PmemBuilder::new(4 * 1024 * 1024).build();
+        let fs = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        assert_eq!(fs.sb.inode_count, 256);
+        for i in 0..254 {
+            let name = format!("/n{i}");
+            if i % 8 == 7 {
+                fs.mkdir(&name).unwrap();
+            } else {
+                let fd = fs.open(&name, OpenFlags::create()).unwrap();
+                fs.close(fd).unwrap();
+            }
+        }
+        assert_eq!(fs.open("/file", OpenFlags::create()), Err(FsError::NoSpace));
+        assert_eq!(fs.mkdir("/dir"), Err(FsError::NoSpace));
+        let mut names = fs.readdir("/").unwrap();
+        names.sort();
+        assert_eq!(names.len(), 254);
+        for name in ["/file", "/dir"] {
+            assert_eq!(fs.stat(name), Err(FsError::NotFound), "{name}");
+        }
+        assert_eq!(fs.check_namespace(), Vec::<String>::new());
+        drop(fs);
+
+        let fs = Ext4Dax::mount(device).unwrap();
+        let mut mounted = fs.readdir("/").unwrap();
+        mounted.sort();
+        assert_eq!(mounted, names);
+        assert_eq!(fs.check_namespace(), Vec::<String>::new());
     }
 
     #[test]

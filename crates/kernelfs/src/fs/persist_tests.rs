@@ -20,18 +20,16 @@ type Map = (u64, Vec<Extent>);
 
 fn map_of(fs: &Ext4Dax, fd: Fd) -> Map {
     let ino = fs.fd_ino(fd).unwrap();
-    let shard = fs.lock_inode_read(ino);
-    let inode = &shard[&ino];
+    let inodes = fs.inodes_read();
+    let inode = &inodes[&ino];
     (inode.size, inode.extents.iter().collect())
 }
 
 /// Every live inode's map, by inode number.
 fn all_maps(fs: &Ext4Dax) -> BTreeMap<u64, Map> {
     let mut maps = BTreeMap::new();
-    for shard in &fs.inodes {
-        for (&ino, inode) in shard.read().iter() {
-            maps.insert(ino, (inode.size, inode.extents.iter().collect()));
-        }
+    for (&ino, inode) in fs.inodes_read().iter() {
+        maps.insert(ino, (inode.size, inode.extents.iter().collect()));
     }
     maps
 }
@@ -61,33 +59,31 @@ fn assert_in_place_state(fs: &Ext4Dax) -> BTreeMap<u64, usize> {
             panic!("block {block} is both {prev:?} and {owner:?}");
         }
     };
-    for shard in &fs.inodes {
-        for (&ino, inode) in shard.read().iter() {
-            let (record, chain) = inode.serialize();
-            let mut on_device = vec![0u8; record.len()];
-            fs.device
-                .read_uncharged(fs.sb.inode_offset(ino), &mut on_device);
-            assert_eq!(on_device, record, "ino {ino}: record on the device");
-            assert_eq!(inode.overflow_blocks.len(), chain.len(), "ino {ino}");
-            chains.insert(ino, chain.len());
-            for (idx, (block, image)) in chain.iter().enumerate() {
-                let mut on_device = vec![0u8; BLOCK_SIZE];
-                fs.device.read_uncharged(block * B, &mut on_device);
-                assert_eq!(
-                    &on_device, image,
-                    "ino {ino}: chain block {idx} on the device"
-                );
-                claim(*block, (ino, Some(idx)));
-            }
+    for (&ino, inode) in fs.inodes_read().iter() {
+        let (record, chain) = inode.serialize();
+        let mut on_device = vec![0u8; record.len()];
+        fs.device
+            .read_uncharged(fs.sb.inode_offset(ino), &mut on_device);
+        assert_eq!(on_device, record, "ino {ino}: record on the device");
+        assert_eq!(inode.overflow_blocks.len(), chain.len(), "ino {ino}");
+        chains.insert(ino, chain.len());
+        for (idx, (block, image)) in chain.iter().enumerate() {
+            let mut on_device = vec![0u8; BLOCK_SIZE];
+            fs.device.read_uncharged(block * B, &mut on_device);
             assert_eq!(
-                inode.stored,
-                Some((record, chain)),
-                "ino {ino}: stored copy"
+                &on_device, image,
+                "ino {ino}: chain block {idx} on the device"
             );
-            for ext in inode.extents.iter() {
-                for b in ext.phys..ext.phys + ext.len {
-                    claim(b, (ino, None));
-                }
+            claim(*block, (ino, Some(idx)));
+        }
+        assert_eq!(
+            inode.stored,
+            Some((record, chain)),
+            "ino {ino}: stored copy"
+        );
+        for ext in inode.extents.iter() {
+            for b in ext.phys..ext.phys + ext.len {
+                claim(b, (ino, None));
             }
         }
     }
@@ -262,7 +258,7 @@ fn a_chain_that_grows_shrinks_and_regrows_is_rewritten_whole_where_its_blocks_ch
     let two_blocks = (INLINE_EXTENTS + EXTENTS_PER_OVERFLOW + 10) as u64;
     assert_eq!(fragment(&fs, fd, 0, two_blocks), two_blocks);
     let ino = fs.fd_ino(fd).unwrap();
-    let chain = |fs: &Ext4Dax| fs.lock_inode_read(ino)[&ino].overflow_blocks.clone();
+    let chain = |fs: &Ext4Dax| fs.inodes_read()[&ino].overflow_blocks.clone();
     let grown = chain(&fs);
     assert_eq!(grown.len(), 2);
     assert_in_place_state(&fs);
@@ -315,7 +311,7 @@ fn mount_keeps_loaded_overflow_chains_allocated() {
     let fd = fs.open("/frag", OpenFlags::create()).unwrap();
     fragment(&fs, fd, 0, (INLINE_EXTENTS + 5) as u64);
     let (frag, map, free) = (fs.fd_ino(fd).unwrap(), map_of(&fs, fd), fs.free_blocks());
-    let (sb, chain_block) = (fs.sb, fs.lock_inode_read(frag)[&frag].overflow_blocks[0]);
+    let (sb, chain_block) = (fs.sb, fs.inodes_read()[&frag].overflow_blocks[0]);
     fs.close(fd).unwrap();
     drop(fs);
 
@@ -524,10 +520,8 @@ fn cut_chain_growing_relinks(policy: CrashPolicy, whole: bool) -> (Vec<(Map, Map
     }
     for i in 0..INLINE_EXTENTS as u64 {
         if whole {
-            for shard in &fs.inodes {
-                for inode in shard.write().values_mut() {
-                    inode.stored = None;
-                }
+            for inode in fs.inodes_write().values_mut() {
+                inode.stored = None;
             }
         }
         current.store(i as usize + 1, Ordering::Relaxed);
@@ -542,7 +536,7 @@ fn cut_chain_growing_relinks(policy: CrashPolicy, whole: bool) -> (Vec<(Map, Map
         states.push((map_of(&fs, src), map_of(&fs, dst)));
     }
     device.set_fence_hook(None);
-    let chain_len = |ino: u64| fs.lock_inode_read(ino)[&ino].overflow_blocks.len();
+    let chain_len = |ino: u64| fs.inodes_read()[&ino].overflow_blocks.len();
     assert_eq!((chain_len(inos.0), chain_len(inos.1)), (1, 2));
     let cuts = std::mem::take(&mut *cuts.lock().unwrap());
     (states, cuts)
@@ -595,10 +589,7 @@ fn relink_metadata_bytes_do_not_scale_with_chain_length() {
             .unwrap();
         assert_eq!(fragment(&fs, dst, 0, extents), extents);
         let ino = fs.fd_ino(dst).unwrap();
-        assert_eq!(
-            fs.lock_inode_read(ino)[&ino].overflow_blocks.len(),
-            chain_blocks
-        );
+        assert_eq!(fs.inodes_read()[&ino].overflow_blocks.len(), chain_blocks);
         let src = fs
             .open(&format!("/src{chain_blocks}"), OpenFlags::create())
             .unwrap();

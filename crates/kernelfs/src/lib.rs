@@ -19,8 +19,9 @@
 //!    owned what ([`Ext4Dax::lease_acquire`] / [`Ext4Dax::lease_orphans`]).
 //!
 //! Used on its own it is also the "ext4 DAX" baseline in every experiment.
-//! The lock-ordering rules that keep the sharded state deadlock-free are
-//! documented at the top of [`fs`] and in `ARCHITECTURE.md`.
+//! Each piece of kernel state is one structure behind one lock; the lock
+//! order that keeps them deadlock-free is documented at the top of [`fs`]
+//! and in `ARCHITECTURE.md`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

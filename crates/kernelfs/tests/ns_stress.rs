@@ -1,9 +1,10 @@
 //! Concurrent metadata stress: eight threads race create/rename/unlink
-//! (plus stats and readdirs that exercise the full-path cache) in
-//! **overlapping** directories, so namespace-shard guard sets constantly
-//! intersect and the optimistic resolve/verify retry loops actually fire.
-//! Afterwards the whole-tree fsck ([`Ext4Dax::check_namespace`]) must find
-//! zero violations and every surviving path must stat cleanly.
+//! (plus stats and readdirs that exercise the full-path cache) over
+//! **overlapping** names, so they keep taking the one namespace lock and
+//! the one inode-table lock from each other, and a path one thread
+//! resolved is often gone or taken by the time the next thread resolves
+//! it.  Afterwards the whole-tree fsck ([`Ext4Dax::check_namespace`]) must
+//! find zero violations and every surviving path must stat cleanly.
 
 use std::sync::Arc;
 
@@ -77,40 +78,4 @@ fn concurrent_create_rename_unlink_keeps_tree_consistent() {
                 .unwrap_or_else(|e| panic!("dangling entry {dir}/{name}: {e}"));
         }
     }
-}
-
-#[test]
-fn disjoint_directories_see_no_ns_shard_waits() {
-    // Threads confined to disjoint directories (and hence mostly disjoint
-    // namespace shards) should contend on essentially nothing: the
-    // acceptance criterion is ns shard lock waits ≈ 0.
-    let fs = fs();
-    const THREADS: usize = 8;
-    for t in 0..THREADS {
-        fs.mkdir(&format!("/t{t}")).unwrap();
-    }
-    fs.device().stats().reset();
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let fs = Arc::clone(&fs);
-            scope.spawn(move || {
-                for i in 0..60 {
-                    let path = format!("/t{t}/f{i}");
-                    let fd = fs.open(&path, OpenFlags::create()).unwrap();
-                    fs.close(fd).unwrap();
-                    fs.stat(&path).unwrap();
-                    fs.unlink(&path).unwrap();
-                }
-            });
-        }
-    });
-    let snap = fs.device().stats().snapshot();
-    // Root and the per-thread parent dirs hash over 16 shards; a handful
-    // of collisions are tolerated, sustained serialization is not.
-    assert!(
-        snap.ns_shard_lock_waits < 50,
-        "disjoint dirs should not contend on ns shards: {} waits",
-        snap.ns_shard_lock_waits
-    );
-    assert!(fs.check_namespace().is_empty());
 }

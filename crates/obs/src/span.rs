@@ -137,8 +137,6 @@ pub enum SpanEvent {
     RelinkBatch,
     /// The foreground stalled waiting for a log checkpoint.
     CheckpointStall,
-    /// A kernel namespace shard was contended and the thread waited.
-    NsShardWait,
     /// A full-path cache probe missed and resolve fell back to the
     /// per-component directory walk.
     PathCacheMiss,
@@ -146,7 +144,7 @@ pub enum SpanEvent {
 
 impl SpanEvent {
     /// Number of event kinds.
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 6;
 
     /// Every event, in display order.
     pub const ALL: [SpanEvent; SpanEvent::COUNT] = [
@@ -155,7 +153,6 @@ impl SpanEvent {
         SpanEvent::GroupCommit,
         SpanEvent::RelinkBatch,
         SpanEvent::CheckpointStall,
-        SpanEvent::NsShardWait,
         SpanEvent::PathCacheMiss,
     ];
 
@@ -172,7 +169,6 @@ impl SpanEvent {
             SpanEvent::GroupCommit => "group_commit",
             SpanEvent::RelinkBatch => "relink_batch",
             SpanEvent::CheckpointStall => "checkpoint_stall",
-            SpanEvent::NsShardWait => "ns_shard_wait",
             SpanEvent::PathCacheMiss => "path_cache_miss",
         }
     }

@@ -496,9 +496,10 @@ impl PmemDevice {
     /// threads completed while this one could not proceed — is charged to
     /// the calling thread's critical path
     /// ([`SimClock::charge_thread_wait`](crate::SimClock::charge_thread_wait)).
-    /// Every sharded structure (kernel inode shards, the kernel journal's
-    /// head, U-Split registries) funnels through this one helper so the
-    /// wait-accounting rule cannot drift between call sites.
+    /// Every lock the foreground and the daemon share (the kernel inode
+    /// table, the kernel journal's head, U-Split registries) funnels
+    /// through this one helper so the wait-accounting rule cannot drift
+    /// between call sites.
     pub fn lock_contended<G>(
         &self,
         try_lock: impl FnOnce() -> Option<G>,

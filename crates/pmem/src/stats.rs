@@ -270,8 +270,9 @@ macro_rules! counter_table {
             // stalls should be **zero** (truncation happens by epoch swap,
             // never by stopping the world).
 
-            /// Times a sharded lock (kernel inode shard, splitfs registry shard,
-            /// ...) was contended: a `try_lock` failed and the thread had to block.
+            /// Times a shared lock (the kernel inode table or journal head, a
+            /// splitfs registry shard, ...) was contended: a `try_lock` failed
+            /// and the thread had to block.
             shard_lock_waits =>
                 /// Records one contended sharded-lock acquisition (a `try_lock` failed
                 /// and the thread blocked).
@@ -341,17 +342,14 @@ macro_rules! counter_table {
                 /// Records `n` ordering fences avoided by batch coalescing.
                 add_fences_amortized += n;
 
-            // The sharded kernel namespace and its full-path lookup cache:
-            // contended namespace-shard acquisitions (~zero for threads in
-            // disjoint directories) and path-cache probes that hit or
-            // missed.
+            // The kernel namespace lock and its full-path lookup cache:
+            // contended acquisitions of the lock and path-cache probes that
+            // hit or missed.
 
-            /// Times a namespace-shard lock was contended: a `try_lock` failed
-            /// and the thread had to block.  ~Zero for threads working in
-            /// disjoint directories.
+            /// Contended acquisitions of the namespace lock: a `try_lock`
+            /// failed and the thread had to block.
             ns_shard_lock_waits =>
-                /// Records one contended namespace-shard lock acquisition (a
-                /// `try_lock` failed and the thread blocked).
+                /// Records one contended acquisition of the namespace lock.
                 add_ns_shard_lock_wait += 1;
             /// Full-path cache probes that returned a usable (validated) entry:
             /// a deep resolve served by one probe.
