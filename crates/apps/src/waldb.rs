@@ -112,9 +112,10 @@ impl WalDb {
     /// Creates or reopens a database at the configured paths.
     pub fn open(fs: Arc<dyn FileSystem>, config: WalDbConfig) -> FsResult<Self> {
         // Ensure the parent directory exists.
-        if let Ok((parent, _)) = vfs::path::split(&config.db_path) {
-            if parent != "/" && !fs.exists(&parent) {
-                fs.mkdir(&parent)?;
+        let norm = vfs::path::normalize(&config.db_path)?;
+        if let Ok((parent, _)) = vfs::path::split(&norm) {
+            if parent != "/" && !fs.exists(parent) {
+                fs.mkdir(parent)?;
             }
         }
         let db_fd = fs.open(&config.db_path, OpenFlags::create())?;

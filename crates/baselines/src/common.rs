@@ -133,10 +133,10 @@ impl FsCore {
 
     /// Resolves a path to `(parent_ino, name, Option<ino>)`.
     pub fn resolve(&self, path: &str) -> FsResult<(u64, String, Option<u64>)> {
-        let (parent_path, name) = vpath::split(path)?;
-        let comps = vpath::components(&parent_path)?;
+        let norm = vpath::normalize(path)?;
+        let (parent_path, name) = vpath::split(&norm)?;
         let mut dir_ino = ROOT_INO;
-        for comp in &comps {
+        for comp in vpath::components(parent_path) {
             let map = self.dirs.get(&dir_ino).ok_or(FsError::NotADirectory)?;
             let &child = map.get(comp).ok_or(FsError::NotFound)?;
             if !self.nodes.get(&child).map(|n| n.is_dir).unwrap_or(false) {
@@ -145,7 +145,7 @@ impl FsCore {
             dir_ino = child;
         }
         let map = self.dirs.get(&dir_ino).ok_or(FsError::NotADirectory)?;
-        Ok((dir_ino, name.clone(), map.get(&name).copied()))
+        Ok((dir_ino, name.to_string(), map.get(name).copied()))
     }
 
     /// Resolves a path that may be the root directory.

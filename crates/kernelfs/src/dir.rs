@@ -12,32 +12,63 @@
 //! map (rebuilt at mount by scanning the entries) is the operational source
 //! of truth; the serialized form exists so that a crash-recovered mount can
 //! rebuild it.
+//!
+//! A live entry's name is at most [`NAME_MAX`] bytes: the namespace
+//! operations refuse longer names, and the scan refuses a live entry with
+//! one as corrupt.  So every entry, and every tombstone replacing one, is
+//! encoded into a fixed buffer on the stack.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 
+use vfs::path::NAME_MAX;
 use vfs::util::{ByteReader, ByteWriter};
 use vfs::{FsError, FsResult};
 
+/// Bytes of an entry before its name: the inode number and the length.
+pub const ENTRY_HEADER: usize = 8 + 2;
+
 /// Serialized size of an entry with the given name length.
 pub fn entry_size(name: &str) -> usize {
-    8 + 2 + name.len()
+    ENTRY_HEADER + name.len()
 }
 
-/// Encodes a single directory entry.
-pub fn encode_entry(ino: u64, name: &str) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// One encoded entry or tombstone, on the stack.
+#[derive(Debug, Clone, Copy)]
+pub struct EncodedEntry {
+    bytes: [u8; ENTRY_HEADER + NAME_MAX],
+    len: usize,
+}
+
+impl Deref for EncodedEntry {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+/// Encodes a single directory entry.  `name` is at most [`NAME_MAX`]
+/// bytes (the namespace operations check it first).
+pub fn encode_entry(ino: u64, name: &str) -> EncodedEntry {
+    let mut bytes = [0u8; ENTRY_HEADER + NAME_MAX];
+    let mut w = ByteWriter::new(&mut bytes);
     w.put_u64(ino);
     w.put_str(name);
-    w.into_vec()
+    let len = w.position();
+    EncodedEntry { bytes, len }
 }
 
 /// Encodes a tombstone of the same size as the entry it replaces, so the
-/// byte layout of following entries is unchanged.
-pub fn encode_tombstone(name_len: usize) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// byte layout of following entries is unchanged: inode 0, the same name
+/// length, and zeroes where the name was.
+pub fn encode_tombstone(name_len: usize) -> EncodedEntry {
+    let mut bytes = [0u8; ENTRY_HEADER + NAME_MAX];
+    let mut w = ByteWriter::new(&mut bytes);
     w.put_u64(0);
-    w.put_bytes(&vec![0u8; name_len]);
-    w.into_vec()
+    w.put_bytes(&[0u8; NAME_MAX][..name_len]);
+    let len = w.position();
+    EncodedEntry { bytes, len }
 }
 
 /// One parsed directory entry and where it sits in the directory data.
@@ -58,7 +89,7 @@ pub struct DirEntry {
 pub fn scan_entries(data: &[u8]) -> FsResult<Vec<DirEntry>> {
     let mut out = Vec::new();
     let mut pos = 0usize;
-    while pos + 10 <= data.len() {
+    while pos + ENTRY_HEADER <= data.len() {
         let mut r = ByteReader::new(&data[pos..]);
         let ino = r
             .get_u64()
@@ -69,6 +100,8 @@ pub fn scan_entries(data: &[u8]) -> FsResult<Vec<DirEntry>> {
         let len = r.position();
         let name = if ino == 0 {
             String::new()
+        } else if name_bytes.len() > NAME_MAX {
+            return Err(FsError::Corrupted("dirent name too long".into()));
         } else {
             String::from_utf8(name_bytes)
                 .map_err(|_| FsError::Corrupted("dirent name not utf-8".into()))?
@@ -142,7 +175,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_smaller_than_header_is_ignored() {
-        let mut data = encode_entry(3, "x");
+        let mut data = encode_entry(3, "x").to_vec();
         data.extend_from_slice(&[0xAA; 5]);
         let entries = scan_entries(&data).unwrap();
         assert_eq!(entries.len(), 1);

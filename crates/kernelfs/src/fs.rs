@@ -79,7 +79,7 @@ use crate::alloc::{BlockAllocator, BlockRun};
 use crate::dax::{DaxMapping, MapSegment};
 use crate::dir;
 use crate::inode::{changed_lines, Extent, ExtentMap, Inode, InodeKind};
-use crate::journal::{Journal, JournalRecord};
+use crate::journal::{Journal, JournalRecord, MAX_RANGE_EXTENTS};
 use crate::layout::{Superblock, BLOCK_SIZE, DEFAULT_INODE_COUNT, INODE_RECORD_SIZE};
 use crate::lease::{LeaseManager, MAX_INSTANCES};
 
@@ -203,6 +203,18 @@ impl PathCache {
 }
 
 type InodeTable = HashMap<u64, Inode>;
+
+/// Refuses a final component longer than [`vpath::NAME_MAX`] with
+/// [`FsError::InvalidArgument`].  Creates, `mkdir` and rename targets call
+/// it before anything changes: a longer name would wrap the directory
+/// entry's `u16` length and make the device unmountable.
+fn check_new_name(norm: &str) -> FsResult<()> {
+    let name = &norm[norm.rfind('/').map_or(0, |i| i + 1)..];
+    if name.len() > vpath::NAME_MAX {
+        return Err(FsError::InvalidArgument);
+    }
+    Ok(())
+}
 
 /// The live inode `ino` of `table`.
 fn inode_ref(table: &InodeTable, ino: u64) -> FsResult<&Inode> {
@@ -515,7 +527,7 @@ impl Ext4Dax {
                     continue;
                 }
                 if let Some(dir) = fs.inodes.read().get(&parent) {
-                    let tomb = dir::encode_tombstone(slot.entry_len - 10);
+                    let tomb = dir::encode_tombstone(slot.entry_len - dir::ENTRY_HEADER);
                     Self::write_file_raw(&fs.device, dir, slot.entry_offset, &tomb);
                 }
             }
@@ -885,14 +897,15 @@ impl Ext4Dax {
 
     /// Zeroes a freed inode's on-device record.
     fn zero_inode_record(&self, ino: u64) {
-        let zero = vec![0u8; INODE_RECORD_SIZE];
+        let zero = [0u8; INODE_RECORD_SIZE];
         let off = self.sb.inode_offset(ino);
         self.device
             .write(off, &zero, PersistMode::NonTemporal, TimeCategory::Metadata);
     }
 
     /// Resolves a **normalized** path to `(parent_ino, name, Option<ino>)`
-    /// under the caller's namespace guard, read or write.
+    /// under the caller's namespace guard, read or write.  The name is a
+    /// slice of the path.
     ///
     /// Fast path: one hash probe of the full-path cache, validated against
     /// the namespace (directory-move generation and parent generation both
@@ -903,7 +916,11 @@ impl Ext4Dax {
     /// per-component walk, then a cache fill.  Directory-ness of
     /// intermediate components is checked against the namespace's
     /// directory maps, so resolution needs no inode.
-    fn resolve_norm(&self, ns: &Namespace, norm: &str) -> FsResult<(u64, String, Option<u64>)> {
+    fn resolve_norm<'p>(
+        &self,
+        ns: &Namespace,
+        norm: &'p str,
+    ) -> FsResult<(u64, &'p str, Option<u64>)> {
         let cost = self.device.cost();
         let (parent_path, name) = vpath::split(norm)?;
         if let Some(e) = self.path_cache.get(norm) {
@@ -926,15 +943,15 @@ impl Ext4Dax {
         // bumps `move_gen`, so "`move_gen` unchanged and the directory
         // still exists" proves the inode is still at that path.
         if parent_path != "/" {
-            if let Some(pe) = self.path_cache.get(&parent_path) {
+            if let Some(pe) = self.path_cache.get(parent_path) {
                 if pe.move_gen != ns.move_gen {
-                    self.path_cache.remove(&parent_path);
+                    self.path_cache.remove(parent_path);
                 } else if let Some(p_ino) = pe.ino {
                     if let Some(d) = ns.dirs.get(&p_ino) {
                         // One probe plus one dirent lookup instead of a
                         // per-component walk.
                         self.charge(2.0 * cost.ext4_dirent_ns);
-                        let ino = d.entries.get(&name).map(|s| s.ino);
+                        let ino = d.entries.get(name).map(|s| s.ino);
                         self.path_cache.insert(
                             norm,
                             PathCacheEntry {
@@ -949,13 +966,12 @@ impl Ext4Dax {
                     // The cached inode is not a live directory (it was
                     // removed, or the entry names a file): evict and take
                     // the walk below.
-                    self.path_cache.remove(&parent_path);
+                    self.path_cache.remove(parent_path);
                 }
             }
         }
-        let comps = vpath::components(&parent_path)?;
         let mut dir_ino = ROOT_INO;
-        for comp in &comps {
+        for comp in vpath::components(parent_path) {
             self.charge(cost.ext4_dirent_ns);
             let slot = ns
                 .dir(dir_ino)?
@@ -966,7 +982,7 @@ impl Ext4Dax {
         }
         self.charge(cost.ext4_dirent_ns);
         let d = ns.dir(dir_ino)?;
-        let ino = d.entries.get(&name).map(|s| s.ino);
+        let ino = d.entries.get(name).map(|s| s.ino);
         // Fill (positive or negative).
         self.path_cache.insert(
             norm,
@@ -1177,7 +1193,7 @@ impl Ext4Dax {
         let slot = dir.entries.remove(name).ok_or(FsError::NotFound)?;
         dir.gen += 1;
         if slot.entry_offset != u64::MAX {
-            let tomb = dir::encode_tombstone(slot.entry_len - 10);
+            let tomb = dir::encode_tombstone(slot.entry_len - dir::ENTRY_HEADER);
             self.write_blocks(
                 parent_inode,
                 slot.entry_offset,
@@ -1455,7 +1471,9 @@ impl Ext4Dax {
     /// * no two ranges of one file overlap across the batch, sources and
     ///   destinations, moves and copies alike (a batch never reads a range
     ///   another of its ops writes),
-    /// * every copy's source reads without a media error.
+    /// * every copy's source reads without a media error,
+    /// * no move carries more than [`MAX_RANGE_EXTENTS`] extents, the most
+    ///   one journal record holds ([`FsError::NoSpace`] otherwise).
     ///
     /// A copy's bytes are read through the source file's own extents, and
     /// any destination block they land in that is a hole is allocated, its
@@ -1522,6 +1540,9 @@ impl Ext4Dax {
             let moved = inode_ref(&inodes, src_ino)?
                 .extents
                 .extract_range(op.src_offset / block, op.len / block)?;
+            if moved.len() > MAX_RANGE_EXTENTS {
+                return Err(FsError::NoSpace);
+            }
             ranges.push((src_ino, op.src_offset, op.len, 1));
             ranges.push((dst_ino, op.dst_offset, op.len, moved.len() + 1));
         }
@@ -1963,7 +1984,10 @@ impl FileSystem for Ext4Dax {
     fn open(&self, path: &str, flags: OpenFlags) -> FsResult<Fd> {
         self.charge_syscall();
         let cost = self.device.cost();
-        let norm = vpath::normalize(path)?;
+        let norm = vpath::normalized(path)?;
+        if flags.create {
+            check_new_name(&norm)?;
+        }
         let mut ns = self.ns_write();
         let (parent, name, existing) = self.resolve_norm(&ns, &norm)?;
         let ino = match existing {
@@ -2003,7 +2027,7 @@ impl FileSystem for Ext4Dax {
                 let txn = self.journal.commit(&[JournalRecord::CreateInode {
                     ino,
                     parent,
-                    name: name.clone(),
+                    name: name.to_string(),
                     is_dir: false,
                 }])?;
                 let mut inodes = self.inodes_write();
@@ -2011,7 +2035,7 @@ impl FileSystem for Ext4Dax {
                 self.dir_append_entry(
                     ns.dir_mut(parent)?,
                     inode_mut(&mut inodes, parent)?,
-                    &name,
+                    name,
                     ino,
                 )?;
                 self.write_inode(inode_mut(&mut inodes, ino)?);
@@ -2328,7 +2352,7 @@ impl FileSystem for Ext4Dax {
 
     fn stat(&self, path: &str) -> FsResult<FileStat> {
         self.charge_syscall();
-        let norm = vpath::normalize(path)?;
+        let norm = vpath::normalized(path)?;
         let ino = if norm == "/" {
             ROOT_INO
         } else {
@@ -2348,7 +2372,7 @@ impl FileSystem for Ext4Dax {
 
     fn unlink(&self, path: &str) -> FsResult<()> {
         self.charge_syscall();
-        let norm = vpath::normalize(path)?;
+        let norm = vpath::normalized(path)?;
         let mut ns = self.ns_write();
         let ns = &mut *ns;
         let (parent, name, existing) = self.resolve_norm(ns, &norm)?;
@@ -2357,12 +2381,12 @@ impl FileSystem for Ext4Dax {
             return Err(FsError::IsADirectory);
         }
         let mut inodes = self.inodes_write();
-        self.dir_remove_entry(ns.dir_mut(parent)?, inode_ref(&inodes, parent)?, &name)?;
+        self.dir_remove_entry(ns.dir_mut(parent)?, inode_ref(&inodes, parent)?, name)?;
         if ns.open_counts.get(&ino).copied().unwrap_or(0) > 0 {
             ns.orphans.insert(ino);
             let txn = self.journal.commit(&[JournalRecord::Unlink {
                 parent,
-                name,
+                name: name.to_string(),
                 ino,
                 free_inode: false,
             }])?;
@@ -2372,7 +2396,7 @@ impl FileSystem for Ext4Dax {
             let (mut records, runs) = self.free_inode_blocks(inode_mut(&mut inodes, ino)?);
             records.push(JournalRecord::Unlink {
                 parent,
-                name,
+                name: name.to_string(),
                 ino,
                 free_inode: true,
             });
@@ -2401,8 +2425,9 @@ impl FileSystem for Ext4Dax {
 
     fn rename(&self, old: &str, new: &str) -> FsResult<()> {
         self.charge_syscall();
-        let old_norm = vpath::normalize(old)?;
-        let new_norm = vpath::normalize(new)?;
+        let old_norm = vpath::normalized(old)?;
+        let new_norm = vpath::normalized(new)?;
+        check_new_name(&new_norm)?;
         let mut ns = self.ns_write();
         let ns = &mut *ns;
         let (old_parent, old_name, old_ino) = self.resolve_norm(ns, &old_norm)?;
@@ -2425,9 +2450,9 @@ impl FileSystem for Ext4Dax {
         let mut inodes = self.inodes_write();
         let mut records = vec![JournalRecord::Rename {
             old_parent,
-            old_name: old_name.clone(),
+            old_name: old_name.to_string(),
             new_parent,
-            new_name: new_name.clone(),
+            new_name: new_name.to_string(),
             ino,
             replaced_ino,
         }];
@@ -2443,13 +2468,13 @@ impl FileSystem for Ext4Dax {
         self.dir_remove_entry(
             ns.dir_mut(old_parent)?,
             inode_ref(&inodes, old_parent)?,
-            &old_name,
+            old_name,
         )?;
         if replaced_ino != 0 {
             self.dir_remove_entry(
                 ns.dir_mut(new_parent)?,
                 inode_ref(&inodes, new_parent)?,
-                &new_name,
+                new_name,
             )?;
             inodes.remove(&replaced_ino);
             self.zero_inode_record(replaced_ino);
@@ -2457,7 +2482,7 @@ impl FileSystem for Ext4Dax {
         self.dir_append_entry(
             ns.dir_mut(new_parent)?,
             inode_mut(&mut inodes, new_parent)?,
-            &new_name,
+            new_name,
             ino,
         )?;
         self.write_inode(inode_mut(&mut inodes, old_parent)?);
@@ -2485,7 +2510,8 @@ impl FileSystem for Ext4Dax {
 
     fn mkdir(&self, path: &str) -> FsResult<()> {
         self.charge_syscall();
-        let norm = vpath::normalize(path)?;
+        let norm = vpath::normalized(path)?;
+        check_new_name(&norm)?;
         let mut ns = self.ns_write();
         let ns = &mut *ns;
         let (parent, name, existing) = self.resolve_norm(ns, &norm)?;
@@ -2496,7 +2522,7 @@ impl FileSystem for Ext4Dax {
         let txn = self.journal.commit(&[JournalRecord::CreateInode {
             ino,
             parent,
-            name: name.clone(),
+            name: name.to_string(),
             is_dir: true,
         }])?;
         let mut inodes = self.inodes_write();
@@ -2505,7 +2531,7 @@ impl FileSystem for Ext4Dax {
         self.dir_append_entry(
             ns.dir_mut(parent)?,
             inode_mut(&mut inodes, parent)?,
-            &name,
+            name,
             ino,
         )?;
         self.write_inode(inode_mut(&mut inodes, ino)?);
@@ -2525,7 +2551,7 @@ impl FileSystem for Ext4Dax {
 
     fn rmdir(&self, path: &str) -> FsResult<()> {
         self.charge_syscall();
-        let norm = vpath::normalize(path)?;
+        let norm = vpath::normalized(path)?;
         let mut ns = self.ns_write();
         let ns = &mut *ns;
         let (parent, name, existing) = self.resolve_norm(ns, &norm)?;
@@ -2536,11 +2562,11 @@ impl FileSystem for Ext4Dax {
             Some(_) => {}
         }
         let mut inodes = self.inodes_write();
-        self.dir_remove_entry(ns.dir_mut(parent)?, inode_ref(&inodes, parent)?, &name)?;
+        self.dir_remove_entry(ns.dir_mut(parent)?, inode_ref(&inodes, parent)?, name)?;
         let (mut records, runs) = self.free_inode_blocks(inode_mut(&mut inodes, ino)?);
         records.push(JournalRecord::Unlink {
             parent,
-            name,
+            name: name.to_string(),
             ino,
             free_inode: true,
         });
@@ -2568,7 +2594,7 @@ impl FileSystem for Ext4Dax {
 
     fn readdir(&self, path: &str) -> FsResult<Vec<String>> {
         self.charge_syscall();
-        let norm = vpath::normalize(path)?;
+        let norm = vpath::normalized(path)?;
         let ns = self.ns_read();
         let ino = if norm == "/" {
             ROOT_INO
@@ -2760,6 +2786,49 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(fs.fstat(target).unwrap().size, 0);
         assert_eq!(fs.fstat(staging).unwrap().blocks, 1, "source untouched");
+    }
+
+    #[test]
+    fn a_move_of_more_extents_than_one_record_holds_fails_before_moving() {
+        let fs = fs();
+        let b = BLOCK_SIZE as u64;
+        let n = MAX_RANGE_EXTENTS as u64 + 1;
+        // A file of `n` blocks whose every block is its own extent: its
+        // even blocks are relinked in from a staging file, one move each.
+        let frag = fs.open("/frag", OpenFlags::create()).unwrap();
+        fs.ftruncate(frag, n * b).unwrap();
+        let staging = fs.open("/staging", OpenFlags::create()).unwrap();
+        fs.ftruncate(staging, n.div_ceil(2) * b).unwrap();
+        let moves: Vec<RelinkOp> = (0..n.div_ceil(2))
+            .map(|i| RelinkOp {
+                src_fd: staging,
+                src_offset: i * b,
+                dst_fd: frag,
+                dst_offset: 2 * i * b,
+                len: b,
+            })
+            .collect();
+        fs.ioctl_relink_batch(&moves, &[]).unwrap();
+        let extents = |fd| {
+            let ino = fs.fd_ino(fd).unwrap();
+            fs.inodes_read()[&ino].extents.len()
+        };
+        assert_eq!(extents(frag), n as usize);
+
+        let target = fs.open("/t", OpenFlags::create()).unwrap();
+        let all = same_offset(frag, target, 0, n * b);
+        let before = fs.device().stats().snapshot();
+        assert_eq!(fs.ioctl_relink_batch(&[all], &[]), Err(FsError::NoSpace));
+        let delta = fs.device().stats().snapshot().delta(&before);
+        assert_eq!(delta.journal_txns, 0);
+        assert_eq!(extents(frag), n as usize, "source untouched");
+        assert_eq!(fs.fstat(target).unwrap().size, 0);
+        // One extent fewer fits one record.
+        let most = same_offset(frag, target, 0, (n - 1) * b);
+        fs.ioctl_relink_batch(&[most], &[]).unwrap();
+        assert_eq!(extents(target), n as usize - 1);
+        assert_eq!(extents(frag), 1);
+        assert_eq!(fs.check_namespace(), Vec::<String>::new());
     }
 
     #[test]
@@ -3275,6 +3344,49 @@ mod tests {
         mounted.sort();
         assert_eq!(mounted, names);
         assert_eq!(fs.check_namespace(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn names_longer_than_name_max_are_refused_before_anything_changes() {
+        let device = PmemBuilder::new(16 * 1024 * 1024).build();
+        let fs = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        let longest = format!("/{}", "n".repeat(vpath::NAME_MAX));
+        let dir = format!("/{}", "d".repeat(vpath::NAME_MAX));
+        fs.write_file(&longest, b"255 bytes of name").unwrap();
+        fs.mkdir(&dir).unwrap();
+        let moved = format!("{dir}/{}", "m".repeat(vpath::NAME_MAX));
+        fs.write_file("/short", b"renamed").unwrap();
+        fs.rename("/short", &moved).unwrap();
+
+        for len in [vpath::NAME_MAX + 1, 70_000] {
+            let name = format!("/{}", "x".repeat(len));
+            let before = device.stats().snapshot();
+            assert_eq!(
+                fs.open(&name, OpenFlags::create()),
+                Err(FsError::InvalidArgument),
+                "create, {len} bytes"
+            );
+            assert_eq!(fs.mkdir(&name), Err(FsError::InvalidArgument), "mkdir");
+            assert_eq!(
+                fs.rename(&longest, &name),
+                Err(FsError::InvalidArgument),
+                "rename target"
+            );
+            let delta = device.stats().snapshot().delta(&before);
+            assert_eq!(delta.journal_txns, 0, "{len} bytes: nothing journaled");
+            assert_eq!(delta.written(TimeCategory::Metadata), 0, "{len} bytes");
+            assert_eq!(fs.stat(&name), Err(FsError::NotFound));
+        }
+        assert_eq!(fs.check_namespace(), Vec::<String>::new());
+        drop(fs);
+
+        let fs = Ext4Dax::mount(device).unwrap();
+        assert_eq!(fs.check_namespace(), Vec::<String>::new());
+        assert_eq!(fs.read_file(&longest).unwrap(), b"255 bytes of name");
+        assert_eq!(fs.read_file(&moved).unwrap(), b"renamed");
+        let mut root = fs.readdir("/").unwrap();
+        root.sort();
+        assert_eq!(root, vec![dir[1..].to_string(), longest[1..].to_string()]);
     }
 
     #[test]

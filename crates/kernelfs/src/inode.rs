@@ -94,8 +94,16 @@ pub struct Inode {
 }
 
 /// An inode's serialized form: its table record and, per chain index,
-/// the overflow block and its image.
-pub type InodeImages = (Vec<u8>, Vec<(u64, Vec<u8>)>);
+/// the overflow block and its image.  Only a map that spills has a chain,
+/// so only such a map costs heap images.
+pub type InodeImages = ([u8; INODE_RECORD_SIZE], Vec<(u64, Vec<u8>)>);
+
+/// Writes one extent as `(logical, phys, len)`.
+fn put_extent(w: &mut ByteWriter<'_>, ext: Extent) {
+    w.put_u64(ext.logical);
+    w.put_u64(ext.phys);
+    w.put_u64(ext.len);
+}
 
 impl Inode {
     /// Creates a fresh inode with no extents.
@@ -126,46 +134,36 @@ impl Inode {
     /// physical block numbers to use (the file system allocates them before
     /// calling this when the extent count grows).
     pub fn serialize(&self) -> InodeImages {
-        let extents: Vec<Extent> = self.extents.iter().collect();
-        let mut record = ByteWriter::new();
-        record.put_u8(match self.kind {
+        let mut record = [0u8; INODE_RECORD_SIZE];
+        let mut w = ByteWriter::new(&mut record);
+        w.put_u8(match self.kind {
             InodeKind::File => 1,
             InodeKind::Directory => 2,
         });
-        record.put_u32(self.nlink);
-        record.put_u64(self.size);
-        record.put_u64(extents.len() as u64);
-        record.put_u64(*self.overflow_blocks.first().unwrap_or(&0));
-        for ext in extents.iter().take(INLINE_EXTENTS) {
-            record.put_u64(ext.logical);
-            record.put_u64(ext.phys);
-            record.put_u64(ext.len);
+        w.put_u32(self.nlink);
+        w.put_u64(self.size);
+        w.put_u64(self.extents.len() as u64);
+        w.put_u64(*self.overflow_blocks.first().unwrap_or(&0));
+        let mut extents = self.extents.iter();
+        for ext in extents.by_ref().take(INLINE_EXTENTS) {
+            put_extent(&mut w, ext);
         }
-        let mut record = record.into_vec();
-        record.resize(INODE_RECORD_SIZE, 0);
 
-        let mut overflow_images = Vec::new();
-        let spilled: Vec<&Extent> = extents.iter().skip(INLINE_EXTENTS).collect();
-        for (chunk_idx, chunk) in spilled.chunks(EXTENTS_PER_OVERFLOW).enumerate() {
-            let mut w = ByteWriter::new();
-            w.put_u32(chunk.len() as u32);
-            for ext in chunk {
-                w.put_u64(ext.logical);
-                w.put_u64(ext.phys);
-                w.put_u64(ext.len);
+        let mut chain = Vec::with_capacity(self.overflow_blocks_needed());
+        for idx in 0..self.overflow_blocks_needed() {
+            let mut image = vec![0u8; BLOCK_SIZE];
+            let mut w = ByteWriter::new(&mut image);
+            let count = (self.extents.len() - INLINE_EXTENTS - idx * EXTENTS_PER_OVERFLOW)
+                .min(EXTENTS_PER_OVERFLOW);
+            w.put_u32(count as u32);
+            for ext in extents.by_ref().take(count) {
+                put_extent(&mut w, ext);
             }
-            let mut image = w.into_vec();
-            image.resize(BLOCK_SIZE - 8, 0);
-            let next = self
-                .overflow_blocks
-                .get(chunk_idx + 1)
-                .copied()
-                .unwrap_or(0);
-            image.extend_from_slice(&next.to_le_bytes());
-            let block = self.overflow_blocks[chunk_idx];
-            overflow_images.push((block, image));
+            let next = self.overflow_blocks.get(idx + 1).copied().unwrap_or(0);
+            image[BLOCK_SIZE - 8..].copy_from_slice(&next.to_le_bytes());
+            chain.push((self.overflow_blocks[idx], image));
         }
-        (record, overflow_images)
+        (record, chain)
     }
 
     /// Number of overflow blocks needed for the current extent count.

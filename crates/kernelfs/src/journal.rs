@@ -52,6 +52,14 @@ use crate::layout::{Superblock, BLOCK_SIZE};
 /// Magic prefix of every journal record.
 const RECORD_MAGIC: u16 = 0x4A52; // "JR"
 
+/// Bytes of a record before its payload: magic, tag, payload length, tid.
+const RECORD_HEADER: usize = 2 + 1 + 2 + 8;
+
+/// The most extents one [`JournalRecord::SetRangeMapping`] can carry: its
+/// payload (26 bytes plus 24 per extent) must fit the record's `u16`
+/// length.
+pub const MAX_RANGE_EXTENTS: usize = (u16::MAX as usize - 26) / 24;
+
 /// One logical metadata mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalRecord {
@@ -196,8 +204,27 @@ impl JournalRecord {
         }
     }
 
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+    /// Bytes [`JournalRecord::encode_payload`] writes.
+    fn payload_len(&self) -> usize {
+        match self {
+            JournalRecord::CreateInode { name, .. } => 8 + 8 + 2 + name.len() + 1,
+            JournalRecord::Unlink { name, .. } => 8 + 2 + name.len() + 8 + 1,
+            JournalRecord::Rename {
+                old_name, new_name, ..
+            } => 8 + 2 + old_name.len() + 8 + 2 + new_name.len() + 8 + 8,
+            JournalRecord::SetSize { .. }
+            | JournalRecord::TruncateExtents { .. }
+            | JournalRecord::AllocBlocks { .. }
+            | JournalRecord::FreeBlocks { .. } => 16,
+            JournalRecord::AddExtent { .. } => 32,
+            JournalRecord::SwapExtents { .. } => 40,
+            JournalRecord::SetRangeMapping { extents, .. } => 24 + 2 + 24 * extents.len(),
+            JournalRecord::Lease { .. } => 9,
+            JournalRecord::Commit => 0,
+        }
+    }
+
+    fn encode_payload(&self, w: &mut ByteWriter<'_>) {
         match self {
             JournalRecord::CreateInode {
                 ino,
@@ -282,6 +309,7 @@ impl JournalRecord {
                 w.put_u64(*ino);
                 w.put_u64(*logical);
                 w.put_u64(*count);
+                // Bounded by the payload length check in `encode_into`.
                 w.put_u16(extents.len() as u16);
                 for (l, p, n) in extents {
                     w.put_u64(*l);
@@ -298,7 +326,6 @@ impl JournalRecord {
             }
             JournalRecord::Commit => {}
         }
-        w.into_vec()
     }
 
     fn decode(tag: u8, payload: &[u8]) -> Option<Self> {
@@ -379,20 +406,33 @@ impl JournalRecord {
         Some(rec)
     }
 
-    /// Serializes the record (with transaction id `tid`) into its on-device
-    /// form: `magic, tag, payload_len, tid, payload, checksum`.
-    pub fn encode(&self, tid: u64) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut w = ByteWriter::new();
+    /// Appends the record (with transaction id `tid`) to `out` in its
+    /// on-device form: `magic, tag, payload_len, tid, payload, checksum`.
+    /// Nothing is allocated once `out` has the room.
+    ///
+    /// A payload longer than its `u16` length field can say — a
+    /// `SetRangeMapping` of more than [`MAX_RANGE_EXTENTS`] — is refused with
+    /// [`FsError::NoSpace`] and `out` left as it was: written with a
+    /// wrapped length, mount's scan would read the record as torn and drop
+    /// it with every transaction after it.
+    pub fn encode_into(&self, tid: u64, out: &mut Vec<u8>) -> FsResult<()> {
+        let payload_len = u16::try_from(self.payload_len()).map_err(|_| FsError::NoSpace)?;
+        let start = out.len();
+        let body_len = RECORD_HEADER + payload_len as usize;
+        out.resize(start + body_len + 4, 0);
+        let record = &mut out[start..];
+        let mut w = ByteWriter::new(record);
         w.put_u16(RECORD_MAGIC);
         w.put_u8(self.type_tag());
-        w.put_u16(payload.len() as u16);
+        w.put_u16(payload_len);
         w.put_u64(tid);
-        let mut bytes = w.into_vec();
-        bytes.extend_from_slice(&payload);
-        let crc = checksum32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        bytes
+        self.encode_payload(&mut w);
+        // The length field was written before the payload: a payload of any
+        // other length would put the checksum in the wrong place on media.
+        assert_eq!(w.position(), body_len, "payload_len disagrees: {self:?}");
+        let crc = checksum32(&record[..body_len]);
+        record[body_len..].copy_from_slice(&crc.to_le_bytes());
+        Ok(())
     }
 }
 
@@ -436,6 +476,19 @@ impl Drop for TxnGuard<'_> {
     }
 }
 
+/// What the journal's head lock guards.
+#[derive(Debug, Default)]
+struct Head {
+    /// Next free byte offset within the journal (volatile; the on-device
+    /// contents are the source of truth for recovery).
+    offset: u64,
+    /// The transaction being committed, encoded whole before its one
+    /// device write.  Cleared, never freed, by every commit, so once it
+    /// has grown to the largest transaction so far a commit allocates
+    /// nothing.
+    txn: Vec<u8>,
+}
+
 /// The journal manager.  Owns the journal area of the device as one log.
 #[derive(Debug)]
 pub struct Journal {
@@ -444,12 +497,11 @@ pub struct Journal {
     start: u64,
     /// Journal area length in bytes.
     len: u64,
-    /// Next free byte offset within the journal (volatile; the on-device
-    /// contents are the source of truth for recovery).  The lock is held
-    /// across the record write and fence so that the journal is torn only
-    /// at its very end, and across the transaction-id draw so that media
-    /// order is transaction-id order.
-    head: Mutex<u64>,
+    /// The next free byte offset and the transaction buffer (see
+    /// [`Head`]).  The lock is held across the record write and fence so
+    /// that the journal is torn only at its very end, and across the
+    /// transaction-id draw so that media order is transaction-id order.
+    head: Mutex<Head>,
     /// Committed transactions whose in-place metadata updates have not
     /// finished yet ([`TxnGuard`]s still alive).  The journal only resets
     /// when this is zero: resetting earlier could discard the journal
@@ -469,7 +521,7 @@ impl Journal {
             device,
             start: sb.journal_start * BLOCK_SIZE as u64,
             len: sb.journal_blocks * BLOCK_SIZE as u64,
-            head: Mutex::new(0),
+            head: Mutex::new(Head::default()),
             in_flight: AtomicU64::new(0),
             next_tid: AtomicU64::new(1),
         }
@@ -487,7 +539,7 @@ impl Journal {
             PersistMode::NonTemporal,
             TimeCategory::Journal,
         );
-        *head = 0;
+        head.offset = 0;
         self.device.fence(TimeCategory::Journal);
     }
 
@@ -499,7 +551,7 @@ impl Journal {
 
     /// Returns the number of journal bytes currently used.
     pub fn used_bytes(&self) -> u64 {
-        *self.head.lock()
+        self.head.lock().offset
     }
 
     /// Commits a transaction consisting of `records` (a commit marker is
@@ -510,24 +562,26 @@ impl Journal {
     /// under the head lock, after which the transaction is durable.  A
     /// transaction may use the whole journal; one larger than that fails
     /// with [`FsError::NoSpace`].  Only a transaction that reached its
-    /// fence takes a transaction id and counts in `journal_txns`.
+    /// fence takes a transaction id and counts in `journal_txns`.  A
+    /// record [`JournalRecord::encode_into`] refuses fails the commit the
+    /// same way, with [`FsError::NoSpace`] before the device is touched.
     pub fn commit(&self, records: &[JournalRecord]) -> FsResult<TxnGuard<'_>> {
         let cost = self.device.cost();
         for _attempt in 0..COMMIT_RETRIES {
-            let mut head = self
+            let mut guard = self
                 .device
                 .lock_contended(|| self.head.try_lock(), || self.head.lock());
+            let head = &mut *guard;
             let tid = self.next_tid.load(Ordering::SeqCst);
-            let mut bytes = Vec::new();
-            for rec in records {
-                bytes.extend_from_slice(&rec.encode(tid));
+            head.txn.clear();
+            for rec in records.iter().chain([&JournalRecord::Commit]) {
+                rec.encode_into(tid, &mut head.txn)?;
             }
-            bytes.extend_from_slice(&JournalRecord::Commit.encode(tid));
-            let need = bytes.len() as u64;
+            let need = head.txn.len() as u64;
             if need > self.len {
                 return Err(FsError::NoSpace);
             }
-            if *head + need > self.len {
+            if head.offset + need > self.len {
                 // Full: reset the whole journal, which preserves the
                 // invariant that the surviving records always form a
                 // contiguous suffix of history (trivially: nothing
@@ -535,11 +589,11 @@ impl Journal {
                 // to finish applying in place; their appliers never block
                 // on the journal, so yielding drains them.
                 if self.in_flight.load(Ordering::SeqCst) != 0 {
-                    drop(head);
+                    drop(guard);
                     std::thread::yield_now();
                     continue;
                 }
-                self.zero_used(&mut head);
+                self.zero_used(&mut head.offset);
             }
             // Software cost of assembling the transaction.
             self.device.charge(
@@ -547,13 +601,13 @@ impl Journal {
                 cost.ext4_journal_txn_ns + records.len() as f64 * cost.ext4_journal_per_block_ns,
             );
             self.device.write(
-                self.start + *head,
-                &bytes,
+                self.start + head.offset,
+                &head.txn,
                 PersistMode::NonTemporal,
                 TimeCategory::Journal,
             );
             self.device.fence(TimeCategory::Journal);
-            *head += need;
+            head.offset += need;
             self.next_tid.store(tid + 1, Ordering::SeqCst);
             self.in_flight.fetch_add(1, Ordering::SeqCst);
             self.device.stats().add_journal_txn();
@@ -569,7 +623,7 @@ impl Journal {
     /// rewinds the head.  Mount calls this once the replayed state is
     /// durable in place; nothing may be committing concurrently.
     pub fn reset(&self) {
-        self.zero_used(&mut self.head.lock());
+        self.zero_used(&mut self.head.lock().offset);
     }
 
     /// Zeroes the used prefix of the journal (`head` is the locked head),
@@ -672,7 +726,7 @@ impl Journal {
             // Once parsing has stopped the window is only a read buffer.
             window.drain(..if parsing { pos } else { window.len() });
         }
-        *self.head.lock() = used;
+        self.head.lock().offset = used;
         (records, max_tid)
     }
 }
@@ -688,6 +742,13 @@ mod tests {
             .build();
         let sb = Superblock::compute(device.size() as u64 / BLOCK_SIZE as u64, 1024).unwrap();
         (device, sb)
+    }
+
+    /// One record's on-device bytes.
+    fn encode(rec: &JournalRecord, tid: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        rec.encode_into(tid, &mut out).unwrap();
+        out
     }
 
     /// What a mount's scan of `device`'s journal finds.
@@ -735,7 +796,7 @@ mod tests {
             },
         ];
         for rec in &records {
-            let bytes = rec.encode(7);
+            let bytes = encode(rec, 7);
             let mut r = ByteReader::new(&bytes);
             r.get_u16().unwrap();
             let tag = r.get_u8().unwrap();
@@ -780,7 +841,7 @@ mod tests {
             .unwrap();
         // Hand-write a record with no commit marker and no fence after
         // it, as if the crash happened mid-transaction.
-        let torn = JournalRecord::SetSize { ino: 2, size: 99 }.encode(9);
+        let torn = encode(&JournalRecord::SetSize { ino: 2, size: 99 }, 9);
         device.write(
             journal.start + journal.used_bytes(),
             &torn,
@@ -805,7 +866,8 @@ mod tests {
             name: big_name.clone(),
             is_dir: false,
         };
-        let txn_len = (create(0).encode(1).len() + JournalRecord::Commit.encode(1).len()) as u64;
+        let txn_len =
+            (encode(&create(0), 1).len() + encode(&JournalRecord::Commit, 1).len()) as u64;
         let commits = 50_000u64;
         assert!(
             commits * txn_len > journal.len,
@@ -851,6 +913,50 @@ mod tests {
             .commit(&[JournalRecord::SetSize { ino: 1, size: 2 }])
             .unwrap();
         assert_eq!(recover(&device, &sb).1, 2);
+    }
+
+    #[test]
+    fn a_record_too_long_for_its_length_field_fails_and_counts_nothing() {
+        let (device, sb) = setup();
+        let journal = Journal::new(Arc::clone(&device), &sb);
+        journal.format();
+        journal
+            .commit(&[JournalRecord::SetSize { ino: 1, size: 1 }])
+            .unwrap();
+        // 3 000 extents are 72 026 payload bytes: past what the record's
+        // `u16` length (and the map's `u16` count) can say.
+        let too_long = JournalRecord::SetRangeMapping {
+            ino: 5,
+            logical: 0,
+            count: 6_000,
+            extents: (0..3_000).map(|i| (2 * i, 10_000 + 3 * i, 1)).collect(),
+        };
+        let mut out = vec![0xAB; 7];
+        assert_eq!(too_long.encode_into(2, &mut out), Err(FsError::NoSpace));
+        assert_eq!(out, vec![0xAB; 7], "a refused record writes nothing");
+
+        let used = journal.used_bytes();
+        let before = device.stats().snapshot();
+        let records = [JournalRecord::SetSize { ino: 5, size: 9 }, too_long];
+        assert_eq!(journal.commit(&records).err(), Some(FsError::NoSpace));
+        let delta = device.stats().snapshot().delta(&before);
+        assert_eq!(delta.journal_txns, 0, "a failed commit is no transaction");
+        assert_eq!(delta.written(TimeCategory::Journal), 0);
+        assert_eq!(journal.used_bytes(), used);
+        // The failure took no transaction id, and the refused record is
+        // nowhere on media to be misread as a torn tail.
+        journal
+            .commit(&[JournalRecord::SetSize { ino: 1, size: 2 }])
+            .unwrap();
+        let (records, max_tid) = recover(&device, &sb);
+        assert_eq!(max_tid, 2);
+        assert_eq!(
+            records,
+            vec![
+                JournalRecord::SetSize { ino: 1, size: 1 },
+                JournalRecord::SetSize { ino: 1, size: 2 },
+            ]
+        );
     }
 
     #[test]

@@ -1218,7 +1218,7 @@ impl FileSystem for SplitFs {
 
     fn open(&self, path: &str, flags: OpenFlags) -> FsResult<Fd> {
         self.charge_usplit();
-        let norm = vpath::normalize(path)?;
+        let norm = vpath::normalized(path)?;
         loop {
             // Metadata operation: pass through to the kernel.
             let kernel_fd = self.kernel.open(&norm, flags)?;
@@ -1466,12 +1466,12 @@ impl FileSystem for SplitFs {
 
     fn stat(&self, path: &str) -> FsResult<FileStat> {
         self.charge_usplit();
-        let norm = vpath::normalize(path)?;
+        let norm = vpath::normalized(path)?;
         // Prefer the cached user-space view so staged appends are visible
         // to the calling process immediately.
         if let Some(state) = self.files.find_by_path(&norm) {
             let st = state.read();
-            if st.linked_path() == Some(norm.as_str()) {
+            if st.linked_path() == Some(&*norm) {
                 return Ok(FileStat {
                     ino: st.ino,
                     size: st.cached_size,
@@ -1486,7 +1486,7 @@ impl FileSystem for SplitFs {
 
     fn unlink(&self, path: &str) -> FsResult<()> {
         self.charge_usplit();
-        let norm = vpath::normalize(path)?;
+        let norm = vpath::normalized(path)?;
         // Drop cached state and unmap (the expensive part of unlink in
         // SplitFS, §5.4).  With application descriptors still open the
         // state only loses its name and goes at the last close, like the
@@ -1500,8 +1500,8 @@ impl FileSystem for SplitFs {
 
     fn rename(&self, old: &str, new: &str) -> FsResult<()> {
         self.charge_usplit();
-        let old_norm = vpath::normalize(old)?;
-        let new_norm = vpath::normalize(new)?;
+        let old_norm = vpath::normalized(old)?;
+        let new_norm = vpath::normalized(new)?;
         let move_gen = self.kernel.dir_move_generation();
         // The file the rename is about to replace, identified before the
         // kernel call: afterwards the name means the moved file, which a
@@ -1513,7 +1513,7 @@ impl FileSystem for SplitFs {
         }
         if let Some(state) = replaced {
             let mut st = state.write();
-            if st.linked_path() == Some(new_norm.as_str()) {
+            if st.linked_path() == Some(&*new_norm) {
                 // It has no name and no blocks any more.
                 st.mmaps.clear();
                 self.discard_staged(&mut st, 0);
@@ -1542,7 +1542,7 @@ impl FileSystem for SplitFs {
         self.charge_usplit();
         let mut entries = self.kernel.readdir(path)?;
         // Hide SplitFS's own bookkeeping directory from applications.
-        if vpath::normalize(path)? == "/" {
+        if vpath::normalized(path)? == "/" {
             entries.retain(|e| e != ".splitfs");
         }
         Ok(entries)

@@ -29,62 +29,66 @@ pub fn is_zeroed(data: &[u8]) -> bool {
     data.chunks(ZEROS.len()).all(|c| c == &ZEROS[..c.len()])
 }
 
-/// A tiny little-endian byte writer used to serialize metadata records.
-#[derive(Debug, Default)]
-pub struct ByteWriter {
-    buf: Vec<u8>,
+/// A little-endian byte writer over a buffer the caller owns and has
+/// already sized.
+///
+/// The writer never allocates: every on-media encoder fills a stack array,
+/// a fixed-size image or a reused buffer through it, and a write past the
+/// end of the buffer is a bug in the caller's sizing, so it panics.
+#[derive(Debug)]
+pub struct ByteWriter<'a> {
+    buf: &'a mut [u8],
+    pos: usize,
 }
 
-impl ByteWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> ByteWriter<'a> {
+    /// Creates a writer at the start of `buf`.
+    pub fn new(buf: &'a mut [u8]) -> Self {
+        Self { buf, pos: 0 }
     }
 
-    /// Appends a `u8`.
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
+        self.pos += bytes.len();
+    }
+
+    /// Writes a `u8`.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
-    /// Appends a `u16` (little endian).
+    /// Writes a `u16` (little endian).
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
-    /// Appends a `u32` (little endian).
+    /// Writes a `u32` (little endian).
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
-    /// Appends a `u64` (little endian).
+    /// Writes a `u64` (little endian).
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
-    /// Appends a length-prefixed byte string (u16 length).
+    /// Writes a length-prefixed byte string (u16 length).  A longer string
+    /// is a bug in the caller, which bounds every length it encodes: it
+    /// panics instead of wrapping the length.
     pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u16(v.len() as u16);
-        self.buf.extend_from_slice(v);
+        let len = u16::try_from(v.len()).expect("length-prefixed field over 64 KiB");
+        self.put_u16(len);
+        self.put(v);
     }
 
-    /// Appends a length-prefixed UTF-8 string.
+    /// Writes a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
     }
 
-    /// Consumes the writer and returns the bytes.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+    /// Number of bytes written so far.
+    pub fn position(&self) -> usize {
+        self.pos
     }
 }
 
@@ -182,13 +186,14 @@ mod tests {
 
     #[test]
     fn byte_writer_reader_round_trip() {
-        let mut w = ByteWriter::new();
+        let mut bytes = [0u8; 1 + 2 + 4 + 8 + 2 + 7];
+        let mut w = ByteWriter::new(&mut bytes);
         w.put_u8(7);
         w.put_u16(300);
         w.put_u32(70_000);
         w.put_u64(1 << 40);
         w.put_str("wal.log");
-        let bytes = w.into_vec();
+        assert_eq!(w.position(), bytes.len());
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_u8(), Some(7));
         assert_eq!(r.get_u16(), Some(300));

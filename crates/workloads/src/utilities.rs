@@ -174,9 +174,10 @@ pub fn rsync_like(
             let rel = path.strip_prefix(src_root.as_str()).unwrap_or(path);
             let dst_path = format!("{dst_root}{rel}");
             // Ensure the destination directory exists.
-            if let Ok((parent, _)) = vfs::path::split(&dst_path) {
-                if !fs2.exists(&parent) {
-                    fs2.mkdir(&parent)?;
+            let norm = vfs::path::normalize(&dst_path)?;
+            if let Ok((parent, _)) = vfs::path::split(&norm) {
+                if !fs2.exists(parent) {
+                    fs2.mkdir(parent)?;
                 }
             }
             let _ = fs2.stat(path)?;
