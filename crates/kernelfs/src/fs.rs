@@ -79,7 +79,7 @@ use crate::alloc::{BlockAllocator, BlockRun};
 use crate::dax::{DaxMapping, MapSegment};
 use crate::dir;
 use crate::inode::{changed_lines, Extent, ExtentMap, Inode, InodeKind};
-use crate::journal::{Journal, JournalRecord, MAX_RANGE_EXTENTS};
+use crate::journal::{Journal, JournalRecord, MAX_RANGE_EXTENTS, SCAN_CHUNK};
 use crate::layout::{Superblock, BLOCK_SIZE, DEFAULT_INODE_COUNT, INODE_RECORD_SIZE};
 use crate::lease::{LeaseManager, MAX_INSTANCES};
 
@@ -416,9 +416,11 @@ impl Ext4Dax {
         let mut sb_block = vec![0u8; BLOCK_SIZE];
         device.read_uncharged(0, &mut sb_block);
         let sb = Superblock::from_block(&sb_block)?;
+        sb.check_geometry(device.size() as u64)?;
 
         // 1. Journal recovery (records in media order, which is
-        //    transaction-id order).  The scan leaves the head at the
+        //    transaction-id order).  The scan reads only the chunks the
+        //    journal's chunk map marks, and leaves the head at the
         //    journal's used extent for the reset at the end of the mount.
         let journal = Journal::new(Arc::clone(&device), &sb);
         let (records, max_tid) = journal.scan();
@@ -435,20 +437,32 @@ impl Ext4Dax {
         device.read_uncharged(sb.bitmap_start * BLOCK_SIZE as u64, &mut bitmap_image);
         let mut alloc = BlockAllocator::from_bitmap_image(&sb, &bitmap_image);
 
+        // The table is read in one pass, `SCAN_CHUNK` bytes at a time;
+        // only a slot whose mode byte is non-zero holds an inode.
         let mut inodes: HashMap<u64, Inode> = HashMap::new();
-        let mut record_buf = vec![0u8; INODE_RECORD_SIZE];
-        for ino in 1..sb.inode_count {
-            device.read_uncharged(sb.inode_offset(ino), &mut record_buf);
-            if let Some((mut inode, _count, overflow_head)) = Inode::deserialize(ino, &record_buf)?
-            {
-                let mut next = overflow_head;
-                let mut block = vec![0u8; BLOCK_SIZE];
-                while next != 0 {
-                    device.read_uncharged(next * BLOCK_SIZE as u64, &mut block);
-                    next = inode.load_overflow(next, &block)?;
+        let mut table = vec![0u8; SCAN_CHUNK];
+        let mut block = vec![0u8; BLOCK_SIZE];
+        let table_len = sb.inode_count * INODE_RECORD_SIZE as u64;
+        let mut at = 0u64;
+        while at < table_len {
+            let piece = &mut table[..SCAN_CHUNK.min((table_len - at) as usize)];
+            device.read_uncharged(sb.inode_offset(0) + at, piece);
+            let first = at / INODE_RECORD_SIZE as u64;
+            for (i, record) in piece.chunks_exact(INODE_RECORD_SIZE).enumerate() {
+                let ino = first + i as u64;
+                if ino == 0 || record[0] == 0 {
+                    continue;
                 }
-                inodes.insert(ino, inode);
+                if let Some((mut inode, _count, overflow_head)) = Inode::deserialize(ino, record)? {
+                    let mut next = overflow_head;
+                    while next != 0 {
+                        device.read_uncharged(next * BLOCK_SIZE as u64, &mut block);
+                        next = inode.load_overflow(next, &block)?;
+                    }
+                    inodes.insert(ino, inode);
+                }
             }
+            at += piece.len() as u64;
         }
 
         // 4. Rebuild directories from their data blocks.

@@ -37,6 +37,30 @@
 //! journaled, not the size of the journal, and a recovery scan may stop
 //! parsing at the first slot that is not a valid record: nothing but
 //! zeroes (or the torn tail of the one unfenced commit) follows.
+//!
+//! # The chunk map
+//!
+//! *A chunk whose bit is clear on media is all-zero on media.*  The
+//! journal is cut into [`CHUNK_SIZE`] chunks, and one 64 B line in block 0
+//! ([`JOURNAL_MAP_OFFSET`], outside the journal area) holds a bit per
+//! chunk — the operation log's rule, applied to the kernel journal.  A
+//! scan reads the line and fetches the journal only up to the highest
+//! marked chunk, so a mount costs what the last life journaled:
+//!
+//! * a commit whose bytes reach a chunk the map does not cover stores the
+//!   line with that chunk's bit set and fences — before the first record
+//!   byte lands there.  A DRAM mirror of what the map covers, under the
+//!   head lock, spares every other commit that store;
+//! * [`Journal::format`] and both resets store a map of chunk 0 alone, the
+//!   resets after the fence that makes their zeroes durable and with no
+//!   fence of their own: until a later fence persists it, the older map on
+//!   media still marks a superset.
+//!
+//! A torn store leaves each byte old or new.  A raise only sets bits and a
+//! clear follows durable zeroes, so the map on media always marks every
+//! chunk that holds a non-zero byte.  A line that reads all-zero was never
+//! written or is damaged (chunk 0 is always marked), and the scan then
+//! reads the whole journal.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,13 +71,21 @@ use pmem::{PersistMode, PmemDevice, TimeCategory};
 use vfs::util::{checksum32, is_zeroed, ByteReader, ByteWriter};
 use vfs::{FsError, FsResult};
 
-use crate::layout::{Superblock, BLOCK_SIZE};
+use crate::layout::{Superblock, BLOCK_SIZE, JOURNAL_BLOCKS, JOURNAL_MAP_LEN, JOURNAL_MAP_OFFSET};
 
 /// Magic prefix of every journal record.
 const RECORD_MAGIC: u16 = 0x4A52; // "JR"
 
 /// Bytes of a record before its payload: magic, tag, payload length, tid.
 const RECORD_HEADER: usize = 2 + 1 + 2 + 8;
+
+/// Journal bytes one bit of the chunk map covers (the operation log's
+/// chunk size).
+pub const CHUNK_SIZE: u64 = 64 * 1024;
+
+// The map line has a bit for every chunk of the largest journal.
+const _: () =
+    assert!(JOURNAL_BLOCKS * BLOCK_SIZE as u64 <= 8 * JOURNAL_MAP_LEN as u64 * CHUNK_SIZE);
 
 /// The most extents one [`JournalRecord::SetRangeMapping`] can carry: its
 /// payload (26 bytes plus 24 per extent) must fit the record's `u16`
@@ -439,7 +471,8 @@ impl JournalRecord {
 /// How much of the journal one recovery read fetches.  Larger than any
 /// one record (a record is at most 64 KiB of payload plus its frame), so a
 /// straddling record is complete after one more read.
-const SCAN_CHUNK: usize = 128 * 1024;
+/// Mount reads the inode table in pieces of the same size.
+pub(crate) const SCAN_CHUNK: usize = 128 * 1024;
 
 /// What [`Journal::parse_record`] made of the bytes it was given.
 enum Parsed {
@@ -482,6 +515,10 @@ struct Head {
     /// Next free byte offset within the journal (volatile; the on-device
     /// contents are the source of truth for recovery).
     offset: u64,
+    /// The DRAM mirror of the chunk map: the journal bytes `[0, marked)`
+    /// are covered by chunks the map on media marks.  A whole number of
+    /// chunks; 0 until a format or a scan has set it.
+    marked: u64,
     /// The transaction being committed, encoded whole before its one
     /// device write.  Cleared, never freed, by every commit, so once it
     /// has grown to the largest transaction so far a commit allocates
@@ -531,6 +568,7 @@ impl Journal {
     /// area of an unformatted device holds unknown bytes, and this fill is
     /// what establishes the all-zero invariant (module docs) every later
     /// [`Journal::reset`] relies on.
+    /// It also stores a chunk map of chunk 0 alone, under the same fence.
     pub fn format(&self) {
         let mut head = self.head.lock();
         self.device.zero(
@@ -540,7 +578,24 @@ impl Journal {
             TimeCategory::Journal,
         );
         head.offset = 0;
+        self.store_map(&mut head, CHUNK_SIZE);
         self.device.fence(TimeCategory::Journal);
+    }
+
+    /// Stores the chunk map line marking the chunks of `[0, marked)` and
+    /// records it in the mirror.  Does not fence.
+    fn store_map(&self, head: &mut Head, marked: u64) {
+        let mut line = [0u8; JOURNAL_MAP_LEN];
+        for chunk in 0..(marked / CHUNK_SIZE) as usize {
+            line[chunk / 8] |= 1 << (chunk % 8);
+        }
+        self.device.write(
+            JOURNAL_MAP_OFFSET,
+            &line,
+            PersistMode::NonTemporal,
+            TimeCategory::Metadata,
+        );
+        head.marked = marked;
     }
 
     /// Sets the next transaction id (used after recovery so new
@@ -593,13 +648,20 @@ impl Journal {
                     std::thread::yield_now();
                     continue;
                 }
-                self.zero_used(&mut head.offset);
+                self.zero_used(head);
             }
             // Software cost of assembling the transaction.
             self.device.charge(
                 TimeCategory::Software,
                 cost.ext4_journal_txn_ns + records.len() as f64 * cost.ext4_journal_per_block_ns,
             );
+            let end = head.offset + need;
+            if end > head.marked {
+                // The records reach a chunk the map does not mark: mark
+                // it durably before their first byte lands there.
+                self.store_map(head, end.div_ceil(CHUNK_SIZE) * CHUNK_SIZE);
+                self.device.fence(TimeCategory::Metadata);
+            }
             self.device.write(
                 self.start + head.offset,
                 &head.txn,
@@ -607,7 +669,7 @@ impl Journal {
                 TimeCategory::Journal,
             );
             self.device.fence(TimeCategory::Journal);
-            head.offset += need;
+            head.offset = end;
             self.next_tid.store(tid + 1, Ordering::SeqCst);
             self.in_flight.fetch_add(1, Ordering::SeqCst);
             self.device.stats().add_journal_txn();
@@ -623,20 +685,25 @@ impl Journal {
     /// rewinds the head.  Mount calls this once the replayed state is
     /// durable in place; nothing may be committing concurrently.
     pub fn reset(&self) {
-        self.zero_used(&mut self.head.lock().offset);
+        self.zero_used(&mut self.head.lock());
     }
 
     /// Zeroes the used prefix of the journal (`head` is the locked head),
-    /// fences once, and rewinds the head.
-    fn zero_used(&self, head: &mut u64) {
+    /// fences once, and rewinds the head.  Then, unless the map marks
+    /// chunk 0 alone already, stores a map of chunk 0 alone and leaves it
+    /// for the next fence to persist (module docs).
+    fn zero_used(&self, head: &mut Head) {
         self.device.zero(
             self.start,
-            *head as usize,
+            head.offset as usize,
             PersistMode::NonTemporal,
             TimeCategory::Journal,
         );
-        *head = 0;
+        head.offset = 0;
         self.device.fence(TimeCategory::Journal);
+        if head.marked != CHUNK_SIZE {
+            self.store_map(head, CHUNK_SIZE);
+        }
     }
 
     /// Parses the record at the start of `raw`.
@@ -668,18 +735,35 @@ impl Journal {
         }
     }
 
-    /// Scans the journal (mount path), streaming it off the device
-    /// `SCAN_CHUNK` bytes at a time, and returns the records of every
-    /// committed transaction in media order — which is transaction-id
-    /// order, since ids are drawn under the head lock — plus the highest
-    /// transaction id seen.  Records of a transaction without a commit
+    /// [`Journal::scan_written`]'s records and highest transaction id.
+    pub fn scan(&self) -> (Vec<JournalRecord>, u64) {
+        let scan = self.scan_written();
+        (scan.records, scan.max_tid)
+    }
+
+    /// Scans the journal (mount path): reads the chunk map, then streams
+    /// the journal off the device `SCAN_CHUNK` bytes at a time up to the
+    /// end of the highest marked chunk (all of it if the map line is
+    /// all-zero), and returns the records of every committed transaction
+    /// in media order — which is transaction-id order, since ids are drawn
+    /// under the head lock — the highest transaction id seen, and the
+    /// journal bytes fetched.  Records of a transaction without a commit
     /// marker (torn at the crash point) are discarded.  The head is left
     /// one past the journal's last non-zero byte, which covers a torn tail
     /// beyond the last valid record, so the [`Journal::reset`] that must
     /// follow — once the replayed state is durable in place, and before
     /// anything commits — clears exactly what the crashed mount left
     /// behind.
-    pub fn scan(&self) -> (Vec<JournalRecord>, u64) {
+    pub fn scan_written(&self) -> JournalScan {
+        let mut line = [0u8; JOURNAL_MAP_LEN];
+        self.device.read_uncharged(JOURNAL_MAP_OFFSET, &mut line);
+        let limit = match line.iter().rposition(|&b| b != 0) {
+            Some(i) => {
+                let highest = i as u64 * 8 + 7 - u64::from(line[i].leading_zeros());
+                ((highest + 1) * CHUNK_SIZE).min(self.len)
+            }
+            None => self.len,
+        };
         let mut records: Vec<JournalRecord> = Vec::new();
         let mut max_tid = 0;
         let mut pending: Vec<JournalRecord> = Vec::new();
@@ -689,8 +773,8 @@ impl Journal {
         let mut parsing = true;
         let mut used = 0u64;
         let mut fetched = 0u64;
-        while fetched < self.len {
-            let n = SCAN_CHUNK.min((self.len - fetched) as usize);
+        while fetched < limit {
+            let n = SCAN_CHUNK.min((limit - fetched) as usize);
             let carried = window.len();
             window.resize(carried + n, 0);
             let chunk = &mut window[carried..];
@@ -726,9 +810,26 @@ impl Journal {
             // Once parsing has stopped the window is only a read buffer.
             window.drain(..if parsing { pos } else { window.len() });
         }
-        self.head.lock().offset = used;
-        (records, max_tid)
+        let mut head = self.head.lock();
+        head.offset = used;
+        head.marked = limit.div_ceil(CHUNK_SIZE) * CHUNK_SIZE;
+        JournalScan {
+            records,
+            max_tid,
+            fetched,
+        }
     }
+}
+
+/// What [`Journal::scan_written`] found.
+#[derive(Debug)]
+pub struct JournalScan {
+    /// The records of every committed transaction, in transaction-id order.
+    pub records: Vec<JournalRecord>,
+    /// The highest committed transaction id (0 if none).
+    pub max_tid: u64,
+    /// Journal bytes read off the device.
+    pub fetched: u64,
 }
 
 #[cfg(test)]
@@ -1120,5 +1221,99 @@ mod tests {
             next[t] += 1;
         }
         assert_eq!(next, [100; 4]);
+    }
+
+    /// The chunk map line on `device`.
+    fn map_line(device: &PmemDevice) -> [u8; JOURNAL_MAP_LEN] {
+        let mut line = [0u8; JOURNAL_MAP_LEN];
+        device.read_uncharged(JOURNAL_MAP_OFFSET, &mut line);
+        line
+    }
+
+    /// A transaction of about 5 KiB.
+    fn txn(ino: u64) -> Vec<JournalRecord> {
+        (0..20)
+            .map(|i| JournalRecord::CreateInode {
+                ino: ino * 100 + i,
+                parent: 2,
+                name: "m".repeat(220),
+                is_dir: false,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn format_marks_chunk_zero_and_a_commit_marks_each_chunk_it_opens_once() {
+        let (device, sb) = setup();
+        let journal = Journal::new(Arc::clone(&device), &sb);
+        journal.format();
+        assert_eq!(map_line(&device)[..2], [0b1, 0]);
+        let mut ino = 0;
+        let before = device.stats().snapshot();
+        while journal.used_bytes() < 3 * CHUNK_SIZE + 100 {
+            journal.commit(&txn(ino)).unwrap();
+            ino += 1;
+        }
+        let delta = device.stats().snapshot().delta(&before);
+        // One map store per chunk opened (1, 2 and 3), each with its fence,
+        // beside the one fence of every commit.
+        assert_eq!(
+            delta.written(TimeCategory::Metadata),
+            3 * JOURNAL_MAP_LEN as u64
+        );
+        assert_eq!(delta.fences, ino + 3);
+        assert_eq!(map_line(&device)[..2], [0b1111, 0]);
+        let scan = Journal::new(Arc::clone(&device), &sb).scan_written();
+        assert_eq!(scan.fetched, 4 * CHUNK_SIZE, "the scan stops at chunk 3");
+        assert_eq!(scan.max_tid, ino);
+    }
+
+    #[test]
+    fn an_all_zero_map_scans_the_whole_journal() {
+        let (device, sb) = setup();
+        let journal = Journal::new(Arc::clone(&device), &sb);
+        journal.format();
+        journal.commit(&txn(1)).unwrap();
+        assert_eq!(recover(&device, &sb).0, txn(1));
+        device.write_uncharged(JOURNAL_MAP_OFFSET, &[0u8; JOURNAL_MAP_LEN]);
+        let mounted = Journal::new(Arc::clone(&device), &sb);
+        let scan = mounted.scan_written();
+        assert_eq!(
+            scan.fetched, journal.len,
+            "a map never written marks every chunk"
+        );
+        assert_eq!((scan.records, scan.max_tid), (txn(1), 1));
+        // The reset that follows the scan stores a map of chunk 0 again.
+        mounted.reset();
+        assert_eq!(map_line(&device)[..2], [0b1, 0]);
+        assert_eq!(mounted.scan_written().fetched, CHUNK_SIZE);
+    }
+
+    #[test]
+    fn a_reset_adds_no_fence() {
+        let (device, sb) = setup();
+        let journal = Journal::new(Arc::clone(&device), &sb);
+        journal.format();
+        let mut ino = 0;
+        while journal.used_bytes() < CHUNK_SIZE + 100 {
+            journal.commit(&txn(ino)).unwrap();
+            ino += 1;
+        }
+        assert_eq!(map_line(&device)[0], 0b11);
+        let before = device.stats().snapshot();
+        journal.reset();
+        let delta = device.stats().snapshot().delta(&before);
+        assert_eq!(delta.fences, 1, "the zeroes' fence, and no other");
+        assert_eq!(
+            delta.written(TimeCategory::Metadata),
+            JOURNAL_MAP_LEN as u64
+        );
+        assert_eq!(map_line(&device)[0], 0b1);
+        // A reset with the map at chunk 0 already stores nothing more.
+        let before = device.stats().snapshot();
+        journal.reset();
+        let delta = device.stats().snapshot().delta(&before);
+        assert_eq!(delta.fences, 1);
+        assert_eq!(delta.written(TimeCategory::Metadata), 0);
     }
 }

@@ -10,6 +10,18 @@
 //! +------------+-------------+-----------------+-------------+--------------+-----------------+
 //! ```
 //!
+//! Block 0 holds more than the superblock's fields:
+//!
+//! ```text
+//! bytes 0..96     twelve u64 fields (magic, geometry, region starts and sizes)
+//! bytes 96..112   slots 12 and 13: reserved, never reused
+//! bytes 112..120  slot 14: FORMAT_VERSION
+//! bytes 128..192  the journal chunk map: one 64 B line (see crate::journal)
+//! ```
+//!
+//! The map line sits in block 0, outside the journal area, so "the journal
+//! area reads all-zero after mount" holds with the map marking chunks.
+//!
 //! The lease table records which U-Split instances currently own a slice
 //! of the staging/operation-log resources (see [`crate::lease`]); it is a
 //! journaled in-place structure like the inode table, so recovery knows
@@ -30,6 +42,16 @@ pub const INODE_RECORD_SIZE: usize = 256;
 /// Magic number identifying a formatted device.
 pub const SUPERBLOCK_MAGIC: u64 = 0x5350_4C49_5446_5331; // "SPLITFS1"
 
+/// On-media format version, in superblock slot 14.  Mount refuses any
+/// other value.  Version 1 added the journal chunk map.
+pub const FORMAT_VERSION: u64 = 1;
+
+/// Byte offset, in block 0, of the journal chunk map's 64 B line.
+pub const JOURNAL_MAP_OFFSET: u64 = 128;
+
+/// Bytes of the journal chunk map line.
+pub const JOURNAL_MAP_LEN: usize = 64;
+
 /// Number of journal blocks (16 MiB with 4 KiB blocks).
 pub const JOURNAL_BLOCKS: u64 = 4096;
 
@@ -39,11 +61,16 @@ pub const LEASE_BLOCKS: u64 = 1;
 /// Default number of inodes a format creates.
 pub const DEFAULT_INODE_COUNT: u64 = 65_536;
 
+/// Superblock slot holding [`FORMAT_VERSION`].
+const VERSION_SLOT: usize = 14;
+
 /// The superblock: region boundaries and format parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Superblock {
     /// Magic number ([`SUPERBLOCK_MAGIC`]).
     pub magic: u64,
+    /// Format version ([`FORMAT_VERSION`]), in slot 14.
+    pub version: u64,
     /// Total number of 4 KiB blocks on the device.
     pub total_blocks: u64,
     /// Number of inodes in the inode table.
@@ -89,6 +116,7 @@ impl Superblock {
         }
         Ok(Self {
             magic: SUPERBLOCK_MAGIC,
+            version: FORMAT_VERSION,
             total_blocks,
             inode_count,
             lease_start,
@@ -103,9 +131,10 @@ impl Superblock {
         })
     }
 
-    /// Serializes the superblock into a 4 KiB block image.  Everything
-    /// past the twelve fields is zero; slots 12 and 13 (bytes 96..112)
-    /// are reserved and are not reused.
+    /// Serializes the superblock into a 4 KiB block image: the twelve
+    /// fields, then the version in slot 14.  Slots 12 and 13 (bytes
+    /// 96..112) are reserved and are not reused; everything else, the
+    /// journal chunk map's line included, is zero.
     pub fn to_block(&self) -> Vec<u8> {
         let mut buf = vec![0u8; BLOCK_SIZE];
         let fields = [
@@ -125,12 +154,14 @@ impl Superblock {
         for (i, v) in fields.iter().enumerate() {
             buf[i * 8..(i + 1) * 8].copy_from_slice(&v.to_le_bytes());
         }
+        buf[VERSION_SLOT * 8..(VERSION_SLOT + 1) * 8].copy_from_slice(&self.version.to_le_bytes());
         buf
     }
 
-    /// Parses a superblock from a block image, validating the magic.
+    /// Parses a superblock from a block image, validating the magic and
+    /// the format version.
     pub fn from_block(buf: &[u8]) -> FsResult<Self> {
-        if buf.len() < 96 {
+        if buf.len() < (VERSION_SLOT + 1) * 8 {
             return Err(FsError::Corrupted("superblock too short".into()));
         }
         let read_u64 = |i: usize| {
@@ -140,6 +171,7 @@ impl Superblock {
         };
         let sb = Self {
             magic: read_u64(0),
+            version: read_u64(VERSION_SLOT),
             total_blocks: read_u64(1),
             inode_count: read_u64(2),
             lease_start: read_u64(3),
@@ -155,7 +187,27 @@ impl Superblock {
         if sb.magic != SUPERBLOCK_MAGIC {
             return Err(FsError::Corrupted("bad superblock magic".into()));
         }
+        if sb.version != FORMAT_VERSION {
+            return Err(FsError::Corrupted(format!(
+                "unsupported format version {}",
+                sb.version
+            )));
+        }
         Ok(sb)
+    }
+
+    /// Accepts the superblock for a device of `device_bytes` only if it
+    /// describes exactly that device and [`Superblock::compute`] reproduces
+    /// it field for field.  Every region bound mount reads by is then one
+    /// `mkfs` could have written, so a damaged field fails the mount with
+    /// [`FsError::Corrupted`] instead of sending a read past the device.
+    pub(crate) fn check_geometry(&self, device_bytes: u64) -> FsResult<()> {
+        let sized = self.total_blocks.checked_mul(BLOCK_SIZE as u64) == Some(device_bytes);
+        if sized && Self::compute(self.total_blocks, self.inode_count).ok() == Some(*self) {
+            Ok(())
+        } else {
+            Err(FsError::Corrupted("superblock geometry".into()))
+        }
     }
 
     /// Byte offset of the inode record for `ino`.
@@ -201,6 +253,55 @@ mod tests {
             Superblock::from_block(&block),
             Err(FsError::Corrupted(_))
         ));
+    }
+
+    #[test]
+    fn a_version_other_than_the_current_one_is_rejected() {
+        let sb = Superblock::compute(1 << 16, 4096).unwrap();
+        assert_eq!(sb.version, FORMAT_VERSION);
+        for version in [0, FORMAT_VERSION + 1] {
+            let mut block = sb.to_block();
+            block[VERSION_SLOT * 8..(VERSION_SLOT + 1) * 8].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                Superblock::from_block(&block),
+                Err(FsError::Corrupted(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn geometry_is_accepted_only_as_compute_gives_it_for_the_device() {
+        let sb = Superblock::compute(1 << 16, 4096).unwrap();
+        let bytes = (1u64 << 16) * BLOCK_SIZE as u64;
+        assert_eq!(sb.check_geometry(bytes), Ok(()));
+        assert!(sb.check_geometry(bytes / 2).is_err());
+        for damage in [
+            Superblock {
+                journal_blocks: 1 << 40,
+                ..sb
+            },
+            Superblock {
+                total_blocks: 1 << 20,
+                ..sb
+            },
+            Superblock {
+                inode_count: 1 << 30,
+                ..sb
+            },
+            Superblock {
+                inode_count: 4097,
+                ..sb
+            },
+            Superblock {
+                data_start: sb.data_start + 1,
+                ..sb
+            },
+        ] {
+            assert!(
+                matches!(damage.check_geometry(bytes), Err(FsError::Corrupted(_))),
+                "{damage:?}"
+            );
+        }
     }
 
     #[test]
