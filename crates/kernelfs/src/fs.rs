@@ -1877,6 +1877,37 @@ impl Ext4Dax {
         Ok(self.insert_fd(ino, flags))
     }
 
+    /// Closes `fd` as a process's exit does, without a trap of its own:
+    /// a U-Split instance going away releases the descriptors it held for
+    /// its life this way.
+    pub fn release(&self, fd: Fd) -> FsResult<()> {
+        let file = self.fds.write().remove(&fd).ok_or(FsError::BadFd)?;
+        let mut ns = self.ns_write();
+        let count = ns.open_counts.entry(file.ino).or_insert(1);
+        *count = count.saturating_sub(1);
+        if *count == 0 {
+            ns.open_counts.remove(&file.ino);
+            if ns.orphans.remove(&file.ino) {
+                // Last close of an unlinked file: release its storage.
+                let mut inodes = self.inodes_write();
+                if let Some(mut inode) = inodes.remove(&file.ino) {
+                    let (mut records, runs) = self.free_inode_blocks(&mut inode);
+                    records.push(JournalRecord::Unlink {
+                        parent: 0,
+                        name: String::new(),
+                        ino: file.ino,
+                        free_inode: true,
+                    });
+                    let txn = self.journal.commit(&records)?;
+                    self.zero_inode_record(file.ino);
+                    self.release_runs(&runs);
+                    drop(txn);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Returns the inode number behind an open descriptor.
     pub fn fd_ino(&self, fd: Fd) -> FsResult<u64> {
         Ok(self.lookup_fd(fd)?.ino)
@@ -2075,31 +2106,7 @@ impl FileSystem for Ext4Dax {
 
     fn close(&self, fd: Fd) -> FsResult<()> {
         self.charge_syscall();
-        let file = self.fds.write().remove(&fd).ok_or(FsError::BadFd)?;
-        let mut ns = self.ns_write();
-        let count = ns.open_counts.entry(file.ino).or_insert(1);
-        *count = count.saturating_sub(1);
-        if *count == 0 {
-            ns.open_counts.remove(&file.ino);
-            if ns.orphans.remove(&file.ino) {
-                // Last close of an unlinked file: release its storage.
-                let mut inodes = self.inodes_write();
-                if let Some(mut inode) = inodes.remove(&file.ino) {
-                    let (mut records, runs) = self.free_inode_blocks(&mut inode);
-                    records.push(JournalRecord::Unlink {
-                        parent: 0,
-                        name: String::new(),
-                        ino: file.ino,
-                        free_inode: true,
-                    });
-                    let txn = self.journal.commit(&records)?;
-                    self.zero_inode_record(file.ino);
-                    self.release_runs(&runs);
-                    drop(txn);
-                }
-            }
-        }
-        Ok(())
+        self.release(fd)
     }
 
     fn read_at(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> FsResult<usize> {

@@ -80,6 +80,9 @@ pub struct SplitFs {
     pub(crate) fds: ShardedFdTable,
     pub(crate) staging: StagingPool,
     pub(crate) oplog: Option<OpLog>,
+    /// The descriptor the log was opened and mapped through, held for the
+    /// instance's life and released by `Drop`.
+    oplog_fd: Option<Fd>,
     /// Background maintenance daemon (None when disabled by config).
     /// Behind a mutex so `Drop` can take it and join its thread.
     pub(crate) daemon: Mutex<Option<MaintenanceDaemon>>,
@@ -170,6 +173,7 @@ impl SplitFs {
         // that is neither held by anyone nor reported as an orphan.
         match Self::build_leased_resources(&kernel, &device, &config, instance_id) {
             Ok((staging_dir, oplog_file, staging, oplog)) => {
+                let (oplog, oplog_fd) = oplog.unzip();
                 let fs = Arc::new(Self {
                     kernel,
                     device: Arc::clone(&device),
@@ -182,6 +186,7 @@ impl SplitFs {
                     fds: ShardedFdTable::new(),
                     staging,
                     oplog,
+                    oplog_fd,
                     daemon: Mutex::new(None),
                     grow_lock: Mutex::new(()),
                     retire_lock: Mutex::new(()),
@@ -214,7 +219,7 @@ impl SplitFs {
         device: &Arc<PmemDevice>,
         config: &SplitConfig,
         instance_id: u32,
-    ) -> FsResult<(String, String, StagingPool, Option<OpLog>)> {
+    ) -> FsResult<(String, String, StagingPool, Option<(OpLog, Fd)>)> {
         let staging_dir = kernelfs::lease::staging_dir(instance_id);
         let oplog_file = kernelfs::lease::oplog_path(instance_id);
 
@@ -253,7 +258,10 @@ impl SplitFs {
                 // is filled.
                 OpLog::zero_range(device, &mapping, 0, config.oplog_size);
             }
-            Some(OpLog::new(Arc::clone(device), mapping, config.oplog_size))
+            Some((
+                OpLog::new(Arc::clone(device), mapping, config.oplog_size),
+                fd,
+            ))
         } else {
             None
         };
@@ -618,9 +626,17 @@ impl SplitFs {
         let fd = self
             .kernel
             .open(&self.oplog_file, OpenFlags::read_write())?;
-        self.kernel.ftruncate(fd, new_size)?;
-        let mapping = self.kernel.dax_map(fd, 0, new_size, MAP_POPULATE)?;
+        // The descriptor is closed on every path, and a failed map gives
+        // the file back its old size: the log keeps using `old_size`.
+        let mapped = self.kernel.ftruncate(fd, new_size).and_then(|()| {
+            self.kernel
+                .dax_map(fd, 0, new_size, MAP_POPULATE)
+                .inspect_err(|_| {
+                    let _ = self.kernel.ftruncate(fd, old_size);
+                })
+        });
         let _ = self.kernel.close(fd);
+        let mapping = mapped?;
         // The extension may sit on recycled blocks still holding
         // checksum-valid entries from an earlier log incarnation (the
         // allocator does not zero freed blocks).  Its chunks are unmarked,
@@ -1199,6 +1215,15 @@ impl Drop for SplitFs {
             self.kernel.lease_abandon(self.instance_id);
         } else {
             let _ = self.kernel.lease_release(self.instance_id);
+        }
+        // The kernel descriptors the instance holds go with it, as they
+        // would at process exit: each cached file's, and the log's (the
+        // staging pool releases its own).
+        for (_, state) in self.files.snapshot_keyed() {
+            let _ = self.kernel.release(state.read().kernel_fd);
+        }
+        if let Some(fd) = self.oplog_fd {
+            let _ = self.kernel.release(fd);
         }
     }
 }

@@ -134,6 +134,16 @@ impl StagingFile {
     }
 }
 
+/// The staging files' descriptors go with the pool, as they would at
+/// process exit.
+impl Drop for StagingPool {
+    fn drop(&mut self) {
+        for file in &self.inner.get_mut().files {
+            let _ = self.kernel.release(file.fd);
+        }
+    }
+}
+
 /// A staging file pulled out of the pool for recycling (see
 /// [`StagingPool::begin_recycle`]).
 #[derive(Debug)]

@@ -353,6 +353,64 @@ fn a_write_whose_group_commit_fails_leaves_its_staging_file_recyclable() {
     assert!(fs.read_file("/victim.log").unwrap() == [live, doomed].concat());
 }
 
+/// A log group that needs the log to grow, on a device with no block left
+/// to grow it: the grow fails with `NoSpace` and changes nothing.  The log
+/// file keeps its size, the grow's descriptor is closed, so the instance's
+/// files give back every block once they are unlinked, and the same
+/// append succeeds once space is freed.
+#[test]
+fn an_oplog_grow_with_no_blocks_left_fails_with_state_unchanged() {
+    let device = PmemBuilder::new(32 * 1024 * 1024)
+        .track_persistence(false)
+        .build();
+    let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    // The root directory takes a data block with its first entry and keeps
+    // it; every other block the test takes must come back.
+    let first = kernel.open("/victim.log", OpenFlags::create()).unwrap();
+    kernel.close(first).unwrap();
+    kernel.unlink("/victim.log").unwrap();
+    let after_mkfs = kernel.free_blocks();
+    let fs = SplitFs::new(Arc::clone(&kernel), laned_config()).unwrap();
+    let fd = fs.open("/victim.log", OpenFlags::create()).unwrap();
+    // The sealed half stays pending (the daemon is off) and the active one
+    // has one slot left, so a two-entry group can only grow the log.
+    assert!(fs.seal_oplog_epoch());
+    let mut live = Vec::new();
+    for i in 0..256 * 1024 / 2 / 64 - 1 {
+        let kib = [i as u8; 1024];
+        fs.append(fd, &kib).unwrap();
+        live.extend_from_slice(&kib);
+    }
+    let log_size = kernel.stat(fs.oplog_file()).unwrap().size;
+    let fill = fill_device(&kernel);
+
+    let doomed = vec![0xD0u8; 4096];
+    assert_eq!(fs.append(fd, &doomed), Err(vfs::FsError::NoSpace));
+    assert_eq!(device.stats().snapshot().oplog_grows, 0);
+    assert_eq!(kernel.stat(fs.oplog_file()).unwrap().size, log_size);
+    assert_eq!(kernel.check_namespace(), Vec::<String>::new());
+
+    free_device(&kernel, fill);
+    fs.append(fd, &doomed).unwrap();
+    assert_eq!(device.stats().snapshot().oplog_grows, 1);
+    fs.fsync(fd).unwrap();
+    assert!(fs.read_file("/victim.log").unwrap() == [live, doomed].concat());
+    fs.close(fd).unwrap();
+
+    let dir = fs.staging_dir().to_string();
+    drop(fs);
+    kernel.unlink("/victim.log").unwrap();
+    for name in kernel.readdir(&dir).unwrap() {
+        kernel.unlink(&format!("{dir}/{name}")).unwrap();
+    }
+    kernel.rmdir(&dir).unwrap();
+    assert_eq!(
+        kernel.free_blocks(),
+        after_mkfs,
+        "an open orphan holds blocks"
+    );
+}
+
 /// A log group larger than a whole epoch grows the log.  Sealing cannot
 /// make room for it: with the daemon off the inline retire empties the
 /// sealed half, and the retry does not fit the empty epoch the seal
