@@ -1373,19 +1373,6 @@ impl Ext4Dax {
     // SplitFS-specific entry points
     // ------------------------------------------------------------------
 
-    /// Pre-allocates blocks covering `[offset, offset+len)` without changing
-    /// the file size (the `fallocate(KEEP_SIZE)` equivalent SplitFS uses for
-    /// staging files).
-    pub fn fallocate(&self, fd: Fd, offset: u64, len: u64) -> FsResult<()> {
-        self.charge_syscall();
-        let file = self.lookup_fd(fd)?;
-        let mut inodes = self.inodes_write();
-        let inode = inodes.get_mut(&file.ino).ok_or(FsError::BadFd)?;
-        self.allocate_range(inode, offset, len)?;
-        self.write_inode(inode);
-        Ok(())
-    }
-
     /// Establishes a DAX mapping over `[offset, offset+len)` of the file.
     ///
     /// All blocks in the range must be allocated (SplitFS guarantees this by

@@ -525,7 +525,7 @@ impl PmemDevice {
         &self.cost
     }
 
-    /// Acquires a shard-style lock with contention accounting: `try_lock`
+    /// Acquires a shared lock with contention accounting: `try_lock`
     /// is attempted first; on failure the contended acquisition is counted
     /// in `shard_lock_waits` and the blocked time — measured as the global
     /// simulated-clock delta across `lock`, i.e. the simulated work other
@@ -533,7 +533,7 @@ impl PmemDevice {
     /// the calling thread's critical path
     /// ([`SimClock::charge_thread_wait`](crate::SimClock::charge_thread_wait)).
     /// Every lock the foreground and the daemon share (the kernel inode
-    /// table, the kernel journal's head, U-Split registries) funnels
+    /// table, the kernel journal's head, the U-Split registry) funnels
     /// through this one helper so the wait-accounting rule cannot drift
     /// between call sites.
     pub fn lock_contended<G>(

@@ -264,18 +264,20 @@ macro_rules! counter_table {
                 /// Records one kernel journal transaction commit.
                 add_journal_txn += 1;
 
-            // Multi-core scaling: sharded-lock contention, operation-log
+            // Multi-core scaling: shared-lock contention, operation-log
             // epoch swaps, and checkpoint stalls.  Under distinct-file
-            // concurrency shard lock waits should stay low and checkpoint
+            // concurrency lock waits should stay low and checkpoint
             // stalls should be **zero** (truncation happens by epoch swap,
             // never by stopping the world).
 
-            /// Times a shared lock (the kernel inode table or journal head, a
-            /// splitfs registry shard, ...) was contended: a `try_lock` failed
-            /// and the thread had to block.
+            /// Times a shared lock the foreground and the daemon both take
+            /// (the kernel inode table, the kernel journal head or the U-Split
+            /// registry) was contended: a `try_lock` failed and the thread had
+            /// to block.  None of these locks is sharded; the name stays
+            /// because the benchmark reports it as `splitfs.shard_lock_waits`.
             shard_lock_waits =>
-                /// Records one contended sharded-lock acquisition (a `try_lock` failed
-                /// and the thread blocked).
+                /// Records one contended acquisition of such a lock (a `try_lock`
+                /// failed and the thread blocked).
                 add_shard_lock_wait += 1;
             /// Operation-log epoch swaps (the active log half was sealed and the
             /// empty half took over).

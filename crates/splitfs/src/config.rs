@@ -27,14 +27,6 @@ impl DaemonConfig {
             staging_high_watermark: 3,
         }
     }
-
-    /// Daemon disabled: all maintenance happens inline (ablation mode).
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::enabled()
-        }
-    }
 }
 
 impl Default for DaemonConfig {
@@ -119,12 +111,6 @@ impl SplitConfig {
         self
     }
 
-    /// Replaces the daemon configuration wholesale.
-    pub fn with_daemon(mut self, daemon: DaemonConfig) -> Self {
-        self.daemon = daemon;
-        self
-    }
-
     /// Disables the background maintenance daemon (ablation: the seed's
     /// inline-maintenance behaviour).
     pub fn without_daemon(mut self) -> Self {
@@ -163,7 +149,14 @@ mod tests {
         let c = SplitConfig::new(Mode::Strict);
         assert!(c.daemon.enabled, "daemon is on by default");
         let c = SplitConfig::new(Mode::Strict).without_daemon();
-        assert!(!c.daemon.enabled);
+        assert_eq!(
+            c.daemon,
+            DaemonConfig {
+                enabled: false,
+                ..DaemonConfig::default()
+            },
+            "turning the daemon off keeps its watermarks"
+        );
         let c = SplitConfig::new(Mode::Posix).with_staging_watermarks(2, 2);
         assert_eq!(c.daemon.staging_low_watermark, 2);
         assert!(

@@ -39,7 +39,7 @@ use crate::modes::Mode;
 use crate::oplog::{LogEntry, LogOp, OpLog};
 use crate::recovery;
 use crate::staging::{StagingAllocation, StagingPool};
-use crate::state::{Descriptor, FileState, ShardedFdTable, ShardedRegistry, StagedExtent};
+use crate::state::{Descriptor, FdTable, FileRegistry, FileState, StagedExtent};
 
 /// Directory on the kernel file system holding SplitFS's own files
 /// (staging files and the operation logs).  Instance 0 stages directly in
@@ -76,8 +76,8 @@ pub struct SplitFs {
     /// emulating a process crash so tests can drive per-instance
     /// recovery while other instances keep running.
     pub(crate) crash_on_drop: std::sync::atomic::AtomicBool,
-    pub(crate) files: ShardedRegistry,
-    pub(crate) fds: ShardedFdTable,
+    pub(crate) files: FileRegistry,
+    pub(crate) fds: FdTable,
     pub(crate) staging: StagingPool,
     pub(crate) oplog: Option<OpLog>,
     /// The descriptor the log was opened and mapped through, held for the
@@ -182,8 +182,8 @@ impl SplitFs {
                     staging_dir,
                     oplog_file,
                     crash_on_drop: std::sync::atomic::AtomicBool::new(false),
-                    files: ShardedRegistry::new(Some(device)),
-                    fds: ShardedFdTable::new(),
+                    files: FileRegistry::new(device),
+                    fds: FdTable::new(),
                     staging,
                     oplog,
                     oplog_fd,
@@ -243,12 +243,20 @@ impl SplitFs {
 
         let oplog = if config.mode.logs_data_ops() {
             let fd = kernel.open(&oplog_file, OpenFlags::create())?;
-            // A file of the configured size was scanned and cleared by the
-            // `recover_instance` above and is all-zero as it stands, its
-            // chunk map included.
-            let cleared = kernel.fstat(fd)?.size == config.oplog_size;
-            kernel.ftruncate(fd, config.oplog_size)?;
-            let mapping = kernel.dax_map(fd, 0, config.oplog_size, MAP_POPULATE)?;
+            // The descriptor is closed on every failure path, or the log
+            // file would stay an open orphan once unlinked.
+            let (cleared, mapping) = (|| -> FsResult<_> {
+                // A file of the configured size was scanned and cleared by
+                // the `recover_instance` above and is all-zero as it
+                // stands, its chunk map included.
+                let cleared = kernel.fstat(fd)?.size == config.oplog_size;
+                kernel.ftruncate(fd, config.oplog_size)?;
+                let mapping = kernel.dax_map(fd, 0, config.oplog_size, MAP_POPULATE)?;
+                Ok((cleared, mapping))
+            })()
+            .inspect_err(|_| {
+                let _ = kernel.close(fd);
+            })?;
             if !cleared {
                 // §3.3: recovery tells written slots from never-used ones
                 // by their being zero, and skips the chunks its map does
@@ -1251,9 +1259,9 @@ impl FileSystem for SplitFs {
             // caches its attributes in user-space").
             let stat = self.kernel.fstat(kernel_fd)?;
 
-            // Take the registry shard lock only to find or insert the
-            // entry; the state itself is locked after the shard guard is
-            // released, so no thread ever holds a registry lock while
+            // Take the registry lock only to find or insert the entry;
+            // the state itself is locked after the registry guard is
+            // released, so no thread ever holds the registry lock while
             // waiting on a state lock.
             let (state, created) = self.files.get_or_insert_with(stat.ino, || {
                 let mut fresh = FileState::new(stat.ino, kernel_fd, stat.size);

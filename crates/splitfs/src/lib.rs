@@ -58,12 +58,12 @@
 //!   operation-log full handling (epoch seal, or on-demand log growth
 //!   while the sealed half is still
 //!   being retired — never a stall, never a deadlock).  The per-file
-//!   registry and the descriptor table are **sharded**
-//!   ([`state::ShardedRegistry`], [`state::ShardedFdTable`]), and a
-//!   descriptor holds its file's state, so the per-descriptor data path
-//!   probes one descriptor shard and no registry; the registry is
-//!   indexed by path as well as by inode, so `stat`, `unlink` and
-//!   `rename` lock only the files they name;
+//!   registry ([`state::FileRegistry`], one lock over its inode map and
+//!   its path index) and the descriptor table ([`state::FdTable`], one
+//!   map) are unsharded, and a descriptor holds its file's state, so the
+//!   per-descriptor data path probes the descriptor table and not the
+//!   registry; the registry is indexed by path as well as by inode, so
+//!   `stat`, `unlink` and `rename` lock only the files they name;
 //! * [`staging`] — the pool of pre-allocated, pre-mapped staging files
 //!   the append path carves allocations out of: one active file, cursor
 //!   and free list behind one lock, with inline creation as the dry

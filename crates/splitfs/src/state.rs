@@ -15,20 +15,24 @@
 //! descriptors share one `Descriptor`, and with it one offset, so they
 //! observe each other's seeks, as the paper requires.
 //!
+//! The registry ([`FileRegistry`]) is one lock over both indexes and the
+//! descriptor table ([`FdTable`]) one map: both locks are leaves.
+//!
 //! All of this state is **instance-private DRAM**: every [`SplitFs`]
-//! instance has its own sharded registry and descriptor table, so
-//! concurrent instances over one kernel file system share nothing here —
-//! the only cross-instance coordination is the kernel lease on staging
-//! and log resources ([`kernelfs::lease`]).
+//! instance has its own registry and descriptor table, so concurrent
+//! instances over one kernel file system share nothing here — the only
+//! cross-instance coordination is the kernel lease on staging and log
+//! resources ([`kernelfs::lease`]).
 //!
 //! [`SplitFs`]: crate::SplitFs
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use vfs::{Fd, FsError, FsResult, OpenFlags};
 
@@ -63,8 +67,8 @@ pub struct FileState {
     /// the registry's path index — or `None` when it has no name: `unlink`
     /// (and a `rename` that replaces the file) takes it away while
     /// application descriptors remain open, and the state is then dropped
-    /// at the last `close`.  Changes only in [`ShardedRegistry::bind`] /
-    /// [`ShardedRegistry::unbind`].
+    /// at the last `close`.  Changes only in [`FileRegistry::bind`] /
+    /// [`FileRegistry::unbind`].
     path: Option<String>,
     /// The kernel descriptor U-Split keeps open for metadata operations,
     /// DAX mapping and relink.
@@ -87,7 +91,7 @@ pub struct FileState {
 
 impl FileState {
     /// Creates the state for a freshly opened file.  It carries no name
-    /// until [`ShardedRegistry::bind`] gives it one.
+    /// until [`FileRegistry::bind`] gives it one.
     pub fn new(ino: u64, kernel_fd: Fd, size: u64) -> Self {
         Self {
             ino,
@@ -148,79 +152,54 @@ impl Descriptor {
     }
 }
 
-/// The registry of per-file state, keyed by inode.
-pub type FileRegistry = HashMap<u64, Arc<RwLock<FileState>>>;
+/// The registry's two maps: every cached state by inode, and the path
+/// index, normalized path → inode.
+#[derive(Debug, Default)]
+struct Maps {
+    files: HashMap<u64, Arc<RwLock<FileState>>>,
+    paths: HashMap<String, u64>,
+}
 
-/// Number of shards in the U-Split file registry, its path index and the
-/// descriptor table.
-pub const STATE_SHARDS: usize = 16;
-
-/// The per-file state registry, sharded by inode so concurrent opens,
-/// lookups and appends on distinct files never serialize on one registry
-/// lock, plus the **path index** that makes the path-taking operations
-/// (`stat`, `unlink`, `rename`) point lookups: a `normalized path → inode`
-/// map sharded by path hash.
+/// The per-file state registry, keyed by inode, plus the **path index**
+/// that makes the path-taking operations (`stat`, `unlink`, `rename`)
+/// point lookups.  Both maps live behind one lock.
 ///
 /// Index invariant: *a path is bound iff a linked, cached [`FileState`]
 /// carries that path, and to that state's inode only.*  Bindings change
 /// only through [`Self::bind`] / [`Self::unbind`], which take the state
-/// `&mut` — i.e. under its write lock.  Path-index shard locks are leaf
-/// locks: nothing else is acquired while one is held.
-///
-/// Contended shard acquisitions (of either kind) are counted in the
-/// device-wide `shard_lock_waits` statistic when a stats handle is
-/// attached.
+/// `&mut` — i.e. under its write lock.  The registry lock is a leaf: it
+/// may be taken under a state's write lock, and no guard of it outlives
+/// the call that took it.  Contended acquisitions are counted in the
+/// device-wide `shard_lock_waits` statistic.
 #[derive(Debug)]
-pub struct ShardedRegistry {
-    shards: Vec<RwLock<FileRegistry>>,
-    paths: Vec<RwLock<HashMap<String, u64>>>,
-    device: Option<Arc<pmem::PmemDevice>>,
+pub struct FileRegistry {
+    maps: RwLock<Maps>,
+    device: Arc<pmem::PmemDevice>,
 }
 
-impl ShardedRegistry {
-    /// Creates an empty registry; `device` (when given) receives
-    /// shard-contention counts and per-thread wait charges.
-    pub fn new(device: Option<Arc<pmem::PmemDevice>>) -> Self {
+impl FileRegistry {
+    /// Creates an empty registry; `device` receives contention counts and
+    /// per-thread wait charges.
+    pub fn new(device: Arc<pmem::PmemDevice>) -> Self {
         Self {
-            shards: (0..STATE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            paths: (0..STATE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+            maps: RwLock::new(Maps::default()),
             device,
         }
     }
 
-    fn shard(&self, ino: u64) -> &RwLock<FileRegistry> {
-        &self.shards[ino as usize % self.shards.len()]
+    fn read(&self) -> RwLockReadGuard<'_, Maps> {
+        self.device
+            .lock_contended(|| self.maps.try_read(), || self.maps.read())
     }
 
-    /// A path's shard, picked by a cheap FNV-1a so that the only keyed
-    /// (SipHash) pass over the path is the shard map's own.  Paths an
-    /// adversary aimed at one shard would cost contention, not collisions.
-    fn path_shard(&self, path: &str) -> &RwLock<HashMap<String, u64>> {
-        let hash = vfs::util::checksum32(path.as_bytes());
-        &self.paths[(hash ^ (hash >> 16)) as usize % self.paths.len()]
-    }
-
-    fn read_shard<'a, T>(&self, shard: &'a RwLock<T>) -> parking_lot::RwLockReadGuard<'a, T> {
-        match &self.device {
-            Some(device) => device.lock_contended(|| shard.try_read(), || shard.read()),
-            None => shard.read(),
-        }
-    }
-
-    fn write_shard<'a, T>(&self, shard: &'a RwLock<T>) -> parking_lot::RwLockWriteGuard<'a, T> {
-        match &self.device {
-            Some(device) => device.lock_contended(|| shard.try_write(), || shard.write()),
-            None => shard.write(),
-        }
+    fn write(&self) -> RwLockWriteGuard<'_, Maps> {
+        self.device
+            .lock_contended(|| self.maps.try_write(), || self.maps.write())
     }
 
     /// Looks up the state of `ino`.
     pub fn get(&self, ino: u64) -> Option<Arc<RwLock<FileState>>> {
-        self.read_shard(self.shard(ino)).get(&ino).cloned()
+        self.read().files.get(&ino).cloned()
     }
 
     /// Returns the state for `ino`, inserting a fresh one built by `make`
@@ -230,24 +209,19 @@ impl ShardedRegistry {
         ino: u64,
         make: impl FnOnce() -> FileState,
     ) -> (Arc<RwLock<FileState>>, bool) {
-        let shard = self.shard(ino);
-        if let Some(state) = self.read_shard(shard).get(&ino) {
-            return (Arc::clone(state), false);
+        if let Some(state) = self.get(ino) {
+            return (state, false);
         }
-        match self.write_shard(shard).entry(ino) {
-            std::collections::hash_map::Entry::Occupied(e) => (Arc::clone(e.get()), false),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let state = Arc::new(RwLock::new(make()));
-                e.insert(Arc::clone(&state));
-                (state, true)
-            }
+        match self.write().files.entry(ino) {
+            Entry::Occupied(e) => (Arc::clone(e.get()), false),
+            Entry::Vacant(e) => (Arc::clone(e.insert(Arc::new(RwLock::new(make())))), true),
         }
     }
 
     /// Removes and returns the state of `ino`.  The caller has already
     /// [`unbound`](Self::unbind) it.
     pub fn remove(&self, ino: u64) -> Option<Arc<RwLock<FileState>>> {
-        self.write_shard(self.shard(ino)).remove(&ino)
+        self.write().files.remove(&ino)
     }
 
     /// Whether `state` is still the registered state of `ino`.  A state
@@ -255,7 +229,8 @@ impl ShardedRegistry {
     /// the lock is taken; whoever is about to give it a name or a
     /// descriptor asks again under the lock.
     pub fn holds(&self, ino: u64, state: &Arc<RwLock<FileState>>) -> bool {
-        self.read_shard(self.shard(ino))
+        self.read()
+            .files
             .get(&ino)
             .is_some_and(|current| Arc::ptr_eq(current, state))
     }
@@ -264,69 +239,63 @@ impl ShardedRegistry {
     /// identify an entry **without** taking its state lock (a sweep that
     /// already holds one state's write lock must not even read-lock it).
     pub fn snapshot_keyed(&self) -> Vec<(u64, Arc<RwLock<FileState>>)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(
-                self.read_shard(shard)
-                    .iter()
-                    .map(|(ino, state)| (*ino, Arc::clone(state))),
-            );
-        }
-        out
+        self.read()
+            .files
+            .iter()
+            .map(|(ino, state)| (*ino, Arc::clone(state)))
+            .collect()
     }
 
     /// Names `st` `path`: binds the path to the state's inode, dropping
     /// the binding of the name the state was last seen under.  `st` is the
     /// state's write guard.
     pub fn bind(&self, st: &mut FileState, path: &str) {
-        if st.path.as_deref() == Some(path) {
-            return;
+        if st.path.as_deref() != Some(path) {
+            self.set_path(st, Some(path));
         }
-        self.unbind(st);
-        st.path = Some(path.to_string());
-        self.write_shard(self.path_shard(path))
-            .insert(path.to_string(), st.ino);
     }
 
     /// Takes `st`'s name away (unlink, or replacement by a rename).  `st`
     /// is the state's write guard.
     pub fn unbind(&self, st: &mut FileState) {
-        if let Some(path) = st.path.take() {
-            self.remove_binding(&path, st.ino);
+        if st.path.is_some() {
+            self.set_path(st, None);
         }
     }
 
-    /// Removes `path`'s binding if it still points at `ino` (a newer file
-    /// of the same name, bound by a racing `open`, keeps its own).
-    fn remove_binding(&self, path: &str, ino: u64) {
-        let mut shard = self.write_shard(self.path_shard(path));
-        if shard.get(path) == Some(&ino) {
-            shard.remove(path);
+    fn set_path(&self, st: &mut FileState, path: Option<&str>) {
+        let mut maps = self.write();
+        // The old name's binding goes only if it still points here: a
+        // newer file of the same name, bound by a racing `open`, keeps it.
+        if let Some(old) = st.path.take() {
+            if maps.paths.get(&old) == Some(&st.ino) {
+                maps.paths.remove(&old);
+            }
+        }
+        if let Some(path) = path {
+            maps.paths.insert(path.to_string(), st.ino);
+            st.path = Some(path.to_string());
         }
     }
 
-    /// Finds a cached state by path: one probe of the path index, then one
-    /// of the inode shard.  The index lock is released in between, so the
-    /// caller re-checks [`FileState::linked_path`] under the state lock.
+    /// Finds a cached state by path: two probes under one acquisition of
+    /// the lock.  No state lock is held meanwhile, so the caller re-checks
+    /// [`FileState::linked_path`] under it.
     pub fn find_by_path(&self, path: &str) -> Option<Arc<RwLock<FileState>>> {
-        let ino = self.read_shard(self.path_shard(path)).get(path).copied()?;
-        self.get(ino)
+        let maps = self.read();
+        let ino = maps.paths.get(path)?;
+        maps.files.get(ino).cloned()
     }
 
     /// Number of bound paths.
     #[cfg(test)]
     pub(crate) fn bound_paths(&self) -> usize {
-        self.paths.iter().map(|s| s.read().len()).sum()
+        self.read().paths.len()
     }
 
     /// Number of cached files.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// Whether no file state is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub(crate) fn len(&self) -> usize {
+        self.read().files.len()
     }
 }
 
@@ -356,41 +325,34 @@ impl Hasher for FdHasher {
 
 type FdMap = HashMap<Fd, Arc<Descriptor>, BuildHasherDefault<FdHasher>>;
 
-/// The descriptor table, sharded by descriptor number with a lock-free
-/// descriptor allocator, so the per-operation descriptor lookup never
-/// serializes on one table lock.  A `dup` maps a second number to the
-/// same [`Descriptor`].
+/// The descriptor table: one map from descriptor number to
+/// [`Descriptor`], numbers drawn from a lock-free counter.  A `dup` maps a
+/// second number to the same [`Descriptor`].
 #[derive(Debug)]
-pub struct ShardedFdTable {
-    shards: Vec<RwLock<FdMap>>,
+pub struct FdTable {
+    map: RwLock<FdMap>,
     next_fd: AtomicU64,
 }
 
-impl Default for ShardedFdTable {
+impl Default for FdTable {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl ShardedFdTable {
+impl FdTable {
     /// Creates an empty table.  Descriptors start at 3, like a process
     /// whose stdio is already occupied.
     pub fn new() -> Self {
         Self {
-            shards: (0..STATE_SHARDS)
-                .map(|_| RwLock::new(FdMap::default()))
-                .collect(),
+            map: RwLock::new(FdMap::default()),
             next_fd: AtomicU64::new(3),
         }
     }
 
-    fn shard(&self, fd: Fd) -> &RwLock<FdMap> {
-        &self.shards[fd as usize % self.shards.len()]
-    }
-
     fn insert_desc(&self, desc: Arc<Descriptor>) -> Fd {
         let fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
-        self.shard(fd).write().insert(fd, desc);
+        self.map.write().insert(fd, desc);
         fd
     }
 
@@ -415,26 +377,17 @@ impl ShardedFdTable {
 
     /// Looks up a descriptor.
     pub fn get(&self, fd: Fd) -> FsResult<Arc<Descriptor>> {
-        self.shard(fd)
-            .read()
-            .get(&fd)
-            .cloned()
-            .ok_or(FsError::BadFd)
+        self.map.read().get(&fd).cloned().ok_or(FsError::BadFd)
     }
 
     /// Removes a descriptor, returning it.
     pub fn remove(&self, fd: Fd) -> FsResult<Arc<Descriptor>> {
-        self.shard(fd).write().remove(&fd).ok_or(FsError::BadFd)
+        self.map.write().remove(&fd).ok_or(FsError::BadFd)
     }
 
     /// Number of open descriptors.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub(crate) fn len(&self) -> usize {
+        self.map.read().len()
     }
 }
 
@@ -448,7 +401,7 @@ mod tests {
 
     #[test]
     fn dup_shares_the_offset() {
-        let table = ShardedFdTable::new();
+        let table = FdTable::new();
         let fd = table.insert(7, OpenFlags::read_write(), state(7));
         let dup = table.dup(fd).unwrap();
         assert_ne!(fd, dup);
@@ -458,12 +411,155 @@ mod tests {
 
     #[test]
     fn remove_invalidates_only_that_descriptor() {
-        let table = ShardedFdTable::new();
+        let table = FdTable::new();
         let a = table.insert(1, OpenFlags::read_only(), state(1));
         let b = table.insert(2, OpenFlags::read_only(), state(2));
         table.remove(a).unwrap();
         assert!(table.get(a).is_err());
         assert!(table.get(b).is_ok());
         assert_eq!(table.len(), 1);
+    }
+
+    fn registry() -> FileRegistry {
+        FileRegistry::new(
+            pmem::PmemBuilder::new(1 << 20)
+                .track_persistence(false)
+                .build(),
+        )
+    }
+
+    /// Caches a fresh state for `ino` and returns it.
+    fn cached(reg: &FileRegistry, ino: u64) -> Arc<RwLock<FileState>> {
+        let (st, created) = reg.get_or_insert_with(ino, || FileState::new(ino, 100 + ino, 0));
+        assert!(created, "inode {ino} was already cached");
+        st
+    }
+
+    fn resolves_to(reg: &FileRegistry, path: &str, st: &Arc<RwLock<FileState>>) -> bool {
+        reg.find_by_path(path)
+            .is_some_and(|found| Arc::ptr_eq(&found, st))
+    }
+
+    #[test]
+    fn bind_rebind_and_unbind_keep_one_binding_per_state() {
+        let reg = registry();
+        let file = cached(&reg, 1);
+        let (again, created) = reg.get_or_insert_with(1, || unreachable!());
+        assert!(!created && Arc::ptr_eq(&again, &file));
+        let mut st = file.write();
+
+        reg.bind(&mut st, "/a");
+        assert_eq!(st.linked_path(), Some("/a"));
+        assert!(resolves_to(&reg, "/a", &file));
+        reg.bind(&mut st, "/a");
+        assert_eq!(reg.bound_paths(), 1, "re-binding the same name is a no-op");
+
+        reg.bind(&mut st, "/dir/b");
+        assert_eq!(st.linked_path(), Some("/dir/b"));
+        assert!(reg.find_by_path("/a").is_none(), "the old name is unbound");
+        assert!(resolves_to(&reg, "/dir/b", &file));
+        assert_eq!(reg.bound_paths(), 1);
+
+        reg.unbind(&mut st);
+        assert_eq!(st.linked_path(), None);
+        assert!(reg.find_by_path("/dir/b").is_none());
+        assert_eq!(reg.bound_paths(), 0);
+        assert_eq!(reg.len(), 1, "an unnamed state stays cached");
+        reg.unbind(&mut st);
+        assert_eq!(
+            reg.bound_paths(),
+            0,
+            "unbinding an unnamed state is a no-op"
+        );
+    }
+
+    #[test]
+    fn unbinding_an_old_file_keeps_a_newer_files_binding() {
+        let reg = registry();
+        let (old, new) = (cached(&reg, 1), cached(&reg, 2));
+        reg.bind(&mut old.write(), "/x");
+        // A file re-created under the name, bound by a racing `open`
+        // before the old one's unlink got to unbind it.
+        reg.bind(&mut new.write(), "/x");
+        assert!(resolves_to(&reg, "/x", &new));
+
+        reg.unbind(&mut old.write());
+        assert!(resolves_to(&reg, "/x", &new), "the newer binding stays");
+        assert_eq!(reg.bound_paths(), 1);
+        // Re-naming the old file does not take the name from the new one
+        // either.
+        reg.bind(&mut old.write(), "/y");
+        reg.bind(&mut old.write(), "/z");
+        assert!(resolves_to(&reg, "/x", &new));
+        assert!(resolves_to(&reg, "/z", &old));
+        assert_eq!(reg.bound_paths(), 2);
+    }
+
+    #[test]
+    fn a_removed_state_is_found_by_no_path_and_held_no_longer() {
+        let reg = registry();
+        let file = cached(&reg, 5);
+        reg.bind(&mut file.write(), "/gone");
+        assert!(reg.holds(5, &file));
+
+        // What dropping an unreferenced state does: unbind, then remove.
+        reg.unbind(&mut file.write());
+        assert!(reg.remove(5).is_some_and(|st| Arc::ptr_eq(&st, &file)));
+        assert!(reg.find_by_path("/gone").is_none());
+        assert!(reg.get(5).is_none());
+        assert!(!reg.holds(5, &file));
+        assert!(reg.remove(5).is_none());
+
+        // The inode cached again is a new state; the old handle is stale.
+        let fresh = cached(&reg, 5);
+        reg.bind(&mut fresh.write(), "/gone");
+        assert!(resolves_to(&reg, "/gone", &fresh));
+        assert!(reg.holds(5, &fresh) && !reg.holds(5, &file));
+        assert_eq!(reg.len(), 1);
+    }
+
+    #[test]
+    fn len_bound_paths_and_snapshot_agree() {
+        let reg = registry();
+        assert_eq!(reg.len(), 0);
+        let states: Vec<_> = (1..=20).map(|ino| cached(&reg, ino)).collect();
+        for st in states.iter().filter(|st| st.read().ino % 4 != 0) {
+            let mut st = st.write();
+            let path = format!("/f{}", st.ino);
+            reg.bind(&mut st, &path);
+        }
+        let check = |cached: usize, bound: usize| {
+            assert_eq!(reg.len(), cached);
+            assert_eq!(reg.bound_paths(), bound);
+            let snapshot = reg.snapshot_keyed();
+            assert_eq!(snapshot.len(), cached);
+            let mut inos: Vec<u64> = snapshot.iter().map(|(ino, _)| *ino).collect();
+            inos.sort_unstable();
+            inos.dedup();
+            assert_eq!(inos.len(), cached, "each inode once");
+            for (ino, st) in &snapshot {
+                assert_eq!(st.read().ino, *ino);
+                assert!(reg.holds(*ino, st));
+                if let Some(path) = st.read().linked_path() {
+                    assert!(resolves_to(&reg, path, st));
+                }
+            }
+            let linked = snapshot
+                .iter()
+                .filter(|(_, st)| st.read().linked_path().is_some())
+                .count();
+            assert_eq!(
+                linked, bound,
+                "a path is bound iff a cached state carries it"
+            );
+        };
+        check(20, 15);
+
+        for st in &states[..5] {
+            let mut st = st.write();
+            reg.unbind(&mut st);
+            reg.remove(st.ino).unwrap();
+        }
+        check(15, 11);
     }
 }

@@ -14,7 +14,7 @@ use chaos::Recovered;
 use kernelfs::{Ext4Dax, RelinkOp, BLOCK_SIZE};
 use pmem::{PmemBuilder, PmemDevice};
 use splitfs::oplog::{LogOp, OpLog};
-use splitfs::{recover, DaemonConfig, Mode, SplitConfig, SplitFs, OPLOG_PATH};
+use splitfs::{recover, Mode, SplitConfig, SplitFs, OPLOG_PATH};
 use vfs::{FileSystem, IoVec, OpenFlags};
 
 fn device() -> Arc<PmemDevice> {
@@ -372,7 +372,7 @@ fn a_two_run_appendv_group_commits_and_replays_after_a_crash() {
 fn disabled_daemon_still_works_with_inline_maintenance() {
     let device = device();
     let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
-    let config = strict_config().with_daemon(DaemonConfig::disabled());
+    let config = strict_config().without_daemon();
     let fs = SplitFs::new(kernel, config).unwrap();
     assert!(!fs.daemon_running());
     let fd = fs.open("/inline", OpenFlags::create()).unwrap();

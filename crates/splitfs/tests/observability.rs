@@ -13,7 +13,7 @@ use std::sync::Arc;
 use kernelfs::Ext4Dax;
 use obs::{MetricsSnapshot, OpKind, Recorder, SpanEvent};
 use pmem::{PmemBuilder, TimeCategory};
-use splitfs::{DaemonConfig, Mode, SplitConfig, SplitFs};
+use splitfs::{Mode, SplitConfig, SplitFs};
 use vfs::{FileSystem, IoVec, OpenFlags, TracedFs};
 
 fn event_index(event: SpanEvent) -> usize {
@@ -32,7 +32,7 @@ fn inline_create_is_charged_to_the_appendv_span() {
     let config = SplitConfig::new(Mode::Strict)
         .with_staging(2, 2 * 1024 * 1024)
         .with_oplog_size(512 * 1024)
-        .with_daemon(DaemonConfig::disabled());
+        .without_daemon();
     let fs = SplitFs::new(kernel, config).unwrap();
     let recorder = Arc::new(Recorder::new());
     fs.attach_recorder(Arc::clone(&recorder));

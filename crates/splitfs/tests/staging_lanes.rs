@@ -411,6 +411,48 @@ fn an_oplog_grow_with_no_blocks_left_fails_with_state_unchanged() {
     );
 }
 
+/// A new instance whose log cannot be extended to the configured size
+/// fails with `NoSpace` and keeps no descriptor on the log file, so the
+/// log and the staging directory give back every block once they are
+/// unlinked.
+#[test]
+fn a_mount_that_cannot_size_its_log_fails_without_an_open_orphan() {
+    let device = PmemBuilder::new(32 * 1024 * 1024)
+        .track_persistence(false)
+        .build();
+    let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    // The root directory takes a data block with its first entry and keeps
+    // it; every other block the test takes must come back.
+    let first = kernel.open("/fill", OpenFlags::create()).unwrap();
+    kernel.close(first).unwrap();
+    kernel.unlink("/fill").unwrap();
+    let after_mkfs = kernel.free_blocks();
+    let small = laned_config().with_oplog_size(64 * 1024);
+    let fs = SplitFs::new(Arc::clone(&kernel), small.clone()).unwrap();
+    let dir = fs.staging_dir().to_string();
+    drop(fs);
+
+    // The staging files are adopted in place; only the log must grow.
+    let fill = fill_device(&kernel);
+    let grown = small.with_oplog_size(1024 * 1024);
+    assert_eq!(
+        SplitFs::new(Arc::clone(&kernel), grown).err(),
+        Some(vfs::FsError::NoSpace)
+    );
+    assert_eq!(kernel.check_namespace(), Vec::<String>::new());
+
+    free_device(&kernel, fill);
+    for name in kernel.readdir(&dir).unwrap() {
+        kernel.unlink(&format!("{dir}/{name}")).unwrap();
+    }
+    kernel.rmdir(&dir).unwrap();
+    assert_eq!(
+        kernel.free_blocks(),
+        after_mkfs,
+        "an open orphan holds blocks"
+    );
+}
+
 /// A log group larger than a whole epoch grows the log.  Sealing cannot
 /// make room for it: with the daemon off the inline retire empties the
 /// sealed half, and the retry does not fit the empty epoch the seal
