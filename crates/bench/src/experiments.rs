@@ -101,7 +101,7 @@ pub type Row = Vec<String>;
 
 /// Builds a fresh emulated device of `bytes` bytes with a formatted kernel
 /// file system on it — the setup every hand-rolled experiment shares.
-/// Persistence tracking (the crash-simulation shadow copy) stays off
+/// Persistence tracking (the crash-simulation line marks and undo store) stays off
 /// except for the experiments that actually crash the device.
 fn setup_device(
     bytes: usize,

@@ -90,9 +90,9 @@ pub struct Fixture {
 
 /// Builds a fresh device of `device_size` bytes with `kind` mounted on it.
 ///
-/// Persistence tracking (the crash-simulation shadow copy) is disabled —
-/// performance experiments never crash the device and the tracking would
-/// double memory use.
+/// Persistence tracking (the crash-simulation line marks and undo store)
+/// is disabled — performance experiments never crash the device, and the
+/// tracking would save every line a store first replaces.
 pub fn make_fs(kind: FsKind, device_size: usize) -> Fixture {
     let device = PmemBuilder::new(device_size)
         .track_persistence(false)

@@ -383,7 +383,14 @@ impl ExtentMap {
         let mut freed = Vec::new();
         let mut to_reinsert = Vec::new();
         let mut to_remove = Vec::new();
-        for (&start, &(phys, len)) in self.map.range(..end) {
+        // Extents do not overlap, so none that starts before the one
+        // straddling `logical` reaches the range.
+        let first = self
+            .map
+            .range(..=logical)
+            .next_back()
+            .map_or(logical, |(&start, _)| start);
+        for (&start, &(phys, len)) in self.map.range(first..end) {
             let ext_end = start + len;
             if ext_end <= logical {
                 continue;
@@ -425,12 +432,11 @@ impl ExtentMap {
     /// Removes every mapping at or beyond `from_logical`, returning the
     /// freed physical runs (used by truncate and unlink).
     pub fn truncate_from(&mut self, from_logical: u64) -> Vec<BlockRun> {
+        // Extents do not overlap: the last one ends last.
         let max = self
             .map
-            .iter()
-            .map(|(&l, &(_, len))| l + len)
-            .max()
-            .unwrap_or(0);
+            .last_key_value()
+            .map_or(0, |(&l, &(_, len))| l + len);
         if max <= from_logical {
             return Vec::new();
         }
@@ -541,6 +547,97 @@ mod tests {
         assert_eq!(total_freed, 8);
         assert_eq!(m.mapped_blocks(), 4);
         assert_eq!(m.lookup(21), None);
+    }
+
+    /// `ExtentMap` against a map of single blocks, over a seeded stream
+    /// of inserts, range removals, truncations and lookups.  Physical
+    /// blocks follow their logical ones in two bases, so inserts merge,
+    /// and are otherwise unique, so they do not.
+    #[test]
+    fn extent_map_matches_a_per_block_model() {
+        const BLOCKS: u64 = 256;
+        let mut seed = 0x5EED_E7E4_u64;
+        let mut next = move |n: u64| {
+            // splitmix64
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        fn sorted(mut phys: Vec<u64>) -> Vec<u64> {
+            phys.sort_unstable();
+            phys
+        }
+        let blocks = |runs: Vec<BlockRun>| {
+            sorted(runs.iter().flat_map(|r| r.start..r.start + r.len).collect())
+        };
+        let mut map = ExtentMap::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new(); // logical -> phys
+        let mut fresh_phys = 100_000;
+        for op in 0..20_000 {
+            let logical = next(BLOCKS);
+            let count = (1 + next(32)).min(BLOCKS - logical);
+            let at = format!("op {op}");
+            match next(10) {
+                0..=3 => {
+                    map.remove_range(logical, count);
+                    let phys = match next(3) {
+                        0 => 1_000 + logical,
+                        1 => 5_000 + logical,
+                        _ => {
+                            fresh_phys += count + 1;
+                            fresh_phys
+                        }
+                    };
+                    map.insert(Extent {
+                        logical,
+                        phys,
+                        len: count,
+                    });
+                    for i in 0..count {
+                        model.insert(logical + i, phys + i);
+                    }
+                }
+                4..=6 => {
+                    let expect: Vec<u64> = (logical..logical + count)
+                        .filter_map(|l| model.remove(&l))
+                        .collect();
+                    assert_eq!(
+                        blocks(map.remove_range(logical, count)),
+                        sorted(expect),
+                        "{at}"
+                    );
+                }
+                7 => {
+                    let expect: Vec<u64> = model.split_off(&logical).into_values().collect();
+                    assert_eq!(blocks(map.truncate_from(logical)), sorted(expect), "{at}");
+                }
+                _ => {
+                    let expect = model.get(&logical).map(|&phys| {
+                        let run =
+                            (1..).take_while(|i| model.get(&(logical + i)) == Some(&(phys + i)));
+                        (phys, 1 + run.count() as u64)
+                    });
+                    assert_eq!(map.lookup(logical), expect, "{at}");
+                }
+            }
+            let mut end = 0;
+            let mut expanded = Vec::new();
+            for ext in map.iter() {
+                assert!(ext.len > 0 && ext.logical >= end, "{at}: {ext:?} overlaps");
+                end = ext.logical + ext.len;
+                expanded.extend((0..ext.len).map(|i| (ext.logical + i, ext.phys + i)));
+            }
+            assert!(
+                expanded
+                    .iter()
+                    .copied()
+                    .eq(model.iter().map(|(&l, &p)| (l, p))),
+                "{at}"
+            );
+            assert_eq!(map.mapped_blocks(), model.len() as u64, "{at}");
+        }
     }
 
     #[test]

@@ -18,19 +18,24 @@
 //!
 //! # Persistence tracking
 //!
-//! A shard of a tracked device owns, beside its bytes, a *shadow* image
-//! (what a crash leaves behind) and two cache-line bitmaps: *dirty*
-//! (stored, not flushed) and *pending* (flushed or stored non-temporally;
-//! durable at the next fence).  They change only under the shard's write
-//! lock, the one a store takes anyway, and keep one invariant: **the
-//! shadow equals the data on every line that is neither dirty nor
-//! pending**.  A store copies bytes and marks lines, a flush moves marks
-//! from dirty to pending, a fence copies each run of pending lines to the
-//! shadow, and a crash repairs the marked lines.  Two summaries steer
-//! them: the device holds a bit per shard, set while it has pending
-//! lines, and each bitmap a bit per 64-line word, clear only while the
-//! word is zero.  A fence visits flagged shards and words only, so it
-//! costs the words it drains, not the device's size or past writes.
+//! A shard of a tracked device owns, beside its bytes, two cache-line
+//! bitmaps, *dirty* (stored, not flushed) and *pending* (flushed or stored
+//! non-temporally; durable at the next fence), and an *undo store*: the
+//! durable 64 B of each marked line.  They change only under the shard's
+//! write lock, the one a store takes anyway, and keep one invariant:
+//! **every marked line has exactly one undo entry holding its durable
+//! bytes; an unmarked line's data is durable**.  A store saves the lines
+//! it is the first to mark before it copies, a flush moves marks from
+//! dirty to pending, and a fence copies nothing: it drops the entries of
+//! the lines it makes durable and keeps those still dirty, a line both
+//! pending and dirty taking its fence-time bytes as its durable ones.  A
+//! crash, or a captured image, starts from the data and puts each entry
+//! back (or tears the line against it).  Two summaries steer the fence:
+//! the device holds a bit per shard, set while it has pending lines, and
+//! each bitmap a bit per 64-line word, clear only while the word is zero.
+//! A fence visits flagged shards and words only, and walks a shard's undo
+//! store only while the shard has a dirty line, so it costs the lines
+//! stored since the last fence, not the device's size or past writes.
 //!
 //! # Host copies
 //!
@@ -40,10 +45,10 @@
 //! middle, plain copies for the unaligned head and tail, and one `sfence`
 //! before the lock is released.  It does not read the lines it replaces,
 //! as the modelled `movnt` would not.  Shorter stores are read back soon
-//! and would pay the fence for too few lines; on a tracked device the next
-//! fence copies every stored line into the shadow, so those lines stay in
-//! cache.  Streaming changes host time only: bytes, marks and charges are
-//! those of the plain copy.
+//! and would pay the fence for too few lines; a store to a tracked device
+//! reads the clean lines it replaces into the undo store anyway, so it
+//! would save no read.  Streaming changes host time only: bytes, marks
+//! and charges are those of the plain copy.
 
 use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -96,11 +101,11 @@ impl PmemBuilder {
         self
     }
 
-    /// Enables or disables persistence tracking: per shard, the shadow
-    /// image and the dirty / pending line bitmaps that crash injection
-    /// needs.  Disabling it halves memory use, leaves stores with nothing
-    /// to mark and is appropriate for pure-performance experiments that
-    /// never call [`PmemDevice::crash`].
+    /// Enables or disables persistence tracking: per shard, the dirty /
+    /// pending line bitmaps and the undo store that crash injection needs.
+    /// Disabling it leaves stores with nothing to mark or save and is
+    /// appropriate for pure-performance experiments that never call
+    /// [`PmemDevice::crash`].
     pub fn track_persistence(mut self, enable: bool) -> Self {
         self.track_persistence = enable;
         self
@@ -214,17 +219,113 @@ struct Shard {
 }
 
 /// What a tracked shard knows about durability.  See the module
-/// documentation for the invariant tying `shadow` to the shard's data.
+/// documentation for the invariant tying `undo` to the marks.
 #[derive(Debug)]
 struct Persistence {
-    /// The persistent image: what survives a crash.
-    shadow: Box<[u8]>,
     /// Lines written but not flushed.
     dirty: Marks,
     /// Lines flushed or written non-temporally: persistent at the next
     /// fence.  A temporal store onto a pending line sets its dirty bit
     /// too; the fence then persists the line and leaves it dirty.
     pending: Marks,
+    /// The durable bytes of every dirty or pending line.
+    undo: Undo,
+}
+
+/// Undo capacity, in lines, that a fence emptying the store keeps: 64 KiB
+/// of saved bytes.  Above it, capacity goes back to the allocator, so a
+/// bulk write's lines do not stay reserved after the fence that made them
+/// durable.
+const UNDO_KEPT_LINES: usize = (64 << 10) / CACHE_LINE;
+
+const _: () = assert!(SHARD_LINES <= 1 << 16, "undo line indices are u16");
+
+/// A shard's undo store: one entry per marked line, its index within the
+/// shard (`SHARD_LINES` fits a `u16`) and its durable bytes, in the order
+/// the lines were first marked.
+#[derive(Debug, Default)]
+struct Undo {
+    lines: Vec<u16>,
+    bytes: Vec<[u8; CACHE_LINE]>,
+}
+
+impl Undo {
+    /// Saves the lines `bits` sets in bitmap word `w`, one run at a time,
+    /// from `data`: the shard's bytes before the store that marks them.
+    fn save(&mut self, w: usize, mut bits: u64, data: &[u8]) {
+        while bits != 0 {
+            let lo = bits.trailing_zeros() as usize;
+            let len = (bits >> lo).trailing_ones() as usize;
+            let first = w * 64 + lo;
+            self.lines
+                .extend((first..first + len).map(|line| line as u16));
+            let (lines, _) = data[bytes_of(&(first..first + len))].as_chunks::<CACHE_LINE>();
+            self.bytes.extend_from_slice(lines);
+            bits &= u64::MAX.checked_shl((lo + len) as u32).unwrap_or(0);
+        }
+    }
+
+    /// Keeps the entries of the lines `dirty` sets, taking a line's bytes
+    /// from `data` when `pending` sets it too: the fence persists it as it
+    /// reads now.
+    fn keep_dirty(&mut self, dirty: &LineBitmap, pending: &LineBitmap, data: &[u8]) {
+        let is_set = |words: &LineBitmap, line: usize| words[line / 64] >> (line % 64) & 1 != 0;
+        let mut kept = 0;
+        for i in 0..self.lines.len() {
+            let line = usize::from(self.lines[i]);
+            if !is_set(dirty, line) {
+                continue;
+            }
+            self.lines[kept] = self.lines[i];
+            self.bytes[kept] = if is_set(pending, line) {
+                data[line_bytes(line)].try_into().expect("one line")
+            } else {
+                self.bytes[i]
+            };
+            kept += 1;
+        }
+        self.lines.truncate(kept);
+        self.bytes.truncate(kept);
+    }
+
+    /// Empties the store, keeping at most [`UNDO_KEPT_LINES`] of capacity.
+    fn clear(&mut self) {
+        self.lines.clear();
+        self.bytes.clear();
+        self.lines.shrink_to(UNDO_KEPT_LINES);
+        self.bytes.shrink_to(UNDO_KEPT_LINES);
+    }
+
+    /// Turns `image`, a copy of the shard's bytes (or the bytes
+    /// themselves), into what `policy` lets a crash leave: each saved line
+    /// put back, torn against the line's current bytes, or left as it is.
+    /// `first_line` is the device-wide index of the shard's first line;
+    /// returns the lines torn.
+    fn apply(&self, policy: CrashPolicy, first_line: u64, image: &mut [u8]) -> u64 {
+        let entries = self.lines.iter().zip(&self.bytes);
+        match policy {
+            CrashPolicy::KeepAll => 0,
+            CrashPolicy::LoseUnflushed => {
+                for (&line, durable) in entries {
+                    image[line_bytes(line.into())].copy_from_slice(durable);
+                }
+                0
+            }
+            CrashPolicy::TornWrites { seed } => {
+                for (&line, durable) in entries {
+                    let bytes = line_bytes(line.into());
+                    let torn = tear_line(
+                        seed,
+                        first_line + u64::from(line),
+                        durable,
+                        &image[bytes.clone()],
+                    );
+                    image[bytes].copy_from_slice(&torn);
+                }
+                self.lines.len() as u64
+            }
+        }
+    }
 }
 
 /// A line bitmap and its summary, one bit per word (32 B): a clear bit
@@ -244,6 +345,11 @@ impl Marks {
     fn set(&mut self, w: usize, mask: u64) {
         self.words[w] |= mask;
         self.flagged[w / 64] |= u64::from(mask != 0) << (w % 64);
+    }
+
+    /// Whether every word is zero.
+    fn is_empty(&self) -> bool {
+        set_bits(self.flagged).all(|w| self.words[w] == 0)
     }
 
     /// The flagged words as `(index, bits)`, zeroing them and the summary.
@@ -329,6 +435,10 @@ fn bytes_of(lines: &Range<usize>) -> Range<usize> {
     lines.start * CACHE_LINE..lines.end * CACHE_LINE
 }
 
+fn line_bytes(line: usize) -> Range<usize> {
+    bytes_of(&(line..line + 1))
+}
+
 /// Splits a non-empty line range into `(word index, mask)` pairs.
 fn word_masks(lines: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
     let (first, last) = (lines.start, lines.end - 1);
@@ -351,48 +461,23 @@ fn set_bits(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = usize>
     })
 }
 
-/// Calls `f` with every maximal run of set bits, as a line range, of
-/// `(word index, bits)` pairs in index order.  Returns the pair count.
-fn for_each_run(
-    words: impl Iterator<Item = (usize, u64)>,
-    mut f: impl FnMut(Range<usize>),
-) -> usize {
-    let mut run = 0..0;
-    let mut visited = 0;
-    for (w, mut bits) in words {
-        visited += 1;
-        while bits != 0 {
-            let lo = bits.trailing_zeros() as usize;
-            let len = (bits >> lo).trailing_ones() as usize;
-            let start = w * 64 + lo;
-            if start != run.end {
-                if !run.is_empty() {
-                    f(run);
-                }
-                run = start..start;
-            }
-            run.end = start + len;
-            bits &= u64::MAX.checked_shl((lo + len) as u32).unwrap_or(0);
-        }
-    }
-    if !run.is_empty() {
-        f(run);
-    }
-    visited
-}
-
 impl Persistence {
     fn new() -> Box<Self> {
         Box::new(Self {
-            shadow: vec![0u8; SHARD_SIZE].into_boxed_slice(),
             dirty: Marks::EMPTY,
             pending: Marks::EMPTY,
+            undo: Undo::default(),
         })
     }
 
-    /// Records a store over `lines`.
-    fn mark(&mut self, lines: Range<usize>, mode: PersistMode) {
+    /// Records a store over `lines`, before it copies: the lines it is the
+    /// first to mark are saved from `data` with their durable bytes.
+    fn mark(&mut self, lines: Range<usize>, mode: PersistMode, data: &[u8]) {
         for (w, mask) in word_masks(lines) {
+            let clean = mask & !(self.dirty.words[w] | self.pending.words[w]);
+            if clean != 0 {
+                self.undo.save(w, clean, data);
+            }
             match mode {
                 PersistMode::Temporal => self.dirty.set(w, mask),
                 PersistMode::NonTemporal => {
@@ -416,13 +501,16 @@ impl Persistence {
         any != 0
     }
 
-    /// `sfence`: one copy per run of pending lines; returns the words visited.
+    /// `sfence`: pending lines become durable where they are, so their
+    /// entries go, unless a line is dirty too; returns the words visited.
     fn drain(&mut self, data: &[u8]) -> usize {
-        let shadow = &mut self.shadow;
-        for_each_run(self.pending.take(), |lines| {
-            let bytes = bytes_of(&lines);
-            shadow[bytes.clone()].copy_from_slice(&data[bytes]);
-        })
+        if self.dirty.is_empty() {
+            self.undo.clear();
+        } else {
+            self.undo
+                .keep_dirty(&self.dirty.words, &self.pending.words, data);
+        }
+        self.pending.take().count()
     }
 
     /// The words flagged dirty or pending, as `(index, dirty | pending)`.
@@ -432,51 +520,25 @@ impl Persistence {
         set_bits(flagged).map(|w| (w, d.words[w] | p.words[w]))
     }
 
-    /// Applies `policy` in place, touching only the unpersisted lines:
-    /// afterwards `data` and the shadow agree on the post-crash bytes and
-    /// nothing is marked.  `first_line` is the device-wide index of the
-    /// shard's first line; returns the lines torn and the words visited.
+    /// Applies `policy` to `data` in place, touching only the saved lines,
+    /// and forgets them: afterwards every line is durable and nothing is
+    /// marked.  `first_line` is the device-wide index of the shard's first
+    /// line; returns the lines torn and the bitmap words visited.
     fn crash(&mut self, data: &mut [u8], policy: CrashPolicy, first_line: u64) -> (u64, usize) {
+        let torn = self.undo.apply(policy, first_line, data);
+        self.undo.clear();
         for (w, bits) in self.dirty.take() {
             self.pending.set(w, bits); // a crash treats both marks alike
         }
-        let shadow = &mut self.shadow;
-        let mut torn = 0;
-        let visited = for_each_run(self.pending.take(), |lines| {
-            let bytes = bytes_of(&lines);
-            match policy {
-                CrashPolicy::KeepAll => shadow[bytes.clone()].copy_from_slice(&data[bytes]),
-                CrashPolicy::LoseUnflushed => data[bytes.clone()].copy_from_slice(&shadow[bytes]),
-                CrashPolicy::TornWrites { seed } => {
-                    torn += tear_lines(seed, first_line, lines, shadow, data);
-                    data[bytes.clone()].copy_from_slice(&shadow[bytes]);
-                }
-            }
-        });
-        (torn, visited)
+        (torn, self.pending.take().count())
     }
-}
 
-/// Tears each of `lines` in place in `durable` (a shard's shadow, or a
-/// copy of it) against the shard's volatile bytes; returns the line count.
-fn tear_lines(
-    seed: u64,
-    first_line: u64,
-    lines: Range<usize>,
-    durable: &mut [u8],
-    volatile: &[u8],
-) -> u64 {
-    for line in lines.clone() {
-        let bytes = bytes_of(&(line..line + 1));
-        let torn = tear_line(
-            seed,
-            first_line + line as u64,
-            &durable[bytes.clone()],
-            &volatile[bytes.clone()],
-        );
-        durable[bytes].copy_from_slice(&torn);
+    /// Forgets every mark and entry: the shard's bytes are all durable.
+    fn forget(&mut self) {
+        self.undo.clear();
+        self.dirty.take().for_each(drop);
+        self.pending.take().for_each(drop);
     }
-    lines.len() as u64
 }
 
 /// The emulated persistent-memory device.  See the module documentation.
@@ -682,28 +744,29 @@ impl PmemDevice {
         self.store(offset, data, PersistMode::NonTemporal);
     }
 
-    /// Copies `data` into the volatile view and, on a tracked device, marks
-    /// the lines it touched — both under the one shard write lock.  A
-    /// non-temporal store of at least [`STREAM_MIN`] bytes on an untracked
-    /// device streams past the host cache ([`stream_copy`]); every other
-    /// store is a plain copy.
+    /// On a tracked device, marks the lines `data` touches and saves those
+    /// it is the first to mark; then copies `data` into the volatile view —
+    /// all under the one shard write lock.  A non-temporal store of at
+    /// least [`STREAM_MIN`] bytes on an untracked device streams past the
+    /// host cache ([`stream_copy`]); every other store is a plain copy.
     fn store(&self, offset: u64, data: &[u8], mode: PersistMode) {
         let stream =
             mode == PersistMode::NonTemporal && !self.track_persistence && data.len() >= STREAM_MIN;
         for_each_shard_span(offset, data.len(), |shard_idx, within, part| {
             let n = part.len();
-            let mut shard = self.shards[shard_idx].write();
+            let mut guard = self.shards[shard_idx].write();
+            let shard = &mut *guard;
+            if let Some(persist) = shard.persist.as_mut() {
+                persist.mark(lines_of(within, n), mode, &shard.data);
+                if mode == PersistMode::NonTemporal {
+                    self.flag_pending(shard_idx);
+                }
+            }
             let dst = &mut shard.data[within..within + n];
             if stream {
                 stream_copy(dst, &data[part]);
             } else {
                 dst.copy_from_slice(&data[part]);
-            }
-            if let Some(persist) = shard.persist.as_mut() {
-                persist.mark(lines_of(within, n), mode);
-                if mode == PersistMode::NonTemporal {
-                    self.flag_pending(shard_idx);
-                }
             }
         });
     }
@@ -886,18 +949,9 @@ impl PmemDevice {
         let mut shards = Vec::with_capacity(guards.len());
         for (idx, shard) in guards.iter().enumerate() {
             let persist = shard.persist.as_ref().expect("tracked shard");
-            let mut img = match self.crash_policy {
-                CrashPolicy::KeepAll => shard.data.clone(),
-                CrashPolicy::LoseUnflushed | CrashPolicy::TornWrites { .. } => {
-                    persist.shadow.clone()
-                }
-            };
-            if let CrashPolicy::TornWrites { seed } = self.crash_policy {
-                let first_line = (idx * SHARD_LINES) as u64;
-                for_each_run(persist.marked(), |lines| {
-                    torn_lines += tear_lines(seed, first_line, lines, &mut img, &shard.data);
-                });
-            }
+            let mut img = shard.data.clone();
+            let first_line = (idx * SHARD_LINES) as u64;
+            torn_lines += persist.undo.apply(self.crash_policy, first_line, &mut img);
             shards.push(img);
         }
         drop(guards);
@@ -912,9 +966,8 @@ impl PmemDevice {
         }
     }
 
-    /// Overwrites this device's contents (volatile view *and* persistent
-    /// image) with a captured [`CrashImage`] and clears persistence
-    /// tracking — the state a real machine finds on PM after the power
+    /// Overwrites this device's contents with a captured [`CrashImage`]
+    /// and clears persistence tracking (every byte is then durable) — the state a real machine finds on PM after the power
     /// failure the image models.  The device must have the same capacity
     /// the image was captured from.
     pub fn restore_crash_image(&self, image: &CrashImage) {
@@ -927,9 +980,7 @@ impl PmemDevice {
             let mut s = shard.write();
             s.data.copy_from_slice(img);
             if let Some(persist) = s.persist.as_mut() {
-                persist.shadow.copy_from_slice(img);
-                persist.dirty.take().for_each(drop);
-                persist.pending.take().for_each(drop);
+                persist.forget();
                 self.unflag_pending(idx);
             }
         }
@@ -1571,29 +1622,151 @@ mod tests {
         assert_eq!(dev.unpersisted_lines(), 0);
     }
 
+    /// A line stored temporally while pending is persisted as it reads at
+    /// the fence and stays dirty: from then on a crash puts back, or tears
+    /// against, those fence-time bytes, in place and in a captured image.
     #[test]
-    fn runs_of_set_bits_merge_across_words() {
+    fn a_line_stored_while_pending_keeps_its_fence_time_bytes() {
+        const CAT: TimeCategory = TimeCategory::UserData;
+        const SEED: u64 = 0x7EA2;
+        // A line of shard 1 whose tear keeps bytes of both sides.
+        let line = (SHARD_LINES as u64..)
+            .find(|&l| (8..56).contains(&crate::crash::torn_cut(SEED, l).0))
+            .unwrap();
+        let at = line * CACHE_LINE as u64;
+        let read_line = |dev: &PmemDevice| {
+            let mut out = [0u8; CACHE_LINE];
+            dev.read_uncharged(at, &mut out);
+            out
+        };
+        for policy in [
+            CrashPolicy::LoseUnflushed,
+            CrashPolicy::TornWrites { seed: SEED },
+        ] {
+            let dev = PmemBuilder::new(2 * SHARD_SIZE)
+                .crash_policy(policy)
+                .build();
+            dev.write(at, &[1; 64], PersistMode::NonTemporal, CAT);
+            dev.fence(CAT);
+            dev.write(at, &[2; 64], PersistMode::NonTemporal, CAT);
+            dev.write(at + 8, &[3; 8], PersistMode::Temporal, CAT);
+            let at_fence = read_line(&dev);
+            dev.fence(CAT);
+            assert_eq!(
+                dev.unpersisted_lines(),
+                1,
+                "{policy:?}: the line stays dirty"
+            );
+            dev.write(at, &[4; 64], PersistMode::Temporal, CAT);
+            let expect = match policy {
+                CrashPolicy::TornWrites { seed } => tear_line(seed, line, &at_fence, &[4; 64]),
+                _ => at_fence.to_vec(),
+            };
+            let fresh = PmemBuilder::new(dev.size()).build();
+            fresh.restore_crash_image(&dev.capture_crash_image());
+            assert_eq!(read_line(&fresh).to_vec(), expect, "{policy:?}: captured");
+            dev.crash();
+            assert_eq!(read_line(&dev).to_vec(), expect, "{policy:?}: in place");
+        }
+    }
+
+    /// Lines saved in shard `idx`'s undo store.
+    fn saved_lines(dev: &PmemDevice, idx: usize) -> usize {
+        let shard = dev.shards[idx].read();
+        shard
+            .persist
+            .as_ref()
+            .expect("tracked shard")
+            .undo
+            .lines
+            .len()
+    }
+
+    /// A fence that leaves its shard no dirty line empties the shard's undo
+    /// store; one that leaves some keeps their entries and no others.
+    #[test]
+    fn a_fence_that_leaves_no_dirty_line_empties_the_undo_store() {
+        const CAT: TimeCategory = TimeCategory::UserData;
+        let dev = small_device();
+        dev.write(0, &[1; 256], PersistMode::Temporal, CAT);
+        dev.write(4096, &[2; 64], PersistMode::NonTemporal, CAT);
+        dev.write(SHARD_SIZE as u64, &[3; 128], PersistMode::Temporal, CAT);
+        assert_eq!((saved_lines(&dev, 0), saved_lines(&dev, 1)), (5, 2));
+        dev.flush(0, 256, CAT);
+        dev.fence(CAT);
+        // Shard 1 had nothing pending: the fence did not visit it.
+        assert_eq!((saved_lines(&dev, 0), saved_lines(&dev, 1)), (0, 2));
+        dev.write(0, &[4; 128], PersistMode::Temporal, CAT);
+        dev.flush(0, 64, CAT);
+        dev.fence(CAT);
+        assert_eq!(saved_lines(&dev, 0), 1, "line 1 is still dirty");
+        dev.flush(64, 64, CAT);
+        dev.fence(CAT);
+        assert_eq!(saved_lines(&dev, 0), 0);
+        assert_eq!(dev.unpersisted_lines(), 2, "shard 1's lines");
+    }
+
+    /// The tracker holds memory for the lines not yet durable, not for
+    /// what was ever written: after 128 MiB of stores and one fence, each
+    /// shard's undo store keeps at most 64 KiB of capacity.
+    #[test]
+    fn tracker_memory_follows_unpersisted_lines() {
+        let dev = PmemBuilder::new(256 << 20).build();
+        let undo_capacity = |dev: &PmemDevice| -> usize {
+            let shards = dev.shards.iter().map(|shard| {
+                let shard = shard.read();
+                shard
+                    .persist
+                    .as_ref()
+                    .expect("tracked shard")
+                    .undo
+                    .bytes
+                    .capacity()
+            });
+            shards.sum::<usize>() * CACHE_LINE
+        };
+        let mib = vec![0xA5u8; 1 << 20];
+        for at in 0..128u64 {
+            dev.write_uncharged(at << 20, &mib);
+        }
+        assert!(
+            undo_capacity(&dev) >= 128 << 20,
+            "every stored line is saved"
+        );
+        dev.fence(TimeCategory::UserData);
+        let held = undo_capacity(&dev);
+        assert!(
+            held <= (64 << 10) * dev.shards.len(),
+            "{held} B of undo capacity over {} shards after the fence",
+            dev.shards.len()
+        );
+        assert_eq!(dev.unpersisted_lines(), 0);
+    }
+
+    #[test]
+    fn line_bitmaps_take_the_flagged_words_and_split_across_words() {
         let mut marks = Marks::EMPTY;
         let lines = [0, 1, 5, 62, 63, 64, 65, 130, 4095, 4096, 16_383];
         for line in lines.into_iter().chain(192..256) {
             marks.set(line / 64, 1 << (line % 64));
         }
-        let mut runs = Vec::new();
-        assert_eq!(for_each_run(marks.take(), |run| runs.push(run)), 7);
+        assert!(!marks.is_empty());
+        let mut taken = [0; SHARD_LINES / 64];
+        for (w, bits) in marks.take() {
+            taken[w] = bits;
+        }
         assert_eq!(
-            runs,
-            [
-                0..2,
-                5..6,
-                62..66,
-                130..131,
-                192..256,
-                4095..4097,
-                16_383..16_384
-            ]
+            set_bits(taken).collect::<Vec<_>>(),
+            lines[..8]
+                .iter()
+                .copied()
+                .chain(192..256)
+                .chain(lines[8..].iter().copied())
+                .collect::<Vec<_>>()
         );
         assert_eq!(marks.words, [0; SHARD_LINES / 64], "take zeroes every word");
         assert_eq!(marks.flagged, [0; 4]);
+        assert!(marks.is_empty());
         assert_eq!(
             set_bits([1 << 63, 0, 0b101]).collect::<Vec<_>>(),
             [63, 128, 130]
@@ -1668,7 +1841,9 @@ mod tests {
     }
 
     /// Panics unless every word of every shard's bitmaps whose summary bit
-    /// is clear is zero.
+    /// is clear is zero, and every shard's undo store holds exactly one
+    /// entry per marked line and none for any other (the crash checks of
+    /// the reference model test that each holds its line's durable bytes).
     fn assert_summaries_hold(dev: &PmemDevice, at: &str) {
         for (idx, shard) in dev.shards.iter().enumerate() {
             let shard = shard.read();
@@ -1681,6 +1856,29 @@ mod tests {
                     );
                 }
             }
+            let mut saved = [0u64; SHARD_LINES / 64];
+            for &line in &persist.undo.lines {
+                let (w, bit) = (usize::from(line) / 64, 1 << (line % 64));
+                assert!(
+                    saved[w] & bit == 0,
+                    "{at}: shard {idx} saves line {line} twice"
+                );
+                saved[w] |= bit;
+            }
+            for (w, (d, p)) in persist
+                .dirty
+                .words
+                .iter()
+                .zip(persist.pending.words)
+                .enumerate()
+            {
+                assert_eq!(
+                    saved[w],
+                    d | p,
+                    "{at}: shard {idx} word {w}: saved vs marked"
+                );
+            }
+            assert_eq!(persist.undo.bytes.len(), persist.undo.lines.len(), "{at}");
         }
     }
 
@@ -2069,7 +2267,10 @@ mod tests {
     /// reached, so the first ratio was in the hundreds.  A fence that
     /// walks and zeroes its shard's whole 2 KiB pending bitmap made the
     /// second 2.8 to 5.2 (2-core x86_64 host); one that visits only the
-    /// flagged words reads about 1.5.
+    /// flagged words read 1.1 to 1.5 while it copied each pending line
+    /// into a shadow image, and reads 1.5 to 1.65 with the undo store,
+    /// where the store saves the 64 B it replaces and the fence drops the
+    /// entry.
     #[test]
     #[ignore = "host-time measurement; CI runs it in a release build"]
     fn fence_cost_does_not_depend_on_bytes_ever_written() {

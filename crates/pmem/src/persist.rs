@@ -20,7 +20,7 @@ pub enum PersistMode {
     /// device is copied with SSE2 streaming stores on x86_64, so it does
     /// not first read the lines it replaces; one `sfence` under the shard's
     /// write lock ends it.  Shorter stores, stores to a tracked device
-    /// (whose next fence reads every stored line back into its shadow) and
+    /// (which reads each clean line it replaces into its undo store) and
     /// other targets copy through the cache.  Either way the bytes, the
     /// persistence marks and the charged cost are the same.
     NonTemporal,

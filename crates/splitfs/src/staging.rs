@@ -317,19 +317,27 @@ impl StagingPool {
     fn build_staging_file(&self, name: u64) -> FsResult<StagingFile> {
         let path = format!("{}/stage-{}", self.dir, name);
         let fd = self.kernel.open(&path, OpenFlags::create())?;
-        // A stale file left by a previous incarnation of this instance may
-        // have holes where relink moved blocks out; empty it first so the
-        // extension below re-allocates every block.  Safe: the instance's
-        // operation log is always recovered (and zeroed) before the pool
-        // is built, so nothing references the old staging bytes.
-        if self.kernel.fstat(fd)?.size > 0 {
-            self.kernel.ftruncate(fd, 0)?;
-        }
-        // Pre-allocate the whole file so appends never allocate in the
-        // critical path, then map it once.
-        self.kernel.ftruncate(fd, self.file_size)?;
-        let mapping = self.kernel.dax_map(fd, 0, self.file_size, MAP_POPULATE)?;
-        let ino = self.kernel.fd_ino(fd)?;
+        // The descriptor is closed on every failure path, or the file
+        // would stay an open orphan once the staging directory is emptied.
+        let (mapping, ino) = (|| -> FsResult<_> {
+            // A stale file left by a previous incarnation of this instance
+            // may have holes where relink moved blocks out; empty it first
+            // so the extension below re-allocates every block.  Safe: the
+            // instance's operation log is always recovered (and zeroed)
+            // before the pool is built, so nothing references the old
+            // staging bytes.
+            if self.kernel.fstat(fd)?.size > 0 {
+                self.kernel.ftruncate(fd, 0)?;
+            }
+            // Pre-allocate the whole file so appends never allocate in the
+            // critical path, then map it once.
+            self.kernel.ftruncate(fd, self.file_size)?;
+            let mapping = self.kernel.dax_map(fd, 0, self.file_size, MAP_POPULATE)?;
+            Ok((mapping, self.kernel.fd_ino(fd)?))
+        })()
+        .inspect_err(|_| {
+            let _ = self.kernel.close(fd);
+        })?;
         Ok(StagingFile {
             fd,
             ino,

@@ -453,6 +453,39 @@ fn a_mount_that_cannot_size_its_log_fails_without_an_open_orphan() {
     );
 }
 
+/// A staging file the pool cannot size fails `provision` with `NoSpace`
+/// and keeps no descriptor on the file: once it is unlinked, its inode is
+/// gone.
+#[test]
+fn a_staging_file_that_cannot_be_sized_fails_without_an_open_orphan() {
+    let device = PmemBuilder::new(32 * 1024 * 1024)
+        .track_persistence(false)
+        .build();
+    let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    let fs = SplitFs::new(Arc::clone(&kernel), laned_config()).unwrap();
+    let dir = fs.staging_dir().to_string();
+    let before = kernel.readdir(&dir).unwrap();
+
+    let fill = fill_device(&kernel);
+    assert_eq!(
+        fs.staging_pool().provision().err(),
+        Some(vfs::FsError::NoSpace)
+    );
+    let mut left = kernel.readdir(&dir).unwrap();
+    left.retain(|name| !before.contains(name));
+    assert_eq!(left.len(), 1, "the failed build left its empty file");
+    let path = format!("{dir}/{}", left[0]);
+    let ino = kernel.stat(&path).unwrap().ino;
+    kernel.unlink(&path).unwrap();
+    assert_eq!(
+        kernel.open_by_ino(ino, OpenFlags::read_only()).err(),
+        Some(vfs::FsError::NotFound),
+        "the unlinked staging file lives on as an open orphan"
+    );
+    assert_eq!(kernel.check_namespace(), Vec::<String>::new());
+    free_device(&kernel, fill);
+}
+
 /// A log group larger than a whole epoch grows the log.  Sealing cannot
 /// make room for it: with the daemon off the inline retire empties the
 /// sealed half, and the retry does not fit the empty epoch the seal
