@@ -1,15 +1,25 @@
-//! Shared machinery for the baseline file systems.
+//! The front end and mechanical core the three baselines share.
 //!
 //! PMFS, NOVA and Strata differ in *how* they persist data and metadata
 //! (in-place vs copy-on-write vs private-log-then-digest) and in the
-//! logging traffic each operation generates, but they share the mechanical
-//! parts of being a file system: a namespace, inodes, a block allocator and
-//! the mapping of file bytes to device blocks.  [`FsCore`] provides those
-//! mechanics with *no* cost accounting beyond raw device traffic; each
-//! baseline charges its own software costs and extra journal/log traffic
-//! around the core calls so that the performance differences between the
-//! baselines come only from their architectural differences, as in the
-//! paper.
+//! logging traffic each operation generates, and in nothing else.  The
+//! split follows that line:
+//!
+//! * [`FsCore`] is the mechanics of being a file system: a namespace,
+//!   inodes, a block allocator, descriptors and the mapping of file bytes
+//!   to device blocks, with *no* cost accounting beyond raw device traffic.
+//! * [`Baseline`] is the one [`FileSystem`] implementation: the core lock,
+//!   descriptor and permission checks, path resolution and its error
+//!   order, the cursor, `stat`/`readdir`/`lseek`, the `fsync` entry points
+//!   and the gather preamble (empty writes, end of file resolved under the
+//!   lock).
+//! * A [`Design`] is everything else: the per-call entry charge, the
+//!   journal or log record of each metadata operation, the data write of
+//!   a gather, and the read and `sync` where a design needs its own.
+//!   `pmfs.rs`, `nova.rs` and `strata.rs` hold one design each.
+//!
+//! So the performance differences between the baselines come only from
+//! their persistence designs, as in the paper.
 //!
 //! The baselines are performance-faithful rather than recovery-faithful:
 //! they keep their metadata authoritative in memory (the paper's
@@ -20,8 +30,13 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use parking_lot::RwLock;
+
 use pmem::{AccessPattern, PersistMode, PmemDevice, TimeCategory};
-use vfs::{path as vpath, Fd, FileStat, FsError, FsResult, IoVec, OpenFlags, SeekFrom};
+use vfs::{
+    iov_total_len, path as vpath, ConsistencyClass, Fd, FileStat, FileSystem, FsError, FsResult,
+    IoVec, OpenFlags, SeekFrom,
+};
 
 /// File-system block size used by the baselines (matches kernelfs).
 pub const BLOCK_SIZE: usize = 4096;
@@ -106,11 +121,6 @@ impl FsCore {
             next_fd: 3,
             allocated_blocks: 0,
         }
-    }
-
-    /// The device the core writes to.
-    pub fn device(&self) -> &Arc<PmemDevice> {
-        &self.device
     }
 
     /// Allocates one data block.
@@ -418,27 +428,358 @@ impl FsCore {
     }
 }
 
-/// POSIX `write` for the three baselines: the data goes to the
-/// descriptor's offset or, on an `O_APPEND` descriptor, to the end of file
-/// — passed to `body` as `None`, because only the file system's write
-/// body can resolve it under the lock the write itself holds.  The
-/// descriptor's offset moves to the end of the written range afterwards.
-pub fn write_at_cursor(
-    core: &parking_lot::RwLock<FsCore>,
-    fd: Fd,
-    data: &[u8],
-    body: impl FnOnce(Option<u64>, &[IoVec<'_>]) -> FsResult<usize>,
-) -> FsResult<usize> {
-    let file = core.read().fd(fd)?;
-    let at = (!file.flags.append).then_some(file.offset);
-    let n = body(at, &[IoVec::new(data)])?;
-    let mut core = core.write();
-    let end = match at {
-        Some(offset) => offset + n as u64,
-        None => core.node(file.ino)?.size,
-    };
-    core.fd_mut(fd)?.offset = end;
-    Ok(n)
+/// A metadata operation, handed to [`Design::metadata`] once the front end
+/// has validated it and before [`FsCore`] applies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Meta {
+    /// `open` with `O_CREAT` of a new regular file.
+    Create,
+    /// `ftruncate` of file `ino` to `size` bytes, either way, or an
+    /// `O_TRUNC` open (size 0).
+    Truncate { ino: u64, size: u64 },
+    /// `unlink` of file `ino`.
+    Unlink { ino: u64 },
+    /// `rename`.
+    Rename,
+    /// `mkdir`.
+    Mkdir,
+    /// `rmdir` of an empty directory.
+    Rmdir,
+}
+
+/// One baseline's persistence design: everything in which PMFS, NOVA and
+/// Strata differ.  [`Baseline`] calls these hooks from its one
+/// [`FileSystem`] implementation, with the core write lock held for every
+/// hook that takes the core.
+pub trait Design: Send + Sync + 'static {
+    /// Display name for reports.
+    fn name(&self) -> String;
+
+    /// The guarantee class the design provides.
+    fn consistency(&self) -> ConsistencyClass;
+
+    /// Charged on entry to every call but `sync`.  Kernel file systems
+    /// trap and walk the VFS; a user-space design overrides this.
+    fn charge_entry(&self, device: &PmemDevice) {
+        let cost = device.cost();
+        device.stats().add_kernel_trap();
+        device.charge_software(cost.kernel_trap_ns + cost.vfs_path_ns);
+    }
+
+    /// Charged on entry to a read, in place of [`Design::charge_entry`].
+    fn charge_read(&self, device: &PmemDevice) {
+        self.charge_entry(device);
+    }
+
+    /// Makes a validated metadata operation durable in the design's own
+    /// journal or log.  Runs before the core applies the operation.
+    fn metadata(&self, core: &mut FsCore, op: Meta) -> FsResult<()>;
+
+    /// Writes a non-empty gather at `offset` of file `ino` (end of file
+    /// already resolved), allocating, persisting and growing the file as
+    /// the design does.
+    fn write(&self, core: &mut FsCore, ino: u64, offset: u64, iov: &[IoVec<'_>]) -> FsResult<()>;
+
+    /// Reads `buf.len()` bytes of file `ino` at `offset`, all inside the
+    /// file.
+    fn read(
+        &self,
+        core: &FsCore,
+        ino: u64,
+        offset: u64,
+        buf: &mut [u8],
+        pattern: AccessPattern,
+    ) -> FsResult<()> {
+        core.read_data(ino, offset, buf, pattern, TimeCategory::UserData)
+    }
+
+    /// Whole-file-system synchronization point ([`FileSystem::sync`]).
+    fn sync(&self, _core: &mut FsCore) -> FsResult<()> {
+        Ok(())
+    }
+}
+
+/// The non-empty slices of a gather written at `offset`, each with the file
+/// offset it lands at.
+pub fn placed<'a>(offset: u64, iov: &'a [IoVec<'a>]) -> impl Iterator<Item = (u64, &'a [u8])> {
+    iov.iter()
+        .scan(offset, |cur, v| {
+            let at = *cur;
+            *cur += v.len() as u64;
+            Some((at, v.as_slice()))
+        })
+        .filter(|(_, data)| !data.is_empty())
+}
+
+/// The front end every baseline shares: one [`FileSystem`] over an
+/// [`FsCore`] behind one lock, with the persistence design `D` called at
+/// the points where the baselines differ.
+#[derive(Debug)]
+pub struct Baseline<D> {
+    device: Arc<PmemDevice>,
+    pub(crate) core: RwLock<FsCore>,
+    pub(crate) design: D,
+}
+
+impl<D: Design> Baseline<D> {
+    /// Formats a baseline on the device, reserving `reserved_bytes` at its
+    /// start for the design's journal or log.
+    pub(crate) fn format(device: Arc<PmemDevice>, reserved_bytes: u64, design: D) -> Arc<Self> {
+        let core = FsCore::new(Arc::clone(&device), reserved_bytes);
+        Arc::new(Self {
+            device,
+            core: RwLock::new(core),
+            design,
+        })
+    }
+
+    /// The gather path: one entry charge and one design write for the
+    /// whole gather.  With `at == None` the write lands at the end of
+    /// file, resolved under the same core lock as the write itself, so
+    /// concurrent appenders serialize instead of racing a stale `fstat`.
+    fn gather(&self, fd: Fd, at: Option<u64>, iov: &[IoVec<'_>]) -> FsResult<usize> {
+        self.design.charge_entry(&self.device);
+        let mut core = self.core.write();
+        let file = core.fd(fd)?;
+        if !file.flags.write {
+            return Err(FsError::PermissionDenied);
+        }
+        let total = iov_total_len(iov);
+        if total == 0 {
+            return Ok(0);
+        }
+        let offset = match at {
+            Some(offset) => offset,
+            None => core.node(file.ino)?.size,
+        };
+        self.design.write(&mut core, file.ino, offset, iov)?;
+        Ok(total as usize)
+    }
+
+    /// Resolves `path` to a directory entry that must exist.
+    fn existing(core: &FsCore, path: &str) -> FsResult<(u64, String, u64)> {
+        let (parent, name, ino) = core.resolve(path)?;
+        Ok((parent, name, ino.ok_or(FsError::NotFound)?))
+    }
+}
+
+impl<D: Design> FileSystem for Baseline<D> {
+    fn name(&self) -> String {
+        self.design.name()
+    }
+
+    fn consistency(&self) -> ConsistencyClass {
+        self.design.consistency()
+    }
+
+    fn device(&self) -> &Arc<PmemDevice> {
+        &self.device
+    }
+
+    fn open(&self, path: &str, flags: OpenFlags) -> FsResult<Fd> {
+        self.design.charge_entry(&self.device);
+        let mut core = self.core.write();
+        let (parent, name, existing) = core.resolve(path)?;
+        let ino = match existing {
+            Some(ino) => {
+                if flags.exclusive && flags.create {
+                    return Err(FsError::AlreadyExists);
+                }
+                if flags.truncate {
+                    self.design
+                        .metadata(&mut core, Meta::Truncate { ino, size: 0 })?;
+                    core.truncate(ino, 0)?;
+                }
+                ino
+            }
+            None => {
+                if !flags.create {
+                    return Err(FsError::NotFound);
+                }
+                self.design.metadata(&mut core, Meta::Create)?;
+                core.create_node(parent, &name, false)?
+            }
+        };
+        Ok(core.insert_fd(ino, flags))
+    }
+
+    fn close(&self, fd: Fd) -> FsResult<()> {
+        self.design.charge_entry(&self.device);
+        self.core.write().remove_fd(fd)?;
+        Ok(())
+    }
+
+    fn read_at(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
+        self.design.charge_read(&self.device);
+        let mut core = self.core.write();
+        let file = core.fd(fd)?;
+        if !file.flags.read {
+            return Err(FsError::PermissionDenied);
+        }
+        let size = core.node(file.ino)?.size;
+        if offset >= size || buf.is_empty() {
+            return Ok(0);
+        }
+        let n = ((size - offset) as usize).min(buf.len());
+        let pattern = if offset == file.last_read_end {
+            AccessPattern::Sequential
+        } else {
+            AccessPattern::Random
+        };
+        self.design
+            .read(&core, file.ino, offset, &mut buf[..n], pattern)?;
+        core.fd_mut(fd)?.last_read_end = offset + n as u64;
+        Ok(n)
+    }
+
+    fn writev_at(&self, fd: Fd, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize> {
+        self.gather(fd, Some(offset), iov)
+    }
+
+    fn appendv(&self, fd: Fd, iov: &[IoVec<'_>]) -> FsResult<usize> {
+        let n = self.gather(fd, None, iov)?;
+        self.device.stats().add_appendv(iov.len() as u64);
+        Ok(n)
+    }
+
+    fn fsync_many(&self, fds: &[Fd]) -> FsResult<()> {
+        // Every design persists each operation before it returns; the
+        // batch pays one entry charge for the set.
+        if fds.is_empty() {
+            return Ok(());
+        }
+        self.design.charge_entry(&self.device);
+        let core = self.core.read();
+        for &fd in fds {
+            core.fd(fd)?;
+        }
+        self.device.stats().add_fsync_many(fds.len() as u64);
+        Ok(())
+    }
+
+    fn read(&self, fd: Fd, buf: &mut [u8]) -> FsResult<usize> {
+        let offset = self.core.read().fd(fd)?.offset;
+        let n = self.read_at(fd, offset, buf)?;
+        self.core.write().fd_mut(fd)?.offset = offset + n as u64;
+        Ok(n)
+    }
+
+    fn write(&self, fd: Fd, data: &[u8]) -> FsResult<usize> {
+        // An `O_APPEND` descriptor writes at the end of file, which only
+        // the gather can resolve under its lock; the cursor then moves to
+        // the end of the written range.
+        let file = self.core.read().fd(fd)?;
+        let at = (!file.flags.append).then_some(file.offset);
+        let n = self.gather(fd, at, &[IoVec::new(data)])?;
+        let mut core = self.core.write();
+        let end = match at {
+            Some(offset) => offset + n as u64,
+            None => core.node(file.ino)?.size,
+        };
+        core.fd_mut(fd)?.offset = end;
+        Ok(n)
+    }
+
+    fn lseek(&self, fd: Fd, pos: SeekFrom) -> FsResult<u64> {
+        self.design.charge_entry(&self.device);
+        self.core.write().seek(fd, pos)
+    }
+
+    fn fsync(&self, fd: Fd) -> FsResult<()> {
+        // Every design persists each operation before it returns; fsync
+        // pays only the entry charge.
+        self.design.charge_entry(&self.device);
+        self.core.read().fd(fd)?;
+        Ok(())
+    }
+
+    fn ftruncate(&self, fd: Fd, size: u64) -> FsResult<()> {
+        self.design.charge_entry(&self.device);
+        let mut core = self.core.write();
+        let ino = core.fd(fd)?.ino;
+        self.design
+            .metadata(&mut core, Meta::Truncate { ino, size })?;
+        if size > core.node(ino)?.size {
+            core.ensure_blocks(ino, 0, size)?;
+            core.node_mut(ino)?.size = size;
+        } else {
+            core.truncate(ino, size)?;
+        }
+        Ok(())
+    }
+
+    fn fstat(&self, fd: Fd) -> FsResult<FileStat> {
+        self.design.charge_entry(&self.device);
+        let core = self.core.read();
+        let file = core.fd(fd)?;
+        core.stat_node(file.ino)
+    }
+
+    fn stat(&self, path: &str) -> FsResult<FileStat> {
+        self.design.charge_entry(&self.device);
+        let core = self.core.read();
+        let ino = core.resolve_existing(path)?;
+        core.stat_node(ino)
+    }
+
+    fn unlink(&self, path: &str) -> FsResult<()> {
+        self.design.charge_entry(&self.device);
+        let mut core = self.core.write();
+        let (parent, name, ino) = Self::existing(&core, path)?;
+        if core.node(ino)?.is_dir {
+            return Err(FsError::IsADirectory);
+        }
+        self.design.metadata(&mut core, Meta::Unlink { ino })?;
+        core.remove_node(parent, &name)?;
+        Ok(())
+    }
+
+    fn rename(&self, old: &str, new: &str) -> FsResult<()> {
+        self.design.charge_entry(&self.device);
+        let mut core = self.core.write();
+        let (old_parent, old_name, _) = Self::existing(&core, old)?;
+        let (new_parent, new_name, _) = core.resolve(new)?;
+        self.design.metadata(&mut core, Meta::Rename)?;
+        core.move_entry(old_parent, &old_name, new_parent, &new_name)
+    }
+
+    fn mkdir(&self, path: &str) -> FsResult<()> {
+        self.design.charge_entry(&self.device);
+        let mut core = self.core.write();
+        let (parent, name, existing) = core.resolve(path)?;
+        if existing.is_some() {
+            return Err(FsError::AlreadyExists);
+        }
+        self.design.metadata(&mut core, Meta::Mkdir)?;
+        core.create_node(parent, &name, true)?;
+        Ok(())
+    }
+
+    fn rmdir(&self, path: &str) -> FsResult<()> {
+        self.design.charge_entry(&self.device);
+        let mut core = self.core.write();
+        let (parent, name, ino) = Self::existing(&core, path)?;
+        if !core.node(ino)?.is_dir {
+            return Err(FsError::NotADirectory);
+        }
+        if !core.dir_is_empty(ino) {
+            return Err(FsError::NotEmpty);
+        }
+        self.design.metadata(&mut core, Meta::Rmdir)?;
+        core.remove_node(parent, &name)?;
+        Ok(())
+    }
+
+    fn readdir(&self, path: &str) -> FsResult<Vec<String>> {
+        self.design.charge_entry(&self.device);
+        let core = self.core.read();
+        let ino = core.resolve_existing(path)?;
+        core.list_dir(ino)
+    }
+
+    fn sync(&self) -> FsResult<()> {
+        self.design.sync(&mut self.core.write())
+    }
 }
 
 #[cfg(test)]

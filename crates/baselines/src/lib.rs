@@ -16,12 +16,19 @@
 //!   workloads.
 //!
 //! All three implement [`vfs::FileSystem`] so workloads and benchmarks run
-//! unchanged against them.
+//! unchanged against them, and they share that implementation: one front
+//! end (the core lock, descriptor, permission and path checks, the cursor,
+//! `stat`, `readdir`, `lseek` and the `fsync` entry points) over one
+//! mechanical core (namespace, inodes, allocator, block map).  What each
+//! module adds is its persistence design and nothing else: the entry
+//! charge of a call (a kernel trap for PMFS and NOVA, LibFS bookkeeping for
+//! Strata), the journal or log record of each metadata operation, the data
+//! write of a gather, and Strata's log-first read and digest.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod common;
+mod common;
 pub mod nova;
 pub mod pmfs;
 pub mod strata;

@@ -13,20 +13,17 @@
 //! least **two cache lines written and two fences** per operation (the log
 //! entry and the persisted log tail), versus SplitFS's single 64 B entry
 //! and single fence (§3.3).  That behaviour is reproduced here: every
-//! mutating operation calls `Nova::log_op`, which writes a 128 B entry,
+//! mutating operation calls `InodeLog::log_op`, which writes a 128 B entry,
 //! fences, updates the on-PM tail, and fences again.
 
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 
 use pmem::{AccessPattern, PersistMode, PmemDevice, TimeCategory};
-use vfs::{
-    iov_total_len, ConsistencyClass, Fd, FileStat, FileSystem, FsError, FsResult, IoVec, OpenFlags,
-    SeekFrom,
-};
+use vfs::{ConsistencyClass, FsResult, IoVec};
 
-use crate::common::{write_at_cursor, FsCore, BLOCK_SIZE};
+use crate::common::{placed, Baseline, Design, FsCore, Meta, BLOCK_SIZE};
 
 /// Bytes reserved at the start of the device for the per-inode logs
 /// (modelled as one circular region).
@@ -45,40 +42,37 @@ pub enum NovaMode {
 }
 
 /// The NOVA baseline file system.
-#[derive(Debug)]
-pub struct Nova {
-    device: Arc<PmemDevice>,
-    core: RwLock<FsCore>,
-    mode: NovaMode,
-    log_head: RwLock<u64>,
-}
+pub type Nova = Baseline<InodeLog>;
 
 impl Nova {
     /// Creates (formats) a NOVA instance in the given mode.
     pub fn new(device: Arc<PmemDevice>, mode: NovaMode) -> Arc<Self> {
-        let core = FsCore::new(Arc::clone(&device), LOG_RESERVED);
-        Arc::new(Self {
-            device,
-            core: RwLock::new(core),
+        let log = InodeLog {
+            device: Arc::clone(&device),
             mode,
-            log_head: RwLock::new(0),
-        })
+            head: Mutex::new(0),
+        };
+        Baseline::format(device, LOG_RESERVED, log)
     }
+}
 
-    fn charge_syscall(&self) {
-        let cost = self.device.cost();
-        self.device.stats().add_kernel_trap();
-        self.device
-            .charge_software(cost.kernel_trap_ns + cost.vfs_path_ns);
-    }
+/// NOVA's persistence design: a per-inode log that every operation appends
+/// one entry to, with data written in place or copied on write.
+#[derive(Debug)]
+pub struct InodeLog {
+    device: Arc<PmemDevice>,
+    mode: NovaMode,
+    head: Mutex<u64>,
+}
 
+impl InodeLog {
     /// Appends one log entry for an operation: 128 B entry + fence, then the
     /// on-PM log tail (one cache line) + fence — NOVA's two-line/two-fence
     /// pattern.
     fn log_op(&self) {
         let cost = self.device.cost();
         self.device.charge_software(cost.nova_log_entry_ns);
-        let mut head = self.log_head.write();
+        let mut head = self.head.lock();
         if *head + LOG_ENTRY as u64 + 64 > LOG_RESERVED {
             *head = 0;
         }
@@ -106,8 +100,8 @@ impl Nova {
 
     /// Writes one slice's bytes with the core lock held, in the mode's
     /// style (relaxed: in place; strict: copy-on-write per touched block).
-    /// Does not fence, update the size, or log — the caller does that once
-    /// per logical operation.
+    /// Does not fence or log — the caller does that once per logical
+    /// operation.
     fn write_slice(&self, core: &mut FsCore, ino: u64, offset: u64, data: &[u8]) -> FsResult<()> {
         let cost = self.device.cost();
         let old_size = core.node(ino)?.size;
@@ -180,42 +174,9 @@ impl Nova {
         }
         Ok(())
     }
-
-    /// The shared write path: one trap, one data fence and **one** inode
-    /// log commit (2 cache lines, 2 fences) for the whole gather.  With
-    /// `at == None` the write lands at the end of file, resolved under the
-    /// same core lock as the write — concurrent appenders serialize.
-    fn vectored_write(&self, fd: Fd, at: Option<u64>, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        self.charge_syscall();
-        let mut core = self.core.write();
-        let file = core.fd(fd)?;
-        if !file.flags.write {
-            return Err(FsError::PermissionDenied);
-        }
-        let total = iov_total_len(iov);
-        if total == 0 {
-            return Ok(0);
-        }
-        let offset = match at {
-            Some(offset) => offset,
-            None => core.node(file.ino)?.size,
-        };
-        let mut cur = offset;
-        for v in iov {
-            if v.is_empty() {
-                continue;
-            }
-            self.write_slice(&mut core, file.ino, cur, v.as_slice())?;
-            cur += v.len() as u64;
-        }
-        self.device.fence(TimeCategory::UserData);
-        // Commit the operation in the inode log (2 cache lines, 2 fences).
-        self.log_op();
-        Ok(total as usize)
-    }
 }
 
-impl FileSystem for Nova {
+impl Design for InodeLog {
     fn name(&self) -> String {
         match self.mode {
             NovaMode::Relaxed => "NOVA-relaxed".to_string(),
@@ -230,209 +191,38 @@ impl FileSystem for Nova {
         }
     }
 
-    fn device(&self) -> &Arc<PmemDevice> {
-        &self.device
+    fn charge_read(&self, device: &PmemDevice) {
+        self.charge_entry(device);
+        // A read looks its blocks up in the inode's radix tree.
+        device.charge_software(device.cost().nova_radix_update_ns * 0.5);
     }
 
-    fn open(&self, path: &str, flags: OpenFlags) -> FsResult<Fd> {
-        self.charge_syscall();
-        let cost = self.device.cost();
-        let mut core = self.core.write();
-        let (parent, name, existing) = core.resolve(path)?;
-        let ino = match existing {
-            Some(ino) => {
-                if flags.exclusive && flags.create {
-                    return Err(FsError::AlreadyExists);
-                }
-                if flags.truncate {
-                    self.log_op();
-                    core.truncate(ino, 0)?;
-                }
-                ino
-            }
-            None => {
-                if !flags.create {
-                    return Err(FsError::NotFound);
-                }
+    fn metadata(&self, _core: &mut FsCore, op: Meta) -> FsResult<()> {
+        match op {
+            Meta::Create => {
+                let cost = self.device.cost();
                 self.device.charge_software(cost.nova_alloc_ns);
                 self.log_op();
-                core.create_node(parent, &name, false)?
             }
-        };
-        Ok(core.insert_fd(ino, flags))
-    }
-
-    fn close(&self, fd: Fd) -> FsResult<()> {
-        self.charge_syscall();
-        self.core.write().remove_fd(fd)?;
+            // Rename touches two directory logs.
+            Meta::Rename => {
+                self.log_op();
+                self.log_op();
+            }
+            _ => self.log_op(),
+        }
         Ok(())
     }
 
-    fn read_at(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
-        self.charge_syscall();
-        let cost = self.device.cost();
-        self.device.charge_software(cost.nova_radix_update_ns * 0.5);
-        let mut core = self.core.write();
-        let file = core.fd(fd)?;
-        if !file.flags.read {
-            return Err(FsError::PermissionDenied);
+    /// One data fence and **one** inode log commit (2 cache lines, 2
+    /// fences) for the whole gather.
+    fn write(&self, core: &mut FsCore, ino: u64, offset: u64, iov: &[IoVec<'_>]) -> FsResult<()> {
+        for (at, data) in placed(offset, iov) {
+            self.write_slice(core, ino, at, data)?;
         }
-        let size = core.node(file.ino)?.size;
-        if offset >= size || buf.is_empty() {
-            return Ok(0);
-        }
-        let n = ((size - offset) as usize).min(buf.len());
-        let pattern = if offset == file.last_read_end {
-            AccessPattern::Sequential
-        } else {
-            AccessPattern::Random
-        };
-        core.read_data(
-            file.ino,
-            offset,
-            &mut buf[..n],
-            pattern,
-            TimeCategory::UserData,
-        )?;
-        core.fd_mut(fd)?.last_read_end = offset + n as u64;
-        Ok(n)
-    }
-
-    fn writev_at(&self, fd: Fd, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        self.vectored_write(fd, Some(offset), iov)
-    }
-
-    fn appendv(&self, fd: Fd, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        let n = self.vectored_write(fd, None, iov)?;
-        self.device.stats().add_appendv(iov.len() as u64);
-        Ok(n)
-    }
-
-    fn fsync_many(&self, fds: &[Fd]) -> FsResult<()> {
-        // Operations are synchronous; the batch pays one trap for the set.
-        if fds.is_empty() {
-            return Ok(());
-        }
-        self.charge_syscall();
-        let core = self.core.read();
-        for &fd in fds {
-            core.fd(fd)?;
-        }
-        self.device.stats().add_fsync_many(fds.len() as u64);
-        Ok(())
-    }
-
-    fn read(&self, fd: Fd, buf: &mut [u8]) -> FsResult<usize> {
-        let offset = self.core.read().fd(fd)?.offset;
-        let n = self.read_at(fd, offset, buf)?;
-        self.core.write().fd_mut(fd)?.offset = offset + n as u64;
-        Ok(n)
-    }
-
-    fn write(&self, fd: Fd, data: &[u8]) -> FsResult<usize> {
-        write_at_cursor(&self.core, fd, data, |at, iov| {
-            self.vectored_write(fd, at, iov)
-        })
-    }
-
-    fn lseek(&self, fd: Fd, pos: SeekFrom) -> FsResult<u64> {
-        self.charge_syscall();
-        self.core.write().seek(fd, pos)
-    }
-
-    fn fsync(&self, fd: Fd) -> FsResult<()> {
-        // Operations are synchronous; fsync costs only the trap.
-        self.charge_syscall();
-        self.core.read().fd(fd)?;
-        Ok(())
-    }
-
-    fn ftruncate(&self, fd: Fd, size: u64) -> FsResult<()> {
-        self.charge_syscall();
-        let mut core = self.core.write();
-        let file = core.fd(fd)?;
+        self.device.fence(TimeCategory::UserData);
         self.log_op();
-        if size > core.node(file.ino)?.size {
-            core.ensure_blocks(file.ino, 0, size)?;
-            core.node_mut(file.ino)?.size = size;
-        } else {
-            core.truncate(file.ino, size)?;
-        }
         Ok(())
-    }
-
-    fn fstat(&self, fd: Fd) -> FsResult<FileStat> {
-        self.charge_syscall();
-        let core = self.core.read();
-        let file = core.fd(fd)?;
-        core.stat_node(file.ino)
-    }
-
-    fn stat(&self, path: &str) -> FsResult<FileStat> {
-        self.charge_syscall();
-        let core = self.core.read();
-        let ino = core.resolve_existing(path)?;
-        core.stat_node(ino)
-    }
-
-    fn unlink(&self, path: &str) -> FsResult<()> {
-        self.charge_syscall();
-        let mut core = self.core.write();
-        let (parent, name, existing) = core.resolve(path)?;
-        let ino = existing.ok_or(FsError::NotFound)?;
-        if core.node(ino)?.is_dir {
-            return Err(FsError::IsADirectory);
-        }
-        self.log_op();
-        core.remove_node(parent, &name)?;
-        Ok(())
-    }
-
-    fn rename(&self, old: &str, new: &str) -> FsResult<()> {
-        self.charge_syscall();
-        let mut core = self.core.write();
-        let (old_parent, old_name, old_ino) = core.resolve(old)?;
-        old_ino.ok_or(FsError::NotFound)?;
-        let (new_parent, new_name, _) = core.resolve(new)?;
-        // Rename touches two directory logs.
-        self.log_op();
-        self.log_op();
-        core.move_entry(old_parent, &old_name, new_parent, &new_name)
-    }
-
-    fn mkdir(&self, path: &str) -> FsResult<()> {
-        self.charge_syscall();
-        let mut core = self.core.write();
-        let (parent, name, existing) = core.resolve(path)?;
-        if existing.is_some() {
-            return Err(FsError::AlreadyExists);
-        }
-        self.log_op();
-        core.create_node(parent, &name, true)?;
-        Ok(())
-    }
-
-    fn rmdir(&self, path: &str) -> FsResult<()> {
-        self.charge_syscall();
-        let mut core = self.core.write();
-        let (parent, name, existing) = core.resolve(path)?;
-        let ino = existing.ok_or(FsError::NotFound)?;
-        if !core.node(ino)?.is_dir {
-            return Err(FsError::NotADirectory);
-        }
-        if !core.dir_is_empty(ino) {
-            return Err(FsError::NotEmpty);
-        }
-        self.log_op();
-        core.remove_node(parent, &name)?;
-        Ok(())
-    }
-
-    fn readdir(&self, path: &str) -> FsResult<Vec<String>> {
-        self.charge_syscall();
-        let core = self.core.read();
-        let ino = core.resolve_existing(path)?;
-        core.list_dir(ino)
     }
 }
 
@@ -440,6 +230,7 @@ impl FileSystem for Nova {
 mod tests {
     use super::*;
     use pmem::PmemBuilder;
+    use vfs::{FileSystem, OpenFlags};
 
     fn fs(mode: NovaMode) -> Arc<Nova> {
         let device = PmemBuilder::new(128 * 1024 * 1024)

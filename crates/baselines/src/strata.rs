@@ -21,17 +21,14 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use pmem::{AccessPattern, PersistMode, PmemDevice, TimeCategory};
-use vfs::{
-    iov_total_len, ConsistencyClass, Fd, FileStat, FileSystem, FsError, FsResult, IoVec, OpenFlags,
-    SeekFrom,
-};
+use vfs::{ConsistencyClass, FsResult, IoVec};
 
-use crate::common::{write_at_cursor, FsCore, BLOCK_SIZE};
+use crate::common::{placed, Baseline, Design, FsCore, Meta, BLOCK_SIZE};
 
 /// Default private-log capacity.  The paper evaluates Strata with a 20 GB
 /// log on scaled-down YCSB; the default here is sized for the scaled-down
 /// workloads the harness runs and can be overridden with
-/// [`Strata::with_log_capacity`].
+/// `Strata::with_log_capacity`.
 pub const DEFAULT_LOG_CAPACITY: u64 = 128 * 1024 * 1024;
 
 /// Digest when the log is this full.
@@ -49,10 +46,36 @@ struct LogExtent {
 }
 
 /// The Strata baseline file system.
+pub type Strata = Baseline<PrivateLog>;
+
+impl Strata {
+    /// Creates a Strata instance with the default private-log capacity.
+    pub fn new(device: Arc<PmemDevice>) -> Arc<Self> {
+        Self::with_log_capacity(device, DEFAULT_LOG_CAPACITY)
+    }
+
+    /// Creates a Strata instance with an explicit private-log capacity.
+    pub fn with_log_capacity(device: Arc<PmemDevice>, log_capacity: u64) -> Arc<Self> {
+        let log = PrivateLog {
+            device: Arc::clone(&device),
+            state: RwLock::new(LogState::default()),
+            log_capacity,
+        };
+        Baseline::format(device, log_capacity, log)
+    }
+
+    /// Number of digest passes run so far.
+    pub fn digest_count(&self) -> u64 {
+        self.design.state.read().digests
+    }
+}
+
+/// Strata's persistence design: every update, data and metadata, appended
+/// to a private log in user space, and digested into the shared area when
+/// the log fills or on `sync`.
 #[derive(Debug)]
-pub struct Strata {
+pub struct PrivateLog {
     device: Arc<PmemDevice>,
-    core: RwLock<FsCore>,
     state: RwLock<LogState>,
     log_capacity: u64,
 }
@@ -67,35 +90,7 @@ struct LogState {
     digests: u64,
 }
 
-impl Strata {
-    /// Creates a Strata instance with the default private-log capacity.
-    pub fn new(device: Arc<PmemDevice>) -> Arc<Self> {
-        Self::with_log_capacity(device, DEFAULT_LOG_CAPACITY)
-    }
-
-    /// Creates a Strata instance with an explicit private-log capacity.
-    pub fn with_log_capacity(device: Arc<PmemDevice>, log_capacity: u64) -> Arc<Self> {
-        let core = FsCore::new(Arc::clone(&device), log_capacity);
-        Arc::new(Self {
-            device,
-            core: RwLock::new(core),
-            state: RwLock::new(LogState::default()),
-            log_capacity,
-        })
-    }
-
-    /// Number of digest passes run so far.
-    pub fn digest_count(&self) -> u64 {
-        self.state.read().digests
-    }
-
-    fn charge_libfs(&self) {
-        // Strata's LibFS handles the operation in user space: no kernel
-        // trap, but index/lease bookkeeping.
-        let cost = self.device.cost();
-        self.device.charge_software(cost.strata_index_ns);
-    }
-
+impl PrivateLog {
     /// Appends one entry (header + payload) to the private log.
     fn log_append(&self, state: &mut LogState, payload: &[u8]) -> u64 {
         let cost = self.device.cost();
@@ -169,9 +164,55 @@ impl Strata {
         Ok(())
     }
 
+    /// Reads file bytes with the log state held, each block from the
+    /// freshest location: the private log if the block has an undigested
+    /// write, the shared area otherwise.
+    fn read_locked(
+        &self,
+        core: &FsCore,
+        state: &LogState,
+        ino: u64,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> FsResult<()> {
+        let mut pos = 0usize;
+        while pos < buf.len() {
+            let file_off = offset + pos as u64;
+            let block = file_off / BLOCK_SIZE as u64;
+            let within = (file_off % BLOCK_SIZE as u64) as usize;
+            let chunk = (BLOCK_SIZE - within).min(buf.len() - pos);
+            match state.pending.get(&(ino, block)) {
+                Some(ext) if (within as u64) < ext.len => {
+                    let take = chunk.min((ext.len - within as u64) as usize);
+                    self.device.read(
+                        ext.log_offset + within as u64,
+                        &mut buf[pos..pos + take],
+                        AccessPattern::Random,
+                        TimeCategory::UserData,
+                    );
+                    if take < chunk {
+                        buf[pos + take..pos + chunk].fill(0);
+                    }
+                }
+                _ => {
+                    core.read_data(
+                        ino,
+                        file_off,
+                        &mut buf[pos..pos + chunk],
+                        AccessPattern::Random,
+                        TimeCategory::UserData,
+                    )?;
+                }
+            }
+            pos += chunk;
+        }
+        Ok(())
+    }
+
     /// Logs one slice's bytes with both locks held.  Each touched block
-    /// becomes one log entry (header + block image); the caller updates
-    /// the size and runs the digest check once per logical operation.
+    /// becomes one log entry (header + block image) and grows the file as
+    /// it lands; the caller runs the digest check once per logical
+    /// operation.
     fn write_slice_locked(
         &self,
         core: &mut FsCore,
@@ -191,28 +232,7 @@ impl Strata {
             let mut image = vec![0u8; BLOCK_SIZE];
             let old_size = core.node(ino)?.size;
             if old_size > block * BLOCK_SIZE as u64 {
-                // Read existing content (from log or shared area) without
-                // recursing through read_at's permission/offset logic.
-                match state.pending.get(&(ino, block)) {
-                    Some(ext) => {
-                        let take = ext.len as usize;
-                        self.device.read(
-                            ext.log_offset,
-                            &mut image[..take],
-                            AccessPattern::Random,
-                            TimeCategory::UserData,
-                        );
-                    }
-                    None => {
-                        core.read_data(
-                            ino,
-                            block * BLOCK_SIZE as u64,
-                            &mut image,
-                            AccessPattern::Random,
-                            TimeCategory::UserData,
-                        )?;
-                    }
-                }
+                self.read_locked(core, state, ino, block * BLOCK_SIZE as u64, &mut image)?;
             }
             image[within..within + chunk].copy_from_slice(&data[pos..pos + chunk]);
             let valid = (within + chunk)
@@ -235,41 +255,9 @@ impl Strata {
         }
         Ok(())
     }
-
-    /// The shared write path: one LibFS bookkeeping charge and one digest
-    /// check for the whole gather.  With `at == None` the write lands at
-    /// the end of file, resolved under the same locks as the write —
-    /// concurrent appenders serialize.
-    fn vectored_write(&self, fd: Fd, at: Option<u64>, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        self.charge_libfs();
-        let mut core = self.core.write();
-        let mut state = self.state.write();
-        let file = core.fd(fd)?;
-        if !file.flags.write {
-            return Err(FsError::PermissionDenied);
-        }
-        let total = iov_total_len(iov);
-        if total == 0 {
-            return Ok(0);
-        }
-        let offset = match at {
-            Some(offset) => offset,
-            None => core.node(file.ino)?.size,
-        };
-        let mut cur = offset;
-        for v in iov {
-            if v.is_empty() {
-                continue;
-            }
-            self.write_slice_locked(&mut core, &mut state, file.ino, cur, v.as_slice())?;
-            cur += v.len() as u64;
-        }
-        self.maybe_digest(&mut core, &mut state)?;
-        Ok(total as usize)
-    }
 }
 
-impl FileSystem for Strata {
+impl Design for PrivateLog {
     fn name(&self) -> String {
         "Strata".to_string()
     }
@@ -278,245 +266,50 @@ impl FileSystem for Strata {
         ConsistencyClass::Strict
     }
 
-    fn device(&self) -> &Arc<PmemDevice> {
-        &self.device
+    fn charge_entry(&self, device: &PmemDevice) {
+        // Strata's LibFS handles the operation in user space: no kernel
+        // trap, but index/lease bookkeeping.
+        device.charge_software(device.cost().strata_index_ns);
     }
 
-    fn open(&self, path: &str, flags: OpenFlags) -> FsResult<Fd> {
-        self.charge_libfs();
-        let mut core = self.core.write();
+    fn metadata(&self, _core: &mut FsCore, op: Meta) -> FsResult<()> {
         let mut state = self.state.write();
-        let (parent, name, existing) = core.resolve(path)?;
-        let ino = match existing {
-            Some(ino) => {
-                if flags.exclusive && flags.create {
-                    return Err(FsError::AlreadyExists);
-                }
-                if flags.truncate {
-                    self.log_append(&mut state, &[]);
-                    state.pending.retain(|(i, _), _| *i != ino);
-                    core.truncate(ino, 0)?;
-                }
-                ino
-            }
-            None => {
-                if !flags.create {
-                    return Err(FsError::NotFound);
-                }
-                self.log_append(&mut state, &[]);
-                core.create_node(parent, &name, false)?
-            }
+        self.log_append(&mut state, &[]);
+        // Undigested blocks past a cut, or of a removed file, must not be
+        // digested back into it.
+        let cut = match op {
+            Meta::Truncate { ino, size } => Some((ino, size.div_ceil(BLOCK_SIZE as u64))),
+            Meta::Unlink { ino } => Some((ino, 0)),
+            _ => None,
         };
-        Ok(core.insert_fd(ino, flags))
-    }
-
-    fn close(&self, fd: Fd) -> FsResult<()> {
-        self.charge_libfs();
-        self.core.write().remove_fd(fd)?;
+        if let Some((ino, keep)) = cut {
+            state.pending.retain(|(i, b), _| *i != ino || *b < keep);
+        }
         Ok(())
     }
 
-    fn read_at(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
-        self.charge_libfs();
-        let mut core = self.core.write();
-        let state = self.state.read();
-        let file = core.fd(fd)?;
-        if !file.flags.read {
-            return Err(FsError::PermissionDenied);
-        }
-        let size = core.node(file.ino)?.size;
-        if offset >= size || buf.is_empty() {
-            return Ok(0);
-        }
-        let n = ((size - offset) as usize).min(buf.len());
-        // Serve each block from the freshest location: private log if the
-        // block has an undigested write, shared area otherwise.
-        let mut pos = 0usize;
-        while pos < n {
-            let file_off = offset + pos as u64;
-            let block = file_off / BLOCK_SIZE as u64;
-            let within = (file_off % BLOCK_SIZE as u64) as usize;
-            let chunk = (BLOCK_SIZE - within).min(n - pos);
-            match state.pending.get(&(file.ino, block)) {
-                Some(ext) if (within as u64) < ext.len => {
-                    let take = chunk.min((ext.len - within as u64) as usize);
-                    self.device.read(
-                        ext.log_offset + within as u64,
-                        &mut buf[pos..pos + take],
-                        AccessPattern::Random,
-                        TimeCategory::UserData,
-                    );
-                    if take < chunk {
-                        buf[pos + take..pos + chunk].fill(0);
-                    }
-                }
-                _ => {
-                    core.read_data(
-                        file.ino,
-                        file_off,
-                        &mut buf[pos..pos + chunk],
-                        AccessPattern::Random,
-                        TimeCategory::UserData,
-                    )?;
-                }
-            }
-            pos += chunk;
-        }
-        core.fd_mut(fd)?.last_read_end = offset + n as u64;
-        Ok(n)
-    }
-
-    fn writev_at(&self, fd: Fd, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        self.vectored_write(fd, Some(offset), iov)
-    }
-
-    fn appendv(&self, fd: Fd, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        let n = self.vectored_write(fd, None, iov)?;
-        self.device.stats().add_appendv(iov.len() as u64);
-        Ok(n)
-    }
-
-    fn fsync_many(&self, fds: &[Fd]) -> FsResult<()> {
-        // Log writes are already persistent; the batch pays the LibFS
-        // bookkeeping once for the set.
-        if fds.is_empty() {
-            return Ok(());
-        }
-        self.charge_libfs();
-        let core = self.core.read();
-        for &fd in fds {
-            core.fd(fd)?;
-        }
-        self.device.stats().add_fsync_many(fds.len() as u64);
-        Ok(())
-    }
-
-    fn read(&self, fd: Fd, buf: &mut [u8]) -> FsResult<usize> {
-        let offset = self.core.read().fd(fd)?.offset;
-        let n = self.read_at(fd, offset, buf)?;
-        self.core.write().fd_mut(fd)?.offset = offset + n as u64;
-        Ok(n)
-    }
-
-    fn write(&self, fd: Fd, data: &[u8]) -> FsResult<usize> {
-        write_at_cursor(&self.core, fd, data, |at, iov| {
-            self.vectored_write(fd, at, iov)
-        })
-    }
-
-    fn lseek(&self, fd: Fd, pos: SeekFrom) -> FsResult<u64> {
-        self.charge_libfs();
-        self.core.write().seek(fd, pos)
-    }
-
-    fn fsync(&self, fd: Fd) -> FsResult<()> {
-        // Log writes are already persistent; fsync is a no-op beyond the
-        // LibFS bookkeeping.
-        self.charge_libfs();
-        self.core.read().fd(fd)?;
-        Ok(())
-    }
-
-    fn ftruncate(&self, fd: Fd, size: u64) -> FsResult<()> {
-        self.charge_libfs();
-        let mut core = self.core.write();
+    /// One digest check for the whole gather.
+    fn write(&self, core: &mut FsCore, ino: u64, offset: u64, iov: &[IoVec<'_>]) -> FsResult<()> {
         let mut state = self.state.write();
-        let file = core.fd(fd)?;
-        self.log_append(&mut state, &[]);
-        if size > core.node(file.ino)?.size {
-            core.ensure_blocks(file.ino, 0, size)?;
-            core.node_mut(file.ino)?.size = size;
-        } else {
-            let keep = size.div_ceil(BLOCK_SIZE as u64);
-            state
-                .pending
-                .retain(|(i, b), _| *i != file.ino || *b < keep);
-            core.truncate(file.ino, size)?;
+        for (at, data) in placed(offset, iov) {
+            self.write_slice_locked(core, &mut state, ino, at, data)?;
         }
-        Ok(())
+        self.maybe_digest(core, &mut state)
     }
 
-    fn fstat(&self, fd: Fd) -> FsResult<FileStat> {
-        self.charge_libfs();
-        let core = self.core.read();
-        let file = core.fd(fd)?;
-        core.stat_node(file.ino)
+    fn read(
+        &self,
+        core: &FsCore,
+        ino: u64,
+        offset: u64,
+        buf: &mut [u8],
+        _pattern: AccessPattern,
+    ) -> FsResult<()> {
+        self.read_locked(core, &self.state.read(), ino, offset, buf)
     }
 
-    fn stat(&self, path: &str) -> FsResult<FileStat> {
-        self.charge_libfs();
-        let core = self.core.read();
-        let ino = core.resolve_existing(path)?;
-        core.stat_node(ino)
-    }
-
-    fn unlink(&self, path: &str) -> FsResult<()> {
-        self.charge_libfs();
-        let mut core = self.core.write();
-        let mut state = self.state.write();
-        let (parent, name, existing) = core.resolve(path)?;
-        let ino = existing.ok_or(FsError::NotFound)?;
-        if core.node(ino)?.is_dir {
-            return Err(FsError::IsADirectory);
-        }
-        self.log_append(&mut state, &[]);
-        state.pending.retain(|(i, _), _| *i != ino);
-        core.remove_node(parent, &name)?;
-        Ok(())
-    }
-
-    fn rename(&self, old: &str, new: &str) -> FsResult<()> {
-        self.charge_libfs();
-        let mut core = self.core.write();
-        let mut state = self.state.write();
-        let (old_parent, old_name, old_ino) = core.resolve(old)?;
-        old_ino.ok_or(FsError::NotFound)?;
-        let (new_parent, new_name, _) = core.resolve(new)?;
-        self.log_append(&mut state, &[]);
-        core.move_entry(old_parent, &old_name, new_parent, &new_name)
-    }
-
-    fn mkdir(&self, path: &str) -> FsResult<()> {
-        self.charge_libfs();
-        let mut core = self.core.write();
-        let mut state = self.state.write();
-        let (parent, name, existing) = core.resolve(path)?;
-        if existing.is_some() {
-            return Err(FsError::AlreadyExists);
-        }
-        self.log_append(&mut state, &[]);
-        core.create_node(parent, &name, true)?;
-        Ok(())
-    }
-
-    fn rmdir(&self, path: &str) -> FsResult<()> {
-        self.charge_libfs();
-        let mut core = self.core.write();
-        let mut state = self.state.write();
-        let (parent, name, existing) = core.resolve(path)?;
-        let ino = existing.ok_or(FsError::NotFound)?;
-        if !core.node(ino)?.is_dir {
-            return Err(FsError::NotADirectory);
-        }
-        if !core.dir_is_empty(ino) {
-            return Err(FsError::NotEmpty);
-        }
-        self.log_append(&mut state, &[]);
-        core.remove_node(parent, &name)?;
-        Ok(())
-    }
-
-    fn readdir(&self, path: &str) -> FsResult<Vec<String>> {
-        self.charge_libfs();
-        let core = self.core.read();
-        let ino = core.resolve_existing(path)?;
-        core.list_dir(ino)
-    }
-
-    fn sync(&self) -> FsResult<()> {
-        let mut core = self.core.write();
-        let mut state = self.state.write();
-        self.digest(&mut core, &mut state)
+    fn sync(&self, core: &mut FsCore) -> FsResult<()> {
+        self.digest(core, &mut self.state.write())
     }
 }
 
@@ -524,6 +317,7 @@ impl FileSystem for Strata {
 mod tests {
     use super::*;
     use pmem::PmemBuilder;
+    use vfs::{FileSystem, OpenFlags};
 
     fn fs() -> Arc<Strata> {
         let device = PmemBuilder::new(128 * 1024 * 1024)
