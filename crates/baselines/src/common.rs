@@ -28,6 +28,7 @@
 //! recovery paths).
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -349,23 +350,13 @@ impl FsCore {
         cat: TimeCategory,
     ) -> FsResult<()> {
         let node = self.node(ino)?;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let file_off = offset + pos as u64;
-            let block_idx = (file_off / BLOCK_SIZE as u64) as usize;
-            let within = (file_off % BLOCK_SIZE as u64) as usize;
-            let chunk = (BLOCK_SIZE - within).min(data.len() - pos);
+        for (block, within, range) in block_chunks(offset, data.len()) {
             let phys = *node
                 .blocks
-                .get(block_idx)
+                .get(block as usize)
                 .ok_or_else(|| FsError::Io("write beyond allocated blocks".into()))?;
-            self.device.write(
-                phys * BLOCK_SIZE as u64 + within as u64,
-                &data[pos..pos + chunk],
-                mode,
-                cat,
-            );
-            pos += chunk;
+            let at = phys * BLOCK_SIZE as u64 + within as u64;
+            self.device.write(at, &data[range], mode, cat);
         }
         Ok(())
     }
@@ -380,31 +371,16 @@ impl FsCore {
         cat: TimeCategory,
     ) -> FsResult<()> {
         let node = self.node(ino)?;
-        let mut pos = 0usize;
-        let mut first = true;
-        while pos < buf.len() {
-            let file_off = offset + pos as u64;
-            let block_idx = (file_off / BLOCK_SIZE as u64) as usize;
-            let within = (file_off % BLOCK_SIZE as u64) as usize;
-            let chunk = (BLOCK_SIZE - within).min(buf.len() - pos);
-            match node.blocks.get(block_idx) {
+        let mut pattern = pattern;
+        for (block, within, range) in block_chunks(offset, buf.len()) {
+            match node.blocks.get(block as usize) {
                 Some(&phys) => {
-                    let p = if first {
-                        pattern
-                    } else {
-                        AccessPattern::Sequential
-                    };
-                    self.device.read(
-                        phys * BLOCK_SIZE as u64 + within as u64,
-                        &mut buf[pos..pos + chunk],
-                        p,
-                        cat,
-                    );
+                    let at = phys * BLOCK_SIZE as u64 + within as u64;
+                    self.device.read(at, &mut buf[range], pattern, cat);
                 }
-                None => buf[pos..pos + chunk].fill(0),
+                None => buf[range].fill(0),
             }
-            first = false;
-            pos += chunk;
+            pattern = AccessPattern::Sequential;
         }
         Ok(())
     }
@@ -426,6 +402,20 @@ impl FsCore {
         }
         Ok(())
     }
+}
+
+/// Splits the `len` bytes at file offset `offset` at block boundaries:
+/// yields each piece's logical block, its offset inside that block, and
+/// its range in the caller's buffer.
+pub fn block_chunks(offset: u64, len: usize) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let file_off = offset + pos as u64;
+        let within = (file_off % BLOCK_SIZE as u64) as usize;
+        let range = pos..len.min(pos + BLOCK_SIZE - within);
+        pos = range.end;
+        (!range.is_empty()).then_some((file_off / BLOCK_SIZE as u64, within, range))
+    })
 }
 
 /// A metadata operation, handed to [`Design::metadata`] once the front end

@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use pmem::{AccessPattern, PersistMode, PmemDevice, TimeCategory};
 use vfs::{ConsistencyClass, FsResult, IoVec};
 
-use crate::common::{placed, Baseline, Design, FsCore, Meta, BLOCK_SIZE};
+use crate::common::{block_chunks, placed, Baseline, Design, FsCore, Meta, BLOCK_SIZE};
 
 /// Bytes reserved at the start of the device for the per-inode logs
 /// (modelled as one circular region).
@@ -125,16 +125,13 @@ impl InodeLog {
                 // Holes below the write are filled with allocated blocks
                 // first so the logical-to-physical map stays dense.
                 core.ensure_blocks(ino, offset, data.len() as u64)?;
-                let first_block = offset / BLOCK_SIZE as u64;
-                let last_block = (offset + data.len() as u64 - 1) / BLOCK_SIZE as u64;
                 self.device.charge_software(cost.nova_alloc_ns);
-                for block in first_block..=last_block {
+                for (block, within, range) in block_chunks(offset, data.len()) {
                     let block_start = block * BLOCK_SIZE as u64;
                     let mut image = vec![0u8; BLOCK_SIZE];
                     // Preserve existing bytes of a partially overwritten
                     // block.
-                    let had_old = old_size > block_start;
-                    if had_old {
+                    if old_size > block_start {
                         core.read_data(
                             ino,
                             block_start,
@@ -144,14 +141,7 @@ impl InodeLog {
                         )?;
                     }
                     // Overlay the new bytes.
-                    let copy_start = offset.max(block_start);
-                    let copy_end =
-                        (offset + data.len() as u64).min(block_start + BLOCK_SIZE as u64);
-                    let src_from = (copy_start - offset) as usize;
-                    let src_to = (copy_end - offset) as usize;
-                    let dst_from = (copy_start - block_start) as usize;
-                    image[dst_from..dst_from + (src_to - src_from)]
-                        .copy_from_slice(&data[src_from..src_to]);
+                    image[within..within + range.len()].copy_from_slice(&data[range]);
 
                     // Write the replacement block and swap it in.
                     let new_block = core.alloc_block()?;

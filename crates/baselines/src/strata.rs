@@ -23,7 +23,7 @@ use parking_lot::RwLock;
 use pmem::{AccessPattern, PersistMode, PmemDevice, TimeCategory};
 use vfs::{ConsistencyClass, FsResult, IoVec};
 
-use crate::common::{placed, Baseline, Design, FsCore, Meta, BLOCK_SIZE};
+use crate::common::{block_chunks, placed, Baseline, Design, FsCore, Meta, BLOCK_SIZE};
 
 /// Default private-log capacity.  The paper evaluates Strata with a 20 GB
 /// log on scaled-down YCSB; the default here is sized for the scaled-down
@@ -175,36 +175,26 @@ impl PrivateLog {
         offset: u64,
         buf: &mut [u8],
     ) -> FsResult<()> {
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let file_off = offset + pos as u64;
-            let block = file_off / BLOCK_SIZE as u64;
-            let within = (file_off % BLOCK_SIZE as u64) as usize;
-            let chunk = (BLOCK_SIZE - within).min(buf.len() - pos);
+        for (block, within, range) in block_chunks(offset, buf.len()) {
+            let piece = &mut buf[range.clone()];
             match state.pending.get(&(ino, block)) {
                 Some(ext) if (within as u64) < ext.len => {
-                    let take = chunk.min((ext.len - within as u64) as usize);
+                    let take = piece.len().min((ext.len - within as u64) as usize);
+                    let (logged, past) = piece.split_at_mut(take);
                     self.device.read(
                         ext.log_offset + within as u64,
-                        &mut buf[pos..pos + take],
+                        logged,
                         AccessPattern::Random,
                         TimeCategory::UserData,
                     );
-                    if take < chunk {
-                        buf[pos + take..pos + chunk].fill(0);
-                    }
+                    past.fill(0);
                 }
                 _ => {
-                    core.read_data(
-                        ino,
-                        file_off,
-                        &mut buf[pos..pos + chunk],
-                        AccessPattern::Random,
-                        TimeCategory::UserData,
-                    )?;
+                    let file_off = offset + range.start as u64;
+                    let random = AccessPattern::Random;
+                    core.read_data(ino, file_off, piece, random, TimeCategory::UserData)?;
                 }
             }
-            pos += chunk;
         }
         Ok(())
     }
@@ -221,22 +211,19 @@ impl PrivateLog {
         offset: u64,
         data: &[u8],
     ) -> FsResult<()> {
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let file_off = offset + pos as u64;
-            let block = file_off / BLOCK_SIZE as u64;
-            let within = (file_off % BLOCK_SIZE as u64) as usize;
-            let chunk = (BLOCK_SIZE - within).min(data.len() - pos);
+        for (block, within, range) in block_chunks(offset, data.len()) {
+            let block_start = block * BLOCK_SIZE as u64;
             // Build the full-block image the log stores (merge with any
             // previous content so the digest can copy whole blocks).
             let mut image = vec![0u8; BLOCK_SIZE];
             let old_size = core.node(ino)?.size;
-            if old_size > block * BLOCK_SIZE as u64 {
-                self.read_locked(core, state, ino, block * BLOCK_SIZE as u64, &mut image)?;
+            if old_size > block_start {
+                self.read_locked(core, state, ino, block_start, &mut image)?;
             }
-            image[within..within + chunk].copy_from_slice(&data[pos..pos + chunk]);
-            let valid = (within + chunk)
-                .max((old_size.saturating_sub(block * BLOCK_SIZE as u64) as usize).min(BLOCK_SIZE));
+            let end = within + range.len();
+            image[within..end].copy_from_slice(&data[range]);
+            let old_here = old_size.saturating_sub(block_start).min(BLOCK_SIZE as u64);
+            let valid = end.max(old_here as usize);
             let log_offset = self.log_append(state, &image[..valid]);
             state.pending.insert(
                 (ino, block),
@@ -247,11 +234,10 @@ impl PrivateLog {
             );
             // Writes become visible (to this process) as they land, so the
             // size must track each logged block for the merge reads above.
-            let new_end = file_off + chunk as u64;
+            let new_end = block_start + end as u64;
             if new_end > core.node(ino)?.size {
                 core.node_mut(ino)?.size = new_end;
             }
-            pos += chunk;
         }
         Ok(())
     }
