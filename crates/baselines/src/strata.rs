@@ -92,16 +92,16 @@ struct LogState {
 
 impl PrivateLog {
     /// Appends one entry (header + payload) to the private log.
-    fn log_append(&self, state: &mut LogState, payload: &[u8]) -> u64 {
-        let cost = self.device.cost();
-        self.device.charge_software(cost.strata_log_append_ns);
+    fn log_append(&self, core: &mut FsCore, state: &mut LogState, payload: &[u8]) -> FsResult<u64> {
         let need = (LOG_HEADER + payload.len()) as u64;
         debug_assert!(need <= self.log_capacity);
         if state.head + need > self.log_capacity {
-            // The caller digests before this can happen in normal operation;
-            // wrap defensively.
-            state.head = 0;
+            // One gather can outrun the digest threshold: digest now rather
+            // than overwrite entries still pending.
+            self.digest(core, state)?;
         }
+        let cost = self.device.cost();
+        self.device.charge_software(cost.strata_log_append_ns);
         let header = [0u8; LOG_HEADER];
         self.device.write(
             state.head,
@@ -120,7 +120,7 @@ impl PrivateLog {
         }
         self.device.fence(TimeCategory::UserData);
         state.head += need;
-        data_off
+        Ok(data_off)
     }
 
     /// Runs a digest: coalesces the pending log entries and copies each
@@ -224,7 +224,7 @@ impl PrivateLog {
             image[within..end].copy_from_slice(&data[range]);
             let old_here = old_size.saturating_sub(block_start).min(BLOCK_SIZE as u64);
             let valid = end.max(old_here as usize);
-            let log_offset = self.log_append(state, &image[..valid]);
+            let log_offset = self.log_append(core, state, &image[..valid])?;
             state.pending.insert(
                 (ino, block),
                 LogExtent {
@@ -258,9 +258,9 @@ impl Design for PrivateLog {
         device.charge_software(device.cost().strata_index_ns);
     }
 
-    fn metadata(&self, _core: &mut FsCore, op: Meta) -> FsResult<()> {
+    fn metadata(&self, core: &mut FsCore, op: Meta) -> FsResult<()> {
         let mut state = self.state.write();
-        self.log_append(&mut state, &[]);
+        self.log_append(core, &mut state, &[])?;
         // Undigested blocks past a cut, or of a removed file, must not be
         // digested back into it.
         let cut = match op {
@@ -384,5 +384,24 @@ mod tests {
         // A digest after the unlink must not resurrect the file.
         fs.sync().unwrap();
         assert!(fs.stat("/gone").is_err());
+    }
+
+    #[test]
+    fn an_entry_that_would_not_fit_digests_instead_of_overwriting_the_log() {
+        // 5 MiB logged stays under the 6 MiB digest threshold; the next
+        // 4 MiB write runs past the end of the 8 MiB log mid-gather.  Its
+        // entries must not land on the first write's undigested ones.
+        let fs = fs();
+        let fd = fs.open("/f", OpenFlags::create()).unwrap();
+        let first: Vec<u8> = (0..5 * 1024 * 1024u32).map(|i| (i % 251) as u8).collect();
+        fs.write_at(fd, 0, &first).unwrap();
+        assert_eq!(fs.digest_count(), 0);
+        fs.write_at(fd, 16 * 1024 * 1024, &vec![7u8; 4 * 1024 * 1024])
+            .unwrap();
+        let mut out = vec![0u8; first.len()];
+        assert_eq!(fs.read_at(fd, 0, &mut out).unwrap(), first.len());
+        let wrong = out.iter().zip(&first).filter(|(a, b)| a != b).count();
+        assert_eq!(wrong, 0, "{wrong} bytes of the first write read back wrong");
+        assert_eq!(fs.digest_count(), 1);
     }
 }
