@@ -2,24 +2,20 @@
 //!
 //! PMFS, NOVA and Strata differ in *how* they persist data and metadata
 //! (in-place vs copy-on-write vs private-log-then-digest) and in the
-//! logging traffic each operation generates, and in nothing else.  The
-//! split follows that line:
+//! logging traffic each operation generates, and in nothing else:
 //!
-//! * [`FsCore`] is the mechanics of being a file system: a namespace,
-//!   inodes, a block allocator, descriptors and the mapping of file bytes
-//!   to device blocks, with *no* cost accounting beyond raw device traffic.
+//! * [`FsCore`] is the mechanics: a namespace, inodes, a block allocator,
+//!   descriptors and the mapping of file bytes to device blocks, with *no*
+//!   cost accounting beyond raw device traffic.
 //! * [`Baseline`] is the one [`FileSystem`] implementation: the core lock,
-//!   descriptor and permission checks, path resolution and its error
-//!   order, the cursor, `stat`/`readdir`/`lseek`, the `fsync` entry points
-//!   and the gather preamble (empty writes, end of file resolved under the
-//!   lock).
-//! * A [`Design`] is everything else: the per-call entry charge, the
-//!   journal or log record of each metadata operation, the data write of
-//!   a gather, and the read and `sync` where a design needs its own.
-//!   `pmfs.rs`, `nova.rs` and `strata.rs` hold one design each.
-//!
-//! So the performance differences between the baselines come only from
-//! their persistence designs, as in the paper.
+//!   descriptor, permission and path checks in their error order, the
+//!   cursor, `stat`/`readdir`/`lseek`, the `fsync` entry points and the
+//!   gather preamble (empty writes, end of file resolved under the lock).
+//! * A [`Design`] is where the front end ends: the entry charge of a call,
+//!   the journal or log record of each metadata operation, the data write
+//!   of a gather, and a design's own read and `sync`.  `pmfs.rs`, `nova.rs`
+//!   and `strata.rs` hold one design each, so the performance differences
+//!   between the baselines come only from their persistence designs.
 //!
 //! The baselines are performance-faithful rather than recovery-faithful:
 //! they keep their metadata authoritative in memory (the paper's
@@ -148,15 +144,19 @@ impl FsCore {
         let (parent_path, name) = vpath::split(&norm)?;
         let mut dir_ino = ROOT_INO;
         for comp in vpath::components(parent_path) {
-            let map = self.dirs.get(&dir_ino).ok_or(FsError::NotADirectory)?;
-            let &child = map.get(comp).ok_or(FsError::NotFound)?;
+            let child = self.lookup(dir_ino, comp)?.ok_or(FsError::NotFound)?;
             if !self.nodes.get(&child).map(|n| n.is_dir).unwrap_or(false) {
                 return Err(FsError::NotADirectory);
             }
             dir_ino = child;
         }
-        let map = self.dirs.get(&dir_ino).ok_or(FsError::NotADirectory)?;
-        Ok((dir_ino, name.to_string(), map.get(name).copied()))
+        Ok((dir_ino, name.to_string(), self.lookup(dir_ino, name)?))
+    }
+
+    /// The inode `name` names in directory `dir`, if any.
+    fn lookup(&self, dir: u64, name: &str) -> FsResult<Option<u64>> {
+        let map = self.dirs.get(&dir).ok_or(FsError::NotADirectory)?;
+        Ok(map.get(name).copied())
     }
 
     /// Resolves a path that may be the root directory.
@@ -185,8 +185,8 @@ impl FsCore {
     }
 
     /// Removes the directory entry and, when this was the last reference,
-    /// frees the node's blocks.  Returns the freed block count.
-    pub fn remove_node(&mut self, parent: u64, name: &str) -> FsResult<u64> {
+    /// frees the node's blocks.
+    pub fn remove_node(&mut self, parent: u64, name: &str) -> FsResult<()> {
         let ino = self
             .dirs
             .get_mut(&parent)
@@ -195,11 +195,10 @@ impl FsCore {
             .ok_or(FsError::NotFound)?;
         let node = self.nodes.remove(&ino).ok_or(FsError::NotFound)?;
         self.dirs.remove(&ino);
-        let freed = node.blocks.len() as u64;
         for b in node.blocks {
             self.free_block(b);
         }
-        Ok(freed)
+        Ok(())
     }
 
     /// Accesses a node immutably.
@@ -228,7 +227,11 @@ impl FsCore {
         self.dirs.get(&ino).map(|m| m.is_empty()).unwrap_or(true)
     }
 
-    /// Moves a directory entry (rename); frees a replaced destination node.
+    /// Moves a directory entry (rename), replacing and freeing a regular
+    /// file at the destination.  Refuses, before changing anything, a
+    /// directory moved into its own subtree (`InvalidArgument`), any
+    /// entry moved over a directory (`IsADirectory`) and a directory moved
+    /// over a file (`NotADirectory`).
     pub fn move_entry(
         &mut self,
         old_parent: u64,
@@ -237,24 +240,39 @@ impl FsCore {
         new_name: &str,
     ) -> FsResult<()> {
         let ino = self
-            .dirs
-            .get_mut(&old_parent)
-            .ok_or(FsError::NotADirectory)?
-            .remove(old_name)
+            .lookup(old_parent, old_name)?
             .ok_or(FsError::NotFound)?;
-        if self
-            .dirs
-            .get(&new_parent)
-            .ok_or(FsError::NotADirectory)?
-            .contains_key(new_name)
-        {
+        let replaced = self.lookup(new_parent, new_name)?;
+        let moves_dir = self.node(ino)?.is_dir;
+        if moves_dir && self.holds(ino, new_parent) {
+            return Err(FsError::InvalidArgument);
+        }
+        if let Some(replaced) = replaced.filter(|&r| r != ino) {
+            if self.node(replaced)?.is_dir {
+                return Err(FsError::IsADirectory);
+            }
+            if moves_dir {
+                return Err(FsError::NotADirectory);
+            }
             self.remove_node(new_parent, new_name)?;
         }
-        self.dirs
-            .get_mut(&new_parent)
-            .ok_or(FsError::NotADirectory)?
-            .insert(new_name.to_string(), ino);
+        if let Some(map) = self.dirs.get_mut(&old_parent) {
+            map.remove(old_name);
+        }
+        if let Some(map) = self.dirs.get_mut(&new_parent) {
+            map.insert(new_name.to_string(), ino);
+        }
         Ok(())
+    }
+
+    /// Whether directory `dir` is `root` or lies beneath it.
+    fn holds(&self, root: u64, dir: u64) -> bool {
+        let mut children = self
+            .dirs
+            .get(&root)
+            .into_iter()
+            .flat_map(|map| map.values());
+        root == dir || children.any(|&child| self.holds(child, dir))
     }
 
     // ------------------------------------------------------------------
@@ -297,15 +315,13 @@ impl FsCore {
         let file = self.fd(fd)?;
         let size = self.node(file.ino)?.size;
         let new = match pos {
-            SeekFrom::Start(o) => o as i128,
-            SeekFrom::Current(d) => file.offset as i128 + d as i128,
-            SeekFrom::End(d) => size as i128 + d as i128,
+            SeekFrom::Start(o) => Some(o),
+            SeekFrom::Current(d) => file.offset.checked_add_signed(d),
+            SeekFrom::End(d) => size.checked_add_signed(d),
         };
-        if new < 0 {
-            return Err(FsError::InvalidArgument);
-        }
-        self.fd_mut(fd)?.offset = new as u64;
-        Ok(new as u64)
+        let new = new.ok_or(FsError::InvalidArgument)?;
+        self.fd_mut(fd)?.offset = new;
+        Ok(new)
     }
 
     /// Builds a [`FileStat`] for a node.
@@ -462,7 +478,8 @@ pub trait Design: Send + Sync + 'static {
     }
 
     /// Makes a validated metadata operation durable in the design's own
-    /// journal or log.  Runs before the core applies the operation.
+    /// journal or log.  Runs before the core applies the operation, except
+    /// for a rename, which the core must first accept.
     fn metadata(&self, core: &mut FsCore, op: Meta) -> FsResult<()>;
 
     /// Writes a non-empty gather at `offset` of file `ino` (end of file
@@ -729,8 +746,10 @@ impl<D: Design> FileSystem for Baseline<D> {
         let mut core = self.core.write();
         let (old_parent, old_name, _) = Self::existing(&core, old)?;
         let (new_parent, new_name, _) = core.resolve(new)?;
-        self.design.metadata(&mut core, Meta::Rename)?;
-        core.move_entry(old_parent, &old_name, new_parent, &new_name)
+        // The move touches no device byte, so moving first keeps a refused
+        // rename out of the journal without reordering any device traffic.
+        core.move_entry(old_parent, &old_name, new_parent, &new_name)?;
+        self.design.metadata(&mut core, Meta::Rename)
     }
 
     fn mkdir(&self, path: &str) -> FsResult<()> {

@@ -188,18 +188,14 @@ impl Design for InodeLog {
     }
 
     fn metadata(&self, _core: &mut FsCore, op: Meta) -> FsResult<()> {
-        match op {
-            Meta::Create => {
-                let cost = self.device.cost();
-                self.device.charge_software(cost.nova_alloc_ns);
-                self.log_op();
-            }
+        if op == Meta::Create {
+            let cost = self.device.cost();
+            self.device.charge_software(cost.nova_alloc_ns);
+        }
+        self.log_op();
+        if op == Meta::Rename {
             // Rename touches two directory logs.
-            Meta::Rename => {
-                self.log_op();
-                self.log_op();
-            }
-            _ => self.log_op(),
+            self.log_op();
         }
         Ok(())
     }

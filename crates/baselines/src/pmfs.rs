@@ -78,15 +78,11 @@ impl Design for UndoJournal {
     }
 
     fn metadata(&self, _core: &mut FsCore, op: Meta) -> FsResult<()> {
-        match op {
-            Meta::Create => {
-                let cost = self.device.cost();
-                self.device.charge_software(cost.pmfs_inode_update_ns);
-                self.journal(2);
-            }
-            Meta::Rename => self.journal(3),
-            _ => self.journal(2),
+        if op == Meta::Create {
+            let cost = self.device.cost();
+            self.device.charge_software(cost.pmfs_inode_update_ns);
         }
+        self.journal(if op == Meta::Rename { 3 } else { 2 });
         Ok(())
     }
 

@@ -157,13 +157,6 @@ impl PrivateLog {
         Ok(())
     }
 
-    fn maybe_digest(&self, core: &mut FsCore, state: &mut LogState) -> FsResult<()> {
-        if state.head as f64 >= self.log_capacity as f64 * DIGEST_THRESHOLD {
-            self.digest(core, state)?;
-        }
-        Ok(())
-    }
-
     /// Reads file bytes with the log state held, each block from the
     /// freshest location: the private log if the block has an undigested
     /// write, the shared area otherwise.
@@ -280,7 +273,10 @@ impl Design for PrivateLog {
         for (at, data) in placed(offset, iov) {
             self.write_slice_locked(core, &mut state, ino, at, data)?;
         }
-        self.maybe_digest(core, &mut state)
+        if state.head as f64 >= self.log_capacity as f64 * DIGEST_THRESHOLD {
+            self.digest(core, &mut state)?;
+        }
+        Ok(())
     }
 
     fn read(

@@ -2441,6 +2441,12 @@ impl FileSystem for Ext4Dax {
         let (old_parent, old_name, old_ino) = self.resolve_norm(ns, &old_norm)?;
         let ino = old_ino.ok_or(FsError::NotFound)?;
         let (new_parent, new_name, new_existing) = self.resolve_norm(ns, &new_norm)?;
+        let moves_dir = ns.dirs.contains_key(&ino);
+        // A directory cannot move into its own subtree.
+        let beneath = |rest: &str| rest.starts_with('/');
+        if moves_dir && new_norm.strip_prefix(&*old_norm).is_some_and(beneath) {
+            return Err(FsError::InvalidArgument);
+        }
         let replaced_ino = new_existing.unwrap_or(0);
         if replaced_ino == ino {
             return Ok(());
@@ -2448,10 +2454,13 @@ impl FileSystem for Ext4Dax {
         if replaced_ino != 0 && ns.dirs.contains_key(&replaced_ino) {
             return Err(FsError::IsADirectory);
         }
+        if replaced_ino != 0 && moves_dir {
+            return Err(FsError::NotADirectory);
+        }
         // A directory move changes the meaning of every path beneath it:
         // bump the directory-move generation, which every cached deep path
         // is pinned to.
-        if ns.dirs.contains_key(&ino) {
+        if moves_dir {
             ns.move_gen += 1;
         }
 

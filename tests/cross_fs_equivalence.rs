@@ -71,6 +71,45 @@ fn posix_file_operations_agree_across_all_filesystems() {
     }
 }
 
+/// The renames POSIX refuses — a directory into its own subtree, a file
+/// over a directory, a directory over a file or over another directory —
+/// fail with the same error everywhere and leave the tree as it was; a
+/// directory moved elsewhere keeps its contents.
+#[test]
+fn refused_renames_agree_across_all_filesystems() {
+    use FsError::{InvalidArgument, IsADirectory, NotADirectory};
+    for fs in all_filesystems() {
+        let name = fs.name();
+        fs.mkdir("/a").unwrap();
+        fs.mkdir("/a/b").unwrap();
+        fs.mkdir("/d").unwrap();
+        fs.write_file("/d/e", b"kept").unwrap();
+        fs.write_file("/x", b"x").unwrap();
+        let refused = [
+            ("/a", "/a/b/c", InvalidArgument),
+            ("/a", "/a/b", InvalidArgument),
+            ("/x", "/d", IsADirectory),
+            ("/a", "/d", IsADirectory),
+            ("/a", "/x", NotADirectory),
+        ];
+        for (old, new, err) in refused {
+            assert_eq!(fs.rename(old, new), Err(err), "{name}: {old} -> {new}");
+        }
+        let mut root = fs.readdir("/").unwrap();
+        root.sort();
+        assert_eq!(root, ["a", "d", "x"], "{name}");
+        assert_eq!(fs.readdir("/a").unwrap(), ["b"], "{name}");
+        assert_eq!(fs.read_file("/d/e").unwrap(), b"kept", "{name}");
+        assert_eq!(fs.read_file("/x").unwrap(), b"x", "{name}");
+
+        fs.rename("/d", "/a/b/d").unwrap();
+        assert_eq!(fs.read_file("/a/b/d/e").unwrap(), b"kept", "{name}");
+        let mut root = fs.readdir("/").unwrap();
+        root.sort();
+        assert_eq!(root, ["a", "x"], "{name}");
+    }
+}
+
 /// What an application can observe around an `unlink` of a file it still
 /// holds open (sizes, bytes and error codes — no inode numbers, which
 /// differ between stacks).
