@@ -315,13 +315,15 @@ impl FsCore {
         let file = self.fd(fd)?;
         let size = self.node(file.ino)?.size;
         let new = match pos {
-            SeekFrom::Start(o) => Some(o),
-            SeekFrom::Current(d) => file.offset.checked_add_signed(d),
-            SeekFrom::End(d) => size.checked_add_signed(d),
+            SeekFrom::Start(o) => o as i128,
+            SeekFrom::Current(d) => file.offset as i128 + d as i128,
+            SeekFrom::End(d) => size as i128 + d as i128,
         };
-        let new = new.ok_or(FsError::InvalidArgument)?;
-        self.fd_mut(fd)?.offset = new;
-        Ok(new)
+        if new < 0 {
+            return Err(FsError::InvalidArgument);
+        }
+        self.fd_mut(fd)?.offset = new as u64;
+        Ok(new as u64)
     }
 
     /// Builds a [`FileStat`] for a node.
@@ -435,7 +437,7 @@ pub fn block_chunks(offset: u64, len: usize) -> impl Iterator<Item = (u64, usize
 }
 
 /// A metadata operation, handed to [`Design::metadata`] once the front end
-/// has validated it and before [`FsCore`] applies it.
+/// has validated it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Meta {
     /// `open` with `O_CREAT` of a new regular file.
