@@ -459,7 +459,7 @@ pub enum Meta {
 /// Strata differ.  [`Baseline`] calls these hooks from its one
 /// [`FileSystem`] implementation, with the core write lock held for every
 /// hook that takes the core.
-pub trait Design: Send + Sync + 'static {
+pub trait Design: Send + Sync {
     /// Display name for reports.
     fn name(&self) -> String;
 
