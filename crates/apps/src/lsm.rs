@@ -560,4 +560,119 @@ mod tests {
         assert_eq!(store.get(b"key0123").unwrap(), Some(b"v123".to_vec()));
         assert_eq!(store.get(b"wal-only").unwrap(), Some(b"survives".to_vec()));
     }
+
+    /// `LsmStore` against a `BTreeMap` over a seeded stream of puts,
+    /// deletes, gets, flushes, compactions and reopens.  A 4 KiB memtable
+    /// and a compaction trigger of 3 keep several tables alive at once;
+    /// gets cover keys never put and keys only ever deleted, a tombstone in
+    /// a newer table over a value in an older one, a key rewritten in every
+    /// table, and a merged table of more than 1000 keys.
+    #[test]
+    fn store_matches_a_map_model_across_flushes_compactions_and_reopens() {
+        const PUT_KEYS: u64 = 2500;
+        const ALL_KEYS: u64 = 3000;
+        let config = LsmConfig {
+            dir: "/model".to_string(),
+            memtable_bytes: 4096,
+            sync_writes: false,
+            compaction_trigger: 3,
+        };
+        let mut seed = 0x15A_5EED_u64;
+        let mut next = move |n: u64| {
+            // splitmix64
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        // Key 0 is the empty key; keys at or past PUT_KEYS are never put.
+        let key = |n: u64| {
+            if n == 0 {
+                Vec::new()
+            } else {
+                format!("k{n}").into_bytes()
+            }
+        };
+        let fs = fs();
+        let mut store = LsmStore::open(Arc::clone(&fs), config.clone()).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+
+        // A tombstone in the newer table shadows the value in the older.
+        store.put(b"shadowed", b"old").unwrap();
+        store.put(b"hot", b"first").unwrap();
+        store.flush_memtable().unwrap();
+        store.delete(b"shadowed").unwrap();
+        store.put(b"hot", b"second").unwrap();
+        store.flush_memtable().unwrap();
+        model.insert(b"hot".to_vec(), b"second".to_vec());
+        assert_eq!(store.sstable_count(), 2);
+        assert_eq!(store.get(b"shadowed").unwrap(), None);
+
+        let mut largest_table = 0;
+        let mut reopens = 0;
+        for step in 0..20_000u64 {
+            // The hot key goes into every table: it is rewritten far more
+            // often than a 4 KiB memtable fills, and before every flush.
+            if step % 4 == 0 {
+                let value = format!("hot-{step}").into_bytes();
+                store.put(b"hot", &value).unwrap();
+                model.insert(b"hot".to_vec(), value);
+            }
+            match next(1000) {
+                0..=439 => {
+                    let k = key(next(PUT_KEYS));
+                    let value = vec![b'a' + (step % 26) as u8; next(24) as usize];
+                    store.put(&k, &value).unwrap();
+                    model.insert(k, value);
+                }
+                440..=539 => {
+                    let k = key(next(ALL_KEYS));
+                    store.delete(&k).unwrap();
+                    model.remove(&k);
+                }
+                540..=949 => {
+                    let k = key(next(ALL_KEYS));
+                    assert_eq!(
+                        store.get(&k).unwrap().as_ref(),
+                        model.get(&k),
+                        "step {step}"
+                    );
+                }
+                950..=979 => {
+                    let k = format!("absent-{}", next(ALL_KEYS)).into_bytes();
+                    assert_eq!(store.get(&k).unwrap(), None, "step {step}");
+                }
+                980..=993 => {
+                    let value = format!("hot-{step}-flush").into_bytes();
+                    store.put(b"hot", &value).unwrap();
+                    model.insert(b"hot".to_vec(), value);
+                    store.flush_memtable().unwrap();
+                }
+                994..=997 => store.compact().unwrap(),
+                _ => {
+                    // Reopen without a clean shutdown: every table is
+                    // re-indexed from its file and the WAL replayed.
+                    drop(store);
+                    store = LsmStore::open(Arc::clone(&fs), config.clone()).unwrap();
+                    reopens += 1;
+                }
+            }
+            for table in &store.sstables {
+                largest_table = largest_table.max(table.index.len());
+                assert!(
+                    table.index.iter().any(|(k, _, _)| k == b"hot"),
+                    "step {step}: {} lacks the hot key",
+                    table.path
+                );
+            }
+        }
+        assert!(largest_table > 1000, "largest table {largest_table} keys");
+        assert!(reopens > 0);
+        assert_eq!(store.get(b"shadowed").unwrap(), None);
+        for n in 0..ALL_KEYS {
+            let k = key(n);
+            assert_eq!(store.get(&k).unwrap().as_ref(), model.get(&k), "key {n}");
+        }
+    }
 }
