@@ -9,6 +9,7 @@
 //! and unlinks the old ones.
 
 use std::collections::BTreeMap;
+use std::hash::{DefaultHasher, Hasher};
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, BytesMut};
@@ -38,24 +39,76 @@ impl Default for LsmConfig {
     }
 }
 
-/// In-memory metadata of one SSTable.
-#[derive(Debug, Clone)]
+/// One entry of an SSTable's sorted index: key, value offset, value
+/// length; a tombstone has `len == u32::MAX`.
+type IndexEntry = (Vec<u8>, u64, u32);
+
+/// In-memory metadata of one SSTable: two views of its keys.  Point reads
+/// go through the point index; scans and compaction walk the sorted index.
+#[derive(Debug)]
 struct SsTable {
     path: String,
     /// Cached open descriptor, like LevelDB's table cache: lookups read
     /// through it instead of re-opening the file per operation.
     fd: Fd,
-    /// Sorted (key, value offset, value length) index; a tombstone has
-    /// `len == u32::MAX`.
-    index: Vec<(Vec<u8>, u64, u32)>,
+    /// Every entry of the file, tombstones included, in key order.
+    index: Vec<IndexEntry>,
+    /// Open-addressed hash slots over `index`, a power of two of at least
+    /// twice its length.  A slot is 0 when empty, else the key hash's high
+    /// 32 bits (a fingerprint) over the entry's position in `index` plus
+    /// one; a key's probe starts at the slot its hash's low bits name.
+    points: Vec<u64>,
 }
 
+/// The hash a point lookup probes with: fixed-key, so slot order and probe
+/// lengths repeat from run to run.
+fn point_hash(key: &[u8]) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    hasher.write(key);
+    hasher.finish()
+}
+
+const FINGERPRINT: u64 = !(u32::MAX as u64);
+
 impl SsTable {
-    fn get(&self, key: &[u8]) -> Option<(u64, u32)> {
-        self.index
-            .binary_search_by(|(k, _, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|i| (self.index[i].1, self.index[i].2))
+    fn new(path: &str, fd: Fd, index: Vec<IndexEntry>) -> Self {
+        let slots = (2 * index.len()).max(1).next_power_of_two();
+        let mut points = vec![0u64; slots];
+        for (pos, (key, _, _)) in index.iter().enumerate() {
+            let hash = point_hash(key);
+            let mut slot = hash as usize & (slots - 1);
+            while points[slot] != 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            points[slot] = hash & FINGERPRINT | (pos as u64 + 1);
+        }
+        Self {
+            path: path.to_string(),
+            fd,
+            index,
+            points,
+        }
+    }
+
+    /// The entry of `key`, whose [`point_hash`] is `hash`.  A missing key
+    /// usually costs one slot read; a present one a slot read and a key
+    /// compare.
+    fn lookup(&self, key: &[u8], hash: u64) -> Option<&IndexEntry> {
+        let mask = self.points.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let point = self.points[slot];
+            if point == 0 {
+                return None;
+            }
+            if point & FINGERPRINT == hash & FINGERPRINT {
+                let entry = &self.index[(point as u32 - 1) as usize];
+                if entry.0 == key {
+                    return Some(entry);
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
     }
 }
 
@@ -233,8 +286,9 @@ impl LsmStore {
         if let Some(value) = self.memtable.get(key) {
             return Ok(value.clone());
         }
+        let hash = point_hash(key);
         for table in self.sstables.iter().rev() {
-            if let Some((offset, len)) = table.get(key) {
+            if let Some(&(_, offset, len)) = table.lookup(key, hash) {
                 if len == TOMBSTONE {
                     return Ok(None);
                 }
@@ -397,11 +451,7 @@ impl LsmStore {
         }
         fs.fsync(fd)?;
         // The descriptor is kept open and cached for reads (table cache).
-        Ok(SsTable {
-            path: path.to_string(),
-            fd,
-            index,
-        })
+        Ok(SsTable::new(path, fd, index))
     }
 
     /// Rebuilds an SSTable's index by scanning the file (recovery path).
@@ -427,11 +477,7 @@ impl LsmStore {
             offset += 8 + klen as u64 + vlen as u64;
         }
         let fd = fs.open(path, OpenFlags::read_only())?;
-        Ok(SsTable {
-            path: path.to_string(),
-            fd,
-            index,
-        })
+        Ok(SsTable::new(path, fd, index))
     }
 
     /// Flushes everything and fsyncs (clean shutdown).
