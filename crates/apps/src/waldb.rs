@@ -76,7 +76,7 @@ pub struct WalDb {
     /// Number of pages in the database file.
     page_count: u64,
     /// Latest WAL offset of each page image not yet checkpointed.
-    wal_index: HashMap<u64, u64>,
+    wal_index: BTreeMap<u64, u64>,
     /// Frames currently in the WAL.
     wal_frames: usize,
     /// Byte length of the WAL file.
@@ -86,9 +86,9 @@ pub struct WalDb {
     /// Free bytes per page.
     free_space: BTreeMap<u64, usize>,
     /// Pages modified by the current transaction.
-    dirty: HashMap<u64, Vec<u8>>,
+    dirty: BTreeMap<u64, Vec<u8>>,
     /// Clean page cache.
-    cache: HashMap<u64, Vec<u8>>,
+    cache: BTreeMap<u64, Vec<u8>>,
     /// Committed transactions (exposed for experiments).
     commits: u64,
     /// Checkpoints run (exposed for experiments).
@@ -130,13 +130,13 @@ impl WalDb {
             db_fd,
             wal_fd,
             page_count,
-            wal_index: HashMap::new(),
+            wal_index: BTreeMap::new(),
             wal_frames: 0,
             wal_len: 0,
             row_index: HashMap::new(),
             free_space: BTreeMap::new(),
-            dirty: HashMap::new(),
-            cache: HashMap::new(),
+            dirty: BTreeMap::new(),
+            cache: BTreeMap::new(),
             commits: 0,
             checkpoints: 0,
         };
@@ -263,13 +263,11 @@ impl WalDb {
         Ok(page)
     }
 
-    /// Inserts a clean page into the bounded cache, evicting an arbitrary
-    /// clean page when the cache is full.
+    /// Inserts a clean page into the bounded cache, evicting the
+    /// lowest-numbered clean page when the cache is full.
     fn cache_insert(&mut self, page_no: u64, page: Vec<u8>) {
         if self.cache.len() >= self.config.cache_pages {
-            if let Some(&evict) = self.cache.keys().next() {
-                self.cache.remove(&evict);
-            }
+            self.cache.pop_first();
         }
         self.cache.insert(page_no, page);
     }
@@ -361,14 +359,14 @@ impl WalDb {
     // ------------------------------------------------------------------
 
     /// Commits the current transaction: every dirty page becomes a WAL
-    /// frame, the WAL is fsynced, and a checkpoint runs if the WAL has
+    /// frame, in page order, the WAL is fsynced, and a checkpoint runs if the WAL has
     /// grown past the configured threshold.
     pub fn commit(&mut self) -> FsResult<()> {
         if self.dirty.is_empty() {
             self.commits += 1;
             return Ok(());
         }
-        let dirty: Vec<(u64, Vec<u8>)> = self.dirty.drain().collect();
+        let dirty: Vec<(u64, Vec<u8>)> = std::mem::take(&mut self.dirty).into_iter().collect();
         // Every frame is gathered from its 16-byte header and the page
         // image in place — one vectored write commits the transaction
         // instead of one copy into a contiguous buffer.
@@ -478,7 +476,7 @@ impl WalDb {
     }
 
     /// Copies the newest version of every WAL page back into the database
-    /// file and truncates the WAL (SQLite checkpoint).
+    /// file, in page order, and truncates the WAL (SQLite checkpoint).
     pub fn checkpoint(&mut self) -> FsResult<()> {
         let pages: Vec<u64> = self.wal_index.keys().copied().collect();
         for page_no in pages {
@@ -642,6 +640,49 @@ mod tests {
                 "key {key}"
             );
         }
+    }
+
+    /// Two fresh stacks in one process run the same transactions: page
+    /// eviction, the frame order of a commit and the checkpoint's write
+    /// order must not depend on a per-instance hasher, so the device
+    /// traffic and the WAL come out byte for byte the same.
+    #[test]
+    fn the_same_transactions_give_the_same_traffic_and_wal() {
+        let run = || {
+            let device = PmemBuilder::new(64 * 1024 * 1024)
+                .track_persistence(false)
+                .build();
+            let fs: Arc<dyn FileSystem> = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+            let config = WalDbConfig {
+                checkpoint_frames: 48,
+                cache_pages: 8,
+                ..WalDbConfig::default()
+            };
+            let mut db = WalDb::open(Arc::clone(&fs), config.clone()).unwrap();
+            let mut seed = 0x7CC_5EED_u64;
+            for txn in 0..150u64 {
+                for _ in 0..6 {
+                    seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    let key = (seed >> 33) % 400;
+                    let table = (key % 3) as u8;
+                    if key.is_multiple_of(5) {
+                        db.get(table, key).unwrap();
+                    } else {
+                        let row = vec![(txn % 251) as u8; 100 + (key % 7) as usize * 40];
+                        db.upsert(table, key, &row).unwrap();
+                    }
+                }
+                db.commit().unwrap();
+            }
+            assert!(db.checkpoint_count() > 0);
+            let wal = fs.read_file(&config.wal_path).unwrap();
+            assert!(!wal.is_empty());
+            (device.stats().snapshot(), wal)
+        };
+        let (first_stats, first_wal) = run();
+        let (second_stats, second_wal) = run();
+        assert!(first_wal == second_wal, "the WAL bytes differ");
+        assert_eq!(first_stats, second_stats);
     }
 
     #[test]
