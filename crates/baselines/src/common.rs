@@ -23,6 +23,7 @@
 //! target SplitFS and the kernel file system, which have full on-device
 //! recovery paths).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
@@ -65,6 +66,12 @@ pub struct Node {
     pub size: u64,
     /// Physical device block backing each 4 KiB logical block.
     pub blocks: Vec<u64>,
+    /// Open descriptors on the node.
+    pub opens: u32,
+    /// Whether a directory entry names the node.  An unlinked or replaced
+    /// node that is still open is an orphan: it keeps its blocks until its
+    /// last close.
+    pub linked: bool,
 }
 
 impl Node {
@@ -74,6 +81,8 @@ impl Node {
             is_dir,
             size: 0,
             blocks: Vec::new(),
+            opens: 0,
+            linked: true,
         }
     }
 }
@@ -184,8 +193,8 @@ impl FsCore {
         Ok(ino)
     }
 
-    /// Removes the directory entry and, when this was the last reference,
-    /// frees the node's blocks.
+    /// Removes the directory entry; the node and its blocks go now, or at
+    /// its last close if a descriptor still holds it.
     pub fn remove_node(&mut self, parent: u64, name: &str) -> FsResult<()> {
         let ino = self
             .dirs
@@ -193,12 +202,24 @@ impl FsCore {
             .ok_or(FsError::NotADirectory)?
             .remove(name)
             .ok_or(FsError::NotFound)?;
-        let node = self.nodes.remove(&ino).ok_or(FsError::NotFound)?;
+        self.nodes.get_mut(&ino).ok_or(FsError::NotFound)?.linked = false;
         self.dirs.remove(&ino);
-        for b in node.blocks {
+        self.release(ino);
+        Ok(())
+    }
+
+    /// Frees node `ino` and its blocks once no entry names it and no
+    /// descriptor holds it.
+    fn release(&mut self, ino: u64) {
+        let Entry::Occupied(entry) = self.nodes.entry(ino) else {
+            return;
+        };
+        if entry.get().linked || entry.get().opens > 0 {
+            return;
+        }
+        for b in entry.remove().blocks {
             self.free_block(b);
         }
-        Ok(())
     }
 
     /// Accesses a node immutably.
@@ -227,8 +248,8 @@ impl FsCore {
         self.dirs.get(&ino).map(|m| m.is_empty()).unwrap_or(true)
     }
 
-    /// Moves a directory entry (rename), replacing and freeing a regular
-    /// file at the destination.  Refuses, before changing anything, a
+    /// Moves a directory entry (rename), replacing a regular file at the
+    /// destination, which [`FsCore::remove_node`] frees.  Refuses, before changing anything, a
     /// directory moved into its own subtree (`InvalidArgument`), any
     /// entry moved over a directory (`IsADirectory`) and a directory moved
     /// over a file (`NotADirectory`).
@@ -283,6 +304,9 @@ impl FsCore {
     pub fn insert_fd(&mut self, ino: u64, flags: OpenFlags) -> Fd {
         let fd = self.next_fd;
         self.next_fd += 1;
+        if let Some(node) = self.nodes.get_mut(&ino) {
+            node.opens += 1;
+        }
         self.fds.insert(
             fd,
             OpenFile {
@@ -305,9 +329,14 @@ impl FsCore {
         self.fds.get_mut(&fd).ok_or(FsError::BadFd)
     }
 
-    /// Removes a descriptor.
+    /// Removes a descriptor; the last close of an orphan frees it.
     pub fn remove_fd(&mut self, fd: Fd) -> FsResult<OpenFile> {
-        self.fds.remove(&fd).ok_or(FsError::BadFd)
+        let file = self.fds.remove(&fd).ok_or(FsError::BadFd)?;
+        if let Some(node) = self.nodes.get_mut(&file.ino) {
+            node.opens -= 1;
+        }
+        self.release(file.ino);
+        Ok(file)
     }
 
     /// Computes an lseek result.
@@ -334,7 +363,7 @@ impl FsCore {
             size: node.size,
             blocks: node.blocks.len() as u64,
             is_dir: node.is_dir,
-            nlink: 1,
+            nlink: node.linked.into(),
         })
     }
 
@@ -563,6 +592,11 @@ impl<D: Design> Baseline<D> {
         };
         self.design.write(&mut core, file.ino, offset, iov)?;
         Ok(total as usize)
+    }
+
+    /// Number of data blocks allocated to files, orphans included.
+    pub fn allocated_blocks(&self) -> u64 {
+        self.core.read().allocated_blocks()
     }
 
     /// Resolves `path` to a directory entry that must exist.

@@ -254,11 +254,12 @@ impl Design for PrivateLog {
     fn metadata(&self, core: &mut FsCore, op: Meta) -> FsResult<()> {
         let mut state = self.state.write();
         self.log_append(core, &mut state, &[])?;
-        // Undigested blocks past a cut, or of a removed file, must not be
-        // digested back into it.
+        // Undigested blocks past a cut, or of a file no name or descriptor
+        // reaches any more, must not be digested back into it.  An orphan
+        // still open reads them until its last close.
         let cut = match op {
             Meta::Truncate { ino, size } => Some((ino, size.div_ceil(BLOCK_SIZE as u64))),
-            Meta::Unlink { ino } => Some((ino, 0)),
+            Meta::Unlink { ino } if core.node(ino)?.opens == 0 => Some((ino, 0)),
             _ => None,
         };
         if let Some((ino, keep)) = cut {

@@ -197,6 +197,93 @@ fn unlink_with_an_open_descriptor_matches_the_kernel_underneath() {
     }
 }
 
+/// One baseline through an unlink and a rename over a file it holds open:
+/// the descriptor keeps serving the file, logged and digested bytes alike,
+/// and its blocks go back at the last close.
+fn orphan_outlives_its_name(fs: &dyn FileSystem, allocated: &dyn Fn() -> u64) {
+    let name = fs.name();
+    let payload: Vec<u8> = (0..3 * 4096u32).map(|i| (i % 251) as u8).collect();
+    let before = allocated();
+    let fd = fs.open("/victim", OpenFlags::create()).unwrap();
+    fs.append(fd, &payload[..2 * 4096]).unwrap();
+    // Strata digests its log into the shared area; the last block stays
+    // in the log.
+    fs.sync().unwrap();
+    fs.append(fd, &payload[2 * 4096..]).unwrap();
+    fs.fsync(fd).unwrap();
+
+    fs.unlink("/victim").unwrap();
+    assert_eq!(
+        fs.fstat(fd).map(|s| s.size),
+        Ok(payload.len() as u64),
+        "{name}"
+    );
+    let mut back = vec![0u8; payload.len()];
+    assert_eq!(fs.read_at(fd, 0, &mut back), Ok(payload.len()), "{name}");
+    assert!(back == payload, "{name}: the orphan's bytes differ");
+    fs.append(fd, b"after the unlink").unwrap();
+    let mut tail = [0u8; 16];
+    assert_eq!(
+        fs.read_at(fd, payload.len() as u64, &mut tail),
+        Ok(16),
+        "{name}"
+    );
+    assert_eq!(&tail, b"after the unlink", "{name}");
+    let reopen = fs.open("/victim", OpenFlags::read_only()).map(|_| ());
+    assert_eq!(reopen, Err(FsError::NotFound), "{name}");
+    fs.sync().unwrap();
+    assert!(
+        allocated() >= before + 3,
+        "{name}: freed before the last close"
+    );
+    assert_eq!(fs.close(fd), Ok(()), "{name}");
+    assert_eq!(fs.fstat(fd).map(|_| ()), Err(FsError::BadFd), "{name}");
+    fs.sync().unwrap();
+    assert_eq!(allocated(), before, "{name}: the orphan's blocks leaked");
+
+    // A rename over an open file orphans the replaced file the same way.
+    let fd = fs.open("/old", OpenFlags::create()).unwrap();
+    fs.append(fd, &payload).unwrap();
+    fs.write_file("/new", b"replacement").unwrap();
+    fs.sync().unwrap();
+    let with_both = allocated();
+    fs.rename("/new", "/old").unwrap();
+    assert_eq!(fs.read_file("/old").unwrap(), b"replacement", "{name}");
+    assert_eq!(fs.read_at(fd, 0, &mut back), Ok(payload.len()), "{name}");
+    assert!(back == payload, "{name}: the replaced file's bytes differ");
+    assert_eq!(
+        allocated(),
+        with_both,
+        "{name}: freed before the last close"
+    );
+    assert_eq!(fs.close(fd), Ok(()), "{name}");
+    assert_eq!(
+        allocated(),
+        with_both - 3,
+        "{name}: the replaced file leaked"
+    );
+    fs.unlink("/old").unwrap();
+    fs.sync().unwrap();
+    assert_eq!(allocated(), before, "{name}");
+}
+
+#[test]
+fn baselines_keep_an_unlinked_or_replaced_file_until_its_last_close() {
+    let device = || {
+        PmemBuilder::new(256 * 1024 * 1024)
+            .track_persistence(false)
+            .build()
+    };
+    let pmfs = Pmfs::new(device());
+    orphan_outlives_its_name(&*pmfs, &|| pmfs.allocated_blocks());
+    for mode in [NovaMode::Relaxed, NovaMode::Strict] {
+        let nova = Nova::new(device(), mode);
+        orphan_outlives_its_name(&*nova, &|| nova.allocated_blocks());
+    }
+    let strata = Strata::new(device());
+    orphan_outlives_its_name(&*strata, &|| strata.allocated_blocks());
+}
+
 /// `write` on `O_APPEND` descriptors from several threads: every file
 /// system must resolve the end of file under the lock the write holds, so
 /// no record lands on top of another.
