@@ -7,6 +7,11 @@
 //! sequential writes followed by an fsync, reads consult the memtable and
 //! then the SSTables newest-first, and a simple compaction merges SSTables
 //! and unlinks the old ones.
+//!
+//! Each SSTable is indexed twice in memory.  A point read hashes its key
+//! once and probes each table's point index, an open-addressed hash table:
+//! a table without the key usually costs one slot read, a hit one slot
+//! read and one key compare.  Scans and compaction walk the sorted index.
 
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hasher};
@@ -68,6 +73,7 @@ fn point_hash(key: &[u8]) -> u64 {
     hasher.finish()
 }
 
+/// The bits of a point-index slot that hold the key hash's fingerprint.
 const FINGERPRINT: u64 = !(u32::MAX as u64);
 
 impl SsTable {
