@@ -359,8 +359,8 @@ impl WalDb {
     // ------------------------------------------------------------------
 
     /// Commits the current transaction: every dirty page becomes a WAL
-    /// frame, in page order, the WAL is fsynced, and a checkpoint runs if the WAL has
-    /// grown past the configured threshold.
+    /// frame, in page order, the WAL is fsynced, and a checkpoint runs if
+    /// the WAL has grown past the configured threshold.
     pub fn commit(&mut self) -> FsResult<()> {
         if self.dirty.is_empty() {
             self.commits += 1;

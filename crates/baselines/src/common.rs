@@ -249,10 +249,11 @@ impl FsCore {
     }
 
     /// Moves a directory entry (rename), replacing a regular file at the
-    /// destination, which [`FsCore::remove_node`] frees.  Refuses, before changing anything, a
-    /// directory moved into its own subtree (`InvalidArgument`), any
-    /// entry moved over a directory (`IsADirectory`) and a directory moved
-    /// over a file (`NotADirectory`).
+    /// destination, which [`FsCore::remove_node`] frees.  Refuses, before
+    /// changing anything, a directory moved into its own subtree
+    /// (`InvalidArgument`), any entry moved over a directory
+    /// (`IsADirectory`) and a directory moved over a file
+    /// (`NotADirectory`).
     pub fn move_entry(
         &mut self,
         old_parent: u64,
