@@ -2,12 +2,14 @@
 //!
 //! Each function reproduces one table or figure: it builds the relevant
 //! file-system configurations, runs the workload the paper describes, and
-//! returns printable rows.  The `harness` binary wraps these in a CLI
-//! (README.md lists the experiments); the paper's own numbers are recorded
-//! next to the constants they calibrate in `pmem::CostModel`.
+//! returns a typed [`Table`].  [`EXPERIMENTS`] lists them by name; the
+//! `harness` binary walks that list (README.md lists the experiments).  The
+//! paper's own numbers are recorded next to the constants they calibrate in
+//! `pmem::CostModel`.
 
 use std::sync::Arc;
 
+use pmem::CostModel;
 use splitfs::{Mode, SplitConfig, SplitFs};
 use vfs::FileSystem;
 use workloads::appbench::{self, YcsbRunConfig};
@@ -17,7 +19,27 @@ use workloads::utilities;
 use workloads::varmail;
 use workloads::ycsb::YcsbWorkload;
 
-use crate::{make_fs, make_splitfs, reset_measurement, FsKind};
+use crate::{make_fs, make_splitfs, reset_measurement, Cell, FsKind, Table, Unit};
+
+/// An experiment: its name, what it reproduces, and the function that runs
+/// it.
+pub type Experiment = (&'static str, &'static str, fn(Scale) -> Table);
+
+/// Every experiment, in the order `harness all` runs them.
+#[rustfmt::skip]
+pub const EXPERIMENTS: [Experiment; 11] = [
+    ("table1", "software overhead of a 4 KiB append (Table 1)", table1),
+    ("table2", "cost-model constants vs paper Table 2", table2),
+    ("table6", "system-call latencies, Varmail-like sequence (Table 6)", table6),
+    ("table7", "SplitFS-strict vs Strata, YCSB on the LSM store (Table 7)", table7),
+    ("fig3", "contribution of each SplitFS technique (Figure 3)", fig3),
+    ("fig4", "IO-pattern throughput by guarantee class (Figure 4)", fig4),
+    ("fig5", "relative software overhead in applications (Figure 5)", fig5),
+    ("fig6", "application performance and utilities (Figure 6)", fig6),
+    ("recovery", "operation-log replay time vs entries (§5.3)", recovery),
+    ("resources", "U-Split DRAM footprint after a YCSB run (§5.10)", resources),
+    ("crashfuzz", "crash-point fuzzing: oracle-checked recovery at sampled fence boundaries", crashfuzz),
+];
 
 /// Scale of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,53 +51,41 @@ pub enum Scale {
 }
 
 impl Scale {
-    fn io_bytes(self) -> u64 {
+    /// `quick` at quick scale, `full` at paper scale.
+    fn pick<T>(self, quick: T, full: T) -> T {
         match self {
-            Scale::Quick => 16 * 1024 * 1024,
-            Scale::Full => 128 * 1024 * 1024,
+            Scale::Quick => quick,
+            Scale::Full => full,
         }
+    }
+
+    fn io_bytes(self) -> u64 {
+        self.pick(16, 128) * 1024 * 1024
     }
 
     fn device_bytes(self) -> usize {
-        match self {
-            Scale::Quick => 320 * 1024 * 1024,
-            Scale::Full => 1024 * 1024 * 1024,
-        }
+        self.pick(320, 1024) * 1024 * 1024
     }
 
-    fn ycsb_records(self) -> u64 {
-        match self {
-            Scale::Quick => 3_000,
-            Scale::Full => 100_000,
-        }
-    }
-
-    fn ycsb_ops(self) -> u64 {
-        match self {
-            Scale::Quick => 3_000,
-            Scale::Full => 100_000,
+    fn ycsb(self) -> YcsbRunConfig {
+        let records = self.pick(3_000, 100_000);
+        YcsbRunConfig {
+            record_count: records,
+            op_count: records,
+            ..YcsbRunConfig::default()
         }
     }
 
     fn tpcc_txns(self) -> u64 {
-        match self {
-            Scale::Quick => 300,
-            Scale::Full => 3_000,
-        }
+        self.pick(300, 3_000)
     }
 
     fn redis_sets(self) -> u64 {
-        match self {
-            Scale::Quick => 10_000,
-            Scale::Full => 200_000,
-        }
+        self.pick(10_000, 200_000)
     }
 
     fn varmail_iterations(self) -> u64 {
-        match self {
-            Scale::Quick => 50,
-            Scale::Full => 500,
-        }
+        self.pick(50, 500)
     }
 
     fn tree(self) -> utilities::TreeConfig {
@@ -96,9 +106,6 @@ impl Scale {
     }
 }
 
-/// One row of printable output.
-pub type Row = Vec<String>;
-
 /// Builds a fresh emulated device of `bytes` bytes with a formatted kernel
 /// file system on it — the setup every hand-rolled experiment shares.
 /// Persistence tracking (the crash-simulation line marks and undo store) stays off
@@ -114,83 +121,162 @@ fn setup_device(
     (device, kernel)
 }
 
-// ----------------------------------------------------------------------
-// Table 1 — software overhead of a 4 KiB append
-// ----------------------------------------------------------------------
+/// A guarantee class of one figure: its name, the file system the others
+/// are normalized to, and those others.  Each figure groups its own set.
+type Class = (&'static str, FsKind, &'static [FsKind]);
+
+/// One file system's results within its class: the class, the file
+/// system, and `(label, value, value over the class reference's value of
+/// the same label)`.
+type ClassResults = (&'static str, FsKind, Vec<(String, f64, f64)>);
+
+/// Runs `measure` on a fresh device for each class's reference, then for
+/// each other member, and pairs every value with its ratio to the
+/// reference's value of the same label (1 for the reference itself).
+fn by_class(
+    classes: &[Class],
+    scale: Scale,
+    measure: impl Fn(&Arc<dyn FileSystem>) -> Vec<(String, f64)>,
+) -> Vec<ClassResults> {
+    let mut out = Vec::new();
+    for &(class, reference, others) in classes {
+        let base = measure(&make_fs(reference, scale.device_bytes()).fs);
+        let ones = base.iter().map(|(l, v)| (l.clone(), *v, 1.0)).collect();
+        out.push((class, reference, ones));
+        for &kind in others {
+            let results = measure(&make_fs(kind, scale.device_bytes()).fs)
+                .into_iter()
+                .zip(&base)
+                .map(|((label, value), (_, base))| (label, value, value / base))
+                .collect();
+            out.push((class, kind, results));
+        }
+    }
+    out
+}
+
+/// One row per result: class, file system, label, throughput and its ratio
+/// to the class reference (Figures 4 and 6).
+fn throughput_rows(table: &mut Table, measured: Vec<ClassResults>) {
+    for (class, kind, results) in measured {
+        for (label, kops, ratio) in results {
+            table.rows.push(vec![
+                Cell::text(class),
+                Cell::text(kind.label()),
+                Cell::Text(label),
+                Cell::Num(kops, 1, Unit::KopsPerSec),
+                Cell::Num(ratio, 2, Unit::Ratio),
+            ]);
+        }
+    }
+}
 
 /// Reproduces Table 1: the mean cost of a 4 KiB append and its software
 /// overhead over the raw device write, for the five file systems the paper
 /// lists.
-pub fn table1(scale: Scale) -> Vec<Row> {
-    let kinds = [
+pub fn table1(scale: Scale) -> Table {
+    let mut table = Table::new(
+        "Table 1 — software overhead of appending a 4 KiB block",
+        &[
+            "File system",
+            "Append (ns)",
+            "Overhead (ns)",
+            "Overhead (%)",
+        ],
+    );
+    for kind in [
         FsKind::Ext4Dax,
         FsKind::Pmfs,
         FsKind::NovaStrict,
         FsKind::SplitStrict,
         FsKind::SplitPosix,
-    ];
-    let mut rows = Vec::new();
-    for kind in kinds {
+    ] {
         let fixture = make_fs(kind, scale.device_bytes());
         let row = io_patterns::append_software_overhead(&fixture.fs, scale.io_bytes())
             .expect("append overhead run");
-        rows.push(vec![
-            kind.label().to_string(),
-            format!("{:.0}", row.append_ns),
-            format!("{:.0}", row.overhead_ns),
-            format!("{:.0}%", row.overhead_pct),
+        table.rows.push(vec![
+            Cell::text(kind.label()),
+            Cell::Bare(row.append_ns, 0, Unit::Ns),
+            Cell::Bare(row.overhead_ns, 0, Unit::Ns),
+            Cell::Num(row.overhead_pct, 0, Unit::Percent),
         ]);
     }
-    rows
+    table
 }
 
-// ----------------------------------------------------------------------
-// Table 6 — system-call latencies (Varmail-like sequence)
-// ----------------------------------------------------------------------
+/// Reproduces Table 2: the calibrated device cost model next to the
+/// paper's measured PM properties.  It runs nothing, at either scale.
+pub fn table2(_scale: Scale) -> Table {
+    let m = CostModel::calibrated();
+    let ns = |value| Cell::Num(value, 0, Unit::Ns);
+    let row = |property: &str, model, paper| vec![Cell::text(property), ns(model), paper];
+    Table {
+        title: "Table 2 — device cost model (calibrated to Izraelevitz et al.)",
+        columns: &["Property", "Model value", "Paper value"],
+        rows: vec![
+            row(
+                "Sequential read latency",
+                m.pm_read_seq_latency_ns,
+                ns(169.0),
+            ),
+            row("Random read latency", m.pm_read_rand_latency_ns, ns(305.0)),
+            row(
+                "4 KiB write",
+                m.pm_write_cost(4096),
+                Cell::text("671 ns (derived from Table 1)"),
+            ),
+            row(
+                "Store + flush + fence",
+                m.pm_write_cost(64) + m.persist_cost(1),
+                ns(91.0),
+            ),
+        ],
+    }
+}
 
 /// Reproduces Table 6: mean latency (µs) of each system call in the
 /// Varmail-like sequence for the three SplitFS modes and ext4 DAX.
-pub fn table6(scale: Scale) -> Vec<Row> {
-    let kinds = [
+pub fn table6(scale: Scale) -> Table {
+    let mut per_fs = Vec::new();
+    for kind in [
         FsKind::SplitStrict,
         FsKind::SplitSync,
         FsKind::SplitPosix,
         FsKind::Ext4Dax,
-    ];
-    let mut per_fs = Vec::new();
-    for kind in kinds {
+    ] {
         let fixture = make_fs(kind, scale.device_bytes());
         reset_measurement(&fixture);
-        let lat = varmail::run(&fixture.fs, scale.varmail_iterations()).expect("varmail run");
-        per_fs.push((kind, lat));
+        per_fs.push(varmail::run(&fixture.fs, scale.varmail_iterations()).expect("varmail run"));
     }
-    let calls = ["open", "close", "append", "fsync", "read", "unlink"];
-    let mut rows = Vec::new();
-    for (i, call) in calls.iter().enumerate() {
-        let mut row = vec![call.to_string()];
-        for (_, lat) in &per_fs {
-            row.push(format!("{:.2}", lat.as_rows()[i].1));
-        }
-        rows.push(row);
+    let mut table = Table::new(
+        "Table 6 — system-call latency (us)",
+        &["Syscall", "Strict", "Sync", "POSIX", "ext4 DAX"],
+    );
+    for (i, (call, _)) in per_fs[0].as_rows().into_iter().enumerate() {
+        let mut row = vec![Cell::text(call)];
+        row.extend(
+            per_fs
+                .iter()
+                .map(|lat| Cell::Bare(lat.as_rows()[i].1, 2, Unit::Us)),
+        );
+        table.rows.push(row);
     }
     // The extra row the sharded namespace adds to Table 6: the full-path
     // lookup cache hit rate over the run (the second and third open of
     // each file and its unlink resolve in one hash probe).
-    let mut row = vec!["cache hit %".to_string()];
-    for (_, lat) in &per_fs {
-        row.push(format!("{:.1}", lat.cache_hit_rate * 100.0));
-    }
-    rows.push(row);
-    rows
+    let mut row = vec![Cell::text("cache hit %")];
+    row.extend(
+        per_fs
+            .iter()
+            .map(|lat| Cell::Bare(lat.cache_hit_rate * 100.0, 1, Unit::Percent)),
+    );
+    table.rows.push(row);
+    table
 }
-
-// ----------------------------------------------------------------------
-// Table 7 — SplitFS-strict vs Strata, YCSB on the LSM store
-// ----------------------------------------------------------------------
 
 /// Reproduces Table 7: raw Strata throughput and SplitFS-strict throughput
 /// normalized to it, for the scaled-down YCSB workloads.
-pub fn table7(scale: Scale) -> Vec<Row> {
+pub fn table7(scale: Scale) -> Table {
     let workloads = [
         ("Load A", YcsbWorkload::A, true),
         ("Run A", YcsbWorkload::A, false),
@@ -201,43 +287,35 @@ pub fn table7(scale: Scale) -> Vec<Row> {
         ("Run E", YcsbWorkload::E, false),
         ("Run F", YcsbWorkload::F, false),
     ];
-    let config = YcsbRunConfig {
-        record_count: scale.ycsb_records(),
-        op_count: scale.ycsb_ops(),
-        ..YcsbRunConfig::default()
-    };
-    let mut rows = Vec::new();
+    let config = scale.ycsb();
+    let mut table = Table::new(
+        "Table 7 — SplitFS-strict vs Strata (YCSB on the LSM store)",
+        &["Workload", "Strata", "SplitFS (normalized)"],
+    );
     for (label, workload, use_load) in workloads {
-        let pick = |r: appbench::YcsbResult| if use_load { r.load } else { r.run };
-        let strata = {
-            let fixture = make_fs(FsKind::Strata, scale.device_bytes());
+        let kops = |kind| {
+            let fixture = make_fs(kind, scale.device_bytes());
             reset_measurement(&fixture);
-            pick(appbench::run_ycsb(&fixture.fs, workload, &config).expect("ycsb on strata"))
+            let r = appbench::run_ycsb(&fixture.fs, workload, &config).expect("ycsb");
+            if use_load { r.load } else { r.run }.kops_per_sec()
         };
-        let split = {
-            let fixture = make_fs(FsKind::SplitStrict, scale.device_bytes());
-            reset_measurement(&fixture);
-            pick(appbench::run_ycsb(&fixture.fs, workload, &config).expect("ycsb on splitfs"))
-        };
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.1} kops/s", strata.kops_per_sec()),
-            format!("{:.2}x", split.kops_per_sec() / strata.kops_per_sec()),
+        let strata = kops(FsKind::Strata);
+        let split = kops(FsKind::SplitStrict);
+        table.rows.push(vec![
+            Cell::text(label),
+            Cell::Num(strata, 1, Unit::KopsPerSec),
+            Cell::Num(split / strata, 2, Unit::Ratio),
         ]);
     }
-    rows
+    table
 }
-
-// ----------------------------------------------------------------------
-// Figure 3 — contribution of each technique
-// ----------------------------------------------------------------------
 
 /// Reproduces Figure 3: 4 KiB sequential overwrites and 4 KiB appends
 /// (fsync every 10 operations) on ext4 DAX and on SplitFS-POSIX with the
 /// techniques enabled one after another: split architecture only, plus
 /// staging, plus relink.  Values are throughput normalized to ext4 DAX.
-pub fn fig3(scale: Scale) -> Vec<Row> {
-    let configs: Vec<(&str, Option<SplitConfig>)> = vec![
+pub fn fig3(scale: Scale) -> Table {
+    let configs = [
         ("ext4 DAX", None),
         (
             "+ split architecture",
@@ -254,51 +332,43 @@ pub fn fig3(scale: Scale) -> Vec<Row> {
         fsync_every: 10,
         ..IoBenchConfig::default()
     };
-
-    let mut results: Vec<(String, f64, f64)> = Vec::new();
+    let mut results = Vec::new();
     for (label, config) in configs {
         let fixture = match config {
             None => make_fs(FsKind::Ext4Dax, scale.device_bytes()),
-            Some(c) => make_splitfs(c.with_staging(4, 16 * 1024 * 1024), scale.device_bytes()),
+            Some(c) => make_splitfs(c, scale.device_bytes()),
         };
         let overwrite =
             io_patterns::run_pattern(&fixture.fs, IoPattern::SequentialWrite, &io).unwrap();
         let append = io_patterns::run_pattern(&fixture.fs, IoPattern::Append, &io).unwrap();
-        results.push((
-            label.to_string(),
-            overwrite.kops_per_sec(),
-            append.kops_per_sec(),
-        ));
+        results.push((label, overwrite.kops_per_sec(), append.kops_per_sec()));
     }
-    let base_overwrite = results[0].1;
-    let base_append = results[0].2;
-    results
-        .into_iter()
-        .map(|(label, ow, ap)| {
-            vec![
-                label,
-                format!("{:.2}x", ow / base_overwrite),
-                format!("{:.2}x", ap / base_append),
-            ]
-        })
-        .collect()
+    let (_, base_overwrite, base_append) = results[0];
+    let mut table = Table::new(
+        "Figure 3 — contribution of SplitFS techniques (normalized to ext4 DAX)",
+        &["Configuration", "Sequential overwrites", "Appends"],
+    );
+    for (label, overwrite, append) in results {
+        table.rows.push(vec![
+            Cell::text(label),
+            Cell::Num(overwrite / base_overwrite, 2, Unit::Ratio),
+            Cell::Num(append / base_append, 2, Unit::Ratio),
+        ]);
+    }
+    table
 }
-
-// ----------------------------------------------------------------------
-// Figure 4 — IO patterns, grouped by guarantee class
-// ----------------------------------------------------------------------
 
 /// Reproduces Figure 4: throughput of the five IO patterns for every file
 /// system, normalized to the baseline of its guarantee class (ext4 DAX for
 /// POSIX, PMFS for sync, NOVA-strict for strict).
-pub fn fig4(scale: Scale) -> Vec<Row> {
-    let groups: [(&str, FsKind, Vec<FsKind>); 3] = [
-        ("POSIX", FsKind::Ext4Dax, vec![FsKind::SplitPosix]),
-        ("sync", FsKind::Pmfs, vec![FsKind::SplitSync]),
+pub fn fig4(scale: Scale) -> Table {
+    const CLASSES: [Class; 3] = [
+        ("POSIX", FsKind::Ext4Dax, &[FsKind::SplitPosix]),
+        ("sync", FsKind::Pmfs, &[FsKind::SplitSync]),
         (
             "strict",
             FsKind::NovaStrict,
-            vec![FsKind::Strata, FsKind::SplitStrict],
+            &[FsKind::Strata, FsKind::SplitStrict],
         ),
     ];
     // §5.6: each benchmark reads/writes the whole file in 4 KiB units; no
@@ -308,129 +378,84 @@ pub fn fig4(scale: Scale) -> Vec<Row> {
         fsync_every: 0,
         ..IoBenchConfig::default()
     };
-    let mut rows = Vec::new();
-    for (group, baseline, others) in groups {
-        let mut base_results: Vec<(IoPattern, f64)> = Vec::new();
-        {
-            let fixture = make_fs(baseline, scale.device_bytes());
-            for pattern in IoPattern::ALL {
-                let r = io_patterns::run_pattern(&fixture.fs, pattern, &io).unwrap();
-                base_results.push((pattern, r.kops_per_sec()));
-            }
-        }
-        for (pattern, kops) in &base_results {
-            rows.push(vec![
-                group.to_string(),
-                baseline.label().to_string(),
-                pattern.label().to_string(),
-                format!("{kops:.1} kops/s"),
-                "1.00x".to_string(),
-            ]);
-        }
-        for other in others {
-            let fixture = make_fs(other, scale.device_bytes());
-            for (pattern, base_kops) in &base_results {
-                let r = io_patterns::run_pattern(&fixture.fs, *pattern, &io).unwrap();
-                rows.push(vec![
-                    group.to_string(),
-                    other.label().to_string(),
-                    pattern.label().to_string(),
-                    format!("{:.1} kops/s", r.kops_per_sec()),
-                    format!("{:.2}x", r.kops_per_sec() / base_kops),
-                ]);
-            }
-        }
-    }
-    rows
+    let measured = by_class(&CLASSES, scale, |fs| {
+        IoPattern::ALL
+            .into_iter()
+            .map(|pattern| {
+                let r = io_patterns::run_pattern(fs, pattern, &io).unwrap();
+                (pattern.label().to_string(), r.kops_per_sec())
+            })
+            .collect()
+    });
+    let mut table = Table::new(
+        "Figure 4 — IO-pattern throughput by guarantee class",
+        &[
+            "Class",
+            "File system",
+            "Pattern",
+            "Throughput",
+            "vs baseline",
+        ],
+    );
+    throughput_rows(&mut table, measured);
+    table
 }
-
-// ----------------------------------------------------------------------
-// Figure 5 — relative software overhead in applications
-// ----------------------------------------------------------------------
 
 /// Reproduces Figure 5: file-system software overhead of YCSB Load A,
 /// YCSB Run A and TPC-C, relative to the SplitFS mode providing the same
 /// guarantees (lower is better; SplitFS is 1.0 by construction).
-pub fn fig5(scale: Scale) -> Vec<Row> {
-    let groups: [(&str, FsKind, Vec<FsKind>); 3] = [
-        ("POSIX", FsKind::SplitPosix, vec![FsKind::Ext4Dax]),
+pub fn fig5(scale: Scale) -> Table {
+    const CLASSES: [Class; 3] = [
+        ("POSIX", FsKind::SplitPosix, &[FsKind::Ext4Dax]),
         (
             "sync",
             FsKind::SplitSync,
-            vec![FsKind::Pmfs, FsKind::NovaRelaxed],
+            &[FsKind::Pmfs, FsKind::NovaRelaxed],
         ),
-        ("strict", FsKind::SplitStrict, vec![FsKind::NovaStrict]),
+        ("strict", FsKind::SplitStrict, &[FsKind::NovaStrict]),
     ];
-    let ycsb_config = YcsbRunConfig {
-        record_count: scale.ycsb_records(),
-        op_count: scale.ycsb_ops(),
-        ..YcsbRunConfig::default()
-    };
+    let ycsb_config = scale.ycsb();
     let tpcc_config = TpccConfig::default();
-
-    let overheads = |fs: &Arc<dyn FileSystem>| -> (f64, f64, f64) {
+    let measured = by_class(&CLASSES, scale, |fs| {
         let ycsb = appbench::run_ycsb(fs, YcsbWorkload::A, &ycsb_config).expect("ycsb");
         let tpcc = appbench::run_tpcc(fs, &tpcc_config, scale.tpcc_txns()).expect("tpcc");
-        (
-            ycsb.load.software_overhead_ns(),
-            ycsb.run.software_overhead_ns(),
-            tpcc.software_overhead_ns(),
-        )
-    };
-
-    let mut rows = Vec::new();
-    for (group, split_kind, baselines) in groups {
-        let split = make_fs(split_kind, scale.device_bytes());
-        let split_overheads = overheads(&split.fs);
-        rows.push(vec![
-            group.to_string(),
-            split_kind.label().to_string(),
-            "1.00x".into(),
-            "1.00x".into(),
-            "1.00x".into(),
-        ]);
-        for baseline in baselines {
-            let fixture = make_fs(baseline, scale.device_bytes());
-            let other = overheads(&fixture.fs);
-            rows.push(vec![
-                group.to_string(),
-                baseline.label().to_string(),
-                format!("{:.2}x", other.0 / split_overheads.0),
-                format!("{:.2}x", other.1 / split_overheads.1),
-                format!("{:.2}x", other.2 / split_overheads.2),
-            ]);
-        }
+        vec![
+            ("YCSB Load A".into(), ycsb.load.software_overhead_ns()),
+            ("YCSB Run A".into(), ycsb.run.software_overhead_ns()),
+            ("TPC-C".into(), tpcc.software_overhead_ns()),
+        ]
+    });
+    let mut table = Table::new(
+        "Figure 5 — relative software overhead (lower is better, SplitFS = 1.0)",
+        &["Class", "File system", "YCSB Load A", "YCSB Run A", "TPC-C"],
+    );
+    for (class, kind, results) in measured {
+        let ratios = results.iter().map(|r| Cell::Num(r.2, 2, Unit::Ratio));
+        let mut row = vec![Cell::text(class), Cell::text(kind.label())];
+        row.extend(ratios);
+        table.rows.push(row);
     }
-    rows
+    table
 }
-
-// ----------------------------------------------------------------------
-// Figure 6 — application throughput / runtime
-// ----------------------------------------------------------------------
 
 /// Reproduces Figure 6: data-intensive application throughput (YCSB A–F,
 /// Redis SET, TPC-C) and metadata-heavy utility runtimes (git/tar/rsync),
 /// for every file system grouped by guarantee class.  Throughput rows are
 /// normalized to the group's baseline (higher is better); utility rows are
 /// runtimes (lower is better).
-pub fn fig6(scale: Scale) -> Vec<Row> {
-    let groups: [(&str, FsKind, Vec<FsKind>); 3] = [
-        ("POSIX", FsKind::Ext4Dax, vec![FsKind::SplitPosix]),
+pub fn fig6(scale: Scale) -> Table {
+    const CLASSES: [Class; 3] = [
+        ("POSIX", FsKind::Ext4Dax, &[FsKind::SplitPosix]),
         (
             "sync",
             FsKind::Pmfs,
-            vec![FsKind::NovaRelaxed, FsKind::SplitSync],
+            &[FsKind::NovaRelaxed, FsKind::SplitSync],
         ),
-        ("strict", FsKind::NovaStrict, vec![FsKind::SplitStrict]),
+        ("strict", FsKind::NovaStrict, &[FsKind::SplitStrict]),
     ];
-    let ycsb_config = YcsbRunConfig {
-        record_count: scale.ycsb_records(),
-        op_count: scale.ycsb_ops(),
-        ..YcsbRunConfig::default()
-    };
+    let ycsb_config = scale.ycsb();
     let tpcc_config = TpccConfig::default();
-
-    let run_apps = |fs: &Arc<dyn FileSystem>| -> Vec<(String, f64)> {
+    let measured = by_class(&CLASSES, scale, |fs| {
         let mut out = Vec::new();
         for wl in YcsbWorkload::ALL {
             let r = appbench::run_ycsb(fs, wl, &ycsb_config).expect("ycsb");
@@ -444,35 +469,12 @@ pub fn fig6(scale: Scale) -> Vec<Row> {
         let tpcc = appbench::run_tpcc(fs, &tpcc_config, scale.tpcc_txns()).expect("tpcc");
         out.push(("TPC-C".to_string(), tpcc.kops_per_sec()));
         out
-    };
-
-    let mut rows = Vec::new();
-    for (group, baseline, others) in &groups {
-        let base_fixture = make_fs(*baseline, scale.device_bytes());
-        let base = run_apps(&base_fixture.fs);
-        for (wl, kops) in &base {
-            rows.push(vec![
-                group.to_string(),
-                baseline.label().to_string(),
-                wl.clone(),
-                format!("{kops:.1} kops/s"),
-                "1.00x".to_string(),
-            ]);
-        }
-        for other in others {
-            let fixture = make_fs(*other, scale.device_bytes());
-            let results = run_apps(&fixture.fs);
-            for ((wl, kops), (_, base_kops)) in results.iter().zip(base.iter()) {
-                rows.push(vec![
-                    group.to_string(),
-                    other.label().to_string(),
-                    wl.clone(),
-                    format!("{kops:.1} kops/s"),
-                    format!("{:.2}x", kops / base_kops),
-                ]);
-            }
-        }
-    }
+    });
+    let mut table = Table::new(
+        "Figure 6 — application performance",
+        &["Class", "File system", "Workload", "Result", "vs baseline"],
+    );
+    throughput_rows(&mut table, measured);
 
     // Metadata-heavy utilities (right half of Figure 6): runtimes in
     // simulated milliseconds, POSIX-class comparison.
@@ -484,30 +486,29 @@ pub fn fig6(scale: Scale) -> Vec<Row> {
         let tar = utilities::tar_like(&fixture.fs, &paths, "/archive.tar").expect("tar");
         let rsync = utilities::rsync_like(&fixture.fs, "/src", &paths, "/dst").expect("rsync");
         for result in [git, tar, rsync] {
-            rows.push(vec![
-                "utilities".to_string(),
-                kind.label().to_string(),
-                result.workload.clone(),
-                format!("{:.2} ms", result.elapsed_ns / 1e6),
-                String::new(),
+            table.rows.push(vec![
+                Cell::text("utilities"),
+                Cell::text(kind.label()),
+                Cell::Text(result.workload),
+                Cell::Num(result.elapsed_ns / 1e6, 2, Unit::Ms),
+                Cell::text(""),
             ]);
         }
     }
-    rows
+    table
 }
-
-// ----------------------------------------------------------------------
-// §5.3 — recovery time vs log entries
-// ----------------------------------------------------------------------
 
 /// Reproduces the recovery-time discussion of §5.3: time to replay an
 /// operation log with an increasing number of valid entries.
-pub fn recovery(scale: Scale) -> Vec<Row> {
+pub fn recovery(scale: Scale) -> Table {
     let entry_counts: &[u64] = match scale {
         Scale::Quick => &[100, 1_000, 5_000],
         Scale::Full => &[1_000, 10_000, 18_000, 50_000],
     };
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "§5.3 — recovery time vs valid log entries",
+        &["Log entries", "Replayed", "Recovery time"],
+    );
     for &entries in entry_counts {
         // Persistence tracking stays on: this experiment crashes the device.
         let (device, kernel) = setup_device(scale.device_bytes(), true);
@@ -518,9 +519,7 @@ pub fn recovery(scale: Scale) -> Vec<Row> {
         // size: replay must cost what was logged, not what the log could
         // hold, and a log sized to its contents would hide a recovery
         // that scans or clears the whole file.
-        let config = SplitConfig::new(Mode::Strict)
-            .with_staging(4, 16 * 1024 * 1024)
-            .without_daemon();
+        let config = SplitConfig::new(Mode::Strict).without_daemon();
         let fs = SplitFs::new(Arc::clone(&kernel), config.clone()).expect("splitfs");
         let fd = fs
             .open("/recover-me", vfs::OpenFlags::create())
@@ -536,50 +535,40 @@ pub fn recovery(scale: Scale) -> Vec<Row> {
         let start = device.clock().now_ns_f64();
         let report = splitfs::recover(&kernel2, &config).expect("recover");
         let elapsed_ms = (device.clock().now_ns_f64() - start) / 1e6;
-        rows.push(vec![
-            entries.to_string(),
-            format!("{}", report.replayed),
-            format!("{elapsed_ms:.2} ms"),
+        table.rows.push(vec![
+            Cell::count(entries),
+            Cell::count(report.replayed as u64),
+            Cell::Num(elapsed_ms, 2, Unit::Ms),
         ]);
     }
-    rows
+    table
 }
-
-// ----------------------------------------------------------------------
-// §5.10 — resource consumption
-// ----------------------------------------------------------------------
 
 /// Reproduces §5.10: DRAM used by U-Split bookkeeping and the number of
 /// staging files / operation-log entries after a write-heavy run.
-pub fn resources(scale: Scale) -> Vec<Row> {
+pub fn resources(scale: Scale) -> Table {
     let (_device, kernel) = setup_device(scale.device_bytes(), false);
-    let config = SplitConfig::new(Mode::Strict).with_staging(4, 16 * 1024 * 1024);
-    let fs = SplitFs::new(Arc::clone(&kernel), config).expect("splitfs");
+    let fs = SplitFs::new(Arc::clone(&kernel), SplitConfig::new(Mode::Strict)).expect("splitfs");
     let fs_dyn: Arc<dyn FileSystem> = Arc::clone(&fs) as Arc<dyn FileSystem>;
-
-    let ycsb_config = YcsbRunConfig {
-        record_count: scale.ycsb_records(),
-        op_count: scale.ycsb_ops(),
-        ..YcsbRunConfig::default()
-    };
-    appbench::run_ycsb(&fs_dyn, YcsbWorkload::A, &ycsb_config).expect("ycsb");
+    appbench::run_ycsb(&fs_dyn, YcsbWorkload::A, &scale.ycsb()).expect("ycsb");
 
     let usage = fs.memory_usage();
-    vec![
-        vec!["cached files".into(), usage.cached_files.to_string()],
-        vec!["staged extents".into(), usage.staged_extents.to_string()],
-        vec!["mmap segments".into(), usage.mmap_segments.to_string()],
-        vec![
-            "approx DRAM".into(),
-            format!("{:.2} MiB", usage.approx_bytes as f64 / (1024.0 * 1024.0)),
+    let count = |label: &str, n: usize| vec![Cell::text(label), Cell::count(n as u64)];
+    Table {
+        title: "§5.10 — resource consumption after YCSB-A on SplitFS-strict",
+        columns: &["Metric", "Value"],
+        rows: vec![
+            count("cached files", usage.cached_files),
+            count("staged extents", usage.staged_extents),
+            count("mmap segments", usage.mmap_segments),
+            vec![
+                Cell::text("approx DRAM"),
+                Cell::Num(usage.approx_bytes as f64 / (1024.0 * 1024.0), 2, Unit::MiB),
+            ],
+            vec![Cell::text("oplog entries"), Cell::count(fs.oplog_entries())],
         ],
-        vec!["oplog entries".into(), fs.oplog_entries().to_string()],
-    ]
+    }
 }
-
-// ----------------------------------------------------------------------
-// Crash-point fuzzing — oracle-checked recovery at sampled fences
-// ----------------------------------------------------------------------
 
 /// One campaign of [`crashfuzz_report`]: one mode under one crash policy.
 #[derive(Debug, Clone)]
@@ -626,6 +615,86 @@ impl CrashFuzzReport {
     pub fn total(&self, field: impl Fn(&chaos::FuzzReport) -> u64) -> u64 {
         self.campaigns.iter().map(|c| field(&c.report)).sum()
     }
+
+    /// One row per campaign, then the differential, the media round and
+    /// the totals.
+    pub fn table(&self) -> Table {
+        let mut table = Table::new(
+            "Crash-point fuzzing — oracle-checked recovery at sampled fence boundaries",
+            &[
+                "Campaign",
+                "Fences",
+                "Points",
+                "Unreached",
+                "Violations",
+                "Fsck failures",
+                "Promises checked",
+            ],
+        );
+        let dash = || Cell::text("-");
+        for c in &self.campaigns {
+            let r = &c.report;
+            table.rows.push(vec![
+                Cell::Text(c.label()),
+                Cell::count(r.fences_enumerated),
+                Cell::count(r.points_explored),
+                Cell::count(r.points_unreached),
+                Cell::count(r.violations.len() as u64),
+                Cell::count(r.fsck_failures),
+                Cell::count(r.promises_checked),
+            ]);
+        }
+        let diff = &self.diff;
+        table.rows.push(vec![
+            Cell::text("differential keep-all vs lose-unflushed"),
+            dash(),
+            Cell::count(diff.consistent + diff.missing_fence + diff.logic_bug + diff.unclassified),
+            Cell::count(diff.skipped),
+            Cell::count(diff.logic_bug),
+            dash(),
+            Cell::List(vec![
+                Cell::Num(diff.missing_fence as f64, 0, Unit::Of("missing-fence")),
+                Cell::Num(diff.unclassified as f64, 0, Unit::Of("unclassified")),
+            ]),
+        ]);
+        let media = &self.media;
+        table.rows.push(vec![
+            Cell::text("media read-error ranges"),
+            dash(),
+            Cell::count(media.injected),
+            Cell::count(0),
+            Cell::count(media.injected - media.propagated),
+            Cell::count(!media.contained as u64),
+            Cell::text(if media.restored {
+                "restored: true"
+            } else {
+                "restored: false"
+            }),
+        ]);
+        let fences = self.campaigns.iter().map(|c| c.report.fences_enumerated);
+        table.rows.push(vec![
+            Cell::text("total"),
+            Cell::count(fences.max().unwrap_or(0)),
+            Cell::count(self.total(|r| r.points_explored)),
+            Cell::count(self.total(|r| r.points_unreached)),
+            Cell::count(self.total(|r| r.violations.len() as u64)),
+            Cell::count(self.total(|r| r.fsck_failures)),
+            Cell::count(self.total(|r| r.promises_checked)),
+        ]);
+        table
+    }
+}
+
+/// The crash-point fuzzing experiment as a table; each violation it found
+/// also goes to stderr with its campaign.
+pub fn crashfuzz(scale: Scale) -> Table {
+    let report = crashfuzz_report(scale);
+    for c in &report.campaigns {
+        for violation in &c.report.violations {
+            eprintln!("crashfuzz[{}] violation: {violation}", c.label());
+        }
+    }
+    report.table()
 }
 
 /// The crash-point fuzzing experiment: enumerate every fence boundary
@@ -708,9 +777,9 @@ mod tests {
 
     #[test]
     fn table1_orders_file_systems_as_the_paper_does() {
-        let rows = table1(Scale::Quick);
+        let rows = table1(Scale::Quick).rows;
         assert_eq!(rows.len(), 5);
-        let append_ns: Vec<f64> = rows.iter().map(|r| r[1].parse().unwrap()).collect();
+        let append_ns: Vec<f64> = rows.iter().map(|r| r[1].value().unwrap()).collect();
         // ext4 DAX (row 0) must be the slowest; SplitFS-POSIX (row 4) the
         // fastest — the central claim of Table 1.
         let ext4 = append_ns[0];
@@ -732,10 +801,10 @@ mod tests {
 
     #[test]
     fn recovery_scales_with_entries() {
-        let rows = recovery(Scale::Quick);
+        let rows = recovery(Scale::Quick).rows;
         assert_eq!(rows.len(), 3);
-        let replayed: Vec<u64> = rows.iter().map(|r| r[1].parse().unwrap()).collect();
-        assert!(replayed[0] > 0);
+        let replayed: Vec<f64> = rows.iter().map(|r| r[1].value().unwrap()).collect();
+        assert!(replayed[0] > 0.0);
         assert!(replayed[2] > replayed[0]);
     }
 

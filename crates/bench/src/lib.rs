@@ -1,13 +1,17 @@
-//! Shared fixtures and reporting helpers for the experiment harness.
+//! Shared fixtures and the result shape of the experiment harness.
 //!
 //! Every experiment needs the same thing: a fresh emulated PM device with a
 //! particular file system mounted on it.  [`FsKind`] enumerates the eight
-//! configurations the paper compares and [`make_fs`] builds one.
+//! configurations the paper compares and [`make_fs`] builds one.  Every
+//! experiment returns a [`Table`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
+pub mod table;
+
+pub use table::{Cell, Table, Unit};
 
 use std::sync::Arc;
 
@@ -65,17 +69,6 @@ impl FsKind {
             FsKind::SplitStrict => "SplitFS-strict",
         }
     }
-
-    /// The baseline each SplitFS mode is compared against in Figure 4/6
-    /// (same guarantee class).
-    pub fn comparable_baselines(self) -> &'static [FsKind] {
-        match self {
-            FsKind::SplitPosix => &[FsKind::Ext4Dax],
-            FsKind::SplitSync => &[FsKind::Pmfs, FsKind::NovaRelaxed],
-            FsKind::SplitStrict => &[FsKind::NovaStrict, FsKind::Strata],
-            _ => &[],
-        }
-    }
 }
 
 /// A mounted file system plus the device it lives on.
@@ -110,15 +103,14 @@ pub fn make_fs(kind: FsKind, device_size: usize) -> Fixture {
                 FsKind::SplitSync => Mode::Sync,
                 _ => Mode::Strict,
             };
-            let config = SplitConfig::new(mode).with_staging(4, 16 * 1024 * 1024);
-            SplitFs::new(kernel, config).expect("splitfs init")
+            SplitFs::new(kernel, SplitConfig::new(mode)).expect("splitfs init")
         }
     };
     Fixture { fs, device, kind }
 }
 
-/// Builds a SplitFS fixture with an explicit configuration (used by the
-/// Figure 3 ablation and the tunable-parameter sweeps).
+/// Builds a SplitFS fixture with an explicit configuration (the Figure 3
+/// ablation).
 pub fn make_splitfs(config: SplitConfig, device_size: usize) -> Fixture {
     let device = PmemBuilder::new(device_size)
         .track_persistence(false)
@@ -140,19 +132,6 @@ pub fn reset_measurement(fixture: &Fixture) {
     fixture.device.stats().reset();
 }
 
-/// Prints a markdown-style table.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n## {title}\n");
-    println!("| {} |", header.join(" | "));
-    println!(
-        "|{}|",
-        header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-    for row in rows {
-        println!("| {} |", row.join(" | "));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,21 +150,6 @@ mod tests {
             fs.read_at(fd, 0, &mut buf).unwrap();
             assert_eq!(&buf, b"smoke test payload", "{kind:?}");
             fs.close(fd).unwrap();
-        }
-    }
-
-    #[test]
-    fn comparable_baselines_share_guarantee_class() {
-        for kind in [FsKind::SplitPosix, FsKind::SplitSync, FsKind::SplitStrict] {
-            let split = make_fs(kind, 192 * 1024 * 1024);
-            for &baseline in kind.comparable_baselines() {
-                let base = make_fs(baseline, 192 * 1024 * 1024);
-                assert_eq!(
-                    split.fs.consistency(),
-                    base.fs.consistency(),
-                    "{kind:?} vs {baseline:?}"
-                );
-            }
         }
     }
 }
