@@ -550,6 +550,19 @@ pub fn placed<'a>(offset: u64, iov: &'a [IoVec<'a>]) -> impl Iterator<Item = (u6
         .filter(|(_, data)| !data.is_empty())
 }
 
+/// Where a gather lands.
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    /// At a given offset (`pwrite`).
+    At(u64),
+    /// At the end of file (`append`).
+    End,
+    /// At the descriptor's cursor, or at the end of file for an
+    /// `O_APPEND` descriptor; the cursor then moves past the bytes
+    /// written (`write`).
+    Cursor,
+}
+
 /// The front end every baseline shares: one [`FileSystem`] over an
 /// [`FsCore`] behind one lock, with the persistence design `D` called at
 /// the points where the baselines differ.
@@ -573,10 +586,11 @@ impl<D: Design> Baseline<D> {
     }
 
     /// The gather path: one entry charge and one design write for the
-    /// whole gather.  With `at == None` the write lands at the end of
-    /// file, resolved under the same core lock as the write itself, so
-    /// concurrent appenders serialize instead of racing a stale `fstat`.
-    fn gather(&self, fd: Fd, at: Option<u64>, iov: &[IoVec<'_>]) -> FsResult<usize> {
+    /// whole gather.  Where it lands is resolved under the same core lock
+    /// as the write itself, so concurrent appenders serialize instead of
+    /// racing a stale `fstat`, and writers sharing a cursor never write
+    /// the same bytes or lose an advance.
+    fn gather(&self, fd: Fd, place: Place, iov: &[IoVec<'_>]) -> FsResult<usize> {
         self.design.charge_entry(&self.device);
         let mut core = self.core.write();
         let file = core.fd(fd)?;
@@ -584,15 +598,46 @@ impl<D: Design> Baseline<D> {
             return Err(FsError::PermissionDenied);
         }
         let total = iov_total_len(iov);
-        if total == 0 {
+        let offset = match place {
+            Place::At(offset) => offset,
+            Place::Cursor if !file.flags.append => file.offset,
+            Place::End | Place::Cursor => core.node(file.ino)?.size,
+        };
+        if total > 0 {
+            self.design.write(&mut core, file.ino, offset, iov)?;
+        }
+        if let Place::Cursor = place {
+            core.fd_mut(fd)?.offset = offset + total;
+        }
+        Ok(total as usize)
+    }
+
+    /// [`FileSystem::read_at`] under a core lock the caller holds.
+    fn read_locked(
+        &self,
+        core: &mut FsCore,
+        fd: Fd,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> FsResult<usize> {
+        let file = core.fd(fd)?;
+        if !file.flags.read {
+            return Err(FsError::PermissionDenied);
+        }
+        let size = core.node(file.ino)?.size;
+        if offset >= size || buf.is_empty() {
             return Ok(0);
         }
-        let offset = match at {
-            Some(offset) => offset,
-            None => core.node(file.ino)?.size,
+        let n = ((size - offset) as usize).min(buf.len());
+        let pattern = if offset == file.last_read_end {
+            AccessPattern::Sequential
+        } else {
+            AccessPattern::Random
         };
-        self.design.write(&mut core, file.ino, offset, iov)?;
-        Ok(total as usize)
+        self.design
+            .read(core, file.ino, offset, &mut buf[..n], pattern)?;
+        core.fd_mut(fd)?.last_read_end = offset + n as u64;
+        Ok(n)
     }
 
     /// Number of data blocks allocated to files, orphans included.
@@ -655,33 +700,15 @@ impl<D: Design> FileSystem for Baseline<D> {
 
     fn read_at(&self, fd: Fd, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
         self.design.charge_read(&self.device);
-        let mut core = self.core.write();
-        let file = core.fd(fd)?;
-        if !file.flags.read {
-            return Err(FsError::PermissionDenied);
-        }
-        let size = core.node(file.ino)?.size;
-        if offset >= size || buf.is_empty() {
-            return Ok(0);
-        }
-        let n = ((size - offset) as usize).min(buf.len());
-        let pattern = if offset == file.last_read_end {
-            AccessPattern::Sequential
-        } else {
-            AccessPattern::Random
-        };
-        self.design
-            .read(&core, file.ino, offset, &mut buf[..n], pattern)?;
-        core.fd_mut(fd)?.last_read_end = offset + n as u64;
-        Ok(n)
+        self.read_locked(&mut self.core.write(), fd, offset, buf)
     }
 
     fn writev_at(&self, fd: Fd, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        self.gather(fd, Some(offset), iov)
+        self.gather(fd, Place::At(offset), iov)
     }
 
     fn appendv(&self, fd: Fd, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        let n = self.gather(fd, None, iov)?;
+        let n = self.gather(fd, Place::End, iov)?;
         self.device.stats().add_appendv(iov.len() as u64);
         Ok(n)
     }
@@ -702,26 +729,17 @@ impl<D: Design> FileSystem for Baseline<D> {
     }
 
     fn read(&self, fd: Fd, buf: &mut [u8]) -> FsResult<usize> {
-        let offset = self.core.read().fd(fd)?.offset;
-        let n = self.read_at(fd, offset, buf)?;
-        self.core.write().fd_mut(fd)?.offset = offset + n as u64;
+        // The core lock covers the cursor's load, the read and the advance.
+        let mut core = self.core.write();
+        let offset = core.fd(fd)?.offset;
+        self.design.charge_read(&self.device);
+        let n = self.read_locked(&mut core, fd, offset, buf)?;
+        core.fd_mut(fd)?.offset = offset + n as u64;
         Ok(n)
     }
 
     fn write(&self, fd: Fd, data: &[u8]) -> FsResult<usize> {
-        // An `O_APPEND` descriptor writes at the end of file, which only
-        // the gather can resolve under its lock; the cursor then moves to
-        // the end of the written range.
-        let file = self.core.read().fd(fd)?;
-        let at = (!file.flags.append).then_some(file.offset);
-        let n = self.gather(fd, at, &[IoVec::new(data)])?;
-        let mut core = self.core.write();
-        let end = match at {
-            Some(offset) => offset + n as u64,
-            None => core.node(file.ino)?.size,
-        };
-        core.fd_mut(fd)?.offset = end;
-        Ok(n)
+        self.gather(fd, Place::Cursor, &[IoVec::new(data)])
     }
 
     fn lseek(&self, fd: Fd, pos: SeekFrom) -> FsResult<u64> {

@@ -33,11 +33,15 @@
 //! * **block allocator** — one `Mutex<BlockAllocator>`;
 //! * **journal** — one log behind one head lock, under which every
 //!   committer draws its transaction id (see `journal.rs`);
-//! * **descriptor table** and **path cache** — one map each.
+//! * **descriptor table** and **path cache** — one map each;
+//! * **cursor** — one `Mutex<u64>` per open description, held across its
+//!   `read`, `write` or `lseek` so threads sharing a descriptor never read
+//!   the same bytes or lose an advance (POSIX 2.9.7).
 //!
-//! Lock order: the namespace before the inode table, never the other way
-//! round.  The allocator, journal, descriptor and path-cache locks are
-//! leaves: each is taken and released without acquiring another lock.
+//! Lock order: a cursor before everything else; the namespace before the
+//! inode table, never the other way round.  The allocator, journal,
+//! descriptor and path-cache locks are leaves: each is taken and released
+//! without acquiring another lock.
 //!
 //! `open`, `unlink`, `rename`, `mkdir` and `rmdir` take the namespace write
 //! lock once, resolve their paths under it and then mutate, so nothing
@@ -89,7 +93,8 @@ pub const ROOT_INO: u64 = 1;
 #[derive(Debug, Clone)]
 struct OpenFile {
     ino: u64,
-    offset: u64,
+    /// The cursor; see the lock order above.
+    offset: Arc<Mutex<u64>>,
     flags: OpenFlags,
     /// End of the previous read, used to classify the next read as
     /// sequential or random for latency purposes.
@@ -332,7 +337,7 @@ impl Ext4Dax {
             fd,
             OpenFile {
                 ino,
-                offset: 0,
+                offset: Arc::new(Mutex::new(0)),
                 flags,
                 last_read_end: u64::MAX,
             },
@@ -1353,8 +1358,9 @@ impl Ext4Dax {
     /// check, then [`Ext4Dax::writev_locked`] at either the given offset or
     /// (for appends) the end of file **resolved under the same inode-table
     /// lock**, so concurrent appenders to one file serialize instead of
-    /// racing a stale `fstat`.
-    fn vectored_write(&self, fd: Fd, at: Option<u64>, iov: &[IoVec<'_>]) -> FsResult<usize> {
+    /// racing a stale `fstat`.  Returns the bytes written and the offset
+    /// they landed at.
+    fn vectored_write(&self, fd: Fd, at: Option<u64>, iov: &[IoVec<'_>]) -> FsResult<(usize, u64)> {
         self.charge_syscall();
         let file = self.lookup_fd(fd)?;
         if !file.flags.write {
@@ -1362,11 +1368,8 @@ impl Ext4Dax {
         }
         let mut inodes = self.inodes_write();
         let inode = inodes.get_mut(&file.ino).ok_or(FsError::BadFd)?;
-        let offset = match at {
-            Some(offset) => offset,
-            None => inode.size,
-        };
-        self.writev_locked(inode, offset, iov)
+        let offset = at.unwrap_or(inode.size);
+        Ok((self.writev_locked(inode, offset, iov)?, offset))
     }
 
     // ------------------------------------------------------------------
@@ -2128,11 +2131,11 @@ impl FileSystem for Ext4Dax {
     }
 
     fn writev_at(&self, fd: Fd, offset: u64, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        self.vectored_write(fd, Some(offset), iov)
+        Ok(self.vectored_write(fd, Some(offset), iov)?.0)
     }
 
     fn appendv(&self, fd: Fd, iov: &[IoVec<'_>]) -> FsResult<usize> {
-        let n = self.vectored_write(fd, None, iov)?;
+        let (n, _) = self.vectored_write(fd, None, iov)?;
         self.device.stats().add_appendv(iov.len() as u64);
         Ok(n)
     }
@@ -2219,49 +2222,43 @@ impl FileSystem for Ext4Dax {
     }
 
     fn read(&self, fd: Fd, buf: &mut [u8]) -> FsResult<usize> {
-        let offset = self.lookup_fd(fd)?.offset;
-        let n = self.read_at(fd, offset, buf)?;
-        self.update_fd(fd, |f| f.offset = offset + n as u64);
+        let cursor = self.lookup_fd(fd)?.offset;
+        let mut offset = cursor.lock();
+        let n = self.read_at(fd, *offset, buf)?;
+        *offset += n as u64;
         Ok(n)
     }
 
     fn write(&self, fd: Fd, data: &[u8]) -> FsResult<usize> {
         let file = self.lookup_fd(fd)?;
-        if file.flags.append {
-            // O_APPEND: resolve the end of file under the inode-table lock, so
-            // concurrent appenders never interleave.
-            let n = self.vectored_write(fd, None, &[IoVec::new(data)])?;
-            let size = {
-                let inodes = self.inodes_read();
-                inodes.get(&file.ino).map(|i| i.size).unwrap_or(0)
-            };
-            self.update_fd(fd, |f| f.offset = size);
-            return Ok(n);
-        }
-        let offset = file.offset;
-        let n = self.write_at(fd, offset, data)?;
-        self.update_fd(fd, |f| f.offset = offset + n as u64);
+        let mut offset = file.offset.lock();
+        // O_APPEND: the end of file is resolved under the inode-table lock,
+        // so concurrent appenders never interleave, and the cursor moves
+        // to the end of this write, not of a later one.
+        let at = (!file.flags.append).then_some(*offset);
+        let (n, start) = self.vectored_write(fd, at, &[IoVec::new(data)])?;
+        *offset = start + n as u64;
         Ok(n)
     }
 
     fn lseek(&self, fd: Fd, pos: SeekFrom) -> FsResult<u64> {
         self.charge_syscall();
         let file = self.lookup_fd(fd)?;
+        let mut offset = file.offset.lock();
         let size = {
             let inodes = self.inodes_read();
             inodes.get(&file.ino).ok_or(FsError::BadFd)?.size
         };
         let new = match pos {
             SeekFrom::Start(o) => o as i128,
-            SeekFrom::Current(d) => file.offset as i128 + d as i128,
+            SeekFrom::Current(d) => *offset as i128 + d as i128,
             SeekFrom::End(d) => size as i128 + d as i128,
         };
         if new < 0 {
             return Err(FsError::InvalidArgument);
         }
-        let new = new as u64;
-        self.update_fd(fd, |f| f.offset = new);
-        Ok(new)
+        *offset = new as u64;
+        Ok(*offset)
     }
 
     fn fsync(&self, fd: Fd) -> FsResult<()> {

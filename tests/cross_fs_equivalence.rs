@@ -13,7 +13,7 @@ use splitfs_repro::baselines::{Nova, NovaMode, Pmfs, Strata};
 use splitfs_repro::kernelfs::Ext4Dax;
 use splitfs_repro::pmem::PmemBuilder;
 use splitfs_repro::splitfs::{Mode, SplitConfig, SplitFs};
-use splitfs_repro::vfs::{FileSystem, FsError, IoVec, OpenFlags};
+use splitfs_repro::vfs::{FileSystem, FsError, IoVec, OpenFlags, SeekFrom};
 
 fn all_filesystems() -> Vec<Arc<dyn FileSystem>> {
     let mut out: Vec<Arc<dyn FileSystem>> = Vec::new();
@@ -329,6 +329,108 @@ fn concurrent_o_append_writes_never_overlap_on_any_filesystem() {
             per_thread[tag as usize - 1] += 1;
         }
         assert_eq!(per_thread, [WRITES; THREADS], "{}", fs.name());
+    }
+}
+
+/// Threads sharing one descriptor: `read` and `write` hold its cursor
+/// across the call (POSIX 2.9.7), so four threads taking 4 KiB per call
+/// read every block once and write every block once.  On `O_APPEND`
+/// descriptors of their own, each `write` leaves its cursor at the end of
+/// its own block, not of a later appender's.
+#[test]
+fn a_shared_offset_hands_out_each_block_once_on_every_filesystem() {
+    const THREADS: usize = 4;
+    const BLOCKS: u64 = 512;
+    const BLOCK: usize = 4096;
+    let numbered = |n: u64| {
+        let mut block = vec![0u8; BLOCK];
+        block[..8].copy_from_slice(&n.to_le_bytes());
+        block
+    };
+    let tag = |buf: &[u8]| u64::from_le_bytes(buf[..8].try_into().unwrap());
+    let all: Vec<u64> = (0..BLOCKS).collect();
+    // Runs `op(thread)` on every thread until it returns `None`; what the
+    // threads returned, sorted.
+    let drain = |op: &(dyn Fn(usize) -> Option<(u64, u64)> + Sync)| {
+        let start = std::sync::Barrier::new(THREADS);
+        let mut got: Vec<(u64, u64)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        std::iter::from_fn(|| op(t)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        got.sort_unstable();
+        got
+    };
+    for fs in all_filesystems() {
+        let name = fs.name();
+
+        // `read`: the file's blocks are numbered; each must be read once.
+        let blocks: Vec<u8> = (0..BLOCKS).flat_map(numbered).collect();
+        fs.write_file("/blocks", &blocks).unwrap();
+        let fd = fs.open("/blocks", OpenFlags::read_only()).unwrap();
+        let read = drain(&|_| {
+            let mut buf = vec![0u8; BLOCK];
+            let n = fs.read(fd, &mut buf).unwrap();
+            (n > 0).then(|| (tag(&buf[..n]), 0))
+        });
+        let read: Vec<u64> = read.into_iter().map(|(n, _)| n).collect();
+        assert_eq!(read, all, "{name}: a block was read twice");
+        fs.close(fd).unwrap();
+
+        // `write`: BLOCKS numbered writes in all, each in a block of its own.
+        let next = std::sync::atomic::AtomicU64::new(0);
+        let take = || {
+            Some(next.fetch_add(1, std::sync::atomic::Ordering::Relaxed)).filter(|&n| n < BLOCKS)
+        };
+        let fd = fs.open("/out", OpenFlags::create()).unwrap();
+        drain(&|_| {
+            let n = take()?;
+            fs.write(fd, &numbered(n)).unwrap();
+            Some((n, 0))
+        });
+        fs.close(fd).unwrap();
+        let mut landed: Vec<u64> = fs
+            .read_file("/out")
+            .unwrap()
+            .chunks(BLOCK)
+            .map(tag)
+            .collect();
+        landed.sort_unstable();
+        assert_eq!(landed, all, "{name}: an advance was lost");
+
+        // `O_APPEND`, one descriptor per thread: after each write the
+        // cursor ends the block that write appended.
+        next.store(0, std::sync::atomic::Ordering::Relaxed);
+        let fds: Vec<_> = (0..THREADS)
+            .map(|_| fs.open("/appended", OpenFlags::append()).unwrap())
+            .collect();
+        let ends = drain(&|t| {
+            let n = take()?;
+            fs.write(fds[t], &numbered(n)).unwrap();
+            Some((n, fs.lseek(fds[t], SeekFrom::Current(0)).unwrap()))
+        });
+        for fd in fds {
+            fs.close(fd).unwrap();
+        }
+        let appended = fs.read_file("/appended").unwrap();
+        for (n, end) in ends {
+            let at = end as usize - BLOCK;
+            assert_eq!(
+                tag(&appended[at..]),
+                n,
+                "{name}: append {n}'s cursor ended another append's block"
+            );
+        }
     }
 }
 
