@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::hash::{DefaultHasher, Hasher};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, BytesMut};
@@ -309,49 +310,52 @@ impl LsmStore {
 
     /// Returns up to `count` key/value pairs with keys ≥ `start`, in key
     /// order (the YCSB scan operation).
+    ///
+    /// One ordered merge of the memtable and every table's sorted index
+    /// from `start`: each step takes the smallest next key of any source,
+    /// the newest source holding it decides its value, a tombstone hides
+    /// it, and every source steps past it.  Only the values returned are
+    /// read.
     pub fn scan(&self, start: &[u8], count: usize) -> FsResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        // Merge the memtable and every SSTable index; newest source wins.
-        let mut merged: BTreeMap<Vec<u8>, Option<(usize, u64, u32)>> = BTreeMap::new();
-        for (i, table) in self.sstables.iter().enumerate() {
-            let from = table
-                .index
-                .partition_point(|(k, _, _)| k.as_slice() < start);
-            for (k, off, len) in table.index.iter().skip(from).take(count * 2) {
-                merged.insert(k.clone(), Some((i, *off, *len)));
-            }
-        }
-        for (k, v) in self.memtable.range(start.to_vec()..) {
-            match v {
-                Some(_) => {
-                    merged.insert(k.clone(), None); // resolved from memtable
-                }
-                None => {
-                    merged.remove(k);
-                }
-            }
-            if merged.len() > count * 2 {
-                break;
-            }
-        }
+        let mut memtable = self
+            .memtable
+            .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
+            .peekable();
+        // A cursor into each table's index, newest table first.
+        let mut tables: Vec<(&SsTable, usize)> = self
+            .sstables
+            .iter()
+            .rev()
+            .map(|t| (t, t.index.partition_point(|(k, _, _)| k.as_slice() < start)))
+            .collect();
         let mut out = Vec::new();
-        for (k, loc) in merged {
-            if out.len() >= count {
-                break;
+        while out.len() < count {
+            let mut next = memtable.peek().map(|&(k, _)| k);
+            for &(table, pos) in &tables {
+                if let Some((k, _, _)) = table.index.get(pos) {
+                    if next.is_none_or(|n| k < n) {
+                        next = Some(k);
+                    }
+                }
             }
-            match loc {
-                None => {
-                    if let Some(Some(v)) = self.memtable.get(&k) {
-                        out.push((k, v.clone()));
-                    }
+            let Some(key) = next else { break };
+            // `Some(None)` once the newest source holding `key` is a tombstone.
+            let mut value = memtable.next_if(|&(k, _)| k == key).map(|(_, v)| v.clone());
+            for (table, pos) in &mut tables {
+                let Some(&(_, off, len)) = table.index.get(*pos).filter(|(k, ..)| k == key) else {
+                    continue;
+                };
+                *pos += 1;
+                if value.is_none() {
+                    value = Some(if len == TOMBSTONE {
+                        None
+                    } else {
+                        Some(self.fs.read_view(table.fd, off, len as usize)?.into_vec())
+                    });
                 }
-                Some((table_idx, off, len)) => {
-                    if len == TOMBSTONE {
-                        continue;
-                    }
-                    let table = &self.sstables[table_idx];
-                    let view = self.fs.read_view(table.fd, off, len as usize)?;
-                    out.push((k, view.into_vec()));
-                }
+            }
+            if let Some(Some(v)) = value {
+                out.push((key.clone(), v));
             }
         }
         Ok(out)
@@ -594,6 +598,47 @@ mod tests {
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
     }
 
+    /// A run of tombstones does not hide the live keys behind it, and
+    /// every memtable key that sorts before a returned table key is
+    /// returned.
+    #[test]
+    fn scan_reaches_live_keys_past_tombstones_and_every_memtable_key() {
+        let mut store = LsmStore::open(fs(), small_config()).unwrap();
+        for i in 0..100u32 {
+            store.put(format!("k{i:03}").as_bytes(), b"v").unwrap();
+        }
+        store.flush_memtable().unwrap();
+        for i in 0..20u32 {
+            store.delete(format!("k{i:03}").as_bytes()).unwrap();
+        }
+        store.flush_memtable().unwrap();
+        let keys: Vec<Vec<u8>> = store
+            .scan(b"k000", 5)
+            .unwrap()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        let expected: Vec<Vec<u8>> = (20..25u32)
+            .map(|i| format!("k{i:03}").into_bytes())
+            .collect();
+        assert_eq!(keys, expected);
+
+        let mut store = LsmStore::open(fs(), small_config()).unwrap();
+        for key in ["y1", "y2", "y3", "y4"] {
+            store.put(key.as_bytes(), b"table").unwrap();
+        }
+        store.flush_memtable().unwrap();
+        store.put(b"m", b"memtable").unwrap();
+        store.put(b"n", b"memtable").unwrap();
+        assert_eq!(
+            store.scan(b"a", 2).unwrap(),
+            vec![
+                (b"m".to_vec(), b"memtable".to_vec()),
+                (b"n".to_vec(), b"memtable".to_vec()),
+            ]
+        );
+    }
+
     #[test]
     fn store_recovers_from_wal_and_sstables_on_reopen() {
         let fs = fs();
@@ -618,7 +663,8 @@ mod tests {
     /// and a compaction trigger of 3 keep several tables alive at once;
     /// gets cover keys never put and keys only ever deleted, a tombstone in
     /// a newer table over a value in an older one, a key rewritten in every
-    /// table, and a merged table of more than 1000 keys.
+    /// table, and a merged table of more than 1000 keys; scans from a
+    /// random key compare with the map's range.
     #[test]
     fn store_matches_a_map_model_across_flushes_compactions_and_reopens() {
         const PUT_KEYS: u64 = 2500;
@@ -683,13 +729,23 @@ mod tests {
                     store.delete(&k).unwrap();
                     model.remove(&k);
                 }
-                540..=949 => {
+                540..=899 => {
                     let k = key(next(ALL_KEYS));
                     assert_eq!(
                         store.get(&k).unwrap().as_ref(),
                         model.get(&k),
                         "step {step}"
                     );
+                }
+                900..=949 => {
+                    let start = key(next(ALL_KEYS));
+                    let count = next(12) as usize;
+                    let expected: Vec<(Vec<u8>, Vec<u8>)> = model
+                        .range(start.clone()..)
+                        .take(count)
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    assert_eq!(store.scan(&start, count).unwrap(), expected, "step {step}");
                 }
                 950..=979 => {
                     let k = format!("absent-{}", next(ALL_KEYS)).into_bytes();

@@ -75,6 +75,9 @@ pub struct WalDb {
     wal_fd: Fd,
     /// Number of pages in the database file.
     page_count: u64,
+    /// `page_count` at the last commit: the pages past it were allocated
+    /// by the current transaction.
+    committed_pages: u64,
     /// Latest WAL offset of each page image not yet checkpointed.
     wal_index: BTreeMap<u64, u64>,
     /// Frames currently in the WAL.
@@ -130,6 +133,7 @@ impl WalDb {
             db_fd,
             wal_fd,
             page_count,
+            committed_pages: 0,
             wal_index: BTreeMap::new(),
             wal_frames: 0,
             wal_len: 0,
@@ -174,6 +178,7 @@ impl WalDb {
             }
             self.free_space.insert(page_no, free);
         }
+        self.committed_pages = self.page_count;
         Ok(())
     }
 
@@ -410,6 +415,7 @@ impl WalDb {
         for (page_no, page) in dirty {
             self.cache_insert(page_no, page);
         }
+        self.committed_pages = self.page_count;
         self.commits += 1;
         if self.wal_frames >= self.config.checkpoint_frames {
             self.checkpoint()?;
@@ -466,13 +472,29 @@ impl WalDb {
         Ok(written)
     }
 
-    /// Discards the current transaction's dirty pages.
-    pub fn rollback(&mut self) {
-        self.dirty.clear();
-        // The free-space map may now be stale for the rolled-back pages;
-        // rebuild lazily on next access by dropping those entries.
-        self.free_space.clear();
-        self.cache.clear();
+    /// Discards the current transaction: its dirty pages, the pages it
+    /// allocated, and its row-index and free-space edits, which are
+    /// rebuilt from the committed images of the pages it dirtied.
+    pub fn rollback(&mut self) -> FsResult<()> {
+        let dirty = std::mem::take(&mut self.dirty);
+        for page in dirty.values() {
+            for (key, _, _) in Self::parse_page(page).0 {
+                self.row_index.remove(&key);
+            }
+        }
+        for &page_no in dirty.keys() {
+            if page_no >= self.committed_pages {
+                self.free_space.remove(&page_no);
+                continue;
+            }
+            let (rows, free) = Self::parse_page(&self.load_page(page_no)?);
+            for (key, _, _) in rows {
+                self.row_index.insert(key, page_no);
+            }
+            self.free_space.insert(page_no, free);
+        }
+        self.page_count = self.committed_pages;
+        Ok(())
     }
 
     /// Copies the newest version of every WAL page back into the database
@@ -601,8 +623,36 @@ mod tests {
         db.upsert(1, 1, b"committed").unwrap();
         db.commit().unwrap();
         db.upsert(1, 1, b"uncommitted").unwrap();
-        db.rollback();
+        db.rollback().unwrap();
         assert_eq!(db.get(1, 1).unwrap(), Some(b"committed".to_vec()));
+    }
+
+    /// A rolled-back delete keeps the committed row, and the page's free
+    /// space is what the commit left, so later small rows still fit in it.
+    #[test]
+    fn rollback_restores_committed_rows_and_free_space() {
+        let mut db = WalDb::open(fs(), config()).unwrap();
+        db.upsert(1, 1, b"committed").unwrap();
+        db.commit().unwrap();
+        assert!(db.delete(1, 1).unwrap());
+        db.rollback().unwrap();
+        assert_eq!(db.get(1, 1).unwrap(), Some(b"committed".to_vec()));
+        assert_eq!(db.row_count(), 1);
+        for key in 2..5 {
+            db.upsert(1, key, b"small").unwrap();
+        }
+        assert_eq!(db.page_count, 1, "small rows must still fit in page 0");
+        db.commit().unwrap();
+
+        // Rows moved to a page the transaction allocated go back to their
+        // committed page, and the page itself is given back.
+        db.upsert(1, 1, &[7u8; PAGE_SIZE - 40]).unwrap();
+        assert_eq!(db.page_count, 2);
+        db.rollback().unwrap();
+        assert_eq!(db.page_count, 1);
+        assert_eq!(db.row_count(), 4);
+        assert_eq!(db.get(1, 1).unwrap(), Some(b"committed".to_vec()));
+        assert_eq!(db.get(1, 4).unwrap(), Some(b"small".to_vec()));
     }
 
     #[test]
