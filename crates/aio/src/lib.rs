@@ -573,14 +573,9 @@ impl RingFs {
         if sqes.is_empty() {
             return 0;
         }
-        let stats = self.backend.device().stats();
-        stats.add_ring_drain(sqes.len() as u64);
         let count = sqes.len();
         let cqes = self.backend.run_batch(sqes);
         debug_assert_eq!(cqes.len(), count, "run_batch must map sqes 1:1 to cqes");
-        if count >= 2 {
-            stats.add_completion_batch();
-        }
         for (i, cqe) in origins.into_iter().zip(cqes) {
             let core = &cores[i];
             if let Err(cqe) = core.cq.try_push(cqe) {

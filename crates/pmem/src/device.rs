@@ -904,7 +904,6 @@ impl PmemDevice {
                 .crash(&mut shard.data, self.crash_policy, first_line)
                 .0;
         }
-        self.stats.add_crash_capture();
         self.stats.add_torn_lines(torn_lines);
     }
 
@@ -955,7 +954,6 @@ impl PmemDevice {
             shards.push(img);
         }
         drop(guards);
-        self.stats.add_crash_capture();
         self.stats.add_torn_lines(torn_lines);
         CrashImage {
             size: self.size,
@@ -1009,9 +1007,7 @@ impl PmemDevice {
     /// journal commit / epoch publish that establishes the promised
     /// durability — see the [`crate::oracle`] soundness rule.
     pub fn declare(&self, promise: Promise) -> Option<u64> {
-        let seq = self.ledger.declare(promise)?;
-        self.stats.add_promise_declared();
-        Some(seq)
+        self.ledger.declare(promise)
     }
 
     /// Marks `[offset, offset+len)` as failing media: subsequent
@@ -1057,7 +1053,6 @@ impl PmemDevice {
         cat: TimeCategory,
     ) -> Result<(), MediaError> {
         if let Some(bad) = self.poison_hit(offset, buf.len()) {
-            self.stats.add_media_read_error();
             return Err(MediaError { offset: bad });
         }
         self.read(offset, buf, pattern, cat);
@@ -1586,7 +1581,6 @@ mod tests {
                 TimeCategory::UserData
             )
             .is_ok());
-        assert_eq!(dev.stats().snapshot().media_read_errors, 1);
     }
 
     #[test]
@@ -1598,8 +1592,6 @@ mod tests {
         dev.declare(Promise::EpochDurable { epoch: 2 });
         assert_eq!(image.ledger_len(), 1);
         assert_eq!(dev.ledger().records_up_to(image.ledger_len()).len(), 1);
-        assert_eq!(dev.stats().snapshot().promises_declared, 2);
-        assert_eq!(dev.stats().snapshot().crash_captures, 1);
     }
 
     #[test]

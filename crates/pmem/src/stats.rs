@@ -284,11 +284,6 @@ macro_rules! counter_table {
             oplog_epoch_swaps =>
                 /// Records one operation-log epoch swap (seal of the active half).
                 add_oplog_epoch_swap += 1;
-            /// Sealed-epoch truncations (the sealed half was re-zeroed after its
-            /// staged data was retired).
-            oplog_epoch_truncates =>
-                /// Records one sealed-epoch truncation.
-                add_oplog_epoch_truncate += 1;
             /// On-demand growths of the operation log.
             oplog_grows =>
                 /// Records one on-demand operation-log growth.
@@ -320,30 +315,6 @@ macro_rules! counter_table {
                 /// Records one orphaned instance whose operation log was replayed.
                 add_instance_recovered += 1;
 
-            // The asynchronous submission/completion rings: how many queued
-            // submissions drains observed (their sum over drains is the
-            // offered ring depth), how many drains completed two or more
-            // operations as one backend batch, and how many ordering fences
-            // those batches saved relative to the synchronous
-            // one-fence-pair-per-write path.
-
-            /// Total submissions popped across all ring drains (Σ batch size).
-            ring_depth =>
-                /// Records one ring drain that popped `n` queued submissions.
-                add_ring_drain += n;
-            /// Drains that posted two or more completions as one batch.
-            /// Single-completion drains are not counted: the counter's purpose
-            /// is to evidence *batching*, mirroring the `appendv` rule.
-            completion_batch =>
-                /// Records one drain that posted two or more completions as a
-                /// single backend batch.
-                add_completion_batch += 1;
-            /// Ordering fences avoided by coalescing a batch's writes under a
-            /// shared fence pair instead of fencing each write separately.
-            fences_amortized =>
-                /// Records `n` ordering fences avoided by batch coalescing.
-                add_fences_amortized += n;
-
             // The kernel namespace lock and its full-path lookup cache:
             // contended acquisitions of the lock and path-cache probes that
             // hit or missed.
@@ -364,30 +335,13 @@ macro_rules! counter_table {
                 /// Records one full-path cache miss (absent or stale entry).
                 add_path_cache_miss += 1;
 
-            // The crash-point fuzzing and fault-injection machinery: crash
-            // images captured (one per explored fence boundary plus one per
-            // direct `crash()` call), cache lines that survived torn under
-            // `CrashPolicy::TornWrites`, checked reads that failed on an
-            // injected media error, and durability promises recorded on the
-            // device's ledger.
+            // Crash injection.
 
-            /// Crashes injected: `capture_crash_image` calls plus in-place `crash()`es.
-            crash_captures =>
-                /// Records one crash-image capture.
-                add_crash_capture += 1;
             /// Cache lines that survived as a torn prefix/suffix in a capture
             /// (`CrashPolicy::TornWrites`).
             torn_lines =>
                 /// Records `n` cache lines surviving torn in a crash capture.
                 add_torn_lines += n;
-            /// Checked reads that overlapped a poisoned range and failed.
-            media_read_errors =>
-                /// Records one checked read failing on an injected media error.
-                add_media_read_error += 1;
-            /// Durability promises recorded on the ledger.
-            promises_declared =>
-                /// Records one durability promise declared on the ledger.
-                add_promise_declared += 1;
         }
     };
 }

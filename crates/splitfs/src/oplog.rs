@@ -541,7 +541,6 @@ impl OpLog {
         let sealed = 1 - self.active.load(Ordering::SeqCst);
         self.truncate_epoch(sealed);
         self.sealed_pending.store(false, Ordering::SeqCst);
-        self.device.stats().add_oplog_epoch_truncate();
     }
 
     fn truncate_epoch(&self, idx: usize) {
@@ -1023,7 +1022,6 @@ mod tests {
         assert_eq!(entries.len(), 1, "only the new-epoch entry survives");
         let delta = device.stats().snapshot().delta(&before);
         assert_eq!(delta.oplog_epoch_swaps, 1);
-        assert_eq!(delta.oplog_epoch_truncates, 1);
         // The other half is free again, so a new seal succeeds.
         assert!(oplog.try_seal().is_some());
     }

@@ -243,14 +243,6 @@ impl SplitFs {
             self.device.fence(TimeCategory::UserData);
             epoch = bump_private_epoch();
         }
-        if count >= 2 {
-            // The synchronous path would have paid the batch's fences —
-            // a data fence, and in logging modes a log fence — per write.
-            let per_write = if logging { 2 } else { 1 };
-            self.device
-                .stats()
-                .add_fences_amortized(per_write * (count - 1));
-        }
         for (&(i, _, _, bufs), op) in resolved.iter().zip(ops) {
             if op.staged() {
                 self.device.stats().add_appendv(bufs.len() as u64);
@@ -345,9 +337,6 @@ mod tests {
         // Four writes to four different files, two fences total — the
         // synchronous path would have paid eight.
         assert_eq!(delta.fences, 2, "one data fence + one log fence");
-        assert_eq!(delta.fences_amortized, 2 * 3);
-        assert_eq!(delta.ring_depth, 4);
-        assert_eq!(delta.completion_batch, 1);
 
         let mut cqes = Vec::new();
         ring.harvest(&mut cqes);
