@@ -954,7 +954,6 @@ impl Ext4Dax {
             self.path_cache.remove(norm);
         }
         self.device.stats().add_path_cache_miss();
-        obs::event(obs::SpanEvent::PathCacheMiss);
         // Near miss: the parent directory's own path is often still
         // cached (creates of fresh names in a warm directory).  A
         // positive **directory** entry needs no parent-generation check
@@ -2385,16 +2384,18 @@ impl FileSystem for Ext4Dax {
         if ns.dirs.contains_key(&ino) {
             return Err(FsError::IsADirectory);
         }
+        // As in `rename`: the journal record first, then the tombstone, so
+        // a failed commit leaves the name in place.
         let mut inodes = self.inodes_write();
-        self.dir_remove_entry(ns.dir_mut(parent)?, inode_ref(&inodes, parent)?, name)?;
         if ns.open_counts.get(&ino).copied().unwrap_or(0) > 0 {
-            ns.orphans.insert(ino);
             let txn = self.journal.commit(&[JournalRecord::Unlink {
                 parent,
                 name: name.to_string(),
                 ino,
                 free_inode: false,
             }])?;
+            ns.orphans.insert(ino);
+            self.dir_remove_entry(ns.dir_mut(parent)?, inode_ref(&inodes, parent)?, name)?;
             self.write_inode(inode_mut(&mut inodes, parent)?);
             drop(txn);
         } else {
@@ -2406,6 +2407,7 @@ impl FileSystem for Ext4Dax {
                 free_inode: true,
             });
             let txn = self.journal.commit(&records)?;
+            self.dir_remove_entry(ns.dir_mut(parent)?, inode_ref(&inodes, parent)?, name)?;
             inodes.remove(&ino);
             self.zero_inode_record(ino);
             self.write_inode(inode_mut(&mut inodes, parent)?);
@@ -2576,7 +2578,6 @@ impl FileSystem for Ext4Dax {
             Some(_) => {}
         }
         let mut inodes = self.inodes_write();
-        self.dir_remove_entry(ns.dir_mut(parent)?, inode_ref(&inodes, parent)?, name)?;
         let (mut records, runs) = self.free_inode_blocks(inode_mut(&mut inodes, ino)?);
         records.push(JournalRecord::Unlink {
             parent,
@@ -2585,6 +2586,7 @@ impl FileSystem for Ext4Dax {
             free_inode: true,
         });
         let txn = self.journal.commit(&records)?;
+        self.dir_remove_entry(ns.dir_mut(parent)?, inode_ref(&inodes, parent)?, name)?;
         inodes.remove(&ino);
         // No directory-move bump needed: cached descendants carry
         // `parent == ino`, and inos are never reused, so the missing

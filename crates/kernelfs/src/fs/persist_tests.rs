@@ -661,3 +661,59 @@ fn cuts_inside_a_copying_relink_batch_mount_the_files_before_or_after_it() {
     }
     assert!(cuts[0] == before && cuts[cuts.len() - 1] == after);
 }
+
+/// `unlink` and `rmdir` journal the removal before they tombstone the
+/// entry, as `rename` does: at the first fence inside the call, the
+/// journal commit's, the parent's entry still holds the live name, so a
+/// commit that fails leaves the name where it was.
+#[test]
+fn unlink_and_rmdir_journal_the_removal_before_the_tombstone() {
+    for what in ["unlink of an open file", "unlink", "rmdir"] {
+        let fs = small_fs(8);
+        fs.mkdir("/p").unwrap();
+        if what == "rmdir" {
+            fs.mkdir("/p/x").unwrap();
+        } else {
+            let fd = fs.open("/p/x", OpenFlags::create()).unwrap();
+            fs.write_at(fd, 0, &[7u8; 100]).unwrap();
+            if what == "unlink" {
+                fs.close(fd).unwrap();
+            }
+        }
+        // Where the entry sits on the device.
+        let parent = fs.stat("/p").unwrap().ino;
+        let slot = fs.ns_read().dirs[&parent].entries["x"];
+        let (phys, _) = fs.inodes_read()[&parent]
+            .extents
+            .lookup(slot.entry_offset / B)
+            .unwrap();
+        let at = phys * B + slot.entry_offset % B;
+        let entry = move |d: &PmemDevice| {
+            let mut bytes = vec![0u8; slot.entry_len];
+            d.read_uncharged(at, &mut bytes);
+            bytes
+        };
+
+        let first: Arc<Mutex<Option<Vec<u8>>>> = Arc::default();
+        {
+            let first = Arc::clone(&first);
+            fs.device
+                .set_fence_hook(Some(Arc::new(move |d: &PmemDevice, _| {
+                    first.lock().unwrap().get_or_insert_with(|| entry(d));
+                })));
+        }
+        match what {
+            "rmdir" => fs.rmdir("/p/x").unwrap(),
+            _ => fs.unlink("/p/x").unwrap(),
+        }
+        fs.device.set_fence_hook(None);
+
+        let first = first.lock().unwrap().take();
+        assert_eq!(
+            first.as_deref(),
+            Some(&*dir::encode_entry(slot.ino, "x")),
+            "{what}: the entry at the first fence"
+        );
+        assert_eq!(entry(&fs.device), &*dir::encode_tombstone(1), "{what}");
+    }
+}

@@ -2,43 +2,20 @@
 //!
 //! [`MetricsSnapshot`] folds the device's aggregate
 //! [`StatsSnapshot`] counters together with the span recorder's per-op
-//! latency percentiles, and checks the per-op time breakdown against
-//! the aggregate ([`MetricsSnapshot::attribution_error`]).
+//! aggregates, and checks the per-op time breakdown against the
+//! aggregate ([`MetricsSnapshot::attribution_error`]).
 
 use pmem::{StatsSnapshot, TimeCategory};
 
-use crate::span::{OpKind, Recorder, SpanEvent};
+use crate::span::{OpAggregate, OpKind, Recorder};
 
 const CATS: usize = TimeCategory::ALL.len();
-
-/// Latency and attribution summary for one op kind, extracted from the
-/// recorder's merged histogram.
-#[derive(Debug, Clone)]
-pub struct OpMetrics {
-    /// The operation kind.
-    pub kind: OpKind,
-    /// Spans recorded.
-    pub count: u64,
-    /// Median span latency (histogram-quantized, ≲6% relative error).
-    pub p50_ns: u64,
-    /// 99th-percentile span latency.
-    pub p99_ns: u64,
-    /// 99.9th-percentile span latency.
-    pub p999_ns: u64,
-    /// Maximum span latency (exact).
-    pub max_ns: u64,
-    /// Simulated nanoseconds per [`TimeCategory`] inside these spans
-    /// ([`TimeCategory::ALL`] order).
-    pub cat_ns: [f64; CATS],
-    /// Event annotations, in [`SpanEvent::ALL`] order.
-    pub events: [u64; SpanEvent::COUNT],
-}
 
 /// Everything one measured run produced, in one exportable structure.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
-    /// Per-op latency summaries, one per op kind that recorded spans.
-    pub ops: Vec<OpMetrics>,
+    /// Per-op aggregates, one per op kind that recorded spans.
+    pub ops: Vec<OpAggregate>,
     /// The device's aggregate counters for the same window.
     pub stats: StatsSnapshot,
 }
@@ -47,21 +24,10 @@ impl MetricsSnapshot {
     /// Builds a snapshot from a recorder's aggregates and the matching
     /// stats delta.
     pub fn new(recorder: &Recorder, stats: StatsSnapshot) -> Self {
-        let ops = recorder
-            .aggregate()
-            .into_iter()
-            .map(|a| OpMetrics {
-                kind: a.kind,
-                count: a.hist.count(),
-                p50_ns: a.hist.percentile(0.50),
-                p99_ns: a.hist.percentile(0.99),
-                p999_ns: a.hist.percentile(0.999),
-                max_ns: a.hist.max(),
-                cat_ns: a.cat_ns,
-                events: a.events,
-            })
-            .collect();
-        Self { ops, stats }
+        Self {
+            ops: recorder.aggregate(),
+            stats,
+        }
     }
 
     /// Total spans recorded across every op kind.
@@ -70,7 +36,7 @@ impl MetricsSnapshot {
     }
 
     /// The summary for one op kind, if it recorded any spans.
-    pub fn op(&self, kind: OpKind) -> Option<&OpMetrics> {
+    pub fn op(&self, kind: OpKind) -> Option<&OpAggregate> {
         self.ops.iter().find(|o| o.kind == kind)
     }
 
@@ -134,12 +100,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_extracts_percentiles() {
+    fn snapshot_counts_spans_and_events() {
         let snap = sample_snapshot();
         assert_eq!(snap.total_spans(), 100);
         let op = snap.op(OpKind::Appendv).expect("appendv recorded");
-        assert!(op.p99_ns >= op.p50_ns);
-        assert!(op.max_ns >= op.p999_ns);
+        assert_eq!(op.count, 100);
         assert_eq!(op.events[SpanEvent::InlineCreate.index()], 1);
     }
 

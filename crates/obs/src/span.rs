@@ -6,12 +6,10 @@
 //! per [`TimeCategory`] by a thread-local tee inside
 //! [`pmem::Stats::add_time`] — accrue to the span, and instrumentation
 //! points inside the file systems annotate it with [`SpanEvent`]s via
-//! [`event`].  When the guard drops, the span's total latency
-//! ([`pmem::SimClock::thread_time_ns`] delta: own charges plus
-//! simulated lock waits) is recorded into a log-linear histogram shard
-//! owned by the recording thread, together with the per-category
-//! breakdown, so software overhead becomes a per-operation
-//! distribution.
+//! [`event`].  When the guard drops, the span's count, per-category
+//! simulated time and events are added to a shard owned by the
+//! recording thread, so software overhead is attributed to the
+//! operation that paid for it.
 //!
 //! **Nesting.**  Span state is thread-local and only the *outermost*
 //! guard on a thread records; inner guards are passive.  An `appendv`
@@ -32,9 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pmem::{SimClock, Stats, TimeCategory};
-
-use crate::hist::{Histogram, BUCKET_COUNT};
+use pmem::{Stats, TimeCategory};
 
 /// The kind of file-system operation a span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -129,31 +125,21 @@ impl OpKind {
 pub enum SpanEvent {
     /// Staging exhausted; the foreground created a staging file inline.
     InlineCreate,
-    /// The operation log swapped active epochs.
-    EpochSwap,
     /// Several operation-log entries committed under one fence.
     GroupCommit,
     /// Multiple staged files relinked in one batched kernel transaction.
     RelinkBatch,
-    /// The foreground stalled waiting for a log checkpoint.
-    CheckpointStall,
-    /// A full-path cache probe missed and resolve fell back to the
-    /// per-component directory walk.
-    PathCacheMiss,
 }
 
 impl SpanEvent {
     /// Number of event kinds.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 3;
 
     /// Every event, in display order.
     pub const ALL: [SpanEvent; SpanEvent::COUNT] = [
         SpanEvent::InlineCreate,
-        SpanEvent::EpochSwap,
         SpanEvent::GroupCommit,
         SpanEvent::RelinkBatch,
-        SpanEvent::CheckpointStall,
-        SpanEvent::PathCacheMiss,
     ];
 
     #[inline]
@@ -165,11 +151,8 @@ impl SpanEvent {
     pub fn label(self) -> &'static str {
         match self {
             SpanEvent::InlineCreate => "inline_create",
-            SpanEvent::EpochSwap => "epoch_swap",
             SpanEvent::GroupCommit => "group_commit",
             SpanEvent::RelinkBatch => "relink_batch",
-            SpanEvent::CheckpointStall => "checkpoint_stall",
-            SpanEvent::PathCacheMiss => "path_cache_miss",
         }
     }
 }
@@ -181,33 +164,12 @@ const CATS: usize = TimeCategory::ALL.len();
 /// The owner thread updates it with relaxed atomic adds (no RMW
 /// contention: no other thread ever writes); the recorder reads it when
 /// aggregating.
+#[derive(Default)]
 struct OpShard {
-    buckets: Box<[AtomicU64]>,
     count: AtomicU64,
-    /// Exact total span time, picoseconds.
-    sum_ps: AtomicU64,
-    /// Exact maximum span time, nanoseconds.
-    max_ns: AtomicU64,
     /// Per-category simulated time inside spans, picoseconds.
     cat_ps: [AtomicU64; CATS],
-    /// Span time not covered by any category (simulated lock waits),
-    /// picoseconds.
-    wait_ps: AtomicU64,
     events: [AtomicU64; SpanEvent::COUNT],
-}
-
-impl OpShard {
-    fn new() -> Arc<OpShard> {
-        Arc::new(OpShard {
-            buckets: (0..BUCKET_COUNT).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_ps: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-            cat_ps: std::array::from_fn(|_| AtomicU64::new(0)),
-            wait_ps: AtomicU64::new(0),
-            events: std::array::from_fn(|_| AtomicU64::new(0)),
-        })
-    }
 }
 
 /// Aggregated view of one op kind across every thread's shard.
@@ -215,22 +177,17 @@ impl OpShard {
 pub struct OpAggregate {
     /// The operation kind.
     pub kind: OpKind,
-    /// Merged latency histogram (values in simulated nanoseconds).
-    pub hist: Histogram,
+    /// Spans recorded.
+    pub count: u64,
     /// Simulated nanoseconds spent per [`TimeCategory`] inside these
     /// spans, in [`TimeCategory::ALL`] order.
     pub cat_ns: [f64; CATS],
-    /// Simulated nanoseconds of lock waits inside these spans (span
-    /// time not attributed to any category).
-    pub wait_ns: f64,
     /// Event annotation counts, in [`SpanEvent::ALL`] order.
     pub events: [u64; SpanEvent::COUNT],
 }
 
 struct ThreadSpan {
     depth: u32,
-    kind: OpKind,
-    start_thread_ns: f64,
     start_cat_ns: [f64; CATS],
     events: [u64; SpanEvent::COUNT],
 }
@@ -247,8 +204,6 @@ thread_local! {
         RefCell::new(ThreadState {
             span: ThreadSpan {
                 depth: 0,
-                kind: OpKind::Other,
-                start_thread_ns: 0.0,
                 start_cat_ns: [0.0; CATS],
                 events: [0; SpanEvent::COUNT],
             },
@@ -260,7 +215,7 @@ thread_local! {
 static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A per-run span recorder: the sink for every span opened against it
-/// and the point percentiles are extracted from.
+/// and the point its per-op aggregates are read from.
 ///
 /// Cheap to share (`Arc`); create one per measured run so aggregates
 /// cover exactly the measurement window.
@@ -302,8 +257,6 @@ impl Recorder {
             let span = &mut s.span;
             span.depth += 1;
             if span.depth == 1 {
-                span.kind = kind;
-                span.start_thread_ns = SimClock::thread_time_ns();
                 span.start_cat_ns = Stats::thread_category_time_ns();
                 span.events = [0; SpanEvent::COUNT];
                 true
@@ -329,7 +282,7 @@ impl Recorder {
         if let Some((_, _, shard)) = state.cache.iter().find(|(id, k, _)| (*id, *k) == key) {
             return Arc::clone(shard);
         }
-        let shard = OpShard::new();
+        let shard = Arc::new(OpShard::default());
         self.shards[kind.index()].lock().push(Arc::clone(&shard));
         state.cache.push((key.0, key.1, Arc::clone(&shard)));
         shard
@@ -346,48 +299,29 @@ impl Recorder {
             if shards.is_empty() {
                 continue;
             }
-            let mut hist = Histogram::new();
+            let mut count = 0u64;
             let mut cat_ps = [0u64; CATS];
-            let mut wait_ps = 0u64;
             let mut events = [0u64; SpanEvent::COUNT];
             for shard in shards.iter() {
-                let mut sum_ps = 0u64;
-                for (i, b) in shard.buckets.iter().enumerate() {
-                    let c = b.load(Ordering::Relaxed);
-                    if c > 0 {
-                        hist.add_bucket(i, c);
-                    }
-                }
-                sum_ps += shard.sum_ps.load(Ordering::Relaxed);
-                hist.fold_summary(
-                    (sum_ps as f64 / 1000.0).round() as u64,
-                    shard.max_ns.load(Ordering::Relaxed),
-                );
+                count += shard.count.load(Ordering::Relaxed);
                 for (dst, src) in cat_ps.iter_mut().zip(shard.cat_ps.iter()) {
                     *dst += src.load(Ordering::Relaxed);
                 }
-                wait_ps += shard.wait_ps.load(Ordering::Relaxed);
                 for (dst, src) in events.iter_mut().zip(shard.events.iter()) {
                     *dst += src.load(Ordering::Relaxed);
                 }
             }
-            if hist.count() == 0 {
+            if count == 0 {
                 continue;
             }
             out.push(OpAggregate {
                 kind,
-                hist,
+                count,
                 cat_ns: std::array::from_fn(|i| cat_ps[i] as f64 / 1000.0),
-                wait_ns: wait_ps as f64 / 1000.0,
                 events,
             });
         }
         out
-    }
-
-    /// Total spans recorded across every op kind.
-    pub fn total_spans(&self) -> u64 {
-        self.aggregate().iter().map(|a| a.hist.count()).sum()
     }
 }
 
@@ -423,41 +357,20 @@ impl Drop for SpanGuard {
             });
             return;
         };
-        let end_thread_ns = SimClock::thread_time_ns();
         let end_cat_ns = Stats::thread_category_time_ns();
         STATE.with(|s| {
             let mut s = s.borrow_mut();
             s.span.depth = 0;
-            let total_ns = (end_thread_ns - s.span.start_thread_ns).max(0.0);
-            let mut cat_ps = [0u64; CATS];
-            let mut cat_total_ns = 0.0f64;
-            for i in 0..CATS {
-                let d = (end_cat_ns[i] - s.span.start_cat_ns[i]).max(0.0);
-                cat_total_ns += d;
-                cat_ps[i] = (d * 1000.0).round() as u64;
-            }
-            // Span time no category claims is simulated lock-wait time
-            // (clamped: rounding must not push it negative).
-            let wait_ns = (total_ns - cat_total_ns).max(0.0);
+            let cat_ps: [u64; CATS] = std::array::from_fn(|i| {
+                ((end_cat_ns[i] - s.span.start_cat_ns[i]).max(0.0) * 1000.0).round() as u64
+            });
             let events = s.span.events;
-            let kind = self.kind;
-            let shard = recorder.shard(kind, &mut s);
-            let ns = total_ns.round() as u64;
-            shard.buckets[crate::hist::bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
+            let shard = recorder.shard(self.kind, &mut s);
             shard.count.fetch_add(1, Ordering::Relaxed);
-            shard
-                .sum_ps
-                .fetch_add((total_ns * 1000.0).round() as u64, Ordering::Relaxed);
-            shard.max_ns.fetch_max(ns, Ordering::Relaxed);
             for (dst, &src) in shard.cat_ps.iter().zip(cat_ps.iter()) {
                 if src > 0 {
                     dst.fetch_add(src, Ordering::Relaxed);
                 }
-            }
-            if wait_ns > 0.0 {
-                shard
-                    .wait_ps
-                    .fetch_add((wait_ns * 1000.0).round() as u64, Ordering::Relaxed);
             }
             for (dst, &src) in shard.events.iter().zip(events.iter()) {
                 if src > 0 {
@@ -484,7 +397,7 @@ pub fn event(event: SpanEvent) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::PmemBuilder;
+    use pmem::{PmemBuilder, SimClock};
 
     #[test]
     fn outermost_span_records_and_nested_is_passive() {
@@ -501,7 +414,7 @@ mod tests {
         assert_eq!(aggs.len(), 1, "only the outermost span records");
         let a = &aggs[0];
         assert_eq!(a.kind, OpKind::Appendv);
-        assert_eq!(a.hist.count(), 1);
+        assert_eq!(a.count, 1);
         assert_eq!(
             a.events[SpanEvent::InlineCreate.index()],
             2,
@@ -510,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn span_captures_category_time_and_wait() {
+    fn span_captures_category_time() {
         let device = PmemBuilder::new(1024 * 1024).build();
         let rec = Arc::new(Recorder::new());
         {
@@ -525,9 +438,12 @@ mod tests {
         let sw = TimeCategory::Software.index_in_all();
         assert!((a.cat_ns[user] - 500.0).abs() < 1e-6, "{:?}", a.cat_ns);
         assert!((a.cat_ns[sw] - 250.0).abs() < 1e-6);
-        assert!((a.wait_ns - 125.0).abs() < 1e-6);
-        assert_eq!(a.hist.count(), 1);
-        assert_eq!(a.hist.max(), 875);
+        let total: f64 = a.cat_ns.iter().sum();
+        assert!(
+            (total - 750.0).abs() < 1e-6,
+            "a lock wait is no category's time"
+        );
+        assert_eq!(a.count, 1);
     }
 
     #[test]
@@ -546,12 +462,11 @@ mod tests {
         });
         let aggs = rec.aggregate();
         let a = aggs.iter().find(|a| a.kind == OpKind::Fsync).unwrap();
-        assert_eq!(a.hist.count(), 400);
-        assert_eq!(rec.total_spans(), 400);
+        assert_eq!(a.count, 400);
     }
 
     #[test]
     fn events_outside_spans_do_not_panic() {
-        event(SpanEvent::EpochSwap);
+        event(SpanEvent::GroupCommit);
     }
 }

@@ -535,10 +535,8 @@ impl SplitFs {
         // The other half is still being retired, or too small for the
         // group: grow the active epoch.
         // A growth failure (device full) is a real foreground stall.
-        self.grow_oplog(entries).inspect_err(|_| {
-            self.device.stats().add_checkpoint_stall();
-            obs::event(obs::SpanEvent::CheckpointStall);
-        })
+        self.grow_oplog(entries)
+            .inspect_err(|_| self.device.stats().add_checkpoint_stall())
     }
 
     /// Retires the sealed epoch: relinks every file with staged data (one

@@ -528,7 +528,6 @@ impl OpLog {
             std::hint::spin_loop();
         }
         self.device.stats().add_oplog_epoch_swap();
-        obs::event(obs::SpanEvent::EpochSwap);
         Some(self.seq.load(Ordering::SeqCst))
     }
 

@@ -46,7 +46,10 @@ impl SplitFs {
     /// files through a single batched relink, so one kernel trap and one
     /// journal transaction cover an `fsync`, an `fsync_many` or a ring's
     /// files alike, and the sizes it returns refresh each file's kernel
-    /// size.  One fence ends the batch.  The `Invalidate` markers
+    /// size.  In POSIX mode one fence before the first submission drains
+    /// the staged bytes, which no append fenced, ahead of the journal
+    /// record that makes them part of a file; sync and strict mode fenced
+    /// each staged byte before its log entry.  The `Invalidate` markers
     /// group-commit best-effort under one more — or are handed to
     /// `deferred`, for a caller that retires many files one lock at a time
     /// (the sealed-epoch sweep) and commits their markers together.
@@ -102,6 +105,14 @@ impl SplitFs {
             Ok(())
         };
 
+        let mut unfenced = !self.config.mode.fences_data_ops();
+        let mut submit = |ops: &[RelinkOp], copies: &[RelinkOp]| {
+            if std::mem::take(&mut unfenced) {
+                self.device.fence(TimeCategory::UserData);
+            }
+            batch::submit(&self.kernel, ops, copies)
+        };
+
         let mut shared: Vec<RelinkOp> = Vec::new();
         let mut shared_copies: Vec<RelinkOp> = Vec::new();
         let mut planned: Vec<(usize, RelinkPlan)> = Vec::new();
@@ -114,7 +125,7 @@ impl SplitFs {
             };
             for generation in earlier {
                 let plan = batch::plan(generation, st.kernel_fd, use_relink);
-                let sizes = batch::submit(&self.kernel, &plan.ops, &kernel_copies(&plan))?;
+                let sizes = submit(&plan.ops, &kernel_copies(&plan))?;
                 apply(st, &plan, &sizes)?;
             }
             let plan = batch::plan(last, st.kernel_fd, use_relink);
@@ -125,7 +136,7 @@ impl SplitFs {
         if planned.is_empty() {
             return Ok(());
         }
-        let sizes = batch::submit(&self.kernel, &shared, &shared_copies)?;
+        let sizes = submit(&shared, &shared_copies)?;
 
         let mut markers = Vec::new();
         let mut retired = 0u64;
@@ -147,8 +158,8 @@ impl SplitFs {
                 markers.push(self.invalidate_marker(st.ino, max_seq));
             }
         }
-        self.device.fence(TimeCategory::UserData);
-        // The batch's journal transaction and data fence are complete.
+        // The staged bytes are durable and the batch's journal transaction
+        // is complete.
         self.device.declare(pmem::Promise::RelinkCommitted {
             instance: self.instance_id,
             ops: retired,

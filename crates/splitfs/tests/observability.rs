@@ -146,7 +146,6 @@ fn four_writers_reconcile_spans_with_aggregate_stats() {
 
     let appendv = snap.op(OpKind::Appendv).expect("appendv spans recorded");
     assert_eq!(appendv.count, 4 * 256);
-    assert!(appendv.p99_ns >= appendv.p50_ns);
     for kind in [OpKind::Create, OpKind::ReadView, OpKind::Fsync] {
         assert!(snap.op(kind).is_some(), "no {kind:?} span recorded");
     }

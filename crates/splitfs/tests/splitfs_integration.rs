@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use kernelfs::{Ext4Dax, BLOCK_SIZE};
+use parking_lot::Mutex;
 use pmem::{PmemBuilder, PmemDevice, TimeCategory};
 use splitfs::{recover, Mode, SplitConfig, SplitFs};
 use vfs::{FileSystem, FsError, OpenFlags, SeekFrom};
@@ -200,6 +201,59 @@ fn append_fsync_relinks_without_copying_data() {
         assert!(data[i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE]
             .iter()
             .all(|&b| b == i as u8));
+    }
+}
+
+/// `fsync` leaves nothing unpersisted, in every mode, with relink and
+/// without it.  In POSIX mode, whose appends fence nothing, the staged
+/// bytes drain at a fence of their own, before the relink's journal
+/// commit makes them part of the file rather than at it.
+#[test]
+fn fsync_drains_staged_bytes_before_the_relink_commits_them() {
+    for mode in [Mode::Posix, Mode::Sync, Mode::Strict] {
+        for relink in [true, false] {
+            let device = PmemBuilder::new(32 * 1024 * 1024).build();
+            let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+            let config = SplitConfig::new(mode)
+                .with_staging(2, 2 * 1024 * 1024)
+                .with_oplog_size(256 * 1024)
+                .without_daemon();
+            let config = if relink {
+                config
+            } else {
+                config.without_relink()
+            };
+            let fs = SplitFs::new(kernel, config).unwrap();
+            let fd = fs.open("/log", OpenFlags::create()).unwrap();
+            fs.append(fd, &[0x5A; BLOCK_SIZE]).unwrap();
+            let staged = device.unpersisted_lines();
+
+            // The lines still to drain at each fence inside the fsync.
+            let pending: Arc<Mutex<Vec<usize>>> = Arc::default();
+            {
+                let pending = Arc::clone(&pending);
+                device.set_fence_hook(Some(Arc::new(move |d: &PmemDevice, _| {
+                    pending.lock().push(d.unpersisted_lines());
+                })));
+            }
+            fs.fsync(fd).unwrap();
+            device.set_fence_hook(None);
+            let what = format!("{mode:?}, relink {relink}");
+            assert_eq!(device.unpersisted_lines(), 0, "{what}");
+
+            if mode == Mode::Posix && relink {
+                let pending = std::mem::take(&mut *pending.lock());
+                assert_eq!(staged, BLOCK_SIZE / 64, "{what}");
+                assert_eq!(
+                    pending[0], staged,
+                    "{what}: the first fence drains the staged block alone: {pending:?}"
+                );
+                assert!(
+                    pending.len() > 1 && pending[1] > 0,
+                    "{what}: the journal commit fences after it: {pending:?}"
+                );
+            }
+        }
     }
 }
 

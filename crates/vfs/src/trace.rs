@@ -1,9 +1,9 @@
 //! [`TracedFs`]: the span-recording decorator over any [`FileSystem`].
 //!
 //! Wrapping a file system in `TracedFs` opens one [`obs::SpanGuard`]
-//! around *every* trait method, so each operation's simulated time —
-//! per [`pmem::TimeCategory`], plus lock waits — lands in the
-//! recorder's per-op histograms.  Data-path methods get their own
+//! around *every* trait method, so each operation's simulated time,
+//! per [`pmem::TimeCategory`], lands in the recorder's per-op
+//! aggregates.  Data-path methods get their own
 //! [`obs::OpKind`]; metadata operations (stat, rename, mkdir,
 //! readdir, ...) are spanned as [`obs::OpKind::Other`] so the sum of
 //! all spans reconciles against the device's aggregate stats.

@@ -52,19 +52,6 @@ pub struct YcsbResult {
     pub run: RunResult,
 }
 
-fn measure<F>(fs: &Arc<dyn FileSystem>, workload: &str, ops: u64, body: F) -> FsResult<RunResult>
-where
-    F: FnOnce() -> FsResult<()>,
-{
-    let device = Arc::clone(fs.device());
-    let start_stats = device.stats().snapshot();
-    let start_ns = device.clock().now_ns_f64();
-    body()?;
-    let elapsed = device.clock().now_ns_f64() - start_ns;
-    let stats = device.stats().snapshot().delta(&start_stats);
-    Ok(RunResult::new(fs.name(), workload, ops, elapsed, stats))
-}
-
 /// Runs one YCSB workload on the LSM store over `fs`.
 pub fn run_ycsb(
     fs: &Arc<dyn FileSystem>,
@@ -81,9 +68,9 @@ pub fn run_ycsb(
 
     // Load phase.
     let keys: Vec<u64> = generator.load_keys().collect();
-    let load = measure(
+    let load = RunResult::measure(
         fs,
-        &format!("YCSB-{} load", workload.label()),
+        format!("YCSB-{} load", workload.label()),
         config.record_count,
         || {
             for key in keys {
@@ -97,9 +84,9 @@ pub fn run_ycsb(
 
     // Run phase.
     let ops: Vec<YcsbOp> = (0..config.op_count).map(|_| generator.next_op()).collect();
-    let run = measure(
+    let run = RunResult::measure(
         fs,
-        &format!("YCSB-{} run", workload.label()),
+        format!("YCSB-{} run", workload.label()),
         config.op_count,
         || {
             for op in ops {
@@ -136,7 +123,7 @@ pub fn run_tpcc(
     transactions: u64,
 ) -> FsResult<RunResult> {
     let mut driver = TpccDriver::setup(Arc::clone(fs), config.clone())?;
-    measure(fs, "TPC-C", transactions, || {
+    RunResult::measure(fs, "TPC-C", transactions, || {
         driver.run(transactions)?;
         driver.shutdown()?;
         Ok(())
@@ -152,7 +139,7 @@ pub fn run_redis_set(fs: &Arc<dyn FileSystem>, sets: u64, fsync_every: u64) -> F
         "/redis.aof",
         FsyncPolicy::EveryN(fsync_every.max(1)),
     )?;
-    measure(fs, "Redis SET", sets, || {
+    RunResult::measure(fs, "Redis SET", sets, || {
         for i in 0..sets {
             store.set(&format!("key:{i:012}"), &format!("value-{i:032}"))?;
         }

@@ -93,7 +93,6 @@ pub fn run_pattern(
     config: &IoBenchConfig,
 ) -> FsResult<RunResult> {
     let ops = config.total_bytes / OP_SIZE as u64;
-    let device = Arc::clone(fs.device());
 
     // Pre-create the file for read/overwrite patterns (setup is not
     // measured).  Writing in 2 MiB chunks gives the allocator large,
@@ -124,51 +123,40 @@ pub fn run_pattern(
     let write_block: Vec<u8> = (0..OP_SIZE).map(|i| (i % 251) as u8).collect();
 
     // Measure only the benchmark loop.
-    device.clock().reset();
-    device.stats().reset();
-    let start_stats = device.stats().snapshot();
-    let start_ns = device.clock().now_ns_f64();
-
-    match pattern {
-        IoPattern::SequentialRead | IoPattern::RandomRead => {
-            for &off in &offsets {
-                fs.read_at(fd, off, &mut buf)?;
+    let result = RunResult::measure(fs, format!("io-{}", pattern.label()), ops, || {
+        match pattern {
+            IoPattern::SequentialRead | IoPattern::RandomRead => {
+                for &off in &offsets {
+                    fs.read_at(fd, off, &mut buf)?;
+                }
             }
-        }
-        IoPattern::SequentialWrite | IoPattern::RandomWrite => {
-            for (i, &off) in offsets.iter().enumerate() {
-                fs.write_at(fd, off, &write_block)?;
-                if config.fsync_every > 0 && (i as u64 + 1).is_multiple_of(config.fsync_every) {
+            IoPattern::SequentialWrite | IoPattern::RandomWrite => {
+                for (i, &off) in offsets.iter().enumerate() {
+                    fs.write_at(fd, off, &write_block)?;
+                    if config.fsync_every > 0 && (i as u64 + 1).is_multiple_of(config.fsync_every) {
+                        fs.fsync(fd)?;
+                    }
+                }
+                if config.fsync_every > 0 {
                     fs.fsync(fd)?;
                 }
             }
-            if config.fsync_every > 0 {
-                fs.fsync(fd)?;
-            }
-        }
-        IoPattern::Append => {
-            for i in 0..ops {
-                fs.append(fd, &write_block)?;
-                if config.fsync_every > 0 && (i + 1) % config.fsync_every == 0 {
+            IoPattern::Append => {
+                for i in 0..ops {
+                    fs.append(fd, &write_block)?;
+                    if config.fsync_every > 0 && (i + 1) % config.fsync_every == 0 {
+                        fs.fsync(fd)?;
+                    }
+                }
+                if config.fsync_every > 0 {
                     fs.fsync(fd)?;
                 }
             }
-            if config.fsync_every > 0 {
-                fs.fsync(fd)?;
-            }
         }
-    }
-
-    let elapsed = device.clock().now_ns_f64() - start_ns;
-    let stats = device.stats().snapshot().delta(&start_stats);
+        Ok(())
+    })?;
     fs.close(fd)?;
-    Ok(RunResult::new(
-        fs.name(),
-        format!("io-{}", pattern.label()),
-        ops,
-        elapsed,
-        stats,
-    ))
+    Ok(result)
 }
 
 /// The Table 1 microbenchmark: append 4 KiB blocks (128 MiB total by

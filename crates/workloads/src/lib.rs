@@ -31,7 +31,10 @@ pub mod utilities;
 pub mod varmail;
 pub mod ycsb;
 
+use std::sync::Arc;
+
 use pmem::{StatsSnapshot, TimeCategory};
+use vfs::{FileSystem, FsResult};
 
 /// The outcome of running one workload on one file system.
 #[derive(Debug, Clone)]
@@ -64,6 +67,27 @@ impl RunResult {
             elapsed_ns,
             stats,
         }
+    }
+
+    /// Runs `body` as `ops` operations of `workload` on `fs` and returns
+    /// the simulated time it took and the device statistics it
+    /// accumulated.
+    pub fn measure<F>(
+        fs: &Arc<dyn FileSystem>,
+        workload: impl Into<String>,
+        ops: u64,
+        body: F,
+    ) -> FsResult<Self>
+    where
+        F: FnOnce() -> FsResult<()>,
+    {
+        let device = fs.device();
+        let start_stats = device.stats().snapshot();
+        let start_ns = device.clock().now_ns_f64();
+        body()?;
+        let elapsed = device.clock().now_ns_f64() - start_ns;
+        let stats = device.stats().snapshot().delta(&start_stats);
+        Ok(Self::new(fs.name(), workload, ops, elapsed, stats))
     }
 
     /// Throughput in thousands of operations per simulated second.

@@ -74,21 +74,6 @@ pub fn build_tree(
     Ok(paths)
 }
 
-fn measured<F>(fs: &Arc<dyn FileSystem>, workload: &str, ops: u64, body: F) -> FsResult<RunResult>
-where
-    F: FnOnce() -> FsResult<()>,
-{
-    let device = Arc::clone(fs.device());
-    device.clock().reset();
-    device.stats().reset();
-    let start_stats = device.stats().snapshot();
-    let start_ns = device.clock().now_ns_f64();
-    body()?;
-    let elapsed = device.clock().now_ns_f64() - start_ns;
-    let stats = device.stats().snapshot().delta(&start_stats);
-    Ok(RunResult::new(fs.name(), workload, ops, elapsed, stats))
-}
-
 /// "git add + commit" over the tree at `root`: every file is stat-ed, read,
 /// and copied into an object store under a content-derived name; then an
 /// index file and a ref file are written and atomically renamed into place.
@@ -98,7 +83,7 @@ pub fn git_like(fs: &Arc<dyn FileSystem>, root: &str, paths: &[String]) -> FsRes
     let paths = paths.to_vec();
     let root = root.to_string();
     let ops = paths.len() as u64;
-    measured(fs, "git", ops, move || {
+    RunResult::measure(fs, "git", ops, move || {
         if !fs2.exists(&objects) {
             fs2.mkdir(&objects)?;
         }
@@ -131,7 +116,7 @@ pub fn tar_like(fs: &Arc<dyn FileSystem>, paths: &[String], archive: &str) -> Fs
     let paths = paths.to_vec();
     let archive = archive.to_string();
     let ops = paths.len() as u64;
-    measured(fs, "tar", ops, move || {
+    RunResult::measure(fs, "tar", ops, move || {
         let fd = fs2.open(&archive, OpenFlags::create_truncate())?;
         for path in &paths {
             let data = fs2.read_file(path)?;
@@ -166,7 +151,7 @@ pub fn rsync_like(
     let src_root = src_root.to_string();
     let dst_root = dst_root.to_string();
     let ops = paths.len() as u64;
-    measured(fs, "rsync", ops, move || {
+    RunResult::measure(fs, "rsync", ops, move || {
         if !fs2.exists(&dst_root) {
             fs2.mkdir(&dst_root)?;
         }

@@ -13,7 +13,7 @@
 //!   file system with staging files, relink and the operation log.
 //! * [`apps`] — LSM key-value store, WAL database and AOF store substrates.
 //! * [`workloads`] — YCSB, TPC-C-like, Varmail-like and utility workloads.
-//! * [`obs`] — op spans, latency histograms and the metrics JSON export.
+//! * [`obs`] — op spans with per-category time and the metrics JSON export.
 
 pub use apps;
 pub use baselines;
