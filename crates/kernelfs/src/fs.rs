@@ -2464,16 +2464,29 @@ impl FileSystem for Ext4Dax {
         }
 
         let mut inodes = self.inodes_write();
-        let mut records = vec![JournalRecord::Rename {
+        // A replaced file that is still open takes `unlink`'s orphan path:
+        // it loses its name here and its blocks at its last close.
+        let orphaned =
+            replaced_ino != 0 && ns.open_counts.get(&replaced_ino).is_some_and(|&n| n > 0);
+        let mut records = Vec::new();
+        if orphaned {
+            records.push(JournalRecord::Unlink {
+                parent: new_parent,
+                name: new_name.to_string(),
+                ino: replaced_ino,
+                free_inode: false,
+            });
+        }
+        records.push(JournalRecord::Rename {
             old_parent,
             old_name: old_name.to_string(),
             new_parent,
             new_name: new_name.to_string(),
             ino,
-            replaced_ino,
-        }];
+            replaced_ino: if orphaned { 0 } else { replaced_ino },
+        });
         let mut freed_runs = Vec::new();
-        if replaced_ino != 0 {
+        if replaced_ino != 0 && !orphaned {
             let (free_records, runs) =
                 self.free_inode_blocks(inode_mut(&mut inodes, replaced_ino)?);
             records.extend(free_records);
@@ -2492,8 +2505,12 @@ impl FileSystem for Ext4Dax {
                 inode_ref(&inodes, new_parent)?,
                 new_name,
             )?;
-            inodes.remove(&replaced_ino);
-            self.zero_inode_record(replaced_ino);
+            if orphaned {
+                ns.orphans.insert(replaced_ino);
+            } else {
+                inodes.remove(&replaced_ino);
+                self.zero_inode_record(replaced_ino);
+            }
         }
         self.dir_append_entry(
             ns.dir_mut(new_parent)?,
@@ -2502,7 +2519,9 @@ impl FileSystem for Ext4Dax {
             ino,
         )?;
         self.write_inode(inode_mut(&mut inodes, old_parent)?);
-        self.write_inode(inode_mut(&mut inodes, new_parent)?);
+        if new_parent != old_parent {
+            self.write_inode(inode_mut(&mut inodes, new_parent)?);
+        }
         self.release_runs(&freed_runs);
         drop(txn);
         // Refresh both endpoints (a directory move uses the bumped

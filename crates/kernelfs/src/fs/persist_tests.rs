@@ -717,3 +717,31 @@ fn unlink_and_rmdir_journal_the_removal_before_the_tombstone() {
         assert_eq!(entry(&fs.device), &*dir::encode_tombstone(1), "{what}");
     }
 }
+
+#[test]
+fn a_rename_fences_only_what_it_stored() {
+    // Within one directory the parent is persisted once: a second persist
+    // of the same inode would store nothing and fence anyway.
+    for (from, to) in [("/p/a", "/p/b"), ("/p/b", "/q/b")] {
+        let fs = small_fs(8);
+        for dir in ["/p", "/q"] {
+            fs.mkdir(dir).unwrap();
+        }
+        fs.write_file(from, &[7u8; 100]).unwrap();
+        let pending: Arc<Mutex<Vec<usize>>> = Arc::default();
+        {
+            let pending = Arc::clone(&pending);
+            fs.device
+                .set_fence_hook(Some(Arc::new(move |d: &PmemDevice, _| {
+                    pending.lock().unwrap().push(d.unpersisted_lines());
+                })));
+        }
+        fs.rename(from, to).unwrap();
+        fs.device.set_fence_hook(None);
+        let pending = pending.lock().unwrap().clone();
+        assert!(
+            !pending.is_empty() && pending.iter().all(|&lines| lines > 0),
+            "{from} -> {to}: a fence drained nothing: {pending:?}"
+        );
+    }
+}

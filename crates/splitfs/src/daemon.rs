@@ -19,12 +19,12 @@
 //!    for the next foreground `fsync`.
 //! 3. **Epoch checkpointing** — once the active epoch of the operation
 //!    log passes its configured fill fraction, the worker *seals* it
-//!    ([`crate::oplog::OpLog::try_seal`]: the empty half becomes active and
+//!    ([`crate::oplog::OpLog::try_seal`]: the retired half becomes active and
 //!    foreground writers continue immediately), relinks the sealed
 //!    entries' files **one at a time** — never holding two state locks,
 //!    never quiescing the instance — group-commits the resulting
-//!    `Invalidate` markers under a single fence, and re-zeroes only the
-//!    sealed half ([`crate::oplog::OpLog::truncate_sealed`]).  The seed's
+//!    `Invalidate` markers under a single fence, and retires the sealed
+//!    half with one watermark store ([`crate::oplog::OpLog::truncate_sealed`]).  The seed's
 //!    stop-the-world quiesced checkpoint (every file lock held across the
 //!    truncate) is gone.
 //! 4. **Staging recycling** — staging files whose contents were fully

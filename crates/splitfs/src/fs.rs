@@ -36,7 +36,7 @@ use crate::config::SplitConfig;
 use crate::daemon::{MaintenanceDaemon, Task, CHECKPOINT_FRACTION};
 use crate::mmap_collection::{MAP_POPULATE, MMAP_SIZE};
 use crate::modes::Mode;
-use crate::oplog::{LogEntry, LogOp, OpLog};
+use crate::oplog::{LogEntry, LogOp, OpLog, MIN_LOG_SIZE};
 use crate::recovery;
 use crate::staging::{StagingAllocation, StagingPool};
 use crate::state::{Descriptor, FdTable, FileRegistry, FileState, StagedExtent};
@@ -225,7 +225,7 @@ impl SplitFs {
 
         // A cleanly shut-down predecessor with the same id may have left a
         // log file with covered entries behind; replay is idempotent and
-        // leaves the file all-zero for this instance.
+        // leaves nothing live in the file for this instance.
         if config.mode.logs_data_ops() && kernel.exists(&oplog_file) {
             recovery::recover_instance(kernel, config, instance_id)?;
         }
@@ -245,31 +245,26 @@ impl SplitFs {
             let fd = kernel.open(&oplog_file, OpenFlags::create())?;
             // The descriptor is closed on every failure path, or the log
             // file would stay an open orphan once unlinked.
-            let (cleared, mapping) = (|| -> FsResult<_> {
-                // A file of the configured size was scanned and cleared by
-                // the `recover_instance` above and is all-zero as it
-                // stands, its chunk map included.
-                let cleared = kernel.fstat(fd)?.size == config.oplog_size;
+            let oplog = (|| -> FsResult<_> {
+                // A file of the configured size was replayed and retired
+                // by the `recover_instance` above and holds nothing live
+                // as it stands, its chunk map clear.
+                let fresh = kernel.fstat(fd)?.size != config.oplog_size;
                 kernel.ftruncate(fd, config.oplog_size)?;
                 let mapping = kernel.dax_map(fd, 0, config.oplog_size, MAP_POPULATE)?;
-                Ok((cleared, mapping))
+                if fresh {
+                    // A file that is new, or whose size just changed, sits
+                    // on blocks the kernel allocator hands out unzeroed,
+                    // which could hold checksum-valid ghosts: this one time
+                    // the whole log but its watermark records is filled.
+                    OpLog::format(device, &mapping, config.oplog_size);
+                }
+                OpLog::new(Arc::clone(device), mapping, config.oplog_size)
             })()
             .inspect_err(|_| {
                 let _ = kernel.close(fd);
             })?;
-            if !cleared {
-                // §3.3: recovery tells written slots from never-used ones
-                // by their being zero, and skips the chunks its map does
-                // not mark.  A file that is new, or whose size just
-                // changed, sits on blocks the kernel allocator hands out
-                // unzeroed, so this one time the whole log — map and all —
-                // is filled.
-                OpLog::zero_range(device, &mapping, 0, config.oplog_size);
-            }
-            Some((
-                OpLog::new(Arc::clone(device), mapping, config.oplog_size),
-                fd,
-            ))
+            Some((oplog, fd))
         } else {
             None
         };
@@ -409,10 +404,7 @@ impl SplitFs {
     /// experiments that need entries split across both epochs at a
     /// deterministic point.
     pub fn seal_oplog_epoch(&self) -> bool {
-        self.oplog
-            .as_ref()
-            .map(|l| l.try_seal().is_some())
-            .unwrap_or(false)
+        self.oplog.as_ref().is_some_and(OpLog::try_seal)
     }
 
     // ------------------------------------------------------------------
@@ -493,7 +485,7 @@ impl SplitFs {
     /// No stop-the-world pass exists anymore: the active epoch is sealed
     /// (writers continue into the empty half immediately), the sealed
     /// epoch's files are relinked one at a time — never holding two state
-    /// locks — and only then is the sealed half re-zeroed.
+    /// locks — and only then is the sealed half retired by its watermark.
     pub fn checkpoint(&self) -> FsResult<()> {
         if let Some(oplog) = self.oplog.as_ref() {
             let _ = oplog.try_seal();
@@ -519,7 +511,7 @@ impl SplitFs {
         let Some(oplog) = self.oplog.as_ref() else {
             return Err(FsError::NoSpace);
         };
-        if oplog.fits_after_seal(entries) && oplog.try_seal().is_some() {
+        if oplog.fits_after_seal(entries) && oplog.try_seal() {
             if self.config.daemon.enabled {
                 self.nudge(Task::Checkpoint);
             } else {
@@ -601,7 +593,7 @@ impl SplitFs {
                 complete = false;
             }
         }
-        self.log_markers(&deferred);
+        self.log_markers(&mut deferred);
         if let Some(oplog) = self.oplog.as_ref() {
             if complete && sealed_at_start {
                 oplog.truncate_sealed();
@@ -628,7 +620,7 @@ impl SplitFs {
             return Ok(());
         }
         let old_size = oplog.size();
-        let new_size = old_size.saturating_mul(2).max(4096);
+        let new_size = old_size.saturating_mul(2).max(MIN_LOG_SIZE);
         let fd = self
             .kernel
             .open(&self.oplog_file, OpenFlags::read_write())?;
@@ -666,17 +658,11 @@ impl SplitFs {
                 return;
             };
             if let Some(oplog) = self.oplog.as_ref() {
-                let marker = LogEntry {
-                    op: LogOp::StagingRecycle,
-                    target_ino: 0,
-                    target_offset: 0,
-                    len: 0,
+                let mut marker = LogEntry {
                     staging_ino: rec.ino(),
-                    staging_offset: 0,
-                    seq: oplog.next_seq(),
-                    instance_id: self.instance_id,
+                    ..LogEntry::new(LogOp::StagingRecycle, self.instance_id)
                 };
-                if oplog.append(&marker).is_err() {
+                if oplog.append(&mut marker).is_err() {
                     // No log space: put the file back and retry on a later
                     // tick, after a checkpoint has made room.
                     self.staging.abort_recycle(rec);
@@ -953,14 +939,12 @@ impl SplitFs {
             // valid log entry can point at it.
             self.device.fence(TimeCategory::UserData);
             entries.extend(pending.iter().map(|(file, alloc, cur)| LogEntry {
-                op: LogOp::StagedWrite,
                 target_ino: states[*file].ino,
                 target_offset: *cur,
                 len: alloc.len,
                 staging_ino: alloc.staging_ino,
                 staging_offset: alloc.staging_offset,
-                seq: oplog.next_seq(),
-                instance_id: self.instance_id,
+                ..LogEntry::new(LogOp::StagedWrite, self.instance_id)
             }));
             // On NoSpace: seal (epoch swap) or grow, then retry (concurrent
             // sealers/growers may briefly race a reservation past the new
@@ -969,7 +953,7 @@ impl SplitFs {
             // only true stall is a growth failure, counted inside
             // `handle_log_full`.
             let committed = loop {
-                match oplog.append_batch(&entries) {
+                match oplog.append_batch(&mut entries) {
                     Err(FsError::NoSpace) => {
                         if let Err(e) = self.handle_log_full(&mut states[0], entries.len()) {
                             break Err(e);
@@ -1538,6 +1522,21 @@ impl FileSystem for SplitFs {
         // kernel call: afterwards the name means the moved file, which a
         // racing `open` may already have bound.
         let replaced = self.files.find_by_path(&new_norm);
+        if old_norm != new_norm {
+            if let Some(state) = &replaced {
+                // A replaced file no application holds goes first, as in
+                // `unlink`: closing U-Split's own kernel descriptor lets the
+                // kernel free it inside the rename's transaction rather
+                // than orphan it until a second one.  A closed file has no
+                // staged bytes (close relinks them), so a failed rename
+                // costs only the cache.
+                let mut st = state.write();
+                if st.linked_path() == Some(&*new_norm) && st.open_fds == 0 {
+                    self.files.unbind(&mut st);
+                    self.drop_if_unreferenced(&mut st);
+                }
+            }
+        }
         self.kernel.rename(&old_norm, &new_norm)?;
         if old_norm == new_norm {
             return Ok(());
@@ -1545,9 +1544,9 @@ impl FileSystem for SplitFs {
         if let Some(state) = replaced {
             let mut st = state.write();
             if st.linked_path() == Some(&*new_norm) {
-                // It has no name and no blocks any more.
-                st.mmaps.clear();
-                self.discard_staged(&mut st, 0);
+                // As after `unlink`: the open file lost its name, and keeps
+                // its blocks and staged bytes until its last descriptor
+                // closes.
                 self.files.unbind(&mut st);
                 self.drop_if_unreferenced(&mut st);
             }
@@ -1636,14 +1635,13 @@ mod tests {
         holds(a2, b"alpha");
         fs.write_file("/a", b"another").unwrap();
         holds(a2, b"alpha");
-        // `rename` over the open file.  K-Split frees a replaced file's
-        // blocks at the rename, open or not, so the read fails; it must not
-        // serve the new file's bytes.
+        // `rename` over the open file: the descriptor keeps the replaced
+        // file, as after an unlink, and the name serves the new one.
         fs.write_file("/b", b"bravo").unwrap();
         let b = fs.open("/b", OpenFlags::read_only()).unwrap();
         fs.write_file("/c", b"charlie").unwrap();
         fs.rename("/c", "/b").unwrap();
-        assert_eq!(read(b), Err(FsError::BadFd));
+        holds(b, b"bravo");
         assert_eq!(fs.read_file("/b").unwrap(), b"charlie");
         // `open(O_TRUNC)` of the same path shares the state.
         let t = fs.open("/b", OpenFlags::read_write()).unwrap();

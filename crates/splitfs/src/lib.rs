@@ -84,12 +84,13 @@
 //!   markers;
 //! * [`oplog`] — the single-fence redo log as a **two-epoch segment-swap
 //!   log**: group commit ([`oplog::OpLog::append_batch`]: many entries,
-//!   one fence), truncation by sealing the active half and re-zeroing it
-//!   only after its files are retired ([`oplog::OpLog::try_seal`] /
+//!   one fence), truncation by sealing the active half and retiring it
+//!   with one durable sequence-watermark store, only after its files are
+//!   retired ([`oplog::OpLog::try_seal`] /
 //!   [`oplog::OpLog::truncate_sealed`] — no stop-the-world), and
 //!   on-demand growth that extends the active epoch's extent list while
 //!   preserving the sealed/active split.  A chunk map marks the 64 KiB
-//!   chunks that may hold entries, so recovery reads only those;
+//!   chunks that may hold live entries, so recovery reads only those;
 //! * [`daemon`] — the **background maintenance daemon**
 //!   ([`daemon::MaintenanceDaemon`]): one worker thread with one queue
 //!   that replenishes the staging pool to static watermarks before it

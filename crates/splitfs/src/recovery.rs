@@ -9,16 +9,19 @@
 //! B's log recovers unchanged even when instance A crashed mid-relink.
 //! For one log, recovery:
 //!
-//! 1. reads the log's chunk map, then scans the chunks it marks — in
-//!    **both epochs**, whatever the sealed/active geometry was at the
-//!    crash — a 4 KiB block at a time, keeps every checksum-valid entry,
-//!    ordered by the global sequence number, and notes every slot that is
-//!    not all-zero (valid or torn).  An unmarked chunk is all-zero (the
-//!    chunk-map invariant of [`crate::oplog`]), so the scan reads what was
-//!    logged, not the whole file,
+//! 1. reads the log's watermark records and chunk map, then scans the
+//!    chunks the map marks — in **both epochs**, whatever the
+//!    sealed/active geometry was at the crash — a 4 KiB block at a time,
+//!    and keeps every live entry (checksum-valid and above its region's
+//!    watermark), ordered by the global sequence number.  An unmarked
+//!    chunk holds no live entry (the chunk-map invariant of
+//!    [`crate::oplog`]), so the scan reads what was logged since the last
+//!    retirement, not the whole file,
 //! 2. drops entries **tagged with another instance's id** (cross-instance
 //!    contamination must never replay; such entries are counted in
-//!    [`RecoveryReport::foreign`]),
+//!    [`RecoveryReport::foreign`]).  The instance's own entries in a log
+//!    with no watermark record were written under another format: the
+//!    log is refused with [`FsError::Corrupted`],
 //! 3. drops entries covered by an `Invalidate` record (their relink
 //!    completed before the crash) or by a `StagingRecycle` record (their
 //!    staging file was re-provisioned, so its blocks hold unrelated data),
@@ -33,19 +36,20 @@
 //!    [`batch::plan`] as `fsync` plans them: aligned blocks move, partial
 //!    ones are copied, and each call's journal commit is durable before
 //!    step 6, and
-//! 6. clears exactly the slots step 1 found non-zero, adjacent slots as
-//!    one store, all under **one** fence, and then — every marked chunk
-//!    being zero now — the chunk map under a second.
+//! 6. retires every entry step 1 found: **one** watermark record that
+//!    raises both regions' watermarks to the newest entry's sequence
+//!    number, under one fence, and then — no marked chunk holding a live
+//!    entry now — the chunk map under a second.
 //!
-//! Step 6 relies on, and restores, the log's two invariants (see
-//! [`crate::oplog`]): what the scan did not report is zero already, so
-//! recovery costs what was logged, not the size of the log, and the
-//! all-zero file it leaves can be handed to a new [`OpLog`] as is.  The
-//! single fence makes the slot clear all-or-nothing under a crash that
-//! loses unfenced stores: every entry survives and the next recovery
-//! replays again, or none does — never a marker gone while the staged
-//! write it covers survives.  A crash between the two fences leaves zero
-//! chunks marked, which the next recovery reads in vain and clears.
+//! Step 6 writes two lines however much was logged: nothing that was
+//! logged is zeroed.  What it leaves holds no live entry, so it can be
+//! handed to a new [`OpLog`] as is, which numbers on above the
+//! watermarks.  The record store is all-or-nothing under a crash: a torn
+//! record fails its checksum and the one before it stays in force, so
+//! either every entry stays live and the next recovery replays again, or
+//! none does — never a marker retired while the staged write it covers
+//! stays live.  A crash between the two fences leaves chunks marked that
+//! hold nothing live, which the next recovery reads in vain and clears.
 //!
 //! A failure before step 6 — a media error under a staged block, say —
 //! closes every descriptor recovery opened and leaves the log as it was,
@@ -64,7 +68,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use kernelfs::{Ext4Dax, BLOCK_SIZE};
-use vfs::{Fd, FileSystem, FsResult, OpenFlags};
+use vfs::{Fd, FileSystem, FsError, FsResult, OpenFlags};
 
 use crate::batch::{self, StagedRun};
 use crate::config::SplitConfig;
@@ -187,17 +191,27 @@ fn replay_log(
         return Ok(report);
     }
     let mapping = kernel.dax_map(log_fd, 0, log_size, false)?;
-    let mut scan = OpLog::scan_written(&device, &mapping, log_size);
-    let entries = std::mem::take(&mut scan.entries);
-    report.entries_scanned = entries.len();
+    let scan = OpLog::survey(&device, &mapping, log_size);
+    report.entries_scanned = scan.entries.len();
 
     // Cross-contamination guard: this log belongs to `instance_id`, so an
     // entry tagged otherwise is corruption (or another instance's write
     // landing in the wrong file) and must not replay.
-    let (entries, foreign): (Vec<LogEntry>, Vec<LogEntry>) = entries
-        .into_iter()
+    let (entries, foreign): (Vec<LogEntry>, Vec<LogEntry>) = scan
+        .entries
+        .iter()
         .partition(|e| e.instance_id == instance_id);
     report.foreign = foreign.len();
+    if scan.watermarks.is_none() && !entries.is_empty() {
+        // Every log this code writes stores a watermark record before its
+        // first entry: these entries were written under another format.
+        // Foreign ones without a record are ghosts on recycled blocks,
+        // which the clear below retires like any other foreign entry.
+        return Err(FsError::Corrupted(format!(
+            "operation log of instance {instance_id}: {} entries and no watermark record",
+            entries.len()
+        )));
+    }
 
     // Highest invalidated sequence number per target file, and highest
     // recycle sequence number per staging file.
@@ -207,7 +221,7 @@ fn replay_log(
         match entry.op {
             LogOp::Invalidate => {
                 let slot = invalidated_up_to.entry(entry.target_ino).or_insert(0);
-                *slot = (*slot).max(entry.seq);
+                *slot = (*slot).max(entry.covers);
             }
             LogOp::StagingRecycle => {
                 let slot = recycled_up_to.entry(entry.staging_ino).or_insert(0);
@@ -322,9 +336,9 @@ fn replay_log(
     }
     batch::submit(kernel, &moves, &copies)?;
 
-    // Clear what the scan found written, then the chunk map, which leaves
-    // the whole file zero for the next instance.  An empty log needs no
-    // store and no fence.
+    // Retire what the scan found: the watermark record, then the chunk
+    // map, which leaves nothing live for the next instance.  An empty log
+    // needs no store and no fence.
     OpLog::clear(&device, &mapping, &scan)?;
     Ok(report)
 }

@@ -49,7 +49,8 @@ impl SplitFs {
     /// size.  In POSIX mode one fence before the first submission drains
     /// the staged bytes, which no append fenced, ahead of the journal
     /// record that makes them part of a file; sync and strict mode fenced
-    /// each staged byte before its log entry.  The `Invalidate` markers
+    /// each staged byte before its log entry, and without relink the
+    /// kernel's write path copies the bytes under its own commit fence.  The `Invalidate` markers
     /// group-commit best-effort under one more — or are handed to
     /// `deferred`, for a caller that retires many files one lock at a time
     /// (the sealed-epoch sweep) and commits their markers together.
@@ -105,7 +106,7 @@ impl SplitFs {
             Ok(())
         };
 
-        let mut unfenced = !self.config.mode.fences_data_ops();
+        let mut unfenced = use_relink && !self.config.mode.fences_data_ops();
         let mut submit = |ops: &[RelinkOp], copies: &[RelinkOp]| {
             if std::mem::take(&mut unfenced) {
                 self.device.fence(TimeCategory::UserData);
@@ -166,7 +167,7 @@ impl SplitFs {
         });
         match deferred {
             Some(later) => later.append(&mut markers),
-            None => self.log_markers(&markers),
+            None => self.log_markers(&mut markers),
         }
         Ok(())
     }
@@ -192,30 +193,25 @@ impl SplitFs {
             keep > 0
         });
         if max_seq > 0 {
-            self.log_markers(&[self.invalidate_marker(st.ino, max_seq)]);
+            self.log_markers(&mut [self.invalidate_marker(st.ino, max_seq)]);
         }
     }
 
     /// The record telling recovery that every staged write to `ino` with a
-    /// sequence number up to `seq` is applied (or dropped) and must not be
-    /// replayed.
-    fn invalidate_marker(&self, ino: u64, seq: u64) -> LogEntry {
+    /// sequence number up to `covers` is applied (or dropped) and must not
+    /// be replayed.
+    fn invalidate_marker(&self, ino: u64, covers: u64) -> LogEntry {
         LogEntry {
-            op: LogOp::Invalidate,
             target_ino: ino,
-            target_offset: 0,
-            len: 0,
-            staging_ino: 0,
-            staging_offset: 0,
-            seq,
-            instance_id: self.instance_id,
+            covers,
+            ..LogEntry::new(LogOp::Invalidate, self.instance_id)
         }
     }
 
     /// Group-commits `Invalidate` markers, best-effort: a marker mostly
     /// spares recovery work (a relinked staging range is a hole and would
     /// be skipped anyway), so a full log simply drops it.
-    pub(crate) fn log_markers(&self, markers: &[LogEntry]) {
+    pub(crate) fn log_markers(&self, markers: &mut [LogEntry]) {
         if let Some(oplog) = self.oplog.as_ref() {
             let _ = oplog.append_batch(markers);
         }

@@ -1,14 +1,15 @@
 //! Recovery pays for what was logged, not for the size of the logs.
 //!
-//! The kernel journal and the U-Split operation log each keep one
-//! invariant — *every byte outside the records written since the last
-//! reset is zero* — and mount, oplog replay and instance restart clear
-//! only what their scans found written.  These tests hold that design to
-//! its four promises: the cost of recovery does not depend on how large
-//! the logs are, the invariant really is restored by every recovery
-//! (under every crash policy, torn tails included), a crash inside the
-//! recovery code itself is recovered from, and a replay that fails
-//! leaves the log for the next one to replay.
+//! The kernel journal keeps one invariant — *every byte outside the
+//! records written since the last reset is zero* — and mount clears only
+//! what its scan found written.  The U-Split operation log keeps nothing
+//! live behind its watermark record, and oplog replay retires what it
+//! found with one record store.  These tests hold that design to its four
+//! promises: the cost of recovery does not depend on how large the logs
+//! are, both invariants really are restored by every recovery (under
+//! every crash policy, torn tails included), a crash inside the recovery
+//! code itself is recovered from, and a replay that fails leaves the log
+//! for the next one to replay.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use kernelfs::layout::Superblock;
 use kernelfs::{Ext4Dax, BLOCK_SIZE};
 use pmem::{CrashPolicy, PmemBuilder, PmemDevice, TimeCategory};
-use splitfs::oplog::{LogOp, OpLog};
+use splitfs::oplog::{is_reserved, LogEntry, LogOp, OpLog, Watermarks, ENTRY_SIZE, MAP_OFFSET};
 use splitfs::{recover, Mode, SplitConfig, SplitFs, OPLOG_PATH};
 use vfs::{FileSystem, OpenFlags};
 
@@ -117,10 +118,12 @@ fn first_nonzero(bytes: &[u8]) -> Option<usize> {
     bytes.iter().position(|&b| b != 0)
 }
 
-/// Mounts and recovers `device` and checks the invariant both resets rely
-/// on: the journal area is all-zero once mount returns, the operation-log
-/// file once the replay returns.
-fn assert_logs_zero_after_recovery(device: &Arc<PmemDevice>, config: &SplitConfig, what: &str) {
+/// Mounts and recovers `device` and checks what each reset leaves: the
+/// journal area is all-zero once mount returns, and once the replay
+/// returns the operation log holds no live entry — every slot outside the
+/// reserved ones is zero, torn, or at or below its region's watermark —
+/// and its chunk map is clear.
+fn assert_logs_retired_after_recovery(device: &Arc<PmemDevice>, config: &SplitConfig, what: &str) {
     let kernel = Ext4Dax::mount(Arc::clone(device)).expect("mount");
     let mut block = vec![0u8; BLOCK_SIZE];
     device.read_uncharged(0, &mut block);
@@ -136,15 +139,25 @@ fn assert_logs_zero_after_recovery(device: &Arc<PmemDevice>, config: &SplitConfi
     recover(&kernel, config).expect("oplog replay");
     let log = kernel.read_file(OPLOG_PATH).unwrap();
     assert_eq!(log.len() as u64, config.oplog_size);
-    assert_eq!(
-        first_nonzero(&log),
-        None,
-        "{what}: oplog byte left non-zero by recovery"
-    );
+    let map = MAP_OFFSET as usize..(MAP_OFFSET + ENTRY_SIZE) as usize;
+    assert_eq!(first_nonzero(&log[map]), None, "{what}: chunk map left set");
+    let log_fd = kernel.open(OPLOG_PATH, OpenFlags::read_only()).unwrap();
+    let mapping = kernel.dax_map(log_fd, 0, config.oplog_size, false).unwrap();
+    let retired = Watermarks::read(device, &mapping).expect("a watermark record");
+    kernel.close(log_fd).unwrap();
+    for (at, slot) in (0..).step_by(ENTRY_SIZE as usize).zip(log.chunks_exact(64)) {
+        if is_reserved(at) {
+            continue;
+        }
+        assert!(
+            LogEntry::decode(slot).is_none_or(|entry| retired.retires(&entry)),
+            "{what}: live oplog entry at {at} left by recovery"
+        );
+    }
 }
 
 #[test]
-fn logs_are_all_zero_after_recovery() {
+fn logs_hold_nothing_live_after_recovery() {
     for policy in [
         CrashPolicy::LoseUnflushed,
         CrashPolicy::KeepAll,
@@ -176,7 +189,7 @@ fn logs_are_all_zero_after_recovery() {
                 torn.fetch_add(image.torn_lines(), Ordering::Relaxed);
                 scratch.restore_crash_image(&image);
                 drop(image);
-                assert_logs_zero_after_recovery(
+                assert_logs_retired_after_recovery(
                     &scratch,
                     &config,
                     &format!("{policy:?}, before fence {ordinal}"),
@@ -198,7 +211,7 @@ fn logs_are_all_zero_after_recovery() {
 
         drop(fs);
         device.crash();
-        assert_logs_zero_after_recovery(&device, &config, &format!("{policy:?}, at the end"));
+        assert_logs_retired_after_recovery(&device, &config, &format!("{policy:?}, at the end"));
     }
 }
 

@@ -241,6 +241,12 @@ fn fsync_drains_staged_bytes_before_the_relink_commits_them() {
             let what = format!("{mode:?}, relink {relink}");
             assert_eq!(device.unpersisted_lines(), 0, "{what}");
 
+            if mode == Mode::Posix && !relink {
+                // The ablation copies the staged block through the kernel's
+                // write path, whose commit fence drains it: no fence of its
+                // own goes first.
+                assert_eq!(*pending.lock(), [66, 1, 66, 1], "{what}");
+            }
             if mode == Mode::Posix && relink {
                 let pending = std::mem::take(&mut *pending.lock());
                 assert_eq!(staged, BLOCK_SIZE / 64, "{what}");
@@ -676,5 +682,75 @@ fn metadata_ops_do_not_slow_down_as_cached_files_grow() {
             *large < 2.0 * *small,
             "an op slowed down with 8x the cached files: {per_op_ns:?}"
         );
+    }
+}
+
+/// What a crash image of a rename shows once mounted: the free-block
+/// count, `check_namespace()`'s violations and the bytes under the name.
+type Cut = (u64, Vec<String>, Vec<u8>);
+
+/// A `rename` over a file U-Split has cached but no application holds
+/// open frees the replaced file inside the rename's own transaction: at
+/// every fence of the call, and after it, the crash image mounts with a
+/// clean namespace, the name holding the old bytes or the new ones and
+/// the free-block count matching one side of the rename.  U-Split keeps
+/// a kernel descriptor for every cached file; were the replaced file
+/// orphaned on it and freed at its close, a crash between the two
+/// transactions would leave an unnamed inode and its blocks behind.
+#[test]
+fn a_crash_inside_a_rename_over_a_cached_closed_file_leaks_nothing() {
+    const BYTES: usize = 32 * 1024 * 1024;
+    let old = vec![0x0Au8; 3 * BLOCK_SIZE];
+    let new = vec![0x0Bu8; BLOCK_SIZE];
+    for mode in [Mode::Posix, Mode::Sync, Mode::Strict] {
+        let device = PmemBuilder::new(BYTES).track_persistence(true).build();
+        let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        let config = SplitConfig::new(mode)
+            .with_staging(2, 2 * 1024 * 1024)
+            .with_oplog_size(256 * 1024)
+            .without_daemon();
+        let fs = SplitFs::new(Arc::clone(&kernel), config).unwrap();
+        fs.write_file("/a", &old).unwrap();
+        fs.write_file("/b", &new).unwrap();
+        // Cached: `stat` is served by U-Split's state, not the kernel.
+        assert_eq!(fs.stat("/a").unwrap().size, old.len() as u64);
+        fs.sync().unwrap();
+        let before = kernel.free_blocks();
+
+        let spare = PmemBuilder::new(BYTES).track_persistence(true).build();
+        let seen: Arc<Mutex<Vec<Cut>>> = Arc::default();
+        let check = {
+            let (spare, seen) = (Arc::clone(&spare), Arc::clone(&seen));
+            move |dev: &PmemDevice| {
+                spare.restore_crash_image(&dev.capture_crash_image());
+                let kernel = Ext4Dax::mount(Arc::clone(&spare)).expect("mount");
+                let bytes = kernel.read_file("/a").unwrap();
+                seen.lock()
+                    .push((kernel.free_blocks(), kernel.check_namespace(), bytes));
+            }
+        };
+        {
+            let check = check.clone();
+            device.set_fence_hook(Some(Arc::new(move |d: &PmemDevice, _| check(d))));
+        }
+        fs.rename("/b", "/a").unwrap();
+        device.set_fence_hook(None);
+        check(&device);
+        let after = kernel.free_blocks();
+        assert!(after >= before + 3, "{mode:?}: {before} -> {after}");
+
+        let seen = seen.lock();
+        assert!(seen.len() >= 2, "{mode:?}: {} cuts", seen.len());
+        for (i, (free, violations, bytes)) in seen.iter().enumerate() {
+            let what = format!("{mode:?}, cut {i}");
+            assert_eq!(violations, &[] as &[String], "{what}");
+            if *bytes == old {
+                assert_eq!(*free, before, "{what}: old name, free blocks");
+            } else {
+                assert!(*bytes == new, "{what}: /a holds neither file");
+                assert_eq!(*free, after, "{what}: new name, free blocks");
+            }
+        }
+        assert!(seen.last().unwrap().2 == new, "{mode:?}: rename lost");
     }
 }

@@ -221,9 +221,9 @@ fn remount_truncates_staging_leftovers_beyond_the_pool_size() {
     assert!(reclaimed > 0, "the inline extras were reclaimed");
 }
 
-/// Staged bytes that leave without a relink — a truncate, or a rename
-/// that replaces the file — are accounted as retired, so the staging file
-/// they filled can recycle.
+/// Staged bytes that leave without a relink — a truncate, or the last
+/// close of a file a rename replaced — are accounted as retired, so the
+/// staging file they filled can recycle.
 #[test]
 fn discarded_staged_bytes_release_their_staging_file() {
     for replaced_by_rename in [false, true] {
@@ -239,6 +239,13 @@ fn discarded_staged_bytes_release_their_staging_file() {
         if replaced_by_rename {
             fs.write_file("/fresh.log", b"replacement").unwrap();
             fs.rename("/fresh.log", "/victim.log").unwrap();
+            // The replaced file keeps its staged bytes while a descriptor
+            // holds it; its last close discards them.
+            assert!(
+                pool.begin_recycle().is_none(),
+                "the open replaced file still reads its staged bytes"
+            );
+            fs.close(fd).unwrap();
         } else {
             fs.ftruncate(fd, 0).unwrap();
         }
@@ -246,7 +253,9 @@ fn discarded_staged_bytes_release_their_staging_file() {
             panic!("rename={replaced_by_rename}: the discarded bytes still pin their file")
         });
         pool.rebuild(rec).unwrap();
-        fs.close(fd).unwrap();
+        if !replaced_by_rename {
+            fs.close(fd).unwrap();
+        }
     }
 }
 

@@ -284,6 +284,82 @@ fn baselines_keep_an_unlinked_or_replaced_file_until_its_last_close() {
     orphan_outlives_its_name(&*strata, &|| strata.allocated_blocks());
 }
 
+/// A rename over a file a descriptor holds open: the descriptor keeps
+/// reading the replaced file's bytes — fsynced and not — until its last
+/// close, and only that close frees the file's blocks.  `in_use` counts
+/// blocks in use up to a constant; `namespace` is the stack's namespace
+/// check (empty when it has none).
+fn replaced_file_outlives_its_name(
+    fs: &dyn FileSystem,
+    in_use: &dyn Fn() -> i64,
+    namespace: &dyn Fn() -> Vec<String>,
+) {
+    let name = fs.name();
+    let payload: Vec<u8> = (0..3 * 4096u32).map(|i| (i % 251) as u8).collect();
+    let fd = fs.open("/old", OpenFlags::create()).unwrap();
+    fs.append(fd, &payload).unwrap();
+    fs.fsync(fd).unwrap();
+    fs.append(fd, b"not yet fsynced").unwrap();
+    let old: Vec<u8> = [&payload[..], b"not yet fsynced"].concat();
+    fs.write_file("/new", b"replacement").unwrap();
+    fs.sync().unwrap();
+    let with_both = in_use();
+
+    fs.rename("/new", "/old").unwrap();
+    assert_eq!(fs.read_file("/old").unwrap(), b"replacement", "{name}");
+    assert_eq!(fs.fstat(fd).map(|s| s.size), Ok(old.len() as u64), "{name}");
+    let mut back = vec![0u8; old.len()];
+    assert_eq!(fs.read_at(fd, 0, &mut back), Ok(old.len()), "{name}");
+    assert!(back == old, "{name}: the replaced file's bytes differ");
+    fs.sync().unwrap();
+    assert_eq!(in_use(), with_both, "{name}: freed before the last close");
+
+    assert_eq!(fs.close(fd), Ok(()), "{name}");
+    fs.sync().unwrap();
+    assert!(
+        in_use() <= with_both - 3,
+        "{name}: the replaced file leaked"
+    );
+    assert_eq!(namespace(), Vec::<String>::new(), "{name}");
+    assert_eq!(fs.read_file("/old").unwrap(), b"replacement", "{name}");
+}
+
+#[test]
+fn a_file_replaced_by_rename_lives_until_its_last_close_on_every_filesystem() {
+    let device = || {
+        PmemBuilder::new(256 * 1024 * 1024)
+            .track_persistence(false)
+            .build()
+    };
+    let no_namespace = || Vec::new();
+    let kernel = Ext4Dax::mkfs(device()).unwrap();
+    replaced_file_outlives_its_name(&*kernel, &|| -(kernel.free_blocks() as i64), &|| {
+        kernel.check_namespace()
+    });
+    let pmfs = Pmfs::new(device());
+    replaced_file_outlives_its_name(&*pmfs, &|| pmfs.allocated_blocks() as i64, &no_namespace);
+    for mode in [NovaMode::Relaxed, NovaMode::Strict] {
+        let nova = Nova::new(device(), mode);
+        replaced_file_outlives_its_name(&*nova, &|| nova.allocated_blocks() as i64, &no_namespace);
+    }
+    let strata = Strata::new(device());
+    replaced_file_outlives_its_name(
+        &*strata,
+        &|| strata.allocated_blocks() as i64,
+        &no_namespace,
+    );
+    for mode in [Mode::Posix, Mode::Strict] {
+        let kernel = Ext4Dax::mkfs(device()).unwrap();
+        let fs = SplitFs::new(Arc::clone(&kernel), SplitConfig::new(mode)).unwrap();
+        // Let the daemon finish provisioning, so that the block count sees
+        // only the foreground's effect.
+        fs.maintenance_quiesce();
+        replaced_file_outlives_its_name(&*fs, &|| -(kernel.free_blocks() as i64), &|| {
+            kernel.check_namespace()
+        });
+    }
+}
+
 /// `write` on `O_APPEND` descriptors from several threads: every file
 /// system must resolve the end of file under the lock the write holds, so
 /// no record lands on top of another.
