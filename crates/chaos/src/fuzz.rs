@@ -115,9 +115,8 @@ fn split_config(mode: Mode) -> SplitConfig {
         .without_daemon()
 }
 
-/// Builds a fresh device + instance for one trial.  The ledger is
-/// enabled before `SplitFs::new` so the instance's lease grant is the
-/// first recorded promise.
+/// Builds a fresh device + instance for one trial, with the ledger
+/// enabled before `SplitFs::new`.
 fn build(config: &FuzzConfig) -> FsResult<(Arc<PmemDevice>, Arc<SplitFs>)> {
     let device = PmemBuilder::new(config.device_size)
         .track_persistence(true)

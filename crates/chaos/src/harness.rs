@@ -3,11 +3,11 @@
 //! Before this crate, every crash test hand-rolled its own post-crash
 //! block: mount, replay the right logs, walk the tree asserting
 //! metadata invariants.  [`Recovered`] centralizes that: one call
-//! mounts the crashed device, the `recover_*` methods replay orphaned
-//! or explicit instances, and [`Recovered::assert_clean`] /
-//! [`Recovered::assert_promises`] run the fsck walk, the foreign-entry
-//! containment check and the declared-durability oracle, panicking with
-//! every violation they found.
+//! mounts the crashed device, the `recover_*` methods replay the logs no
+//! live instance claims or one instance's log, and
+//! [`Recovered::assert_clean`] / [`Recovered::assert_promises`] run the
+//! fsck walk, the foreign-entry containment check and the
+//! declared-durability oracle, panicking with every violation they found.
 
 use std::sync::Arc;
 
@@ -24,7 +24,8 @@ use crate::oracle::{self, OracleReport};
 pub struct Recovered {
     /// The remounted kernel file system.
     pub kernel: Arc<Ext4Dax>,
-    /// Reports from orphan recovery, per recovered instance id.
+    /// Reports from [`Recovered::recover_orphans`], per replayed log's
+    /// instance id.
     pub orphan_reports: Vec<(u32, RecoveryReport)>,
     /// Reports from explicit per-instance replays.
     pub instance_reports: Vec<(u32, RecoveryReport)>,
@@ -50,24 +51,23 @@ impl Recovered {
         }
     }
 
-    /// Mounts and immediately recovers every orphaned instance — the
-    /// normal whole-device crash path.
+    /// Mounts and immediately replays every instance's log — the normal
+    /// whole-device crash path.
     pub fn mount_and_recover(device: &Arc<PmemDevice>, config: &SplitConfig) -> FsResult<Self> {
         let mut rec = Self::mount(device)?;
         rec.recover_orphans(config)?;
         Ok(rec)
     }
 
-    /// Replays every orphaned instance's operation log.
+    /// Replays the operation log of every instance no live instance
+    /// claims (see [`splitfs::recover_orphans`]).
     pub fn recover_orphans(&mut self, config: &SplitConfig) -> FsResult<()> {
         self.orphan_reports
             .extend(recover_orphans(&self.kernel, config)?);
         Ok(())
     }
 
-    /// Explicitly replays one instance's operation log (used when the
-    /// instance released its lease before the crash, so it is not an
-    /// orphan, but its log still holds replayable entries).
+    /// Replays one instance's operation log, claimed or not.
     pub fn recover_instance(
         &mut self,
         config: &SplitConfig,
@@ -89,7 +89,7 @@ impl Recovered {
             .map(|(_, r)| r)
     }
 
-    /// Instance ids orphan recovery replayed on this mount.
+    /// Instance ids [`Recovered::recover_orphans`] replayed on this mount.
     pub fn recovered_orphan_ids(&self) -> Vec<u32> {
         self.orphan_reports.iter().map(|(id, _)| *id).collect()
     }
@@ -113,7 +113,7 @@ impl Recovered {
     /// Checks the declared-durability oracle against the given ledger
     /// slice (normally `CrashImage::ledger_len` records).
     pub fn check_promises(&self, records: &[PromiseRecord]) -> OracleReport {
-        oracle::check_promises(&self.kernel, records, &self.recovered_orphan_ids())
+        oracle::check_promises(&self.kernel, records)
     }
 
     /// Asserts the recovered image is structurally sound: fsck-clean
@@ -178,7 +178,6 @@ mod tests {
             hash: pmem::content_hash(&payload),
         });
         let ledger_len = device.ledger().len();
-        fs.abandon_lease_on_drop();
         drop(fs);
         device.crash();
 

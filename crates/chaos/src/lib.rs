@@ -3,7 +3,7 @@
 //!
 //! SplitFS hands out durability guarantees through many doors — `fsync`
 //! returning, [`aio`]'s `await_epoch` satisfying, a relink batch's
-//! journal transaction committing, a lease journal entry landing.  A
+//! journal transaction committing.  A
 //! crash-consistency test that hard-codes one expected post-crash state
 //! per scenario cannot keep up with that surface.  This crate inverts
 //! the scheme: the workload **declares each promise as it is handed

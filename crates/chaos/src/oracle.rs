@@ -2,8 +2,8 @@
 //!
 //! Given the [`pmem::PromiseRecord`]s that were in the ledger when a
 //! crash image was captured, [`check_promises`] replays them in
-//! declaration order into a **latest-wins** expectation per path (and
-//! per lease id), then checks the recovered kernel file system against
+//! declaration order into a **latest-wins** expectation per path, then
+//! checks the recovered kernel file system against
 //! those expectations:
 //!
 //! * the newest [`pmem::Promise::FileDurable`] per path binds — the file
@@ -12,10 +12,7 @@
 //! * a [`pmem::Promise::FileRetracted`] withdraws every earlier promise
 //!   for the path (content *and* existence), so a crash in the middle
 //!   of the voiding rename/unlink checks nothing stale;
-//! * the newest [`pmem::Promise::PathDurable`] per path binds existence;
-//! * the newest [`pmem::Promise::LeaseJournaled`] per instance binds: a
-//!   journaled grant means the lease is active or was just recovered as
-//!   an orphan, a journaled release means it is neither.
+//! * the newest [`pmem::Promise::PathDurable`] per path binds existence.
 //!
 //! The remaining promise kinds (`fsync_returned`, `epoch_durable`,
 //! `relink_committed`, `oplog_committed`) are **counted, not checked**:
@@ -44,7 +41,7 @@ use vfs::FileSystem;
 /// The outcome of checking one recovered image against its ledger.
 #[derive(Debug, Clone, Default)]
 pub struct OracleReport {
-    /// Strictly-checked promises (content, existence, lease) that were
+    /// Strictly-checked promises (content and existence) that were
     /// evaluated against the recovered state.
     pub promises_checked: u64,
     /// Tally of every declared promise by [`Promise::kind_label`].
@@ -71,18 +68,10 @@ struct PathExpectation {
 }
 
 /// Checks a recovered kernel file system against the promises that were
-/// in the ledger at capture time.  `recovered_orphans` lists the
-/// instance ids that this mount's orphan recovery replayed (a journaled
-/// lease grant is satisfied by either an active lease or a recovered
-/// orphan).
-pub fn check_promises(
-    kernel: &Arc<Ext4Dax>,
-    records: &[PromiseRecord],
-    recovered_orphans: &[u32],
-) -> OracleReport {
+/// in the ledger at capture time.
+pub fn check_promises(kernel: &Arc<Ext4Dax>, records: &[PromiseRecord]) -> OracleReport {
     let mut report = OracleReport::default();
     let mut paths: HashMap<&str, PathExpectation> = HashMap::new();
-    let mut leases: HashMap<u32, bool> = HashMap::new();
     for rec in records {
         *report
             .promise_counts
@@ -99,9 +88,6 @@ pub fn check_promises(
             }
             Promise::PathDurable { path, exists } => {
                 paths.entry(path).or_default().exists = Some(*exists);
-            }
-            Promise::LeaseJournaled { instance, acquired } => {
-                leases.insert(*instance, *acquired);
             }
             Promise::FsyncReturned { .. }
             | Promise::EpochDurable { .. }
@@ -147,25 +133,6 @@ pub fn check_promises(
             report.violations.push(format!(
                 "content promise broken: {path} promised prefix of {len} bytes \
                  hashes to {got:#x}, ledger says {hash:#x}"
-            ));
-        }
-    }
-
-    for (instance, acquired) in &leases {
-        report.promises_checked += 1;
-        let active = kernel.lease_is_active(*instance);
-        let recovered = recovered_orphans.contains(instance);
-        if *acquired && !(active || recovered) {
-            report.violations.push(format!(
-                "lease promise broken: journaled grant for instance {instance} \
-                 is neither active nor a recovered orphan"
-            ));
-        }
-        if !*acquired && (active || recovered) {
-            report.violations.push(format!(
-                "lease promise broken: journaled release for instance {instance} \
-                 but the lease is {}",
-                if active { "still active" } else { "an orphan" },
             ));
         }
     }
@@ -244,7 +211,7 @@ mod tests {
                 },
             ),
         ];
-        let report = check_promises(&kernel, &records, &[]);
+        let report = check_promises(&kernel, &records);
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!(report.promise_counts["file_durable"], 2);
     }
@@ -270,7 +237,7 @@ mod tests {
                 },
             ),
         ];
-        let report = check_promises(&kernel, &records, &[]);
+        let report = check_promises(&kernel, &records);
         assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
     }
 
@@ -300,24 +267,8 @@ mod tests {
                 },
             ),
         ];
-        let report = check_promises(&kernel, &records, &[]);
+        let report = check_promises(&kernel, &records);
         assert!(report.is_clean(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn lease_promises_accept_active_or_recovered_orphans() {
-        let kernel = fresh();
-        let records = vec![rec(
-            0,
-            Promise::LeaseJournaled {
-                instance: 3,
-                acquired: true,
-            },
-        )];
-        let broken = check_promises(&kernel, &records, &[]);
-        assert_eq!(broken.violations.len(), 1);
-        let recovered = check_promises(&kernel, &records, &[3]);
-        assert!(recovered.is_clean(), "{:?}", recovered.violations);
     }
 
     #[test]

@@ -85,7 +85,7 @@ use crate::dir;
 use crate::inode::{changed_lines, Extent, ExtentMap, Inode, InodeKind};
 use crate::journal::{Journal, JournalRecord, MAX_RANGE_EXTENTS, SCAN_CHUNK};
 use crate::layout::{Superblock, BLOCK_SIZE, DEFAULT_INODE_COUNT, INODE_RECORD_SIZE};
-use crate::lease::{LeaseManager, MAX_INSTANCES};
+use crate::lease::InstanceClaims;
 
 /// Inode number of the root directory.
 pub const ROOT_INO: u64 = 1;
@@ -243,7 +243,8 @@ pub struct Ext4Dax {
     next_fd: AtomicU64,
     alloc: Mutex<BlockAllocator>,
     journal: Journal,
-    leases: LeaseManager,
+    /// Instance ids live U-Split instances hold (see [`crate::lease`]).
+    claims: InstanceClaims,
 }
 
 /// One range of an [`Ext4Dax::ioctl_relink_batch`] call: the bytes of
@@ -366,13 +367,6 @@ impl Ext4Dax {
         let journal = Journal::new(Arc::clone(&device), &sb);
         journal.format();
 
-        // Fresh lease table: no instance owns anything yet.
-        device.write_uncharged(
-            sb.lease_start * BLOCK_SIZE as u64,
-            &vec![0u8; MAX_INSTANCES as usize],
-        );
-        let leases = LeaseManager::new(Arc::clone(&device), &sb, &[]);
-
         let alloc = BlockAllocator::format(&sb);
         // Zero the inode table so unused slots parse as free.
         let itable_bytes = (sb.itable_blocks * BLOCK_SIZE as u64) as usize;
@@ -399,7 +393,7 @@ impl Ext4Dax {
             next_fd: AtomicU64::new(3),
             alloc: Mutex::new(alloc),
             journal,
-            leases,
+            claims: InstanceClaims::default(),
         };
         fs.persist_inode(&mut root, false);
         fs.inodes.write().insert(ROOT_INO, root);
@@ -408,7 +402,9 @@ impl Ext4Dax {
 
     /// Mounts an already-formatted device: reads the superblock, replays the
     /// journal, and rebuilds the in-memory inode, directory and allocator
-    /// state from the on-device structures.
+    /// state from the on-device structures.  An inode no directory entry
+    /// names after replay is freed: it was unlinked or replaced while open,
+    /// and the crash cut off the last close that would have freed it.
     ///
     /// The replayed state is then written back in place and **fenced**
     /// before the journal is discarded: the journal records are the only
@@ -430,14 +426,7 @@ impl Ext4Dax {
         let journal = Journal::new(Arc::clone(&device), &sb);
         let (records, max_tid) = journal.scan();
 
-        // 2. Read the lease table: leases active at the crash whose owners
-        //    died with it.  Journal replay below re-applies any
-        //    acquire/release whose in-place table update did not land.
-        let mut lease_ids: std::collections::HashSet<u32> = LeaseManager::load_active(&device, &sb)
-            .into_iter()
-            .collect();
-
-        // 3. Read the bitmap and inode table.
+        // 2. Read the bitmap and inode table.
         let mut bitmap_image = vec![0u8; (sb.bitmap_blocks * BLOCK_SIZE as u64) as usize];
         device.read_uncharged(sb.bitmap_start * BLOCK_SIZE as u64, &mut bitmap_image);
         let mut alloc = BlockAllocator::from_bitmap_image(&sb, &bitmap_image);
@@ -470,7 +459,11 @@ impl Ext4Dax {
             at += piece.len() as u64;
         }
 
-        // 4. Rebuild directories from their data blocks.
+        // Every inode with a record on the media: a record whose inode the
+        // mount frees below is zeroed in the write-back.
+        let on_media: Vec<u64> = inodes.keys().copied().collect();
+
+        // 3. Rebuild directories from their data blocks.
         let mut dirs: HashMap<u64, BTreeMap<String, DirSlot>> = HashMap::new();
         for (&ino, inode) in &inodes {
             if !inode.is_dir() {
@@ -493,12 +486,16 @@ impl Ext4Dax {
             dirs.insert(ino, map);
         }
 
-        // 5. Replay committed journal records idempotently on the
+        // 4. Replay committed journal records idempotently on the
         //    in-memory state.
         for rec in &records {
-            Self::replay_record(rec, &mut inodes, &mut dirs, &mut alloc, &mut lease_ids);
+            Self::replay_record(rec, &mut inodes, &mut dirs, &mut alloc);
         }
         let dropped = Self::drop_stale_entries(&records, &mut dirs);
+        // Numbers are not reused within this mount, not even those of the
+        // inodes freed next, which a log replayed after the mount may name.
+        let max_ino = inodes.keys().copied().max().unwrap_or(ROOT_INO);
+        Self::free_unnamed_inodes(&mut inodes, &mut dirs, &mut alloc);
 
         // Only data allocations persist the bitmap; a chain block's bit
         // reaches it only when it shares a byte with one.  So the loaded
@@ -512,11 +509,6 @@ impl Ext4Dax {
             }
         }
 
-        let max_ino = inodes.keys().copied().max().unwrap_or(ROOT_INO);
-
-        let lease_seed: Vec<u32> = lease_ids.into_iter().collect();
-        let leases = LeaseManager::new(Arc::clone(&device), &sb, &lease_seed);
-
         let fs = Self {
             device,
             sb,
@@ -527,16 +519,21 @@ impl Ext4Dax {
             next_fd: AtomicU64::new(3),
             alloc: Mutex::new(alloc),
             journal,
-            leases,
+            claims: InstanceClaims::default(),
         };
         {
             // Make the in-place state match the replayed state, then the
             // journal contents are no longer needed.
-            fs.leases.persist();
-            for inode in fs.inodes.write().values_mut() {
+            let mut inodes = fs.inodes.write();
+            for inode in inodes.values_mut() {
                 fs.reserve_chain(inode)?;
                 fs.persist_inode(inode, false);
             }
+            for &ino in on_media.iter().filter(|ino| !inodes.contains_key(ino)) {
+                fs.device
+                    .write_uncharged(fs.sb.inode_offset(ino), &[0u8; INODE_RECORD_SIZE]);
+            }
+            drop(inodes);
             fs.device
                 .write_uncharged(fs.sb.bitmap_start * BLOCK_SIZE as u64, &bitmap_image);
             // The entries replay dropped are tombstoned on the device, or
@@ -610,12 +607,39 @@ impl Ext4Dax {
         dropped
     }
 
+    /// Frees every inode but the root that no directory entry names: a
+    /// file unlinked, or replaced by a rename, while a descriptor held it
+    /// open.  Its last close would have freed it, and that close died with
+    /// the crash.
+    fn free_unnamed_inodes(
+        inodes: &mut HashMap<u64, Inode>,
+        dirs: &mut HashMap<u64, BTreeMap<String, DirSlot>>,
+        alloc: &mut BlockAllocator,
+    ) {
+        let named: HashSet<u64> = dirs
+            .values()
+            .flat_map(|map| map.values().map(|slot| slot.ino))
+            .collect();
+        inodes.retain(|&ino, inode| {
+            if ino == ROOT_INO || named.contains(&ino) {
+                return true;
+            }
+            for run in inode.extents.truncate_from(0) {
+                alloc.mark_free(run.start, run.len);
+            }
+            for &b in &inode.overflow_blocks {
+                alloc.mark_free(b, 1);
+            }
+            dirs.remove(&ino);
+            false
+        });
+    }
+
     fn replay_record(
         rec: &JournalRecord,
         inodes: &mut HashMap<u64, Inode>,
         dirs: &mut HashMap<u64, BTreeMap<String, DirSlot>>,
         alloc: &mut BlockAllocator,
-        lease_ids: &mut std::collections::HashSet<u32>,
     ) {
         match rec {
             JournalRecord::CreateInode {
@@ -720,9 +744,6 @@ impl Ext4Dax {
             JournalRecord::FreeBlocks { start, len } => {
                 alloc.mark_free(*start, *len);
             }
-            JournalRecord::SwapExtents { .. } => {
-                // Descriptive only; relink journals SetRangeMapping records.
-            }
             JournalRecord::SetRangeMapping {
                 ino,
                 logical,
@@ -738,16 +759,6 @@ impl Ext4Dax {
                             len: n,
                         });
                     }
-                }
-            }
-            JournalRecord::Lease {
-                instance_id,
-                acquire,
-            } => {
-                if *acquire {
-                    lease_ids.insert(*instance_id);
-                } else {
-                    lease_ids.remove(instance_id);
                 }
             }
             JournalRecord::Commit => {}
@@ -1921,84 +1932,29 @@ impl Ext4Dax {
     }
 
     // ------------------------------------------------------------------
-    // Instance leases (multi-instance U-Split; see `lease.rs`)
+    // Instance ids (multi-instance U-Split; see `lease.rs`)
     // ------------------------------------------------------------------
 
-    /// Acquires a lease on the lowest free instance id, journaling the
-    /// lease record and persisting the lease table.  The id maps onto the
-    /// instance's exclusive staging directory and operation-log path
-    /// ([`crate::lease::staging_dir`] / [`crate::lease::oplog_path`]).
-    pub fn lease_acquire(&self) -> FsResult<u32> {
+    /// Claims the lowest instance id no live instance holds, or fails with
+    /// [`FsError::NoSpace`] when all [`crate::MAX_INSTANCES`] are held.
+    /// The id names the instance's exclusive staging directory and
+    /// operation-log path ([`crate::lease::staging_dir`] /
+    /// [`crate::lease::oplog_path`]).
+    pub fn claim_instance(&self) -> FsResult<u32> {
         self.charge_syscall();
-        let id = self.leases.reserve().ok_or(FsError::NoSpace)?;
-        if let Err(e) = self.commit_lease(id, true) {
-            // Nothing was journaled or persisted: undo the in-memory
-            // reservation so the id is not leaked (and in-memory state
-            // keeps matching the device).
-            self.leases.clear(id);
-            return Err(e);
-        }
-        Ok(id)
+        self.claims.claim_lowest().ok_or(FsError::NoSpace)
     }
 
-    /// Releases an instance lease (clean shutdown, or recovery retiring an
-    /// orphan), journaling the release and persisting the lease table.
-    pub fn lease_release(&self, id: u32) -> FsResult<()> {
+    /// Claims `id` if no live instance holds it: a starting instance
+    /// claims a crashed instance's id to replay its log.
+    pub fn try_claim_instance(&self, id: u32) -> bool {
+        self.claims.claim(id)
+    }
+
+    /// Drops the claim on `id`.
+    pub fn release_instance(&self, id: u32) {
         self.charge_syscall();
-        self.leases.clear(id);
-        self.commit_lease(id, false)?;
-        Ok(())
-    }
-
-    /// Abandons the in-process hold on a lease without releasing the
-    /// persisted record — emulates the owning process crashing.  The
-    /// lease becomes an orphan: [`Ext4Dax::lease_orphans`] reports it and
-    /// recovery replays its operation log before the id is reused.
-    pub fn lease_abandon(&self, id: u32) {
-        self.leases.abandon(id);
-    }
-
-    /// Instance ids with an active lease but no live holder — crashed
-    /// instances awaiting per-instance log recovery.
-    pub fn lease_orphans(&self) -> Vec<u32> {
-        self.leases.orphans()
-    }
-
-    /// Atomically claims an orphaned lease for recovery (see
-    /// [`LeaseManager::claim_orphan`]); the claimer replays the orphan's
-    /// operation log and then calls [`Ext4Dax::lease_release`].
-    pub fn lease_claim_orphan(&self, id: u32) -> bool {
-        self.leases.claim_orphan(id)
-    }
-
-    /// Whether `id`'s lease is active (held by a live instance or
-    /// orphaned).
-    pub fn lease_is_active(&self, id: u32) -> bool {
-        self.leases.is_active(id)
-    }
-
-    /// Number of active instance leases.
-    pub fn lease_active_count(&self) -> usize {
-        self.leases.active_count()
-    }
-
-    /// Commits the lease record and updates the in-place lease table
-    /// under the transaction guard (record → fence → in-place update,
-    /// like every other metadata mutation).
-    fn commit_lease(&self, instance_id: u32, acquire: bool) -> FsResult<()> {
-        let txn = self.journal.commit(&[JournalRecord::Lease {
-            instance_id,
-            acquire,
-        }])?;
-        self.leases.persist();
-        drop(txn);
-        // Journaled and persisted: recovery must now honor this lease
-        // state (active or orphaned if acquired; gone if released).
-        self.device.declare(pmem::Promise::LeaseJournaled {
-            instance: instance_id,
-            acquired: acquire,
-        });
-        Ok(())
+        self.claims.release(id);
     }
 }
 

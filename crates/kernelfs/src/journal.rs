@@ -171,22 +171,6 @@ pub enum JournalRecord {
         /// Number of blocks.
         len: u64,
     },
-    /// The physical mappings of two files were swapped over a logical block
-    /// range.  Compact descriptive form of the relink primitive; the
-    /// implementation journals [`JournalRecord::SetRangeMapping`] records
-    /// instead because they replay idempotently.
-    SwapExtents {
-        /// First file.
-        ino_a: u64,
-        /// First logical block in `ino_a`.
-        start_a: u64,
-        /// Second file.
-        ino_b: u64,
-        /// First logical block in `ino_b`.
-        start_b: u64,
-        /// Number of blocks exchanged.
-        len: u64,
-    },
     /// Replaces the mapping of a logical block range with an explicit list
     /// of `(logical, phys, len)` extents.  Used by the relink ioctl so that
     /// replaying the record after a crash always produces the post-relink
@@ -200,17 +184,6 @@ pub enum JournalRecord {
         count: u64,
         /// The new extents inside the range, as `(logical, phys, len)`.
         extents: Vec<(u64, u64, u64)>,
-    },
-    /// A U-Split instance lease was acquired or released (see
-    /// [`crate::lease`]).  The in-place structure is the lease table
-    /// block; replaying the record re-applies the acquisition/release to
-    /// it, so recovery always knows which instance owned which slice of
-    /// the staging/operation-log resources.
-    Lease {
-        /// The instance the lease belongs to.
-        instance_id: u32,
-        /// `true` for an acquisition, `false` for a release.
-        acquire: bool,
     },
     /// Transaction commit marker.
     Commit,
@@ -227,12 +200,11 @@ impl JournalRecord {
             JournalRecord::TruncateExtents { .. } => 6,
             JournalRecord::AllocBlocks { .. } => 7,
             JournalRecord::FreeBlocks { .. } => 8,
-            JournalRecord::SwapExtents { .. } => 9,
             JournalRecord::Commit => 10,
             JournalRecord::SetRangeMapping { .. } => 11,
-            JournalRecord::Lease { .. } => 12,
-            // Tag 13 is retired and never reused: a record carrying it
-            // decodes as invalid and ends the scan like a torn one.
+            // Tags 9, 12 and 13 are retired and never reused: a record
+            // carrying one decodes as invalid and ends the scan like a
+            // torn one.
         }
     }
 
@@ -249,9 +221,7 @@ impl JournalRecord {
             | JournalRecord::AllocBlocks { .. }
             | JournalRecord::FreeBlocks { .. } => 16,
             JournalRecord::AddExtent { .. } => 32,
-            JournalRecord::SwapExtents { .. } => 40,
             JournalRecord::SetRangeMapping { extents, .. } => 24 + 2 + 24 * extents.len(),
-            JournalRecord::Lease { .. } => 9,
             JournalRecord::Commit => 0,
         }
     }
@@ -319,19 +289,6 @@ impl JournalRecord {
                 w.put_u64(*start);
                 w.put_u64(*len);
             }
-            JournalRecord::SwapExtents {
-                ino_a,
-                start_a,
-                ino_b,
-                start_b,
-                len,
-            } => {
-                w.put_u64(*ino_a);
-                w.put_u64(*start_a);
-                w.put_u64(*ino_b);
-                w.put_u64(*start_b);
-                w.put_u64(*len);
-            }
             JournalRecord::SetRangeMapping {
                 ino,
                 logical,
@@ -348,13 +305,6 @@ impl JournalRecord {
                     w.put_u64(*p);
                     w.put_u64(*n);
                 }
-            }
-            JournalRecord::Lease {
-                instance_id,
-                acquire,
-            } => {
-                w.put_u64(u64::from(*instance_id));
-                w.put_u8(u8::from(*acquire));
             }
             JournalRecord::Commit => {}
         }
@@ -405,13 +355,6 @@ impl JournalRecord {
                 start: r.get_u64()?,
                 len: r.get_u64()?,
             },
-            9 => JournalRecord::SwapExtents {
-                ino_a: r.get_u64()?,
-                start_a: r.get_u64()?,
-                ino_b: r.get_u64()?,
-                start_b: r.get_u64()?,
-                len: r.get_u64()?,
-            },
             10 => JournalRecord::Commit,
             11 => {
                 let ino = r.get_u64()?;
@@ -429,10 +372,6 @@ impl JournalRecord {
                     extents,
                 }
             }
-            12 => JournalRecord::Lease {
-                instance_id: r.get_u64()? as u32,
-                acquire: r.get_u8()? != 0,
-            },
             _ => return None,
         };
         Some(rec)
@@ -872,13 +811,6 @@ mod tests {
                 phys: 9000,
                 len: 16,
             },
-            JournalRecord::SwapExtents {
-                ino_a: 12,
-                start_a: 0,
-                ino_b: 44,
-                start_b: 128,
-                len: 8,
-            },
             JournalRecord::Rename {
                 old_parent: 2,
                 old_name: "a".into(),
@@ -887,13 +819,11 @@ mod tests {
                 ino: 12,
                 replaced_ino: 0,
             },
-            JournalRecord::Lease {
-                instance_id: 3,
-                acquire: true,
-            },
-            JournalRecord::Lease {
-                instance_id: 3,
-                acquire: false,
+            JournalRecord::SetRangeMapping {
+                ino: 12,
+                logical: 64,
+                count: 6,
+                extents: vec![(64, 5000, 2), (66, 7000, 4)],
             },
         ];
         for rec in &records {
@@ -906,6 +836,10 @@ mod tests {
             let start = r.position();
             let decoded = JournalRecord::decode(tag, &bytes[start..start + plen]).unwrap();
             assert_eq!(&decoded, rec);
+        }
+        // Retired tags decode as nothing, whatever their payload.
+        for tag in [9, 12, 13] {
+            assert_eq!(JournalRecord::decode(tag, &[0u8; 64]), None);
         }
     }
 

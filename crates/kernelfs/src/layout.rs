@@ -4,28 +4,28 @@
 //! block 0:
 //!
 //! ```text
-//! +------------+-------------+-----------------+-------------+--------------+-----------------+
-//! | superblock | lease table | journal         | inode table | block bitmap | data blocks ... |
-//! | 1 block    | LEASE_BLOCKS| JOURNAL_BLOCKS  | computed    | computed     | rest            |
-//! +------------+-------------+-----------------+-------------+--------------+-----------------+
+//! +------------+----------+-----------------+-------------+--------------+-----------------+
+//! | superblock | (unused) | journal         | inode table | block bitmap | data blocks ... |
+//! | 1 block    | 1 block  | JOURNAL_BLOCKS  | computed    | computed     | rest            |
+//! +------------+----------+-----------------+-------------+--------------+-----------------+
 //! ```
+//!
+//! Block 1 is never written.  Format version 1 kept an instance-lease
+//! table there; version 2 keeps no record of which U-Split instances are
+//! alive (see [`crate::lease`]), and leaving the block empty keeps every
+//! later region on the block it had.
 //!
 //! Block 0 holds more than the superblock's fields:
 //!
 //! ```text
-//! bytes 0..96     twelve u64 fields (magic, geometry, region starts and sizes)
-//! bytes 96..112   slots 12 and 13: reserved, never reused
+//! bytes 0..80     ten u64 fields (magic, geometry, region starts and sizes)
+//! bytes 80..112   slots 10 to 13: zero
 //! bytes 112..120  slot 14: FORMAT_VERSION
 //! bytes 128..192  the journal chunk map: one 64 B line (see crate::journal)
 //! ```
 //!
 //! The map line sits in block 0, outside the journal area, so "the journal
 //! area reads all-zero after mount" holds with the map marking chunks.
-//!
-//! The lease table records which U-Split instances currently own a slice
-//! of the staging/operation-log resources (see [`crate::lease`]); it is a
-//! journaled in-place structure like the inode table, so recovery knows
-//! which instance owned what.
 //!
 //! All metadata is stored little-endian.  Blocks are 4 KiB, matching the
 //! allocation unit of ext4 and the granularity at which SplitFS relinks
@@ -43,8 +43,10 @@ pub const INODE_RECORD_SIZE: usize = 256;
 pub const SUPERBLOCK_MAGIC: u64 = 0x5350_4C49_5446_5331; // "SPLITFS1"
 
 /// On-media format version, in superblock slot 14.  Mount refuses any
-/// other value.  Version 1 added the journal chunk map.
-pub const FORMAT_VERSION: u64 = 1;
+/// other value.  Version 1 added the journal chunk map; version 2 dropped
+/// the instance-lease table and its two superblock fields, and retired
+/// journal tags 9 and 12.
+pub const FORMAT_VERSION: u64 = 2;
 
 /// Byte offset, in block 0, of the journal chunk map's 64 B line.
 pub const JOURNAL_MAP_OFFSET: u64 = 128;
@@ -55,8 +57,8 @@ pub const JOURNAL_MAP_LEN: usize = 64;
 /// Number of journal blocks (16 MiB with 4 KiB blocks).
 pub const JOURNAL_BLOCKS: u64 = 4096;
 
-/// Number of blocks in the instance-lease table.
-pub const LEASE_BLOCKS: u64 = 1;
+/// First block of the journal: block 1 is unused (see the module doc).
+const JOURNAL_START: u64 = 2;
 
 /// Default number of inodes a format creates.
 pub const DEFAULT_INODE_COUNT: u64 = 65_536;
@@ -75,10 +77,6 @@ pub struct Superblock {
     pub total_blocks: u64,
     /// Number of inodes in the inode table.
     pub inode_count: u64,
-    /// First block of the instance-lease table.
-    pub lease_start: u64,
-    /// Number of blocks in the instance-lease table.
-    pub lease_blocks: u64,
     /// First block of the journal region.
     pub journal_start: u64,
     /// Number of blocks in the journal region.
@@ -99,9 +97,7 @@ impl Superblock {
     /// Computes a layout for a device with `total_blocks` blocks and
     /// `inode_count` inodes.
     pub fn compute(total_blocks: u64, inode_count: u64) -> FsResult<Self> {
-        let lease_start = 1;
-        let lease_blocks = LEASE_BLOCKS;
-        let journal_start = lease_start + lease_blocks;
+        let journal_start = JOURNAL_START;
         let journal_blocks = JOURNAL_BLOCKS.min(total_blocks / 8).max(64);
         let itable_start = journal_start + journal_blocks;
         let inodes_per_block = (BLOCK_SIZE / INODE_RECORD_SIZE) as u64;
@@ -119,8 +115,6 @@ impl Superblock {
             version: FORMAT_VERSION,
             total_blocks,
             inode_count,
-            lease_start,
-            lease_blocks,
             journal_start,
             journal_blocks,
             itable_start,
@@ -131,18 +125,15 @@ impl Superblock {
         })
     }
 
-    /// Serializes the superblock into a 4 KiB block image: the twelve
-    /// fields, then the version in slot 14.  Slots 12 and 13 (bytes
-    /// 96..112) are reserved and are not reused; everything else, the
-    /// journal chunk map's line included, is zero.
+    /// Serializes the superblock into a 4 KiB block image: the ten
+    /// fields, then the version in slot 14.  Everything else, the journal
+    /// chunk map's line included, is zero.
     pub fn to_block(&self) -> Vec<u8> {
         let mut buf = vec![0u8; BLOCK_SIZE];
         let fields = [
             self.magic,
             self.total_blocks,
             self.inode_count,
-            self.lease_start,
-            self.lease_blocks,
             self.journal_start,
             self.journal_blocks,
             self.itable_start,
@@ -174,15 +165,13 @@ impl Superblock {
             version: read_u64(VERSION_SLOT),
             total_blocks: read_u64(1),
             inode_count: read_u64(2),
-            lease_start: read_u64(3),
-            lease_blocks: read_u64(4),
-            journal_start: read_u64(5),
-            journal_blocks: read_u64(6),
-            itable_start: read_u64(7),
-            itable_blocks: read_u64(8),
-            bitmap_start: read_u64(9),
-            bitmap_blocks: read_u64(10),
-            data_start: read_u64(11),
+            journal_start: read_u64(3),
+            journal_blocks: read_u64(4),
+            itable_start: read_u64(5),
+            itable_blocks: read_u64(6),
+            bitmap_start: read_u64(7),
+            bitmap_blocks: read_u64(8),
+            data_start: read_u64(9),
         };
         if sb.magic != SUPERBLOCK_MAGIC {
             return Err(FsError::Corrupted("bad superblock magic".into()));
@@ -228,8 +217,7 @@ mod tests {
     #[test]
     fn layout_regions_do_not_overlap() {
         let sb = Superblock::compute(1 << 18, DEFAULT_INODE_COUNT).unwrap(); // 1 GiB
-        assert!(sb.lease_start >= 1);
-        assert!(sb.journal_start >= sb.lease_start + sb.lease_blocks);
+        assert!(sb.journal_start >= 1);
         assert!(sb.itable_start >= sb.journal_start + sb.journal_blocks);
         assert!(sb.bitmap_start >= sb.itable_start + sb.itable_blocks);
         assert!(sb.data_start >= sb.bitmap_start + sb.bitmap_blocks);
@@ -259,7 +247,8 @@ mod tests {
     fn a_version_other_than_the_current_one_is_rejected() {
         let sb = Superblock::compute(1 << 16, 4096).unwrap();
         assert_eq!(sb.version, FORMAT_VERSION);
-        for version in [0, FORMAT_VERSION + 1] {
+        // Version 1 is the format with the instance-lease table.
+        for version in [0, 1, FORMAT_VERSION + 1] {
             let mut block = sb.to_block();
             block[VERSION_SLOT * 8..(VERSION_SLOT + 1) * 8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(

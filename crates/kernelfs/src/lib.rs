@@ -12,11 +12,11 @@
 //!    reproduction of the 500-line `EXT4_IOC_MOVE_EXT` patch described in
 //!    §3.5 of the paper, with the partial-block copies at a run's ends in
 //!    the same transaction — and
-//! 4. **instance leases** ([`lease`]) — the resource arbitration that lets
-//!    many U-Split instances share one kernel file system: each instance
-//!    leases an exclusive staging-directory slice and operation-log path,
-//!    with lease records journaled so crash recovery knows which instance
-//!    owned what ([`Ext4Dax::lease_acquire`] / [`Ext4Dax::lease_orphans`]).
+//! 4. **instance ids** ([`lease`]) — the partition that lets many U-Split
+//!    instances share one kernel file system: each live instance claims an
+//!    id ([`Ext4Dax::claim_instance`]) that names its exclusive staging
+//!    directory and operation-log path.  Claims live in kernel memory
+//!    only; a crashed instance is found by its operation-log file.
 //!
 //! Used on its own it is also the "ext4 DAX" baseline in every experiment.
 //! Each piece of kernel state is one structure behind one lock; the lock
@@ -38,4 +38,4 @@ pub mod lease;
 pub use dax::{DaxMapping, MapSegment};
 pub use fs::{Ext4Dax, RelinkOp, ROOT_INO};
 pub use layout::BLOCK_SIZE;
-pub use lease::{oplog_path, staging_dir, LeaseManager, MAX_INSTANCES};
+pub use lease::{oplog_id, oplog_path, staging_dir, MAX_INSTANCES};

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use chaos::Recovered;
-use kernelfs::Ext4Dax;
+use kernelfs::{Ext4Dax, BLOCK_SIZE};
 use pmem::{PmemBuilder, PmemDevice};
 use proptest::prelude::*;
 use vfs::{FileSystem, OpenFlags};
@@ -78,6 +78,48 @@ fn unlinked_files_stay_unlinked_after_crash() {
 
     let fs2 = recover_clean(&device);
     assert!(!fs2.exists("/doomed"));
+}
+
+/// A file unlinked, or replaced by a rename, while a descriptor holds it
+/// open lives until its last close.  A crash before that close leaves an
+/// inode no entry names, and mount frees it.
+#[test]
+fn mount_frees_files_unlinked_or_replaced_while_open() {
+    for replace in [false, true] {
+        let device = device();
+        let fs = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        fs.write_file("/victim", &vec![7u8; 3 * BLOCK_SIZE])
+            .unwrap();
+        if replace {
+            fs.write_file("/incoming", b"new contents").unwrap();
+        }
+        let free_before = fs.free_blocks();
+        let _open = fs.open("/victim", OpenFlags::read_only()).unwrap();
+        if replace {
+            fs.rename("/incoming", "/victim").unwrap();
+        } else {
+            fs.unlink("/victim").unwrap();
+        }
+        assert_eq!(
+            fs.free_blocks(),
+            free_before,
+            "the open file keeps its blocks"
+        );
+        device.crash();
+
+        let fs2 = recover_clean(&device);
+        assert!(
+            fs2.free_blocks() >= free_before + 3,
+            "replace={replace}: {} free after mount, {free_before} before",
+            fs2.free_blocks()
+        );
+        assert_eq!(fs2.exists("/victim"), replace);
+        // The freed inode's record is gone from the media: a second mount
+        // finds the same tree.
+        device.crash();
+        let fs3 = recover_clean(&device);
+        assert_eq!(fs3.free_blocks(), fs2.free_blocks(), "replace={replace}");
+    }
 }
 
 #[test]

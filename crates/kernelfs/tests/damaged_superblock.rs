@@ -41,7 +41,7 @@ fn an_undamaged_superblock_mounts() {
 
 #[test]
 fn a_journal_past_the_device_fails_the_mount() {
-    assert_corrupted(mount_with(6, 1 << 40), "journal_blocks = 2^40");
+    assert_corrupted(mount_with(4, 1 << 40), "journal_blocks = 2^40");
 }
 
 #[test]
@@ -56,8 +56,9 @@ fn an_inode_table_past_its_region_fails_the_mount() {
 
 #[test]
 fn any_format_version_but_the_current_one_fails_the_mount() {
-    assert_eq!(FORMAT_VERSION, 1);
-    for version in [0, FORMAT_VERSION + 1, u64::MAX] {
+    assert_eq!(FORMAT_VERSION, 2);
+    // Version 1 is the format with the instance-lease table.
+    for version in [0, 1, FORMAT_VERSION + 1, u64::MAX] {
         assert_corrupted(mount_with(14, version), &format!("version {version}"));
     }
     assert!(mount_with(14, FORMAT_VERSION).is_ok());

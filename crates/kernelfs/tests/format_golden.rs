@@ -6,18 +6,24 @@
 //! the format must not change by a single bit, or a device written by one
 //! build would mount differently under the next.  Each case encodes the
 //! same values and compares the bytes exactly.
+//!
+//! Format version 2 retired journal tags 9 and 12 and the superblock's two
+//! lease-table fields.  The constants of the records that followed the
+//! retired ones were regenerated then (their transaction ids moved down),
+//! and the superblock was pinned.
 
 use kernelfs::dir;
 use kernelfs::inode::{Extent, Inode, InodeKind, INLINE_EXTENTS};
 use kernelfs::journal::JournalRecord;
+use kernelfs::layout::Superblock;
 use kernelfs::BLOCK_SIZE;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// One record of every tag (two `SetRangeMapping`s: with extents and
-/// without), each with its expected bytes.  Record `i` is encoded with
+/// One record of every tag in use (two `SetRangeMapping`s: with extents
+/// and without), each with its expected bytes.  Record `i` is encoded with
 /// transaction id `0x0102_0304_0506_0708 + i`.
 fn records() -> Vec<(JournalRecord, &'static str)> {
     vec![
@@ -82,23 +88,13 @@ fn records() -> Vec<(JournalRecord, &'static str)> {
             "524a0810000f0706050403020178030000000000000100000000000000501e821f",
         ),
         (
-            JournalRecord::SwapExtents {
-                ino_a: 12,
-                start_a: 0,
-                ino_b: 44,
-                start_b: 128,
-                len: 8,
-            },
-            "524a09280010070605040302010c0000000000000000000000000000002c0000000000000080000000000000000800000000000000cc48dd4d",
-        ),
-        (
             JournalRecord::SetRangeMapping {
                 ino: 12,
                 logical: 64,
                 count: 6,
                 extents: vec![(64, 5000, 2), (66, 7000, 4)],
             },
-            "524a0b4a0011070605040302010c000000000000004000000000000000060000000000000002004000000000000000881300000000000002000000000000004200000000000000581b00000000000004000000000000000db94304",
+            "524a0b4a0010070605040302010c000000000000004000000000000000060000000000000002004000000000000000881300000000000002000000000000004200000000000000581b00000000000004000000000000003cc996d9",
         ),
         (
             JournalRecord::SetRangeMapping {
@@ -107,18 +103,11 @@ fn records() -> Vec<(JournalRecord, &'static str)> {
                 count: 2,
                 extents: vec![],
             },
-            "524a0b1a0012070605040302010d00000000000000080000000000000002000000000000000000cdac89ba",
-        ),
-        (
-            JournalRecord::Lease {
-                instance_id: 3,
-                acquire: true,
-            },
-            "524a0c09001307060504030201030000000000000001796bdbe0",
+            "524a0b1a0011070605040302010d00000000000000080000000000000002000000000000000000b6cc5e05",
         ),
         (
             JournalRecord::Commit,
-            "524a0a00001407060504030201e1ce134c",
+            "524a0a00001207060504030201efde17d1",
         ),
     ]
 }
@@ -141,6 +130,29 @@ fn journal_records_encode_to_the_pinned_bytes() {
         expected.push_str(bytes);
     }
     assert_eq!(hex(&out), expected);
+}
+
+#[test]
+fn a_superblock_encodes_to_the_pinned_bytes() {
+    // 256 MiB, 4096 inodes.  Format version 2 keeps every region on the
+    // block version 1 put it on; block 1, the old lease table, is unused.
+    let sb = Superblock::compute(1 << 16, 4096).unwrap();
+    assert_eq!(
+        (
+            sb.journal_start,
+            sb.itable_start,
+            sb.bitmap_start,
+            sb.data_start
+        ),
+        (2, 4098, 4354, 4356)
+    );
+    let block = sb.to_block();
+    let used = "31534654494c505300000100000000000010000000000000020000000000000000100000\
+         000000000210000000000000000100000000000002110000000000000200000000000000\
+         041100000000000000000000000000000000000000000000000000000000000000000000\
+         000000000200000000000000";
+    assert_eq!(hex(&block[..120]), used);
+    assert!(block[120..].iter().all(|&b| b == 0));
 }
 
 #[test]

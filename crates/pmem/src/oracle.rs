@@ -4,8 +4,7 @@
 //! at an arbitrary fence boundary, which guarantees had the file system
 //! already handed out?  The ledger records every such **promise** — an
 //! `fsync` that returned, an `await_epoch` that was satisfied, a relink
-//! batch whose journal transaction committed, a lease grant that was
-//! journaled — in declaration order.  The fuzzer snapshots the ledger
+//! batch whose journal transaction committed — in declaration order.  The fuzzer snapshots the ledger
 //! length *before* copying device shards into a crash image, so every
 //! recorded promise was established strictly before the captured state;
 //! recovery from that image must honor all of them.
@@ -92,16 +91,6 @@ pub enum Promise {
         /// Highest log sequence number covered by the commit.
         seq: u64,
     },
-    /// A lease grant (`acquired == true`) or release (`false`) for
-    /// `instance` was journaled and persisted.  After recovery the latest
-    /// journaled state must hold: a granted lease is either still active
-    /// or surfaced as a recoverable orphan; a released one is neither.
-    LeaseJournaled {
-        /// Instance the lease belongs to.
-        instance: u32,
-        /// `true` for grant, `false` for release.
-        acquired: bool,
-    },
 }
 
 impl Promise {
@@ -115,7 +104,6 @@ impl Promise {
             Promise::EpochDurable { .. } => "epoch_durable",
             Promise::RelinkCommitted { .. } => "relink_committed",
             Promise::OplogCommitted { .. } => "oplog_committed",
-            Promise::LeaseJournaled { .. } => "lease_journaled",
         }
     }
 }

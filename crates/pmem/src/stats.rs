@@ -307,12 +307,12 @@ macro_rules! counter_table {
                 /// `try_lock` on the pool failed and the taker blocked).
                 add_staging_lock_wait += 1;
 
-            // The multi-instance lease manager: how many crashed instances'
-            // operation logs recovery replayed.
+            // Multi-instance recovery: how many operation logs of instances
+            // no live instance claimed a start replayed.
 
-            /// Orphaned (crashed) instances whose operation logs were replayed.
+            /// Operation logs of unclaimed (crashed or gone) instances replayed.
             instances_recovered =>
-                /// Records one orphaned instance whose operation log was replayed.
+                /// Records one unclaimed instance's operation log replayed.
                 add_instance_recovered += 1;
 
             // The kernel namespace lock and its full-path lookup cache:

@@ -58,11 +58,6 @@ pub struct SplitConfig {
     /// this off, staged appends are copied into the target file instead of
     /// being relinked.
     pub use_relink: bool,
-    /// Replay the operation logs of orphaned (crashed) instances before
-    /// this instance starts (see [`crate::recovery::recover_orphans`]).
-    /// On by default; crash tests that stage an orphan deliberately and
-    /// drive its recovery by hand turn it off.
-    pub recover_orphans_on_mount: bool,
     /// Background maintenance daemon parameters.
     pub daemon: DaemonConfig,
 }
@@ -78,7 +73,6 @@ impl SplitConfig {
             oplog_size: 8 * 1024 * 1024,
             use_staging: true,
             use_relink: true,
-            recover_orphans_on_mount: true,
             daemon: DaemonConfig::default(),
         }
     }
@@ -115,14 +109,6 @@ impl SplitConfig {
     /// inline-maintenance behaviour).
     pub fn without_daemon(mut self) -> Self {
         self.daemon.enabled = false;
-        self
-    }
-
-    /// Disables automatic orphan recovery at mount.  Crash tests use this
-    /// to stage a crashed instance and drive its per-instance recovery at
-    /// a deterministic point (while other instances keep running).
-    pub fn without_orphan_recovery(mut self) -> Self {
-        self.recover_orphans_on_mount = false;
         self
     }
 

@@ -14,10 +14,11 @@
 //! * in sync/strict mode, staged operations are recorded in the
 //!   [operation log](crate::oplog) so they survive a crash that happens
 //!   before the relink;
-//! * the staging pool and the operation log are **leased per instance**
-//!   from the kernel ([`kernelfs::lease`]), so many `SplitFs` instances —
-//!   one per application process in the paper's deployment — share one
-//!   kernel file system without stepping on each other's resources.
+//! * the staging pool and the operation log are **per instance**, named
+//!   by an instance id claimed from the kernel ([`kernelfs::lease`]), so
+//!   many `SplitFs` instances — one per application process in the
+//!   paper's deployment — share one kernel file system without stepping
+//!   on each other's resources.
 
 use std::ops::DerefMut;
 use std::sync::Arc;
@@ -37,45 +38,44 @@ use crate::daemon::{MaintenanceDaemon, Task, CHECKPOINT_FRACTION};
 use crate::mmap_collection::{MAP_POPULATE, MMAP_SIZE};
 use crate::modes::Mode;
 use crate::oplog::{LogEntry, LogOp, OpLog, MIN_LOG_SIZE};
-use crate::recovery;
+use crate::recovery::{self, RecoveryReport};
 use crate::staging::{StagingAllocation, StagingPool};
 use crate::state::{Descriptor, FdTable, FileRegistry, FileState, StagedExtent};
 
 /// Directory on the kernel file system holding SplitFS's own files
 /// (staging files and the operation logs).  Instance 0 stages directly in
-/// it; every further concurrent instance leases a subdirectory (see
+/// it; every further concurrent instance stages in a subdirectory (see
 /// [`kernelfs::lease::staging_dir`]).  Aliases the kernel-side layout
 /// constant so the two crates can never disagree about the paths.
 pub const SPLITFS_DIR: &str = kernelfs::lease::SPLITFS_ROOT;
 
-/// Path of instance 0's operation-log file.  Further instances lease
-/// their own log file (see [`kernelfs::lease::oplog_path`]).
+/// Path of instance 0's operation-log file.  Further instances log to
+/// their own file (see [`kernelfs::lease::oplog_path`]).
 pub const OPLOG_PATH: &str = kernelfs::lease::OPLOG_PATH_0;
 
 /// A SplitFS (U-Split) instance layered over a kernel file system.
 ///
 /// Many instances can be mounted concurrently over **one** shared
 /// [`Ext4Dax`] — the paper's multi-process story, one instance per
-/// process.  Each instance holds a kernel lease on an exclusive slice of
-/// the staging pool (its staging directory) and a dedicated operation-log
-/// file; the lease is released on clean [`Drop`] and left behind as a
-/// recoverable orphan when the owner crashes (see
-/// [`SplitFs::abandon_lease_on_drop`] and [`crate::recovery`]).
+/// process.  Each instance claims an instance id from the kernel, which
+/// names an exclusive slice of the staging pool (its staging directory)
+/// and a dedicated operation-log file.  [`Drop`] and a crash alike just
+/// drop the claim: the next start replays the log it left (see
+/// [`crate::recovery`]).
 pub struct SplitFs {
     pub(crate) kernel: Arc<Ext4Dax>,
     pub(crate) device: Arc<PmemDevice>,
     pub(crate) config: SplitConfig,
-    /// Instance id leased from the kernel file system; stamps every
+    /// Instance id claimed from the kernel file system; stamps every
     /// operation-log entry and names the staging dir / oplog file.
     pub(crate) instance_id: u32,
     /// This instance's exclusive staging directory.
     pub(crate) staging_dir: String,
     /// This instance's operation-log path.
     pub(crate) oplog_file: String,
-    /// When set, `Drop` abandons the lease instead of releasing it —
-    /// emulating a process crash so tests can drive per-instance
-    /// recovery while other instances keep running.
-    pub(crate) crash_on_drop: std::sync::atomic::AtomicBool,
+    /// What this instance's start replayed (see
+    /// [`SplitFs::recovered_logs`]).
+    recovered: Vec<(u32, RecoveryReport)>,
     pub(crate) files: FileRegistry,
     pub(crate) fds: FdTable,
     pub(crate) staging: StagingPool,
@@ -154,81 +154,78 @@ impl SplitFs {
     pub fn new(kernel: Arc<Ext4Dax>, config: SplitConfig) -> FsResult<Arc<Self>> {
         let device = Arc::clone(kernel.device());
 
-        // Instances that crashed earlier left orphaned leases behind;
-        // replay their per-instance logs (and release their leases) before
-        // any resource is reused.  Each orphan's log replays independently,
-        // so instance B recovers even if instance A died mid-relink.
-        if config.recover_orphans_on_mount {
-            recovery::recover_orphans(&kernel, &config)?;
-        }
+        // Claim this instance's id first: from here on no other start
+        // replays the log at its path, which this one replays as its own.
+        let instance_id = kernel.claim_instance()?;
 
-        // Lease this instance's slice of the staging pool and its
-        // operation-log range.  The lease record is journaled by the
-        // kernel, so a crash from here on leaves a recoverable orphan.
-        let instance_id = kernel.lease_acquire()?;
-
-        // Everything between the acquire and the construction of the
-        // instance (which owns the release-on-Drop) must give the lease
-        // back on failure — otherwise every failed mount would leak an id
-        // that is neither held by anyone nor reported as an orphan.
-        match Self::build_leased_resources(&kernel, &device, &config, instance_id) {
-            Ok((staging_dir, oplog_file, staging, oplog)) => {
-                let (oplog, oplog_fd) = oplog.unzip();
-                let fs = Arc::new(Self {
-                    kernel,
-                    device: Arc::clone(&device),
-                    config,
-                    instance_id,
-                    staging_dir,
-                    oplog_file,
-                    crash_on_drop: std::sync::atomic::AtomicBool::new(false),
-                    files: FileRegistry::new(device),
-                    fds: FdTable::new(),
-                    staging,
-                    oplog,
-                    oplog_fd,
-                    daemon: Mutex::new(None),
-                    grow_lock: Mutex::new(()),
-                    retire_lock: Mutex::new(()),
-                    checkpoint_nudged: std::sync::atomic::AtomicBool::new(false),
-                    provision_nudged: std::sync::atomic::AtomicBool::new(false),
-                    recorder: parking_lot::RwLock::new(None),
-                    published_epoch: std::sync::atomic::AtomicU64::new(0),
-                    ring_hub: parking_lot::RwLock::new(None),
-                });
-                if fs.config.daemon.enabled && fs.config.use_staging {
-                    *fs.daemon.lock() = Some(MaintenanceDaemon::start(&fs));
-                }
-                Ok(fs)
-            }
+        // Everything between the claim and the construction of the
+        // instance (whose `Drop` drops the claim) must drop it on failure,
+        // or every failed start would leak an id.
+        let built = (|| {
+            // Instances that crashed, or went away with staged writes
+            // unretired, left their logs behind: replay every log no live
+            // instance claims.  Each replays independently, so instance B
+            // recovers even if instance A died mid-relink.
+            let mut recovered = recovery::recover_orphans(&kernel, &config)?;
+            let (staging, oplog, own) =
+                Self::build_instance_resources(&kernel, &device, &config, instance_id)?;
+            recovered.push((instance_id, own));
+            Ok((staging, oplog, recovered))
+        })();
+        let (staging, oplog, recovered) = match built {
+            Ok(built) => built,
             Err(e) => {
-                let _ = kernel.lease_release(instance_id);
-                Err(e)
+                kernel.release_instance(instance_id);
+                return Err(e);
             }
+        };
+        let (oplog, oplog_fd) = oplog.unzip();
+        let fs = Arc::new(Self {
+            kernel,
+            device: Arc::clone(&device),
+            config,
+            instance_id,
+            staging_dir: kernelfs::lease::staging_dir(instance_id),
+            oplog_file: kernelfs::lease::oplog_path(instance_id),
+            recovered,
+            files: FileRegistry::new(device),
+            fds: FdTable::new(),
+            staging,
+            oplog,
+            oplog_fd,
+            daemon: Mutex::new(None),
+            grow_lock: Mutex::new(()),
+            retire_lock: Mutex::new(()),
+            checkpoint_nudged: std::sync::atomic::AtomicBool::new(false),
+            provision_nudged: std::sync::atomic::AtomicBool::new(false),
+            recorder: parking_lot::RwLock::new(None),
+            published_epoch: std::sync::atomic::AtomicU64::new(0),
+            ring_hub: parking_lot::RwLock::new(None),
+        });
+        if fs.config.daemon.enabled && fs.config.use_staging {
+            *fs.daemon.lock() = Some(MaintenanceDaemon::start(&fs));
         }
+        Ok(fs)
     }
 
-    /// Builds everything the freshly leased `instance_id` owns: replays
-    /// any leftover log at its path, ensures the bookkeeping root exists,
+    /// Builds everything the freshly claimed `instance_id` owns: replays
+    /// the log at its path, ensures the bookkeeping root exists, and
     /// constructs the staging pool and (when the mode logs) the operation
-    /// log.  Split out of [`SplitFs::new`] so a failure anywhere in here
-    /// has exactly one cleanup path: release the lease.
+    /// log.  Returns them with the replay's report.
     #[allow(clippy::type_complexity)]
-    fn build_leased_resources(
+    fn build_instance_resources(
         kernel: &Arc<Ext4Dax>,
         device: &Arc<PmemDevice>,
         config: &SplitConfig,
         instance_id: u32,
-    ) -> FsResult<(String, String, StagingPool, Option<(OpLog, Fd)>)> {
+    ) -> FsResult<(StagingPool, Option<(OpLog, Fd)>, RecoveryReport)> {
         let staging_dir = kernelfs::lease::staging_dir(instance_id);
         let oplog_file = kernelfs::lease::oplog_path(instance_id);
 
-        // A cleanly shut-down predecessor with the same id may have left a
-        // log file with covered entries behind; replay is idempotent and
-        // leaves nothing live in the file for this instance.
-        if config.mode.logs_data_ops() && kernel.exists(&oplog_file) {
-            recovery::recover_instance(kernel, config, instance_id)?;
-        }
+        // A predecessor with the same id, crashed or shut down, may have
+        // left a log behind; replay is idempotent and leaves nothing live
+        // in the file for this instance.
+        let own = recovery::recover_instance(kernel, config, instance_id)?;
 
         // Instance subdirectories nest under the shared bookkeeping root;
         // make sure it exists (another instance may win the race).
@@ -268,7 +265,7 @@ impl SplitFs {
         } else {
             None
         };
-        Ok((staging_dir, oplog_file, staging, oplog))
+        Ok((staging, oplog, own))
     }
 
     /// The mode this instance runs in.
@@ -276,9 +273,15 @@ impl SplitFs {
         self.config.mode
     }
 
-    /// The instance id leased from the kernel file system.
+    /// The instance id claimed from the kernel file system.
     pub fn instance_id(&self) -> u32 {
         self.instance_id
+    }
+
+    /// The operation logs this instance's start replayed: one
+    /// `(instance_id, report)` per log, its own last.
+    pub fn recovered_logs(&self) -> &[(u32, RecoveryReport)] {
+        &self.recovered
     }
 
     /// This instance's exclusive staging directory.
@@ -289,17 +292,6 @@ impl SplitFs {
     /// This instance's operation-log path.
     pub fn oplog_file(&self) -> &str {
         &self.oplog_file
-    }
-
-    /// Arms crash emulation: when the instance is dropped, its kernel
-    /// lease is **abandoned** instead of released — exactly what the
-    /// owning process dying would leave behind.  The lease then shows up
-    /// in [`Ext4Dax::lease_orphans`] and the instance's operation log is
-    /// replayed by [`crate::recovery::recover_orphans`] (or the next
-    /// `SplitFs::new`) while other instances keep running.
-    pub fn abandon_lease_on_drop(&self) {
-        self.crash_on_drop
-            .store(true, std::sync::atomic::Ordering::SeqCst);
     }
 
     /// Whether the background maintenance worker is running.
@@ -1199,13 +1191,6 @@ impl Drop for SplitFs {
         if let Some(daemon) = self.daemon.get_mut().take() {
             drop(daemon);
         }
-        // Clean shutdown releases the kernel lease; crash emulation
-        // abandons it so the lease survives as a recoverable orphan.
-        if self.crash_on_drop.load(std::sync::atomic::Ordering::SeqCst) {
-            self.kernel.lease_abandon(self.instance_id);
-        } else {
-            let _ = self.kernel.lease_release(self.instance_id);
-        }
         // The kernel descriptors the instance holds go with it, as they
         // would at process exit: each cached file's, and the log's (the
         // staging pool releases its own).
@@ -1215,6 +1200,9 @@ impl Drop for SplitFs {
         if let Some(fd) = self.oplog_fd {
             let _ = self.kernel.release(fd);
         }
+        // Last, as a process's exit does: the next start that finds the
+        // log unclaimed replays what it holds.
+        self.kernel.release_instance(self.instance_id);
     }
 }
 

@@ -19,12 +19,12 @@
 //!
 //! **Many instances, one kernel**: any number of [`SplitFs`] instances
 //! (the paper's one-per-process deployment) can be mounted concurrently
-//! over a single shared [`kernelfs::Ext4Dax`].  Each instance leases an
-//! exclusive staging-directory slice and a dedicated operation-log file
-//! from the kernel ([`kernelfs::lease`]); log entries are tagged with the
-//! instance id, and [`recovery`] replays each instance's log
-//! independently — instance B recovers intact even when instance A
-//! crashed mid-relink.
+//! over a single shared [`kernelfs::Ext4Dax`].  Each instance claims an
+//! instance id from the kernel ([`kernelfs::lease`]), which names its
+//! exclusive staging-directory slice and its own operation-log file; log
+//! entries are tagged with the instance id, and [`recovery`] replays each
+//! instance's log independently — instance B recovers intact even when
+//! instance A crashed mid-relink.
 //!
 //! The batching machinery is the *public contract*, not internal plumbing:
 //! SplitFS implements the full zero-copy / vectored / batch-durable
@@ -106,8 +106,9 @@
 //!   operation-log sequence number — so callers await
 //!   `published_epoch() >= cqe.epoch` instead of issuing `fsync`;
 //! * [`recovery`] — idempotent, **per-instance** crash recovery by log
-//!   replay: orphaned leases name the crashed instances, each orphan's
-//!   log replays independently (foreign-tagged entries are refused), and
+//!   replay: each operation-log file no live instance claims names a
+//!   crashed instance, each such log replays independently
+//!   (foreign-tagged entries are refused), and
 //!   recovered contents are identical whether a crash lands before,
 //!   during, or after a background batch relink;
 //! * [`config`] / [`modes`] / [`state`] / [`mmap_collection`] — tunables

@@ -4,7 +4,7 @@
 //! system's own journal recovery.  In strict (and sync-for-appends) mode,
 //! an instance's operation log may hold staged writes that were durable in
 //! a staging file but not yet relinked into their target when the crash
-//! hit.  Each instance has its **own** log (leased through
+//! hit.  Each instance has its **own** log (named by its instance id, see
 //! [`kernelfs::lease`]), replayed independently of every other — instance
 //! B's log recovers unchanged even when instance A crashed mid-relink.
 //! For one log, recovery:
@@ -55,13 +55,16 @@
 //! closes every descriptor recovery opened and leaves the log as it was,
 //! so a later recovery replays it.
 //!
-//! Which instances need recovery is the lease manager's knowledge: an
-//! **orphaned** lease (active on the device, no live holder) marks a
-//! crashed instance.  [`recover_orphans`] claims each orphan, replays its
-//! log, and releases the lease so the id becomes reusable.
-//! [`SplitFs::new`](crate::SplitFs::new) runs it on every mount (unless
-//! [`SplitConfig::without_orphan_recovery`](crate::SplitConfig) disables
-//! it for tests that stage crashes deliberately).
+//! The logs themselves say which instances need recovery: nothing but its
+//! log file outlives an instance, and no record of who is alive is kept
+//! on the media — after a machine crash no one is.
+//! [`SplitFs::new`](crate::SplitFs::new) first claims its own instance id,
+//! then runs [`recover_orphans`], which replays every log file in
+//! [`SPLITFS_DIR`](crate::SPLITFS_DIR) whose id no live instance claims,
+//! and last replays the log at its own id's path, as its own.  Because a
+//! start claims its own id first, a single instance's restart replays its
+//! predecessor's log once.  Replaying a log that holds nothing live reads
+//! its three reserved slots and stores nothing.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -140,7 +143,7 @@ pub fn recover(kernel: &Arc<Ext4Dax>, config: &SplitConfig) -> FsResult<Recovery
     recover_instance(kernel, config, 0)
 }
 
-/// Replays the operation log of one instance, identified by its lease id.
+/// Replays the operation log of one instance, identified by its id.
 ///
 /// Only entries tagged with `instance_id` replay; entries carrying any
 /// other id are counted as [`RecoveryReport::foreign`] and skipped, so a
@@ -343,36 +346,39 @@ fn replay_log(
     Ok(report)
 }
 
-/// Recovers every **orphaned** instance: leases that are active on the
-/// device with no live holder — instances that crashed.  Each orphan is
-/// claimed (so concurrent mounts never replay the same log twice),
-/// its log replayed independently of every other instance, and its lease
-/// released so the id becomes reusable.  Live instances are untouched.
+/// Replays the log of every instance no live instance claims — one that
+/// crashed, or went away with staged writes unretired.  Each `oplog` or
+/// `oplog-N` file in [`SPLITFS_DIR`](crate::SPLITFS_DIR) names its
+/// instance ([`kernelfs::oplog_id`]); an unclaimed one is claimed (so two
+/// concurrent starts never replay the same log, and no log is replayed
+/// while its owner lives), replayed independently of every other, and
+/// released.  A missing directory means there is no log to replay.
 ///
-/// Returns one `(instance_id, report)` pair per recovered orphan.
+/// Returns one `(instance_id, report)` pair per replayed log.
 pub fn recover_orphans(
     kernel: &Arc<Ext4Dax>,
     config: &SplitConfig,
 ) -> FsResult<Vec<(u32, RecoveryReport)>> {
+    let mut ids: Vec<u32> = match kernel.readdir(crate::SPLITFS_DIR) {
+        Ok(names) => names
+            .iter()
+            .filter_map(|name| kernelfs::oplog_id(name))
+            .collect(),
+        Err(FsError::NotFound) => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    ids.sort_unstable();
     let mut out = Vec::new();
-    for id in kernel.lease_orphans() {
-        // Claim the orphan: a concurrent mount racing this one skips it.
-        if !kernel.lease_claim_orphan(id) {
+    for id in ids {
+        if !kernel.try_claim_instance(id) {
             continue;
         }
-        // A failed replay must put the claim back: the lease has to stay
-        // a visible orphan so a later mount retries it, instead of being
-        // silently stuck as held-but-dead forever.
-        let report = match recover_instance(kernel, config, id) {
-            Ok(report) => report,
-            Err(e) => {
-                kernel.lease_abandon(id);
-                return Err(e);
-            }
-        };
-        kernel.lease_release(id)?;
+        // A failed replay leaves the log as it was, unclaimed, so a later
+        // start retries it.
+        let report = recover_instance(kernel, config, id);
+        kernel.release_instance(id);
+        out.push((id, report?));
         kernel.device().stats().add_instance_recovered();
-        out.push((id, report));
     }
     Ok(out)
 }

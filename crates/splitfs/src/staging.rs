@@ -34,7 +34,7 @@
 //! the block end as one allocation — the old contiguous cursor bump.
 //!
 //! Each U-Split instance owns one pool, rooted in the staging directory
-//! its kernel lease names ([`kernelfs::lease::staging_dir`]) — the
+//! its instance id names ([`kernelfs::lease::staging_dir`]) — the
 //! instance's exclusive slice of the machine-wide staging resources.  Two
 //! concurrent instances therefore never hand out overlapping staging
 //! space, and recovery can attribute every staging file to its owner.

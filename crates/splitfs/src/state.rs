@@ -21,8 +21,9 @@
 //! All of this state is **instance-private DRAM**: every [`SplitFs`]
 //! instance has its own registry and descriptor table, so concurrent
 //! instances over one kernel file system share nothing here — the only
-//! cross-instance coordination is the kernel lease on staging and log
-//! resources ([`kernelfs::lease`]).
+//! cross-instance coordination is the instance id each claims from the
+//! kernel, which names its staging and log resources
+//! ([`kernelfs::lease`]).
 //!
 //! [`SplitFs`]: crate::SplitFs
 

@@ -2,17 +2,19 @@
 //!
 //! The invariants under test:
 //!
-//! * N concurrent [`SplitFs`] instances over one [`Ext4Dax`] lease
-//!   disjoint staging directories and operation-log files, with zero
-//!   lease conflicts;
+//! * N concurrent [`SplitFs`] instances over one [`Ext4Dax`] claim
+//!   distinct instance ids, and so disjoint staging directories and
+//!   operation-log files;
 //! * an instance crashing — even **mid-relink** — never disturbs another
 //!   instance, and per-instance recovery restores the crashed instance's
 //!   files while the survivor keeps appending;
-//! * a whole-device crash recovers every instance's log independently;
+//! * a whole-device crash recovers every instance's log independently,
+//!   found by its log file alone, and concurrent starts replay each log
+//!   once;
 //! * entries tagged with another instance's id never replay
 //!   (cross-contamination guard).
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use chaos::Recovered;
 use kernelfs::{Ext4Dax, RelinkOp, BLOCK_SIZE};
@@ -96,7 +98,6 @@ fn concurrent_instances_lease_disjoint_resources() {
     assert_eq!(b.instance_id(), 1);
     assert_ne!(a.staging_dir(), b.staging_dir());
     assert_ne!(a.oplog_file(), b.oplog_file());
-    assert_eq!(kernel.lease_active_count(), 2);
 
     // Both instances append and fsync concurrently-visible files.
     let fa = a.open("/a.log", OpenFlags::create()).unwrap();
@@ -110,10 +111,15 @@ fn concurrent_instances_lease_disjoint_resources() {
     assert_eq!(a.read_file("/a.log").unwrap(), pa);
     assert_eq!(b.read_file("/b.log").unwrap(), pb);
 
-    // Clean drops return both leases.
+    // A third instance takes the next free id; clean drops return all
+    // three, and the lowest is handed out again.
+    let c = SplitFs::new(Arc::clone(&kernel), strict_config()).unwrap();
+    assert_eq!(c.instance_id(), 2);
     drop(a);
     drop(b);
-    assert_eq!(kernel.lease_active_count(), 0);
+    drop(c);
+    let d = SplitFs::new(Arc::clone(&kernel), strict_config()).unwrap();
+    assert_eq!(d.instance_id(), 0);
 }
 
 #[test]
@@ -148,9 +154,7 @@ fn instance_crash_mid_relink_recovers_while_other_keeps_appending() {
     // moved by the kernel (journaled, atomic), the rest were not, and no
     // Invalidate marker or log truncation ever happened.
     relink_first_entries(&kernel, a_id, 2);
-    a.abandon_lease_on_drop();
     drop(a);
-    assert_eq!(kernel.lease_orphans(), vec![a_id]);
 
     // B keeps appending and fsyncing while A lies dead — a live instance
     // is never disturbed by another's crash.
@@ -178,9 +182,7 @@ fn instance_crash_mid_relink_recovers_while_other_keeps_appending() {
     b.close(fb).unwrap();
     assert_eq!(kernel.read_file("/b.db").unwrap(), expected_b);
 
-    // A's lease was released by recovery; the id is reusable and a fresh
-    // instance starts clean on it.
-    assert!(kernel.lease_orphans().is_empty());
+    // A's id is free again, and a fresh instance starts clean on it.
     let a2 = SplitFs::new(Arc::clone(&kernel), config).unwrap();
     assert_eq!(a2.instance_id(), a_id);
     assert_eq!(a2.read_file("/a.db").unwrap(), expected_a);
@@ -208,23 +210,15 @@ fn full_device_crash_recovers_every_instance_independently() {
     a.append(fa, &pa).unwrap();
     b.append(fb, &pb).unwrap();
     // No fsync, no close: both instances' data exists only in staging
-    // files plus their private logs.  The machine dies with both leases
-    // active.
-    a.abandon_lease_on_drop();
-    b.abandon_lease_on_drop();
+    // files plus their private logs.  The machine dies with both.
     drop(a);
     drop(b);
     device.crash();
 
+    // The log files alone name the instances to recover.
     let mut rec = Recovered::mount(&device).unwrap();
-    let mut orphans = rec.kernel.lease_orphans();
-    orphans.sort_unstable();
-    assert_eq!(orphans, vec![0, 1], "both leases survive the crash");
-
     rec.recover_orphans(&config).unwrap();
-    let mut recovered_ids = rec.recovered_orphan_ids();
-    recovered_ids.sort_unstable();
-    assert_eq!(recovered_ids, vec![0, 1]);
+    assert_eq!(rec.recovered_orphan_ids(), vec![0, 1]);
     for (_, report) in &rec.orphan_reports {
         assert!(report.replayed >= 1, "{report:?}");
     }
@@ -232,7 +226,6 @@ fn full_device_crash_recovers_every_instance_independently() {
     let kernel2 = Arc::clone(&rec.kernel);
     assert_eq!(kernel2.read_file("/a.db").unwrap(), pa);
     assert_eq!(kernel2.read_file("/b.db").unwrap(), pb);
-    assert_eq!(kernel2.lease_active_count(), 0);
 
     // The next mount starts with a clean slate and reuses the ids.
     let fresh = SplitFs::new(Arc::clone(&kernel2), config).unwrap();
@@ -281,7 +274,6 @@ fn foreign_tagged_entries_are_never_replayed() {
     device.fence(pmem::TimeCategory::OpLog);
     kernel.close(log_fd).unwrap();
 
-    a.abandon_lease_on_drop();
     drop(a);
     device.crash();
 
@@ -303,28 +295,126 @@ fn foreign_tagged_entries_are_never_replayed() {
     );
 }
 
+/// A crashed instance's id is reused only once its log is replayed: the
+/// next start claims the id and replays the log as its own before it logs
+/// anything.
 #[test]
 fn orphaned_ids_are_not_reused_before_recovery() {
     let device = device();
     let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
-    // Orphan recovery disabled: the crashed instance must stay orphaned
-    // until this test recovers it explicitly.
-    let config = strict_config().without_orphan_recovery();
+    let config = strict_config();
 
     let a = SplitFs::new(Arc::clone(&kernel), config.clone()).unwrap();
     assert_eq!(a.instance_id(), 0);
-    a.abandon_lease_on_drop();
+    let fa = a.open("/a.db", OpenFlags::create()).unwrap();
+    let block = vec![0x3Cu8; BLOCK_SIZE];
+    a.append(fa, &block).unwrap();
+    // A dies with its append staged and logged, never relinked.
+    drop(a);
+    assert_eq!(staged_entries(&kernel, 0).len(), 1);
+    assert!(kernel.read_file("/a.db").unwrap().is_empty());
+
+    let b = SplitFs::new(Arc::clone(&kernel), config).unwrap();
+    assert_eq!(b.instance_id(), 0, "the id is free once its owner is gone");
+    let replayed: Vec<(u32, usize)> = b
+        .recovered_logs()
+        .iter()
+        .map(|(id, report)| (*id, report.replayed))
+        .collect();
+    assert_eq!(replayed, vec![(0, 1)], "A's log replayed as B's own");
+    assert_eq!(kernel.read_file("/a.db").unwrap(), block);
+    assert_eq!(b.oplog_entries(), 0, "B starts on an empty log");
+    assert!(staged_entries(&kernel, 0).is_empty());
+}
+
+/// An instance that goes away — shut down or crashed, a `Drop` either way
+/// — leaves its log unclaimed, and the next start replays it, even when a
+/// different instance's id is the one that start takes.
+#[test]
+fn a_gone_instances_log_is_replayed_by_the_next_start() {
+    let device = device();
+    let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    let config = strict_config();
+    let b = SplitFs::new(Arc::clone(&kernel), config.clone()).unwrap();
+    let a = SplitFs::new(Arc::clone(&kernel), config.clone()).unwrap();
+    assert_eq!((b.instance_id(), a.instance_id()), (0, 1));
+
+    let fa = a.open("/a.db", OpenFlags::create()).unwrap();
+    let pa: Vec<u8> = (0..2 * BLOCK_SIZE as u32)
+        .map(|i| (i % 233) as u8)
+        .collect();
+    a.append(fa, &pa).unwrap();
+    // No fsync, no close: A's bytes live in its staging files and its log.
     drop(a);
 
-    // The orphan blocks id 0; a new instance leases the next id.
-    let b = SplitFs::new(Arc::clone(&kernel), config.clone()).unwrap();
-    assert_eq!(b.instance_id(), 1);
-    assert_eq!(kernel.lease_orphans(), vec![0]);
+    let fb = b.open("/b.db", OpenFlags::create()).unwrap();
+    let pb = vec![0xB0u8; BLOCK_SIZE];
+    b.append(fb, &pb).unwrap();
+    drop(b);
+    device.crash();
 
-    // Recovery releases the orphan; the id becomes reusable.
-    let mut rec = Recovered::attach(Arc::clone(&kernel));
-    rec.recover_orphans(&config).unwrap();
-    assert_eq!(rec.recovered_orphan_ids(), vec![0]);
-    let c = SplitFs::new(Arc::clone(&kernel), config).unwrap();
-    assert_eq!(c.instance_id(), 0);
+    let kernel = Ext4Dax::mount(Arc::clone(&device)).unwrap();
+    let fresh = SplitFs::new(Arc::clone(&kernel), config).unwrap();
+    assert_eq!(fresh.instance_id(), 0);
+    assert_eq!(kernel.read_file("/a.db").unwrap(), pa, "A's appends");
+    assert_eq!(kernel.read_file("/b.db").unwrap(), pb, "B's appends");
+    assert!(Recovered::attach(kernel).fsck().is_empty());
+}
+
+/// Four starts racing over four crashed logs: each log replays once, and
+/// every acknowledged append lands in its file.
+#[test]
+fn concurrent_starts_replay_each_crashed_log_once() {
+    const INSTANCES: usize = 4;
+    let device = device();
+    let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    let config = strict_config();
+    let instances: Vec<_> = (0..INSTANCES)
+        .map(|_| SplitFs::new(Arc::clone(&kernel), config.clone()).unwrap())
+        .collect();
+    let mut expected = Vec::new();
+    for (i, fs) in instances.iter().enumerate() {
+        let path = format!("/f{i}.db");
+        let fd = fs.open(&path, OpenFlags::create()).unwrap();
+        let mut bytes = Vec::new();
+        for k in 0..=i as u8 {
+            let block = vec![(i as u8) << 4 | k; BLOCK_SIZE];
+            fs.append(fd, &block).unwrap();
+            bytes.extend_from_slice(&block);
+        }
+        expected.push((path, bytes));
+    }
+    let logged: usize = (0..INSTANCES as u32)
+        .map(|id| staged_entries(&kernel, id).len())
+        .sum();
+    assert_eq!(logged, 1 + 2 + 3 + 4);
+    drop(instances);
+    device.crash();
+
+    let kernel = Ext4Dax::mount(Arc::clone(&device)).unwrap();
+    let barrier = Barrier::new(INSTANCES);
+    let started: Vec<Arc<SplitFs>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..INSTANCES)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    SplitFs::new(Arc::clone(&kernel), config.clone()).unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut ids: Vec<u32> = started.iter().map(|fs| fs.instance_id()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), INSTANCES, "live ids are unique");
+    let replayed: usize = started
+        .iter()
+        .flat_map(|fs| fs.recovered_logs())
+        .map(|(_, report)| report.replayed)
+        .sum();
+    assert_eq!(replayed, logged, "each logged write replays exactly once");
+    for (path, bytes) in &expected {
+        assert_eq!(&kernel.read_file(path).unwrap(), bytes, "{path}");
+    }
 }
