@@ -8,24 +8,16 @@ use crate::modes::Mode;
 pub struct DaemonConfig {
     /// Whether the maintenance worker runs at all.  With this off, staging
     /// replenishment, log truncation and relink all happen inline on the
-    /// foreground paths (the seed's behaviour, kept for ablation).
+    /// foreground paths (the seed's behaviour, kept for ablation).  With
+    /// it on, the worker keeps the staging file after the active one
+    /// mapped (see [`crate::staging`]).
     pub enabled: bool,
-    /// When fewer than this many unconsumed staging files remain, the
-    /// worker starts provisioning replacements.
-    pub staging_low_watermark: usize,
-    /// The worker provisions until this many unconsumed staging files
-    /// exist.
-    pub staging_high_watermark: usize,
 }
 
 impl DaemonConfig {
-    /// Daemon enabled with the scaled-down defaults.
+    /// Daemon enabled.
     pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            staging_low_watermark: 1,
-            staging_high_watermark: 3,
-        }
+        Self { enabled: true }
     }
 }
 
@@ -45,7 +37,8 @@ impl Default for DaemonConfig {
 pub struct SplitConfig {
     /// Consistency mode of this instance.
     pub mode: Mode,
-    /// Number of staging files pre-allocated at startup.
+    /// Number of staging files pre-allocated at startup (the first two
+    /// are mapped then, the rest when they are about to be written).
     pub staging_files: usize,
     /// Size of each staging file in bytes.
     pub staging_file_size: u64,
@@ -111,13 +104,6 @@ impl SplitConfig {
         self.daemon.enabled = false;
         self
     }
-
-    /// Sets the staging-pool watermarks the daemon provisions between.
-    pub fn with_staging_watermarks(mut self, low: usize, high: usize) -> Self {
-        self.daemon.staging_low_watermark = low.max(1);
-        self.daemon.staging_high_watermark = high.max(low.max(1) + 1);
-        self
-    }
 }
 
 impl Default for SplitConfig {
@@ -135,19 +121,12 @@ mod tests {
         let c = SplitConfig::new(Mode::Strict);
         assert!(c.daemon.enabled, "daemon is on by default");
         let c = SplitConfig::new(Mode::Strict).without_daemon();
+        assert_eq!(c.daemon, DaemonConfig { enabled: false });
+        let c = SplitConfig::new(Mode::Posix).with_staging(1, 1024);
         assert_eq!(
-            c.daemon,
-            DaemonConfig {
-                enabled: false,
-                ..DaemonConfig::default()
-            },
-            "turning the daemon off keeps its watermarks"
-        );
-        let c = SplitConfig::new(Mode::Posix).with_staging_watermarks(2, 2);
-        assert_eq!(c.daemon.staging_low_watermark, 2);
-        assert!(
-            c.daemon.staging_high_watermark > c.daemon.staging_low_watermark,
-            "high watermark stays above low"
+            (c.staging_files, c.staging_file_size),
+            (1, 2 * 1024 * 1024),
+            "a staging file holds at least one 2 MiB page"
         );
     }
 

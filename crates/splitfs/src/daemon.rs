@@ -6,13 +6,13 @@
 //! a [`MaintenanceDaemon`] attached to a [`SplitFs`] instance, performs
 //! four kinds of work:
 //!
-//! 1. **Asynchronous staging provisioning** — when the
-//!    [`StagingPool`](crate::staging::StagingPool) drops below its low
-//!    watermark, the worker creates and maps fresh staging files until
-//!    the high watermark is restored, so
-//!    [`StagingPool::take`](crate::staging::StagingPool::take) never has
-//!    to fall back to inline file creation under load.  The watermarks
-//!    are static, fixed from the configuration.
+//! 1. **Asynchronous staging provisioning** — the
+//!    [`StagingPool`](crate::staging::StagingPool) keeps the file after
+//!    the active one mapped.  When the active file moves on and that
+//!    spare is missing or unmapped, the worker maps it, or builds one
+//!    when the pool has no file left, so
+//!    [`StagingPool::take`](crate::staging::StagingPool::take) neither
+//!    maps nor creates a file inline under load.
 //! 2. **Batched background relink** — files that accumulate many staged
 //!    extents are relinked in the background through
 //!    [`kernelfs::Ext4Dax::ioctl_relink_batch`], shrinking the work left
@@ -60,7 +60,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::fs::SplitFs;
 
-/// How often the idle worker wakes to poll watermarks without a nudge.
+/// How often the idle worker wakes to poll for work without a nudge.
 const TICK: Duration = Duration::from_millis(1);
 
 /// Fill fraction of the active operation-log epoch past which the worker
@@ -71,7 +71,7 @@ pub(crate) const CHECKPOINT_FRACTION: f64 = 0.5;
 /// One unit of background maintenance work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Task {
-    /// Provision staging files until the high watermark is restored.
+    /// Map (or build) the staging file after the active one.
     ProvisionStaging,
     /// Relink the staged extents of the file with this inode.
     RelinkFile(u64),
@@ -229,29 +229,24 @@ fn worker_loop(fs: Weak<SplitFs>, shared: Arc<Shared>) {
 }
 
 impl SplitFs {
-    /// One maintenance pass: restore a pool below the low watermark to
-    /// the high watermark, recycle exhausted staging files, then
-    /// checkpoint if the operation log is past its threshold.  Runs on the
-    /// worker for every tick and every [`Task::ProvisionStaging`] nudge.
+    /// One maintenance pass: recycle exhausted staging files, make the
+    /// staging file after the active one ready, then checkpoint if the
+    /// operation log is past its threshold.  Runs on the worker for every
+    /// tick and every [`Task::ProvisionStaging`] nudge.
     pub(crate) fn maintenance_tick(&self) {
         use std::sync::atomic::Ordering;
         if self.config.use_staging {
-            if self.staging.needs_provisioning() {
-                let (_, high) = self.staging.watermarks();
-                while self.staging.unconsumed_files() < high {
-                    if self.staging.provision().is_err() {
-                        // Device full or similar: the foreground inline
-                        // path surfaces persistent errors to the
-                        // application.
-                        break;
-                    }
-                }
-            }
-            // Return fully-relinked staging files to the pool.
+            // Return fully-relinked staging files to the pool first: one
+            // may become the spare, which saves building a fresh file.
             self.recycle_staging();
+            if self.staging.needs_provisioning() {
+                // Device full or similar: the foreground inline path
+                // surfaces persistent errors to the application.
+                let _ = self.staging.prepare_spare();
+            }
         }
-        // Re-arm the foreground's provisioning nudge after the pool is
-        // refilled (or found healthy).
+        // Re-arm the foreground's provisioning nudge after the spare is
+        // prepared (or found ready).
         self.provision_nudged.store(false, Ordering::Relaxed);
         if let Some(oplog) = self.oplog.as_ref() {
             if oplog.sealed_pending() || oplog.utilization() >= CHECKPOINT_FRACTION {

@@ -148,7 +148,8 @@ impl SplitFs {
     /// Creates a U-Split instance over `kernel` with the given
     /// configuration.
     ///
-    /// This pre-allocates the staging files, creates (or recovers) the
+    /// This pre-allocates the staging files and maps the first two (the
+    /// daemon maps the rest as they come up), creates (or recovers) the
     /// operation log when the mode requires one, and is the moral
     /// equivalent of `LD_PRELOAD`-ing the SplitFS library into a process.
     pub fn new(kernel: Arc<Ext4Dax>, config: SplitConfig) -> FsResult<Arc<Self>> {
@@ -991,10 +992,10 @@ impl SplitFs {
         }
 
         // Nudge the maintenance daemon on threshold crossings.  The
-        // condition checks are lock-free (the pool's unconsumed-file
-        // count against its low watermark, and per-task pending flags), so
-        // a threshold that stays crossed while the daemon works does not
-        // put mutex traffic on every append.
+        // condition checks are lock-free (whether the pool's spare staging
+        // file is ready, and per-task pending flags), so a condition that
+        // holds while the daemon works does not put mutex traffic on every
+        // append.
         if self.config.daemon.enabled {
             use std::sync::atomic::Ordering;
             if self.staging.needs_provisioning()

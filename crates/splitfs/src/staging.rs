@@ -3,9 +3,19 @@
 //! Appends — and, in strict mode, overwrites — are first written to
 //! pre-allocated, pre-mapped *staging files* and only attached to their
 //! target file at the next `fsync`/`close` via relink.  The pool
-//! pre-creates a configurable number of staging files at startup
+//! pre-allocates a configurable number of staging files at startup
 //! (`SplitConfig::staging_files` × `staging_file_size`) so that taking
 //! staging space in the write path is a cheap cursor bump.
+//!
+//! **The active staging file and the one after it are mapped.**  Mapping
+//! a file populates its page tables (a 2 MiB fault per chunk), so a start
+//! maps only those two and leaves the rest of the pool allocated but
+//! unmapped; the file after the active one is the *spare*.  When the
+//! active file is used up and the spare takes its place, the new spare is
+//! missing or unmapped, and the [maintenance daemon](crate::daemon) maps
+//! it — or builds one when the pool has no file left — off the critical
+//! path ([`StagingPool::prepare_spare`]).  A take that reaches an unmapped
+//! active file (the daemon is off, or lagging) maps it inline.
 //!
 //! The pool is one list of files — the active one, its cursor and the
 //! unconsumed files behind it — under one lock.  A `take` that finds the
@@ -40,25 +50,16 @@
 //! space, and recovery can attribute every staging file to its owner.
 //! On mount the pool **adopts** the staging files a previous incarnation
 //! left in the directory (rebuilding them; cursors restart at zero
-//! because the instance's operation log is always recovered and zeroed
+//! because the instance's operation log is always replayed and retired
 //! before the pool is built) and truncates any leftovers beyond the
 //! configured pool size so their blocks return to the allocator.
 //!
-//! When the pool runs low, replacements come from two sources:
-//!
-//! * the [background maintenance daemon](crate::daemon) provisions fresh
-//!   files asynchronously whenever the pool falls below its low watermark
-//!   (this is the paper's design: staging allocation happens "on a
-//!   background thread").  The watermarks are static, fixed from the
-//!   configuration when the pool is built ([`StagingPool::watermarks`]);
-//!   and
-//! * as a last resort, [`StagingPool::take`] creates a file **inline** on
-//!   the foreground write path.  Inline creations are counted separately
-//!   ([`StagingPool::files_created_inline`] and the device-wide
-//!   `staging_inline_creates` statistic) so experiments can verify the
-//!   daemon eliminates them.
+//! When the pool runs dry, a [`StagingPool::take`] creates a file
+//! **inline** on the foreground write path.  Inline creations are
+//! counted in the device-wide `staging_inline_creates` statistic so
+//! experiments can verify the daemon eliminates them.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
@@ -92,7 +93,9 @@ pub struct StagingAllocation {
 struct StagingFile {
     fd: Fd,
     ino: u64,
-    mapping: DaxMapping,
+    /// `None` until the file is the spare or the active one (see the
+    /// module doc).
+    mapping: Option<DaxMapping>,
     /// Where the next fresh block is handed out: always on a block
     /// boundary, past every block `take` has touched.
     cursor: u64,
@@ -119,7 +122,8 @@ impl StagingFile {
     fn allocate(&mut self, start: u64, len: u64, limit: u64) -> FsResult<StagingAllocation> {
         let (device_offset, contig) = self
             .mapping
-            .translate(start)
+            .as_ref()
+            .and_then(|m| m.translate(start))
             .ok_or_else(|| FsError::Io("staging file mapping hole".into()))?;
         let take = len.min(limit - start).min(contig);
         self.cursor = self.cursor.max((start + take).next_multiple_of(BLOCK));
@@ -174,24 +178,21 @@ pub struct StagingPool {
     dir: String,
     file_size: u64,
     inner: Mutex<PoolInner>,
-    /// Mirror of `files.len() - active`, readable without the pool lock:
-    /// the append path's provisioning check and the daemon read it.
-    unconsumed: AtomicUsize,
-    /// `(low, high)` provisioning watermarks, fixed at construction.
-    watermarks: (usize, usize),
+    /// Whether the file after the active one exists and is mapped,
+    /// readable without the pool lock: the append path's provisioning
+    /// check and the daemon read it.
+    spare_ready: AtomicBool,
     /// Name counter for `stage-N` paths — lock-free, so reserving a name
     /// (the daemon's background-build path and inline creation) never
     /// touches the pool lock.
     next_name: AtomicU64,
-    created_preallocated: AtomicU64,
-    created_inline: AtomicU64,
-    created_background: AtomicU64,
 }
 
 impl StagingPool {
     /// Creates the pool, pre-allocating `config.staging_files` staging
     /// files (at least one) under `dir` (created if missing) on the kernel
-    /// file system.  Staging files left behind by a previous incarnation
+    /// file system, and mapping the first two: the active file and its
+    /// spare.  Staging files left behind by a previous incarnation
     /// of this instance are adopted (rebuilt) in name order; leftovers
     /// beyond the configured pool size are truncated so their blocks are
     /// reclaimed.
@@ -204,27 +205,14 @@ impl StagingPool {
         if !kernel.exists(dir) {
             kernel.mkdir(dir)?;
         }
-        // The configured low/high split, with `staging_files` bounding the
-        // high side so the preallocated pool shape is always provisioned
-        // back.
-        let low = config.daemon.staging_low_watermark.max(1);
-        let high = config
-            .daemon
-            .staging_high_watermark
-            .max(config.staging_files)
-            .max(low + 1);
         let pool = Self {
             kernel,
             device,
             dir: dir.to_string(),
             file_size: config.staging_file_size,
             inner: Mutex::new(PoolInner::default()),
-            unconsumed: AtomicUsize::new(0),
-            watermarks: (low, high),
+            spare_ready: AtomicBool::new(false),
             next_name: AtomicU64::new(0),
-            created_preallocated: AtomicU64::new(0),
-            created_inline: AtomicU64::new(0),
-            created_background: AtomicU64::new(0),
         };
 
         // Names a previous incarnation left behind, in numeric order: the
@@ -246,9 +234,8 @@ impl StagingPool {
                 None => pool.reserve_name(),
             };
             pool.next_name.fetch_max(name + 1, Ordering::Relaxed);
-            let file = pool.build_staging_file(name)?;
+            let file = pool.build_staging_file(name, i < 2)?;
             pool.push(file);
-            pool.created_preallocated.fetch_add(1, Ordering::Relaxed);
         }
         // Stale files beyond the initial pool size: give their blocks back
         // to the allocator.  They will be re-extended if the pool ever
@@ -271,20 +258,21 @@ impl StagingPool {
         self.next_name.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Refreshes the lock-free unconsumed-files mirror; call with the pool
-    /// lock held after any change to `files`/`active`.
-    fn refresh_unconsumed(&self, inner: &PoolInner) {
-        self.unconsumed.store(
-            inner.files.len().saturating_sub(inner.active),
-            Ordering::Relaxed,
-        );
+    /// Refreshes the lock-free spare-ready mirror; call with the pool lock
+    /// held after any change to `files`, `active` or a mapping.
+    fn refresh_spare(&self, inner: &PoolInner) {
+        let ready = inner
+            .files
+            .get(inner.active + 1)
+            .is_some_and(|f| f.mapping.is_some());
+        self.spare_ready.store(ready, Ordering::Relaxed);
     }
 
     /// Appends `file` to the unconsumed tail of the pool.
     fn push(&self, file: StagingFile) {
         let mut inner = self.inner.lock();
         inner.files.push(file);
-        self.refresh_unconsumed(&inner);
+        self.refresh_spare(&inner);
     }
 
     /// Whether the pool currently holds the staging file with inode `ino`
@@ -310,11 +298,18 @@ impl StagingPool {
         }
     }
 
-    /// Creates, pre-allocates and maps one staging file.  Deliberately does
-    /// **not** hold the pool lock: file creation goes through the kernel
-    /// file system and is the expensive part, so builders (the daemon, or
-    /// an unlucky foreground thread) must not block concurrent `take`s.
-    fn build_staging_file(&self, name: u64) -> FsResult<StagingFile> {
+    /// Maps the whole of a pre-allocated staging file, populating its page
+    /// tables up front.
+    fn map(&self, fd: Fd) -> FsResult<DaxMapping> {
+        self.kernel.dax_map(fd, 0, self.file_size, MAP_POPULATE)
+    }
+
+    /// Creates and pre-allocates one staging file, and maps it if `map`.
+    /// Deliberately does **not** hold the pool lock: file creation goes
+    /// through the kernel file system and is the expensive part, so
+    /// builders (the daemon, or an unlucky foreground thread) must not
+    /// block concurrent `take`s.
+    fn build_staging_file(&self, name: u64, map: bool) -> FsResult<StagingFile> {
         let path = format!("{}/stage-{}", self.dir, name);
         let fd = self.kernel.open(&path, OpenFlags::create())?;
         // The descriptor is closed on every failure path, or the file
@@ -323,16 +318,16 @@ impl StagingPool {
             // A stale file left by a previous incarnation of this instance
             // may have holes where relink moved blocks out; empty it first
             // so the extension below re-allocates every block.  Safe: the
-            // instance's operation log is always recovered (and zeroed)
+            // instance's operation log is always replayed and retired
             // before the pool is built, so nothing references the old
             // staging bytes.
             if self.kernel.fstat(fd)?.size > 0 {
                 self.kernel.ftruncate(fd, 0)?;
             }
             // Pre-allocate the whole file so appends never allocate in the
-            // critical path, then map it once.
+            // critical path.
             self.kernel.ftruncate(fd, self.file_size)?;
-            let mapping = self.kernel.dax_map(fd, 0, self.file_size, MAP_POPULATE)?;
+            let mapping = if map { Some(self.map(fd)?) } else { None };
             Ok((mapping, self.kernel.fd_ino(fd)?))
         })()
         .inspect_err(|_| {
@@ -349,58 +344,56 @@ impl StagingPool {
         })
     }
 
-    /// Asynchronously provisions one staging file (called by the
-    /// maintenance daemon).  The new file is appended to the pool's
-    /// unconsumed tail.
+    /// Builds and maps one more staging file and appends it to the pool's
+    /// unconsumed tail (the maintenance daemon's build when the pool has no
+    /// file after the active one).
     pub fn provision(&self) -> FsResult<()> {
         let name = self.reserve_name();
-        let file = self.build_staging_file(name)?;
+        let file = self.build_staging_file(name, true)?;
         self.push(file);
-        self.created_background.fetch_add(1, Ordering::Relaxed);
         self.device.stats().add_staging_bg_create();
         Ok(())
     }
 
-    /// The `(low, high)` watermarks the daemon provisions between.
-    pub fn watermarks(&self) -> (usize, usize) {
-        self.watermarks
+    /// Makes the spare ready (called by the maintenance daemon): maps the
+    /// file after the active one, or builds one when the pool has none.
+    /// The map runs without the pool lock; a take that made the file
+    /// active meanwhile has mapped it inline, and the daemon's mapping is
+    /// dropped.  The daemon is the only recycler, so the file cannot have
+    /// been rebuilt under the mapping in between.
+    pub fn prepare_spare(&self) -> FsResult<()> {
+        loop {
+            let spare = {
+                let inner = self.inner.lock();
+                match inner.files.get(inner.active + 1) {
+                    Some(f) if f.mapping.is_some() => return Ok(()),
+                    spare => spare.map(|f| (f.fd, f.ino)),
+                }
+            };
+            let Some((fd, ino)) = spare else {
+                self.provision()?;
+                continue;
+            };
+            let mapping = self.map(fd)?;
+            let mut inner = self.inner.lock();
+            if let Some(file) = inner.files.iter_mut().find(|f| f.ino == ino) {
+                file.mapping.get_or_insert(mapping);
+            }
+            self.refresh_spare(&inner);
+        }
     }
 
     /// Number of staging files that still have unconsumed capacity (the
-    /// active file plus every file after it).  Lock-free.
+    /// active file plus every file after it).
     pub fn unconsumed_files(&self) -> usize {
-        self.unconsumed.load(Ordering::Relaxed)
+        let inner = self.inner.lock();
+        inner.files.len().saturating_sub(inner.active)
     }
 
-    /// Whether the pool has fallen below its low watermark and background
-    /// provisioning should run.
+    /// Whether the file after the active one is missing or unmapped, so
+    /// the daemon should prepare it.  Lock-free.
     pub fn needs_provisioning(&self) -> bool {
-        self.unconsumed_files() < self.watermarks.0
-    }
-
-    /// Number of staging files created so far, from every source
-    /// (pre-allocated at startup, background-provisioned, and emergency
-    /// inline creations).
-    pub fn files_created(&self) -> u64 {
-        self.created_preallocated.load(Ordering::Relaxed)
-            + self.created_inline.load(Ordering::Relaxed)
-            + self.created_background.load(Ordering::Relaxed)
-    }
-
-    /// Staging files pre-allocated at startup.
-    pub fn files_created_preallocated(&self) -> u64 {
-        self.created_preallocated.load(Ordering::Relaxed)
-    }
-
-    /// Staging files created inline on the foreground write path because
-    /// the pool ran dry — the number the daemon exists to keep at zero.
-    pub fn files_created_inline(&self) -> u64 {
-        self.created_inline.load(Ordering::Relaxed)
-    }
-
-    /// Staging files provisioned asynchronously by the maintenance daemon.
-    pub fn files_created_background(&self) -> u64 {
-        self.created_background.load(Ordering::Relaxed)
+        !self.spare_ready.load(Ordering::Relaxed)
     }
 
     /// Takes up to `len` bytes of staging space whose in-file offset is
@@ -437,13 +430,12 @@ impl StagingPool {
                 // the file is built so the daemon can still make progress.
                 drop(inner);
                 let name = self.reserve_name();
-                let file = self.build_staging_file(name)?;
-                self.created_inline.fetch_add(1, Ordering::Relaxed);
+                let file = self.build_staging_file(name, true)?;
                 self.device.stats().add_staging_inline_create();
                 obs::event(obs::SpanEvent::InlineCreate);
                 inner = self.lock();
                 inner.files.push(file);
-                self.refresh_unconsumed(&inner);
+                self.refresh_spare(&inner);
                 continue;
             }
             let active = inner.active;
@@ -453,8 +445,13 @@ impl StagingPool {
             let start = file.cursor + phase;
             if start >= file.size {
                 inner.active += 1;
-                self.refresh_unconsumed(&inner);
+                self.refresh_spare(&inner);
                 continue;
+            }
+            if file.mapping.is_none() {
+                // The daemon is off or has not prepared this file yet: map
+                // it inline.
+                file.mapping = Some(self.map(file.fd)?);
             }
             return file.allocate(start, len, file.size);
         }
@@ -509,24 +506,24 @@ impl StagingPool {
             .position(|f| f.consumed > 0 && f.retired >= f.consumed)?;
         let file = inner.files.remove(idx);
         inner.active -= 1;
-        self.refresh_unconsumed(&inner);
+        self.refresh_spare(&inner);
         Some(RecycledFile { file })
     }
 
     /// Re-provisions a recycled file: frees its remaining blocks,
-    /// pre-allocates fresh ones, remaps it and returns it to the pool's
-    /// unconsumed tail.  On error the file is dropped from the pool.
+    /// pre-allocates fresh ones and returns it, unmapped, to the pool's
+    /// unconsumed tail; it is mapped when it becomes the spare.  On error
+    /// the file is dropped from the pool.
     pub fn rebuild(&self, rec: RecycledFile) -> FsResult<()> {
         let file = rec.file;
         // Free whatever blocks the relinks left behind (padding, copied
         // spans), then pre-allocate the full size again.
         self.kernel.ftruncate(file.fd, 0)?;
         self.kernel.ftruncate(file.fd, file.size)?;
-        let mapping = self.kernel.dax_map(file.fd, 0, file.size, MAP_POPULATE)?;
         self.push(StagingFile {
             fd: file.fd,
             ino: file.ino,
-            mapping,
+            mapping: None,
             cursor: 0,
             size: file.size,
             consumed: 0,
@@ -543,7 +540,7 @@ impl StagingPool {
         // Re-insert before the active index: the file is exhausted.
         inner.files.insert(0, rec.file);
         inner.active += 1;
-        self.refresh_unconsumed(&inner);
+        self.refresh_spare(&inner);
     }
 }
 
@@ -574,14 +571,46 @@ mod tests {
 
     #[test]
     fn pool_preallocates_staging_files() {
-        let (_d, kernel, pool) = setup();
-        assert_eq!(pool.files_created(), 2);
-        assert_eq!(pool.files_created_preallocated(), 2);
-        assert_eq!(pool.files_created_inline(), 0);
+        let (device, kernel, pool) = setup();
+        let snap = device.stats().snapshot();
+        assert_eq!(
+            (snap.staging_inline_creates, snap.staging_bg_creates),
+            (0, 0)
+        );
         assert_eq!(pool.unconsumed_files(), 2);
         let entries = kernel.readdir("/.splitfs").unwrap();
         assert_eq!(entries.len(), 2);
         assert!(entries.contains(&"stage-0".to_string()));
+    }
+
+    #[test]
+    fn only_the_active_file_and_its_spare_are_mapped() {
+        let (device, kernel, pool) =
+            setup_with(SplitConfig::new(Mode::Posix).with_staging(4, 2 * 1024 * 1024));
+        assert_eq!(kernel.readdir("/.splitfs").unwrap().len(), 4);
+        assert_eq!(device.stats().snapshot().huge_page_faults, 2);
+        assert!(!pool.needs_provisioning(), "the spare is mapped");
+        // Into the second file: its successor is the spare now, unmapped.
+        let mut taken = 0u64;
+        while taken <= 2 * 1024 * 1024 {
+            taken += pool.take(1024 * 1024, 0, None).unwrap().len;
+        }
+        assert!(pool.needs_provisioning());
+        pool.prepare_spare().unwrap();
+        assert!(!pool.needs_provisioning());
+        assert_eq!(device.stats().snapshot().huge_page_faults, 3);
+        // Into the fourth file with no daemon: the third, now the spare, is
+        // ready, and the take that reaches the unmapped fourth maps it
+        // inline, which is not an inline create.
+        while taken <= 6 * 1024 * 1024 {
+            taken += pool.take(1024 * 1024, 0, None).unwrap().len;
+        }
+        let snap = device.stats().snapshot();
+        assert_eq!(snap.huge_page_faults, 4);
+        assert_eq!(
+            (snap.staging_inline_creates, snap.staging_bg_creates),
+            (0, 0)
+        );
     }
 
     #[test]
@@ -613,42 +642,31 @@ mod tests {
             assert!(a.len > 0);
             taken += a.len;
         }
-        assert!(pool.files_created() > 2);
+        let snap = device.stats().snapshot();
         assert!(
-            pool.files_created_inline() > 0,
+            snap.staging_inline_creates > 0,
             "emergency creations are attributed to the inline counter"
         );
-        assert_eq!(pool.files_created_background(), 0);
-        assert_eq!(
-            device.stats().snapshot().staging_inline_creates,
-            pool.files_created_inline(),
-            "device-wide statistic mirrors the pool counter"
-        );
+        assert_eq!(snap.staging_bg_creates, 0);
     }
 
     #[test]
     fn background_provisioning_prevents_inline_creation() {
-        let config = SplitConfig::new(Mode::Posix)
-            .with_staging(2, 4 * 1024 * 1024)
-            .with_staging_watermarks(2, 4);
-        let (device, _k, pool) = setup_with(config);
-        // Drain most of the pre-allocated capacity, then provision like the
-        // daemon would before the pool runs dry.
+        let (device, _k, pool) =
+            setup_with(SplitConfig::new(Mode::Posix).with_staging(2, 4 * 1024 * 1024));
+        // Drain the pre-allocated capacity and beyond, preparing the spare
+        // like the daemon would each time the active file moves on.
         let mut taken = 0u64;
-        while taken < 7 * 1024 * 1024 {
-            taken += pool.take(1024 * 1024, 0, None).unwrap().len;
-        }
-        assert!(pool.needs_provisioning());
-        pool.provision().unwrap();
-        pool.provision().unwrap();
-        assert!(!pool.needs_provisioning());
         while taken < 14 * 1024 * 1024 {
             taken += pool.take(1024 * 1024, 0, None).unwrap().len;
+            if pool.needs_provisioning() {
+                pool.prepare_spare().unwrap();
+            }
         }
-        assert_eq!(pool.files_created_inline(), 0);
-        assert_eq!(pool.files_created_background(), 2);
-        assert_eq!(device.stats().snapshot().staging_bg_creates, 2);
-        assert_eq!(device.stats().snapshot().staging_inline_creates, 0);
+        assert!(!pool.needs_provisioning());
+        let snap = device.stats().snapshot();
+        assert_eq!(snap.staging_inline_creates, 0);
+        assert_eq!(snap.staging_bg_creates, 3);
     }
 
     #[test]
@@ -683,7 +701,7 @@ mod tests {
         // One 2 MiB file (512 blocks) and 4 × 64 takes that need 576
         // blocks between them: the pool runs dry mid-run, and takers build
         // files inline, with the pool lock dropped, while the others race.
-        let (_d, _k, pool) =
+        let (device, _k, pool) =
             setup_with(SplitConfig::new(Mode::Posix).with_staging(1, 2 * 1024 * 1024));
         let taken = std::sync::Mutex::new(Vec::new());
         let start = std::sync::Barrier::new(4);
@@ -719,7 +737,10 @@ mod tests {
                 );
             }
         }
-        assert!(pool.files_created_inline() >= 1, "the pool ran dry");
+        assert!(
+            device.stats().snapshot().staging_inline_creates >= 1,
+            "the pool ran dry"
+        );
     }
 
     /// One appending file as `stage_batch` sees it: every write continues

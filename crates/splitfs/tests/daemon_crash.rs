@@ -253,10 +253,8 @@ fn daemon_provisioning_eliminates_inline_staging_creation() {
         .build();
     let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
     // Small staging files so the workload exhausts the initial pool many
-    // times over; low/high watermarks give the daemon headroom.
-    let config = SplitConfig::new(Mode::Posix)
-        .with_staging(4, 2 * 1024 * 1024)
-        .with_staging_watermarks(2, 6);
+    // times over; the daemon keeps the file after the active one ready.
+    let config = SplitConfig::new(Mode::Posix).with_staging(4, 2 * 1024 * 1024);
     let fs = SplitFs::new(Arc::clone(&kernel), config).unwrap();
 
     let fds: Vec<_> = (0..4)

@@ -1,15 +1,17 @@
 //! U-Split takes only the page faults it needs.
 //!
-//! Staging files and the operation log are mapped once, up front, and each
-//! of their 2 MiB chunks should cost one huge-page fault, also on a device
-//! that earlier lives of the instance have fragmented.  After a relink the
-//! retained staging mappings serve the file, so a read that misses them
-//! should map only the stretch they lack.  These tests count the faults.
+//! A start maps the operation log and two staging files, the active one and
+//! the spare after it; the daemon maps each further staging file when it
+//! becomes the spare.  Each 2 MiB chunk of a mapping should cost one
+//! huge-page fault, also on a device that earlier lives of the instance
+//! have fragmented.  After a relink the retained staging mappings serve
+//! the file, so a read that misses them should map only the stretch they
+//! lack.  These tests count the faults.
 
 use std::sync::Arc;
 
 use kernelfs::Ext4Dax;
-use pmem::{CrashPolicy, PmemBuilder};
+use pmem::{CrashPolicy, PmemBuilder, SimClock};
 use splitfs::{recover, Mode, SplitConfig, SplitFs};
 use vfs::{Fd, FileSystem, OpenFlags};
 
@@ -26,7 +28,7 @@ fn a_restarted_instance_maps_its_staging_files_and_log_with_huge_faults_only() {
         .build();
     // Daemon off: nothing but the restart maps a staging file while it runs.
     let config = SplitConfig::new(Mode::Strict).without_daemon();
-    let mapped = config.staging_files as u64 * config.staging_file_size + config.oplog_size;
+    let mapped = 2 * config.staging_file_size + config.oplog_size;
     let path = |f: usize| format!("/f{f}.log");
     let mut kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
     let mut fs = SplitFs::new(Arc::clone(&kernel), config.clone()).unwrap();
@@ -67,6 +69,38 @@ fn a_restarted_instance_maps_its_staging_files_and_log_with_huge_faults_only() {
             "cycle {cycle}: the restart maps {} MiB of staging files and log",
             mapped / MIB as u64
         );
+    }
+}
+
+#[test]
+fn the_daemon_maps_the_spare_staging_file_off_the_append_path() {
+    let device = PmemBuilder::new(256 * MIB).track_persistence(false).build();
+    let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    let config = SplitConfig::new(Mode::Strict).with_staging(4, CHUNK);
+    let fs = SplitFs::new(kernel, config).unwrap();
+    let fd = fs.open("/f", OpenFlags::create()).unwrap();
+    let block = vec![0x5Au8; 4 * KIB];
+    let start = device.stats().snapshot();
+    for file in 0..3u64 {
+        for _ in 0..CHUNK / block.len() as u64 {
+            let t0 = SimClock::thread_time_ns();
+            fs.append(fd, &block).unwrap();
+            let spent = SimClock::thread_time_ns() - t0;
+            assert!(
+                spent < 22_000.0,
+                "file {file}: an append spent {spent} sim ns, a 2 MiB fault's worth"
+            );
+        }
+        fs.maintenance_quiesce();
+        // The first append into each next file moved the active file on;
+        // the daemon then mapped the new spare, one 2 MiB chunk.
+        let delta = device.stats().snapshot().delta(&start);
+        assert_eq!(
+            (delta.page_faults, delta.huge_page_faults),
+            (0, file),
+            "file {file}: one staging file mapped per file boundary"
+        );
+        assert_eq!(delta.staging_inline_creates, 0);
     }
 }
 

@@ -159,7 +159,11 @@ fn crash_mid_recycle_recovers_contents_and_lane_geometry() {
         expected += 4096;
     }
     assert_eq!(files.len(), config.staging_files);
-    assert_eq!(pool2.files_created_inline(), 0, "nothing was built inline");
+    assert_eq!(
+        device.stats().snapshot().staging_inline_creates,
+        0,
+        "nothing was built inline"
+    );
     // The file caught mid-recycle is back in rotation (adopted) and the
     // instance is fully writable.
     assert!(
@@ -196,7 +200,7 @@ fn remount_truncates_staging_leftovers_beyond_the_pool_size() {
         fs.append(fd, &block).unwrap();
     }
     fs.fsync(fd).unwrap();
-    assert!(fs.staging_pool().files_created_inline() > 0);
+    assert!(device.stats().snapshot().staging_inline_creates > 0);
     fs.close(fd).unwrap();
     drop(fs);
 
