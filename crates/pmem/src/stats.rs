@@ -266,9 +266,9 @@ macro_rules! counter_table {
 
             // Multi-core scaling: shared-lock contention, operation-log
             // epoch swaps, and checkpoint stalls.  Under distinct-file
-            // concurrency lock waits should stay low and checkpoint
-            // stalls should be **zero** (truncation happens by epoch swap,
-            // never by stopping the world).
+            // concurrency lock waits should stay low and, with the daemon
+            // on, checkpoint stalls **zero** (truncation happens by epoch
+            // swap in the background).
 
             /// Times a shared lock the foreground and the daemon both take
             /// (the kernel inode table, the kernel journal head or the U-Split
@@ -284,15 +284,11 @@ macro_rules! counter_table {
             oplog_epoch_swaps =>
                 /// Records one operation-log epoch swap (seal of the active half).
                 add_oplog_epoch_swap += 1;
-            /// On-demand growths of the operation log.
-            oplog_grows =>
-                /// Records one on-demand operation-log growth.
-                add_oplog_grow += 1;
             /// Times a foreground writer found the log full with no epoch to swap
-            /// to and no room to grow — the stop-the-world stall the epoch design
-            /// exists to eliminate (must be zero under it).
+            /// to and waited on a checkpoint, its state locks released.  The
+            /// daemon's background checkpoints exist to keep this at zero.
             checkpoint_stalls =>
-                /// Records one foreground stall on operation-log space.
+                /// Records one foreground wait on an operation-log checkpoint.
                 add_checkpoint_stall += 1;
             /// Staging files recycled back into the pool after being fully
             /// relinked (instead of leaking until shutdown).

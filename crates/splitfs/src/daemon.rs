@@ -18,15 +18,17 @@
 //!    [`kernelfs::Ext4Dax::ioctl_relink_batch`], shrinking the work left
 //!    for the next foreground `fsync`.
 //! 3. **Epoch checkpointing** — once the active epoch of the operation
-//!    log passes its configured fill fraction, the worker *seals* it
-//!    ([`crate::oplog::OpLog::try_seal`]: the retired half becomes active and
-//!    foreground writers continue immediately), relinks the sealed
-//!    entries' files **one at a time** — never holding two state locks,
-//!    never quiescing the instance — group-commits the resulting
-//!    `Invalidate` markers under a single fence, and retires the sealed
-//!    half with one watermark store ([`crate::oplog::OpLog::truncate_sealed`]).  The seed's
-//!    stop-the-world quiesced checkpoint (every file lock held across the
-//!    truncate) is gone.
+//!    log passes its configured fill fraction, or a writer sealed a full
+//!    one, the worker *seals* it ([`crate::oplog::OpLog::try_seal`]: the
+//!    retired half becomes active and foreground writers continue
+//!    immediately), relinks the sealed entries' files **one at a time** —
+//!    never holding two state locks, never quiescing the instance —
+//!    group-commits the resulting `Invalidate` markers under a single
+//!    fence, and retires the sealed half with one watermark store
+//!    ([`crate::oplog::OpLog::truncate_sealed`]).  This is the same
+//!    checkpoint a writer runs itself, with no state lock held, when it
+//!    finds both halves full; the daemon's job is to get there first, so
+//!    that no writer waits (`checkpoint_stalls` counts those that do).
 //! 4. **Staging recycling** — staging files whose contents were fully
 //!    relinked are truncated, re-provisioned and returned to the pool
 //!    instead of leaking until shutdown.
@@ -275,7 +277,7 @@ impl SplitFs {
         if let Some(oplog) = self.oplog.as_ref() {
             let _ = oplog.try_seal();
             if oplog.sealed_pending() {
-                ran = self.retire_sealed(None, true);
+                ran = self.retire_sealed().is_ok();
             }
         }
         // Re-arm the foreground's checkpoint nudge either way: on success

@@ -23,7 +23,7 @@
 use std::ops::DerefMut;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 
 use kernelfs::{Ext4Dax, BLOCK_SIZE};
 use pmem::{AccessPattern, PersistMode, PmemDevice, TimeCategory};
@@ -37,7 +37,7 @@ use crate::config::SplitConfig;
 use crate::daemon::{MaintenanceDaemon, Task, CHECKPOINT_FRACTION};
 use crate::mmap_collection::{MAP_POPULATE, MMAP_SIZE};
 use crate::modes::Mode;
-use crate::oplog::{LogEntry, LogOp, OpLog, MIN_LOG_SIZE};
+use crate::oplog::{LogEntry, LogOp, OpLog};
 use crate::recovery::{self, RecoveryReport};
 use crate::staging::{StagingAllocation, StagingPool};
 use crate::state::{Descriptor, FdTable, FileRegistry, FileState, StagedExtent};
@@ -86,15 +86,11 @@ pub struct SplitFs {
     /// Background maintenance daemon (None when disabled by config).
     /// Behind a mutex so `Drop` can take it and join its thread.
     pub(crate) daemon: Mutex<Option<MaintenanceDaemon>>,
-    /// Serializes [`SplitFs::grow_oplog`]'s extend/zero/install sequence:
-    /// without it a stale grower could zero a region a concurrent grower
-    /// already handed to appenders, or ftruncate the file back down.
-    grow_lock: Mutex<()>,
     /// Serializes sealed-epoch retirement (the sweep that relinks every
     /// file with sealed staged data and then truncates the sealed epoch).
-    /// Foreground paths only `try_lock` it — holding a file-state lock
-    /// while blocking on it could deadlock against the retirer's sweep.
-    pub(crate) retire_lock: Mutex<()>,
+    /// Taken only by a thread that holds no file-state lock, since the
+    /// sweep blocks on every one in turn.
+    retire_lock: Mutex<()>,
     /// Set when a checkpoint nudge is outstanding, so the append hot path
     /// can skip the daemon mutexes while utilization stays above the
     /// threshold.  Cleared by the worker when the checkpoint runs.
@@ -195,7 +191,6 @@ impl SplitFs {
             oplog,
             oplog_fd,
             daemon: Mutex::new(None),
-            grow_lock: Mutex::new(()),
             retire_lock: Mutex::new(()),
             checkpoint_nudged: std::sync::atomic::AtomicBool::new(false),
             provision_nudged: std::sync::atomic::AtomicBool::new(false),
@@ -438,7 +433,7 @@ impl SplitFs {
         if st.linked_path().is_some() || st.open_fds > 0 {
             return;
         }
-        self.discard_staged(st, 0);
+        self.discard_staged(st);
         self.files.remove(st.ino);
         // munmap cost per mapped segment.
         let munmap_ns = self.device.cost().mmap_setup_ns * 0.5;
@@ -475,53 +470,27 @@ impl SplitFs {
     /// [`FileSystem::sync`], and in the background by the maintenance
     /// daemon).
     ///
-    /// No stop-the-world pass exists anymore: the active epoch is sealed
-    /// (writers continue into the empty half immediately), the sealed
-    /// epoch's files are relinked one at a time — never holding two state
-    /// locks — and only then is the sealed half retired by its watermark.
+    /// No stop-the-world pass exists: the active epoch is sealed (writers
+    /// continue into the empty half immediately), the sealed epoch's files
+    /// are relinked one at a time — never holding two state locks — and
+    /// only then is the sealed half retired by its watermark.  The caller
+    /// must hold no file-state lock.  Fails with the first relink error,
+    /// and the sealed half then stays pending.
     pub fn checkpoint(&self) -> FsResult<()> {
         if let Some(oplog) = self.oplog.as_ref() {
             let _ = oplog.try_seal();
         }
-        self.retire_sealed(None, true);
-        Ok(())
+        self.retire_sealed()
     }
 
-    /// Handles a full active epoch from inside [`SplitFs::stage_batch`], where
-    /// the caller holds `state`'s write lock.  First tries to **seal**: the
-    /// empty half becomes active and this writer retries immediately,
-    /// while retirement of the sealed half happens in the background (or
-    /// inline, best-effort, when the daemon is disabled).  If the other
-    /// half is itself still being retired, the log **grows** instead —
-    /// this writer never waits on anyone, so `checkpoint_stalls` stays
-    /// zero.  The seed's behaviour here — blocking on every other file's
-    /// lock while holding one — deadlocked as soon as two writers filled
-    /// the log concurrently.  `entries` is the size of the group that did
-    /// not fit.  A group larger than the epoch a seal would swap in also
-    /// grows the log: sealing cannot make room for it, so every retry
-    /// would seal, retire and fail again.
-    pub(crate) fn handle_log_full(&self, state: &mut FileState, entries: usize) -> FsResult<()> {
-        let Some(oplog) = self.oplog.as_ref() else {
-            return Err(FsError::NoSpace);
-        };
-        if oplog.fits_after_seal(entries) && oplog.try_seal() {
-            if self.config.daemon.enabled {
-                self.nudge(Task::Checkpoint);
-            } else {
-                // Inline best-effort retirement: sweep with try-locks only
-                // (we hold a state lock), relinking the current file
-                // through the reference we already hold.  On contention
-                // the sealed half simply stays pending and a later pass
-                // (or growth) covers for it.
-                self.retire_sealed(Some(state), false);
-            }
-            return Ok(());
-        }
-        // The other half is still being retired, or too small for the
-        // group: grow the active epoch.
-        // A growth failure (device full) is a real foreground stall.
-        self.grow_oplog(entries)
-            .inspect_err(|_| self.device.stats().add_checkpoint_stall())
+    /// Makes room for a writer whose log group found the active epoch full
+    /// and the other half still being retired: the writer has released
+    /// its state locks and waits on a blocking [`SplitFs::checkpoint`], as
+    /// a jbd2 transaction waits for a checkpoint when its journal has no
+    /// room.  The log never grows.  Counted as a checkpoint stall.
+    pub(crate) fn checkpoint_for_room(&self) -> FsResult<()> {
+        self.device.stats().add_checkpoint_stall();
+        self.checkpoint()
     }
 
     /// Retires the sealed epoch: relinks every file with staged data (one
@@ -530,113 +499,30 @@ impl SplitFs {
     /// With no operation log (POSIX mode) it degrades to a plain
     /// relink-everything sweep.
     ///
-    /// `current` is a file whose write lock the caller already holds (it
-    /// is relinked through the reference instead of re-locked); with
-    /// `blocking` false every lock is `try_*` only, so the pass can run
-    /// while the caller holds a state lock without risking deadlock.
-    ///
-    /// Returns `true` when the sweep covered every file (and the sealed
-    /// epoch, if any, was truncated).
-    pub(crate) fn retire_sealed(&self, current: Option<&mut FileState>, blocking: bool) -> bool {
-        let retire_guard = if blocking {
-            Some(self.retire_lock.lock())
-        } else {
-            match self.retire_lock.try_lock() {
-                Some(guard) => Some(guard),
-                None => return false, // another retirer owns the sweep
-            }
-        };
-        let _retire_guard = retire_guard;
-
+    /// Fails with the first relink error — every other file is still
+    /// relinked — and the sealed epoch then stays pending.
+    pub(crate) fn retire_sealed(&self) -> FsResult<()> {
+        let _retire = self.retire_lock.lock();
         // Only a sweep that *started after* the seal may truncate: every
         // sealed entry's staged extent was recorded (under its file lock)
         // before the seal's writer drain, so such a sweep provably visits
         // it.  A sweep that was already running when the seal landed may
         // have passed a file before its sealed entry appeared.
-        let sealed_at_start = self
-            .oplog
-            .as_ref()
-            .map(|l| l.sealed_pending())
-            .unwrap_or(false);
-        let current_ino = current.as_ref().map(|c| c.ino);
+        let sealed_at_start = self.oplog.as_ref().is_some_and(OpLog::sealed_pending);
         let mut deferred: Vec<LogEntry> = Vec::new();
-        let mut complete = true;
-        if let Some(st) = current {
-            complete = self.relink_batch(&mut [st], Some(&mut deferred)).is_ok();
-        }
-        for (ino, state) in self.files.snapshot_keyed() {
-            if Some(ino) == current_ino {
-                // The caller already holds (and relinked through) this
-                // state's write lock; touching its lock here — even a
-                // read — would self-deadlock.
-                continue;
-            }
-            let guard = if blocking {
-                Some(state.write())
-            } else {
-                state.try_write()
-            };
-            let Some(st) = guard else {
-                complete = false;
-                continue;
-            };
-            if self.relink_batch(&mut [st], Some(&mut deferred)).is_err() {
-                // A failed relink leaves that file's data staged and its
-                // log entries live; the sealed epoch must stay pending.
-                complete = false;
-            }
+        let mut swept = Ok(());
+        for (_, state) in self.files.snapshot_keyed() {
+            // A failed relink leaves that file's data staged and its log
+            // entries live; the sealed epoch must stay pending.
+            swept = swept.and(self.relink_batch(&mut [state.write()], Some(&mut deferred)));
         }
         self.log_markers(&mut deferred);
-        if let Some(oplog) = self.oplog.as_ref() {
-            if complete && sealed_at_start {
-                oplog.truncate_sealed();
+        match self.oplog.as_ref() {
+            Some(oplog) if swept.is_ok() && sealed_at_start && !oplog.truncate_sealed() => {
+                Err(FsError::Io("operation log watermark store failed".into()))
             }
+            _ => swept,
         }
-        complete
-    }
-
-    /// Doubles the operation log: extends the file, maps the larger range
-    /// and swaps it into the live log.  Concurrent growers are harmless
-    /// (both compute the same target size; [`OpLog::grow`] ignores
-    /// non-growth).  Grows unless a group of `entries` fits already.
-    fn grow_oplog(&self, entries: usize) -> FsResult<()> {
-        let oplog = self.oplog.as_ref().ok_or(FsError::NoSpace)?;
-        // One grower at a time: a stale second grower would re-zero a
-        // region the first already published to appenders, or ftruncate
-        // the file back below its live size.
-        let _guard = self.grow_lock.lock();
-        if oplog.fits(entries) {
-            // A concurrent grower or checkpoint already made room while we
-            // waited for the lock; retry the append instead of doubling
-            // the log again.  Room for one entry is not room for the group:
-            // that retry would spin while the sealed half stays pending.
-            return Ok(());
-        }
-        let old_size = oplog.size();
-        let new_size = old_size.saturating_mul(2).max(MIN_LOG_SIZE);
-        let fd = self
-            .kernel
-            .open(&self.oplog_file, OpenFlags::read_write())?;
-        // The descriptor is closed on every path, and a failed map gives
-        // the file back its old size: the log keeps using `old_size`.
-        let mapped = self.kernel.ftruncate(fd, new_size).and_then(|()| {
-            self.kernel
-                .dax_map(fd, 0, new_size, MAP_POPULATE)
-                .inspect_err(|_| {
-                    let _ = self.kernel.ftruncate(fd, old_size);
-                })
-        });
-        let _ = self.kernel.close(fd);
-        let mapping = mapped?;
-        // The extension may sit on recycled blocks still holding
-        // checksum-valid entries from an earlier log incarnation (the
-        // allocator does not zero freed blocks).  Its chunks are unmarked,
-        // which promises they are zero, and recovery reads every chunk
-        // past the map's reach — so such ghost entries would replay stale
-        // data: zero the extension before the log starts using it.
-        OpLog::zero_range(&self.device, &mapping, old_size, new_size);
-        oplog.grow(mapping, new_size);
-        Ok(())
     }
 
     /// Recycles staging files whose contents were fully retired: each one
@@ -833,7 +719,16 @@ impl SplitFs {
     /// back.  An allocation a failed op leaves behind is retired at once.
     /// Returns the highest sequence number committed (0 when the mode does
     /// not log, or nothing was staged).
-    pub(crate) fn stage_batch<S, B>(&self, states: &mut [S], ops: &mut [StageOp<'_, B>]) -> u64
+    ///
+    /// A log with no room for the group ([`SplitFs::commit_group`]) rolls
+    /// the batch back the same way and returns `None`: the caller must
+    /// release its state locks, wait on [`SplitFs::checkpoint_for_room`]
+    /// and run the batch again.
+    pub(crate) fn stage_batch<S, B>(
+        &self,
+        states: &mut [S],
+        ops: &mut [StageOp<'_, B>],
+    ) -> Option<u64>
     where
         S: DerefMut<Target = FileState>,
         B: AsRef<[u8]>,
@@ -923,7 +818,7 @@ impl SplitFs {
             }
         }
         if pending.is_empty() {
-            return 0;
+            return Some(0);
         }
 
         let mut entries: Vec<LogEntry> = Vec::new();
@@ -939,23 +834,9 @@ impl SplitFs {
                 staging_offset: alloc.staging_offset,
                 ..LogEntry::new(LogOp::StagedWrite, self.instance_id)
             }));
-            // On NoSpace: seal (epoch swap) or grow, then retry (concurrent
-            // sealers/growers may briefly race a reservation past the new
-            // end, so loop).  Every round makes progress — a swap, a
-            // growth, or another thread's — so this never busy-waits; the
-            // only true stall is a growth failure, counted inside
-            // `handle_log_full`.
-            let committed = loop {
-                match oplog.append_batch(&mut entries) {
-                    Err(FsError::NoSpace) => {
-                        if let Err(e) = self.handle_log_full(&mut states[0], entries.len()) {
-                            break Err(e);
-                        }
-                    }
-                    done => break done,
-                }
-            };
-            if let Err(e) = committed {
+            let committed = self.commit_group(oplog, &mut entries);
+            if committed != Ok(true) {
+                let e = committed.clone().err().unwrap_or(FsError::NoSpace);
                 for (st, (pre_size, _)) in states.iter_mut().zip(&files) {
                     st.cached_size = *pre_size;
                 }
@@ -965,7 +846,8 @@ impl SplitFs {
                 for op in ops.iter_mut().filter(|op| op.staged()) {
                     op.result = Err(e.clone());
                 }
-                return 0;
+                // A full log (`Ok(false)`) is the caller's to checkpoint.
+                return committed.is_err().then_some(0);
             }
         }
         // Every sequence number of the batch is durable now: declare it
@@ -1025,7 +907,29 @@ impl SplitFs {
                 }
             }
         }
-        max_seq
+        Some(max_seq)
+    }
+
+    /// Group-commits `entries` under the caller's state locks.  A full
+    /// active epoch is sealed, the daemon nudged to retire it, and the
+    /// group retried in the fresh half; every seal is progress, so this
+    /// never spins.  `Ok(false)`: the other half is still being retired
+    /// and nothing was logged — the caller must release its state locks,
+    /// wait on [`SplitFs::checkpoint_for_room`] and try again.  A group
+    /// larger than an epoch fails with `NoSpace`, since no checkpoint
+    /// makes room for it.
+    pub(crate) fn commit_group(&self, oplog: &OpLog, entries: &mut [LogEntry]) -> FsResult<bool> {
+        loop {
+            match oplog.append_batch(entries) {
+                Err(FsError::NoSpace) if oplog.ever_fits(entries.len()) => {
+                    if !oplog.try_seal() {
+                        return Ok(false);
+                    }
+                    self.nudge(Task::Checkpoint);
+                }
+                done => return done.map(|()| true),
+            }
+        }
     }
 
     /// The synchronous write body behind `appendv`, `writev_at` and
@@ -1051,7 +955,7 @@ impl SplitFs {
         if self.config.use_staging && (at.is_none() || self.config.mode.stages_overwrites()) {
             // Appends in every mode, and in strict mode every data write:
             // staged whole, applied atomically at the next fsync.
-            self.stage_one(&mut st, at, iov)?;
+            let st = self.stage_one(&desc.state, st, at, iov)?;
             return Ok((total as usize, at.map_or(st.cached_size, |o| o + total)));
         }
         let offset = at.unwrap_or(st.cached_size);
@@ -1086,7 +990,7 @@ impl SplitFs {
         if end > st.kernel_size {
             let append_from = offset.max(st.kernel_size);
             if self.config.use_staging {
-                self.stage_one(&mut st, Some(append_from), &tail)?;
+                st = self.stage_one(&desc.state, st, Some(append_from), &tail)?;
             } else {
                 // Figure 3 ablation: without staging, appends fall through
                 // to the kernel file system.
@@ -1102,17 +1006,31 @@ impl SplitFs {
         Ok((total as usize, end))
     }
 
-    /// [`SplitFs::stage_batch`] with one state and one op.
-    fn stage_one(&self, st: &mut FileState, at: Option<u64>, iov: &[IoVec<'_>]) -> FsResult<()> {
-        let mut op = [StageOp {
-            state: 0,
-            offset: at,
-            iov,
-            result: Ok(0),
-        }];
-        self.stage_batch(&mut [st], &mut op);
-        let [op] = op;
-        op.result.map(drop)
+    /// [`SplitFs::stage_batch`] with one op, under `st`, the write lock of
+    /// `state`.  A full log releases the lock for a checkpoint and runs
+    /// the op again under a fresh one, which is handed back.
+    fn stage_one<'a>(
+        &self,
+        state: &'a RwLock<FileState>,
+        mut st: RwLockWriteGuard<'a, FileState>,
+        at: Option<u64>,
+        iov: &[IoVec<'_>],
+    ) -> FsResult<RwLockWriteGuard<'a, FileState>> {
+        loop {
+            let mut op = [StageOp {
+                state: 0,
+                offset: at,
+                iov,
+                result: Ok(0),
+            }];
+            if self.stage_batch(&mut [&mut *st], &mut op).is_some() {
+                let [op] = op;
+                return op.result.map(|_| st);
+            }
+            drop(st);
+            self.checkpoint_for_room()?;
+            st = state.write();
+        }
     }
 
     /// The read body behind `read_at` and `read`.
@@ -1223,6 +1141,7 @@ impl FileSystem for SplitFs {
     fn open(&self, path: &str, flags: OpenFlags) -> FsResult<Fd> {
         self.charge_usplit();
         let norm = vpath::normalized(path)?;
+        let mut cut_markers = Vec::new();
         loop {
             // Metadata operation: pass through to the kernel.
             let kernel_fd = self.kernel.open(&norm, flags)?;
@@ -1266,9 +1185,19 @@ impl FileSystem for SplitFs {
                 }
             }
             if flags.truncate {
+                if !st.staged.is_empty() || !cut_markers.is_empty() {
+                    // The kernel emptied the file; what is staged is cut as
+                    // `ftruncate` cuts it: applied, then cut again.  A full
+                    // log sends the open round again after a checkpoint.
+                    if !self.apply_before_cut(&mut st, 0, &mut cut_markers)? {
+                        drop(st);
+                        self.checkpoint_for_room()?;
+                        continue;
+                    }
+                    self.kernel.ftruncate(st.kernel_fd, 0)?;
+                }
                 st.kernel_size = 0;
                 st.cached_size = 0;
-                self.discard_staged(&mut st, 0);
                 st.mmaps.clear();
             } else {
                 st.kernel_size = stat.size;
@@ -1426,19 +1355,16 @@ impl FileSystem for SplitFs {
     fn ftruncate(&self, fd: Fd, size: u64) -> FsResult<()> {
         self.charge_usplit();
         let desc = self.fds.get(fd)?;
-        let mut st = desc.state.write();
-        let cut = |e: &StagedExtent| e.target_offset + e.len > size;
-        if self.oplog.is_some()
-            && st.staged.iter().any(cut)
-            && st.staged.iter().any(|e| e.target_offset < size)
-        {
-            // The log can only mark a whole prefix of a file's staged
-            // writes as not-to-be-replayed, never the tail a truncate cuts
-            // off: apply what survives before the rest is discarded.
-            self.relink_batch(&mut [&mut *st], None)?;
-        }
+        let mut markers = Vec::new();
+        let mut st = loop {
+            let mut st = desc.state.write();
+            if self.apply_before_cut(&mut st, size, &mut markers)? {
+                break st;
+            }
+            drop(st);
+            self.checkpoint_for_room()?;
+        };
         self.kernel.ftruncate(st.kernel_fd, size)?;
-        self.discard_staged(&mut st, size);
         if size < st.kernel_size {
             // A mapping runs to the end of the file's last block, past the
             // old size: drop everything from the new size on.

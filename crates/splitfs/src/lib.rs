@@ -55,9 +55,9 @@
 //!   of reads/overwrites/appends, the **one staging pipeline** every
 //!   write goes through (`stage_batch`: stage, one fence, one log group
 //!   commit, publish — a synchronous call is a batch of one), and the
-//!   operation-log full handling (epoch seal, or on-demand log growth
-//!   while the sealed half is still
-//!   being retired — never a stall, never a deadlock).  The per-file
+//!   operation-log full handling (epoch seal, or, while the sealed half
+//!   is still being retired, a checkpoint the writer waits on with its
+//!   state locks released — the log never grows).  The per-file
 //!   registry ([`state::FileRegistry`], one lock over its inode map and
 //!   its path index) and the descriptor table ([`state::FdTable`], one
 //!   map) are unsharded, and a descriptor holds its file's state, so the
@@ -87,17 +87,16 @@
 //!   one fence), truncation by sealing the active half and retiring it
 //!   with one durable sequence-watermark store, only after its files are
 //!   retired ([`oplog::OpLog::try_seal`] /
-//!   [`oplog::OpLog::truncate_sealed`] — no stop-the-world), and
-//!   on-demand growth that extends the active epoch's extent list while
-//!   preserving the sealed/active split.  A chunk map marks the 64 KiB
+//!   [`oplog::OpLog::truncate_sealed`] — no stop-the-world), in a file
+//!   of fixed size.  A chunk map marks the 64 KiB
 //!   chunks that may hold live entries, so recovery reads only those;
 //! * [`daemon`] — the **background maintenance daemon**
 //!   ([`daemon::MaintenanceDaemon`]): one worker thread with one queue
-//!   that replenishes the staging pool to static watermarks before it
-//!   runs dry, relinks heavily-staged files in the background,
-//!   recycles exhausted staging files, and retires sealed log epochs one
-//!   file-state lock at a time, so the foreground never performs file
-//!   creation or log truncation on the critical path;
+//!   that keeps the staging file after the active one mapped, relinks
+//!   heavily-staged files in the background, recycles exhausted staging
+//!   files, and retires sealed log epochs one file-state lock at a time,
+//!   so a writer maps no staging file and waits on no checkpoint unless
+//!   the daemon falls behind;
 //! * [`rings`] — the **async ring backend**: a drained submission batch
 //!   from [`aio`] rings is one call into the staging pipeline, so writes
 //!   to *unrelated files* share one data fence and one log group commit

@@ -58,12 +58,11 @@
 //! (and the chunk-map clear below): retiring costs a constant, not what
 //! was logged.
 //!
-//! A log is zero-filled only where its blocks are new to it — at creation
-//! ([`OpLog::format`]) and for each extension before [`OpLog::grow`]
-//! installs it — because the kernel allocator hands out recycled blocks
-//! unzeroed.  An [`OpLog`] numbers on from the highest watermark, and
-//! stores a first record when it finds none, so a log that holds entries
-//! holds a record: recovery refuses one that does not.
+//! A log is zero-filled only when its blocks are new to it — at creation
+//! or resize ([`OpLog::format`]) — because the kernel allocator hands out
+//! recycled blocks unzeroed.  An [`OpLog`] numbers on from the highest
+//! watermark, and stores a first record when it finds none, so a log that
+//! holds entries holds a record: recovery refuses one that does not.
 //!
 //! # The chunk-map invariant
 //!
@@ -92,23 +91,22 @@
 //!
 //! # Epochs
 //!
-//! The seed's log was one region: when it filled, the owner had to
-//! *quiesce* — take every file-state lock, relink everything, and re-zero
-//! the log — a stop-the-world pause on the write hot path.  The log is now
-//! split into **two epochs** (halves).  Writers group-commit into the
-//! active epoch; when it fills (or the checkpoint threshold is crossed),
-//! [`OpLog::try_seal`] atomically swaps the retired other half in as the
-//! new active epoch.  The sealed half is then retired *in the background*:
-//! its files are relinked one at a time (never holding two state locks),
-//! and only then is its watermark raised ([`OpLog::truncate_sealed`]).
-//! If the new active epoch also fills before retirement finishes, the log
-//! *grows* instead of stalling — `checkpoint_stalls` stays zero by design.
+//! The log file is fixed in size, as in the paper, and split into **two
+//! epochs** (halves).  Writers group-commit into the active epoch; when it
+//! fills (or the checkpoint threshold is crossed), [`OpLog::try_seal`]
+//! atomically swaps the retired other half in as the new active epoch, so
+//! writers go on at once.  The sealed half is then retired *in the
+//! background*: its files are relinked one at a time (never holding two
+//! state locks), and only then is its watermark raised
+//! ([`OpLog::truncate_sealed`]).  If the new active epoch also fills
+//! before retirement finishes, the writer gives up its state locks and
+//! waits on a blocking checkpoint, as ext4's jbd2 makes a transaction
+//! wait for a checkpoint when its journal has no room: the log never
+//! grows.  `checkpoint_stalls` counts those waits.
 //!
-//! Each epoch is a list of byte extents of the log file, not a fixed
-//! half: [`OpLog::grow`] appends the file extension to the **active**
-//! epoch only, preserving the sealed/active split (a sealed entry is never
-//! moved or rescanned into the wrong epoch by a grow).  Because an entry
-//! names its region, recovery needs no record of that geometry.
+//! Each epoch is a fixed list of byte extents of the log file: the
+//! reserved slots split the half that holds them in two.  An entry names
+//! its region, so recovery needs no record of that geometry.
 //!
 //! The epoch split sits at the entry-aligned middle of the file, so in a
 //! log of a whole number of chunk pairs no chunk is shared by the two
@@ -121,7 +119,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use kernelfs::DaxMapping;
 use pmem::{PersistMode, PmemDevice, TimeCategory};
@@ -489,10 +487,9 @@ impl Watermarks {
 #[derive(Debug)]
 struct Epoch {
     /// `(file_offset, len)` extents composing this epoch, in order.
-    /// Grows only for the active epoch (see [`OpLog::grow`]).
-    extents: RwLock<Vec<(u64, u64)>>,
+    extents: Vec<(u64, u64)>,
     /// Total capacity in bytes.
-    cap: AtomicU64,
+    cap: u64,
     /// Epoch-relative byte offset of the next free slot (DRAM-only).
     tail: AtomicU64,
     /// Appends currently writing into this epoch; a seal waits for this to
@@ -503,10 +500,9 @@ struct Epoch {
 
 impl Epoch {
     fn new(extents: Vec<(u64, u64)>) -> Self {
-        let cap: u64 = extents.iter().map(|(_, len)| len).sum();
         Self {
-            extents: RwLock::new(extents),
-            cap: AtomicU64::new(cap),
+            cap: extents.iter().map(|(_, len)| len).sum(),
+            extents,
             tail: AtomicU64::new(0),
             writers: AtomicU64::new(0),
         }
@@ -517,25 +513,14 @@ impl Epoch {
 #[derive(Debug)]
 pub struct OpLog {
     device: Arc<PmemDevice>,
-    /// Mapping of the log file.  Behind a lock because the log can *grow*:
-    /// when the active epoch fills while the sealed epoch is still being
-    /// retired, the owner extends the file and swaps in a larger mapping
-    /// instead of stalling — see [`crate::fs::SplitFs`]'s log-full
-    /// handling.
-    mapping: RwLock<DaxMapping>,
+    /// Mapping of the log file.
+    mapping: DaxMapping,
     epochs: [Epoch; 2],
     /// Index of the active epoch.
     active: AtomicUsize,
     /// Set while the non-active epoch holds sealed entries awaiting
     /// retirement (relink of their files, then truncation).
     sealed_pending: AtomicBool,
-    /// Serializes the two geometry mutations — the active-epoch swap
-    /// ([`OpLog::try_seal`]) and the extent-list extension
-    /// ([`OpLog::grow`]) — so a growth can never attach the file
-    /// extension to an epoch that a concurrent seal just retired.
-    geometry: Mutex<()>,
-    /// Total log-file size in bytes.
-    size: AtomicU64,
     /// The next sequence number, global across epochs.
     seq: AtomicU64,
     /// The durable watermark record, which truncations advance.
@@ -576,15 +561,13 @@ impl OpLog {
         let half = (size / 2) / ENTRY_SIZE * ENTRY_SIZE;
         Ok(Self {
             device,
-            mapping: RwLock::new(mapping),
+            mapping,
             epochs: [
                 Epoch::new(slot_extents(0, half)),
                 Epoch::new(slot_extents(half, size)),
             ],
             active: AtomicUsize::new(0),
             sealed_pending: AtomicBool::new(false),
-            geometry: Mutex::new(()),
-            size: AtomicU64::new(size),
             seq: AtomicU64::new(watermarks.top() + 1),
             watermarks: Mutex::new(watermarks),
             map: Default::default(),
@@ -595,11 +578,11 @@ impl OpLog {
     /// Makes the bits of the chunks `[from, to)` of the file touches
     /// durable, for an entry store there.  Costs a mirror load per chunk
     /// whose bit is set already, a map store and a fence otherwise.
-    fn mark(&self, mapping: &DaxMapping, from: u64, to: u64) -> FsResult<()> {
+    fn mark(&self, from: u64, to: u64) -> FsResult<()> {
         for chunk in from / CHUNK_SIZE..(to.div_ceil(CHUNK_SIZE)).min(MAP_CHUNKS) {
             let (word, bit) = ((chunk / 64) as usize, 1u64 << (chunk % 64));
             if self.map[word].load(Ordering::Acquire) & bit == 0 {
-                self.update_map(mapping, |map| map[word] |= bit)?;
+                self.update_map(|map| map[word] |= bit)?;
             }
         }
         Ok(())
@@ -607,13 +590,13 @@ impl OpLog {
 
     /// Applies `edit` to the mirror's words; if that changes them, stores
     /// the map, fences, and only then publishes the new words.
-    fn update_map(&self, mapping: &DaxMapping, edit: impl FnOnce(&mut ChunkMap)) -> FsResult<()> {
+    fn update_map(&self, edit: impl FnOnce(&mut ChunkMap)) -> FsResult<()> {
         let _guard = self.map_lock.lock();
         let old: ChunkMap = std::array::from_fn(|i| self.map[i].load(Ordering::Relaxed));
         let mut new = old;
         edit(&mut new);
         if new != old {
-            store_map(&self.device, mapping, &new)?;
+            store_map(&self.device, &self.mapping, &new)?;
             for (mirror, word) in self.map.iter().zip(new) {
                 mirror.store(word, Ordering::Release);
             }
@@ -625,37 +608,17 @@ impl OpLog {
     pub fn entries_used(&self) -> u64 {
         self.epochs
             .iter()
-            .map(|e| {
-                e.tail
-                    .load(Ordering::Relaxed)
-                    .min(e.cap.load(Ordering::Relaxed))
-            })
+            .map(|e| e.tail.load(Ordering::Relaxed).min(e.cap))
             .sum::<u64>()
             / ENTRY_SIZE
     }
 
-    /// Whether an append to the active epoch would not fit.
-    pub fn is_full(&self) -> bool {
-        !self.fits(1)
-    }
-
-    /// Whether a group of `entries` would fit in the active epoch now.
-    pub fn fits(&self, entries: usize) -> bool {
-        let epoch = &self.epochs[self.active.load(Ordering::Relaxed)];
-        epoch.tail.load(Ordering::Relaxed) + ENTRY_SIZE * entries as u64
-            <= epoch.cap.load(Ordering::Relaxed)
-    }
-
-    /// Whether a group of `entries` would fit in the other epoch once it
-    /// is empty: whether a seal can make room for the group at all.
-    pub(crate) fn fits_after_seal(&self, entries: usize) -> bool {
-        let epoch = &self.epochs[1 - self.active.load(Ordering::Relaxed)];
-        ENTRY_SIZE * entries as u64 <= epoch.cap.load(Ordering::Relaxed)
-    }
-
-    /// Current capacity of the log file in bytes (grows on demand).
-    pub fn size(&self) -> u64 {
-        self.size.load(Ordering::Relaxed)
+    /// Whether a group of `entries` fits in an empty epoch: whether any
+    /// checkpoint can make room for it.
+    pub(crate) fn ever_fits(&self, entries: usize) -> bool {
+        self.epochs
+            .iter()
+            .any(|e| ENTRY_SIZE * entries as u64 <= e.cap)
     }
 
     /// Whether the sealed epoch still holds entries awaiting retirement.
@@ -665,17 +628,16 @@ impl OpLog {
 
     /// Fraction of the active epoch currently in use, in `[0, 1]`.  The
     /// maintenance daemon seals and retires in the background once this
-    /// passes its configured threshold so the foreground never observes
-    /// [`FsError::NoSpace`].
+    /// passes its configured threshold, so that no writer has to wait on
+    /// a checkpoint.
     pub fn utilization(&self) -> f64 {
         let epoch = &self.epochs[self.active.load(Ordering::Relaxed)];
-        let cap = epoch.cap.load(Ordering::Relaxed);
-        epoch.tail.load(Ordering::Relaxed).min(cap) as f64 / cap.max(1) as f64
+        epoch.tail.load(Ordering::Relaxed).min(epoch.cap) as f64 / epoch.cap.max(1) as f64
     }
 
     /// Seals the active epoch and swaps the retired half in as the new
     /// active epoch.  Returns `false` when the other half is still being
-    /// retired (the caller should grow instead — never stall).
+    /// retired: only a checkpoint makes room then.
     ///
     /// After the swap, this waits for in-flight appends to the sealed
     /// epoch to drain, so by the time the caller sweeps the file states,
@@ -688,14 +650,11 @@ impl OpLog {
         {
             return false;
         }
-        let old = {
-            let _geometry = self.geometry.lock();
-            let old = self.active.load(Ordering::SeqCst);
-            let new = 1 - old;
-            debug_assert_eq!(self.epochs[new].tail.load(Ordering::SeqCst), 0);
-            self.active.store(new, Ordering::SeqCst);
-            old
-        };
+        // The flag, won above, makes this thread the only one moving
+        // `active` until the sealed half is retired.
+        let old = self.active.load(Ordering::SeqCst);
+        debug_assert_eq!(self.epochs[1 - old].tail.load(Ordering::SeqCst), 0);
+        self.active.store(1 - old, Ordering::SeqCst);
         // Drain writers that reserved in the old epoch before the swap.
         while self.epochs[old].writers.load(Ordering::SeqCst) != 0 {
             std::hint::spin_loop();
@@ -707,19 +666,21 @@ impl OpLog {
     /// Retires the sealed epoch — raises its watermark, then clears the
     /// map bits of the chunks wholly inside it — and arms it as the next
     /// swap target.  Call only after every staged write logged in it has
-    /// been relinked (or otherwise invalidated) — the epoch-checkpoint
-    /// sweep in [`crate::daemon`] is the only caller.  A watermark that
-    /// cannot be stored leaves the epoch sealed.
-    pub fn truncate_sealed(&self) {
+    /// been relinked (or otherwise invalidated) — the checkpoint sweep,
+    /// on the daemon or on a writer that found the log full, is the only
+    /// caller.  A watermark that cannot be stored leaves the epoch sealed.
+    /// Returns whether the epoch was retired.
+    pub fn truncate_sealed(&self) -> bool {
         let sealed = 1 - self.active.load(Ordering::SeqCst);
-        if self.truncate_epoch(sealed).is_ok() {
+        let retired = self.truncate_epoch(sealed).is_ok();
+        if retired {
             self.sealed_pending.store(false, Ordering::SeqCst);
         }
+        retired
     }
 
     fn truncate_epoch(&self, idx: usize) -> FsResult<()> {
         let epoch = &self.epochs[idx];
-        let mapping = self.mapping.read();
         {
             let mut marks = self.watermarks.lock();
             // No writer reaches the epoch (its writers drained at the
@@ -730,7 +691,7 @@ impl OpLog {
                 let mut seq = marks.seq;
                 seq[idx] = top;
                 let next = marks.next(seq);
-                next.store(&self.device, &mapping)?;
+                next.store(&self.device, &self.mapping)?;
                 *marks = next;
             }
         }
@@ -738,8 +699,7 @@ impl OpLog {
         // the reserved ones is in one epoch, so a chunk the other epoch
         // does not reach holds no live entry now — and no writer reaches
         // it before the next swap.
-        let extents = epoch.extents.read();
-        let other = self.epochs[1 - idx].extents.read();
+        let other = &self.epochs[1 - idx].extents;
         let shared = |chunk: u64| {
             let (from, to) = (chunk * CHUNK_SIZE, (chunk + 1) * CHUNK_SIZE);
             other
@@ -747,7 +707,7 @@ impl OpLog {
                 .any(|&(start, len)| start < to && from < start + len)
         };
         let mut clear = ChunkMap::default();
-        for &(start, len) in extents.iter() {
+        for &(start, len) in &epoch.extents {
             for chunk in start / CHUNK_SIZE..(start + len).div_ceil(CHUNK_SIZE).min(MAP_CHUNKS) {
                 if !shared(chunk) {
                     clear[(chunk / 64) as usize] |= 1 << (chunk % 64);
@@ -756,45 +716,13 @@ impl OpLog {
         }
         // Failing to clear a bit leaves a retired chunk marked: recovery
         // reads it in vain, which the invariant allows.
-        let _ = self.update_map(&mapping, |map| {
+        let _ = self.update_map(|map| {
             for (word, clear) in map.iter_mut().zip(clear) {
                 *word &= !clear;
             }
         });
         epoch.tail.store(0, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Installs a larger mapping after the log file was extended.  The new
-    /// mapping must cover `[0, new_size)` of the same file, and the caller
-    /// must have **zeroed the extension** `[size, new_size)` first
-    /// ([`OpLog::zero_range`]) — the kernel allocator recycles freed
-    /// blocks without zeroing, and a checksum-valid ghost entry in the
-    /// extension would be replayed by recovery.  The extension is appended
-    /// to the **active** epoch's extent list, preserving the sealed/active
-    /// split: sealed entries keep their file offsets and are still retired
-    /// (and only them) when retirement finishes.  Shrinking is not
-    /// supported.  Safe under concurrent appends: a reservation past the
-    /// old capacity fails with `NoSpace` and is retried by the caller
-    /// after the growth lands.
-    ///
-    /// The extension's map bits are clear, as its zeroed chunks allow.
-    pub fn grow(&self, mapping: DaxMapping, new_size: u64) {
-        let mut m = self.mapping.write();
-        // The geometry lock pins `active` across the extension: without
-        // it a concurrent seal could swap epochs between the load and the
-        // push, attaching the extension to the just-sealed half.
-        let _geometry = self.geometry.lock();
-        let old_size = self.size();
-        if new_size <= old_size {
-            return;
-        }
-        *m = mapping;
-        let epoch = &self.epochs[self.active.load(Ordering::SeqCst)];
-        epoch.extents.write().push((old_size, new_size - old_size));
-        epoch.cap.fetch_add(new_size - old_size, Ordering::SeqCst);
-        self.size.store(new_size, Ordering::SeqCst);
-        self.device.stats().add_oplog_grow();
     }
 
     /// Appends an entry: one 64 B non-temporal write plus one fence.  See
@@ -834,7 +762,7 @@ impl OpLog {
                 continue;
             }
             let offset = epoch.tail.fetch_add(need, Ordering::Relaxed);
-            if offset + need > epoch.cap.load(Ordering::Relaxed) {
+            if offset + need > epoch.cap {
                 // Roll the reservation back so a later swap starts clean.
                 epoch.tail.fetch_sub(need, Ordering::Relaxed);
                 epoch.writers.fetch_sub(1, Ordering::SeqCst);
@@ -862,30 +790,28 @@ impl OpLog {
             epoch.writers.fetch_sub(1, Ordering::SeqCst);
             Err(e)
         };
-        let mapping = self.mapping.read();
-        let extents = epoch.extents.read();
+        let extents = &epoch.extents;
         let mut slots = entries.iter();
-        let written = file_ranges(&extents, offset, need, |from, to| {
-            self.mark(&mapping, from, to)
-        })
-        .and_then(|()| {
-            file_ranges(&extents, offset, need, |from, to| {
-                let ranged = (from..to).step_by(ENTRY_SIZE as usize);
-                for (file_off, entry) in ranged.zip(&mut slots) {
-                    self.device.charge_software(cost.usplit_log_entry_cpu_ns);
-                    let (dev_off, _) = mapping
-                        .translate(file_off)
-                        .ok_or_else(|| FsError::Io("operation log mapping hole".into()))?;
-                    self.device.write(
-                        dev_off,
-                        &entry.encode(),
-                        PersistMode::NonTemporal,
-                        TimeCategory::OpLog,
-                    );
-                }
-                Ok(())
-            })
-        });
+        let written =
+            file_ranges(extents, offset, need, |from, to| self.mark(from, to)).and_then(|()| {
+                file_ranges(extents, offset, need, |from, to| {
+                    let ranged = (from..to).step_by(ENTRY_SIZE as usize);
+                    for (file_off, entry) in ranged.zip(&mut slots) {
+                        self.device.charge_software(cost.usplit_log_entry_cpu_ns);
+                        let (dev_off, _) = self
+                            .mapping
+                            .translate(file_off)
+                            .ok_or_else(|| FsError::Io("operation log mapping hole".into()))?;
+                        self.device.write(
+                            dev_off,
+                            &entry.encode(),
+                            PersistMode::NonTemporal,
+                            TimeCategory::OpLog,
+                        );
+                    }
+                    Ok(())
+                })
+            });
         if let Err(e) = written {
             return bail(e);
         }
@@ -922,14 +848,6 @@ impl OpLog {
         }
     }
 
-    /// Zeroes `[from, to)` of a log mapping with non-temporal stores and
-    /// one trailing fence: a freshly grown extension, before
-    /// [`OpLog::grow`] installs it.
-    pub fn zero_range(device: &PmemDevice, mapping: &DaxMapping, from: u64, to: u64) {
-        Self::store_zeros(device, mapping, from, to);
-        device.fence(TimeCategory::OpLog);
-    }
-
     /// Zero-fills a log file of `size` bytes whose blocks are new to the
     /// log — a new file, or one whose size just changed — under one
     /// fence: every slot, the map included, except the two watermark
@@ -954,8 +872,8 @@ impl OpLog {
     /// chunk the map marks and every chunk past its reach; by the
     /// chunk-map invariant, no other chunk holds a live entry.  Sequence
     /// numbers are global across epochs and every entry names its region,
-    /// so the scan needs no knowledge of the sealed/active split or of any
-    /// grow history: both epochs are read and the merge happens by `seq`.
+    /// so the scan needs no knowledge of the sealed/active split: both
+    /// epochs are read and the merge happens by `seq`.
     /// Torn slots and retired entries yield nothing.
     ///
     /// Each chunk is read a 4 KiB block at a time, each read one
@@ -1184,8 +1102,11 @@ mod tests {
         for _ in 0..epoch0_entries(size) {
             append(&oplog).unwrap();
         }
-        assert!(oplog.is_full(), "active epoch is full");
-        assert_eq!(append(&oplog), Err(FsError::NoSpace));
+        assert_eq!(
+            append(&oplog),
+            Err(FsError::NoSpace),
+            "active epoch is full"
+        );
         oplog.reset();
         assert_eq!(oplog.entries_used(), 0);
         append(&oplog).unwrap();
@@ -1201,7 +1122,7 @@ mod tests {
         for _ in 0..epoch0_entries(size) {
             append(&oplog).unwrap();
         }
-        assert!(oplog.is_full());
+        assert_eq!(append(&oplog), Err(FsError::NoSpace));
         let before = device.stats().snapshot();
         assert!(oplog.try_seal(), "other epoch is free");
         assert!(oplog.sealed_pending());
@@ -1223,56 +1144,6 @@ mod tests {
         assert_eq!(delta.oplog_epoch_swaps, 1);
         // The other half is free again, so a new seal succeeds.
         assert!(oplog.try_seal());
-    }
-
-    #[test]
-    fn grow_preserves_the_sealed_active_split() {
-        // Regression test for grow-during-checkpoint: the file extension
-        // must join the ACTIVE epoch only; sealed entries stay where they
-        // are and are retired (and only them) by the eventual truncate.
-        let size = MIN_LOG_SIZE;
-        let (device, oplog, _mapping) = log(size);
-        let (sealed, active) = (
-            epoch0_entries(size),
-            oplog.epochs[1].cap.load(Ordering::SeqCst),
-        );
-        let active = (active / ENTRY_SIZE) as usize;
-        // Fill the active epoch and seal it.
-        for _ in 0..sealed {
-            append(&oplog).unwrap();
-        }
-        assert!(oplog.try_seal());
-        // Fill the new active epoch too; now both halves are full and the
-        // sealed half is still pending — exactly the grow-during-checkpoint
-        // situation.
-        for _ in 0..active {
-            append(&oplog).unwrap();
-        }
-        assert_eq!(append(&oplog), Err(FsError::NoSpace));
-        // Grow the file to twice the size (extension is zeroed first, as
-        // the SplitFs grow path does).
-        let new_size = size * 2;
-        let grown = mapping(new_size);
-        OpLog::zero_range(&device, &grown, size, new_size);
-        oplog.grow(grown.clone(), new_size);
-        // Appends proceed into the grown active epoch.
-        assert_eq!(append(&oplog).unwrap().region, 1);
-        append(&oplog).unwrap();
-        device.fence(TimeCategory::OpLog);
-        let entries = OpLog::scan(&device, &grown, new_size);
-        assert_eq!(
-            entries.len(),
-            sealed + active + 2,
-            "sealed + active + grown all visible"
-        );
-        assert!(entries.windows(2).all(|w| w[0].seq < w[1].seq));
-        // Retiring the sealed half drops exactly the sealed entries.
-        oplog.truncate_sealed();
-        let entries = OpLog::scan(&device, &grown, new_size);
-        assert_eq!(entries.len(), active + 2);
-        assert!(entries
-            .iter()
-            .all(|e| e.seq > sealed as u64 && e.region == 1));
     }
 
     #[test]

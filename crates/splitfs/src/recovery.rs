@@ -186,9 +186,8 @@ fn replay_log(
 ) -> FsResult<RecoveryReport> {
     let mut report = RecoveryReport::default();
     let device = Arc::clone(kernel.device());
-    // The actual file size, not the configured one: the log grows on
-    // demand when it fills while a checkpoint cannot run, and every
-    // grown slot must be scanned.
+    // The actual file size, not the configured one: the instance that
+    // wrote the log may have been configured with another size.
     let log_size = kernel.fstat(log_fd)?.size;
     if log_size == 0 {
         return Ok(report);

@@ -172,26 +172,44 @@ impl SplitFs {
         Ok(())
     }
 
-    /// Drops the part of every staged extent of `st` at or beyond
-    /// `keep_below` **without** applying it — a truncate, or a file that
-    /// was replaced or lost its last reference.  The one exit for staged
-    /// bytes besides relink: it feeds the staging pool's recyclability
-    /// accounting and, in logging modes, marks the dropped writes as
-    /// not-to-be-replayed so recovery cannot resurrect them.  That marker
-    /// covers a prefix of the file's sequence numbers, so a caller either
-    /// drops everything or (`ftruncate`) relinks what survives first.
+    /// Applies every staged extent of `st` when a truncate to `size` would
+    /// cut any of them: the cut bytes go into the file, and the truncate
+    /// cuts them there with the rest.  The `Invalidate` markers of that
+    /// relink, gathered in `markers`, are no optimization: a staged run
+    /// whose partial block was copied keeps its staging range mapped, and
+    /// recovery would replay the cut bytes.  So they are group-committed
+    /// like a write's entries ([`SplitFs::commit_group`]): `Ok(false)`
+    /// means the log is full, and the caller must release the state lock,
+    /// wait on [`SplitFs::checkpoint_for_room`] and call again with the
+    /// same `markers`.
+    pub(crate) fn apply_before_cut(
+        &self,
+        st: &mut FileState,
+        size: u64,
+        markers: &mut Vec<LogEntry>,
+    ) -> FsResult<bool> {
+        if st.staged.iter().any(|e| e.target_offset + e.len > size) {
+            self.relink_batch(&mut [st], Some(markers))?;
+        }
+        match self.oplog.as_ref() {
+            Some(oplog) => self.commit_group(oplog, markers),
+            None => Ok(true),
+        }
+    }
+
+    /// Drops every staged extent of `st` **without** applying it: the
+    /// file lost its name and its last descriptor, so recovery, which
+    /// skips entries whose target inode is gone, would not replay them
+    /// either.  The one exit for staged bytes besides relink: it feeds
+    /// the staging pool's recyclability accounting and, in logging modes,
+    /// marks the writes not-to-be-replayed, best-effort.  A truncate
+    /// applies what it cuts instead ([`SplitFs::apply_before_cut`]).
     /// Called with the state's write lock held.
-    pub(crate) fn discard_staged(&self, st: &mut FileState, keep_below: u64) {
-        let mut max_seq = 0;
-        st.staged.retain_mut(|e| {
-            let keep = keep_below.saturating_sub(e.target_offset).min(e.len);
-            if keep < e.len {
-                self.staging.note_retired(e.staging_ino, e.len - keep);
-                max_seq = max_seq.max(e.seq);
-            }
-            e.len = keep;
-            keep > 0
-        });
+    pub(crate) fn discard_staged(&self, st: &mut FileState) {
+        let max_seq = st.staged.iter().map(|e| e.seq).max().unwrap_or(0);
+        for e in st.staged.drain(..) {
+            self.staging.note_retired(e.staging_ino, e.len);
+        }
         if max_seq > 0 {
             self.log_markers(&mut [self.invalidate_marker(st.ino, max_seq)]);
         }
@@ -208,9 +226,13 @@ impl SplitFs {
         }
     }
 
-    /// Group-commits `Invalidate` markers, best-effort: a marker mostly
-    /// spares recovery work (a relinked staging range is a hole and would
-    /// be skipped anyway), so a full log simply drops it.
+    /// Group-commits `Invalidate` markers, best-effort: a full log simply
+    /// drops them.  Replaying an applied write puts the same bytes where
+    /// they already are (a moved staging range is a hole and is skipped),
+    /// and a dropped file's inode is gone; a cut commits its markers
+    /// itself ([`SplitFs::apply_before_cut`]).  Not covered: a sync-mode
+    /// overwrite in place of bytes whose marker was dropped, which replay
+    /// would put back to the older staged bytes.
     pub(crate) fn log_markers(&self, markers: &mut [LogEntry]) {
         if let Some(oplog) = self.oplog.as_ref() {
             let _ = oplog.append_batch(markers);

@@ -220,7 +220,6 @@ impl SplitFs {
         }
         unique.sort_by_key(|desc| desc.ino);
         unique.dedup_by_key(|desc| desc.ino);
-        let mut guards: Vec<_> = unique.iter().map(|desc| desc.state.write()).collect();
         let mut ops: Vec<StageOp<'_, Vec<u8>>> = resolved
             .iter()
             .map(|&(_, ino, offset, iov)| StageOp {
@@ -232,7 +231,21 @@ impl SplitFs {
                 result: Ok(0),
             })
             .collect();
-        let mut epoch = self.stage_batch(&mut guards, &mut ops);
+        // A full log: the guards go for the checkpoint, and the batch runs
+        // again under fresh ones.
+        let mut epoch = loop {
+            let mut guards: Vec<_> = unique.iter().map(|desc| desc.state.write()).collect();
+            if let Some(epoch) = self.stage_batch(&mut guards, &mut ops) {
+                break epoch;
+            }
+            drop(guards);
+            if let Err(e) = self.checkpoint_for_room() {
+                for op in ops.iter_mut().filter(|op| op.result.is_err()) {
+                    op.result = Err(e.clone());
+                }
+                break 0;
+            }
+        };
 
         let count = ops.iter().filter(|op| op.staged()).count() as u64;
         let logging = self.config.mode.logs_data_ops();

@@ -3,15 +3,18 @@
 //! The sharded hot path's contract under concurrency:
 //!
 //! * appends from N threads to N distinct files never tear, reorder or
-//!   cross files, across epoch swaps and on-demand log growth;
+//!   cross files, across epoch swaps and the checkpoints a full log
+//!   makes them wait on;
 //! * operation-log sequence numbers stay globally unique and, per file,
 //!   order the staged writes exactly as they were issued;
 //! * a crash while the log is split across a sealed and an active epoch
 //!   recovers by replaying **both halves** in sequence order;
-//! * the foreground never stalls on log truncation (epoch swaps and
-//!   growth only).
+//! * a full log is checkpointed by its writer, with no state lock held,
+//!   and never grows.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 use kernelfs::Ext4Dax;
 use pmem::{PmemBuilder, PmemDevice};
@@ -33,21 +36,43 @@ fn scan_log(kernel: &Arc<Ext4Dax>) -> Vec<splitfs::oplog::LogEntry> {
     entries
 }
 
+/// The size of the operation-log file on `kernel`.
+fn log_size(kernel: &Arc<Ext4Dax>) -> u64 {
+    kernel.stat(OPLOG_PATH).unwrap().size
+}
+
 #[test]
 fn eight_concurrent_writers_keep_files_isolated_and_seqs_ordered() {
+    // The writers run on a helper thread, so a deadlock fails the test
+    // instead of hanging it.
+    let (done, finished) = mpsc::channel();
+    let writers = std::thread::spawn(move || {
+        eight_writers();
+        done.send(()).unwrap();
+    });
+    // A panic drops the sender and surfaces through the join below.
+    if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(120)) {
+        panic!("eight writers filling the log deadlocked");
+    }
+    writers.join().expect("a writer panicked");
+}
+
+fn eight_writers() {
     const THREADS: usize = 8;
     const RECORDS: u64 = 48;
     const RECORD: usize = 512;
+    const LOG: u64 = 256 * 64;
 
     let device = device();
     let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
-    // Small log (256 entries, two epochs of 128) so the stream crosses its
-    // capacity several times: every crossing must be absorbed by a seal or
-    // a growth, never a stall.  No daemon: the swaps happen inline on the
-    // writer threads, the worst case for ordering.
+    // Small log (256 slots, two epochs of about 128) so the stream crosses
+    // its capacity several times.  No daemon: the swaps happen inline on
+    // the writer threads, the worst case for ordering, and nothing retires
+    // a sealed half but a writer that finds the log full, releases its
+    // state lock and checkpoints.
     let config = SplitConfig::new(Mode::Strict)
         .with_staging(4, 8 * 1024 * 1024)
-        .with_oplog_size(256 * 64)
+        .with_oplog_size(LOG)
         .without_daemon();
     let fs = SplitFs::new(Arc::clone(&kernel), config).unwrap();
 
@@ -71,14 +96,15 @@ fn eight_concurrent_writers_keep_files_isolated_and_seqs_ordered() {
         }
     });
     let delta = device.stats().snapshot().delta(&before);
-    assert_eq!(
-        delta.checkpoint_stalls, 0,
-        "writers must never stall on log truncation: {delta:?}"
+    assert!(
+        delta.oplog_epoch_swaps > 0,
+        "the stream crossed an epoch: {delta:?}"
     );
     assert!(
-        delta.oplog_epoch_swaps + delta.oplog_grows > 0,
-        "the stream crossed the log's capacity: {delta:?}"
+        delta.checkpoint_stalls > 0,
+        "384 appends fill both halves, so a writer checkpointed: {delta:?}"
     );
+    assert_eq!(log_size(&kernel), LOG, "the log never grows");
 
     // Ordering across epoch swaps: every surviving staged write's
     // sequence number is globally unique (an `Invalidate` marker reuses
@@ -184,15 +210,14 @@ fn crash_mid_epoch_swap_replays_both_halves_in_order() {
 }
 
 #[test]
-fn crash_after_grow_during_checkpoint_recovers_every_epoch() {
-    // Grow-during-checkpoint, end to end: seal with entries pending, fill
-    // the new active epoch until the log must GROW (the sealed half is
-    // still pending, so a swap is impossible), then crash.  Recovery must
-    // see the sealed half, the original active half and the grown
-    // extension.
+fn crash_after_a_foreground_checkpoint_recovers_every_acknowledged_byte() {
+    // Seal with entries pending, then fill the active epoch: the sealed
+    // half is still pending, so a swap is impossible and the writer
+    // releases its lock and checkpoints, again and again, in a log that
+    // keeps its size.  Then crash: every acknowledged byte recovers.
     let device = device();
     let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
-    // 32 entries per epoch.
+    // Epochs of 32 and 29 entries.
     let config = SplitConfig::new(Mode::Strict)
         .with_staging(2, 8 * 1024 * 1024)
         .with_oplog_size(64 * 64)
@@ -200,7 +225,7 @@ fn crash_after_grow_during_checkpoint_recovers_every_epoch() {
     let fs = SplitFs::new(Arc::clone(&kernel), config.clone()).unwrap();
     let before = device.stats().snapshot();
 
-    let fd = fs.open("/grow.db", OpenFlags::create()).unwrap();
+    let fd = fs.open("/full.db", OpenFlags::create()).unwrap();
     let mut expected = Vec::new();
     // Fill part of the first epoch.
     for i in 0..8u32 {
@@ -209,8 +234,6 @@ fn crash_after_grow_during_checkpoint_recovers_every_epoch() {
         expected.extend_from_slice(&rec);
     }
     assert!(fs.seal_oplog_epoch());
-    // Keep appending: the active epoch fills and, with the sealed half
-    // pending, must grow rather than stall.
     for i in 8..80u32 {
         let rec = vec![((i % 240) + 1) as u8; 1024];
         fs.append(fd, &rec).unwrap();
@@ -218,13 +241,10 @@ fn crash_after_grow_during_checkpoint_recovers_every_epoch() {
     }
     let delta = device.stats().snapshot().delta(&before);
     assert!(
-        delta.oplog_grows > 0,
-        "the log grew mid-checkpoint: {delta:?}"
+        delta.checkpoint_stalls > 0,
+        "the writer checkpointed a full log: {delta:?}"
     );
-    assert_eq!(
-        delta.checkpoint_stalls, 0,
-        "growth, never a stall: {delta:?}"
-    );
+    assert_eq!(log_size(&kernel), config.oplog_size, "the log never grows");
 
     drop(fs);
     device.crash();
@@ -233,8 +253,8 @@ fn crash_after_grow_during_checkpoint_recovers_every_epoch() {
     let report = recover(&kernel2, &config).unwrap();
     assert!(report.replayed > 0, "{report:?}");
     assert_eq!(
-        kernel2.read_file("/grow.db").unwrap(),
+        kernel2.read_file("/full.db").unwrap(),
         expected,
-        "sealed + active + grown entries all replay in order"
+        "the checkpointed and the live entries all recover, in order"
     );
 }

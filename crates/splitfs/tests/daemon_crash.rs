@@ -216,9 +216,8 @@ fn crash_after_background_checkpoint_truncates_cleanly() {
             // Wait for the first background checkpoint (nudged at 32
             // entries, half of a 64-entry epoch) to retire its half before
             // the writer can fill the other one.  When it does fill it
-            // first, the log grows instead of stalling, and the grown half
-            // ends below its threshold with up to 69 live entries: legal,
-            // but not the truncation this test is about.
+            // first, the writer checkpoints itself: legal, but not the
+            // background truncation this test is about.
             fs.maintenance_quiesce();
         }
     }

@@ -25,8 +25,8 @@ fn new_device(policy: CrashPolicy) -> Arc<PmemDevice> {
         .build()
 }
 
-/// Strict mode, daemon off so every seal, checkpoint and growth is the
-/// test's own, over a log of `chunks` chunks.
+/// Strict mode, daemon off so every seal and checkpoint is the test's
+/// own, over a log of `chunks` chunks.
 fn config(chunks: u64) -> SplitConfig {
     SplitConfig::new(Mode::Strict)
         .with_staging(2, 2 * MIB)
@@ -218,8 +218,9 @@ fn a_crash_at_any_fence_of_what_moves_the_map_loses_no_entry() {
         assert_eq!(marked_chunks(&kernel), [1]);
 
         // Seal epoch 1 and fill epoch 0 while it is pending: the next
-        // append finds the log full and cannot seal, so it grows the log
-        // into chunks 2 and 3, and opens chunk 2.
+        // append finds the log full and cannot seal, so it checkpoints —
+        // relinks the file and retires epoch 1, clearing chunk 1's bit —
+        // then seals epoch 0 and opens chunk 1 again.
         assert!(fs.seal_oplog_epoch());
         let full = fs.oplog_entries()
             + (CHUNK_SIZE - (MAP_OFFSET + ENTRY_SIZE - WATERMARK_OFFSET)) / ENTRY_SIZE;
@@ -227,13 +228,21 @@ fn a_crash_at_any_fence_of_what_moves_the_map_loses_no_entry() {
             fs.append(fd, &[0xB0; 16]).unwrap();
         }
         assert_eq!(fs.oplog_entries(), full);
-        let grows = device.stats().snapshot().oplog_grows;
-        let cuts = cut_every_fence(&device, &spare, &config, &none, "growing append", || {
-            fs.append(fd, &[0xC0; 1000]).unwrap();
-        });
-        assert_eq!(device.stats().snapshot().oplog_grows, grows + 1);
-        assert!(cuts >= 4, "{policy:?}: {cuts} fences in the growth");
-        assert_eq!(marked_chunks(&kernel), [0, 1, 2]);
+        let stalls = device.stats().snapshot().checkpoint_stalls;
+        let cuts = cut_every_fence(
+            &device,
+            &spare,
+            &config,
+            &none,
+            "checkpointing append",
+            || {
+                fs.append(fd, &[0xC0; 1000]).unwrap();
+            },
+        );
+        assert_eq!(device.stats().snapshot().checkpoint_stalls, stalls + 1);
+        assert!(cuts >= 5, "{policy:?}: {cuts} fences in the checkpoint");
+        assert_eq!(marked_chunks(&kernel), [0, 1]);
+        assert_eq!(kernel.stat(OPLOG_PATH).unwrap().size, 2 * CHUNK_SIZE);
 
         // Recovery stores one watermark record, then clears the map.  The
         // fsync settles the filler's thousand entries, so one replays.

@@ -325,14 +325,6 @@ fn oplog_checkpoint_relinks_and_resets_when_full() {
     // going rather than fail.
     for i in 0..200u32 {
         fs.append(fd, &vec![(i % 256) as u8; 512]).unwrap();
-        if i % 16 == 15 {
-            // A background checkpoint is nudged every 16 entries (half of
-            // a 32-entry epoch); let it retire the sealed half before the
-            // writer can fill the other one.  A writer that gets there
-            // first grows the log instead of stalling — legal, but then
-            // the 64-entry bound below no longer describes the log.
-            fs.maintenance_quiesce();
-        }
     }
     fs.fsync(fd).unwrap();
     fs.close(fd).unwrap();

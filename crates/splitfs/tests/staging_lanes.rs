@@ -9,10 +9,10 @@
 //!   durable, rebuild not yet done — recovers to the right file contents
 //!   and a freshly mounted instance rebuilds a consistent pool (fully
 //!   stocked, cursors reset, leftovers reclaimed);
-//! * staged bytes that leave without a relink — discarded by a truncate
-//!   or a replacing rename, or taken by a write that then failed — count
-//!   as retired, so their staging files recycle and recovery does not
-//!   bring them back.
+//! * staged bytes that leave without a relink — dropped with a replaced
+//!   file, or taken by a write that then failed — count as retired, so
+//!   their staging files recycle; a truncate applies what it cuts first,
+//!   so recovery does not bring it back, even when the log is full.
 
 use std::sync::Arc;
 
@@ -366,13 +366,15 @@ fn a_write_whose_group_commit_fails_leaves_its_staging_file_recyclable() {
     assert!(fs.read_file("/victim.log").unwrap() == [live, doomed].concat());
 }
 
-/// A log group that needs the log to grow, on a device with no block left
-/// to grow it: the grow fails with `NoSpace` and changes nothing.  The log
-/// file keeps its size, the grow's descriptor is closed, so the instance's
-/// files give back every block once they are unlinked, and the same
-/// append succeeds once space is freed.
+/// A log group that finds the log full, on a device with no block left:
+/// the writer's checkpoint cannot relink the staged 1 KiB tails, whose
+/// partial blocks are copied into new ones, so the append fails with
+/// `NoSpace`, is counted as a checkpoint stall and changes nothing.  The
+/// log file keeps its size, no descriptor is left open, so the
+/// instance's files give back every block once they are unlinked, and
+/// the same append succeeds once space is freed.
 #[test]
-fn an_oplog_grow_with_no_blocks_left_fails_with_state_unchanged() {
+fn a_checkpoint_with_no_blocks_left_fails_with_state_unchanged() {
     let device = PmemBuilder::new(32 * 1024 * 1024)
         .track_persistence(false)
         .build();
@@ -386,7 +388,7 @@ fn an_oplog_grow_with_no_blocks_left_fails_with_state_unchanged() {
     let fs = SplitFs::new(Arc::clone(&kernel), laned_config()).unwrap();
     let fd = fs.open("/victim.log", OpenFlags::create()).unwrap();
     // The sealed half stays pending (the daemon is off) and the active one
-    // has one slot left, so a two-entry group can only grow the log.
+    // has one slot left, so a two-entry group can only checkpoint.
     assert!(fs.seal_oplog_epoch());
     let mut live = Vec::new();
     for i in 0..256 * 1024 / 2 / 64 - 1 {
@@ -398,14 +400,19 @@ fn an_oplog_grow_with_no_blocks_left_fails_with_state_unchanged() {
     let fill = fill_device(&kernel);
 
     let doomed = vec![0xD0u8; 4096];
+    let stalls = || device.stats().snapshot().checkpoint_stalls;
     assert_eq!(fs.append(fd, &doomed), Err(vfs::FsError::NoSpace));
-    assert_eq!(device.stats().snapshot().oplog_grows, 0);
+    assert_eq!(stalls(), 1);
+    let mut read = vec![0u8; live.len() + doomed.len()];
+    assert_eq!(fs.read_at(fd, 0, &mut read), Ok(live.len()));
+    assert!(read[..live.len()] == live);
     assert_eq!(kernel.stat(fs.oplog_file()).unwrap().size, log_size);
     assert_eq!(kernel.check_namespace(), Vec::<String>::new());
 
     free_device(&kernel, fill);
     fs.append(fd, &doomed).unwrap();
-    assert_eq!(device.stats().snapshot().oplog_grows, 1);
+    assert_eq!(stalls(), 2);
+    assert_eq!(kernel.stat(fs.oplog_file()).unwrap().size, log_size);
     fs.fsync(fd).unwrap();
     assert!(fs.read_file("/victim.log").unwrap() == [live, doomed].concat());
     fs.close(fd).unwrap();
@@ -499,14 +506,12 @@ fn a_staging_file_that_cannot_be_sized_fails_without_an_open_orphan() {
     free_device(&kernel, fill);
 }
 
-/// A log group larger than a whole epoch grows the log.  Sealing cannot
-/// make room for it: with the daemon off the inline retire empties the
-/// sealed half, and the retry does not fit the empty epoch the seal
-/// swapped in either, so the writer would seal again forever.  The batch
-/// runs on a helper thread so a livelock fails the test instead of
-/// hanging it.
+/// A log group larger than a whole epoch fails with `NoSpace` and changes
+/// nothing: no checkpoint can make room for it, so a writer that sealed
+/// and checkpointed to make some would do so forever.  The batch runs on
+/// a helper thread so a livelock fails the test instead of hanging it.
 #[test]
-fn a_log_group_larger_than_an_epoch_grows_the_log() {
+fn a_log_group_larger_than_an_epoch_fails_with_state_unchanged() {
     const APPENDS: usize = 40;
     let (done, finished) = std::sync::mpsc::channel();
     let batch = std::thread::spawn(move || {
@@ -527,10 +532,25 @@ fn a_log_group_larger_than_an_epoch_grows_the_log() {
             .map(|i| aio::Sqe::appendv(i as u64, fd, vec![vec![i as u8; 100]]))
             .collect();
         let results: Vec<_> = fs.ring_batch(sqes).into_iter().map(|c| c.result).collect();
-        let grows = device.stats().snapshot().oplog_grows;
+        let unchanged = (
+            fs.fstat(fd).unwrap().size,
+            fs.oplog_entries(),
+            device.stats().snapshot().oplog_epoch_swaps,
+        );
+        // The batch took staging space and gave it back: a batch that fits
+        // goes through as if the failed one never ran.
+        let small = (0..4)
+            .map(|i| aio::Sqe::appendv(i, fd, vec![vec![i as u8; 100]]))
+            .collect();
+        let after: Vec<_> = fs.ring_batch(small).into_iter().map(|c| c.result).collect();
         fs.fsync(fd).unwrap();
         done.send(()).unwrap();
-        (results, grows, fs.read_file("/burst.log").unwrap())
+        (
+            results,
+            unchanged,
+            after,
+            fs.read_file("/burst.log").unwrap(),
+        )
     });
     // A panic drops the sender and surfaces through the join below.
     if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
@@ -538,16 +558,20 @@ fn a_log_group_larger_than_an_epoch_grows_the_log() {
     {
         panic!("a group larger than an epoch livelocked the writer");
     }
-    let (results, grows, content) = batch.join().expect("the batch thread panicked");
-    assert!(results.iter().all(Result::is_ok), "{results:?}");
-    assert!(grows > 0, "the log grew to take the group");
-    let expected: Vec<u8> = (0..APPENDS).flat_map(|i| vec![i as u8; 100]).collect();
+    let (results, unchanged, after, content) = batch.join().expect("the batch thread panicked");
+    assert!(
+        results.iter().all(|r| *r == Err(vfs::FsError::NoSpace)),
+        "{results:?}"
+    );
+    assert_eq!(unchanged, (0, 0, 0), "size, log entries and epoch swaps");
+    assert!(after.iter().all(|r| *r == Ok(100)), "{after:?}");
+    let expected: Vec<u8> = (0..4).flat_map(|i| vec![i as u8; 100]).collect();
     assert!(content == expected, "{} bytes read back", content.len());
 }
 
-/// A crash right after staged bytes were discarded must not bring them
-/// back: the log entries that staged them are marked not-to-be-replayed,
-/// while writes staged after the discard still replay.
+/// A crash right after a truncate cut staged bytes must not bring them
+/// back: the truncate applies them and cuts them in the file, while
+/// writes staged after it still replay.
 #[test]
 fn recovery_does_not_resurrect_discarded_staged_bytes() {
     let device = device();
@@ -577,4 +601,53 @@ fn recovery_does_not_resurrect_discarded_staged_bytes() {
     );
     let halved = kernel2.read_file("/halved.log").unwrap();
     assert!(halved == [0xD2u8; 4096], "{} bytes came back", halved.len());
+}
+
+/// A truncate that returned on a full log is not undone by recovery.  32
+/// appends of 100 B fill the first epoch of a 4 KiB log exactly, so the
+/// marker saying the cut writes must not replay finds no room; the
+/// truncate applies them, commits the marker after a seal and cuts them
+/// in the file.  With the first epoch sealed beforehand, 29 appends fill
+/// the second, and the truncate checkpoints before its marker fits.  Both
+/// ways of cutting: `ftruncate` and an `O_TRUNC` open.
+#[test]
+fn a_truncate_on_a_full_log_is_not_undone_by_recovery() {
+    let config = SplitConfig::new(Mode::Strict)
+        .with_staging(2, FILE_SIZE)
+        .with_oplog_size(4096)
+        .without_daemon();
+    for (o_trunc, sealed) in [(false, false), (true, false), (false, true), (true, true)] {
+        let case = format!("O_TRUNC {o_trunc}, sealed {sealed}");
+        let device = device();
+        let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        let fs = SplitFs::new(kernel, config.clone()).unwrap();
+        let fd = fs.open("/a", OpenFlags::create()).unwrap();
+        let appends = if sealed { 29 } else { 32 };
+        assert!(!sealed || fs.seal_oplog_epoch());
+        for i in 0..appends {
+            fs.append(fd, &[i; 100]).unwrap();
+        }
+        assert_eq!(fs.oplog_entries(), appends as u64, "{case}");
+        let stalls = device.stats().snapshot().checkpoint_stalls;
+        if o_trunc {
+            fs.open("/a", OpenFlags::create_truncate()).unwrap();
+        } else {
+            fs.ftruncate(fd, 0).unwrap();
+        }
+        assert_eq!(fs.fstat(fd).unwrap().size, 0, "{case}");
+        let checkpointed = device.stats().snapshot().checkpoint_stalls - stalls;
+        assert_eq!(checkpointed, sealed as u64, "{case}");
+
+        drop(fs);
+        device.crash();
+        let kernel2 = kernelfs::Ext4Dax::mount(Arc::clone(&device)).unwrap();
+        let report = recover(&kernel2, &config).unwrap();
+        assert_eq!(report.replayed, 0, "{case}: {report:?}");
+        let content = kernel2.read_file("/a").unwrap();
+        assert!(
+            content.is_empty(),
+            "{case}: {} bytes came back",
+            content.len()
+        );
+    }
 }
