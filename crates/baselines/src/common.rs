@@ -64,8 +64,9 @@ pub struct Node {
     pub is_dir: bool,
     /// File size in bytes.
     pub size: u64,
-    /// Physical device block backing each 4 KiB logical block.
-    pub blocks: Vec<u64>,
+    /// Physical device block backing each written 4 KiB logical block; a
+    /// block missing here is a hole and reads as zeros.
+    pub blocks: BTreeMap<u64, u64>,
     /// Open descriptors on the node.
     pub opens: u32,
     /// Whether a directory entry names the node.  An unlinked or replaced
@@ -80,7 +81,7 @@ impl Node {
             ino,
             is_dir,
             size: 0,
-            blocks: Vec::new(),
+            blocks: BTreeMap::new(),
             opens: 0,
             linked: true,
         }
@@ -217,7 +218,7 @@ impl FsCore {
         if entry.get().linked || entry.get().opens > 0 {
             return;
         }
-        for b in entry.remove().blocks {
+        for b in entry.remove().blocks.into_values() {
             self.free_block(b);
         }
     }
@@ -372,17 +373,32 @@ impl FsCore {
     // Data path helpers
     // ------------------------------------------------------------------
 
-    /// Ensures the node has backing blocks covering bytes
-    /// `[0, offset+len)`, allocating as needed.  Returns how many blocks
-    /// were newly allocated.
+    /// Maps the blocks under bytes `[offset, offset+len)`, allocating the
+    /// holes among them, and returns how many it allocated.  A fresh
+    /// block's bytes outside the range that will lie below the end of file
+    /// — before a write that starts inside it, or around a write into a
+    /// hole — are zeroed; its bytes past the end of file are left for a
+    /// later growth to zero.
     pub fn ensure_blocks(&mut self, ino: u64, offset: u64, len: u64) -> FsResult<u64> {
-        let needed_blocks = (offset + len).div_ceil(BLOCK_SIZE as u64) as usize;
-        let current = self.node(ino)?.blocks.len();
+        let block = BLOCK_SIZE as u64;
+        let end = offset + len;
+        let eof = self.node(ino)?.size.max(end);
         let mut newly = 0;
-        for _ in current..needed_blocks {
-            let b = self.alloc_block()?;
-            self.node_mut(ino)?.blocks.push(b);
+        for b in offset / block..end.div_ceil(block) {
+            if self.node(ino)?.blocks.contains_key(&b) {
+                continue;
+            }
+            let phys = self.alloc_block()?;
+            self.node_mut(ino)?.blocks.insert(b, phys);
             newly += 1;
+            let (start, stop) = (b * block, ((b + 1) * block).min(eof));
+            for (from, to) in [(start, offset), (end, stop)] {
+                if from < to {
+                    let at = phys * block + from % block;
+                    let (mode, cat) = (PersistMode::NonTemporal, TimeCategory::UserData);
+                    self.device.zero(at, (to - from) as usize, mode, cat);
+                }
+            }
         }
         Ok(newly)
     }
@@ -401,7 +417,7 @@ impl FsCore {
         for (block, within, range) in block_chunks(offset, data.len()) {
             let phys = *node
                 .blocks
-                .get(block as usize)
+                .get(&block)
                 .ok_or_else(|| FsError::Io("write beyond allocated blocks".into()))?;
             let at = phys * BLOCK_SIZE as u64 + within as u64;
             self.device.write(at, &data[range], mode, cat);
@@ -421,7 +437,7 @@ impl FsCore {
         let node = self.node(ino)?;
         let mut pattern = pattern;
         for (block, within, range) in block_chunks(offset, buf.len()) {
-            match node.blocks.get(block as usize) {
+            match node.blocks.get(&block) {
                 Some(&phys) => {
                     let at = phys * BLOCK_SIZE as u64 + within as u64;
                     self.device.read(at, &mut buf[range], pattern, cat);
@@ -433,19 +449,12 @@ impl FsCore {
         Ok(())
     }
 
-    /// Truncates a node, freeing blocks beyond the new size.
+    /// Sets a node's size, freeing the blocks past it.
     pub fn truncate(&mut self, ino: u64, size: u64) -> FsResult<()> {
-        let keep_blocks = size.div_ceil(BLOCK_SIZE as u64) as usize;
-        let freed: Vec<u64> = {
-            let node = self.node_mut(ino)?;
-            node.size = size;
-            if node.blocks.len() > keep_blocks {
-                node.blocks.split_off(keep_blocks)
-            } else {
-                Vec::new()
-            }
-        };
-        for b in freed {
+        let node = self.node_mut(ino)?;
+        node.size = size;
+        let freed = node.blocks.split_off(&size.div_ceil(BLOCK_SIZE as u64));
+        for b in freed.into_values() {
             self.free_block(b);
         }
         Ok(())
@@ -604,12 +613,35 @@ impl<D: Design> Baseline<D> {
             Place::End | Place::Cursor => core.node(file.ino)?.size,
         };
         if total > 0 {
+            if offset > core.node(file.ino)?.size {
+                self.zero_eof_block(&mut core, file.ino, offset)?;
+            }
             self.design.write(&mut core, file.ino, offset, iov)?;
         }
         if let Place::Cursor = place {
             core.fd_mut(fd)?.offset = offset + total;
         }
         Ok(total as usize)
+    }
+
+    /// Zeroes, through the design's own write, the bytes between the end of
+    /// file and `new_size` that lie in the block holding the lower of the
+    /// two, before the end of file moves to `new_size` or past it.  A cut
+    /// leaves its block's tail holding what was cut, and an unaligned write
+    /// leaves what the device held past the end of its fresh block: growth
+    /// over either must read zeros.  Blocks wholly between the two are
+    /// holes, or are cut, and need nothing.
+    fn zero_eof_block(&self, core: &mut FsCore, ino: u64, new_size: u64) -> FsResult<()> {
+        let size = core.node(ino)?.size;
+        let from = size.min(new_size);
+        let to = size
+            .max(new_size)
+            .min(from.next_multiple_of(BLOCK_SIZE as u64));
+        if from < to {
+            let zeros = vec![0u8; (to - from) as usize];
+            self.design.write(core, ino, from, &[IoVec::new(&zeros)])?;
+        }
+        Ok(())
     }
 
     /// [`FileSystem::read_at`] under a core lock the caller holds.
@@ -761,13 +793,8 @@ impl<D: Design> FileSystem for Baseline<D> {
         let ino = core.fd(fd)?.ino;
         self.design
             .metadata(&mut core, Meta::Truncate { ino, size })?;
-        if size > core.node(ino)?.size {
-            core.ensure_blocks(ino, 0, size)?;
-            core.node_mut(ino)?.size = size;
-        } else {
-            core.truncate(ino, size)?;
-        }
-        Ok(())
+        self.zero_eof_block(&mut core, ino, size)?;
+        core.truncate(ino, size)
     }
 
     fn fstat(&self, fd: Fd) -> FsResult<FileStat> {

@@ -121,10 +121,8 @@ impl InodeLog {
             }
             NovaMode::Strict => {
                 // Copy-on-write: every touched block gets a freshly
-                // allocated replacement containing merged old + new bytes.
-                // Holes below the write are filled with allocated blocks
-                // first so the logical-to-physical map stays dense.
-                core.ensure_blocks(ino, offset, data.len() as u64)?;
+                // allocated replacement containing merged old + new bytes
+                // (zeros where it was a hole).
                 self.device.charge_software(cost.nova_alloc_ns);
                 for (block, within, range) in block_chunks(offset, data.len()) {
                     let block_start = block * BLOCK_SIZE as u64;
@@ -151,10 +149,9 @@ impl InodeLog {
                         PersistMode::NonTemporal,
                         TimeCategory::UserData,
                     );
-                    let node = core.node_mut(ino)?;
-                    let old_block = node.blocks[block as usize];
-                    node.blocks[block as usize] = new_block;
-                    core.free_block(old_block);
+                    if let Some(old_block) = core.node_mut(ino)?.blocks.insert(block, new_block) {
+                        core.free_block(old_block);
+                    }
                 }
             }
         }
@@ -261,11 +258,11 @@ mod tests {
         fs.write_at(fd, 0, &vec![1u8; BLOCK_SIZE]).unwrap();
         let core = fs.core.read();
         let ino = core.fd(fd).unwrap().ino;
-        let first = core.node(ino).unwrap().blocks[0];
+        let first = core.node(ino).unwrap().blocks[&0];
         drop(core);
         fs.write_at(fd, 0, &vec![2u8; BLOCK_SIZE]).unwrap();
         let core = fs.core.read();
-        let second = core.node(ino).unwrap().blocks[0];
+        let second = core.node(ino).unwrap().blocks[&0];
         assert_ne!(first, second, "strict mode must copy-on-write");
     }
 
@@ -276,11 +273,11 @@ mod tests {
         fs.write_at(fd, 0, &vec![1u8; BLOCK_SIZE]).unwrap();
         let core = fs.core.read();
         let ino = core.fd(fd).unwrap().ino;
-        let first = core.node(ino).unwrap().blocks[0];
+        let first = core.node(ino).unwrap().blocks[&0];
         drop(core);
         fs.write_at(fd, 0, &vec![2u8; BLOCK_SIZE]).unwrap();
         let core = fs.core.read();
-        assert_eq!(core.node(ino).unwrap().blocks[0], first);
+        assert_eq!(core.node(ino).unwrap().blocks[&0], first);
     }
 
     #[test]

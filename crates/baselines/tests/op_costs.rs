@@ -169,8 +169,8 @@ read             user-data=330.400ns software=600.000ns r:user-data=1000 fences=
 fsync            software=600.000ns fences=0 traps=1
 fsync_many       software=600.000ns fences=0 traps=1
 fstat            software=600.000ns fences=0 traps=1
-ftruncate grow   journal=190.752ns software=1360.000ns w:journal=128 fences=1 traps=1
-ftruncate cut    journal=190.752ns software=1360.000ns w:journal=128 fences=1 traps=1
+ftruncate grow   user-data=422.128ns journal=301.128ns software=2040.000ns w:user-data=2192 w:journal=192 fences=3 traps=1
+ftruncate cut    user-data=261.564ns journal=190.752ns software=1360.000ns w:user-data=1096 w:journal=128 fences=2 traps=1
 open O_TRUNC     journal=190.752ns software=1360.000ns w:journal=128 fences=1 traps=1
 append reopened  user-data=203.550ns journal=301.128ns software=2460.000ns w:user-data=700 w:journal=192 fences=3 traps=1
 mkdir            journal=190.752ns software=1360.000ns w:journal=128 fences=1 traps=1
@@ -199,8 +199,8 @@ read             user-data=330.400ns software=730.000ns r:user-data=1000 fences=
 fsync            software=600.000ns fences=0 traps=1
 fsync_many       software=600.000ns fences=0 traps=1
 fstat            software=600.000ns fences=0 traps=1
-ftruncate grow   journal=230.128ns software=1240.000ns w:journal=192 fences=2 traps=1
-ftruncate cut    journal=230.128ns software=1240.000ns w:journal=192 fences=2 traps=1
+ftruncate grow   user-data=422.128ns journal=460.256ns software=1880.000ns w:user-data=2192 w:journal=384 fences=5 traps=1
+ftruncate cut    user-data=261.564ns journal=460.256ns software=1880.000ns w:user-data=1096 w:journal=384 fences=5 traps=1
 open O_TRUNC     journal=230.128ns software=1240.000ns w:journal=192 fences=2 traps=1
 append reopened  user-data=203.550ns journal=230.128ns software=1540.000ns w:user-data=700 w:journal=192 fences=3 traps=1
 mkdir            journal=230.128ns software=1240.000ns w:journal=192 fences=2 traps=1
@@ -229,8 +229,8 @@ read             user-data=330.400ns software=730.000ns r:user-data=1000 fences=
 fsync            software=600.000ns fences=0 traps=1
 fsync_many       software=600.000ns fences=0 traps=1
 fstat            software=600.000ns fences=0 traps=1
-ftruncate grow   journal=230.128ns software=1240.000ns w:journal=192 fences=2 traps=1
-ftruncate cut    journal=230.128ns software=1240.000ns w:journal=192 fences=2 traps=1
+ftruncate grow   user-data=974.102ns journal=460.256ns software=2180.000ns w:user-data=4096 w:journal=384 r:user-data=4096 fences=5 traps=1
+ftruncate cut    user-data=974.102ns journal=460.256ns software=2180.000ns w:user-data=4096 w:journal=384 r:user-data=4096 fences=5 traps=1
 open O_TRUNC     journal=230.128ns software=1240.000ns w:journal=192 fences=2 traps=1
 append reopened  user-data=701.064ns journal=230.128ns software=1540.000ns w:user-data=4096 w:journal=192 fences=3 traps=1
 mkdir            journal=230.128ns software=1240.000ns w:journal=192 fences=2 traps=1
@@ -259,8 +259,8 @@ read             user-data=330.400ns software=350.000ns r:user-data=1000 fences=
 fsync            software=350.000ns fences=0 traps=0
 fsync_many       software=350.000ns fences=0 traps=0
 fstat            software=350.000ns fences=0 traps=0
-ftruncate grow   user-data=30.000ns journal=80.376ns software=770.000ns w:journal=64 fences=1 traps=0
-ftruncate cut    user-data=30.000ns journal=80.376ns software=770.000ns w:journal=64 fences=1 traps=0
+ftruncate grow   user-data=1084.426ns journal=160.752ns software=1190.000ns w:user-data=4096 w:journal=128 r:user-data=1904 fences=2 traps=0
+ftruncate cut    user-data=1140.102ns journal=160.752ns software=1190.000ns w:user-data=4096 w:journal=128 r:user-data=4096 fences=2 traps=0
 open O_TRUNC     user-data=30.000ns journal=80.376ns software=770.000ns w:journal=64 fences=1 traps=0
 append reopened  user-data=203.550ns journal=80.376ns software=770.000ns w:user-data=700 w:journal=64 fences=1 traps=0
 mkdir            user-data=30.000ns journal=80.376ns software=770.000ns w:journal=64 fences=1 traps=0

@@ -19,7 +19,7 @@ use workloads::utilities;
 use workloads::varmail;
 use workloads::ycsb::YcsbWorkload;
 
-use crate::{make_fs, make_splitfs, reset_measurement, Cell, FsKind, Table, Unit};
+use crate::{make_fs, make_splitfs, reset_measurement, Cell, Fixture, FsKind, Table, Unit};
 
 /// An experiment: its name, what it reproduces, and the function that runs
 /// it.
@@ -175,6 +175,12 @@ fn throughput_rows(table: &mut Table, measured: Vec<ClassResults>) {
 /// overhead over the raw device write, for the five file systems the paper
 /// lists.
 pub fn table1(scale: Scale) -> Table {
+    table1_on(scale, make_fs)
+}
+
+/// [`table1`] over the fixtures `make` builds from a kind and a device
+/// size.
+pub fn table1_on(scale: Scale, make: impl Fn(FsKind, usize) -> Fixture) -> Table {
     let mut table = Table::new(
         "Table 1 — software overhead of appending a 4 KiB block",
         &[
@@ -191,7 +197,7 @@ pub fn table1(scale: Scale) -> Table {
         FsKind::SplitStrict,
         FsKind::SplitPosix,
     ] {
-        let fixture = make_fs(kind, scale.device_bytes());
+        let fixture = make(kind, scale.device_bytes());
         let row = io_patterns::append_software_overhead(&fixture.fs, scale.io_bytes())
             .expect("append overhead run");
         table.rows.push(vec![

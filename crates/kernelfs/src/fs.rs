@@ -1913,22 +1913,28 @@ impl Ext4Dax {
         Ok(self.lookup_fd(fd)?.ino)
     }
 
-    /// Returns `true` when every block of `[offset, offset+len)` is mapped
-    /// (allocated) in the file.  SplitFS recovery uses this as the
-    /// idempotency test for replaying a staged append: once the relink has
-    /// moved the blocks out of the staging file the range is a hole and the
-    /// log entry must be skipped.
-    pub fn range_mapped(&self, fd: Fd, offset: u64, len: u64) -> FsResult<bool> {
+    /// Returns the file's size and its mapped logical blocks as sorted,
+    /// disjoint `(first block, block count)` runs — one trap and one
+    /// extent-tree walk, as `FIEMAP` reads a file's extent map.  SplitFS
+    /// recovery reads each staging file once this way: a completed relink
+    /// moved its blocks out and left a hole, so a log entry replays only
+    /// the part of its staging range these runs still cover.
+    pub fn mapped_runs(&self, fd: Fd) -> FsResult<(u64, Vec<(u64, u64)>)> {
         self.charge_syscall();
+        self.charge(self.device.cost().ext4_extent_lookup_ns);
         let file = self.lookup_fd(fd)?;
         let inodes = self.inodes_read();
         let inode = inodes.get(&file.ino).ok_or(FsError::BadFd)?;
-        if len == 0 {
-            return Ok(true);
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for ext in inode.extents.iter() {
+            match runs.last_mut() {
+                // Logically adjacent extents are one run, wherever their
+                // blocks sit on the device.
+                Some((start, len)) if *start + *len == ext.logical => *len += ext.len,
+                _ => runs.push((ext.logical, ext.len)),
+            }
         }
-        let first = offset / BLOCK_SIZE as u64;
-        let count = (offset + len).div_ceil(BLOCK_SIZE as u64) - first;
-        Ok(inode.extents.extract_range(first, count).is_ok())
+        Ok((inode.size, runs))
     }
 
     // ------------------------------------------------------------------
@@ -3254,17 +3260,20 @@ mod tests {
     }
 
     #[test]
-    fn range_mapped_sees_every_block_an_unaligned_range_touches() {
+    fn mapped_runs_see_the_hole_an_unaligned_range_reaches_into() {
         let fs = fs();
         let fd = fs.open("/r", OpenFlags::create()).unwrap();
         fs.write_at(fd, 0, &[5u8; 4096]).unwrap();
         fs.ftruncate(fd, 3 * 4096).unwrap();
         fs.ftruncate(fd, 4096).unwrap();
-        assert!(fs.range_mapped(fd, 4000, 96).unwrap());
-        assert!(
-            !fs.range_mapped(fd, 4000, 200).unwrap(),
-            "200 bytes from 4000 reach into the second block, which is gone"
-        );
+        fs.write_at(fd, 3 * 4096, &[6u8; 4096]).unwrap();
+        let traps = fs.device().stats().snapshot().kernel_traps;
+        let (size, runs) = fs.mapped_runs(fd).unwrap();
+        assert_eq!(fs.device().stats().snapshot().kernel_traps, traps + 1);
+        assert_eq!(size, 4 * 4096);
+        // 96 bytes from 4000 lie in block 0, which is mapped; 200 bytes
+        // from 4000 reach into block 1, which the cut to 4096 freed.
+        assert_eq!(runs, [(0, 1), (3, 1)]);
     }
 
     #[test]

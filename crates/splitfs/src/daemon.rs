@@ -267,15 +267,20 @@ impl SplitFs {
         }
     }
 
-    /// The background epoch checkpoint: seal the active epoch (writers
-    /// continue into the empty half immediately — no quiesce, no
-    /// stop-the-world), then retire the sealed half by relinking its
-    /// files one state lock at a time and truncating it.  Counted in the
-    /// device statistics when a full retirement pass ran.
+    /// The background epoch checkpoint: seal the active epoch if it is
+    /// still past [`CHECKPOINT_FRACTION`] (writers continue into the empty
+    /// half immediately — no quiesce, no stop-the-world), then retire the
+    /// sealed half by relinking its files one state lock at a time and
+    /// truncating it.  Counted in the device statistics when a full
+    /// retirement pass ran.
     pub(crate) fn background_checkpoint(&self) {
         let mut ran = false;
         if let Some(oplog) = self.oplog.as_ref() {
-            let _ = oplog.try_seal();
+            // A nudge queued behind a tick that already sealed and retired
+            // finds a fresh epoch: sealing it would swap out a few entries.
+            if oplog.utilization() >= CHECKPOINT_FRACTION {
+                let _ = oplog.try_seal();
+            }
             if oplog.sealed_pending() {
                 ran = self.retire_sealed().is_ok();
             }
@@ -288,5 +293,41 @@ impl SplitFs {
         if ran {
             self.device.stats().add_daemon_checkpoint();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use vfs::{FileSystem, OpenFlags};
+
+    use super::CHECKPOINT_FRACTION;
+    use crate::{Mode, SplitConfig, SplitFs};
+
+    #[test]
+    fn a_checkpoint_queued_behind_one_that_retired_the_epoch_seals_nothing() {
+        let device = pmem::PmemBuilder::new(64 * 1024 * 1024)
+            .track_persistence(false)
+            .build();
+        let kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        let config = SplitConfig::new(Mode::Strict)
+            .with_staging(2, 4 * 1024 * 1024)
+            .with_oplog_size(64 * 1024)
+            .without_daemon();
+        let fs = SplitFs::new(kernel, config).unwrap();
+        let oplog = fs.oplog.as_ref().unwrap();
+        let fd = fs.open("/a", OpenFlags::create()).unwrap();
+        while oplog.utilization() < CHECKPOINT_FRACTION {
+            fs.append(fd, &[7u8; 100]).unwrap();
+        }
+        let swaps = || device.stats().snapshot().oplog_epoch_swaps;
+        let before = swaps();
+        // A tick past the threshold, then the writer's nudge queued
+        // behind it: the second finds the fresh epoch nearly empty.
+        fs.background_checkpoint();
+        fs.background_checkpoint();
+        assert_eq!(swaps() - before, 1, "one epoch past half, one swap");
+        assert!(!oplog.sealed_pending());
     }
 }

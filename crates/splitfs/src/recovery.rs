@@ -27,11 +27,14 @@
 //!    staging file was re-provisioned, so its blocks hold unrelated data),
 //! 4. **settles newest first**: per target file it keeps the ranges newer
 //!    entries settled, so an older entry never lands on what a newer one
-//!    wrote, by this replay or by a relink before the crash.  A staging
-//!    range that is a hole was relinked already (this makes replay
-//!    idempotent); an entry that is part hole — it straddles the end of a
-//!    relinked run, whose partial last block was copied — is probed block
-//!    by block.  Each still-mapped, unsettled piece becomes a staged run,
+//!    wrote, by this replay or by a relink before the crash.  Each staging
+//!    file's size and mapped block runs are read once, in one trap
+//!    ([`Ext4Dax::mapped_runs`]), and every entry is split against those
+//!    runs by binary search.  A staging range that is a hole was relinked
+//!    already (this makes replay idempotent); an entry that straddles the
+//!    end of a relinked run, whose partial last block was copied, becomes
+//!    its mapped and its hole pieces.  Each still-mapped, unsettled piece
+//!    becomes a staged run,
 //! 5. makes **one relink submission** of every target's runs, planned by
 //!    [`batch::plan`] as `fsync` plans them: aligned blocks move, partial
 //!    ones are copied, and each call's journal commit is durable before
@@ -131,6 +134,32 @@ impl Settled {
         self.0.insert(lo, hi);
         open
     }
+}
+
+/// Splits the `len` bytes at `start` of a staging file into the pieces
+/// its mapped block `runs` (sorted and disjoint, as
+/// [`Ext4Dax::mapped_runs`] returns them) cover and the holes between
+/// them, in order: `(from, to, mapped)`.
+fn pieces(runs: &[(u64, u64)], start: u64, len: u64) -> Vec<(u64, u64, bool)> {
+    let (block, end) = (BLOCK_SIZE as u64, start + len);
+    let first = runs.partition_point(|&(b, n)| (b + n) * block <= start);
+    let mut out = Vec::new();
+    let mut at = start;
+    for &(b, n) in &runs[first..] {
+        let (s, e) = (b * block, ((b + n) * block).min(end));
+        if s >= end {
+            break;
+        }
+        if s > at {
+            out.push((at, s, false));
+        }
+        out.push((at.max(s), e, true));
+        at = e;
+    }
+    if at < end {
+        out.push((at, end, false));
+    }
+    out
 }
 
 /// Replays the **default instance's** (instance 0's) operation log.
@@ -243,8 +272,9 @@ fn replay_log(
         *fds.entry(ino)
             .or_insert_with(|| kernel.open_by_ino(ino, OpenFlags::read_write()).ok())
     };
-    // Each staging file's size, read once: a logged range may run past it.
-    let mut staging_sizes: HashMap<Fd, u64> = HashMap::new();
+    // Each staging file's extent map, read once: which blocks still hold
+    // staged bytes, and its size, which a logged range may run past.
+    let mut staging_maps: HashMap<Fd, (u64, Vec<(u64, u64)>)> = HashMap::new();
     let mut settled: HashMap<u64, Settled> = HashMap::new();
     // Per target, ordered so that ops fall into the same ioctls every time.
     let mut runs: BTreeMap<Fd, Vec<StagedRun<()>>> = BTreeMap::new();
@@ -274,37 +304,24 @@ fn replay_log(
             report.already_applied += 1;
             continue;
         };
+        let &mut (staging_size, ref staging_runs) = match staging_maps.entry(staging_fd) {
+            Entry::Occupied(map) => map.into_mut(),
+            Entry::Vacant(map) => map.insert(kernel.mapped_runs(staging_fd)?),
+        };
         // What of the staging range still holds the data: a completed
-        // relink leaves a hole.  An entry that straddles the end of a
-        // relinked run, whose partial last block was copied, is part hole
-        // and is taken block by block.
-        let end = entry.staging_offset + entry.len;
-        let mut pieces = Vec::new();
-        if kernel.range_mapped(staging_fd, entry.staging_offset, entry.len)? {
-            pieces.push((entry.staging_offset, entry.len, true));
-        } else {
-            let mut at = entry.staging_offset;
-            while at < end {
-                let len = (BLOCK_SIZE as u64 - at % BLOCK_SIZE as u64).min(end - at);
-                pieces.push((at, len, kernel.range_mapped(staging_fd, at, len)?));
-                at += len;
-            }
-        }
+        // relink leaves a hole.
+        let pieces = pieces(staging_runs, entry.staging_offset, entry.len);
         // The target may have been unlinked after the write was logged.
         let any_mapped = pieces.iter().any(|&(.., mapped)| mapped);
         let target_fd = any_mapped.then(|| open_once(entry.target_ino)).flatten();
         let settled = settled.entry(entry.target_ino).or_default();
-        for (at, len, mapped) in pieces {
+        for (at, end, mapped) in pieces {
             let to_target = |staging: u64| entry.target_offset + (staging - entry.staging_offset);
             // A hole is in the target already; either way the range is this
             // entry's now.
-            let open = settled.claim(to_target(at), to_target(at + len));
+            let open = settled.claim(to_target(at), to_target(end));
             let (true, Some(target_fd)) = (mapped, target_fd) else {
                 continue;
-            };
-            let staging_size = match staging_sizes.entry(staging_fd) {
-                Entry::Occupied(size) => *size.get(),
-                Entry::Vacant(size) => *size.insert(kernel.fstat(staging_fd)?.size),
             };
             let runs = runs.entry(target_fd).or_default();
             for (from, to) in open {
@@ -384,7 +401,7 @@ pub fn recover_orphans(
 
 #[cfg(test)]
 mod tests {
-    use super::Settled;
+    use super::{pieces, Settled};
 
     #[test]
     fn a_claim_returns_what_was_open_and_settles_the_range() {
@@ -400,5 +417,26 @@ mod tests {
         assert_eq!(settled.claim(300, 400), vec![(300, 400)]);
         assert_eq!(settled.0.len(), 1);
         assert_eq!(settled.0.get(&0), Some(&400));
+    }
+
+    #[test]
+    fn an_entry_that_straddles_a_runs_end_replays_only_its_mapped_blocks() {
+        // Blocks 0-1 and 4 are mapped; a relink moved blocks 2-3 out.
+        let runs = [(0, 2), (4, 1)];
+        // Inside one run: one mapped piece.
+        assert_eq!(pieces(&runs, 100, 4900), [(100, 5000, true)]);
+        // From the first run's last block into the hole, and on to the end
+        // of the next run.
+        assert_eq!(
+            pieces(&runs, 6000, 14480),
+            [
+                (6000, 8192, true),
+                (8192, 16384, false),
+                (16384, 20480, true)
+            ]
+        );
+        // Wholly in the hole, and past every run.
+        assert_eq!(pieces(&runs, 9000, 100), [(9000, 9100, false)]);
+        assert_eq!(pieces(&runs, 20480, 20), [(20480, 20500, false)]);
     }
 }
