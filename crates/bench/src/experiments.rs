@@ -19,7 +19,7 @@ use workloads::utilities;
 use workloads::varmail;
 use workloads::ycsb::YcsbWorkload;
 
-use crate::{make_fs, make_splitfs, reset_measurement, Cell, Fixture, FsKind, Table, Unit};
+use crate::{make_fs, make_splitfs, reset_measurement, Cell, FsKind, Table, Unit};
 
 /// An experiment: its name, what it reproduces, and the function that runs
 /// it.
@@ -173,14 +173,9 @@ fn throughput_rows(table: &mut Table, measured: Vec<ClassResults>) {
 
 /// Reproduces Table 1: the mean cost of a 4 KiB append and its software
 /// overhead over the raw device write, for the five file systems the paper
-/// lists.
+/// lists.  SplitFS runs daemon-off: the daemon's host-time ticks advance
+/// the device clock the rows read, so a row would move between runs.
 pub fn table1(scale: Scale) -> Table {
-    table1_on(scale, make_fs)
-}
-
-/// [`table1`] over the fixtures `make` builds from a kind and a device
-/// size.
-pub fn table1_on(scale: Scale, make: impl Fn(FsKind, usize) -> Fixture) -> Table {
     let mut table = Table::new(
         "Table 1 — software overhead of appending a 4 KiB block",
         &[
@@ -190,6 +185,8 @@ pub fn table1_on(scale: Scale, make: impl Fn(FsKind, usize) -> Fixture) -> Table
             "Overhead (%)",
         ],
     );
+    let bytes = scale.device_bytes();
+    let split = |mode| make_splitfs(SplitConfig::new(mode).without_daemon(), bytes);
     for kind in [
         FsKind::Ext4Dax,
         FsKind::Pmfs,
@@ -197,7 +194,11 @@ pub fn table1_on(scale: Scale, make: impl Fn(FsKind, usize) -> Fixture) -> Table
         FsKind::SplitStrict,
         FsKind::SplitPosix,
     ] {
-        let fixture = make(kind, scale.device_bytes());
+        let fixture = match kind {
+            FsKind::SplitStrict => split(Mode::Strict),
+            FsKind::SplitPosix => split(Mode::Posix),
+            _ => make_fs(kind, bytes),
+        };
         let row = io_patterns::append_software_overhead(&fixture.fs, scale.io_bytes())
             .expect("append overhead run");
         table.rows.push(vec![
@@ -579,12 +580,8 @@ pub fn resources(scale: Scale) -> Table {
 /// One campaign of [`crashfuzz_report`]: one mode under one crash policy.
 #[derive(Debug, Clone)]
 pub struct CrashFuzzCampaign {
-    /// The SplitFS mode under test.
-    pub mode: Mode,
-    /// What the crash does to lines that were written but not fenced.
-    pub policy: pmem::CrashPolicy,
-    /// Whether the workload ran its async-ring phase.
-    pub use_rings: bool,
+    /// The mode, crash policy, workload and log size it ran.
+    pub config: chaos::FuzzConfig,
     /// What the campaign explored and found.
     pub report: chaos::FuzzReport,
 }
@@ -592,13 +589,17 @@ pub struct CrashFuzzCampaign {
 impl CrashFuzzCampaign {
     /// `mode/policy`, plus `+rings` when the ring phase ran.
     pub fn label(&self) -> String {
-        let policy = match self.policy {
+        let policy = match self.config.policy {
             pmem::CrashPolicy::LoseUnflushed => "lose-unflushed",
             pmem::CrashPolicy::KeepAll => "keep-all",
             pmem::CrashPolicy::TornWrites { .. } => "torn-writes",
         };
-        let rings = if self.use_rings { "+rings" } else { "" };
-        format!("{}/{policy}{rings}", self.mode.label())
+        let rings = if self.config.workload.use_rings {
+            "+rings"
+        } else {
+            ""
+        };
+        format!("{}/{policy}{rings}", self.config.mode.label())
     }
 }
 
@@ -607,8 +608,8 @@ impl CrashFuzzCampaign {
 pub struct CrashFuzzReport {
     /// The seed that steered the workloads and the sampled fences.
     pub seed: u64,
-    /// Strict lose-unflushed with rings, POSIX lose-unflushed and strict
-    /// torn-writes, in that order.
+    /// Strict lose-unflushed with rings, POSIX lose-unflushed, strict
+    /// torn-writes and sync lose-unflushed on a 4 KiB log, in that order.
     pub campaigns: Vec<CrashFuzzCampaign>,
     /// KeepAll vs LoseUnflushed classification of one strict point set.
     pub diff: chaos::DiffReport,
@@ -635,6 +636,7 @@ impl CrashFuzzReport {
                 "Violations",
                 "Fsck failures",
                 "Promises checked",
+                "After a stall",
             ],
         );
         let dash = || Cell::text("-");
@@ -648,6 +650,7 @@ impl CrashFuzzReport {
                 Cell::count(r.violations.len() as u64),
                 Cell::count(r.fsck_failures),
                 Cell::count(r.promises_checked),
+                Cell::count(r.checkpoint_stalls),
             ]);
         }
         let diff = &self.diff;
@@ -662,6 +665,7 @@ impl CrashFuzzReport {
                 Cell::Num(diff.missing_fence as f64, 0, Unit::Of("missing-fence")),
                 Cell::Num(diff.unclassified as f64, 0, Unit::Of("unclassified")),
             ]),
+            dash(),
         ]);
         let media = &self.media;
         table.rows.push(vec![
@@ -676,6 +680,7 @@ impl CrashFuzzReport {
             } else {
                 "restored: false"
             }),
+            dash(),
         ]);
         let fences = self.campaigns.iter().map(|c| c.report.fences_enumerated);
         table.rows.push(vec![
@@ -686,6 +691,7 @@ impl CrashFuzzReport {
             Cell::count(self.total(|r| r.violations.len() as u64)),
             Cell::count(self.total(|r| r.fsck_failures)),
             Cell::count(self.total(|r| r.promises_checked)),
+            Cell::count(self.total(|r| r.checkpoint_stalls)),
         ]);
         table
     }
@@ -731,29 +737,34 @@ pub fn crashfuzz_report(scale: Scale) -> CrashFuzzReport {
     // same staging core as synchronous writes and must recover as clean.
     // POSIX mode has no log, so an awaited ring epoch promises no more
     // than the mode does; the ring phase promises file content and is
-    // left out there.
+    // left out there.  Sync mode fills a 4 KiB log with three times the
+    // ops (writers wait on checkpoints, relinks find no room for their
+    // markers), and samples a third as many of its dearer points.
+    let campaign = |mode, policy, use_rings| {
+        let mut config = FuzzConfig::smoke(mode, seed);
+        config.policy = policy;
+        config.max_points = per_mode;
+        config.workload.use_rings = use_rings;
+        config
+    };
+    let mut sync = campaign(Mode::Sync, CrashPolicy::LoseUnflushed, false);
+    sync.oplog_size = 4 * 1024;
+    sync.max_points = per_mode / 3;
+    sync.workload.ops_per_thread *= 3;
     let configs = [
-        (Mode::Strict, CrashPolicy::LoseUnflushed, true),
-        (Mode::Posix, CrashPolicy::LoseUnflushed, false),
-        (Mode::Strict, CrashPolicy::TornWrites { seed }, false),
+        campaign(Mode::Strict, CrashPolicy::LoseUnflushed, true),
+        campaign(Mode::Posix, CrashPolicy::LoseUnflushed, false),
+        campaign(Mode::Strict, CrashPolicy::TornWrites { seed }, false),
+        sync,
     ];
     // Every campaign builds its own devices, so they run side by side.
     std::thread::scope(|scope| {
         let campaigns: Vec<_> = configs
             .into_iter()
-            .map(|(mode, policy, use_rings)| {
-                scope.spawn(move || {
-                    let mut config = FuzzConfig::smoke(mode, seed);
-                    config.policy = policy;
-                    config.max_points = per_mode;
-                    config.workload.use_rings = use_rings;
-                    let report = chaos::fuzz::run(&config).expect("crashfuzz run");
-                    CrashFuzzCampaign {
-                        mode,
-                        policy,
-                        use_rings,
-                        report,
-                    }
+            .map(|config| {
+                scope.spawn(move || CrashFuzzCampaign {
+                    report: chaos::fuzz::run(&config).expect("crashfuzz run"),
+                    config,
                 })
             })
             .collect();
@@ -815,9 +826,10 @@ mod tests {
     }
 
     /// The crash-point fuzzer's acceptance bar, at the depth
-    /// `CRASHFUZZ_EXTENDED` selects: ≥ 200 points across strict and POSIX,
-    /// every recovered image clean under the oracle and fsck, no
-    /// divergence the differential cannot classify, and every injected
+    /// `CRASHFUZZ_EXTENDED` selects: ≥ 200 points across strict, POSIX
+    /// and sync, some sync points cut after a writer waited on a
+    /// checkpoint, every recovered image clean under the oracle and fsck,
+    /// no divergence the differential cannot classify, and every injected
     /// media fault surfaced on its own file only.
     #[test]
     fn crashfuzz_report_holds_the_ci_gate() {
@@ -844,14 +856,17 @@ mod tests {
             "{replay}: {report:#?}"
         );
         for c in &report.campaigns {
-            // Strict mode logs every staged write, through a ring or not;
-            // POSIX mode logs none.
+            // Strict and sync mode log every staged write, through a ring
+            // or not; POSIX mode logs none.
             assert_eq!(
                 c.report.promise_counts.contains_key("oplog_committed"),
-                c.mode == Mode::Strict,
+                c.config.mode != Mode::Posix,
                 "{replay}: {c:#?}"
             );
         }
+        // The sync campaign's log fills before some of its points.
+        let sync = &report.campaigns[3];
+        assert!(sync.report.checkpoint_stalls > 0, "{replay}: {sync:#?}");
         assert_eq!(report.diff.unclassified, 0, "{replay}: {:?}", report.diff);
         assert_eq!(
             report.media.propagated, report.media.injected,

@@ -12,16 +12,14 @@
 //! SCORECARD_UPDATE=1 cargo test -p bench --test scorecard
 //! ```
 //!
-//! The SplitFS rows run with the maintenance daemon off: its ticks follow
-//! host time and advance the device clock the experiment reads, so with
-//! the daemon on a row moves between runs of one tree.
+//! Table 1's SplitFS rows run with the maintenance daemon off
+//! ([`table1`]), so a row reads the same on every run of one tree.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
-use bench::experiments::{recovery, table1_on, Scale};
-use bench::{make_fs, make_splitfs, Fixture, FsKind, Table};
-use splitfs::{Mode, SplitConfig};
+use bench::experiments::{recovery, table1, Scale};
+use bench::Table;
 
 /// One scorecard row.
 struct Row {
@@ -71,17 +69,6 @@ impl Row {
     }
 }
 
-/// A Table 1 fixture, with the daemon off on the SplitFS rows.
-fn daemon_off(kind: FsKind, device_bytes: usize) -> Fixture {
-    let mode = match kind {
-        FsKind::SplitPosix => Mode::Posix,
-        FsKind::SplitSync => Mode::Sync,
-        FsKind::SplitStrict => Mode::Strict,
-        _ => return make_fs(kind, device_bytes),
-    };
-    make_splitfs(SplitConfig::new(mode).without_daemon(), device_bytes)
-}
-
 /// Column `column` of every row of `table`.
 fn column(table: &Table, column: usize) -> Vec<f64> {
     let value = |row: &Vec<bench::Cell>| row[column].value().expect("a number");
@@ -90,7 +77,7 @@ fn column(table: &Table, column: usize) -> Vec<f64> {
 
 /// Table 1: the mean 4 KiB append against a 671 ns device write.
 fn table1_rows() -> Vec<Row> {
-    let table = table1_on(Scale::Quick, daemon_off);
+    let table = table1(Scale::Quick);
     let append_ns = column(&table, 1);
     // The paper's central claim: each file system in the table appends
     // faster than the one above it.

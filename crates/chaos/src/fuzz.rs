@@ -61,6 +61,8 @@ pub struct FuzzConfig {
     pub workload: CrashMixConfig,
     /// Device size for each trial.
     pub device_size: usize,
+    /// Operation-log size of each trial.
+    pub oplog_size: u64,
 }
 
 impl FuzzConfig {
@@ -81,6 +83,7 @@ impl FuzzConfig {
                 dir: "/chaos".to_string(),
             },
             device_size: 64 * 1024 * 1024,
+            oplog_size: 256 * 1024,
         }
     }
 }
@@ -103,15 +106,17 @@ pub struct FuzzReport {
     pub promises_checked: u64,
     /// Declared promises by kind across all points.
     pub promise_counts: BTreeMap<&'static str, u64>,
+    /// Points cut after a writer waited on a checkpoint for log room.
+    pub checkpoint_stalls: u64,
 }
 
-/// The split configuration every trial uses: small staging/oplog so the
+/// The split configuration every trial uses: small staging so the
 /// workload crosses relink and group-commit boundaries quickly, daemon
 /// off so the only concurrency is the workload's own threads.
-fn split_config(mode: Mode) -> SplitConfig {
-    SplitConfig::new(mode)
+fn split_config(config: &FuzzConfig) -> SplitConfig {
+    SplitConfig::new(config.mode)
         .with_staging(4, 2 * 1024 * 1024)
-        .with_oplog_size(256 * 1024)
+        .with_oplog_size(config.oplog_size)
         .without_daemon()
 }
 
@@ -124,7 +129,7 @@ fn build(config: &FuzzConfig) -> FsResult<(Arc<PmemDevice>, Arc<SplitFs>)> {
         .build();
     device.ledger().set_enabled(true);
     let kernel = Ext4Dax::mkfs(Arc::clone(&device))?;
-    let fs = SplitFs::new(kernel, split_config(config.mode))?;
+    let fs = SplitFs::new(kernel, split_config(config))?;
     Ok((device, fs))
 }
 
@@ -141,21 +146,22 @@ pub fn enumerate_fences(config: &FuzzConfig) -> FsResult<(u64, u64)> {
 }
 
 /// Pass 2, one point: replays the workload with the hook armed at
-/// `target`, returning the captured image and the ledger slice that
-/// was established before it — or `None` when the replay never reached
-/// the target ordinal.
+/// `target`, returning the captured image, the ledger slice established
+/// before it and whether a checkpoint stall preceded the cut — or `None`
+/// when the replay never reached the target ordinal.
 fn capture_at(
     config: &FuzzConfig,
     target: u64,
-) -> FsResult<Option<(CrashImage, Vec<PromiseRecord>)>> {
+) -> FsResult<Option<(CrashImage, Vec<PromiseRecord>, bool)>> {
     let (device, fs) = build(config)?;
-    let slot: Arc<Mutex<Option<CrashImage>>> = Arc::new(Mutex::new(None));
+    let slot: Arc<Mutex<Option<(CrashImage, bool)>>> = Arc::new(Mutex::new(None));
     let hook_slot = Arc::clone(&slot);
     device.set_fence_hook(Some(Arc::new(move |dev: &PmemDevice, ordinal: u64| {
         if ordinal == target {
             let mut slot = hook_slot.lock();
             if slot.is_none() {
-                *slot = Some(dev.capture_crash_image());
+                let stalls = dev.stats().snapshot().checkpoint_stalls;
+                *slot = Some((dev.capture_crash_image(), stalls > 0));
             }
         }
     })));
@@ -163,9 +169,9 @@ fn capture_at(
     drop(fs);
     device.set_fence_hook(None);
     let image = slot.lock().take();
-    Ok(image.map(|image| {
+    Ok(image.map(|(image, stalled)| {
         let records = device.ledger().records_up_to(image.ledger_len());
-        (image, records)
+        (image, records, stalled)
     }))
 }
 
@@ -189,7 +195,7 @@ fn recover_point(
         .track_persistence(true)
         .build();
     device.restore_crash_image(image);
-    let split = split_config(config.mode);
+    let split = split_config(config);
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let rec = Recovered::mount_and_recover(&device, &split)?;
         let fsck = rec.fsck();
@@ -269,12 +275,13 @@ pub fn run(config: &FuzzConfig) -> FsResult<FuzzReport> {
         ..FuzzReport::default()
     };
     for target in sample_points(config, setup, total) {
-        let Some((image, records)) = capture_at(config, target)? else {
+        let Some((image, records, stalled)) = capture_at(config, target)? else {
             report.points_unreached += 1;
             continue;
         };
         let outcome = recover_point(config, &image, &records);
         report.points_explored += 1;
+        report.checkpoint_stalls += stalled as u64;
         if outcome.fsck_failed {
             report.fsck_failures += 1;
         }
@@ -327,9 +334,9 @@ pub fn run_differential(config: &FuzzConfig, max_points: usize) -> FsResult<Diff
     let mut report = DiffReport::default();
     for target in sample_points(&lose, setup, total) {
         let keep_outcome = capture_at(&keep, target)?
-            .map(|(image, records)| recover_point(&keep, &image, &records));
+            .map(|(image, records, _)| recover_point(&keep, &image, &records));
         let lose_outcome = capture_at(&lose, target)?
-            .map(|(image, records)| recover_point(&lose, &image, &records));
+            .map(|(image, records, _)| recover_point(&lose, &image, &records));
         let (Some(keep_outcome), Some(lose_outcome)) = (keep_outcome, lose_outcome) else {
             report.skipped += 1;
             continue;

@@ -122,6 +122,31 @@ fn mount_frees_files_unlinked_or_replaced_while_open() {
     }
 }
 
+/// Within a mount an inode number is never handed out twice; a mount
+/// hands out numbers from just past the highest live inode, so a freed
+/// number above it comes back after a crash.  U-Split leans on both:
+/// a log entry whose target inode is gone is skipped by recovery, and
+/// every log is replayed before an instance's first create.
+#[test]
+fn inode_numbers_are_reused_only_after_a_remount() {
+    let create = |fs: &Ext4Dax, path: &str| {
+        let fd = fs.open(path, OpenFlags::create()).unwrap();
+        let ino = fs.fstat(fd).unwrap().ino;
+        fs.close(fd).unwrap();
+        ino
+    };
+    let device = device();
+    let fs = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    assert_eq!((create(&fs, "/a"), create(&fs, "/b")), (2, 3));
+    fs.unlink("/b").unwrap();
+    assert_eq!(create(&fs, "/c"), 4, "a freed number stays retired");
+    fs.unlink("/c").unwrap();
+    device.crash();
+
+    let fs2 = recover_clean(&device);
+    assert_eq!(create(&fs2, "/d"), 3, "the mount reuses /b's number");
+}
+
 #[test]
 fn rename_across_ns_shards_recovers_exactly_one_link() {
     // The source and destination directories get consecutive inode

@@ -22,9 +22,9 @@
 //!    one, the worker *seals* it ([`crate::oplog::OpLog::try_seal`]: the
 //!    retired half becomes active and foreground writers continue
 //!    immediately), relinks the sealed entries' files **one at a time** —
-//!    never holding two state locks, never quiescing the instance —
-//!    group-commits the resulting `Invalidate` markers under a single
-//!    fence, and retires the sealed half with one watermark store
+//!    never holding two state locks, never quiescing the instance, each
+//!    file's `Invalidate` marker committed under its lock — and retires
+//!    the sealed half with one watermark store
 //!    ([`crate::oplog::OpLog::truncate_sealed`]).  This is the same
 //!    checkpoint a writer runs itself, with no state lock held, when it
 //!    finds both halves full; the daemon's job is to get there first, so
@@ -260,10 +260,10 @@ impl SplitFs {
     /// Background relink of one file's staged extents (batched through
     /// `ioctl_relink_batch` like every relink).  Errors are swallowed: the
     /// staged data stays staged and the next foreground `fsync` retries
-    /// and reports them.
-    pub(crate) fn background_relink(&self, ino: u64) {
+    /// and reports them.  Public for crash tests that run it daemon-off.
+    pub fn background_relink(&self, ino: u64) {
         if let Some(state) = self.files.get(ino) {
-            let _ = self.relink_batch(&mut [state.write()], None);
+            let _ = self.relink_batch(&mut [state.write()]);
         }
     }
 

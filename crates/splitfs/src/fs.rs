@@ -493,11 +493,10 @@ impl SplitFs {
         self.checkpoint()
     }
 
-    /// Retires the sealed epoch: relinks every file with staged data (one
-    /// state lock at a time — never two), group-commits the `Invalidate`
-    /// markers into the *active* epoch, and truncates the sealed half.
-    /// With no operation log (POSIX mode) it degrades to a plain
-    /// relink-everything sweep.
+    /// Retires the sealed epoch: relinks every file with staged data one
+    /// state lock at a time — never two — committing its marker into the
+    /// *active* epoch, and truncates the sealed half.  With no operation
+    /// log (POSIX mode) it degrades to a plain relink-everything sweep.
     ///
     /// Fails with the first relink error — every other file is still
     /// relinked — and the sealed epoch then stays pending.
@@ -509,14 +508,12 @@ impl SplitFs {
         // it.  A sweep that was already running when the seal landed may
         // have passed a file before its sealed entry appeared.
         let sealed_at_start = self.oplog.as_ref().is_some_and(OpLog::sealed_pending);
-        let mut deferred: Vec<LogEntry> = Vec::new();
         let mut swept = Ok(());
         for (_, state) in self.files.snapshot_keyed() {
             // A failed relink leaves that file's data staged and its log
             // entries live; the sealed epoch must stay pending.
-            swept = swept.and(self.relink_batch(&mut [state.write()], Some(&mut deferred)));
+            swept = swept.and(self.relink_batch(&mut [state.write()]));
         }
-        self.log_markers(&mut deferred);
         match self.oplog.as_ref() {
             Some(oplog) if swept.is_ok() && sealed_at_start && !oplog.truncate_sealed() => {
                 Err(FsError::Io("operation log watermark store failed".into()))
@@ -958,6 +955,12 @@ impl SplitFs {
             let st = self.stage_one(&desc.state, st, at, iov)?;
             return Ok((total as usize, at.map_or(st.cached_size, |o| o + total)));
         }
+        // Replay must not put staged bytes back over an unlogged overwrite.
+        while !self.commit_due(&mut [&mut *st])? {
+            drop(st);
+            self.checkpoint_for_room()?;
+            st = desc.state.write();
+        }
         let offset = at.unwrap_or(st.cached_size);
         let end = offset + total;
         let overwrite_end = end.min(st.kernel_size);
@@ -1057,7 +1060,7 @@ impl SplitFs {
     /// non-temporal stores (POSIX mode) into the persistence domain.
     fn sync_states<S: DerefMut<Target = FileState>>(&self, states: &mut [S]) -> FsResult<()> {
         if states.iter().any(|st| !st.staged.is_empty()) {
-            self.relink_batch(states, None)?;
+            self.relink_batch(states)?;
         } else {
             self.device.fence(TimeCategory::UserData);
         }
@@ -1141,7 +1144,6 @@ impl FileSystem for SplitFs {
     fn open(&self, path: &str, flags: OpenFlags) -> FsResult<Fd> {
         self.charge_usplit();
         let norm = vpath::normalized(path)?;
-        let mut cut_markers = Vec::new();
         loop {
             // Metadata operation: pass through to the kernel.
             let kernel_fd = self.kernel.open(&norm, flags)?;
@@ -1185,11 +1187,11 @@ impl FileSystem for SplitFs {
                 }
             }
             if flags.truncate {
-                if !st.staged.is_empty() || !cut_markers.is_empty() {
+                if !st.staged.is_empty() || st.invalidate_due > 0 {
                     // The kernel emptied the file; what is staged is cut as
                     // `ftruncate` cuts it: applied, then cut again.  A full
                     // log sends the open round again after a checkpoint.
-                    if !self.apply_before_cut(&mut st, 0, &mut cut_markers)? {
+                    if !self.apply_before_cut(&mut st, 0)? {
                         drop(st);
                         self.checkpoint_for_room()?;
                         continue;
@@ -1216,7 +1218,7 @@ impl FileSystem for SplitFs {
         {
             // Appends are relinked on fsync *or close* (§3.4).
             let mut st = desc.state.write();
-            self.relink_batch(&mut [&mut *st], None)?;
+            self.relink_batch(&mut [&mut *st])?;
             st.open_fds = st.open_fds.saturating_sub(1);
             // Cached attributes and mappings are retained after close
             // (§3.5) — unless the file lost its name while it was open.
@@ -1355,15 +1357,12 @@ impl FileSystem for SplitFs {
     fn ftruncate(&self, fd: Fd, size: u64) -> FsResult<()> {
         self.charge_usplit();
         let desc = self.fds.get(fd)?;
-        let mut markers = Vec::new();
-        let mut st = loop {
-            let mut st = desc.state.write();
-            if self.apply_before_cut(&mut st, size, &mut markers)? {
-                break st;
-            }
+        let mut st = desc.state.write();
+        while !self.apply_before_cut(&mut st, size)? {
             drop(st);
             self.checkpoint_for_room()?;
-        };
+            st = desc.state.write();
+        }
         self.kernel.ftruncate(st.kernel_fd, size)?;
         if size < st.kernel_size {
             // A mapping runs to the end of the file's last block, past the

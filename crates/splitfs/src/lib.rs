@@ -80,8 +80,8 @@
 //!   and every background pass: submits the planned moves and copies of
 //!   all its files through the batched kernel entry point — one trap —
 //!   takes the targets' sizes from its reply, retains the staging
-//!   mappings for the targets' mmap collections, and emits `Invalidate`
-//!   markers;
+//!   mappings for the targets' mmap collections, and commits `Invalidate`
+//!   markers (a full log leaves them due);
 //! * [`oplog`] — the single-fence redo log as a **two-epoch segment-swap
 //!   log**: group commit ([`oplog::OpLog::append_batch`]: many entries,
 //!   one fence), truncation by sealing the active half and retiring it

@@ -17,9 +17,10 @@
 //! * the mappings that served the staged data are retained in the target
 //!   file's collection of mmaps, so later reads hit the same physical
 //!   blocks without new page faults;
-//! * in sync/strict mode an `Invalidate` entry per file goes to the
-//!   operation log so recovery will not replay the now-applied staged
-//!   writes; the entries of one batch group-commit under a single fence.
+//! * in sync/strict mode each file's `Invalidate` entry, so recovery will
+//!   not replay the applied writes, group-commits under one fence under the
+//!   batch's locks; a full log leaves it due, settled before the next change
+//!   that bypasses the log (a sync-mode overwrite in place, a cut).
 //!
 //! With `use_relink` disabled (Figure 3 ablation) the staged data is copied
 //! into the target through the kernel write path instead, one `write_at`
@@ -50,10 +51,9 @@ impl SplitFs {
     /// the staged bytes, which no append fenced, ahead of the journal
     /// record that makes them part of a file; sync and strict mode fenced
     /// each staged byte before its log entry, and without relink the
-    /// kernel's write path copies the bytes under its own commit fence.  The `Invalidate` markers
-    /// group-commit best-effort under one more — or are handed to
-    /// `deferred`, for a caller that retires many files one lock at a time
-    /// (the sealed-epoch sweep) and commits their markers together.
+    /// kernel's write path copies the bytes under its own commit fence.
+    /// The files' `Invalidate` markers commit under one more, under the
+    /// locks ([`SplitFs::commit_due`]).
     ///
     /// Runs that overwrite one another (strict-mode overwrites of one
     /// range between two fsyncs) split a file into ordered generations;
@@ -63,7 +63,6 @@ impl SplitFs {
     pub(crate) fn relink_batch<S: DerefMut<Target = FileState>>(
         &self,
         states: &mut [S],
-        deferred: Option<&mut Vec<LogEntry>>,
     ) -> FsResult<()> {
         let use_relink = self.config.use_relink;
         // The copies a plan hands the kernel beside its moves.
@@ -134,109 +133,88 @@ impl SplitFs {
             shared_copies.extend(kernel_copies(&plan));
             planned.push((i, plan));
         }
-        if planned.is_empty() {
-            return Ok(());
-        }
-        let sizes = submit(&shared, &shared_copies)?;
-
-        let mut markers = Vec::new();
-        let mut retired = 0u64;
-        for (i, plan) in &planned {
-            let st = &mut *states[*i];
-            apply(st, plan, &sizes)?;
-            // Everything staged is in the target file now.
-            let max_seq = st.staged.iter().map(|e| e.seq).max().unwrap_or(0);
-            retired += st.staged.len() as u64;
-            for ext in st.staged.drain(..) {
-                self.staging.note_retired(ext.staging_ino, ext.len);
+        if !planned.is_empty() {
+            let sizes = submit(&shared, &shared_copies)?;
+            let mut retired = 0u64;
+            for (i, plan) in &planned {
+                let st = &mut *states[*i];
+                apply(st, plan, &sizes)?;
+                // Everything staged is in the target file now.
+                retired += st.staged.len() as u64;
+                for ext in st.staged.drain(..) {
+                    st.invalidate_due = st.invalidate_due.max(ext.seq);
+                    self.staging.note_retired(ext.staging_ino, ext.len);
+                }
+                if !use_relink {
+                    // The kernel's write path reports no file size.
+                    st.kernel_size = self.kernel.fstat(st.kernel_fd)?.size;
+                }
+                st.cached_size = st.cached_size.max(st.kernel_size);
             }
-            if !use_relink {
-                // The kernel's write path reports no file size.
-                st.kernel_size = self.kernel.fstat(st.kernel_fd)?.size;
-            }
-            st.cached_size = st.cached_size.max(st.kernel_size);
-            if max_seq > 0 {
-                markers.push(self.invalidate_marker(st.ino, max_seq));
-            }
+            // The staged bytes are durable and the batch's journal
+            // transaction is complete.
+            self.device.declare(pmem::Promise::RelinkCommitted {
+                instance: self.instance_id,
+                ops: retired,
+            });
         }
-        // The staged bytes are durable and the batch's journal transaction
-        // is complete.
-        self.device.declare(pmem::Promise::RelinkCommitted {
-            instance: self.instance_id,
-            ops: retired,
-        });
-        match deferred {
-            Some(later) => later.append(&mut markers),
-            None => self.log_markers(&mut markers),
-        }
+        // One that does not commit stays due, for an unlogged change to settle.
+        let _ = self.commit_due(states);
         Ok(())
     }
 
-    /// Applies every staged extent of `st` when a truncate to `size` would
-    /// cut any of them: the cut bytes go into the file, and the truncate
-    /// cuts them there with the rest.  The `Invalidate` markers of that
-    /// relink, gathered in `markers`, are no optimization: a staged run
-    /// whose partial block was copied keeps its staging range mapped, and
-    /// recovery would replay the cut bytes.  So they are group-committed
-    /// like a write's entries ([`SplitFs::commit_group`]): `Ok(false)`
-    /// means the log is full, and the caller must release the state lock,
-    /// wait on [`SplitFs::checkpoint_for_room`] and call again with the
-    /// same `markers`.
-    pub(crate) fn apply_before_cut(
-        &self,
-        st: &mut FileState,
-        size: u64,
-        markers: &mut Vec<LogEntry>,
-    ) -> FsResult<bool> {
+    /// Readies `st` for a cut to `size`: applies the staged extents if the
+    /// cut would cut any, then settles the due marker, since replaying a
+    /// copied partial block after the unlogged cut would bring cut bytes
+    /// back.  `Ok(false)`: the log is full; the caller releases the lock,
+    /// waits on [`SplitFs::checkpoint_for_room`] and calls again.
+    pub(crate) fn apply_before_cut(&self, st: &mut FileState, size: u64) -> FsResult<bool> {
         if st.staged.iter().any(|e| e.target_offset + e.len > size) {
-            self.relink_batch(&mut [st], Some(markers))?;
+            self.relink_batch(&mut [&mut *st])?;
         }
-        match self.oplog.as_ref() {
-            Some(oplog) => self.commit_group(oplog, markers),
-            None => Ok(true),
-        }
+        self.commit_due(&mut [st])
     }
 
-    /// Drops every staged extent of `st` **without** applying it: the
-    /// file lost its name and its last descriptor, so recovery, which
-    /// skips entries whose target inode is gone, would not replay them
-    /// either.  The one exit for staged bytes besides relink: it feeds
-    /// the staging pool's recyclability accounting and, in logging modes,
-    /// marks the writes not-to-be-replayed, best-effort.  A truncate
-    /// applies what it cuts instead ([`SplitFs::apply_before_cut`]).
-    /// Called with the state's write lock held.
+    /// Drops every staged extent of `st` **without** applying it (the file
+    /// lost its name and its last descriptor), feeds the staging pool's
+    /// recyclability accounting and commits the marker as a relink does.
+    /// A marker a full log leaves due is moot by rule: recovery skips an
+    /// entry whose target inode is gone, a mount reuses no number before
+    /// a crash (`inode_numbers_are_reused_only_after_a_remount`, kernelfs)
+    /// and `SplitFs::new` replays every log before its first create
+    /// (`build_instance_resources`).  Called with the state's write lock.
     pub(crate) fn discard_staged(&self, st: &mut FileState) {
-        let max_seq = st.staged.iter().map(|e| e.seq).max().unwrap_or(0);
         for e in st.staged.drain(..) {
+            st.invalidate_due = st.invalidate_due.max(e.seq);
             self.staging.note_retired(e.staging_ino, e.len);
         }
-        if max_seq > 0 {
-            self.log_markers(&mut [self.invalidate_marker(st.ino, max_seq)]);
-        }
+        let _ = self.commit_due(&mut [st]);
     }
 
-    /// The record telling recovery that every staged write to `ino` with a
-    /// sequence number up to `covers` is applied (or dropped) and must not
-    /// be replayed.
-    fn invalidate_marker(&self, ino: u64, covers: u64) -> LogEntry {
-        LogEntry {
-            target_ino: ino,
-            covers,
-            ..LogEntry::new(LogOp::Invalidate, self.instance_id)
+    /// Group-commits the due `Invalidate` markers of `states`, whose write
+    /// locks the caller holds, under one fence ([`SplitFs::commit_group`]).
+    /// `Ok(false)`: the log is full and every marker stays due.
+    pub(crate) fn commit_due<S: DerefMut<Target = FileState>>(
+        &self,
+        states: &mut [S],
+    ) -> FsResult<bool> {
+        let mut markers: Vec<LogEntry> = states
+            .iter()
+            .filter(|st| st.invalidate_due > 0)
+            .map(|st| LogEntry {
+                target_ino: st.ino,
+                covers: st.invalidate_due,
+                ..LogEntry::new(LogOp::Invalidate, self.instance_id)
+            })
+            .collect();
+        let Some(oplog) = self.oplog.as_ref().filter(|_| !markers.is_empty()) else {
+            return Ok(true);
+        };
+        let committed = self.commit_group(oplog, &mut markers)?;
+        if committed {
+            states.iter_mut().for_each(|st| st.invalidate_due = 0);
         }
-    }
-
-    /// Group-commits `Invalidate` markers, best-effort: a full log simply
-    /// drops them.  Replaying an applied write puts the same bytes where
-    /// they already are (a moved staging range is a hole and is skipped),
-    /// and a dropped file's inode is gone; a cut commits its markers
-    /// itself ([`SplitFs::apply_before_cut`]).  Not covered: a sync-mode
-    /// overwrite in place of bytes whose marker was dropped, which replay
-    /// would put back to the older staged bytes.
-    pub(crate) fn log_markers(&self, markers: &mut [LogEntry]) {
-        if let Some(oplog) = self.oplog.as_ref() {
-            let _ = oplog.append_batch(markers);
-        }
+        Ok(committed)
     }
 }
 

@@ -84,6 +84,8 @@ pub struct FileState {
     pub cached_size: u64,
     /// Staged-but-not-yet-relinked writes, in operation order.
     pub staged: Vec<StagedExtent>,
+    /// Highest retired sequence number whose `Invalidate` is not logged yet.
+    pub invalidate_due: u64,
     /// The collection of memory mappings serving reads and overwrites.
     pub mmaps: MmapCollection,
     /// Number of application descriptors currently open on this file.
@@ -102,6 +104,7 @@ impl FileState {
             kernel_size: size,
             cached_size: size,
             staged: Vec::new(),
+            invalidate_due: 0,
             mmaps: MmapCollection::new(),
             open_fds: 0,
         }

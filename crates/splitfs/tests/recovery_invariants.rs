@@ -9,7 +9,9 @@
 //! are, both invariants really are restored by every recovery (under
 //! every crash policy, torn tails included), a crash inside the recovery
 //! code itself is recovered from, and a replay that fails leaves the log
-//! for the next one to replay.
+//! for the next one to replay.  A fifth holds for the markers that retire
+//! log entries: replay never undoes a change that bypassed the log after
+//! a relink, however full the log was.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -557,4 +559,114 @@ fn replay_reads_each_staging_file_once_not_each_entry() {
     assert_eq!(report.replayed, 100);
     assert!(traps <= 15, "replaying 100 entries took {traps} traps");
     assert!(kernel.read_file("/wal.log").unwrap() == expected);
+}
+
+/// The five callers of the relink pipeline.
+#[derive(Clone, Copy, Debug)]
+enum Relink {
+    Fsync,
+    FsyncMany,
+    Close,
+    Checkpoint,
+    Daemon,
+}
+
+/// The two changes that bypass the log once staged bytes are relinked.
+#[derive(Clone, Copy, Debug)]
+enum Unlogged {
+    /// 100 B of 0xEE at the offset, in place in sync mode.
+    Overwrite,
+    /// `ftruncate` to the offset.
+    Cut,
+}
+
+/// `mode`, daemon off, a 4 KiB log: `appends` appends of 100 B (append
+/// `i` holds byte `i`, from 1), a relink by `how`, the `change` at `at`,
+/// then a crash, mount and replay.  Returns what `/f` should hold, what
+/// it holds, and how many entries replay put back.
+fn change_after_relink(
+    mode: Mode,
+    appends: u8,
+    how: Relink,
+    change: Unlogged,
+    at: u64,
+) -> (Vec<u8>, Vec<u8>, usize) {
+    let device = new_device(CrashPolicy::LoseUnflushed);
+    let config = SplitConfig::new(mode)
+        .with_staging(2, 4 * MIB)
+        .with_oplog_size(4 * 1024)
+        .without_daemon();
+    let kernel = Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+    let fs = SplitFs::new(kernel, config.clone()).unwrap();
+    let mut fd = fs.open("/f", OpenFlags::create()).unwrap();
+    let mut expected = Vec::new();
+    for i in 1..=appends {
+        fs.append(fd, &[i; 100]).unwrap();
+        expected.extend_from_slice(&[i; 100]);
+    }
+    match how {
+        Relink::Fsync => fs.fsync(fd).unwrap(),
+        Relink::FsyncMany => fs.fsync_many(&[fd]).unwrap(),
+        Relink::Close => {
+            fs.close(fd).unwrap();
+            fd = fs.open("/f", OpenFlags::read_write()).unwrap();
+        }
+        Relink::Checkpoint => fs.checkpoint().unwrap(),
+        Relink::Daemon => fs.background_relink(fs.fstat(fd).unwrap().ino),
+    }
+    let at_usize = at as usize;
+    match change {
+        Unlogged::Overwrite => {
+            fs.write_at(fd, at, &[0xEE; 100]).unwrap();
+            expected[at_usize..at_usize + 100].fill(0xEE);
+        }
+        Unlogged::Cut => {
+            fs.ftruncate(fd, at).unwrap();
+            expected.truncate(at_usize);
+        }
+    }
+    drop(fs);
+    device.crash();
+
+    let (kernel, report) = mount_and_recover(&device, &config);
+    (expected, kernel.read_file("/f").unwrap(), report.replayed)
+}
+
+#[test]
+fn replay_never_undoes_a_change_that_bypassed_the_log_after_a_relink() {
+    // A relink's `Invalidate` marker tells replay that the staged entries
+    // it covers are applied.  Sync mode overwrites committed bytes in
+    // place without logging them, and a cut is logged in no mode: if the
+    // marker were lost, replay would put the older staged bytes back —
+    // a copied partial block keeps its staging range mapped.  32 appends
+    // fill the active half of a 4 KiB log, so the relink's marker finds
+    // it full; 61 fill both halves with the sealed one pending, and the
+    // partial block the relink copied starts at 4096.
+    let mut lost = Vec::new();
+    for mode in [Mode::Sync, Mode::Strict] {
+        for (appends, at) in [(32, 0), (61, 6000)] {
+            for how in [
+                Relink::Fsync,
+                Relink::FsyncMany,
+                Relink::Close,
+                Relink::Checkpoint,
+                Relink::Daemon,
+            ] {
+                for change in [Unlogged::Overwrite, Unlogged::Cut] {
+                    let (expected, got, replayed) =
+                        change_after_relink(mode, appends, how, change, at);
+                    if got != expected {
+                        let byte = got.get(at as usize).copied();
+                        lost.push(format!(
+                            "{mode:?}, {appends} appends, {how:?}, {change:?} at {at}: \
+                             {} bytes (want {}), byte {at} reads {byte:x?}, replayed {replayed}",
+                            got.len(),
+                            expected.len()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(lost.is_empty(), "replay undid a returned change: {lost:#?}");
 }
