@@ -587,7 +587,8 @@ pub struct CrashFuzzCampaign {
 }
 
 impl CrashFuzzCampaign {
-    /// `mode/policy`, plus `+rings` when the ring phase ran.
+    /// `mode/policy`, plus `+rings` when the ring phase ran and
+    /// `+restart` when each trial's instance was a restart.
     pub fn label(&self) -> String {
         let policy = match self.config.policy {
             pmem::CrashPolicy::LoseUnflushed => "lose-unflushed",
@@ -599,7 +600,12 @@ impl CrashFuzzCampaign {
         } else {
             ""
         };
-        format!("{}/{policy}{rings}", self.config.mode.label())
+        let restart = if self.config.prior_life {
+            "+restart"
+        } else {
+            ""
+        };
+        format!("{}/{policy}{rings}{restart}", self.config.mode.label())
     }
 }
 
@@ -609,7 +615,8 @@ pub struct CrashFuzzReport {
     /// The seed that steered the workloads and the sampled fences.
     pub seed: u64,
     /// Strict lose-unflushed with rings, POSIX lose-unflushed, strict
-    /// torn-writes and sync lose-unflushed on a 4 KiB log, in that order.
+    /// torn-writes, sync lose-unflushed on a 4 KiB log and strict
+    /// lose-unflushed after a crashed prior life, in that order.
     pub campaigns: Vec<CrashFuzzCampaign>,
     /// KeepAll vs LoseUnflushed classification of one strict point set.
     pub diff: chaos::DiffReport,
@@ -623,8 +630,18 @@ impl CrashFuzzReport {
         self.campaigns.iter().map(|c| field(&c.report)).sum()
     }
 
+    /// Points cut after each rare path ran, over every campaign.
+    pub fn reach(&self) -> chaos::Reach {
+        let mut reach = chaos::Reach::default();
+        for c in &self.campaigns {
+            reach.add(&c.report.reach);
+        }
+        reach
+    }
+
     /// One row per campaign, then the differential, the media round and
-    /// the totals.
+    /// the totals.  The last four columns are the reach: how many of the
+    /// points were cut after each rare path ran.
     pub fn table(&self) -> Table {
         let mut table = Table::new(
             "Crash-point fuzzing — oracle-checked recovery at sampled fence boundaries",
@@ -636,22 +653,30 @@ impl CrashFuzzReport {
                 "Violations",
                 "Fsck failures",
                 "Promises checked",
-                "After a stall",
+                "Recycled",
+                "Sealed",
+                "Stalled",
+                "Resumed",
             ],
         );
         let dash = || Cell::text("-");
+        let reach = |reach: &chaos::Reach| reach.rows().map(|(_, points)| Cell::count(points));
         for c in &self.campaigns {
             let r = &c.report;
-            table.rows.push(vec![
-                Cell::Text(c.label()),
-                Cell::count(r.fences_enumerated),
-                Cell::count(r.points_explored),
-                Cell::count(r.points_unreached),
-                Cell::count(r.violations.len() as u64),
-                Cell::count(r.fsck_failures),
-                Cell::count(r.promises_checked),
-                Cell::count(r.checkpoint_stalls),
-            ]);
+            table.rows.push(
+                [
+                    Cell::Text(c.label()),
+                    Cell::count(r.fences_enumerated),
+                    Cell::count(r.points_explored),
+                    Cell::count(r.points_unreached),
+                    Cell::count(r.violations.len() as u64),
+                    Cell::count(r.fsck_failures),
+                    Cell::count(r.promises_checked),
+                ]
+                .into_iter()
+                .chain(reach(&r.reach))
+                .collect(),
+            );
         }
         let diff = &self.diff;
         table.rows.push(vec![
@@ -665,6 +690,9 @@ impl CrashFuzzReport {
                 Cell::Num(diff.missing_fence as f64, 0, Unit::Of("missing-fence")),
                 Cell::Num(diff.unclassified as f64, 0, Unit::Of("unclassified")),
             ]),
+            dash(),
+            dash(),
+            dash(),
             dash(),
         ]);
         let media = &self.media;
@@ -681,18 +709,25 @@ impl CrashFuzzReport {
                 "restored: false"
             }),
             dash(),
+            dash(),
+            dash(),
+            dash(),
         ]);
         let fences = self.campaigns.iter().map(|c| c.report.fences_enumerated);
-        table.rows.push(vec![
-            Cell::text("total"),
-            Cell::count(fences.max().unwrap_or(0)),
-            Cell::count(self.total(|r| r.points_explored)),
-            Cell::count(self.total(|r| r.points_unreached)),
-            Cell::count(self.total(|r| r.violations.len() as u64)),
-            Cell::count(self.total(|r| r.fsck_failures)),
-            Cell::count(self.total(|r| r.promises_checked)),
-            Cell::count(self.total(|r| r.checkpoint_stalls)),
-        ]);
+        table.rows.push(
+            [
+                Cell::text("total"),
+                Cell::count(fences.max().unwrap_or(0)),
+                Cell::count(self.total(|r| r.points_explored)),
+                Cell::count(self.total(|r| r.points_unreached)),
+                Cell::count(self.total(|r| r.violations.len() as u64)),
+                Cell::count(self.total(|r| r.fsck_failures)),
+                Cell::count(self.total(|r| r.promises_checked)),
+            ]
+            .into_iter()
+            .chain(reach(&self.reach()))
+            .collect(),
+        );
         table
     }
 }
@@ -739,7 +774,9 @@ pub fn crashfuzz_report(scale: Scale) -> CrashFuzzReport {
     // than the mode does; the ring phase promises file content and is
     // left out there.  Sync mode fills a 4 KiB log with three times the
     // ops (writers wait on checkpoints, relinks find no room for their
-    // markers), and samples a third as many of its dearer points.
+    // markers), and samples a third as many of its dearer points.  The
+    // restart campaign's trials each run the workload twice, a crashed
+    // prior life and the cut one, so it too samples a third as many.
     let campaign = |mode, policy, use_rings| {
         let mut config = FuzzConfig::smoke(mode, seed);
         config.policy = policy;
@@ -751,11 +788,15 @@ pub fn crashfuzz_report(scale: Scale) -> CrashFuzzReport {
     sync.oplog_size = 4 * 1024;
     sync.max_points = per_mode / 3;
     sync.workload.ops_per_thread *= 3;
+    let mut restart = campaign(Mode::Strict, CrashPolicy::LoseUnflushed, false);
+    restart.prior_life = true;
+    restart.max_points = per_mode / 3;
     let configs = [
         campaign(Mode::Strict, CrashPolicy::LoseUnflushed, true),
         campaign(Mode::Posix, CrashPolicy::LoseUnflushed, false),
         campaign(Mode::Strict, CrashPolicy::TornWrites { seed }, false),
         sync,
+        restart,
     ];
     // Every campaign builds its own devices, so they run side by side.
     std::thread::scope(|scope| {
@@ -828,9 +869,12 @@ mod tests {
     /// The crash-point fuzzer's acceptance bar, at the depth
     /// `CRASHFUZZ_EXTENDED` selects: ≥ 200 points across strict, POSIX
     /// and sync, some sync points cut after a writer waited on a
-    /// checkpoint, every recovered image clean under the oracle and fsck,
-    /// no divergence the differential cannot classify, and every injected
-    /// media fault surfaced on its own file only.
+    /// checkpoint, every restart point cut after its start resumed a
+    /// staging file, each rare path of the reach reached at 5 points or
+    /// more unless it is listed unreached with its reason, every
+    /// recovered image clean under the oracle and fsck, no divergence the
+    /// differential cannot classify, and every injected media fault
+    /// surfaced on its own file only.
     #[test]
     fn crashfuzz_report_holds_the_ci_gate() {
         let report = crashfuzz_report(Scale::Quick);
@@ -866,7 +910,28 @@ mod tests {
         }
         // The sync campaign's log fills before some of its points.
         let sync = &report.campaigns[3];
-        assert!(sync.report.checkpoint_stalls > 0, "{replay}: {sync:#?}");
+        assert!(
+            sync.report.reach.checkpoint_stall > 0,
+            "{replay}: {sync:#?}"
+        );
+        // Every restart point is cut in a life whose start resumed its
+        // active staging file.
+        let restart = &report.campaigns[4];
+        assert_eq!(
+            restart.report.reach.resumed_adoption, restart.report.points_explored,
+            "{replay}: {restart:#?}"
+        );
+        // Paths no campaign can reach, and why.
+        const UNREACHED: [(&str, &str); 1] = [(
+            "staging-file recycle",
+            "every trial runs with the daemon off, and only its tick recycles",
+        )];
+        for (path, points) in report.reach().rows() {
+            match UNREACHED.iter().find(|(p, _)| *p == path) {
+                Some((_, why)) => assert_eq!(points, 0, "{replay}: {path} is reached now ({why})"),
+                None => assert!(points >= 5, "{replay}: {path} at {points} points"),
+            }
+        }
         assert_eq!(report.diff.unclassified, 0, "{replay}: {:?}", report.diff);
         assert_eq!(
             report.media.propagated, report.media.injected,

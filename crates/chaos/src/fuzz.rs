@@ -12,6 +12,13 @@
 //! capture time, plus the fsck walk and the foreign-entry containment
 //! guard.
 //!
+//! A campaign with [`FuzzConfig::prior_life`] cuts a restarted instance:
+//! each trial's device first lives one crashed life of the workload (and
+//! one file of whole blocks, whose relink leaves holes in the active
+//! staging file), and the instance under test adopts the staging files
+//! that life left.  At every cut the device statistics since the
+//! instance started say which rare paths ran before it ([`Reach`]).
+//!
 //! Fence counts are *mostly* deterministic but can drift by a few
 //! ordinals across replays (the workload's threads interleave
 //! differently on each run, which reorders who fences), so the sampler only targets ordinals below
@@ -36,7 +43,10 @@ use std::sync::Arc;
 
 use kernelfs::Ext4Dax;
 use parking_lot::Mutex;
-use pmem::{CrashImage, CrashPolicy, PmemBuilder, PmemDevice, PromiseRecord};
+use pmem::{
+    content_hash, CrashImage, CrashPolicy, PmemBuilder, PmemDevice, Promise, PromiseRecord,
+    StatsSnapshot,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use splitfs::{Mode, SplitConfig, SplitFs};
@@ -63,6 +73,9 @@ pub struct FuzzConfig {
     pub device_size: usize,
     /// Operation-log size of each trial.
     pub oplog_size: u64,
+    /// Whether each trial's device lives one crashed life of the workload
+    /// (under `/prior`) before the instance under test starts on it.
+    pub prior_life: bool,
 }
 
 impl FuzzConfig {
@@ -84,7 +97,54 @@ impl FuzzConfig {
             },
             device_size: 64 * 1024 * 1024,
             oplog_size: 256 * 1024,
+            prior_life: false,
         }
+    }
+}
+
+/// How many crash points were cut after each of a list of rare paths had
+/// run in the instance under test, read from the device statistics since
+/// it started (its own start included).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Reach {
+    /// A fully retired staging file was recycled.
+    pub staging_recycle: u64,
+    /// The operation log sealed its active epoch.
+    pub epoch_seal: u64,
+    /// A writer found the log full and waited on a checkpoint.
+    pub checkpoint_stall: u64,
+    /// The start resumed a staging file past its last hole.
+    pub resumed_adoption: u64,
+}
+
+impl Reach {
+    /// One point's reach: 1 for each path `delta` shows ran.
+    fn at_cut(delta: &StatsSnapshot) -> Self {
+        let ran = |n: u64| (n > 0) as u64;
+        Self {
+            staging_recycle: ran(delta.staging_recycles),
+            epoch_seal: ran(delta.oplog_epoch_swaps),
+            checkpoint_stall: ran(delta.checkpoint_stalls),
+            resumed_adoption: ran(delta.staging_resumes),
+        }
+    }
+
+    /// Adds `other`'s points to these.
+    pub fn add(&mut self, other: &Reach) {
+        self.staging_recycle += other.staging_recycle;
+        self.epoch_seal += other.epoch_seal;
+        self.checkpoint_stall += other.checkpoint_stall;
+        self.resumed_adoption += other.resumed_adoption;
+    }
+
+    /// `(path, points)`, in the order the report prints them.
+    pub fn rows(&self) -> [(&'static str, u64); 4] {
+        [
+            ("staging-file recycle", self.staging_recycle),
+            ("epoch seal", self.epoch_seal),
+            ("checkpoint stall", self.checkpoint_stall),
+            ("resumed adoption", self.resumed_adoption),
+        ]
     }
 }
 
@@ -106,31 +166,59 @@ pub struct FuzzReport {
     pub promises_checked: u64,
     /// Declared promises by kind across all points.
     pub promise_counts: BTreeMap<&'static str, u64>,
-    /// Points cut after a writer waited on a checkpoint for log room.
-    pub checkpoint_stalls: u64,
+    /// Points cut after each rare path ran.
+    pub reach: Reach,
 }
 
 /// The split configuration every trial uses: small staging so the
 /// workload crosses relink and group-commit boundaries quickly, daemon
-/// off so the only concurrency is the workload's own threads.
+/// off so the only concurrency is the workload's own threads.  After a
+/// prior life the staging files are 4 MiB, not 2: a 2 MiB file has no
+/// 2 MiB left past a hole, so a restart would rebuild it, not resume it.
 fn split_config(config: &FuzzConfig) -> SplitConfig {
+    let staging_mib = if config.prior_life { 4 } else { 2 };
     SplitConfig::new(config.mode)
-        .with_staging(4, 2 * 1024 * 1024)
+        .with_staging(4, staging_mib * 1024 * 1024)
         .with_oplog_size(config.oplog_size)
         .without_daemon()
 }
 
 /// Builds a fresh device + instance for one trial, with the ledger
-/// enabled before `SplitFs::new`.
-fn build(config: &FuzzConfig) -> FsResult<(Arc<PmemDevice>, Arc<SplitFs>)> {
+/// enabled before `SplitFs::new`, after the crashed prior life if the
+/// campaign asks for one.  Also returns the statistics from just before
+/// the instance started, which a point's [`Reach`] is read against.
+fn build(config: &FuzzConfig) -> FsResult<(Arc<PmemDevice>, Arc<SplitFs>, StatsSnapshot)> {
     let device = PmemBuilder::new(config.device_size)
         .track_persistence(true)
         .crash_policy(config.policy)
         .build();
     device.ledger().set_enabled(true);
-    let kernel = Ext4Dax::mkfs(Arc::clone(&device))?;
-    let fs = SplitFs::new(kernel, split_config(config))?;
-    Ok((device, fs))
+    let split = split_config(config);
+    let mut kernel = Ext4Dax::mkfs(Arc::clone(&device))?;
+    if config.prior_life {
+        let fs = SplitFs::new(kernel, split.clone())?;
+        let prior = CrashMixConfig {
+            dir: "/prior".to_string(),
+            ..config.workload.clone()
+        };
+        crashmix::run(&fs, &prior)?;
+        // `crashmix`'s appends are smaller than a block and relink as
+        // copies; a last file of whole blocks moves some out, so the
+        // restart finds a hole in the active staging file to resume past.
+        let blocks = vec![0xA5u8; 64 * 1024];
+        fs.write_file("/prior/blocks", &blocks)?;
+        device.declare(Promise::FileDurable {
+            path: "/prior/blocks".to_string(),
+            len: blocks.len() as u64,
+            hash: content_hash(&blocks),
+        });
+        drop(fs);
+        device.crash();
+        kernel = Recovered::mount_and_recover(&device, &split)?.kernel;
+    }
+    let started = device.stats().snapshot();
+    let fs = SplitFs::new(kernel, split)?;
+    Ok((device, fs, started))
 }
 
 /// Pass 1: runs the workload once and returns `(setup_fences,
@@ -138,7 +226,7 @@ fn build(config: &FuzzConfig) -> FsResult<(Arc<PmemDevice>, Arc<SplitFs>)> {
 /// start) finished, and the ordinal count when the workload completed.
 /// Crash points are sampled from the span in between.
 pub fn enumerate_fences(config: &FuzzConfig) -> FsResult<(u64, u64)> {
-    let (device, fs) = build(config)?;
+    let (device, fs, _) = build(config)?;
     let setup = device.fence_ordinal();
     crashmix::run(&fs, &config.workload)?;
     drop(fs);
@@ -147,21 +235,21 @@ pub fn enumerate_fences(config: &FuzzConfig) -> FsResult<(u64, u64)> {
 
 /// Pass 2, one point: replays the workload with the hook armed at
 /// `target`, returning the captured image, the ledger slice established
-/// before it and whether a checkpoint stall preceded the cut — or `None`
+/// before it and the rare paths that ran before the cut — or `None`
 /// when the replay never reached the target ordinal.
 fn capture_at(
     config: &FuzzConfig,
     target: u64,
-) -> FsResult<Option<(CrashImage, Vec<PromiseRecord>, bool)>> {
-    let (device, fs) = build(config)?;
-    let slot: Arc<Mutex<Option<(CrashImage, bool)>>> = Arc::new(Mutex::new(None));
+) -> FsResult<Option<(CrashImage, Vec<PromiseRecord>, Reach)>> {
+    let (device, fs, started) = build(config)?;
+    let slot: Arc<Mutex<Option<(CrashImage, Reach)>>> = Arc::new(Mutex::new(None));
     let hook_slot = Arc::clone(&slot);
     device.set_fence_hook(Some(Arc::new(move |dev: &PmemDevice, ordinal: u64| {
         if ordinal == target {
             let mut slot = hook_slot.lock();
             if slot.is_none() {
-                let stalls = dev.stats().snapshot().checkpoint_stalls;
-                *slot = Some((dev.capture_crash_image(), stalls > 0));
+                let reach = Reach::at_cut(&dev.stats().snapshot().delta(&started));
+                *slot = Some((dev.capture_crash_image(), reach));
             }
         }
     })));
@@ -169,9 +257,9 @@ fn capture_at(
     drop(fs);
     device.set_fence_hook(None);
     let image = slot.lock().take();
-    Ok(image.map(|(image, stalled)| {
+    Ok(image.map(|(image, reach)| {
         let records = device.ledger().records_up_to(image.ledger_len());
-        (image, records, stalled)
+        (image, records, reach)
     }))
 }
 
@@ -275,13 +363,13 @@ pub fn run(config: &FuzzConfig) -> FsResult<FuzzReport> {
         ..FuzzReport::default()
     };
     for target in sample_points(config, setup, total) {
-        let Some((image, records, stalled)) = capture_at(config, target)? else {
+        let Some((image, records, reach)) = capture_at(config, target)? else {
             report.points_unreached += 1;
             continue;
         };
         let outcome = recover_point(config, &image, &records);
         report.points_explored += 1;
-        report.checkpoint_stalls += stalled as u64;
+        report.reach.add(&reach);
         if outcome.fsck_failed {
             report.fsck_failures += 1;
         }
@@ -372,7 +460,7 @@ pub struct MediaFaultReport {
 /// poisoned, and reads must fail with `EIO` on the victim, succeed on
 /// the neighbor, and succeed everywhere once the poison clears.
 pub fn run_media_faults(config: &FuzzConfig) -> FsResult<MediaFaultReport> {
-    let (device, fs) = build(config)?;
+    let (device, fs, _) = build(config)?;
     let victim: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 249) as u8).collect();
     let neighbor: Vec<u8> = (0..32 * 1024u32).map(|i| (i % 253) as u8).collect();
     fs.write_file("/victim", &victim)?;
@@ -484,6 +572,16 @@ mod tests {
         let report = run(&config).unwrap();
         assert!(report.points_explored >= 3, "{report:?}");
         assert!(report.violations.is_empty(), "{:#?}", report.violations);
+    }
+
+    #[test]
+    fn a_restarted_instance_is_cut_after_resuming_its_staging_file() {
+        let mut config = tiny(Mode::Strict);
+        config.prior_life = true;
+        let report = run(&config).unwrap();
+        assert!(report.points_explored >= 3, "{report:?}");
+        assert!(report.violations.is_empty(), "{:#?}", report.violations);
+        assert_eq!(report.reach.resumed_adoption, report.points_explored);
     }
 
     #[test]

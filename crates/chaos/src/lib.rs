@@ -40,7 +40,7 @@ pub mod harness;
 pub mod oracle;
 pub mod seed;
 
-pub use fuzz::{DiffReport, FuzzConfig, FuzzReport, MediaFaultReport};
+pub use fuzz::{DiffReport, FuzzConfig, FuzzReport, MediaFaultReport, Reach};
 pub use harness::Recovered;
 pub use oracle::OracleReport;
 pub use seed::chaos_seed;

@@ -295,6 +295,11 @@ macro_rules! counter_table {
             staging_recycles =>
                 /// Records one staging file recycled back into the pool.
                 add_staging_recycle += 1;
+            /// Staging files a start adopted past their last hole instead of
+            /// truncating and re-allocating them.
+            staging_resumes =>
+                /// Records one staging file resumed past its last hole.
+                add_staging_resume += 1;
             /// Times a `take` found the one staging-pool lock held — by the
             /// maintenance daemon (provisioning, recycling, retire accounting)
             /// or by another writer — and had to block.

@@ -779,9 +779,9 @@ impl SplitFs {
                         // will relink: retire them, or their staging file
                         // could never recycle.
                         op.result = Err(e);
-                        for (_, alloc, _) in pending.drain(first_chunk..) {
-                            self.staging.note_retired(alloc.staging_ino, alloc.len);
-                        }
+                        let freed = pending.drain(first_chunk..);
+                        self.staging
+                            .note_retired(freed.map(|(_, a, _)| (a.staging_ino, a.len)));
                         files[op.state].1 = tail_before;
                         break;
                     }
@@ -837,9 +837,8 @@ impl SplitFs {
                 for (st, (pre_size, _)) in states.iter_mut().zip(&files) {
                     st.cached_size = *pre_size;
                 }
-                for (_, alloc, _) in &pending {
-                    self.staging.note_retired(alloc.staging_ino, alloc.len);
-                }
+                let freed = pending.iter().map(|(_, a, _)| (a.staging_ino, a.len));
+                self.staging.note_retired(freed);
                 for op in ops.iter_mut().filter(|op| op.staged()) {
                     op.result = Err(e.clone());
                 }

@@ -136,21 +136,27 @@ impl SplitFs {
         if !planned.is_empty() {
             let sizes = submit(&shared, &shared_copies)?;
             let mut retired = 0u64;
-            for (i, plan) in &planned {
+            // Noted once for the batch, also when a file fails.
+            let staged = planned.iter().map(|(i, _)| states[*i].staged.len());
+            let mut freed = Vec::with_capacity(staged.sum());
+            let applied = planned.iter().try_for_each(|(i, plan)| -> FsResult<()> {
                 let st = &mut *states[*i];
                 apply(st, plan, &sizes)?;
                 // Everything staged is in the target file now.
                 retired += st.staged.len() as u64;
                 for ext in st.staged.drain(..) {
                     st.invalidate_due = st.invalidate_due.max(ext.seq);
-                    self.staging.note_retired(ext.staging_ino, ext.len);
+                    freed.push((ext.staging_ino, ext.len));
                 }
                 if !use_relink {
                     // The kernel's write path reports no file size.
                     st.kernel_size = self.kernel.fstat(st.kernel_fd)?.size;
                 }
                 st.cached_size = st.cached_size.max(st.kernel_size);
-            }
+                Ok(())
+            });
+            self.staging.note_retired(freed);
+            applied?;
             // The staged bytes are durable and the batch's journal
             // transaction is complete.
             self.device.declare(pmem::Promise::RelinkCommitted {
@@ -184,10 +190,11 @@ impl SplitFs {
     /// and `SplitFs::new` replays every log before its first create
     /// (`build_instance_resources`).  Called with the state's write lock.
     pub(crate) fn discard_staged(&self, st: &mut FileState) {
-        for e in st.staged.drain(..) {
-            st.invalidate_due = st.invalidate_due.max(e.seq);
-            self.staging.note_retired(e.staging_ino, e.len);
-        }
+        let due = &mut st.invalidate_due;
+        self.staging.note_retired(st.staged.drain(..).map(|e| {
+            *due = (*due).max(e.seq);
+            (e.staging_ino, e.len)
+        }));
         let _ = self.commit_due(&mut [st]);
     }
 

@@ -49,10 +49,14 @@
 //! concurrent instances therefore never hand out overlapping staging
 //! space, and recovery can attribute every staging file to its owner.
 //! On mount the pool **adopts** the staging files a previous incarnation
-//! left in the directory (rebuilding them; cursors restart at zero
-//! because the instance's operation log is always replayed and retired
-//! before the pool is built) and truncates any leftovers beyond the
-//! configured pool size so their blocks return to the allocator.
+//! left in the directory as they stand: an intact file resumes at zero,
+//! and one whose relinks left holes resumes at the first 2 MiB boundary
+//! past its last hole ([`StagingPool::new`]).  Only a file with no 2 MiB
+//! left there is truncated and re-allocated.  Nothing before a resume
+//! point is needed, because the instance's operation log is always
+//! replayed and retired before the pool is built.  Leftovers beyond the
+//! configured pool size are truncated so their blocks return to the
+//! allocator.  Every map of a staging file covers `[cursor, size)` only.
 //!
 //! When the pool runs dry, a [`StagingPool::take`] creates a file
 //! **inline** on the foreground write path.  Inline creations are
@@ -65,13 +69,15 @@ use std::sync::Arc;
 use parking_lot::{Mutex, MutexGuard};
 
 use kernelfs::{DaxMapping, Ext4Dax, BLOCK_SIZE};
-use pmem::{PmemDevice, SimClock};
+use pmem::{PmemDevice, SimClock, PAGE_2M};
 use vfs::{Fd, FileSystem, FsError, FsResult, OpenFlags};
 
 use crate::config::SplitConfig;
 use crate::mmap_collection::MAP_POPULATE;
 
 const BLOCK: u64 = BLOCK_SIZE as u64;
+/// A huge page: staging maps start on this boundary.
+const HUGE: u64 = PAGE_2M as u64;
 
 /// A slice of staging space handed to the write path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,10 +198,13 @@ impl StagingPool {
     /// Creates the pool, pre-allocating `config.staging_files` staging
     /// files (at least one) under `dir` (created if missing) on the kernel
     /// file system, and mapping the first two: the active file and its
-    /// spare.  Staging files left behind by a previous incarnation
-    /// of this instance are adopted (rebuilt) in name order; leftovers
-    /// beyond the configured pool size are truncated so their blocks are
-    /// reclaimed.
+    /// spare, each from its cursor.  Staging files left behind by a
+    /// previous incarnation of this instance are adopted in name order, as
+    /// they stand: an intact file resumes at 0 and a holed one at the
+    /// first 2 MiB boundary past its last hole, with no journal
+    /// transaction; only a file with no 2 MiB left there, or of another
+    /// size, is truncated and re-allocated.  Leftovers beyond the
+    /// configured pool size are truncated so their blocks are reclaimed.
     pub fn new(
         kernel: Arc<Ext4Dax>,
         device: Arc<PmemDevice>,
@@ -216,8 +225,8 @@ impl StagingPool {
         };
 
         // Names a previous incarnation left behind, in numeric order: the
-        // initial pool adopts them first so their (truncated) blocks are
-        // reused instead of leaking alongside fresh allocations.
+        // initial pool adopts them first so their blocks are reused
+        // instead of leaking alongside fresh allocations.
         let mut existing: Vec<u64> = pool
             .kernel
             .readdir(dir)
@@ -229,12 +238,13 @@ impl StagingPool {
 
         let initial = config.staging_files.max(1);
         for i in 0..initial {
-            let name = match existing.get(i) {
-                Some(&name) => name,
-                None => pool.reserve_name(),
+            let file = match existing.get(i) {
+                Some(&name) => {
+                    pool.next_name.fetch_max(name + 1, Ordering::Relaxed);
+                    pool.adopt_staging_file(name, i < 2)?
+                }
+                None => pool.build_staging_file(pool.reserve_name(), i < 2)?,
             };
-            pool.next_name.fetch_max(name + 1, Ordering::Relaxed);
-            let file = pool.build_staging_file(name, i < 2)?;
             pool.push(file);
         }
         // Stale files beyond the initial pool size: give their blocks back
@@ -298,37 +308,61 @@ impl StagingPool {
         }
     }
 
-    /// Maps the whole of a pre-allocated staging file, populating its page
-    /// tables up front.
-    fn map(&self, fd: Fd) -> FsResult<DaxMapping> {
-        self.kernel.dax_map(fd, 0, self.file_size, MAP_POPULATE)
+    /// Maps `[from, size)` of a pre-allocated staging file, populating its
+    /// page tables up front.  `from` is the file's cursor, a 2 MiB boundary,
+    /// so every chunk is one huge-page fault.
+    fn map(&self, fd: Fd, from: u64) -> FsResult<DaxMapping> {
+        self.kernel
+            .dax_map(fd, from, self.file_size - from, MAP_POPULATE)
     }
 
-    /// Creates and pre-allocates one staging file, and maps it if `map`.
-    /// Deliberately does **not** hold the pool lock: file creation goes
-    /// through the kernel file system and is the expensive part, so
+    /// Frees every block of a staging file and pre-allocates the whole file
+    /// again, so appends never allocate in the critical path.
+    fn reallocate(&self, fd: Fd) -> FsResult<()> {
+        self.kernel.ftruncate(fd, 0)?;
+        self.kernel.ftruncate(fd, self.file_size)
+    }
+
+    /// Creates and pre-allocates one fresh staging file, and maps it if
+    /// `map`.  Deliberately does **not** hold the pool lock: file creation
+    /// goes through the kernel file system and is the expensive part, so
     /// builders (the daemon, or an unlucky foreground thread) must not
     /// block concurrent `take`s.
     fn build_staging_file(&self, name: u64, map: bool) -> FsResult<StagingFile> {
         let path = format!("{}/stage-{}", self.dir, name);
         let fd = self.kernel.open(&path, OpenFlags::create())?;
-        // The descriptor is closed on every failure path, or the file
-        // would stay an open orphan once the staging directory is emptied.
-        let (mapping, ino) = (|| -> FsResult<_> {
-            // A stale file left by a previous incarnation of this instance
-            // may have holes where relink moved blocks out; empty it first
-            // so the extension below re-allocates every block.  Safe: the
-            // instance's operation log is always replayed and retired
-            // before the pool is built, so nothing references the old
-            // staging bytes.
-            if self.kernel.fstat(fd)?.size > 0 {
-                self.kernel.ftruncate(fd, 0)?;
-            }
-            // Pre-allocate the whole file so appends never allocate in the
-            // critical path.
-            self.kernel.ftruncate(fd, self.file_size)?;
-            let mapping = if map { Some(self.map(fd)?) } else { None };
-            Ok((mapping, self.kernel.fd_ino(fd)?))
+        self.ready(fd, map, || {
+            self.kernel.ftruncate(fd, self.file_size).map(|()| 0)
+        })
+    }
+
+    /// Adopts `stage-{name}`, which a previous incarnation of this instance
+    /// left behind, as it stands: it resumes at its
+    /// [resume point](Self::resume_point), or is rebuilt like a recycled
+    /// file when it has none.  Maps it from its cursor if `map`.
+    fn adopt_staging_file(&self, name: u64, map: bool) -> FsResult<StagingFile> {
+        let path = format!("{}/stage-{}", self.dir, name);
+        let fd = self.kernel.open(&path, OpenFlags::read_write())?;
+        self.ready(fd, map, || match self.resume_point(fd)? {
+            Some(at) => Ok(at),
+            None => self.reallocate(fd).map(|()| 0),
+        })
+    }
+
+    /// Readies the staging file open at `fd`: `blocks` sees to its blocks
+    /// and returns its cursor, and the file is mapped from there if `map`.
+    /// The descriptor is closed on every failure path, or the file would
+    /// stay an open orphan once the staging directory is emptied.
+    fn ready(
+        &self,
+        fd: Fd,
+        map: bool,
+        blocks: impl FnOnce() -> FsResult<u64>,
+    ) -> FsResult<StagingFile> {
+        let (cursor, mapping, ino) = (|| -> FsResult<_> {
+            let cursor = blocks()?;
+            let mapping = map.then(|| self.map(fd, cursor)).transpose()?;
+            Ok((cursor, mapping, self.kernel.fd_ino(fd)?))
         })()
         .inspect_err(|_| {
             let _ = self.kernel.close(fd);
@@ -337,11 +371,39 @@ impl StagingPool {
             fd,
             ino,
             mapping,
-            cursor: 0,
+            cursor,
             size: self.file_size,
             consumed: 0,
             retired: 0,
         })
+    }
+
+    /// Where an adopted staging file resumes, or `None` if it must be
+    /// rebuilt.  An intact file (the configured size, every block mapped,
+    /// as the `fstat` shows) resumes at 0.  Otherwise one `mapped_runs`
+    /// call finds its last run; if that reaches the end of the file, the
+    /// file resumes at the run's first 2 MiB boundary, as long as 2 MiB is
+    /// left there.  Nothing needs the bytes before it: the instance's log
+    /// is replayed and retired before the pool is built, and the blocks
+    /// relinks left there are freed at the file's next recycle.
+    fn resume_point(&self, fd: Fd) -> FsResult<Option<u64>> {
+        let stat = self.kernel.fstat(fd)?;
+        if stat.size != self.file_size {
+            return Ok(None);
+        }
+        if stat.blocks * BLOCK == self.file_size {
+            return Ok(Some(0));
+        }
+        let (_, runs) = self.kernel.mapped_runs(fd)?;
+        let at = runs
+            .last()
+            .filter(|&&(first, len)| (first + len) * BLOCK == self.file_size)
+            .map(|&(first, _)| (first * BLOCK).next_multiple_of(HUGE))
+            .filter(|&at| at + HUGE <= self.file_size);
+        if at.is_some() {
+            self.device.stats().add_staging_resume();
+        }
+        Ok(at)
     }
 
     /// Builds and maps one more staging file and appends it to the pool's
@@ -367,14 +429,14 @@ impl StagingPool {
                 let inner = self.inner.lock();
                 match inner.files.get(inner.active + 1) {
                     Some(f) if f.mapping.is_some() => return Ok(()),
-                    spare => spare.map(|f| (f.fd, f.ino)),
+                    spare => spare.map(|f| (f.fd, f.ino, f.cursor)),
                 }
             };
-            let Some((fd, ino)) = spare else {
+            let Some((fd, ino, cursor)) = spare else {
                 self.provision()?;
                 continue;
             };
-            let mapping = self.map(fd)?;
+            let mapping = self.map(fd, cursor)?;
             let mut inner = self.inner.lock();
             if let Some(file) = inner.files.iter_mut().find(|f| f.ino == ino) {
                 file.mapping.get_or_insert(mapping);
@@ -451,7 +513,7 @@ impl StagingPool {
             if file.mapping.is_none() {
                 // The daemon is off or has not prepared this file yet: map
                 // it inline.
-                file.mapping = Some(self.map(file.fd)?);
+                file.mapping = Some(self.map(file.fd, file.cursor)?);
             }
             return file.allocate(start, len, file.size);
         }
@@ -480,14 +542,25 @@ impl StagingPool {
         file.allocate(end, len, limit).ok()
     }
 
-    /// Records that `len` bytes staged in `staging_ino` were retired
-    /// (relinked or copied into its target).  Feeds the recyclability
-    /// accounting: an exhausted file whose retired bytes catch up with
-    /// its consumed bytes can be recycled.
-    pub fn note_retired(&self, staging_ino: u64, len: u64) {
+    /// Records that the bytes of each `(staging inode, bytes)` in `retired`
+    /// were retired (relinked, copied into their target or dropped), under
+    /// one take of the pool lock; a run of entries from one staging file is
+    /// summed into one update.  Feeds the recyclability accounting: an
+    /// exhausted file whose retired bytes catch up with its consumed bytes
+    /// can be recycled.
+    pub fn note_retired(&self, retired: impl IntoIterator<Item = (u64, u64)>) {
+        let mut retired = retired.into_iter().peekable();
+        if retired.peek().is_none() {
+            return;
+        }
         let mut inner = self.inner.lock();
-        if let Some(file) = inner.files.iter_mut().find(|f| f.ino == staging_ino) {
-            file.retired = (file.retired + len).min(file.consumed);
+        while let Some((ino, mut len)) = retired.next() {
+            while let Some((_, more)) = retired.next_if(|&(next, _)| next == ino) {
+                len += more;
+            }
+            if let Some(file) = inner.files.iter_mut().find(|f| f.ino == ino) {
+                file.retired = (file.retired + len).min(file.consumed);
+            }
         }
     }
 
@@ -518,8 +591,7 @@ impl StagingPool {
         let file = rec.file;
         // Free whatever blocks the relinks left behind (padding, copied
         // spans), then pre-allocate the full size again.
-        self.kernel.ftruncate(file.fd, 0)?;
-        self.kernel.ftruncate(file.fd, file.size)?;
+        self.reallocate(file.fd)?;
         self.push(StagingFile {
             fd: file.fd,
             ino: file.ino,
@@ -944,7 +1016,7 @@ mod tests {
             other.write(&pool, 256 * 1024);
         }
         for chunk in other.chunks.iter().filter(|a| a.staging_ino == file) {
-            pool.note_retired(file, chunk.len);
+            pool.note_retired([(file, chunk.len)]);
         }
         assert!(
             pool.begin_recycle().is_none(),
@@ -953,13 +1025,13 @@ mod tests {
         // The owner carves from the exhausted file; the carve is counted.
         owner.write(&pool, 2048);
         assert_eq!(owner.sequence(), vec![(0, 0, 1024), (0, 1024, 2048)]);
-        pool.note_retired(file, 1024);
+        pool.note_retired([(file, 1024)]);
         assert!(
             pool.begin_recycle().is_none(),
             "retiring the first extent alone does not cover the carved bytes"
         );
         // The owner's extents retire (its `relink_batch`): the tail is dead.
-        pool.note_retired(file, 2048);
+        pool.note_retired([(file, 2048)]);
         let recycled = pool.begin_recycle().expect("fully retired and exhausted");
         assert_eq!(recycled.ino(), file);
         pool.abort_recycle(recycled);

@@ -8,7 +8,10 @@
 //! * a crash anywhere around a recycle — file out of the pool, marker
 //!   durable, rebuild not yet done — recovers to the right file contents
 //!   and a freshly mounted instance rebuilds a consistent pool (fully
-//!   stocked, cursors reset, leftovers reclaimed);
+//!   stocked, exhausted files rebuilt, leftovers reclaimed);
+//! * a restart adopts each staging file as it stands and resumes it past
+//!   its last hole, with no journal transaction unless a file has no
+//!   2 MiB left there, across crash after crash;
 //! * staged bytes that leave without a relink — dropped with a replaced
 //!   file, or taken by a write that then failed — count as retired, so
 //!   their staging files recycle; a truncate applies what it cuts first,
@@ -16,7 +19,7 @@
 
 use std::sync::Arc;
 
-use pmem::{PmemBuilder, PmemDevice};
+use pmem::{CrashPolicy, PmemBuilder, PmemDevice};
 use splitfs::{recover, Mode, SplitConfig, SplitFs};
 use vfs::{FileSystem, OpenFlags};
 
@@ -649,5 +652,100 @@ fn a_truncate_on_a_full_log_is_not_undone_by_recovery() {
             "{case}: {} bytes came back",
             content.len()
         );
+    }
+}
+
+/// The `crash_recover` benchmark's cycle, repeated: 1 KiB appends over
+/// eight files with an fsync after every 8th, a crash, recovery and a
+/// restart.  With 4 MiB staging files, a cycle of 1000 appends stages
+/// about 1.3 MiB in the active file, so a start resumes it at 2 MiB or —
+/// once its last hole is past 2 MiB — finds no 2 MiB left and rebuilds
+/// it.  A cycle with no appends moves nothing, and a start with another
+/// staging-file size rebuilds every file.
+#[test]
+fn a_restart_resumes_each_staging_file_past_its_last_hole() {
+    const MIB: u64 = 1024 * 1024;
+    const FILES: usize = 8;
+    // Per cycle: the appends it makes, the staging-file size the restart
+    // after it asks for, and where that restart resumes the active file
+    // (`None`: it rebuilds the file, and takes from 0).
+    let cycles: [(usize, u64, Option<u64>); 6] = [
+        (1000, 4 * MIB, Some(2 * MIB)),
+        (1000, 4 * MIB, None),
+        (1000, 4 * MIB, Some(2 * MIB)),
+        (0, 4 * MIB, Some(2 * MIB)),
+        (1000, 4 * MIB, None),
+        (1000, 2 * MIB, None),
+    ];
+    for mode in [Mode::Strict, Mode::Sync] {
+        let device = PmemBuilder::new(256 * MIB as usize)
+            .track_persistence(true)
+            .crash_policy(CrashPolicy::LoseUnflushed)
+            .build();
+        let config = |size| {
+            SplitConfig::new(mode)
+                .with_staging(4, size)
+                .without_daemon()
+        };
+        let path = |f: usize| format!("/f{f}.log");
+        let mut kernel = kernelfs::Ext4Dax::mkfs(Arc::clone(&device)).unwrap();
+        let mut fs = SplitFs::new(Arc::clone(&kernel), config(4 * MIB)).unwrap();
+        let mut model = vec![Vec::new(); FILES];
+        let mut active = None;
+        for (cycle, (appends, size, resume)) in cycles.into_iter().enumerate() {
+            let case = format!("{mode:?}, cycle {cycle}");
+            let fds: Vec<vfs::Fd> = (0..FILES)
+                .map(|f| fs.open(&path(f), OpenFlags::create()).unwrap())
+                .collect();
+            for i in 0..appends {
+                let f = (i * 7 + i / 13 + cycle) % FILES;
+                let chunk = vec![(i % 251) as u8 ^ cycle as u8; 1024];
+                fs.append(fds[f], &chunk).unwrap();
+                model[f].extend_from_slice(&chunk);
+                if i % 8 == 7 {
+                    fs.fsync(fds[f]).unwrap();
+                }
+            }
+            drop(fs);
+            drop(kernel);
+            device.crash();
+            kernel = kernelfs::Ext4Dax::mount(Arc::clone(&device)).unwrap();
+            recover(&kernel, &config(size)).unwrap();
+            for (f, want) in model.iter().enumerate() {
+                assert!(
+                    kernel.read_file(&path(f)).unwrap() == *want,
+                    "{case}: file {f} lost acknowledged bytes"
+                );
+            }
+
+            let before = device.stats().snapshot();
+            fs = SplitFs::new(Arc::clone(&kernel), config(size)).unwrap();
+            let delta = device.stats().snapshot().delta(&before);
+            assert_eq!(delta.staging_resumes, resume.is_some() as u64, "{case}");
+            if resume.is_some() {
+                assert_eq!(delta.journal_txns, 0, "{case}: a resume rebuilds nothing");
+            }
+            // The first take of the restarted pool sits at its cursor, in
+            // the active file: the first staging file throughout.
+            let probe = fs.staging_pool().take(4096, 0, None).unwrap();
+            assert_eq!(probe.staging_offset, resume.unwrap_or(0), "{case}");
+            assert_eq!(
+                *active.get_or_insert(probe.staging_ino),
+                probe.staging_ino,
+                "{case}"
+            );
+        }
+        // The last restart asked for 2 MiB files: every one was rebuilt
+        // at that size, whole.
+        let dir = fs.staging_dir().to_string();
+        let names = kernel.readdir(&dir).unwrap();
+        for name in names.iter().filter(|n| n.starts_with("stage-")) {
+            let stat = kernel.stat(&format!("{dir}/{name}")).unwrap();
+            assert_eq!(
+                (stat.size, stat.blocks),
+                (2 * MIB, 2 * MIB / 4096),
+                "{name}"
+            );
+        }
     }
 }

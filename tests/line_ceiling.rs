@@ -22,7 +22,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The most non-test lines `crates/` may hold.
-const CEILING: usize = 22_161;
+const CEILING: usize = 22_373;
 
 /// Every counted file under `dir`.
 fn counted_files(dir: &Path, out: &mut Vec<PathBuf>) {
