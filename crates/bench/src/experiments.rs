@@ -657,6 +657,8 @@ impl CrashFuzzReport {
                 "Sealed",
                 "Stalled",
                 "Resumed",
+                "Copied",
+                "Discarded",
             ],
         );
         let dash = || Cell::text("-");
@@ -694,6 +696,8 @@ impl CrashFuzzReport {
             dash(),
             dash(),
             dash(),
+            dash(),
+            dash(),
         ]);
         let media = &self.media;
         table.rows.push(vec![
@@ -708,6 +712,8 @@ impl CrashFuzzReport {
             } else {
                 "restored: false"
             }),
+            dash(),
+            dash(),
             dash(),
             dash(),
             dash(),
@@ -922,10 +928,17 @@ mod tests {
             "{replay}: {restart:#?}"
         );
         // Paths no campaign can reach, and why.
-        const UNREACHED: [(&str, &str); 1] = [(
-            "staging-file recycle",
-            "every trial runs with the daemon off, and only its tick recycles",
-        )];
+        const UNREACHED: [(&str, &str); 2] = [
+            (
+                "staging-file recycle",
+                "every trial runs with the daemon off, and only its tick recycles",
+            ),
+            (
+                "staged discard",
+                "a file's state is dropped only at its last close or unlink, \
+                 and close relinks its staged bytes first",
+            ),
+        ];
         for (path, points) in report.reach().rows() {
             match UNREACHED.iter().find(|(p, _)| *p == path) {
                 Some((_, why)) => assert_eq!(points, 0, "{replay}: {path} is reached now ({why})"),

@@ -125,10 +125,10 @@ pub fn make_splitfs(config: SplitConfig, device_size: usize) -> Fixture {
     Fixture { fs, device, kind }
 }
 
-/// Resets the fixture's clock and statistics; used between the setup phase
-/// and the measured phase of an experiment.
+/// Resets the fixture's statistics, and with them the clock that reads
+/// them; used between the setup phase and the measured phase of an
+/// experiment.
 pub fn reset_measurement(fixture: &Fixture) {
-    fixture.device.clock().reset();
     fixture.device.stats().reset();
 }
 

@@ -115,6 +115,10 @@ pub struct Reach {
     pub checkpoint_stall: u64,
     /// The start resumed a staging file past its last hole.
     pub resumed_adoption: u64,
+    /// A batched relink copied a partial block into its target.
+    pub partial_copy: u64,
+    /// A file's staged bytes were dropped unapplied.
+    pub staged_discard: u64,
 }
 
 impl Reach {
@@ -126,6 +130,8 @@ impl Reach {
             epoch_seal: ran(delta.oplog_epoch_swaps),
             checkpoint_stall: ran(delta.checkpoint_stalls),
             resumed_adoption: ran(delta.staging_resumes),
+            partial_copy: ran(delta.relink_batch_copies),
+            staged_discard: ran(delta.staged_discards),
         }
     }
 
@@ -135,15 +141,19 @@ impl Reach {
         self.epoch_seal += other.epoch_seal;
         self.checkpoint_stall += other.checkpoint_stall;
         self.resumed_adoption += other.resumed_adoption;
+        self.partial_copy += other.partial_copy;
+        self.staged_discard += other.staged_discard;
     }
 
     /// `(path, points)`, in the order the report prints them.
-    pub fn rows(&self) -> [(&'static str, u64); 4] {
+    pub fn rows(&self) -> [(&'static str, u64); 6] {
         [
             ("staging-file recycle", self.staging_recycle),
             ("epoch seal", self.epoch_seal),
             ("checkpoint stall", self.checkpoint_stall),
             ("resumed adoption", self.resumed_adoption),
+            ("partial-block copy", self.partial_copy),
+            ("staged discard", self.staged_discard),
         ]
     }
 }

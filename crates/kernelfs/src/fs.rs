@@ -1780,7 +1780,9 @@ impl Ext4Dax {
         alloc.persist_runs(&self.device, &self.sb, &freed_all);
         drop(alloc);
         drop(txn);
-        self.device.stats().add_batched_relink(moves.len() as u64);
+        self.device
+            .stats()
+            .add_batched_relink(moves.len() as u64, copies.len() as u64);
         obs::event(obs::SpanEvent::RelinkBatch);
         Ok(sizes)
     }
@@ -3167,7 +3169,14 @@ mod tests {
         assert_eq!(sizes, [(target, 2 * b + 1100)]);
         assert_eq!(delta.kernel_traps, 1);
         assert_eq!(delta.journal_txns, 1);
-        assert_eq!((delta.batched_relinks, delta.relink_batch_ops), (1, 1));
+        assert_eq!(
+            (
+                delta.batched_relinks,
+                delta.relink_batch_ops,
+                delta.relink_batch_copies
+            ),
+            (1, 1, 2)
+        );
         assert_eq!(delta.written(TimeCategory::UserData), b - 1000 + 1100);
 
         let want = [&[7u8; 1000][..], &staged[1000..2 * BLOCK_SIZE + 1100]].concat();

@@ -45,8 +45,9 @@ pub const SUPERBLOCK_MAGIC: u64 = 0x5350_4C49_5446_5331; // "SPLITFS1"
 /// On-media format version, in superblock slot 14.  Mount refuses any
 /// other value.  Version 1 added the journal chunk map; version 2 dropped
 /// the instance-lease table and its two superblock fields, and retired
-/// journal tags 9 and 12.
-pub const FORMAT_VERSION: u64 = 2;
+/// journal tags 9 and 12; version 3 replaced the byte-serial FNV-1a
+/// record checksum with the word-wise `vfs::util::checksum32`.
+pub const FORMAT_VERSION: u64 = 3;
 
 /// Byte offset, in block 0, of the journal chunk map's 64 B line.
 pub const JOURNAL_MAP_OFFSET: u64 = 128;
@@ -247,8 +248,9 @@ mod tests {
     fn a_version_other_than_the_current_one_is_rejected() {
         let sb = Superblock::compute(1 << 16, 4096).unwrap();
         assert_eq!(sb.version, FORMAT_VERSION);
-        // Version 1 is the format with the instance-lease table.
-        for version in [0, 1, FORMAT_VERSION + 1] {
+        // Version 1 is the format with the instance-lease table, version
+        // 2 the one with FNV-1a record checksums.
+        for version in [0, 1, 2, FORMAT_VERSION + 1] {
             let mut block = sb.to_block();
             block[VERSION_SLOT * 8..(VERSION_SLOT + 1) * 8].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(

@@ -56,9 +56,10 @@ fn an_inode_table_past_its_region_fails_the_mount() {
 
 #[test]
 fn any_format_version_but_the_current_one_fails_the_mount() {
-    assert_eq!(FORMAT_VERSION, 2);
-    // Version 1 is the format with the instance-lease table.
-    for version in [0, 1, FORMAT_VERSION + 1, u64::MAX] {
+    assert_eq!(FORMAT_VERSION, 3);
+    // Version 1 is the format with the instance-lease table, version 2
+    // the one whose journal records carry FNV-1a checksums.
+    for version in [0, 1, 2, FORMAT_VERSION + 1, u64::MAX] {
         assert_corrupted(mount_with(14, version), &format!("version {version}"));
     }
     assert!(mount_with(14, FORMAT_VERSION).is_ok());

@@ -10,7 +10,10 @@
 //! Format version 2 retired journal tags 9 and 12 and the superblock's two
 //! lease-table fields.  The constants of the records that followed the
 //! retired ones were regenerated then (their transaction ids moved down),
-//! and the superblock was pinned.
+//! and the superblock was pinned.  Format version 3 changed the record
+//! checksum from byte-serial FNV-1a to the word-wise `checksum32`: the
+//! last four bytes of every journal constant, and the superblock's
+//! version slot, were regenerated then.
 
 use kernelfs::dir;
 use kernelfs::inode::{Extent, Inode, InodeKind, INLINE_EXTENTS};
@@ -34,7 +37,7 @@ fn records() -> Vec<(JournalRecord, &'static str)> {
                 name: "wal.log".into(),
                 is_dir: false,
             },
-            "524a011a00080706050403020111000000000000000200000000000000070077616c2e6c6f67006ae18b1e",
+            "524a011a00080706050403020111000000000000000200000000000000070077616c2e6c6f670050b07476",
         ),
         (
             JournalRecord::Unlink {
@@ -43,7 +46,7 @@ fn records() -> Vec<(JournalRecord, &'static str)> {
                 ino: 33,
                 free_inode: true,
             },
-            "524a021b00090706050403020105000000000000000800676f6e652e6461742100000000000000012650f42f",
+            "524a021b00090706050403020105000000000000000800676f6e652e646174210000000000000001a50fa010",
         ),
         (
             JournalRecord::Rename {
@@ -54,14 +57,14 @@ fn records() -> Vec<(JournalRecord, &'static str)> {
                 ino: 41,
                 replaced_ino: 40,
             },
-            "524a032e000a0706050403020102000000000000000500612e746d7009000000000000000500622e6461742900000000000000280000000000000045de75b7",
+            "524a032e000a0706050403020102000000000000000500612e746d7009000000000000000500622e646174290000000000000028000000000000009876b405",
         ),
         (
             JournalRecord::SetSize {
                 ino: 17,
                 size: 0x1_2345_6789,
             },
-            "524a0410000b0706050403020111000000000000008967452301000000c8e11505",
+            "524a0410000b0706050403020111000000000000008967452301000000aae67296",
         ),
         (
             JournalRecord::AddExtent {
@@ -70,22 +73,22 @@ fn records() -> Vec<(JournalRecord, &'static str)> {
                 phys: 9000,
                 len: 16,
             },
-            "524a0520000c07060504030201110000000000000003000000000000002823000000000000100000000000000073cbad68",
+            "524a0520000c0706050403020111000000000000000300000000000000282300000000000010000000000000008ac2fa88",
         ),
         (
             JournalRecord::TruncateExtents {
                 ino: 17,
                 from_logical: 4,
             },
-            "524a0610000d070605040302011100000000000000040000000000000061f93cd6",
+            "524a0610000d0706050403020111000000000000000400000000000000aa89742e",
         ),
         (
             JournalRecord::AllocBlocks { start: 777, len: 12 },
-            "524a0710000e0706050403020109030000000000000c00000000000000347aea54",
+            "524a0710000e0706050403020109030000000000000c000000000000007a03f2c6",
         ),
         (
             JournalRecord::FreeBlocks { start: 888, len: 1 },
-            "524a0810000f0706050403020178030000000000000100000000000000501e821f",
+            "524a0810000f0706050403020178030000000000000100000000000000b2d31d83",
         ),
         (
             JournalRecord::SetRangeMapping {
@@ -94,7 +97,7 @@ fn records() -> Vec<(JournalRecord, &'static str)> {
                 count: 6,
                 extents: vec![(64, 5000, 2), (66, 7000, 4)],
             },
-            "524a0b4a0010070605040302010c000000000000004000000000000000060000000000000002004000000000000000881300000000000002000000000000004200000000000000581b00000000000004000000000000003cc996d9",
+            "524a0b4a0010070605040302010c000000000000004000000000000000060000000000000002004000000000000000881300000000000002000000000000004200000000000000581b00000000000004000000000000004daa86e1",
         ),
         (
             JournalRecord::SetRangeMapping {
@@ -103,11 +106,11 @@ fn records() -> Vec<(JournalRecord, &'static str)> {
                 count: 2,
                 extents: vec![],
             },
-            "524a0b1a0011070605040302010d00000000000000080000000000000002000000000000000000b6cc5e05",
+            "524a0b1a0011070605040302010d000000000000000800000000000000020000000000000000001a4db2c9",
         ),
         (
             JournalRecord::Commit,
-            "524a0a00001207060504030201efde17d1",
+            "524a0a00001207060504030201b9facc98",
         ),
     ]
 }
@@ -150,7 +153,7 @@ fn a_superblock_encodes_to_the_pinned_bytes() {
     let used = "31534654494c505300000100000000000010000000000000020000000000000000100000\
          000000000210000000000000000100000000000002110000000000000200000000000000\
          041100000000000000000000000000000000000000000000000000000000000000000000\
-         000000000200000000000000";
+         000000000300000000000000";
     assert_eq!(hex(&block[..120]), used);
     assert!(block[120..].iter().all(|&b| b == 0));
 }

@@ -1,61 +1,52 @@
 //! Simulated time.
 //!
 //! All performance results in the reproduction are reported in *simulated
-//! nanoseconds*: each device access and each modelled software action adds a
-//! cost (from [`crate::cost::CostModel`]) to a shared [`SimClock`].  This
-//! makes the experiments deterministic and independent of the speed of the
-//! machine running the emulation, while preserving the relative costs the
-//! paper measures on real persistent memory.
+//! nanoseconds*: each device access and each modelled software action
+//! charges a cost (from [`crate::cost::CostModel`]) to the device's
+//! [`Stats`], one [`crate::TimeCategory`] at a time, and the [`SimClock`]
+//! reads their sum.  This makes the experiments deterministic and
+//! independent of the speed of the machine running the emulation, while
+//! preserving the relative costs the paper measures on real persistent
+//! memory.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use crate::stats::Stats;
 
 thread_local! {
-    /// Simulated picoseconds of work performed (or waited for) by the
-    /// current thread.  See [`SimClock::thread_time_ns`].
-    static THREAD_PICOS: Cell<u64> = const { Cell::new(0) };
+    /// Simulated picoseconds the current thread waited on contended
+    /// locks.  See [`SimClock::charge_thread_wait`].
+    static THREAD_WAIT_PICOS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A monotonically increasing simulated clock, in nanoseconds.
 ///
 /// The clock is shared (via `Arc`) between the device, the file systems and
-/// the workload drivers.  It is advanced with [`SimClock::advance`] and read
-/// with [`SimClock::now_ns`].  Sub-nanosecond charges are accumulated in
-/// picoseconds internally so that repeated tiny charges (per-byte bandwidth
-/// costs) do not vanish to rounding.
-#[derive(Debug, Default)]
+/// the workload drivers.  It keeps no total of its own: it reads the
+/// simulated time charged to its [`Stats`] in every category since their
+/// last [`Stats::reset`], in picoseconds, so that repeated tiny charges
+/// (per-byte bandwidth costs) do not vanish to rounding.
+#[derive(Debug)]
 pub struct SimClock {
-    picos: AtomicU64,
+    stats: Arc<Stats>,
 }
 
 impl SimClock {
-    /// Creates a clock starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advances the clock by `ns` simulated nanoseconds (may be fractional).
-    ///
-    /// Negative or non-finite charges are ignored; they indicate a bug in a
-    /// cost computation and must not corrupt the clock.
-    pub fn advance(&self, ns: f64) {
-        if !ns.is_finite() || ns <= 0.0 {
-            return;
-        }
-        let picos = (ns * 1000.0).round() as u64;
-        self.picos.fetch_add(picos, Ordering::Relaxed);
-        THREAD_PICOS.with(|t| t.set(t.get() + picos));
+    /// Creates a clock that reads `stats`.
+    pub fn new(stats: Arc<Stats>) -> Self {
+        Self { stats }
     }
 
     /// Simulated nanoseconds of work performed **by the calling thread**
-    /// (its own charges on any clock, plus waits recorded with
+    /// (its own charges to any [`Stats`], plus waits recorded with
     /// [`SimClock::charge_thread_wait`]).  The global clock sums every
     /// thread's charges and therefore cannot distinguish serialized from
     /// parallel execution; per-thread time gives each thread's critical
     /// path, so a multi-threaded workload's simulated makespan is the
     /// maximum over its threads' deltas of this value.
     pub fn thread_time_ns() -> f64 {
-        THREAD_PICOS.with(|t| t.get()) as f64 / 1000.0
+        (Stats::thread_time_ps() + THREAD_WAIT_PICOS.with(Cell::get)) as f64 / 1000.0
     }
 
     /// Records `ns` simulated nanoseconds the calling thread spent blocked
@@ -69,68 +60,48 @@ impl SimClock {
         if !ns.is_finite() || ns <= 0.0 {
             return;
         }
-        THREAD_PICOS.with(|t| t.set(t.get() + (ns * 1000.0).round() as u64));
+        THREAD_WAIT_PICOS.with(|t| t.set(t.get() + (ns * 1000.0).round() as u64));
     }
 
     /// Returns the current simulated time in nanoseconds.
     pub fn now_ns(&self) -> u64 {
-        self.picos.load(Ordering::Relaxed) / 1000
+        self.stats.time_ps() / 1000
     }
 
     /// Returns the current simulated time in fractional nanoseconds.
     pub fn now_ns_f64(&self) -> f64 {
-        self.picos.load(Ordering::Relaxed) as f64 / 1000.0
-    }
-
-    /// Resets the clock to zero.  Used between experiment phases (e.g. the
-    /// load and run phases of YCSB) so each phase is timed independently.
-    pub fn reset(&self) {
-        self.picos.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A scoped timer: measures the simulated time elapsed between construction
-/// and [`Elapsed::elapsed_ns`], for a given clock.
-#[derive(Debug)]
-pub struct Elapsed<'a> {
-    clock: &'a SimClock,
-    start_ns: f64,
-}
-
-impl<'a> Elapsed<'a> {
-    /// Starts measuring at the clock's current time.
-    pub fn start(clock: &'a SimClock) -> Self {
-        Self {
-            clock,
-            start_ns: clock.now_ns_f64(),
-        }
-    }
-
-    /// Returns nanoseconds of simulated time elapsed since [`Elapsed::start`].
-    pub fn elapsed_ns(&self) -> f64 {
-        self.clock.now_ns_f64() - self.start_ns
+        self.stats.time_ps() as f64 / 1000.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TimeCategory;
+
+    /// A clock over fresh stats, and a charger of `ns` to them.
+    fn clock() -> (SimClock, Arc<Stats>, impl Fn(f64)) {
+        let stats = Arc::new(Stats::new());
+        let charged = Arc::clone(&stats);
+        let advance = move |ns| charged.add_time(TimeCategory::Software, ns);
+        (SimClock::new(Arc::clone(&stats)), stats, advance)
+    }
 
     #[test]
     fn advances_and_reads() {
-        let c = SimClock::new();
+        let (c, _, advance) = clock();
         assert_eq!(c.now_ns(), 0);
-        c.advance(100.0);
-        c.advance(0.5);
-        c.advance(0.5);
+        advance(100.0);
+        advance(0.5);
+        advance(0.5);
         assert_eq!(c.now_ns(), 101);
     }
 
     #[test]
     fn fractional_charges_accumulate() {
-        let c = SimClock::new();
+        let (c, _, advance) = clock();
         for _ in 0..1000 {
-            c.advance(0.001);
+            advance(0.001);
         }
         // 1000 * 0.001 ns = 1 ns, representable exactly in picoseconds.
         assert_eq!(c.now_ns(), 1);
@@ -138,40 +109,33 @@ mod tests {
 
     #[test]
     fn ignores_invalid_charges() {
-        let c = SimClock::new();
-        c.advance(-5.0);
-        c.advance(f64::NAN);
-        c.advance(f64::INFINITY);
+        let (c, _, advance) = clock();
+        advance(-5.0);
+        advance(f64::NAN);
+        advance(f64::INFINITY);
         assert_eq!(c.now_ns(), 0);
     }
 
     #[test]
     fn reset_zeroes_the_clock() {
-        let c = SimClock::new();
-        c.advance(42.0);
-        c.reset();
+        let (c, stats, advance) = clock();
+        advance(42.0);
+        stats.reset();
         assert_eq!(c.now_ns(), 0);
-    }
-
-    #[test]
-    fn elapsed_measures_delta() {
-        let c = SimClock::new();
-        c.advance(10.0);
-        let t = Elapsed::start(&c);
-        c.advance(32.0);
-        assert!((t.elapsed_ns() - 32.0).abs() < 1e-6);
+        advance(8.0);
+        assert_eq!(c.now_ns(), 8);
     }
 
     #[test]
     fn concurrent_advances_are_not_lost() {
-        use std::sync::Arc;
-        let c = Arc::new(SimClock::new());
+        let stats = Arc::new(Stats::new());
+        let c = SimClock::new(Arc::clone(&stats));
         let mut handles = Vec::new();
         for _ in 0..4 {
-            let c = Arc::clone(&c);
+            let stats = Arc::clone(&stats);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..10_000 {
-                    c.advance(1.0);
+                    stats.add_time(TimeCategory::Software, 1.0);
                 }
             }));
         }

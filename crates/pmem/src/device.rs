@@ -8,8 +8,8 @@
 //!   fenced; non-temporal stores persist at the next fence),
 //! * crash behaviour (unflushed lines are lost, see [`crate::crash`]),
 //! * access cost (every read/write/flush/fence charges simulated time to
-//!   the shared [`SimClock`] and [`Stats`], classified by
-//!   [`TimeCategory`]).
+//!   the shared [`Stats`], classified by [`TimeCategory`]; the device's
+//!   [`SimClock`] reads their sum).
 //!
 //! File systems treat offsets into the device as "physical PM addresses";
 //! a DAX mmap in `kernelfs` is simply a range of device offsets handed to
@@ -133,14 +133,15 @@ impl PmemBuilder {
                 })
             })
             .collect();
+        let stats = Arc::new(Stats::new());
         Arc::new(PmemDevice {
             size: n_shards * SHARD_SIZE,
             shards,
             pending_shards: (0..summary_words).map(|_| AtomicU64::new(0)).collect(),
             track_persistence: self.track_persistence,
             crash_policy: self.crash_policy,
-            clock: Arc::new(SimClock::new()),
-            stats: Arc::new(Stats::new()),
+            clock: Arc::new(SimClock::new(Arc::clone(&stats))),
+            stats,
             cost: self.cost,
             fence_seq: AtomicU64::new(0),
             fence_hook: FenceHookSlot(Mutex::new(None)),
@@ -616,15 +617,13 @@ impl PmemDevice {
     }
 
     /// Charges `ns` of pure software time (kernel traps, allocation
-    /// decisions, bookkeeping) to the clock and stats.
+    /// decisions, bookkeeping) to the stats, and so to the clock.
     pub fn charge_software(&self, ns: f64) {
-        self.clock.advance(ns);
         self.stats.add_time(TimeCategory::Software, ns);
     }
 
     /// Charges `ns` of time attributed to an arbitrary category.
     pub fn charge(&self, cat: TimeCategory, ns: f64) {
-        self.clock.advance(ns);
         self.stats.add_time(cat, ns);
     }
 
@@ -644,7 +643,6 @@ impl PmemDevice {
         self.check_range(offset, buf.len());
         self.read_uncharged(offset, buf);
         let ns = self.cost.pm_read_cost(buf.len(), pattern.is_sequential());
-        self.clock.advance(ns);
         self.stats.add_time(cat, ns);
         self.stats.add_bytes_read(cat, buf.len() as u64);
     }
@@ -689,7 +687,6 @@ impl PmemDevice {
         }
         let guard = self.shards[shard_idx].read();
         let ns = self.cost.pm_read_cost(len, pattern.is_sequential());
-        self.clock.advance(ns);
         self.stats.add_time(cat, ns);
         self.stats.add_bytes_read(cat, len as u64);
         self.stats.add_zero_copy_read_bytes(len as u64);
@@ -721,7 +718,6 @@ impl PmemDevice {
         self.check_range(offset, data.len());
         self.store(offset, data, mode);
         let ns = self.cost.pm_write_cost(data.len());
-        self.clock.advance(ns);
         self.stats.add_time(cat, ns);
         self.stats.add_bytes_written(cat, data.len() as u64);
     }
@@ -732,7 +728,6 @@ impl PmemDevice {
     /// `fsync` forces) without clobbering live data structures.
     pub fn charge_write_traffic(&self, len: usize, cat: TimeCategory) {
         let ns = self.cost.pm_write_cost(len);
-        self.clock.advance(ns);
         self.stats.add_time(cat, ns);
         self.stats.add_bytes_written(cat, len as u64);
     }
@@ -815,7 +810,6 @@ impl PmemDevice {
             });
         }
         let ns = lines as f64 * self.cost.clwb_ns;
-        self.clock.advance(ns);
         self.stats.add_time(cat, ns);
         self.stats.add_flushes(lines);
     }
@@ -836,7 +830,6 @@ impl PmemDevice {
             }
         }
         self.drain_pending();
-        self.clock.advance(self.cost.sfence_ns);
         self.stats.add_time(cat, self.cost.sfence_ns);
         self.stats.add_fence();
     }

@@ -12,10 +12,11 @@
 //!    written but never flushed+fenced are lost; everything that reached the
 //!    persistence domain survives ([`device::PmemDevice::crash`]).
 //! 3. **A calibrated cost model** — every device access and every software
-//!    action charges simulated nanoseconds to a [`clock::SimClock`] through
-//!    [`cost::CostModel`], decomposed by [`stats::TimeCategory`] so that the
-//!    paper's definition of *software overhead* (total time minus the time
-//!    spent accessing user data on the device, §5.7) can be computed exactly.
+//!    action charges simulated nanoseconds from [`cost::CostModel`] to the
+//!    device's [`stats::Stats`], which its [`clock::SimClock`] reads,
+//!    decomposed by [`stats::TimeCategory`] so that the paper's definition
+//!    of *software overhead* (total time minus the time spent accessing
+//!    user data on the device, §5.7) can be computed exactly.
 //!
 //! The device is deliberately simple: a sharded, lock-protected byte array.
 //! File systems built on top of it (kernelfs, baselines, splitfs) implement

@@ -10,24 +10,43 @@
 //!
 //! Beside the three per-category arrays, [`Stats`] carries scalar event
 //! counters (fences, traps, journal commits, ...).  Each is declared
-//! **once**, as a row of `counter_table!` below; the atomic cell, the
+//! **once**, as a row of `counter_table!` below; the cell, the
 //! [`StatsSnapshot`] field, the 1:1 `add_*` recorder and the counter's
 //! part of `snapshot()` / `reset()` / `delta()` are all generated from
 //! that row.
+//!
+//! Each thread that charges a [`Stats`] owns a block of its cells,
+//! registered once and found through a thread-local cache keyed by the
+//! never-reused stats id.  A recorder is a relaxed load and store into
+//! that block, not a locked read-modify-write; `snapshot()` sums the
+//! blocks and subtracts the base `reset()` recorded.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 /// Length of every per-category array.
 const CATS: usize = TimeCategory::ALL.len();
 
 thread_local! {
     /// Per-category simulated picoseconds charged **by the current
-    /// thread**, across every [`Stats`] instance (mirrors the clock's
-    /// thread-time tee).  The observability layer reads deltas of this
+    /// thread**, across every [`Stats`] instance (the clock's thread time
+    /// is their sum).  The observability layer reads deltas of this
     /// around an operation span to attribute the thread's charges to
     /// that operation; absolute values are meaningless across threads.
     static THREAD_CAT_PICOS: [Cell<u64>; CATS] = const { [const { Cell::new(0) }; CATS] };
+
+    /// This thread's cells of each [`Stats`] it charged, by stats id.
+    static THREAD_CELLS: RefCell<Vec<(u64, Arc<Cells>)>> = const { RefCell::new(Vec::new()) };
+}
+
+static NEXT_STATS_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Adds `n` to a cell only the calling thread writes.
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 /// What a charge of simulated time (or a burst of written bytes) was for.
@@ -81,13 +100,11 @@ impl TimeCategory {
 }
 
 /// Expands the rows of `counter_table!` into everything that has to know
-/// every counter: the [`Stats`] cells, the [`StatsSnapshot`] fields, the
-/// 1:1 recorders, and `snapshot` / `reset` / `delta`.
+/// every counter: the cells, the [`StatsSnapshot`] fields, the 1:1
+/// recorders, and the sums `snapshot` / `reset` / `delta` take.
 ///
 /// Fields rather than an `enum Counter` index into `[AtomicU64; N]`
-/// because readers name counters as public fields of the snapshot; the
-/// storage type of a counter is the one `AtomicU64` in the generated
-/// `Stats` below.
+/// because readers name counters as public fields of the snapshot.
 macro_rules! define_counters {
     ($(
         $(#[$doc:meta])* $name:ident
@@ -97,13 +114,39 @@ macro_rules! define_counters {
         #[cfg(test)]
         const COUNTERS: usize = [$(stringify!($name)),*].len();
 
-        /// Shared, thread-safe accumulator of simulated time and device traffic.
-        #[derive(Debug, Default)]
-        pub struct Stats {
-            time_ps: [AtomicU64; CATS],
-            bytes_written: [AtomicU64; CATS],
-            bytes_read: [AtomicU64; CATS],
-            $($name: AtomicU64,)*
+        /// Every value [`Stats`] keeps (picoseconds, bytes, events): one
+        /// thread's cells, or a sum of them.
+        #[derive(Debug, Default, Clone, Copy)]
+        struct Counts<T> {
+            time_ps: [T; CATS],
+            bytes_written: [T; CATS],
+            bytes_read: [T; CATS],
+            $($name: T,)*
+        }
+
+        impl Counts<u64> {
+            fn add(&mut self, cells: &Cells) {
+                let load = |slot: &AtomicU64| slot.load(Ordering::Relaxed);
+                for i in 0..CATS {
+                    self.time_ps[i] += load(&cells.time_ps[i]);
+                    self.bytes_written[i] += load(&cells.bytes_written[i]);
+                    self.bytes_read[i] += load(&cells.bytes_read[i]);
+                }
+                $(self.$name += load(&cells.$name);)*
+            }
+
+            fn since(&self, base: &Totals) -> StatsSnapshot {
+                let sub = |now: &[u64; CATS], then: &[u64; CATS]| {
+                    std::array::from_fn(|i| now[i].saturating_sub(then[i]))
+                };
+                let time_ps: [u64; CATS] = sub(&self.time_ps, &base.time_ps);
+                StatsSnapshot {
+                    time_ns: time_ps.map(|ps| ps as f64 / 1000.0),
+                    bytes_written: sub(&self.bytes_written, &base.bytes_written),
+                    bytes_read: sub(&self.bytes_read, &base.bytes_read),
+                    $($name: self.$name.saturating_sub(base.$name),)*
+                }
+            }
         }
 
         /// A point-in-time copy of [`Stats`], plus derived metrics.
@@ -120,26 +163,6 @@ macro_rules! define_counters {
 
         impl Stats {
             $($(define_counters!(@recorder $name $(#[$add_doc])* $add $step);)?)*
-
-            /// Takes a copyable snapshot of all counters.
-            pub fn snapshot(&self) -> StatsSnapshot {
-                let load = |slot: &AtomicU64| slot.load(Ordering::Relaxed);
-                StatsSnapshot {
-                    time_ns: std::array::from_fn(|i| load(&self.time_ps[i]) as f64 / 1000.0),
-                    bytes_written: std::array::from_fn(|i| load(&self.bytes_written[i])),
-                    bytes_read: std::array::from_fn(|i| load(&self.bytes_read[i])),
-                    $($name: load(&self.$name),)*
-                }
-            }
-
-            /// Resets every counter to zero.
-            pub fn reset(&self) {
-                let per_category = [&self.time_ps, &self.bytes_written, &self.bytes_read];
-                for slot in per_category.into_iter().flatten() {
-                    slot.store(0, Ordering::Relaxed);
-                }
-                $(self.$name.store(0, Ordering::Relaxed);)*
-            }
         }
 
         impl StatsSnapshot {
@@ -161,13 +184,13 @@ macro_rules! define_counters {
     (@recorder $name:ident $(#[$doc:meta])* $add:ident 1) => {
         $(#[$doc])*
         pub fn $add(&self) {
-            self.$name.fetch_add(1, Ordering::Relaxed);
+            self.record(|c| bump(&c.$name, 1));
         }
     };
     (@recorder $name:ident $(#[$doc:meta])* $add:ident n) => {
         $(#[$doc])*
         pub fn $add(&self, n: u64) {
-            self.$name.fetch_add(n, Ordering::Relaxed);
+            self.record(|c| bump(&c.$name, n));
         }
     };
 }
@@ -229,6 +252,9 @@ macro_rules! counter_table {
             /// Total relink operations (coalesced staged runs) across all
             /// batched invocations.
             relink_batch_ops;
+            /// Partial blocks the batched relinks copied into their targets
+            /// instead of moving them.
+            relink_batch_copies;
             /// Operation-log group commits (multiple entries, one fence).
             oplog_group_commits =>
                 /// Records one operation-log group commit.
@@ -295,6 +321,11 @@ macro_rules! counter_table {
             staging_recycles =>
                 /// Records one staging file recycled back into the pool.
                 add_staging_recycle += 1;
+            /// Times a file's staged extents were dropped unapplied (it lost
+            /// its name and its last descriptor with bytes still staged).
+            staged_discards =>
+                /// Records one drop of a file's staged extents.
+                add_staged_discard += 1;
             /// Staging files a start adopted past their last hole instead of
             /// truncating and re-allocating them.
             staging_resumes =>
@@ -349,10 +380,113 @@ macro_rules! counter_table {
 
 counter_table!(define_counters);
 
+type Cells = Counts<AtomicU64>;
+type Totals = Counts<u64>;
+
+#[derive(Debug, Default)]
+struct Registry {
+    /// The cells of every thread that may still charge.
+    cells: Vec<Arc<Cells>>,
+    /// The sum of the cells of threads that exited.
+    retired: Totals,
+    /// The totals at the last [`Stats::reset`].
+    base: Totals,
+}
+
+impl Registry {
+    fn totals(&self) -> Totals {
+        let mut totals = self.retired;
+        for cells in &self.cells {
+            totals.add(cells);
+        }
+        totals
+    }
+}
+
+/// Shared, thread-safe accumulator of simulated time and device traffic.
+#[derive(Debug)]
+pub struct Stats {
+    id: u64,
+    registry: Mutex<Registry>,
+}
+
+impl Default for Stats {
+    fn default() -> Self {
+        Self {
+            id: NEXT_STATS_ID.fetch_add(1, Ordering::Relaxed),
+            registry: Mutex::default(),
+        }
+    }
+}
+
 impl Stats {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Runs `f` on the calling thread's cells, registering them on its
+    /// first charge (most recent first in the cache).  A thread past its
+    /// thread-locals' destruction charges a block folded in at once.
+    fn record(&self, f: impl Fn(&Cells)) {
+        let recorded = THREAD_CELLS.try_with(|cache| {
+            let mut cache = cache.borrow_mut();
+            let at = cache.iter().position(|(id, _)| *id == self.id);
+            let at = at.unwrap_or_else(|| {
+                // Cells of a dropped `Stats` are held by this cache alone.
+                cache.retain(|(_, cells)| Arc::strong_count(cells) > 1);
+                cache.push((self.id, self.register()));
+                cache.len() - 1
+            });
+            cache.swap(0, at);
+            f(&cache[0].1);
+        });
+        if recorded.is_err() {
+            let cells = Cells::default();
+            f(&cells);
+            self.registry.lock().retired.add(&cells);
+        }
+    }
+
+    /// Registers a new block of cells, folding in first the blocks of
+    /// threads that exited (those the registry alone holds).
+    fn register(&self) -> Arc<Cells> {
+        let cells = Arc::new(Cells::default());
+        let mut guard = self.registry.lock();
+        let registry = &mut *guard;
+        registry.cells.retain_mut(|block| {
+            let gone = Arc::get_mut(block).map(|gone| registry.retired.add(gone));
+            gone.is_none()
+        });
+        registry.cells.push(Arc::clone(&cells));
+        cells
+    }
+
+    /// Takes a copyable snapshot of every counter since the last reset.
+    pub fn snapshot(&self) -> StatsSnapshot {
+        let registry = self.registry.lock();
+        registry.totals().since(&registry.base)
+    }
+
+    /// Starts later snapshots from zero: records the current totals as
+    /// the base [`Stats::snapshot`] subtracts.
+    pub fn reset(&self) {
+        let mut registry = self.registry.lock();
+        registry.base = registry.totals();
+    }
+
+    /// Simulated picoseconds charged in every category since the last
+    /// reset: what the device clock reads.
+    pub(crate) fn time_ps(&self) -> u64 {
+        let registry = self.registry.lock();
+        let since = |(now, base): (&u64, &u64)| now.saturating_sub(*base);
+        registry
+            .totals()
+            .time_ps
+            .iter()
+            .zip(&registry.base.time_ps)
+            .map(since)
+            .sum()
     }
 
     /// Records `ns` of simulated time attributed to `cat`.
@@ -361,11 +495,9 @@ impl Stats {
             return;
         }
         let picos = (ns * 1000.0).round() as u64;
-        self.time_ps[cat.index_in_all()].fetch_add(picos, Ordering::Relaxed);
-        THREAD_CAT_PICOS.with(|t| {
-            let cell = &t[cat.index_in_all()];
-            cell.set(cell.get() + picos);
-        });
+        let i = cat.index_in_all();
+        self.record(|c| bump(&c.time_ps[i], picos));
+        THREAD_CAT_PICOS.with(|t| t[i].set(t[i].get() + picos));
     }
 
     /// Simulated nanoseconds charged **by the calling thread** per
@@ -380,20 +512,29 @@ impl Stats {
         THREAD_CAT_PICOS.with(|t| std::array::from_fn(|i| t[i].get() as f64 / 1000.0))
     }
 
+    /// Simulated picoseconds the calling thread charged to any `Stats`.
+    pub(crate) fn thread_time_ps() -> u64 {
+        THREAD_CAT_PICOS.with(|t| t.iter().map(Cell::get).sum())
+    }
+
     /// Records `n` bytes written to the device attributed to `cat`.
     pub fn add_bytes_written(&self, cat: TimeCategory, n: u64) {
-        self.bytes_written[cat.index_in_all()].fetch_add(n, Ordering::Relaxed);
+        self.record(|c| bump(&c.bytes_written[cat.index_in_all()], n));
     }
 
     /// Records `n` bytes read from the device attributed to `cat`.
     pub fn add_bytes_read(&self, cat: TimeCategory, n: u64) {
-        self.bytes_read[cat.index_in_all()].fetch_add(n, Ordering::Relaxed);
+        self.record(|c| bump(&c.bytes_read[cat.index_in_all()], n));
     }
 
-    /// Records one batched relink applying `ops` relink operations.
-    pub fn add_batched_relink(&self, ops: u64) {
-        self.batched_relinks.fetch_add(1, Ordering::Relaxed);
-        self.relink_batch_ops.fetch_add(ops, Ordering::Relaxed);
+    /// Records one batched relink applying `ops` relink operations and
+    /// `copies` partial-block copies.
+    pub fn add_batched_relink(&self, ops: u64, copies: u64) {
+        self.record(|c| {
+            bump(&c.batched_relinks, 1);
+            bump(&c.relink_batch_ops, ops);
+            bump(&c.relink_batch_copies, copies);
+        });
     }
 
     /// Records one vectored append of `slices` slices.  Single-slice
@@ -404,14 +545,18 @@ impl Stats {
         if slices < 2 {
             return;
         }
-        self.appendv_calls.fetch_add(1, Ordering::Relaxed);
-        self.appendv_slices.fetch_add(slices, Ordering::Relaxed);
+        self.record(|c| {
+            bump(&c.appendv_calls, 1);
+            bump(&c.appendv_slices, slices);
+        });
     }
 
     /// Records one `fsync_many` call retiring `files` descriptors.
     pub fn add_fsync_many(&self, files: u64) {
-        self.fsync_many_calls.fetch_add(1, Ordering::Relaxed);
-        self.fsync_many_files.fetch_add(files, Ordering::Relaxed);
+        self.record(|c| {
+            bump(&c.fsync_many_calls, 1);
+            bump(&c.fsync_many_files, files);
+        });
     }
 }
 
@@ -562,7 +707,9 @@ mod tests {
     /// one.
     fn compound_recorder(name: &str) -> fn(&Stats) {
         match name {
-            "batched_relinks" | "relink_batch_ops" => |s| s.add_batched_relink(3),
+            "batched_relinks" | "relink_batch_ops" | "relink_batch_copies" => {
+                |s| s.add_batched_relink(3, 2)
+            }
             "appendv_calls" | "appendv_slices" => |s| s.add_appendv(2),
             "fsync_many_calls" | "fsync_many_files" => |s| s.add_fsync_many(3),
             other => panic!(

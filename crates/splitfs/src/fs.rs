@@ -20,6 +20,7 @@
 //!   paper's deployment — share one kernel file system without stepping
 //!   on each other's resources.
 
+use std::cell::Cell;
 use std::ops::DerefMut;
 use std::sync::Arc;
 
@@ -730,27 +731,47 @@ impl SplitFs {
         S: DerefMut<Target = FileState>,
         B: AsRef<[u8]>,
     {
+        let mut lists = BATCH_LISTS.take();
+        let out = self.stage_with(states, ops, &mut lists);
+        lists.files.clear();
+        lists.pending.clear();
+        lists.entries.clear();
+        BATCH_LISTS.set(lists);
+        out
+    }
+
+    /// [`SplitFs::stage_batch`] with its working lists, empty.
+    fn stage_with<S, B>(
+        &self,
+        states: &mut [S],
+        ops: &mut [StageOp<'_, B>],
+        BatchLists {
+            files,
+            pending,
+            entries,
+        }: &mut BatchLists,
+    ) -> Option<u64>
+    where
+        S: DerefMut<Target = FileState>,
+        B: AsRef<[u8]>,
+    {
         // Per file of the batch: its size on entry (restored if the group
         // commit fails) and where its latest staged chunk ends — the latest
         // chunk *of this file* earlier in the batch, else `staged.last()`.
         // A write that starts at that target offset continues the chunk,
         // and the pool carves it from the block tail the chunk left.
-        let mut files: Vec<(u64, Option<ChunkEnd>)> = states
-            .iter()
-            .map(|st| {
-                let last = st.staged.last().map(|e| ChunkEnd {
-                    target: e.target_offset + e.len,
-                    staging: (e.staging_ino, e.staging_offset + e.len),
-                });
-                (st.cached_size, last)
-            })
-            .collect();
+        files.extend(states.iter().map(|st| {
+            let last = st.staged.last().map(|e| ChunkEnd {
+                target: e.target_offset + e.len,
+                staging: (e.staging_ino, e.staging_offset + e.len),
+            });
+            (st.cached_size, last)
+        }));
         // Staged chunks of the whole batch: (file, allocation, target
         // offset), one per allocation — a staged run gets one log entry
         // however many slices it gathers.  A lone writer's allocations are
         // contiguous in the staging file and coalesce into one run at
         // relink time.
-        let mut pending: Vec<(usize, StagingAllocation, u64)> = Vec::new();
         for op in ops.iter_mut() {
             let total: u64 = op.iov.iter().map(|b| b.as_ref().len() as u64).sum();
             op.result = Ok(total);
@@ -818,7 +839,6 @@ impl SplitFs {
             return Some(0);
         }
 
-        let mut entries: Vec<LogEntry> = Vec::new();
         if let Some(oplog) = self.oplog.as_ref() {
             // The staged data must be in the persistence domain before a
             // valid log entry can point at it.
@@ -831,10 +851,10 @@ impl SplitFs {
                 staging_offset: alloc.staging_offset,
                 ..LogEntry::new(LogOp::StagedWrite, self.instance_id)
             }));
-            let committed = self.commit_group(oplog, &mut entries);
+            let committed = self.commit_group(oplog, entries);
             if committed != Ok(true) {
                 let e = committed.clone().err().unwrap_or(FsError::NoSpace);
-                for (st, (pre_size, _)) in states.iter_mut().zip(&files) {
+                for (st, (pre_size, _)) in states.iter_mut().zip(&*files) {
                     st.cached_size = *pre_size;
                 }
                 let freed = pending.iter().map(|(_, a, _)| (a.staging_ino, a.len));
@@ -1083,6 +1103,22 @@ impl SplitFs {
 struct ChunkEnd {
     target: u64,
     staging: (u64, u64),
+}
+
+/// The working lists of a [`SplitFs::stage_batch`]: per file, its size
+/// on entry and where its latest staged chunk ends; the batch's staged
+/// chunks; their log entries.
+#[derive(Default)]
+struct BatchLists {
+    files: Vec<(u64, Option<ChunkEnd>)>,
+    pending: Vec<(usize, StagingAllocation, u64)>,
+    entries: Vec<LogEntry>,
+}
+
+thread_local! {
+    /// The lists keep their capacity on the thread from one batch to the
+    /// next, so that an append allocates nothing.
+    static BATCH_LISTS: Cell<BatchLists> = Cell::default();
 }
 
 /// One write of a [`SplitFs::stage_batch`].

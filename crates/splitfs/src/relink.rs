@@ -190,6 +190,9 @@ impl SplitFs {
     /// and `SplitFs::new` replays every log before its first create
     /// (`build_instance_resources`).  Called with the state's write lock.
     pub(crate) fn discard_staged(&self, st: &mut FileState) {
+        if !st.staged.is_empty() {
+            self.device.stats().add_staged_discard();
+        }
         let due = &mut st.invalidate_due;
         self.staging.note_retired(st.staged.drain(..).map(|e| {
             *due = (*due).max(e.seq);

@@ -116,6 +116,12 @@ struct StagingFile {
 }
 
 impl StagingFile {
+    /// Whether every byte handed out was retired (a file the cursor has
+    /// moved past can then be recycled).
+    fn recyclable(&self) -> bool {
+        self.consumed > 0 && self.retired >= self.consumed
+    }
+
     /// Hands out up to `len` bytes at `start`, stopping at `limit` and at
     /// the end of the device extent under `start`.  The shared cursor moves
     /// past every block the allocation touches: it only ever rests on a
@@ -188,6 +194,9 @@ pub struct StagingPool {
     /// readable without the pool lock: the append path's provisioning
     /// check and the daemon read it.
     spare_ready: AtomicBool,
+    /// Whether a file the cursor has moved past is fully retired, readable
+    /// without the pool lock by the daemon's per-tick recycle sweep.
+    recyclable: AtomicBool,
     /// Name counter for `stage-N` paths — lock-free, so reserving a name
     /// (the daemon's background-build path and inline creation) never
     /// touches the pool lock.
@@ -221,6 +230,7 @@ impl StagingPool {
             file_size: config.staging_file_size,
             inner: Mutex::new(PoolInner::default()),
             spare_ready: AtomicBool::new(false),
+            recyclable: AtomicBool::new(false),
             next_name: AtomicU64::new(0),
         };
 
@@ -268,21 +278,25 @@ impl StagingPool {
         self.next_name.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Refreshes the lock-free spare-ready mirror; call with the pool lock
-    /// held after any change to `files`, `active` or a mapping.
-    fn refresh_spare(&self, inner: &PoolInner) {
+    /// Refreshes the lock-free mirrors; call with the pool lock held after
+    /// any change to `files`, `active`, a mapping or a retired count.
+    fn refresh_mirrors(&self, inner: &PoolInner) {
         let ready = inner
             .files
             .get(inner.active + 1)
             .is_some_and(|f| f.mapping.is_some());
         self.spare_ready.store(ready, Ordering::Relaxed);
+        let recyclable = inner.files[..inner.active]
+            .iter()
+            .any(StagingFile::recyclable);
+        self.recyclable.store(recyclable, Ordering::Relaxed);
     }
 
     /// Appends `file` to the unconsumed tail of the pool.
     fn push(&self, file: StagingFile) {
         let mut inner = self.inner.lock();
         inner.files.push(file);
-        self.refresh_spare(&inner);
+        self.refresh_mirrors(&inner);
     }
 
     /// Whether the pool currently holds the staging file with inode `ino`
@@ -441,7 +455,7 @@ impl StagingPool {
             if let Some(file) = inner.files.iter_mut().find(|f| f.ino == ino) {
                 file.mapping.get_or_insert(mapping);
             }
-            self.refresh_spare(&inner);
+            self.refresh_mirrors(&inner);
         }
     }
 
@@ -497,7 +511,7 @@ impl StagingPool {
                 obs::event(obs::SpanEvent::InlineCreate);
                 inner = self.lock();
                 inner.files.push(file);
-                self.refresh_spare(&inner);
+                self.refresh_mirrors(&inner);
                 continue;
             }
             let active = inner.active;
@@ -507,7 +521,7 @@ impl StagingPool {
             let start = file.cursor + phase;
             if start >= file.size {
                 inner.active += 1;
-                self.refresh_spare(&inner);
+                self.refresh_mirrors(&inner);
                 continue;
             }
             if file.mapping.is_none() {
@@ -562,6 +576,7 @@ impl StagingPool {
                 file.retired = (file.retired + len).min(file.consumed);
             }
         }
+        self.refresh_mirrors(&inner);
     }
 
     /// Takes one recyclable staging file out of the pool: a file the
@@ -570,16 +585,25 @@ impl StagingPool {
     /// `StagingRecycle` log marker, then calls [`StagingPool::rebuild`]
     /// (or [`StagingPool::abort_recycle`] on failure).
     pub fn begin_recycle(&self) -> Option<RecycledFile> {
-        // `try_lock`: a pool busy serving a take is skipped this pass —
-        // holding its lock here would put the recycler's sweep on the
-        // foreground append path's critical section.
+        // Nothing to recycle costs one load.  `try_lock`: a pool busy
+        // serving a take is skipped this pass — holding its lock here
+        // would put the recycler's sweep on the foreground append path's
+        // critical section.
+        if !self.recyclable.load(Ordering::Relaxed) {
+            return None;
+        }
         let mut inner = self.inner.try_lock()?;
-        let idx = inner.files[..inner.active]
+        let Some(idx) = inner.files[..inner.active]
             .iter()
-            .position(|f| f.consumed > 0 && f.retired >= f.consumed)?;
+            .position(StagingFile::recyclable)
+        else {
+            // A tail carved since made the file live again.
+            self.recyclable.store(false, Ordering::Relaxed);
+            return None;
+        };
         let file = inner.files.remove(idx);
         inner.active -= 1;
-        self.refresh_spare(&inner);
+        self.refresh_mirrors(&inner);
         Some(RecycledFile { file })
     }
 
@@ -612,7 +636,7 @@ impl StagingPool {
         // Re-insert before the active index: the file is exhausted.
         inner.files.insert(0, rec.file);
         inner.active += 1;
-        self.refresh_spare(&inner);
+        self.refresh_mirrors(&inner);
     }
 }
 

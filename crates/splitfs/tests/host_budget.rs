@@ -12,6 +12,9 @@
 //! makes its one `String` in one pass, and a path that is already
 //! canonical is taken as it is.  A `realloc` anywhere in a file's
 //! metadata life means something grows a buffer field by field again.
+//! An append allocates nothing at all once warm: the staging batch keeps
+//! its working lists on the stack, and the device's statistics cells are
+//! registered once per thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -252,6 +255,10 @@ fn a_meta_churn_file_life_never_reallocates() {
     );
 }
 
+/// Allocations a strict `fsync` of ten staged 4 KiB blocks makes: the
+/// relink batch's working lists and the journal transaction's records.
+const FSYNC_ALLOCS_BUDGET: u64 = 21;
+
 #[test]
 fn a_strict_fsync_of_ten_staged_blocks_never_reallocates() {
     let fs = splitfs(Mode::Strict);
@@ -266,6 +273,32 @@ fn a_strict_fsync_of_ten_staged_blocks_never_reallocates() {
         let (_, heap) = heap_of(|| fs.fsync(fd).unwrap());
         if round > 0 {
             assert_eq!(heap.reallocs, 0, "fsync {round}: {heap:?}");
+            assert!(
+                heap.allocs <= FSYNC_ALLOCS_BUDGET,
+                "fsync {round}: {heap:?}, budget {FSYNC_ALLOCS_BUDGET}"
+            );
+        }
+    }
+}
+
+#[test]
+fn an_append_allocates_nothing() {
+    for mode in [Mode::Strict, Mode::Sync, Mode::Posix] {
+        for len in [BLOCK_SIZE, 1024] {
+            let fs = splitfs(mode);
+            let fd = fs.open("/wal", OpenFlags::create()).unwrap();
+            let data = vec![0xA5u8; len];
+            // Warm-up: the first appends register the thread's statistics
+            // cells and grow the file's staged-extent list; an fsync keeps
+            // the list's capacity for the appends after it.
+            for _ in 0..16 {
+                fs.append(fd, &data).unwrap();
+            }
+            fs.fsync(fd).unwrap();
+            for i in 0..16 {
+                let (_, heap) = heap_of(|| fs.append(fd, &data).unwrap());
+                assert_eq!(heap, NONE, "{mode:?}, {len} B append {i}");
+            }
         }
     }
 }
